@@ -9,11 +9,11 @@
 //! cargo bench -p semrec-bench --features criterion
 //! ```
 //!
-//! For the engine-level fixpoint benchmark (serial vs parallel,
-//! `BENCH_fixpoint.json`) use `harness bench` instead.
+//! For the engine-level fixpoint benchmark (`BENCH_fixpoint.json`) use
+//! `harness bench` instead.
 
 use semrec_bench::experiments::plan_for;
-use semrec_engine::{evaluate, evaluate_parallel, Strategy};
+use semrec_engine::{evaluate, Strategy};
 use semrec_gen::{fanout, parse_scenario, university};
 use std::hint::black_box;
 use std::time::Instant;
@@ -65,18 +65,4 @@ fn main() {
     bench("e2/university_with_introduction", 10, || {
         black_box(evaluate(&db, &with.program, Strategy::SemiNaive).unwrap());
     });
-
-    // Engine parallel scaling on the E1 headline workload.
-    let s = parse_scenario(fanout::PROGRAM);
-    let db = fanout::generate(&fanout::FanoutParams {
-        nodes: 300,
-        extra_edges: 160,
-        fanout: 64,
-        seed: 1,
-    });
-    for threads in [1usize, 2, 4] {
-        bench(&format!("engine/fanout64_threads/{threads}"), 5, || {
-            black_box(evaluate_parallel(&db, &s.program, Strategy::SemiNaive, threads).unwrap());
-        });
-    }
 }

@@ -276,11 +276,11 @@ pub struct BaselineWorkload {
     pub name: String,
     /// Generator parameter label (joins with `name` to key the diff).
     pub params: String,
-    /// `(threads, millis)` pairs.
-    pub timings: Vec<(usize, f64)>,
-    /// `(threads, rows_per_sec)` pairs (NaN when the baseline predates
-    /// the field — the throughput gate skips those).
-    pub rows_per_sec: Vec<(usize, f64)>,
+    /// Median wall milliseconds (NaN when absent).
+    pub millis: f64,
+    /// IDB rows per second (NaN when absent — the throughput gate
+    /// skips those).
+    pub rows_per_sec: f64,
 }
 
 /// Extracts the workload timings from a parsed `BENCH_fixpoint.json`.
@@ -302,36 +302,25 @@ pub fn parse_baseline(src: &str) -> Result<Vec<BaselineWorkload>, String> {
             .and_then(Json::as_str)
             .ok_or("workload missing `params`")?
             .to_owned();
-        let mut timings = Vec::new();
-        let mut rows_per_sec = Vec::new();
-        for t in w.get("timings").and_then(Json::as_arr).unwrap_or(&[]) {
-            let threads = t.get("threads").and_then(Json::as_num).unwrap_or(0.0) as usize;
-            let millis = t.get("millis").and_then(Json::as_num).unwrap_or(f64::NAN);
-            timings.push((threads, millis));
-            let rps = t
-                .get("rows_per_sec")
-                .and_then(Json::as_num)
-                .unwrap_or(f64::NAN);
-            rows_per_sec.push((threads, rps));
-        }
+        let num = |key: &str| w.get(key).and_then(Json::as_num).unwrap_or(f64::NAN);
         out.push(BaselineWorkload {
             name,
             params,
-            timings,
-            rows_per_sec,
+            millis: num("millis"),
+            rows_per_sec: num("rows_per_sec"),
         });
     }
     Ok(out)
 }
 
 /// Renders a per-workload speedup table: `baseline millis / fresh millis`
-/// at each thread count (> 1.00x means the fresh run is faster).
+/// (> 1.00x means the fresh run is faster).
 pub fn diff_table(fresh: &[WorkloadResult], baseline: &[BaselineWorkload]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<12} {:<42} {:>3} {:>10} {:>10} {:>8}",
-        "workload", "params", "t", "base ms", "fresh ms", "speedup"
+        "{:<12} {:<42} {:>10} {:>10} {:>8}",
+        "workload", "params", "base ms", "fresh ms", "speedup"
     );
     for w in fresh {
         let base = baseline
@@ -341,21 +330,15 @@ pub fn diff_table(fresh: &[WorkloadResult], baseline: &[BaselineWorkload]) -> St
             let _ = writeln!(s, "{:<12} {:<42}   (not in baseline)", w.name, w.params);
             continue;
         };
-        for t in &w.timings {
-            let Some(&(_, base_ms)) = base.timings.iter().find(|(n, _)| *n == t.threads) else {
-                continue;
-            };
-            let _ = writeln!(
-                s,
-                "{:<12} {:<42} {:>3} {:>10.2} {:>10.2} {:>7.2}x",
-                w.name,
-                w.params,
-                t.threads,
-                base_ms,
-                t.millis,
-                base_ms / t.millis.max(1e-9),
-            );
-        }
+        let _ = writeln!(
+            s,
+            "{:<12} {:<42} {:>10.2} {:>10.2} {:>7.2}x",
+            w.name,
+            w.params,
+            base.millis,
+            w.millis,
+            base.millis / w.millis.max(1e-9),
+        );
     }
     for b in baseline {
         if !fresh
@@ -373,17 +356,16 @@ pub fn diff_table(fresh: &[WorkloadResult], baseline: &[BaselineWorkload]) -> St
 }
 
 /// The `--assert-throughput <pct>` gate: on every fresh workload whose
-/// baseline records a finite single-thread `rows_per_sec`, the fresh
-/// single-thread throughput must not fall more than `tolerance_pct`
-/// percent below the baseline's. Returns a summary of the checked
-/// workloads, or a report of the violations. Checking zero workloads is
-/// itself an error — a baseline without throughput fields would
-/// otherwise silently disarm the gate.
+/// baseline records a finite `rows_per_sec`, the fresh throughput must
+/// not fall more than `tolerance_pct` percent below the baseline's.
+/// Returns a summary of the checked workloads, or a report of the
+/// violations. Checking zero workloads is itself an error — a baseline
+/// without throughput fields would otherwise silently disarm the gate.
 ///
-/// Workloads below [`crate::fixpoint::SCALING_MIN_IDB_ROWS`] IDB rows
-/// are skipped, mirroring the scaling gate: their sub-millisecond runs
-/// are scheduling-noise-dominated and swing 2x between passes, so a
-/// percentage floor on them measures the machine, not the engine.
+/// Workloads below [`crate::fixpoint::THROUGHPUT_MIN_IDB_ROWS`] IDB rows
+/// are skipped: their sub-millisecond runs are scheduling-noise-dominated
+/// and swing 2x between passes, so a percentage floor on them measures
+/// the machine, not the engine.
 pub fn check_throughput(
     fresh: &[WorkloadResult],
     baseline: &[BaselineWorkload],
@@ -392,7 +374,7 @@ pub fn check_throughput(
     let mut checked = 0usize;
     let mut violations = String::new();
     for w in fresh {
-        if w.rows_idb < crate::fixpoint::SCALING_MIN_IDB_ROWS {
+        if w.rows_idb < crate::fixpoint::THROUGHPUT_MIN_IDB_ROWS {
             continue;
         }
         let Some(base) = baseline
@@ -401,26 +383,17 @@ pub fn check_throughput(
         else {
             continue;
         };
-        let Some(&(_, base_rps)) = base.rows_per_sec.iter().find(|(n, _)| *n == 1) else {
-            continue;
-        };
+        let base_rps = base.rows_per_sec;
         if !base_rps.is_finite() || base_rps <= 0.0 {
             continue;
         }
-        let Some(fresh_rps) = w
-            .timings
-            .iter()
-            .find(|t| t.threads == 1)
-            .map(|t| t.rows_per_sec)
-        else {
-            continue;
-        };
+        let fresh_rps = w.rows_per_sec();
         checked += 1;
         let floor = base_rps * (1.0 - tolerance_pct / 100.0);
         if fresh_rps < floor {
             let _ = writeln!(
                 violations,
-                "  {} {}: t1 {:.0} rows/s < floor {:.0} (baseline {:.0} - {tolerance_pct}%)",
+                "  {} {}: {:.0} rows/s < floor {:.0} (baseline {:.0} - {tolerance_pct}%)",
                 w.name, w.params, fresh_rps, floor, base_rps,
             );
         }
@@ -428,18 +401,18 @@ pub fn check_throughput(
     if checked == 0 {
         return Err(
             "throughput gate FAILED: no workload overlapped the baseline with a finite \
-             single-thread rows_per_sec"
+             rows_per_sec"
                 .to_owned(),
         );
     }
     if violations.is_empty() {
         Ok(format!(
             "throughput gate: {checked} workload(s) within {tolerance_pct}% of baseline \
-             single-thread rows/sec"
+             rows/sec"
         ))
     } else {
         Err(format!(
-            "throughput gate FAILED (t1 rows/sec more than {tolerance_pct}% below baseline):\n\
+            "throughput gate FAILED (rows/sec more than {tolerance_pct}% below baseline):\n\
              {violations}"
         ))
     }
@@ -448,7 +421,6 @@ pub fn check_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixpoint::Timing;
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -478,48 +450,36 @@ mod tests {
           "future_key": {"ignored": [1, 2]},
           "workloads": [
             {"name": "fanout", "params": "nodes=10", "rows_idb": 5,
-             "timings": [{"threads": 1, "millis": 2.5, "busy_fraction": 0.9},
-                         {"threads": 4, "millis": 1.0}]}
+             "millis": 2.5, "rows_per_sec": 5000.0},
+            {"name": "org", "params": "p", "millis": 1.0}
           ]
         }"#;
         let ws = parse_baseline(src).unwrap();
-        assert_eq!(ws.len(), 1);
+        assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].name, "fanout");
-        assert_eq!(ws[0].timings, vec![(1, 2.5), (4, 1.0)]);
-        // Pre-throughput baselines parse with NaN rows/sec markers.
-        assert!(ws[0].rows_per_sec.iter().all(|(_, r)| r.is_nan()));
-    }
-
-    #[test]
-    fn extracts_rows_per_sec_when_present() {
-        let src = r#"{"workloads": [
-            {"name": "fanout", "params": "p",
-             "timings": [{"threads": 1, "millis": 2.0, "rows_per_sec": 5000.0}]}
-        ]}"#;
-        let ws = parse_baseline(src).unwrap();
-        assert_eq!(ws[0].rows_per_sec, vec![(1, 5000.0)]);
+        assert_eq!((ws[0].millis, ws[0].rows_per_sec), (2.5, 5000.0));
+        // A workload without the field parses with a NaN marker.
+        assert!(ws[1].rows_per_sec.is_nan());
     }
 
     #[test]
     fn throughput_gate_flags_regressions_and_passes_parity() {
+        use crate::fixpoint::THROUGHPUT_MIN_IDB_ROWS;
+        // `rows_per_sec` is rows_idb per wall second, so pick the time
+        // that yields the wanted rate.
         let mk_fresh = |rps: f64| WorkloadResult {
             name: "w".into(),
             params: "p".into(),
             rows_edb: 0,
-            rows_idb: crate::fixpoint::SCALING_MIN_IDB_ROWS,
+            rows_idb: THROUGHPUT_MIN_IDB_ROWS,
             rounds: 1,
-            timings: vec![Timing {
-                threads: 1,
-                millis: 1.0,
-                busy_fraction: 1.0,
-                rows_per_sec: rps,
-            }],
+            millis: THROUGHPUT_MIN_IDB_ROWS as f64 * 1e3 / rps,
         };
         let base = BaselineWorkload {
             name: "w".into(),
             params: "p".into(),
-            timings: vec![(1, 1.0)],
-            rows_per_sec: vec![(1, 100_000.0)],
+            millis: 1.0,
+            rows_per_sec: 100_000.0,
         };
         // Within tolerance and genuinely faster both pass.
         assert!(check_throughput(&[mk_fresh(95_000.0)], std::slice::from_ref(&base), 10.0).is_ok());
@@ -531,10 +491,10 @@ mod tests {
             check_throughput(&[mk_fresh(80_000.0)], std::slice::from_ref(&base), 10.0).unwrap_err();
         assert!(err.contains("FAILED"), "{err}");
         assert!(err.contains("80000"), "{err}");
-        // Sub-floor micro workloads are exempt (noise-dominated, same
-        // filter as the scaling gate) while gated ones still check.
+        // Sub-floor micro workloads are exempt (noise-dominated) while
+        // gated ones still check.
         let micro = WorkloadResult {
-            rows_idb: crate::fixpoint::SCALING_MIN_IDB_ROWS - 1,
+            rows_idb: THROUGHPUT_MIN_IDB_ROWS - 1,
             ..mk_fresh(10_000.0)
         };
         assert!(check_throughput(
@@ -546,7 +506,7 @@ mod tests {
         // A baseline without throughput fields cannot silently disarm
         // the gate: checking zero workloads is an error.
         let old = BaselineWorkload {
-            rows_per_sec: vec![(1, f64::NAN)],
+            rows_per_sec: f64::NAN,
             ..base
         };
         assert!(check_throughput(&[mk_fresh(80_000.0)], &[old], 10.0).is_err());
@@ -559,6 +519,6 @@ mod tests {
         let src = std::fs::read_to_string(path).expect("BENCH_fixpoint.json exists");
         let ws = parse_baseline(&src).expect("checked-in baseline parses");
         assert!(ws.iter().any(|w| w.name == "fanout"));
-        assert!(ws.iter().all(|w| !w.timings.is_empty()));
+        assert!(ws.iter().all(|w| w.millis.is_finite()));
     }
 }

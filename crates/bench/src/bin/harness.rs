@@ -7,24 +7,22 @@
 //! cargo run -p semrec-bench --release --bin harness -- all --markdown
 //! cargo run -p semrec-bench --release --bin harness -- bench --json
 //! cargo run -p semrec-bench --release --bin harness -- bench --baseline BENCH_fixpoint.json
-//! cargo run -p semrec-bench --release --bin harness -- bench --quick --assert-scaling
 //! cargo run -p semrec-bench --release --bin harness -- serve-bench --json
 //! cargo run -p semrec-bench --release --bin harness -- serve-bench --quick --baseline BENCH_serve.json
 //! ```
 //!
-//! `bench` times the semi-naive fixpoint on the gen workloads at 1/2/4
-//! worker threads plus the end-to-end semantic (optimizer) speedup and
-//! the governance overhead (budget checks on vs off, E1 fanout); with
-//! `--json` it also writes `BENCH_fixpoint.json` at the repo root
-//! (`--quick` shrinks sizes for the CI gate). `--baseline <file>` diffs
+//! `bench` times the semi-naive fixpoint on the gen workloads plus the
+//! end-to-end semantic (optimizer) speedup and the governance overhead
+//! (budget checks on vs off, E1 fanout); with `--json` it also writes
+//! `BENCH_fixpoint.json` at the repo root (`--quick` shrinks sizes for
+//! the CI gate). `--baseline <file>` diffs
 //! the fresh run against a prior JSON and prints per-workload speedups.
-//! `--assert-scaling` exits nonzero if 4-thread time exceeds 1-thread
-//! time by more than 10% on any workload with `rows_idb >= 50_000`.
 //! `--assert-throughput <pct>` (requires `--baseline`) exits nonzero if
-//! any workload's single-thread rows/sec falls more than `<pct>` percent
-//! below the baseline's. `--assert-kernel-coverage <pct>` exits nonzero
-//! if any kernel-bench workload routes fewer than `<pct>` percent of its
-//! plan executions through the batch kernels. `--assert-routing` exits
+//! the rows/sec of any workload with `rows_idb >= 50_000` falls more
+//! than `<pct>` percent below the baseline's.
+//! `--assert-kernel-coverage <pct>` exits nonzero if any kernel-bench
+//! workload routes fewer than `<pct>` percent of its plan executions
+//! through the batch kernels. `--assert-routing` exits
 //! nonzero if the cost planner's chosen route runs slower than the fixed
 //! ladder (beyond noise), mispredicts cardinality by more than 10x, or
 //! spends over 2% of evaluation time planning.
@@ -32,11 +30,11 @@
 use semrec_bench::baseline::{check_schema_version, check_throughput, diff_table, parse_baseline};
 use semrec_bench::experiments::{run, Scale, ALL};
 use semrec_bench::fixpoint::{
-    check_kernel_coverage, check_no_regrow, check_routing, check_scaling, dict_table,
-    governance_table, incremental_table, kernel_table, routing_table, run_dict_bench,
-    run_fixpoint_bench_gated, run_governance_bench, run_incremental_bench, run_kernel_bench,
-    run_routing_bench, run_semantic_bench, semantic_table, to_json_full, to_json_with_dict,
-    to_json_with_incremental, to_json_with_kernels, to_json_with_routing, to_table,
+    check_kernel_coverage, check_no_regrow, check_routing, dict_table, governance_table,
+    incremental_table, kernel_table, routing_table, run_dict_bench, run_fixpoint_bench,
+    run_governance_bench, run_incremental_bench, run_kernel_bench, run_routing_bench,
+    run_semantic_bench, semantic_table, to_json_full, to_json_with_dict, to_json_with_incremental,
+    to_json_with_kernels, to_json_with_routing, to_table,
 };
 use semrec_bench::serve::{
     check_serve_baseline, check_serve_read, run_serve_bench, serve_table, serve_to_json,
@@ -89,10 +87,24 @@ fn main() -> ExitCode {
             args.push(a);
         }
     }
+    // A retired or mistyped gate flag must not pass silently.
+    const SWITCHES: [&str; 5] = [
+        "--quick",
+        "--markdown",
+        "--json",
+        "--assert-routing",
+        "--assert-serve-read",
+    ];
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !SWITCHES.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag `{bad}`");
+        return ExitCode::FAILURE;
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let markdown = args.iter().any(|a| a == "--markdown");
     let json = args.iter().any(|a| a == "--json");
-    let assert_scaling = args.iter().any(|a| a == "--assert-scaling");
     let assert_routing = args.iter().any(|a| a == "--assert-routing");
     let mut ids: Vec<&str> = args
         .iter()
@@ -172,9 +184,7 @@ fn main() -> ExitCode {
             },
             None => None,
         };
-        // --assert-scaling needs a workload above the gate's IDB floor
-        // even at quick sizes.
-        let results = run_fixpoint_bench_gated(quick, !quick || assert_scaling);
+        let results = run_fixpoint_bench(quick);
         print!("{}", to_table(&results));
         let semantic = run_semantic_bench(quick);
         print!("{}", semantic_table(&semantic));
@@ -209,15 +219,6 @@ fn main() -> ExitCode {
         if let (Some(base), Some(path)) = (&baseline, &baseline_path) {
             println!("\nspeedup vs baseline {path} (base ms / fresh ms):");
             print!("{}", diff_table(&results, base));
-        }
-        if assert_scaling {
-            match check_scaling(&results) {
-                Ok(summary) => println!("{summary}"),
-                Err(report) => {
-                    eprintln!("{report}");
-                    return ExitCode::FAILURE;
-                }
-            }
         }
         if assert_routing {
             match check_routing(&routing) {

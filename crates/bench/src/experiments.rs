@@ -717,51 +717,6 @@ pub fn e9(_scale: Scale) -> Vec<Table> {
     vec![t]
 }
 
-/// E10 — intra-round parallel evaluation speedup (engine extension, not a
-/// paper claim): the same program and data on 1, 2, and 4 worker threads.
-pub fn e10(scale: Scale) -> Vec<Table> {
-    // Parallelism applies across rule plans within a round, so the
-    // workload has several independent recursions: k transitive closures
-    // over disjoint edge relations.
-    let k = 8usize;
-    let rules: String = (0..k)
-        .map(|i| format!("t{i}(X, Y) :- e{i}(X, Y). t{i}(X, Y) :- e{i}(X, Z), t{i}(Z, Y).\n"))
-        .collect();
-    let program: Program = rules.parse().unwrap();
-    let mut db = Database::new();
-    let n = scale.pick(150usize, 350);
-    for i in 0..k {
-        let g = semrec_gen::graphs::random_digraph(&format!("e{i}"), n, n * 2, i as u64);
-        for (pred, rel) in g.iter() {
-            for t in rel.iter() {
-                db.insert(pred, t.to_vec());
-            }
-        }
-    }
-    let mut t = Table::new(
-        "E10 — parallel evaluation (engine extension)",
-        &["threads", "time", "speedup", "rows (invariant)"],
-    );
-    // Untimed warmup: without it the serial baseline absorbs the
-    // process's cold-start cost alone and inflates the speedups.
-    semrec_engine::evaluate_parallel(&db, &program, Strategy::SemiNaive, 1).unwrap();
-    let mut base = None;
-    for threads in [1usize, 2, 4] {
-        let (res, d) = timed(|| {
-            semrec_engine::evaluate_parallel(&db, &program, Strategy::SemiNaive, threads).unwrap()
-        });
-        let baseline = *base.get_or_insert(d.as_secs_f64());
-        t.row(vec![
-            threads.to_string(),
-            ms(d),
-            format!("{:.2}x", baseline / d.as_secs_f64().max(1e-9)),
-            res.stats.rows_scanned.to_string(),
-        ]);
-    }
-    t.note("eight independent closures; counters are identical across thread counts, only wall time changes.");
-    vec![t]
-}
-
 /// Runs an experiment by id.
 pub fn run(id: &str, scale: Scale) -> Option<Vec<Table>> {
     match id {
@@ -774,13 +729,12 @@ pub fn run(id: &str, scale: Scale) -> Option<Vec<Table>> {
         "e7" => Some(e7(scale)),
         "e8" => Some(e8(scale)),
         "e9" => Some(e9(scale)),
-        "e10" => Some(e10(scale)),
         _ => None,
     }
 }
 
 /// All experiment ids.
-pub const ALL: [&str; 10] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"];
+pub const ALL: [&str; 9] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"];
 
 #[cfg(test)]
 mod tests {

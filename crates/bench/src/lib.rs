@@ -7,10 +7,9 @@
 //! cargo run -p semrec-bench --release --bin harness -- all
 //! ```
 //!
-//! The fixpoint throughput benchmark (serial vs parallel engine timings,
-//! `BENCH_fixpoint.json`) runs via `harness bench`; std-only
-//! micro-benchmarks live in `benches/` behind the off-by-default
-//! `criterion` feature.
+//! The fixpoint throughput benchmark (`BENCH_fixpoint.json`) runs via
+//! `harness bench`; std-only micro-benchmarks live in `benches/` behind
+//! the off-by-default `criterion` feature.
 
 #![warn(missing_docs)]
 

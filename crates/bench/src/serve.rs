@@ -7,13 +7,14 @@
 //! The artifact carries its own schema version ([`SERVE_SCHEMA_VERSION`],
 //! independent of the fixpoint bench's) so `check.sh` can fail on a
 //! stale checked-in file, and records the box's
-//! `available_parallelism` plus the evaluator thread count the run
-//! used, so cross-machine numbers are interpretable.
+//! `available_parallelism` (the concurrent legs run reader and writer
+//! threads), so cross-machine numbers are interpretable.
 
 use crate::baseline::{parse_json, Json};
 use semrec_datalog::atom::Atom;
 use semrec_datalog::parser::{parse_atom, parse_unit, Unit};
-use semrec_engine::{int_tuple, Tuning, Tx};
+use semrec_engine::eval::goal_matches;
+use semrec_engine::{int_tuple, Tuple, Tx};
 use semrec_serve::{AdmissionConfig, ServeConfig, ServeError, Server};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,9 +27,10 @@ use std::time::{Duration, Instant};
 /// with `harness serve-bench --json` in the same PR.
 ///
 /// v2 added the indexed-read sections (`read_indexed`, `read_scan`),
-/// the `answer_cache` section, and the `batched_write` section; v1
-/// artifacts predate the indexed serve read path and are rejected.
-pub const SERVE_SCHEMA_VERSION: u64 = 2;
+/// the `answer_cache` section, and the `batched_write` section; v3
+/// dropped the `threads` key (evaluation is single-threaded). Older
+/// artifacts are rejected.
+pub const SERVE_SCHEMA_VERSION: u64 = 3;
 
 /// One timed section's latency digest, microseconds.
 #[derive(Clone, Copy, Debug, Default)]
@@ -48,20 +50,18 @@ pub struct LatencyDigest {
 pub struct ServeBenchResult {
     /// Chain length of the workload EDB.
     pub chain: usize,
-    /// Evaluator worker threads the daemon ran with.
-    pub threads: usize,
     /// Single-client read latency/throughput at the latest epoch
     /// (server defaults: index + cache on, same goal repeated).
     pub read: LatencyDigest,
     /// Commit latency/throughput on the writer path (WAL off: the run
     /// measures the apply+publish pipeline, not this box's fsync).
     pub write: LatencyDigest,
-    /// Bound-goal reads through the dictionary-probe path (cache off,
+    /// Bound-goal reads through the dictionary-probe path (no cache,
     /// cycling distinct goals so every read computes its answer).
     pub read_indexed: LatencyDigest,
-    /// The same bound-goal cycle through the full-relation scan path
-    /// (`index_reads` off, cache off) — the v1 read path, kept as the
-    /// comparison baseline the `--assert-serve-read` gate divides by.
+    /// The same bound-goal cycle as a full scan of the pinned snapshot
+    /// (`goal_matches` over every row, done here in the bench) — the
+    /// yardstick the `--assert-serve-read` gate divides by.
     pub read_scan: LatencyDigest,
     /// Repeated-goal reads against the answer cache (cache on).
     pub cache_read: LatencyDigest,
@@ -130,19 +130,12 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     } else {
         (2_000, 2_000, 200, 4, 1_000)
     };
-    let tuning = Tuning::default();
     let unit = chain_unit(chain);
-    let cfg = ServeConfig {
-        tuning,
-        retain_epochs: 8,
-        ..ServeConfig::default()
-    };
-    let (server, _) = Server::open(&unit, cfg, None).expect("serve bench open");
+    let (server, _) = Server::open(&unit, ServeConfig::default(), None).expect("serve bench open");
     let goal = parse_atom("reach(0, Y)").expect("goal");
 
     let mut result = ServeBenchResult {
         chain,
-        threads: tuning.threads,
         ..ServeBenchResult::default()
     };
 
@@ -171,16 +164,15 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     }
     result.write = digest(samples, started.elapsed());
 
-    // Phase 2b: indexed vs scan bound-goal reads, both with the answer
-    // cache off and cycling distinct goals, so every read computes its
-    // answer and the two legs differ only in routing. A warmup query
-    // pays the one-time dictionary index build outside the timings.
+    // Phase 2b: indexed vs scan bound-goal reads, both without the
+    // answer cache and cycling distinct goals, so every read computes
+    // its answer. A warmup query pays the one-time dictionary index
+    // build outside the timings.
     let goals: Vec<Atom> = (0..chain)
         .map(|i| parse_atom(&format!("reach({i}, Y)")).expect("bound goal"))
         .collect();
     let indexed_cfg = ServeConfig {
-        tuning,
-        answer_cache: false,
+        cache_capacity: 0,
         ..ServeConfig::default()
     };
     let (indexed, _) = Server::open(&unit, indexed_cfg, None).expect("indexed open");
@@ -196,36 +188,30 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     }
     result.read_indexed = digest(samples, started.elapsed());
 
+    // The scan yardstick: pin the same snapshot and filter every row
+    // through `goal_matches`, as a read path without the index would.
     let scan_reads = (reads / 10).max(10);
-    let scan_cfg = ServeConfig {
-        tuning,
-        index_reads: false,
-        answer_cache: false,
-        ..ServeConfig::default()
-    };
-    let (scan, _) = Server::open(&unit, scan_cfg, None).expect("scan open");
     let mut samples = Vec::with_capacity(scan_reads);
     let started = Instant::now();
     for k in 0..scan_reads {
         let i = k % chain;
         let t = Instant::now();
-        let reply = scan.query(&goals[i], None, None).expect("scan read");
+        let state = indexed.registry().pin(None).expect("pin latest");
+        let rel = state.relation(goals[i].pred).expect("reach is published");
+        let mut tuples: Vec<Tuple> = rel
+            .iter_range(rel.snapshot_rows())
+            .filter(|(_, row)| goal_matches(&goals[i], row))
+            .map(|(_, row)| row.to_vec())
+            .collect();
+        tuples.sort();
         samples.push(t.elapsed().as_secs_f64() * 1e6);
-        assert_eq!(reply.tuples.len(), chain - i, "closure from node {i}");
+        assert_eq!(tuples.len(), chain - i, "closure from node {i}");
     }
     result.read_scan = digest(samples, started.elapsed());
 
     // Phase 2c: the answer cache on a repeated goal — one miss computes,
     // everything after is a generation-keyed hit.
-    let (cached, _) = Server::open(
-        &unit,
-        ServeConfig {
-            tuning,
-            ..ServeConfig::default()
-        },
-        None,
-    )
-    .expect("cache open");
+    let (cached, _) = Server::open(&unit, ServeConfig::default(), None).expect("cache open");
     let mut samples = Vec::with_capacity(reads);
     let started = Instant::now();
     for _ in 0..reads {
@@ -264,15 +250,7 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
         tx.insert("witness", int_tuple(&[base + 1, base + 500_000]));
         tx
     };
-    let (serial, _) = Server::open(
-        &unit,
-        ServeConfig {
-            tuning,
-            ..ServeConfig::default()
-        },
-        None,
-    )
-    .expect("serial open");
+    let (serial, _) = Server::open(&unit, ServeConfig::default(), None).expect("serial open");
     let mut samples = Vec::with_capacity(writers * per_writer);
     let started = Instant::now();
     for w in 0..writers {
@@ -285,15 +263,7 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     }
     result.serial_write = digest(samples, started.elapsed());
 
-    let (batched, _) = Server::open(
-        &unit,
-        ServeConfig {
-            tuning,
-            ..ServeConfig::default()
-        },
-        None,
-    )
-    .expect("batched open");
+    let (batched, _) = Server::open(&unit, ServeConfig::default(), None).expect("batched open");
     let before = batched.stats();
     let started = Instant::now();
     let handles: Vec<_> = (0..writers)
@@ -368,7 +338,6 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     // Phase 4: overload shedding through a deliberately tiny gate. Two
     // held permits fill it; every query sheds typed until they drop.
     let tiny = ServeConfig {
-        tuning,
         admission: AdmissionConfig {
             max_inflight: 2,
             ..AdmissionConfig::default()
@@ -404,7 +373,6 @@ pub fn serve_to_json(r: &ServeBenchResult) -> String {
         "  \"available_parallelism\": {},",
         std::thread::available_parallelism().map_or(0, usize::from)
     );
-    let _ = writeln!(s, "  \"threads\": {},", r.threads);
     let _ = writeln!(s, "  \"chain\": {},", r.chain);
     let section = |s: &mut String, name: &str, d: &LatencyDigest, trailing: &str| {
         let _ = writeln!(s, "  \"{name}\": {{");
@@ -451,11 +419,7 @@ pub fn serve_to_json(r: &ServeBenchResult) -> String {
 /// Human-readable summary table for the terminal.
 pub fn serve_table(r: &ServeBenchResult) -> String {
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "\nserve bench (chain {}, {} evaluator thread(s)):",
-        r.chain, r.threads
-    );
+    let _ = writeln!(s, "\nserve bench (chain {}):", r.chain);
     let _ = writeln!(
         s,
         "  read   p50 {:>8.1}us  p99 {:>8.1}us  {:>10.1}/s  ({} samples)",
@@ -473,7 +437,7 @@ pub fn serve_table(r: &ServeBenchResult) -> String {
     );
     let _ = writeln!(
         s,
-        "  fscan  p50 {:>8.1}us  p99 {:>8.1}us  {:>10.1}/s  ({} samples, scan fallback)",
+        "  fscan  p50 {:>8.1}us  p99 {:>8.1}us  {:>10.1}/s  ({} samples, scan yardstick)",
         r.read_scan.p50_us, r.read_scan.p99_us, r.read_scan.per_sec, r.read_scan.count
     );
     let _ = writeln!(
@@ -532,7 +496,7 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
             ))
         }
     }
-    for key in ["available_parallelism", "threads", "chain"] {
+    for key in ["available_parallelism", "chain"] {
         if doc.get(key).and_then(Json::as_num).is_none() {
             return Err(format!("BENCH_serve.json is missing numeric `{key}`"));
         }
@@ -660,9 +624,9 @@ mod tests {
     fn stale_or_mangled_artifacts_are_rejected() {
         assert!(check_serve_baseline("{}").is_err());
         assert!(check_serve_baseline("{\"schema_version\": 0}").is_err());
-        let v1 = check_serve_baseline("{\"schema_version\": 1}")
-            .expect_err("v1 artifacts predate the indexed read path");
-        assert!(v1.contains("stale"));
+        let v2 = check_serve_baseline("{\"schema_version\": 2}")
+            .expect_err("v2 artifacts still carry the `threads` key");
+        assert!(v2.contains("stale"));
         let r = ServeBenchResult {
             overloaded: 0,
             ..ServeBenchResult::default()

@@ -181,24 +181,25 @@ fn monitored_ics(plan: &Plan, ics: &[Constraint]) -> Vec<Constraint> {
 }
 
 impl MaintainedQuery {
-    /// Optimizes `program` under `ics` and materializes the appropriate
-    /// route over `db` (the optimized program if every monitored IC
-    /// holds, the rectified program otherwise).
+    /// [`MaintainedQuery::new_tuned`] with the default [`Tuning`]. The
+    /// trailing `usize` is ignored: it is the signature
+    /// `benchmark/src/bin/layers.rs` calls (benchmark/README.md, *Frozen
+    /// surfaces (b)*), to be dropped by the next benchmark issue.
     pub fn new(
         db: Database,
         program: &Program,
         ics: &[Constraint],
         config: OptimizerConfig,
-        threads: usize,
+        _ignored: usize,
     ) -> Result<MaintainedQuery, MaintainError> {
-        MaintainedQuery::new_tuned(db, program, ics, config, Tuning::with_threads(threads))
+        MaintainedQuery::new_tuned(db, program, ics, config, Tuning::default())
     }
 
-    /// [`MaintainedQuery::new`] with the full evaluator [`Tuning`]
-    /// bundle: the initial materialization and every later update or
-    /// route-transition rebuild run under it, so a serving daemon's
-    /// configuration (threads × cutover × kernels) governs the whole
-    /// maintained lifetime.
+    /// Optimizes `program` under `ics` and materializes the appropriate
+    /// route over `db` (the optimized program if every monitored IC
+    /// holds, the rectified program otherwise). The initial
+    /// materialization and every later update or route-transition
+    /// rebuild run under `tuning`.
     pub fn new_tuned(
         db: Database,
         program: &Program,
@@ -665,12 +666,12 @@ mod tests {
         for v in 0..=6i64 {
             db.insert("witness", int_tuple(&[v, v * 1000]));
         }
-        let q = MaintainedQuery::new(
+        let q = MaintainedQuery::new_tuned(
             db,
             &unit.program(),
             &unit.constraints,
             OptimizerConfig::default(),
-            1,
+            Tuning::default(),
         )
         .expect("maintained query");
         assert!(

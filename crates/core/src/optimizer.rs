@@ -339,9 +339,8 @@ pub fn evaluate_governed(
     config: OptimizerConfig,
     budget: semrec_engine::Budget,
     cancel: semrec_engine::CancelToken,
-    threads: usize,
 ) -> Result<GovernedOutcome, semrec_engine::EngineError> {
-    evaluate_routed(db, program, ics, config, budget, cancel, threads, None)
+    evaluate_routed(db, program, ics, config, budget, cancel, None)
 }
 
 /// The cost-routed, governed evaluation entry point. The optimizer runs
@@ -363,7 +362,6 @@ pub fn evaluate_governed(
 /// (optimized-then-rectified) runs unchanged with no choice recorded.
 ///
 /// [`EngineError::Cancelled`]: semrec_engine::EngineError::Cancelled
-#[allow(clippy::too_many_arguments)]
 pub fn evaluate_routed(
     db: &semrec_engine::Database,
     program: &Program,
@@ -371,7 +369,6 @@ pub fn evaluate_routed(
     config: OptimizerConfig,
     budget: semrec_engine::Budget,
     cancel: semrec_engine::CancelToken,
-    threads: usize,
     goal: Option<&Atom>,
 ) -> Result<GovernedOutcome, semrec_engine::EngineError> {
     use semrec_engine::{EngineError, Route};
@@ -412,7 +409,7 @@ pub fn evaluate_routed(
                     (plan.program.clone(), kind, None)
                 }
             };
-            match run_under(db, &run_program, slice, cancel.clone(), threads) {
+            match run_under(db, &run_program, slice, cancel.clone()) {
                 Ok(mut result) => {
                     result.route = kind.route();
                     if let Some(c) = choice {
@@ -461,7 +458,7 @@ pub fn evaluate_routed(
         remaining.deadline = Some(left);
     }
     let (rectified, _) = rectify(program);
-    let mut result = run_under(db, &rectified, remaining, cancel, threads)?;
+    let mut result = run_under(db, &rectified, remaining, cancel)?;
     result.route = Route::RectifiedFallback;
     Ok(GovernedOutcome {
         result,
@@ -469,22 +466,19 @@ pub fn evaluate_routed(
     })
 }
 
-/// One budgeted evaluation; a control-thread panic (as opposed to a
-/// worker panic, which the pool already converts) is caught and
-/// surfaced as [`EngineError::WorkerPanicked`] so the degradation
-/// policy can treat both alike.
+/// One budgeted evaluation; a panic inside it is caught and surfaced
+/// as [`EngineError::WorkerPanicked`] so the degradation policy treats
+/// it like any other failed route.
 fn run_under(
     db: &semrec_engine::Database,
     program: &Program,
     budget: semrec_engine::Budget,
     cancel: semrec_engine::CancelToken,
-    threads: usize,
 ) -> Result<semrec_engine::EvalResult, semrec_engine::EngineError> {
     use semrec_engine::{EngineError, Evaluator, Strategy};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let run = catch_unwind(AssertUnwindSafe(|| {
         let mut ev = Evaluator::new(db, program, Strategy::SemiNaive)?
-            .with_parallelism(threads)
             .with_budget(budget)
             .with_cancel_token(cancel);
         ev.run()?;

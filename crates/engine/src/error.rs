@@ -24,7 +24,7 @@ pub enum EngineError {
     /// [`CancelToken`](crate::governor::CancelToken).
     Cancelled,
     /// The evaluation's wall-clock deadline passed. Cooperative checks
-    /// inside pool jobs make this fire mid-round, so `elapsed_ms` stays
+    /// inside scan loops make this fire mid-round, so `elapsed_ms` stays
     /// close to the requested deadline even on long rounds.
     DeadlineExceeded {
         /// Wall-clock milliseconds elapsed when the deadline tripped.
@@ -39,10 +39,11 @@ pub enum EngineError {
         /// The measured usage that exceeded it.
         used: u64,
     },
-    /// A pool job panicked on a worker thread. The round's partial
-    /// derivations were discarded; committed relations stay valid.
+    /// An evaluation panicked and the governed runner caught it. The
+    /// round's partial derivations were discarded; committed relations
+    /// stay valid.
     WorkerPanicked {
-        /// The failing job kind (`"pool.join"` or `"pool.merge"`).
+        /// The failing job kind (`"eval"`).
         job: String,
         /// The panic payload, stringified.
         payload: String,

@@ -8,34 +8,17 @@
 //!
 //! ## Execution model
 //!
-//! Each round collects the compiled plans that must run, then executes
-//! them either inline (serial) or on the persistent
-//! [`WorkerPool`](crate::pool::WorkerPool) as a **two-phase batch**.
-//! Phase one is the join phase, with two axes of parallelism:
-//! *rule-level* (independent plans run concurrently) and *data-level* (a
-//! plan whose seed scan covers a large row range is split into
-//! per-worker [`RowRange`] chunks). Each join task hash-routes its
-//! derived tuples into `K = next_pow2(threads)` per-shard flat buffers
-//! (`shard = fxhash(row) & (K - 1)`). Phase two is the merge phase: one
-//! pool job per shard dedups that shard's tuples against a private
-//! prehashed set plus read-only probes of the (round-immutable)
-//! relations. Because equal rows always hash to the same shard, the
-//! shards' tuple spaces are disjoint and the merge needs no locks. The
-//! control thread then only concatenates the accepted shard segments
-//! into the relations' delta windows
-//! ([`Relation::commit_new_rows`]) — dedup and insertion scale with the
-//! workers instead of serializing behind the control thread.
-//!
-//! Rounds whose seed-row volume is below an **adaptive serial cutover**
-//! run entirely on the control thread: the threshold is derived from the
-//! pool's measured per-job dispatch cost
-//! ([`WorkerPool::dispatch_cost_nanos`]), an online estimate of per-row
-//! work, and the machine's effective parallelism — not a hard-coded row
-//! count. See [`Cutover`] for the override used by tests and benchmarks.
+//! A round has one driver, on the calling thread: every scheduled plan
+//! (the full variants on a stratum's first round, the delta variants
+//! after) runs as a task that appends its derived head tuples to one
+//! flat [`DerivedBuf`]; the drain then dedups that buffer into the IDB
+//! relations with the hashes computed at derivation time, and the delta
+//! windows advance. Evaluation is single-threaded on purpose — see
+//! DESIGN.md, "Why evaluation is single-threaded".
 
 use crate::database::Database;
 use crate::error::EngineError;
-use crate::fxhash::{hash_slice, FxHashMap, PrehashedMap};
+use crate::fxhash::{hash_slice, FxHashMap};
 use crate::governor::{Budget, CancelToken, Governor, POLL_MASK};
 use crate::plan::{
     compile_rule_with_sizes, ArgPat, BatchKernel, CompiledRule, KernelGuard, KernelSrc, Source,
@@ -43,16 +26,12 @@ use crate::plan::{
 };
 #[cfg(doc)]
 use crate::plan::{KernelCompute, MAX_KERNEL_COMPUTES};
-use crate::pool::{Job, WorkerPool};
 use crate::relation::{CodeMap, ProbeHandle, Relation, RowRange, Tuple};
-use crate::stats::{PoolStats, Stats};
+use crate::stats::Stats;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::program::Program;
 use semrec_datalog::term::{Term, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc::channel;
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Fixpoint strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -290,9 +269,9 @@ struct DerivedRun {
 }
 
 /// Flat buffer of derived head tuples: one `Vec<Value>` shared by every
-/// tuple a task derives, instead of one heap allocation per tuple. Each
+/// tuple a round derives, instead of one heap allocation per tuple. Each
 /// tuple's FxHash is computed once at derivation time and carried along,
-/// so shard routing, merge dedup, and final insertion all reuse it.
+/// so the drain's dedup probe and final insertion reuse it.
 /// Tasks emit rule-at-a-time, so tuples form long single-predicate runs;
 /// recording one [`DerivedRun`] per run instead of a `(pred, start,
 /// end)` entry per tuple keeps the steady-state emission cost at the 40
@@ -323,30 +302,31 @@ impl DerivedBuf {
         self.hashes.push(h);
     }
 
+    /// Appends a head tuple: values stream straight into the buffer and
+    /// are hashed in place.
     #[inline]
-    fn push_hashed(&mut self, pred: Pred, row: &[Value], h: u64) {
+    fn push(&mut self, pred: Pred, vals: impl Iterator<Item = Value>) {
+        let start = self.data.len();
+        self.data.extend(vals);
+        let arity = (self.data.len() - start) as u32;
+        let h = hash_slice(&self.data[start..]);
+        self.note_row(pred, arity, h);
+    }
+
+    /// [`DerivedBuf::push`] for a row already materialized in a caller
+    /// buffer: one hash, one slice copy, no staging iterator.
+    #[inline]
+    fn push_row(&mut self, pred: Pred, row: &[Value]) {
+        self.push_prehashed(pred, row, hash_slice(row));
+    }
+
+    /// [`DerivedBuf::push_row`] with the content hash already known
+    /// (e.g. a stored row re-emitted verbatim).
+    #[inline]
+    fn push_prehashed(&mut self, pred: Pred, row: &[Value], h: u64) {
+        debug_assert_eq!(h, hash_slice(row), "stale row hash");
         self.data.extend_from_slice(row);
         self.note_row(pred, row.len() as u32, h);
-    }
-
-    /// Iterates `(pred, row, hash)` over every buffered tuple.
-    fn rows(&self) -> impl Iterator<Item = (Pred, &[Value], u64)> + '_ {
-        let nrows = self.hashes.len();
-        self.runs.iter().enumerate().flat_map(move |(ri, run)| {
-            let row_end = self
-                .runs
-                .get(ri + 1)
-                .map_or(nrows, |r| r.row_start as usize);
-            let (base, arity) = (run.data_start as usize, run.arity as usize);
-            (run.row_start as usize..row_end).map(move |j| {
-                let s = base + (j - run.row_start as usize) * arity;
-                (run.pred, &self.data[s..s + arity], self.hashes[j])
-            })
-        })
-    }
-
-    fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
     }
 
     /// Empties the buffer, keeping every allocation for reuse.
@@ -357,138 +337,14 @@ impl DerivedBuf {
     }
 }
 
-/// The per-task output sink: `K` shard-local [`DerivedBuf`]s, routed by
-/// tuple hash. Serial rounds use `K = 1` (routing degenerates to a
-/// single buffer); parallel join tasks use the round's shard count so
-/// the merge phase can run one lock-free job per shard.
-#[derive(Debug)]
-pub(crate) struct ShardedDerivedBuf {
-    shards: Vec<DerivedBuf>,
-    mask: u64,
-    /// Reusable staging row: head values are materialized here to be
-    /// hashed before the destination shard is known.
-    scratch: Vec<Value>,
-}
-
-impl ShardedDerivedBuf {
-    fn new(k: usize) -> ShardedDerivedBuf {
-        debug_assert!(k.is_power_of_two(), "shard count must be a power of two");
-        ShardedDerivedBuf {
-            shards: (0..k).map(|_| DerivedBuf::default()).collect(),
-            mask: (k - 1) as u64,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Empties every shard, keeping allocations for the next round.
-    fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-    }
-
-    /// [`ShardedDerivedBuf::push`] for a row already materialized in a
-    /// caller buffer: one hash, one slice copy, no staging iterator.
-    #[inline]
-    fn push_row(&mut self, pred: Pred, row: &[Value]) {
-        self.push_prehashed(pred, row, hash_slice(row));
-    }
-
-    /// [`ShardedDerivedBuf::push_row`] with the content hash already
-    /// known (e.g. a stored row re-emitted verbatim).
-    #[inline]
-    fn push_prehashed(&mut self, pred: Pred, row: &[Value], h: u64) {
-        debug_assert_eq!(h, hash_slice(row), "stale row hash");
-        let shard = (h & self.mask) as usize;
-        self.shards[shard].push_hashed(pred, row, h);
-    }
-
-    #[inline]
-    fn push(&mut self, pred: Pred, vals: impl Iterator<Item = Value>) {
-        if self.mask == 0 {
-            // Single shard: no routing decision, so head values stream
-            // straight into the buffer and are hashed in place — the
-            // staging copy exists only to route by hash.
-            let buf = &mut self.shards[0];
-            let start = buf.data.len();
-            buf.data.extend(vals);
-            let arity = (buf.data.len() - start) as u32;
-            let h = hash_slice(&buf.data[start..]);
-            buf.note_row(pred, arity, h);
-            return;
-        }
-        self.scratch.clear();
-        self.scratch.extend(vals);
-        let h = hash_slice(&self.scratch);
-        let shard = (h & self.mask) as usize;
-        self.shards[shard].push_hashed(pred, &self.scratch, h);
-    }
-}
-
-/// Accepted new rows of one (shard, predicate): flat data plus per-row
-/// hashes, ready for [`Relation::commit_new_rows`].
-struct ShardOut {
-    /// Per predicate, in deterministic (`Pred`-sorted) order.
-    preds: Vec<(Pred, Vec<Value>, Vec<u64>)>,
-}
-
-/// A merge job's private accumulator for one predicate: a prehashed set
-/// over the rows accepted so far. No other shard can ever see an equal
-/// row (equal rows share a hash, hence a shard), so this set needs no
-/// synchronization.
-struct MergeAcc {
-    arity: usize,
-    /// Row hash → indices of accepted rows with that hash.
-    seen: PrehashedMap<Vec<u32>>,
-    data: Vec<Value>,
-    hashes: Vec<u64>,
-}
-
-impl MergeAcc {
-    fn new(arity: usize) -> MergeAcc {
-        MergeAcc {
-            arity,
-            seen: PrehashedMap::default(),
-            data: Vec::new(),
-            hashes: Vec::new(),
-        }
-    }
-
-    fn push_if_new(&mut self, row: &[Value], h: u64) {
-        let bucket = self.seen.entry(h).or_default();
-        let (data, arity) = (&self.data, self.arity);
-        if bucket
-            .iter()
-            .any(|&i| &data[i as usize * arity..(i as usize + 1) * arity] == row)
-        {
-            return;
-        }
-        bucket.push(self.hashes.len() as u32);
-        self.data.extend_from_slice(row);
-        self.hashes.push(h);
-    }
-}
-
 #[derive(Clone)]
 struct RulePlans {
-    /// True if the rule has at least one delta-capable body literal, so
-    /// its delta variants are worth scheduling on non-fresh rounds. In
-    /// batch mode that means an IDB subgoal; in incremental mode EDB
-    /// subgoals are delta-capable too (they seed rounds from the tx).
-    has_deltas: bool,
     full: CompiledRule,
+    /// One variant per delta-capable body literal, scheduled on
+    /// non-fresh rounds. In batch mode that means an IDB subgoal; in
+    /// incremental mode EDB subgoals are delta-capable too (they seed
+    /// rounds from the tx).
     deltas: Vec<CompiledRule>,
-}
-
-/// An index into the compiled-plan table, so round scheduling can be
-/// computed without holding borrows of [`Evaluator::plans`] (the cutover
-/// decision needs `&mut self` in between).
-#[derive(Clone, Copy, Debug)]
-enum PlanRef {
-    /// `plans[i].full`.
-    Full(usize),
-    /// `plans[i].deltas[j]`.
-    Delta(usize, usize),
 }
 
 /// Per probe-depth key→code memo for one compiled plan variant.
@@ -497,7 +353,7 @@ enum PlanRef {
 /// dictionary code through [`ProbeHandle::encode`] — one random access
 /// into the relation's [`CodeMap`] per group. For *static* relations
 /// (EDB predicates never change mid-fixpoint outside incremental mode)
-/// the resolution is identical every round, so the serial path caches
+/// the resolution is identical every round, so the evaluator caches
 /// positive resolutions here and replays them without touching the
 /// dictionary. Invalidation is by relation generation: `gen` records
 /// the probed relation's [`Relation::generation`] counter when the
@@ -533,89 +389,22 @@ struct RuleMemos {
     deltas: Vec<Vec<DepthMemo>>,
 }
 
-/// A plan scheduled for the current round, with its seed scan resolved:
-/// `seed` is the first `Scan` step's index and visible row range, `rows`
-/// that range's length (0 when the plan has no resolvable seed scan).
-#[derive(Clone, Copy)]
-struct PlanSeed {
-    pref: PlanRef,
-    seed: Option<(usize, RowRange)>,
-    rows: u64,
-}
-
-/// One schedulable unit of a round: a plan, optionally restricted to a
-/// chunk of its seed scan's row range (data parallelism).
-#[derive(Clone, Copy)]
-struct Task<'p> {
-    plan: &'p CompiledRule,
-    /// `(step index, row subrange)` for the partitioned seed scan.
-    part: Option<(usize, RowRange)>,
-}
-
-/// When to hand a round to the worker pool instead of the control
-/// thread.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Cutover {
-    /// Adaptive (the default): a round runs on the pool only when its
-    /// seed-row volume exceeds a threshold derived from the pool's
-    /// measured per-job dispatch cost, an online per-row work estimate,
-    /// and the machine's effective parallelism. On hardware where
-    /// `std::thread::available_parallelism()` is 1, the pool is never
-    /// even spawned — parallelism cannot win there.
-    #[default]
-    Auto,
-    /// Every non-empty round runs on the pool, and seed scans split at a
-    /// minimal chunk size. For tests and benchmarks that must exercise
-    /// the parallel machinery regardless of hardware.
-    ForceParallel,
-    /// A fixed seed-row threshold (the pre-cutover behavior, kept for
-    /// experiments).
-    MinRows(u64),
-}
-
-/// The evaluator knobs a long-lived owner re-applies to every internal
+/// The evaluator knob a long-lived owner re-applies to every internal
 /// evaluation it launches — the incremental materialization layer and
 /// the serving daemon construct many [`Evaluator`]s over a program's
-/// lifetime, and agreement tests need all of them to run under the same
-/// configuration (threads × [`Cutover`] × kernels on/off).
+/// lifetime, and agreement tests need all of them to run on the same
+/// executor (batch kernels or the reference step machine).
 #[derive(Clone, Copy, Debug)]
 pub struct Tuning {
-    /// Worker threads ([`Evaluator::with_parallelism`]).
-    pub threads: usize,
-    /// Pool cutover policy ([`Evaluator::with_cutover`]).
-    pub cutover: Cutover,
     /// Batch kernels on/off ([`Evaluator::with_kernels`]).
     pub kernels: bool,
 }
 
 impl Default for Tuning {
     fn default() -> Self {
-        Tuning {
-            threads: 1,
-            cutover: Cutover::Auto,
-            kernels: true,
-        }
+        Tuning { kernels: true }
     }
 }
-
-impl Tuning {
-    /// Default tuning with `threads` workers.
-    pub fn with_threads(threads: usize) -> Tuning {
-        Tuning {
-            threads,
-            ..Tuning::default()
-        }
-    }
-}
-
-/// Rounds below this many seed rows never spawn the pool in
-/// [`Cutover::Auto`] mode — spawning + calibrating costs more than any
-/// such round. Once a round crosses this floor the pool is spawned and
-/// the measured threshold takes over.
-const PRE_POOL_FLOOR_ROWS: u64 = 512;
-
-/// Initial estimate of per-seed-row work, refined online per round.
-const INITIAL_ROW_NANOS: f64 = 150.0;
 
 /// A program compiled once for incremental evaluation and reusable
 /// across transactions: rule plans (full + delta variants, with EDB
@@ -697,7 +486,6 @@ pub struct Evaluator<'db> {
     /// full-plan round yet.
     stratum_fresh: bool,
     stats: Stats,
-    pool_stats: PoolStats,
     round: u64,
     max_iterations: u64,
     /// Resource limits for this evaluation (default: unlimited).
@@ -708,14 +496,6 @@ pub struct Evaluator<'db> {
     /// token needs cooperative checks; `None` keeps the hot-path poll a
     /// single `Option` discriminant test.
     gov: Option<Governor>,
-    /// Number of worker threads for plan execution within a round.
-    parallelism: usize,
-    /// Lazily spawned persistent worker pool (parallel mode only).
-    pool: Option<WorkerPool>,
-    /// Serial-cutover policy for parallel mode.
-    cutover: Cutover,
-    /// Merge-shard count override (default `next_pow2(parallelism)`).
-    shards: Option<usize>,
     /// Incremental mode: EDB subgoals become delta-capable and resolve
     /// their old/delta views through `edb_marks` instead of the full row
     /// range. Entered via [`Evaluator::new_incremental`] /
@@ -728,23 +508,19 @@ pub struct Evaluator<'db> {
     /// have an empty delta. Drained (mark := len) after each round so
     /// later rounds see the post-tx EDB as Old.
     edb_marks: FxHashMap<Pred, u32>,
-    /// Online estimate of nanoseconds of round work per seed row,
-    /// exponentially weighted over completed rounds.
-    row_nanos_ewma: f64,
     /// Route plans with a compiled [`BatchKernel`] to the specialized
     /// batch executor (default). Off forces every plan through the
     /// general step machine — the agreement tests compare both routes.
     kernels: bool,
-    /// The serial round's persistent output buffer: cleared (capacity
-    /// kept) after each drain, so a many-round fixpoint with small
-    /// deltas — a long chain derives a few hundred rows per round —
-    /// pays its emission-buffer growth once, not once per round.
-    serial_buf: ShardedDerivedBuf,
+    /// The round's persistent output buffer: cleared (capacity kept)
+    /// after each drain, so a many-round fixpoint with small deltas — a
+    /// long chain derives a few hundred rows per round — pays its
+    /// emission-buffer growth once, not once per round.
+    round_buf: DerivedBuf,
     /// EDB-stable key→code memos, parallel to `plans` (one entry per
     /// probe depth of each plan variant's kernel; see [`DepthMemo`]).
-    /// Serial rounds thread the scheduled plan's memo through
-    /// [`run_kernel`]; parallel rounds pass `None` (round jobs share
-    /// `&self`, and the pool path amortizes differently anyway).
+    /// Each round threads the scheduled plan's memo through
+    /// [`run_kernel`].
     memos: Vec<RuleMemos>,
 }
 
@@ -768,21 +544,15 @@ impl<'db> Evaluator<'db> {
             current_stratum: 0,
             stratum_fresh: true,
             stats: Stats::default(),
-            pool_stats: PoolStats::default(),
             round: 0,
             max_iterations: u64::MAX,
             budget: Budget::unlimited(),
             cancel: None,
             gov: None,
-            parallelism: 1,
-            pool: None,
-            cutover: Cutover::Auto,
-            shards: None,
             incremental: false,
             edb_marks: FxHashMap::default(),
-            row_nanos_ewma: INITIAL_ROW_NANOS,
             kernels: true,
-            serial_buf: ShardedDerivedBuf::new(1),
+            round_buf: DerivedBuf::default(),
             memos: Vec::new(),
         };
         ev.set_program(program)?;
@@ -896,11 +666,10 @@ impl<'db> Evaluator<'db> {
     }
 
     /// Applies a resource [`Budget`]. Row, byte and iteration caps are
-    /// enforced at round boundaries on the control thread; a deadline is
-    /// also checked cooperatively inside scan loops and merge jobs, so
-    /// it can interrupt a round in flight. An aborted round's partial
-    /// derivations are discarded — the IDB stays exactly as the last
-    /// completed round left it.
+    /// enforced at round boundaries; a deadline is also checked
+    /// cooperatively inside scan loops, so it can interrupt a round in
+    /// flight. An aborted round's partial derivations are discarded —
+    /// the IDB stays exactly as the last completed round left it.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         if let Some(n) = budget.max_iterations {
             self.max_iterations = n;
@@ -918,35 +687,10 @@ impl<'db> Evaluator<'db> {
         self
     }
 
-    /// Executes the round's rule plans on `n` worker threads (default 1).
-    /// Results and the workload counters (`derived`, `rows_scanned`,
-    /// `inserted`) are identical to the sequential mode; only relation
-    /// insertion order, scheduling counters and wall time change.
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
-        self
-    }
-
-    /// Overrides the serial-cutover policy (default [`Cutover::Auto`]).
-    pub fn with_cutover(mut self, cutover: Cutover) -> Self {
-        self.cutover = cutover;
-        self
-    }
-
-    /// Applies a whole [`Tuning`] bundle (threads, cutover, kernels) in
-    /// one call — the entry point for owners that thread one tuning
-    /// value through every evaluation they launch.
-    pub fn with_tuning(self, t: Tuning) -> Self {
-        self.with_parallelism(t.threads)
-            .with_cutover(t.cutover)
-            .with_kernels(t.kernels)
-    }
-
-    /// Overrides the merge-shard count (rounded up to a power of two;
-    /// default `next_pow2(parallelism)`). Shard count never affects the
-    /// computed IDB — see `tests/parallel_agreement.rs`.
-    pub fn with_shards(mut self, k: usize) -> Self {
-        self.shards = Some(k.max(1).next_power_of_two());
+    /// No-op: evaluation is single-threaded. Kept only because
+    /// `benchmark/src/bin/layers.rs` calls it (benchmark/README.md,
+    /// *Frozen surfaces (b)*); the next benchmark issue drops it.
+    pub fn with_parallelism(self, _n: usize) -> Self {
         self
     }
 
@@ -957,18 +701,6 @@ impl<'db> Evaluator<'db> {
     pub fn with_kernels(mut self, enabled: bool) -> Self {
         self.kernels = enabled;
         self
-    }
-
-    /// The merge-shard count `K` for parallel rounds.
-    fn shard_count(&self) -> usize {
-        self.shards
-            .unwrap_or_else(|| self.parallelism.next_power_of_two())
-    }
-
-    /// Worker threads that can actually run simultaneously: the requested
-    /// parallelism capped by the machine's scheduler-visible CPUs.
-    fn effective_workers(&self) -> usize {
-        machine_cpus().min(self.parallelism)
     }
 
     /// Replaces the program mid-evaluation, keeping derived IDB facts.
@@ -1051,11 +783,7 @@ impl<'db> Evaluator<'db> {
                 }
                 deltas.push(compile_rule_with_sizes(rule, &v, Some(li), &sizes)?);
             }
-            plans.push(RulePlans {
-                has_deltas: !idb_lits.is_empty(),
-                full,
-                deltas,
-            });
+            plans.push(RulePlans { full, deltas });
         }
         let strata = stratify(program, &idb_preds)?;
         self.rule_stratum = program
@@ -1116,13 +844,6 @@ impl<'db> Evaluator<'db> {
         self.stats
     }
 
-    /// Round-execution counters accumulated so far. Serial rounds fill
-    /// the wall-time-based `serial_*` fields, so throughput metrics are
-    /// populated (and comparable) at every thread count.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool_stats
-    }
-
     /// Runs fixpoint rounds until some new fact is derived or every
     /// stratum is saturated. Returns `true` if any new fact was derived
     /// (callers loop on this; see [`Evaluator::run`]).
@@ -1150,135 +871,41 @@ impl<'db> Evaluator<'db> {
 
             let mut stats = std::mem::take(&mut self.stats);
             stats.iterations += 1;
-            let mut to_run: Vec<PlanRef> = Vec::new();
-            for (ri, rp) in self.plans.iter().enumerate() {
+            // The evaluator-owned output buffer and kernel memos are
+            // taken out for the round (their field borrows would
+            // conflict with `execute_task`'s `&self`) and restored after.
+            let mut buf = std::mem::take(&mut self.round_buf);
+            let mut memos = std::mem::take(&mut self.memos);
+            let run_full = matches!(self.strategy, Strategy::Naive) || fresh;
+            let mut completed = true;
+            for (ri, (rp, rm)) in self.plans.iter().zip(&mut memos).enumerate() {
                 if self.rule_stratum[ri] != self.current_stratum {
                     continue;
                 }
-                let run_full = matches!(self.strategy, Strategy::Naive) || fresh;
-                if run_full {
-                    to_run.push(PlanRef::Full(ri));
-                } else if rp.has_deltas {
-                    to_run.extend((0..rp.deltas.len()).map(|di| PlanRef::Delta(ri, di)));
-                }
-            }
-
-            // Resolve every plan's seed scan once: the row volume drives
-            // the serial-cutover decision and the split threshold.
-            let plan_seeds: Vec<PlanSeed> = to_run
-                .iter()
-                .map(|&pref| {
-                    let plan = self.plan(pref);
-                    let seed = plan.steps.iter().enumerate().find_map(|(i, s)| match s {
-                        Step::Scan(sc) => Some((i, sc)),
-                        _ => None,
-                    });
-                    let resolved = seed
-                        .and_then(|(si, sc)| self.resolve(sc.pred, sc.view).map(|(_, r)| (si, r)));
-                    PlanSeed {
-                        pref,
-                        seed: resolved,
-                        rows: resolved.map_or(0, |(_, r)| r.len() as u64),
-                    }
-                })
-                .collect();
-            let total_rows: u64 = plan_seeds.iter().map(|p| p.rows).sum();
-
-            let parallel = !plan_seeds.is_empty() && self.decide_parallel(total_rows);
-            let mut delta = PoolStats::default();
-            let any_new = if parallel {
-                let (d, outs) = match self.run_round_parallel(&plan_seeds, &mut stats) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.stats = stats;
-                        return Err(e);
-                    }
-                };
-                // A cooperative trip mid-round (deadline, cancellation)
-                // made the tasks bail early: discard the round's partial
-                // derivations by never committing them.
-                if let Some(err) = self.trip_reason() {
-                    self.stats = stats;
-                    return Err(err);
-                }
-                delta = d;
-                let concat_start = Instant::now();
-                let mut any_new = false;
-                for out in outs {
-                    for (pred, data, hashes) in out.preds {
-                        let rel = self
-                            .idb
-                            .get_mut(&pred)
-                            .expect("derived tuple for unknown idb predicate");
-                        let before = rel.regrows();
-                        let n = rel.commit_new_rows(&data, &hashes);
-                        stats.dedup_regrows += rel.regrows() - before;
-                        stats.inserted += n as u64;
-                        any_new |= n > 0;
-                    }
-                }
-                delta.concat_nanos = concat_start.elapsed().as_nanos() as u64;
-                any_new
-            } else {
-                let serial_start = Instant::now();
-                // Reuse the evaluator-owned single-shard buffer: taken
-                // out for the round (its field borrow would conflict
-                // with `execute_task`'s `&self`) and restored cleared.
-                let mut buf = std::mem::replace(&mut self.serial_buf, ShardedDerivedBuf::new(1));
-                // Kernel memos are serial-only evaluator state, taken
-                // out the same way and restored after the round.
-                let mut memos = std::mem::take(&mut self.memos);
-                let mut aborted = false;
-                for ps in &plan_seeds {
-                    let memo = match ps.pref {
-                        PlanRef::Full(ri) => &mut memos[ri].full,
-                        PlanRef::Delta(ri, di) => &mut memos[ri].deltas[di],
-                    };
-                    let done = self.execute_task(
-                        Task {
-                            plan: self.plan(ps.pref),
-                            part: None,
-                        },
-                        &mut stats,
-                        &mut buf,
-                        Some(memo),
-                    );
-                    if !done {
-                        aborted = true;
-                        break;
-                    }
-                }
-                self.memos = memos;
-                if aborted {
-                    self.stats = stats;
-                    let err = self.trip_reason().unwrap_or(EngineError::Cancelled);
-                    return Err(err);
-                }
-                let any_new = drain_serial(&buf, &mut self.idb, &mut stats);
-                buf.clear();
-                self.serial_buf = buf;
-                delta.serial_rounds = 1;
-                // Parallel mode, serial round: the adaptive cutover (or
-                // the single-CPU guard) vetoed pool dispatch — record
-                // the decision so staying-serial-on-small-rounds is
-                // observable in `PoolStats`, not inferred from timing.
-                delta.cutover_serial_rounds = (self.parallelism > 1) as u64;
-                delta.serial_rows = total_rows;
-                delta.serial_nanos = serial_start.elapsed().as_nanos() as u64;
-                any_new
-            };
-            // Refine the per-row work estimate from this round.
-            if total_rows > 0 {
-                let exec_nanos = if parallel {
-                    delta.busy_nanos
+                completed = if run_full {
+                    self.execute_task(&rp.full, &mut stats, &mut buf, &mut rm.full)
                 } else {
-                    delta.serial_nanos
+                    rp.deltas
+                        .iter()
+                        .zip(&mut rm.deltas)
+                        .all(|(plan, memo)| self.execute_task(plan, &mut stats, &mut buf, memo))
                 };
-                let sample = (exec_nanos as f64 / total_rows as f64).clamp(5.0, 100_000.0);
-                self.row_nanos_ewma = 0.7 * self.row_nanos_ewma + 0.3 * sample;
+                if !completed {
+                    break;
+                }
             }
+            self.memos = memos;
+            if !completed {
+                // A cooperative trip mid-round (deadline, cancellation):
+                // the round's partial derivations are discarded with
+                // `buf`, never committed.
+                self.stats = stats;
+                return Err(self.trip_reason().unwrap_or(EngineError::Cancelled));
+            }
+            let any_new = drain_serial(&buf, &mut self.idb, &mut stats);
+            buf.clear();
+            self.round_buf = buf;
             self.stats = stats;
-            self.merge_pool_stats(delta);
             // Advance delta windows.
             for (p, rel) in &self.idb {
                 let (_, total_end) = self.marks[p];
@@ -1364,292 +991,6 @@ impl<'db> Evaluator<'db> {
         Ok(())
     }
 
-    /// The compiled plan a [`PlanRef`] points at.
-    fn plan(&self, pref: PlanRef) -> &CompiledRule {
-        match pref {
-            PlanRef::Full(ri) => &self.plans[ri].full,
-            PlanRef::Delta(ri, di) => &self.plans[ri].deltas[di],
-        }
-    }
-
-    /// Decides whether this round's `total_rows` seed rows warrant the
-    /// pool, spawning it (lazily, once) when the answer can be yes.
-    fn decide_parallel(&mut self, total_rows: u64) -> bool {
-        if self.parallelism <= 1 {
-            return false;
-        }
-        match self.cutover {
-            Cutover::ForceParallel => {
-                self.ensure_pool();
-                true
-            }
-            Cutover::MinRows(r) => {
-                self.pool_stats.cutover_rows = r.max(1);
-                if total_rows >= r {
-                    self.ensure_pool();
-                    true
-                } else {
-                    false
-                }
-            }
-            Cutover::Auto => {
-                if self.effective_workers() <= 1 {
-                    // One schedulable CPU: worker threads can only add
-                    // context-switch tax, never speed. Skip even the pool
-                    // spawn so `threads = n` matches serial performance.
-                    return false;
-                }
-                if self.pool.is_none() && total_rows < PRE_POOL_FLOOR_ROWS {
-                    return false;
-                }
-                self.ensure_pool();
-                let threshold = self.auto_cutover_rows();
-                self.pool_stats.cutover_rows = threshold;
-                total_rows >= threshold
-            }
-        }
-    }
-
-    fn ensure_pool(&mut self) {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.parallelism));
-        }
-    }
-
-    /// The adaptive serial-cutover threshold, in seed rows. A parallel
-    /// round pays roughly `dispatch_cost × (join tasks + K merge tasks)`
-    /// of fixed overhead and can save at most the fraction of the
-    /// round's work that extra effective workers absorb; the threshold
-    /// is the row volume where the saving overtakes the overhead, with
-    /// per-row work estimated online (`row_nanos_ewma`).
-    fn auto_cutover_rows(&self) -> u64 {
-        let pool = self.pool.as_ref().expect("pool spawned before cutover");
-        let k = self.shard_count() as u64;
-        let jobs = 2 * pool.workers() as u64 + k;
-        let overhead = pool.dispatch_cost_nanos().saturating_mul(jobs);
-        let w_eff = self.effective_workers().max(2) as f64;
-        let save_frac = 1.0 - 1.0 / w_eff;
-        let rows = overhead as f64 / (self.row_nanos_ewma.max(1.0) * save_frac);
-        (rows.ceil() as u64).clamp(64, 1 << 20)
-    }
-
-    /// Seed scans at or above this many rows split into per-worker
-    /// chunks inside a parallel round; below it, one chunk job would
-    /// cost more to dispatch than it saves.
-    fn split_min_rows(&self) -> usize {
-        match self.cutover {
-            Cutover::ForceParallel => 2,
-            _ => {
-                let pool = self.pool.as_ref().expect("pool spawned before split");
-                let rows = pool.dispatch_cost_nanos() as f64 / self.row_nanos_ewma.max(1.0);
-                (rows.ceil() as usize).clamp(32, 1 << 16)
-            }
-        }
-    }
-
-    /// Executes a round on the pool as a two-phase batch: join tasks
-    /// (prewarmed indexes, large seed scans split into per-worker
-    /// chunks) route derived tuples into per-shard buffers; then one
-    /// merge job per shard dedups its disjoint slice of the tuple space.
-    /// Returns the round's [`PoolStats`] delta and the accepted new-row
-    /// segments per shard, which the caller commits (it holds `&mut
-    /// self`; this method is `&self` so jobs may borrow the evaluator).
-    /// A worker panic fails the round with
-    /// [`EngineError::WorkerPanicked`]; nothing is committed.
-    fn run_round_parallel(
-        &self,
-        plan_seeds: &[PlanSeed],
-        stats: &mut Stats,
-    ) -> Result<(PoolStats, Vec<ShardOut>), EngineError> {
-        let pool = self.pool.as_ref().expect("pool spawned by decide_parallel");
-        let k = self.shard_count();
-        let plans: Vec<&CompiledRule> = plan_seeds.iter().map(|ps| self.plan(ps.pref)).collect();
-        let build_start = Instant::now();
-        self.prewarm_indexes(&plans);
-        let mut delta = PoolStats {
-            index_build_nanos: build_start.elapsed().as_nanos() as u64,
-            ..PoolStats::default()
-        };
-
-        let workers = pool.workers();
-        let split_min = self.split_min_rows();
-        let mut tasks: Vec<Task<'_>> = Vec::new();
-        let mut rows_dispatched: u64 = 0;
-        for (ps, &plan) in plan_seeds.iter().zip(&plans) {
-            rows_dispatched += ps.rows;
-            let mut split = false;
-            if let Some((si, range)) = ps.seed {
-                if range.len() >= split_min {
-                    for chunk in range.split(workers) {
-                        tasks.push(Task {
-                            plan,
-                            part: Some((si, chunk)),
-                        });
-                    }
-                    split = true;
-                }
-            }
-            if !split {
-                tasks.push(Task { plan, part: None });
-            }
-        }
-
-        // Shard mailboxes: filled by join tasks (one short lock per
-        // non-empty task shard), drained whole by the merge jobs after
-        // the phase barrier.
-        let shard_bufs: Vec<Mutex<Vec<DerivedBuf>>> =
-            (0..k).map(|_| Mutex::new(Vec::new())).collect();
-        let ev: &Evaluator<'db> = self;
-        let shard_bufs_ref = &shard_bufs;
-        let (stat_tx, stat_rx) = channel::<Stats>();
-        let (out_tx, out_rx) = channel::<(usize, ShardOut)>();
-        let join_jobs: Vec<Job<'_>> = tasks
-            .iter()
-            .map(|&task| {
-                let stat_tx = stat_tx.clone();
-                Box::new(move || {
-                    #[cfg(feature = "failpoints")]
-                    crate::failpoint::hit_or_panic("pool.join");
-                    let mut st = Stats::default();
-                    let mut buf = ShardedDerivedBuf::new(k);
-                    // On a cooperative abort the task's partial shards
-                    // are dropped here; the control thread discards the
-                    // whole round anyway.
-                    if ev.execute_task(task, &mut st, &mut buf, None) {
-                        for (s, shard) in buf.shards.into_iter().enumerate() {
-                            if !shard.is_empty() {
-                                shard_bufs_ref[s]
-                                    .lock()
-                                    .expect("shard mailbox poisoned")
-                                    .push(shard);
-                            }
-                        }
-                    }
-                    stat_tx.send(st).expect("round collector gone");
-                }) as Job<'_>
-            })
-            .collect();
-        let merge_jobs: Vec<Job<'_>> = (0..k)
-            .map(|s| {
-                let out_tx = out_tx.clone();
-                Box::new(move || {
-                    #[cfg(feature = "failpoints")]
-                    crate::failpoint::hit_or_panic("pool.merge");
-                    let bufs = std::mem::take(
-                        &mut *shard_bufs_ref[s].lock().expect("shard mailbox poisoned"),
-                    );
-                    out_tx
-                        .send((s, ev.merge_shard(bufs)))
-                        .expect("round collector gone");
-                }) as Job<'_>
-            })
-            .collect();
-        let ntasks = (tasks.len() + k) as u64;
-        let phases = match pool.run_phases(vec![join_jobs, merge_jobs]) {
-            Ok(p) => p,
-            Err(p) => {
-                // The pool drained the failing phase and dispatched
-                // nothing after it; dropping the channels discards every
-                // partial derivation, so the IDB is untouched.
-                return Err(EngineError::WorkerPanicked {
-                    job: if p.phase == 0 {
-                        "pool.join".into()
-                    } else {
-                        "pool.merge".into()
-                    },
-                    payload: p.panic.payload,
-                });
-            }
-        };
-        drop(stat_tx);
-        drop(out_tx);
-        for st in stat_rx {
-            *stats += st;
-        }
-        let mut outs: Vec<Option<ShardOut>> = (0..k).map(|_| None).collect();
-        for (s, out) in out_rx {
-            outs[s] = Some(out);
-        }
-
-        delta.parallel_rounds = 1;
-        delta.tasks = ntasks;
-        delta.join_nanos = phases[0].busy_nanos;
-        delta.merge_nanos = phases[1].busy_nanos;
-        delta.busy_nanos = phases[0].busy_nanos + phases[1].busy_nanos;
-        delta.wall_nanos = phases[0].wall_nanos + phases[1].wall_nanos;
-        delta.rows_dispatched = rows_dispatched;
-        delta.workers = workers;
-        delta.shards = k;
-        delta.last_round_rows = rows_dispatched;
-        delta.last_round_nanos = delta.wall_nanos;
-        Ok((delta, outs.into_iter().flatten().collect()))
-    }
-
-    /// One merge job: dedups every buffered tuple of one shard against
-    /// the relations (read-only prehashed probes) and a private
-    /// accumulator per predicate. Shard disjointness (equal rows share a
-    /// hash, hence a shard) is what makes this safe without locks.
-    fn merge_shard(&self, bufs: Vec<DerivedBuf>) -> ShardOut {
-        let mut accs: BTreeMap<Pred, MergeAcc> = BTreeMap::new();
-        let mut polled: u64 = 0;
-        for buf in &bufs {
-            for (pred, row, h) in buf.rows() {
-                polled += 1;
-                if polled & POLL_MASK == 0 && self.should_abort() {
-                    // Mid-merge deadline/cancel: the round is doomed, so
-                    // the partial accumulators are as good as discarded —
-                    // stop burning the remaining tuples.
-                    return ShardOut { preds: Vec::new() };
-                }
-                let rel = self
-                    .idb
-                    .get(&pred)
-                    .expect("derived tuple for unknown idb predicate");
-                if rel.contains_hashed(row, h) {
-                    continue;
-                }
-                accs.entry(pred)
-                    .or_insert_with(|| MergeAcc::new(row.len()))
-                    .push_if_new(row, h);
-            }
-        }
-        ShardOut {
-            preds: accs
-                .into_iter()
-                .filter(|(_, a)| !a.hashes.is_empty())
-                .map(|(p, a)| (p, a.data, a.hashes))
-                .collect(),
-        }
-    }
-
-    /// Folds one round's pool delta into the accumulated counters.
-    fn merge_pool_stats(&mut self, d: PoolStats) {
-        let ps = &mut self.pool_stats;
-        ps.parallel_rounds += d.parallel_rounds;
-        ps.serial_rounds += d.serial_rounds;
-        ps.tasks += d.tasks;
-        ps.busy_nanos += d.busy_nanos;
-        ps.wall_nanos += d.wall_nanos;
-        ps.join_nanos += d.join_nanos;
-        ps.merge_nanos += d.merge_nanos;
-        ps.concat_nanos += d.concat_nanos;
-        ps.index_build_nanos += d.index_build_nanos;
-        ps.rows_dispatched += d.rows_dispatched;
-        ps.serial_nanos += d.serial_nanos;
-        ps.serial_rows += d.serial_rows;
-        ps.cutover_serial_rounds += d.cutover_serial_rounds;
-        if d.workers > 0 {
-            ps.workers = d.workers;
-        }
-        if d.shards > 0 {
-            ps.shards = d.shards;
-        }
-        if d.parallel_rounds > 0 {
-            ps.last_round_rows = d.last_round_rows;
-            ps.last_round_nanos = d.last_round_nanos;
-        }
-    }
-
     /// Runs to fixpoint.
     pub fn run(&mut self) -> Result<(), EngineError> {
         while self.step()? {}
@@ -1663,23 +1004,6 @@ impl<'db> Evaluator<'db> {
             stats: self.stats,
             route: Route::Direct,
             choice: None,
-        }
-    }
-
-    /// Eagerly builds every index the given plans will probe, so the
-    /// parallel phase only takes shared read locks.
-    fn prewarm_indexes(&self, plans: &[&CompiledRule]) {
-        for plan in plans {
-            for step in &plan.steps {
-                match step {
-                    Step::Scan(s) if !s.key_cols.is_empty() => {
-                        if let Some((rel, _)) = self.resolve(s.pred, s.view) {
-                            rel.ensure_index(&s.key_cols);
-                        }
-                    }
-                    _ => {}
-                }
-            }
         }
     }
 
@@ -1727,27 +1051,27 @@ impl<'db> Evaluator<'db> {
         }
     }
 
-    /// Runs one task to completion. Returns `false` when a cooperative
-    /// governance check aborted the task mid-scan (its partial output
-    /// must be discarded).
+    /// Runs one task — a scheduled plan — to completion. Returns `false`
+    /// when a cooperative governance check aborted it mid-scan (its
+    /// partial output must be discarded).
     fn execute_task(
         &self,
-        task: Task<'_>,
+        plan: &CompiledRule,
         stats: &mut Stats,
-        out: &mut ShardedDerivedBuf,
-        memo: Option<&mut Vec<DepthMemo>>,
+        out: &mut DerivedBuf,
+        memos: &mut [DepthMemo],
     ) -> bool {
         stats.rule_firings += 1;
         TASK_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let ok = match &task.plan.kernel {
+            let ok = match &plan.kernel {
                 Some(k) if self.kernels => {
                     stats.kernel_firings += 1;
-                    run_kernel(self, task.plan, k, task.part, scratch, stats, out, memo)
+                    run_kernel(self, plan, k, scratch, stats, out, memos)
                 }
                 _ => {
                     stats.interp_firings += 1;
-                    run_machine(self, task.plan, task.part, scratch, stats, out)
+                    run_machine(self, plan, scratch, stats, out)
                 }
             };
             stats.scratch_hw_bytes = stats.scratch_hw_bytes.max(scratch.resident_bytes());
@@ -1756,9 +1080,7 @@ impl<'db> Evaluator<'db> {
     }
 
     /// A current [`ProbeHandle`] on `cols` of `rel`, building the index
-    /// first if needed. During parallel phases [`prewarm_indexes`]
-    /// (crate::eval::Evaluator::prewarm_indexes) has already built every
-    /// index, so this is one uncontended read-lock acquisition.
+    /// first if needed.
     fn handle_for(&self, rel: &Relation, cols: &[usize]) -> ProbeHandle {
         match rel.probe_handle(cols) {
             Some(h) => h,
@@ -1771,21 +1093,9 @@ impl<'db> Evaluator<'db> {
     }
 }
 
-/// Scheduler-visible CPUs, sampled once per process: on Linux,
-/// `available_parallelism` re-reads cgroup files on every call (~10µs),
-/// which is too slow for a per-round cutover decision.
-fn machine_cpus() -> usize {
-    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
-
-/// Serial insertion path: drains a (single-shard or multi-shard) buffer
-/// straight into the relations, reusing the derivation-time hashes.
-fn drain_serial(
-    buf: &ShardedDerivedBuf,
-    idb: &mut FxHashMap<Pred, Relation>,
-    stats: &mut Stats,
-) -> bool {
+/// The round's insertion path: drains the derived-tuple buffer straight
+/// into the relations, reusing the derivation-time hashes.
+fn drain_serial(buf: &DerivedBuf, idb: &mut FxHashMap<Pred, Relation>, stats: &mut Stats) -> bool {
     // How far ahead of the insert cursor to prefetch membership slots:
     // far enough to cover a memory round-trip, near enough that the
     // lines survive in L1 (a grow() between issue and use only wastes
@@ -1799,18 +1109,13 @@ fn drain_serial(
     // the post-drain EWMA update — a round touches a handful of
     // predicates, so a linear scan beats a map.
     let mut tallies: Vec<(Pred, usize, usize)> = Vec::new();
-    for shard in &buf.shards {
-        let nrows = shard.hashes.len();
-        for (ri, run) in shard.runs.iter().enumerate() {
-            let row_end = shard
-                .runs
-                .get(ri + 1)
-                .map_or(nrows, |r| r.row_start as usize);
-            let cnt = row_end - run.row_start as usize;
-            match tallies.iter_mut().find(|(p, ..)| *p == run.pred) {
-                Some(t) => t.1 += cnt,
-                None => tallies.push((run.pred, cnt, 0)),
-            }
+    let nrows = buf.hashes.len();
+    for (ri, run) in buf.runs.iter().enumerate() {
+        let row_end = buf.runs.get(ri + 1).map_or(nrows, |r| r.row_start as usize);
+        let cnt = row_end - run.row_start as usize;
+        match tallies.iter_mut().find(|(p, ..)| *p == run.pred) {
+            Some(t) => t.1 += cnt,
+            None => tallies.push((run.pred, cnt, 0)),
         }
     }
     let mut regrow_delta = 0u64;
@@ -1822,35 +1127,29 @@ fn drain_serial(
         rel.reserve_for_derived(derived);
     }
     let mut any_new = false;
-    for shard in &buf.shards {
-        // The buffer is already run-length encoded by predicate:
-        // resolve the relation once per run, then drive the run with
-        // hash prefetches ahead of the dedup probes.
-        let nrows = shard.hashes.len();
-        for (ri, run) in shard.runs.iter().enumerate() {
-            let row_end = shard
-                .runs
-                .get(ri + 1)
-                .map_or(nrows, |r| r.row_start as usize);
-            let (base, arity) = (run.data_start as usize, run.arity as usize);
-            let rel = idb
-                .get_mut(&run.pred)
-                .expect("derived tuple for unknown idb predicate");
-            let mut ins = 0usize;
-            for i in run.row_start as usize..row_end {
-                if i + PREFETCH < row_end {
-                    rel.prefetch_hash(shard.hashes[i + PREFETCH]);
-                }
-                let s = base + (i - run.row_start as usize) * arity;
-                if rel.insert_hashed(&shard.data[s..s + arity], shard.hashes[i]) {
-                    ins += 1;
-                }
+    // The buffer is already run-length encoded by predicate: resolve the
+    // relation once per run, then drive the run with hash prefetches
+    // ahead of the dedup probes.
+    for (ri, run) in buf.runs.iter().enumerate() {
+        let row_end = buf.runs.get(ri + 1).map_or(nrows, |r| r.row_start as usize);
+        let (base, arity) = (run.data_start as usize, run.arity as usize);
+        let rel = idb
+            .get_mut(&run.pred)
+            .expect("derived tuple for unknown idb predicate");
+        let mut ins = 0usize;
+        for i in run.row_start as usize..row_end {
+            if i + PREFETCH < row_end {
+                rel.prefetch_hash(buf.hashes[i + PREFETCH]);
             }
-            stats.inserted += ins as u64;
-            any_new |= ins > 0;
-            if let Some(t) = tallies.iter_mut().find(|(p, ..)| *p == run.pred) {
-                t.2 += ins;
+            let s = base + (i - run.row_start as usize) * arity;
+            if rel.insert_hashed(&buf.data[s..s + arity], buf.hashes[i]) {
+                ins += 1;
             }
+        }
+        stats.inserted += ins as u64;
+        any_new |= ins > 0;
+        if let Some(t) = tallies.iter_mut().find(|(p, ..)| *p == run.pred) {
+            t.2 += ins;
         }
     }
     // Feed the observed duplicate rate back into each relation's EWMA
@@ -1874,13 +1173,14 @@ fn read(slots: &[Value], s: Source) -> Value {
     }
 }
 
-/// Reusable per-worker scratch for task execution: the slot frame, the
+/// Reusable scratch for task execution: the slot frame, the
 /// scan-cursor stack, the probe-key arena and the negation key. Held in
-/// a thread-local so the control thread and every pool worker reuse one
-/// allocation set across all tasks and rounds — steady-state execution
-/// does zero heap allocation per derived row. [`Stats::scratch_hw_bytes`]
-/// reports the high-water resident size as the observable witness:
-/// it plateaus after warm-up no matter how many rows derive.
+/// a thread-local so every evaluator a thread runs — the incremental
+/// layer builds one per transaction — reuses one allocation set across
+/// all tasks and rounds: steady-state execution does zero heap
+/// allocation per derived row. [`Stats::scratch_hw_bytes`] reports the
+/// high-water resident size as the observable witness: it plateaus
+/// after warm-up no matter how many rows derive.
 #[derive(Default)]
 struct TaskScratch {
     /// Variable slots of the plan being executed.
@@ -1957,28 +1257,18 @@ struct ScanRel<'a> {
     handle: Option<ProbeHandle>,
 }
 
-/// Resolves every `Scan` step of `plan` once: relation, visible range
-/// (with the task's data-parallel partition applied), and a probe handle
-/// for keyed scans. Returns `None` when some scan's relation is missing
-/// or its range is empty — the conjunction can produce no rows and the
-/// whole task is a no-op.
-fn resolve_scans<'a>(
-    ev: &'a Evaluator<'_>,
-    steps: &[Step],
-    part: Option<(usize, RowRange)>,
-) -> Option<Vec<Option<ScanRel<'a>>>> {
+/// Resolves every `Scan` step of `plan` once: relation, visible range,
+/// and a probe handle for keyed scans. Returns `None` when some scan's
+/// relation is missing or its range is empty — the conjunction can
+/// produce no rows and the whole task is a no-op.
+fn resolve_scans<'a>(ev: &'a Evaluator<'_>, steps: &[Step]) -> Option<Vec<Option<ScanRel<'a>>>> {
     let mut srels: Vec<Option<ScanRel<'a>>> = Vec::with_capacity(steps.len());
-    for (i, step) in steps.iter().enumerate() {
+    for step in steps {
         let Step::Scan(s) = step else {
             srels.push(None);
             continue;
         };
-        let (rel, mut range) = ev.resolve(s.pred, s.view)?;
-        if let Some((pi, pr)) = part {
-            if pi == i {
-                range = range.intersect(pr);
-            }
-        }
+        let (rel, range) = ev.resolve(s.pred, s.view)?;
         if range.is_empty() {
             return None;
         }
@@ -1998,13 +1288,12 @@ fn resolve_scans<'a>(
 fn run_machine(
     ev: &Evaluator<'_>,
     plan: &CompiledRule,
-    part: Option<(usize, RowRange)>,
     scratch: &mut TaskScratch,
     stats: &mut Stats,
-    out: &mut ShardedDerivedBuf,
+    out: &mut DerivedBuf,
 ) -> bool {
     let steps = &plan.steps;
-    let Some(srels) = resolve_scans(ev, steps, part) else {
+    let Some(srels) = resolve_scans(ev, steps) else {
         return true;
     };
     let TaskScratch {
@@ -2210,7 +1499,7 @@ fn run_machine(
 }
 
 /// Seed rows per batch-kernel chunk. The gather/sort/group pipeline
-/// processes the seed scan this many rows at a time, so per-worker
+/// processes the seed scan this many rows at a time, so task
 /// scratch stays a small constant while dictionary lookups amortize
 /// across every gathered row that shares a probe key.
 const KERNEL_CHUNK: usize = 1024;
@@ -2331,7 +1620,7 @@ impl KernelCtx<'_> {
         rowids: &mut [u32; MAX_KERNEL_PROBES],
         ticks: &mut u64,
         stats: &mut Stats,
-        out: &mut ShardedDerivedBuf,
+        out: &mut DerivedBuf,
     ) -> bool {
         let (k, np, split) = (self.k, self.np, self.split);
         // Member row ids are hash-ordered, i.e. scattered through the
@@ -2519,26 +1808,18 @@ impl KernelCtx<'_> {
 /// per-row tick (bulk counter updates would break the global
 /// `rows_scanned` cadence). Returns `false` when a poll aborted the
 /// task; its partial output is discarded at the round boundary.
-#[allow(clippy::too_many_arguments)]
 fn run_kernel(
     ev: &Evaluator<'_>,
     plan: &CompiledRule,
     k: &BatchKernel,
-    part: Option<(usize, RowRange)>,
     scratch: &mut TaskScratch,
     stats: &mut Stats,
-    out: &mut ShardedDerivedBuf,
-    memo: Option<&mut Vec<DepthMemo>>,
+    out: &mut DerivedBuf,
+    memos: &mut [DepthMemo],
 ) -> bool {
     let Some((seed_rel, mut seed_range)) = ev.resolve(k.seed_pred, k.seed_view) else {
         return true;
     };
-    if let Some((_, pr)) = part {
-        // The scheduler partitions the plan's first Scan step, which is
-        // by construction the kernel's seed scan (assignments and guards
-        // may precede it in the step sequence).
-        seed_range = seed_range.intersect(pr);
-    }
     seed_range.end = seed_range.end.min(seed_rel.physical_rows() as u32);
     if seed_range.is_empty() {
         return true;
@@ -2563,20 +1844,18 @@ fn run_kernel(
     // filling a memo for them is pure overhead).
     let mut depth_memos: [Option<&mut DepthMemo>; MAX_KERNEL_PROBES] =
         std::array::from_fn(|_| None);
-    if let Some(memos) = memo {
-        debug_assert_eq!(memos.len(), np);
-        for (d, m) in memos.iter_mut().enumerate().take(np) {
-            if !m.edb {
-                continue;
-            }
-            let (rel, _, _) = prels[d].as_ref().expect("probe depth resolved");
-            let gen = rel.generation();
-            if m.gen != gen {
-                m.map.clear();
-                m.gen = gen;
-            }
-            depth_memos[d] = Some(m);
+    debug_assert_eq!(memos.len(), np);
+    for (d, m) in memos.iter_mut().enumerate().take(np) {
+        if !m.edb {
+            continue;
         }
+        let (rel, _, _) = prels[d].as_ref().expect("probe depth resolved");
+        let gen = rel.generation();
+        if m.gen != gen {
+            m.map.clear();
+            m.gen = gen;
+        }
+        depth_memos[d] = Some(m);
     }
     // A constant-keyed seed enumerates one dictionary group instead of
     // the row range; an absent key derives nothing.
@@ -3124,18 +2403,6 @@ pub fn evaluate(
     Ok(ev.finish())
 }
 
-/// Like [`evaluate`], with `threads` workers per round.
-pub fn evaluate_parallel(
-    db: &Database,
-    program: &Program,
-    strategy: Strategy,
-    threads: usize,
-) -> Result<EvalResult, EngineError> {
-    let mut ev = Evaluator::new(db, program, strategy)?.with_parallelism(threads);
-    ev.run()?;
-    Ok(ev.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3431,256 +2698,6 @@ mod negation_tests {
             res.relation("c").unwrap().sorted_tuples(),
             vec![int_tuple(&[0]), int_tuple(&[1])]
         );
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::database::int_tuple;
-
-    fn tc() -> Program {
-        "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y).
-         s(X,Y) :- f(X,Y). s(X,Y) :- f(X,Z), s(Z,Y)."
-            .parse()
-            .unwrap()
-    }
-
-    fn db() -> Database {
-        let mut db = Database::new();
-        for i in 0..40i64 {
-            db.insert("e", int_tuple(&[i, i + 1]));
-            db.insert("f", int_tuple(&[i + 1, i]));
-        }
-        db
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let db = db();
-        let prog = tc();
-        let mut seq = Evaluator::new(&db, &prog, Strategy::SemiNaive).unwrap();
-        seq.run().unwrap();
-        let seq = seq.finish();
-        let mut par = Evaluator::new(&db, &prog, Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(4)
-            .with_cutover(Cutover::ForceParallel);
-        par.run().unwrap();
-        let par = par.finish();
-        for p in ["t", "s"] {
-            assert_eq!(
-                seq.relation(p).unwrap().sorted_tuples(),
-                par.relation(p).unwrap().sorted_tuples()
-            );
-        }
-        // The workload counters are workload properties, not scheduling
-        // properties — identical under any partitioning.
-        assert_eq!(seq.stats.derived, par.stats.derived);
-        assert_eq!(seq.stats.rows_scanned, par.stats.rows_scanned);
-        assert_eq!(seq.stats.inserted, par.stats.inserted);
-    }
-
-    #[test]
-    fn parallel_with_negation_strata() {
-        let db = db();
-        let prog: Program = "
-            reach(X) :- e(0, X).
-            reach(Y) :- reach(X), e(X, Y).
-            node(X) :- e(X, Y).
-            node(Y) :- e(X, Y).
-            island(X) :- node(X), !reach(X), X != 0.
-        "
-        .parse()
-        .unwrap();
-        let mut a = Evaluator::new(&db, &prog, Strategy::SemiNaive).unwrap();
-        a.run().unwrap();
-        let a = a.finish();
-        let mut b = Evaluator::new(&db, &prog, Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(3)
-            .with_cutover(Cutover::ForceParallel);
-        b.run().unwrap();
-        let b = b.finish();
-        for p in ["reach", "node", "island"] {
-            assert_eq!(
-                a.relation(p).unwrap().sorted_tuples(),
-                b.relation(p).unwrap().sorted_tuples(),
-                "mismatch on {p}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallelism_one_is_identity() {
-        let db = db();
-        let prog = tc();
-        let mut e = Evaluator::new(&db, &prog, Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(1);
-        e.run().unwrap();
-        assert!(!e.finish().relation("t").unwrap().is_empty());
-    }
-
-    #[test]
-    fn data_parallel_partitioning_kicks_in_on_large_deltas() {
-        // A wide fan: one round with a delta far above the partition
-        // threshold, so the pool must run partitioned tasks.
-        let mut db = Database::new();
-        for i in 0..2000i64 {
-            db.insert("e", int_tuple(&[0, i + 1]));
-            db.insert("g", int_tuple(&[i + 1, i % 7]));
-        }
-        let prog: Program = "t(X,Y) :- e(X,Y). u(X,Z) :- t(X,Y), g(Y,Z)."
-            .parse()
-            .unwrap();
-        let mut seq = Evaluator::new(&db, &prog, Strategy::SemiNaive).unwrap();
-        seq.run().unwrap();
-        let mut par = Evaluator::new(&db, &prog, Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(4)
-            .with_cutover(Cutover::ForceParallel);
-        par.run().unwrap();
-        let ps = par.pool_stats();
-        assert!(ps.parallel_rounds > 0, "pool must have run: {ps:?}");
-        assert_eq!(ps.shards, 4, "K = next_pow2(threads): {ps:?}");
-        assert!(
-            ps.tasks > ps.parallel_rounds + ps.parallel_rounds * ps.shards as u64,
-            "large scans must split beyond the per-shard merge jobs: {ps:?}"
-        );
-        assert!(ps.merge_nanos > 0, "merge phase must be accounted: {ps:?}");
-        let seq = seq.finish();
-        let par = par.finish();
-        for p in ["t", "u"] {
-            assert_eq!(
-                seq.relation(p).unwrap().sorted_tuples(),
-                par.relation(p).unwrap().sorted_tuples()
-            );
-        }
-    }
-
-    #[test]
-    fn pool_stats_expose_busy_and_index_time() {
-        let mut db = Database::new();
-        for i in 0..600i64 {
-            db.insert("e", int_tuple(&[i, (i + 1) % 600]));
-        }
-        let prog = "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y)."
-            .parse::<Program>()
-            .unwrap();
-        let mut ev = Evaluator::new(&db, &prog, Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(2)
-            .with_cutover(Cutover::ForceParallel);
-        ev.run().unwrap();
-        let ps = ev.pool_stats();
-        assert!(ps.parallel_rounds > 0);
-        assert!(ps.busy_nanos > 0);
-        assert!(ps.wall_nanos > 0);
-        assert!(ps.rows_dispatched > 0);
-        assert_eq!(ps.workers, 2);
-        let frac = ps.busy_fraction();
-        assert!((0.0..=1.0).contains(&frac), "busy fraction {frac}");
-        assert!(ps.rows_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn serial_rounds_report_throughput() {
-        // Satellite fix: threads=1 used to emit busy_fraction=0 and
-        // rows_per_sec=0, making the bench JSON incomparable across
-        // thread counts. Serial rounds now account wall time + seed rows.
-        let db = db();
-        let mut ev = Evaluator::new(&db, &tc(), Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(1);
-        ev.run().unwrap();
-        let ps = ev.pool_stats();
-        assert!(ps.serial_rounds > 0, "{ps:?}");
-        assert_eq!(ps.parallel_rounds, 0, "{ps:?}");
-        assert!(ps.serial_nanos > 0, "{ps:?}");
-        assert!(ps.serial_rows > 0, "{ps:?}");
-        assert!(ps.rows_per_sec() > 0.0, "{ps:?}");
-        assert!(
-            ps.busy_fraction() > 0.9,
-            "one serial thread is ~fully busy: {ps:?}"
-        );
-    }
-
-    #[test]
-    fn auto_cutover_keeps_tiny_workloads_off_the_pool() {
-        // Every round of this workload is far below the pre-pool floor,
-        // so Auto mode must never spawn the pool — regardless of the
-        // machine's core count.
-        let db = db();
-        let mut ev = Evaluator::new(&db, &tc(), Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(4); // Cutover::Auto is the default
-        ev.run().unwrap();
-        let ps = ev.pool_stats();
-        assert_eq!(
-            ps.parallel_rounds, 0,
-            "tiny deltas must stay serial: {ps:?}"
-        );
-        assert!(ps.serial_rounds > 0, "{ps:?}");
-        assert!(ps.rows_per_sec() > 0.0, "{ps:?}");
-        assert!(!ev.finish().relation("t").unwrap().is_empty());
-    }
-
-    #[test]
-    fn min_rows_cutover_is_respected() {
-        let db = db();
-        let mut hi = Evaluator::new(&db, &tc(), Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(4)
-            .with_cutover(Cutover::MinRows(u64::MAX));
-        hi.run().unwrap();
-        let ps = hi.pool_stats();
-        assert_eq!(ps.parallel_rounds, 0, "{ps:?}");
-        assert_eq!(ps.cutover_rows, u64::MAX, "{ps:?}");
-
-        let mut lo = Evaluator::new(&db, &tc(), Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(4)
-            .with_cutover(Cutover::MinRows(1));
-        lo.run().unwrap();
-        assert!(lo.pool_stats().parallel_rounds > 0, "{:?}", lo.pool_stats());
-        let hi = hi.finish();
-        let lo = lo.finish();
-        for p in ["t", "s"] {
-            assert_eq!(
-                hi.relation(p).unwrap().sorted_tuples(),
-                lo.relation(p).unwrap().sorted_tuples()
-            );
-        }
-    }
-
-    #[test]
-    fn shard_count_override_preserves_results() {
-        let db = db();
-        let prog = tc();
-        let mut base = Evaluator::new(&db, &prog, Strategy::SemiNaive).unwrap();
-        base.run().unwrap();
-        let base = base.finish();
-        for k in [1usize, 2, 8] {
-            let mut ev = Evaluator::new(&db, &prog, Strategy::SemiNaive)
-                .unwrap()
-                .with_parallelism(3)
-                .with_shards(k)
-                .with_cutover(Cutover::ForceParallel);
-            ev.run().unwrap();
-            let ps = ev.pool_stats();
-            assert_eq!(ps.shards, k.next_power_of_two(), "{ps:?}");
-            let got = ev.finish();
-            for p in ["t", "s"] {
-                assert_eq!(
-                    base.relation(p).unwrap().sorted_tuples(),
-                    got.relation(p).unwrap().sorted_tuples(),
-                    "IDB diverged at K={k}"
-                );
-            }
-            assert_eq!(base.stats.derived, got.stats.derived);
-            assert_eq!(base.stats.inserted, got.stats.inserted);
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! embedded in the engine (and, via the `semrec-core/failpoints`
 //! feature, the optimizer) consult a global schedule on every hit and
 //! can panic, delay, or return an error — letting tests drive the
-//! engine through worker panics, mid-round slowdowns, and I/O failures
+//! engine through evaluator panics, mid-round slowdowns, and I/O failures
 //! on a reproducible, seed-derived schedule (the test harness draws
 //! schedules from `semrec_gen::rng::Rng`, the workspace SplitMix64).
 //!
@@ -14,8 +14,6 @@
 //!
 //! | name             | where                                   | `Err` action means |
 //! |------------------|------------------------------------------|--------------------|
-//! | `pool.join`      | inside every parallel join task          | panics (job has no error channel) |
-//! | `pool.merge`     | inside every per-shard merge job         | panics (ditto) |
 //! | `eval.round`     | start of every fixpoint round            | `EngineError::Io` |
 //! | `optimizer.push` | before the optimizer's push stage        | analysis error |
 //! | `io.load`        | per CSV file in [`crate::io::load_file`] | `EngineError::Io` |
@@ -38,9 +36,8 @@ use std::time::Duration;
 /// What an armed failpoint does when its scheduled hit arrives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailAction {
-    /// Panic at the site (`panic!`). At pool sites this exercises the
-    /// worker panic-recovery path; elsewhere it tests callers'
-    /// `catch_unwind` recovery.
+    /// Panic at the site (`panic!`): tests callers' `catch_unwind`
+    /// recovery.
     Panic,
     /// Sleep this many milliseconds, then continue normally. Used to
     /// push evaluations over tight deadlines mid-round.
@@ -66,9 +63,7 @@ fn registry() -> &'static Mutex<HashMap<&'static str, Site>> {
 }
 
 /// The failpoint names the engine and optimizer embed.
-pub const SITES: [&str; 12] = [
-    "pool.join",
-    "pool.merge",
+pub const SITES: [&str; 10] = [
     "eval.round",
     "optimizer.push",
     "io.load",
@@ -143,15 +138,6 @@ pub fn hit(site: &str) -> Result<(), String> {
     }
 }
 
-/// [`hit`] for sites that have no error channel (pool jobs): an armed
-/// `Err` action panics instead, which the pool surfaces as
-/// [`EngineError::WorkerPanicked`](crate::error::EngineError).
-pub fn hit_or_panic(site: &str) {
-    if let Err(msg) = hit(site) {
-        panic!("{msg}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,8 +172,8 @@ mod tests {
     fn panic_action_panics() {
         let _g = serial();
         clear();
-        arm("pool.join", 0, FailAction::Panic);
-        let r = std::panic::catch_unwind(|| hit_or_panic("pool.join"));
+        arm("eval.round", 0, FailAction::Panic);
+        let r = std::panic::catch_unwind(|| hit("eval.round"));
         clear();
         assert!(r.is_err());
     }

@@ -97,31 +97,6 @@ pub fn hash_one(x: u64) -> u64 {
     h.finish()
 }
 
-/// A pass-through hasher for keys that are *already* hashes (`u64`).
-/// Rehashing a hash wastes cycles and does not improve distribution.
-#[derive(Clone, Copy, Default)]
-pub struct PrehashedHasher(u64);
-
-impl Hasher for PrehashedHasher {
-    #[inline]
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("PrehashedHasher only accepts u64 keys");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.0 = i;
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` from precomputed `u64` hashes, without rehashing.
-pub type PrehashedMap<V> = HashMap<u64, V, BuildHasherDefault<PrehashedHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,12 +116,5 @@ mod tests {
         m.insert(3, 4);
         assert_eq!(m.get(&1), Some(&2));
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn prehashed_map_round_trips() {
-        let mut m: PrehashedMap<&'static str> = PrehashedMap::default();
-        m.insert(hash_slice(&[7u64]), "x");
-        assert_eq!(m.get(&hash_slice(&[7u64])), Some(&"x"));
     }
 }

@@ -9,16 +9,14 @@
 //! thread interrupt an evaluation.
 //!
 //! Enforcement has two tiers. *Round-boundary* checks (rows, bytes,
-//! iterations) run on the control thread between rounds, where the
-//! committed relation state is authoritative. *Cooperative* checks
-//! (deadline, cancellation) also run inside long scan loops and merge
-//! jobs — every [`POLL_MASK`]+1 rows — through the [`Governor`], so a
-//! deadline interrupts a round in flight instead of waiting for it to
-//! finish. When a cooperative check trips, every other task sees the
-//! sticky flag on its next poll and bails out too; the control thread
-//! then discards the round's partial derivations (nothing is committed
-//! on the error path), leaving every relation exactly as the last
-//! completed round left it.
+//! iterations) run between rounds, where the committed relation state
+//! is authoritative. *Cooperative* checks (deadline, cancellation) also
+//! run inside long scan loops — every [`POLL_MASK`]+1 rows — through
+//! the [`Governor`], so a deadline interrupts a round in flight instead
+//! of waiting for it to finish. When a cooperative check trips, the
+//! running task bails out and the evaluator discards the round's
+//! partial derivations (nothing is committed on the error path),
+//! leaving every relation exactly as the last completed round left it.
 //!
 //! [`Relation`]: crate::relation::Relation
 
@@ -124,8 +122,8 @@ impl CancelToken {
 
 /// The run-time arm of a [`Budget`]: anchors the deadline to the start
 /// of evaluation and provides the sticky trip state that cooperative
-/// checks read. Shared by reference with pool jobs (all interior
-/// mutability), so a worker can trip it mid-round.
+/// checks read. All interior mutability: the evaluator polls it through
+/// `&self`, and the cancel flag may be set from another thread.
 #[derive(Debug)]
 pub(crate) struct Governor {
     cancel: CancelToken,

@@ -257,21 +257,16 @@ fn incremental_capable(program: &Program) -> bool {
 }
 
 impl Materialized {
-    /// Evaluates `program` over `db` from scratch (semi-naive, `threads`
-    /// workers) and keeps the result materialized for incremental
-    /// maintenance.
-    pub fn new(
-        db: &Database,
-        program: &Program,
-        threads: usize,
-    ) -> Result<Materialized, EngineError> {
-        Materialized::new_tuned(db, program, Tuning::with_threads(threads))
+    /// Evaluates `program` over `db` from scratch (semi-naive) and keeps
+    /// the result materialized for incremental maintenance.
+    pub fn new(db: &Database, program: &Program) -> Result<Materialized, EngineError> {
+        Materialized::new_tuned(db, program, Tuning::default())
     }
 
-    /// [`Materialized::new`] with the full evaluator [`Tuning`] bundle;
-    /// the initial evaluation and every later propagation run use it,
-    /// so agreement tests can pin the whole configuration (threads ×
-    /// cutover × kernels on/off) for a materialization's lifetime.
+    /// [`Materialized::new`] with an explicit evaluator [`Tuning`]; the
+    /// initial evaluation and every later propagation run use it, so
+    /// agreement tests can pin the executor (kernels on/off) for a
+    /// materialization's lifetime.
     pub fn new_tuned(
         db: &Database,
         program: &Program,
@@ -279,7 +274,7 @@ impl Materialized {
     ) -> Result<Materialized, EngineError> {
         let fallback = !incremental_capable(program);
         let prepared = Prepared::compile(db, program)?;
-        let mut ev = Evaluator::new(db, program, Strategy::SemiNaive)?.with_tuning(tuning);
+        let mut ev = Evaluator::new(db, program, Strategy::SemiNaive)?.with_kernels(tuning.kernels);
         ev.run()?;
         let initial_rounds = ev.rounds();
         let res = ev.finish();
@@ -384,7 +379,7 @@ impl Materialized {
         let idb = std::mem::take(&mut self.idb);
         let mut ev =
             Evaluator::from_prepared(post_db, &self.prepared, idb, delta.edb_marks.clone())?
-                .with_tuning(self.tuning)
+                .with_kernels(self.tuning.kernels)
                 .with_budget(budget);
         if let Some(c) = cancel {
             ev = ev.with_cancel_token(c);
@@ -477,7 +472,7 @@ impl Materialized {
         }
         let mut ev =
             Evaluator::from_prepared(post_db, &self.prepared, work_idb, delta.edb_marks.clone())?
-                .with_tuning(self.tuning)
+                .with_kernels(self.tuning.kernels)
                 .with_budget(eval_budget);
         if let Some(c) = cancel {
             ev = ev.with_cancel_token(c);
@@ -515,7 +510,7 @@ impl Materialized {
         start: Instant,
     ) -> Result<UpdateStats, EngineError> {
         let mut ev = Evaluator::new(post_db, self.prepared.program(), Strategy::SemiNaive)?
-            .with_tuning(self.tuning)
+            .with_kernels(self.tuning.kernels)
             .with_budget(budget);
         if let Some(c) = cancel {
             ev = ev.with_cancel_token(c);
@@ -761,7 +756,7 @@ mod tests {
     fn insert_propagates_incrementally() {
         let mut d = db("e(1, 2). e(2, 3).");
         let p = program(TC);
-        let mut m = Materialized::new(&d, &p, 1).unwrap();
+        let mut m = Materialized::new(&d, &p).unwrap();
         assert!(m.is_incremental());
         let mut tx = Tx::new();
         tx.insert("e", int_tuple(&[3, 4]));
@@ -776,7 +771,7 @@ mod tests {
     fn delete_runs_dred_and_agrees_with_scratch() {
         let mut d = db("e(1, 2). e(2, 3). e(3, 4). e(1, 3).");
         let p = program(TC);
-        let mut m = Materialized::new(&d, &p, 1).unwrap();
+        let mut m = Materialized::new(&d, &p).unwrap();
         let mut tx = Tx::new();
         tx.delete("e", int_tuple(&[2, 3]));
         let stats = m.apply(&mut d, &tx, Budget::unlimited(), None).unwrap();
@@ -791,7 +786,7 @@ mod tests {
     fn mixed_tx_nets_out() {
         let mut d = db("e(1, 2). e(2, 3).");
         let p = program(TC);
-        let mut m = Materialized::new(&d, &p, 1).unwrap();
+        let mut m = Materialized::new(&d, &p).unwrap();
         let mut tx = Tx::new();
         tx.delete("e", int_tuple(&[2, 3]));
         tx.insert("e", int_tuple(&[2, 4]));
@@ -805,7 +800,7 @@ mod tests {
     fn delete_and_reinsert_same_tuple_is_net_noop() {
         let mut d = db("e(1, 2). e(2, 3).");
         let p = program(TC);
-        let mut m = Materialized::new(&d, &p, 1).unwrap();
+        let mut m = Materialized::new(&d, &p).unwrap();
         let before = eval_scratch(&d, &p);
         let mut tx = Tx::new();
         tx.delete("e", int_tuple(&[2, 3]));
@@ -818,7 +813,7 @@ mod tests {
     fn negation_falls_back_to_scratch() {
         let mut d = db("e(1, 2). v(1). v(2). v(3).");
         let p = program("r(X) :- e(_, X). u(X) :- v(X), !r(X).");
-        let mut m = Materialized::new(&d, &p, 1).unwrap();
+        let mut m = Materialized::new(&d, &p).unwrap();
         assert!(!m.is_incremental());
         let mut tx = Tx::new();
         tx.insert("e", int_tuple(&[2, 3]));

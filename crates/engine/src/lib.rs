@@ -26,7 +26,6 @@ pub mod incr;
 pub mod io;
 pub mod magic;
 pub mod plan;
-pub mod pool;
 pub mod relation;
 pub mod sld;
 pub mod stats;
@@ -39,14 +38,13 @@ pub use cost::{
 pub use database::{int_tuple, Database};
 pub use error::EngineError;
 pub use eval::{
-    answer_goal, answer_goal_polled, evaluate, evaluate_parallel, goal_bindings, Cutover,
-    EvalResult, Evaluator, GoalBindings, Prepared, Route, Strategy, Tuning,
+    answer_goal, answer_goal_polled, evaluate, goal_bindings, EvalResult, Evaluator, GoalBindings,
+    Prepared, Route, Strategy, Tuning,
 };
 pub use governor::{Budget, CancelToken};
 pub use incr::{
     tx_to_stream, Materialized, Tx, TxDelta, TxStreamError, TxStreamEvent, TxStreamParser,
     UpdateStats,
 };
-pub use pool::{JobPanic, PhasePanic, WorkerPool};
 pub use relation::{CodeMap, Relation, RowRange, Tuple};
-pub use stats::{PoolStats, Stats};
+pub use stats::Stats;

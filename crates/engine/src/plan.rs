@@ -293,8 +293,7 @@ pub struct CompiledRule {
 /// when the shape doesn't qualify. Selection rules: steps are scans,
 /// assignments, filters, pure builtin checks, and seed-phase
 /// value-binding builtins (negation and probe-dependent bindings fall
-/// back); the first scan seeds the iteration
-/// (it is the step data-parallel partitions split) and may carry an
+/// back); the first scan seeds the iteration and may carry an
 /// index key only if every key value resolves to a constant; every
 /// later scan has a non-empty index key; the chain has at most
 /// [`MAX_KERNEL_PROBES`] probes; and every head term resolves to a

@@ -54,30 +54,6 @@ impl RowRange {
     pub fn is_empty(self) -> bool {
         self.start >= self.end
     }
-
-    /// The intersection of two ranges (empty if disjoint).
-    pub fn intersect(self, other: RowRange) -> RowRange {
-        RowRange {
-            start: self.start.max(other.start),
-            end: self.end.min(other.end),
-        }
-    }
-
-    /// Splits the range into `n` near-equal contiguous chunks, dropping
-    /// empty ones. Used to data-parallelize a scan across pool workers.
-    pub fn split(self, n: usize) -> Vec<RowRange> {
-        let n = n.max(1) as u32;
-        let len = self.end.saturating_sub(self.start);
-        let chunk = len.div_ceil(n).max(1);
-        let mut out = Vec::new();
-        let mut s = self.start;
-        while s < self.end {
-            let e = (s + chunk).min(self.end);
-            out.push(RowRange { start: s, end: e });
-            s = e;
-        }
-        out
-    }
 }
 
 /// Empty slot marker in [`RowSet`] and [`CodeMap`] (the slot's low
@@ -185,7 +161,7 @@ impl RowSet {
 /// dictionary codes: the [`RowSet`] slot discipline (packed
 /// `fingerprint << 32 | code` words, linear probing from the hash's low
 /// bits) applied to the dictionary side of the probe path. Compared to
-/// the `PrehashedMap` it replaces, the slot array is a plain `Vec<u64>`
+/// the std `HashMap` it replaced, the slot array is a plain `Vec<u64>`
 /// the caller can software-prefetch by hash ([`CodeMap::prefetch`]
 /// mirrors [`Relation::prefetch_hash`]) — a std `HashMap` hides its
 /// control bytes behind an opaque allocation, so the per-sort-group
@@ -508,11 +484,9 @@ impl KeyDistribution {
 /// An append-only relation of fixed arity with set semantics over flat
 /// columnar storage.
 ///
-/// The lazy index cache sits behind a `std::sync::RwLock`, so `&Relation`
-/// can be shared across threads during a (read-only) evaluation round —
-/// see [`crate::eval::Evaluator::with_parallelism`]. Call
-/// [`Relation::ensure_index`] before a parallel phase so the workers only
-/// ever take the shared read lock.
+/// The lazy index cache sits behind a `std::sync::RwLock`, so the serving
+/// daemon's reader threads can build and probe indexes on a shared
+/// `&Relation` snapshot.
 #[derive(Debug)]
 pub struct Relation {
     arity: usize,
@@ -693,7 +667,7 @@ impl Relation {
 
     /// [`Relation::insert`] with the row-content hash already computed
     /// (the fixpoint loop hashes each derived tuple once, at derivation
-    /// time, and reuses the hash for shard routing and insertion).
+    /// time, and reuses the hash for insertion).
     pub fn insert_hashed(&mut self, t: &[Value], h: u64) -> bool {
         assert_eq!(t.len(), self.arity, "tuple arity mismatch");
         debug_assert_eq!(h, hash_slice(t), "stale row hash");
@@ -788,10 +762,7 @@ impl Relation {
         self.contains_hashed(t, hash_slice(t))
     }
 
-    /// [`Relation::contains`] with the row hash already computed. Takes
-    /// `&self` only and touches nothing but the (round-immutable) dedup
-    /// table, so shard-merge workers can safely call it concurrently
-    /// while the control thread is blocked on the merge phase.
+    /// [`Relation::contains`] with the row hash already computed.
     pub fn contains_hashed(&self, t: &[Value], h: u64) -> bool {
         if t.len() != self.arity {
             return false;
@@ -934,57 +905,6 @@ impl Relation {
         self.ndead = 0;
         self.generation += 1;
         self.indexes.write().expect("index lock poisoned").clear();
-    }
-
-    /// Bulk-appends a pre-deduplicated segment of new rows: `data` holds
-    /// `hashes.len()` rows in flat layout and `hashes[i]` is the content
-    /// hash of row `i`. This is the control thread's shard-concat path:
-    /// the merge phase already guaranteed every row is absent from the
-    /// relation and the rows are pairwise distinct, so committing is one
-    /// `memcpy` plus a dedup-slot insert per row — no hashing, no
-    /// comparisons.
-    ///
-    /// Returns the number of rows appended.
-    ///
-    /// # Panics
-    /// Panics if `data` is not `hashes.len() * arity` values long. With
-    /// debug assertions, also panics if a row was already present (a
-    /// violated merge-phase contract would silently corrupt set
-    /// semantics otherwise).
-    pub fn commit_new_rows(&mut self, data: &[Value], hashes: &[u64]) -> usize {
-        assert_eq!(
-            data.len(),
-            hashes.len() * self.arity,
-            "segment length does not match hash count × arity"
-        );
-        // The segment is pre-deduplicated, so its exact row count is
-        // known: size the table once up front instead of doubling
-        // mid-append.
-        self.reserve_rows(hashes.len());
-        for (i, &h) in hashes.iter().enumerate() {
-            let row = &data[i * self.arity..(i + 1) * self.arity];
-            debug_assert!(
-                !self.contains_hashed(row, h),
-                "commit_new_rows given a duplicate row"
-            );
-            if self.set.needs_grow() {
-                self.grow_for_insert();
-            }
-            let mut s = self.set.start(h);
-            while !matches!(self.set.slots[s] as u32, EMPTY | TOMB) {
-                s = (s + 1) & self.set.mask;
-            }
-            if self.set.slots[s] as u32 == TOMB {
-                self.set.tombs -= 1;
-            }
-            self.set.slots[s] = RowSet::entry(h, self.nrows as u32);
-            self.set.live += 1;
-            self.row_hash.push(h);
-            self.data.extend_from_slice(row);
-            self.nrows += 1;
-        }
-        self.generation += hashes.len() as u64;
-        hashes.len()
     }
 
     /// Reserves dedup-table capacity for `extra` more live rows: records
@@ -1136,17 +1056,6 @@ impl Relation {
     #[inline]
     pub fn row_visible(&self, r: u32, range: RowRange) -> bool {
         range.contains(r) && !self.is_dead(r)
-    }
-
-    /// The eager form of the per-candidate filter, retained for callers
-    /// (and tests) that still hold raw key values: `r` is a hit iff it
-    /// is visible and its `cols` columns equal `key`.
-    #[inline]
-    pub fn probe_hit(&self, r: u32, cols: &[usize], key: &[Value], range: RowRange) -> bool {
-        self.row_visible(r, range) && {
-            let row = self.row(r);
-            cols.iter().zip(key).all(|(&c, k)| row[c] == *k)
-        }
     }
 
     fn entry_index<'a>(
@@ -1574,31 +1483,6 @@ mod tests {
         let delta = RowRange { start: 2, end: 3 };
         let vals: Vec<_> = r.iter_range(delta).map(|(_, t)| t[0]).collect();
         assert_eq!(vals, vec![Value::Int(3)]);
-    }
-
-    #[test]
-    fn row_range_split_covers_exactly() {
-        let range = RowRange { start: 3, end: 100 };
-        for n in [1usize, 2, 3, 7, 64, 200] {
-            let parts = range.split(n);
-            assert!(parts.len() <= n.max(1));
-            assert_eq!(parts[0].start, 3);
-            assert_eq!(parts.last().unwrap().end, 100);
-            for w in parts.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "chunks must tile");
-            }
-            assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), range.len());
-        }
-        assert!(RowRange { start: 5, end: 5 }.split(4).is_empty());
-    }
-
-    #[test]
-    fn row_range_intersect() {
-        let a = RowRange { start: 0, end: 10 };
-        let b = RowRange { start: 6, end: 20 };
-        assert_eq!(a.intersect(b), RowRange { start: 6, end: 10 });
-        let c = RowRange { start: 12, end: 14 };
-        assert!(a.intersect(c).is_empty());
     }
 
     #[test]

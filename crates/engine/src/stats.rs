@@ -80,118 +80,6 @@ impl AddAssign for Stats {
     }
 }
 
-/// Counters for round execution, accumulated across an evaluation.
-/// Parallel rounds account pool batches (with per-phase attribution);
-/// serial rounds — including parallel-mode rounds that the adaptive
-/// cutover routed to the control thread — account wall time and seed
-/// rows too, so throughput is comparable across thread counts.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct PoolStats {
-    /// Rounds executed on the pool.
-    pub parallel_rounds: u64,
-    /// Rounds executed serially on the control thread (always in serial
-    /// mode; in parallel mode, rounds below the adaptive cutover).
-    pub serial_rounds: u64,
-    /// Tasks dispatched (a plan split across workers counts once per
-    /// chunk; merge jobs count one per shard).
-    pub tasks: u64,
-    /// Sum of per-task execution time across workers, in nanoseconds.
-    pub busy_nanos: u64,
-    /// Sum of per-round wall-clock batch time, in nanoseconds.
-    pub wall_nanos: u64,
-    /// Worker busy time spent in join-phase tasks, in nanoseconds.
-    pub join_nanos: u64,
-    /// Worker busy time spent in per-shard merge tasks, in nanoseconds.
-    pub merge_nanos: u64,
-    /// Control-thread time concatenating shard segments into relations.
-    pub concat_nanos: u64,
-    /// Time spent eagerly building indexes before parallel phases.
-    pub index_build_nanos: u64,
-    /// Seed-scan rows dispatched across all parallel rounds.
-    pub rows_dispatched: u64,
-    /// Wall-clock nanoseconds of serial rounds.
-    pub serial_nanos: u64,
-    /// Seed-scan rows processed by serial rounds.
-    pub serial_rows: u64,
-    /// Seed-scan rows of the most recent parallel round.
-    pub last_round_rows: u64,
-    /// Wall-clock nanoseconds of the most recent parallel round.
-    pub last_round_nanos: u64,
-    /// Worker threads in the pool (0 until the pool first runs).
-    pub workers: usize,
-    /// Merge shards per parallel round (0 until a parallel round runs).
-    pub shards: usize,
-    /// The adaptive serial-cutover threshold in seed rows (0 = parallel
-    /// evaluation disabled or not yet calibrated).
-    pub cutover_rows: u64,
-    /// Rounds where parallel evaluation was *requested* (`parallelism >
-    /// 1`) but the adaptive cutover routed the round to the control
-    /// thread anyway — the seed volume was below the dispatch-cost
-    /// threshold, or the machine has a single schedulable CPU. A subset
-    /// of `serial_rounds`; records the per-round decision so negative
-    /// scaling fixed by staying serial is observable, not inferred.
-    pub cutover_serial_rounds: u64,
-}
-
-impl PoolStats {
-    /// Fraction of execution capacity spent on useful work: pool rounds
-    /// contribute `busy / (workers × wall)`; serial rounds run one thread
-    /// at full utilization and contribute `wall / wall`. 0 when no round
-    /// ran anywhere.
-    pub fn busy_fraction(&self) -> f64 {
-        let capacity = self
-            .wall_nanos
-            .saturating_mul(self.workers as u64)
-            .saturating_add(self.serial_nanos);
-        if capacity == 0 {
-            return 0.0;
-        }
-        let busy = self.busy_nanos.saturating_add(self.serial_nanos);
-        (busy as f64 / capacity as f64).min(1.0)
-    }
-
-    /// Aggregate seed-scan rows per second over all rounds, parallel and
-    /// serial alike (wall-time based, so thread counts are comparable).
-    pub fn rows_per_sec(&self) -> f64 {
-        let nanos = self.wall_nanos + self.serial_nanos;
-        if nanos == 0 {
-            return 0.0;
-        }
-        (self.rows_dispatched + self.serial_rows) as f64 * 1e9 / nanos as f64
-    }
-
-    /// Seed-scan rows per second of the most recent parallel round.
-    pub fn last_round_rows_per_sec(&self) -> f64 {
-        if self.last_round_nanos == 0 {
-            return 0.0;
-        }
-        self.last_round_rows as f64 * 1e9 / self.last_round_nanos as f64
-    }
-}
-
-impl fmt::Display for PoolStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "par_rounds={} serial_rounds={} tasks={} shards={} busy={:.0}% \
-             rows/s={:.0} join_ms={:.2} merge_ms={:.2} concat_ms={:.2} \
-             index_ms={:.2} cutover_rows={} cutover_serial={}",
-            self.parallel_rounds,
-            self.serial_rounds,
-            self.tasks,
-            self.shards,
-            self.busy_fraction() * 100.0,
-            self.rows_per_sec(),
-            self.join_nanos as f64 / 1e6,
-            self.merge_nanos as f64 / 1e6,
-            self.concat_nanos as f64 / 1e6,
-            self.index_build_nanos as f64 / 1e6,
-            self.cutover_rows,
-            self.cutover_serial_rounds,
-        )
-    }
-}
-
 impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -133,14 +133,15 @@ pub struct AnswerCache {
 }
 
 impl AnswerCache {
-    /// An empty cache holding at most `capacity` entries (minimum 1).
+    /// An empty cache holding at most `capacity` entries; with 0 nothing
+    /// is retained (the server then skips the cache altogether).
     pub fn new(capacity: usize) -> AnswerCache {
         AnswerCache {
             inner: Mutex::new(CacheMap {
                 map: HashMap::new(),
                 order: VecDeque::new(),
             }),
-            capacity: capacity.max(1),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }

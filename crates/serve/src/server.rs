@@ -37,7 +37,7 @@ use crate::wal::Wal;
 use semrec_core::{MaintainedQuery, OptimizerConfig};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::parser::Unit;
-use semrec_engine::eval::{answer_goal_polled, goal_matches};
+use semrec_engine::eval::answer_goal_polled;
 use semrec_engine::{tx_to_stream, Budget, Database, Route, Tuning, Tuple, Tx, UpdateStats};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
@@ -45,13 +45,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// How often a reader's scan loop polls its cancel token and deadline.
-const POLL_EVERY_ROWS: usize = 1024;
-
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Evaluator tuning (threads × cutover × kernels) for the initial
+    /// Evaluator tuning (kernels on/off) for the initial
     /// materialization and every maintenance pass.
     pub tuning: Tuning,
     /// Optimizer configuration for the maintained plan.
@@ -62,20 +59,11 @@ pub struct ServeConfig {
     pub retain_epochs: usize,
     /// Budget applied to each transaction's maintenance work.
     pub write_budget: Budget,
-    /// Route bound query goals through the dictionary index
-    /// ([`semrec_engine::eval::answer_goal_polled`]) instead of scanning
-    /// the whole relation. All-free goals always scan.
-    pub index_reads: bool,
-    /// Memoize query answers per `(goal shape, relation generation)`
-    /// ([`crate::cache`]); copy-on-write publication invalidates exactly
-    /// the changed predicates.
-    pub answer_cache: bool,
-    /// Answer-cache entry bound (FIFO eviction).
+    /// Answer-cache entry bound (FIFO eviction). Answers are memoized
+    /// per `(goal shape, relation generation)` ([`crate::cache`]);
+    /// copy-on-write publication invalidates exactly the changed
+    /// predicates. 0 means no cache: every query computes its answer.
     pub cache_capacity: usize,
-    /// Group concurrent commits into one maintenance pass: one WAL
-    /// fsync window, one apply sweep, one epoch publication — with
-    /// per-transaction acknowledgements and atomicity preserved.
-    pub batch_commits: bool,
 }
 
 impl Default for ServeConfig {
@@ -86,10 +74,7 @@ impl Default for ServeConfig {
             admission: AdmissionConfig::default(),
             retain_epochs: 8,
             write_budget: Budget::unlimited(),
-            index_reads: true,
-            answer_cache: true,
             cache_capacity: 1024,
-            batch_commits: true,
         }
     }
 }
@@ -154,7 +139,7 @@ pub struct ServerStats {
     pub cache_hits: u64,
     /// Cache lookups that had to compute their answer.
     pub cache_misses: u64,
-    /// Commit batches processed (a serial commit is a batch of one).
+    /// Commit batches processed (a lone commit is a batch of one).
     pub batches: u64,
     /// Transactions carried by those batches.
     pub batched_txs: u64,
@@ -349,11 +334,11 @@ impl Server {
     /// deadline — and otherwise returns exactly the pinned epoch's
     /// tuples, sorted.
     ///
-    /// With [`ServeConfig::answer_cache`] on, a repeated goal shape
-    /// against an unchanged relation generation is served straight from
-    /// the cache; with [`ServeConfig::index_reads`] on, a computed
-    /// answer routes bound goal arguments through the snapshot's
-    /// dictionary index instead of scanning.
+    /// A repeated goal shape against an unchanged relation generation is
+    /// served straight from the answer cache (unless
+    /// [`ServeConfig::cache_capacity`] is 0); a computed answer routes
+    /// bound goal arguments through the snapshot's dictionary index
+    /// instead of scanning.
     pub fn query(
         &self,
         goal: &Atom,
@@ -368,7 +353,7 @@ impl Server {
         let stamp = state
             .relation(goal.pred)
             .and_then(|r| relation_stamp(r.as_ref()));
-        let shape = self.cfg.answer_cache.then(|| GoalShape::of(goal));
+        let shape = (self.cfg.cache_capacity > 0).then(|| GoalShape::of(goal));
         if let Some(shape) = &shape {
             if let Some(cached) = self.cache.get(shape, stamp) {
                 return Ok(QueryReply {
@@ -378,11 +363,7 @@ impl Server {
                 });
             }
         }
-        let mut tuples = if self.cfg.index_reads {
-            self.answer(&state, goal, &permit)?
-        } else {
-            self.scan(&state, goal, &permit)?
-        };
+        let mut tuples = self.answer(&state, goal, &permit)?;
         tuples.sort();
         if let Some(shape) = shape {
             self.cache.insert(shape, stamp, Arc::new(tuples.clone()));
@@ -394,8 +375,7 @@ impl Server {
         })
     }
 
-    /// The typed abort for a cancelled/expired read permit, shared by
-    /// the indexed and scan paths.
+    /// The typed abort for a cancelled/expired read permit.
     fn read_aborted(&self, state: &EpochState, permit: &Permit) -> Option<ServeError> {
         if permit.cancel_token().is_cancelled() {
             return Some(if permit.was_reclaimed() {
@@ -419,9 +399,8 @@ impl Server {
 
     /// Index-routed goal answering against the pinned snapshot: bound
     /// arguments probe the relation's dictionary index, all-free goals
-    /// fall back to the scan inside [`answer_goal_polled`]. Cancellation
-    /// and the deadline are polled on the same row cadence as the scan
-    /// path.
+    /// fall back to the scan inside [`answer_goal_polled`], which polls
+    /// cancellation and the deadline on its row cadence.
     fn answer(
         &self,
         state: &EpochState,
@@ -439,52 +418,19 @@ impl Server {
         })
     }
 
-    /// Scans the pinned snapshot for `goal`, polling cancellation and
-    /// the deadline every [`POLL_EVERY_ROWS`] rows. The fallback read
-    /// path ([`ServeConfig::index_reads`] off) and the reference the
-    /// agreement suites compare the indexed path against.
-    fn scan(
-        &self,
-        state: &EpochState,
-        goal: &Atom,
-        permit: &Permit,
-    ) -> Result<Vec<Tuple>, ServeError> {
-        let Some(rel) = state.relation(goal.pred) else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::new();
-        for (i, (_, row)) in rel.iter_range(rel.snapshot_rows()).enumerate() {
-            if i % POLL_EVERY_ROWS == 0 {
-                if let Some(e) = self.read_aborted(state, permit) {
-                    return Err(e);
-                }
-            }
-            if goal_matches(goal, row) {
-                out.push(row.to_vec());
-            }
-        }
-        Ok(out)
-    }
-
     /// Applies one transaction through the full commit pipeline: WAL
     /// append + fsync, maintained apply, copy-on-write epoch publish.
     /// Serialized with other writers; never blocked by readers.
     ///
-    /// With [`ServeConfig::batch_commits`] on, concurrent callers are
-    /// group-committed: each enqueues its transaction; the first to see
-    /// no active leader elects itself and sweeps the whole queue into
-    /// **one** maintenance pass — one WAL fsync window, one apply
-    /// sweep, one epoch publication — filling per-transaction
-    /// acknowledgement slots, while the rest sleep on the leadership
-    /// condvar (never on the writer mutex, whose unfair handoff would
-    /// otherwise cap batches at two and starve waiters). A serial
-    /// caller simply leads a batch of one, so uncontended behavior
-    /// (latency, epoch numbering) is unchanged.
+    /// Concurrent callers are group-committed: each enqueues its
+    /// transaction; the first to see no active leader elects itself and
+    /// sweeps the whole queue into **one** maintenance pass — one WAL
+    /// fsync window, one apply sweep, one epoch publication — filling
+    /// per-transaction acknowledgement slots, while the rest sleep on
+    /// the leadership condvar (never on the writer mutex, whose unfair
+    /// handoff would otherwise cap batches at two and starve waiters).
+    /// A lone caller simply leads a batch of one.
     pub fn commit(&self, tx: &Tx) -> Result<CommitReply, ServeError> {
-        if !self.cfg.batch_commits {
-            let mut ws = self.writer.lock().expect("writer lock poisoned");
-            return self.commit_one(&mut ws, tx);
-        }
         let slot = CommitSlot::new(tx.clone());
         let mut q = self.pending.lock().expect("pending lock");
         q.queue.push_back(Arc::clone(&slot));
@@ -525,48 +471,6 @@ impl Server {
             .iter()
             .map(|s| s.take().expect("batch filled every slot"))
             .collect()
-    }
-
-    /// The unbatched pipeline ([`ServeConfig::batch_commits`] off).
-    fn commit_one(&self, ws: &mut WriterState, tx: &Tx) -> Result<CommitReply, ServeError> {
-        // 1. Durability first: the commit is acknowledged only after the
-        //    record is on disk, and applied only after it is durable.
-        let pre_len = ws.wal.as_ref().map(Wal::len);
-        if let Some(wal) = ws.wal.as_mut() {
-            wal.append_commit(&tx_to_stream(tx))?;
-        }
-
-        // 2. Apply. On failure the record written in step 1 is
-        //    truncated back out, keeping WAL == applied history.
-        let outcome = match ws.query.apply(tx, self.cfg.write_budget, None) {
-            Ok(o) => o,
-            Err(e) => {
-                if let (Some(wal), Some(pre)) = (ws.wal.as_mut(), pre_len) {
-                    wal.rollback_to(pre);
-                }
-                return Err(ServeError::Engine(e));
-            }
-        };
-
-        // 3. Publish. Copy-on-write against the last *published* epoch:
-        //    after a failed publish the diff naturally widens to cover
-        //    the unpublished commits too.
-        let epoch = ws.next_epoch;
-        let prev = self.registry.latest();
-        let successor =
-            prev.cow_successor(epoch, outcome.route, live_relations(&ws.query).into_iter());
-        self.registry.publish(successor)?;
-        ws.next_epoch = epoch + 1;
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_txs.fetch_add(1, Ordering::Relaxed);
-        Ok(CommitReply {
-            epoch,
-            route: outcome.route,
-            stats: outcome.stats,
-            violated: outcome.violated,
-            replanned: outcome.replanned,
-        })
     }
 
     /// The group-commit pipeline. Per-transaction atomicity holds
@@ -675,8 +579,8 @@ impl Server {
         // Phase E: one copy-on-write publication for the whole batch;
         // every committed transaction shares the new epoch. A publish
         // failure leaves the batch durable and applied but errored —
-        // the next successful publish subsumes it (same contract as the
-        // unbatched pipeline).
+        // the next successful publish, whose copy-on-write diff is taken
+        // against the last *published* epoch, subsumes it.
         let applied_any = outcomes.iter().any(Option::is_some);
         let mut publish_err = None;
         let mut epoch = self.registry.latest().epoch;

@@ -3,24 +3,28 @@
 //! ```text
 //! semrec optimize <file> [--small PRED]...        show the optimization plan
 //! semrec run <file> [--optimize] [--naive] [--query 'p(a, X)'] [--magic]
-//!            [--data DIR] [--save DIR] [--threads N] [--engine seminaive|naive|topdown|sld]
+//!            [--data DIR] [--save DIR] [--engine seminaive|naive|topdown|sld]
 //!            [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]
 //! semrec explain <file> [--run] [--query ATOM] [--data DIR]
 //!                        residues per IC + per-alternative route costs
 //! semrec describe <file> 'describe p(X) where q(X, c).'
 //! semrec why <file> 'anc(dan, 20, bob, 77)'       show one derivation of a fact
 //! semrec check <file>                             validate assumptions + IC satisfaction
-//! semrec update <file> <txfile> [--optimize] [--query 'p(a, X)'] [--threads N]
+//! semrec update <file> <txfile> [--optimize] [--query 'p(a, X)']
 //!            [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]
 //!                                                 apply transactions incrementally
 //! semrec plan <file> [--optimize]                 show compiled physical plans (EXPLAIN)
 //! semrec gen <scenario> <dir>                     write a generated workload bundle
-//! semrec serve <file> [--wal PATH] [--script PATH | --listen ADDR] [--threads N]
+//! semrec serve <file> [--wal PATH] [--script PATH | --listen ADDR]
 //!            [--max-inflight N] [--retain-epochs N] [--watchdog-ms N]
 //!            [--request-deadline-ms N] [--deadline-ms N] [--max-rows N]
-//!            [--no-read-index] [--no-answer-cache] [--no-batch] [--cache-capacity N]
-//!            [--max-bytes N] [--max-iters N]      run the serving daemon
+//!            [--max-bytes N] [--max-iters N] [--cache-capacity N]
+//!                                                 run the serving daemon
 //! ```
+//!
+//! A `--flag` the subcommand does not know is a usage error (exit 2),
+//! never silently ignored. `--cache-capacity 0` serves without the
+//! answer cache.
 //!
 //! `<file>` holds rules, ground facts, and `ic:` constraints in the
 //! Prolog-like syntax of `semrec_datalog::parser`.
@@ -38,7 +42,7 @@
 //! | 3    | wall-clock deadline exceeded |
 //! | 4    | row/byte budget exceeded |
 //! | 5    | evaluation cancelled |
-//! | 6    | a worker panicked (partial round discarded) |
+//! | 6    | the evaluator panicked (partial round discarded) |
 //! | 7    | serve: admission control shed the request (overloaded) |
 //! | 8    | serve: the write-ahead log is corrupt (torn tails recover; this does not) |
 //! | 9    | serve: the pinned epoch was reclaimed |
@@ -150,6 +154,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
         return Err(CliError::Usage(usage()));
     };
+    check_flags(cmd, &args[1..])?;
     match cmd.as_str() {
         "optimize" => cmd_optimize(&args[1..]),
         "run" => cmd_run(&args[1..]),
@@ -175,7 +180,8 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
 fn usage() -> String {
     "usage:\n  semrec optimize <file> [--small PRED]...\n  \
      semrec run <file> [--optimize] [--naive] [--query ATOM] [--magic]\n  \
-             [--data DIR] [--save DIR] [--small PRED]... [--threads N]\n  \
+             [--data DIR] [--save DIR] [--small PRED]...\n  \
+             [--engine seminaive|naive|topdown|sld]\n  \
              [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]\n  \
      semrec explain <file> [--run] [--query ATOM] [--data DIR] [--small PRED]...\n  \
      semrec describe <file> QUERY\n  \
@@ -184,13 +190,71 @@ fn usage() -> String {
      semrec gen <org|university|genealogy|fanout|flights> <dir>\n  \
      semrec check <file>\n  \
      semrec update <file> <txfile> [--optimize] [--query ATOM] [--data DIR]\n  \
-             [--threads N] [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]\n  \
-     semrec serve <file> [--wal PATH] [--script PATH | --listen ADDR] [--threads N]\n  \
+             [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]\n  \
+     semrec serve <file> [--wal PATH] [--script PATH | --listen ADDR]\n  \
              [--max-inflight N] [--retain-epochs N] [--watchdog-ms N]\n  \
              [--request-deadline-ms N] [--deadline-ms N] [--max-rows N]\n  \
-             [--max-bytes N] [--max-iters N] [--no-read-index]\n  \
-             [--no-answer-cache] [--no-batch] [--cache-capacity N]"
+             [--max-bytes N] [--max-iters N] [--cache-capacity N]"
         .to_owned()
+}
+
+/// The budget flags `run`, `update` and `serve` share (see
+/// [`parse_budget`]); each takes a value.
+const BUDGET_FLAGS: [&str; 4] = ["--deadline-ms", "--max-rows", "--max-bytes", "--max-iters"];
+
+/// The flags `cmd` accepts: those that stand alone, those that consume
+/// the next argument, and whether [`BUDGET_FLAGS`] are accepted too.
+fn known_flags(cmd: &str) -> (&'static [&'static str], &'static [&'static str], bool) {
+    match cmd {
+        "optimize" => (&[], &["--small"], false),
+        "run" => (
+            &["--optimize", "--naive", "--magic"],
+            &["--query", "--data", "--save", "--small", "--engine"],
+            true,
+        ),
+        "explain" => (&["--run"], &["--query", "--data", "--small"], false),
+        "plan" => (&["--optimize"], &["--small"], false),
+        "update" => (&["--optimize"], &["--query", "--data", "--small"], true),
+        "serve" => (
+            &[],
+            &[
+                "--wal",
+                "--script",
+                "--listen",
+                "--small",
+                "--max-inflight",
+                "--retain-epochs",
+                "--watchdog-ms",
+                "--request-deadline-ms",
+                "--cache-capacity",
+            ],
+            true,
+        ),
+        _ => (&[], &[], false),
+    }
+}
+
+/// Rejects (usage, exit 2) any `--flag` the subcommand does not know,
+/// so a typo or a retired flag fails loudly instead of being ignored.
+/// The argument after a value-taking flag is skipped unexamined.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    let (switches, valued, budget) = known_flags(cmd);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let a = a.as_str();
+        if !a.starts_with("--") {
+            continue;
+        }
+        if valued.contains(&a) || (budget && BUDGET_FLAGS.contains(&a)) {
+            it.next();
+        } else if !switches.contains(&a) {
+            return Err(CliError::Usage(format!(
+                "unknown flag `{a}` for `semrec {cmd}`\n{}",
+                usage()
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn need_path(args: &[String]) -> Result<&String, CliError> {
@@ -290,13 +354,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         Strategy::SemiNaive
     };
     let budget = parse_budget(args)?;
-    let threads: usize = flag_value(args, "--threads")
-        .map(|t| {
-            t.parse()
-                .map_err(|_| CliError::Usage(format!("bad --threads value `{t}`")))
-        })
-        .transpose()?
-        .unwrap_or(1);
     let optimize = args.iter().any(|a| a == "--optimize");
 
     let query = args
@@ -317,7 +374,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             optimizer_config(args),
             budget,
             CancelToken::new(),
-            threads,
         )
         .map_err(CliError::Engine)?;
         if let Some(why) = &outcome.degraded {
@@ -384,7 +440,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     let mut ev = semrec::engine::Evaluator::new(&db, &program, strategy)
         .map_err(CliError::Engine)?
-        .with_parallelism(threads)
         .with_budget(budget);
     ev.run().map_err(CliError::Engine)?;
     let res = ev.finish();
@@ -424,13 +479,6 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
         eprintln!("loaded {n} facts from {dir}");
     }
     let budget = parse_budget(args)?;
-    let threads: usize = flag_value(args, "--threads")
-        .map(|t| {
-            t.parse()
-                .map_err(|_| CliError::Usage(format!("bad --threads value `{t}`")))
-        })
-        .transpose()?
-        .unwrap_or(1);
     let query = flag_value(args, "--query")
         .map(|q| parse_atom(q).map_err(|e| e.to_string()))
         .transpose()?;
@@ -454,12 +502,12 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
     };
 
     if args.iter().any(|a| a == "--optimize") {
-        let mut q = semrec::core::maintain::MaintainedQuery::new(
+        let mut q = semrec::core::maintain::MaintainedQuery::new_tuned(
             db,
             &unit.program(),
             &unit.constraints,
             optimizer_config(args),
-            threads,
+            Tuning::default(),
         )
         .map_err(|e| match e {
             semrec::core::maintain::MaintainError::Engine(e) => CliError::Engine(e),
@@ -474,8 +522,8 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let mut m = semrec::engine::Materialized::new(&db, &unit.program(), threads)
-        .map_err(CliError::Engine)?;
+    let mut m =
+        semrec::engine::Materialized::new(&db, &unit.program()).map_err(CliError::Engine)?;
     if !m.is_incremental() {
         eprintln!("program uses negation or builtins: every tx re-evaluates from scratch");
     }
@@ -808,15 +856,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 
     let path = need_path(args)?;
     let unit = load(path)?;
-    let threads: usize = flag_value(args, "--threads")
-        .map(|t| {
-            t.parse()
-                .map_err(|_| CliError::Usage(format!("bad --threads value `{t}`")))
-        })
-        .transpose()?
-        .unwrap_or(1);
     let mut cfg = ServeConfig {
-        tuning: Tuning::with_threads(threads),
         optimizer: optimizer_config(args),
         write_budget: parse_budget(args)?,
         ..ServeConfig::default()
@@ -832,15 +872,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(ms) = flag_u64(args, "--request-deadline-ms")? {
         cfg.admission.default_deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if args.iter().any(|a| a == "--no-read-index") {
-        cfg.index_reads = false;
-    }
-    if args.iter().any(|a| a == "--no-answer-cache") {
-        cfg.answer_cache = false;
-    }
-    if args.iter().any(|a| a == "--no-batch") {
-        cfg.batch_commits = false;
     }
     if let Some(n) = flag_u64(args, "--cache-capacity")? {
         cfg.cache_capacity = n as usize;

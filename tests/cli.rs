@@ -3,11 +3,15 @@
 
 use std::process::Command;
 
-fn semrec(args: &[&str]) -> (bool, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_semrec"))
+fn output(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_semrec"))
         .args(args)
         .output()
-        .expect("binary runs");
+        .expect("binary runs")
+}
+
+fn semrec(args: &[&str]) -> (bool, String, String) {
+    let out = output(args);
     (
         out.status.success(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -188,4 +192,91 @@ fn gen_bundle_roundtrips_through_run() {
     assert!(!ok);
     assert!(stderr.contains("unknown scenario"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_and_retired_flags_are_usage_errors() {
+    let file = sample("genealogy.dl");
+    for (args, flag) in [
+        (vec!["run", &file, "--threads", "2"], "--threads"),
+        (vec!["update", &file, &file, "--threads", "2"], "--threads"),
+        (vec!["serve", &file, "--no-batch"], "--no-batch"),
+        (
+            vec!["serve", &file, "--no-answer-cache"],
+            "--no-answer-cache",
+        ),
+        (vec!["run", &file, "--optmize"], "--optmize"),
+        (vec!["check", &file, "--optimize"], "--optimize"),
+    ] {
+        let out = output(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+    }
+    // A flag-looking *value* is not a flag.
+    let out = output(&["run", &file, "--query", "--threads"]);
+    assert_ne!(out.status.code(), Some(2));
+}
+
+/// The exact invocations `benchmark/README.md` freezes (*Frozen
+/// surfaces (a)*) stay accepted.
+#[test]
+fn frozen_benchmark_invocations_are_accepted() {
+    let dir = std::env::temp_dir().join(format!("semrec-cli-frozen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("prog.dl");
+    std::fs::write(
+        &file,
+        "reach(X, Y) :- edge(X, Y).\n\
+         reach(X, Y) :- edge(X, Z), witness(Z, W), reach(Z, Y).\n\
+         ic ic1: edge(X, Z) -> witness(Z, W).\n\
+         edge(0, 1). edge(1, 2). witness(1, 10). witness(2, 20).\n",
+    )
+    .unwrap();
+    let file = file.to_str().unwrap();
+    let tail = ["--max-rows", "1000000000", "--query", "reach(0, Y)"];
+    for head in [&["run", file, "--optimize"][..], &["run", file][..]] {
+        let args = [head, &tail].concat();
+        let (ok, stdout, stderr) = semrec(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert_eq!(stdout, "reach(0, 1).\nreach(0, 2).\n", "{args:?}");
+    }
+    let (ok, stdout, stderr) = semrec(&["optimize", file]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("applied"), "{stdout}");
+
+    // `serve FILE --wal PATH --listen 127.0.0.1:0` runs until killed;
+    // the `listening on` line says the flags were accepted.
+    use std::io::BufRead;
+    let wal = dir.join("serve.wal");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_semrec"))
+        .args(["serve", file, "--wal", wal.to_str().unwrap()])
+        .args(["--listen", "127.0.0.1:0"])
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    let mut banner = Vec::new();
+    let mut listening = false;
+    for line in std::io::BufReader::new(child.stderr.take().unwrap()).lines() {
+        let line = line.unwrap();
+        if line.starts_with("listening on") {
+            listening = true;
+            break;
+        }
+        banner.push(line);
+    }
+    child.kill().ok();
+    child.wait().ok();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(listening, "daemon never opened its socket: {banner:?}");
+    assert!(
+        banner.iter().any(|l| l.contains("commit(s) replayed")),
+        "{banner:?}"
+    );
 }

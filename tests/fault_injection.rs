@@ -1,7 +1,7 @@
 //! Fault-injected agreement suite (`cargo test --features failpoints`).
 //!
-//! Every run below drives the parallel evaluator — or the full governed
-//! optimizer entry point — through a seed-derived random failpoint
+//! Every run below drives the whole pipeline — CSV load, the optimizer,
+//! governed evaluation — through a seed-derived random failpoint
 //! schedule and must end in exactly one of two ways: the *exact*
 //! serial-reference answer, or a typed [`EngineError`]. Never a wrong
 //! answer, never a hang (a test-side watchdog bounds every run), and
@@ -10,12 +10,14 @@
 
 #![cfg(feature = "failpoints")]
 
+use semrec::core::optimizer::{evaluate_governed, GovernedOutcome, OptimizerConfig};
 use semrec::engine::failpoint::{self, FailAction};
 use semrec::engine::{
-    Budget, CancelToken, Cutover, Database, EngineError, Evaluator, Route, Strategy, Tuple,
+    Budget, CancelToken, Database, EngineError, Evaluator, Route, Strategy, Tuple,
 };
 use semrec::gen::rng::Rng;
-use semrec::gen::{fanout, genealogy, parse_scenario};
+use semrec::gen::{fanout, genealogy, parse_scenario, Scenario};
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -36,7 +38,15 @@ enum Workload {
 }
 
 impl Workload {
-    fn build(self) -> (semrec::datalog::Program, Database, &'static str) {
+    /// The predicate whose tuples the runs compare.
+    fn query(self) -> &'static str {
+        match self {
+            Workload::Fanout => "reach",
+            Workload::Genealogy => "anc",
+        }
+    }
+
+    fn build(self) -> (Scenario, Database) {
         match self {
             Workload::Fanout => {
                 let s = parse_scenario(fanout::PROGRAM);
@@ -46,7 +56,7 @@ impl Workload {
                     fanout: 6,
                     seed: 13,
                 });
-                (s.program, db, "reach")
+                (s, db)
             }
             Workload::Genealogy => {
                 let s = parse_scenario(genealogy::PROGRAM);
@@ -56,46 +66,83 @@ impl Workload {
                     branching: 2,
                     seed: 13,
                 });
-                (s.program, db, "anc")
+                (s, db)
             }
         }
     }
 
     /// Serial semi-naive reference answer for the query predicate.
     fn reference(self) -> Vec<Tuple> {
-        let (prog, db, query) = self.build();
-        let mut ev = Evaluator::new(&db, &prog, Strategy::SemiNaive).unwrap();
+        let (s, db) = self.build();
+        let mut ev = Evaluator::new(&db, &s.program, Strategy::SemiNaive).unwrap();
         ev.run().unwrap();
-        ev.finish().relation(query).unwrap().sorted_tuples()
+        ev.finish().relation(self.query()).unwrap().sorted_tuples()
+    }
+
+    /// Writes the workload's EDB as CSV files (unarmed) so every run can
+    /// load it through the `io.load` site.
+    fn export(self, tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("semrec_fault_injection_{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        semrec::engine::io::save_dir(&self.build().1, &dir).unwrap();
+        dir
     }
 }
 
-/// What a watchdogged evaluation reported back.
+/// What a watchdogged run reported back.
 struct RunReport {
-    result: Result<Vec<Tuple>, EngineError>,
+    outcome: Result<GovernedOutcome, EngineError>,
     invariants: Result<(), String>,
 }
 
-/// Runs a parallel evaluation of `workload` on its own thread and waits
-/// at most [`WATCHDOG`]; a timeout or a panic escaping the evaluator is
-/// a test failure in its own words, never a hang.
-fn run_with_watchdog(workload: Workload) -> RunReport {
+impl RunReport {
+    /// The query predicate's tuples, or the typed error.
+    fn answer(&self, query: &str) -> Result<Vec<Tuple>, &EngineError> {
+        self.outcome
+            .as_ref()
+            .map(|o| o.result.relation(query).unwrap().sorted_tuples())
+    }
+
+    fn expect_invariants(&self, ctx: &str) {
+        if let Err(e) = &self.invariants {
+            panic!("{ctx}: {e}");
+        }
+    }
+}
+
+/// Runs `workload` end to end on its own thread — load the CSV export
+/// in `dir` (`io.load`), optimize (`optimizer.push`), evaluate under
+/// the degradation policy (`eval.round`) — and waits at most
+/// [`WATCHDOG`]; a timeout or an escaping panic is a test failure in
+/// its own words, never a hang. Invariants cover the loaded database
+/// and, when a route answered, every relation it materialized.
+fn run_with_watchdog(workload: Workload, dir: &Path) -> RunReport {
     let (tx, rx) = mpsc::channel();
+    let dir = dir.to_owned();
     std::thread::spawn(move || {
-        let (prog, db, query) = workload.build();
-        let mut ev = Evaluator::new(&db, &prog, Strategy::SemiNaive)
-            .unwrap()
-            .with_parallelism(4)
-            .with_cutover(Cutover::ForceParallel)
-            .with_budget(Budget::unlimited().with_deadline(Duration::from_secs(60)));
-        let run = ev.run();
-        let invariants = ev.check_invariants();
-        let result = match run {
-            Ok(()) => Ok(ev.finish().relation(query).unwrap().sorted_tuples()),
-            Err(e) => Err(e),
-        };
+        let (s, _) = workload.build();
+        let mut db = Database::new();
+        let outcome = semrec::engine::io::load_dir(&mut db, &dir).and_then(|_| {
+            evaluate_governed(
+                &db,
+                &s.program,
+                &s.constraints,
+                OptimizerConfig::default(),
+                Budget::unlimited().with_deadline(Duration::from_secs(60)),
+                CancelToken::new(),
+            )
+        });
+        let answered = outcome.iter().flat_map(|o| o.result.idb.iter());
+        let invariants = db
+            .iter()
+            .chain(answered.map(|(&p, r)| (p, r)))
+            .try_for_each(|(p, rel)| rel.check_invariant().map_err(|e| format!("{p:?}: {e}")));
         // A dropped receiver (watchdog already fired) is not our problem.
-        let _ = tx.send(RunReport { result, invariants });
+        let _ = tx.send(RunReport {
+            outcome,
+            invariants,
+        });
     });
     match rx.recv_timeout(WATCHDOG) {
         Ok(report) => report,
@@ -108,15 +155,20 @@ fn run_with_watchdog(workload: Workload) -> RunReport {
     }
 }
 
-/// Draws one schedule entry from the seed stream. `eval.round` lives on
-/// the control thread where a panic has no `catch_unwind` above it by
-/// design (the governed entry point adds one), so its drawn actions are
-/// limited to the site's error channel and delays.
+/// Draws one schedule entry from the seed stream. `io.load` has no
+/// `catch_unwind` above it by design, so its drawn actions are limited
+/// to the site's error channel and delays; the optimizer and the
+/// evaluator run under the governed entry point, which contains panics.
 fn draw_schedule(rng: &mut Rng) -> (&'static str, u64, FailAction) {
-    let site = ["pool.join", "pool.merge", "eval.round"][rng.gen_range(0..3usize)];
-    let fire_at = rng.gen_range(0..6usize) as u64;
+    let site = ["eval.round", "optimizer.push", "io.load"][rng.gen_range(0..3usize)];
+    // The optimizer runs once and a workload may be a single CSV file,
+    // so only the round site has later visits to schedule.
+    let fire_at = match site {
+        "eval.round" => rng.gen_range(0..6usize) as u64,
+        _ => 0,
+    };
     let action = match (site, rng.gen_range(0..3usize)) {
-        ("eval.round", 0) => FailAction::DelayMs(rng.gen_range(1..20usize) as u64),
+        ("io.load", 0) => FailAction::DelayMs(rng.gen_range(1..20usize) as u64),
         (_, 0) => FailAction::Panic,
         (_, 1) => FailAction::DelayMs(rng.gen_range(1..20usize) as u64),
         (_, _) => FailAction::Err,
@@ -136,52 +188,50 @@ fn typed(err: &EngineError) -> bool {
 }
 
 /// The core agreement property: across ≥ 32 seeds and two workloads,
-/// every fault-injected parallel run either reproduces the serial
-/// reference exactly or fails with a typed error — and the database
-/// passes its invariant check either way.
+/// every fault-injected run either reproduces the serial reference
+/// exactly or fails with a typed error — and the database passes its
+/// invariant check either way.
 #[test]
 fn fault_injected_runs_agree_or_fail_typed() {
     let _g = serial();
-    let references = [
-        Workload::Fanout.reference(),
-        Workload::Genealogy.reference(),
+    let workloads = [Workload::Fanout, Workload::Genealogy];
+    let references = workloads.map(Workload::reference);
+    let dirs = [
+        Workload::Fanout.export("sweep_fanout"),
+        Workload::Genealogy.export("sweep_genealogy"),
     ];
     let mut completed = 0u32;
     let mut failed = 0u32;
     for seed in 0..36u64 {
-        let workload = if seed % 2 == 0 {
-            Workload::Fanout
-        } else {
-            Workload::Genealogy
-        };
-        let reference = &references[(seed % 2) as usize];
+        let i = (seed % 2) as usize;
         let mut rng = Rng::seed_from_u64(seed);
         let (site, fire_at, action) = draw_schedule(&mut rng);
 
         failpoint::clear();
         failpoint::arm(site, fire_at, action);
-        let report = run_with_watchdog(workload);
+        let report = run_with_watchdog(workloads[i], &dirs[i]);
         failpoint::clear();
 
-        report
-            .invariants
-            .unwrap_or_else(|e| panic!("seed {seed} ({site} {action:?}@{fire_at}): {e}"));
-        match report.result {
+        report.expect_invariants(&format!("seed {seed} ({site} {action:?}@{fire_at})"));
+        match report.answer(workloads[i].query()) {
             Ok(tuples) => {
                 completed += 1;
                 assert_eq!(
-                    &tuples, reference,
+                    tuples, references[i],
                     "seed {seed} ({site} {action:?}@{fire_at}): wrong answer"
                 );
             }
             Err(err) => {
                 failed += 1;
                 assert!(
-                    typed(&err),
+                    typed(err),
                     "seed {seed} ({site} {action:?}@{fire_at}): untyped error {err:?}"
                 );
             }
         }
+    }
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
     }
     // The schedule mix must actually exercise both outcomes; an
     // all-success (or all-failure) sweep means the sites went dead.
@@ -189,33 +239,47 @@ fn fault_injected_runs_agree_or_fail_typed() {
     assert!(failed > 0, "no fault-injected run tripped a failure");
 }
 
-/// A panic inside a worker job surfaces as `WorkerPanicked` naming the
-/// phase, and the pool plus database remain usable for a clean rerun.
+/// A panic *during evaluation* (injected at the round boundary) is
+/// contained by the governed entry point: the chosen route reports
+/// `WorkerPanicked { job: "eval" }`, which surfaces as the degradation
+/// reason while the rectified program answers — the one-shot failpoint
+/// has fired by fallback time — and the disarmed rerun is clean.
 #[test]
 fn worker_panic_is_typed_and_recoverable() {
     let _g = serial();
-    for site in ["pool.join", "pool.merge"] {
-        failpoint::clear();
-        failpoint::arm(site, 0, FailAction::Panic);
-        let report = run_with_watchdog(Workload::Fanout);
-        failpoint::clear();
-        report.invariants.expect("invariants after worker panic");
-        match report.result {
-            Err(EngineError::WorkerPanicked { job, payload }) => {
-                assert_eq!(job, site);
-                assert!(payload.contains("injected panic"), "payload: {payload}");
-            }
-            other => panic!("{site}: expected WorkerPanicked, got {other:?}"),
+    let dir = Workload::Fanout.export("panic");
+    failpoint::clear();
+    failpoint::arm("eval.round", 1, FailAction::Panic);
+    let report = run_with_watchdog(Workload::Fanout, &dir);
+    failpoint::clear();
+    report.expect_invariants("after evaluator panic");
+    match &report.outcome {
+        Ok(outcome) => {
+            assert_eq!(outcome.result.route, Route::RectifiedFallback);
+            let why = outcome.degraded.as_deref().expect("degradation reported");
+            assert!(why.contains("worker panicked in eval"), "{why}");
+            assert!(why.contains("injected panic"), "{why}");
         }
-        // Disarmed registry: the same workload now runs to the exact
-        // reference answer.
-        let clean = run_with_watchdog(Workload::Fanout);
-        clean.invariants.expect("invariants after clean rerun");
-        assert_eq!(
-            clean.result.expect("clean rerun completes"),
-            Workload::Fanout.reference()
-        );
+        Err(EngineError::WorkerPanicked { job, payload }) => {
+            assert_eq!(job, "eval");
+            assert!(payload.contains("injected panic"), "payload: {payload}");
+        }
+        Err(other) => panic!("expected the fallback or WorkerPanicked, got {other:?}"),
     }
+    if let Ok(tuples) = report.answer("reach") {
+        assert_eq!(tuples, Workload::Fanout.reference());
+    }
+    // Disarmed registry: the same workload now runs the chosen route to
+    // the exact reference answer.
+    let clean = run_with_watchdog(Workload::Fanout, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    clean.expect_invariants("after clean rerun");
+    let outcome = clean.outcome.as_ref().expect("clean rerun completes");
+    assert!(outcome.degraded.is_none(), "{:?}", outcome.degraded);
+    assert_eq!(
+        clean.answer("reach").expect("clean rerun completes"),
+        Workload::Fanout.reference()
+    );
 }
 
 /// An injected error at the round boundary comes back as `Io` with the
@@ -223,15 +287,18 @@ fn worker_panic_is_typed_and_recoverable() {
 #[test]
 fn round_boundary_error_is_typed() {
     let _g = serial();
+    let (s, db) = Workload::Genealogy.build();
+    let mut ev = Evaluator::new(&db, &s.program, Strategy::SemiNaive).unwrap();
     failpoint::clear();
     failpoint::arm("eval.round", 2, FailAction::Err);
-    let report = run_with_watchdog(Workload::Genealogy);
+    let run = ev.run();
     failpoint::clear();
-    report.invariants.expect("invariants after round error");
-    match report.result {
+    ev.check_invariants().expect("invariants after round error");
+    match run {
         Err(EngineError::Io(msg)) => assert!(msg.contains("injected error"), "{msg}"),
         other => panic!("expected Io, got {other:?}"),
     }
+    assert_eq!(ev.rounds(), 2, "two rounds committed before the fault");
 }
 
 /// The degradation policy end to end: when the optimizer's push stage
@@ -257,14 +324,13 @@ fn optimizer_failure_degrades_to_rectified_with_identical_answers() {
     for action in [FailAction::Err, FailAction::Panic] {
         failpoint::clear();
         failpoint::arm("optimizer.push", 0, action);
-        let outcome = semrec::core::evaluate_governed(
+        let outcome = evaluate_governed(
             &db,
             &s.program,
             &s.constraints,
-            semrec::core::OptimizerConfig::default(),
+            OptimizerConfig::default(),
             Budget::unlimited().with_deadline(Duration::from_secs(60)),
             CancelToken::new(),
-            2,
         );
         failpoint::clear();
         let outcome = outcome.unwrap_or_else(|e| panic!("{action:?}: fallback must answer: {e}"));
@@ -279,48 +345,6 @@ fn optimizer_failure_degrades_to_rectified_with_identical_answers() {
             "{action:?}: fallback answer diverges from rectified reference"
         );
     }
-}
-
-/// A panic *during evaluation* of the optimized route (injected at the
-/// round boundary, where no pool `catch_unwind` sits above it) is
-/// contained by the governed entry point, reported as degradation, and
-/// answered via the rectified program — the one-shot failpoint has
-/// fired by fallback time, so the rerun is clean.
-#[test]
-fn optimized_route_eval_panic_degrades_to_rectified() {
-    let _g = serial();
-    let s = parse_scenario(fanout::PROGRAM);
-    let db = fanout::generate(&fanout::FanoutParams {
-        nodes: 80,
-        extra_edges: 40,
-        fanout: 5,
-        seed: 21,
-    });
-    let reference = {
-        let (rect, _) = semrec::datalog::analysis::rectify(&s.program);
-        let mut ev = Evaluator::new(&db, &rect, Strategy::SemiNaive).unwrap();
-        ev.run().unwrap();
-        ev.finish().relation("reach").unwrap().sorted_tuples()
-    };
-    failpoint::clear();
-    failpoint::arm("eval.round", 1, FailAction::Panic);
-    let outcome = semrec::core::evaluate_governed(
-        &db,
-        &s.program,
-        &s.constraints,
-        semrec::core::OptimizerConfig::default(),
-        Budget::unlimited().with_deadline(Duration::from_secs(60)),
-        CancelToken::new(),
-        4,
-    );
-    failpoint::clear();
-    let outcome = outcome.expect("fallback must answer after evaluation panic");
-    assert_eq!(outcome.result.route, Route::RectifiedFallback);
-    assert!(outcome.degraded.is_some());
-    assert_eq!(
-        outcome.result.relation("reach").unwrap().sorted_tuples(),
-        reference
-    );
 }
 
 /// The `io.load` site surfaces the injected failure as a typed I/O
@@ -390,7 +414,7 @@ fn incr_delete_fault_commits_exactly_or_rolls_back() {
         fanout: 3,
         seed: 5,
     });
-    let mut m = semrec::engine::incr::Materialized::new(&db, &s.program, 2).unwrap();
+    let mut m = semrec::engine::incr::Materialized::new(&db, &s.program).unwrap();
     let mut committed = 0u32;
     let mut rolled_back = 0u32;
     for seed in 0..10u64 {
@@ -476,12 +500,12 @@ fn incr_icheck_fault_commits_exactly_or_rolls_back() {
         fanout: 3,
         seed: 6,
     });
-    let mut q = semrec::core::maintain::MaintainedQuery::new(
+    let mut q = semrec::core::maintain::MaintainedQuery::new_tuned(
         db,
         &s.program,
         &s.constraints,
-        semrec::core::optimizer::OptimizerConfig::default(),
-        2,
+        OptimizerConfig::default(),
+        semrec::engine::Tuning::default(),
     )
     .unwrap();
     assert_eq!(q.route(), Route::Optimized);

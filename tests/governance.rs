@@ -5,7 +5,7 @@
 
 use semrec::datalog::{Pred, Program};
 use semrec::engine::{
-    Budget, CancelToken, Cutover, Database, EngineError, Evaluator, Route, Strategy, Tuple,
+    Budget, CancelToken, Database, EngineError, Evaluator, Route, Strategy, Tuple,
 };
 use semrec::gen::{fanout, parse_scenario};
 use std::collections::BTreeMap;
@@ -50,8 +50,6 @@ fn deadline_interrupts_mid_round_within_2x() {
     let deadline = Duration::from_millis(150);
     let mut ev = Evaluator::new(&db, &prog, Strategy::SemiNaive)
         .unwrap()
-        .with_parallelism(4)
-        .with_cutover(Cutover::ForceParallel)
         .with_budget(Budget::unlimited().with_deadline(deadline));
     let start = Instant::now();
     let err = ev.run().expect_err("deadline must trip");
@@ -85,8 +83,6 @@ fn cancel_token_stops_evaluation_from_another_thread() {
     });
     let mut ev = Evaluator::new(&db, &prog, Strategy::SemiNaive)
         .unwrap()
-        .with_parallelism(4)
-        .with_cutover(Cutover::ForceParallel)
         .with_cancel_token(token);
     let err = ev.run().expect_err("cancel must stop evaluation");
     assert_eq!(err, EngineError::Cancelled);
@@ -230,7 +226,6 @@ fn governed_optimize_answers_like_rectified() {
         semrec::core::OptimizerConfig::default(),
         Budget::unlimited().with_deadline(Duration::from_secs(600)),
         CancelToken::new(),
-        2,
     )
     .expect("governed evaluation answers");
     assert!(outcome.degraded.is_none(), "{:?}", outcome.degraded);
@@ -254,7 +249,6 @@ fn governed_cancel_is_not_degraded_around() {
         semrec::core::OptimizerConfig::default(),
         Budget::unlimited(),
         token,
-        1,
     )
     .expect_err("pre-cancelled token must stop both routes");
     assert_eq!(err, EngineError::Cancelled);

@@ -86,7 +86,7 @@ fn run_sequence(workload: &str, program: &Program, mut db: Database, seed: u64, 
         _ => unreachable!(),
     };
     let mut rng = Rng::seed_from_u64(seed);
-    let mut m = Materialized::new(&db, program, 2).expect("initial materialization");
+    let mut m = Materialized::new(&db, program).expect("initial materialization");
     assert!(m.is_incremental(), "workload should be delta-maintainable");
     assert_agrees(
         &db,

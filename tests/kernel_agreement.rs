@@ -2,36 +2,22 @@
 //! hand-built shapes that exercise negation, builtins, filters,
 //! constants in index keys, and multi-recursive rules, evaluation with
 //! the batch kernels enabled must produce the identical IDB (tuple for
-//! tuple) as the general step machine, under both the `Auto` cutover
-//! and `ForceParallel` through the worker pool. A seeded chunk-boundary
-//! test pins the gather/sort/group pipeline at delta sizes straddling
-//! the chunk constant. Also pins the allocation discipline: the
-//! per-worker scratch high-water mark stays bounded by a small constant
-//! (the chunk buffers) no matter how many rows a workload derives.
+//! tuple) as the general step machine. A seeded chunk-boundary test
+//! pins the gather/sort/group pipeline at delta sizes straddling the
+//! chunk constant. Also pins the allocation discipline: the task
+//! scratch high-water mark stays bounded by a small constant (the chunk
+//! buffers) no matter how many rows a workload derives.
 
 use semrec::datalog::{Pred, Program, Value};
-use semrec::engine::{
-    Budget, Cutover, Database, Evaluator, Materialized, Stats, Strategy, Tuple, Tx,
-};
+use semrec::engine::{Budget, Database, Evaluator, Materialized, Stats, Strategy, Tuple, Tx};
 use semrec::gen::{fanout, genealogy, graphs, org, parse_scenario, university};
 use std::collections::BTreeMap;
 
-/// Evaluates under an explicit kernels × cutover configuration and
-/// normalizes the full IDB into a deterministic map.
-fn idb_map(
-    db: &Database,
-    prog: &Program,
-    kernels: bool,
-    cutover: Cutover,
-) -> (BTreeMap<Pred, Vec<Tuple>>, Stats) {
-    let threads = match cutover {
-        Cutover::ForceParallel => 2,
-        _ => 1,
-    };
+/// Evaluates with the kernels on or off and normalizes the full IDB
+/// into a deterministic map.
+fn idb_map(db: &Database, prog: &Program, kernels: bool) -> (BTreeMap<Pred, Vec<Tuple>>, Stats) {
     let mut ev = Evaluator::new(db, prog, Strategy::SemiNaive)
         .unwrap()
-        .with_parallelism(threads)
-        .with_cutover(cutover)
         .with_kernels(kernels);
     ev.run().unwrap();
     let res = ev.finish();
@@ -160,20 +146,13 @@ fn workloads() -> Vec<(&'static str, Program, Database)> {
 #[test]
 fn kernels_agree_with_machine_on_all_workloads() {
     for (name, prog, db) in workloads() {
-        let (base, _) = idb_map(&db, &prog, false, Cutover::Auto);
+        let (base, _) = idb_map(&db, &prog, false);
         assert!(
             base.values().any(|rows| !rows.is_empty()),
             "{name}: workload derived nothing — test is vacuous"
         );
-        for cutover in [Cutover::Auto, Cutover::ForceParallel] {
-            for kernels in [false, true] {
-                let (idb, _) = idb_map(&db, &prog, kernels, cutover);
-                assert_eq!(
-                    base, idb,
-                    "{name}: IDB diverged (kernels={kernels}, cutover={cutover:?})"
-                );
-            }
-        }
+        let (idb, _) = idb_map(&db, &prog, true);
+        assert_eq!(base, idb, "{name}: IDB diverged with kernels on");
     }
 }
 
@@ -203,7 +182,7 @@ fn widened_shapes_fire_kernels_not_interpreter() {
         // shape needs them to derive anything.
         db.insert("e", vec![Value::Int(3), Value::Int(7)]);
         db.insert("e", vec![Value::Int(3), Value::Int(4)]);
-        let (idb, stats) = idb_map(&db, &prog, true, Cutover::Auto);
+        let (idb, stats) = idb_map(&db, &prog, true);
         assert!(
             idb.values().any(|rows| !rows.is_empty()),
             "{name}: derived nothing — test is vacuous"
@@ -234,7 +213,7 @@ fn incremental_edb_deltas_agree_and_memos_stay_sound() {
         fanout: 8,
         seed: 33,
     });
-    let mut m = Materialized::new(&db, &s.program, 1).unwrap();
+    let mut m = Materialized::new(&db, &s.program).unwrap();
     assert!(m.is_incremental(), "fanout program is in the fragment");
     // Each tx adds two back edges (the chain runs 0→1→…→149, so late
     // nodes gain reach to the early chain): the new facts cascade
@@ -254,7 +233,7 @@ fn incremental_edb_deltas_agree_and_memos_stay_sound() {
             st.stats.dict_probes,
             st.rounds
         );
-        let (base, _) = idb_map(&db, &s.program, false, Cutover::Auto);
+        let (base, _) = idb_map(&db, &s.program, false);
         let maintained: BTreeMap<Pred, Vec<Tuple>> = m
             .idb()
             .iter()
@@ -302,14 +281,14 @@ fn dedup_presize_underestimate_agrees_and_regrows() {
         }
     }
     let prog: Program = "p(Y) :- s0(Y). p(Z) :- p(Y), hop(Y, Z).".parse().unwrap();
-    let (base, _) = idb_map(&db, &prog, false, Cutover::Auto);
+    let (base, _) = idb_map(&db, &prog, false);
     let rows: usize = base.values().map(Vec::len).sum();
     assert_eq!(
         rows,
         6 * 200 + 20_000,
         "stages 0..=5 contribute 200 each, stage 6 its 20k"
     );
-    let (idb, stats) = idb_map(&db, &prog, true, Cutover::Auto);
+    let (idb, stats) = idb_map(&db, &prog, true);
     assert_eq!(base, idb, "IDB diverged under the underestimate");
     assert!(stats.kernel_firings > 0, "kernel never fired");
     assert!(
@@ -326,7 +305,7 @@ fn dedup_presize_underestimate_agrees_and_regrows() {
 /// 1, chunk−1, chunk, chunk+1 and a few whole chunks. Build a seed
 /// relation of each size (keys from a seeded LCG so groups straddle
 /// chunk edges), join it through a probe, and require tuple-for-tuple
-/// agreement with the step machine under both cutovers.
+/// agreement with the step machine.
 #[test]
 fn chunk_boundary_sizes_agree() {
     const CHUNK: usize = 1024; // mirrors the executor's KERNEL_CHUNK
@@ -348,21 +327,19 @@ fn chunk_boundary_sizes_agree() {
             }
         }
         let prog: Program = "out(X,Z) :- e(X,Y), w(Y,Z).".parse().unwrap();
-        let (base, _) = idb_map(&db, &prog, false, Cutover::Auto);
+        let (base, _) = idb_map(&db, &prog, false);
         assert!(
             base.values().any(|rows| !rows.is_empty()),
             "n={n}: derived nothing — test is vacuous"
         );
-        for cutover in [Cutover::Auto, Cutover::ForceParallel] {
-            let (idb, stats) = idb_map(&db, &prog, true, cutover);
-            assert_eq!(base, idb, "n={n}: IDB diverged (cutover={cutover:?})");
-            assert!(stats.kernel_firings > 0, "n={n}: kernel never fired");
-        }
+        let (idb, stats) = idb_map(&db, &prog, true);
+        assert_eq!(base, idb, "n={n}: IDB diverged");
+        assert!(stats.kernel_firings > 0, "n={n}: kernel never fired");
     }
 }
 
 /// The allocation discipline the kernels claim: task execution does
-/// zero per-derived-row heap allocation, so the per-worker scratch
+/// zero per-derived-row heap allocation, so the task scratch
 /// high-water mark is a function of plan shape and the fixed chunk
 /// constant (the gather buffer is KERNEL_CHUNK entries), never of data
 /// size. Deriving ~100k rows must leave the high-water mark under the
@@ -377,7 +354,7 @@ fn scratch_high_water_is_bounded_by_plan_shape_not_data() {
         seed: 42,
     });
     for kernels in [true, false] {
-        let (idb, stats) = idb_map(&db, &s.program, kernels, Cutover::Auto);
+        let (idb, stats) = idb_map(&db, &s.program, kernels);
         let rows: usize = idb.values().map(Vec::len).sum();
         assert!(rows > 80_000, "expected a large IDB, got {rows} rows");
         assert!(

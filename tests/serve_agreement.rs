@@ -1,14 +1,14 @@
 //! Concurrent serving agreement: under seeded reader/writer
 //! interleavings, every reader's answer is tuple-for-tuple identical to
 //! a serial replay of the committed transaction prefix at its pinned
-//! epoch — across evaluator tunings (serial/parallel cutover × kernels
-//! on/off), with readers never blocking the writer and vice versa.
+//! epoch — on both executors (kernels on/off), with readers never
+//! blocking the writer and vice versa.
 
 use semrec::core::maintain::MaintainedQuery;
 use semrec::core::optimizer::OptimizerConfig;
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
 use semrec::datalog::Atom;
-use semrec::engine::{int_tuple, Budget, Cutover, Database, Tuning, Tuple, Tx};
+use semrec::engine::{int_tuple, Budget, Database, Tuning, Tuple, Tx};
 use semrec::gen::rng::Rng;
 use semrec::serve::{ServeConfig, ServeError, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -166,56 +166,14 @@ fn run_interleaving(seed: u64, tuning: Tuning) {
 #[test]
 fn interleavings_agree_serial_auto_kernels_on() {
     for seed in 0..4 {
-        run_interleaving(
-            seed,
-            Tuning {
-                threads: 1,
-                cutover: Cutover::Auto,
-                kernels: true,
-            },
-        );
-    }
-}
-
-#[test]
-fn interleavings_agree_parallel_forced_kernels_on() {
-    for seed in 0..4 {
-        run_interleaving(
-            seed,
-            Tuning {
-                threads: 4,
-                cutover: Cutover::ForceParallel,
-                kernels: true,
-            },
-        );
-    }
-}
-
-#[test]
-fn interleavings_agree_parallel_forced_kernels_off() {
-    for seed in 0..4 {
-        run_interleaving(
-            seed,
-            Tuning {
-                threads: 4,
-                cutover: Cutover::ForceParallel,
-                kernels: false,
-            },
-        );
+        run_interleaving(seed, Tuning { kernels: true });
     }
 }
 
 #[test]
 fn interleavings_agree_serial_auto_kernels_off() {
     for seed in 0..4 {
-        run_interleaving(
-            seed,
-            Tuning {
-                threads: 2,
-                cutover: Cutover::Auto,
-                kernels: false,
-            },
-        );
+        run_interleaving(seed, Tuning { kernels: false });
     }
 }
 
@@ -232,7 +190,7 @@ fn cache_on_and_off_agree_tuple_for_tuple() {
         ..ServeConfig::default()
     };
     let uncached_cfg = ServeConfig {
-        answer_cache: false,
+        cache_capacity: 0,
         ..cached_cfg.clone()
     };
     let (cached, _) = Server::open(&unit(), cached_cfg, None).expect("open cached");
