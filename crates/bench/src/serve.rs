@@ -1,8 +1,8 @@
 //! Serving-daemon benchmark (`harness serve-bench`): read latency
-//! percentiles and throughput against a live [`semrec_serve::Server`],
-//! commit latency on the single-writer path, and overload shedding
-//! under a deliberately tiny admission gate — emitted as
-//! `BENCH_serve.json` at the repo root.
+//! percentiles and throughput against a live [`semrec_serve::Server`]
+//! — in-process and over a real loopback socket — commit latency on the
+//! single-writer path, and overload shedding under a deliberately tiny
+//! admission gate — emitted as `BENCH_serve.json` at the repo root.
 //!
 //! The artifact carries its own schema version ([`SERVE_SCHEMA_VERSION`],
 //! independent of the fixpoint bench's) so `check.sh` can fail on a
@@ -15,8 +15,10 @@ use semrec_datalog::atom::Atom;
 use semrec_datalog::parser::{parse_atom, parse_unit, Unit};
 use semrec_engine::eval::goal_matches;
 use semrec_engine::{int_tuple, Tuple, Tx};
-use semrec_serve::{AdmissionConfig, ServeConfig, ServeError, Server};
+use semrec_serve::{AdmissionConfig, Connection, ServeConfig, ServeError, Server, SESSION_BURST};
 use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Write as _};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,9 +30,15 @@ use std::time::{Duration, Instant};
 ///
 /// v2 added the indexed-read sections (`read_indexed`, `read_scan`),
 /// the `answer_cache` section, and the `batched_write` section; v3
-/// dropped the `threads` key (evaluation is single-threaded). Older
-/// artifacts are rejected.
-pub const SERVE_SCHEMA_VERSION: u64 = 3;
+/// dropped the `threads` key (evaluation is single-threaded); v4 added
+/// the `socket_read` section (a real loopback listener beside the same
+/// requests in-process). Older artifacts are rejected.
+pub const SERVE_SCHEMA_VERSION: u64 = 4;
+
+/// The `--assert-serve-read` ceiling on the loopback round-trip median.
+/// A reply that waits for the client's delayed ACK takes ≥ 40 ms; a
+/// healthy round trip of this size measures under 1 ms.
+pub const SOCKET_READ_P50_MAX_US: f64 = 5_000.0;
 
 /// One timed section's latency digest, microseconds.
 #[derive(Clone, Copy, Debug, Default)]
@@ -67,6 +75,15 @@ pub struct ServeBenchResult {
     pub cache_read: LatencyDigest,
     /// Cache hit rate over the repeated-goal leg.
     pub cache_hit_rate: f64,
+    /// Bound-goal round trips over a real loopback `serve_listener`
+    /// (server defaults, one `TCP_NODELAY` client, closed loop, the
+    /// `read_indexed` goal cycle: replies average `chain / 2` rows):
+    /// last request byte written → `end` line read.
+    pub socket_read: LatencyDigest,
+    /// Median of the same request lines through
+    /// `Connection::handle_into` in-process — what `socket_read.p50_us`
+    /// exceeds it by is the transport.
+    pub socket_in_process_p50_us: f64,
     /// Concurrent-writer group-commit throughput (batching on).
     pub batched_write: LatencyDigest,
     /// Writer threads driving the batched leg.
@@ -229,6 +246,66 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
         0.0
     };
 
+    // Phase 2e: the wire. The goal cycle of the indexed leg as request
+    // lines, first in-process into a reused buffer, then over a real
+    // loopback listener — the cycle is longer than the answer cache, so
+    // both passes compute every answer and differ only in transport.
+    let lines: Vec<String> = (0..chain)
+        .map(|i| format!("query reach({i}, Y).\n"))
+        .collect();
+    let mut conn = Connection::new(Arc::clone(&cached));
+    let mut reply = Vec::new();
+    let mut samples = Vec::with_capacity(reads);
+    let started = Instant::now();
+    for k in 0..reads {
+        reply.clear();
+        let t = Instant::now();
+        conn.handle_into(&lines[k % chain], &mut reply)
+            .expect("writing to a Vec");
+        samples.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    result.socket_in_process_p50_us = digest(samples, started.elapsed()).p50_us;
+
+    // One fresh connection, and no more round trips than its burst:
+    // the leg times the transport, not the session's pace.
+    assert!(reads <= SESSION_BURST as usize);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("listener address");
+    let daemon = Arc::clone(&cached);
+    // The accept loop has no shutdown; it ends with the process.
+    std::thread::spawn(move || daemon.serve_listener(&listener));
+    let mut writer = TcpStream::connect(addr).expect("connect loopback");
+    writer.set_nodelay(true).expect("TCP_NODELAY");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone stream"));
+    let mut line = String::new();
+    let mut samples = Vec::with_capacity(reads);
+    let started = Instant::now();
+    for k in 0..reads {
+        let i = k % chain;
+        writer
+            .write_all(lines[i].as_bytes())
+            .expect("socket request");
+        let t = Instant::now();
+        let mut rows = 0usize;
+        loop {
+            line.clear();
+            reader.read_line(&mut line).expect("socket reply");
+            if line == "end\n" {
+                break;
+            }
+            // Anything but a fact line after an `ok` header (an `err`
+            // reply, a closed connection) has no `end` to wait for.
+            assert!(
+                line.starts_with(if rows == 0 { "ok " } else { "reach(" }),
+                "socket reply: {line:?}"
+            );
+            rows += 1;
+        }
+        samples.push(t.elapsed().as_secs_f64() * 1e6);
+        assert_eq!(rows, chain - i + 1, "header + closure from node {i}");
+    }
+    result.socket_read = digest(samples, started.elapsed());
+
     // Phase 2d: group-commit throughput. Disjoint two-node fragments
     // keep the deltas small and the monitored IC satisfied, so the
     // per-commit cost is dominated by the COW epoch publication — the
@@ -374,35 +451,49 @@ pub fn serve_to_json(r: &ServeBenchResult) -> String {
         std::thread::available_parallelism().map_or(0, usize::from)
     );
     let _ = writeln!(s, "  \"chain\": {},", r.chain);
-    let section = |s: &mut String, name: &str, d: &LatencyDigest, trailing: &str| {
+    // One latency section: the digest's four keys, then the section's
+    // own extra keys (already rendered as JSON values).
+    let section = |s: &mut String, name: &str, d: &LatencyDigest, extras: &[(&str, String)]| {
         let _ = writeln!(s, "  \"{name}\": {{");
         let _ = writeln!(s, "    \"count\": {},", d.count);
         let _ = writeln!(s, "    \"p50_us\": {:.1},", d.p50_us);
         let _ = writeln!(s, "    \"p99_us\": {:.1},", d.p99_us);
-        let _ = writeln!(s, "    \"per_sec\": {:.1}", d.per_sec);
-        let _ = writeln!(s, "  }}{trailing}");
+        let _ = write!(s, "    \"per_sec\": {:.1}", d.per_sec);
+        for (key, value) in extras {
+            let _ = write!(s, ",\n    \"{key}\": {value}");
+        }
+        let _ = writeln!(s, "\n  }},");
     };
-    section(&mut s, "read", &r.read, ",");
-    section(&mut s, "write", &r.write, ",");
-    section(&mut s, "read_indexed", &r.read_indexed, ",");
-    section(&mut s, "read_scan", &r.read_scan, ",");
-    let _ = writeln!(s, "  \"answer_cache\": {{");
-    let _ = writeln!(s, "    \"count\": {},", r.cache_read.count);
-    let _ = writeln!(s, "    \"p50_us\": {:.1},", r.cache_read.p50_us);
-    let _ = writeln!(s, "    \"p99_us\": {:.1},", r.cache_read.p99_us);
-    let _ = writeln!(s, "    \"per_sec\": {:.1},", r.cache_read.per_sec);
-    let _ = writeln!(s, "    \"hit_rate\": {:.4}", r.cache_hit_rate);
-    let _ = writeln!(s, "  }},");
-    section(&mut s, "serial_write", &r.serial_write, ",");
-    let _ = writeln!(s, "  \"batched_write\": {{");
-    let _ = writeln!(s, "    \"count\": {},", r.batched_write.count);
-    let _ = writeln!(s, "    \"p50_us\": {:.1},", r.batched_write.p50_us);
-    let _ = writeln!(s, "    \"p99_us\": {:.1},", r.batched_write.p99_us);
-    let _ = writeln!(s, "    \"per_sec\": {:.1},", r.batched_write.per_sec);
-    let _ = writeln!(s, "    \"writers\": {},", r.batched_writers);
-    let _ = writeln!(s, "    \"avg_batch\": {:.2},", r.avg_batch);
-    let _ = writeln!(s, "    \"speedup\": {:.2}", r.batched_speedup);
-    let _ = writeln!(s, "  }},");
+    section(&mut s, "read", &r.read, &[]);
+    section(&mut s, "write", &r.write, &[]);
+    section(&mut s, "read_indexed", &r.read_indexed, &[]);
+    section(&mut s, "read_scan", &r.read_scan, &[]);
+    section(
+        &mut s,
+        "answer_cache",
+        &r.cache_read,
+        &[("hit_rate", format!("{:.4}", r.cache_hit_rate))],
+    );
+    section(
+        &mut s,
+        "socket_read",
+        &r.socket_read,
+        &[(
+            "in_process_p50_us",
+            format!("{:.1}", r.socket_in_process_p50_us),
+        )],
+    );
+    section(&mut s, "serial_write", &r.serial_write, &[]);
+    section(
+        &mut s,
+        "batched_write",
+        &r.batched_write,
+        &[
+            ("writers", r.batched_writers.to_string()),
+            ("avg_batch", format!("{:.2}", r.avg_batch)),
+            ("speedup", format!("{:.2}", r.batched_speedup)),
+        ],
+    );
     let _ = writeln!(s, "  \"concurrent\": {{");
     let _ = writeln!(s, "    \"readers_qps\": {:.1},", r.concurrent_qps);
     let _ = writeln!(s, "    \"reads\": {},", r.concurrent_reads);
@@ -447,6 +538,14 @@ pub fn serve_table(r: &ServeBenchResult) -> String {
         r.cache_read.p99_us,
         r.cache_read.per_sec,
         r.cache_hit_rate * 100.0
+    );
+    let _ = writeln!(
+        s,
+        "  wire   p50 {:>8.1}us  p99 {:>8.1}us  {:>10.1}/s  (loopback socket; in-process p50 {:.1}us)",
+        r.socket_read.p50_us,
+        r.socket_read.p99_us,
+        r.socket_read.per_sec,
+        r.socket_in_process_p50_us
     );
     let _ = writeln!(
         s,
@@ -506,6 +605,7 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
         "write",
         "read_indexed",
         "read_scan",
+        "socket_read",
         "serial_write",
         "batched_write",
     ] {
@@ -525,6 +625,14 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
         .is_none()
     {
         return Err("BENCH_serve.json is missing `answer_cache.hit_rate`".to_string());
+    }
+    if doc
+        .get("socket_read")
+        .and_then(|o| o.get("in_process_p50_us"))
+        .and_then(Json::as_num)
+        .is_none()
+    {
+        return Err("BENCH_serve.json is missing `socket_read.in_process_p50_us`".to_string());
     }
     if doc
         .get("batched_write")
@@ -569,8 +677,11 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
 
 /// The `--assert-serve-read` CI gate: on a fresh (quick) run, the
 /// indexed bound-goal read path must come in at ≤ 20% of the scan
-/// path's median, and the repeated-goal leg must hit the answer cache
-/// at least 90% of the time. Returns the one-line verdict on success.
+/// path's median, the repeated-goal leg must hit the answer cache at
+/// least 90% of the time, and a loopback round trip must take at most
+/// [`SOCKET_READ_P50_MAX_US`] at the median — a reply split over small
+/// writes that waits for a delayed ACK fails that by a factor of eight.
+/// Returns the one-line verdict on success.
 pub fn check_serve_read(r: &ServeBenchResult) -> Result<String, String> {
     if r.read_indexed.count == 0 || r.read_scan.count == 0 {
         return Err("serve read gate: indexed/scan legs recorded no samples".to_string());
@@ -592,13 +703,22 @@ pub fn check_serve_read(r: &ServeBenchResult) -> Result<String, String> {
             r.cache_hit_rate * 100.0
         ));
     }
+    if r.socket_read.count == 0 || r.socket_read.p50_us > SOCKET_READ_P50_MAX_US {
+        return Err(format!(
+            "serve read gate: loopback round trip p50 {:.1}us over {} samples \
+             (must be <= {SOCKET_READ_P50_MAX_US:.0}us; in-process p50 {:.1}us)",
+            r.socket_read.p50_us, r.socket_read.count, r.socket_in_process_p50_us
+        ));
+    }
     Ok(format!(
         "serve read gate: indexed p50 {:.1}us = {:.1}% of scan p50 {:.1}us, \
-         cache hit rate {:.1}%",
+         cache hit rate {:.1}%, socket p50 {:.1}us (in-process {:.1}us)",
         r.read_indexed.p50_us,
         ratio * 100.0,
         r.read_scan.p50_us,
-        r.cache_hit_rate * 100.0
+        r.cache_hit_rate * 100.0,
+        r.socket_read.p50_us,
+        r.socket_in_process_p50_us
     ))
 }
 
@@ -612,6 +732,7 @@ mod tests {
         assert!(r.read.count > 0 && r.write.count > 0);
         assert!(r.read_indexed.count > 0 && r.read_scan.count > 0);
         assert!(r.cache_read.count > 0);
+        assert!(r.socket_read.count > 0 && r.socket_in_process_p50_us > 0.0);
         assert!(r.batched_write.count > 0);
         assert!(r.overloaded > 0, "tiny gate must shed");
         assert!(r.concurrent_reads > 0);
@@ -624,9 +745,9 @@ mod tests {
     fn stale_or_mangled_artifacts_are_rejected() {
         assert!(check_serve_baseline("{}").is_err());
         assert!(check_serve_baseline("{\"schema_version\": 0}").is_err());
-        let v2 = check_serve_baseline("{\"schema_version\": 2}")
-            .expect_err("v2 artifacts still carry the `threads` key");
-        assert!(v2.contains("stale"));
+        let v3 = check_serve_baseline("{\"schema_version\": 3}")
+            .expect_err("v3 artifacts have no `socket_read` section");
+        assert!(v3.contains("stale"));
         let r = ServeBenchResult {
             overloaded: 0,
             ..ServeBenchResult::default()
@@ -650,9 +771,25 @@ mod tests {
                 ..LatencyDigest::default()
             },
             cache_hit_rate: 0.99,
+            socket_read: LatencyDigest {
+                count: 10,
+                p50_us: 400.0,
+                ..LatencyDigest::default()
+            },
             ..ServeBenchResult::default()
         };
         assert!(check_serve_read(&good).is_ok());
+        let stalled = ServeBenchResult {
+            socket_read: LatencyDigest {
+                count: 10,
+                p50_us: 44_000.0,
+                ..LatencyDigest::default()
+            },
+            ..good.clone()
+        };
+        assert!(check_serve_read(&stalled)
+            .expect_err("delayed-ACK stall")
+            .contains("loopback"));
         let slow = ServeBenchResult {
             read_indexed: LatencyDigest {
                 count: 10,

@@ -184,8 +184,9 @@ pub fn goal_bindings(goal: &Atom) -> GoalBindings {
 /// walking rows (scan fallback and large probe groups alike).
 const ANSWER_POLL_EVERY: usize = 1024;
 
-/// Answers a goal atom against one relation, routing bound arguments
-/// through the dictionary index instead of scanning:
+/// Walks the rows of `rel` within `range` that answer `goal`, handing
+/// each physical row id to `emit`, routing bound arguments through the
+/// dictionary index instead of scanning:
 ///
 /// * **some arguments bound** — one [`Relation::probe_into`] on the
 ///   bound columns (building the index on first use; later queries pay
@@ -196,39 +197,41 @@ const ANSWER_POLL_EVERY: usize = 1024;
 /// * **all free** — the scan fallback, filtering only when repeated
 ///   variables demand it.
 ///
-/// Tuples come back in physical-row (insertion) order, exactly like the
+/// Rows are emitted in physical-row (insertion) order, exactly like the
 /// scan the probe replaces. `poll` runs every [`ANSWER_POLL_EVERY`]
 /// examined rows with the count of rows walked so far; returning an
 /// error aborts the answer (the serving daemon maps this onto its
 /// cancellation and deadline checks).
-pub fn answer_goal_polled<E>(
+fn for_each_answer_row<E>(
     rel: &Relation,
     goal: &Atom,
     range: RowRange,
     mut poll: impl FnMut(usize) -> Result<(), E>,
-) -> Result<Vec<Tuple>, E> {
+    mut emit: impl FnMut(u32),
+) -> Result<(), E> {
     if goal.args.len() != rel.arity() {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let b = goal_bindings(goal);
     // All bound: the goal names one exact tuple (no variables, so no
     // residual equalities are possible).
     if !b.cols.is_empty() && b.cols.len() == rel.arity() {
-        let hit = rel.contains_in_range(&b.key, hash_slice(&b.key), range);
-        return Ok(if hit { vec![b.key] } else { Vec::new() });
+        if let Some(r) = rel.find_in_range(&b.key, hash_slice(&b.key), range) {
+            emit(r);
+        }
+        return Ok(());
     }
-    let mut out = Vec::new();
     if b.all_free() {
         // Scan fallback: nothing for an index to grab.
-        for (i, (_, row)) in rel.iter_range(range).enumerate() {
+        for (i, (r, row)) in rel.iter_range(range).enumerate() {
             if i % ANSWER_POLL_EVERY == 0 {
                 poll(i)?;
             }
             if !b.residual || goal_matches(goal, row) {
-                out.push(row.to_vec());
+                emit(r);
             }
         }
-        return Ok(out);
+        return Ok(());
     }
     // Bound columns: one dictionary probe; group rows already match the
     // key, so only range/tombstone filtering (done by probe_into) and
@@ -239,11 +242,40 @@ pub fn answer_goal_polled<E>(
         if i % ANSWER_POLL_EVERY == 0 {
             poll(i)?;
         }
-        let row = rel.row(r);
-        if !b.residual || goal_matches(goal, row) {
-            out.push(row.to_vec());
+        if !b.residual || goal_matches(goal, rel.row(r)) {
+            emit(r);
         }
     }
+    Ok(())
+}
+
+/// Answers a goal atom against one relation as materialized tuples, one
+/// pass over the rows [`for_each_answer_row`] selects (see there for
+/// the routing, the order and the `poll` contract).
+pub fn answer_goal_polled<E>(
+    rel: &Relation,
+    goal: &Atom,
+    range: RowRange,
+    poll: impl FnMut(usize) -> Result<(), E>,
+) -> Result<Vec<Tuple>, E> {
+    let mut out = Vec::new();
+    for_each_answer_row(rel, goal, range, poll, |r| out.push(rel.row(r).to_vec()))?;
+    Ok(out)
+}
+
+/// [`answer_goal_polled`] without the copies: the answer as physical
+/// row ids into `rel`, in the same order. An id is only meaningful
+/// against the relation state it was read from — the serving daemon
+/// keeps ids beside the frozen `Arc<Relation>` they index and keys its
+/// cache by that relation's publication stamp.
+pub fn answer_goal_rows_polled<E>(
+    rel: &Relation,
+    goal: &Atom,
+    range: RowRange,
+    poll: impl FnMut(usize) -> Result<(), E>,
+) -> Result<Vec<u32>, E> {
+    let mut out = Vec::new();
+    for_each_answer_row(rel, goal, range, poll, |r| out.push(r))?;
     Ok(out)
 }
 

@@ -19,7 +19,7 @@
 //! | `io.load`        | per CSV file in [`crate::io::load_file`] | `EngineError::Io` |
 //! | `incr.delete`    | before the DRed over-deletion pass of an incremental update | `EngineError::Io` |
 //! | `incr.icheck`    | before the delta IC re-check of an incremental update | `EngineError::Io` |
-//! | `serve.accept`   | per accepted server connection (`semrec-serve`) | connection refused, daemon lives |
+//! | `serve.accept`   | per accepted server connection (`semrec-serve`) | connection closed unserved, daemon lives |
 //! | `serve.reader`   | at the start of every admitted read query  | typed I/O error to that client |
 //! | `wal.append`     | before a WAL record write                  | commit rejected, log truncated back |
 //! | `wal.fsync`      | before the WAL fsync-on-commit             | commit rejected, log truncated back |

@@ -38,8 +38,8 @@ pub use cost::{
 pub use database::{int_tuple, Database};
 pub use error::EngineError;
 pub use eval::{
-    answer_goal, answer_goal_polled, evaluate, goal_bindings, EvalResult, Evaluator, GoalBindings,
-    Prepared, Route, Strategy, Tuning,
+    answer_goal, answer_goal_polled, answer_goal_rows_polled, evaluate, goal_bindings, EvalResult,
+    Evaluator, GoalBindings, Prepared, Route, Strategy, Tuning,
 };
 pub use governor::{Budget, CancelToken};
 pub use incr::{

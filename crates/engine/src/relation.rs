@@ -1188,15 +1188,19 @@ impl Relation {
     /// negation steps. The table holds only live rows, so no tombstone
     /// check is needed.
     pub fn contains_in_range(&self, key: &[Value], h: u64, range: RowRange) -> bool {
+        self.find_in_range(key, h, range).is_some()
+    }
+
+    /// The physical row holding exactly `key` within `range`, if it is
+    /// live there: [`Relation::contains_in_range`] for callers that
+    /// address the answer by row id.
+    pub fn find_in_range(&self, key: &[Value], h: u64, range: RowRange) -> Option<u32> {
         if key.len() != self.arity {
-            return false;
+            return None;
         }
         debug_assert_eq!(h, hash_slice(key), "stale key hash");
-        if range.start == 0 && range.end as usize >= self.nrows {
-            return self.contains_hashed(key, h);
-        }
         self.hash_matches(h)
-            .any(|r| range.contains(r) && self.row(r) == key)
+            .find(|&r| range.contains(r) && self.row(r) == key)
     }
 
     /// All tuples, sorted, for deterministic comparisons in tests.

@@ -29,6 +29,22 @@
 //! would hold an arbitrarily old snapshot in memory forever. Cancelling
 //! it (cooperatively, at the reader's next poll) bounds that window
 //! without ever making the writer wait.
+//!
+//! ## Session pacing
+//!
+//! Fairness between sessions is [`SessionPace`]'s job. A network
+//! session is a thread of its own, and since a reply leaves in one
+//! write a client that asks again the moment it is answered keeps that
+//! thread busy — three quarters of a core, measured — for as long as it
+//! likes, beside the writer and every other session. So each network session holds a
+//! token bucket over the requests that reach the engine (queries and
+//! non-empty commits): [`SESSION_BURST`] requests at whatever speed the
+//! machine gives, refilled at [`SESSION_RATE_PER_S`]. A session that
+//! has spent its burst is not refused; the session loop just waits out
+//! the rest of the slot before it reads the next request, which a
+//! client only notices if it was saturating the link. What such a
+//! client gets is then set by the clock and not by how busy the host
+//! is — the one throughput the daemon can promise on any machine.
 
 use crate::error::ServeError;
 use semrec_engine::CancelToken;
@@ -249,6 +265,54 @@ impl Drop for Permit {
     }
 }
 
+/// Requests per second a paced session is served at once its burst is
+/// spent. A 1000-row round trip takes 0.2–0.35 ms of the 1 ms slot on
+/// the measured two-core host (0.65 ms at the 95th percentile), so the
+/// slot is waited out, not overrun, until the host is about four times
+/// oversubscribed (EXPERIMENTS.md "Serve: paced sessions").
+pub const SESSION_RATE_PER_S: u32 = 1_000;
+
+/// Requests a paced session may be ahead of [`SESSION_RATE_PER_S`]: an
+/// interactive or bursty client never waits, and a saturating one gets
+/// up to two seconds' worth back after the host stalled.
+pub const SESSION_BURST: u32 = 2_048;
+
+const SLOT_NS: i64 = 1_000_000_000 / SESSION_RATE_PER_S as i64;
+const BURST_NS: i64 = SLOT_NS * SESSION_BURST as i64;
+
+/// One session's token bucket, kept as clock time: every request costs
+/// one slot (`1 / SESSION_RATE_PER_S`), elapsed time pays it back up to
+/// [`SESSION_BURST`] slots. All of the elapsed time is booked, a wait
+/// that overslept included, so the long-run rate is the clock's.
+#[derive(Debug)]
+pub struct SessionPace {
+    /// Time in hand (at most the burst); negative: time owed.
+    balance_ns: i64,
+    at: Instant,
+}
+
+impl SessionPace {
+    /// A full bucket as of `now`.
+    pub fn full(now: Instant) -> SessionPace {
+        SessionPace {
+            balance_ns: BURST_NS,
+            at: now,
+        }
+    }
+
+    /// Books `requests` served by `now` and returns how long the
+    /// session has to wait before its next one (zero while it has
+    /// burst left).
+    pub fn book(&mut self, requests: u32, now: Instant) -> Duration {
+        let earned = now.saturating_duration_since(self.at).as_nanos();
+        self.at = now;
+        let earned = i64::try_from(earned).unwrap_or(i64::MAX);
+        let cost = i64::from(requests) * SLOT_NS;
+        self.balance_ns = self.balance_ns.saturating_add(earned).min(BURST_NS) - cost;
+        Duration::from_nanos(self.balance_ns.min(0).unsigned_abs())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,6 +342,40 @@ mod tests {
         // A slot freed: admission works again.
         let _c = gate.admit(None).unwrap();
         assert_eq!(gate.admitted(), 3);
+    }
+
+    #[test]
+    fn session_pace_spends_its_burst_then_runs_on_the_clock() {
+        let slot = Duration::from_nanos(SLOT_NS as u64);
+        let t0 = Instant::now();
+        let mut pace = SessionPace::full(t0);
+        // The burst costs nothing, however fast it is spent.
+        for _ in 0..SESSION_BURST {
+            assert_eq!(pace.book(1, t0), Duration::ZERO);
+        }
+        // Past it every request owes its slot, less whatever went by.
+        assert_eq!(pace.book(1, t0), slot);
+        assert_eq!(pace.book(1, t0 + slot), slot);
+        let mut now = t0 + slot + slot / 4;
+        let mut wait = pace.book(1, now);
+        assert_eq!(wait, slot * 7 / 4);
+
+        // A closed loop that waits what it owes — and oversleeps every
+        // time — is still served exactly one request per slot.
+        let started = now;
+        for _ in 0..1_000 {
+            now += wait + slot / 10;
+            wait = pace.book(1, now);
+        }
+        let served = (now - started).as_nanos() / slot.as_nanos();
+        assert!((998..=1_002).contains(&served), "{served} slots");
+
+        // Idle time refills the bucket to the burst and no further.
+        now += Duration::from_secs(3_600);
+        for _ in 0..SESSION_BURST {
+            assert_eq!(pace.book(1, now), Duration::ZERO);
+        }
+        assert_eq!(pace.book(1, now), slot);
     }
 
     #[test]

@@ -2,6 +2,17 @@
 //! generation, so repeated goals against an unchanged relation skip
 //! even the index probe.
 //!
+//! ## The entry: sorted row ids, not tuples
+//!
+//! An answer is stored as the sorted `Arc<[u32]>` of physical row ids
+//! [`Server::query_rows`](crate::Server::query_rows) computed — 4 bytes
+//! per answer row where a `Vec<Tuple>` copy costs a heap allocation per
+//! row (≈ 4 KB against ≈ 69 KB for a 1000-row binary answer). Ids mean
+//! nothing on their own: they index the frozen `Arc<Relation>` of the
+//! epoch the reader pinned, and the key below guarantees an entry is
+//! only ever addressed by a reader holding the very relation state the
+//! ids were read from.
+//!
 //! ## The key: last-change stamp + generation
 //!
 //! Copy-on-write publication ([`crate::epoch`]) shares `Arc<Relation>`s
@@ -42,13 +53,12 @@
 //! ## Bounds and concurrency
 //!
 //! The cache is a FIFO-bounded map under one mutex — entries are
-//! `Arc<Vec<Tuple>>`, so a hit is a pointer clone and the lock is held
+//! `Arc<[u32]>`, so a hit is a pointer clone and the lock is held
 //! only for the map operation, never while answering. Hit/miss
 //! counters are relaxed atomics surfaced through the `stats.` verb.
 
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::term::{Term, Value};
-use semrec_engine::Tuple;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -119,7 +129,7 @@ struct CacheKey {
 }
 
 struct CacheMap {
-    map: HashMap<CacheKey, Arc<Vec<Tuple>>>,
+    map: HashMap<CacheKey, Arc<[u32]>>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<CacheKey>,
 }
@@ -149,7 +159,7 @@ impl AnswerCache {
 
     /// Looks up the answer for `shape` against relation state `stamp`,
     /// counting a hit or miss.
-    pub fn get(&self, shape: &GoalShape, stamp: RelationStamp) -> Option<Arc<Vec<Tuple>>> {
+    pub fn get(&self, shape: &GoalShape, stamp: RelationStamp) -> Option<Arc<[u32]>> {
         let key = CacheKey {
             shape: shape.clone(),
             stamp,
@@ -168,12 +178,13 @@ impl AnswerCache {
         found
     }
 
-    /// Stores an answer, evicting the oldest entry when full. A racing
-    /// duplicate insert keeps the existing entry's slot.
-    pub fn insert(&self, shape: GoalShape, stamp: RelationStamp, tuples: Arc<Vec<Tuple>>) {
+    /// Stores an answer — the sorted row ids of `shape` against the
+    /// relation state `stamp` names — evicting the oldest entry when
+    /// full. A racing duplicate insert keeps the existing entry's slot.
+    pub fn insert(&self, shape: GoalShape, stamp: RelationStamp, rows: Arc<[u32]>) {
         let key = CacheKey { shape, stamp };
         let mut inner = self.inner.lock().expect("cache lock");
-        if inner.map.insert(key.clone(), tuples).is_none() {
+        if inner.map.insert(key.clone(), rows).is_none() {
             inner.order.push_back(key);
             while inner.map.len() > self.capacity {
                 let Some(old) = inner.order.pop_front() else {
@@ -209,7 +220,6 @@ impl AnswerCache {
 mod tests {
     use super::*;
     use semrec_datalog::parser::parse_atom;
-    use semrec_engine::int_tuple;
 
     fn shape(s: &str) -> GoalShape {
         GoalShape::of(&parse_atom(s).unwrap())
@@ -228,7 +238,7 @@ mod tests {
     fn stamp_partitions_entries() {
         let cache = AnswerCache::new(8);
         let s = shape("r(1, Y)");
-        cache.insert(s.clone(), Some((3, 0)), Arc::new(vec![int_tuple(&[1, 2])]));
+        cache.insert(s.clone(), Some((3, 0)), Arc::from([7u32]));
         assert!(cache.get(&s, Some((3, 0))).is_some());
         assert!(cache.get(&s, Some((4, 0))).is_none(), "new stamp misses");
         assert!(
@@ -244,7 +254,7 @@ mod tests {
     fn fifo_eviction_bounds_the_map() {
         let cache = AnswerCache::new(2);
         for g in 0..5u64 {
-            cache.insert(shape("r(X, Y)"), Some((g, 0)), Arc::new(Vec::new()));
+            cache.insert(shape("r(X, Y)"), Some((g, 0)), Arc::from([]));
         }
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&shape("r(X, Y)"), Some((4, 0))).is_some());

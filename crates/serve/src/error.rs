@@ -69,6 +69,18 @@ impl ServeError {
             ServeError::Io(_) => "io",
         }
     }
+
+    /// Rank among the conditions a whole session reports when it ends
+    /// (the script-mode exit status): overloaded < epoch reclaimed <
+    /// WAL corrupt. 0 for errors that concern one request only.
+    pub fn severity(&self) -> u8 {
+        match self {
+            ServeError::WalCorrupt { .. } => 3,
+            ServeError::EpochReclaimed { .. } => 2,
+            ServeError::Overloaded { .. } => 1,
+            ServeError::Protocol(_) | ServeError::Engine(_) | ServeError::Io(_) => 0,
+        }
+    }
 }
 
 impl fmt::Display for ServeError {

@@ -24,8 +24,10 @@
 //! * **Admission control** ([`admission`]) — a bounded in-flight gate
 //!   with typed [`ServeError::Overloaded`] rejection (plus a
 //!   retry-after hint), per-request deadlines mapped onto the engine's
-//!   `Budget`/`CancelToken` governance, and a slow-reader watchdog that
-//!   cancels stragglers instead of letting them pin old epochs forever.
+//!   `Budget`/`CancelToken` governance, a slow-reader watchdog that
+//!   cancels stragglers instead of letting them pin old epochs forever,
+//!   and a per-session pace that holds a saturating network client to a
+//!   rate set by the clock, not by what the host has spare.
 //! * **Graceful degradation** — an IC-violating transaction flips the
 //!   maintained route to the rectified program exactly as in one-shot
 //!   mode; in-flight readers on older epochs keep their pinned
@@ -41,10 +43,12 @@ pub mod protocol;
 pub mod server;
 pub mod wal;
 
-pub use admission::{Admission, AdmissionConfig, Permit};
+pub use admission::{Admission, AdmissionConfig, Permit, SESSION_BURST, SESSION_RATE_PER_S};
 pub use cache::{relation_stamp, AnswerCache, GoalShape, RelationStamp};
 pub use epoch::{EpochRegistry, EpochState};
 pub use error::ServeError;
-pub use protocol::{Connection, Response};
-pub use server::{CommitReply, QueryReply, RecoveryReport, ServeConfig, Server, ServerStats};
+pub use protocol::{serve_session, Connection, Response, REPLY_BUF_BYTES};
+pub use server::{
+    Answer, CommitReply, QueryReply, RecoveryReport, ServeConfig, Server, ServerStats,
+};
 pub use wal::{Replay, Wal};

@@ -33,12 +33,16 @@ use crate::admission::{Admission, AdmissionConfig, Permit};
 use crate::cache::{relation_stamp, AnswerCache, GoalShape};
 use crate::epoch::{EpochRegistry, EpochState};
 use crate::error::ServeError;
+use crate::protocol::{serve_session, Connection};
 use crate::wal::Wal;
 use semrec_core::{MaintainedQuery, OptimizerConfig};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::parser::Unit;
-use semrec_engine::eval::answer_goal_polled;
-use semrec_engine::{tx_to_stream, Budget, Database, Route, Tuning, Tuple, Tx, UpdateStats};
+use semrec_datalog::term::Value;
+use semrec_engine::eval::answer_goal_rows_polled;
+use semrec_engine::{
+    tx_to_stream, Budget, Database, Relation, Route, Tuning, Tuple, Tx, UpdateStats,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,7 +96,63 @@ pub struct RecoveryReport {
     pub epoch: u64,
 }
 
-/// One answered query.
+/// One answered query, by reference: the matching rows as sorted ids
+/// into the frozen relation of the pinned epoch. This is what the
+/// answer cache stores and what the wire path renders from; nothing is
+/// copied until someone asks for tuples ([`Server::query`]).
+#[derive(Clone, Debug)]
+pub struct Answer {
+    /// The epoch the answer is exact at.
+    pub epoch: u64,
+    /// The route that materialized the relations at that epoch.
+    pub route: Route,
+    /// The pinned relation `ids` index, kept alive for as long as the
+    /// answer is; `None` when the predicate has no relation at that
+    /// epoch (the answer is then empty).
+    rel: Option<Arc<Relation>>,
+    /// Physical row ids of the matching tuples, sorted by row content.
+    ids: Arc<[u32]>,
+}
+
+/// How far [`Answer::rows`] prefetches ahead of the row it yields: far
+/// enough to cover a memory round trip at a few tens of nanoseconds of
+/// work per row, near enough to stay in the first-level cache.
+const ROWS_PREFETCH_AHEAD: usize = 16;
+
+impl Answer {
+    /// Number of matching tuples.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when nothing matched.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The matching tuples in sorted order, as slices into the pinned
+    /// relation. The rows of one answer lie scattered over the flat
+    /// store (a cache hit has not touched them yet), so the walk
+    /// prefetches [`ROWS_PREFETCH_AHEAD`] rows in front of itself.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Value]> {
+        let rel = self.rel.as_deref();
+        let ids = &*self.ids;
+        ids.iter().enumerate().map(move |(i, &id)| {
+            let rel = rel.expect("an answer with rows pins their relation");
+            debug_assert!(
+                (id as usize) < rel.physical_rows(),
+                "row id {id} outlived its relation ({} rows)",
+                rel.physical_rows()
+            );
+            if let Some(&ahead) = ids.get(i + ROWS_PREFETCH_AHEAD) {
+                rel.prefetch_row(ahead);
+            }
+            rel.row(id)
+        })
+    }
+}
+
+/// One answered query, as owned tuples.
 #[derive(Clone, Debug)]
 pub struct QueryReply {
     /// The epoch the answer is exact at.
@@ -332,46 +392,65 @@ impl Server {
     /// control: the request may be shed with `Overloaded`, cancelled by
     /// the watchdog (surfacing `EpochReclaimed`), or cut off by its
     /// deadline — and otherwise returns exactly the pinned epoch's
-    /// tuples, sorted.
+    /// matching rows, sorted, as ids into that epoch's frozen relation.
     ///
-    /// A repeated goal shape against an unchanged relation generation is
-    /// served straight from the answer cache (unless
+    /// A repeated goal shape against an unchanged relation state is a
+    /// pointer clone out of the answer cache (unless
     /// [`ServeConfig::cache_capacity`] is 0); a computed answer routes
     /// bound goal arguments through the snapshot's dictionary index
-    /// instead of scanning.
+    /// instead of scanning. Cached ids are only ever paired with the
+    /// relation whose stamp keyed them: the stamp is read off the very
+    /// `Arc<Relation>` the answer carries.
+    pub fn query_rows(
+        &self,
+        goal: &Atom,
+        at: Option<u64>,
+        deadline: Option<Duration>,
+    ) -> Result<Answer, ServeError> {
+        let permit = self.admission.admit(deadline)?;
+        #[cfg(feature = "failpoints")]
+        semrec_engine::failpoint::hit("serve.reader")
+            .map_err(|m| ServeError::Io(format!("reader: {m}")))?;
+        let state = self.registry.pin(at)?;
+        let rel = state.relation(goal.pred).cloned();
+        let stamp = rel.as_deref().and_then(relation_stamp);
+        let shape = (self.cfg.cache_capacity > 0).then(|| GoalShape::of(goal));
+        let cached = shape.as_ref().and_then(|s| self.cache.get(s, stamp));
+        let ids = match cached {
+            Some(ids) => ids,
+            None => {
+                let ids: Arc<[u32]> = match &rel {
+                    Some(rel) => self.answer(&state, rel, goal, &permit)?.into(),
+                    None => Arc::from([]),
+                };
+                if let Some(shape) = shape {
+                    self.cache.insert(shape, stamp, Arc::clone(&ids));
+                }
+                ids
+            }
+        };
+        Ok(Answer {
+            epoch: state.epoch,
+            route: state.route,
+            rel,
+            ids,
+        })
+    }
+
+    /// [`Server::query_rows`] with the answer copied out as owned
+    /// tuples — the adapter for callers that outlive the snapshot or
+    /// want to compare answers by value.
     pub fn query(
         &self,
         goal: &Atom,
         at: Option<u64>,
         deadline: Option<Duration>,
     ) -> Result<QueryReply, ServeError> {
-        let permit = self.admission.admit(deadline)?;
-        #[cfg(feature = "failpoints")]
-        semrec_engine::failpoint::hit("serve.reader")
-            .map_err(|m| ServeError::Io(format!("reader: {m}")))?;
-        let state = self.registry.pin(at)?;
-        let stamp = state
-            .relation(goal.pred)
-            .and_then(|r| relation_stamp(r.as_ref()));
-        let shape = (self.cfg.cache_capacity > 0).then(|| GoalShape::of(goal));
-        if let Some(shape) = &shape {
-            if let Some(cached) = self.cache.get(shape, stamp) {
-                return Ok(QueryReply {
-                    epoch: state.epoch,
-                    route: state.route,
-                    tuples: (*cached).clone(),
-                });
-            }
-        }
-        let mut tuples = self.answer(&state, goal, &permit)?;
-        tuples.sort();
-        if let Some(shape) = shape {
-            self.cache.insert(shape, stamp, Arc::new(tuples.clone()));
-        }
+        let answer = self.query_rows(goal, at, deadline)?;
         Ok(QueryReply {
-            epoch: state.epoch,
-            route: state.route,
-            tuples,
+            epoch: answer.epoch,
+            route: answer.route,
+            tuples: answer.rows().map(<[Value]>::to_vec).collect(),
         })
     }
 
@@ -399,23 +478,25 @@ impl Server {
 
     /// Index-routed goal answering against the pinned snapshot: bound
     /// arguments probe the relation's dictionary index, all-free goals
-    /// fall back to the scan inside [`answer_goal_polled`], which polls
-    /// cancellation and the deadline on its row cadence.
+    /// fall back to the scan inside [`answer_goal_rows_polled`], which
+    /// polls cancellation and the deadline on its row cadence. The ids
+    /// come back sorted by row content (rows of a relation are distinct,
+    /// so the order is total).
     fn answer(
         &self,
         state: &EpochState,
+        rel: &Relation,
         goal: &Atom,
         permit: &Permit,
-    ) -> Result<Vec<Tuple>, ServeError> {
-        let Some(rel) = state.relation(goal.pred) else {
-            return Ok(Vec::new());
-        };
-        answer_goal_polled(rel, goal, rel.snapshot_rows(), |_| {
+    ) -> Result<Vec<u32>, ServeError> {
+        let mut ids = answer_goal_rows_polled(rel, goal, rel.snapshot_rows(), |_| {
             match self.read_aborted(state, permit) {
                 Some(e) => Err(e),
                 None => Ok(()),
             }
-        })
+        })?;
+        ids.sort_unstable_by(|&a, &b| rel.row(a).cmp(rel.row(b)));
+        Ok(ids)
     }
 
     /// Applies one transaction through the full commit pipeline: WAL
@@ -636,13 +717,14 @@ impl Server {
     }
 
     /// Serves connections from a TCP listener, one thread per
-    /// connection, until accept fails. The `serve.accept` failpoint
-    /// drops the affected connection; the daemon keeps accepting.
+    /// connection, until accept fails. Each accepted stream gets
+    /// `TCP_NODELAY` and one paced [`serve_session`]. The `serve.accept`
+    /// failpoint drops the affected connection; the daemon keeps
+    /// accepting.
     pub fn serve_listener(
         self: &Arc<Self>,
         listener: &std::net::TcpListener,
     ) -> std::io::Result<()> {
-        use std::io::{BufRead, BufReader, Write};
         loop {
             let (stream, _) = listener.accept()?;
             #[cfg(feature = "failpoints")]
@@ -652,29 +734,14 @@ impl Server {
             }
             let server = Arc::clone(self);
             std::thread::spawn(move || {
-                let mut conn = crate::protocol::Connection::new(server);
-                let reader = BufReader::new(match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                });
-                let mut out = stream;
-                for line in reader.lines() {
-                    let Ok(line) = line else { break };
-                    match conn.handle_line(&line) {
-                        crate::protocol::Response::None => {}
-                        crate::protocol::Response::Lines(lines) => {
-                            for l in lines {
-                                if writeln!(out, "{l}").is_err() {
-                                    return;
-                                }
-                            }
-                            if out.flush().is_err() {
-                                return;
-                            }
-                        }
-                        crate::protocol::Response::Quit => return,
-                    }
-                }
+                // A session that cannot be set up or whose peer went
+                // away just ends; the daemon is unaffected.
+                let Ok(read_half) = stream.set_nodelay(true).and_then(|()| stream.try_clone())
+                else {
+                    return;
+                };
+                let mut conn = Connection::paced(server);
+                let _ = serve_session(&mut conn, std::io::BufReader::new(read_half), stream);
             });
         }
     }

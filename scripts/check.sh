@@ -54,9 +54,10 @@ cargo run -p semrec-bench --release --offline --bin harness -- bench --quick \
   --assert-kernel-coverage 90 --assert-no-regrow 0
 
 # ---- serve leg -------------------------------------------------------
-# Deterministic fault schedules over the server sites (serve.accept,
-# serve.reader, wal.append, wal.fsync, snapshot.publish): every seeded
-# schedule must end in the exact serial-replay answer or a typed error.
+# Deterministic fault schedules over the server sites (serve.accept on
+# a real listener, serve.reader, wal.append, wal.fsync,
+# snapshot.publish): every seeded schedule must end in the exact
+# serial-replay answer or a typed error.
 # (The blanket failpoints leg above runs these too; the explicit leg
 # keeps the serve suite a named, individually-runnable gate.)
 cargo test -q --offline --features failpoints --test serve_faults
@@ -109,9 +110,12 @@ rc=0
 # checked-in artifact's schema_version and required fields before its
 # own timing pass (overload shed count must be recorded nonzero).
 # Serve read gate: on the fresh quick run, indexed bound-goal reads must
-# come in at <= 20% of the scan yardstick's median and the repeated-goal
-# leg must hit the answer cache >= 90% of the time — losing the probe
-# route or the stamp-keyed cache fails CI, not just the latency chart.
+# come in at <= 20% of the scan yardstick's median, the repeated-goal
+# leg must hit the answer cache >= 90% of the time, and a round trip
+# over a real loopback listener must take <= 5 ms at the median —
+# losing the probe route, the stamp-keyed cache or the one-write session
+# loop (a reply waiting for a delayed ACK takes >= 40 ms) fails CI, not
+# just the latency chart.
 # (The batching criterion is NOT gated at quick sizes: group commit only
 # pays off when COW publication dominates per-tx cost, which needs the
 # full-size chain; the checked-in BENCH_serve.json records that run's

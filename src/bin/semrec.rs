@@ -61,7 +61,7 @@ use semrec::engine::magic::evaluate_query;
 use semrec::engine::{
     evaluate, Budget, CancelToken, Database, EngineError, Route, Strategy, Tuning,
 };
-use semrec::serve::{Connection, Response, ServeConfig, ServeError, Server};
+use semrec::serve::{serve_session, Connection, ServeConfig, ServeError, Server};
 use std::process::ExitCode;
 
 /// A CLI failure, carrying enough type to pick the exit code.
@@ -852,8 +852,6 @@ fn cmd_why(args: &[String]) -> Result<(), CliError> {
 ///   stdout) and exit: the mode used by tests and the check harness;
 /// * neither — read protocol lines from stdin (replies to stdout).
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    use std::io::BufRead;
-
     let path = need_path(args)?;
     let unit = load(path)?;
     let mut cfg = ServeConfig {
@@ -904,68 +902,25 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    // Script / stdin mode: one session over the same protocol, replies
-    // to stdout. Per-request errors keep the session going; the exit
-    // code reports the most severe serving condition seen.
-    let reader: Box<dyn BufRead> = match flag_value(args, "--script") {
-        Some(p) => Box::new(std::io::BufReader::new(
-            std::fs::File::open(p).map_err(|e| format!("reading {p}: {e}"))?,
-        )),
-        None => Box::new(std::io::BufReader::new(std::io::stdin())),
+    // Script / stdin mode: one session over the same protocol and the
+    // same loop as a TCP connection, replies to stdout. Per-request
+    // errors keep the session going; the exit code reports the most
+    // severe serving condition the session answered with.
+    let input: Box<dyn std::io::Read> = match flag_value(args, "--script") {
+        Some(p) => Box::new(std::fs::File::open(p).map_err(|e| format!("reading {p}: {e}"))?),
+        None => Box::new(std::io::stdin()),
     };
     let mut conn = Connection::new(server);
-    // Severity rank of the worst error seen (0 = none): overloaded <
-    // epoch-reclaimed < wal-corrupt.
-    let mut worst: (u8, Option<String>) = (0, None);
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("reading request: {e}"))?;
-        match conn.handle_line(&line) {
-            Response::None => {}
-            Response::Quit => break,
-            Response::Lines(lines) => {
-                for l in &lines {
-                    println!("{l}");
-                    if let Some(rest) = l.strip_prefix("err kind=") {
-                        let kind = rest.split_whitespace().next().unwrap_or("");
-                        let rank = match kind {
-                            "wal-corrupt" => 3,
-                            "epoch-reclaimed" => 2,
-                            "overloaded" => 1,
-                            _ => 0,
-                        };
-                        if rank > worst.0 {
-                            worst = (rank, Some(l.clone()));
-                        }
-                    }
-                }
-            }
-        }
+    serve_session(
+        &mut conn,
+        std::io::BufReader::new(input),
+        std::io::stdout().lock(),
+    )
+    .map_err(|e| format!("serving the session: {e}"))?;
+    match conn.worst_error() {
+        Some(e) => Err(CliError::Serve(e.clone())),
+        None => Ok(()),
     }
-    if let (rank, Some(line)) = worst {
-        let kind = match rank {
-            3 => "wal-corrupt",
-            2 => "epoch-reclaimed",
-            _ => "overloaded",
-        };
-        // Re-raise with the matching exit code; the wire line already
-        // went to stdout, so the message names the condition only.
-        return Err(match serve_kind_exit_code(kind) {
-            8 => CliError::Serve(ServeError::WalCorrupt {
-                offset: 0,
-                detail: line,
-            }),
-            9 => CliError::Serve(ServeError::EpochReclaimed {
-                requested: 0,
-                oldest: 0,
-            }),
-            _ => CliError::Serve(ServeError::Overloaded {
-                inflight: 0,
-                limit: 0,
-                retry_after_ms: 1,
-            }),
-        });
-    }
-    Ok(())
 }
 
 fn cmd_check(args: &[String]) -> Result<(), CliError> {

@@ -280,3 +280,52 @@ fn frozen_benchmark_invocations_are_accepted() {
         "{banner:?}"
     );
 }
+
+/// Script mode runs the same session loop as a socket and exits with
+/// the most severe serving condition it answered, read off the typed
+/// error the session recorded.
+#[test]
+fn serve_script_exit_code_is_the_worst_typed_condition() {
+    let dir = std::env::temp_dir().join(format!("semrec-cli-script-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("prog.dl");
+    std::fs::write(&file, "p(X) :- q(X).\nq(1).\n").unwrap();
+    let run = |script: &str| {
+        let path = dir.join("script.txt");
+        std::fs::write(&path, script).unwrap();
+        let out = output(&[
+            "serve",
+            file.to_str().unwrap(),
+            "--retain-epochs",
+            "1",
+            "--script",
+            path.to_str().unwrap(),
+        ]);
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+
+    // Per-request errors keep the session going and the exit clean.
+    let (code, stdout) = run("query p(X).\nquery p(.\nping.\nquit.\nping.\n");
+    assert_eq!(code, Some(0), "{stdout}");
+    assert_eq!(
+        stdout.lines().collect::<Vec<_>>()[..3],
+        ["ok epoch=0 route=direct rows=1", "p(1).", "end"]
+    );
+    assert!(stdout.contains("err kind=protocol"), "{stdout}");
+    assert!(
+        stdout.ends_with("ok pong\n"),
+        "quit. ends the session: {stdout}"
+    );
+
+    // Epoch 0 fell off a one-epoch ring: typed `epoch-reclaimed`, exit 9
+    // — and the session still answered everything after it.
+    let (code, stdout) = run("+q(2).\ncommit.\nquery@0 p(X).\nquery p(X).\n");
+    assert_eq!(code, Some(9), "{stdout}");
+    assert!(stdout.contains("err kind=epoch-reclaimed"), "{stdout}");
+    assert!(stdout.ends_with("p(1).\np(2).\nend\n"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -2,13 +2,20 @@
 //! generated workload and binding pattern, `answer_goal` (dictionary
 //! probes for bound columns, membership test for all-bound goals,
 //! residual filtering for the rest) must select exactly the tuples a
-//! `goal_matches` scan selects.
+//! `goal_matches` scan selects — and the serving daemon, which answers
+//! the same goals as row ids and renders them straight off the pinned
+//! relation, must put exactly those tuples on the wire.
 
+mod common;
+
+use common::{frame, wire};
+use semrec::datalog::parser::Unit;
 use semrec::datalog::{Atom, Pred, Term, Value};
 use semrec::engine::eval::{answer_goal, goal_matches};
 use semrec::engine::{evaluate, Database, Relation, Strategy, Tuple};
 use semrec::gen::rng::Rng;
 use semrec::gen::{fanout, flights, genealogy, org, parse_scenario, university};
+use semrec::serve::{ServeConfig, Server};
 
 /// The reference: filter every snapshot tuple through `goal_matches`.
 fn scan(rel: &Relation, goal: &Atom) -> Vec<Tuple> {
@@ -32,19 +39,18 @@ fn free_vars(arity: usize) -> Vec<Term> {
 /// all-free (scan), one bound column at each position (probe), all
 /// bound (membership), repeated variables (scan + residual), a bound
 /// constant that matches nothing, and arity mismatch.
-fn check_all_patterns(rel: &Relation, pred: &str, rng: &mut Rng, ctx: &str) {
+fn all_patterns(rel: &Relation, pred: &str, rng: &mut Rng) -> Vec<Atom> {
     let rows = rel.snapshot_sorted_tuples();
     let arity = match rows.first() {
         Some(r) => r.len(),
-        None => return,
+        None => return Vec::new(),
     };
     let p = Pred::new(pred);
-
-    check(rel, &Atom::new(p, free_vars(arity)), ctx);
+    let mut goals = vec![Atom::new(p, free_vars(arity))];
     if arity >= 2 {
         let mut args = free_vars(arity);
         args[1] = args[0];
-        check(rel, &Atom::new(p, args), ctx);
+        goals.push(Atom::new(p, args));
     }
 
     for _ in 0..3 {
@@ -52,16 +58,16 @@ fn check_all_patterns(rel: &Relation, pred: &str, rng: &mut Rng, ctx: &str) {
         for i in 0..arity {
             let mut args = free_vars(arity);
             args[i] = Term::Const(row[i]);
-            check(rel, &Atom::new(p, args), ctx);
+            goals.push(Atom::new(p, args));
         }
         if arity >= 2 {
             let mut args = free_vars(arity);
             args[0] = Term::Const(row[0]);
             args[arity - 1] = Term::Const(row[arity - 1]);
-            check(rel, &Atom::new(p, args), ctx);
+            goals.push(Atom::new(p, args));
         }
         let bound: Vec<Term> = row.iter().map(|v| Term::Const(*v)).collect();
-        check(rel, &Atom::new(p, bound), ctx);
+        goals.push(Atom::new(p, bound));
     }
 
     // A constant no generator emits: the probe must agree that the
@@ -70,17 +76,19 @@ fn check_all_patterns(rel: &Relation, pred: &str, rng: &mut Rng, ctx: &str) {
     for i in 0..arity {
         let mut args = free_vars(arity);
         args[i] = Term::Const(absent);
-        check(rel, &Atom::new(p, args), ctx);
+        goals.push(Atom::new(p, args));
     }
-    check(rel, &Atom::new(p, vec![Term::Const(absent); arity]), ctx);
+    goals.push(Atom::new(p, vec![Term::Const(absent); arity]));
 
     // Arity mismatch answers empty on both paths.
-    check(rel, &Atom::new(p, free_vars(arity + 1)), ctx);
+    goals.push(Atom::new(p, free_vars(arity + 1)));
+    goals
 }
 
-#[test]
-fn indexed_answers_agree_with_scans_on_generated_workloads() {
-    let cases: Vec<(&str, Database, &str, Vec<&str>)> = vec![
+/// The five generated workloads at test size: name, EDB, program
+/// source, and the predicates (IDB and EDB) to interrogate.
+fn workloads() -> Vec<(&'static str, Database, &'static str, Vec<&'static str>)> {
+    vec![
         (
             "fanout",
             fanout::generate(&fanout::FanoutParams {
@@ -133,8 +141,12 @@ fn indexed_answers_agree_with_scans_on_generated_workloads() {
             flights::PROGRAM,
             vec!["route", "flight", "hub"],
         ),
-    ];
-    for (name, db, src, preds) in cases {
+    ]
+}
+
+#[test]
+fn indexed_answers_agree_with_scans_on_generated_workloads() {
+    for (name, db, src, preds) in workloads() {
         let s = parse_scenario(src);
         let fixed = evaluate(&db, &s.program, Strategy::SemiNaive).expect("fixpoint");
         let mut rng = Rng::seed_from_u64(0x60A1);
@@ -143,8 +155,81 @@ fn indexed_answers_agree_with_scans_on_generated_workloads() {
                 .relation(Pred::new(pred))
                 .or_else(|| db.get(Pred::new(pred)))
                 .unwrap_or_else(|| panic!("{name}: no relation `{pred}`"));
-            check_all_patterns(rel, pred, &mut rng, &format!("{name}/{pred}"));
+            for goal in all_patterns(rel, pred, &mut rng) {
+                check(rel, &goal, &format!("{name}/{pred}"));
+            }
         }
+    }
+}
+
+/// The wire agrees with the tuples, and the tuples with the scan: for
+/// every workload and binding pattern (string constants, a missing
+/// predicate and arity mismatches among them) a session's bytes are the
+/// header, `render_fact` over `Server::query(..).tuples`, and `end` —
+/// whether the answer was computed, came out of the row-id cache, or
+/// the daemon has no cache at all.
+#[test]
+fn wire_bytes_agree_with_tuples_on_generated_workloads() {
+    for (name, db, src, preds) in workloads() {
+        let s = parse_scenario(src);
+        let unit = Unit {
+            rules: s.program.rules.clone(),
+            facts: db
+                .iter()
+                .flat_map(|(p, rel)| {
+                    rel.iter()
+                        .map(move |row| Atom::new(p, row.iter().map(|v| Term::Const(*v)).collect()))
+                })
+                .collect(),
+            constraints: s.constraints.clone(),
+        };
+        let open = |cfg| Server::open(&unit, cfg, None).expect("open").0;
+        let cached = open(ServeConfig::default());
+        let uncached = open(ServeConfig {
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        });
+        let state = cached.registry().pin(None).expect("pin latest");
+        let mut rng = Rng::seed_from_u64(0x60A1);
+        let mut goals = vec![Atom::new(Pred::new("no_such_pred"), free_vars(2))];
+        for pred in preds {
+            let rel = state
+                .relation(Pred::new(pred))
+                .unwrap_or_else(|| panic!("{name}: `{pred}` is not published"));
+            goals.extend(all_patterns(rel, pred, &mut rng));
+        }
+        for goal in &goals {
+            let ctx = format!("{name}: goal `{goal}`");
+            let reply = cached.query(goal, None, None).expect("query");
+            let reference = match state.relation(goal.pred) {
+                Some(rel) => scan(rel, goal),
+                None => Vec::new(),
+            };
+            assert_eq!(
+                reply.tuples, reference,
+                "{ctx}: tuples diverged from the scan"
+            );
+            let expect = frame(goal.pred, &reply);
+            let request = format!("query {goal}.\n");
+            // The query above warmed the cache: this is a hit.
+            assert_eq!(wire(&cached, &request), expect, "{ctx}: cached wire");
+            assert_eq!(wire(&uncached, &request), expect, "{ctx}: uncached wire");
+        }
+        // Every wire read of the cached daemon was a hit (sampled goals
+        // may repeat, so some of the warming queries were hits too).
+        let stats = cached.stats();
+        assert!(
+            stats.cache_hits as usize >= goals.len(),
+            "{name}: {stats:?}"
+        );
+        assert_eq!(
+            (stats.cache_hits + stats.cache_misses) as usize,
+            2 * goals.len()
+        );
+        assert_eq!(
+            uncached.stats().cache_hits + uncached.stats().cache_misses,
+            0
+        );
     }
 }
 

@@ -2,8 +2,14 @@
 //! interleavings, every reader's answer is tuple-for-tuple identical to
 //! a serial replay of the committed transaction prefix at its pinned
 //! epoch — on both executors (kernels on/off), with readers never
-//! blocking the writer and vice versa.
+//! blocking the writer and vice versa. The wire is held to the same
+//! standard: what a session writes is the rendered tuples, cache or no
+//! cache, and a cached row-id answer is never read against a relation
+//! state other than the one that produced it.
 
+mod common;
+
+use common::{frame, wire};
 use semrec::core::maintain::MaintainedQuery;
 use semrec::core::optimizer::OptimizerConfig;
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
@@ -223,6 +229,13 @@ fn cache_on_and_off_agree_tuple_for_tuple() {
                     a.epoch
                 );
             }
+            // And byte for byte on the wire, where the cached daemon
+            // renders a hit's row ids and the other a fresh probe.
+            let request = format!("query {g}.\n");
+            let sent = wire(&cached, &request);
+            assert_eq!(sent, wire(&uncached, &request), "goal {g} on the wire");
+            let reply = uncached.query(g, None, None).expect("uncached query");
+            assert_eq!(sent, frame(g.pred, &reply), "goal {g}: wire vs tuples");
         }
     }
     let hot = cached.stats();
@@ -268,6 +281,17 @@ fn republish_invalidates_cached_answers() {
         // Older epochs keep hitting their own entries, unperturbed.
         let old = server.query(&g, Some(i as u64), None).expect("pinned");
         assert_eq!(old.tuples, expected[i]);
+        // The same on the wire, where a hit's row ids are read against
+        // the pinned relation: the warmed entry belongs to epoch i's
+        // relation and must not be addressed at epoch i + 1 — also not
+        // across the violation/repair rebuilds, whose fresh relations
+        // restart their generation counters — while `query@i` keeps
+        // rendering epoch i's exact rows.
+        assert_eq!(wire(&server, "query reach(1, Y).\n"), frame(g.pred, &reply));
+        assert_eq!(
+            wire(&server, &format!("query@{i} reach(1, Y).\n")),
+            frame(g.pred, &old)
+        );
     }
     let stats = server.stats();
     assert!(

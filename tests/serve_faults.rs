@@ -3,7 +3,8 @@
 //! Every schedule below drives the full commit pipeline — WAL append +
 //! fsync, maintained apply, copy-on-write epoch publish — or the reader
 //! path through seeded failpoint schedules over the serving sites
-//! (`wal.append`, `wal.fsync`, `snapshot.publish`, `serve.reader`),
+//! (`wal.append`, `wal.fsync`, `snapshot.publish`, `serve.reader`,
+//! `serve.accept`),
 //! plus simulated kill-and-restart crashes mid-commit. The invariant is
 //! the serving extension of the engine's: every run ends in either the
 //! **exact** serial-replay answer or a **typed** error — never a wrong
@@ -373,6 +374,73 @@ fn seeded_reader_schedules_fail_typed_then_answer_exact() {
         let clean = server.query(&goal(), None, None).expect("clean read");
         assert_eq!(clean.tuples, expect, "seed {seed}");
     }
+}
+
+/// The accept site on a real listener: an injected fault drops exactly
+/// the connection it hit — that client sees its socket closed, never a
+/// reply — while the next connection is served and the daemon's epoch
+/// and answers are what they were.
+#[test]
+fn accept_fault_drops_one_connection_and_the_daemon_serves_on() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{TcpListener, TcpStream};
+
+    let _g = serial();
+    failpoint::clear();
+    let (server, _) = Server::open(&unit(), ServeConfig::default(), None).expect("open");
+    let expect = serial_replay(&[]);
+    let before = server.stats();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let daemon = std::sync::Arc::clone(&server);
+    // Runs until the test process exits.
+    std::thread::spawn(move || daemon.serve_listener(&listener));
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .expect("timeout");
+        stream
+    };
+
+    failpoint::arm("serve.accept", 0, FailAction::Err);
+    let mut dropped = connect();
+    // Closed without a byte: end of stream, or a reset if the request
+    // raced the close. Anything readable would be a reply.
+    let _ = dropped.write_all(b"ping.\n");
+    let mut reply = Vec::new();
+    let _ = dropped.read_to_end(&mut reply);
+    assert!(
+        reply.is_empty(),
+        "dropped connection answered {:?}",
+        String::from_utf8_lossy(&reply)
+    );
+
+    // One-shot: the next connection gets a full session.
+    let mut served = connect();
+    served
+        .write_all(b"ping.\nepoch.\nquery reach(1, Y).\n")
+        .expect("requests");
+    let mut lines = BufReader::new(served.try_clone().expect("clone")).lines();
+    let mut next = || lines.next().expect("reply line").expect("read");
+    assert_eq!(next(), "ok pong");
+    assert_eq!(next(), "ok epoch=0 oldest=0");
+    assert_eq!(
+        next(),
+        format!("ok epoch=0 route=optimized rows={}", expect.len())
+    );
+    for t in &expect {
+        assert_eq!(next(), semrec::serve::protocol::render_fact(goal().pred, t));
+    }
+    assert_eq!(next(), "end");
+    failpoint::clear();
+
+    // Nothing the dropped connection did reached the daemon's state.
+    let after = server.stats();
+    assert_eq!((after.epoch, after.commits), (before.epoch, before.commits));
+    assert_eq!(after.admitted, before.admitted + 1, "only the served query");
+    let reply = server.query(&goal(), None, None).expect("in-process read");
+    assert_eq!((reply.epoch, reply.tuples), (0, expect));
 }
 
 /// Kill-and-restart mid-commit, torn-tail flavor: the process dies while
