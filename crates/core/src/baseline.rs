@@ -19,6 +19,7 @@
 //! from evaluation work.
 
 use crate::expand::{rule_residues, StdResidue};
+use crate::occurs::IcIndex;
 use crate::residue::ResidueHead;
 use semrec_datalog::analysis::safety;
 use semrec_datalog::constraint::Constraint;
@@ -50,7 +51,12 @@ pub struct BaselineOutcome {
 /// `ics`. Returns the rewritten program, the number of (IC, rule) residue
 /// computations performed, and the number of optimizations applied.
 pub fn rule_level_rewrite(program: &Program, ics: &[Constraint]) -> (Program, u64, usize) {
-    rule_level_rewrite_with(program, ics, &crate::push::PushPolicy::default(), None)
+    rule_level_rewrite_with(
+        program,
+        &IcIndex::new(ics),
+        &crate::push::PushPolicy::default(),
+        None,
+    )
 }
 
 /// Like [`rule_level_rewrite`], with an explicit [`PushPolicy`] (enabling
@@ -58,10 +64,14 @@ pub fn rule_level_rewrite(program: &Program, ics: &[Constraint]) -> (Program, u6
 /// rules of particular head predicates (the compile-time optimizer uses
 /// this for the *non-recursive* rules, which need no isolation).
 ///
+/// A residue is only used when no database atom of the constraint stays
+/// unmatched, so per rule only the constraints whose body predicates all
+/// occur in the rule's body are tried (and counted).
+///
 /// [`PushPolicy`]: crate::push::PushPolicy
 pub fn rule_level_rewrite_with(
     program: &Program,
-    ics: &[Constraint],
+    ics: &IcIndex,
     policy: &crate::push::PushPolicy,
     only_preds: Option<&std::collections::BTreeSet<semrec_datalog::atom::Pred>>,
 ) -> (Program, u64, usize) {
@@ -76,7 +86,8 @@ pub fn rule_level_rewrite_with(
             }
         }
         let mut variants: Vec<Rule> = vec![rule.clone()];
-        for ic in ics {
+        let body_preds = rule.body_atoms().map(|a| a.pred).collect();
+        for ic in ics.candidates(&body_preds) {
             computations += 1;
             for residue in rule_residues(ic, rule) {
                 if !residue.directly_usable() || residue.is_trivial() {

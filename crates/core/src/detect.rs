@@ -15,15 +15,16 @@
 //! sequence.
 
 use crate::graph::{build_sd_graph, pattern_labels, SdGraph};
+use crate::occurs::may_match;
 use crate::residue::{build_residue, Residue};
-use crate::sequence::{enumerate_sequences, unfold};
+use crate::sequence::{enumerate_sequences, unfold, Unfolding};
 use crate::subsume::total_matches;
 use semrec_datalog::analysis::RecursionInfo;
-use semrec_datalog::atom::Atom;
+use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
 use semrec_datalog::program::Program;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How residues were (or should be) detected.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -44,11 +45,51 @@ pub struct Detection {
     pub residue: Residue,
 }
 
+/// Work counters of the detection phase of one [`Optimizer::run`]; they
+/// are exact and repeat, so the compile step's scaling is tested on them
+/// rather than on a clock.
+///
+/// [`Optimizer::run`]: crate::optimizer::Optimizer::run
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct DetectStats {
+    /// Integrity constraints given.
+    pub ics: usize,
+    /// (recursive predicate, constraint) pairs detection was run on: the
+    /// constraint's body predicates all occur among the predicate's
+    /// subgoals.
+    pub candidate_pairs: usize,
+    /// SD-graphs built (at most one per recursive predicate).
+    pub graphs_built: usize,
+    /// (constraint, expansion sequence) subsumption checks — Step 4 of
+    /// Algorithm 3.1.
+    pub sequences_verified: usize,
+    /// Residues detected.
+    pub residues: usize,
+}
+
+/// The predicates of the non-recursive subgoals of the rules defining
+/// `info.pred`. Every body atom of every unfolding, and every SD-graph
+/// occurrence, carries one of them — so a constraint that does not
+/// [`may_match`] this set has no residue for the predicate under either
+/// detection method.
+pub fn subgoal_preds(program: &Program, info: &RecursionInfo) -> BTreeSet<Pred> {
+    info.recursive_rules
+        .iter()
+        .chain(&info.exit_rules)
+        .flat_map(|&r| program.rules[r].body_atoms())
+        .map(|a| a.pred)
+        .filter(|&p| p != info.pred)
+        .collect()
+}
+
 /// Detects residues of `ic` w.r.t. the recursive predicate described by
 /// `info`, using the requested method. `program` must be rectified.
 ///
 /// `pad` controls how many extra levels are tried when a fact residue's
 /// head atom is not useful on the minimal sequence (both methods).
+///
+/// This is the one-pair entry point; a caller with many constraints per
+/// predicate keeps one [`Detector`] per predicate instead.
 pub fn detect(
     program: &Program,
     info: &RecursionInfo,
@@ -56,97 +97,156 @@ pub fn detect(
     method: DetectionMethod,
     pad: usize,
 ) -> Result<Vec<Detection>, Error> {
-    let seqs: Vec<Vec<usize>> = match method {
-        DetectionMethod::Exhaustive { max_len } => enumerate_sequences(info, max_len),
-        DetectionMethod::SdGraph => {
-            let max_descents = info.arity + 2;
-            let graph = build_sd_graph(program, info, max_descents);
-            propose_sequences(&graph, info, ic)
-        }
-    };
+    if !may_match(ic, &subgoal_preds(program, info)) {
+        return Ok(Vec::new());
+    }
+    Detector::new(program, info, method, pad, &mut DetectStats::default()).detect(ic)
+}
 
-    let mut out: Vec<Detection> = Vec::new();
-    let mut verified: BTreeSet<Vec<usize>> = BTreeSet::new();
-    let mut worklist: Vec<(Vec<usize>, usize)> = seqs.into_iter().map(|s| (s, 0)).collect();
+/// Where candidate expansion sequences come from.
+enum Proposer {
+    /// Steps 1–3 of Algorithm 3.1, per constraint, on the predicate's
+    /// SD-graph.
+    Graph(SdGraph),
+    /// Every sequence up to the bound, whatever the constraint.
+    All(Vec<Vec<usize>>),
+}
 
-    while let Some((seq, depth)) = worklist.pop() {
-        if !verified.insert(seq.clone()) {
-            continue;
-        }
-        let residues = verify_sequence(program, info, ic, &seq)?;
-        let mut any_non_useful = false;
-        for r in residues {
-            // Non-useful fact residues are kept: they cannot drive atom
-            // elimination, but they can still drive atom *introduction*
-            // (Example 4.2's doctoral(S)). They also trigger a search for a
-            // useful variant on a padded sequence (Example 3.1).
-            if !r.is_useful() {
-                any_non_useful = true;
+/// Residue detection for one recursive predicate: what depends only on
+/// the predicate — its SD-graph (or enumerated sequences) and the
+/// unfolding of each expansion sequence — is built once and shared by
+/// every constraint tried against it. `program` must be rectified.
+pub struct Detector<'a> {
+    program: &'a Program,
+    info: &'a RecursionInfo,
+    pad: usize,
+    proposer: Proposer,
+    unfoldings: BTreeMap<Vec<usize>, Unfolding>,
+    stats: &'a mut DetectStats,
+}
+
+impl<'a> Detector<'a> {
+    /// Prepares detection for `info.pred`; work is booked to `stats`.
+    pub fn new(
+        program: &'a Program,
+        info: &'a RecursionInfo,
+        method: DetectionMethod,
+        pad: usize,
+        stats: &'a mut DetectStats,
+    ) -> Detector<'a> {
+        let proposer = match method {
+            DetectionMethod::Exhaustive { max_len } => {
+                Proposer::All(enumerate_sequences(info, max_len))
             }
-            let d = Detection { residue: r };
-            if !out.contains(&d) {
-                out.push(d);
+            DetectionMethod::SdGraph => {
+                stats.graphs_built += 1;
+                Proposer::Graph(build_sd_graph(program, info, info.arity + 2))
             }
+        };
+        Detector {
+            program,
+            info,
+            pad,
+            proposer,
+            unfoldings: BTreeMap::new(),
+            stats,
         }
-        // Retry longer sequences to look for useful variants (Example 3.1).
-        if any_non_useful && depth < pad {
-            for &r in &info.recursive_rules {
-                let mut pre = vec![r];
-                pre.extend(&seq);
-                worklist.push((pre, depth + 1));
-                // Appending is only possible when the sequence does not end
-                // in an exit rule.
-                if let Some(&last) = seq.last() {
-                    if info.recursive_rules.contains(&last) {
-                        let mut post = seq.clone();
-                        post.push(r);
-                        worklist.push((post, depth + 1));
+    }
+
+    /// The unfolding of `seq`, computed on first use.
+    pub fn unfolding(&mut self, seq: &[usize]) -> Result<&Unfolding, Error> {
+        if !self.unfoldings.contains_key(seq) {
+            let u = unfold(self.program, self.info, seq)?;
+            self.unfoldings.insert(seq.to_vec(), u);
+        }
+        Ok(&self.unfoldings[seq])
+    }
+
+    /// The residues of `ic`, in deterministic order (by sequence, then by
+    /// the residue's text).
+    pub fn detect(&mut self, ic: &Constraint) -> Result<Vec<Detection>, Error> {
+        let seqs = match &self.proposer {
+            Proposer::All(seqs) => seqs.clone(),
+            Proposer::Graph(graph) => propose_sequences(graph, ic),
+        };
+
+        let mut out: Vec<Detection> = Vec::new();
+        let mut verified: BTreeSet<Vec<usize>> = BTreeSet::new();
+        let mut worklist: Vec<(Vec<usize>, usize)> = seqs.into_iter().map(|s| (s, 0)).collect();
+
+        while let Some((seq, depth)) = worklist.pop() {
+            if !verified.insert(seq.clone()) {
+                continue;
+            }
+            let residues = self.verify_sequence(ic, &seq)?;
+            let mut any_non_useful = false;
+            for r in residues {
+                // Non-useful fact residues are kept: they cannot drive atom
+                // elimination, but they can still drive atom *introduction*
+                // (Example 4.2's doctoral(S)). They also trigger a search for a
+                // useful variant on a padded sequence (Example 3.1).
+                if !r.is_useful() {
+                    any_non_useful = true;
+                }
+                let d = Detection { residue: r };
+                if !out.contains(&d) {
+                    out.push(d);
+                }
+            }
+            // Retry longer sequences to look for useful variants (Example 3.1).
+            if any_non_useful && depth < self.pad {
+                for &r in &self.info.recursive_rules {
+                    let mut pre = vec![r];
+                    pre.extend(&seq);
+                    worklist.push((pre, depth + 1));
+                    // Appending is only possible when the sequence does not end
+                    // in an exit rule.
+                    if let Some(&last) = seq.last() {
+                        if self.info.recursive_rules.contains(&last) {
+                            let mut post = seq.clone();
+                            post.push(r);
+                            worklist.push((post, depth + 1));
+                        }
                     }
                 }
             }
         }
+        out.sort_by_cached_key(|d| (d.residue.seq.clone(), d.residue.to_string()));
+        self.stats.residues += out.len();
+        Ok(out)
     }
-    // Deterministic order: by sequence then body position.
-    out.sort_by(|a, b| {
-        (a.residue.seq.clone(), format!("{}", a.residue))
-            .cmp(&(b.residue.seq.clone(), format!("{}", b.residue)))
-    });
-    Ok(out)
-}
 
-/// Step 4 of Algorithm 3.1: unfold the sequence and test maximal (total)
-/// free subsumption, generating residues.
-pub fn verify_sequence(
-    program: &Program,
-    info: &RecursionInfo,
-    ic: &Constraint,
-    seq: &[usize],
-) -> Result<Vec<Residue>, Error> {
-    let u = unfold(program, info, seq)?;
-    let targets: Vec<&Atom> = u.body_atoms().map(|(_, a)| a).collect();
-    let mut out: Vec<Residue> = Vec::new();
-    for m in total_matches(&ic.body_atoms, &targets) {
-        if let Some(r) = build_residue(ic, &u, &m) {
-            if !out.contains(&r) {
-                out.push(r);
+    /// Step 4 of Algorithm 3.1: unfold the sequence and test maximal
+    /// (total) free subsumption, generating residues.
+    fn verify_sequence(&mut self, ic: &Constraint, seq: &[usize]) -> Result<Vec<Residue>, Error> {
+        self.stats.sequences_verified += 1;
+        let u = self.unfolding(seq)?;
+        let targets: Vec<&Atom> = u.body_atoms().map(|(_, a)| a).collect();
+        let mut out: Vec<Residue> = Vec::new();
+        for m in total_matches(&ic.body_atoms, &targets) {
+            if let Some(r) = build_residue(ic, u, &m) {
+                if !out.contains(&r) {
+                    out.push(r);
+                }
             }
         }
+        Ok(out)
     }
-    Ok(out)
 }
 
 /// Steps 1–3 of Algorithm 3.1: match the IC's pattern graph against the
 /// SD-graph (in both orientations) and read candidate expansion sequences
 /// off the matched paths.
-fn propose_sequences(graph: &SdGraph, _info: &RecursionInfo, ic: &Constraint) -> Vec<Vec<usize>> {
+fn propose_sequences(graph: &SdGraph, ic: &Constraint) -> Vec<Vec<usize>> {
     let mut out: BTreeSet<Vec<usize>> = BTreeSet::new();
     for atoms in [
         ic.body_atoms.clone(),
         ic.body_atoms.iter().rev().cloned().collect::<Vec<_>>(),
     ] {
         let labels = pattern_labels(&atoms);
-        for start in graph.occs_of(atoms[0].pred) {
-            let mut path_exp: Vec<usize> = vec![graph.occs[start].rule];
+        let Some(first) = atoms.first() else { continue };
+        for &start in graph.occs_of(first.pred) {
+            let mut path_exp: Vec<usize> = vec![graph.occs()[start].rule];
             walk(graph, &atoms, &labels, 0, start, &mut path_exp, &mut out);
         }
     }
@@ -172,7 +272,7 @@ fn walk(
     }
     let next_pred = atoms[t + 1].pred;
     for e in graph.edges_from(occ) {
-        if graph.occs[e.to].pred != next_pred {
+        if graph.occs()[e.to].pred != next_pred {
             continue;
         }
         // Lemma 3.1 condition (ii): the pattern label must be a subset of
@@ -183,13 +283,13 @@ fn walk(
         }
         if e.exp.is_empty() {
             // Same level: rule must agree with the current level's rule.
-            if graph.occs[e.to].rule != *seq.last().expect("nonempty seq") {
+            if graph.occs()[e.to].rule != *seq.last().expect("nonempty seq") {
                 continue;
             }
             walk(graph, atoms, labels, t + 1, e.to, seq, out);
         } else {
             // Descend: the previous level's rule must be where we are now.
-            if graph.occs[occ].rule != *seq.last().expect("nonempty seq") {
+            if graph.occs()[occ].rule != *seq.last().expect("nonempty seq") {
                 continue;
             }
             let len_before = seq.len();

@@ -52,36 +52,61 @@ pub struct SdEdge {
     pub pairs: BTreeSet<(usize, usize)>,
 }
 
-/// The subgoal dependency graph of a (rectified) linear program.
+/// The subgoal dependency graph of a (rectified) linear program, indexed
+/// for the walk of Algorithm 3.1: the edges leaving an occurrence and the
+/// occurrences of a predicate are slices, not scans.
 #[derive(Clone, Debug)]
 pub struct SdGraph {
-    /// The subgoal occurrences.
-    pub occs: Vec<Occ>,
-    /// The edges, deterministic order.
-    pub edges: Vec<SdEdge>,
+    occs: Vec<Occ>,
+    /// Sorted by `(from, to, exp)`, so each occurrence's out-edges are
+    /// contiguous.
+    edges: Vec<SdEdge>,
+    /// `edges[out[i]..out[i + 1]]` leave occurrence `i`.
+    out: Vec<usize>,
+    by_pred: BTreeMap<Pred, Vec<usize>>,
 }
 
 impl SdGraph {
-    /// Occurrence indices with the given predicate.
-    pub fn occs_of(&self, pred: Pred) -> Vec<usize> {
-        self.occs
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.pred == pred)
-            .map(|(i, _)| i)
-            .collect()
+    fn new(occs: Vec<Occ>, edges: Vec<SdEdge>) -> SdGraph {
+        debug_assert!(edges.windows(2).all(|w| w[0].from <= w[1].from));
+        let mut out = vec![0usize; occs.len() + 1];
+        for e in &edges {
+            out[e.from + 1] += 1;
+        }
+        for i in 0..occs.len() {
+            out[i + 1] += out[i];
+        }
+        let mut by_pred: BTreeMap<Pred, Vec<usize>> = BTreeMap::new();
+        for (i, o) in occs.iter().enumerate() {
+            by_pred.entry(o.pred).or_default().push(i);
+        }
+        SdGraph {
+            occs,
+            edges,
+            out,
+            by_pred,
+        }
+    }
+
+    /// The subgoal occurrences, in (rule, literal) order.
+    pub fn occs(&self) -> &[Occ] {
+        &self.occs
+    }
+
+    /// Occurrence indices with the given predicate, ascending.
+    pub fn occs_of(&self, pred: Pred) -> &[usize] {
+        self.by_pred.get(&pred).map_or(&[], Vec::as_slice)
     }
 
     /// Edges leaving occurrence `from`.
     pub fn edges_from(&self, from: usize) -> impl Iterator<Item = &SdEdge> {
-        self.edges.iter().filter(move |e| e.from == from)
+        self.edges[self.out[from]..self.out[from + 1]].iter()
     }
 
     /// True if the program satisfies the paper's distinct-subgoal
     /// assumption: no predicate occurs twice among the subgoals.
     pub fn distinct_subgoals(&self) -> bool {
-        let mut seen = BTreeSet::new();
-        self.occs.iter().all(|o| seen.insert(o.pred))
+        self.by_pred.values().all(|occs| occs.len() == 1)
     }
 }
 
@@ -252,7 +277,7 @@ pub fn build_sd_graph(program: &Program, info: &RecursionInfo, max_descents: usi
             pairs,
         })
         .collect();
-    SdGraph { occs, edges }
+    SdGraph::new(occs, edges)
 }
 
 /// The pattern graph of an IC (§3): labels between consecutive database

@@ -19,13 +19,14 @@ pub mod hom;
 pub mod isolate;
 pub mod maintain;
 pub mod minimize;
+pub mod occurs;
 pub mod optimizer;
 pub mod push;
 pub mod residue;
 pub mod sequence;
 pub mod subsume;
 
-pub use detect::{detect, Detection, DetectionMethod};
+pub use detect::{detect, DetectStats, Detection, DetectionMethod};
 pub use maintain::{MaintainError, MaintainedQuery, UpdateOutcome};
 pub use optimizer::{
     evaluate_governed, evaluate_routed, route_alternatives, GovernedOutcome, Optimizer,

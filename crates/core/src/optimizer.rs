@@ -2,9 +2,10 @@
 //! residues (Algorithm 3.1) → choose a sequence per recursive predicate →
 //! push (isolate + optimize) → cleanup.
 
-use crate::detect::{detect, Detection, DetectionMethod};
-use crate::push::{Applied, PushPolicy, Pusher, Skipped};
-use crate::sequence::unfold;
+use crate::cleanup::IdbLiveness;
+use crate::detect::{subgoal_preds, DetectStats, Detection, DetectionMethod, Detector};
+use crate::occurs::IcIndex;
+use crate::push::{replace_blocks, Applied, PushPolicy, Pusher, Skipped};
 use semrec_datalog::analysis::{rectify, validate};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
@@ -57,6 +58,8 @@ pub struct Plan {
     pub program: Program,
     /// All detected residues, per predicate.
     pub detections: Vec<(Pred, Detection)>,
+    /// What detecting them cost, in exact work counts.
+    pub detect_stats: DetectStats,
     /// The sequence chosen for each optimized predicate.
     pub chosen: BTreeMap<Pred, Vec<usize>>,
     /// Successfully pushed residues.
@@ -122,88 +125,82 @@ impl Optimizer {
         self
     }
 
-    /// Runs the pipeline.
+    /// Runs the pipeline. Work is linear in rules + constraints: what
+    /// depends on the whole program (validation, the constraint index,
+    /// IDB liveness) is done once, what depends on a recursive predicate
+    /// (SD-graph, push, cleanup) once per predicate, and detection itself
+    /// only for the constraints whose body predicates all occur among
+    /// that predicate's subgoals.
     pub fn run(self) -> Result<Plan, Error> {
         #[cfg(feature = "failpoints")]
         semrec_engine::failpoint::hit("optimizer.push").map_err(Error::analysis)?;
         validate(&self.program, &self.ics)?;
         let (rectified, _) = rectify(&self.program);
         let infos = validate(&rectified, &self.ics)?;
+        let config = &self.config;
+        let policy = &config.policy;
 
+        let index = IcIndex::new(&self.ics);
+        let liveness = IdbLiveness::new(&rectified);
+        let mut stats = DetectStats {
+            ics: self.ics.len(),
+            ..DetectStats::default()
+        };
         let mut detections: Vec<(Pred, Detection)> = Vec::new();
-        for info in &infos {
-            for ic in &self.ics {
-                for d in detect(&rectified, info, ic, self.config.method, self.config.pad)? {
-                    detections.push((info.pred, d));
-                }
-            }
-        }
-
-        // Group detections per predicate and sequence, score, choose.
         let mut applied = Vec::new();
         let mut skipped = Vec::new();
         let mut chosen: BTreeMap<Pred, Vec<usize>> = BTreeMap::new();
         let mut per_pred_rules: BTreeMap<Pred, Vec<Rule>> = BTreeMap::new();
 
         for info in &infos {
-            let mine: Vec<&Detection> = detections
-                .iter()
-                .filter(|(p, _)| *p == info.pred)
-                .map(|(_, d)| d)
-                .collect();
+            let candidates = index.candidates(&subgoal_preds(&rectified, info));
+            if candidates.is_empty() {
+                continue;
+            }
+            stats.candidate_pairs += candidates.len();
+            let mut detector =
+                Detector::new(&rectified, info, config.method, config.pad, &mut stats);
+            let first = detections.len();
+            for ic in candidates {
+                for d in detector.detect(ic)? {
+                    detections.push((info.pred, d));
+                }
+            }
+            // This predicate's detections: score per sequence, choose, push.
+            let mine: Vec<&Detection> = detections[first..].iter().map(|(_, d)| d).collect();
             if mine.is_empty() {
                 continue;
             }
-            let Some(seq) = choose_sequence(&mine, &self.config.policy) else {
+            let Some(seq) = choose_sequence(&mine, policy) else {
                 // Nothing pushable: record all as skipped via a dry run on
                 // their own sequences.
                 for d in mine {
-                    let u = unfold(&rectified, info, &d.residue.seq)?;
-                    let mut pusher = Pusher::new(&rectified, info, &u);
-                    pusher.push(&d.residue, &self.config.policy);
-                    let res = pusher.finish();
-                    skipped.extend(res.skipped);
+                    let u = detector.unfolding(&d.residue.seq)?;
+                    let mut pusher = Pusher::new(&rectified, info, u);
+                    pusher.push(&d.residue, policy);
+                    skipped.extend(pusher.outcomes().1.iter().cloned());
                 }
                 continue;
             };
-            let u = unfold(&rectified, info, &seq)?;
-            let mut pusher = Pusher::new(&rectified, info, &u);
+            let u = detector.unfolding(&seq)?;
+            let mut pusher = Pusher::new(&rectified, info, u);
             for d in &mine {
                 if d.residue.seq == seq {
-                    pusher.push(&d.residue, &self.config.policy);
+                    pusher.push(&d.residue, policy);
                 }
             }
             let res = pusher.finish();
+            skipped.extend(res.skipped);
             if res.applied.is_empty() {
-                skipped.extend(res.skipped);
                 continue;
             }
             chosen.insert(info.pred, seq);
             applied.extend(res.applied);
-            skipped.extend(res.skipped);
-            // Extract this predicate's new rule structure: its own rules
-            // plus generated (`@`-named) auxiliaries.
-            let rules: Vec<Rule> = res
-                .program
-                .rules
-                .iter()
-                .filter(|r| r.head.pred == info.pred || r.head.pred.name().contains('@'))
-                .cloned()
-                .collect();
-            per_pred_rules.insert(info.pred, rules);
+            per_pred_rules.insert(info.pred, liveness.clean_block(info.pred, res.rules));
         }
 
         // Merge: untouched rules + per-predicate transformed structures.
-        let mut rules: Vec<Rule> = Vec::new();
-        for r in &rectified.rules {
-            if !per_pred_rules.contains_key(&r.head.pred) {
-                rules.push(r.clone());
-            }
-        }
-        for (_, mut pr) in per_pred_rules {
-            rules.append(&mut pr);
-        }
-        let program = Program::new(rules);
+        let program = replace_blocks(&rectified, per_pred_rules);
 
         // Non-recursive rules need no isolation: push rule-level residues
         // (the k = 1 case, e.g. Example 4.2's eval_support rule) directly,
@@ -216,11 +213,11 @@ impl Optimizer {
             .collect();
         let (program, _, rule_level_applied) = crate::baseline::rule_level_rewrite_with(
             &program,
-            &self.ics,
-            &self.config.policy,
+            &index,
+            policy,
             Some(&non_recursive),
         );
-        let program = if self.config.minimize {
+        let program = if config.minimize {
             crate::minimize::minimize_program(&program)
         } else {
             program
@@ -230,6 +227,7 @@ impl Optimizer {
             rectified,
             program,
             detections,
+            detect_stats: stats,
             chosen,
             applied,
             skipped,
@@ -240,7 +238,7 @@ impl Optimizer {
 
 /// Scores sequences by the optimizations their residues could drive and
 /// returns the best one (ties: shorter, then lexicographically smaller).
-fn choose_sequence(detections: &[&Detection], policy: &PushPolicy) -> Option<Vec<usize>> {
+pub fn choose_sequence(detections: &[&Detection], policy: &PushPolicy) -> Option<Vec<usize>> {
     let mut scores: BTreeMap<Vec<usize>, i64> = BTreeMap::new();
     for d in detections {
         let r = &d.residue;

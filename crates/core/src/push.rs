@@ -38,7 +38,6 @@
 //! * **subtree pruning** simply deletes the optimized chain — those trees
 //!   provably derive nothing.
 
-use crate::cleanup::remove_dead_rules;
 use crate::residue::{Residue, ResidueHead};
 use crate::sequence::Unfolding;
 use semrec_datalog::analysis::{safety, RecursionInfo};
@@ -49,7 +48,7 @@ use semrec_datalog::rule::Rule;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::Term;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The kind of optimization a residue induced.
@@ -421,21 +420,18 @@ impl<'a> Pusher<'a> {
         (&self.applied, &self.skipped)
     }
 
-    /// Emits the transformed program: strict chains (with all edits),
-    /// deviation chains, the remaining original rules, and every rule of
-    /// other predicates; then removes dead rules.
+    /// Emits the rules that replace the predicate's own: strict chains
+    /// (with all edits), deviation chains and the remaining original
+    /// rules. Rules of other predicates are not touched by a push and
+    /// not copied. Edits can leave rules that never fire;
+    /// [`IdbLiveness::clean_block`] removes them.
+    ///
+    /// [`IdbLiveness::clean_block`]: crate::cleanup::IdbLiveness::clean_block
     pub fn finish(self) -> PushResult {
         let p = self.info.pred;
         let seq = &self.unfolding.seq;
         let k = seq.len();
         let mut rules: Vec<Rule> = Vec::new();
-
-        // Rules of other predicates.
-        for r in &self.program.rules {
-            if r.head.pred != p {
-                rules.push(r.clone());
-            }
-        }
 
         // Strict chains.
         for (ci, chain) in self.chains.iter().enumerate() {
@@ -500,15 +496,8 @@ impl<'a> Pusher<'a> {
             }
         }
 
-        let program = Program::new(rules);
-        let roots: BTreeSet<Pred> = self.program.idb_preds();
-        // IDB-like: anything the original program defines plus every
-        // generated auxiliary predicate; everything else may hold EDB facts.
-        let mut idb_like = roots.clone();
-        idb_like.extend(program.idb_preds());
-        let program = remove_dead_rules(&program, &roots, &idb_like);
         PushResult {
-            program,
+            rules,
             applied: self.applied,
             skipped: self.skipped,
         }
@@ -540,12 +529,26 @@ impl<'a> Pusher<'a> {
 /// The result of a pushing session.
 #[derive(Clone, Debug)]
 pub struct PushResult {
-    /// The transformed, cleaned program.
-    pub program: Program,
+    /// The rules that replace the predicate's block — its own and the
+    /// `@`-named auxiliaries they use — before dead-rule cleanup.
+    pub rules: Vec<Rule>,
     /// Successfully pushed residues.
     pub applied: Vec<Applied>,
     /// Residues that could not be pushed.
     pub skipped: Vec<Skipped>,
+}
+
+/// `program` with the rules of each predicate in `blocks` replaced by the
+/// given ones: the untouched rules first, in order, then each block.
+pub fn replace_blocks(program: &Program, blocks: BTreeMap<Pred, Vec<Rule>>) -> Program {
+    let mut rules: Vec<Rule> = program
+        .rules
+        .iter()
+        .filter(|r| !blocks.contains_key(&r.head.pred))
+        .cloned()
+        .collect();
+    rules.extend(blocks.into_values().flatten());
+    Program::new(rules)
 }
 
 #[cfg(test)]
@@ -562,6 +565,12 @@ mod tests {
         let (p, _) = rectify(&unit.program());
         let info = classify_linear_pred(&p, Pred::new(pred)).unwrap();
         (p, info, unit.constraints)
+    }
+
+    /// The whole program after the push, cleaned as the optimizer does.
+    pub(super) fn spliced(p: &Program, info: &RecursionInfo, res: &PushResult) -> Program {
+        let rules = crate::cleanup::IdbLiveness::new(p).clean_block(info.pred, res.rules.clone());
+        replace_blocks(p, BTreeMap::from([(info.pred, rules)]))
     }
 
     /// Example 4.3: conditional pruning on the genealogy program.
@@ -587,11 +596,10 @@ mod tests {
         // The optimized strict chain is gone; a complement chain with the
         // negated condition remains.
         let has_negated = res
-            .program
             .rules
             .iter()
             .any(|r| r.body_cmps().any(|c| c.to_string() == "Ya > 50"));
-        assert!(has_negated, "program:\n{}", res.program);
+        assert!(has_negated, "rules: {:?}", res.rules);
     }
 
     /// Equivalence of the pushed program on an IC-satisfying database.
@@ -635,7 +643,7 @@ mod tests {
             assert!(db.satisfies(ic));
         }
         let base = evaluate(&db, &p, Strategy::SemiNaive).unwrap();
-        let opt = evaluate(&db, &res.program, Strategy::SemiNaive).unwrap();
+        let opt = evaluate(&db, &spliced(&p, &info, &res), Strategy::SemiNaive).unwrap();
         assert_eq!(
             base.relation("anc").unwrap().sorted_tuples(),
             opt.relation("anc").unwrap().sorted_tuples()
@@ -666,7 +674,6 @@ mod tests {
         // expert atoms across eval-rules — original had 1 per recursive
         // rule copy, the optimized strict chain drops one.
         let strict_level1 = res
-            .program
             .rules
             .iter()
             .find(|r| {
@@ -719,7 +726,7 @@ mod tests {
             assert!(db.satisfies(ic));
         }
         let base = evaluate(&db, &p, Strategy::SemiNaive).unwrap();
-        let opt = evaluate(&db, &res.program, Strategy::SemiNaive).unwrap();
+        let opt = evaluate(&db, &spliced(&p, &info, &res), Strategy::SemiNaive).unwrap();
         assert_eq!(
             base.relation("eval").unwrap().sorted_tuples(),
             opt.relation("eval").unwrap().sorted_tuples()
@@ -749,13 +756,11 @@ mod tests {
         assert_eq!(res.applied.len(), 1, "skipped: {:?}", res.skipped);
         assert_eq!(res.applied[0].kind, OptKind::AtomIntroduction);
         assert!(res
-            .program
             .rules
             .iter()
             .any(|r| r.body_atoms().any(|a| a.pred == Pred::new("doctoral"))));
         // And a complement rule with the negated condition exists.
         assert!(res
-            .program
             .rules
             .iter()
             .any(|r| r.body_cmps().any(|c| c.to_string() == "M <= 10000")));
@@ -786,6 +791,7 @@ mod tests {
 
 #[cfg(test)]
 mod skip_path_tests {
+    use super::tests::spliced;
     use super::*;
     use crate::detect::{detect, DetectionMethod};
     use crate::sequence::unfold;
@@ -899,11 +905,7 @@ mod skip_path_tests {
         let res = pusher.finish();
         assert_eq!(res.applied.len(), 1);
         // No strict-chain predicates remain — only deviation structure.
-        assert!(res
-            .program
-            .rules
-            .iter()
-            .all(|r| !r.head.pred.name().contains("@s")));
+        assert!(res.rules.iter().all(|r| !r.head.pred.name().contains("@s")));
 
         // Semantics on IC-consistent data (no 2-chains): equivalent.
         use semrec_engine::{evaluate, int_tuple, Database, Strategy};
@@ -916,7 +918,7 @@ mod skip_path_tests {
             assert!(db.satisfies(ic));
         }
         let x = evaluate(&db, &p, Strategy::SemiNaive).unwrap();
-        let y = evaluate(&db, &res.program, Strategy::SemiNaive).unwrap();
+        let y = evaluate(&db, &spliced(&p, &info, &res), Strategy::SemiNaive).unwrap();
         assert_eq!(
             x.relation("t").unwrap().sorted_tuples(),
             y.relation("t").unwrap().sorted_tuples()

@@ -13,4 +13,4 @@ pub use deps::DepGraph;
 pub use rectify::{rectify, HeadVars};
 pub use recursion::{classify_linear, classify_linear_pred, reachable_preds, RecursionInfo};
 pub use safety::{bindable_vars, check_program_safety, program_is_safe, unsafe_vars};
-pub use validate::validate;
+pub use validate::{check_arities, validate};

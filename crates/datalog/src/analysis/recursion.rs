@@ -9,7 +9,7 @@ use super::deps::DepGraph;
 use crate::atom::Pred;
 use crate::error::Error;
 use crate::program::Program;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Shape of a recursive predicate's definition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,9 +51,16 @@ pub fn classify_linear(program: &Program) -> Result<Vec<RecursionInfo>, Error> {
         }
     }
 
+    let mut rules_of: BTreeMap<Pred, Vec<usize>> = BTreeMap::new();
+    for (i, r) in program.rules.iter().enumerate() {
+        rules_of.entry(r.head.pred).or_default().push(i);
+    }
+
     let mut out = Vec::new();
-    for &p in &graph.preds {
-        if !graph.is_recursive(p) {
+    for (&p, rules) in &rules_of {
+        // Every SCC is a single predicate, so `p` is recursive exactly
+        // when it calls itself.
+        if !graph.succ(p).any(|q| q == p) {
             continue;
         }
         let mut info = RecursionInfo {
@@ -62,10 +69,8 @@ pub fn classify_linear(program: &Program) -> Result<Vec<RecursionInfo>, Error> {
             recursive_rules: vec![],
             exit_rules: vec![],
         };
-        for (i, r) in program.rules.iter().enumerate() {
-            if r.head.pred != p {
-                continue;
-            }
+        for &i in rules {
+            let r = &program.rules[i];
             let occurrences = r.body_atoms().filter(|a| a.pred == p).count();
             match occurrences {
                 0 => info.exit_rules.push(i),

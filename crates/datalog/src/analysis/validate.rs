@@ -7,9 +7,70 @@
 //!    the §3 chain shape.
 
 use super::{connect, recursion, safety};
+use crate::atom::{Atom, Pred};
 use crate::constraint::{Constraint, IcHead};
 use crate::error::Error;
 use crate::program::Program;
+use std::collections::BTreeMap;
+
+/// The diagnostic label of a constraint: its name, else its text.
+fn label(ic: &Constraint) -> String {
+    ic.name
+        .map(|n| n.as_str().to_owned())
+        .unwrap_or_else(|| ic.to_string())
+}
+
+/// Checks that every predicate has one arity across the rules, the
+/// constraints (body and head atoms) and the ground `facts`, and returns
+/// it. A constraint or fact atom that disagrees could never match a row,
+/// so it is an error naming the offender, not something to carry along.
+/// Predicates mentioned only by constraints are legal as long as the
+/// constraints agree among themselves.
+pub fn check_arities(
+    program: &Program,
+    ics: &[Constraint],
+    facts: &[Atom],
+) -> Result<BTreeMap<Pred, usize>, Error> {
+    let mut arities = program.arities().map_err(Error::analysis)?;
+    // For predicates no rule mentions: the constraint that fixed the arity.
+    let mut fixed_by: BTreeMap<Pred, &Constraint> = BTreeMap::new();
+    for ic in ics {
+        let head = match &ic.head {
+            IcHead::Atom(a) => Some(a),
+            _ => None,
+        };
+        for a in ic.body_atoms.iter().chain(head) {
+            let n = *arities.entry(a.pred).or_insert_with(|| {
+                fixed_by.insert(a.pred, ic);
+                a.arity()
+            });
+            if n != a.arity() {
+                let whose = match fixed_by.get(&a.pred) {
+                    Some(first) => format!("constraint {}", label(first)),
+                    None => "the program's rules".to_owned(),
+                };
+                return Err(Error::analysis(format!(
+                    "constraint {} uses {} with arity {}, but {} has arity {n} in {whose}",
+                    label(ic),
+                    a.pred,
+                    a.arity(),
+                    a.pred,
+                )));
+            }
+        }
+    }
+    for f in facts {
+        let n = *arities.entry(f.pred).or_insert(f.arity());
+        if n != f.arity() {
+            return Err(Error::analysis(format!(
+                "fact {f} has arity {}, but {} has arity {n} elsewhere in the source",
+                f.arity(),
+                f.pred
+            )));
+        }
+    }
+    Ok(arities)
+}
 
 /// Validates `program` and `ics` against the paper's assumption bundle.
 /// Returns the recursion classification on success.
@@ -17,7 +78,7 @@ pub fn validate(
     program: &Program,
     ics: &[Constraint],
 ) -> Result<Vec<recursion::RecursionInfo>, Error> {
-    program.arities().map_err(Error::analysis)?;
+    check_arities(program, ics, &[])?;
 
     for (i, r) in program.rules.iter().enumerate() {
         if r.body.iter().any(|l| l.as_neg().is_some()) {
@@ -42,10 +103,7 @@ pub fn validate(
 
     let idb = program.idb_preds();
     for ic in ics {
-        let label = ic
-            .name
-            .map(|n| n.as_str().to_owned())
-            .unwrap_or_else(|| ic.to_string());
+        let label = label(ic);
         if !connect::constraint_is_connected(ic) {
             return Err(Error::analysis(format!(
                 "constraint {label} is not connected"

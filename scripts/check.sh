@@ -9,11 +9,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-cargo test -q --offline
+# --workspace: the crates' own unit tests (the optimizer's detect, graph,
+# push and cleanup among them) live in the member packages; without it
+# only the root package's integration suites would run.
+cargo test -q --offline --workspace
 # Robustness suite: the deterministic fault-injection failpoints only
 # exist under this feature, so the agreement-or-typed-error property
 # (tests/fault_injection.rs) gets its own test leg.
-cargo test -q --offline --features failpoints
+cargo test -q --offline --workspace --features failpoints
 # Format gate: the whole workspace is rustfmt-clean; drift fails the
 # build before clippy ever runs.
 cargo fmt --check

@@ -52,9 +52,8 @@
 //! reflects the most severe serving error seen across the whole session
 //! (wal-corrupt > epoch-reclaimed > overloaded), or 0.
 
-use semrec::core::detect::{detect, DetectionMethod};
 use semrec::core::optimizer::{evaluate_governed, Optimizer, OptimizerConfig};
-use semrec::datalog::analysis::{classify_linear, rectify, validate};
+use semrec::datalog::analysis::{check_arities, classify_linear, validate};
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
 use semrec::datalog::Pred;
 use semrec::engine::magic::evaluate_query;
@@ -62,6 +61,7 @@ use semrec::engine::{
     evaluate, Budget, CancelToken, Database, EngineError, Route, Strategy, Tuning,
 };
 use semrec::serve::{serve_session, Connection, ServeConfig, ServeError, Server};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 /// A CLI failure, carrying enough type to pick the exit code.
@@ -261,9 +261,16 @@ fn need_path(args: &[String]) -> Result<&String, CliError> {
     args.first().ok_or_else(|| CliError::Usage(usage()))
 }
 
+/// Reads and parses `path`. Every predicate must have one arity across
+/// the file's rules, constraints and facts: loading a fact of another
+/// arity would panic in the relation store, and a constraint atom of
+/// another arity could never match a row.
 fn load(path: &str) -> Result<Unit, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    parse_unit(&src).map_err(|e| format!("{path}: {e}"))
+    let unit = parse_unit(&src).map_err(|e| format!("{path}: {e}"))?;
+    check_arities(&unit.program(), &unit.constraints, &unit.facts)
+        .map_err(|e| format!("{path}: {e}"))?;
+    Ok(unit)
 }
 
 fn small_preds(args: &[String]) -> Vec<Pred> {
@@ -618,44 +625,50 @@ fn render(p: Pred, t: &[semrec::datalog::Value]) -> String {
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
     let unit = load(path)?;
-    let program = unit.program();
-    let infos = validate(&program, &unit.constraints).map_err(|e| e.to_string())?;
-    let (rect, _) = rectify(&program);
+    let plan = build_plan(&unit, args)?;
+    let infos = classify_linear(&plan.rectified).map_err(|e| e.to_string())?;
     if infos.is_empty() {
         println!("no recursive predicates.");
     }
-    for info in validate(&rect, &unit.constraints).map_err(|e| e.to_string())? {
+    let mut residues: BTreeMap<Pred, Vec<&semrec::core::Residue>> = BTreeMap::new();
+    for (p, d) in &plan.detections {
+        residues.entry(*p).or_default().push(&d.residue);
+    }
+    for info in &infos {
         println!("recursive predicate {} (arity {}):", info.pred, info.arity);
         println!("  exit rules      {:?}", info.exit_rules);
         println!("  recursive rules {:?}", info.recursive_rules);
-        for ic in &unit.constraints {
-            let ds =
-                detect(&rect, &info, ic, DetectionMethod::SdGraph, 3).map_err(|e| e.to_string())?;
-            let label = ic
-                .name
-                .map(|n| n.as_str().to_owned())
-                .unwrap_or_else(|| "(unnamed)".into());
-            if ds.is_empty() {
-                println!("  ic {label}: no residues");
-            }
-            for d in ds {
-                let r = &d.residue;
-                println!(
-                    "  ic {label}: seq {:?}: {}  [{}{}{}]",
-                    r.seq,
-                    r,
-                    if r.is_null() { "null" } else { "fact" },
-                    if r.is_conditional() {
-                        ", conditional"
-                    } else {
-                        ""
-                    },
-                    if r.is_useful() { ", useful" } else { "" },
-                );
-            }
+        let Some(mine) = residues.get(&info.pred) else {
+            println!("  no residues");
+            continue;
+        };
+        for r in mine {
+            println!(
+                "  ic {}: seq {:?}: {}  [{}{}{}]",
+                r.ic.name.map_or("(unnamed)", |n| n.as_str()),
+                r.seq,
+                r,
+                if r.is_null() { "null" } else { "fact" },
+                if r.is_conditional() {
+                    ", conditional"
+                } else {
+                    ""
+                },
+                if r.is_useful() { ", useful" } else { "" },
+            );
         }
     }
-    explain_routing(&unit, args)
+    let s = &plan.detect_stats;
+    println!(
+        "compile: {} ICs, {} of {} pairs tried, {} SD-graphs, {} sequences verified, {} residues",
+        s.ics,
+        s.candidate_pairs,
+        infos.len() * s.ics,
+        s.graphs_built,
+        s.sequences_verified,
+        s.residues,
+    );
+    explain_routing(&unit, &plan, args)
 }
 
 /// The `semrec explain` routing section: prices every rewrite
@@ -663,9 +676,12 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
 /// prints the per-alternative estimates and the planner's choice, and
 /// with `--run` evaluates the chosen program to report actual
 /// cardinalities next to the prediction.
-fn explain_routing(unit: &Unit, args: &[String]) -> Result<(), CliError> {
+fn explain_routing(
+    unit: &Unit,
+    plan: &semrec::core::Plan,
+    args: &[String],
+) -> Result<(), CliError> {
     let program = unit.program();
-    let plan = build_plan(unit, args)?;
     let mut db = Database::from_facts(&unit.facts);
     if let Some(dir) = flag_value(args, "--data") {
         let n = semrec::engine::io::load_dir(&mut db, std::path::Path::new(dir))
@@ -675,7 +691,7 @@ fn explain_routing(unit: &Unit, args: &[String]) -> Result<(), CliError> {
     let goal = flag_value(args, "--query")
         .map(|q| parse_atom(q).map_err(|e| e.to_string()))
         .transpose()?;
-    let (alts, _) = semrec::core::route_alternatives(&program, &plan, goal.as_ref());
+    let (alts, _) = semrec::core::route_alternatives(&program, plan, goal.as_ref());
     let mut stats = semrec::engine::EdbStats::new();
     let memo = match semrec::engine::CostMemo::build(&db, &mut stats, alts) {
         Ok(m) => m,
@@ -939,8 +955,7 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
         }
         Err(e) => return Err(e.to_string().into()),
     }
-    // classify_linear double-checks; then verify IC satisfaction on facts.
-    classify_linear(&program).map_err(|e| e.to_string())?;
+    // Then verify IC satisfaction on the embedded facts.
     let db = Database::from_facts(&unit.facts);
     let mut violated = 0;
     for ic in &unit.constraints {

@@ -66,6 +66,61 @@ fn explain_lists_residues() {
     assert!(ok);
     assert!(out.contains("recursive predicate anc"));
     assert!(out.contains("null, conditional"));
+    // What detection cost, in exact work counts.
+    assert!(
+        out.contains(
+            "compile: 1 ICs, 1 of 1 pairs tried, 1 SD-graphs, 2 sequences verified, 2 residues"
+        ),
+        "{out}"
+    );
+}
+
+/// A constraint or fact whose arity disagrees with the rest of the file
+/// is an analysis error (exit 1) on every command that loads the file —
+/// not a nonsense violation report, a constraint silently carried along,
+/// or a panic in the relation store.
+#[test]
+fn arity_clashes_are_analysis_errors() {
+    let dir = std::env::temp_dir().join(format!("semrec-cli-arity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let rules = "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, Z), t(Z, Y).\ne(1, 2). e(2, 3).\n";
+    for (tail, says) in [
+        (
+            "ic ar: e(X) -> w(X, W).\n",
+            "constraint ar uses e with arity 1, but e has arity 2 in the program's rules",
+        ),
+        (
+            "ic c1: e(X, Y) -> w(X).\nic c2: e(X, Y) -> w(X, Y).\n",
+            "constraint c2 uses w with arity 2, but w has arity 1 in constraint c1",
+        ),
+        (
+            "e(4).\n",
+            "fact e(4) has arity 1, but e has arity 2 elsewhere",
+        ),
+        (
+            "ic c1: e(X, Y) -> w(X, Y).\nw(1).\n",
+            "fact w(1) has arity 1, but w has arity 2 elsewhere",
+        ),
+    ] {
+        let file = dir.join("prog.dl");
+        std::fs::write(&file, format!("{rules}{tail}")).unwrap();
+        let file = file.to_str().unwrap();
+        for cmd in ["check", "optimize", "run", "explain"] {
+            let out = output(&[cmd, file]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {tail:?}: {stderr}");
+            assert!(stderr.contains("analysis error"), "{cmd}: {stderr}");
+            assert!(stderr.contains(says), "{cmd} {tail:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{cmd} {tail:?}");
+        }
+    }
+    // Predicates only constraints mention stay legal.
+    let file = dir.join("prog.dl");
+    std::fs::write(&file, format!("{rules}ic: e(X, Y) -> w(Y, Z, 3).\n")).unwrap();
+    let out = output(&["optimize", file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! Seeded-loop rewrite of a former `proptest` suite (offline-build
 //! policy: no registry deps for `cargo test -q`).
 
+use semrec::datalog::analysis::{check_arities, validate};
 use semrec::datalog::parser::{parse_atom, parse_unit};
 use semrec::engine::{int_tuple, tx_to_stream, Tx, TxStreamEvent, TxStreamParser};
 use semrec::gen::rng::Rng;
@@ -224,4 +225,44 @@ fn stream_soup_rejects_typed_and_recovers() {
         ));
         let _ = (saw_reject, saw_commit);
     }
+}
+
+/// Syntactically fine, but a predicate with two arities: the parser
+/// accepts it, analysis rejects it with a typed error that names the
+/// offending constraint or fact.
+#[test]
+fn arity_clashes_are_typed_analysis_errors() {
+    let rules = "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).";
+    for (tail, says) in [
+        (
+            "ic ar: e(X) -> w(X, W).",
+            "analysis error: constraint ar uses e with arity 1, \
+             but e has arity 2 in the program's rules",
+        ),
+        (
+            "ic: e(X, Y) -> t(X).",
+            "analysis error: constraint ic: e(X, Y) -> t(X). uses t with arity 1, \
+             but t has arity 2 in the program's rules",
+        ),
+        (
+            "ic c1: g(X) -> h(X). ic c2: e(X, Y), g(X, Y) -> .",
+            "analysis error: constraint c2 uses g with arity 2, \
+             but g has arity 1 in constraint c1",
+        ),
+    ] {
+        let unit = parse_unit(&format!("{rules} {tail}")).expect("parses");
+        let err = validate(&unit.program(), &unit.constraints).unwrap_err();
+        assert_eq!(err.to_string(), says);
+    }
+    let unit = parse_unit(&format!("{rules} e(1, 2). e(3).")).expect("parses");
+    assert!(validate(&unit.program(), &unit.constraints).is_ok());
+    let err = check_arities(&unit.program(), &unit.constraints, &unit.facts).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "analysis error: fact e(3) has arity 1, but e has arity 2 elsewhere in the source"
+    );
+    // Constraint-only predicates are legal when the constraints agree.
+    let unit = parse_unit(&format!("{rules} ic: e(X, Y) -> w(Y, Z). w(1, 2).")).unwrap();
+    let arities = check_arities(&unit.program(), &unit.constraints, &unit.facts).unwrap();
+    assert_eq!(arities[&semrec::datalog::Pred::new("w")], 2);
 }

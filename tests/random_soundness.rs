@@ -5,57 +5,16 @@
 //! Seeded-loop rewrite of a former `proptest` suite (offline-build
 //! policy: no registry deps for `cargo test -q`).
 
+#[path = "common/compile.rs"]
+mod compile;
+
+use compile::FAMILIES;
 use semrec::core::optimizer::{Optimizer, OptimizerConfig};
 use semrec::datalog::parser::parse_unit;
 use semrec::datalog::{Pred, Value};
 use semrec::engine::{evaluate, Database, Strategy};
 use semrec::gen::repair::{repair, RepairOutcome};
 use semrec::gen::rng::Rng;
-
-/// (name, program+ics source, edb preds to fill with random binary data,
-/// small relations for introduction).
-const FAMILIES: &[(&str, &str, &[&str], &[&str])] = &[
-    (
-        "guarded_reach",
-        "reach(X, Y) :- edge(X, Y).
-         reach(X, Y) :- edge(X, Z), witness(Z, W), reach(Z, Y).
-         ic: edge(X, Z) -> witness(Z, W).",
-        &["edge", "witness"],
-        &[],
-    ),
-    (
-        "tc_transitive_base",
-        "t(X, Y) :- a(X, Y).
-         t(X, Y) :- a(X, Z), t(Z, Y).
-         ic: a(X, Y), a(Y, Z) -> a(X, Z).",
-        &["a"],
-        &[],
-    ),
-    (
-        "ordered_edges",
-        "up(X, Y) :- a(X, Y).
-         up(X, Y) :- a(X, Z), up(Z, Y).
-         ic: a(X, Y) -> X < Y.",
-        &["a"],
-        &[],
-    ),
-    (
-        "irreflexive",
-        "t(X, Y) :- a(X, Y).
-         t(X, Y) :- a(X, Z), t(Z, Y).
-         ic: a(X, X) -> .",
-        &["a"],
-        &[],
-    ),
-    (
-        "small_marker",
-        "path(X, Y) :- a(X, Y).
-         path(X, Y) :- a(X, Z), big(Z, W), path(Z, Y).
-         ic: a(X, Z), Z > 5 -> marked(Z).",
-        &["a", "big"],
-        &["marked"],
-    ),
-];
 
 #[test]
 fn optimizer_sound_on_repaired_random_data() {
