@@ -32,13 +32,22 @@ use std::time::{Duration, Instant};
 /// the `answer_cache` section, and the `batched_write` section; v3
 /// dropped the `threads` key (evaluation is single-threaded); v4 added
 /// the `socket_read` section (a real loopback listener beside the same
-/// requests in-process). Older artifacts are rejected.
-pub const SERVE_SCHEMA_VERSION: u64 = 4;
+/// requests in-process); v5 added `write.publish_bytes_per_commit`.
+/// Older artifacts are rejected.
+pub const SERVE_SCHEMA_VERSION: u64 = 5;
 
 /// The `--assert-serve-read` ceiling on the loopback round-trip median.
 /// A reply that waits for the client's delayed ACK takes ≥ 40 ms; a
 /// healthy round trip of this size measures under 1 ms.
 pub const SOCKET_READ_P50_MAX_US: f64 = 5_000.0;
+
+/// The `--assert-serve-read` ceiling on the bytes one two-fact insert
+/// commit may copy on behalf of publication, at the median. A commit of
+/// the write leg appends one row per chain node and publishes
+/// watermarks: what it copies is the index entries of those rows (8
+/// bytes each). A per-commit clone of the relation copies megabytes
+/// even at `--quick` sizes, where the clock cannot see it.
+pub const PUBLISH_BYTES_PER_COMMIT_MAX: f64 = 64.0 * 1024.0;
 
 /// One timed section's latency digest, microseconds.
 #[derive(Clone, Copy, Debug, Default)]
@@ -64,6 +73,12 @@ pub struct ServeBenchResult {
     /// Commit latency/throughput on the writer path (WAL off: the run
     /// measures the apply+publish pipeline, not this box's fsync).
     pub write: LatencyDigest,
+    /// Median over the write leg's commits of the bytes copied on
+    /// behalf of publication (`ServerStats::publish_bytes`: tombstone
+    /// words, rows moved out of a shared allocation, index extension —
+    /// the last forced by one untimed bound read per commit). A count,
+    /// not a timing; the median leaves out the amortized growth copies.
+    pub publish_bytes_per_commit: f64,
     /// Bound-goal reads through the dictionary-probe path (no cache,
     /// cycling distinct goals so every read computes its answer).
     pub read_indexed: LatencyDigest,
@@ -167,19 +182,28 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     }
     result.read = digest(samples, started.elapsed());
 
-    // Phase 2: writer commit latency (witnessed edge appends).
+    // Phase 2: writer commit latency (witnessed edge appends), and what
+    // each commit's publication copied. The first bound read of a new
+    // epoch extends the index it inherited; that belongs to the count
+    // (not to the commit's clock), so one follows every commit.
     let mut samples = Vec::with_capacity(commits);
+    let mut copied = Vec::with_capacity(commits);
     let started = Instant::now();
     for i in 0..commits {
         let next = (chain + i + 1) as i64;
         let mut tx = Tx::new();
         tx.insert("edge", int_tuple(&[next - 1, next]));
         tx.insert("witness", int_tuple(&[next, 10_000 + next]));
+        let before = server.stats().publish_bytes;
         let t = Instant::now();
         server.commit(&tx).expect("bench commit");
         samples.push(t.elapsed().as_secs_f64() * 1e6);
+        server.query(&goal, None, None).expect("post-commit read");
+        copied.push((server.stats().publish_bytes - before) as f64);
     }
     result.write = digest(samples, started.elapsed());
+    copied.sort_by(|a, b| a.partial_cmp(b).expect("finite counts"));
+    result.publish_bytes_per_commit = copied[copied.len() / 2];
 
     // Phase 2b: indexed vs scan bound-goal reads, both without the
     // answer cache and cycling distinct goals, so every read computes
@@ -216,7 +240,7 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
         let state = indexed.registry().pin(None).expect("pin latest");
         let rel = state.relation(goals[i].pred).expect("reach is published");
         let mut tuples: Vec<Tuple> = rel
-            .iter_range(rel.snapshot_rows())
+            .iter()
             .filter(|(_, row)| goal_matches(&goals[i], row))
             .map(|(_, row)| row.to_vec())
             .collect();
@@ -227,7 +251,7 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     result.read_scan = digest(samples, started.elapsed());
 
     // Phase 2c: the answer cache on a repeated goal — one miss computes,
-    // everything after is a generation-keyed hit.
+    // everything after is a stamp-keyed hit.
     let (cached, _) = Server::open(&unit, ServeConfig::default(), None).expect("cache open");
     let mut samples = Vec::with_capacity(reads);
     let started = Instant::now();
@@ -307,17 +331,17 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     result.socket_read = digest(samples, started.elapsed());
 
     // Phase 2d: group-commit throughput. Disjoint two-node fragments
-    // keep the deltas small and the monitored IC satisfied, so the
-    // per-commit cost is dominated by the COW epoch publication — the
-    // exact cost batching amortizes. One fresh server commits the whole
-    // transaction set serially (the like-for-like baseline); a second
-    // takes the same set from concurrent writers whose transactions the
-    // leader sweeps into shared maintenance passes (one fsync window,
-    // one publish each).
+    // keep the deltas small and the monitored IC satisfied. One fresh
+    // server commits the whole transaction set serially (the
+    // like-for-like baseline); a second takes the same set from
+    // concurrent writers whose transactions the leader sweeps into
+    // shared maintenance passes (one fsync window, one publish each).
     // Batch size is capped by writer concurrency (each writer has one
     // outstanding commit), so 8 writers give the leader up to 8-tx
-    // sweeps; the publication cost they share is what the speedup
-    // measures.
+    // sweeps. The leg was built when a per-commit clone of the
+    // materialization was the cost a batch shared; with O(delta)
+    // publication and no WAL here, what it measures is the queue's own
+    // overhead against an 11 us serial commit.
     let writers = 8usize;
     let per_writer = (commits / writers).max(1);
     let fragment_tx = |w: usize, k: usize| {
@@ -465,7 +489,15 @@ pub fn serve_to_json(r: &ServeBenchResult) -> String {
         let _ = writeln!(s, "\n  }},");
     };
     section(&mut s, "read", &r.read, &[]);
-    section(&mut s, "write", &r.write, &[]);
+    section(
+        &mut s,
+        "write",
+        &r.write,
+        &[(
+            "publish_bytes_per_commit",
+            format!("{:.0}", r.publish_bytes_per_commit),
+        )],
+    );
     section(&mut s, "read_indexed", &r.read_indexed, &[]);
     section(&mut s, "read_scan", &r.read_scan, &[]);
     section(
@@ -518,8 +550,12 @@ pub fn serve_table(r: &ServeBenchResult) -> String {
     );
     let _ = writeln!(
         s,
-        "  write  p50 {:>8.1}us  p99 {:>8.1}us  {:>10.1}/s  ({} samples)",
-        r.write.p50_us, r.write.p99_us, r.write.per_sec, r.write.count
+        "  write  p50 {:>8.1}us  p99 {:>8.1}us  {:>10.1}/s  ({} samples, {:.0} B copied to publish)",
+        r.write.p50_us,
+        r.write.p99_us,
+        r.write.per_sec,
+        r.write.count,
+        r.publish_bytes_per_commit
     );
     let _ = writeln!(
         s,
@@ -619,6 +655,14 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
         }
     }
     if doc
+        .get("write")
+        .and_then(|o| o.get("publish_bytes_per_commit"))
+        .and_then(Json::as_num)
+        .is_none()
+    {
+        return Err("BENCH_serve.json is missing `write.publish_bytes_per_commit`".to_string());
+    }
+    if doc
         .get("answer_cache")
         .and_then(|o| o.get("hit_rate"))
         .and_then(Json::as_num)
@@ -678,9 +722,11 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
 /// The `--assert-serve-read` CI gate: on a fresh (quick) run, the
 /// indexed bound-goal read path must come in at ≤ 20% of the scan
 /// path's median, the repeated-goal leg must hit the answer cache at
-/// least 90% of the time, and a loopback round trip must take at most
+/// least 90% of the time, a loopback round trip must take at most
 /// [`SOCKET_READ_P50_MAX_US`] at the median — a reply split over small
-/// writes that waits for a delayed ACK fails that by a factor of eight.
+/// writes that waits for a delayed ACK fails that by a factor of eight
+/// — and a two-fact insert commit must copy at most
+/// [`PUBLISH_BYTES_PER_COMMIT_MAX`] bytes to publish, at the median.
 /// Returns the one-line verdict on success.
 pub fn check_serve_read(r: &ServeBenchResult) -> Result<String, String> {
     if r.read_indexed.count == 0 || r.read_scan.count == 0 {
@@ -710,15 +756,25 @@ pub fn check_serve_read(r: &ServeBenchResult) -> Result<String, String> {
             r.socket_read.p50_us, r.socket_read.count, r.socket_in_process_p50_us
         ));
     }
+    if r.write.count == 0 || r.publish_bytes_per_commit > PUBLISH_BYTES_PER_COMMIT_MAX {
+        return Err(format!(
+            "serve read gate: publication copied {:.0} bytes per two-fact commit at the \
+             median over {} commits (must be <= {PUBLISH_BYTES_PER_COMMIT_MAX:.0}: a snapshot \
+             is a watermark, not a clone)",
+            r.publish_bytes_per_commit, r.write.count
+        ));
+    }
     Ok(format!(
         "serve read gate: indexed p50 {:.1}us = {:.1}% of scan p50 {:.1}us, \
-         cache hit rate {:.1}%, socket p50 {:.1}us (in-process {:.1}us)",
+         cache hit rate {:.1}%, socket p50 {:.1}us (in-process {:.1}us), \
+         {:.0} B copied per publish",
         r.read_indexed.p50_us,
         ratio * 100.0,
         r.read_scan.p50_us,
         r.cache_hit_rate * 100.0,
         r.socket_read.p50_us,
-        r.socket_in_process_p50_us
+        r.socket_in_process_p50_us,
+        r.publish_bytes_per_commit
     ))
 }
 
@@ -730,6 +786,12 @@ mod tests {
     fn quick_bench_emits_a_self_validating_artifact() {
         let r = run_serve_bench(true);
         assert!(r.read.count > 0 && r.write.count > 0);
+        assert!(
+            r.publish_bytes_per_commit > 0.0
+                && r.publish_bytes_per_commit <= PUBLISH_BYTES_PER_COMMIT_MAX,
+            "{} B copied per publish",
+            r.publish_bytes_per_commit
+        );
         assert!(r.read_indexed.count > 0 && r.read_scan.count > 0);
         assert!(r.cache_read.count > 0);
         assert!(r.socket_read.count > 0 && r.socket_in_process_p50_us > 0.0);
@@ -745,9 +807,9 @@ mod tests {
     fn stale_or_mangled_artifacts_are_rejected() {
         assert!(check_serve_baseline("{}").is_err());
         assert!(check_serve_baseline("{\"schema_version\": 0}").is_err());
-        let v3 = check_serve_baseline("{\"schema_version\": 3}")
-            .expect_err("v3 artifacts have no `socket_read` section");
-        assert!(v3.contains("stale"));
+        let v4 = check_serve_baseline("{\"schema_version\": 4}")
+            .expect_err("v4 artifacts have no `write.publish_bytes_per_commit`");
+        assert!(v4.contains("stale"));
         let r = ServeBenchResult {
             overloaded: 0,
             ..ServeBenchResult::default()
@@ -776,9 +838,21 @@ mod tests {
                 p50_us: 400.0,
                 ..LatencyDigest::default()
             },
+            write: LatencyDigest {
+                count: 10,
+                ..LatencyDigest::default()
+            },
+            publish_bytes_per_commit: 2_400.0,
             ..ServeBenchResult::default()
         };
         assert!(check_serve_read(&good).is_ok());
+        let cloning = ServeBenchResult {
+            publish_bytes_per_commit: 1_400_000.0,
+            ..good.clone()
+        };
+        assert!(check_serve_read(&cloning)
+            .expect_err("a clone per commit")
+            .contains("watermark"));
         let stalled = ServeBenchResult {
             socket_read: LatencyDigest {
                 count: 10,

@@ -622,13 +622,13 @@ impl MaintainedQuery {
     }
 
     /// Answers to a goal atom over the active materialization. Bound
-    /// goal arguments probe the relation's dictionary index
-    /// ([`answer_goal`]) instead of filtering a full scan.
+    /// goal arguments probe a dictionary index ([`answer_goal`] on an
+    /// O(1) snapshot of the relation) instead of filtering a full scan.
     pub fn answers(&self, goal: &Atom) -> Vec<Tuple> {
         let Some(rel) = self.active.relation(goal.pred) else {
             return Vec::new();
         };
-        answer_goal(rel, goal, rel.all_rows())
+        answer_goal(&rel.snapshot(), goal)
     }
 }
 

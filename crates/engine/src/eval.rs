@@ -26,7 +26,7 @@ use crate::plan::{
 };
 #[cfg(doc)]
 use crate::plan::{KernelCompute, MAX_KERNEL_COMPUTES};
-use crate::relation::{CodeMap, ProbeHandle, Relation, RowRange, Tuple};
+use crate::relation::{CodeMap, ProbeHandle, Relation, RowRange, Snapshot, Tuple};
 use crate::stats::Stats;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::program::Program;
@@ -91,13 +91,13 @@ impl EvalResult {
 
     /// Answers to a goal atom: tuples of the goal predicate matching the
     /// goal's constants (and repeated-variable equalities). Bound goal
-    /// arguments route through the relation's dictionary index
-    /// ([`answer_goal`]) instead of filtering a full scan.
+    /// arguments route through a dictionary index ([`answer_goal`] on
+    /// an O(1) [`Relation::snapshot`]) instead of filtering a full scan.
     pub fn answers(&self, goal: &Atom) -> Vec<Tuple> {
         let Some(rel) = self.idb.get(&goal.pred) else {
             return Vec::new();
         };
-        answer_goal(rel, goal, rel.all_rows())
+        answer_goal(&rel.snapshot(), goal)
     }
 }
 
@@ -184,16 +184,16 @@ pub fn goal_bindings(goal: &Atom) -> GoalBindings {
 /// walking rows (scan fallback and large probe groups alike).
 const ANSWER_POLL_EVERY: usize = 1024;
 
-/// Walks the rows of `rel` within `range` that answer `goal`, handing
-/// each physical row id to `emit`, routing bound arguments through the
-/// dictionary index instead of scanning:
+/// Walks the rows of `snap` that answer `goal`, handing each physical
+/// row id to `emit`, routing bound arguments through the dictionary
+/// index instead of scanning:
 ///
-/// * **some arguments bound** — one [`Relation::probe_into`] on the
-///   bound columns (building the index on first use; later queries pay
-///   one dictionary lookup plus the matching row group), residual
-///   repeated-variable equalities verified per hit;
-/// * **all arguments bound** — a dedup-table membership test, no index
-///   at all;
+/// * **some arguments bound** — one [`Snapshot::probe_into`] on the
+///   bound columns (building or extending the lineage's index on first
+///   use; later queries pay one dictionary lookup plus the matching row
+///   group), residual repeated-variable equalities verified per hit;
+/// * **all arguments bound** — [`Snapshot::find`]: an index probe plus a
+///   row comparison (a snapshot carries no membership table);
 /// * **all free** — the scan fallback, filtering only when repeated
 ///   variables demand it.
 ///
@@ -203,27 +203,26 @@ const ANSWER_POLL_EVERY: usize = 1024;
 /// error aborts the answer (the serving daemon maps this onto its
 /// cancellation and deadline checks).
 fn for_each_answer_row<E>(
-    rel: &Relation,
+    snap: &Snapshot,
     goal: &Atom,
-    range: RowRange,
     mut poll: impl FnMut(usize) -> Result<(), E>,
     mut emit: impl FnMut(u32),
 ) -> Result<(), E> {
-    if goal.args.len() != rel.arity() {
+    if goal.args.len() != snap.arity() {
         return Ok(());
     }
     let b = goal_bindings(goal);
     // All bound: the goal names one exact tuple (no variables, so no
     // residual equalities are possible).
-    if !b.cols.is_empty() && b.cols.len() == rel.arity() {
-        if let Some(r) = rel.find_in_range(&b.key, hash_slice(&b.key), range) {
+    if !b.cols.is_empty() && b.cols.len() == snap.arity() {
+        if let Some(r) = snap.find(&b.key) {
             emit(r);
         }
         return Ok(());
     }
     if b.all_free() {
         // Scan fallback: nothing for an index to grab.
-        for (i, (r, row)) in rel.iter_range(range).enumerate() {
+        for (i, (r, row)) in snap.iter().enumerate() {
             if i % ANSWER_POLL_EVERY == 0 {
                 poll(i)?;
             }
@@ -234,56 +233,55 @@ fn for_each_answer_row<E>(
         return Ok(());
     }
     // Bound columns: one dictionary probe; group rows already match the
-    // key, so only range/tombstone filtering (done by probe_into) and
-    // residual equalities remain.
+    // key, so only watermark/tombstone filtering (done by probe_into)
+    // and residual equalities remain.
     let mut rows = Vec::new();
-    rel.probe_into(&b.cols, &b.key, range, &mut rows);
+    snap.probe_into(&b.cols, &b.key, &mut rows);
     for (i, &r) in rows.iter().enumerate() {
         if i % ANSWER_POLL_EVERY == 0 {
             poll(i)?;
         }
-        if !b.residual || goal_matches(goal, rel.row(r)) {
+        if !b.residual || goal_matches(goal, snap.row(r)) {
             emit(r);
         }
     }
     Ok(())
 }
 
-/// Answers a goal atom against one relation as materialized tuples, one
-/// pass over the rows [`for_each_answer_row`] selects (see there for
-/// the routing, the order and the `poll` contract).
+/// Answers a goal atom against one relation state as materialized
+/// tuples, one pass over the rows [`for_each_answer_row`] selects (see
+/// there for the routing, the order and the `poll` contract).
 pub fn answer_goal_polled<E>(
-    rel: &Relation,
+    snap: &Snapshot,
     goal: &Atom,
-    range: RowRange,
     poll: impl FnMut(usize) -> Result<(), E>,
 ) -> Result<Vec<Tuple>, E> {
     let mut out = Vec::new();
-    for_each_answer_row(rel, goal, range, poll, |r| out.push(rel.row(r).to_vec()))?;
+    for_each_answer_row(snap, goal, poll, |r| out.push(snap.row(r).to_vec()))?;
     Ok(out)
 }
 
 /// [`answer_goal_polled`] without the copies: the answer as physical
-/// row ids into `rel`, in the same order. An id is only meaningful
+/// row ids into `snap`, in the same order. An id is only meaningful
 /// against the relation state it was read from — the serving daemon
-/// keeps ids beside the frozen `Arc<Relation>` they index and keys its
-/// cache by that relation's publication stamp.
+/// keeps ids beside the `Arc<Snapshot>` they index and keys its cache
+/// by that snapshot's stamp.
 pub fn answer_goal_rows_polled<E>(
-    rel: &Relation,
+    snap: &Snapshot,
     goal: &Atom,
-    range: RowRange,
     poll: impl FnMut(usize) -> Result<(), E>,
 ) -> Result<Vec<u32>, E> {
     let mut out = Vec::new();
-    for_each_answer_row(rel, goal, range, poll, |r| out.push(r))?;
+    for_each_answer_row(snap, goal, poll, |r| out.push(r))?;
     Ok(out)
 }
 
 /// [`answer_goal_polled`] without interruption: the shared goal-answering
 /// entry point for one-shot evaluation, magic-sets answer extraction,
-/// and maintained queries.
-pub fn answer_goal(rel: &Relation, goal: &Atom, range: RowRange) -> Vec<Tuple> {
-    match answer_goal_polled::<std::convert::Infallible>(rel, goal, range, |_| Ok(())) {
+/// and maintained queries, which take their O(1) [`Relation::snapshot`]
+/// at the call.
+pub fn answer_goal(snap: &Snapshot, goal: &Atom) -> Vec<Tuple> {
+    match answer_goal_polled::<std::convert::Infallible>(snap, goal, |_| Ok(())) {
         Ok(v) => v,
         Err(e) => match e {},
     }

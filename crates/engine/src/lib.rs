@@ -12,6 +12,7 @@
 
 #![warn(missing_docs)]
 
+mod append_buf;
 pub mod builtins;
 pub mod cost;
 pub mod database;
@@ -46,5 +47,5 @@ pub use incr::{
     tx_to_stream, Materialized, Tx, TxDelta, TxStreamError, TxStreamEvent, TxStreamParser,
     UpdateStats,
 };
-pub use relation::{CodeMap, Relation, RowRange, Tuple};
+pub use relation::{CodeMap, Relation, RowRange, Snapshot, Tuple};
 pub use stats::Stats;

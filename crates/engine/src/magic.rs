@@ -344,7 +344,7 @@ pub fn evaluate_query(
     let result = evaluate(db, &magic.program, strategy)?;
     let mut answers: Vec<Tuple> = result
         .relation(magic.answer_pred)
-        .map(|rel| answer_goal(rel, goal, rel.all_rows()))
+        .map(|rel| answer_goal(&rel.snapshot(), goal))
         .unwrap_or_default();
     answers.sort();
     answers.dedup();

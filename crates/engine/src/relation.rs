@@ -1,15 +1,16 @@
 //! Append-only relations over *flat columnar storage* with lazily built,
-//! incrementally extended hash indexes on column subsets.
+//! incrementally extended hash indexes on column subsets — and the
+//! read-only [`Snapshot`]s the serving layer publishes of them.
 //!
-//! Rows live in one contiguous `Vec<Value>` with an arity stride: row `r`
-//! is the slice `data[r * arity .. (r + 1) * arity]`. `Value` is a 16-byte
-//! `Copy` enum, so appending a row is a bulk copy into the flat buffer and
-//! reading one is slicing — no per-tuple heap allocation anywhere on the
-//! fixpoint hot path. Dedup is a flat fingerprinted open-addressing
-//! table over precomputed FxHash (see [`crate::fxhash`]) and the column
-//! indexes dictionary-encode key groups as dense row-id runs; both
-//! verify candidates by comparing the flat slices, so they never own
-//! key vectors either.
+//! Rows live in one contiguous buffer of `Value`s with an arity stride:
+//! row `r` is the slice `data[r * arity .. (r + 1) * arity]`. `Value` is a
+//! 16-byte `Copy` enum, so appending a row is a bulk copy into the flat
+//! buffer and reading one is slicing — no per-tuple heap allocation
+//! anywhere on the fixpoint hot path. Dedup is a flat fingerprinted
+//! open-addressing table over precomputed FxHash (see [`crate::fxhash`])
+//! and the column indexes dictionary-encode key groups as dense row-id
+//! runs; both verify candidates by comparing the flat slices, so they
+//! never own key vectors either.
 //!
 //! Rows are never *moved*, which makes semi-naive evaluation's
 //! old/delta/total views simple row-id ranges: `old = [0, watermark)`,
@@ -21,10 +22,42 @@
 //! reclaim tombstones; the evaluator itself only ever sees compacted
 //! (tombstone-free) relations, so its range views never straddle a
 //! dead row.
+//!
+//! ## Snapshots: a watermark, not a copy
+//!
+//! The same monotonicity makes a consistent read-only view of a
+//! relation nearly free. The row buffer (and the row-hash column) is a
+//! shared append-only allocation (`append_buf`, the one module
+//! holding this storage's `unsafe`): the relation is its single writer
+//! and appends past every reader's length, so a [`Snapshot`] is the
+//! allocation's `Arc`, a row watermark, a copy of the tombstone words
+//! (none between compactions on an insert-only history) and the
+//! relation's [stamp](Relation::stamp) — taken in O(1), with no
+//! membership table and no reservation state. [`Relation::clone`]
+//! shares the rows the same way and copies them only if the clone
+//! appends.
+//!
+//! What names a state is the **stamp** `(incarnation, generation)`. The
+//! *incarnation* is a process-unique id of one append history of row
+//! ids: minted by [`Relation::new`], re-minted whenever row ids stop
+//! meaning what they meant ([`Relation::compact`],
+//! [`Relation::truncate`], a clone's first append), inherited by
+//! [`Relation::clone`]. The *generation* counts content changes within
+//! it. Snapshots of one incarnation share one **index lineage**: the
+//! dictionary indexes built by readers of an older snapshot are
+//! inherited by [`Relation::snapshot_after`] and merely *extended* by
+//! the appended rows on the next probe — an index may be ahead of the
+//! snapshot probing it, which filters by its own watermark and
+//! tombstones as every probe always has. A new incarnation starts a
+//! fresh lineage. The writer's own index cache is never shared: a
+//! [`ProbeHandle`] into it is a raw pointer whose contract forbids
+//! concurrent extension.
 
+use crate::append_buf::AppendBuf;
 use crate::fxhash::{hash_slice, FxHashMap};
 use semrec_datalog::term::Value;
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
 /// An owned database tuple (boundary type: results, test fixtures, I/O).
 /// Inside the engine rows are `&[Value]` slices of the flat store.
@@ -336,7 +369,78 @@ struct ColumnIndex {
     built: usize,
 }
 
+/// The lazily built index cache of one relation (or of one snapshot
+/// lineage): a dictionary index per probed column subset.
+type IndexMap = FxHashMap<Vec<usize>, Box<ColumnIndex>>;
+
+/// The index on `cols` in `indexes`, created empty on first use.
+fn entry_index<'a>(indexes: &'a mut IndexMap, cols: &[usize]) -> &'a mut ColumnIndex {
+    indexes.entry(cols.to_vec()).or_insert_with(|| {
+        Box::new(ColumnIndex {
+            cols: cols.to_vec(),
+            map: CodeMap::default(),
+            keys: Vec::new(),
+            groups: Vec::new(),
+            row_codes: Vec::new(),
+            built: 0,
+        })
+    })
+}
+
 impl ColumnIndex {
+    /// Dictionary-encodes rows `[built, nrows)` of the flat store `data`
+    /// (`arity` values per row), in row order — so every group lists its
+    /// row ids ascending. No-op when the index already covers `nrows`.
+    /// Returns the bytes of index entries it appended: a code and a
+    /// group slot per row, a key tuple, group header and map slot per
+    /// new distinct key.
+    fn extend(&mut self, data: &[Value], arity: usize, nrows: usize) -> usize {
+        let (rows, codes) = (nrows.saturating_sub(self.built), self.groups.len());
+        let mut key: Vec<Value> = Vec::with_capacity(self.cols.len());
+        for r in self.built..nrows {
+            let row = &data[r * arity..(r + 1) * arity];
+            key.clear();
+            key.extend(self.cols.iter().map(|&c| row[c]));
+            let code = self.encode_or_insert(hash_slice(&key), &key);
+            self.groups[code as usize].push(r as u32);
+            self.row_codes.push(code);
+        }
+        self.built = self.built.max(nrows);
+        let per_key = std::mem::size_of::<Value>() * self.cols.len()
+            + std::mem::size_of::<Vec<u32>>()
+            + std::mem::size_of::<u64>();
+        rows * 2 * std::mem::size_of::<u32>() + (self.groups.len() - codes) * per_key
+    }
+
+    /// Appends to `out` the rows filed under `key` that `visible` lets
+    /// through (range and tombstone filtering is the prober's: an index
+    /// lists physical rows, dead and beyond-the-watermark ones included).
+    fn hits_into(&self, key: &[Value], visible: impl Fn(u32) -> bool, out: &mut Vec<u32>) {
+        if let Some(code) = self.encode(hash_slice(key), key) {
+            out.extend(
+                self.groups[code as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&r| visible(r)),
+            );
+        }
+    }
+
+    /// Heap bytes held: the flat hash → code slot array, the
+    /// distinct-key store, per-code group headers and their row ids,
+    /// and the dense per-row code column.
+    fn heap_bytes(&self) -> usize {
+        self.map.heap_bytes()
+            + self.keys.capacity() * std::mem::size_of::<Value>()
+            + self.groups.capacity() * std::mem::size_of::<Vec<u32>>()
+            + self
+                .groups
+                .iter()
+                .map(|g| g.capacity() * std::mem::size_of::<u32>())
+                .sum::<usize>()
+            + self.row_codes.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// The key tuple code `c` encodes.
     #[inline]
     fn key_of(&self, c: u32) -> &[Value] {
@@ -481,17 +585,91 @@ impl KeyDistribution {
     }
 }
 
+/// The tombstone bitset over physical rows, one bit per row, lazily
+/// allocated on first delete: no words ⇔ no row was deleted since the
+/// last compaction. A relation owns one and a snapshot carries a copy —
+/// the only per-snapshot state that is not shared.
+#[derive(Clone, Debug, Default)]
+struct Tombstones {
+    words: Vec<u64>,
+    /// Number of set bits in `words`.
+    count: usize,
+}
+
+impl Tombstones {
+    /// True if physical row `r` is tombstoned.
+    #[inline]
+    fn is_dead(&self, r: u32) -> bool {
+        self.count != 0
+            && self
+                .words
+                .get(r as usize / 64)
+                .is_some_and(|w| w & (1u64 << (r as usize % 64)) != 0)
+    }
+
+    /// Tombstones live row `r` of a store holding `nrows` rows.
+    fn set(&mut self, r: usize, nrows: usize) {
+        if self.words.len() * 64 < nrows {
+            self.words.resize(nrows.div_ceil(64), 0);
+        }
+        self.words[r / 64] |= 1u64 << (r % 64);
+        self.count += 1;
+    }
+
+    /// Forgets every bit for rows `keep` and above.
+    fn truncate(&mut self, keep: usize) {
+        self.words.truncate(keep.div_ceil(64));
+        if !keep.is_multiple_of(64) {
+            if let Some(last) = self.words.last_mut() {
+                *last &= (1u64 << (keep % 64)) - 1;
+            }
+        }
+        self.count = self.popcount();
+    }
+
+    fn popcount(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// Prefetches the cache line holding `data[i]`, if in bounds. Purely a
+/// hint; no-op off x86-64.
+#[inline]
+fn prefetch_value(data: &[Value], i: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if i < data.len() {
+        // SAFETY: `i` is in bounds; prefetch reads no memory
+        // architecturally.
+        unsafe {
+            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
+                data.as_ptr().add(i) as *const i8,
+            );
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (data, i);
+}
+
+/// A fresh storage-incarnation id: process-unique, never reused.
+fn mint_incarnation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // Relaxed: the id publishes nothing; it only has to be unique.
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// An append-only relation of fixed arity with set semantics over flat
 /// columnar storage.
 ///
-/// The lazy index cache sits behind a `std::sync::RwLock`, so the serving
-/// daemon's reader threads can build and probe indexes on a shared
-/// `&Relation` snapshot.
+/// This is the *writer's* type: it owns the membership table, the
+/// reservation state and a private index cache (behind a `RwLock` only
+/// so that probes can build indexes through `&self`). Concurrent
+/// readers get a [`Snapshot`].
 #[derive(Debug)]
 pub struct Relation {
     arity: usize,
-    /// Flat row storage, `nrows * arity` values.
-    data: Vec<Value>,
+    /// Flat row storage, `nrows * arity` values, shared with snapshots
+    /// and clones (see the module docs).
+    data: AppendBuf<Value>,
     nrows: usize,
     /// Membership table over live rows (set semantics): flat
     /// open-addressing row-id slots, probed from the row-content hash.
@@ -499,13 +677,9 @@ pub struct Relation {
     /// Per physical row: its content hash, parallel to the flat store.
     /// Lets table probes verify candidates — and the table grow — without
     /// rehashing row values.
-    row_hash: Vec<u64>,
-    /// Tombstone bitset over physical rows, one bit per row, lazily
-    /// allocated on first delete. Empty ⇔ no row was ever deleted since
-    /// the last compaction.
-    dead: Vec<u64>,
-    /// Number of set bits in `dead`.
-    ndead: usize,
+    row_hash: AppendBuf<u64>,
+    /// Tombstones of rows deleted since the last compaction.
+    dead: Tombstones,
     /// Learned fraction of derived rows that survive dedup, an EWMA over
     /// drain rounds (see [`Relation::reserve_for_derived`]). Starts at
     /// 1.0 — assume everything is new until a round proves otherwise —
@@ -526,17 +700,15 @@ pub struct Relation {
     /// live tuple set (insert, delete, truncate, compact, bulk commit).
     /// Unlike [`Relation::physical_rows`] — which a truncate-then-insert
     /// sequence can return to its old value — two observations of an
-    /// equal generation guarantee the relation content is unchanged, so
-    /// generation stamps are what the kernel memos and the serving
-    /// layer's copy-on-write snapshots key change detection on.
+    /// equal generation *on one relation object* guarantee its content
+    /// is unchanged, which is what the kernel memos key on. Across
+    /// objects it means nothing by itself: see [`Relation::stamp`].
     generation: u64,
-    /// Snapshot publication mark: `(epoch, row watermark)` recorded by
-    /// [`Relation::publish_epoch`]. Rows below the watermark are the
-    /// immutable per-epoch view readers iterate via
-    /// [`Relation::snapshot_rows`]; `None` means never published (the
-    /// snapshot view is then the full live relation).
-    published: Option<(u64, u32)>,
-    indexes: RwLock<FxHashMap<Vec<usize>, Box<ColumnIndex>>>,
+    /// Which append history of row ids this is (module docs): minted
+    /// here and by every operation after which a row id may name other
+    /// content than before, inherited by `clone`.
+    incarnation: u64,
+    indexes: RwLock<IndexMap>,
 }
 
 impl Relation {
@@ -544,68 +716,101 @@ impl Relation {
     pub fn new(arity: usize) -> Relation {
         Relation {
             arity,
-            data: Vec::new(),
+            data: AppendBuf::new(),
             nrows: 0,
             set: RowSet::default(),
-            row_hash: Vec::new(),
-            dead: Vec::new(),
-            ndead: 0,
+            row_hash: AppendBuf::new(),
+            dead: Tombstones::default(),
             uniq_ewma: 1.0,
             regrows: 0,
             reserve_hint: 0,
             generation: 0,
-            published: None,
+            incarnation: mint_incarnation(),
             indexes: RwLock::new(FxHashMap::default()),
         }
     }
 
     /// The monotonic mutation counter: strictly increases on every
-    /// content change and never repeats, so callers caching work derived
-    /// from this relation (kernel key→code memos, published snapshots)
-    /// can compare generations to detect *any* intervening mutation —
+    /// content change of this object and never repeats on it, so callers
+    /// caching work derived from *this* relation (kernel key→code memos)
+    /// can compare generations to detect any intervening mutation —
     /// including truncate-then-reinsert sequences that leave
-    /// [`Relation::physical_rows`] unchanged.
+    /// [`Relation::physical_rows`] unchanged. It is a per-object
+    /// counter: a relation rebuilt from scratch restarts it, so it
+    /// cannot tell two objects apart — [`Relation::stamp`] can.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Marks the current contents as the published snapshot for `epoch`:
-    /// records the epoch id and the current physical row watermark.
-    /// Under the serving layer's copy-on-write discipline the published
-    /// relation object is never mutated again, so rows below the
-    /// watermark form an immutable row-range view concurrent readers
-    /// iterate without coordination ([`Relation::snapshot_rows`]).
-    pub fn publish_epoch(&mut self, epoch: u64) {
-        self.published = Some((epoch, self.nrows as u32));
+    /// `(incarnation, generation)`: the identity of this relation's
+    /// current state among every relation state of the process that is
+    /// ever *published* ([`Snapshot::stamp`] is what snapshot reuse and
+    /// the serving layer's answer cache key on). The incarnation is
+    /// process-unique per append history — a rebuilt, compacted,
+    /// truncated or forked relation gets a new one — and the generation
+    /// orders the states within it. Two clones that both only *delete*
+    /// share an incarnation while differing in content; publication
+    /// follows one relation's history, where that cannot collide, and
+    /// such clones end in [`Relation::compact`] (a new incarnation) or
+    /// are dropped.
+    #[inline]
+    pub fn stamp(&self) -> (u64, u64) {
+        (self.incarnation, self.generation)
     }
 
-    /// The epoch this relation was published at, or `None` if
-    /// [`Relation::publish_epoch`] was never called on it.
-    pub fn published_epoch(&self) -> Option<u64> {
-        self.published.map(|(e, _)| e)
+    /// An O(1) read-only view of the current contents (plus a copy of
+    /// the tombstone words, if any row is tombstoned) with an index
+    /// cache of its own: what one-shot goal answering reads.
+    pub fn snapshot(&self) -> Snapshot {
+        self.snapshot_after(None, &Arc::default())
     }
 
-    /// The published row-range snapshot: physical rows below the
-    /// watermark recorded by the last [`Relation::publish_epoch`], or
-    /// the full row range if never published. Iterate it with
-    /// [`Relation::iter_range`]; tombstones are filtered there as usual.
-    pub fn snapshot_rows(&self) -> RowRange {
-        match self.published {
-            Some((_, end)) => RowRange { start: 0, end },
-            None => self.all_rows(),
+    /// The snapshot that succeeds `prev` in a sequence of published
+    /// states. If `prev` is of this relation's incarnation — the rows it
+    /// sees are a prefix of the current ones — the new snapshot joins
+    /// its index lineage: indexes readers built stay, and the first
+    /// probe extends them by the appended rows instead of rebuilding.
+    /// Otherwise (no predecessor, or the relation was compacted,
+    /// truncated, rebuilt, forked) it starts a fresh lineage.
+    ///
+    /// Nothing proportional to the relation is copied. What *is* copied
+    /// on behalf of publication is added, in bytes, to `meter`: the
+    /// tombstone words carried by the snapshot, the rows the writer had
+    /// to move because `prev` still held the allocation they outgrew,
+    /// and — later, by readers — every index extension in a lineage
+    /// this call starts.
+    pub fn snapshot_after(&self, prev: Option<&Snapshot>, meter: &Arc<AtomicU64>) -> Snapshot {
+        let mut copied = 0;
+        let lineage = match prev.filter(|p| p.stamp.0 == self.incarnation) {
+            Some(p) => {
+                debug_assert!(p.nrows <= self.nrows, "an incarnation only appends");
+                if !p.data.same_allocation(&self.data) {
+                    copied += std::mem::size_of_val::<[Value]>(&p.data);
+                }
+                Arc::clone(&p.lineage)
+            }
+            None => Arc::new(IndexLineage {
+                map: RwLock::default(),
+                meter: Arc::clone(meter),
+            }),
+        };
+        let dead = if self.dead.count == 0 {
+            Tombstones::default()
+        } else {
+            copied += std::mem::size_of_val::<[u64]>(&self.dead.words);
+            self.dead.clone()
+        };
+        // Relaxed: a statistic; it publishes no other data.
+        meter.fetch_add(copied as u64, Ordering::Relaxed);
+        Snapshot {
+            arity: self.arity,
+            data: self.data.clone(),
+            nrows: self.nrows,
+            dead,
+            stamp: self.stamp(),
+            lineage,
         }
-    }
-
-    /// Live tuples of the published snapshot, sorted, for deterministic
-    /// comparisons against a serial replay at the same epoch.
-    pub fn snapshot_sorted_tuples(&self) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = self
-            .iter_range(self.snapshot_rows())
-            .map(|(_, row)| row.to_vec())
-            .collect();
-        v.sort();
-        v
     }
 
     /// The arity.
@@ -615,7 +820,7 @@ impl Relation {
 
     /// Number of live (distinct) tuples.
     pub fn len(&self) -> usize {
-        self.nrows - self.ndead
+        self.nrows - self.dead.count
     }
 
     /// True if the relation holds no live tuples.
@@ -633,17 +838,13 @@ impl Relation {
 
     /// True if some rows are tombstoned (delete since last compaction).
     pub fn has_tombstones(&self) -> bool {
-        self.ndead != 0
+        self.dead.count != 0
     }
 
     /// True if physical row `r` is tombstoned.
     #[inline]
     pub fn is_dead(&self, r: u32) -> bool {
-        self.ndead != 0
-            && self
-                .dead
-                .get(r as usize / 64)
-                .is_some_and(|w| w & (1u64 << (r as usize % 64)) != 0)
+        self.dead.is_dead(r)
     }
 
     /// The full (physical) row range.
@@ -700,8 +901,12 @@ impl Relation {
         }
         self.set.slots[s] = RowSet::entry(h, self.nrows as u32);
         self.set.live += 1;
-        self.row_hash.push(h);
-        self.data.extend_from_slice(t);
+        if self.row_hash.push(h) | self.data.extend_from_slice(t) {
+            // This handle was a clone sharing its rows and has just
+            // copied them to append: from here on its row ids and the
+            // original's name different content.
+            self.incarnation = mint_incarnation();
+        }
         self.nrows += 1;
         self.generation += 1;
         true
@@ -740,21 +945,7 @@ impl Relation {
     /// hint; no-op off x86-64.
     #[inline]
     pub fn prefetch_row(&self, r: u32) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let i = r as usize * self.arity;
-            if i < self.data.len() {
-                // SAFETY: `i` is in bounds; prefetch reads no memory
-                // architecturally.
-                unsafe {
-                    core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                        self.data.as_ptr().add(i) as *const i8,
-                    );
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = r;
+        prefetch_value(&self.data, r as usize * self.arity);
     }
 
     /// Membership test.
@@ -817,12 +1008,7 @@ impl Relation {
         let Some(r) = self.unlink_row(h, |_, row| row == t) else {
             return false;
         };
-        let r = r as usize;
-        if self.dead.len() * 64 < self.nrows {
-            self.dead.resize(self.nrows.div_ceil(64), 0);
-        }
-        self.dead[r / 64] |= 1u64 << (r % 64);
-        self.ndead += 1;
+        self.dead.set(r as usize, self.nrows);
         self.generation += 1;
         true
     }
@@ -855,7 +1041,9 @@ impl Relation {
     /// the flat store and tombstone bitset are truncated, and the column
     /// indexes are dropped (they may cache the removed ids). This is the
     /// incremental layer's cheap rollback — O(rows removed), not
-    /// O(relation) — for transactions that only appended.
+    /// O(relation) — for transactions that only appended. A snapshot
+    /// taken before keeps seeing the cut rows: while one shares the
+    /// store, the next append copies instead of overwriting them.
     pub fn truncate(&mut self, keep: usize) {
         if keep >= self.nrows {
             return;
@@ -868,14 +1056,10 @@ impl Relation {
         self.row_hash.truncate(keep);
         self.data.truncate(keep * self.arity);
         self.nrows = keep;
-        self.dead.truncate(keep.div_ceil(64));
-        if !keep.is_multiple_of(64) {
-            if let Some(last) = self.dead.last_mut() {
-                *last &= (1u64 << (keep % 64)) - 1;
-            }
-        }
-        self.ndead = self.dead.iter().map(|w| w.count_ones() as usize).sum();
+        self.dead.truncate(keep);
         self.generation += 1;
+        // The cut row ids will be handed out again for other content.
+        self.incarnation = mint_incarnation();
         self.indexes.write().expect("index lock poisoned").clear();
     }
 
@@ -884,12 +1068,17 @@ impl Relation {
     /// indexes are dropped (they cache stale row ids) and rebuilt lazily
     /// on the next probe. No-op when there are no tombstones.
     pub fn compact(&mut self) {
-        if self.ndead == 0 {
+        if self.dead.count == 0 {
             return;
         }
-        let live = self.nrows - self.ndead;
-        let mut data = Vec::with_capacity(live * self.arity);
-        let mut row_hash = Vec::with_capacity(live);
+        let live = self.len();
+        // An eighth of headroom: what follows a delete is usually an
+        // append, and a snapshot taken in between shares this very
+        // allocation — an exact fit would make that first append copy
+        // the whole relation to grow. Untouched capacity is not resident.
+        let room = live + live / 8 + 1;
+        let mut data = AppendBuf::with_capacity(room * self.arity);
+        let mut row_hash = AppendBuf::with_capacity(room);
         for r in 0..self.nrows as u32 {
             if self.is_dead(r) {
                 continue;
@@ -901,9 +1090,10 @@ impl Relation {
         self.data = data;
         self.row_hash = row_hash;
         self.set.rebuild(&self.row_hash);
-        self.dead.clear();
-        self.ndead = 0;
+        self.dead = Tombstones::default();
         self.generation += 1;
+        // Surviving rows were renumbered.
+        self.incarnation = mint_incarnation();
         self.indexes.write().expect("index lock poisoned").clear();
     }
 
@@ -1020,33 +1210,16 @@ impl Relation {
             let indexes = self.indexes.read().expect("index lock poisoned");
             if let Some(idx) = indexes.get(cols) {
                 if idx.built == self.nrows {
-                    self.index_hits_into(idx, key, range, out);
+                    idx.hits_into(key, |r| self.row_visible(r, range), out);
                     return;
                 }
             }
         }
         // Miss: build (or extend) and probe under one write acquisition.
         let mut indexes = self.indexes.write().expect("index lock poisoned");
-        let idx = Self::entry_index(&mut indexes, cols);
-        self.extend_index(idx);
-        self.index_hits_into(idx, key, range, out);
-    }
-
-    fn index_hits_into(
-        &self,
-        idx: &ColumnIndex,
-        key: &[Value],
-        range: RowRange,
-        out: &mut Vec<u32>,
-    ) {
-        if let Some(code) = idx.encode(hash_slice(key), key) {
-            out.extend(
-                idx.groups[code as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&r| self.row_visible(r, range)),
-            );
-        }
+        let idx = entry_index(&mut indexes, cols);
+        idx.extend(&self.data, self.arity, self.nrows);
+        idx.hits_into(key, |r| self.row_visible(r, range), out);
     }
 
     /// The lazy per-candidate filter for dictionary-group iteration:
@@ -1058,43 +1231,14 @@ impl Relation {
         range.contains(r) && !self.is_dead(r)
     }
 
-    fn entry_index<'a>(
-        indexes: &'a mut FxHashMap<Vec<usize>, Box<ColumnIndex>>,
-        cols: &[usize],
-    ) -> &'a mut ColumnIndex {
-        indexes.entry(cols.to_vec()).or_insert_with(|| {
-            Box::new(ColumnIndex {
-                cols: cols.to_vec(),
-                map: CodeMap::default(),
-                keys: Vec::new(),
-                groups: Vec::new(),
-                row_codes: Vec::new(),
-                built: 0,
-            })
-        })
-    }
-
-    fn extend_index(&self, idx: &mut ColumnIndex) {
-        let mut key: Vec<Value> = Vec::with_capacity(idx.cols.len());
-        for r in idx.built..self.nrows {
-            let row = &self.data[r * self.arity..(r + 1) * self.arity];
-            key.clear();
-            key.extend(idx.cols.iter().map(|&c| row[c]));
-            let code = idx.encode_or_insert(hash_slice(&key), &key);
-            idx.groups[code as usize].push(r as u32);
-            idx.row_codes.push(code);
-        }
-        idx.built = self.nrows;
-    }
-
     /// Builds (or extends) the hash index on `cols` so that subsequent
     /// probes only take the shared read lock. Called automatically by
     /// [`Relation::probe_into`]; call it eagerly before sharing the
     /// relation across threads or taking a [`ProbeHandle`].
     pub fn ensure_index(&self, cols: &[usize]) {
         let mut indexes = self.indexes.write().expect("index lock poisoned");
-        let idx = Self::entry_index(&mut indexes, cols);
-        self.extend_index(idx);
+        let idx = entry_index(&mut indexes, cols);
+        idx.extend(&self.data, self.arity, self.nrows);
     }
 
     /// A raw borrowed handle to the current index on `cols`, or `None`
@@ -1125,8 +1269,8 @@ impl Relation {
     /// needs.
     pub fn key_distribution(&self, cols: &[usize]) -> KeyDistribution {
         let mut indexes = self.indexes.write().expect("index lock poisoned");
-        let idx = Self::entry_index(&mut indexes, cols);
-        self.extend_index(idx);
+        let idx = entry_index(&mut indexes, cols);
+        idx.extend(&self.data, self.arity, self.nrows);
         let mut d = KeyDistribution {
             distinct: idx.groups.len(),
             ..KeyDistribution::default()
@@ -1151,8 +1295,8 @@ impl Relation {
     /// an over-approximation — sound for bounding.
     pub fn column_int_range(&self, col: usize) -> Option<(i64, i64)> {
         let mut indexes = self.indexes.write().expect("index lock poisoned");
-        let idx = Self::entry_index(&mut indexes, &[col]);
-        self.extend_index(idx);
+        let idx = entry_index(&mut indexes, &[col]);
+        idx.extend(&self.data, self.arity, self.nrows);
         let mut range: Option<(i64, i64)> = None;
         for v in &idx.keys {
             if let Value::Int(i) = v {
@@ -1188,19 +1332,12 @@ impl Relation {
     /// negation steps. The table holds only live rows, so no tombstone
     /// check is needed.
     pub fn contains_in_range(&self, key: &[Value], h: u64, range: RowRange) -> bool {
-        self.find_in_range(key, h, range).is_some()
-    }
-
-    /// The physical row holding exactly `key` within `range`, if it is
-    /// live there: [`Relation::contains_in_range`] for callers that
-    /// address the answer by row id.
-    pub fn find_in_range(&self, key: &[Value], h: u64, range: RowRange) -> Option<u32> {
         if key.len() != self.arity {
-            return None;
+            return false;
         }
         debug_assert_eq!(h, hash_slice(key), "stale key hash");
         self.hash_matches(h)
-            .find(|&r| range.contains(r) && self.row(r) == key)
+            .any(|r| range.contains(r) && self.row(r) == key)
     }
 
     /// All tuples, sorted, for deterministic comparisons in tests.
@@ -1226,22 +1363,14 @@ impl Relation {
         // per-row hash column.
         let dedup = self.set.slots.capacity() * std::mem::size_of::<u64>()
             + self.row_hash.capacity() * std::mem::size_of::<u64>();
-        let tombstones = self.dead.capacity() * std::mem::size_of::<u64>();
-        let mut indexes = 0usize;
-        for idx in self.indexes.read().expect("index lock poisoned").values() {
-            // The flat hash → code slot array.
-            indexes += idx.map.heap_bytes();
-            // Distinct-key store, per-code group headers and their row
-            // ids, and the dense per-row code column.
-            indexes += idx.keys.capacity() * std::mem::size_of::<Value>()
-                + idx.groups.capacity() * std::mem::size_of::<Vec<u32>>()
-                + idx
-                    .groups
-                    .iter()
-                    .map(|g| g.capacity() * std::mem::size_of::<u32>())
-                    .sum::<usize>()
-                + idx.row_codes.capacity() * std::mem::size_of::<u32>();
-        }
+        let tombstones = self.dead.words.capacity() * std::mem::size_of::<u64>();
+        let indexes: usize = self
+            .indexes
+            .read()
+            .expect("index lock poisoned")
+            .values()
+            .map(|idx| idx.heap_bytes())
+            .sum();
         (data + dedup + tombstones + indexes) as u64
     }
 
@@ -1264,21 +1393,17 @@ impl Relation {
                 self.arity
             ));
         }
-        let popcount: usize = self
-            .dead
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum::<usize>();
-        if popcount != self.ndead {
+        let popcount = self.dead.popcount();
+        if popcount != self.dead.count {
             return Err(format!(
-                "tombstone bitset holds {popcount} bits for ndead = {}",
-                self.ndead
+                "tombstone bitset holds {popcount} bits for a count of {}",
+                self.dead.count
             ));
         }
-        if self.ndead > self.nrows {
+        if self.dead.count > self.nrows {
             return Err(format!(
                 "more tombstones ({}) than rows ({})",
-                self.ndead, self.nrows
+                self.dead.count, self.nrows
             ));
         }
         if self.row_hash.len() != self.nrows {
@@ -1320,10 +1445,10 @@ impl Relation {
             seen[id as usize] = true;
             entries += 1;
         }
-        if entries != self.nrows - self.ndead {
+        if entries != self.len() {
             return Err(format!(
                 "membership table holds {entries} entries for {} live rows",
-                self.nrows - self.ndead
+                self.len()
             ));
         }
         if entries != self.set.live || tombs != self.set.tombs {
@@ -1352,6 +1477,10 @@ impl Relation {
 }
 
 impl Clone for Relation {
+    /// Shares the rows and the row-hash column with the original (they
+    /// are copied only if the clone later appends, which also gives it
+    /// a new incarnation); copies the membership table and tombstones;
+    /// starts with an empty index cache.
     fn clone(&self) -> Self {
         Relation {
             arity: self.arity,
@@ -1360,15 +1489,14 @@ impl Clone for Relation {
             set: self.set.clone(),
             row_hash: self.row_hash.clone(),
             dead: self.dead.clone(),
-            ndead: self.ndead,
             uniq_ewma: self.uniq_ewma,
             regrows: self.regrows,
             reserve_hint: self.reserve_hint,
             // The clone starts content-identical, so it inherits the
-            // generation: a snapshot publisher comparing a clone's
-            // generation against the original must see "unchanged".
+            // whole stamp: a publisher comparing a clone against the
+            // snapshot of its original must see "unchanged".
             generation: self.generation,
-            published: self.published,
+            incarnation: self.incarnation,
             indexes: RwLock::new(FxHashMap::default()),
         }
     }
@@ -1383,6 +1511,159 @@ impl PartialEq for Relation {
 }
 
 impl Eq for Relation {}
+
+/// The dictionary indexes shared by every snapshot of one storage
+/// incarnation, behind the lock that serializes their extension.
+#[derive(Debug)]
+struct IndexLineage {
+    map: RwLock<IndexMap>,
+    /// Where index-extension bytes are counted (the meter handed to the
+    /// [`Relation::snapshot_after`] call that started the lineage).
+    meter: Arc<AtomicU64>,
+}
+
+/// A read-only view of one relation state: the rows below a watermark
+/// of a shared row store, the tombstones of that moment, and the
+/// state's [stamp](Snapshot::stamp). Taken in O(1) by
+/// [`Relation::snapshot`] / [`Relation::snapshot_after`]; never changes
+/// afterwards, whatever the relation goes on to do — appends land past
+/// the watermark, deletes in the relation's own tombstones, growth and
+/// rollback copy rather than touch what a snapshot can see (module
+/// docs). `Send + Sync`: readers share it behind an `Arc`.
+///
+/// It has no membership table: an exact-tuple lookup is an index probe
+/// plus a row comparison ([`Snapshot::find`]). Its index cache is the
+/// lineage's, shared with the snapshots before and after it, so an index
+/// may cover more rows than this snapshot sees; probes stop at the
+/// watermark.
+#[derive(Debug)]
+pub struct Snapshot {
+    arity: usize,
+    /// A non-owning view: exactly `nrows * arity` values.
+    data: AppendBuf<Value>,
+    /// The watermark: physical rows visible, tombstoned ones included.
+    nrows: usize,
+    dead: Tombstones,
+    stamp: (u64, u64),
+    lineage: Arc<IndexLineage>,
+}
+
+impl Snapshot {
+    /// The arity.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Number of live tuples.
+    pub fn len(&self) -> usize {
+        self.nrows - self.dead.count
+    }
+
+    /// True if the snapshot holds no live tuples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The watermark: physical rows visible, tombstoned ones included.
+    /// Row ids below it are valid arguments to [`Snapshot::row`].
+    pub fn physical_rows(&self) -> usize {
+        self.nrows
+    }
+
+    /// The [`Relation::stamp`] of the state this is a view of.
+    pub fn stamp(&self) -> (u64, u64) {
+        self.stamp
+    }
+
+    /// The tuple at `row`, as a slice into the shared store.
+    pub fn row(&self, row: u32) -> &[Value] {
+        let r = row as usize;
+        &self.data[r * self.arity..(r + 1) * self.arity]
+    }
+
+    /// Prefetches the cache line holding row `r`'s values. Purely a
+    /// hint; no-op off x86-64.
+    #[inline]
+    pub fn prefetch_row(&self, r: u32) {
+        prefetch_value(&self.data, r as usize * self.arity);
+    }
+
+    /// Iterates over the live tuples with their row ids, in row order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[Value])> {
+        (0..self.nrows as u32)
+            .filter(move |&r| !self.dead.is_dead(r))
+            .map(move |r| (r, self.row(r)))
+    }
+
+    /// Live tuples, sorted, for deterministic comparisons.
+    pub fn sorted_tuples(&self) -> Vec<Tuple> {
+        let mut v: Vec<Tuple> = self.iter().map(|(_, row)| row.to_vec()).collect();
+        v.sort();
+        v
+    }
+
+    /// Live rows whose columns `cols` equal `key`, ascending, written
+    /// into `out` (cleared first), through the lineage's dictionary
+    /// index on `cols`. If the index does not yet reach this snapshot's
+    /// watermark the probe extends it — by the rows appended since the
+    /// last reader of the lineage, not from zero — under the write lock.
+    pub fn probe_into(&self, cols: &[usize], key: &[Value], out: &mut Vec<u32>) {
+        debug_assert!(!cols.is_empty(), "probe with no bound columns");
+        debug_assert_eq!(cols.len(), key.len());
+        out.clear();
+        // The index may be ahead of this snapshot (a later epoch's
+        // reader extended it) and knows nothing of tombstones.
+        let visible = |r: u32| (r as usize) < self.nrows && !self.dead.is_dead(r);
+        {
+            let map = self.lineage.map.read().expect("index lock poisoned");
+            if let Some(idx) = map.get(cols).filter(|idx| idx.built >= self.nrows) {
+                idx.hits_into(key, visible, out);
+                return;
+            }
+        }
+        let mut map = self.lineage.map.write().expect("index lock poisoned");
+        let idx = entry_index(&mut map, cols);
+        if idx.built < self.nrows {
+            let appended = idx.extend(&self.data, self.arity, self.nrows);
+            // Relaxed: a statistic; it publishes no other data.
+            self.lineage
+                .meter
+                .fetch_add(appended as u64, Ordering::Relaxed);
+        }
+        idx.hits_into(key, visible, out);
+    }
+
+    /// The live row holding exactly `key`, if any. A snapshot has no
+    /// membership table, so this probes the index on the first column
+    /// (the one `p(c, Y)` goals keep warm) and compares rows.
+    pub fn find(&self, key: &[Value]) -> Option<u32> {
+        if key.len() != self.arity || key.is_empty() {
+            return None;
+        }
+        let mut hits = Vec::new();
+        self.probe_into(&[0], &key[..1], &mut hits);
+        hits.into_iter().find(|&r| self.row(r) == key)
+    }
+
+    /// Total rows covered by the lineage's indexes (an index on one
+    /// column subset covering `n` rows counts `n`): how much index work
+    /// the readers of this lineage have done so far.
+    pub fn indexed_rows(&self) -> usize {
+        let map = self.lineage.map.read().expect("index lock poisoned");
+        map.values().map(|idx| idx.built).sum()
+    }
+
+    /// True when both snapshots read the same row allocation: nothing
+    /// was copied between taking one and the other.
+    pub fn shares_rows_with(&self, other: &Snapshot) -> bool {
+        self.data.same_allocation(&other.data)
+    }
+
+    /// True when both snapshots belong to one index lineage.
+    pub fn shares_indexes_with(&self, other: &Snapshot) -> bool {
+        Arc::ptr_eq(&self.lineage, &other.lineage)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1884,30 +2165,150 @@ mod tests {
     }
 
     #[test]
-    fn publish_epoch_freezes_a_row_range_view() {
+    fn a_snapshot_is_a_watermark_over_the_writers_rows() {
         let mut r = Relation::new(1);
-        r.insert(t(&[1]));
-        r.insert(t(&[2]));
-        assert_eq!(r.published_epoch(), None);
-        assert_eq!(r.snapshot_rows(), r.all_rows());
-        r.publish_epoch(7);
-        assert_eq!(r.published_epoch(), Some(7));
-        // Later appends land above the published watermark: the
-        // snapshot view still shows exactly the two published rows.
-        r.insert(t(&[3]));
-        assert_eq!(r.snapshot_rows(), RowRange { start: 0, end: 2 });
-        assert_eq!(r.snapshot_sorted_tuples(), vec![t(&[1]), t(&[2])]);
-        assert_eq!(r.sorted_tuples(), vec![t(&[1]), t(&[2]), t(&[3])]);
+        for i in 1..=5 {
+            r.insert(t(&[i]));
+        }
+        let s = r.snapshot();
+        assert_eq!(s.stamp(), r.stamp());
+        assert_eq!((s.len(), s.physical_rows()), (5, 5));
+        // Later appends land above the watermark and later deletes in
+        // the relation's own tombstones: the view shows the five rows.
+        r.insert(t(&[6]));
+        r.delete(&t(&[2]));
+        let five: Vec<Tuple> = (1..=5).map(|i| t(&[i])).collect();
+        assert_eq!(s.sorted_tuples(), five);
+        assert_eq!(r.len(), 5);
+        assert!(r.contains(&t(&[6])) && !r.contains(&t(&[2])));
+        assert_eq!(s.row(1), &t(&[2])[..]);
+        assert_ne!(s.stamp(), r.stamp());
+        // A snapshot taken now carries the tombstone, and — the sixth
+        // row fitted the allocation — still reads the same rows.
+        let s2 = r.snapshot();
+        assert_eq!(s2.len(), 5);
+        assert!(s2.iter().all(|(_, row)| row != &t(&[2])[..]));
+        assert!(s2.shares_rows_with(&s), "no growth, no copy");
     }
 
     #[test]
-    fn clone_preserves_generation_and_publication() {
+    fn snapshot_probes_stop_at_the_watermark_and_find_exact_rows() {
+        let mut r = Relation::new(2);
+        r.insert(t(&[1, 2]));
+        r.insert(t(&[1, 3]));
+        let s0 = r.snapshot_after(None, &Arc::default());
+        r.insert(t(&[1, 4]));
+        r.delete(&t(&[1, 2]));
+        let s1 = r.snapshot_after(Some(&s0), &Arc::default());
+        assert!(s1.shares_indexes_with(&s0));
+        let mut hits = Vec::new();
+        // The newer reader builds the shared index over all three rows…
+        s1.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        assert_eq!(hits, vec![1, 2]);
+        assert_eq!(s1.indexed_rows(), 3);
+        // …and the older one, behind it, still answers its own state.
+        s0.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        assert_eq!(hits, vec![0, 1]);
+        assert_eq!(s0.find(&t(&[1, 2])), Some(0));
+        assert_eq!(s0.find(&t(&[1, 4])), None, "past the watermark");
+        assert_eq!(s1.find(&t(&[1, 2])), None, "tombstoned at s1");
+        assert_eq!(s1.find(&t(&[1, 4])), Some(2));
+        assert_eq!(s1.find(&t(&[9, 9])), None);
+        assert_eq!(s1.find(&t(&[1])), None, "arity mismatch");
+    }
+
+    #[test]
+    fn a_pinned_snapshot_survives_growth_truncate_and_compact() {
+        let mut r = Relation::new(2);
+        for i in 0..10 {
+            r.insert(t(&[i, i + 1]));
+        }
+        let pinned = r.snapshot();
+        let before = pinned.sorted_tuples();
+        let stamp = r.stamp();
+        // Growth past the capacity the snapshot shares: the writer moves.
+        let mark = r.physical_rows();
+        for i in 10..1000 {
+            r.insert(t(&[i, i + 1]));
+        }
+        assert!(!r.snapshot().shares_rows_with(&pinned));
+        assert_eq!(pinned.sorted_tuples(), before);
+        // Rollback below what a *later* snapshot sees, then re-append
+        // other content under the same row ids.
+        let later = r.snapshot();
+        r.truncate(mark);
+        assert_ne!(r.stamp().0, stamp.0, "truncate starts a new incarnation");
+        r.insert(t(&[77, 77]));
+        assert_eq!(later.row(mark as u32), &t(&[10, 11])[..]);
+        assert_eq!(r.row(mark as u32), &t(&[77, 77])[..]);
+        assert_eq!(later.len(), 1000);
+        let fresh = r.snapshot_after(Some(&later), &Arc::default());
+        assert!(!fresh.shares_indexes_with(&later));
+        // Tombstone + compaction renumber the writer's rows only.
+        r.delete(&t(&[0, 1]));
+        r.compact();
+        assert_eq!(r.row(0), &t(&[1, 2])[..]);
+        assert_eq!(pinned.row(0), &t(&[0, 1])[..]);
+        assert_eq!(pinned.sorted_tuples(), before);
+        r.check_invariant().unwrap();
+    }
+
+    #[test]
+    fn clone_shares_rows_until_it_appends_and_then_is_its_own_incarnation() {
         let mut r = Relation::new(1);
         r.insert(t(&[1]));
-        r.publish_epoch(3);
-        let c = r.clone();
-        assert_eq!(c.generation(), r.generation());
-        assert_eq!(c.published_epoch(), Some(3));
-        assert_eq!(c.snapshot_rows(), r.snapshot_rows());
+        r.insert(t(&[2]));
+        let mut c = r.clone();
+        assert_eq!(c.stamp(), r.stamp());
+        assert!(c.snapshot().shares_rows_with(&r.snapshot()));
+        // The original stays the writer of the shared store…
+        r.insert(t(&[3]));
+        assert_eq!(r.stamp().0, c.stamp().0);
+        // …and the clone forks on its first append.
+        c.insert(t(&[9]));
+        assert_ne!(c.stamp().0, r.stamp().0);
+        assert!(!c.snapshot().shares_rows_with(&r.snapshot()));
+        assert_eq!(r.sorted_tuples(), vec![t(&[1]), t(&[2]), t(&[3])]);
+        assert_eq!(c.sorted_tuples(), vec![t(&[1]), t(&[2]), t(&[9])]);
+        r.check_invariant().unwrap();
+        c.check_invariant().unwrap();
+    }
+
+    #[test]
+    fn incarnations_tell_rebuilt_relations_apart() {
+        let mut a = Relation::new(1);
+        let mut b = Relation::new(1);
+        a.insert(t(&[1]));
+        b.insert(t(&[5]));
+        assert_eq!(a.generation(), b.generation());
+        assert_ne!(a.stamp(), b.stamp());
+        let inc = a.stamp().0;
+        a.insert(t(&[2]));
+        a.delete(&t(&[1]));
+        assert_eq!(a.stamp().0, inc, "appends and tombstones keep it");
+        a.compact();
+        assert_ne!(a.stamp().0, inc, "compaction renumbers rows");
+    }
+
+    #[test]
+    fn snapshot_after_meters_only_what_publication_copied() {
+        let meter = Arc::new(AtomicU64::new(0));
+        let mut r = Relation::new(2);
+        for i in 0..8 {
+            r.insert(t(&[i, i]));
+        }
+        let s0 = r.snapshot_after(None, &meter);
+        assert_eq!(meter.load(Ordering::Relaxed), 0, "a watermark is free");
+        // 8 rows fill the 16-value allocation: this append outgrows it
+        // while `s0` holds it, so the writer copies 8 rows.
+        r.insert(t(&[8, 8]));
+        let s1 = r.snapshot_after(Some(&s0), &meter);
+        assert!(!s1.shares_rows_with(&s0));
+        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16);
+        // Tombstone words ride along once a row is dead.
+        r.delete(&t(&[0, 0]));
+        let s2 = r.snapshot_after(Some(&s1), &meter);
+        assert!(s2.shares_rows_with(&s1));
+        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16 + 8);
     }
 }

@@ -1,6 +1,6 @@
 //! The epoch answer cache: memoized query answers keyed by relation
-//! generation, so repeated goals against an unchanged relation skip
-//! even the index probe.
+//! state, so repeated goals against an unchanged relation skip even the
+//! index probe.
 //!
 //! ## The entry: sorted row ids, not tuples
 //!
@@ -8,37 +8,35 @@
 //! [`Server::query_rows`](crate::Server::query_rows) computed — 4 bytes
 //! per answer row where a `Vec<Tuple>` copy costs a heap allocation per
 //! row (≈ 4 KB against ≈ 69 KB for a 1000-row binary answer). Ids mean
-//! nothing on their own: they index the frozen `Arc<Relation>` of the
-//! epoch the reader pinned, and the key below guarantees an entry is
-//! only ever addressed by a reader holding the very relation state the
-//! ids were read from.
+//! nothing on their own: they index the `Arc<Snapshot>` of the epoch
+//! the reader pinned, and the key below guarantees an entry is only
+//! ever addressed by a reader holding a snapshot of the very relation
+//! state the ids were read from.
 //!
-//! ## The key: last-change stamp + generation
+//! ## The key: the state's stamp
 //!
-//! Copy-on-write publication ([`crate::epoch`]) shares `Arc<Relation>`s
-//! between epochs whenever a commit did not touch a predicate, and
-//! stamps every relation it *does* clone with the publishing epoch
-//! ([`publish_epoch`](semrec_engine::Relation::publish_epoch)); a
-//! shared relation keeps the stamp of the epoch that last changed it.
-//! Keying the cache on `(goal shape, stamp, generation)` therefore
-//! gives exactly the invalidation the snapshot discipline promises,
-//! for free:
+//! Every snapshot carries the [stamp](semrec_engine::Snapshot::stamp)
+//! of the relation state it views: `(incarnation, generation)`. The
+//! incarnation is a process-unique id of one append history of row ids
+//! — a relation that is rebuilt from scratch (a route invalidation, a
+//! builtin program's recompute), compacted or rolled back gets a new
+//! one — and the generation counts the changes within it, so along the
+//! one history of states the writer publishes a stamp names exactly one
+//! content *and* one meaning of row ids. Keying the cache on
+//! `(goal shape, stamp)` therefore gives exactly the invalidation the
+//! snapshot discipline promises, for free:
 //!
-//! * a commit that changes a predicate publishes a freshly stamped
-//!   clone — stale entries simply stop being addressed, never served;
-//! * a commit that leaves a predicate untouched shares the old `Arc`,
-//!   so queries at the new epoch keep *hitting* the old entries;
+//! * a commit that changes a predicate publishes a snapshot with a new
+//!   stamp — stale entries simply stop being addressed, never served;
+//! * a commit that leaves a predicate untouched shares the old
+//!   `Arc<Snapshot>` ([`crate::epoch`]), so queries at the new epoch
+//!   keep *hitting* the old entries;
 //! * readers pinned at older epochs address the old stamp and stay
 //!   consistent with their snapshot.
 //!
-//! The [`generation`](semrec_engine::Relation::generation) mutation
-//! counter rides along as a cross-check, but cannot stand alone: a
-//! route invalidation rebuilds the materialization from scratch, and a
-//! *different relation instance*'s independent generation counter may
-//! collide with an older published value. The publication stamp is
-//! what uniquely names the visible relation state — epoch ids never
-//! repeat within a server, and at most one relation per predicate is
-//! published per epoch.
+//! The generation alone would not do: it is a per-object counter, and a
+//! rebuilt relation's counter can land on a value an older object
+//! already published under.
 //!
 //! No explicit invalidation hook exists, and none is needed.
 //!
@@ -106,20 +104,11 @@ impl GoalShape {
     }
 }
 
-/// The identity of one immutable published relation state: the epoch
-/// that last changed it (its [`publish_epoch`] stamp — unique per
-/// server run) plus its mutation [`generation`] as a cross-check.
+/// The identity of one published relation state: its snapshot's
+/// [stamp](semrec_engine::Snapshot::stamp), `(incarnation, generation)`.
 /// `None` names "the predicate has no relation at the pinned epoch"
 /// (the answer is the empty set, cacheable too).
-///
-/// [`publish_epoch`]: semrec_engine::Relation::publish_epoch
-/// [`generation`]: semrec_engine::Relation::generation
 pub type RelationStamp = Option<(u64, u64)>;
-
-/// Reads the cache identity off a pinned relation.
-pub fn relation_stamp(rel: &semrec_engine::Relation) -> RelationStamp {
-    Some((rel.published_epoch().unwrap_or(u64::MAX), rel.generation()))
-}
 
 /// Full cache key: which question, against which immutable state.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -134,7 +123,7 @@ struct CacheMap {
     order: VecDeque<CacheKey>,
 }
 
-/// A bounded, generation-keyed answer cache shared by all readers.
+/// A bounded, stamp-keyed answer cache shared by all readers.
 pub struct AnswerCache {
     inner: Mutex<CacheMap>,
     capacity: usize,
@@ -243,7 +232,7 @@ mod tests {
         assert!(cache.get(&s, Some((4, 0))).is_none(), "new stamp misses");
         assert!(
             cache.get(&s, Some((3, 1))).is_none(),
-            "generation cross-check misses"
+            "another generation misses"
         );
         assert!(cache.get(&s, None).is_none());
         assert_eq!(cache.hits(), 1);

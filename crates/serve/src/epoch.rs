@@ -1,29 +1,46 @@
-//! Epoch snapshots: copy-on-write publication and reader pinning.
+//! Epoch snapshots: O(delta) publication and reader pinning.
 //!
 //! Every committed transaction publishes a new [`EpochState`]: the
-//! epoch id, the route answering queries at that epoch, and an
-//! immutable set of relations. Publication is copy-on-write over the
-//! previous epoch — only relations whose [`Relation::generation`]
-//! changed since the last publish are cloned (and stamped via
-//! [`Relation::publish_epoch`]); untouched ones share their `Arc`
-//! across epochs, so a commit that inserts one `edge` fact clones the
-//! `edge` and `reach` relations and shares everything else.
+//! epoch id, the route answering queries at that epoch, and one
+//! read-only [`Snapshot`] per relation. A snapshot is a watermark over
+//! the writer's own append-only row store (`Arc` of the allocation,
+//! row count, the tombstone words of the moment, the relation's stamp)
+//! — publishing copies no rows. [`EpochState::cow_successor`] builds
+//! the next epoch from the previous one:
+//!
+//! * a relation whose [stamp](Relation::stamp) is unchanged shares the
+//!   previous epoch's `Arc<Snapshot>`;
+//! * a relation that only *grew* (same storage incarnation) gets a new
+//!   snapshot over the same rows that also inherits the previous one's
+//!   index lineage — the indexes readers built stay warm, and the first
+//!   probe of the new epoch extends them by the appended rows;
+//! * a relation that was compacted, rolled back or rebuilt (a new
+//!   incarnation) starts a fresh lineage.
+//!
+//! So a commit that inserts one `edge` fact publishes two watermarks,
+//! and each retained epoch costs its tombstone words, not a copy.
 //!
 //! Readers pin an epoch by cloning its `Arc` out of the registry — a
 //! pointer copy under a briefly-held read lock, never blocked by the
 //! writer's evaluation work — and answer against the pinned state for
-//! the whole request, no matter how many commits land meanwhile. The
-//! writer's publish is a ring push under a briefly-held write lock,
-//! never blocked by however slowly a reader is scanning. An epoch's
-//! memory is reclaimed when it both falls off the retention ring and
-//! the last pinned reader drops its `Arc`; the slow-reader watchdog
-//! ([`crate::admission`]) cancels readers that would otherwise hold
-//! reclamation hostage.
+//! the whole request, no matter how many commits land meanwhile. That
+//! lock is also what makes the sharing sound across threads: every row
+//! a snapshot can see was written before the snapshot was pushed under
+//! the registry's write lock, and a reader takes it out under the read
+//! lock, so the writes happen-before the reads; what the writer appends
+//! afterwards lies past the watermark. The writer's publish is a ring
+//! push, never blocked by however slowly a reader is scanning. An
+//! epoch's memory — by now mostly its share of a row allocation that a
+//! later growth left behind — is reclaimed when it both falls off the
+//! retention ring and the last pinned reader drops its `Arc`; the
+//! slow-reader watchdog ([`crate::admission`]) cancels readers that
+//! would otherwise hold reclamation hostage.
 
 use crate::error::ServeError;
 use semrec_datalog::atom::Pred;
-use semrec_engine::{Relation, Route};
+use semrec_engine::{Relation, Route, Snapshot};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, RwLock};
 
 /// One published epoch: an immutable, consistent view of every
@@ -37,43 +54,39 @@ pub struct EpochState {
     /// The maintenance route answering queries at this epoch (optimized
     /// vs rectified-after-invalidation etc.).
     pub route: Route,
-    /// Every relation visible at this epoch. The `Relation` values are
-    /// frozen: nothing mutates them after publication, so readers
-    /// iterate [`Relation::snapshot_rows`] without locks.
-    pub rels: BTreeMap<Pred, Arc<Relation>>,
+    /// Every relation visible at this epoch, as a read-only snapshot
+    /// readers walk and probe without coordination.
+    pub rels: BTreeMap<Pred, Arc<Snapshot>>,
 }
 
 impl EpochState {
     /// The relation for `pred` at this epoch, if any.
-    pub fn relation(&self, pred: Pred) -> Option<&Arc<Relation>> {
+    pub fn relation(&self, pred: Pred) -> Option<&Arc<Snapshot>> {
         self.rels.get(&pred)
     }
 
-    /// Builds the successor epoch copy-on-write: relations whose
-    /// generation is unchanged from `self` share their `Arc`; changed
-    /// (or new) ones are cloned and stamped with the new epoch.
-    /// Relations absent from `current` are dropped (the writer deleted
-    /// the predicate — does not happen today, but the view must follow
-    /// the writer, not accrete).
+    /// Builds the successor epoch from the writer's `current` relations
+    /// without copying rows: a relation whose stamp equals its snapshot
+    /// in `self` shares that `Arc`; any other gets
+    /// [`Relation::snapshot_after`] its predecessor (inheriting the
+    /// index lineage when it merely grew). Bytes copied on behalf of
+    /// publication are added to `meter`. Relations absent from
+    /// `current` are dropped (the writer deleted the predicate — does
+    /// not happen today, but the view must follow the writer, not
+    /// accrete).
     pub fn cow_successor<'a>(
         &self,
         epoch: u64,
         route: Route,
         current: impl Iterator<Item = (Pred, &'a Relation)>,
+        meter: &Arc<AtomicU64>,
     ) -> EpochState {
         let mut rels = BTreeMap::new();
         for (p, rel) in current {
-            let reuse = self
-                .rels
-                .get(&p)
-                .filter(|prev| prev.generation() == rel.generation());
-            let arc = match reuse {
+            let prev = self.rels.get(&p);
+            let arc = match prev.filter(|prev| prev.stamp() == rel.stamp()) {
                 Some(prev) => Arc::clone(prev),
-                None => {
-                    let mut frozen = rel.clone();
-                    frozen.publish_epoch(epoch);
-                    Arc::new(frozen)
-                }
+                None => Arc::new(rel.snapshot_after(prev.map(|a| &**a), meter)),
             };
             rels.insert(p, arc);
         }
@@ -160,7 +173,9 @@ impl EpochRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semrec_datalog::term::Value;
     use semrec_engine::int_tuple;
+    use std::sync::atomic::Ordering;
 
     fn rel(tuples: &[[i64; 2]]) -> Relation {
         let mut r = Relation::new(2);
@@ -170,35 +185,143 @@ mod tests {
         r
     }
 
-    fn state(epoch: u64, edges: &[[i64; 2]]) -> EpochState {
-        let mut rels = BTreeMap::new();
-        let mut e = rel(edges);
-        e.publish_epoch(epoch);
-        rels.insert(Pred::from("edge"), Arc::new(e));
-        EpochState {
-            epoch,
+    fn edge() -> Pred {
+        Pred::from("edge")
+    }
+
+    fn epoch_of(epoch: u64, prev: Option<&EpochState>, edge_rel: &Relation) -> EpochState {
+        let seed = EpochState {
+            epoch: 0,
             route: Route::Direct,
-            rels,
-        }
+            rels: BTreeMap::new(),
+        };
+        prev.unwrap_or(&seed).cow_successor(
+            epoch,
+            Route::Direct,
+            [(edge(), edge_rel)].into_iter(),
+            &Arc::default(),
+        )
+    }
+
+    fn state(epoch: u64, edges: &[[i64; 2]]) -> EpochState {
+        epoch_of(epoch, None, &rel(edges))
     }
 
     #[test]
-    fn cow_shares_unchanged_and_clones_changed() {
-        let s0 = state(0, &[[1, 2]]);
+    fn cow_shares_unchanged_and_snapshots_changed() {
+        let e = rel(&[[1, 2]]);
+        let s0 = epoch_of(0, None, &e);
         let mut w = rel(&[[1, 2]]);
-        // A clone keeps the generation, so sharing kicks in for `edge`.
-        let edge_same_gen = (**s0.relation(Pred::from("edge")).unwrap()).clone();
+        // A clone keeps the stamp, so sharing kicks in for `edge`.
+        let edge_same_stamp = e.clone();
         w.insert(int_tuple(&[9, 9]));
         let current: Vec<(Pred, &Relation)> =
-            vec![(Pred::from("edge"), &edge_same_gen), (Pred::from("w"), &w)];
-        let s1 = s0.cow_successor(1, Route::Direct, current.into_iter());
+            vec![(edge(), &edge_same_stamp), (Pred::from("w"), &w)];
+        let s1 = s0.cow_successor(1, Route::Direct, current.into_iter(), &Arc::default());
         assert!(Arc::ptr_eq(
-            s1.relation(Pred::from("edge")).unwrap(),
-            s0.relation(Pred::from("edge")).unwrap()
+            s1.relation(edge()).unwrap(),
+            s0.relation(edge()).unwrap()
         ));
         let wp = s1.relation(Pred::from("w")).unwrap();
-        assert_eq!(wp.published_epoch(), Some(1));
+        assert_eq!(wp.stamp(), w.stamp());
         assert_eq!(wp.len(), 2);
+    }
+
+    #[test]
+    fn a_rebuilt_relation_with_an_equal_generation_is_not_reused() {
+        // Generation is a per-object counter: two relations built by the
+        // same number of inserts agree on it. Only the incarnation tells
+        // them apart.
+        let old = rel(&[[1, 2]]);
+        let rebuilt = rel(&[[5, 6]]);
+        assert_eq!(old.generation(), rebuilt.generation());
+        let s0 = epoch_of(0, None, &old);
+        let s1 = epoch_of(1, Some(&s0), &rebuilt);
+        let got = s1.relation(edge()).unwrap();
+        assert!(!Arc::ptr_eq(got, s0.relation(edge()).unwrap()));
+        assert_eq!(got.sorted_tuples(), vec![int_tuple(&[5, 6])]);
+        assert!(!got.shares_indexes_with(s0.relation(edge()).unwrap()));
+    }
+
+    /// Publication is O(delta), asserted on structure: consecutive
+    /// epochs of a relation that grows share one row allocation and one
+    /// index lineage, and a reader of the newer epoch indexes exactly
+    /// the appended rows.
+    #[test]
+    fn a_grown_relation_shares_rows_and_extends_the_inherited_index() {
+        let mut e = Relation::new(2);
+        for i in 0..100 {
+            e.insert(int_tuple(&[i % 10, i]));
+        }
+        let meter = Arc::new(AtomicU64::new(0));
+        let seed = state(0, &[]);
+        let s0 = seed.cow_successor(0, Route::Direct, [(edge(), &e)].into_iter(), &meter);
+        let snap0 = Arc::clone(s0.relation(edge()).unwrap());
+        let mut hits = Vec::new();
+        snap0.probe_into(&[0], &[Value::Int(3)], &mut hits);
+        assert_eq!(hits.len(), 10);
+        assert_eq!(snap0.indexed_rows(), 100);
+        let after_build = meter.load(Ordering::Relaxed);
+        assert!(after_build > 0, "building the index is metered");
+
+        // Two more rows: within capacity, so nothing moves.
+        e.insert(int_tuple(&[3, 1000]));
+        e.insert(int_tuple(&[4, 1001]));
+        let s1 = s0.cow_successor(1, Route::Direct, [(edge(), &e)].into_iter(), &meter);
+        let snap1 = Arc::clone(s1.relation(edge()).unwrap());
+        assert!(snap1.shares_rows_with(&snap0), "no row was copied");
+        assert!(snap1.shares_indexes_with(&snap0));
+        assert_eq!(
+            meter.load(Ordering::Relaxed),
+            after_build,
+            "publishing an append copies nothing"
+        );
+        assert_eq!(snap1.indexed_rows(), 100, "extension waits for a reader");
+        snap1.probe_into(&[0], &[Value::Int(3)], &mut hits);
+        assert_eq!(hits.len(), 11);
+        assert_eq!(snap1.indexed_rows(), 102, "exactly the appended rows");
+        let extended = meter.load(Ordering::Relaxed) - after_build;
+        assert!(
+            extended > 0 && extended <= 128,
+            "2 rows, not 102: {extended}"
+        );
+        // The older epoch reads through the same, now longer, index and
+        // still sees its own rows only.
+        snap0.probe_into(&[0], &[Value::Int(3)], &mut hits);
+        assert_eq!(hits.len(), 10);
+        assert_eq!(snap0.len(), 100);
+    }
+
+    #[test]
+    fn a_compacted_relation_starts_a_fresh_lineage() {
+        let mut e = rel(&[[1, 2], [1, 3], [2, 3]]);
+        let s0 = epoch_of(0, None, &e);
+        let snap0 = Arc::clone(s0.relation(edge()).unwrap());
+        let mut hits = Vec::new();
+        snap0.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        assert_eq!(hits, vec![0, 1]);
+
+        // Tombstone only: same incarnation, the index stays, the
+        // snapshot's own tombstone words do the filtering.
+        e.delete(&int_tuple(&[1, 2]));
+        let s1 = epoch_of(1, Some(&s0), &e);
+        let snap1 = Arc::clone(s1.relation(edge()).unwrap());
+        assert!(snap1.shares_indexes_with(&snap0));
+        snap1.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        assert_eq!(hits, vec![1]);
+
+        // Compaction renumbers rows: new incarnation, nothing inherited.
+        e.compact();
+        let s2 = epoch_of(2, Some(&s1), &e);
+        let snap2 = Arc::clone(s2.relation(edge()).unwrap());
+        assert!(!snap2.shares_indexes_with(&snap1));
+        assert!(!snap2.shares_rows_with(&snap1));
+        assert_eq!(snap2.indexed_rows(), 0);
+        snap2.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        assert_eq!(hits, vec![0], "row ids are the compacted ones");
+        // And the pinned older epochs are untouched by all of it.
+        snap0.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        assert_eq!(hits, vec![0, 1]);
     }
 
     #[test]
@@ -223,7 +346,7 @@ mod tests {
         reg.publish(state(4, &[])).unwrap();
         assert_eq!(pinned.epoch, 1);
         assert_eq!(
-            pinned.relation(Pred::from("edge")).unwrap().len(),
+            pinned.relation(edge()).unwrap().len(),
             2,
             "pinned snapshot unchanged"
         );

@@ -11,11 +11,11 @@
 //! to concurrent, faulty, and overloaded execution:
 //!
 //! * **Snapshot isolation** ([`epoch`]) — every committed transaction
-//!   publishes a new epoch: an immutable copy-on-write set of
-//!   relations, each frozen at a published row-range watermark
-//!   (`Relation::publish_epoch`). Readers pin an epoch at admission and
-//!   answer exactly against it; the writer never waits for readers and
-//!   readers never wait for the writer.
+//!   publishes a new epoch: one read-only snapshot per relation, each a
+//!   row watermark over the writer's own append-only store
+//!   (`Relation::snapshot_after` — no rows are copied). Readers pin an
+//!   epoch at admission and answer exactly against it; the writer never
+//!   waits for readers and readers never wait for the writer.
 //! * **Durability** ([`wal`]) — commits append a length+checksum framed
 //!   record to a write-ahead log and fsync before acknowledging; replay
 //!   on restart tolerates a torn trailing record and reconverges the
@@ -44,7 +44,7 @@ pub mod server;
 pub mod wal;
 
 pub use admission::{Admission, AdmissionConfig, Permit, SESSION_BURST, SESSION_RATE_PER_S};
-pub use cache::{relation_stamp, AnswerCache, GoalShape, RelationStamp};
+pub use cache::{AnswerCache, GoalShape, RelationStamp};
 pub use epoch::{EpochRegistry, EpochState};
 pub use error::ServeError;
 pub use protocol::{serve_session, Connection, Response, REPLY_BUF_BYTES};

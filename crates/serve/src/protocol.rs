@@ -213,7 +213,7 @@ impl Connection {
             writeln!(
                 out,
                 "ok commits={} epoch={} oldest={} admitted={} rejected={} reaped={} \
-                 cache_hits={} cache_misses={} batches={} batched_txs={}",
+                 cache_hits={} cache_misses={} batches={} batched_txs={} publish_bytes={}",
                 s.commits,
                 s.epoch,
                 s.oldest_epoch,
@@ -223,7 +223,8 @@ impl Connection {
                 s.cache_hits,
                 s.cache_misses,
                 s.batches,
-                s.batched_txs
+                s.batched_txs,
+                s.publish_bytes
             )?;
         } else if let Some(rest) = line.strip_prefix("query") {
             self.handle_query(rest, out)?;

@@ -5,7 +5,7 @@
 //! ## Commit ordering
 //!
 //! ```text
-//! WAL append + fsync  →  MaintainedQuery::apply  →  COW epoch publish
+//! WAL append + fsync  →  MaintainedQuery::apply  →  epoch publish
 //! ```
 //!
 //! * An append/fsync failure rejects the commit before anything is
@@ -16,8 +16,8 @@
 //!   itself atomic-on-error, so the in-memory state is untouched too.
 //! * A publish failure (injected `snapshot.publish` fault) leaves the
 //!   commit durable *and* applied but unpublished: the epoch id does not
-//!   advance, and the next successful publish — whose copy-on-write diff
-//!   is taken against the last *published* epoch — subsumes it. Readers
+//!   advance, and the next successful publish — whose successor is
+//!   built from the last *published* epoch — subsumes it. Readers
 //!   meanwhile keep answering at the last published epoch, which is a
 //!   consistent (merely stale) snapshot.
 //! * A crash between fsync and apply leaves the record in the log;
@@ -27,10 +27,12 @@
 //!
 //! Readers take no part in any of this: a read pins an epoch `Arc` out
 //! of the registry (a pointer clone under a briefly-held read lock) and
-//! scans frozen relations. The writer's mutex is never on a read path.
+//! reads snapshots: watermarks over the row stores the writer keeps
+//! appending to ([`crate::epoch`]). The writer's mutex is never on a
+//! read path.
 
 use crate::admission::{Admission, AdmissionConfig, Permit};
-use crate::cache::{relation_stamp, AnswerCache, GoalShape};
+use crate::cache::{AnswerCache, GoalShape};
 use crate::epoch::{EpochRegistry, EpochState};
 use crate::error::ServeError;
 use crate::protocol::{serve_session, Connection};
@@ -41,7 +43,7 @@ use semrec_datalog::parser::Unit;
 use semrec_datalog::term::Value;
 use semrec_engine::eval::answer_goal_rows_polled;
 use semrec_engine::{
-    tx_to_stream, Budget, Database, Relation, Route, Tuning, Tuple, Tx, UpdateStats,
+    tx_to_stream, Budget, Database, Relation, Route, Snapshot, Tuning, Tuple, Tx, UpdateStats,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
@@ -64,9 +66,9 @@ pub struct ServeConfig {
     /// Budget applied to each transaction's maintenance work.
     pub write_budget: Budget,
     /// Answer-cache entry bound (FIFO eviction). Answers are memoized
-    /// per `(goal shape, relation generation)` ([`crate::cache`]);
-    /// copy-on-write publication invalidates exactly the changed
-    /// predicates. 0 means no cache: every query computes its answer.
+    /// per `(goal shape, relation stamp)` ([`crate::cache`]);
+    /// publication invalidates exactly the changed predicates. 0 means
+    /// no cache: every query computes its answer.
     pub cache_capacity: usize,
 }
 
@@ -97,7 +99,7 @@ pub struct RecoveryReport {
 }
 
 /// One answered query, by reference: the matching rows as sorted ids
-/// into the frozen relation of the pinned epoch. This is what the
+/// into the pinned epoch's snapshot of the relation. This is what the
 /// answer cache stores and what the wire path renders from; nothing is
 /// copied until someone asks for tuples ([`Server::query`]).
 #[derive(Clone, Debug)]
@@ -106,10 +108,10 @@ pub struct Answer {
     pub epoch: u64,
     /// The route that materialized the relations at that epoch.
     pub route: Route,
-    /// The pinned relation `ids` index, kept alive for as long as the
+    /// The pinned snapshot `ids` index, kept alive for as long as the
     /// answer is; `None` when the predicate has no relation at that
     /// epoch (the answer is then empty).
-    rel: Option<Arc<Relation>>,
+    rel: Option<Arc<Snapshot>>,
     /// Physical row ids of the matching tuples, sorted by row content.
     ids: Arc<[u32]>,
 }
@@ -131,7 +133,7 @@ impl Answer {
     }
 
     /// The matching tuples in sorted order, as slices into the pinned
-    /// relation. The rows of one answer lie scattered over the flat
+    /// snapshot. The rows of one answer lie scattered over the flat
     /// store (a cache hit has not touched them yet), so the walk
     /// prefetches [`ROWS_PREFETCH_AHEAD`] rows in front of itself.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Value]> {
@@ -141,7 +143,7 @@ impl Answer {
             let rel = rel.expect("an answer with rows pins their relation");
             debug_assert!(
                 (id as usize) < rel.physical_rows(),
-                "row id {id} outlived its relation ({} rows)",
+                "row id {id} outlived its snapshot ({} rows)",
                 rel.physical_rows()
             );
             if let Some(&ahead) = ids.get(i + ROWS_PREFETCH_AHEAD) {
@@ -203,6 +205,14 @@ pub struct ServerStats {
     pub batches: u64,
     /// Transactions carried by those batches.
     pub batched_txs: u64,
+    /// Bytes copied on behalf of epoch publication since startup:
+    /// tombstone words carried by snapshots, rows the writer had to
+    /// move because a published snapshot held the allocation they
+    /// outgrew, and index entries readers appended to inherited
+    /// indexes. O(delta) publication keeps this near the size of the
+    /// commits; a per-commit clone would add the relation's size each
+    /// time.
+    pub publish_bytes: u64,
 }
 
 /// The single-writer state, held under one mutex so WAL append, apply,
@@ -268,12 +278,15 @@ pub struct Server {
     leader_change: Condvar,
     batches: AtomicU64,
     batched_txs: AtomicU64,
+    /// [`ServerStats::publish_bytes`], fed by every
+    /// [`EpochState::cow_successor`] and by readers extending indexes.
+    publish_bytes: Arc<AtomicU64>,
 }
 
 /// Every relation visible right now: EDB first, then the IDB
 /// materialization (authoritative for derived predicates).
-fn live_relations(q: &MaintainedQuery) -> Vec<(Pred, &semrec_engine::Relation)> {
-    let mut out: Vec<(Pred, &semrec_engine::Relation)> = q.db().iter().collect();
+fn live_relations(q: &MaintainedQuery) -> Vec<(Pred, &Relation)> {
+    let mut out: Vec<(Pred, &Relation)> = q.db().iter().collect();
     out.extend(q.idb().iter().map(|(&p, r)| (p, r)));
     out
 }
@@ -331,7 +344,13 @@ impl Server {
             route,
             rels: BTreeMap::new(),
         };
-        let initial = seed.cow_successor(report.epoch, route, live_relations(&query).into_iter());
+        let publish_bytes = Arc::new(AtomicU64::new(0));
+        let initial = seed.cow_successor(
+            report.epoch,
+            route,
+            live_relations(&query).into_iter(),
+            &publish_bytes,
+        );
         let registry = EpochRegistry::new(initial, cfg.retain_epochs);
         let admission = Admission::new(cfg.admission);
         let cache = AnswerCache::new(cfg.cache_capacity);
@@ -353,6 +372,7 @@ impl Server {
             leader_change: Condvar::new(),
             batches: AtomicU64::new(0),
             batched_txs: AtomicU64::new(0),
+            publish_bytes,
         });
         Ok((server, report))
     }
@@ -385,6 +405,7 @@ impl Server {
             cache_misses: self.cache.misses(),
             batches: self.batches.load(Ordering::Relaxed),
             batched_txs: self.batched_txs.load(Ordering::Relaxed),
+            publish_bytes: self.publish_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -392,15 +413,15 @@ impl Server {
     /// control: the request may be shed with `Overloaded`, cancelled by
     /// the watchdog (surfacing `EpochReclaimed`), or cut off by its
     /// deadline — and otherwise returns exactly the pinned epoch's
-    /// matching rows, sorted, as ids into that epoch's frozen relation.
+    /// matching rows, sorted, as ids into that epoch's snapshot.
     ///
     /// A repeated goal shape against an unchanged relation state is a
     /// pointer clone out of the answer cache (unless
     /// [`ServeConfig::cache_capacity`] is 0); a computed answer routes
     /// bound goal arguments through the snapshot's dictionary index
-    /// instead of scanning. Cached ids are only ever paired with the
-    /// relation whose stamp keyed them: the stamp is read off the very
-    /// `Arc<Relation>` the answer carries.
+    /// instead of scanning. Cached ids are only ever paired with a
+    /// snapshot of the state whose stamp keyed them: the stamp is read
+    /// off the very `Arc<Snapshot>` the answer carries.
     pub fn query_rows(
         &self,
         goal: &Atom,
@@ -413,7 +434,7 @@ impl Server {
             .map_err(|m| ServeError::Io(format!("reader: {m}")))?;
         let state = self.registry.pin(at)?;
         let rel = state.relation(goal.pred).cloned();
-        let stamp = rel.as_deref().and_then(relation_stamp);
+        let stamp = rel.as_deref().map(Snapshot::stamp);
         let shape = (self.cfg.cache_capacity > 0).then(|| GoalShape::of(goal));
         let cached = shape.as_ref().and_then(|s| self.cache.get(s, stamp));
         let ids = match cached {
@@ -485,22 +506,21 @@ impl Server {
     fn answer(
         &self,
         state: &EpochState,
-        rel: &Relation,
+        rel: &Snapshot,
         goal: &Atom,
         permit: &Permit,
     ) -> Result<Vec<u32>, ServeError> {
-        let mut ids = answer_goal_rows_polled(rel, goal, rel.snapshot_rows(), |_| {
-            match self.read_aborted(state, permit) {
+        let mut ids =
+            answer_goal_rows_polled(rel, goal, |_| match self.read_aborted(state, permit) {
                 Some(e) => Err(e),
                 None => Ok(()),
-            }
-        })?;
+            })?;
         ids.sort_unstable_by(|&a, &b| rel.row(a).cmp(rel.row(b)));
         Ok(ids)
     }
 
     /// Applies one transaction through the full commit pipeline: WAL
-    /// append + fsync, maintained apply, copy-on-write epoch publish.
+    /// append + fsync, maintained apply, epoch publish.
     /// Serialized with other writers; never blocked by readers.
     ///
     /// Concurrent callers are group-committed: each enqueues its
@@ -657,11 +677,11 @@ impl Server {
             }
         }
 
-        // Phase E: one copy-on-write publication for the whole batch;
-        // every committed transaction shares the new epoch. A publish
-        // failure leaves the batch durable and applied but errored —
-        // the next successful publish, whose copy-on-write diff is taken
-        // against the last *published* epoch, subsumes it.
+        // Phase E: one publication for the whole batch; every committed
+        // transaction shares the new epoch. A publish failure leaves
+        // the batch durable and applied but errored — the next
+        // successful publish, whose successor is built from the last
+        // *published* epoch, subsumes it.
         let applied_any = outcomes.iter().any(Option::is_some);
         let mut publish_err = None;
         let mut epoch = self.registry.latest().epoch;
@@ -669,7 +689,12 @@ impl Server {
             epoch = ws.next_epoch;
             let route = ws.query.route();
             let prev = self.registry.latest();
-            let successor = prev.cow_successor(epoch, route, live_relations(&ws.query).into_iter());
+            let successor = prev.cow_successor(
+                epoch,
+                route,
+                live_relations(&ws.query).into_iter(),
+                &self.publish_bytes,
+            );
             match self.registry.publish(successor) {
                 Ok(_) => ws.next_epoch = epoch + 1,
                 Err(e) => publish_err = Some(e),

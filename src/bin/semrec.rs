@@ -564,7 +564,7 @@ fn emit_idb(
                 eprintln!("-- 0 answers");
                 return;
             };
-            let mut answers = semrec::engine::eval::answer_goal(rel, goal, rel.all_rows());
+            let mut answers = semrec::engine::eval::answer_goal(&rel.snapshot(), goal);
             answers.sort();
             for t in &answers {
                 println!("{}", render(goal.pred, t));

@@ -1,10 +1,12 @@
 //! Indexed goal answering agrees with the full-relation scan: on every
 //! generated workload and binding pattern, `answer_goal` (dictionary
-//! probes for bound columns, membership test for all-bound goals,
-//! residual filtering for the rest) must select exactly the tuples a
-//! `goal_matches` scan selects — and the serving daemon, which answers
-//! the same goals as row ids and renders them straight off the pinned
-//! relation, must put exactly those tuples on the wire.
+//! probes for bound columns, probe + row comparison for all-bound
+//! goals, residual filtering for the rest) must select exactly the
+//! tuples a `goal_matches` scan selects — also on a snapshot that reads
+//! through an index a later snapshot already extended past its
+//! watermark — and the serving daemon, which answers the same goals as
+//! row ids and renders them straight off the pinned snapshot, must put
+//! exactly those tuples on the wire.
 
 mod common;
 
@@ -12,21 +14,21 @@ use common::{frame, wire};
 use semrec::datalog::parser::Unit;
 use semrec::datalog::{Atom, Pred, Term, Value};
 use semrec::engine::eval::{answer_goal, goal_matches};
-use semrec::engine::{evaluate, Database, Relation, Strategy, Tuple};
+use semrec::engine::{evaluate, Database, Relation, Snapshot, Strategy, Tuple};
 use semrec::gen::rng::Rng;
 use semrec::gen::{fanout, flights, genealogy, org, parse_scenario, university};
 use semrec::serve::{ServeConfig, Server};
 
 /// The reference: filter every snapshot tuple through `goal_matches`.
-fn scan(rel: &Relation, goal: &Atom) -> Vec<Tuple> {
-    rel.snapshot_sorted_tuples()
+fn scan(rel: &Snapshot, goal: &Atom) -> Vec<Tuple> {
+    rel.sorted_tuples()
         .into_iter()
         .filter(|t| goal_matches(goal, t))
         .collect()
 }
 
-fn check(rel: &Relation, goal: &Atom, ctx: &str) {
-    let mut probed = answer_goal(rel, goal, rel.snapshot_rows());
+fn check(rel: &Snapshot, goal: &Atom, ctx: &str) {
+    let mut probed = answer_goal(rel, goal);
     probed.sort();
     assert_eq!(probed, scan(rel, goal), "{ctx}: goal `{goal}` diverged");
 }
@@ -37,10 +39,10 @@ fn free_vars(arity: usize) -> Vec<Term> {
 
 /// Every binding pattern the serve read path routes differently:
 /// all-free (scan), one bound column at each position (probe), all
-/// bound (membership), repeated variables (scan + residual), a bound
-/// constant that matches nothing, and arity mismatch.
-fn all_patterns(rel: &Relation, pred: &str, rng: &mut Rng) -> Vec<Atom> {
-    let rows = rel.snapshot_sorted_tuples();
+/// bound (probe + compare), repeated variables (scan + residual), a
+/// bound constant that matches nothing, and arity mismatch.
+fn all_patterns(rel: &Snapshot, pred: &str, rng: &mut Rng) -> Vec<Atom> {
+    let rows = rel.sorted_tuples();
     let arity = match rows.first() {
         Some(r) => r.len(),
         None => return Vec::new(),
@@ -154,10 +156,71 @@ fn indexed_answers_agree_with_scans_on_generated_workloads() {
             let rel = fixed
                 .relation(Pred::new(pred))
                 .or_else(|| db.get(Pred::new(pred)))
-                .unwrap_or_else(|| panic!("{name}: no relation `{pred}`"));
-            for goal in all_patterns(rel, pred, &mut rng) {
-                check(rel, &goal, &format!("{name}/{pred}"));
+                .unwrap_or_else(|| panic!("{name}: no relation `{pred}`"))
+                .snapshot();
+            for goal in all_patterns(&rel, pred, &mut rng) {
+                check(&rel, &goal, &format!("{name}/{pred}"));
             }
+        }
+    }
+}
+
+/// A published snapshot reads through its lineage's shared indexes,
+/// which a reader of a *later* snapshot may already have extended past
+/// this one's watermark (and which know nothing of its tombstones).
+/// Every binding pattern — all-bound included, which on a snapshot is
+/// an index probe plus a row comparison — must still select exactly the
+/// older snapshot's tuples.
+#[test]
+fn snapshots_behind_their_lineage_index_agree_with_scans() {
+    for (name, db, src, preds) in workloads() {
+        let s = parse_scenario(src);
+        let fixed = evaluate(&db, &s.program, Strategy::SemiNaive).expect("fixpoint");
+        let mut rng = Rng::seed_from_u64(0x60A2);
+        for pred in preds {
+            let full = fixed
+                .relation(Pred::new(pred))
+                .or_else(|| db.get(Pred::new(pred)))
+                .unwrap_or_else(|| panic!("{name}: no relation `{pred}`"));
+            let rows = full.sorted_tuples();
+            let ctx = format!("{name}/{pred}");
+            // Grow one relation in three publications: half the rows; a
+            // delete among them plus a quarter more; the rest.
+            let meter = std::sync::Arc::default();
+            let (half, three_q) = (rows.len() / 2, rows.len() * 3 / 4);
+            let mut rel = Relation::new(full.arity());
+            for row in &rows[..half] {
+                rel.insert(row);
+            }
+            let early = rel.snapshot_after(None, &meter);
+            if half > 0 {
+                rel.delete(&rows[half / 2]);
+            }
+            for row in &rows[half..three_q] {
+                rel.insert(row);
+            }
+            let middle = rel.snapshot_after(Some(&early), &meter);
+            for row in &rows[three_q..] {
+                rel.insert(row);
+            }
+            let late = rel.snapshot_after(Some(&middle), &meter);
+            assert!(late.shares_indexes_with(&early), "{ctx}: one lineage");
+            // Reading the newest first builds every index over all rows…
+            let goals = all_patterns(&late, pred, &mut rng);
+            for goal in &goals {
+                check(&late, goal, &ctx);
+            }
+            let indexed = late.indexed_rows();
+            // …so the older two now sit behind the indexes they probe.
+            for goal in goals.iter().chain(&all_patterns(&early, pred, &mut rng)) {
+                check(&middle, goal, &format!("{ctx} (middle)"));
+                check(&early, goal, &format!("{ctx} (early)"));
+            }
+            assert_eq!(early.len(), half, "{ctx}: the delete came later");
+            assert!(
+                late.indexed_rows() >= indexed,
+                "{ctx}: an older reader never shrinks an index"
+            );
         }
     }
 }
@@ -242,8 +305,8 @@ fn string_constants_probe_correctly() {
         seed: 21,
         ..org::OrgParams::default()
     });
-    let rel = db.get(Pred::new("boss")).expect("boss relation");
-    let rows = rel.snapshot_sorted_tuples();
+    let rel = db.get(Pred::new("boss")).expect("boss relation").snapshot();
+    let rows = rel.sorted_tuples();
     let rank = rows
         .iter()
         .map(|r| r[2])
@@ -253,5 +316,5 @@ fn string_constants_probe_correctly() {
         Pred::new("boss"),
         vec![Term::var("E"), Term::var("B"), Term::Const(rank)],
     );
-    check(rel, &goal, "org/boss string rank");
+    check(&rel, &goal, "org/boss string rank");
 }

@@ -5,7 +5,11 @@
 //! blocking the writer and vice versa. The wire is held to the same
 //! standard: what a session writes is the rendered tuples, cache or no
 //! cache, and a cached row-id answer is never read against a relation
-//! state other than the one that produced it.
+//! state other than the one that produced it. Publication shares the
+//! writer's row store instead of copying it, so the suite also pins a
+//! reader and walks the writer through everything that could disturb a
+//! shared store: appends, tombstones and compaction, growth past the
+//! allocation, and the rollback of a failed apply.
 
 mod common;
 
@@ -245,7 +249,7 @@ fn cache_on_and_off_agree_tuple_for_tuple() {
     assert_eq!(cold.cache_misses, 0, "cache-off server must never probe");
 }
 
-/// Copy-on-write publication is the cache's invalidation: a goal warmed
+/// Publication is the cache's invalidation: a goal warmed
 /// into the cache must answer the *new* epoch immediately after every
 /// commit — including across the violation/repair pair, where route
 /// invalidation rebuilds the materialization from scratch and a
@@ -326,7 +330,7 @@ fn long_pinned_reader_never_blocks_the_writer() {
         .expect("pinned reach");
     let g = goal();
     let frozen: Vec<Tuple> = rel
-        .snapshot_sorted_tuples()
+        .sorted_tuples()
         .into_iter()
         .filter(|t| semrec::engine::eval::goal_matches(&g, t))
         .collect();
@@ -337,4 +341,176 @@ fn long_pinned_reader_never_blocks_the_writer() {
     ));
     let latest = server.query(&goal(), None, None).expect("latest");
     assert_eq!(latest.tuples, expected[COMMITS]);
+}
+
+/// A relation rebuilt from scratch restarts its generation counter, so
+/// "same generation as the published snapshot" does not mean "same
+/// content": a builtin program is recomputed by every commit, and the
+/// rebuilt `p` — one insert, like the `p` of epoch 0 — used to be
+/// mistaken for it and the old epoch's snapshot republished. The stamp
+/// compared now carries the storage incarnation.
+#[test]
+fn a_rebuilt_relation_is_not_mistaken_for_its_predecessor() {
+    let unit = parse_unit("p(X, Z) :- e(X), plus(X, 1, Z). e(1).").expect("parse unit");
+    let (server, _) = Server::open(&unit, ServeConfig::default(), None).expect("open");
+    assert_eq!(
+        wire(&server, "query p(X, Z).\n"),
+        "ok epoch=0 route=direct rows=1\np(1, 2).\nend\n"
+    );
+    let sent = wire(&server, "-e(1).\n+e(5).\ncommit.\nquery p(X, Z).\n");
+    let answer = sent
+        .split_once('\n')
+        .expect("commit ack, then the answer")
+        .1;
+    assert!(
+        answer.starts_with("ok epoch=1 ") && answer.ends_with(" rows=1\np(5, 6).\nend\n"),
+        "epoch 1 holds e(5), so p must be p(5, 6): {sent}"
+    );
+    // The old epoch still answers the old state.
+    assert!(wire(&server, "query@0 p(X, Z).\n").ends_with("rows=1\np(1, 2).\nend\n"));
+}
+
+/// Pinned-reader isolation over a shared row store. A reader pinned at
+/// epoch E keeps answering E's rows — by value, and through the row ids
+/// of answers it was handed back then — while later commits append to
+/// the very allocation it reads, tombstone and compact it, outgrow it,
+/// and roll a failed apply back out of it (a row-budget trip, which
+/// truncates the store while snapshots share it and then re-appends
+/// other rows under the cut ids). After every step `query@e` of every
+/// epoch so far equals a serial replay to `e`.
+#[test]
+fn a_pinned_reader_is_isolated_from_everything_the_writer_does_to_the_store() {
+    const N: i64 = 20;
+    const ROW_LIMIT: u64 = 2500;
+    let mut src =
+        String::from("reach(X, Y) :- edge(X, Y).\nreach(X, Y) :- edge(X, Z), reach(Z, Y).\n");
+    for i in 1..N {
+        src.push_str(&format!("edge({i}, {}).\n", i + 1));
+    }
+    let unit = parse_unit(&src).expect("parse unit");
+    let goals: Vec<Atom> = [
+        "reach(1, Y)",  // probe on the first column
+        "reach(X, 20)", // probe on the second
+        "reach(3, 7)",  // all bound: probe + row comparison
+        "reach(X, Y)",  // scan
+        "edge(X, Y)",   // an EDB relation shares its store too
+    ]
+    .iter()
+    .map(|g| parse_atom(g).expect("goal"))
+    .collect();
+
+    // The serial replay: one maintained query, no server, no sharing.
+    let mut replay = MaintainedQuery::new_tuned(
+        Database::from_facts(&unit.facts),
+        &unit.program(),
+        &unit.constraints,
+        OptimizerConfig::default(),
+        Tuning::default(),
+    )
+    .expect("reference query");
+    let answers_of = |q: &MaintainedQuery| -> Vec<Vec<Tuple>> {
+        goals
+            .iter()
+            .map(|g| {
+                let mut a = match q.relation(g.pred).or_else(|| q.db().get(g.pred)) {
+                    Some(rel) => semrec::engine::eval::answer_goal(&rel.snapshot(), g),
+                    None => Vec::new(),
+                };
+                a.sort();
+                a
+            })
+            .collect()
+    };
+    let mut expected = vec![answers_of(&replay)];
+
+    let cfg = ServeConfig {
+        retain_epochs: 64,
+        write_budget: Budget::unlimited().with_max_idb_rows(ROW_LIMIT),
+        ..ServeConfig::default()
+    };
+    let (server, _) = Server::open(&unit, cfg, None).expect("open");
+
+    // What pinned readers hold on to: answers by row id, with the epoch
+    // they were read at.
+    let mut held = Vec::new();
+    let hold = |server: &Server, held: &mut Vec<_>| {
+        for (gi, g) in goals.iter().enumerate() {
+            held.push((gi, server.query_rows(g, None, None).expect("pin")));
+        }
+    };
+    hold(&server, &mut held);
+
+    let chain = |from: i64, to: i64| {
+        let mut tx = Tx::new();
+        for i in from..to {
+            tx.insert("edge", int_tuple(&[i, i + 1]));
+        }
+        tx
+    };
+    let mut delete = Tx::new();
+    delete.delete("edge", int_tuple(&[5, 6]));
+    let mut reinsert = Tx::new();
+    reinsert.insert("edge", int_tuple(&[5, 6]));
+    let mut spur = Tx::new();
+    spur.insert("edge", int_tuple(&[60, 200]));
+    // (transaction, commits?) in order. The chain to 100 would hold
+    // 4950 reach rows: over the budget, so its apply is rolled back.
+    let steps = [
+        ("append within the allocation", chain(N, N + 1), true),
+        ("tombstone + compaction", delete, true),
+        ("append after compaction", reinsert, true),
+        ("growth past the allocation", chain(N + 1, 60), true),
+        ("failed apply, rolled back", chain(60, 100), false),
+        ("append under the cut row ids", spur, true),
+        ("growth again", chain(200, 208), true),
+    ];
+    for (what, tx, commits) in &steps {
+        let before = server.stats().epoch;
+        match server.commit(tx) {
+            Ok(reply) => {
+                assert!(commits, "{what}: expected the row budget to trip");
+                assert_eq!(reply.epoch, before + 1, "{what}");
+                replay
+                    .apply(tx, Budget::unlimited(), None)
+                    .expect("reference apply");
+                expected.push(answers_of(&replay));
+            }
+            Err(e) => {
+                assert!(!commits, "{what}: {e}");
+                assert!(
+                    matches!(&e, ServeError::Engine(inner) if inner.to_string().contains("idb_rows")),
+                    "{what}: {e}"
+                );
+                assert_eq!(server.stats().epoch, before, "{what}: nothing published");
+            }
+        }
+        // Every epoch so far, by value, against the serial replay.
+        for (e, want) in expected.iter().enumerate() {
+            for (g, want) in goals.iter().zip(want) {
+                let got = server.query(g, Some(e as u64), None).expect("query@e");
+                assert_eq!(got.epoch, e as u64);
+                assert_eq!(&got.tuples, want, "after {what}: `{g}` at epoch {e}");
+            }
+        }
+        // Every answer handed out so far, through its row ids.
+        for (gi, answer) in &held {
+            let rows: Vec<Tuple> = answer.rows().map(<[_]>::to_vec).collect();
+            assert_eq!(
+                rows, expected[answer.epoch as usize][*gi],
+                "after {what}: held ids of `{}` at epoch {}",
+                goals[*gi], answer.epoch
+            );
+        }
+        hold(&server, &mut held);
+    }
+    assert_eq!(expected.len(), steps.len(), "one epoch per committed step");
+    // None of this was paid for by copying relations: the only row
+    // copies are the two growth steps' doublings.
+    let reach_bytes = 16 * 2 * ROW_LIMIT;
+    let copied = server.stats().publish_bytes;
+    assert!(
+        copied < 2 * reach_bytes,
+        "{copied} bytes copied over {} commits of a ≤ {reach_bytes}-byte relation",
+        steps.len()
+    );
 }
