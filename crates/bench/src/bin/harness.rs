@@ -20,21 +20,19 @@
 //! `--assert-throughput <pct>` (requires `--baseline`) exits nonzero if
 //! the rows/sec of any workload with `rows_idb >= 50_000` falls more
 //! than `<pct>` percent below the baseline's.
-//! `--assert-kernel-coverage <pct>` exits nonzero if any kernel-bench
-//! workload routes fewer than `<pct>` percent of its plan executions
-//! through the batch kernels. `--assert-routing` exits
-//! nonzero if the cost planner's chosen route runs slower than the fixed
-//! ladder (beyond noise), mispredicts cardinality by more than 10x, or
-//! spends over 2% of evaluation time planning.
+//! `--assert-routing` exits nonzero if the cost planner's chosen route
+//! runs slower than the fixed ladder (beyond noise), mispredicts
+//! cardinality by more than 10x, or spends over 2% of evaluation time
+//! planning.
 
 use semrec_bench::baseline::{check_schema_version, check_throughput, diff_table, parse_baseline};
 use semrec_bench::experiments::{run, Scale, ALL};
 use semrec_bench::fixpoint::{
-    check_kernel_coverage, check_no_regrow, check_routing, dict_table, governance_table,
-    incremental_table, kernel_table, routing_table, run_dict_bench, run_fixpoint_bench,
-    run_governance_bench, run_incremental_bench, run_kernel_bench, run_routing_bench,
-    run_semantic_bench, semantic_table, to_json_full, to_json_with_dict, to_json_with_incremental,
-    to_json_with_kernels, to_json_with_routing, to_table,
+    check_no_regrow, check_routing, dict_table, governance_table, incremental_table, kernel_table,
+    routing_table, run_dict_bench, run_fixpoint_bench, run_governance_bench, run_incremental_bench,
+    run_kernel_bench, run_routing_bench, run_semantic_bench, semantic_table, to_json_full,
+    to_json_with_dict, to_json_with_incremental, to_json_with_kernel_stats, to_json_with_routing,
+    to_table,
 };
 use semrec_bench::serve::{
     check_serve_baseline, check_serve_read, run_serve_bench, serve_table, serve_to_json,
@@ -46,7 +44,6 @@ fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut baseline_path: Option<String> = None;
     let mut assert_throughput: Option<f64> = None;
-    let mut assert_kernel_coverage: Option<f64> = None;
     let mut assert_no_regrow: Option<u64> = None;
     let mut args: Vec<String> = Vec::new();
     let mut it = raw.into_iter();
@@ -72,14 +69,6 @@ fn main() -> ExitCode {
                 Some(max) => assert_no_regrow = Some(max),
                 None => {
                     eprintln!("--assert-no-regrow requires a max-regrow count");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if a == "--assert-kernel-coverage" {
-            match it.next().and_then(|p| p.parse::<f64>().ok()) {
-                Some(pct) if (0.0..=100.0).contains(&pct) => assert_kernel_coverage = Some(pct),
-                _ => {
-                    eprintln!("--assert-kernel-coverage requires a percentage in 0..=100");
                     return ExitCode::FAILURE;
                 }
             }
@@ -201,7 +190,7 @@ fn main() -> ExitCode {
         if json {
             let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fixpoint.json");
             let doc = to_json_with_dict(
-                to_json_with_kernels(
+                to_json_with_kernel_stats(
                     to_json_with_routing(
                         to_json_with_incremental(
                             to_json_full(&results, &semantic, &governance),
@@ -244,15 +233,6 @@ fn main() -> ExitCode {
         }
         if let Some(max) = assert_no_regrow {
             match check_no_regrow(&kernels, max) {
-                Ok(summary) => println!("{summary}"),
-                Err(report) => {
-                    eprintln!("{report}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if let Some(pct) = assert_kernel_coverage {
-            match check_kernel_coverage(&kernels, pct) {
                 Ok(summary) => println!("{summary}"),
                 Err(report) => {
                     eprintln!("{report}");

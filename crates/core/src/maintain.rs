@@ -40,7 +40,7 @@ use semrec_engine::eval::answer_goal;
 use semrec_engine::incr::{ic_still_satisfied, rollback_inserts};
 use semrec_engine::{
     AlternativeKind, Budget, CancelToken, CostMemo, Database, EdbStats, EngineError, Materialized,
-    Relation, Route, RouteChoice, Tuning, Tuple, Tx, UpdateStats,
+    Relation, Route, RouteChoice, Tuple, Tx, UpdateStats,
 };
 
 use crate::optimizer::{Optimizer, OptimizerConfig, Plan};
@@ -118,7 +118,6 @@ pub struct MaintainedQuery {
     /// (residue-pushed), false = `plan.rectified`.
     active_opt: bool,
     route: Route,
-    tuning: Tuning,
     /// Generation-keyed EDB statistics shared across replanning passes.
     edb_stats: EdbStats,
     /// The planner's latest verdict (None when pricing failed).
@@ -181,31 +180,18 @@ fn monitored_ics(plan: &Plan, ics: &[Constraint]) -> Vec<Constraint> {
 }
 
 impl MaintainedQuery {
-    /// [`MaintainedQuery::new_tuned`] with the default [`Tuning`]. The
-    /// trailing `usize` is ignored: it is the signature
-    /// `benchmark/src/bin/layers.rs` calls (benchmark/README.md, *Frozen
-    /// surfaces (b)*), to be dropped by the next benchmark issue.
+    /// Optimizes `program` under `ics` and materializes the appropriate
+    /// route over `db` (the optimized program if every monitored IC
+    /// holds, the rectified program otherwise). The trailing `usize` is
+    /// ignored: it is the signature `benchmark/src/bin/layers.rs` calls
+    /// (benchmark/README.md, *Frozen surfaces (b)*), to be dropped by
+    /// the next benchmark issue.
     pub fn new(
         db: Database,
         program: &Program,
         ics: &[Constraint],
         config: OptimizerConfig,
         _ignored: usize,
-    ) -> Result<MaintainedQuery, MaintainError> {
-        MaintainedQuery::new_tuned(db, program, ics, config, Tuning::default())
-    }
-
-    /// Optimizes `program` under `ics` and materializes the appropriate
-    /// route over `db` (the optimized program if every monitored IC
-    /// holds, the rectified program otherwise). The initial
-    /// materialization and every later update or route-transition
-    /// rebuild run under `tuning`.
-    pub fn new_tuned(
-        db: Database,
-        program: &Program,
-        ics: &[Constraint],
-        config: OptimizerConfig,
-        tuning: Tuning,
     ) -> Result<MaintainedQuery, MaintainError> {
         let plan = Optimizer::new(program)
             .with_constraints(ics)
@@ -224,7 +210,7 @@ impl MaintainedQuery {
         } else {
             &plan.rectified
         };
-        let active = Materialized::new_tuned(&db, active_program, tuning)?;
+        let active = Materialized::new(&db, active_program)?;
         let route = if !on_optimized {
             Route::RectifiedFallback
         } else if active_opt {
@@ -246,7 +232,6 @@ impl MaintainedQuery {
             on_optimized,
             active_opt,
             route,
-            tuning,
             edb_stats,
             choice,
             planned_rows,
@@ -319,7 +304,7 @@ impl MaintainedQuery {
             replanned = true;
             plan_commit = Some((choice, edb_rows(&work)));
             if kind == AlternativeKind::ResiduePushed {
-                let next = Materialized::new_tuned(&work, &self.plan.program, self.tuning)?;
+                let next = Materialized::new(&work, &self.plan.program)?;
                 let stats = rebuild_stats(&next, start);
                 new_active = Some((next, true));
                 (stats, Route::IncrementalOptimized, true)
@@ -339,7 +324,7 @@ impl MaintainedQuery {
             replanned = true;
             plan_commit = Some((choice, edb_rows(&work)));
             if self.active_opt {
-                let next = Materialized::new_tuned(&work, &self.plan.rectified, self.tuning)?;
+                let next = Materialized::new(&work, &self.plan.rectified)?;
                 let stats = rebuild_stats(&next, start);
                 new_active = Some((next, false));
                 (stats, Route::IncrementalInvalidated, true)
@@ -406,7 +391,7 @@ impl MaintainedQuery {
             } else {
                 &self.plan.rectified
             };
-            if let Ok(next) = Materialized::new_tuned(&self.db, prog, self.tuning) {
+            if let Ok(next) = Materialized::new(&self.db, prog) {
                 self.active = next;
                 self.active_opt = want_opt;
                 rebuilt = true;
@@ -476,7 +461,7 @@ impl MaintainedQuery {
             replanned = true;
             plan_commit = Some((choice, edb_rows(&self.db)));
             if kind == AlternativeKind::ResiduePushed {
-                match Materialized::new_tuned(&self.db, &self.plan.program, self.tuning) {
+                match Materialized::new(&self.db, &self.plan.program) {
                     Ok(next) => {
                         let stats = rebuild_stats(&next, start);
                         self.active = next;
@@ -508,7 +493,7 @@ impl MaintainedQuery {
             replanned = true;
             plan_commit = Some((choice, edb_rows(&self.db)));
             if self.active_opt {
-                match Materialized::new_tuned(&self.db, &self.plan.rectified, self.tuning) {
+                match Materialized::new(&self.db, &self.plan.rectified) {
                     Ok(next) => {
                         let stats = rebuild_stats(&next, start);
                         self.active = next;
@@ -666,12 +651,12 @@ mod tests {
         for v in 0..=6i64 {
             db.insert("witness", int_tuple(&[v, v * 1000]));
         }
-        let q = MaintainedQuery::new_tuned(
+        let q = MaintainedQuery::new(
             db,
             &unit.program(),
             &unit.constraints,
             OptimizerConfig::default(),
-            Tuning::default(),
+            1,
         )
         .expect("maintained query");
         assert!(

@@ -27,7 +27,7 @@ use super::stats::EdbStats;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::fxhash::FxHashMap;
-use crate::plan::{compile_rule_with_sizes, ArgPat, CompiledRule, KernelSrc, Source, Step, View};
+use crate::plan::{compile_rule_with_sizes, CompiledRule, KernelSrc, View};
 use semrec_datalog::atom::Pred;
 use semrec_datalog::program::Program;
 use semrec_datalog::term::Value;
@@ -43,6 +43,11 @@ pub const DEPTH_CAP: u64 = 4096;
 /// Clamp on any estimated row count: beyond this the estimate is
 /// "effectively unbounded" and iterating further adds no information.
 const ROW_CLAMP: f64 = 1e15;
+
+/// Longest probe chain whose orderings [`Estimator::orderings_of`]
+/// enumerates (4! = 24 permutations); the factorial is not paid for
+/// wider bodies.
+const MAX_REORDERED_PROBES: usize = 4;
 
 /// Where a head column's values come from, for domain propagation.
 #[derive(Clone, Copy, Debug)]
@@ -509,23 +514,24 @@ impl<'a> Estimator<'a> {
         delta: &BTreeMap<Pred, f64>,
         dom: &BTreeMap<(Pred, usize), f64>,
     ) -> (f64, f64) {
-        let Some((seed_pred, seed_view, seed_key)) = &shape.seed else {
-            // No scan at all (fact-like rule body of filters): one row.
-            return (1.0, 1.0);
-        };
-        let mut card = if seed_key.is_empty() {
-            self.view_rows(*seed_pred, *seed_view, total, delta)
-        } else {
+        let mut card = match &shape.seed {
+            // The unit seed: one row.
+            None => 1.0,
+            Some((seed_pred, seed_view, seed_key)) if seed_key.is_empty() => {
+                self.view_rows(*seed_pred, *seed_view, total, delta)
+            }
             // Constant-keyed seed: one key group.
-            let probe = ProbeShape {
-                pred: *seed_pred,
-                view: *seed_view,
-                key_cols: seed_key.clone(),
-                existential: false,
-                deps: 0,
-                key_univ: Vec::new(),
-            };
-            self.probe_fanout(&probe, total, delta, dom)
+            Some((seed_pred, seed_view, seed_key)) => {
+                let probe = ProbeShape {
+                    pred: *seed_pred,
+                    view: *seed_view,
+                    key_cols: seed_key.clone(),
+                    existential: false,
+                    deps: 0,
+                    key_univ: Vec::new(),
+                };
+                self.probe_fanout(&probe, total, delta, dom)
+            }
         };
         let mut work = card;
         for probe in &shape.probes {
@@ -621,147 +627,100 @@ impl<'a> Estimator<'a> {
     }
 }
 
-/// Reduces a compiled plan to its estimation shape, preferring the
-/// batch-kernel form (it carries existential flags and probe-key
-/// dependency structure the step list doesn't).
+/// Reduces a compiled plan to its estimation shape: the kernel's seed,
+/// probe chain (with existential flags and probe-key dependency
+/// structure) and head sources.
 fn shape_of(plan: &CompiledRule) -> PlanShape {
-    if let Some(k) = &plan.kernel {
-        // Join classes: key (and check) elements sharing a binding
-        // source — a seed column or an earlier probe's output column —
-        // bind the same variable. Collect every (pred, col) position
-        // each variable touches; the largest distinct count over a
-        // class is the variable's value universe for hit-rate pricing.
-        let src_id = |s: &KernelSrc| match s {
-            KernelSrc::Seed(c) => Some((u64::MAX, *c)),
-            KernelSrc::Probe(d, c) => Some((*d as u64, *c)),
-            _ => None,
-        };
-        let src_pos = |s: &KernelSrc| match s {
-            KernelSrc::Seed(c) => Some((k.seed_pred, *c)),
-            KernelSrc::Probe(d, c) => Some((k.probes[*d].pred, *c)),
-            _ => None,
-        };
-        fn bound_cols(p: &crate::plan::KernelProbe) -> Vec<(usize, &KernelSrc)> {
-            let mut cols: Vec<(usize, &KernelSrc)> = p
-                .key_cols
-                .iter()
-                .copied()
-                .zip(p.key.iter())
-                .chain(p.checks.iter().map(|(c, s)| (*c, s)))
-                .collect();
-            cols.sort_by_key(|(c, _)| *c);
-            cols.dedup_by_key(|(c, _)| *c);
-            cols
-        }
-        let mut classes: BTreeMap<(u64, usize), Vec<(Pred, usize)>> = BTreeMap::new();
-        for p in &k.probes {
-            for (col, s) in bound_cols(p) {
-                let Some(id) = src_id(s) else { continue };
-                let class = classes.entry(id).or_default();
-                for pos in [src_pos(s), Some((p.pred, col))].into_iter().flatten() {
-                    if !class.contains(&pos) {
-                        class.push(pos);
-                    }
+    let k = &plan.kernel;
+    // Join classes: key (and check) elements sharing a binding source —
+    // a seed column or an earlier probe's output column — bind the same
+    // variable. Collect every (pred, col) position each variable
+    // touches; the largest distinct count over a class is the variable's
+    // value universe for hit-rate pricing.
+    let src_id = |s: &KernelSrc| match s {
+        KernelSrc::Seed(c) => Some((u64::MAX, *c)),
+        KernelSrc::Probe(d, c) => Some((*d as u64, *c)),
+        _ => None,
+    };
+    let src_pos = |s: &KernelSrc| match s {
+        KernelSrc::Seed(c) => k.seed_pred.map(|p| (p, *c)),
+        KernelSrc::Probe(d, c) => Some((k.probes[*d].pred, *c)),
+        _ => None,
+    };
+    fn bound_cols(p: &crate::plan::KernelProbe) -> Vec<(usize, &KernelSrc)> {
+        let mut cols: Vec<(usize, &KernelSrc)> = p
+            .key_cols
+            .iter()
+            .copied()
+            .zip(p.key.iter())
+            .chain(p.checks.iter().map(|(c, s)| (*c, s)))
+            .collect();
+        cols.sort_by_key(|(c, _)| *c);
+        cols.dedup_by_key(|(c, _)| *c);
+        cols
+    }
+    let mut classes: BTreeMap<(u64, usize), Vec<(Pred, usize)>> = BTreeMap::new();
+    for p in &k.probes {
+        for (col, s) in bound_cols(p) {
+            let Some(id) = src_id(s) else { continue };
+            let class = classes.entry(id).or_default();
+            for pos in [src_pos(s), Some((p.pred, col))].into_iter().flatten() {
+                if !class.contains(&pos) {
+                    class.push(pos);
                 }
             }
         }
-        let probes: Vec<ProbeShape> = k
-            .probes
-            .iter()
-            .map(|p| {
-                let bound = bound_cols(p);
-                ProbeShape {
-                    pred: p.pred,
-                    view: p.view,
-                    key_cols: bound.iter().map(|(c, _)| *c).collect(),
-                    existential: p.existential,
-                    deps: p
-                        .key
-                        .iter()
-                        .chain(p.checks.iter().map(|(_, s)| s))
-                        .filter_map(|s| match s {
-                            KernelSrc::Probe(d, _) => Some(*d),
-                            _ => None,
-                        })
-                        .fold(0u64, |m, d| m | (1 << d)),
-                    key_univ: bound
-                        .iter()
-                        .map(|(_, s)| {
-                            src_id(s)
-                                .and_then(|id| classes.get(&id))
-                                .cloned()
-                                .unwrap_or_default()
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let head_src = k
-            .head
-            .iter()
-            .map(|s| match s {
-                KernelSrc::Const(_) => DomSrc::Const,
-                KernelSrc::Seed(c) => DomSrc::Col(k.seed_pred, *c),
-                KernelSrc::Probe(d, c) => DomSrc::Col(k.probes[*d].pred, *c),
-                KernelSrc::Computed(_) => DomSrc::Unknown,
-            })
-            .collect();
-        return PlanShape {
-            seed: Some((k.seed_pred, k.seed_view, k.seed_key_cols.clone())),
-            probes,
-            head_src,
-        };
     }
-    // Step-machine plan: scans in step order; no existential detection
-    // and no reordering freedom (deps = all-earlier sentinel).
-    let mut slot_src: Vec<DomSrc> = vec![DomSrc::Unknown; plan.nslots];
-    let mut seed: Option<(Pred, View, Vec<usize>)> = None;
-    let mut probes: Vec<ProbeShape> = Vec::new();
-    for step in &plan.steps {
-        match step {
-            Step::Scan(s) => {
-                for (i, a) in s.args.iter().enumerate() {
-                    if let ArgPat::Bind(sl) = a {
-                        slot_src[*sl] = DomSrc::Col(s.pred, i);
-                    }
-                }
-                if seed.is_none() {
-                    seed = Some((s.pred, s.view, s.key_cols.clone()));
+    // Reordering freedom is priced only for chains short enough to
+    // enumerate; a longer chain keeps its compiled order (the
+    // all-earlier sentinel).
+    let reorderable = k.probes.len() <= MAX_REORDERED_PROBES;
+    let probes: Vec<ProbeShape> = k
+        .probes
+        .iter()
+        .enumerate()
+        .map(|(d, p)| {
+            let bound = bound_cols(p);
+            let reads = |dd: &usize| {
+                let mut srcs = p.key.iter().chain(p.checks.iter().map(|(_, s)| s));
+                srcs.any(|&s| k.reads_depth(s, *dd))
+            };
+            ProbeShape {
+                pred: p.pred,
+                view: p.view,
+                key_cols: bound.iter().map(|(c, _)| *c).collect(),
+                existential: p.existential,
+                deps: if reorderable {
+                    (0..d).filter(reads).fold(0u64, |m, dd| m | (1 << dd))
                 } else {
-                    probes.push(ProbeShape {
-                        pred: s.pred,
-                        view: s.view,
-                        key_cols: s.key_cols.clone(),
-                        existential: false,
-                        deps: u64::MAX,
-                        key_univ: Vec::new(),
-                    });
-                }
+                    u64::MAX
+                },
+                key_univ: bound
+                    .iter()
+                    .map(|(_, s)| {
+                        src_id(s)
+                            .and_then(|id| classes.get(&id))
+                            .cloned()
+                            .unwrap_or_default()
+                    })
+                    .collect(),
             }
-            Step::Assign(a) => {
-                slot_src[a.slot] = match a.from {
-                    Source::Const(_) => DomSrc::Const,
-                    Source::Slot(s) => slot_src[s],
-                };
-            }
-            Step::Compute(c) => {
-                if let Some((_, sl)) = c.bind {
-                    slot_src[sl] = DomSrc::Unknown;
-                }
-            }
-            Step::Neg(_) | Step::Filter(_) => {}
-        }
-    }
-    let head_src = plan
+        })
+        .collect();
+    let head_src = k
         .head
         .iter()
-        .map(|s| match s {
-            Source::Const(_) => DomSrc::Const,
-            Source::Slot(sl) => slot_src[*sl],
+        .map(|s| match *s {
+            KernelSrc::Const(_) => DomSrc::Const,
+            KernelSrc::Seed(c) => k.seed_pred.map_or(DomSrc::Unknown, |p| DomSrc::Col(p, c)),
+            KernelSrc::Probe(d, c) => DomSrc::Col(k.probes[d].pred, c),
+            KernelSrc::Computed(_) => DomSrc::Unknown,
         })
         .collect();
     PlanShape {
-        seed,
+        seed: k
+            .seed_pred
+            .map(|p| (p, k.seed_view, k.seed_key_cols.clone())),
         probes,
         head_src,
     }

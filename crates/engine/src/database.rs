@@ -1,11 +1,11 @@
 //! The extensional database: a map from predicate to relation.
 
+use crate::incr::matcher::{match_body, Poll, State};
 use crate::relation::{Relation, Tuple};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::{Constraint, IcHead};
 use semrec_datalog::subst::Subst;
-use semrec_datalog::symbol::Symbol;
-use semrec_datalog::term::{Term, Value};
+use semrec_datalog::term::Value;
 use std::collections::BTreeMap;
 
 /// An extensional database (EDB): ground facts grouped by predicate.
@@ -103,92 +103,62 @@ impl Database {
 
     /// Checks whether this database satisfies an integrity constraint:
     /// every assignment satisfying the body must satisfy the head. Returns
-    /// the list of violating body bindings (empty = satisfied). Intended
-    /// for tests and generator validation, not hot paths.
+    /// the list of violating body bindings (empty = satisfied).
     pub fn violations(&self, ic: &Constraint) -> Vec<Subst> {
         let mut out = Vec::new();
-        let vars: Vec<Symbol> = ic.vars().into_iter().collect();
-        self.enumerate_bindings(ic, 0, &mut Subst::new(), &mut out, &vars);
+        self.each_violation(ic, &mut |theta| {
+            out.push(theta.clone());
+            true
+        });
         out
     }
 
-    /// True if the database satisfies the constraint.
+    /// True if the database satisfies the constraint; stops at the first
+    /// violating binding.
     pub fn satisfies(&self, ic: &Constraint) -> bool {
-        self.violations(ic).is_empty()
+        self.each_violation(ic, &mut |_| false)
     }
 
-    fn enumerate_bindings(
-        &self,
-        ic: &Constraint,
-        i: usize,
-        partial: &mut Subst,
-        out: &mut Vec<Subst>,
-        _vars: &[Symbol],
-    ) {
-        if i == ic.body_atoms.len() {
-            // All database atoms matched; check evaluable body atoms.
-            for c in &ic.body_cmps {
-                let g = partial.apply_cmp(c);
-                match g.eval_ground() {
-                    Some(true) => {}
-                    // Unbound comparison variables make the body
-                    // unsatisfiable for this binding (ICs are connected, so
-                    // this only happens for malformed constraints).
-                    _ => return,
-                }
-            }
-            let ok = match &ic.head {
-                IcHead::None => false,
-                IcHead::Cmp(c) => partial.apply_cmp(c).eval_ground() == Some(true),
-                IcHead::Atom(a) => {
-                    let g = partial.apply_atom(a);
-                    if let Some(rel) = self.get(g.pred) {
-                        if g.is_ground() {
-                            let t: Tuple = g.args.iter().map(|t| t.as_const().unwrap()).collect();
-                            rel.contains(&t)
-                        } else {
-                            // Existential head variables: satisfied if any
-                            // tuple matches the bound positions.
-                            rel.iter().any(|row| {
-                                g.args.iter().zip(row).all(|(t, v)| match t.as_const() {
-                                    Some(c) => c == *v,
-                                    None => true,
-                                })
-                            })
-                        }
-                    } else {
-                        false
-                    }
-                }
-            };
-            if !ok {
-                out.push(partial.clone());
-            }
-            return;
-        }
-        let atom = &ic.body_atoms[i];
-        let Some(rel) = self.get(atom.pred) else {
-            return; // empty relation: body unsatisfiable
+    /// Hands `f` each body binding of `ic` whose head fails, through the
+    /// incremental layer's indexed matcher over this database alone,
+    /// until `f` returns `false`; returns whether it ran to the end.
+    fn each_violation(&self, ic: &Constraint, f: &mut dyn FnMut(&Subst) -> bool) -> bool {
+        let state = State {
+            edb: self,
+            idb: &BTreeMap::new(),
         };
-        'rows: for row in rel.iter() {
-            let mut snapshot = partial.clone();
-            for (t, v) in atom.args.iter().zip(row) {
-                match t {
-                    Term::Const(c) => {
-                        if c != v {
-                            continue 'rows;
-                        }
-                    }
-                    Term::Var(x) => match snapshot.get(*x) {
-                        Some(Term::Const(c)) if c == *v => {}
-                        Some(_) => continue 'rows,
-                        None => {
-                            snapshot.insert(*x, Term::Const(*v));
-                        }
-                    },
+        let atoms: Vec<&Atom> = ic.body_atoms.iter().collect();
+        let cmps: Vec<_> = ic.body_cmps.iter().collect();
+        let mut on_binding = |theta: &Subst| self.head_holds(ic, theta) || f(theta);
+        let (theta, poll) = (&mut Subst::new(), &mut Poll::new(None));
+        match_body(&state, &atoms, &cmps, theta, poll, &mut on_binding)
+            .expect("an ungoverned match cannot be interrupted")
+    }
+
+    /// True if the constraint's head holds under a complete body binding.
+    pub(crate) fn head_holds(&self, ic: &Constraint, theta: &Subst) -> bool {
+        match &ic.head {
+            IcHead::None => false,
+            IcHead::Cmp(c) => theta.apply_cmp(c).eval_ground() == Some(true),
+            IcHead::Atom(a) => {
+                let g = theta.apply_atom(a);
+                let Some(rel) = self.get(g.pred) else {
+                    return false;
+                };
+                if g.is_ground() {
+                    let t: Tuple = g.args.iter().map(|t| t.as_const().unwrap()).collect();
+                    rel.contains(&t)
+                } else {
+                    // Existential head variables: any tuple matching the
+                    // bound positions witnesses the head.
+                    rel.iter().any(|row| {
+                        g.args.iter().zip(row).all(|(t, v)| match t.as_const() {
+                            Some(c) => c == *v,
+                            None => true,
+                        })
+                    })
                 }
             }
-            self.enumerate_bindings(ic, i + 1, &mut snapshot, out, _vars);
         }
     }
 }

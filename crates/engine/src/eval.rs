@@ -1,4 +1,4 @@
-//! Bottom-up fixpoint evaluation: naive and semi-naive.
+//! Bottom-up semi-naive fixpoint evaluation.
 //!
 //! The evaluator exposes a round-at-a-time [`Evaluator::step`] API in
 //! addition to [`Evaluator::run`], so that the evaluation-based semantic
@@ -21,11 +21,9 @@ use crate::error::EngineError;
 use crate::fxhash::{hash_slice, FxHashMap};
 use crate::governor::{Budget, CancelToken, Governor, POLL_MASK};
 use crate::plan::{
-    compile_rule_with_sizes, ArgPat, BatchKernel, CompiledRule, KernelGuard, KernelSrc, Source,
-    Step, View, MAX_KERNEL_PROBES,
+    compile_rule_with_sizes, BatchKernel, CompiledRule, KernelGuard, KernelNeg, KernelProbe,
+    KernelSrc, View,
 };
-#[cfg(doc)]
-use crate::plan::{KernelCompute, MAX_KERNEL_COMPUTES};
 use crate::relation::{CodeMap, ProbeHandle, Relation, RowRange, Snapshot, Tuple};
 use crate::stats::Stats;
 use semrec_datalog::atom::{Atom, Pred};
@@ -33,11 +31,12 @@ use semrec_datalog::program::Program;
 use semrec_datalog::term::{Term, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Fixpoint strategy.
+/// Fixpoint strategy. One variant: the naive reference lives in
+/// `tests/common/naive.rs`, and the parameter survives only because
+/// `benchmark/src/bin/layers.rs` names it (benchmark/README.md, *Frozen
+/// surfaces (b)*).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Strategy {
-    /// Re-evaluate every rule against the full IDB each round.
-    Naive,
     /// Classic semi-naive differentiation with one delta variant per IDB
     /// subgoal occurrence.
     SemiNaive,
@@ -412,28 +411,11 @@ struct DepthMemo {
 
 /// Kernel memos for one rule's plan variants, parallel to
 /// [`RulePlans`]: one [`DepthMemo`] per probe depth of each variant's
-/// [`BatchKernel`] (empty for plans without a kernel).
+/// [`BatchKernel`].
 #[derive(Clone, Default)]
 struct RuleMemos {
     full: Vec<DepthMemo>,
     deltas: Vec<Vec<DepthMemo>>,
-}
-
-/// The evaluator knob a long-lived owner re-applies to every internal
-/// evaluation it launches — the incremental materialization layer and
-/// the serving daemon construct many [`Evaluator`]s over a program's
-/// lifetime, and agreement tests need all of them to run on the same
-/// executor (batch kernels or the reference step machine).
-#[derive(Clone, Copy, Debug)]
-pub struct Tuning {
-    /// Batch kernels on/off ([`Evaluator::with_kernels`]).
-    pub kernels: bool,
-}
-
-impl Default for Tuning {
-    fn default() -> Self {
-        Tuning { kernels: true }
-    }
 }
 
 /// A program compiled once for incremental evaluation and reusable
@@ -499,7 +481,6 @@ impl Prepared {
 pub struct Evaluator<'db> {
     db: &'db Database,
     program: Program,
-    strategy: Strategy,
     idb_preds: BTreeSet<Pred>,
     idb: FxHashMap<Pred, Relation>,
     /// Per IDB predicate: `(old_end, total_end)`; delta is the range
@@ -538,10 +519,9 @@ pub struct Evaluator<'db> {
     /// have an empty delta. Drained (mark := len) after each round so
     /// later rounds see the post-tx EDB as Old.
     edb_marks: FxHashMap<Pred, u32>,
-    /// Route plans with a compiled [`BatchKernel`] to the specialized
-    /// batch executor (default). Off forces every plan through the
-    /// general step machine — the agreement tests compare both routes.
-    kernels: bool,
+    /// The unit seed: a nullary relation holding the one empty row, the
+    /// seed of every kernel whose `seed_pred` is `None`.
+    unit: Relation,
     /// The round's persistent output buffer: cleared (capacity kept)
     /// after each drain, so a many-round fixpoint with small deltas — a
     /// long chain derives a few hundred rows per round — pays its
@@ -559,12 +539,13 @@ impl<'db> Evaluator<'db> {
     pub fn new(
         db: &'db Database,
         program: &Program,
-        strategy: Strategy,
+        _strategy: Strategy,
     ) -> Result<Evaluator<'db>, EngineError> {
+        let mut unit = Relation::new(0);
+        unit.insert(Vec::new());
         let mut ev = Evaluator {
             db,
             program: Program::default(),
-            strategy,
             idb_preds: BTreeSet::new(),
             idb: FxHashMap::default(),
             marks: FxHashMap::default(),
@@ -581,7 +562,7 @@ impl<'db> Evaluator<'db> {
             gov: None,
             incremental: false,
             edb_marks: FxHashMap::default(),
-            kernels: true,
+            unit,
             round_buf: DerivedBuf::default(),
             memos: Vec::new(),
         };
@@ -724,15 +705,6 @@ impl<'db> Evaluator<'db> {
         self
     }
 
-    /// Enables or disables the specialized join kernels (default: on).
-    /// With kernels off, every plan runs on the general step machine;
-    /// the computed IDB is identical either way (see
-    /// `tests/kernel_agreement.rs`).
-    pub fn with_kernels(mut self, enabled: bool) -> Self {
-        self.kernels = enabled;
-        self
-    }
-
     /// Replaces the program mid-evaluation, keeping derived IDB facts.
     /// Used by the evaluation-based optimization baseline, which rewrites
     /// the rule set between rounds.
@@ -837,16 +809,12 @@ impl<'db> Evaluator<'db> {
     /// copy in [`Evaluator::from_prepared`].
     fn build_memos(&mut self) {
         let depth_memos = |rule: &CompiledRule| -> Vec<DepthMemo> {
-            rule.kernel.as_ref().map_or_else(Vec::new, |k| {
-                k.probes
-                    .iter()
-                    .map(|p| DepthMemo {
-                        map: CodeMap::default(),
-                        gen: u64::MAX,
-                        edb: !self.idb_preds.contains(&p.pred),
-                    })
-                    .collect()
-            })
+            let memo = |p: &KernelProbe| DepthMemo {
+                map: CodeMap::default(),
+                gen: u64::MAX,
+                edb: !self.idb_preds.contains(&p.pred),
+            };
+            rule.kernel.probes.iter().map(memo).collect()
         };
         let memos = self
             .plans
@@ -906,13 +874,12 @@ impl<'db> Evaluator<'db> {
             // conflict with `execute_task`'s `&self`) and restored after.
             let mut buf = std::mem::take(&mut self.round_buf);
             let mut memos = std::mem::take(&mut self.memos);
-            let run_full = matches!(self.strategy, Strategy::Naive) || fresh;
             let mut completed = true;
             for (ri, (rp, rm)) in self.plans.iter().zip(&mut memos).enumerate() {
                 if self.rule_stratum[ri] != self.current_stratum {
                     continue;
                 }
-                completed = if run_full {
+                completed = if fresh {
                     self.execute_task(&rp.full, &mut stats, &mut buf, &mut rm.full)
                 } else {
                     rp.deltas
@@ -1094,16 +1061,8 @@ impl<'db> Evaluator<'db> {
         stats.rule_firings += 1;
         TASK_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let ok = match &plan.kernel {
-                Some(k) if self.kernels => {
-                    stats.kernel_firings += 1;
-                    run_kernel(self, plan, k, scratch, stats, out, memos)
-                }
-                _ => {
-                    stats.interp_firings += 1;
-                    run_machine(self, plan, scratch, stats, out)
-                }
-            };
+            stats.kernel_firings += 1;
+            let ok = run_kernel(self, plan, scratch, stats, out, memos);
             stats.scratch_hw_bytes = stats.scratch_hw_bytes.max(scratch.resident_bytes());
             ok
         })
@@ -1196,31 +1155,29 @@ fn drain_serial(buf: &DerivedBuf, idb: &mut FxHashMap<Pred, Relation>, stats: &m
     any_new
 }
 
-fn read(slots: &[Value], s: Source) -> Value {
-    match s {
-        Source::Const(c) => c,
-        Source::Slot(i) => slots[i],
-    }
-}
+/// One probe depth's position in its dictionary group: the borrowed
+/// row-id slice as raw parts plus the next index. Sound because
+/// relations and their indexes are frozen while a round's tasks run
+/// (inserts commit only between rounds); see [`ProbeHandle`].
+type Cursor = (*const u32, u32, u32);
 
-/// Reusable scratch for task execution: the slot frame, the
-/// scan-cursor stack, the probe-key arena and the negation key. Held in
-/// a thread-local so every evaluator a thread runs — the incremental
-/// layer builds one per transaction — reuses one allocation set across
-/// all tasks and rounds: steady-state execution does zero heap
-/// allocation per derived row. [`Stats::scratch_hw_bytes`] reports the
-/// high-water resident size as the observable witness: it plateaus
+/// Reusable scratch for task execution. Held in a thread-local so every
+/// evaluator a thread runs — the incremental layer builds one per
+/// transaction — reuses one allocation set across all tasks and rounds:
+/// steady-state execution does zero heap allocation per derived row.
+/// The per-depth buffers are sized per task from the kernel's chain
+/// length, so no plan is too wide. [`Stats::scratch_hw_bytes`] reports
+/// the high-water resident size as the observable witness: it plateaus
 /// after warm-up no matter how many rows derive.
 #[derive(Default)]
 struct TaskScratch {
-    /// Variable slots of the plan being executed.
-    slots: Vec<Value>,
-    /// One frame per active `Scan` step.
-    frames: Vec<Frame>,
-    /// Flat arena of probe keys. Frames address it by offset (not by
-    /// pointer), so growth never invalidates outer frames' keys.
+    /// Packed probe keys, depth `d` at [`KernelProbe::key_at`].
     key_buf: Vec<Value>,
-    /// Staging buffer for `Step::Neg` membership keys.
+    /// One group cursor per probe depth.
+    cursors: Vec<Cursor>,
+    /// The row currently matched at each probe depth.
+    rowids: Vec<u32>,
+    /// Staging buffer for [`KernelGuard::Absent`] membership keys.
     neg_key: Vec<Value>,
     /// The batch kernel's gathered seed chunk: packed `depth-0 key hash
     /// high half | seed row id` words (see [`pack_seed`]), sorted so
@@ -1243,289 +1200,18 @@ struct TaskScratch {
 impl TaskScratch {
     /// Resident heap footprint of the scratch buffers, in bytes.
     fn resident_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Value>()
-            + self.frames.capacity() * std::mem::size_of::<Frame>()
-            + self.key_buf.capacity() * std::mem::size_of::<Value>()
-            + self.neg_key.capacity() * std::mem::size_of::<Value>()
-            + self.chunk.capacity() * std::mem::size_of::<u64>()
-            + self.group_starts.capacity() * std::mem::size_of::<u32>()
-            + self.group_hashes.capacity() * std::mem::size_of::<u64>()
-            + self.group_keys.capacity() * std::mem::size_of::<Value>()) as u64
+        ((self.key_buf.capacity() + self.neg_key.capacity() + self.group_keys.capacity())
+            * std::mem::size_of::<Value>()
+            + self.cursors.capacity() * std::mem::size_of::<Cursor>()
+            + (self.rowids.capacity() + self.group_starts.capacity()) * std::mem::size_of::<u32>()
+            + (self.chunk.capacity() + self.group_hashes.capacity()) * std::mem::size_of::<u64>())
+            as u64
     }
 }
 
 thread_local! {
     static TASK_SCRATCH: std::cell::RefCell<TaskScratch> =
         std::cell::RefCell::new(TaskScratch::default());
-}
-
-/// Iteration state of one active `Scan` step in the step machine.
-struct Frame {
-    /// Index of the scan step in the plan.
-    step: u32,
-    /// Offset of this frame's probe key in [`TaskScratch::key_buf`]
-    /// (keyless scans own zero key slots).
-    key_start: u32,
-    cursor: Cursor,
-}
-
-/// Where a frame's next candidate row comes from.
-enum Cursor {
-    /// Full scan over a row range.
-    Range { next: u32, end: u32 },
-    /// Borrowed index bucket, stored as raw slice parts. Sound because
-    /// relations and their indexes are frozen while a round's tasks run
-    /// (inserts commit only between rounds); see [`ProbeHandle`].
-    Bucket { ptr: *const u32, len: u32, pos: u32 },
-}
-
-/// A scan step's relation, visible row range and (for keyed scans)
-/// probe handle, resolved once per task instead of once per binding.
-struct ScanRel<'a> {
-    rel: &'a Relation,
-    range: RowRange,
-    handle: Option<ProbeHandle>,
-}
-
-/// Resolves every `Scan` step of `plan` once: relation, visible range,
-/// and a probe handle for keyed scans. Returns `None` when some scan's
-/// relation is missing or its range is empty — the conjunction can
-/// produce no rows and the whole task is a no-op.
-fn resolve_scans<'a>(ev: &'a Evaluator<'_>, steps: &[Step]) -> Option<Vec<Option<ScanRel<'a>>>> {
-    let mut srels: Vec<Option<ScanRel<'a>>> = Vec::with_capacity(steps.len());
-    for step in steps {
-        let Step::Scan(s) = step else {
-            srels.push(None);
-            continue;
-        };
-        let (rel, range) = ev.resolve(s.pred, s.view)?;
-        if range.is_empty() {
-            return None;
-        }
-        let handle = (!s.key_cols.is_empty()).then(|| ev.handle_for(rel, &s.key_cols));
-        srels.push(Some(ScanRel { rel, range, handle }));
-    }
-    Some(srels)
-}
-
-/// The iterative step machine: executes a compiled plan with an explicit
-/// cursor stack (one [`Frame`] per active `Scan` step) instead of the
-/// former recursive dispatcher. Keyed scans iterate borrowed index
-/// buckets with lazy range/tombstone/key filtering; all mutable state
-/// lives in the caller's reusable [`TaskScratch`]. Returns `false` when
-/// a cooperative governance check tripped mid-scan; the task's partial
-/// output is discarded at the round boundary.
-fn run_machine(
-    ev: &Evaluator<'_>,
-    plan: &CompiledRule,
-    scratch: &mut TaskScratch,
-    stats: &mut Stats,
-    out: &mut DerivedBuf,
-) -> bool {
-    let steps = &plan.steps;
-    let Some(srels) = resolve_scans(ev, steps) else {
-        return true;
-    };
-    let TaskScratch {
-        slots,
-        frames,
-        key_buf,
-        neg_key,
-        ..
-    } = scratch;
-    slots.clear();
-    slots.resize(plan.nslots, Value::Int(0));
-    frames.clear();
-    key_buf.clear();
-
-    let mut i = 0usize; // next step to execute
-    'machine: loop {
-        // Forward: run straight-line steps until a scan opens a frame,
-        // a step fails, or the plan ends (emit one head tuple). Every
-        // exit falls through to the backtrack loop below.
-        loop {
-            let Some(step) = steps.get(i) else {
-                stats.derived += 1;
-                out.push(plan.head_pred, plan.head.iter().map(|&s| read(slots, s)));
-                break;
-            };
-            match step {
-                Step::Compute(cs) => {
-                    stats.cmp_evals += 1;
-                    let vals = cs.args.map(|a| read(slots, a));
-                    let ok = match cs.bind {
-                        None => cs.op.check(vals[0], vals[1], vals[2]),
-                        Some((pos, slot)) => {
-                            let mut opt = vals.map(Some);
-                            opt[pos] = None;
-                            match cs.op.solve(opt) {
-                                Some(v) => {
-                                    slots[slot] = v;
-                                    true
-                                }
-                                None => false,
-                            }
-                        }
-                    };
-                    if !ok {
-                        break;
-                    }
-                    i += 1;
-                }
-                Step::Neg(n) => {
-                    stats.probes += 1;
-                    let exists = match ev.resolve(n.pred, n.view) {
-                        None => false,
-                        Some((rel, range)) => {
-                            !range.is_empty() && {
-                                neg_key.clear();
-                                neg_key.extend(n.key.iter().map(|&v| read(slots, v)));
-                                rel.contains_in_range(neg_key, hash_slice(neg_key), range)
-                            }
-                        }
-                    };
-                    if exists {
-                        break;
-                    }
-                    i += 1;
-                }
-                Step::Filter(f) => {
-                    stats.cmp_evals += 1;
-                    if !f.op.eval(&read(slots, f.lhs), &read(slots, f.rhs)) {
-                        break;
-                    }
-                    i += 1;
-                }
-                Step::Assign(a) => {
-                    slots[a.slot] = read(slots, a.from);
-                    i += 1;
-                }
-                Step::Scan(s) => {
-                    let sr = srels[i].as_ref().expect("scan resolved at task start");
-                    let key_start = key_buf.len() as u32;
-                    let cursor = if s.key_cols.is_empty() {
-                        Cursor::Range {
-                            next: sr.range.start,
-                            end: sr.range.end.min(sr.rel.physical_rows() as u32),
-                        }
-                    } else {
-                        stats.probes += 1;
-                        key_buf.extend(s.key_vals.iter().map(|&v| read(slots, v)));
-                        let key = &key_buf[key_start as usize..];
-                        let handle = sr.handle.as_ref().expect("keyed scan has a handle");
-                        debug_assert_eq!(handle.generation(), sr.rel.physical_rows());
-                        // SAFETY: relations and indexes are frozen while
-                        // a round's tasks run (see `ProbeHandle` docs).
-                        match unsafe { handle.encode(hash_slice(key), key) } {
-                            Some(code) => {
-                                // SAFETY: as above; the group slice stays
-                                // valid for the round.
-                                let group = unsafe { handle.group(code) };
-                                Cursor::Bucket {
-                                    ptr: group.as_ptr(),
-                                    len: group.len() as u32,
-                                    pos: 0,
-                                }
-                            }
-                            None => Cursor::Bucket {
-                                ptr: std::ptr::null(),
-                                len: 0,
-                                pos: 0,
-                            },
-                        }
-                    };
-                    frames.push(Frame {
-                        step: i as u32,
-                        key_start,
-                        cursor,
-                    });
-                    break;
-                }
-            }
-        }
-        // Backtrack: advance the innermost frame to its next matching
-        // row and resume forward from the step after it; pop exhausted
-        // frames; the task is done when the stack empties.
-        loop {
-            let Some(f) = frames.last_mut() else {
-                return true;
-            };
-            let Step::Scan(s) = &steps[f.step as usize] else {
-                unreachable!("frames only stack on scan steps")
-            };
-            let sr = srels[f.step as usize]
-                .as_ref()
-                .expect("scan resolved at task start");
-            let next = loop {
-                match &mut f.cursor {
-                    Cursor::Range { next, end } => {
-                        if *next >= *end {
-                            break None;
-                        }
-                        let r = *next;
-                        *next += 1;
-                        if sr.rel.is_dead(r) {
-                            continue;
-                        }
-                        break Some(r);
-                    }
-                    Cursor::Bucket { ptr, len, pos } => {
-                        if *pos >= *len {
-                            break None;
-                        }
-                        // SAFETY: group storage is frozen for the round.
-                        let r = unsafe { *ptr.add(*pos as usize) };
-                        *pos += 1;
-                        // Every row in a dictionary group carries exactly
-                        // the probed key (codes are minted per distinct
-                        // key tuple), so visibility is the only residual
-                        // filter — no per-row key comparison.
-                        if !sr.rel.row_visible(r, sr.range) {
-                            continue;
-                        }
-                        stats.probe_hits += 1;
-                        break Some(r);
-                    }
-                }
-            };
-            let Some(r) = next else {
-                key_buf.truncate(f.key_start as usize);
-                frames.pop();
-                continue;
-            };
-            stats.rows_scanned += 1;
-            // Cooperative governance poll: every POLL_MASK+1 rows.
-            if stats.rows_scanned & POLL_MASK == 0 && ev.should_abort() {
-                return false;
-            }
-            let row = sr.rel.row(r);
-            if row.len() != s.args.len() {
-                continue;
-            }
-            let mut ok = true;
-            for (pat, &v) in s.args.iter().zip(row) {
-                match *pat {
-                    ArgPat::Const(c) => {
-                        if c != v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    ArgPat::Bound(sl) => {
-                        if slots[sl] != v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    ArgPat::Bind(sl) => slots[sl] = v,
-                }
-            }
-            if ok {
-                i = f.step as usize + 1;
-                continue 'machine;
-            }
-        }
-    }
 }
 
 /// Seed rows per batch-kernel chunk. The gather/sort/group pipeline
@@ -1547,13 +1233,18 @@ fn pack_seed(h: u64, r: u32) -> u64 {
 }
 
 /// Immutable per-task context of a batch-kernel execution: the kernel,
-/// the resolved probe relations, the fixed per-depth key offsets into
-/// the scratch arena, and the invariant/dependent depth split.
+/// the resolved seed, probe and negated relations, and the
+/// invariant/dependent depth split.
 struct KernelCtx<'a> {
+    ev: &'a Evaluator<'a>,
     plan: &'a CompiledRule,
     k: &'a BatchKernel,
-    prels: [Option<(&'a Relation, RowRange, ProbeHandle)>; MAX_KERNEL_PROBES],
-    key_off: [usize; MAX_KERNEL_PROBES + 1],
+    seed_rel: &'a Relation,
+    /// Relation, visible range and index handle of each probe depth.
+    prels: Vec<(&'a Relation, RowRange, ProbeHandle)>,
+    /// Relation and visible range of each [`KernelNeg`]; `None` when
+    /// there is nothing to find, so its guard always passes.
+    nrels: Vec<Option<(&'a Relation, RowRange)>>,
     /// First member-dependent probe depth. Depths `[0, split)` read only
     /// constants, seed columns that are part of the depth-0 (grouping)
     /// key — equal across a group by construction — or rows matched at
@@ -1564,60 +1255,80 @@ struct KernelCtx<'a> {
     np: usize,
 }
 
+/// Mutable per-task state of a batch-kernel execution, borrowed from
+/// [`TaskScratch`] and sized to the kernel's chain.
+struct KernelState<'s> {
+    key_buf: &'s mut [Value],
+    cursors: &'s mut [Cursor],
+    rowids: &'s mut [u32],
+    neg_key: &'s mut Vec<Value>,
+    /// Rows walked so far: the clock of the governance poll (bulk
+    /// counter updates would break the global `rows_scanned` cadence).
+    ticks: u64,
+}
+
+/// True when `src` yields the same value for every seed row of one
+/// depth-0 key group while the rows matched at depths `< below` stay
+/// fixed: constants always, seed columns exactly when they are part of
+/// the grouping key (group formation verifies key equality by value),
+/// and computes when they are themselves a grouping-key source or read
+/// only invariant inputs.
+fn group_invariant(k: &BatchKernel, src: KernelSrc, below: usize) -> bool {
+    let in_group_key = k.probes.first().is_some_and(|p| p.key.contains(&src));
+    match src {
+        KernelSrc::Const(_) => true,
+        KernelSrc::Seed(_) => in_group_key,
+        KernelSrc::Probe(d, _) => d < below,
+        KernelSrc::Computed(ci) => {
+            let mut inputs = k.computes[ci].inputs();
+            in_group_key || inputs.all(|s| group_invariant(k, s, below))
+        }
+    }
+}
+
 impl KernelCtx<'_> {
     /// Resolves a kernel source against a seed row and the per-depth
     /// matched rows.
     #[inline]
-    fn src_val(
-        &self,
-        src: KernelSrc,
-        seed_row: &[Value],
-        rowids: &[u32; MAX_KERNEL_PROBES],
-    ) -> Value {
+    fn src_val(&self, src: KernelSrc, seed_row: &[Value], rowids: &[u32]) -> Value {
         match src {
             KernelSrc::Const(c) => c,
             KernelSrc::Seed(c) => seed_row[c],
-            KernelSrc::Probe(d, c) => {
-                let (rel, _, _) = self.prels[d].as_ref().expect("probe depth resolved");
-                rel.row(rowids[d])[c]
-            }
-            // Recompute on demand: computes read only constants, seed
-            // columns and earlier computes, so the value is a pure
-            // function of the seed row. The gather phase already
-            // evaluated (and counted) every compute for this row and
-            // dropped it on failure, so solving again here is silent
-            // and infallible.
+            KernelSrc::Probe(d, c) => self.prels[d].0.row(rowids[d])[c],
+            // Re-solve on demand: a compute is a pure function of the
+            // seed row and the matched rows, and its `Solve` guard
+            // already evaluated (and counted) it for this candidate and
+            // dropped the candidate on failure, so solving again here
+            // is silent and infallible.
             KernelSrc::Computed(ci) => self
-                .compute_val(ci, seed_row)
-                .expect("compute verified at gather"),
+                .compute_val(ci, seed_row, rowids)
+                .expect("compute verified by its guard"),
         }
     }
 
-    /// Evaluates the `ci`-th hoisted binding builtin against a seed row;
-    /// `None` means the builtin has no solution there (ill-typed
-    /// operand, …) and the gather must drop the row before anything
-    /// reads `KernelSrc::Computed(ci)`.
+    /// Evaluates the `ci`-th binding builtin; `None` means it has no
+    /// solution here (ill-typed operand, …) and its guard must drop the
+    /// candidate before anything reads `KernelSrc::Computed(ci)`.
     #[inline]
-    fn compute_val(&self, ci: usize, seed_row: &[Value]) -> Option<Value> {
+    fn compute_val(&self, ci: usize, seed_row: &[Value], rowids: &[u32]) -> Option<Value> {
         let c = &self.k.computes[ci];
         let mut vals = [None; 3];
         for (j, (v, &s)) in vals.iter_mut().zip(&c.args).enumerate() {
             if j != c.bind {
-                // Compute args never reference probe rows (planner
-                // invariant), so a zeroed rowid array is never read.
-                *v = Some(self.src_val(s, seed_row, &[0; MAX_KERNEL_PROBES]));
+                *v = Some(self.src_val(s, seed_row, rowids));
             }
         }
         c.op.solve(vals)
     }
 
-    /// Evaluates one comparison / pure-builtin guard.
+    /// Evaluates one guard against a candidate.
     #[inline]
     fn guard_ok(
         &self,
         g: &KernelGuard,
         seed_row: &[Value],
-        rowids: &[u32; MAX_KERNEL_PROBES],
+        rowids: &[u32],
+        neg_key: &mut Vec<Value>,
     ) -> bool {
         match *g {
             KernelGuard::Cmp(l, op, r) => op.eval(
@@ -1629,6 +1340,16 @@ impl KernelCtx<'_> {
                 self.src_val(args[1], seed_row, rowids),
                 self.src_val(args[2], seed_row, rowids),
             ),
+            KernelGuard::Solve(ci) => self.compute_val(ci, seed_row, rowids).is_some(),
+            KernelGuard::Absent(ni) => match self.nrels[ni] {
+                None => true,
+                Some((rel, range)) => {
+                    neg_key.clear();
+                    let key = self.k.negs[ni].key.iter();
+                    neg_key.extend(key.map(|&s| self.src_val(s, seed_row, rowids)));
+                    !rel.contains_in_range(neg_key, hash_slice(neg_key), range)
+                }
+            },
         }
     }
 
@@ -1638,20 +1359,15 @@ impl KernelCtx<'_> {
     /// suffix `[split, np)` tuple-at-a-time. A dependent depth 0 reuses
     /// the group's pre-fetched dictionary group `depth0` instead of
     /// re-encoding per member. Returns `false` on a governance abort.
-    #[allow(clippy::too_many_arguments)]
     fn member_tail(
         &self,
-        ev: &Evaluator<'_>,
-        seed_rel: &Relation,
         members: &[u64],
         depth0: (*const u32, u32),
-        key_buf: &mut [Value],
-        cursors: &mut [(*const u32, u32, u32); MAX_KERNEL_PROBES],
-        rowids: &mut [u32; MAX_KERNEL_PROBES],
-        ticks: &mut u64,
+        st: &mut KernelState<'_>,
         stats: &mut Stats,
         out: &mut DerivedBuf,
     ) -> bool {
+        let (ev, seed_rel) = (self.ev, self.seed_rel);
         let (k, np, split) = (self.k, self.np, self.split);
         // Member row ids are hash-ordered, i.e. scattered through the
         // seed store; stay a few rows ahead of the walk.
@@ -1671,14 +1387,14 @@ impl KernelCtx<'_> {
                         seed_rel.prefetch_row(ne as u32);
                     }
                     let seed_row = seed_rel.row(e as u32);
-                    *ticks += 1;
-                    if *ticks & POLL_MASK == 0 && ev.should_abort() {
+                    st.ticks += 1;
+                    if st.ticks & POLL_MASK == 0 && ev.should_abort() {
                         return false;
                     }
                     stats.derived += 1;
                     out.push(
                         self.plan.head_pred,
-                        k.head.iter().map(|&s| self.src_val(s, seed_row, rowids)),
+                        k.head.iter().map(|&s| self.src_val(s, seed_row, st.rowids)),
                     );
                 }
                 return true;
@@ -1694,7 +1410,7 @@ impl KernelCtx<'_> {
                     }
                     // Constants and probe rows are fixed for the whole
                     // match; the empty seed slice is never read.
-                    _ => tmpl[j] = self.src_val(s, &[], rowids),
+                    _ => tmpl[j] = self.src_val(s, &[], st.rowids),
                 }
             }
             for (mi, &e) in members.iter().enumerate() {
@@ -1702,13 +1418,13 @@ impl KernelCtx<'_> {
                     seed_rel.prefetch_row(ne as u32);
                 }
                 let seed_row = seed_rel.row(e as u32);
-                *ticks += 1;
-                if *ticks & POLL_MASK == 0 && ev.should_abort() {
+                st.ticks += 1;
+                if st.ticks & POLL_MASK == 0 && ev.should_abort() {
                     return false;
                 }
                 stats.derived += 1;
                 for &(j, s) in &dyns[..nd] {
-                    tmpl[j] = self.src_val(s, seed_row, rowids);
+                    tmpl[j] = self.src_val(s, seed_row, st.rowids);
                 }
                 out.push_row(self.plan.head_pred, &tmpl[..hl]);
             }
@@ -1723,24 +1439,24 @@ impl KernelCtx<'_> {
             let mut entering = true;
             loop {
                 let p = &k.probes[d];
-                let (rel, range, handle) = self.prels[d].as_ref().expect("probe depth resolved");
+                let (rel, range, handle) = &self.prels[d];
                 if entering {
                     stats.probes += 1;
                     if d == 0 {
                         // Shared dictionary group: encoded once per
                         // group; member-dependent checks and guards
                         // still run below.
-                        cursors[0] = (depth0.0, depth0.1, 0);
+                        st.cursors[0] = (depth0.0, depth0.1, 0);
                     } else {
-                        let (ks, ke) = (self.key_off[d], self.key_off[d + 1]);
+                        let (ks, ke) = (p.key_at, p.key_at + p.key.len());
                         for (j, &src) in p.key.iter().enumerate() {
-                            key_buf[ks + j] = self.src_val(src, seed_row, rowids);
+                            st.key_buf[ks + j] = self.src_val(src, seed_row, st.rowids);
                         }
-                        let key = &key_buf[ks..ke];
+                        let key = &st.key_buf[ks..ke];
                         stats.dict_probes += 1;
                         // SAFETY: relations and indexes are frozen while
                         // a round's tasks run (see `ProbeHandle` docs).
-                        cursors[d] = match unsafe { handle.encode(hash_slice(key), key) } {
+                        st.cursors[d] = match unsafe { handle.encode(hash_slice(key), key) } {
                             Some(code) => {
                                 let g = unsafe { handle.group(code) };
                                 (g.as_ptr(), g.len() as u32, 0)
@@ -1753,7 +1469,7 @@ impl KernelCtx<'_> {
                 // Advance depth d to its next matching row.
                 let mut matched = false;
                 {
-                    let (ptr, len, pos) = &mut cursors[d];
+                    let (ptr, len, pos) = &mut st.cursors[d];
                     while *pos < *len {
                         // SAFETY: group storage is frozen for the round.
                         let rid = unsafe { *ptr.add(*pos as usize) };
@@ -1765,18 +1481,18 @@ impl KernelCtx<'_> {
                         }
                         stats.probe_hits += 1;
                         stats.rows_scanned += 1;
-                        *ticks += 1;
-                        if *ticks & POLL_MASK == 0 && ev.should_abort() {
+                        st.ticks += 1;
+                        if st.ticks & POLL_MASK == 0 && ev.should_abort() {
                             return false;
                         }
                         let row = rel.row(rid);
                         if row.len() != p.arity {
                             continue;
                         }
-                        rowids[d] = rid;
+                        st.rowids[d] = rid;
                         let mut ok = true;
                         for &(c, src) in &p.checks {
-                            if row[c] != self.src_val(src, seed_row, rowids) {
+                            if row[c] != self.src_val(src, seed_row, st.rowids) {
                                 ok = false;
                                 break;
                             }
@@ -1784,7 +1500,7 @@ impl KernelCtx<'_> {
                         if ok {
                             for g in &p.guards {
                                 stats.cmp_evals += 1;
-                                if !self.guard_ok(g, seed_row, rowids) {
+                                if !self.guard_ok(g, seed_row, st.rowids, st.neg_key) {
                                     ok = false;
                                     break;
                                 }
@@ -1801,7 +1517,7 @@ impl KernelCtx<'_> {
                     if p.existential {
                         // Nothing downstream reads this row: exhaust the
                         // cursor so the next advance backtracks at once.
-                        cursors[d].2 = cursors[d].1;
+                        st.cursors[d].2 = st.cursors[d].1;
                     }
                     if d + 1 < np {
                         d += 1;
@@ -1811,7 +1527,7 @@ impl KernelCtx<'_> {
                     stats.derived += 1;
                     out.push(
                         self.plan.head_pred,
-                        k.head.iter().map(|&s| self.src_val(s, seed_row, rowids)),
+                        k.head.iter().map(|&s| self.src_val(s, seed_row, st.rowids)),
                     );
                     // Stay at the deepest depth and advance for more.
                 } else if d == split {
@@ -1834,20 +1550,25 @@ impl KernelCtx<'_> {
 /// with its logical work counters replayed per member, so
 /// `derived`/`rows_scanned`/`probe_hits` stay partition-invariant and
 /// equal to per-tuple execution. The dependent suffix runs per member
-/// over pre-fetched dictionary groups. Governance polls ride a local
-/// per-row tick (bulk counter updates would break the global
-/// `rows_scanned` cadence). Returns `false` when a poll aborted the
-/// task; its partial output is discarded at the round boundary.
+/// over pre-fetched dictionary groups. Guards — comparisons, builtin
+/// checks, solved builtins, anti-probes — run per candidate row at the
+/// depth the planner placed them, each counted as one `cmp_evals`.
+/// Returns `false` when a governance poll aborted the task; its partial
+/// output is discarded at the round boundary.
 fn run_kernel(
     ev: &Evaluator<'_>,
     plan: &CompiledRule,
-    k: &BatchKernel,
     scratch: &mut TaskScratch,
     stats: &mut Stats,
     out: &mut DerivedBuf,
     memos: &mut [DepthMemo],
 ) -> bool {
-    let Some((seed_rel, mut seed_range)) = ev.resolve(k.seed_pred, k.seed_view) else {
+    let k = &plan.kernel;
+    let seed = match k.seed_pred {
+        Some(p) => ev.resolve(p, k.seed_view),
+        None => Some((&ev.unit, ev.unit.all_rows())),
+    };
+    let Some((seed_rel, mut seed_range)) = seed else {
         return true;
     };
     seed_range.end = seed_range.end.min(seed_rel.physical_rows() as u32);
@@ -1855,10 +1576,8 @@ fn run_kernel(
         return true;
     }
     let np = k.probes.len();
-    debug_assert!(np <= MAX_KERNEL_PROBES);
-    let mut prels: [Option<(&Relation, RowRange, ProbeHandle)>; MAX_KERNEL_PROBES] =
-        [None; MAX_KERNEL_PROBES];
-    for (d, p) in k.probes.iter().enumerate() {
+    let mut prels = Vec::with_capacity(np);
+    for p in &k.probes {
         let Some((rel, range)) = ev.resolve(p.pred, p.view) else {
             return true;
         };
@@ -1867,25 +1586,22 @@ fn run_kernel(
         }
         let handle = ev.handle_for(rel, &p.key_cols);
         debug_assert_eq!(handle.generation(), rel.physical_rows());
-        prels[d] = Some((rel, range, handle));
+        prels.push((rel, range, handle));
     }
+    let visible = |n: &KernelNeg| ev.resolve(n.pred, n.view).filter(|(_, r)| !r.is_empty());
+    let nrels = k.negs.iter().map(visible).collect();
     // Arm the per-depth memos: stamp generations, clear stale maps, and
     // keep only EDB depths (IDB dictionaries change every round, so
     // filling a memo for them is pure overhead).
-    let mut depth_memos: [Option<&mut DepthMemo>; MAX_KERNEL_PROBES] =
-        std::array::from_fn(|_| None);
     debug_assert_eq!(memos.len(), np);
-    for (d, m) in memos.iter_mut().enumerate().take(np) {
-        if !m.edb {
-            continue;
-        }
-        let (rel, _, _) = prels[d].as_ref().expect("probe depth resolved");
+    let mut depth_memos: Vec<Option<&mut DepthMemo>> = Vec::with_capacity(np);
+    for (m, (rel, ..)) in memos.iter_mut().zip(&prels) {
         let gen = rel.generation();
-        if m.gen != gen {
+        if m.edb && m.gen != gen {
             m.map.clear();
             m.gen = gen;
         }
-        depth_memos[d] = Some(m);
+        depth_memos.push(m.edb.then_some(m));
     }
     // A constant-keyed seed enumerates one dictionary group instead of
     // the row range; an absent key derives nothing.
@@ -1905,77 +1621,54 @@ fn run_kernel(
             }
         }
     };
-    // Fixed per-depth key offsets into the reused arena.
-    let key_off = k.key_offsets();
     // Invariant/dependent split (see [`KernelCtx::split`]): keys may
     // read rows of strictly earlier depths; checks and guards at depth
-    // `d` may also read the row being matched at `d` itself. A source is
-    // invariant when every member of a depth-0 key group yields the
-    // same value: constants always, seed columns exactly when they are
-    // part of the grouping key (group formation verifies key equality
-    // by value), and computes when they are themselves a grouping-key
-    // source or read only invariant inputs. `comp_inv` is a bitmask
-    // over compute indices (the planner caps them at
-    // [`MAX_KERNEL_COMPUTES`]), filled in order since computes only
-    // read earlier computes.
-    let in_group_key = |s: KernelSrc| k.probes.first().is_some_and(|p| p.key.contains(&s));
-    let mut comp_inv = 0u64;
-    for (ci, c) in k.computes.iter().enumerate() {
-        let inv = in_group_key(KernelSrc::Computed(ci))
-            || c.args.iter().enumerate().all(|(j, &s)| {
-                j == c.bind
-                    || match s {
-                        KernelSrc::Const(_) => true,
-                        KernelSrc::Seed(_) => in_group_key(s),
-                        KernelSrc::Computed(cj) => comp_inv & (1 << cj) != 0,
-                        KernelSrc::Probe(..) => false,
-                    }
-            });
-        if inv {
-            comp_inv |= 1 << ci;
-        }
-    }
-    let inv_src = |s: KernelSrc, below: usize| match s {
-        KernelSrc::Const(_) => true,
-        KernelSrc::Seed(_) => in_group_key(s),
-        KernelSrc::Probe(dd, _) => dd < below,
-        KernelSrc::Computed(ci) => comp_inv & (1 << ci) != 0,
-    };
-    let mut split = 0usize;
-    while split < np {
-        let p = &k.probes[split];
-        let inv = p.key.iter().all(|&s| inv_src(s, split))
-            && p.checks.iter().all(|&(_, s)| inv_src(s, split + 1))
-            && p.guards.iter().all(|g| match *g {
-                KernelGuard::Cmp(l, _, r) => inv_src(l, split + 1) && inv_src(r, split + 1),
-                KernelGuard::Builtin(_, args) => args.iter().all(|&s| inv_src(s, split + 1)),
-            });
-        if !inv {
-            break;
-        }
-        split += 1;
-    }
+    // `d` may also read the row being matched at `d` itself.
+    let split = k
+        .probes
+        .iter()
+        .enumerate()
+        .position(|(d, p)| {
+            !(p.key.iter().all(|&s| group_invariant(k, s, d))
+                && p.checks.iter().all(|&(_, s)| group_invariant(k, s, d + 1))
+                && p.guards
+                    .iter()
+                    .all(|g| k.guard_all(g, |s| group_invariant(k, s, d + 1))))
+        })
+        .unwrap_or(np);
     let ctx = KernelCtx {
+        ev,
         plan,
         k,
+        seed_rel,
         prels,
-        key_off,
+        nrels,
         split,
         np,
     };
     let TaskScratch {
         key_buf,
+        cursors,
+        rowids,
+        neg_key,
         chunk,
         group_starts,
         group_hashes,
         group_keys,
-        ..
     } = scratch;
     key_buf.clear();
-    key_buf.resize(key_off[np], Value::Int(0));
-    let mut cursors = [(std::ptr::null::<u32>(), 0u32, 0u32); MAX_KERNEL_PROBES];
-    let mut rowids = [0u32; MAX_KERNEL_PROBES];
-    let mut ticks = 0u64;
+    key_buf.resize(k.key_width(), Value::Int(0));
+    cursors.clear();
+    cursors.resize(np, (std::ptr::null(), 0, 0));
+    rowids.clear();
+    rowids.resize(np, 0);
+    let st = &mut KernelState {
+        key_buf,
+        cursors,
+        rowids,
+        neg_key,
+        ticks: 0,
+    };
     let w0 = if np > 0 { k.probes[0].key.len() } else { 0 };
 
     let mut range_next = seed_range.start;
@@ -2007,37 +1700,25 @@ fn run_kernel(
                 }
             };
             stats.rows_scanned += 1;
-            ticks += 1;
-            if ticks & POLL_MASK == 0 && ev.should_abort() {
+            st.ticks += 1;
+            if st.ticks & POLL_MASK == 0 && ev.should_abort() {
                 return false;
             }
             let seed_row = seed_rel.row(r);
             if seed_row.len() != k.seed_arity {
                 continue;
             }
-            // Hoisted binding builtins: evaluate-or-drop, first — once a
-            // row survives, every later `Computed` read re-solves
-            // silently and infallibly.
             let mut ok = true;
-            for ci in 0..k.computes.len() {
-                stats.cmp_evals += 1;
-                if ctx.compute_val(ci, seed_row).is_none() {
+            for &(c, src) in &k.seed_checks {
+                if seed_row[c] != ctx.src_val(src, seed_row, st.rowids) {
                     ok = false;
                     break;
                 }
             }
             if ok {
-                for &(c, src) in &k.seed_checks {
-                    if seed_row[c] != ctx.src_val(src, seed_row, &rowids) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
                 for g in &k.seed_guards {
                     stats.cmp_evals += 1;
-                    if !ctx.guard_ok(g, seed_row, &rowids) {
+                    if !ctx.guard_ok(g, seed_row, st.rowids, st.neg_key) {
                         ok = false;
                         break;
                     }
@@ -2048,9 +1729,9 @@ fn run_kernel(
             }
             let h = if np > 0 {
                 for (j, &src) in k.probes[0].key.iter().enumerate() {
-                    key_buf[j] = ctx.src_val(src, seed_row, &rowids);
+                    st.key_buf[j] = ctx.src_val(src, seed_row, st.rowids);
                 }
-                hash_slice(&key_buf[..w0])
+                hash_slice(&st.key_buf[..w0])
             } else {
                 0
             };
@@ -2078,7 +1759,7 @@ fn run_kernel(
                 } else {
                     out.push(
                         plan.head_pred,
-                        k.head.iter().map(|&s| ctx.src_val(s, seed_row, &rowids)),
+                        k.head.iter().map(|&s| ctx.src_val(s, seed_row, st.rowids)),
                     );
                 }
             }
@@ -2087,7 +1768,7 @@ fn run_kernel(
         // Sort-group: rows sharing the depth-0 key become one run (hash
         // order with row-id tiebreak keeps runs deterministic).
         chunk.sort_unstable();
-        let (rel0, _, h0) = ctx.prels[0].as_ref().expect("probe depth resolved");
+        let (rel0, _, h0) = &ctx.prels[0];
         debug_assert_eq!(h0.generation(), rel0.physical_rows());
         // Pipelined group walk: the boundary scan runs a ring's worth of
         // packed runs ahead of the walk, resolving each run's
@@ -2117,7 +1798,7 @@ fn run_kernel(
                 let rep_row = seed_rel.row(chunk[fill_pos] as u32);
                 let ks = slot * w0;
                 for (j, &src) in k.probes[0].key.iter().enumerate() {
-                    group_keys[ks + j] = ctx.src_val(src, rep_row, &rowids);
+                    group_keys[ks + j] = ctx.src_val(src, rep_row, st.rowids);
                 }
                 let gh = hash_slice(&group_keys[ks..ks + w0]);
                 group_starts[slot] = fill_pos as u32;
@@ -2140,7 +1821,7 @@ fn run_kernel(
             } else {
                 chunk.len()
             };
-            key_buf[..w0].copy_from_slice(&group_keys[slot * w0..slot * w0 + w0]);
+            st.key_buf[..w0].copy_from_slice(&group_keys[slot * w0..slot * w0 + w0]);
             let run_hash = group_hashes[slot];
             walk += 1;
             // The packed words carry only the hash's high half, so a
@@ -2154,7 +1835,7 @@ fn run_kernel(
                     // A collision subgroup resolves its own key; the
                     // run head's came from the ring.
                     for (j, &src) in k.probes[0].key.iter().enumerate() {
-                        key_buf[j] = ctx.src_val(src, rep_row, &rowids);
+                        st.key_buf[j] = ctx.src_val(src, rep_row, st.rowids);
                     }
                 }
                 let mut ge = gs + 1;
@@ -2164,7 +1845,7 @@ fn run_kernel(
                         .key
                         .iter()
                         .enumerate()
-                        .all(|(j, &src)| ctx.src_val(src, row, &rowids) == key_buf[j]);
+                        .all(|(j, &src)| ctx.src_val(src, row, st.rowids) == st.key_buf[j]);
                     if !same {
                         break;
                     }
@@ -2177,14 +1858,20 @@ fn run_kernel(
                 let gh = if gs == run_start {
                     run_hash
                 } else {
-                    hash_slice(&key_buf[..w0])
+                    hash_slice(&st.key_buf[..w0])
                 };
                 gs = ge;
                 // One key→code resolution per group — the amortized
                 // probe, served from the EDB memo when armed.
                 // SAFETY: frozen for the round (see `ProbeHandle` docs).
                 let depth0 = match unsafe {
-                    encode_memoized(h0, depth_memos[0].as_deref_mut(), gh, &key_buf[..w0], stats)
+                    encode_memoized(
+                        h0,
+                        depth_memos[0].as_deref_mut(),
+                        gh,
+                        &st.key_buf[..w0],
+                        stats,
+                    )
                 } {
                     Some(code) => {
                         let g = unsafe { h0.group(code) };
@@ -2200,18 +1887,7 @@ fn run_kernel(
                 if split == 0 {
                     // Member-dependent depth 0: per-member enumeration
                     // over the shared pre-fetched group.
-                    if !ctx.member_tail(
-                        ev,
-                        seed_rel,
-                        members,
-                        depth0,
-                        key_buf,
-                        &mut cursors,
-                        &mut rowids,
-                        &mut ticks,
-                        stats,
-                        out,
-                    ) {
+                    if !ctx.member_tail(members, depth0, st, stats, out) {
                         return false;
                     }
                     continue;
@@ -2220,23 +1896,23 @@ fn run_kernel(
                 // against the representative row; local counters replay
                 // ×members.
                 let (mut lp, mut lph, mut lrs, mut lce) = (1u64, 0u64, 0u64, 0u64);
-                cursors[0] = (depth0.0, depth0.1, 0);
+                st.cursors[0] = (depth0.0, depth0.1, 0);
                 let mut d = 0usize;
                 let mut entering = false; // depth-0 cursor pre-opened
                 loop {
                     let p = &k.probes[d];
-                    let (rel, range, handle) = ctx.prels[d].as_ref().expect("probe depth resolved");
+                    let (rel, range, handle) = &ctx.prels[d];
                     if entering {
                         lp += 1;
-                        let (ks, ke) = (key_off[d], key_off[d + 1]);
+                        let (ks, ke) = (p.key_at, p.key_at + p.key.len());
                         for (j, &src) in p.key.iter().enumerate() {
-                            key_buf[ks + j] = ctx.src_val(src, rep_row, &rowids);
+                            st.key_buf[ks + j] = ctx.src_val(src, rep_row, st.rowids);
                         }
-                        let key = &key_buf[ks..ke];
+                        let key = &st.key_buf[ks..ke];
                         let kh = hash_slice(key);
                         // SAFETY: frozen for the round (`ProbeHandle`
                         // docs).
-                        cursors[d] = match unsafe {
+                        st.cursors[d] = match unsafe {
                             encode_memoized(handle, depth_memos[d].as_deref_mut(), kh, key, stats)
                         } {
                             Some(code) => {
@@ -2250,7 +1926,7 @@ fn run_kernel(
                     // Advance depth d to its next matching row.
                     let mut matched = false;
                     {
-                        let (ptr, len, pos) = &mut cursors[d];
+                        let (ptr, len, pos) = &mut st.cursors[d];
                         while *pos < *len {
                             // SAFETY: group storage is frozen for the
                             // round.
@@ -2261,18 +1937,18 @@ fn run_kernel(
                             }
                             lph += 1;
                             lrs += 1;
-                            ticks += 1;
-                            if ticks & POLL_MASK == 0 && ev.should_abort() {
+                            st.ticks += 1;
+                            if st.ticks & POLL_MASK == 0 && ev.should_abort() {
                                 return false;
                             }
                             let row = rel.row(rid);
                             if row.len() != p.arity {
                                 continue;
                             }
-                            rowids[d] = rid;
+                            st.rowids[d] = rid;
                             let mut ok = true;
                             for &(c, src) in &p.checks {
-                                if row[c] != ctx.src_val(src, rep_row, &rowids) {
+                                if row[c] != ctx.src_val(src, rep_row, st.rowids) {
                                     ok = false;
                                     break;
                                 }
@@ -2280,7 +1956,7 @@ fn run_kernel(
                             if ok {
                                 for g in &p.guards {
                                     lce += 1;
-                                    if !ctx.guard_ok(g, rep_row, &rowids) {
+                                    if !ctx.guard_ok(g, rep_row, st.rowids, st.neg_key) {
                                         ok = false;
                                         break;
                                     }
@@ -2298,7 +1974,7 @@ fn run_kernel(
                             // Invariant existential: the first hit
                             // serves every member — a group-level
                             // short-circuit.
-                            cursors[d].2 = cursors[d].1;
+                            st.cursors[d].2 = st.cursors[d].1;
                         }
                         if d + 1 < split {
                             d += 1;
@@ -2306,18 +1982,7 @@ fn run_kernel(
                             continue;
                         }
                         // Full invariant prefix match: per-member tail.
-                        if !ctx.member_tail(
-                            ev,
-                            seed_rel,
-                            members,
-                            depth0,
-                            key_buf,
-                            &mut cursors,
-                            &mut rowids,
-                            &mut ticks,
-                            stats,
-                            out,
-                        ) {
+                        if !ctx.member_tail(members, depth0, st, stats, out) {
                             return false;
                         }
                         // Stay at the deepest invariant depth, advance.
@@ -2464,19 +2129,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_equals_seminaive() {
-        let db = chain_db(8);
-        let a = evaluate(&db, &tc_program(), Strategy::Naive).unwrap();
-        let b = evaluate(&db, &tc_program(), Strategy::SemiNaive).unwrap();
-        assert_eq!(
-            a.relation("t").unwrap().sorted_tuples(),
-            b.relation("t").unwrap().sorted_tuples()
-        );
-        // Naive derives (weakly) more duplicate tuples.
-        assert!(a.stats.derived >= b.stats.derived);
-    }
-
-    #[test]
     fn right_linear_recursion() {
         let db = chain_db(6);
         let p: Program = "t(X,Y) :- e(X,Y). t(X,Y) :- t(X,Z), e(Z,Y)."
@@ -2579,18 +2231,6 @@ mod tests {
     }
 
     #[test]
-    fn seminaive_beats_naive_on_work() {
-        let db = chain_db(30);
-        let naive = evaluate(&db, &tc_program(), Strategy::Naive).unwrap();
-        let semi = evaluate(&db, &tc_program(), Strategy::SemiNaive).unwrap();
-        assert!(semi.stats.rows_scanned < naive.stats.rows_scanned);
-        assert_eq!(
-            naive.relation("t").unwrap().len(),
-            semi.relation("t").unwrap().len()
-        );
-    }
-
-    #[test]
     fn goal_matches_is_allocation_free_semantics() {
         let goal = parse_atom("t(X, X, 3)").unwrap();
         assert!(goal_matches(
@@ -2682,28 +2322,6 @@ mod negation_tests {
             Ok(_) => panic!("expected unsafe-rule error"),
         };
         assert!(matches!(err, EngineError::UnsafeRule { .. }));
-    }
-
-    #[test]
-    fn naive_and_seminaive_agree_with_negation() {
-        let db = chain_db(6);
-        let p: Program = "
-            reach(X) :- e(0, X).
-            reach(Y) :- reach(X), e(X, Y).
-            node(X) :- e(X, Y).
-            node(Y) :- e(X, Y).
-            island(X) :- node(X), !reach(X).
-        "
-        .parse()
-        .unwrap();
-        let a = evaluate(&db, &p, Strategy::Naive).unwrap();
-        let b = evaluate(&db, &p, Strategy::SemiNaive).unwrap();
-        for pred in ["reach", "node", "island"] {
-            assert_eq!(
-                a.relation(pred).unwrap().sorted_tuples(),
-                b.relation(pred).unwrap().sorted_tuples()
-            );
-        }
     }
 
     #[test]

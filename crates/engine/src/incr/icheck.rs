@@ -23,39 +23,11 @@ use super::matcher::{match_body, unify_row, Poll, State};
 use super::TxDelta;
 use crate::database::Database;
 use crate::error::EngineError;
-use crate::relation::{Relation, Tuple};
+use crate::relation::Relation;
 use semrec_datalog::atom::Pred;
 use semrec_datalog::constraint::{Constraint, IcHead};
 use semrec_datalog::subst::Subst;
 use std::collections::BTreeMap;
-
-/// True if the constraint's head holds under a complete body binding,
-/// mirroring the head semantics of `Database::violations`.
-fn head_holds(db: &Database, ic: &Constraint, theta: &Subst) -> bool {
-    match &ic.head {
-        IcHead::None => false,
-        IcHead::Cmp(c) => theta.apply_cmp(c).eval_ground() == Some(true),
-        IcHead::Atom(a) => {
-            let g = theta.apply_atom(a);
-            let Some(rel) = db.get(g.pred) else {
-                return false;
-            };
-            if g.is_ground() {
-                let t: Tuple = g.args.iter().map(|t| t.as_const().unwrap()).collect();
-                rel.contains(&t)
-            } else {
-                // Existential head variables: any tuple matching the
-                // bound positions witnesses the head.
-                rel.iter().any(|row| {
-                    g.args.iter().zip(row).all(|(t, v)| match t.as_const() {
-                        Some(c) => c == *v,
-                        None => true,
-                    })
-                })
-            }
-        }
-    }
-}
 
 /// Whether `ic` — known to hold before the transaction — still holds
 /// after it, examining only bindings the delta can have created.
@@ -93,7 +65,7 @@ pub(crate) fn still_satisfied(
             }
             let mut violated = false;
             match_body(&state, &rest, &cmps, &mut theta, poll, &mut |th| {
-                if head_holds(post, ic, th) {
+                if post.head_holds(ic, th) {
                     true // keep searching for a violating binding
                 } else {
                     violated = true;

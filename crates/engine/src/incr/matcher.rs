@@ -1,6 +1,6 @@
 //! A small tuple-at-a-time binding matcher over the combined EDB + IDB
-//! state, used by the incremental layer's DRed pass and the delta IC
-//! monitor. Unlike the compiled fixpoint plans, these enumerations are
+//! state, used by the incremental layer's DRed pass, the delta IC
+//! monitor and `Database::violations`. Unlike the compiled fixpoint plans, these enumerations are
 //! seeded from a *single known tuple* (a deleted fact, an inserted
 //! fact), so a recursive matcher over [`Relation::probe_into`] is both
 //! simpler and fast enough: the seed binds most variables, and every
@@ -132,8 +132,7 @@ fn match_atoms(
     if i == atoms.len() {
         // Comparison literals filter the completed binding. A rule-safe
         // body grounds every comparison variable; an unground
-        // comparison (malformed input) rejects the binding, matching
-        // `Database::violations`.
+        // comparison (malformed input) rejects the binding.
         for c in cmps {
             if theta.apply_cmp(c).eval_ground() != Some(true) {
                 return Ok(true);

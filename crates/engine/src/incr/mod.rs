@@ -35,11 +35,11 @@
 
 mod dred;
 mod icheck;
-mod matcher;
+pub(crate) mod matcher;
 
 use crate::database::Database;
 use crate::error::EngineError;
-use crate::eval::{Evaluator, Prepared, Strategy, Tuning};
+use crate::eval::{Evaluator, Prepared, Strategy};
 use crate::fxhash::FxHashMap;
 use crate::governor::{Budget, CancelToken, Governor};
 use crate::relation::{Relation, Tuple};
@@ -235,7 +235,6 @@ pub struct UpdateStats {
 pub struct Materialized {
     prepared: Prepared,
     idb: BTreeMap<Pred, Relation>,
-    tuning: Tuning,
     /// Set when the program uses negation or arithmetic builtins:
     /// non-monotone (or non-enumerable) subgoals make delta propagation
     /// unsound, so every tx re-evaluates from scratch.
@@ -260,28 +259,15 @@ impl Materialized {
     /// Evaluates `program` over `db` from scratch (semi-naive) and keeps
     /// the result materialized for incremental maintenance.
     pub fn new(db: &Database, program: &Program) -> Result<Materialized, EngineError> {
-        Materialized::new_tuned(db, program, Tuning::default())
-    }
-
-    /// [`Materialized::new`] with an explicit evaluator [`Tuning`]; the
-    /// initial evaluation and every later propagation run use it, so
-    /// agreement tests can pin the executor (kernels on/off) for a
-    /// materialization's lifetime.
-    pub fn new_tuned(
-        db: &Database,
-        program: &Program,
-        tuning: Tuning,
-    ) -> Result<Materialized, EngineError> {
         let fallback = !incremental_capable(program);
         let prepared = Prepared::compile(db, program)?;
-        let mut ev = Evaluator::new(db, program, Strategy::SemiNaive)?.with_kernels(tuning.kernels);
+        let mut ev = Evaluator::new(db, program, Strategy::SemiNaive)?;
         ev.run()?;
         let initial_rounds = ev.rounds();
         let res = ev.finish();
         Ok(Materialized {
             prepared,
             idb: res.idb,
-            tuning,
             fallback,
             initial_rounds,
         })
@@ -379,7 +365,6 @@ impl Materialized {
         let idb = std::mem::take(&mut self.idb);
         let mut ev =
             Evaluator::from_prepared(post_db, &self.prepared, idb, delta.edb_marks.clone())?
-                .with_kernels(self.tuning.kernels)
                 .with_budget(budget);
         if let Some(c) = cancel {
             ev = ev.with_cancel_token(c);
@@ -472,7 +457,6 @@ impl Materialized {
         }
         let mut ev =
             Evaluator::from_prepared(post_db, &self.prepared, work_idb, delta.edb_marks.clone())?
-                .with_kernels(self.tuning.kernels)
                 .with_budget(eval_budget);
         if let Some(c) = cancel {
             ev = ev.with_cancel_token(c);
@@ -510,7 +494,6 @@ impl Materialized {
         start: Instant,
     ) -> Result<UpdateStats, EngineError> {
         let mut ev = Evaluator::new(post_db, self.prepared.program(), Strategy::SemiNaive)?
-            .with_kernels(self.tuning.kernels)
             .with_budget(budget);
         if let Some(c) = cancel {
             ev = ev.with_cancel_token(c);

@@ -1,7 +1,7 @@
 //! # semrec-engine
 //!
 //! The evaluation substrate: an in-memory bottom-up Datalog engine with
-//! naive and semi-naive fixpoint strategies, indexed nested-loop joins,
+//! a semi-naive fixpoint, indexed nested-loop joins,
 //! evaluable comparison predicates, work counters, and a magic-sets
 //! rewriting for goal-directed evaluation.
 //!
@@ -40,7 +40,7 @@ pub use database::{int_tuple, Database};
 pub use error::EngineError;
 pub use eval::{
     answer_goal, answer_goal_polled, answer_goal_rows_polled, evaluate, goal_bindings, EvalResult,
-    Evaluator, GoalBindings, Prepared, Route, Strategy, Tuning,
+    Evaluator, GoalBindings, Prepared, Route, Strategy,
 };
 pub use governor::{Budget, CancelToken};
 pub use incr::{

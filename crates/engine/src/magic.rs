@@ -338,10 +338,9 @@ pub fn evaluate_query(
     db: &Database,
     program: &Program,
     goal: &Atom,
-    strategy: Strategy,
 ) -> Result<(Vec<Tuple>, EvalResult), EngineError> {
     let magic = magic_rewrite(program, goal)?;
-    let result = evaluate(db, &magic.program, strategy)?;
+    let result = evaluate(db, &magic.program, Strategy::SemiNaive)?;
     let mut answers: Vec<Tuple> = result
         .relation(magic.answer_pred)
         .map(|rel| answer_goal(&rel.snapshot(), goal))
@@ -378,7 +377,7 @@ mod tests {
         // relevant; magic evaluation must materialize far fewer tuples than
         // the full closure (20·21/2 = 210).
         let goal = parse_atom("t(15, Y)").unwrap();
-        let (answers, res) = evaluate_query(&db, &tc(), &goal, Strategy::SemiNaive).unwrap();
+        let (answers, res) = evaluate_query(&db, &tc(), &goal).unwrap();
         assert_eq!(answers.len(), 5);
         let full = evaluate(&db, &tc(), Strategy::SemiNaive).unwrap();
         let magic_tuples: usize = res.idb.values().map(|r| r.len()).sum();
@@ -389,10 +388,10 @@ mod tests {
     fn fully_bound_goal() {
         let db = chain_db(10);
         let goal = parse_atom("t(2, 7)").unwrap();
-        let (answers, _) = evaluate_query(&db, &tc(), &goal, Strategy::SemiNaive).unwrap();
+        let (answers, _) = evaluate_query(&db, &tc(), &goal).unwrap();
         assert_eq!(answers, vec![int_tuple(&[2, 7])]);
         let goal = parse_atom("t(7, 2)").unwrap();
-        let (answers, _) = evaluate_query(&db, &tc(), &goal, Strategy::SemiNaive).unwrap();
+        let (answers, _) = evaluate_query(&db, &tc(), &goal).unwrap();
         assert!(answers.is_empty());
     }
 
@@ -400,7 +399,7 @@ mod tests {
     fn all_free_goal_equals_full_evaluation() {
         let db = chain_db(8);
         let goal = parse_atom("t(X, Y)").unwrap();
-        let (mut answers, _) = evaluate_query(&db, &tc(), &goal, Strategy::SemiNaive).unwrap();
+        let (mut answers, _) = evaluate_query(&db, &tc(), &goal).unwrap();
         answers.sort();
         let full = evaluate(&db, &tc(), Strategy::SemiNaive).unwrap();
         assert_eq!(answers, full.relation("t").unwrap().sorted_tuples());
@@ -413,7 +412,7 @@ mod tests {
             .parse()
             .unwrap();
         let goal = parse_atom("t(3, Y)").unwrap();
-        let (answers, _) = evaluate_query(&db, &p, &goal, Strategy::SemiNaive).unwrap();
+        let (answers, _) = evaluate_query(&db, &p, &goal).unwrap();
         assert_eq!(answers.len(), 9);
     }
 
@@ -425,7 +424,7 @@ mod tests {
                 .parse()
                 .unwrap();
         let goal = parse_atom("big(0, Y)").unwrap();
-        let (answers, _) = evaluate_query(&db, &p, &goal, Strategy::SemiNaive).unwrap();
+        let (answers, _) = evaluate_query(&db, &p, &goal).unwrap();
         assert_eq!(answers.len(), 3); // 8, 9, 10
     }
 
@@ -433,7 +432,7 @@ mod tests {
     fn non_idb_goal_is_rejected() {
         let db = chain_db(3);
         let goal = parse_atom("e(0, Y)").unwrap();
-        assert!(evaluate_query(&db, &tc(), &goal, Strategy::SemiNaive).is_err());
+        assert!(evaluate_query(&db, &tc(), &goal).is_err());
     }
 
     #[test]
@@ -447,7 +446,7 @@ mod tests {
             .parse()
             .unwrap();
         let goal = parse_atom("t(X, 5)").unwrap();
-        let (answers, res) = evaluate_query(&db, &p, &goal, Strategy::SemiNaive).unwrap();
+        let (answers, res) = evaluate_query(&db, &p, &goal).unwrap();
         assert_eq!(answers.len(), 5);
         let full = evaluate(&db, &p, Strategy::SemiNaive).unwrap();
         let magic_tuples: usize = res.idb.values().map(|r| r.len()).sum();
@@ -462,7 +461,7 @@ mod tests {
         let mut db = chain_db(5);
         db.insert("e", int_tuple(&[3, 3]));
         let goal = parse_atom("t(X, X)").unwrap();
-        let (answers, _) = evaluate_query(&db, &tc(), &goal, Strategy::SemiNaive).unwrap();
+        let (answers, _) = evaluate_query(&db, &tc(), &goal).unwrap();
         assert_eq!(answers, vec![int_tuple(&[3, 3])]);
     }
 }

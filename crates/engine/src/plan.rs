@@ -131,8 +131,8 @@ pub enum Step {
 
 /// Where a kernel value comes from, resolved at plan-compile time so the
 /// kernel's inner loop never routes through variable slots: a constant, a
-/// column of the current seed row, or a column of the current row at an
-/// earlier probe depth.
+/// column of the current seed row, a column of the current row at an
+/// earlier probe depth, or the value a builtin solved for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KernelSrc {
     /// The constant.
@@ -141,18 +141,18 @@ pub enum KernelSrc {
     Seed(usize),
     /// `(probe depth, column)` of a probe row already matched.
     Probe(usize, usize),
-    /// Result of the `i`-th [`KernelCompute`]: a value-binding builtin
-    /// hoisted to the seed phase, a pure function of the seed row.
+    /// Result of the `i`-th [`KernelCompute`].
     Computed(usize),
 }
 
-/// A value-binding builtin hoisted into a batch kernel's seed phase
-/// (`plus(Y, 1, Z)` solving for `Z`). Only computes positioned before
-/// the first probe whose read arguments resolve to constants, seed
-/// columns, or earlier computes qualify — so each is a pure function of
-/// the seed row, evaluated once per gathered row. A row whose compute
-/// fails (type error, no solution) is dropped, exactly as the step
-/// machine drops it.
+/// A value-binding builtin (`plus(Y, 1, Z)` solving for `Z`). Its read
+/// arguments resolve to constants, seed columns, rows matched at or
+/// before the depth that binds it, or earlier computes — so its value
+/// is a pure function of the seed row and the matched rows, and the
+/// executor re-solves it wherever a [`KernelSrc::Computed`] is read.
+/// The [`KernelGuard::Solve`] at the planner's evaluation point drops
+/// the candidate when the builtin has no solution (type error, inexact
+/// division) before anything reads the value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct KernelCompute {
     /// The operation.
@@ -164,17 +164,42 @@ pub struct KernelCompute {
     pub bind: usize,
 }
 
-/// A pure filter riding a batch-kernel depth: a comparison or an
-/// all-bound builtin check whose operands resolved to kernel sources at
-/// compile time. Guards never bind anything — they only pass or fail a
-/// candidate row — so the batch executor can evaluate them wherever
-/// their sources are available.
+impl KernelCompute {
+    /// The sources the builtin reads: every argument but the solved one.
+    pub fn inputs(&self) -> impl Iterator<Item = KernelSrc> + '_ {
+        let read = move |(j, &s): (usize, &KernelSrc)| (j != self.bind).then_some(s);
+        self.args.iter().enumerate().filter_map(read)
+    }
+}
+
+/// A negated subgoal: passes when no visible row of `pred` equals the
+/// fully bound `key`. The relation is an EDB predicate or a strictly
+/// lower stratum's total view, complete by the time the rule runs.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct KernelNeg {
+    /// The negated predicate.
+    pub pred: Pred,
+    /// Which view to read.
+    pub view: View,
+    /// One source per column.
+    pub key: Vec<KernelSrc>,
+}
+
+/// A pass-or-fail test riding a batch-kernel depth, evaluated per
+/// candidate row at the planner's evaluation point. Guards never bind
+/// anything ([`KernelGuard::Solve`] only verifies that the value other
+/// sources will re-solve exists), so the executor can evaluate them
+/// wherever their sources are available.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KernelGuard {
     /// A comparison filter (`Y > 50`).
     Cmp(KernelSrc, CmpOp, KernelSrc),
     /// An all-bound arithmetic builtin check (`plus(X, 7, Y)`).
     Builtin(BuiltinOp, [KernelSrc; 3]),
+    /// Evaluate-or-drop for the `i`-th [`KernelCompute`].
+    Solve(usize),
+    /// Anti-probe: the `i`-th [`KernelNeg`] must find no row.
+    Absent(usize),
 }
 
 /// One indexed probe in a [`BatchKernel`] chain.
@@ -187,16 +212,20 @@ pub struct KernelProbe {
     /// Expected row width (the atom's arity); rows of any other width
     /// never match.
     pub arity: usize,
-    /// Index key columns (same as the originating scan step's).
+    /// Index key columns (same as the originating scan step's). Empty
+    /// for a cross product: the zero-column index files every row under
+    /// the one empty key, so the probe walks the whole visible range.
     pub key_cols: Vec<usize>,
-    /// Key value sources, parallel to `key_cols`; all refer to the seed
-    /// row, earlier probe depths, or constants.
+    /// Key value sources, parallel to `key_cols`.
     pub key: Vec<KernelSrc>,
+    /// Offset of this depth's key in the executor's packed key buffer
+    /// (the summed key widths of the earlier depths).
+    pub key_at: usize,
     /// Residual equality checks on non-key columns (repeated variables
     /// first bound within this same atom).
     pub checks: Vec<(usize, KernelSrc)>,
-    /// Filter/builtin-check guards the planner placed directly after
-    /// this probe; they may read this depth and anything bound earlier.
+    /// Guards the planner placed directly after this probe; they may
+    /// read this depth and anything bound earlier.
     pub guards: Vec<KernelGuard>,
     /// `true` when no later probe key, later check or guard, or head
     /// term reads a column of this probe's matched row: the probe is a
@@ -207,39 +236,42 @@ pub struct KernelProbe {
     pub existential: bool,
 }
 
-/// A compile-time specialization of the plan shapes the paper's programs
-/// produce: a seed scan (key-less, or keyed by constants resolved at
-/// compile time) followed by a short chain of indexed probes with
-/// optional comparison/builtin-check guards, the head projected straight
-/// from row columns and constants. The canonical instance is the linear
-/// recursive rule `T(x,z) :- T(x,y), E(y,z)` — delta-seed scan of `T`,
-/// one probe of `E`, direct projection — but multi-recursive rules (two
-/// IDB occurrences), constant-key seeds, and builtin-check tails also
-/// qualify, up to [`MAX_KERNEL_PROBES`] probes. Value-binding builtins
-/// qualify when they are pure functions of the seed row (hoisted as
-/// [`KernelCompute`]s); plans with negation, probe-dependent binding
-/// builtins, or longer chains fall back to the general step machine.
+/// The executable form of every compiled rule: a seed (a key-less or
+/// constant-keyed scan, or the unit seed) followed by a chain of indexed
+/// probes, guards at the planner's evaluation points, and the head
+/// projected straight from row columns, constants and solved builtins.
+/// The canonical instance is the linear recursive rule
+/// `T(x,z) :- T(x,y), E(y,z)` — delta-seed scan of `T`, one probe of
+/// `E`, direct projection. The derivation is total over what
+/// [`compile_rule`] accepts: negation is a [`KernelGuard::Absent`],
+/// a binding builtin a [`KernelCompute`] at any depth, a cross product a
+/// probe on the zero-column index, and a rule with nothing to scan first
+/// (no body, or a guard or computed key ahead of the first scan) starts
+/// from the unit seed. Chains are as long as the body.
 #[derive(Clone, Debug)]
 pub struct BatchKernel {
-    /// The seed predicate.
-    pub seed_pred: Pred,
+    /// The seed predicate; `None` is the unit seed — the evaluator's
+    /// built-in nullary relation holding one empty row, so the rule is
+    /// "one seed row + probes" like any other.
+    pub seed_pred: Option<Pred>,
     /// The seed view (Delta for semi-naive variants).
     pub seed_view: View,
     /// Expected seed row width.
     pub seed_arity: usize,
     /// Index key columns on the seed scan (empty = full range scan).
     pub seed_key_cols: Vec<usize>,
-    /// Constant key values, parallel to `seed_key_cols`; a keyed seed
-    /// only qualifies when every key value resolves to a constant.
+    /// Constant key values, parallel to `seed_key_cols`.
     pub seed_key: Vec<Value>,
     /// Constant / repeated-variable checks on the seed row.
     pub seed_checks: Vec<(usize, KernelSrc)>,
     /// Guards evaluable from the seed row alone (placed before any
     /// probe).
     pub seed_guards: Vec<KernelGuard>,
-    /// Hoisted value-binding builtins, evaluated per seed row at gather
-    /// time in order (later computes may read earlier ones).
+    /// Binding builtins, in planner order (later computes may read
+    /// earlier ones); each has one [`KernelGuard::Solve`].
     pub computes: Vec<KernelCompute>,
+    /// Negated subgoals; each has one [`KernelGuard::Absent`].
+    pub negs: Vec<KernelNeg>,
     /// The probe chain, outermost first.
     pub probes: Vec<KernelProbe>,
     /// Head projection.
@@ -247,28 +279,34 @@ pub struct BatchKernel {
 }
 
 impl BatchKernel {
-    /// Cumulative probe-key offsets into a packed key buffer:
-    /// `key_offsets()[d]..key_offsets()[d + 1]` is depth `d`'s key
-    /// slice, and the entry at `probes.len()` is the total key width —
-    /// the per-task buffer length the batch executor reserves.
-    pub fn key_offsets(&self) -> [usize; MAX_KERNEL_PROBES + 1] {
-        let mut off = [0usize; MAX_KERNEL_PROBES + 1];
-        for (d, p) in self.probes.iter().enumerate() {
-            off[d + 1] = off[d] + p.key.len();
+    /// Total width of the packed probe-key buffer.
+    pub fn key_width(&self) -> usize {
+        self.probes.last().map_or(0, |p| p.key_at + p.key.len())
+    }
+
+    /// True when resolving `src` reads the row matched at probe depth
+    /// `d`, directly or through the arguments of a compute.
+    pub fn reads_depth(&self, src: KernelSrc, d: usize) -> bool {
+        match src {
+            KernelSrc::Probe(dd, _) => dd == d,
+            KernelSrc::Computed(ci) => {
+                let mut inputs = self.computes[ci].inputs();
+                inputs.any(|s| self.reads_depth(s, d))
+            }
+            KernelSrc::Const(_) | KernelSrc::Seed(_) => false,
         }
-        off
+    }
+
+    /// True when `f` holds for every source `g` resolves.
+    pub fn guard_all(&self, g: &KernelGuard, mut f: impl FnMut(KernelSrc) -> bool) -> bool {
+        match *g {
+            KernelGuard::Cmp(l, _, r) => f(l) && f(r),
+            KernelGuard::Builtin(_, args) => args.iter().all(|&s| f(s)),
+            KernelGuard::Solve(ci) => f(KernelSrc::Computed(ci)),
+            KernelGuard::Absent(ni) => self.negs[ni].key.iter().all(|&s| f(s)),
+        }
     }
 }
-
-/// Upper bound on a kernel's probe-chain length; the kernel executor
-/// keeps its cursors in fixed-size arrays of this length. Longer chains
-/// fall back to the step machine.
-pub const MAX_KERNEL_PROBES: usize = 4;
-
-/// Upper bound on a kernel's hoisted computes; the executor tracks
-/// their group-invariance in a `u64` bitmask. More fall back to the
-/// step machine (no real program gets anywhere near this).
-pub const MAX_KERNEL_COMPUTES: usize = 64;
 
 /// A fully compiled rule.
 #[derive(Clone, Debug)]
@@ -277,214 +315,172 @@ pub struct CompiledRule {
     pub head_pred: Pred,
     /// Head projection.
     pub head: Vec<Source>,
-    /// Ordered steps.
+    /// Ordered steps: the planner's IR, printed by `semrec plan`.
     pub steps: Vec<Step>,
     /// Number of variable slots.
     pub nslots: usize,
     /// Variable name of each slot (diagnostics).
     pub slot_vars: Vec<Symbol>,
-    /// Specialized batch execution for seed-plus-probe-chain shapes,
-    /// derived from `steps` at compile time; `None` means the general
-    /// step machine runs this plan.
-    pub kernel: Option<BatchKernel>,
+    /// What the evaluator runs, derived from `steps` at compile time.
+    pub kernel: BatchKernel,
 }
 
-/// Derives a [`BatchKernel`] from a compiled step sequence, or `None`
-/// when the shape doesn't qualify. Selection rules: steps are scans,
-/// assignments, filters, pure builtin checks, and seed-phase
-/// value-binding builtins (negation and probe-dependent bindings fall
-/// back); the first scan seeds the iteration and may carry an
-/// index key only if every key value resolves to a constant; every
-/// later scan has a non-empty index key; the chain has at most
-/// [`MAX_KERNEL_PROBES`] probes; and every head term resolves to a
-/// constant or a row column. Filters and builtin checks become guards
-/// attached to the most recent probe (or the seed), preserving the
-/// planner's evaluation point.
-fn derive_kernel(steps: &[Step], head: &[Source], nslots: usize) -> Option<BatchKernel> {
-    // Track where each slot was first bound, in step order — the same
-    // order the step machine binds them.
+/// Derives the [`BatchKernel`] of a compiled step sequence. The first
+/// scan seeds the iteration when nothing that needs a seed row precedes
+/// it (its key, if any, is then all constants); otherwise — a guard or
+/// a compute ahead of the first scan, or no scan at all — the rule
+/// starts from the unit seed and every scan is a probe. Filters,
+/// builtins and negated subgoals become guards attached to the most
+/// recent probe (or the seed), preserving the planner's evaluation
+/// point.
+fn derive_kernel(steps: &[Step], head: &[Source], nslots: usize) -> BatchKernel {
+    // Where each slot was first bound, in step order; `compile_rule`
+    // binds every slot before its first read.
     let mut bindings: Vec<Option<KernelSrc>> = vec![None; nslots];
     let resolve = |bindings: &[Option<KernelSrc>], v: Source| match v {
-        Source::Const(c) => Some(KernelSrc::Const(c)),
-        Source::Slot(sl) => bindings[sl],
+        Source::Const(c) => KernelSrc::Const(c),
+        Source::Slot(sl) => bindings[sl].expect("slot bound before use"),
     };
-
-    struct SeedInfo {
-        pred: Pred,
-        view: View,
-        arity: usize,
-        key_cols: Vec<usize>,
-        key: Vec<Value>,
-        checks: Vec<(usize, KernelSrc)>,
-        guards: Vec<KernelGuard>,
-    }
-    let mut seed: Option<SeedInfo> = None;
-    let mut computes: Vec<KernelCompute> = Vec::new();
-    let mut probes: Vec<KernelProbe> = Vec::new();
-
+    let mut k = BatchKernel {
+        seed_pred: None,
+        seed_view: View::Full,
+        seed_arity: 0,
+        seed_key_cols: Vec::new(),
+        seed_key: Vec::new(),
+        seed_checks: Vec::new(),
+        seed_guards: Vec::new(),
+        computes: Vec::new(),
+        negs: Vec::new(),
+        probes: Vec::new(),
+        head: Vec::new(),
+    };
+    // Cleared by the first step that needs a seed row: a scan seen while
+    // it is still set becomes the seed, any later one a probe.
+    let mut seedable = true;
     for step in steps {
-        match step {
+        let guard = match step {
             Step::Assign(a) => {
-                bindings[a.slot] = Some(resolve(&bindings, a.from)?);
+                bindings[a.slot] = Some(resolve(&bindings, a.from));
+                continue;
             }
-            Step::Filter(fs) => {
-                let g = KernelGuard::Cmp(
-                    resolve(&bindings, fs.lhs)?,
-                    fs.op,
-                    resolve(&bindings, fs.rhs)?,
-                );
-                match probes.last_mut() {
-                    Some(p) => p.guards.push(g),
-                    None => seed.as_mut()?.guards.push(g),
+            Step::Filter(fs) => KernelGuard::Cmp(
+                resolve(&bindings, fs.lhs),
+                fs.op,
+                resolve(&bindings, fs.rhs),
+            ),
+            Step::Compute(cs) => {
+                let bind = cs.bind.map(|(pos, _)| pos);
+                let mut args = [KernelSrc::Seed(0); 3];
+                for (j, &a) in cs.args.iter().enumerate() {
+                    if bind != Some(j) {
+                        args[j] = resolve(&bindings, a);
+                    }
+                }
+                match cs.bind {
+                    None => KernelGuard::Builtin(cs.op, args),
+                    Some((pos, slot)) => {
+                        k.computes.push(KernelCompute {
+                            op: cs.op,
+                            args,
+                            bind: pos,
+                        });
+                        let ci = k.computes.len() - 1;
+                        bindings[slot] = Some(KernelSrc::Computed(ci));
+                        KernelGuard::Solve(ci)
+                    }
                 }
             }
-            Step::Compute(cs) => match cs.bind {
-                // The pure-check form becomes a guard at the planner's
-                // evaluation point.
-                None => {
-                    let mut args = [KernelSrc::Seed(0); 3];
-                    for (slot, &a) in args.iter_mut().zip(&cs.args) {
-                        *slot = resolve(&bindings, a)?;
-                    }
-                    let g = KernelGuard::Builtin(cs.op, args);
-                    match probes.last_mut() {
-                        Some(p) => p.guards.push(g),
-                        None => seed.as_mut()?.guards.push(g),
-                    }
-                }
-                // The value-binding form qualifies only in the seed
-                // phase (before any probe, so every read resolves to a
-                // constant, seed column, or earlier compute): the batch
-                // executor then evaluates it once per gathered seed
-                // row, matching the step machine's per-row
-                // evaluate-or-drop. A binding after a probe would run
-                // per join combination — fall back.
-                Some((pos, slot)) => {
-                    if !probes.is_empty() || computes.len() == MAX_KERNEL_COMPUTES {
-                        return None;
-                    }
-                    let mut args = [KernelSrc::Seed(0); 3];
-                    for (j, (dst, &a)) in args.iter_mut().zip(&cs.args).enumerate() {
-                        if j == pos {
-                            continue; // the solved position is never read
-                        }
-                        *dst = resolve(&bindings, a)?;
-                    }
-                    let ci = computes.len();
-                    computes.push(KernelCompute {
-                        op: cs.op,
-                        args,
-                        bind: pos,
-                    });
-                    bindings[slot] = Some(KernelSrc::Computed(ci));
-                }
-            },
-            Step::Neg(_) => return None,
-            Step::Scan(s) if seed.is_none() => {
-                // A keyed seed qualifies only when the whole key is
-                // constant (e.g. a pre-seed assignment `R = executive`
-                // pushed into the index key): the batch executor then
-                // enumerates one dictionary group instead of the range.
-                let key = s
-                    .key_vals
-                    .iter()
-                    .map(|&v| match resolve(&bindings, v)? {
-                        KernelSrc::Const(c) => Some(c),
-                        _ => None,
-                    })
-                    .collect::<Option<Vec<Value>>>()?;
-                let mut checks = Vec::new();
-                for (col, pat) in s.args.iter().enumerate() {
-                    if s.key_cols.contains(&col) {
-                        continue; // enforced by the dictionary code match
-                    }
-                    match *pat {
-                        ArgPat::Const(c) => checks.push((col, KernelSrc::Const(c))),
-                        ArgPat::Bind(sl) => bindings[sl] = Some(KernelSrc::Seed(col)),
-                        // A repeated variable within the seed atom:
-                        // equality with the column that bound it.
-                        ArgPat::Bound(sl) => checks.push((col, bindings[sl]?)),
-                    }
-                }
-                seed = Some(SeedInfo {
-                    pred: s.pred,
-                    view: s.view,
-                    arity: s.args.len(),
-                    key_cols: s.key_cols.clone(),
-                    key,
-                    checks,
-                    guards: Vec::new(),
+            Step::Neg(n) => {
+                k.negs.push(KernelNeg {
+                    pred: n.pred,
+                    view: n.view,
+                    key: n.key.iter().map(|&v| resolve(&bindings, v)).collect(),
                 });
+                KernelGuard::Absent(k.negs.len() - 1)
             }
             Step::Scan(s) => {
-                if s.key_cols.is_empty() || probes.len() == MAX_KERNEL_PROBES {
-                    return None;
-                }
-                let d = probes.len();
-                let key = s
-                    .key_vals
-                    .iter()
-                    .map(|&v| resolve(&bindings, v))
-                    .collect::<Option<Vec<KernelSrc>>>()?;
+                let seed = std::mem::take(&mut seedable);
+                let d = k.probes.len();
+                let key: Vec<KernelSrc> =
+                    s.key_vals.iter().map(|&v| resolve(&bindings, v)).collect();
                 let mut checks = Vec::new();
                 for (col, pat) in s.args.iter().enumerate() {
                     if s.key_cols.contains(&col) {
                         continue; // enforced by the dictionary code match
                     }
+                    let here = if seed {
+                        KernelSrc::Seed(col)
+                    } else {
+                        KernelSrc::Probe(d, col)
+                    };
                     match *pat {
                         ArgPat::Const(c) => checks.push((col, KernelSrc::Const(c))),
-                        ArgPat::Bind(sl) => bindings[sl] = Some(KernelSrc::Probe(d, col)),
-                        ArgPat::Bound(sl) => checks.push((col, bindings[sl]?)),
+                        ArgPat::Bind(sl) => bindings[sl] = Some(here),
+                        // A repeated variable within the atom: equality
+                        // with the column that bound it.
+                        ArgPat::Bound(sl) => {
+                            checks.push((col, resolve(&bindings, Source::Slot(sl))))
+                        }
                     }
                 }
-                probes.push(KernelProbe {
-                    pred: s.pred,
-                    view: s.view,
-                    arity: s.args.len(),
-                    key_cols: s.key_cols.clone(),
-                    key,
-                    checks,
-                    guards: Vec::new(),
-                    existential: false,
-                });
+                if seed {
+                    // Only assignments can precede the seed scan, so
+                    // its key (e.g. `R = executive` pushed into the
+                    // index key) is all constants: the executor
+                    // enumerates one dictionary group instead of the
+                    // range.
+                    k.seed_pred = Some(s.pred);
+                    k.seed_view = s.view;
+                    k.seed_arity = s.args.len();
+                    k.seed_key_cols = s.key_cols.clone();
+                    k.seed_key = key
+                        .iter()
+                        .map(|src| match *src {
+                            KernelSrc::Const(c) => c,
+                            _ => unreachable!("seed key bound before any row"),
+                        })
+                        .collect();
+                    k.seed_checks = checks;
+                } else {
+                    let key_at = k.key_width();
+                    k.probes.push(KernelProbe {
+                        pred: s.pred,
+                        view: s.view,
+                        arity: s.args.len(),
+                        key_cols: s.key_cols.clone(),
+                        key_at,
+                        key,
+                        checks,
+                        guards: Vec::new(),
+                        existential: false,
+                    });
+                }
+                continue;
             }
+        };
+        seedable = false;
+        match k.probes.last_mut() {
+            Some(p) => p.guards.push(guard),
+            None => k.seed_guards.push(guard),
         }
     }
-    let seed = seed?;
-    let head = head
-        .iter()
-        .map(|&h| resolve(&bindings, h))
-        .collect::<Option<Vec<KernelSrc>>>()?;
+    k.head = head.iter().map(|&h| resolve(&bindings, h)).collect();
     // A probe depth nothing downstream reads is an existence test: once
     // one group row matches, every further match emits the exact same
     // head tuples, so the executor may short-circuit. `checks` and
     // `guards` *within* a depth run while matching that depth and don't
     // pin it.
-    let reads = |src: &KernelSrc, d: usize| matches!(*src, KernelSrc::Probe(dd, _) if dd == d);
-    let guard_reads = |g: &KernelGuard, d: usize| match g {
-        KernelGuard::Cmp(l, _, r) => reads(l, d) || reads(r, d),
-        KernelGuard::Builtin(_, args) => args.iter().any(|s| reads(s, d)),
-    };
-    for d in 0..probes.len() {
-        let in_later = probes[d + 1..].iter().any(|p| {
-            p.key.iter().any(|s| reads(s, d))
-                || p.checks.iter().any(|(_, s)| reads(s, d))
-                || p.guards.iter().any(|g| guard_reads(g, d))
+    for d in 0..k.probes.len() {
+        let reads = |s: KernelSrc| k.reads_depth(s, d);
+        let in_later = k.probes[d + 1..].iter().any(|p| {
+            p.key.iter().any(|&s| reads(s))
+                || p.checks.iter().any(|&(_, s)| reads(s))
+                || p.guards.iter().any(|g| !k.guard_all(g, |s| !reads(s)))
         });
-        probes[d].existential = !in_later && !head.iter().any(|s| reads(s, d));
+        let pinned = in_later || k.head.iter().any(|&s| reads(s));
+        k.probes[d].existential = !pinned;
     }
-    Some(BatchKernel {
-        seed_pred: seed.pred,
-        seed_view: seed.view,
-        seed_arity: seed.arity,
-        seed_key_cols: seed.key_cols,
-        seed_key: seed.key,
-        seed_checks: seed.checks,
-        seed_guards: seed.guards,
-        computes,
-        probes,
-        head,
-    })
+    k
 }
 
 struct Compiler<'a> {
@@ -906,8 +902,8 @@ mod tests {
         // The canonical linear recursive shape: key-less seed, one
         // indexed probe, direct head projection.
         let c = compile("t(X,Z) :- t0(X,Y), e(Y,Z).");
-        let k = c.kernel.as_ref().expect("linear shape should kernelize");
-        assert_eq!(k.seed_pred, Pred::new("t0"));
+        let k = &c.kernel;
+        assert_eq!(k.seed_pred, Some(Pred::new("t0")));
         assert_eq!(k.probes.len(), 1);
         assert_eq!(k.probes[0].pred, Pred::new("e"));
         assert_eq!(k.probes[0].key_cols, vec![0]);
@@ -919,7 +915,7 @@ mod tests {
     fn probe_chain_gets_a_kernel() {
         // Seed plus two chained probes (the fanout witness shape).
         let c = compile("r(X,Y) :- d(Z,Y), e(X,Z), w(Z,W).");
-        let k = c.kernel.as_ref().expect("chain should kernelize");
+        let k = &c.kernel;
         assert_eq!(k.probes.len(), 2);
         for p in &k.probes {
             assert!(!p.key_cols.is_empty());
@@ -937,7 +933,7 @@ mod tests {
         // `f` binds nothing the head reads, but its `Y` keys the later
         // `g` probe — short-circuiting `f` would drop bindings.
         let c = compile("p(X,Z) :- s(X), f(X,Y), g(Y,Z).");
-        let k = c.kernel.as_ref().expect("shape should kernelize");
+        let k = &c.kernel;
         assert_eq!(k.probes.len(), 2);
         assert!(!k.probes[0].existential);
         assert!(!k.probes[1].existential);
@@ -948,24 +944,50 @@ mod tests {
         // `Y` is first bound at probe column 1 and repeated at column 2:
         // the kernel must carry a residual equality check, not a key col.
         let c = compile("p(X,Y) :- s(X), e(X, Y, Y).");
-        let k = c.kernel.as_ref().expect("shape should kernelize");
+        let k = &c.kernel;
         assert_eq!(k.probes[0].key_cols, vec![0]);
         assert_eq!(k.probes[0].checks, vec![(2, KernelSrc::Probe(0, 1))]);
     }
 
     #[test]
-    fn non_kernel_shapes_fall_back() {
-        // Negation and probe-dependent value-binding builtins disqualify
-        // (a binding that reads a probe row would run per join
-        // combination, not per seed row).
-        assert!(compile("p(X) :- e(X,Y), f(Y,W), plus(W, 1, _Z).")
-            .kernel
-            .is_none());
-        let r = parse_rule("p(X) :- e(X,Y), !blocked(X,Y).").unwrap();
-        let c = compile_rule(&r, &BTreeMap::new(), None).unwrap();
-        assert!(c.kernel.is_none());
-        // A cross product (key-less second scan) also falls back.
-        assert!(compile("p(X,Y) :- e(X), f(Y).").kernel.is_none());
+    fn formerly_interpreted_shapes_get_kernels() {
+        // A binding builtin after two probes: the compute reads the `f`
+        // row, its `Solve` guard rides that probe, and `g` is keyed by
+        // the solved value — which pins `f` non-existential.
+        let c = compile("p(X) :- e(X,Y), f(Y,W), plus(W, 1, Z), g(Z).");
+        let k = &c.kernel;
+        assert_eq!(k.computes.len(), 1);
+        assert_eq!(k.computes[0].args[0], KernelSrc::Probe(0, 1));
+        assert_eq!(k.probes[0].guards, vec![KernelGuard::Solve(0)]);
+        assert_eq!(k.probes[1].key, vec![KernelSrc::Computed(0)]);
+        assert!(!k.probes[0].existential);
+        // Negation: an anti-probe guard at the planner's evaluation
+        // point, keyed by the seed row.
+        let k = compile("p(X) :- e(X,Y), !blocked(X,Y).").kernel;
+        assert_eq!(k.seed_guards, vec![KernelGuard::Absent(0)]);
+        assert_eq!(k.negs[0].pred, Pred::new("blocked"));
+        assert_eq!(k.negs[0].key, vec![KernelSrc::Seed(0), KernelSrc::Seed(1)]);
+        // A cross product: a probe on the zero-column index.
+        let k = compile("p(X,Y) :- e(X), f(Y).").kernel;
+        assert_eq!(k.probes.len(), 1);
+        assert!(k.probes[0].key_cols.is_empty() && k.probes[0].key.is_empty());
+        // A bodyless rule: the unit seed and nothing else.
+        let k = compile("p(1, 2).").kernel;
+        assert_eq!(k.seed_pred, None);
+        assert!(k.probes.is_empty());
+        assert_eq!(k.head.len(), 2);
+        // A computed key ahead of the first scan: unit seed, and the
+        // scan becomes a probe keyed by the solved value.
+        let k = compile("p(Y) :- plus(1, 2, Y), q(Y).").kernel;
+        assert_eq!(k.seed_pred, None);
+        assert_eq!(k.seed_guards, vec![KernelGuard::Solve(0)]);
+        assert_eq!(k.probes[0].key, vec![KernelSrc::Computed(0)]);
+        // No width limit: a seven-atom body is seed + six probes, keys
+        // packed back to back.
+        let k = compile("p(A,G) :- a(A,B), b(B,C), c(C,D), d(D,E), e(E,F), f(F,G), g(G).").kernel;
+        assert_eq!(k.probes.len(), 6);
+        assert_eq!(k.probes[5].key_at, 5);
+        assert_eq!(k.key_width(), 6);
     }
 
     #[test]
@@ -973,7 +995,7 @@ mod tests {
         // A comparison after the seed scan guards the seed phase; a
         // pure-check builtin after a probe guards that probe.
         let c = compile("p(X,Y) :- e(X,Z), Z > 3, f(Z,Y).");
-        let k = c.kernel.as_ref().expect("guarded chain should kernelize");
+        let k = &c.kernel;
         assert_eq!(k.seed_guards.len(), 1);
         assert!(matches!(
             k.seed_guards[0],
@@ -990,10 +1012,11 @@ mod tests {
         // `e` probe's index key — the kernel carries it as a
         // `KernelCompute` read through `KernelSrc::Computed`.
         let c = compile("p(X,Y) :- s(X), e(X,Y), plus(X, 1, Y).");
-        let k = c.kernel.as_ref().expect("builtin tail should kernelize");
+        let k = &c.kernel;
         assert_eq!(k.computes.len(), 1);
         assert_eq!(k.computes[0].op, BuiltinOp::Plus);
         assert_eq!(k.computes[0].bind, 2);
+        assert_eq!(k.seed_guards, vec![KernelGuard::Solve(0)]);
         assert_eq!(k.probes.len(), 1);
         assert!(k.probes[0].key.contains(&KernelSrc::Computed(0)));
     }
@@ -1002,18 +1025,21 @@ mod tests {
     fn seed_only_binding_builtin_kernelizes() {
         // No probe at all: seed scan + hoisted compute + head read.
         let c = compile("succ_t(X,Z) :- t(X,Y), plus(Y, 1, Z).");
-        let k = c.kernel.as_ref().expect("seed-phase binding kernelizes");
+        let k = &c.kernel;
         assert!(k.probes.is_empty());
         assert_eq!(k.computes.len(), 1);
         assert_eq!(k.head, vec![KernelSrc::Seed(0), KernelSrc::Computed(0)]);
     }
 
     #[test]
-    fn probe_dependent_binding_builtin_falls_back() {
-        // The binding compute reads `Y`, bound by the `e` probe — it
-        // would run per join combination, so the shape falls back.
+    fn probe_dependent_binding_builtin_rides_its_probe() {
+        // The binding compute reads `Y`, bound by the `e` probe: it is
+        // solved per matched row, and the head's read of it pins `e`.
         let c = compile("p(X,Z) :- s(X), e(X,Y), plus(Y, 1, Z).");
-        assert!(c.kernel.is_none());
+        let k = &c.kernel;
+        assert_eq!(k.probes[0].guards, vec![KernelGuard::Solve(0)]);
+        assert_eq!(k.head, vec![KernelSrc::Seed(0), KernelSrc::Computed(0)]);
+        assert!(!k.probes[0].existential);
     }
 
     #[test]
@@ -1024,7 +1050,7 @@ mod tests {
         // short-circuit. Nothing after the probe reads its columns, so
         // the probe stays existential.
         let c = compile("p(X) :- s(X), w(X, W), plus(W, 0, W).");
-        let k = c.kernel.as_ref().expect("shape should kernelize");
+        let k = &c.kernel;
         assert_eq!(k.probes[0].guards.len(), 1);
         assert!(k.probes[0].existential);
     }
@@ -1036,7 +1062,7 @@ mod tests {
         // — short-circuiting depth 0 would drop `W` bindings the guard
         // still needs.
         let c = compile("p(X) :- s(X), w(X, W), f(X, F), W < F.");
-        let k = c.kernel.as_ref().expect("shape should kernelize");
+        let k = &c.kernel;
         assert_eq!(k.probes.len(), 2);
         assert!(!k.probes[0].existential);
         assert!(k.probes[1].guards.len() == 1);
@@ -1049,7 +1075,7 @@ mod tests {
         // key is constant, so the batch kernel enumerates one dictionary
         // group.
         let c = compile("p(X) :- e(3, X).");
-        let k = c.kernel.as_ref().expect("constant-key seed kernelizes");
+        let k = &c.kernel;
         assert_eq!(k.seed_key_cols, vec![0]);
         assert_eq!(k.seed_key, vec![Value::Int(3)]);
         assert!(k.probes.is_empty());
@@ -1060,8 +1086,8 @@ mod tests {
     fn multi_recursive_rule_kernelizes() {
         // Two IDB occurrences: seed on the first, probe on the second.
         let c = compile("t(X,Z) :- t(X,Y), t(Y,Z).");
-        let k = c.kernel.as_ref().expect("multi-recursive kernelizes");
-        assert_eq!(k.seed_pred, Pred::new("t"));
+        let k = &c.kernel;
+        assert_eq!(k.seed_pred, Some(Pred::new("t")));
         assert_eq!(k.probes.len(), 1);
         assert_eq!(k.probes[0].pred, Pred::new("t"));
     }
@@ -1168,16 +1194,16 @@ impl std::fmt::Display for CompiledRule {
                 Step::Assign(a) => writeln!(f, "  assign ${} := {}", a.slot, a.from)?,
             }
         }
-        if let Some(k) = &self.kernel {
-            writeln!(
-                f,
-                "  kernel: batch (seed {} + {} probe{})",
-                k.seed_pred,
-                k.probes.len(),
-                if k.probes.len() == 1 { "" } else { "s" }
-            )?;
-        }
-        Ok(())
+        let k = &self.kernel;
+        let seed = k
+            .seed_pred
+            .map_or_else(|| "unit".to_owned(), |p| p.to_string());
+        writeln!(
+            f,
+            "  kernel: batch (seed {seed} + {} probe{})",
+            k.probes.len(),
+            if k.probes.len() == 1 { "" } else { "s" }
+        )
     }
 }
 

@@ -19,7 +19,8 @@ pub struct Stats {
     pub probes: u64,
     /// Rows examined by scan steps (after index narrowing).
     pub rows_scanned: u64,
-    /// Comparison evaluations (filter steps).
+    /// Guard evaluations: comparisons, builtin checks and solves, and
+    /// negated-subgoal membership tests.
     pub cmp_evals: u64,
     /// Head tuples produced (including duplicates).
     pub derived: u64,
@@ -31,10 +32,13 @@ pub struct Stats {
     /// per member — a split or batched group reports the same counts as
     /// tuple-at-a-time execution would.
     pub probe_hits: u64,
-    /// Plan executions routed to the batch kernel pipeline (chunked
-    /// gather → sort-group → probe-run → emit; DESIGN.md §13).
+    /// Plan executions: every one runs the batch kernel pipeline
+    /// (chunked gather → sort-group → probe-run → emit; DESIGN.md §13),
+    /// so this equals `rule_firings`.
     pub kernel_firings: u64,
-    /// Plan executions routed to the general step machine.
+    /// Always 0: there is no other executor. Kept only because
+    /// `benchmark/src/bin/layers.rs` reads it (benchmark/README.md,
+    /// *Frozen surfaces (b)*); the next benchmark issue drops it.
     pub interp_firings: u64,
     /// High-water mark of reusable per-worker task scratch, in bytes.
     /// Max-merged (not summed) across workers; steady-state rounds must

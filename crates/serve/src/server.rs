@@ -43,7 +43,7 @@ use semrec_datalog::parser::Unit;
 use semrec_datalog::term::Value;
 use semrec_engine::eval::answer_goal_rows_polled;
 use semrec_engine::{
-    tx_to_stream, Budget, Database, Relation, Route, Snapshot, Tuning, Tuple, Tx, UpdateStats,
+    tx_to_stream, Budget, Database, Relation, Route, Snapshot, Tuple, Tx, UpdateStats,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
@@ -54,9 +54,6 @@ use std::time::Duration;
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Evaluator tuning (kernels on/off) for the initial
-    /// materialization and every maintenance pass.
-    pub tuning: Tuning,
     /// Optimizer configuration for the maintained plan.
     pub optimizer: OptimizerConfig,
     /// Admission gate configuration.
@@ -75,7 +72,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            tuning: Tuning::default(),
             optimizer: OptimizerConfig::default(),
             admission: AdmissionConfig::default(),
             retain_epochs: 8,
@@ -304,12 +300,12 @@ impl Server {
         wal_path: Option<&Path>,
     ) -> Result<(Arc<Server>, RecoveryReport), ServeError> {
         let db = Database::from_facts(&unit.facts);
-        let mut query = MaintainedQuery::new_tuned(
+        let mut query = MaintainedQuery::new(
             db,
             &unit.program(),
             &unit.constraints,
             cfg.optimizer.clone(),
-            cfg.tuning,
+            1,
         )
         .map_err(|e| ServeError::Io(format!("initial materialization: {e}")))?;
 

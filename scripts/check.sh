@@ -29,16 +29,11 @@ cargo clippy --all-targets --offline -- -D warnings
 # wide because the quick gate takes a 3-sample median and the
 # kernelized workloads finish in tens of milliseconds, where this
 # box's ambient jitter alone measures 20-30%; the regressions the gate
-# exists to catch (losing the kernel route, re-allocating per probe,
-# losing dictionary-map residency) are 2-10x+, far outside any noise
-# band. Quick sizes differ from the baseline's full sizes, so the gate
+# exists to catch (re-allocating per probe, losing dictionary-map
+# residency) are 2-10x+, far outside any noise band. Quick sizes differ from the baseline's full sizes, so the gate
 # matches workloads by name+params and only checks those present in
 # both — the quick set keeps the 300/160/64 fanout so one workload
 # above the floor always overlaps.
-# Kernel coverage gate: every kernel-bench workload must route >=90% of
-# its plan executions through the batch kernels, so eligibility
-# regressions (a shape silently falling back to the step machine) fail
-# CI instead of just slowing it down.
 # Regrow gate: the EWMA drain pre-sizing must keep mid-insert dedup
 # rehashes at zero on every generated workload; a non-zero count means
 # the unique-rate estimator or the deferred-reservation plumbing broke.
@@ -54,7 +49,7 @@ cargo clippy --all-targets --offline -- -D warnings
 # of silently gating against fields that no longer line up.
 cargo run -p semrec-bench --release --offline --bin harness -- bench --quick \
   --assert-routing --baseline BENCH_fixpoint.json --assert-throughput 40 \
-  --assert-kernel-coverage 90 --assert-no-regrow 0
+  --assert-no-regrow 0
 
 # ---- serve leg -------------------------------------------------------
 # Deterministic fault schedules over the server sites (serve.accept on

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! semrec optimize <file> [--small PRED]...        show the optimization plan
-//! semrec run <file> [--optimize] [--naive] [--query 'p(a, X)'] [--magic]
-//!            [--data DIR] [--save DIR] [--engine seminaive|naive|topdown|sld]
+//! semrec run <file> [--optimize] [--query 'p(a, X)'] [--magic]
+//!            [--data DIR] [--save DIR] [--engine seminaive|topdown|sld]
 //!            [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]
 //! semrec explain <file> [--run] [--query ATOM] [--data DIR]
 //!                        residues per IC + per-alternative route costs
@@ -57,9 +57,7 @@ use semrec::datalog::analysis::{check_arities, classify_linear, validate};
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
 use semrec::datalog::Pred;
 use semrec::engine::magic::evaluate_query;
-use semrec::engine::{
-    evaluate, Budget, CancelToken, Database, EngineError, Route, Strategy, Tuning,
-};
+use semrec::engine::{evaluate, Budget, CancelToken, Database, EngineError, Route, Strategy};
 use semrec::serve::{serve_session, Connection, ServeConfig, ServeError, Server};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -179,9 +177,9 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
 
 fn usage() -> String {
     "usage:\n  semrec optimize <file> [--small PRED]...\n  \
-     semrec run <file> [--optimize] [--naive] [--query ATOM] [--magic]\n  \
+     semrec run <file> [--optimize] [--query ATOM] [--magic]\n  \
              [--data DIR] [--save DIR] [--small PRED]...\n  \
-             [--engine seminaive|naive|topdown|sld]\n  \
+             [--engine seminaive|topdown|sld]\n  \
              [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]\n  \
      semrec explain <file> [--run] [--query ATOM] [--data DIR] [--small PRED]...\n  \
      semrec describe <file> QUERY\n  \
@@ -208,7 +206,7 @@ fn known_flags(cmd: &str) -> (&'static [&'static str], &'static [&'static str], 
     match cmd {
         "optimize" => (&[], &["--small"], false),
         "run" => (
-            &["--optimize", "--naive", "--magic"],
+            &["--optimize", "--magic"],
             &["--query", "--data", "--save", "--small", "--engine"],
             true,
         ),
@@ -355,11 +353,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         eprintln!("loaded {n} facts from {dir}");
     }
     let db = db;
-    let strategy = if args.iter().any(|a| a == "--naive") {
-        Strategy::Naive
-    } else {
-        Strategy::SemiNaive
-    };
     let budget = parse_budget(args)?;
     let optimize = args.iter().any(|a| a == "--optimize");
 
@@ -403,8 +396,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
 
     if args.iter().any(|a| a == "--magic") {
         let goal = query.ok_or("--magic requires --query")?;
-        let (answers, res) =
-            evaluate_query(&db, &program, &goal, strategy).map_err(CliError::Engine)?;
+        let (answers, res) = evaluate_query(&db, &program, &goal).map_err(CliError::Engine)?;
         for t in &answers {
             println!("{}", render(goal.pred, t));
         }
@@ -438,14 +430,14 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             eprintln!("-- {} answers; {}; {:?}", answers.len(), stats, compl);
             return Ok(());
         }
-        Some("seminaive") | Some("naive") | None => {}
+        Some("seminaive") | None => {}
         Some(other) => {
             return Err(CliError::Usage(format!(
-                "unknown engine `{other}` (seminaive, naive, topdown, sld)"
+                "unknown engine `{other}` (seminaive, topdown, sld)"
             )));
         }
     }
-    let mut ev = semrec::engine::Evaluator::new(&db, &program, strategy)
+    let mut ev = semrec::engine::Evaluator::new(&db, &program, Strategy::SemiNaive)
         .map_err(CliError::Engine)?
         .with_budget(budget);
     ev.run().map_err(CliError::Engine)?;
@@ -509,12 +501,12 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
     };
 
     if args.iter().any(|a| a == "--optimize") {
-        let mut q = semrec::core::maintain::MaintainedQuery::new_tuned(
+        let mut q = semrec::core::maintain::MaintainedQuery::new(
             db,
             &unit.program(),
             &unit.constraints,
             optimizer_config(args),
-            Tuning::default(),
+            1,
         )
         .map_err(|e| match e {
             semrec::core::maintain::MaintainError::Engine(e) => CliError::Engine(e),

@@ -111,8 +111,8 @@ fn magic_composes_with_optimized_programs() {
 
     // Bind the descendant (first argument) and compare the three ways.
     let goal = parse_atom("anc(7, Xa, Y, Ya)").unwrap();
-    let (a_orig, _) = evaluate_query(&db, &plan.rectified, &goal, Strategy::SemiNaive).unwrap();
-    let (a_opt, _) = evaluate_query(&db, &plan.program, &goal, Strategy::SemiNaive).unwrap();
+    let (a_orig, _) = evaluate_query(&db, &plan.rectified, &goal).unwrap();
+    let (a_opt, _) = evaluate_query(&db, &plan.program, &goal).unwrap();
     let full = evaluate(&db, &plan.rectified, Strategy::SemiNaive).unwrap();
     let mut expected = full.answers(&goal);
     expected.sort();

@@ -260,6 +260,7 @@ fn unknown_and_retired_flags_are_usage_errors() {
             vec!["serve", &file, "--no-answer-cache"],
             "--no-answer-cache",
         ),
+        (vec!["run", &file, "--naive"], "--naive"),
         (vec!["run", &file, "--optmize"], "--optmize"),
         (vec!["check", &file, "--optimize"], "--optimize"),
     ] {
@@ -271,6 +272,12 @@ fn unknown_and_retired_flags_are_usage_errors() {
             "{args:?}: {stderr}"
         );
     }
+    // The naive strategy went with its flag: `--engine naive` used to be
+    // accepted and silently run semi-naive.
+    let out = output(&["run", &file, "--engine", "naive"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown engine `naive`"), "{stderr}");
     // A flag-looking *value* is not a flag.
     let out = output(&["run", &file, "--query", "--threads"]);
     assert_ne!(out.status.code(), Some(2));

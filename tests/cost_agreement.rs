@@ -132,12 +132,12 @@ fn stats_invalidated_and_replanned_under_transactions() {
         fanout: 3,
         seed: 11,
     });
-    let mut q = semrec::core::maintain::MaintainedQuery::new_tuned(
+    let mut q = semrec::core::maintain::MaintainedQuery::new(
         db,
         &s.program,
         &s.constraints,
         semrec::core::optimizer::OptimizerConfig::default(),
-        semrec::engine::Tuning::default(),
+        1,
     )
     .expect("maintain");
     assert_eq!(q.replans(), 1, "materialization consults the planner once");

@@ -500,12 +500,12 @@ fn incr_icheck_fault_commits_exactly_or_rolls_back() {
         fanout: 3,
         seed: 6,
     });
-    let mut q = semrec::core::maintain::MaintainedQuery::new_tuned(
+    let mut q = semrec::core::maintain::MaintainedQuery::new(
         db,
         &s.program,
         &s.constraints,
         OptimizerConfig::default(),
-        semrec::engine::Tuning::default(),
+        1,
     )
     .unwrap();
     assert_eq!(q.route(), Route::Optimized);

@@ -1,41 +1,55 @@
-//! Kernel-vs-machine agreement: for every `gen` workload generator plus
-//! hand-built shapes that exercise negation, builtins, filters,
-//! constants in index keys, and multi-recursive rules, evaluation with
-//! the batch kernels enabled must produce the identical IDB (tuple for
-//! tuple) as the general step machine. A seeded chunk-boundary test
-//! pins the gather/sort/group pipeline at delta sizes straddling the
-//! chunk constant. Also pins the allocation discipline: the task
-//! scratch high-water mark stays bounded by a small constant (the chunk
+//! Executor-vs-oracle agreement: for every `gen` workload generator
+//! plus hand-built shapes that exercise negation, builtins at every
+//! depth, filters, constants and computed values in index keys, cross
+//! products, bodyless and wide rules, and multi-recursive rules, the
+//! batch executor must produce the identical IDB (tuple for tuple) as
+//! the naive oracle of `tests/common/naive.rs`, from scratch and under
+//! `Materialized` maintenance. A seeded chunk-boundary test pins the
+//! gather/sort/group pipeline at delta sizes straddling the chunk
+//! constant. Also pins the allocation discipline: the task scratch
+//! high-water mark stays bounded by a small constant (the chunk
 //! buffers) no matter how many rows a workload derives.
 
-use semrec::datalog::{Pred, Program, Value};
-use semrec::engine::{Budget, Database, Evaluator, Materialized, Stats, Strategy, Tuple, Tx};
+#[path = "common/naive.rs"]
+mod naive;
+
+use semrec::datalog::{Atom, Literal, Pred, Program, Rule, Value};
+use semrec::engine::{
+    Budget, Database, Evaluator, Materialized, Relation, Stats, Strategy, Tuple, Tx,
+};
 use semrec::gen::{fanout, genealogy, graphs, org, parse_scenario, university};
 use std::collections::BTreeMap;
 
-/// Evaluates with the kernels on or off and normalizes the full IDB
-/// into a deterministic map.
-fn idb_map(db: &Database, prog: &Program, kernels: bool) -> (BTreeMap<Pred, Vec<Tuple>>, Stats) {
-    let mut ev = Evaluator::new(db, prog, Strategy::SemiNaive)
-        .unwrap()
-        .with_kernels(kernels);
-    ev.run().unwrap();
-    let res = ev.finish();
-    let map = res
-        .idb
-        .iter()
-        .map(|(&p, rel)| (p, rel.sorted_tuples()))
-        .collect();
-    (map, res.stats)
+type Idb = BTreeMap<Pred, Vec<Tuple>>;
+
+/// Normalizes materialized relations into a deterministic map.
+fn normal<'a>(idb: impl IntoIterator<Item = (&'a Pred, &'a Relation)>) -> Idb {
+    let sorted = |(&p, rel): (&Pred, &Relation)| (p, rel.sorted_tuples());
+    idb.into_iter().map(sorted).collect()
 }
 
-/// The generator workloads plus handwritten programs covering the plan
-/// features batch kernels must *not* mishandle: stratified negation and
-/// value-binding builtins (which fall back to the step machine), and the
-/// widened kernel-eligible shapes — comparison filters and pure builtin
-/// checks compiled to guards, constants in seed and probe index keys,
-/// and multi-recursive rules — alongside the pure seed-plus-probe-chain
-/// shapes.
+/// Evaluates and normalizes the full IDB.
+fn idb_map(db: &Database, prog: &Program) -> (Idb, Stats) {
+    let mut ev = Evaluator::new(db, prog, Strategy::SemiNaive).unwrap();
+    ev.run().unwrap();
+    let res = ev.finish();
+    (normal(&res.idb), res.stats)
+}
+
+/// The oracle's IDB in the same normal form.
+fn oracle_map(db: &Database, prog: &Program) -> Idb {
+    let facts = naive::naive_idb(db, prog);
+    let sorted = |(p, set): (Pred, std::collections::BTreeSet<Tuple>)| (p, Vec::from_iter(set));
+    facts.into_iter().map(sorted).collect()
+}
+
+/// The generator workloads plus handwritten programs covering every
+/// plan feature the executor runs: stratified negation, value-binding
+/// builtins before and after probes, comparison filters and pure
+/// builtin checks, constants and computed values in seed and probe
+/// index keys, cross products, bodyless rules, bodies wider than any
+/// fixed depth, and multi-recursive rules — alongside the pure
+/// seed-plus-probe-chain shapes.
 fn workloads() -> Vec<(&'static str, Program, Database)> {
     let mut w = Vec::new();
     {
@@ -71,11 +85,12 @@ fn workloads() -> Vec<(&'static str, Program, Database)> {
     {
         // The witness-guard shape: the kernel's existential short-circuit
         // (group-level in batch execution) must not change the fixpoint,
-        // only skip duplicate derivations.
+        // only skip duplicate derivations. (A chain: the oracle needs
+        // as many passes as it has nodes, hence the size.)
         let s = parse_scenario(fanout::PROGRAM);
         let db = fanout::generate(&fanout::FanoutParams {
-            nodes: 120,
-            extra_edges: 80,
+            nodes: 48,
+            extra_edges: 32,
             fanout: 16,
             seed: 24,
         });
@@ -99,7 +114,7 @@ fn workloads() -> Vec<(&'static str, Program, Database)> {
         w.push(("multi_recursive", prog, db));
     }
     {
-        // Stratified negation: the Neg step only runs in the machine.
+        // Stratified negation after a cross product.
         let prog: Program = "reach(X,Y) :- edge(X,Y).
              reach(X,Y) :- reach(X,Z), edge(Z,Y).
              cut(X,Y) :- node(X), node(Y), !reach(X,Y)."
@@ -113,10 +128,8 @@ fn workloads() -> Vec<(&'static str, Program, Database)> {
     }
     {
         // Builtin compute vs builtin check: the value-*binding* form
-        // (`plus` solving for Z) is hoisted into the kernel seed phase
-        // when no probe precedes it, while the comparison filter and
-        // the pure-check form compile to guards — all routes must agree
-        // inside one mixed program.
+        // (`plus` solving for Z) and the comparison filter and
+        // pure-check forms, all guards of one mixed program.
         let prog: Program = "t(X,Y) :- e(X,Y).
              t(X,Y) :- e(X,Z), t(Z,Y).
              succ_t(X,Z) :- t(X,Y), plus(Y, 1, Z).
@@ -140,26 +153,116 @@ fn workloads() -> Vec<(&'static str, Program, Database)> {
         let db = graphs::random_digraph("e", 60, 200, 28);
         w.push(("const_keys", prog, db));
     }
+    {
+        // The programs of the engine's former naive-vs-semi-naive unit
+        // tests: a chain closure, and negation over a lower stratum.
+        let prog: Program = "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y).
+             reach(X) :- e(0, X).
+             reach(Y) :- reach(X), e(X, Y).
+             node(X) :- e(X, Y).
+             node(Y) :- e(X, Y).
+             island(X) :- node(X), !reach(X)."
+            .parse()
+            .unwrap();
+        let mut db = Database::default();
+        for i in (0..30i64).filter(|i| i % 7 != 6) {
+            db.insert("e", vec![Value::Int(i), Value::Int(i + 1)]);
+        }
+        w.push(("chain_and_islands", prog, db));
+    }
+    {
+        // Shapes no test reached before the step machine went: a
+        // binding builtin after two probes keying a third; negation
+        // after two probes; negation with a filter over a lower
+        // stratum; a body of seven atoms.
+        let prog: Program = "late_bind(X) :- e(X,Y), f(Y,W), plus(W, 1, Z), g(Z).
+             unlinked(X,Z) :- e(X,Y), f(Y,Z), !e(X,Z).
+             reach(X) :- e(0, X).
+             reach(Y) :- reach(X), e(X, Y).
+             node(X) :- e(X, Y).
+             unreach(X) :- node(X), !reach(X), X != 0.
+             walk7(A,H) :- e(A,B), e(B,C), e(C,D), e(D,E), e(E,F), e(F,G), e(G,H)."
+            .parse()
+            .unwrap();
+        let mut db = graphs::random_digraph("e", 24, 40, 35);
+        let f = graphs::random_digraph("f", 24, 40, 36);
+        for row in f.get(Pred::new("f")).unwrap().iter() {
+            db.insert("f", row.to_vec());
+        }
+        for i in 0..24i64 {
+            db.insert("g", vec![Value::Int(i)]);
+        }
+        w.push(("late_bind_neg_wide", prog, db));
+    }
+    {
+        // Rules with nothing to scan first: bodyless constant rules, a
+        // nullary predicate crossed with a relation (the shape magic
+        // sets emits for an all-free goal), a plain cross product, and
+        // a seed keyed by a computed value.
+        let mut prog: Program = "start(1, 2).
+             gated(X,Y) :- e(X,Y).
+             pairs(X,Y) :- small(X), small(Y).
+             three(Y) :- plus(1, 2, Y), q(Y).
+             from_start(Z) :- start(X, Y), plus(X, Y, Z), q(Z)."
+            .parse()
+            .unwrap();
+        // The parser has no nullary atoms; magic sets builds them.
+        let on = Atom::new("on", Vec::new());
+        let gated = prog
+            .rules
+            .iter_mut()
+            .find(|r| r.head.pred == Pred::new("gated"));
+        gated.unwrap().body.insert(0, Literal::Atom(on.clone()));
+        prog.rules.push(Rule::fact(on));
+        let mut db = graphs::random_digraph("e", 12, 20, 38);
+        for i in 0..6i64 {
+            db.insert("small", vec![Value::Int(i)]);
+            db.insert("q", vec![Value::Int(i)]);
+        }
+        w.push(("unit_seed", prog, db));
+    }
     w
 }
 
 #[test]
-fn kernels_agree_with_machine_on_all_workloads() {
-    for (name, prog, db) in workloads() {
-        let (base, _) = idb_map(&db, &prog, false);
+fn executor_agrees_with_oracle_on_all_workloads() {
+    for (name, prog, mut db) in workloads() {
+        let base = oracle_map(&db, &prog);
         assert!(
-            base.values().any(|rows| !rows.is_empty()),
-            "{name}: workload derived nothing — test is vacuous"
+            base.values().all(|rows| !rows.is_empty()),
+            "{name}: some predicate derived nothing — test is vacuous"
         );
-        let (idb, _) = idb_map(&db, &prog, true);
-        assert_eq!(base, idb, "{name}: IDB diverged with kernels on");
+        let (idb, stats) = idb_map(&db, &prog);
+        assert_eq!(base, idb, "{name}: IDB diverged from the oracle");
+        assert_eq!(stats.kernel_firings, stats.rule_firings, "{name}");
+        // The same program kept materialized across an insert and a
+        // delete (DRed, or re-evaluation outside its fragment).
+        let mut m = Materialized::new(&db, &prog).unwrap();
+        assert_eq!(base, normal(m.idb()), "{name}: initial materialization");
+        let (pred, row) = first_fact(&db);
+        for insert in [false, true] {
+            let mut tx = Tx::new();
+            if insert {
+                tx.insert(pred, row.clone());
+            } else {
+                tx.delete(pred, row.clone());
+            }
+            m.apply(&mut db, &tx, Budget::unlimited(), None).unwrap();
+            let base = oracle_map(&db, &prog);
+            assert_eq!(base, normal(m.idb()), "{name}: insert={insert}");
+        }
     }
 }
 
-/// The eligibility widening is real, not just permitted: programs made
-/// only of multi-recursive, constant-key, filter-guard, builtin-check
-/// and seed-bound binding-builtin shapes execute entirely through
-/// kernels (no interpreter firings).
+/// Some fact of the database's first non-empty relation.
+fn first_fact(db: &Database) -> (Pred, Tuple) {
+    let (p, rel) = db.iter().find(|(_, r)| !r.is_empty()).expect("facts");
+    (p, rel.iter().next().expect("non-empty").to_vec())
+}
+
+/// Every shape derives through the executor: multi-recursive,
+/// constant-key, filter-guard, builtin-check and binding-builtin
+/// programs each fire and agree with the oracle.
 #[test]
 fn widened_shapes_fire_kernels_not_interpreter() {
     let shapes: [(&str, &str); 5] = [
@@ -182,16 +285,14 @@ fn widened_shapes_fire_kernels_not_interpreter() {
         // shape needs them to derive anything.
         db.insert("e", vec![Value::Int(3), Value::Int(7)]);
         db.insert("e", vec![Value::Int(3), Value::Int(4)]);
-        let (idb, stats) = idb_map(&db, &prog, true);
+        let (idb, stats) = idb_map(&db, &prog);
         assert!(
             idb.values().any(|rows| !rows.is_empty()),
             "{name}: derived nothing — test is vacuous"
         );
+        assert_eq!(idb, oracle_map(&db, &prog), "{name}");
         assert!(stats.kernel_firings > 0, "{name}: kernel never fired");
-        assert_eq!(
-            stats.interp_firings, 0,
-            "{name}: fell back to the interpreter"
-        );
+        assert_eq!(stats.interp_firings, 0, "{name}");
     }
 }
 
@@ -199,7 +300,7 @@ fn widened_shapes_fire_kernels_not_interpreter() {
 /// takes two insert transactions through the incremental path, so each
 /// propagation run evaluates over an EDB whose physical rows changed
 /// since the previous run built (and warmed) its key→code memos. The
-/// maintained IDB must stay tuple-for-tuple equal to a kernels-off
+/// maintained IDB must stay tuple-for-tuple equal to the oracle's
 /// from-scratch evaluation of the post-transaction database, and the
 /// propagation runs must actually exercise the memo path
 /// (`dict_memo_hits > 0`) — stale codes surviving a delta would diverge
@@ -208,20 +309,20 @@ fn widened_shapes_fire_kernels_not_interpreter() {
 fn incremental_edb_deltas_agree_and_memos_stay_sound() {
     let s = parse_scenario(fanout::PROGRAM);
     let mut db = fanout::generate(&fanout::FanoutParams {
-        nodes: 150,
+        nodes: 60,
         extra_edges: 0,
         fanout: 8,
         seed: 33,
     });
     let mut m = Materialized::new(&db, &s.program).unwrap();
     assert!(m.is_incremental(), "fanout program is in the fragment");
-    // Each tx adds two back edges (the chain runs 0→1→…→149, so late
+    // Each tx adds two back edges (the chain runs 0→1→…→59, so late
     // nodes gain reach to the early chain): the new facts cascade
     // backward through the predecessor chain, and the two fronts reach
     // shared mid-chain nodes in different rounds — so the propagation
     // run re-resolves the same witness/edge keys across rounds, the
     // case the EDB-stable memo exists for.
-    for [(a1, b1), (a2, b2)] in [[(140i64, 10i64), (100i64, 30i64)], [(120, 2), (80, 40)]] {
+    for [(a1, b1), (a2, b2)] in [[(56i64, 4i64), (40i64, 12i64)], [(48, 1), (32, 16)]] {
         let mut tx = Tx::new();
         tx.insert("edge", vec![Value::Int(a1), Value::Int(b1)]);
         tx.insert("edge", vec![Value::Int(a2), Value::Int(b2)]);
@@ -233,14 +334,9 @@ fn incremental_edb_deltas_agree_and_memos_stay_sound() {
             st.stats.dict_probes,
             st.rounds
         );
-        let (base, _) = idb_map(&db, &s.program, false);
-        let maintained: BTreeMap<Pred, Vec<Tuple>> = m
-            .idb()
-            .iter()
-            .map(|(&p, rel)| (p, rel.sorted_tuples()))
-            .collect();
         assert_eq!(
-            base, maintained,
+            oracle_map(&db, &s.program),
+            normal(m.idb()),
             "maintained IDB diverged from scratch after edge({a1},{b1}), edge({a2},{b2})"
         );
     }
@@ -251,7 +347,7 @@ fn incremental_edb_deltas_agree_and_memos_stay_sound() {
 /// round derives a burst of all-unique rows far past the reserved
 /// headroom — the dedup table must fall back to its natural mid-insert
 /// grow schedule (observable as `dedup_regrows > 0`) without losing or
-/// duplicating a tuple versus the step machine.
+/// duplicating a tuple: `p` is exactly the set of nodes.
 #[test]
 fn dedup_presize_underestimate_agrees_and_regrows() {
     let mut db = Database::default();
@@ -281,15 +377,13 @@ fn dedup_presize_underestimate_agrees_and_regrows() {
         }
     }
     let prog: Program = "p(Y) :- s0(Y). p(Z) :- p(Y), hop(Y, Z).".parse().unwrap();
-    let (base, _) = idb_map(&db, &prog, false);
-    let rows: usize = base.values().map(Vec::len).sum();
-    assert_eq!(
-        rows,
-        6 * 200 + 20_000,
-        "stages 0..=5 contribute 200 each, stage 6 its 20k"
-    );
-    let (idb, stats) = idb_map(&db, &prog, true);
-    assert_eq!(base, idb, "IDB diverged under the underestimate");
+    let mut nodes: Vec<Tuple> = (0..6)
+        .flat_map(|stage| (0..200).map(move |i| vec![node(stage, i)]))
+        .chain((0..20_000).map(|i| vec![node(6, i)]))
+        .collect();
+    nodes.sort();
+    let (idb, stats) = idb_map(&db, &prog);
+    assert_eq!(idb[&Pred::new("p")], nodes, "IDB diverged");
     assert!(stats.kernel_firings > 0, "kernel never fired");
     assert!(
         stats.dedup_regrows > 0,
@@ -305,7 +399,7 @@ fn dedup_presize_underestimate_agrees_and_regrows() {
 /// 1, chunk−1, chunk, chunk+1 and a few whole chunks. Build a seed
 /// relation of each size (keys from a seeded LCG so groups straddle
 /// chunk edges), join it through a probe, and require tuple-for-tuple
-/// agreement with the step machine.
+/// agreement with the oracle.
 #[test]
 fn chunk_boundary_sizes_agree() {
     const CHUNK: usize = 1024; // mirrors the executor's KERNEL_CHUNK
@@ -327,12 +421,12 @@ fn chunk_boundary_sizes_agree() {
             }
         }
         let prog: Program = "out(X,Z) :- e(X,Y), w(Y,Z).".parse().unwrap();
-        let (base, _) = idb_map(&db, &prog, false);
+        let base = oracle_map(&db, &prog);
         assert!(
             base.values().any(|rows| !rows.is_empty()),
             "n={n}: derived nothing — test is vacuous"
         );
-        let (idb, stats) = idb_map(&db, &prog, true);
+        let (idb, stats) = idb_map(&db, &prog);
         assert_eq!(base, idb, "n={n}: IDB diverged");
         assert!(stats.kernel_firings > 0, "n={n}: kernel never fired");
     }
@@ -353,21 +447,19 @@ fn scratch_high_water_is_bounded_by_plan_shape_not_data() {
         fanout: 8,
         seed: 42,
     });
-    for kernels in [true, false] {
-        let (idb, stats) = idb_map(&db, &s.program, kernels);
-        let rows: usize = idb.values().map(Vec::len).sum();
-        assert!(rows > 80_000, "expected a large IDB, got {rows} rows");
-        assert!(
-            stats.scratch_hw_bytes > 0,
-            "scratch telemetry never reported (kernels={kernels})"
-        );
-        // 1024-entry chunk of packed u64 hash/row-id words = 8 KiB,
-        // plus the key arena and frames; 32 KiB bounds it with headroom
-        // while still failing fast if any buffer ever scales with data.
-        assert!(
-            stats.scratch_hw_bytes <= 32 * 1024,
-            "scratch high-water {}B grew with data (kernels={kernels})",
-            stats.scratch_hw_bytes
-        );
-    }
+    let (idb, stats) = idb_map(&db, &s.program);
+    let rows: usize = idb.values().map(Vec::len).sum();
+    assert!(rows > 80_000, "expected a large IDB, got {rows} rows");
+    assert!(
+        stats.scratch_hw_bytes > 0,
+        "scratch telemetry never reported"
+    );
+    // 1024-entry chunk of packed u64 hash/row-id words = 8 KiB, plus
+    // the key arena and per-depth state; 32 KiB bounds it with headroom
+    // while still failing fast if any buffer ever scales with data.
+    assert!(
+        stats.scratch_hw_bytes <= 32 * 1024,
+        "scratch high-water {}B grew with data",
+        stats.scratch_hw_bytes
+    );
 }

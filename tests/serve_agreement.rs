@@ -1,7 +1,7 @@
 //! Concurrent serving agreement: under seeded reader/writer
 //! interleavings, every reader's answer is tuple-for-tuple identical to
 //! a serial replay of the committed transaction prefix at its pinned
-//! epoch — on both executors (kernels on/off), with readers never
+//! epoch, with readers never
 //! blocking the writer and vice versa. The wire is held to the same
 //! standard: what a session writes is the rendered tuples, cache or no
 //! cache, and a cached row-id answer is never read against a relation
@@ -18,7 +18,7 @@ use semrec::core::maintain::MaintainedQuery;
 use semrec::core::optimizer::OptimizerConfig;
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
 use semrec::datalog::Atom;
-use semrec::engine::{int_tuple, Budget, Database, Tuning, Tuple, Tx};
+use semrec::engine::{int_tuple, Budget, Database, Tuple, Tx};
 use semrec::gen::rng::Rng;
 use semrec::serve::{ServeConfig, ServeError, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,14 +71,14 @@ fn tx_sequence(seed: u64) -> Vec<Tx> {
 
 /// Serial replay references: `expected[e]` is the exact answer after
 /// the first `e` transactions, for every epoch 0..=COMMITS.
-fn references(txs: &[Tx], tuning: Tuning) -> Vec<Vec<Tuple>> {
+fn references(txs: &[Tx]) -> Vec<Vec<Tuple>> {
     let u = unit();
-    let mut q = MaintainedQuery::new_tuned(
+    let mut q = MaintainedQuery::new(
         Database::from_facts(&u.facts),
         &u.program(),
         &u.constraints,
         OptimizerConfig::default(),
-        tuning,
+        1,
     )
     .expect("reference query");
     let g = goal();
@@ -101,11 +101,10 @@ fn references(txs: &[Tx], tuning: Tuning) -> Vec<Vec<Tuple>> {
 /// observations. Every observation must match the serial reference at
 /// that epoch, and after the run every retained epoch must still
 /// answer its historical snapshot.
-fn run_interleaving(seed: u64, tuning: Tuning) {
+fn run_interleaving(seed: u64) {
     let txs = tx_sequence(seed);
-    let expected = Arc::new(references(&txs, tuning));
+    let expected = Arc::new(references(&txs));
     let cfg = ServeConfig {
-        tuning,
         // Retain everything so every pinned observation stays checkable.
         retain_epochs: COMMITS + 1,
         ..ServeConfig::default()
@@ -174,16 +173,9 @@ fn run_interleaving(seed: u64, tuning: Tuning) {
 }
 
 #[test]
-fn interleavings_agree_serial_auto_kernels_on() {
+fn interleavings_agree_serial() {
     for seed in 0..4 {
-        run_interleaving(seed, Tuning { kernels: true });
-    }
-}
-
-#[test]
-fn interleavings_agree_serial_auto_kernels_off() {
-    for seed in 0..4 {
-        run_interleaving(seed, Tuning { kernels: false });
+        run_interleaving(seed);
     }
 }
 
@@ -257,10 +249,8 @@ fn cache_on_and_off_agree_tuple_for_tuple() {
 #[test]
 fn republish_invalidates_cached_answers() {
     let txs = tx_sequence(7);
-    let tuning = Tuning::default();
-    let expected = references(&txs, tuning);
+    let expected = references(&txs);
     let cfg = ServeConfig {
-        tuning,
         retain_epochs: COMMITS + 1,
         ..ServeConfig::default()
     };
@@ -312,10 +302,8 @@ fn republish_invalidates_cached_answers() {
 #[test]
 fn long_pinned_reader_never_blocks_the_writer() {
     let txs = tx_sequence(99);
-    let tuning = Tuning::default();
-    let expected = references(&txs, tuning);
+    let expected = references(&txs);
     let cfg = ServeConfig {
-        tuning,
         retain_epochs: 2, // epoch 0 will fall off the ring...
         ..ServeConfig::default()
     };
@@ -400,12 +388,12 @@ fn a_pinned_reader_is_isolated_from_everything_the_writer_does_to_the_store() {
     .collect();
 
     // The serial replay: one maintained query, no server, no sharing.
-    let mut replay = MaintainedQuery::new_tuned(
+    let mut replay = MaintainedQuery::new(
         Database::from_facts(&unit.facts),
         &unit.program(),
         &unit.constraints,
         OptimizerConfig::default(),
-        Tuning::default(),
+        1,
     )
     .expect("reference query");
     let answers_of = |q: &MaintainedQuery| -> Vec<Vec<Tuple>> {

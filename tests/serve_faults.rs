@@ -17,7 +17,7 @@ use semrec::core::optimizer::OptimizerConfig;
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
 use semrec::datalog::Atom;
 use semrec::engine::failpoint::{self, FailAction};
-use semrec::engine::{int_tuple, Budget, Database, Tuning, Tuple, Tx};
+use semrec::engine::{int_tuple, Budget, Database, Tuple, Tx};
 use semrec::gen::rng::Rng;
 use semrec::serve::{AdmissionConfig, ServeConfig, ServeError, Server};
 use std::path::PathBuf;
@@ -92,12 +92,12 @@ fn tx_mix(rng: &mut Rng) -> Vec<Tx> {
 /// what any surviving daemon state must agree with tuple-for-tuple.
 fn serial_replay(txs: &[Tx]) -> Vec<Tuple> {
     let u = unit();
-    let mut q = MaintainedQuery::new_tuned(
+    let mut q = MaintainedQuery::new(
         Database::from_facts(&u.facts),
         &u.program(),
         &u.constraints,
         OptimizerConfig::default(),
-        Tuning::default(),
+        1,
     )
     .expect("reference query");
     for tx in txs {
