@@ -32,9 +32,9 @@ use std::time::{Duration, Instant};
 /// the `answer_cache` section, and the `batched_write` section; v3
 /// dropped the `threads` key (evaluation is single-threaded); v4 added
 /// the `socket_read` section (a real loopback listener beside the same
-/// requests in-process); v5 added `write.publish_bytes_per_commit`.
-/// Older artifacts are rejected.
-pub const SERVE_SCHEMA_VERSION: u64 = 5;
+/// requests in-process); v5 added `write.publish_bytes_per_commit`; v6
+/// added the `write_delete` section. Older artifacts are rejected.
+pub const SERVE_SCHEMA_VERSION: u64 = 6;
 
 /// The `--assert-serve-read` ceiling on the loopback round-trip median.
 /// A reply that waits for the client's delayed ACK takes ≥ 40 ms; a
@@ -48,6 +48,19 @@ pub const SOCKET_READ_P50_MAX_US: f64 = 5_000.0;
 /// bytes each). A per-commit clone of the relation copies megabytes
 /// even at `--quick` sizes, where the clock cannot see it.
 pub const PUBLISH_BYTES_PER_COMMIT_MAX: f64 = 64.0 * 1024.0;
+
+/// The `--assert-serve-read` ceiling on a delete commit's median over
+/// the steady insert median of the same leg. Both commits touch a
+/// handful of rows, so what separates them is the delete path's fixed
+/// cost: a clone of the materialization or a compaction per commit is
+/// O(database) and lands far above this at any size.
+pub const DELETE_OVER_INSERT_MAX: f64 = 10.0;
+
+/// The `--assert-serve-read` ceiling on the median of the first insert
+/// after each delete over the steady insert median: a delete that threw
+/// the writer's indexes away (a compaction, a swapped-in clone) makes
+/// the next commit rebuild them.
+pub const FIRST_INSERT_AFTER_DELETE_MAX: f64 = 2.0;
 
 /// One timed section's latency digest, microseconds.
 #[derive(Clone, Copy, Debug, Default)]
@@ -79,6 +92,23 @@ pub struct ServeBenchResult {
     /// the last forced by one untimed bound read per commit). A count,
     /// not a timing; the median leaves out the amortized growth copies.
     pub publish_bytes_per_commit: f64,
+    /// Delete commits of the `write_delete` leg: cycles of
+    /// [`SPURS_PER_CYCLE`] two-fact spur inserts and one commit deleting
+    /// those spurs again, so the database is the plain chain after
+    /// every cycle.
+    pub write_delete: LatencyDigest,
+    /// Median of that leg's inserts that do not directly follow a
+    /// delete.
+    pub steady_insert_p50_us: f64,
+    /// Median of that leg's inserts that directly follow a delete.
+    pub first_insert_after_delete_p50_us: f64,
+    /// Median bytes copied to publish a delete commit (the tombstone
+    /// words it had to copy away from the previous epoch), counted as
+    /// `publish_bytes_per_commit` is.
+    pub publish_bytes_per_delete: f64,
+    /// Median bytes copied to publish the insert commit that follows a
+    /// delete: it shares the tombstone words, so index entries only.
+    pub publish_bytes_after_delete: f64,
     /// Bound-goal reads through the dictionary-probe path (no cache,
     /// cycling distinct goals so every read computes its answer).
     pub read_indexed: LatencyDigest,
@@ -121,6 +151,14 @@ pub struct ServeBenchResult {
     pub overloaded: u64,
     /// Requests the overload phase still answered.
     pub overload_answered: u64,
+}
+
+/// Spur inserts per cycle of the `write_delete` leg.
+pub const SPURS_PER_CYCLE: usize = 4;
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    samples.get(samples.len() / 2).copied().unwrap_or(0.0)
 }
 
 fn digest(mut samples: Vec<f64>, elapsed: Duration) -> LatencyDigest {
@@ -202,8 +240,56 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
         copied.push((server.stats().publish_bytes - before) as f64);
     }
     result.write = digest(samples, started.elapsed());
-    copied.sort_by(|a, b| a.partial_cmp(b).expect("finite counts"));
-    result.publish_bytes_per_commit = copied[copied.len() / 2];
+    result.publish_bytes_per_commit = median(copied);
+
+    // Phase 2a: delete commits. Each cycle hangs a fresh witnessed spur
+    // off each of the chain's first nodes (a handful of `reach` rows
+    // each) and then deletes them in one commit, so inserts and deletes
+    // move about as many rows and differ in the path they take. One
+    // untimed read follows every commit, as above.
+    let (deleting, _) = Server::open(&unit, ServeConfig::default(), None).expect("delete open");
+    let timed_commit = |tx: &Tx| {
+        let before = deleting.stats().publish_bytes;
+        let t = Instant::now();
+        deleting.commit(tx).expect("bench commit");
+        let us = t.elapsed().as_secs_f64() * 1e6;
+        deleting.query(&goal, None, None).expect("post-commit read");
+        (us, (deleting.stats().publish_bytes - before) as f64)
+    };
+    let (mut deletes, mut steady, mut first) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut delete_bytes, mut first_bytes) = (Vec::new(), Vec::new());
+    let started = Instant::now();
+    for cycle in 0..commits / 2 {
+        let mut delete = Tx::new();
+        for j in 0..SPURS_PER_CYCLE {
+            let spur = 2_000_000 + (cycle * SPURS_PER_CYCLE + j) as i64;
+            let mut tx = Tx::new();
+            for (pred, t) in [("edge", [j as i64, spur]), ("witness", [spur, -spur])] {
+                tx.insert(pred, int_tuple(&t));
+                delete.delete(pred, int_tuple(&t));
+            }
+            let (us, bytes) = timed_commit(&tx);
+            match (cycle, j) {
+                (0, 0) => {}
+                (_, 0) => {
+                    first.push(us);
+                    first_bytes.push(bytes);
+                }
+                _ => steady.push(us),
+            }
+        }
+        let (us, bytes) = timed_commit(&delete);
+        deletes.push(us);
+        delete_bytes.push(bytes);
+    }
+    result.write_delete = digest(deletes, started.elapsed());
+    result.steady_insert_p50_us = median(steady);
+    result.first_insert_after_delete_p50_us = median(first);
+    result.publish_bytes_per_delete = median(delete_bytes);
+    result.publish_bytes_after_delete = median(first_bytes);
+    let state = deleting.registry().pin(None).expect("pin latest");
+    let reach = state.relation(goal.pred).expect("reach is published");
+    assert_eq!(reach.len(), chain * (chain + 1) / 2, "back at the chain");
 
     // Phase 2b: indexed vs scan bound-goal reads, both without the
     // answer cache and cycling distinct goals, so every read computes
@@ -498,6 +584,29 @@ pub fn serve_to_json(r: &ServeBenchResult) -> String {
             format!("{:.0}", r.publish_bytes_per_commit),
         )],
     );
+    section(
+        &mut s,
+        "write_delete",
+        &r.write_delete,
+        &[
+            (
+                "steady_insert_p50_us",
+                format!("{:.1}", r.steady_insert_p50_us),
+            ),
+            (
+                "first_insert_after_delete_p50_us",
+                format!("{:.1}", r.first_insert_after_delete_p50_us),
+            ),
+            (
+                "publish_bytes_per_delete",
+                format!("{:.0}", r.publish_bytes_per_delete),
+            ),
+            (
+                "publish_bytes_after_delete",
+                format!("{:.0}", r.publish_bytes_after_delete),
+            ),
+        ],
+    );
     section(&mut s, "read_indexed", &r.read_indexed, &[]);
     section(&mut s, "read_scan", &r.read_scan, &[]);
     section(
@@ -556,6 +665,19 @@ pub fn serve_table(r: &ServeBenchResult) -> String {
         r.write.per_sec,
         r.write.count,
         r.publish_bytes_per_commit
+    );
+    let _ = writeln!(
+        s,
+        "  wdel   p50 {:>8.1}us  p99 {:>8.1}us  {:>10.1}/s  ({} deletes of {SPURS_PER_CYCLE} spurs, \
+         {:.0} B copied; insert p50 {:.1}us steady, {:.1}us and {:.0} B right after a delete)",
+        r.write_delete.p50_us,
+        r.write_delete.p99_us,
+        r.write_delete.per_sec,
+        r.write_delete.count,
+        r.publish_bytes_per_delete,
+        r.steady_insert_p50_us,
+        r.first_insert_after_delete_p50_us,
+        r.publish_bytes_after_delete
     );
     let _ = writeln!(
         s,
@@ -639,6 +761,7 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
     for sec in [
         "read",
         "write",
+        "write_delete",
         "read_indexed",
         "read_scan",
         "socket_read",
@@ -654,45 +777,21 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
             }
         }
     }
-    if doc
-        .get("write")
-        .and_then(|o| o.get("publish_bytes_per_commit"))
-        .and_then(Json::as_num)
-        .is_none()
-    {
-        return Err("BENCH_serve.json is missing `write.publish_bytes_per_commit`".to_string());
-    }
-    if doc
-        .get("answer_cache")
-        .and_then(|o| o.get("hit_rate"))
-        .and_then(Json::as_num)
-        .is_none()
-    {
-        return Err("BENCH_serve.json is missing `answer_cache.hit_rate`".to_string());
-    }
-    if doc
-        .get("socket_read")
-        .and_then(|o| o.get("in_process_p50_us"))
-        .and_then(Json::as_num)
-        .is_none()
-    {
-        return Err("BENCH_serve.json is missing `socket_read.in_process_p50_us`".to_string());
-    }
-    if doc
-        .get("batched_write")
-        .and_then(|o| o.get("avg_batch"))
-        .and_then(Json::as_num)
-        .is_none()
-    {
-        return Err("BENCH_serve.json is missing `batched_write.avg_batch`".to_string());
-    }
-    if doc
-        .get("batched_write")
-        .and_then(|o| o.get("speedup"))
-        .and_then(Json::as_num)
-        .is_none()
-    {
-        return Err("BENCH_serve.json is missing `batched_write.speedup`".to_string());
+    for (sec, key) in [
+        ("write", "publish_bytes_per_commit"),
+        ("write_delete", "steady_insert_p50_us"),
+        ("write_delete", "first_insert_after_delete_p50_us"),
+        ("write_delete", "publish_bytes_per_delete"),
+        ("write_delete", "publish_bytes_after_delete"),
+        ("answer_cache", "hit_rate"),
+        ("socket_read", "in_process_p50_us"),
+        ("batched_write", "avg_batch"),
+        ("batched_write", "speedup"),
+    ] {
+        let value = doc.get(sec).and_then(|o| o.get(key));
+        if value.and_then(Json::as_num).is_none() {
+            return Err(format!("BENCH_serve.json is missing `{sec}.{key}`"));
+        }
     }
     let shed = doc
         .get("overload")
@@ -726,8 +825,11 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
 /// [`SOCKET_READ_P50_MAX_US`] at the median — a reply split over small
 /// writes that waits for a delayed ACK fails that by a factor of eight
 /// — and a two-fact insert commit must copy at most
-/// [`PUBLISH_BYTES_PER_COMMIT_MAX`] bytes to publish, at the median.
-/// Returns the one-line verdict on success.
+/// [`PUBLISH_BYTES_PER_COMMIT_MAX`] bytes to publish, at the median,
+/// also when it follows a delete. On the `write_delete` leg a delete
+/// commit may take at most [`DELETE_OVER_INSERT_MAX`] × and the first
+/// insert after a delete at most [`FIRST_INSERT_AFTER_DELETE_MAX`] ×
+/// the steady insert median. Returns the one-line verdict on success.
 pub fn check_serve_read(r: &ServeBenchResult) -> Result<String, String> {
     if r.read_indexed.count == 0 || r.read_scan.count == 0 {
         return Err("serve read gate: indexed/scan legs recorded no samples".to_string());
@@ -764,17 +866,50 @@ pub fn check_serve_read(r: &ServeBenchResult) -> Result<String, String> {
             r.publish_bytes_per_commit, r.write.count
         ));
     }
+    let insert = r.steady_insert_p50_us;
+    if r.write_delete.count == 0
+        || insert <= 0.0
+        || r.write_delete.p50_us > DELETE_OVER_INSERT_MAX * insert
+    {
+        return Err(format!(
+            "serve read gate: delete commit p50 {:.1}us over {} commits against an insert p50 \
+             of {insert:.1}us (must be <= {DELETE_OVER_INSERT_MAX}x: a delete commit is \
+             O(delta) — no clone, no compaction)",
+            r.write_delete.p50_us, r.write_delete.count
+        ));
+    }
+    if r.first_insert_after_delete_p50_us > FIRST_INSERT_AFTER_DELETE_MAX * insert {
+        return Err(format!(
+            "serve read gate: the first insert after a delete takes {:.1}us at the median \
+             against {insert:.1}us otherwise (must be <= {FIRST_INSERT_AFTER_DELETE_MAX}x: a \
+             delete keeps the writer's indexes)",
+            r.first_insert_after_delete_p50_us
+        ));
+    }
+    if r.publish_bytes_after_delete > PUBLISH_BYTES_PER_COMMIT_MAX {
+        return Err(format!(
+            "serve read gate: the insert commit after a delete copied {:.0} bytes to publish \
+             at the median (must be <= {PUBLISH_BYTES_PER_COMMIT_MAX:.0}: tombstone words are \
+             shared and the index lineage survives a delete)",
+            r.publish_bytes_after_delete
+        ));
+    }
     Ok(format!(
         "serve read gate: indexed p50 {:.1}us = {:.1}% of scan p50 {:.1}us, \
          cache hit rate {:.1}%, socket p50 {:.1}us (in-process {:.1}us), \
-         {:.0} B copied per publish",
+         {:.0} B copied per publish; delete p50 {:.1}us = {:.1}x insert p50 {insert:.1}us, \
+         {:.1}us and {:.0} B right after a delete",
         r.read_indexed.p50_us,
         ratio * 100.0,
         r.read_scan.p50_us,
         r.cache_hit_rate * 100.0,
         r.socket_read.p50_us,
         r.socket_in_process_p50_us,
-        r.publish_bytes_per_commit
+        r.publish_bytes_per_commit,
+        r.write_delete.p50_us,
+        r.write_delete.p50_us / insert,
+        r.first_insert_after_delete_p50_us,
+        r.publish_bytes_after_delete
     ))
 }
 
@@ -792,6 +927,14 @@ mod tests {
             "{} B copied per publish",
             r.publish_bytes_per_commit
         );
+        assert!(r.write_delete.count > 0 && r.steady_insert_p50_us > 0.0);
+        assert!(
+            r.publish_bytes_per_delete > 0.0
+                && r.publish_bytes_after_delete <= PUBLISH_BYTES_PER_COMMIT_MAX,
+            "{} B copied per delete, {} B right after",
+            r.publish_bytes_per_delete,
+            r.publish_bytes_after_delete
+        );
         assert!(r.read_indexed.count > 0 && r.read_scan.count > 0);
         assert!(r.cache_read.count > 0);
         assert!(r.socket_read.count > 0 && r.socket_in_process_p50_us > 0.0);
@@ -807,9 +950,9 @@ mod tests {
     fn stale_or_mangled_artifacts_are_rejected() {
         assert!(check_serve_baseline("{}").is_err());
         assert!(check_serve_baseline("{\"schema_version\": 0}").is_err());
-        let v4 = check_serve_baseline("{\"schema_version\": 4}")
-            .expect_err("v4 artifacts have no `write.publish_bytes_per_commit`");
-        assert!(v4.contains("stale"));
+        let v5 = check_serve_baseline("{\"schema_version\": 5}")
+            .expect_err("v5 artifacts have no `write_delete` section");
+        assert!(v5.contains("stale"));
         let r = ServeBenchResult {
             overloaded: 0,
             ..ServeBenchResult::default()
@@ -843,9 +986,42 @@ mod tests {
                 ..LatencyDigest::default()
             },
             publish_bytes_per_commit: 2_400.0,
+            write_delete: LatencyDigest {
+                count: 10,
+                p50_us: 60.0,
+                ..LatencyDigest::default()
+            },
+            steady_insert_p50_us: 20.0,
+            first_insert_after_delete_p50_us: 22.0,
+            publish_bytes_after_delete: 200.0,
             ..ServeBenchResult::default()
         };
         assert!(check_serve_read(&good).is_ok());
+        let compacting = ServeBenchResult {
+            write_delete: LatencyDigest {
+                count: 10,
+                p50_us: 40_000.0,
+                ..LatencyDigest::default()
+            },
+            ..good.clone()
+        };
+        assert!(check_serve_read(&compacting)
+            .expect_err("an O(database) delete")
+            .contains("O(delta)"));
+        let reindexing = ServeBenchResult {
+            first_insert_after_delete_p50_us: 13_000.0,
+            ..good.clone()
+        };
+        assert!(check_serve_read(&reindexing)
+            .expect_err("indexes rebuilt after a delete")
+            .contains("keeps the writer's indexes"));
+        let unshared = ServeBenchResult {
+            publish_bytes_after_delete: 250_000.0,
+            ..good.clone()
+        };
+        assert!(check_serve_read(&unshared)
+            .expect_err("tombstone words copied per publish")
+            .contains("shared"));
         let cloning = ServeBenchResult {
             publish_bytes_per_commit: 1_400_000.0,
             ..good.clone()

@@ -23,10 +23,12 @@
 //! effective delta can have created (see `semrec_engine::incr`), not by
 //! re-enumerating the database.
 //!
-//! Transactions are atomic. Every mutation happens on working copies;
-//! the query's database, materialization, and monitor state advance
-//! together on success and are untouched on any error (budget
-//! exhaustion, cancellation, injected fault).
+//! Transactions are atomic and run in place, at a cost proportional to
+//! their delta: the database and the materialization are mutated under
+//! undo logs (`semrec_engine::incr`) and the monitor state is written
+//! last, so on any error (budget exhaustion, cancellation, injected
+//! fault) the appends are cut, the tombstoned rows revived, and
+//! database, materialization, route and monitor are as before.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -37,7 +39,7 @@ use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
 use semrec_datalog::program::Program;
 use semrec_engine::eval::answer_goal;
-use semrec_engine::incr::{ic_still_satisfied, rollback_inserts};
+use semrec_engine::incr::{ic_still_satisfied, Doomed, TxDelta};
 use semrec_engine::{
     AlternativeKind, Budget, CancelToken, CostMemo, Database, EdbStats, EngineError, Materialized,
     Relation, Route, RouteChoice, Tuple, Tx, UpdateStats,
@@ -248,11 +250,12 @@ impl MaintainedQuery {
             && (rows > self.planned_rows.saturating_mul(2) || rows < self.planned_rows / 2)
     }
 
-    /// Applies `tx` atomically: EDB update, delta IC re-check, route
-    /// transition if the monitored constraints changed truth value, and
-    /// incremental (or rebuild) maintenance of the active
-    /// materialization. On error nothing — database, materialization,
-    /// monitor state — has changed.
+    /// Applies `tx` atomically and in place: DRed over-deletion on the
+    /// pre-transaction state, the EDB update, the delta IC re-check, a
+    /// route transition if the monitored constraints changed truth
+    /// value, and incremental (or rebuild) maintenance of the active
+    /// materialization. On error everything is undone: database,
+    /// materialization and monitor state are as before the call.
     pub fn apply(
         &mut self,
         tx: &Tx,
@@ -260,104 +263,100 @@ impl MaintainedQuery {
         cancel: Option<CancelToken>,
     ) -> Result<UpdateOutcome, EngineError> {
         let start = Instant::now();
-        if tx.deletes().values().all(Vec::is_empty) && self.active.is_incremental() {
-            return self.apply_insert_only(tx, budget, cancel, start);
+        let doomed = self
+            .active
+            .over_delete(&self.db, tx, budget, cancel.as_ref())?;
+        let delta = self.db.apply(tx);
+        match self.advance(&delta, doomed, budget, cancel, start) {
+            Ok(out) => {
+                self.db.compact_sparse();
+                Ok(out)
+            }
+            Err(e) => {
+                self.db.undo(&delta);
+                Err(e)
+            }
         }
-        let mut work = self.db.clone();
-        let delta = work.apply(tx);
+    }
 
+    /// Everything [`MaintainedQuery::apply`] does once `delta` is
+    /// applied to the database. A failing step leaves the
+    /// materialization as it was ([`Materialized::apply_delta`] undoes
+    /// itself; a rebuild replaces it only when built) and nothing of the
+    /// monitor state is written before the last fallible step — so the
+    /// caller's only duty on error is to undo the database.
+    fn advance(
+        &mut self,
+        delta: &TxDelta,
+        doomed: Doomed,
+        budget: Budget,
+        cancel: Option<CancelToken>,
+        start: Instant,
+    ) -> Result<UpdateOutcome, EngineError> {
         // Monitor pass: constraints that held get the delta-driven
         // check; constraints already broken need the full check (any
         // delta class can repair a violation).
         let mut ic_ok = Vec::with_capacity(self.monitored.len());
         for (ic, &was_ok) in self.monitored.iter().zip(&self.ic_ok) {
-            let ok = if was_ok {
-                ic_still_satisfied(&work, &delta, ic)?
+            ic_ok.push(if was_ok {
+                ic_still_satisfied(&self.db, delta, ic)?
             } else {
-                work.satisfies(ic)
-            };
-            ic_ok.push(ok);
+                self.db.satisfies(ic)
+            });
         }
         let now_ok = ic_ok.iter().all(|&b| b);
-
-        let mut replanned = false;
-        let mut new_active: Option<(Materialized, bool)> = None;
-        let mut plan_commit: Option<(Option<RouteChoice>, u64)> = None;
-        let (stats, route, mut rebuilt) = if now_ok == self.on_optimized {
-            // IC state unchanged: maintain the active materialization.
-            let stats = self
-                .active
-                .apply_delta(&self.db, &work, &delta, budget, cancel)?;
-            let route = if now_ok {
-                Route::IncrementalOptimized
-            } else {
-                Route::IncrementalInvalidated
-            };
-            (stats, route, false)
-        } else if now_ok {
-            // Violations cleared: the residue-pushed program is sound
-            // again. Re-consult the planner among the sound set; its
-            // pick is materialized (the optimized route's cached results
-            // were discarded at invalidation, so a switch rebuilds from
-            // scratch — staying on rectified just maintains it).
-            let (kind, choice) = plan_route(&work, &self.plan, &mut self.edb_stats, true);
-            replanned = true;
-            plan_commit = Some((choice, edb_rows(&work)));
-            if kind == AlternativeKind::ResiduePushed {
-                let next = Materialized::new(&work, &self.plan.program)?;
-                let stats = rebuild_stats(&next, start);
-                new_active = Some((next, true));
-                (stats, Route::IncrementalOptimized, true)
-            } else {
-                let stats = self
-                    .active
-                    .apply_delta(&self.db, &work, &delta, budget, cancel)?;
-                (stats, Route::IncrementalOptimized, false)
-            }
+        let route = if now_ok {
+            Route::IncrementalOptimized
         } else {
-            // Newly violated: the optimized materialization's cached
-            // relations may be unsound on the updated database.
-            // Invalidate them and re-answer from the rectified program,
-            // re-consulting the planner for fresh post-degradation
-            // estimates (only the rectified program is sound now).
-            let (_, choice) = plan_route(&work, &self.plan, &mut self.edb_stats, false);
-            replanned = true;
-            plan_commit = Some((choice, edb_rows(&work)));
-            if self.active_opt {
-                let next = Materialized::new(&work, &self.plan.rectified)?;
-                let stats = rebuild_stats(&next, start);
-                new_active = Some((next, false));
-                (stats, Route::IncrementalInvalidated, true)
-            } else {
-                // The planner had already put us on the rectified
-                // program: nothing to invalidate, just maintain it.
-                let stats = self
-                    .active
-                    .apply_delta(&self.db, &work, &delta, budget, cancel)?;
-                (stats, Route::IncrementalInvalidated, false)
-            }
+            Route::IncrementalInvalidated
         };
 
-        work.compact();
-        self.db = work;
+        // IC state unchanged: maintain the active materialization.
+        // Violations cleared: the residue-pushed program is sound again;
+        // its cached results were discarded at invalidation, so a switch
+        // to it rebuilds from scratch. Newly violated: the optimized
+        // materialization's cached relations may be unsound on the
+        // updated database — invalidate them and re-answer from the
+        // rectified program. Either transition re-consults the planner
+        // among the sound set (fresh estimates even when only the
+        // rectified program is sound), and staying on the program the
+        // planner had already picked just maintains it.
+        let mut plan_commit = None;
+        let mut want_opt = self.active_opt;
+        if now_ok != self.on_optimized {
+            let (kind, choice) = plan_route(&self.db, &self.plan, &mut self.edb_stats, now_ok);
+            plan_commit = Some((choice, edb_rows(&self.db)));
+            want_opt = now_ok && kind == AlternativeKind::ResiduePushed;
+        }
+        let mut rebuilt = want_opt != self.active_opt;
+        let stats = if rebuilt {
+            let program = if want_opt {
+                &self.plan.program
+            } else {
+                &self.plan.rectified
+            };
+            let next = Materialized::new(&self.db, program)?;
+            let stats = rebuild_stats(&next, start);
+            self.active = next;
+            self.active_opt = want_opt;
+            stats
+        } else {
+            self.active
+                .apply_delta(&self.db, delta, doomed, budget, cancel)?
+        };
+
         self.ic_ok = ic_ok;
         self.on_optimized = now_ok;
         self.route = route;
-        if let Some((next, opt)) = new_active {
-            self.active = next;
-            self.active_opt = opt;
-        }
+        let mut replanned = plan_commit.is_some();
         if let Some((choice, rows)) = plan_commit {
             if choice.is_some() {
                 self.choice = choice;
             }
             self.planned_rows = rows;
             self.replans += 1;
-        }
-        if !replanned {
-            let (r, rb) = self.drift_replan(now_ok);
-            replanned = r;
-            rebuilt |= rb;
+        } else {
+            (replanned, rebuilt) = self.drift_replan(now_ok);
         }
         Ok(UpdateOutcome {
             route,
@@ -398,149 +397,6 @@ impl MaintainedQuery {
             }
         }
         (true, rebuilt)
-    }
-
-    /// Insert-only fast path: the transaction is applied to the
-    /// database in place (appends only) and both the IC monitor and the
-    /// materialization work from the appended delta, so the
-    /// per-transaction cost is proportional to the delta rather than a
-    /// database clone. On any error the appends are truncated away
-    /// ([`rollback_inserts`]) and all state is as before the call.
-    fn apply_insert_only(
-        &mut self,
-        tx: &Tx,
-        budget: Budget,
-        cancel: Option<CancelToken>,
-        start: Instant,
-    ) -> Result<UpdateOutcome, EngineError> {
-        let delta = self.db.apply(tx);
-
-        let mut ic_ok = Vec::with_capacity(self.monitored.len());
-        for (ic, &was_ok) in self.monitored.iter().zip(&self.ic_ok) {
-            let ok = if was_ok {
-                match ic_still_satisfied(&self.db, &delta, ic) {
-                    Ok(ok) => ok,
-                    Err(e) => {
-                        rollback_inserts(&mut self.db, &delta);
-                        return Err(e);
-                    }
-                }
-            } else {
-                self.db.satisfies(ic)
-            };
-            ic_ok.push(ok);
-        }
-        let now_ok = ic_ok.iter().all(|&b| b);
-
-        let mut replanned = false;
-        let mut plan_commit: Option<(Option<RouteChoice>, u64)> = None;
-        let (stats, route, mut rebuilt) = if now_ok == self.on_optimized {
-            match self
-                .active
-                .apply_delta_appended(&self.db, &delta, budget, cancel)
-            {
-                Ok(stats) => {
-                    let route = if now_ok {
-                        Route::IncrementalOptimized
-                    } else {
-                        Route::IncrementalInvalidated
-                    };
-                    (stats, route, false)
-                }
-                Err(e) => {
-                    rollback_inserts(&mut self.db, &delta);
-                    return Err(e);
-                }
-            }
-        } else if now_ok {
-            // Violations cleared: re-consult the planner; its pick among
-            // the sound set is materialized (a switch to the
-            // residue-pushed program rebuilds, staying on rectified just
-            // maintains the current materialization).
-            let (kind, choice) = plan_route(&self.db, &self.plan, &mut self.edb_stats, true);
-            replanned = true;
-            plan_commit = Some((choice, edb_rows(&self.db)));
-            if kind == AlternativeKind::ResiduePushed {
-                match Materialized::new(&self.db, &self.plan.program) {
-                    Ok(next) => {
-                        let stats = rebuild_stats(&next, start);
-                        self.active = next;
-                        self.active_opt = true;
-                        (stats, Route::IncrementalOptimized, true)
-                    }
-                    Err(e) => {
-                        rollback_inserts(&mut self.db, &delta);
-                        return Err(e);
-                    }
-                }
-            } else {
-                match self
-                    .active
-                    .apply_delta_appended(&self.db, &delta, budget, cancel)
-                {
-                    Ok(stats) => (stats, Route::IncrementalOptimized, false),
-                    Err(e) => {
-                        rollback_inserts(&mut self.db, &delta);
-                        return Err(e);
-                    }
-                }
-            }
-        } else {
-            // Newly violated: only the rectified program is sound;
-            // re-consult the planner for fresh post-degradation
-            // estimates.
-            let (_, choice) = plan_route(&self.db, &self.plan, &mut self.edb_stats, false);
-            replanned = true;
-            plan_commit = Some((choice, edb_rows(&self.db)));
-            if self.active_opt {
-                match Materialized::new(&self.db, &self.plan.rectified) {
-                    Ok(next) => {
-                        let stats = rebuild_stats(&next, start);
-                        self.active = next;
-                        self.active_opt = false;
-                        (stats, Route::IncrementalInvalidated, true)
-                    }
-                    Err(e) => {
-                        rollback_inserts(&mut self.db, &delta);
-                        return Err(e);
-                    }
-                }
-            } else {
-                match self
-                    .active
-                    .apply_delta_appended(&self.db, &delta, budget, cancel)
-                {
-                    Ok(stats) => (stats, Route::IncrementalInvalidated, false),
-                    Err(e) => {
-                        rollback_inserts(&mut self.db, &delta);
-                        return Err(e);
-                    }
-                }
-            }
-        };
-
-        self.ic_ok = ic_ok;
-        self.on_optimized = now_ok;
-        self.route = route;
-        if let Some((choice, rows)) = plan_commit {
-            if choice.is_some() {
-                self.choice = choice;
-            }
-            self.planned_rows = rows;
-            self.replans += 1;
-        }
-        if !replanned {
-            let (r, rb) = self.drift_replan(now_ok);
-            replanned = r;
-            rebuilt |= rb;
-        }
-        Ok(UpdateOutcome {
-            route,
-            stats,
-            rebuilt,
-            violated: self.violated(),
-            replanned,
-        })
     }
 
     /// The current database.
@@ -771,5 +627,64 @@ mod tests {
         assert_eq!(q.route(), Route::Optimized);
         assert!(q.violated().is_empty());
         assert_eq!(q.answers(&goal("reach(0, Y)")).len(), before);
+    }
+
+    /// The delete twin: the tx tombstones EDB rows and a dozen `reach`
+    /// rows, re-derives, and trips its row budget some rounds into the
+    /// propagation — everything it did in place must be undone.
+    #[test]
+    fn budget_error_mid_propagation_undoes_deletes_and_appends() {
+        let mut q = fanout_query();
+        let g = goal("reach(X, Y)");
+        let state = |q: &MaintainedQuery| {
+            let rels = q.db().iter().chain(q.idb().iter().map(|(&p, r)| (p, r)));
+            let tuples: Vec<_> = rels.map(|(p, r)| (p, r.sorted_tuples())).collect();
+            (tuples, q.route(), q.violated(), q.on_optimized_route())
+        };
+        let before = state(&q);
+        assert_eq!(q.relation("reach").unwrap().len(), 21);
+
+        // Reroute 2 -> 3 through a new node; and delete an edge only to
+        // re-insert it beside a chain extension. Both end at 28 rows.
+        let mut reroute = Tx::new();
+        reroute.delete("edge", int_tuple(&[2, 3]));
+        reroute.insert("edge", int_tuple(&[2, 10]));
+        reroute.insert("edge", int_tuple(&[10, 3]));
+        reroute.insert("witness", int_tuple(&[10, 10_000]));
+        let mut reinsert = Tx::new();
+        reinsert.delete("edge", int_tuple(&[3, 4]));
+        reinsert.delete("witness", int_tuple(&[4, 4000]));
+        reinsert.insert("edge", int_tuple(&[3, 4]));
+        reinsert.insert("witness", int_tuple(&[4, 4000]));
+        reinsert.insert("edge", int_tuple(&[6, 7]));
+        reinsert.insert("witness", int_tuple(&[7, 7000]));
+        for tx in [&reroute, &reinsert] {
+            let err = q
+                .apply(tx, Budget::unlimited().with_max_idb_rows(21), None)
+                .expect_err("28 rows do not fit a budget of 21");
+            assert!(
+                matches!(err, EngineError::BudgetExceeded { used, .. } if used > 21),
+                "{err:?}"
+            );
+            assert_eq!(state(&q), before);
+            for (p, rel) in q.db().iter().chain(q.idb().iter().map(|(&p, r)| (p, r))) {
+                rel.check_invariant()
+                    .unwrap_or_else(|e| panic!("{p} after rollback: {e}"));
+                assert!(!rel.has_tombstones(), "{p}: every tombstone revived");
+            }
+            let mut got = q.answers(&g);
+            got.sort();
+            assert_eq!(got, scratch_answers(&q, &g));
+        }
+        // The same transactions commit once the budget allows.
+        for (tx, rows) in [(&reroute, 28), (&reinsert, 36)] {
+            let out = q.apply(tx, Budget::unlimited(), None).expect("apply");
+            assert_eq!(out.route, Route::IncrementalOptimized);
+            assert!(out.stats.over_deleted >= 12 && !out.rebuilt);
+            let mut got = q.answers(&g);
+            got.sort();
+            assert_eq!(got, scratch_answers(&q, &g));
+            assert_eq!(got.len(), rows);
+        }
     }
 }

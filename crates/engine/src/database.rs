@@ -65,13 +65,12 @@ impl Database {
             .is_some_and(|r| r.delete(tuple))
     }
 
-    /// Compacts every relation that accumulated tombstones, reclaiming
-    /// deleted rows' storage and renumbering physical row ids. Callers
-    /// holding row-id watermarks (the incremental layer's transaction
-    /// marks) must refresh them afterwards.
-    pub fn compact(&mut self) {
+    /// Runs [`Relation::compact_if_sparse`] on every relation. For the
+    /// gap between two transactions: row ids of a compacted relation
+    /// change, so no watermark or undo log may be outstanding.
+    pub fn compact_sparse(&mut self) {
         for r in self.rels.values_mut() {
-            r.compact();
+            r.compact_if_sparse();
         }
     }
 
@@ -80,8 +79,7 @@ impl Database {
         self.rels.get(&pred)
     }
 
-    /// Mutable access to the relation for `pred`, if present. Used by the
-    /// incremental layer to roll back in-place appends on error.
+    /// Mutable access to the relation for `pred`, if present.
     pub fn get_mut(&mut self, pred: Pred) -> Option<&mut Relation> {
         self.rels.get_mut(&pred)
     }
@@ -141,23 +139,17 @@ impl Database {
             IcHead::None => false,
             IcHead::Cmp(c) => theta.apply_cmp(c).eval_ground() == Some(true),
             IcHead::Atom(a) => {
-                let g = theta.apply_atom(a);
-                let Some(rel) = self.get(g.pred) else {
-                    return false;
+                // One matcher step, stopped at the first hit: a ground
+                // instance is a membership test; under existential head
+                // variables any live row matching the bound positions
+                // witnesses the head, found by probing those columns.
+                let state = State {
+                    edb: self,
+                    idb: &BTreeMap::new(),
                 };
-                if g.is_ground() {
-                    let t: Tuple = g.args.iter().map(|t| t.as_const().unwrap()).collect();
-                    rel.contains(&t)
-                } else {
-                    // Existential head variables: any tuple matching the
-                    // bound positions witnesses the head.
-                    rel.iter().any(|row| {
-                        g.args.iter().zip(row).all(|(t, v)| match t.as_const() {
-                            Some(c) => c == *v,
-                            None => true,
-                        })
-                    })
-                }
+                let (theta, poll) = (&mut theta.clone(), &mut Poll::new(None));
+                !match_body(&state, &[a], &[], theta, poll, &mut |_| false)
+                    .expect("an ungoverned match cannot be interrupted")
             }
         }
     }
@@ -225,6 +217,40 @@ mod tests {
         assert!(db.satisfies(&ics[0]));
         db.insert("pays", int_tuple(&[60000, 2]));
         assert!(!db.satisfies(&ics[0]));
+    }
+
+    #[test]
+    fn existential_head_probes_bound_columns_and_skips_tombstones() {
+        let ics = parse_constraints("ic: e(X, Z) -> w(Z, W).").unwrap();
+        let mut db = Database::new();
+        for z in 0..50 {
+            db.insert("e", int_tuple(&[z, z + 1]));
+            db.insert("w", int_tuple(&[z + 1, 7]));
+            db.insert("w", int_tuple(&[z + 1, 8]));
+        }
+        assert!(db.satisfies(&ics[0]));
+        // One of two witnesses gone: the other still holds the head.
+        assert!(db.delete("w", &int_tuple(&[20, 7])));
+        assert!(db.satisfies(&ics[0]));
+        // Both gone: the rows are still in the index group of `20`,
+        // dead, and must not count.
+        assert!(db.delete("w", &int_tuple(&[20, 8])));
+        let bad = db.violations(&ics[0]);
+        assert_eq!(bad.len(), 1);
+        let x = semrec_datalog::symbol::Symbol::intern("X");
+        assert_eq!(
+            bad[0].get(x).and_then(|t| t.as_const()),
+            Some(Value::Int(19))
+        );
+        db.insert("w", int_tuple(&[20, 9]));
+        assert!(db.satisfies(&ics[0]));
+        // No column bound: any live row will do, a dead one will not.
+        let any = parse_constraints("ic: e(X, Z) -> u(A, B).").unwrap();
+        assert!(!db.satisfies(&any[0]));
+        db.insert("u", int_tuple(&[1, 1]));
+        assert!(db.satisfies(&any[0]));
+        db.delete("u", &int_tuple(&[1, 1]));
+        assert!(!db.satisfies(&any[0]));
     }
 
     #[test]

@@ -441,7 +441,7 @@ impl Prepared {
     /// as the EDB evolves.
     pub fn compile(db: &Database, program: &Program) -> Result<Prepared, EngineError> {
         let arities = program.arities().map_err(EngineError::ArityMismatch)?;
-        let mut ev = Evaluator::new(db, &Program::default(), Strategy::SemiNaive)?;
+        let mut ev = Evaluator::bare(db);
         ev.incremental = true;
         ev.set_program(program)?;
         Ok(Prepared {
@@ -541,9 +541,16 @@ impl<'db> Evaluator<'db> {
         program: &Program,
         _strategy: Strategy,
     ) -> Result<Evaluator<'db>, EngineError> {
+        let mut ev = Evaluator::bare(db);
+        ev.set_program(program)?;
+        Ok(ev)
+    }
+
+    /// An evaluator over `db` with no program yet.
+    fn bare(db: &'db Database) -> Evaluator<'db> {
         let mut unit = Relation::new(0);
         unit.insert(Vec::new());
-        let mut ev = Evaluator {
+        Evaluator {
             db,
             program: Program::default(),
             idb_preds: BTreeSet::new(),
@@ -565,9 +572,7 @@ impl<'db> Evaluator<'db> {
             unit,
             round_buf: DerivedBuf::default(),
             memos: Vec::new(),
-        };
-        ev.set_program(program)?;
-        Ok(ev)
+        }
     }
 
     /// Builds an *incremental* evaluator: `idb` is a previously
@@ -587,17 +592,18 @@ impl<'db> Evaluator<'db> {
     /// programs only, and callers must check [`Prepared::max_stratum`]
     /// or fall back to batch evaluation when negation is present.
     ///
+    /// Preloaded relations may carry tombstones: marks are physical-row
+    /// watermarks and every scan and probe skips dead rows.
+    ///
     /// # Panics
-    /// In debug builds, panics if a preloaded relation has tombstones
-    /// (the incremental layer compacts before preloading) or if the
-    /// program has more than one stratum.
+    /// In debug builds, panics if the program has more than one stratum.
     pub fn new_incremental(
         db: &'db Database,
         program: &Program,
         idb: impl IntoIterator<Item = (Pred, Relation)>,
         edb_marks: FxHashMap<Pred, u32>,
     ) -> Result<Evaluator<'db>, EngineError> {
-        let mut ev = Evaluator::new(db, &Program::default(), Strategy::SemiNaive)?;
+        let mut ev = Evaluator::bare(db);
         ev.incremental = true;
         ev.edb_marks = edb_marks;
         ev.preload(idb);
@@ -613,14 +619,15 @@ impl<'db> Evaluator<'db> {
     /// Like [`Evaluator::new_incremental`], but reuses the compiled
     /// plans of a [`Prepared`] program instead of recompiling — the
     /// prepared-plan cache path for repeated transactions against the
-    /// same program.
+    /// same program. Infallible, so a caller that moved its relations
+    /// in always gets them back from [`Evaluator::finish`].
     pub fn from_prepared(
         db: &'db Database,
         prepared: &Prepared,
         idb: impl IntoIterator<Item = (Pred, Relation)>,
         edb_marks: FxHashMap<Pred, u32>,
-    ) -> Result<Evaluator<'db>, EngineError> {
-        let mut ev = Evaluator::new(db, &Program::default(), Strategy::SemiNaive)?;
+    ) -> Evaluator<'db> {
+        let mut ev = Evaluator::bare(db);
         ev.incremental = true;
         ev.edb_marks = edb_marks;
         ev.preload(idb);
@@ -641,7 +648,7 @@ impl<'db> Evaluator<'db> {
             }
         }
         ev.stratum_fresh = false;
-        Ok(ev)
+        ev
     }
 
     /// Adopts previously materialized IDB relations, marking every row
@@ -650,9 +657,6 @@ impl<'db> Evaluator<'db> {
     /// uses this to propagate re-inserted tuples).
     fn preload(&mut self, idb: impl IntoIterator<Item = (Pred, Relation)>) {
         for (p, rel) in idb {
-            // Tombstoned relations (DRed over-deletion) are fine: marks
-            // are physical-row watermarks, and every scan and probe
-            // path skips dead rows.
             let end = rel.physical_rows() as u32;
             self.marks.insert(p, (end, end));
             self.idb.insert(p, rel);

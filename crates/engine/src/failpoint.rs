@@ -17,7 +17,9 @@
 //! | `eval.round`     | start of every fixpoint round            | `EngineError::Io` |
 //! | `optimizer.push` | before the optimizer's push stage        | analysis error |
 //! | `io.load`        | per CSV file in [`crate::io::load_file`] | `EngineError::Io` |
-//! | `incr.delete`    | before the DRed over-deletion pass of an incremental update | `EngineError::Io` |
+//! | `incr.delete`    | before the DRed over-deletion pass of an incremental update (nothing mutated yet) | `EngineError::Io` |
+//! | `incr.rederive`  | after the transaction is applied and the doomed rows are tombstoned | `EngineError::Io`, tombstones revived |
+//! | `incr.propagate` | after DRed re-derivation appended, before the propagation run | `EngineError::Io`, appends cut, tombstones revived |
 //! | `incr.icheck`    | before the delta IC re-check of an incremental update | `EngineError::Io` |
 //! | `serve.accept`   | per accepted server connection (`semrec-serve`) | connection closed unserved, daemon lives |
 //! | `serve.reader`   | at the start of every admitted read query  | typed I/O error to that client |
@@ -63,11 +65,13 @@ fn registry() -> &'static Mutex<HashMap<&'static str, Site>> {
 }
 
 /// The failpoint names the engine and optimizer embed.
-pub const SITES: [&str; 10] = [
+pub const SITES: [&str; 12] = [
     "eval.round",
     "optimizer.push",
     "io.load",
     "incr.delete",
+    "incr.rederive",
+    "incr.propagate",
     "incr.icheck",
     "serve.accept",
     "serve.reader",

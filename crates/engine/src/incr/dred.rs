@@ -4,23 +4,28 @@
 //!
 //! The classic two phases map onto the flat-storage engine like this:
 //!
-//! 1. **Over-delete** — a worklist pass seeded by the transaction's
-//!    effective EDB deletes. For each deleted tuple and each rule body
+//! 1. **Over-delete** ([`over_delete`]) — a worklist pass seeded by the
+//!    transaction's effective EDB deletes, run *before* the transaction
+//!    touches anything. For each deleted tuple and each rule body
 //!    position it can occupy, the remaining body literals are matched
-//!    over the *frozen pre-transaction state* (original EDB + original
-//!    materialization), and every derivable head tuple is tombstoned in
-//!    the working IDB and queued in turn. Matching against the pre-tx
-//!    state is what makes this an over-approximation: a derivation may
-//!    have other support that survives the tx.
-//! 2. **Re-derive** — one pass over the over-deleted tuples checks
-//!    one-step derivability against the *remaining* state (post-delete
-//!    EDB + pruned IDB). Survivors are re-appended past the pruned
-//!    relations' watermarks, where they form the IDB delta of the
-//!    subsequent insert-propagation run — which transitively re-derives
-//!    anything the survivors (or the tx's inserted facts) support,
-//!    including further over-deleted tuples, through the ordinary
-//!    semi-naive delta rules. (A re-insert of a tombstoned row appends
-//!    a fresh live row; set semantics over live rows hold throughout.)
+//!    over the pre-transaction state (EDB **and** materialization — a
+//!    derivation that used two facts the transaction deletes is found
+//!    from either only while the other is still there), and every
+//!    derivable head tuple's row id is collected as doomed and queued
+//!    in turn. Nothing is mutated, so a failure here has nothing to
+//!    undo. Matching the pre-tx state is what makes this an
+//!    over-approximation: a derivation may have other support that
+//!    survives the tx.
+//! 2. **Re-derive** ([`rederive`]) — once the caller has applied the
+//!    transaction and tombstoned the doomed rows in place, one pass
+//!    over them checks one-step derivability against the *remaining*
+//!    state. Survivors are re-appended past the relations' watermarks,
+//!    where they form the IDB delta of the subsequent
+//!    insert-propagation run — which transitively re-derives anything
+//!    the survivors (or the tx's inserted facts) support, including
+//!    further over-deleted tuples, through the ordinary semi-naive
+//!    delta rules. (A re-insert of a tombstoned row appends a fresh
+//!    live row; set semantics over live rows hold throughout.)
 //!
 //! Negation and builtins are rejected upstream ([`super::Materialized`]
 //! falls back to batch re-evaluation), so every body literal here is a
@@ -29,24 +34,13 @@
 use super::matcher::{match_body, unify_row, Poll, State};
 use crate::database::Database;
 use crate::error::EngineError;
+use crate::fxhash::FxHashSet;
 use crate::relation::{Relation, Tuple};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::literal::{Cmp, Literal};
 use semrec_datalog::program::Program;
 use semrec_datalog::subst::Subst;
 use std::collections::{BTreeMap, VecDeque};
-
-/// What the deletion pass did, and where the propagation run must pick
-/// up.
-pub(crate) struct DredOutcome {
-    /// IDB tuples tombstoned by over-deletion.
-    pub over_deleted: u64,
-    /// Over-deleted tuples with surviving one-step support, re-appended.
-    pub rederived: u64,
-    /// Per IDB predicate, the physical row id where re-derived appends
-    /// begin — the predicate's delta start for the propagation run.
-    pub delta_starts: BTreeMap<Pred, u32>,
-}
 
 /// Splits a rule body into its positive atoms (with body positions) and
 /// comparison literals.
@@ -76,30 +70,28 @@ fn ground_head(head: &Atom, theta: &Subst) -> Tuple {
         .collect()
 }
 
-/// Runs both DRed phases. `pre_edb`/`pre_idb` are the frozen
-/// pre-transaction state; `post_edb` already has the tx's deletes
-/// tombstoned (and its inserts appended — extra support can only make
-/// re-derivation more complete); `work_idb` is the clone being pruned.
-pub(crate) fn delete_rederive(
-    pre_edb: &Database,
-    pre_idb: &BTreeMap<Pred, Relation>,
-    post_edb: &Database,
-    work_idb: &mut BTreeMap<Pred, Relation>,
-    deleted: &BTreeMap<Pred, Vec<Tuple>>,
+/// Phase 1: the ids of the IDB rows some derivation through a deleted
+/// EDB tuple reaches, per predicate, in discovery order. `edb` and `idb`
+/// are the untouched pre-transaction state; queued deletes of tuples
+/// that are not in `edb` are no-ops and seed nothing.
+pub(crate) fn over_delete(
+    edb: &Database,
+    idb: &BTreeMap<Pred, Relation>,
+    deletes: &BTreeMap<Pred, Vec<Tuple>>,
     program: &Program,
     poll: &mut Poll<'_>,
-) -> Result<DredOutcome, EngineError> {
-    let pre_state = State {
-        edb: pre_edb,
-        idb: pre_idb,
-    };
-    // Phase 1: over-delete. The worklist starts from the EDB deletes;
-    // IDB tuples join it as their derivations are invalidated.
-    let mut queue: VecDeque<(Pred, Tuple)> = deleted
+) -> Result<BTreeMap<Pred, Vec<u32>>, EngineError> {
+    let state = State { edb, idb };
+    // The worklist starts from the EDB deletes; IDB tuples join it as
+    // their derivations are invalidated.
+    let mut queue: VecDeque<(Pred, Tuple)> = deletes
         .iter()
-        .flat_map(|(&p, ts)| ts.iter().map(move |t| (p, t.clone())))
+        .flat_map(|(&p, ts)| ts.iter().map(move |t| (p, t)))
+        .filter(|&(p, t)| edb.get(p).is_some_and(|r| r.contains(t)))
+        .map(|(p, t)| (p, t.clone()))
         .collect();
-    let mut over: Vec<(Pred, Tuple)> = Vec::new();
+    let mut doomed: BTreeMap<Pred, Vec<u32>> = BTreeMap::new();
+    let mut seen: FxHashSet<(Pred, u32)> = FxHashSet::default();
     while let Some((p, t)) = queue.pop_front() {
         poll.tick()?;
         for rule in &program.rules {
@@ -117,78 +109,68 @@ pub(crate) fn delete_rederive(
                     .filter(|&&(lj, _)| lj != li)
                     .map(|&(_, a)| a)
                     .collect();
-                let head = &rule.head;
+                let (head, hp) = (&rule.head, rule.head.pred);
                 let mut hit = Vec::new();
-                match_body(&pre_state, &rest, &cmps, &mut theta, poll, &mut |th| {
+                match_body(&state, &rest, &cmps, &mut theta, poll, &mut |th| {
                     hit.push(ground_head(head, th));
                     true
                 })?;
                 for h in hit {
-                    // `delete` is false for tuples already tombstoned
-                    // (or never derived), so each tuple is over-deleted
-                    // and queued at most once.
-                    if work_idb
-                        .get_mut(&rule.head.pred)
-                        .is_some_and(|r| r.delete(&h))
-                    {
-                        over.push((rule.head.pred, h.clone()));
-                        queue.push_back((rule.head.pred, h));
+                    // Each materialized tuple is doomed and queued at
+                    // most once.
+                    let row = idb.get(&hp).and_then(|r| r.find(&h));
+                    if let Some(row) = row.filter(|&row| seen.insert((hp, row))) {
+                        doomed.entry(hp).or_default().push(row);
+                        queue.push_back((hp, h));
                     }
                 }
             }
         }
     }
+    Ok(doomed)
+}
 
-    // Phase 2: re-derive. Record each predicate's watermark first, so
-    // the appends land in the propagation run's delta window. The
-    // derivability checks read the pruned state as of the end of phase
-    // 1 (appends are deferred): tuples whose support returns only
-    // transitively are re-derived by the propagation fixpoint instead.
-    let mut delta_starts: BTreeMap<Pred, u32> = BTreeMap::new();
-    for (&p, rel) in work_idb.iter() {
-        delta_starts.insert(p, rel.physical_rows() as u32);
-    }
-    let mut rederived: Vec<(Pred, Tuple)> = Vec::new();
-    {
-        let post_state = State {
-            edb: post_edb,
-            idb: work_idb,
-        };
-        'tuples: for (p, t) in &over {
+/// Phase 2: re-appends every doomed tuple that still has one-step
+/// support, returning how many. `edb` is the post-transaction database
+/// (its inserts included — extra support can only make re-derivation
+/// more complete) and the `doomed` rows of `idb` are already
+/// tombstoned. The derivability checks all read that pruned state
+/// (appends are deferred): tuples whose support returns only
+/// transitively are re-derived by the propagation fixpoint instead.
+pub(crate) fn rederive(
+    edb: &Database,
+    idb: &mut BTreeMap<Pred, Relation>,
+    doomed: &BTreeMap<Pred, Vec<u32>>,
+    program: &Program,
+    poll: &mut Poll<'_>,
+) -> Result<u64, EngineError> {
+    let mut rederived: Vec<(Pred, u32)> = Vec::new();
+    let state = State { edb, idb };
+    for (&p, rows) in doomed {
+        let rel = &idb[&p];
+        'rows: for &row in rows {
             poll.tick()?;
-            for rule in &program.rules {
-                if rule.head.pred != *p {
-                    continue;
-                }
+            for rule in program.rules.iter().filter(|r| r.head.pred == p) {
                 let mut theta = Subst::new();
-                if !unify_row(&rule.head, t, &mut theta) {
+                // A dead row keeps its bytes.
+                if !unify_row(&rule.head, rel.row(row), &mut theta) {
                     continue;
                 }
                 let (atoms, cmps) = body_parts(&rule.body);
                 let rest: Vec<&Atom> = atoms.iter().map(|&(_, a)| a).collect();
-                let mut derivable = false;
-                match_body(&post_state, &rest, &cmps, &mut theta, poll, &mut |_| {
-                    derivable = true;
-                    false // existence established; stop enumerating
-                })?;
-                if derivable {
-                    rederived.push((*p, t.clone()));
-                    continue 'tuples;
+                // `false`: existence established; stop enumerating.
+                if !match_body(&state, &rest, &cmps, &mut theta, poll, &mut |_| false)? {
+                    rederived.push((p, row));
+                    continue 'rows;
                 }
             }
         }
     }
-    let nrederived = rederived.len() as u64;
-    for (p, t) in rederived {
-        let rel = work_idb
-            .get_mut(&p)
-            .expect("re-derived tuple for unknown idb predicate");
-        let inserted = rel.insert(&t[..]);
+    for &(p, row) in &rederived {
+        let rel = idb.get_mut(&p).expect("doomed rows name idb predicates");
+        let t = rel.row(row).to_vec();
+        let inserted = rel.insert(t);
         debug_assert!(inserted, "re-derived tuple was still live");
     }
-    Ok(DredOutcome {
-        over_deleted: over.len() as u64,
-        rederived: nrederived,
-        delta_starts,
-    })
+    Ok(rederived.len() as u64)
 }

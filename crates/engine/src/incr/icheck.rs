@@ -10,9 +10,12 @@
 //!   received inserts is seeded with each inserted tuple; the remaining
 //!   body atoms enumerate the full post-transaction EDB.
 //! - A **delete** from the head-atom predicate can strip the witness of
-//!   a previously satisfied body binding. The constraint is re-checked
-//!   in full — still delta-driven, because the full check only runs
-//!   when that specific predicate shrank.
+//!   a previously satisfied body binding — but only of a binding whose
+//!   head instance the deleted tuple matched. The head atom is unified
+//!   with each deleted tuple, the bindings of variables the body shares
+//!   are kept (existential head variables must stay free when the head
+//!   is re-tested: another witness may remain), and the body is
+//!   enumerated under them on the post-transaction state.
 //!
 //! Deletes from body predicates and inserts into the head predicate can
 //! only *remove* violations, so a held constraint stays held under them.
@@ -24,9 +27,10 @@ use super::TxDelta;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::relation::Relation;
-use semrec_datalog::atom::Pred;
+use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::{Constraint, IcHead};
 use semrec_datalog::subst::Subst;
+use semrec_datalog::term::Term;
 use std::collections::BTreeMap;
 
 /// Whether `ic` — known to hold before the transaction — still holds
@@ -46,6 +50,15 @@ pub(crate) fn still_satisfied(
         idb: &empty,
     };
     let cmps: Vec<_> = ic.body_cmps.iter().collect();
+    // True if some body binding extending `theta` over `atoms` fails the
+    // head.
+    let violated_under = |atoms: &[&Atom], theta: &mut Subst, poll: &mut Poll<'_>| {
+        // `false` stops the enumeration at the first violating binding.
+        match_body(&state, atoms, &cmps, theta, poll, &mut |th| {
+            post.head_holds(ic, th)
+        })
+        .map(|ran_to_end| !ran_to_end)
+    };
     for (i, atom) in ic.body_atoms.iter().enumerate() {
         let Some(inserted) = delta.inserted.get(&atom.pred) else {
             continue;
@@ -63,23 +76,25 @@ pub(crate) fn still_satisfied(
             if !unify_row(atom, t, &mut theta) {
                 continue;
             }
-            let mut violated = false;
-            match_body(&state, &rest, &cmps, &mut theta, poll, &mut |th| {
-                if post.head_holds(ic, th) {
-                    true // keep searching for a violating binding
-                } else {
-                    violated = true;
-                    false
-                }
-            })?;
-            if violated {
+            if violated_under(&rest, &mut theta, poll)? {
                 return Ok(false);
             }
         }
     }
+    // `IcHead::Cmp` / `IcHead::None` read no relation: no deletion case.
     if let IcHead::Atom(h) = &ic.head {
-        if delta.deleted.contains_key(&h.pred) {
-            return Ok(post.satisfies(ic));
+        let body: Vec<_> = ic.body_atoms.iter().collect();
+        let in_body = |t: &Term| body.iter().any(|a| a.args.contains(t));
+        for t in delta.deleted.get(&h.pred).into_iter().flatten() {
+            poll.tick()?;
+            let mut lost = Subst::new();
+            if !unify_row(h, t, &mut lost) {
+                continue; // witnesses no instance of this head
+            }
+            let shared = lost.iter().filter(|&(x, _)| in_body(&Term::Var(x)));
+            if violated_under(&body, &mut Subst::from_pairs(shared), poll)? {
+                return Ok(false);
+            }
         }
     }
     Ok(true)

@@ -1,13 +1,16 @@
 //! A small tuple-at-a-time binding matcher over the combined EDB + IDB
 //! state, used by the incremental layer's DRed pass, the delta IC
-//! monitor and `Database::violations`. Unlike the compiled fixpoint plans, these enumerations are
-//! seeded from a *single known tuple* (a deleted fact, an inserted
-//! fact), so a recursive matcher over [`Relation::probe_into`] is both
-//! simpler and fast enough: the seed binds most variables, and every
-//! remaining subgoal probes an indexed column subset. The probes hit
-//! the same dictionary indexes the batch kernels borrow (key → dense
-//! code → row group), so maintenance passes reuse — and keep warm —
-//! the fixpoint's own key views rather than building private ones.
+//! monitor and `Database::violations`. Unlike the compiled fixpoint
+//! plans, these enumerations are seeded from a *single known tuple* (a
+//! deleted fact, an inserted fact), so a recursive matcher is both
+//! simpler and fast enough: the seed binds most variables. A fully
+//! bound subgoal is a membership test ([`Relation::contains`] — the
+//! membership table holds exactly the live rows, and no index is
+//! built for it); a partly bound one probes an indexed column subset
+//! ([`Relation::probe_into`]) through the same dictionary indexes the
+//! batch kernels borrow (key → dense code → row group), so maintenance
+//! passes reuse — and keep warm — the fixpoint's own key views rather
+//! than building private ones.
 
 use crate::database::Database;
 use crate::error::EngineError;
@@ -161,7 +164,12 @@ fn match_atoms(
             key.push(v);
         }
     }
-    if cols.is_empty() {
+    if cols.len() == atom.args.len() {
+        poll.tick()?;
+        if rel.contains(&key) {
+            return match_atoms(state, atoms, i + 1, cmps, theta, poll, f);
+        }
+    } else if cols.is_empty() {
         for (_, row) in rel.iter_range(rel.all_rows()) {
             poll.tick()?;
             let mut snap = theta.clone();

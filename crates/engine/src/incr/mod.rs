@@ -5,21 +5,23 @@
 //! The subsystem layers three pieces over the flat-storage engine:
 //!
 //! 1. **Transactions** — [`Tx`] batches inserts and deletes per
-//!    predicate; [`Database::apply`] applies one atomically *to the
-//!    database value it is called on* and reports the effective
-//!    [`TxDelta`] (tuples actually added/removed, plus per-predicate
-//!    physical-row watermarks separating pre-tx from inserted rows).
-//!    Callers wanting all-or-nothing semantics against failures apply
-//!    to a clone and swap on success — which is exactly what
-//!    [`Materialized::apply`] does.
+//!    predicate; [`Database::apply`] applies one *in place* and reports
+//!    the effective [`TxDelta`]: the tuples actually added/removed and,
+//!    per relation, the append watermark and the ids of the rows it
+//!    tombstoned — which doubles as the undo log [`Database::undo`]
+//!    replays (cut the appends, *then* revive the rows).
 //! 2. **Delta propagation** — [`Materialized`] keeps the fixpoint of a
-//!    program materialized across transactions. Inserts seed a
-//!    semi-naive run whose first round scans only the delta
-//!    ([`Evaluator::from_prepared`], reusing compiled plans); deletes
-//!    run DRed over-deletion + re-derivation first (see [`mod@dred`]).
-//!    Programs with negation or arithmetic builtins fall back to a
-//!    governed from-scratch re-evaluation — transparently, with the
-//!    same transactional contract.
+//!    program materialized across transactions, maintained in place
+//!    under the same kind of log. Deletes run DRed (see [`mod@dred`]):
+//!    over-deletion reads the pre-transaction state and only collects
+//!    doomed rows; once the transaction is applied they are tombstoned
+//!    and the survivors re-derived. Then the inserted EDB rows and the
+//!    re-derived IDB rows seed a semi-naive run whose first round scans
+//!    only the delta ([`Evaluator::from_prepared`], reusing compiled
+//!    plans). An insert-only transaction is the same path with nothing
+//!    doomed. Programs with negation or arithmetic builtins fall back
+//!    to a governed from-scratch re-evaluation — transparently, with
+//!    the same transactional contract.
 //! 3. **Delta IC monitoring** — [`ic_still_satisfied`] re-checks a
 //!    constraint against the delta only, for the optimizer's
 //!    residue-guarded route invalidation (`semrec-core`'s
@@ -27,11 +29,14 @@
 //!
 //! Every phase respects the resource governor: budgets and cancel
 //! tokens thread through the DRed worklist and the propagation run, and
-//! any error (budget trip, cancellation, injected fault) leaves the
-//! caller-visible database and materialization exactly as they were
-//! before the transaction — `tests/fault_injection.rs` asserts
-//! commit-or-rollback under seeded schedules of the `incr.delete` and
-//! `incr.icheck` failpoints.
+//! any error (budget trip, cancellation, injected fault) undoes what the
+//! transaction did so far, leaving the database and the materialization
+//! holding exactly the tuples they held before —
+//! `tests/fault_injection.rs` asserts commit-or-rollback under seeded
+//! schedules of the `incr.*` failpoints. Nothing is cloned and nothing
+//! is compacted per transaction: after a commit a relation compacts
+//! itself only if its dead rows outnumber its live ones
+//! ([`Relation::compact_if_sparse`]).
 
 mod dred;
 mod icheck;
@@ -124,8 +129,9 @@ fn ground_tuple(atom: &Atom) -> Tuple {
 
 /// The *effective* changes one applied [`Tx`] made: inserts that were
 /// actually new, deletes that actually hit, and — for the semi-naive
-/// delta seeding — each inserted-into predicate's physical-row
-/// watermark from just before its inserts were appended.
+/// delta seeding and for [`Database::undo`] — each inserted-into
+/// predicate's physical-row watermark from just before its inserts were
+/// appended and the ids of the rows the deletes tombstoned.
 #[derive(Clone, Debug, Default)]
 pub struct TxDelta {
     /// Tuples newly added, per predicate (duplicates of existing rows
@@ -136,6 +142,8 @@ pub struct TxDelta {
     /// Per inserted-into predicate, the physical row count before the
     /// inserts: rows `[mark, len)` are the predicate's delta.
     pub edb_marks: FxHashMap<Pred, u32>,
+    /// The tombstoned row ids, parallel to `deleted`.
+    pub dead_rows: BTreeMap<Pred, Vec<u32>>,
 }
 
 impl TxDelta {
@@ -148,15 +156,18 @@ impl TxDelta {
 impl Database {
     /// Applies a transaction to this database: deletes first (tombstoned
     /// in place), then inserts (appended past each relation's recorded
-    /// watermark). Returns the effective delta. Infallible — failure
-    /// atomicity is the caller's concern (apply to a clone and swap; see
-    /// [`Materialized::apply`]).
+    /// watermark). Returns the effective delta. Infallible — a caller
+    /// whose later work fails hands the delta to [`Database::undo`].
     pub fn apply(&mut self, tx: &Tx) -> TxDelta {
         let mut delta = TxDelta::default();
         for (&p, ts) in &tx.deletes {
+            let Some(rel) = self.get_mut(p) else {
+                continue;
+            };
             for t in ts {
-                if self.delete(p, t) {
+                if let Some(row) = rel.delete_row(t) {
                     delta.deleted.entry(p).or_default().push(t.clone());
+                    delta.dead_rows.entry(p).or_default().push(row);
                 }
             }
         }
@@ -175,17 +186,21 @@ impl Database {
         }
         delta
     }
-}
 
-/// Exactly undoes the EDB appends recorded in `delta` (which must come
-/// from an insert-only transaction): each touched relation is truncated
-/// back to its pre-transaction watermark. Used to restore the database
-/// after an in-place fast-path update fails mid-propagation.
-pub fn rollback_inserts(db: &mut Database, delta: &TxDelta) {
-    debug_assert!(delta.deleted.is_empty(), "rollback_inserts: tx had deletes");
-    for (&p, &mark) in &delta.edb_marks {
-        if let Some(rel) = db.get_mut(p) {
-            rel.truncate(mark as usize);
+    /// Exactly undoes the [`Database::apply`] call that returned `delta`
+    /// (no other change may lie in between): every relation it appended
+    /// to is truncated back to its watermark, *then* every row it
+    /// tombstoned is revived — in that order, so a tuple the transaction
+    /// deleted and re-inserted is never live twice. O(delta).
+    pub fn undo(&mut self, delta: &TxDelta) {
+        for (&p, &mark) in &delta.edb_marks {
+            if let Some(rel) = self.get_mut(p) {
+                rel.truncate(mark as usize);
+            }
+        }
+        for (&p, rows) in &delta.dead_rows {
+            let rel = self.get_mut(p).expect("deleted from a missing relation");
+            rows.iter().for_each(|&r| rel.revive(r));
         }
     }
 }
@@ -228,10 +243,11 @@ pub struct UpdateStats {
 /// A program's fixpoint kept materialized across transactions.
 ///
 /// Owns the IDB relations and a [`Prepared`] plan cache; each
-/// [`Materialized::apply`] call brings them to the post-transaction
-/// fixpoint by delta propagation (or governed re-evaluation for
-/// programs outside the incremental fragment). The EDB itself stays
-/// with the caller, who passes it mutably per transaction.
+/// [`Materialized::apply`] call brings them, in place, to the
+/// post-transaction fixpoint by delta propagation (or governed
+/// re-evaluation for programs outside the incremental fragment). The
+/// EDB itself stays with the caller, who passes it mutably per
+/// transaction.
 pub struct Materialized {
     prepared: Prepared,
     idb: BTreeMap<Pred, Relation>,
@@ -241,6 +257,24 @@ pub struct Materialized {
     fallback: bool,
     /// Rounds of the initial batch evaluation (for reporting).
     initial_rounds: u64,
+}
+
+/// What [`Materialized::over_delete`] found for one transaction: the
+/// materialized rows its deletes doom, to be handed to
+/// [`Materialized::apply_delta`] once the transaction is applied.
+pub struct Doomed {
+    /// Doomed row ids per IDB predicate.
+    rows: BTreeMap<Pred, Vec<u32>>,
+    /// When maintenance of the transaction began: the clock its
+    /// deadline and `elapsed_ms` run on.
+    start: Instant,
+}
+
+/// The cooperative-check state for one maintenance phase, or `None`
+/// when there is nothing to check.
+fn governor(budget: &Budget, cancel: Option<&CancelToken>) -> Option<Governor> {
+    (budget.is_limited() || cancel.is_some())
+        .then(|| Governor::new(budget, cancel.cloned().unwrap_or_default()))
 }
 
 /// True if the program is in the incrementally maintainable fragment:
@@ -300,17 +334,12 @@ impl Materialized {
         self.initial_rounds
     }
 
-    /// Applies `tx` to `db` and brings the materialization to the
-    /// post-transaction fixpoint. All-or-nothing: on any error (budget,
-    /// cancellation, injected fault) both `db` and the materialization
-    /// are left exactly as before the call.
-    ///
-    /// Insert-only transactions take an in-place fast path: the rows are
-    /// appended directly and rolled back by [`Relation::truncate`] on
-    /// error, so the per-transaction cost is proportional to the delta,
-    /// not to a clone of the database. Transactions with deletes use
-    /// clone-on-update (DRed needs the frozen pre-transaction state
-    /// anyway).
+    /// Applies `tx` to `db` in place and brings the materialization to
+    /// the post-transaction fixpoint. All-or-nothing: on any error
+    /// (budget, cancellation, injected fault) both are undone and hold
+    /// exactly the tuples they held before the call. The cost is
+    /// proportional to the delta — what the transaction adds, removes
+    /// and over-deletes — never to the database.
     pub fn apply(
         &mut self,
         db: &mut Database,
@@ -318,134 +347,127 @@ impl Materialized {
         budget: Budget,
         cancel: Option<CancelToken>,
     ) -> Result<UpdateStats, EngineError> {
-        if !self.fallback && tx.deletes().values().all(Vec::is_empty) {
-            let delta = db.apply(tx);
-            return match self.apply_delta_appended(db, &delta, budget, cancel) {
-                Ok(stats) => Ok(stats),
-                Err(e) => {
-                    rollback_inserts(db, &delta);
-                    Err(e)
-                }
-            };
+        let doomed = self.over_delete(db, tx, budget, cancel.as_ref())?;
+        let delta = db.apply(tx);
+        match self.apply_delta(db, &delta, doomed, budget, cancel) {
+            Ok(stats) => {
+                db.compact_sparse();
+                Ok(stats)
+            }
+            Err(e) => {
+                db.undo(&delta);
+                Err(e)
+            }
         }
-        // Clone-on-update: all mutation happens on `work`; the caller's
-        // database is replaced only after every phase succeeded.
-        let mut work = db.clone();
-        let delta = work.apply(tx);
-        let stats = self.apply_delta(db, &work, &delta, budget, cancel)?;
-        work.compact();
-        *db = work;
-        Ok(stats)
     }
 
-    /// The insert-only fast path: `post_db` already has `delta`'s rows
-    /// appended (and `delta.deleted` is empty). The materialized IDB is
-    /// moved — not cloned — into the propagation run; if the run fails,
-    /// every relation is truncated back to its pre-transaction watermark,
-    /// which exactly undoes an append-only run. The *caller* owns rolling
-    /// back the EDB appends (see [`rollback_inserts`]).
-    pub fn apply_delta_appended(
+    /// Phase 1 of a transaction, to run *before* `tx` is applied: DRed
+    /// over-deletion over the pre-transaction `db` and materialization,
+    /// collecting the rows `tx`'s deletes doom without touching them.
+    /// Empty — and free — for an insert-only transaction. Hits the
+    /// `incr.delete` failpoint.
+    pub fn over_delete(
+        &self,
+        db: &Database,
+        tx: &Tx,
+        budget: Budget,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Doomed, EngineError> {
+        let start = Instant::now();
+        let mut rows = BTreeMap::new();
+        if !self.fallback && tx.deletes().values().any(|ts| !ts.is_empty()) {
+            #[cfg(feature = "failpoints")]
+            crate::failpoint::hit("incr.delete").map_err(EngineError::Io)?;
+            let gov = governor(&budget, cancel);
+            let mut poll = Poll::new(gov.as_ref());
+            let program = self.prepared.program();
+            rows = dred::over_delete(db, &self.idb, tx.deletes(), program, &mut poll)?;
+        }
+        Ok(Doomed { rows, start })
+    }
+
+    /// The rest of the transaction: `db` now has `tx` applied (`delta`
+    /// is what [`Database::apply`] returned) and `doomed` is what
+    /// [`Materialized::over_delete`] found just before. Tombstones the
+    /// doomed rows, re-derives the survivors and propagates the inserts,
+    /// all in place; on any error the materialization is restored —
+    /// appends cut, *then* doomed rows revived — and the *caller* owns
+    /// undoing the database ([`Database::undo`]). Hits the
+    /// `incr.rederive` failpoint once the doomed rows are tombstoned and
+    /// `incr.propagate` once the survivors are re-appended.
+    pub fn apply_delta(
         &mut self,
-        post_db: &Database,
+        db: &Database,
         delta: &TxDelta,
+        doomed: Doomed,
         budget: Budget,
         cancel: Option<CancelToken>,
     ) -> Result<UpdateStats, EngineError> {
-        debug_assert!(delta.deleted.is_empty(), "fast path is insert-only");
-        debug_assert!(
-            !self.fallback,
-            "fast path requires the incremental fragment"
-        );
-        let start = Instant::now();
-        let idb_marks: Vec<(Pred, usize)> = self
+        if self.fallback {
+            return self.recompute(db, budget, cancel, doomed.start);
+        }
+        // The undo log: every relation's append watermark (tombstoning
+        // moves none, so these are also where the propagation run's
+        // delta begins) plus the doomed row ids.
+        let marks: Vec<(Pred, usize)> = self
             .idb
             .iter()
             .map(|(&p, r)| (p, r.physical_rows()))
             .collect();
-        let idb = std::mem::take(&mut self.idb);
-        let mut ev =
-            Evaluator::from_prepared(post_db, &self.prepared, idb, delta.edb_marks.clone())?
-                .with_budget(budget);
-        if let Some(c) = cancel {
-            ev = ev.with_cancel_token(c);
-        }
-        let run = ev.run();
-        let rounds = ev.rounds();
-        let res = ev.finish();
-        let eval_stats = res.stats;
-        let idb_inserted = res.stats.inserted;
-        let mut idb: BTreeMap<Pred, Relation> = res.idb;
-        if let Err(e) = run {
-            // Append-only rollback: truncate to the watermarks, drop
-            // relations the run created for previously-empty predicates.
-            let mut restored = BTreeMap::new();
-            for (p, keep) in idb_marks {
-                if let Some(mut rel) = idb.remove(&p) {
-                    rel.truncate(keep);
-                    restored.insert(p, rel);
-                }
+        for (p, rows) in &doomed.rows {
+            let rel = self
+                .idb
+                .get_mut(p)
+                .expect("doomed rows name idb predicates");
+            for &r in rows {
+                let was_live = rel.delete_at(r);
+                debug_assert!(was_live, "a row was doomed twice");
             }
-            self.idb = restored;
-            return Err(e);
         }
-        self.idb = idb;
-        Ok(UpdateStats {
-            from_scratch: false,
-            over_deleted: 0,
-            rederived: 0,
-            idb_inserted,
-            rounds,
-            elapsed_ms: start.elapsed().as_millis() as u64,
-            stats: eval_stats,
-        })
+        match self.rederive_and_propagate(db, delta, &doomed, &marks, budget, cancel) {
+            Ok(stats) => {
+                for rel in self.idb.values_mut() {
+                    rel.compact_if_sparse();
+                }
+                Ok(stats)
+            }
+            Err(e) => {
+                // Relations the run created for previously-empty
+                // predicates are not in the log: drop them.
+                let mut run = std::mem::take(&mut self.idb);
+                for (p, mark) in marks {
+                    let mut rel = run.remove(&p).expect("the run keeps every relation");
+                    rel.truncate(mark);
+                    for &r in doomed.rows.get(&p).into_iter().flatten() {
+                        rel.revive(r);
+                    }
+                    self.idb.insert(p, rel);
+                }
+                Err(e)
+            }
+        }
     }
 
-    /// The lower-level entry: `pre_db` is the pre-transaction database,
-    /// `post_db` the post-transaction one (e.g. a clone that a
-    /// [`Database::apply`] call produced `delta` on). Replaces the
-    /// materialized IDB on success; leaves it untouched on any error.
-    pub fn apply_delta(
+    /// Phases 2 and 3 on the post-transaction state, appending only:
+    /// DRed re-derivation of the (already tombstoned) `doomed` rows,
+    /// then semi-naive propagation seeded from the tx's inserted EDB
+    /// rows and everything appended past `marks`, under whatever
+    /// wall-clock remains of `budget` since over-deletion began.
+    fn rederive_and_propagate(
         &mut self,
-        pre_db: &Database,
-        post_db: &Database,
+        db: &Database,
         delta: &TxDelta,
-        budget: Budget,
+        doomed: &Doomed,
+        marks: &[(Pred, usize)],
+        mut budget: Budget,
         cancel: Option<CancelToken>,
     ) -> Result<UpdateStats, EngineError> {
-        let start = Instant::now();
-        if self.fallback {
-            return self.recompute(post_db, budget, cancel, start);
-        }
-        let gov = (budget.is_limited() || cancel.is_some())
-            .then(|| Governor::new(&budget, cancel.clone().unwrap_or_default()));
-        let mut poll = Poll::new(gov.as_ref());
-
-        // Phase 1: DRed over-delete + re-derive on a working copy.
-        let mut work_idb = self.idb.clone();
-        let mut over_deleted = 0;
-        let mut rederived = 0;
-        let mut delta_starts = BTreeMap::new();
-        if !delta.deleted.is_empty() {
-            #[cfg(feature = "failpoints")]
-            crate::failpoint::hit("incr.delete").map_err(EngineError::Io)?;
-            let out = dred::delete_rederive(
-                pre_db,
-                &self.idb,
-                post_db,
-                &mut work_idb,
-                &delta.deleted,
-                self.prepared.program(),
-                &mut poll,
-            )?;
-            over_deleted = out.over_deleted;
-            rederived = out.rederived;
-            delta_starts = out.delta_starts;
-        }
-
-        // Phase 2: semi-naive insert propagation seeded from the tx's
-        // inserted EDB rows and the re-derived IDB rows, under whatever
-        // wall-clock remains.
-        let mut eval_budget = budget;
+        let Doomed {
+            rows: doomed,
+            start,
+        } = doomed;
+        #[cfg(feature = "failpoints")]
+        crate::failpoint::hit("incr.rederive").map_err(EngineError::Io)?;
         if let Some(d) = budget.deadline {
             let left = d.saturating_sub(start.elapsed());
             if left.is_zero() {
@@ -453,31 +475,38 @@ impl Materialized {
                     elapsed_ms: start.elapsed().as_millis() as u64,
                 });
             }
-            eval_budget.deadline = Some(left);
+            budget.deadline = Some(left);
         }
-        let mut ev =
-            Evaluator::from_prepared(post_db, &self.prepared, work_idb, delta.edb_marks.clone())?
-                .with_budget(eval_budget);
+        let mut rederived = 0;
+        if !doomed.is_empty() {
+            let gov = governor(&budget, cancel.as_ref());
+            let mut poll = Poll::new(gov.as_ref());
+            let program = self.prepared.program();
+            rederived = dred::rederive(db, &mut self.idb, doomed, program, &mut poll)?;
+        }
+        #[cfg(feature = "failpoints")]
+        crate::failpoint::hit("incr.propagate").map_err(EngineError::Io)?;
+
+        // The relations move into the run and always come back from it.
+        let idb = std::mem::take(&mut self.idb);
+        let mut ev = Evaluator::from_prepared(db, &self.prepared, idb, delta.edb_marks.clone())
+            .with_budget(budget);
         if let Some(c) = cancel {
             ev = ev.with_cancel_token(c);
         }
-        for (&p, &row) in &delta_starts {
-            ev.set_idb_delta_start(p, row);
+        for &(p, mark) in marks {
+            ev.set_idb_delta_start(p, mark as u32);
         }
-        ev.run()?;
+        let run = ev.run();
         let rounds = ev.rounds();
         let res = ev.finish();
-        let idb_inserted = res.stats.inserted;
-        let mut idb = res.idb;
-        for rel in idb.values_mut() {
-            rel.compact();
-        }
-        self.idb = idb;
+        self.idb = res.idb;
+        run?;
         Ok(UpdateStats {
             from_scratch: false,
-            over_deleted,
+            over_deleted: doomed.values().map(|rows| rows.len() as u64).sum(),
             rederived,
-            idb_inserted,
+            idb_inserted: res.stats.inserted,
             rounds,
             elapsed_ms: start.elapsed().as_millis() as u64,
             stats: res.stats,
@@ -830,6 +859,66 @@ mod tests {
         tx.delete("w", int_tuple(&[2]));
         let delta = d.apply(&tx);
         assert!(!ic_still_satisfied(&d, &delta, &ics[0]).unwrap());
+    }
+
+    #[test]
+    fn delta_ic_check_seeds_head_deletes_from_the_deleted_tuples() {
+        let ics = semrec_datalog::parser::parse_constraints(
+            "ic: e(X, Z) -> w(Z, W). ic: e(X, Z) -> v(Z, 7).",
+        )
+        .unwrap();
+        let mut d = db("e(1, 2). e(5, 6). w(2, 10). w(2, 11). w(6, 12). w(9, 13).\
+                        v(2, 7). v(6, 7). v(2, 8).");
+        let mut violated = Vec::new();
+        let mut still = |pred: &str, t: &[i64]| {
+            let mut tx = Tx::new();
+            tx.delete(pred, int_tuple(t));
+            let delta = d.apply(&tx);
+            assert_eq!(delta.dead_rows[&pred.into()].len(), 1);
+            // The monitor's contract covers constraints that held.
+            let held: Vec<_> = ics.iter().filter(|ic| !violated.contains(ic)).collect();
+            let ok = held.iter().map(|ic| {
+                let ok = ic_still_satisfied(&d, &delta, ic).unwrap();
+                assert_eq!(ok, d.satisfies(ic), "{ic}");
+                violated.extend((!ok).then_some(*ic));
+                ok
+            });
+            ok.collect::<Vec<bool>>()
+        };
+        // No edge ends in 9; `W` is existential, so 2 keeps a witness;
+        // v(2, 8) is no instance of the head v(Z, 7).
+        assert_eq!(still("w", &[9, 13]), [true, true]);
+        assert_eq!(still("w", &[2, 10]), [true, true]);
+        assert_eq!(still("v", &[2, 8]), [true, true]);
+        // The last witness of 2, and the only v(6, 7).
+        assert_eq!(still("w", &[2, 11]), [false, true]);
+        assert_eq!(still("v", &[6, 7]), [false]);
+    }
+
+    #[test]
+    fn a_failed_apply_undoes_tombstones_and_appends_in_place() {
+        const FACTS: &str = "e(1, 2). e(2, 3). e(3, 4). e(1, 3).";
+        let mut d = db(FACTS);
+        let p = program(TC);
+        let mut m = Materialized::new(&d, &p).unwrap();
+        let before = (db(FACTS), eval_scratch(&d, &p));
+        // Deletes and re-inserts e(2, 3) beside growth the budget of 6
+        // rows cannot hold: fails rounds into the propagation.
+        let mut tx = Tx::new();
+        tx.delete("e", int_tuple(&[2, 3]));
+        tx.insert("e", int_tuple(&[2, 3]));
+        tx.insert("e", int_tuple(&[4, 5]));
+        let tight = Budget::unlimited().with_max_idb_rows(6);
+        let err = m.apply(&mut d, &tx, tight, None).unwrap_err();
+        assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err:?}");
+        assert_eq!((&d, m.idb()), (&before.0, &before.1));
+        for (_, rel) in d.iter().chain(m.idb().iter().map(|(&p, r)| (p, r))) {
+            rel.check_invariant().unwrap();
+            assert!(!rel.has_tombstones());
+        }
+        let stats = m.apply(&mut d, &tx, Budget::unlimited(), None).unwrap();
+        assert!(stats.over_deleted > 0 && stats.rederived > 0);
+        assert_eq!(m.idb(), &eval_scratch(&d, &p));
     }
 
     #[test]

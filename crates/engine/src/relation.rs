@@ -18,10 +18,13 @@
 //! the incremental maintenance layer's DRed pass — is by tombstone: the
 //! row's dedup entry is removed and a dead bit set, so physical row ids
 //! stay stable and membership stays correct, while iteration and probes
-//! skip dead rows. [`Relation::compact`] rebuilds the flat store to
-//! reclaim tombstones; the evaluator itself only ever sees compacted
-//! (tombstone-free) relations, so its range views never straddle a
-//! dead row.
+//! skip dead rows (a range view may straddle dead rows; every scan and
+//! probe filters them). A tombstone is undone by [`Relation::revive`],
+//! which is how a failed transaction rolls its deletes back. Dead rows
+//! are reclaimed by [`Relation::compact_if_sparse`] only once they
+//! outnumber the live ones — the rebuild costs O(rows) < 2 × dead, an
+//! amortized O(1) per deleted row — so ordinary deletes keep row ids,
+//! the index cache and the published index lineage.
 //!
 //! ## Snapshots: a watermark, not a copy
 //!
@@ -30,28 +33,27 @@
 //! shared append-only allocation (`append_buf`, the one module
 //! holding this storage's `unsafe`): the relation is its single writer
 //! and appends past every reader's length, so a [`Snapshot`] is the
-//! allocation's `Arc`, a row watermark, a copy of the tombstone words
-//! (none between compactions on an insert-only history) and the
-//! relation's [stamp](Relation::stamp) — taken in O(1), with no
-//! membership table and no reservation state. [`Relation::clone`]
-//! shares the rows the same way and copies them only if the clone
-//! appends.
+//! allocation's `Arc`, a row watermark, the `Arc` of the tombstone
+//! words (copied on the writer's first delete after the snapshot was
+//! taken, never for an append) and the relation's
+//! [stamp](Relation::stamp) — taken in O(1), with no membership table
+//! and no reservation state. [`Relation::clone`] shares the rows the
+//! same way and copies them only if the clone appends.
 //!
 //! What names a state is the **stamp** `(incarnation, generation)`. The
 //! *incarnation* is a process-unique id of one append history of row
 //! ids: minted by [`Relation::new`], re-minted whenever row ids stop
-//! meaning what they meant ([`Relation::compact`],
-//! [`Relation::truncate`], a clone's first append), inherited by
-//! [`Relation::clone`]. The *generation* counts content changes within
-//! it. Snapshots of one incarnation share one **index lineage**: the
-//! dictionary indexes built by readers of an older snapshot are
-//! inherited by [`Relation::snapshot_after`] and merely *extended* by
-//! the appended rows on the next probe — an index may be ahead of the
-//! snapshot probing it, which filters by its own watermark and
-//! tombstones as every probe always has. A new incarnation starts a
-//! fresh lineage. The writer's own index cache is never shared: a
-//! [`ProbeHandle`] into it is a raw pointer whose contract forbids
-//! concurrent extension.
+//! meaning what they meant (compaction, [`Relation::truncate`], a
+//! clone's first append), inherited by [`Relation::clone`]. The
+//! *generation* counts content changes within it. Snapshots of one
+//! incarnation share one **index lineage**: the dictionary indexes
+//! built by readers of an older snapshot are inherited by
+//! [`Relation::snapshot_after`] and merely *extended* by the appended
+//! rows on the next probe — an index may be ahead of the snapshot
+//! probing it, which filters by its own watermark and tombstones as
+//! every probe always has. A new incarnation starts a fresh lineage.
+//! The writer's own index cache is never shared: a [`ProbeHandle`] into
+//! it is a raw pointer whose contract forbids concurrent extension.
 
 use crate::append_buf::AppendBuf;
 use crate::fxhash::{hash_slice, FxHashMap};
@@ -586,12 +588,12 @@ impl KeyDistribution {
 }
 
 /// The tombstone bitset over physical rows, one bit per row, lazily
-/// allocated on first delete: no words ⇔ no row was deleted since the
-/// last compaction. A relation owns one and a snapshot carries a copy —
-/// the only per-snapshot state that is not shared.
+/// allocated on first delete. The words are copy-on-write shared between a
+/// relation and its snapshots: only a delete (or its undo) after a
+/// snapshot was taken copies them.
 #[derive(Clone, Debug, Default)]
 struct Tombstones {
-    words: Vec<u64>,
+    words: Arc<Vec<u64>>,
     /// Number of set bits in `words`.
     count: usize,
 }
@@ -609,18 +611,29 @@ impl Tombstones {
 
     /// Tombstones live row `r` of a store holding `nrows` rows.
     fn set(&mut self, r: usize, nrows: usize) {
-        if self.words.len() * 64 < nrows {
-            self.words.resize(nrows.div_ceil(64), 0);
+        let words = Arc::make_mut(&mut self.words);
+        if words.len() * 64 < nrows {
+            words.resize(nrows.div_ceil(64), 0);
         }
-        self.words[r / 64] |= 1u64 << (r % 64);
+        words[r / 64] |= 1u64 << (r % 64);
         self.count += 1;
+    }
+
+    /// Clears the bit of tombstoned row `r`.
+    fn clear(&mut self, r: usize) {
+        Arc::make_mut(&mut self.words)[r / 64] &= !(1u64 << (r % 64));
+        self.count -= 1;
     }
 
     /// Forgets every bit for rows `keep` and above.
     fn truncate(&mut self, keep: usize) {
-        self.words.truncate(keep.div_ceil(64));
+        if self.words.len() * 64 <= keep {
+            return;
+        }
+        let words = Arc::make_mut(&mut self.words);
+        words.truncate(keep.div_ceil(64));
         if !keep.is_multiple_of(64) {
-            if let Some(last) = self.words.last_mut() {
+            if let Some(last) = words.last_mut() {
                 *last &= (1u64 << (keep % 64)) - 1;
             }
         }
@@ -750,17 +763,15 @@ impl Relation {
     /// process-unique per append history — a rebuilt, compacted,
     /// truncated or forked relation gets a new one — and the generation
     /// orders the states within it. Two clones that both only *delete*
-    /// share an incarnation while differing in content; publication
-    /// follows one relation's history, where that cannot collide, and
-    /// such clones end in [`Relation::compact`] (a new incarnation) or
-    /// are dropped.
+    /// would share an incarnation while differing in content; nothing
+    /// publishes a clone — publication follows the one relation every
+    /// transaction mutates in place, where stamps cannot collide.
     #[inline]
     pub fn stamp(&self) -> (u64, u64) {
         (self.incarnation, self.generation)
     }
 
-    /// An O(1) read-only view of the current contents (plus a copy of
-    /// the tombstone words, if any row is tombstoned) with an index
+    /// An O(1) read-only view of the current contents with an index
     /// cache of its own: what one-shot goal answering reads.
     pub fn snapshot(&self) -> Snapshot {
         self.snapshot_after(None, &Arc::default())
@@ -774,15 +785,16 @@ impl Relation {
     /// Otherwise (no predecessor, or the relation was compacted,
     /// truncated, rebuilt, forked) it starts a fresh lineage.
     ///
-    /// Nothing proportional to the relation is copied. What *is* copied
-    /// on behalf of publication is added, in bytes, to `meter`: the
-    /// tombstone words carried by the snapshot, the rows the writer had
-    /// to move because `prev` still held the allocation they outgrew,
-    /// and — later, by readers — every index extension in a lineage
-    /// this call starts.
+    /// Nothing proportional to the relation is copied here. What *was*
+    /// copied on behalf of publication is added, in bytes, to `meter`:
+    /// the tombstone words if a delete since `prev` had to copy them,
+    /// the rows the writer had to move because `prev` still held the
+    /// allocation they outgrew, and — later, by readers — every index
+    /// extension in a lineage this call starts.
     pub fn snapshot_after(&self, prev: Option<&Snapshot>, meter: &Arc<AtomicU64>) -> Snapshot {
         let mut copied = 0;
-        let lineage = match prev.filter(|p| p.stamp.0 == self.incarnation) {
+        let prev = prev.filter(|p| p.stamp.0 == self.incarnation);
+        let lineage = match prev {
             Some(p) => {
                 debug_assert!(p.nrows <= self.nrows, "an incarnation only appends");
                 if !p.data.same_allocation(&self.data) {
@@ -795,19 +807,16 @@ impl Relation {
                 meter: Arc::clone(meter),
             }),
         };
-        let dead = if self.dead.count == 0 {
-            Tombstones::default()
-        } else {
-            copied += std::mem::size_of_val::<[u64]>(&self.dead.words);
-            self.dead.clone()
-        };
+        if !prev.is_some_and(|p| Arc::ptr_eq(&p.dead.words, &self.dead.words)) {
+            copied += std::mem::size_of_val::<[u64]>(&self.dead.words[..]);
+        }
         // Relaxed: a statistic; it publishes no other data.
         meter.fetch_add(copied as u64, Ordering::Relaxed);
         Snapshot {
             arity: self.arity,
             data: self.data.clone(),
             nrows: self.nrows,
-            dead,
+            dead: self.dead.clone(),
             stamp: self.stamp(),
             lineage,
         }
@@ -830,13 +839,12 @@ impl Relation {
 
     /// Number of physical rows in the flat store, including tombstoned
     /// ones. Row-range views are expressed over physical ids, so marks
-    /// and watermarks must use this, not [`Relation::len`]. Equal to
-    /// `len()` whenever the relation is compacted.
+    /// and watermarks must use this, not [`Relation::len`].
     pub fn physical_rows(&self) -> usize {
         self.nrows
     }
 
-    /// True if some rows are tombstoned (delete since last compaction).
+    /// True if some rows are tombstoned.
     pub fn has_tombstones(&self) -> bool {
         self.dead.count != 0
     }
@@ -955,11 +963,21 @@ impl Relation {
 
     /// [`Relation::contains`] with the row hash already computed.
     pub fn contains_hashed(&self, t: &[Value], h: u64) -> bool {
+        self.find_hashed(t, h).is_some()
+    }
+
+    /// The id of the live row holding exactly `t`, if any: a membership
+    /// table lookup, no index involved.
+    pub fn find(&self, t: &[Value]) -> Option<u32> {
+        self.find_hashed(t, hash_slice(t))
+    }
+
+    fn find_hashed(&self, t: &[Value], h: u64) -> Option<u32> {
         if t.len() != self.arity {
-            return false;
+            return None;
         }
         debug_assert_eq!(h, hash_slice(t), "stale row hash");
-        self.hash_matches(h).any(|r| self.row(r) == t)
+        self.hash_matches(h).find(|&r| self.row(r) == t)
     }
 
     /// Iterates the live rows whose hash *fingerprint* matches `h`, by
@@ -996,21 +1014,70 @@ impl Relation {
     /// [`Relation::insert`] of an equal tuple appends a *fresh* physical
     /// row; set semantics hold over live rows throughout.
     pub fn delete(&mut self, t: &[Value]) -> bool {
-        self.delete_hashed(t, hash_slice(t))
+        self.delete_row(t).is_some()
     }
 
-    /// [`Relation::delete`] with the row-content hash already computed.
-    pub fn delete_hashed(&mut self, t: &[Value], h: u64) -> bool {
+    /// [`Relation::delete`] returning the id of the row it tombstoned —
+    /// what an undo log keeps to [`Relation::revive`] it.
+    pub fn delete_row(&mut self, t: &[Value]) -> Option<u32> {
         if t.len() != self.arity {
-            return false;
+            return None;
         }
-        debug_assert_eq!(h, hash_slice(t), "stale row hash");
-        let Some(r) = self.unlink_row(h, |_, row| row == t) else {
-            return false;
-        };
+        self.tombstone(hash_slice(t), |_, row| row == t)
+    }
+
+    /// Tombstones the live row with id `r`; `false` if it is out of
+    /// range or already dead.
+    pub fn delete_at(&mut self, r: u32) -> bool {
+        (r as usize) < self.nrows
+            && self
+                .tombstone(self.row_hash[r as usize], |id, _| id == r)
+                .is_some()
+    }
+
+    /// Tombstones the live row under hash `h` satisfying `is_target`,
+    /// returning its id.
+    fn tombstone(&mut self, h: u64, is_target: impl Fn(u32, &[Value]) -> bool) -> Option<u32> {
+        let r = self.unlink_row(h, is_target)?;
         self.dead.set(r as usize, self.nrows);
         self.generation += 1;
-        true
+        Some(r)
+    }
+
+    /// Undoes the tombstoning of row `r`: relinks it in the membership
+    /// table, clears its dead bit and bumps the generation. Row ids and
+    /// the incarnation are untouched, so indexes stay valid. The caller
+    /// guarantees no live row holds equal content — a transaction's
+    /// undo truncates its appends away *before* reviving what it
+    /// deleted.
+    ///
+    /// # Panics
+    /// Panics if `r` is not a tombstoned row.
+    pub fn revive(&mut self, r: u32) {
+        assert!(self.is_dead(r), "revive of a row that is not tombstoned");
+        let h = self.row_hash[r as usize];
+        debug_assert!(
+            !self.contains_hashed(self.row(r), h),
+            "revive would duplicate"
+        );
+        if self.set.needs_grow() {
+            self.grow_for_insert();
+        }
+        let mut s = self.set.start(h);
+        loop {
+            match self.set.slots[s] as u32 {
+                EMPTY => break,
+                TOMB => {
+                    self.set.tombs -= 1;
+                    break;
+                }
+                _ => s = (s + 1) & self.set.mask,
+            }
+        }
+        self.set.slots[s] = RowSet::entry(h, r);
+        self.set.live += 1;
+        self.dead.clear(r as usize);
+        self.generation += 1;
     }
 
     /// Removes the live row under hash `h` satisfying `is_target` from
@@ -1063,19 +1130,35 @@ impl Relation {
         self.indexes.write().expect("index lock poisoned").clear();
     }
 
+    /// Compacts iff the dead rows outnumber the live ones, returning
+    /// whether it did. This is the only way tombstones are reclaimed:
+    /// the rebuild costs O(physical rows) < 2 × dead rows, so every
+    /// deleted row pays an amortized O(1) for it, and a relation that
+    /// loses a small share of its rows per transaction keeps its row
+    /// ids — hence its index cache, its incarnation and the published
+    /// index lineage — across those transactions. Call it between
+    /// transactions only: row ids change.
+    pub fn compact_if_sparse(&mut self) -> bool {
+        let sparse = self.dead.count > self.len();
+        if sparse {
+            self.compact();
+        }
+        sparse
+    }
+
     /// Rebuilds the flat store without tombstoned rows, renumbering the
     /// surviving rows in order and rebuilding the dedup map. Column
     /// indexes are dropped (they cache stale row ids) and rebuilt lazily
     /// on the next probe. No-op when there are no tombstones.
-    pub fn compact(&mut self) {
+    fn compact(&mut self) {
         if self.dead.count == 0 {
             return;
         }
         let live = self.len();
-        // An eighth of headroom: what follows a delete is usually an
-        // append, and a snapshot taken in between shares this very
-        // allocation — an exact fit would make that first append copy
-        // the whole relation to grow. Untouched capacity is not resident.
+        // An eighth of headroom: what follows is usually an append, and
+        // a snapshot taken in between shares this very allocation — an
+        // exact fit would make that first append copy the whole
+        // relation to grow. Untouched capacity is not resident.
         let room = live + live / 8 + 1;
         let mut data = AppendBuf::with_capacity(room * self.arity);
         let mut row_hash = AppendBuf::with_capacity(room);
@@ -1264,7 +1347,7 @@ impl Relation {
     /// statistics source: `distinct` bounds join selectivity from
     /// below, `max_group`/the histogram bound per-probe fanout from
     /// above. Groups count *physical* rows — tombstoned rows inflate
-    /// the totals until [`Relation::compact`] — which keeps the numbers
+    /// the totals until compaction — which keeps the numbers
     /// valid as upper bounds, the direction the size-bound estimator
     /// needs.
     pub fn key_distribution(&self, cols: &[usize]) -> KeyDistribution {
@@ -1479,8 +1562,9 @@ impl Relation {
 impl Clone for Relation {
     /// Shares the rows and the row-hash column with the original (they
     /// are copied only if the clone later appends, which also gives it
-    /// a new incarnation); copies the membership table and tombstones;
-    /// starts with an empty index cache.
+    /// a new incarnation) and the tombstone words (copied by whichever
+    /// side deletes first); copies the membership table; starts with an
+    /// empty index cache.
     fn clone(&self) -> Self {
         Relation {
             arity: self.arity,
@@ -2305,10 +2389,101 @@ mod tests {
         let s1 = r.snapshot_after(Some(&s0), &meter);
         assert!(!s1.shares_rows_with(&s0));
         assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16);
-        // Tombstone words ride along once a row is dead.
+        // A delete allocates (or, under a snapshot, copies) the
+        // tombstone words; the appends that follow share them.
         r.delete(&t(&[0, 0]));
         let s2 = r.snapshot_after(Some(&s1), &meter);
         assert!(s2.shares_rows_with(&s1));
         assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16 + 8);
+        r.insert(t(&[9, 9]));
+        let s3 = r.snapshot_after(Some(&s2), &meter);
+        assert_eq!((s3.len(), s2.len()), (9, 8));
+        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16 + 8, "shared");
+        // The next delete copies them away from the snapshots…
+        r.delete(&t(&[1, 1]));
+        let s4 = r.snapshot_after(Some(&s3), &meter);
+        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16 + 16);
+        // …which keep reading their own.
+        assert_eq!((s4.len(), s3.len(), s2.len()), (8, 9, 8));
+        assert_eq!(s3.find(&t(&[1, 1])), Some(1));
+        assert_eq!(s4.find(&t(&[1, 1])), None);
+    }
+
+    #[test]
+    fn revive_exactly_undoes_a_delete() {
+        let mut r = Relation::new(2);
+        for i in 0..6 {
+            r.insert(t(&[i % 2, i]));
+        }
+        assert_eq!(r.probe(&[0], &[Value::Int(1)], r.all_rows()), [1, 3, 5]);
+        let pinned = r.snapshot();
+        let stamp = r.stamp();
+        let before = r.sorted_tuples();
+        // A transaction deletes two rows (one by content, one by id),
+        // re-inserts one of them and appends another…
+        let mark = r.physical_rows();
+        let killed = [r.delete_row(&t(&[1, 3])).unwrap(), 4];
+        assert_eq!(killed[0], 3);
+        assert!(r.delete_at(4) && !r.delete_at(4) && !r.delete_at(99));
+        assert!(r.insert(t(&[1, 3])) && r.insert(t(&[7, 7])));
+        assert_eq!(r.find(&t(&[1, 3])), Some(6));
+        // …and fails: cut the appends first, then revive.
+        r.truncate(mark);
+        for row in killed {
+            r.revive(row);
+        }
+        r.check_invariant().unwrap();
+        assert_eq!(r.sorted_tuples(), before);
+        assert_eq!(r.find(&t(&[1, 3])), Some(3), "the old row id is back");
+        assert!(!r.has_tombstones());
+        assert_ne!(r.stamp(), stamp, "the state was republished if seen");
+        assert_eq!(r.probe(&[0], &[Value::Int(1)], r.all_rows()), [1, 3, 5]);
+        assert_eq!(pinned.sorted_tuples(), before);
+        // Without appends nothing is cut, and revive keeps the
+        // incarnation (and with it the index cache).
+        let inc = r.stamp().0;
+        assert!(r.delete(&t(&[0, 0])));
+        r.truncate(r.physical_rows());
+        r.revive(0);
+        assert_eq!(r.stamp().0, inc);
+        assert_eq!(r.sorted_tuples(), before);
+        r.check_invariant().unwrap();
+    }
+
+    #[test]
+    fn compaction_waits_until_the_dead_outnumber_the_live() {
+        let mut r = Relation::new(2);
+        for i in 0..10 {
+            r.insert(t(&[i % 2, i]));
+        }
+        let s0 = r.snapshot_after(None, &Arc::default());
+        let mut hits = Vec::new();
+        s0.probe_into(&[0], &[Value::Int(0)], &mut hits);
+        let inc = r.stamp().0;
+        // Half dead is not sparse: row ids, incarnation, lineage stay.
+        for i in 0..5 {
+            assert!(r.delete(&t(&[i % 2, i])));
+            assert!(!r.compact_if_sparse());
+        }
+        assert_eq!((r.len(), r.physical_rows(), r.stamp().0), (5, 10, inc));
+        let s1 = r.snapshot_after(Some(&s0), &Arc::default());
+        assert!(s1.shares_indexes_with(&s0));
+        // One more and the dead outnumber the live.
+        assert!(r.delete(&t(&[1, 5])));
+        assert!(r.compact_if_sparse());
+        assert_eq!((r.len(), r.physical_rows()), (4, 4));
+        assert_ne!(r.stamp().0, inc);
+        assert!(!r.has_tombstones() && !r.compact_if_sparse());
+        r.check_invariant().unwrap();
+        let s2 = r.snapshot_after(Some(&s1), &Arc::default());
+        assert!(!s2.shares_indexes_with(&s1) && !s2.shares_rows_with(&s1));
+        // The pinned snapshots read the rows and tombstones of their
+        // moment through the index they share.
+        assert_eq!(s0.len(), 10);
+        s1.probe_into(&[0], &[Value::Int(0)], &mut hits);
+        assert_eq!(hits, [6, 8]);
+        s2.probe_into(&[0], &[Value::Int(0)], &mut hits);
+        assert_eq!(hits, [0, 2]);
+        assert_eq!(s2.sorted_tuples(), r.sorted_tuples());
     }
 }

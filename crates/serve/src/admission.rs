@@ -45,6 +45,10 @@
 //! client only notices if it was saturating the link. What such a
 //! client gets is then set by the clock and not by how busy the host
 //! is — the one throughput the daemon can promise on any machine.
+//! Commits have a rate of their own, [`SESSION_COMMITS_PER_S`], with no
+//! burst: the single writer is the scarcer resource, and a commit is
+//! acknowledged no sooner than one commit slot after the session's
+//! previous one ([`SessionPace::hold_ack`]).
 
 use crate::error::ServeError;
 use semrec_engine::CancelToken;
@@ -277,8 +281,19 @@ pub const SESSION_RATE_PER_S: u32 = 1_000;
 /// up to two seconds' worth back after the host stalled.
 pub const SESSION_BURST: u32 = 2_048;
 
+/// Commits per second a paced session is acknowledged at, with no burst
+/// beyond the one in hand: acknowledgements are at least one commit slot
+/// apart, counted from when the last one was *due*. A commit after a
+/// pause, or one that outlasts the slot (a delete's maintenance), is
+/// acknowledged the moment it is done; a client that commits again the
+/// moment it is acknowledged gets one per slot, whatever the host's
+/// spare capacity — and leaves the single writer to the other sessions
+/// for the rest of it (EXPERIMENTS.md "O(delta) delete commits").
+pub const SESSION_COMMITS_PER_S: u32 = 500;
+
 const SLOT_NS: i64 = 1_000_000_000 / SESSION_RATE_PER_S as i64;
 const BURST_NS: i64 = SLOT_NS * SESSION_BURST as i64;
+const COMMIT_SLOT: Duration = Duration::from_nanos(1_000_000_000 / SESSION_COMMITS_PER_S as u64);
 
 /// One session's token bucket, kept as clock time: every request costs
 /// one slot (`1 / SESSION_RATE_PER_S`), elapsed time pays it back up to
@@ -289,6 +304,8 @@ pub struct SessionPace {
     /// Time in hand (at most the burst); negative: time owed.
     balance_ns: i64,
     at: Instant,
+    /// When the next commit acknowledgement may leave at the earliest.
+    ack_due: Instant,
 }
 
 impl SessionPace {
@@ -297,7 +314,23 @@ impl SessionPace {
         SessionPace {
             balance_ns: BURST_NS,
             at: now,
+            ack_due: now,
         }
+    }
+
+    /// Books a commit that finished at `done` and returns how long its
+    /// acknowledgement is held: until its slot, one commit slot after
+    /// the previous one. The slots sit on a grid that only a pause or a
+    /// long commit (a whole slot late) moves — neither a wait that
+    /// overslept nor a commit that just missed its slot pushes the next
+    /// one, so the long-run rate is the clock's.
+    pub fn hold_ack(&mut self, done: Instant) -> Duration {
+        if done.saturating_duration_since(self.ack_due) >= COMMIT_SLOT {
+            self.ack_due = done;
+        }
+        let hold = self.ack_due.saturating_duration_since(done);
+        self.ack_due += COMMIT_SLOT;
+        hold
     }
 
     /// Books `requests` served by `now` and returns how long the
@@ -376,6 +409,38 @@ mod tests {
             assert_eq!(pace.book(1, now), Duration::ZERO);
         }
         assert_eq!(pace.book(1, now), slot);
+    }
+
+    #[test]
+    fn commit_acks_keep_to_their_slots() {
+        let slot = COMMIT_SLOT;
+        let t0 = Instant::now();
+        let mut pace = SessionPace::full(t0);
+        // A commit after a pause is acknowledged when it is done.
+        let mut due = t0 + slot * 10;
+        assert_eq!(pace.hold_ack(due), Duration::ZERO);
+
+        // A closed loop — the next commit done a quarter slot after the
+        // last acknowledgement left, itself an eighth late — is held to
+        // the grid: exactly one acknowledgement per slot.
+        for _ in 0..1_000 {
+            let done = due + slot / 8 + slot / 4;
+            due += slot;
+            assert_eq!(done + pace.hold_ack(done), due);
+        }
+
+        // One that misses its slot by less than a slot is not held and
+        // does not move the grid ...
+        due += slot;
+        let done = due + slot / 2;
+        assert_eq!(pace.hold_ack(done), Duration::ZERO);
+        due += slot;
+        assert_eq!(pace.hold_ack(done + slot / 4), slot / 4);
+
+        // ... a whole slot late, the grid starts again from it.
+        let done = due + slot * 2;
+        assert_eq!(pace.hold_ack(done), Duration::ZERO);
+        assert_eq!(pace.hold_ack(done + slot / 4), slot * 3 / 4);
     }
 
     #[test]

@@ -4,21 +4,24 @@
 //! epoch id, the route answering queries at that epoch, and one
 //! read-only [`Snapshot`] per relation. A snapshot is a watermark over
 //! the writer's own append-only row store (`Arc` of the allocation,
-//! row count, the tombstone words of the moment, the relation's stamp)
-//! — publishing copies no rows. [`EpochState::cow_successor`] builds
+//! row count, `Arc` of the tombstone words, the relation's stamp) —
+//! publishing copies no rows. [`EpochState::cow_successor`] builds
 //! the next epoch from the previous one:
 //!
 //! * a relation whose [stamp](Relation::stamp) is unchanged shares the
 //!   previous epoch's `Arc<Snapshot>`;
-//! * a relation that only *grew* (same storage incarnation) gets a new
+//! * a relation that grew or lost rows to tombstones (same storage
+//!   incarnation — every ordinary commit, deletes included) gets a new
 //!   snapshot over the same rows that also inherits the previous one's
 //!   index lineage — the indexes readers built stay warm, and the first
 //!   probe of the new epoch extends them by the appended rows;
-//! * a relation that was compacted, rolled back or rebuilt (a new
-//!   incarnation) starts a fresh lineage.
+//! * a relation that was compacted (its dead rows had come to outnumber
+//!   its live ones), rolled back or rebuilt (a new incarnation) starts
+//!   a fresh lineage.
 //!
 //! So a commit that inserts one `edge` fact publishes two watermarks,
-//! and each retained epoch costs its tombstone words, not a copy.
+//! and the tombstone words are shared by every epoch between two
+//! deletes: only the first delete after a publication copies them.
 //!
 //! Readers pin an epoch by cloning its `Arc` out of the registry — a
 //! pointer copy under a briefly-held read lock, never blocked by the
@@ -310,8 +313,11 @@ mod tests {
         snap1.probe_into(&[0], &[Value::Int(1)], &mut hits);
         assert_eq!(hits, vec![1]);
 
-        // Compaction renumbers rows: new incarnation, nothing inherited.
-        e.compact();
+        // A second delete leaves the dead outnumbering the live, so the
+        // relation compacts: rows renumbered, new incarnation, nothing
+        // inherited.
+        e.delete(&int_tuple(&[2, 3]));
+        assert!(e.compact_if_sparse());
         let s2 = epoch_of(2, Some(&s1), &e);
         let snap2 = Arc::clone(s2.relation(edge()).unwrap());
         assert!(!snap2.shares_indexes_with(&snap1));

@@ -43,7 +43,9 @@ pub mod protocol;
 pub mod server;
 pub mod wal;
 
-pub use admission::{Admission, AdmissionConfig, Permit, SESSION_BURST, SESSION_RATE_PER_S};
+pub use admission::{
+    Admission, AdmissionConfig, Permit, SESSION_BURST, SESSION_COMMITS_PER_S, SESSION_RATE_PER_S,
+};
 pub use cache::{AnswerCache, GoalShape, RelationStamp};
 pub use epoch::{EpochRegistry, EpochState};
 pub use error::ServeError;

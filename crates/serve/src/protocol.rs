@@ -32,12 +32,12 @@
 
 use crate::admission::SessionPace;
 use crate::error::ServeError;
-use crate::server::{Answer, Server};
+use crate::server::{Answer, CommitReply, Server};
 use semrec_datalog::atom::Pred;
 use semrec_datalog::parser::parse_atom;
 use semrec_datalog::term::Value;
 use semrec_engine::incr::TxStreamEvent;
-use semrec_engine::{Route, TxStreamParser};
+use semrec_engine::{Route, Tx, TxStreamParser};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -275,6 +275,27 @@ impl Connection {
         }
     }
 
+    /// [`Server::commit`], acknowledged no sooner than a paced session's
+    /// commit slot allows ([`SessionPace::hold_ack`]). The commit is
+    /// durable and published either way; replies rendered before it go
+    /// out ahead of the wait.
+    fn commit_paced(
+        &mut self,
+        tx: &Tx,
+        out: &mut impl Write,
+    ) -> io::Result<Result<CommitReply, ServeError>> {
+        let result = self.server.commit(tx);
+        let hold = match &mut self.pace {
+            Some(pace) => pace.hold_ack(Instant::now()),
+            None => Duration::ZERO,
+        };
+        if !hold.is_zero() {
+            out.flush()?;
+            std::thread::sleep(hold);
+        }
+        Ok(result)
+    }
+
     /// `+fact.` / `-fact.` / `commit.` through the shared stream parser:
     /// a malformed line poisons only the open transaction; its `commit.`
     /// reports the error and the next transaction starts clean.
@@ -288,7 +309,7 @@ impl Connection {
             Ok(TxStreamEvent::Committed(None)) => {
                 writeln!(out, "ok epoch={} empty", self.server.stats().epoch)
             }
-            Ok(TxStreamEvent::Committed(Some(tx))) => match self.server.commit(&tx) {
+            Ok(TxStreamEvent::Committed(Some(tx))) => match self.commit_paced(&tx, out)? {
                 Ok(reply) => {
                     write!(
                         out,
@@ -345,7 +366,9 @@ pub const REPLY_BUF_BYTES: usize = 64 * 1024;
 ///   that are finished;
 /// * before a paced session ([`Connection::paced`]) waits out what it
 ///   owes its [`SessionPace`] — the wait delays the next request, never
-///   a reply that is ready;
+///   a reply that is ready — or holds a commit's acknowledgement to its
+///   slot (`Connection::commit_paced`: the replies before it leave, the
+///   acknowledgement is rendered after the wait);
 /// * when it reaches [`REPLY_BUF_BYTES`];
 /// * at the end of the session.
 ///
@@ -529,6 +552,41 @@ mod tests {
         let slot = Duration::from_secs(1) / crate::SESSION_RATE_PER_S;
         assert!(started.elapsed() >= slot * 20, "{:?}", started.elapsed());
         assert_eq!(c.pending_ops(), 2, "both sessions queued their fact");
+    }
+
+    #[test]
+    fn a_paced_session_acknowledges_one_commit_per_slot() {
+        let input = "query reach(2, Y).\n+edge(3, 4).\ncommit.\n+edge(4, 5).\ncommit.\n";
+        let first =
+            "ok epoch=0 route=direct rows=1\nreach(2, 3).\nend\nok epoch=1 route=incr-optimized\n";
+        let second = "ok epoch=2 route=incr-optimized\n";
+
+        // Unpaced, both commits are acknowledged as fast as they go.
+        let mut writes = Vec::new();
+        let mut c = conn();
+        serve_session(
+            &mut c,
+            BufReader::new(input.as_bytes()),
+            Writes(&mut writes),
+        )
+        .unwrap();
+        assert_eq!(writes, [format!("{first}{second}")]);
+
+        // Paced, the first is acknowledged at once and the second a
+        // commit slot later, after what was ready has left.
+        let mut c = conn();
+        let started = Instant::now();
+        c.pace = Some(SessionPace::full(started));
+        writes.clear();
+        serve_session(
+            &mut c,
+            BufReader::new(input.as_bytes()),
+            Writes(&mut writes),
+        )
+        .unwrap();
+        assert_eq!(writes, [first, second]);
+        let slot = Duration::from_secs(1) / crate::SESSION_COMMITS_PER_S;
+        assert!(started.elapsed() >= slot, "{:?}", started.elapsed());
     }
 
     #[test]

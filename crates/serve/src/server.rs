@@ -202,7 +202,8 @@ pub struct ServerStats {
     /// Transactions carried by those batches.
     pub batched_txs: u64,
     /// Bytes copied on behalf of epoch publication since startup:
-    /// tombstone words carried by snapshots, rows the writer had to
+    /// tombstone words a delete had to copy away from a published
+    /// snapshot, rows the writer had to
     /// move because a published snapshot held the allocation they
     /// outgrew, and index entries readers appended to inherited
     /// indexes. O(delta) publication keeps this near the size of the

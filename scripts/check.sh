@@ -117,6 +117,15 @@ rc=0
 # loop (a reply waiting for a delayed ACK takes >= 40 ms) or O(delta)
 # publication (a per-commit clone copies megabytes even at quick sizes,
 # where the clock cannot see it) fails CI, not just the latency chart.
+# Delete gate (the `write_delete` leg: cycles of 4 spur inserts and one
+# commit deleting them): a delete commit must take <= 10x the leg's
+# steady insert median, the first insert after a delete <= 2x of it, and
+# that insert must publish <= 64 KiB. It protects the one in-place,
+# undo-logged maintenance path: a clone of the materialization or a
+# compaction per delete commit is O(database) and fails the first, a
+# delete that drops the writer's indexes (compaction, a swapped-in
+# clone) fails the second, unshared tombstone words or a lost index
+# lineage the third.
 # (The batching ratio is recorded, NOT gated: group commit was built to
 # amortize a per-commit clone that no longer exists; without a WAL in
 # the bench there is no fsync left to share and batched_write.speedup

@@ -391,22 +391,83 @@ fn edb_snapshot(db: &Database, preds: &[&str]) -> Vec<(String, Vec<Tuple>)> {
         .collect()
 }
 
-fn idb_snapshot(
-    idb: &std::collections::BTreeMap<semrec::datalog::Pred, semrec::engine::Relation>,
-) -> Vec<(String, Vec<Tuple>)> {
+type Idb = std::collections::BTreeMap<semrec::datalog::Pred, semrec::engine::Relation>;
+
+fn idb_snapshot(idb: &Idb) -> Vec<(String, Vec<Tuple>)> {
     idb.iter()
         .map(|(p, r)| (p.to_string(), r.sorted_tuples()))
         .collect()
 }
 
-/// A seeded schedule over the `incr.delete` site: every transaction
-/// with deletes either commits exactly (maintained IDB == from-scratch
-/// evaluation of the post-tx database) or rolls back fully (database,
-/// IDB, and invariants untouched). The schedule varies the fire round,
-/// so some applies survive (the site stays unfired) and some abort.
+fn expect_invariants(db: &Database, idb: &Idb, ctx: &str) {
+    for (p, rel) in db.iter().chain(idb.iter().map(|(&p, r)| (p, r))) {
+        rel.check_invariant()
+            .unwrap_or_else(|e| panic!("{ctx}: {p}: {e}"));
+    }
+}
+
+fn scratch_reach(db: &Database, program: &semrec::datalog::Program) -> Vec<Tuple> {
+    semrec::engine::evaluate(db, program, Strategy::SemiNaive)
+        .unwrap()
+        .relation("reach")
+        .unwrap()
+        .sorted_tuples()
+}
+
+/// The schedule of the `seed`-th transaction of a sweep over `sites`,
+/// each visited once per transaction: the site, whether the visit fires
+/// (`fire_at` 0) or never does (1), and an error or a drawn delay — the
+/// three cycle at different periods, so 12 seeds cover every combination.
+fn incr_schedule(
+    seed: u64,
+    rng: &mut Rng,
+    sites: [&'static str; 3],
+) -> (&'static str, u64, FailAction) {
+    let action = if (seed / 6).is_multiple_of(2) {
+        FailAction::Err
+    } else {
+        FailAction::DelayMs(rng.gen_range(1..10usize) as u64)
+    };
+    (sites[(seed % 3) as usize], (seed / 3) % 2, action)
+}
+
+/// A random live `edge` tuple.
+fn random_edge(db: &Database, rng: &mut Rng) -> Tuple {
+    let mut edges = db.get("edge".into()).unwrap().sorted_tuples();
+    edges.swap_remove(rng.gen_range(0..edges.len()))
+}
+
+/// Which sites of a seeded sweep rolled a transaction back.
+#[derive(Default)]
+struct Sweep {
+    committed: u32,
+    rolled_back: std::collections::BTreeSet<&'static str>,
+}
+
+impl Sweep {
+    fn expect_both_outcomes(&self, sites: [&'static str; 3]) {
+        assert!(self.committed > 0, "no schedule committed");
+        for site in sites {
+            assert!(
+                self.rolled_back.contains(site),
+                "no {site} schedule rolled back"
+            );
+        }
+    }
+}
+
+/// A seeded schedule over the incremental update's sites — before
+/// anything is mutated (`incr.delete`), with the transaction applied and
+/// the doomed rows tombstoned (`incr.rederive`), with the re-derived
+/// rows appended too (`incr.propagate`): every transaction with deletes
+/// either commits exactly (maintained IDB == from-scratch evaluation of
+/// the post-tx database) or is undone in place (database and IDB hold
+/// their pre-tx tuples, every relation passes its invariant, and the
+/// same transaction then commits and agrees with scratch).
 #[test]
 fn incr_delete_fault_commits_exactly_or_rolls_back() {
     let _g = serial();
+    let sites = ["incr.delete", "incr.rederive", "incr.propagate"];
     let s = parse_scenario(fanout::PROGRAM);
     let mut db = fanout::generate(&fanout::FanoutParams {
         nodes: 30,
@@ -415,24 +476,13 @@ fn incr_delete_fault_commits_exactly_or_rolls_back() {
         seed: 5,
     });
     let mut m = semrec::engine::incr::Materialized::new(&db, &s.program).unwrap();
-    let mut committed = 0u32;
-    let mut rolled_back = 0u32;
-    for seed in 0..10u64 {
+    let mut sweep = Sweep::default();
+    for seed in 0..24u64 {
         let mut rng = Rng::seed_from_u64(0xD0 + seed);
-        // fire_at 0 hits this apply's single site visit; 1 never fires.
-        let fire_at = rng.gen_range(0..2usize) as u64;
-        let action = if rng.gen_bool(0.5) {
-            FailAction::Err
-        } else {
-            FailAction::DelayMs(rng.gen_range(1..10usize) as u64)
-        };
-        let victim = db
-            .get("edge".into())
-            .unwrap()
-            .sorted_tuples()
-            .swap_remove(rng.gen_range(0..db.get("edge".into()).unwrap().len()));
+        let (site, fire_at, action) = incr_schedule(seed, &mut rng, sites);
+        let victim = random_edge(&db, &mut rng);
         let mut tx = semrec::engine::Tx::new();
-        tx.delete("edge", victim);
+        tx.delete("edge", victim.clone());
         tx.insert(
             "edge",
             vec![
@@ -440,59 +490,52 @@ fn incr_delete_fault_commits_exactly_or_rolls_back() {
                 semrec::datalog::Value::Int(rng.gen_range(0..30i64)),
             ],
         );
+        if rng.gen_bool(0.3) {
+            // Deleted and re-inserted: undo must cut the fresh row
+            // before it revives the old one.
+            tx.insert("edge", victim);
+        }
         let pre_edb = edb_snapshot(&db, &["edge", "witness"]);
         let pre_idb = idb_snapshot(m.idb());
 
         failpoint::clear();
-        failpoint::arm("incr.delete", fire_at, action);
+        failpoint::arm(site, fire_at, action);
         let result = m.apply(&mut db, &tx, Budget::unlimited(), None);
         failpoint::clear();
 
+        let ctx = format!("seed {seed} ({site} {action:?}@{fire_at})");
+        expect_invariants(&db, m.idb(), &ctx);
         match result {
-            Ok(_) => {
-                committed += 1;
-                let scratch = semrec::engine::evaluate(&db, &s.program, Strategy::SemiNaive)
-                    .unwrap()
-                    .relation("reach")
-                    .unwrap()
-                    .sorted_tuples();
-                assert_eq!(
-                    m.idb()[&"reach".into()].sorted_tuples(),
-                    scratch,
-                    "seed {seed}: committed tx diverged from scratch"
-                );
-            }
+            Ok(_) => sweep.committed += 1,
             Err(EngineError::Io(msg)) => {
-                rolled_back += 1;
-                assert!(msg.contains("injected error"), "seed {seed}: {msg}");
-                assert_eq!(
-                    edb_snapshot(&db, &["edge", "witness"]),
-                    pre_edb,
-                    "seed {seed}: EDB changed on rollback"
-                );
-                assert_eq!(
-                    idb_snapshot(m.idb()),
-                    pre_idb,
-                    "seed {seed}: IDB changed on rollback"
-                );
+                sweep.rolled_back.insert(site);
+                assert!(msg.contains("injected error"), "{ctx}: {msg}");
+                assert_eq!(edb_snapshot(&db, &["edge", "witness"]), pre_edb, "{ctx}");
+                assert_eq!(idb_snapshot(m.idb()), pre_idb, "{ctx}");
+                m.apply(&mut db, &tx, Budget::unlimited(), None)
+                    .unwrap_or_else(|e| panic!("{ctx}: disarmed retry: {e}"));
+                expect_invariants(&db, m.idb(), &ctx);
             }
-            Err(other) => panic!("seed {seed}: unexpected error {other:?}"),
+            Err(other) => panic!("{ctx}: unexpected error {other:?}"),
         }
-        for rel in m.idb().values() {
-            rel.check_invariant().expect("maintained IDB invariant");
-        }
+        assert_eq!(
+            m.idb()[&"reach".into()].sorted_tuples(),
+            scratch_reach(&db, &s.program),
+            "{ctx}: committed tx diverged from scratch"
+        );
     }
-    assert!(committed > 0, "no incr.delete schedule committed");
-    assert!(rolled_back > 0, "no incr.delete schedule rolled back");
+    sweep.expect_both_outcomes(sites);
 }
 
-/// A seeded schedule over the `incr.icheck` site, driven through the
-/// residue-guarded maintenance layer: a fault inside the delta IC
-/// monitor must leave the maintained query — database, route, answers —
-/// exactly as before the transaction.
+/// The same schedule one layer up, with the delta IC monitor's site in
+/// it, driven through the residue-guarded maintenance layer: a fault
+/// between the in-place EDB update and the end of propagation must
+/// leave the maintained query — database, route, answers — exactly as
+/// before the transaction, and ready for the next one.
 #[test]
 fn incr_icheck_fault_commits_exactly_or_rolls_back() {
     let _g = serial();
+    let sites = ["incr.icheck", "incr.rederive", "incr.propagate"];
     let s = parse_scenario(fanout::PROGRAM);
     let db = fanout::generate(&fanout::FanoutParams {
         nodes: 30,
@@ -509,20 +552,16 @@ fn incr_icheck_fault_commits_exactly_or_rolls_back() {
     )
     .unwrap();
     assert_eq!(q.route(), Route::Optimized);
-    let mut committed = 0u32;
-    let mut rolled_back = 0u32;
-    for seed in 0..10u64 {
+    let mut sweep = Sweep::default();
+    for seed in 0..24u64 {
         let mut rng = Rng::seed_from_u64(0x1C + seed);
-        let fire_at = rng.gen_range(0..2usize) as u64;
-        let action = if rng.gen_bool(0.5) {
-            FailAction::Err
-        } else {
-            FailAction::DelayMs(rng.gen_range(1..10usize) as u64)
-        };
-        // A fresh witnessed node keeps ic1 holding, so a surviving
-        // apply stays on the incremental optimized route.
+        let (site, fire_at, action) = incr_schedule(seed, &mut rng, sites);
+        // A fresh witnessed node keeps ic1 holding, and losing an edge
+        // cannot break it, so a surviving apply stays on the
+        // incremental optimized route.
         let v = 1000 + seed as i64;
         let mut tx = semrec::engine::Tx::new();
+        tx.delete("edge", random_edge(q.db(), &mut rng));
         tx.insert(
             "edge",
             vec![
@@ -542,53 +581,38 @@ fn incr_icheck_fault_commits_exactly_or_rolls_back() {
         let pre_route = q.route();
 
         failpoint::clear();
-        failpoint::arm("incr.icheck", fire_at, action);
+        failpoint::arm(site, fire_at, action);
         let result = q.apply(&tx, Budget::unlimited(), None);
         failpoint::clear();
 
-        match result {
+        let ctx = format!("seed {seed} ({site} {action:?}@{fire_at})");
+        expect_invariants(q.db(), q.idb(), &ctx);
+        let out = match result {
             Ok(out) => {
-                committed += 1;
-                assert_eq!(out.route, Route::IncrementalOptimized, "seed {seed}");
-                let scratch =
-                    semrec::engine::evaluate(q.db(), &q.plan().rectified, Strategy::SemiNaive)
-                        .unwrap()
-                        .relation("reach")
-                        .unwrap()
-                        .sorted_tuples();
-                assert_eq!(
-                    q.idb()[&"reach".into()].sorted_tuples(),
-                    scratch,
-                    "seed {seed}: committed tx diverged from scratch"
-                );
+                sweep.committed += 1;
+                out
             }
             Err(EngineError::Io(msg)) => {
-                rolled_back += 1;
-                assert!(msg.contains("injected error"), "seed {seed}: {msg}");
-                // The inserted node is rolled back with everything else,
-                // so the next iteration can reuse nothing stale.
-                assert_eq!(
-                    edb_snapshot(q.db(), &["edge", "witness"]),
-                    pre_edb,
-                    "seed {seed}: EDB changed on rollback"
-                );
-                assert_eq!(
-                    idb_snapshot(q.idb()),
-                    pre_idb,
-                    "seed {seed}: IDB changed on rollback"
-                );
-                assert_eq!(
-                    q.route(),
-                    pre_route,
-                    "seed {seed}: route changed on rollback"
-                );
+                sweep.rolled_back.insert(site);
+                assert!(msg.contains("injected error"), "{ctx}: {msg}");
+                assert_eq!(edb_snapshot(q.db(), &["edge", "witness"]), pre_edb, "{ctx}");
+                assert_eq!(idb_snapshot(q.idb()), pre_idb, "{ctx}");
+                assert_eq!(q.route(), pre_route, "{ctx}: route changed on rollback");
+                assert!(q.violated().is_empty(), "{ctx}");
+                let out = q
+                    .apply(&tx, Budget::unlimited(), None)
+                    .unwrap_or_else(|e| panic!("{ctx}: disarmed retry: {e}"));
+                expect_invariants(q.db(), q.idb(), &ctx);
+                out
             }
-            Err(other) => panic!("seed {seed}: unexpected error {other:?}"),
-        }
-        for rel in q.idb().values() {
-            rel.check_invariant().expect("maintained IDB invariant");
-        }
+            Err(other) => panic!("{ctx}: unexpected error {other:?}"),
+        };
+        assert_eq!(out.route, Route::IncrementalOptimized, "{ctx}");
+        assert_eq!(
+            q.idb()[&"reach".into()].sorted_tuples(),
+            scratch_reach(q.db(), &q.plan().rectified),
+            "{ctx}: committed tx diverged from scratch"
+        );
     }
-    assert!(committed > 0, "no incr.icheck schedule committed");
-    assert!(rolled_back > 0, "no incr.icheck schedule rolled back");
+    sweep.expect_both_outcomes(sites);
 }

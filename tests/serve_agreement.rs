@@ -8,8 +8,9 @@
 //! state other than the one that produced it. Publication shares the
 //! writer's row store instead of copying it, so the suite also pins a
 //! reader and walks the writer through everything that could disturb a
-//! shared store: appends, tombstones and compaction, growth past the
-//! allocation, and the rollback of a failed apply.
+//! shared store: appends, tombstones left in place, the compaction of a
+//! relation whose dead rows outnumber its live ones, growth past the
+//! allocation, and the undo of a failed apply.
 
 mod common;
 
@@ -245,13 +246,19 @@ fn cache_on_and_off_agree_tuple_for_tuple() {
 /// into the cache must answer the *new* epoch immediately after every
 /// commit — including across the violation/repair pair, where route
 /// invalidation rebuilds the materialization from scratch and a
-/// generation-only key would serve stale hits.
+/// generation-only key would serve stale hits — and across an ordinary
+/// delete, which moves only the generation: the relation keeps its
+/// incarnation (rows are tombstoned in place, nothing is rebuilt).
 #[test]
 fn republish_invalidates_cached_answers() {
-    let txs = tx_sequence(7);
+    let mut txs = tx_sequence(7);
+    let mut delete = Tx::new();
+    delete.delete("edge", int_tuple(&[2, 3]));
+    txs.push(delete);
     let expected = references(&txs);
+    assert_ne!(expected[COMMITS], expected[COMMITS + 1], "the delete shows");
     let cfg = ServeConfig {
-        retain_epochs: COMMITS + 1,
+        retain_epochs: txs.len() + 1,
         ..ServeConfig::default()
     };
     let (server, _) = Server::open(&unit(), cfg, None).expect("open");
@@ -287,6 +294,13 @@ fn republish_invalidates_cached_answers() {
             frame(g.pred, &old)
         );
     }
+    let stamp = |epoch: usize| {
+        let state = server.registry().pin(Some(epoch as u64)).expect("retained");
+        state.relation(g.pred).expect("reach").stamp()
+    };
+    let (before, after) = (stamp(COMMITS), stamp(COMMITS + 1));
+    assert_eq!(before.0, after.0, "a delete keeps the incarnation");
+    assert!(before.1 < after.1, "and moves the generation");
     let stats = server.stats();
     assert!(
         stats.cache_hits as usize >= COMMITS,
@@ -361,11 +375,13 @@ fn a_rebuilt_relation_is_not_mistaken_for_its_predecessor() {
 /// Pinned-reader isolation over a shared row store. A reader pinned at
 /// epoch E keeps answering E's rows — by value, and through the row ids
 /// of answers it was handed back then — while later commits append to
-/// the very allocation it reads, tombstone and compact it, outgrow it,
-/// and roll a failed apply back out of it (a row-budget trip, which
-/// truncates the store while snapshots share it and then re-appends
-/// other rows under the cut ids). After every step `query@e` of every
-/// epoch so far equals a serial replay to `e`.
+/// the very allocation it reads, tombstone rows of it in place, compact
+/// it once most of it is dead, outgrow it, and undo a failed apply in
+/// it (a row-budget trip, which truncates the store while snapshots
+/// share it and then re-appends other rows under the cut ids). After
+/// every step `query@e` of every epoch so far equals a serial replay to
+/// `e`. The index lineage readers share follows the row ids: it
+/// survives every commit but the compaction and the undo.
 #[test]
 fn a_pinned_reader_is_isolated_from_everything_the_writer_does_to_the_store() {
     const N: i64 = 20;
@@ -439,25 +455,41 @@ fn a_pinned_reader_is_isolated_from_everything_the_writer_does_to_the_store() {
     delete.delete("edge", int_tuple(&[5, 6]));
     let mut reinsert = Tx::new();
     reinsert.insert("edge", int_tuple(&[5, 6]));
+    // 10 x 11 of the 210 live `reach` rows, beside the 75 tombstones of
+    // the first delete: the dead now outnumber the live.
+    let mut cut = Tx::new();
+    cut.delete("edge", int_tuple(&[10, 11]));
+    let mut mend = Tx::new();
+    mend.insert("edge", int_tuple(&[10, 11]));
     let mut spur = Tx::new();
     spur.insert("edge", int_tuple(&[60, 200]));
     // (transaction, commits?) in order. The chain to 100 would hold
-    // 4950 reach rows: over the budget, so its apply is rolled back.
+    // 4950 reach rows: over the budget, so its apply is undone.
     let steps = [
         ("append within the allocation", chain(N, N + 1), true),
-        ("tombstone + compaction", delete, true),
-        ("append after compaction", reinsert, true),
+        ("tombstones in place", delete, true),
+        ("append beside tombstones", reinsert, true),
+        ("mostly dead: compaction", cut, true),
+        ("append after compaction", mend, true),
         ("growth past the allocation", chain(N + 1, 60), true),
-        ("failed apply, rolled back", chain(60, 100), false),
+        ("failed apply, undone", chain(60, 100), false),
         ("append under the cut row ids", spur, true),
         ("growth again", chain(200, 208), true),
     ];
+    let reach = |epoch: u64| {
+        let state = server.registry().pin(Some(epoch)).expect("retained");
+        Arc::clone(state.relation(goals[0].pred).expect("reach"))
+    };
+    let mut new_lineages = Vec::new();
     for (what, tx, commits) in &steps {
         let before = server.stats().epoch;
         match server.commit(tx) {
             Ok(reply) => {
                 assert!(commits, "{what}: expected the row budget to trip");
                 assert_eq!(reply.epoch, before + 1, "{what}");
+                if !reach(reply.epoch).shares_indexes_with(&reach(before)) {
+                    new_lineages.push(*what);
+                }
                 replay
                     .apply(tx, Budget::unlimited(), None)
                     .expect("reference apply");
@@ -492,6 +524,11 @@ fn a_pinned_reader_is_isolated_from_everything_the_writer_does_to_the_store() {
         hold(&server, &mut held);
     }
     assert_eq!(expected.len(), steps.len(), "one epoch per committed step");
+    assert_eq!(
+        new_lineages,
+        ["mostly dead: compaction", "append under the cut row ids"],
+        "an ordinary delete keeps row ids and the indexes built on them"
+    );
     // None of this was paid for by copying relations: the only row
     // copies are the two growth steps' doublings.
     let reach_bytes = 16 * 2 * ROW_LIMIT;

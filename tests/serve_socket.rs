@@ -1,12 +1,13 @@
 //! The session loop on the wire: one `write` per reply (or per
 //! pipelined batch), a flush before every read that could block, no
 //! delayed-ACK stall on a real loopback socket, and a network session
-//! past its burst served on the clock.
+//! past its burst — and its commits, from the second — served on the
+//! clock.
 
 use semrec::datalog::parser::{parse_unit, Unit};
 use semrec::serve::{
     serve_session, Connection, ServeConfig, Server, REPLY_BUF_BYTES, SESSION_BURST,
-    SESSION_RATE_PER_S,
+    SESSION_COMMITS_PER_S, SESSION_RATE_PER_S,
 };
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
@@ -284,4 +285,30 @@ fn a_session_past_its_burst_is_served_on_the_clock() {
     let slot = Duration::from_secs(1) / SESSION_RATE_PER_S;
     assert!(took >= slot * (extra - 1), "{n} requests in {took:?}");
     assert!(took < slot * extra + Duration::from_secs(2), "{took:?}");
+}
+
+#[test]
+fn a_closed_loop_of_commits_is_acknowledged_one_per_slot() {
+    let server = open(8);
+    let (mut reader, mut writer) = listen(&server);
+    let n = 50;
+    let mut line = String::new();
+    let started = Instant::now();
+    for k in 1..=n {
+        let request = format!("+edge({}, {}).\ncommit.\n", 100 + k, 101 + k);
+        writer.write_all(request.as_bytes()).expect("request");
+        line.clear();
+        reader.read_line(&mut line).expect("ack");
+        assert!(
+            line.starts_with(&format!("ok epoch={k} ")),
+            "ack {k}: {line:?}"
+        );
+    }
+    let took = started.elapsed();
+    // The first is acknowledged when it is done, each one after it no
+    // sooner than a commit slot after the one before.
+    let slot = Duration::from_secs(1) / SESSION_COMMITS_PER_S;
+    assert!(took >= slot * (n - 1), "{n} commits in {took:?}");
+    assert!(took < slot * n + Duration::from_secs(2), "{took:?}");
+    assert_eq!(server.stats().epoch, u64::from(n));
 }
