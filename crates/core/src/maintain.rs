@@ -18,9 +18,10 @@
 //! - When the violations clear, the optimized materialization is
 //!   rebuilt and incremental maintenance of the fast route resumes.
 //!
-//! The monitor is delta-driven: a constraint that held before the
-//! transaction is re-checked only against bindings the transaction's
-//! effective delta can have created (see `semrec_engine::incr`), not by
+//! The monitor is delta-driven: each constraint is compiled once into
+//! denial rules on the engine's rule executor (`semrec_engine::incr::IcCheck`),
+//! and one that held before the transaction is re-checked only against
+//! bindings the transaction's effective delta can have created, not by
 //! re-enumerating the database.
 //!
 //! Transactions are atomic and run in place, at a cost proportional to
@@ -39,10 +40,10 @@ use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
 use semrec_datalog::program::Program;
 use semrec_engine::eval::scan_goal;
-use semrec_engine::incr::{ic_still_satisfied, Doomed, TxDelta};
+use semrec_engine::incr::{Doomed, IcCheck, TxDelta};
 use semrec_engine::{
     AlternativeKind, Budget, CancelToken, CostMemo, Database, EdbStats, EngineError, Materialized,
-    Relation, Route, RouteChoice, Tuple, Tx, UpdateStats,
+    Relation, Route, RouteChoice, Stats, Tuple, Tx, UpdateStats,
 };
 
 use crate::optimizer::{Optimizer, OptimizerConfig, Plan};
@@ -107,6 +108,8 @@ pub struct MaintainedQuery {
     plan: Plan,
     /// The constraints the optimized route's soundness depends on.
     monitored: Vec<Constraint>,
+    /// Their denial rules, compiled once, parallel to `monitored`.
+    checks: Vec<IcCheck>,
     /// Per monitored constraint: does it hold on the current database?
     ic_ok: Vec<bool>,
     /// The live materialization — the cost planner's pick among the
@@ -200,7 +203,10 @@ impl MaintainedQuery {
             .with_config(config)
             .run()?;
         let monitored = monitored_ics(&plan, ics);
-        let ic_ok: Vec<bool> = monitored.iter().map(|ic| db.satisfies(ic)).collect();
+        let checks: Vec<IcCheck> = monitored.iter().map(|ic| IcCheck::new(&db, ic)).collect();
+        let unlimited = Budget::unlimited();
+        let holds = |c: &IcCheck| c.holds(&db, None, &unlimited, None).map(|(ok, _)| ok);
+        let ic_ok = checks.iter().map(holds).collect::<Result<Vec<bool>, _>>()?;
         let on_optimized = ic_ok.iter().all(|&b| b);
         // Initial consultation: among the sound programs, materialize
         // the planner's pick.
@@ -229,6 +235,7 @@ impl MaintainedQuery {
             db,
             plan,
             monitored,
+            checks,
             ic_ok,
             active,
             on_optimized,
@@ -297,12 +304,12 @@ impl MaintainedQuery {
         // check; constraints already broken need the full check (any
         // delta class can repair a violation).
         let mut ic_ok = Vec::with_capacity(self.monitored.len());
-        for (ic, &was_ok) in self.monitored.iter().zip(&self.ic_ok) {
-            ic_ok.push(if was_ok {
-                ic_still_satisfied(&self.db, delta, ic)?
-            } else {
-                self.db.satisfies(ic)
-            });
+        let mut ic_stats = Stats::default();
+        for (check, &was_ok) in self.checks.iter().zip(&self.ic_ok) {
+            let delta = was_ok.then_some(delta);
+            let (ok, stats) = check.holds(&self.db, delta, &budget, cancel.as_ref())?;
+            ic_ok.push(ok);
+            ic_stats += stats;
         }
         let now_ok = ic_ok.iter().all(|&b| b);
         let route = if now_ok {
@@ -329,14 +336,15 @@ impl MaintainedQuery {
             want_opt = now_ok && kind == AlternativeKind::ResiduePushed;
         }
         let mut rebuilt = want_opt != self.active_opt;
-        let stats = if rebuilt {
+        let mut stats = if rebuilt {
             let program = if want_opt {
                 &self.plan.program
             } else {
                 &self.plan.rectified
             };
             let next = Materialized::new(&self.db, program)?;
-            let stats = rebuild_stats(&next, start);
+            let mut stats = rebuild_stats(&next, start);
+            stats.stats += doomed.stats();
             self.active = next;
             self.active_opt = want_opt;
             stats
@@ -344,6 +352,7 @@ impl MaintainedQuery {
             self.active
                 .apply_delta(&self.db, delta, doomed, budget, cancel)?
         };
+        stats.stats += ic_stats;
 
         self.ic_ok = ic_ok;
         self.on_optimized = now_ok;

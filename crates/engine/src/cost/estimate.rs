@@ -27,7 +27,9 @@ use super::stats::EdbStats;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::fxhash::FxHashMap;
-use crate::plan::{compile_rule_with_sizes, CompiledRule, KernelSrc, View};
+use crate::plan::{
+    compile_rule_with_sizes, CompiledRule, KernelGuard, KernelLookup, KernelSrc, View,
+};
 use semrec_datalog::atom::Pred;
 use semrec_datalog::program::Program;
 use semrec_datalog::term::Value;
@@ -629,9 +631,42 @@ impl<'a> Estimator<'a> {
 
 /// Reduces a compiled plan to its estimation shape: the kernel's seed,
 /// probe chain (with existential flags and probe-key dependency
-/// structure) and head sources.
+/// structure) and head sources. A ground subgoal's membership test
+/// ([`KernelGuard::Present`]) stands in the chain where its guard runs,
+/// priced as the existential probe it replaces.
 fn shape_of(plan: &CompiledRule) -> PlanShape {
     let k = &plan.kernel;
+    // The chain: per link, predicate, view, bound columns with their
+    // sources (key and residual checks, by column), and existential flag;
+    // `at[d]` is kernel probe depth `d`'s link.
+    type Link = (Pred, View, Vec<(usize, KernelSrc)>, bool);
+    let present = |gs: &[KernelGuard]| -> Vec<Link> {
+        let lookups = gs.iter().filter_map(|g| match *g {
+            KernelGuard::Present(li) => Some(&k.lookups[li]),
+            _ => None,
+        });
+        let link = |l: &KernelLookup| {
+            (
+                l.pred,
+                l.view,
+                l.cols.iter().copied().zip(l.key.clone()).collect(),
+                true,
+            )
+        };
+        lookups.map(link).collect()
+    };
+    let mut chain: Vec<Link> = present(&k.seed_guards);
+    let mut at = Vec::with_capacity(k.probes.len());
+    for p in &k.probes {
+        let mut cols: Vec<(usize, KernelSrc)> =
+            p.key_cols.iter().copied().zip(p.key.clone()).collect();
+        cols.extend(p.checks.iter().copied());
+        cols.sort_by_key(|(c, _)| *c);
+        cols.dedup_by_key(|(c, _)| *c);
+        at.push(chain.len());
+        chain.push((p.pred, p.view, cols, p.existential));
+        chain.extend(present(&p.guards));
+    }
     // Join classes: key (and check) elements sharing a binding source —
     // a seed column or an earlier probe's output column — bind the same
     // variable. Collect every (pred, col) position each variable
@@ -647,24 +682,12 @@ fn shape_of(plan: &CompiledRule) -> PlanShape {
         KernelSrc::Probe(d, c) => Some((k.probes[*d].pred, *c)),
         _ => None,
     };
-    fn bound_cols(p: &crate::plan::KernelProbe) -> Vec<(usize, &KernelSrc)> {
-        let mut cols: Vec<(usize, &KernelSrc)> = p
-            .key_cols
-            .iter()
-            .copied()
-            .zip(p.key.iter())
-            .chain(p.checks.iter().map(|(c, s)| (*c, s)))
-            .collect();
-        cols.sort_by_key(|(c, _)| *c);
-        cols.dedup_by_key(|(c, _)| *c);
-        cols
-    }
     let mut classes: BTreeMap<(u64, usize), Vec<(Pred, usize)>> = BTreeMap::new();
-    for p in &k.probes {
-        for (col, s) in bound_cols(p) {
+    for (pred, _, cols, _) in &chain {
+        for (col, s) in cols {
             let Some(id) = src_id(s) else { continue };
             let class = classes.entry(id).or_default();
-            for pos in [src_pos(s), Some((p.pred, col))].into_iter().flatten() {
+            for pos in [src_pos(s), Some((*pred, *col))].into_iter().flatten() {
                 if !class.contains(&pos) {
                     class.push(pos);
                 }
@@ -674,28 +697,25 @@ fn shape_of(plan: &CompiledRule) -> PlanShape {
     // Reordering freedom is priced only for chains short enough to
     // enumerate; a longer chain keeps its compiled order (the
     // all-earlier sentinel).
-    let reorderable = k.probes.len() <= MAX_REORDERED_PROBES;
-    let probes: Vec<ProbeShape> = k
-        .probes
+    let reorderable = chain.len() <= MAX_REORDERED_PROBES;
+    let probes: Vec<ProbeShape> = chain
         .iter()
         .enumerate()
-        .map(|(d, p)| {
-            let bound = bound_cols(p);
-            let reads = |dd: &usize| {
-                let mut srcs = p.key.iter().chain(p.checks.iter().map(|(_, s)| s));
-                srcs.any(|&s| k.reads_depth(s, *dd))
-            };
+        .map(|(i, (pred, view, cols, existential))| {
+            let reads = |d: &usize| at[*d] < i && cols.iter().any(|(_, s)| k.reads_depth(*s, *d));
             ProbeShape {
-                pred: p.pred,
-                view: p.view,
-                key_cols: bound.iter().map(|(c, _)| *c).collect(),
-                existential: p.existential,
+                pred: *pred,
+                view: *view,
+                key_cols: cols.iter().map(|(c, _)| *c).collect(),
+                existential: *existential,
                 deps: if reorderable {
-                    (0..d).filter(reads).fold(0u64, |m, dd| m | (1 << dd))
+                    (0..at.len())
+                        .filter(reads)
+                        .fold(0u64, |m, d| m | (1 << at[d]))
                 } else {
                     u64::MAX
                 },
-                key_univ: bound
+                key_univ: cols
                     .iter()
                     .map(|(_, s)| {
                         src_id(s)

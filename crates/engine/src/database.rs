@@ -1,9 +1,14 @@
-//! The extensional database: a map from predicate to relation.
+//! The extensional database: a map from predicate to relation, and the
+//! one-off integrity-constraint checks over it. A constraint is checked
+//! by its denial rule on the rule executor ([`IcCheck`]), compiled per
+//! call here; a maintained query compiles its constraints once and keeps
+//! them.
 
-use crate::incr::matcher::{match_body, Poll, State};
+use crate::governor::Budget;
+use crate::incr::IcCheck;
 use crate::relation::{Relation, Tuple};
 use semrec_datalog::atom::{Atom, Pred};
-use semrec_datalog::constraint::{Constraint, IcHead};
+use semrec_datalog::constraint::Constraint;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::term::Value;
 use std::collections::BTreeMap;
@@ -101,57 +106,17 @@ impl Database {
 
     /// Checks whether this database satisfies an integrity constraint:
     /// every assignment satisfying the body must satisfy the head. Returns
-    /// the list of violating body bindings (empty = satisfied).
+    /// the violating bindings of the body variables (empty = satisfied),
+    /// sorted by their values in the variables' first-occurrence order.
     pub fn violations(&self, ic: &Constraint) -> Vec<Subst> {
-        let mut out = Vec::new();
-        self.each_violation(ic, &mut |theta| {
-            out.push(theta.clone());
-            true
-        });
-        out
+        IcCheck::new(self, ic).violations(self)
     }
 
-    /// True if the database satisfies the constraint; stops at the first
-    /// violating binding.
+    /// True if the database satisfies the constraint.
     pub fn satisfies(&self, ic: &Constraint) -> bool {
-        self.each_violation(ic, &mut |_| false)
-    }
-
-    /// Hands `f` each body binding of `ic` whose head fails, through the
-    /// incremental layer's indexed matcher over this database alone,
-    /// until `f` returns `false`; returns whether it ran to the end.
-    fn each_violation(&self, ic: &Constraint, f: &mut dyn FnMut(&Subst) -> bool) -> bool {
-        let state = State {
-            edb: self,
-            idb: &BTreeMap::new(),
-        };
-        let atoms: Vec<&Atom> = ic.body_atoms.iter().collect();
-        let cmps: Vec<_> = ic.body_cmps.iter().collect();
-        let mut on_binding = |theta: &Subst| self.head_holds(ic, theta) || f(theta);
-        let (theta, poll) = (&mut Subst::new(), &mut Poll::new(None));
-        match_body(&state, &atoms, &cmps, theta, poll, &mut on_binding)
-            .expect("an ungoverned match cannot be interrupted")
-    }
-
-    /// True if the constraint's head holds under a complete body binding.
-    pub(crate) fn head_holds(&self, ic: &Constraint, theta: &Subst) -> bool {
-        match &ic.head {
-            IcHead::None => false,
-            IcHead::Cmp(c) => theta.apply_cmp(c).eval_ground() == Some(true),
-            IcHead::Atom(a) => {
-                // One matcher step, stopped at the first hit: a ground
-                // instance is a membership test; under existential head
-                // variables any live row matching the bound positions
-                // witnesses the head, found by probing those columns.
-                let state = State {
-                    edb: self,
-                    idb: &BTreeMap::new(),
-                };
-                let (theta, poll) = (&mut theta.clone(), &mut Poll::new(None));
-                !match_body(&state, &[a], &[], theta, poll, &mut |_| false)
-                    .expect("an ungoverned match cannot be interrupted")
-            }
-        }
+        let check = IcCheck::new(self, ic);
+        let run = check.holds(self, None, &Budget::unlimited(), None);
+        run.expect("an ungoverned run cannot be interrupted").0
     }
 }
 
@@ -254,6 +219,25 @@ mod tests {
     }
 
     #[test]
+    fn violations_come_sorted_whatever_the_insertion_order() {
+        let ics = parse_constraints("ic: e(X, Y) -> w(Y).").unwrap();
+        let mut db = Database::new();
+        for t in [[9, 1], [5, 4], [1, 2], [5, 3]] {
+            db.insert("e", int_tuple(&t));
+        }
+        let at = |v: &str| {
+            let v = semrec_datalog::symbol::Symbol::intern(v);
+            let bad = db.violations(&ics[0]);
+            bad.iter()
+                .map(|s| s.get(v).and_then(|t| t.as_const()))
+                .collect::<Vec<_>>()
+        };
+        let int = |xs: [i64; 4]| xs.map(|x| Some(Value::Int(x))).to_vec();
+        assert_eq!(at("X"), int([1, 5, 5, 9]));
+        assert_eq!(at("Y"), int([2, 3, 4, 1]));
+    }
+
+    #[test]
     fn repeated_variables_in_ic_body() {
         let ics = parse_constraints("ic: e(X, X) -> .").unwrap();
         let mut db = Database::new();
@@ -261,5 +245,25 @@ mod tests {
         assert!(db.satisfies(&ics[0]));
         db.insert("e", int_tuple(&[3, 3]));
         assert!(!db.satisfies(&ics[0]));
+    }
+
+    #[test]
+    fn a_head_at_another_arity_never_holds_and_an_unmatchable_body_never_binds() {
+        // `e(X)` can never be a row of the binary `e`: every body binding
+        // violates.
+        let ics = parse_constraints("ic: e(X, Y) -> e(X). ic: e(X, Y) -> w(X).").unwrap();
+        let mut db = Database::new();
+        for t in [[1, 2], [3, 4]] {
+            db.insert("e", int_tuple(&t));
+        }
+        db.insert("w", int_tuple(&[1, 1]));
+        assert_eq!(db.violations(&ics[0]).len(), 2);
+        assert!(!db.satisfies(&ics[0]));
+        // Nor can a unary head row be a row of the binary `w`.
+        assert_eq!(db.violations(&ics[1]).len(), 2);
+        // A body atom no row can match: nothing binds, nothing violates.
+        let never = parse_constraints("ic: e(X) -> w(X). ic: e(X, Y), e(X) -> .").unwrap();
+        assert!(never.iter().all(|ic| db.satisfies(ic)));
+        assert!(never.iter().all(|ic| db.violations(ic).is_empty()));
     }
 }

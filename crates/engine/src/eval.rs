@@ -21,7 +21,7 @@ use crate::error::EngineError;
 use crate::fxhash::{hash_slice, FxHashMap};
 use crate::governor::{Budget, CancelToken, Governor, POLL_MASK};
 use crate::plan::{
-    compile_rule_with_sizes, BatchKernel, CompiledRule, KernelGuard, KernelNeg, KernelProbe,
+    compile_rule_with_sizes, BatchKernel, CompiledRule, KernelGuard, KernelLookup, KernelProbe,
     KernelSrc, View,
 };
 use crate::relation::{CodeMap, ProbeHandle, Relation, RowRange, Snapshot, Tuple};
@@ -441,8 +441,22 @@ impl Prepared {
     /// is used only for join-order size estimates; the plans stay valid
     /// as the EDB evolves.
     pub fn compile(db: &Database, program: &Program) -> Result<Prepared, EngineError> {
+        Prepared::compile_over(db, program, &[])
+    }
+
+    /// [`Prepared::compile`] for a program whose runs also preload the
+    /// `preloaded` body predicates: they resolve, like its heads, to
+    /// relations handed to [`Evaluator::from_prepared`] rather than to
+    /// the database.
+    pub(crate) fn compile_over(
+        db: &Database,
+        program: &Program,
+        preloaded: &[Pred],
+    ) -> Result<Prepared, EngineError> {
         let arities = program.arities().map_err(EngineError::ArityMismatch)?;
+        let known = preloaded.iter().filter_map(|p| Some((*p, arities.get(p)?)));
         let mut ev = Evaluator::bare(db);
+        ev.preload(known.map(|(p, &n)| (p, Relation::new(n))));
         ev.incremental = true;
         ev.set_program(program)?;
         Ok(Prepared {
@@ -455,26 +469,9 @@ impl Prepared {
         })
     }
 
-    /// Highest stratum in the prepared program (0 ⇔ negation-free).
-    /// Incremental propagation is only sound at stratum 0; callers fall
-    /// back to batch evaluation otherwise.
-    pub fn max_stratum(&self) -> usize {
-        self.max_stratum
-    }
-
     /// The prepared program.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The IDB predicates (head predicates plus any preloaded ones).
-    pub fn idb_preds(&self) -> &BTreeSet<Pred> {
-        &self.idb_preds
-    }
-
-    /// Declared arity of every predicate in the program.
-    pub fn arities(&self) -> &BTreeMap<Pred, usize> {
-        &self.arities
     }
 }
 
@@ -510,9 +507,8 @@ pub struct Evaluator<'db> {
     gov: Option<Governor>,
     /// Incremental mode: EDB subgoals become delta-capable and resolve
     /// their old/delta views through `edb_marks` instead of the full row
-    /// range. Entered via [`Evaluator::new_incremental`] /
-    /// [`Evaluator::from_prepared`]; batch construction leaves it off
-    /// and nothing on the batch path changes.
+    /// range. Entered via [`Evaluator::from_prepared`]; batch
+    /// construction leaves it off and nothing on the batch path changes.
     incremental: bool,
     /// Per EDB predicate, the physical-row watermark separating pre-tx
     /// rows (`[0, mark)` = Old) from rows the current transaction
@@ -576,66 +572,54 @@ impl<'db> Evaluator<'db> {
         }
     }
 
-    /// Builds an *incremental* evaluator: `idb` is a previously
-    /// materialized fixpoint of `program` over the pre-transaction EDB,
-    /// and `edb_marks` records, per EDB predicate, the physical row
-    /// watermark below which rows predate the transaction. Running this
-    /// evaluator to fixpoint performs semi-naive delta-insert
-    /// propagation: the first round is seeded from the EDB rows at or
-    /// above their watermark (plus any preloaded IDB rows beyond
-    /// `preloaded_old`, see [`Evaluator::from_prepared`]) rather than
-    /// from the whole database, and EDB watermarks drain after each
-    /// round.
+    /// An *incremental* evaluator running the plans of `prepared`: `idb`
+    /// holds previously materialized relations (a fixpoint of the program
+    /// over the pre-transaction EDB, and any relations the program was
+    /// prepared to preload), and `edb_marks` records, per EDB predicate,
+    /// the physical row watermark below which rows predate the
+    /// transaction. Running it to fixpoint performs semi-naive
+    /// delta-insert propagation: the first round is seeded from the EDB
+    /// rows at or above their watermark (plus any preloaded rows made
+    /// delta by [`Evaluator::set_idb_delta_start`]) rather than from the
+    /// whole database, and EDB watermarks drain after each round.
     ///
     /// Only sound for positive programs (a stratified program's higher
-    /// strata would need full re-evaluation under changed lower strata);
-    /// construction fails with [`EngineError::NotStratified`]-free
-    /// programs only, and callers must check [`Prepared::max_stratum`]
-    /// or fall back to batch evaluation when negation is present.
-    ///
+    /// strata would need full re-evaluation under changed lower strata).
     /// Preloaded relations may carry tombstones: marks are physical-row
-    /// watermarks and every scan and probe skips dead rows.
+    /// watermarks and every scan and probe skips dead rows. Infallible,
+    /// so a caller that moved its relations in always gets them back
+    /// from [`Evaluator::finish`].
     ///
     /// # Panics
     /// In debug builds, panics if the program has more than one stratum.
-    pub fn new_incremental(
-        db: &'db Database,
-        program: &Program,
-        idb: impl IntoIterator<Item = (Pred, Relation)>,
-        edb_marks: FxHashMap<Pred, u32>,
-    ) -> Result<Evaluator<'db>, EngineError> {
-        let mut ev = Evaluator::bare(db);
-        ev.incremental = true;
-        ev.edb_marks = edb_marks;
-        ev.preload(idb);
-        ev.set_program(program)?;
-        debug_assert_eq!(
-            ev.max_stratum, 0,
-            "incremental mode requires a positive program"
-        );
-        ev.stratum_fresh = false;
-        Ok(ev)
-    }
-
-    /// Like [`Evaluator::new_incremental`], but reuses the compiled
-    /// plans of a [`Prepared`] program instead of recompiling — the
-    /// prepared-plan cache path for repeated transactions against the
-    /// same program. Infallible, so a caller that moved its relations
-    /// in always gets them back from [`Evaluator::finish`].
     pub fn from_prepared(
         db: &'db Database,
         prepared: &Prepared,
         idb: impl IntoIterator<Item = (Pred, Relation)>,
         edb_marks: FxHashMap<Pred, u32>,
     ) -> Evaluator<'db> {
-        let mut ev = Evaluator::bare(db);
-        ev.incremental = true;
-        ev.edb_marks = edb_marks;
-        ev.preload(idb);
         debug_assert_eq!(
             prepared.max_stratum, 0,
             "incremental mode requires a positive program"
         );
+        let mut ev = Evaluator::from_prepared_batch(db, prepared, idb);
+        ev.edb_marks = edb_marks;
+        ev.stratum_fresh = false;
+        ev
+    }
+
+    /// A batch evaluation of `prepared` over the preloaded `idb`, with no
+    /// compilation: each stratum starts with every rule's full plan, as
+    /// [`Evaluator::new`] does, and the EDB has no delta. Any number of
+    /// strata; the relations come back from [`Evaluator::finish`].
+    pub(crate) fn from_prepared_batch(
+        db: &'db Database,
+        prepared: &Prepared,
+        idb: impl IntoIterator<Item = (Pred, Relation)>,
+    ) -> Evaluator<'db> {
+        let mut ev = Evaluator::bare(db);
+        ev.incremental = true;
+        ev.preload(idb);
         ev.program = prepared.program.clone();
         ev.idb_preds = prepared.idb_preds.clone();
         ev.plans = prepared.plans.clone();
@@ -648,14 +632,12 @@ impl<'db> Evaluator<'db> {
                 ev.marks.entry(p).or_insert((0, 0));
             }
         }
-        ev.stratum_fresh = false;
         ev
     }
 
     /// Adopts previously materialized IDB relations, marking every row
-    /// as Old (rows a caller appended *after* recording `preloaded_old`
-    /// become the first round's IDB delta — the DRed rederivation path
-    /// uses this to propagate re-inserted tuples).
+    /// as Old (see [`Evaluator::set_idb_delta_start`] for making some of
+    /// them the first round's delta).
     fn preload(&mut self, idb: impl IntoIterator<Item = (Pred, Relation)>) {
         for (p, rel) in idb {
             let end = rel.physical_rows() as u32;
@@ -666,8 +648,9 @@ impl<'db> Evaluator<'db> {
 
     /// Rewinds the preloaded-Old watermark of `pred` to `old_end`: rows
     /// `[old_end, len)` become the first round's delta for that IDB
-    /// predicate. Used by the DRed pass to propagate tuples it
-    /// re-inserted after over-deletion.
+    /// predicate. Maintenance seeds its runs this way: the propagation
+    /// run with the rows DRed re-derived, the over-deletion and
+    /// re-derivation runs with every row of their seed relations.
     pub fn set_idb_delta_start(&mut self, pred: Pred, old_end: u32) {
         if let Some(rel) = self.idb.get(&pred) {
             let total = rel.physical_rows() as u32;
@@ -1144,8 +1127,8 @@ struct TaskScratch {
     cursors: Vec<Cursor>,
     /// The row currently matched at each probe depth.
     rowids: Vec<u32>,
-    /// Staging buffer for [`KernelGuard::Absent`] membership keys.
-    neg_key: Vec<Value>,
+    /// Staging buffer for [`KernelLookup`] keys.
+    lookup_key: Vec<Value>,
     /// The batch kernel's gathered seed chunk: packed `depth-0 key hash
     /// high half | seed row id` words (see [`pack_seed`]), sorted so
     /// rows sharing a probe key form runs. Capacity is bounded by
@@ -1167,7 +1150,7 @@ struct TaskScratch {
 impl TaskScratch {
     /// Resident heap footprint of the scratch buffers, in bytes.
     fn resident_bytes(&self) -> u64 {
-        ((self.key_buf.capacity() + self.neg_key.capacity() + self.group_keys.capacity())
+        ((self.key_buf.capacity() + self.lookup_key.capacity() + self.group_keys.capacity())
             * std::mem::size_of::<Value>()
             + self.cursors.capacity() * std::mem::size_of::<Cursor>()
             + (self.rowids.capacity() + self.group_starts.capacity()) * std::mem::size_of::<u32>()
@@ -1209,9 +1192,10 @@ struct KernelCtx<'a> {
     seed_rel: &'a Relation,
     /// Relation, visible range and index handle of each probe depth.
     prels: Vec<(&'a Relation, RowRange, ProbeHandle)>,
-    /// Relation and visible range of each [`KernelNeg`]; `None` when
-    /// there is nothing to find, so its guard always passes.
-    nrels: Vec<Option<(&'a Relation, RowRange)>>,
+    /// Relation and visible range of each [`KernelLookup`], with the
+    /// index on its bound columns when they are not all of them; `None`
+    /// when there is nothing to find.
+    lrels: Vec<Option<(&'a Relation, RowRange, Option<ProbeHandle>)>>,
     /// First member-dependent probe depth. Depths `[0, split)` read only
     /// constants, seed columns that are part of the depth-0 (grouping)
     /// key — equal across a group by construction — or rows matched at
@@ -1228,7 +1212,7 @@ struct KernelState<'s> {
     key_buf: &'s mut [Value],
     cursors: &'s mut [Cursor],
     rowids: &'s mut [u32],
-    neg_key: &'s mut Vec<Value>,
+    lookup_key: &'s mut Vec<Value>,
     /// Rows walked so far: the clock of the governance poll (bulk
     /// counter updates would break the global `rows_scanned` cadence).
     ticks: u64,
@@ -1295,7 +1279,7 @@ impl KernelCtx<'_> {
         g: &KernelGuard,
         seed_row: &[Value],
         rowids: &[u32],
-        neg_key: &mut Vec<Value>,
+        lookup_key: &mut Vec<Value>,
     ) -> bool {
         match *g {
             KernelGuard::Cmp(l, op, r) => op.eval(
@@ -1308,16 +1292,33 @@ impl KernelCtx<'_> {
                 self.src_val(args[2], seed_row, rowids),
             ),
             KernelGuard::Solve(ci) => self.compute_val(ci, seed_row, rowids).is_some(),
-            KernelGuard::Absent(ni) => match self.nrels[ni] {
-                None => true,
-                Some((rel, range)) => {
-                    neg_key.clear();
-                    let key = self.k.negs[ni].key.iter();
-                    neg_key.extend(key.map(|&s| self.src_val(s, seed_row, rowids)));
-                    !rel.contains_in_range(neg_key, hash_slice(neg_key), range)
-                }
-            },
+            KernelGuard::Absent(li) => !self.found(li, seed_row, rowids, lookup_key),
+            KernelGuard::Present(li) => self.found(li, seed_row, rowids, lookup_key),
         }
+    }
+
+    /// True when the `li`-th lookup finds a visible row: a
+    /// membership-table test for a full key, else a walk of the bound
+    /// columns' index group checking the unbound columns' equalities.
+    fn found(&self, li: usize, seed_row: &[Value], rowids: &[u32], key: &mut Vec<Value>) -> bool {
+        let Some((rel, range, handle)) = self.lrels[li] else {
+            return false;
+        };
+        let l = &self.k.lookups[li];
+        key.clear();
+        key.extend(l.key.iter().map(|&s| self.src_val(s, seed_row, rowids)));
+        let h = hash_slice(key);
+        let Some(handle) = handle else {
+            return rel.contains_in_range(key, h, range);
+        };
+        let fits = |&r: &u32| {
+            let same = |row: &[Value]| l.same.iter().all(|&(c, d)| row[c] == row[d]);
+            rel.row_visible(r, range) && same(rel.row(r))
+        };
+        // SAFETY: relations and indexes are frozen while a round's tasks
+        // run (see `ProbeHandle` docs).
+        let group = unsafe { handle.encode(h, key).map(|c| handle.group(c)) };
+        group.is_some_and(|g| g.iter().any(fits))
     }
 
     /// The per-member tail of one group-phase prefix match: for each
@@ -1467,7 +1468,7 @@ impl KernelCtx<'_> {
                         if ok {
                             for g in &p.guards {
                                 stats.cmp_evals += 1;
-                                if !self.guard_ok(g, seed_row, st.rowids, st.neg_key) {
+                                if !self.guard_ok(g, seed_row, st.rowids, st.lookup_key) {
                                     ok = false;
                                     break;
                                 }
@@ -1555,8 +1556,13 @@ fn run_kernel(
         debug_assert_eq!(handle.generation(), rel.physical_rows());
         prels.push((rel, range, handle));
     }
-    let visible = |n: &KernelNeg| ev.resolve(n.pred, n.view).filter(|(_, r)| !r.is_empty());
-    let nrels = k.negs.iter().map(visible).collect();
+    let lookup = |l: &KernelLookup| {
+        let (rel, range) = ev.resolve(l.pred, l.view)?;
+        let partial = l.cols.len() < l.arity;
+        let fits = !range.is_empty() && rel.arity() == l.arity;
+        fits.then(|| (rel, range, partial.then(|| ev.handle_for(rel, &l.cols))))
+    };
+    let lrels = k.lookups.iter().map(lookup).collect();
     // Arm the per-depth memos: stamp generations, clear stale maps, and
     // keep only EDB depths (IDB dictionaries change every round, so
     // filling a memo for them is pure overhead).
@@ -1609,7 +1615,7 @@ fn run_kernel(
         k,
         seed_rel,
         prels,
-        nrels,
+        lrels,
         split,
         np,
     };
@@ -1617,7 +1623,7 @@ fn run_kernel(
         key_buf,
         cursors,
         rowids,
-        neg_key,
+        lookup_key,
         chunk,
         group_starts,
         group_hashes,
@@ -1633,7 +1639,7 @@ fn run_kernel(
         key_buf,
         cursors,
         rowids,
-        neg_key,
+        lookup_key,
         ticks: 0,
     };
     let w0 = if np > 0 { k.probes[0].key.len() } else { 0 };
@@ -1685,7 +1691,7 @@ fn run_kernel(
             if ok {
                 for g in &k.seed_guards {
                     stats.cmp_evals += 1;
-                    if !ctx.guard_ok(g, seed_row, st.rowids, st.neg_key) {
+                    if !ctx.guard_ok(g, seed_row, st.rowids, st.lookup_key) {
                         ok = false;
                         break;
                     }
@@ -1923,7 +1929,7 @@ fn run_kernel(
                             if ok {
                                 for g in &p.guards {
                                     lce += 1;
-                                    if !ctx.guard_ok(g, rep_row, st.rowids, st.neg_key) {
+                                    if !ctx.guard_ok(g, rep_row, st.rowids, st.lookup_key) {
                                         ok = false;
                                         break;
                                     }
@@ -2287,6 +2293,34 @@ mod negation_tests {
             Ok(_) => panic!("expected unsafe-rule error"),
         };
         assert!(matches!(err, EngineError::UnsafeRule { .. }));
+    }
+
+    #[test]
+    fn a_generated_variable_only_the_negation_mentions_is_existential() {
+        // With `W` renamed to `W$` (a name `.dl` text cannot spell, as
+        // the IC compiler generates), `!w(Y, W$)` reads "no `w` row
+        // starts with Y"; `!v(Y, W$, W$)` also demands the two free
+        // columns agree.
+        let mut db = chain_db(4);
+        for t in [[2, 7], [3, 8]] {
+            db.insert("w", int_tuple(&t));
+        }
+        for t in [[1, 5, 6], [2, 9, 9]] {
+            db.insert("v", int_tuple(&t));
+        }
+        let p: Program = "a(X) :- e(X, Y), !w(Y, W). b(X) :- e(X, Y), !v(X, W, W)."
+            .parse()
+            .unwrap();
+        use semrec_datalog::{subst::Subst, symbol::Symbol};
+        let w = Subst::from_pairs([(Symbol::intern("W"), Term::Var(Symbol::intern("W$")))]);
+        let p = Program::new(p.rules.iter().map(|r| w.apply_rule(r)).collect());
+        let res = evaluate(&db, &p, Strategy::SemiNaive).unwrap();
+        let rows = |p: &str| res.relation(p).unwrap().sorted_tuples();
+        assert_eq!(rows("a"), vec![int_tuple(&[0]), int_tuple(&[3])]);
+        assert_eq!(
+            rows("b"),
+            vec![int_tuple(&[0]), int_tuple(&[1]), int_tuple(&[3])]
+        );
     }
 
     #[test]

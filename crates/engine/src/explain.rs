@@ -3,18 +3,27 @@
 //! overhead.
 //!
 //! Given the fixpoint result, every derived fact has at least one acyclic
-//! derivation; [`explain`] finds one by matching rules top-down against
-//! the materialized relations, refusing to use a fact inside its own
-//! support (the `visiting` set). This powers the CLI's `why` command and
-//! complements `semrec-iqa`'s proof-tree reasoning with *instance-level*
+//! derivation; [`explain`] finds one top-down, refusing to use a fact
+//! inside its own support (the `visiting` set). Each step of the search
+//! runs on the rule executor: rule `i`, `h(t̄) :- B`, becomes the
+//! head-bound rule `why$i(V̄) :- goal$h(t̄), B` over the rule's variables
+//! `V̄`, compiled once per call, so seeding `goal$h` with the one fact to
+//! explain enumerates
+//! exactly the body instances that derive it, over the EDB and the
+//! materialization. This powers the CLI's `why` command and complements
+//! `semrec-iqa`'s proof-tree reasoning with *instance-level*
 //! explanations.
 
+use crate::builtins::BuiltinOp;
 use crate::database::Database;
+use crate::eval::{Evaluator, Prepared};
 use crate::relation::{Relation, Tuple};
-use semrec_datalog::atom::Pred;
+use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::literal::Literal;
 use semrec_datalog::program::Program;
+use semrec_datalog::rule::Rule;
 use semrec_datalog::subst::Subst;
+use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::{Term, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -59,208 +68,164 @@ impl fmt::Display for Derivation {
 }
 
 /// Explains how `(pred, tuple)` was derived, against the EDB `db` and the
-/// materialized IDB relations `idb`. Returns `None` if the fact does not
-/// hold (or, for malformed inputs, cannot be reconstructed).
+/// materialized IDB relations `idb`, which move into each step's run and
+/// always come back. Returns `None` if the fact does not hold (or, for
+/// malformed inputs, cannot be reconstructed).
 pub fn explain(
     db: &Database,
-    idb: &BTreeMap<Pred, Relation>,
+    idb: &mut BTreeMap<Pred, Relation>,
     program: &Program,
     pred: Pred,
     tuple: &Tuple,
 ) -> Option<Derivation> {
-    let mut visiting = BTreeSet::new();
-    go(db, idb, program, pred, tuple, &mut visiting)
-}
-
-fn lookup<'a>(
-    db: &'a Database,
-    idb: &'a BTreeMap<Pred, Relation>,
-    pred: Pred,
-) -> Option<&'a Relation> {
-    idb.get(&pred).or_else(|| db.get(pred))
-}
-
-fn go(
-    db: &Database,
-    idb: &BTreeMap<Pred, Relation>,
-    program: &Program,
-    pred: Pred,
-    tuple: &[Value],
-    visiting: &mut BTreeSet<(Pred, Tuple)>,
-) -> Option<Derivation> {
-    let rel = lookup(db, idb, pred)?;
-    if !rel.contains(tuple) {
-        return None;
+    let mut vars = Vec::new();
+    let mut rules = Vec::new();
+    for (i, r) in program.rules.iter().enumerate() {
+        // Every variable but those only a negated subgoal holds.
+        let mut v: Vec<Symbol> = r.head.vars().collect();
+        for l in r.body.iter().filter(|l| l.as_neg().is_none()) {
+            v.extend(l.vars());
+        }
+        let mut seen = BTreeSet::new();
+        v.retain(|x| seen.insert(*x));
+        let head = Atom::new(
+            Pred::new(&format!("why${i}")),
+            v.iter().map(|&x| Term::Var(x)).collect(),
+        );
+        let seed = Literal::Atom(Atom::new(goal(r.head.pred), r.head.args.clone()));
+        rules.push(Rule::new(
+            head,
+            [seed].into_iter().chain(r.body.iter().cloned()).collect(),
+        ));
+        vars.push(v);
     }
-    // EDB facts (or facts also present in the EDB) are leaves.
-    if db.get(pred).is_some_and(|r| r.contains(tuple)) {
-        return Some(Derivation {
+    // The seeds and the materialization, and the heads even where it
+    // lacks them: the rules read them all as preloaded relations.
+    let heads = program.idb_preds().into_iter();
+    let preloaded: Vec<Pred> = heads
+        .flat_map(|h| [h, goal(h)])
+        .chain(idb.keys().copied())
+        .collect();
+    let why = Why {
+        program,
+        plans: Prepared::compile_over(db, &Program::new(rules), &preloaded).ok()?,
+        vars,
+    };
+    why.go(db, idb, pred, tuple, &mut BTreeSet::new())
+}
+
+/// The seed predicate of the head-bound rules for `p`.
+fn goal(p: Pred) -> Pred {
+    Pred::new(&format!("goal${p}"))
+}
+
+/// A program's head-bound rules, compiled once per [`explain`] call:
+/// rule `i`'s derives one `why$i` row of its variables `vars[i]` per body
+/// instance of the fact in `goal$h`.
+struct Why<'p> {
+    program: &'p Program,
+    plans: Prepared,
+    vars: Vec<Vec<Symbol>>,
+}
+
+impl Why<'_> {
+    fn go(
+        &self,
+        db: &Database,
+        idb: &mut BTreeMap<Pred, Relation>,
+        pred: Pred,
+        tuple: &[Value],
+        visiting: &mut BTreeSet<(Pred, Tuple)>,
+    ) -> Option<Derivation> {
+        let holds = |rel: Option<&Relation>| rel.is_some_and(|r| r.contains(tuple));
+        let node = |rule, children| Derivation {
             pred,
             tuple: tuple.to_vec(),
-            rule: None,
-            children: vec![],
-        });
-    }
-    let key = (pred, tuple.to_vec());
-    if !visiting.insert(key.clone()) {
-        return None; // already on the current support path
-    }
-    let result = derive_via_rules(db, idb, program, pred, tuple, visiting);
-    visiting.remove(&key);
-    result
-}
-
-fn derive_via_rules(
-    db: &Database,
-    idb: &BTreeMap<Pred, Relation>,
-    program: &Program,
-    pred: Pred,
-    tuple: &[Value],
-    visiting: &mut BTreeSet<(Pred, Tuple)>,
-) -> Option<Derivation> {
-    for ri in program.rules_for(pred) {
-        let rule = &program.rules[ri];
-        // Bind head variables from the tuple.
-        let mut theta = Subst::new();
-        let mut ok = true;
-        for (t, v) in rule.head.args.iter().zip(tuple) {
-            match t {
-                Term::Const(c) => {
-                    if c != v {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(x) => match theta.get(*x) {
-                    Some(Term::Const(prev)) if prev == *v => {}
-                    Some(_) => {
-                        ok = false;
-                        break;
-                    }
-                    None => {
-                        theta.insert(*x, Term::Const(*v));
-                    }
-                },
-            }
+            rule,
+            children,
+        };
+        // EDB facts are leaves.
+        if holds(db.get(pred)) {
+            return Some(node(None, Vec::new()));
         }
-        if !ok {
-            continue;
+        let key = (pred, tuple.to_vec());
+        if !holds(idb.get(&pred)) || !visiting.insert(key.clone()) {
+            return None; // not derived, or already on the support path
         }
-        if let Some(children) = match_body(db, idb, program, rule, 0, theta, visiting) {
-            return Some(Derivation {
-                pred,
-                tuple: tuple.to_vec(),
-                rule: Some(ri),
-                children,
+        let found = self
+            .steps(db, idb, pred, tuple)
+            .into_iter()
+            .find_map(|(i, row)| {
+                let theta: Subst = self.vars[i]
+                    .iter()
+                    .zip(row)
+                    .map(|(&v, c)| (v, Term::Const(c)))
+                    .collect();
+                // The rule's database premises, in body order.
+                let premises = self.program.rules[i]
+                    .body
+                    .iter()
+                    .filter_map(Literal::as_atom);
+                let children = premises
+                    .filter(|a| BuiltinOp::of(a.pred).is_none())
+                    .map(|a| {
+                        let t: Tuple = theta
+                            .apply_atom(a)
+                            .args
+                            .iter()
+                            .map(|t| t.as_const())
+                            .collect::<Option<_>>()?;
+                        self.go(db, idb, a.pred, &t, visiting)
+                    });
+                Some(node(Some(i), children.collect::<Option<_>>()?))
             });
-        }
+        visiting.remove(&key);
+        found
     }
-    None
-}
 
-fn match_body(
-    db: &Database,
-    idb: &BTreeMap<Pred, Relation>,
-    program: &Program,
-    rule: &semrec_datalog::rule::Rule,
-    li: usize,
-    theta: Subst,
-    visiting: &mut BTreeSet<(Pred, Tuple)>,
-) -> Option<Vec<Derivation>> {
-    let Some(lit) = rule.body.get(li) else {
-        return Some(vec![]);
-    };
-    match lit {
-        Literal::Cmp(c) => {
-            let g = theta.apply_cmp(c);
-            match g.eval_ground() {
-                Some(true) => match_body(db, idb, program, rule, li + 1, theta, visiting),
-                _ => None,
-            }
+    /// Every `(rule, variable values)` body instance deriving `(pred,
+    /// tuple)`: rules in program order, each one's instances sorted.
+    fn steps(
+        &self,
+        db: &Database,
+        idb: &mut BTreeMap<Pred, Relation>,
+        pred: Pred,
+        tuple: &[Value],
+    ) -> Vec<(usize, Tuple)> {
+        let mut seed = Relation::new(tuple.len());
+        seed.insert(tuple);
+        let kept: Vec<Pred> = idb.keys().copied().collect();
+        let rels = std::mem::take(idb).into_iter().chain([(goal(pred), seed)]);
+        let mut ev = Evaluator::from_prepared_batch(db, &self.plans, rels);
+        let ran = ev.run();
+        let mut res = ev.finish();
+        for p in kept {
+            idb.insert(p, res.idb.remove(&p).expect("the run keeps every relation"));
         }
-        Literal::Neg(a) => {
-            let g = theta.apply_atom(a);
-            if !g.is_ground() {
-                return None;
-            }
-            let t: Tuple = g.args.iter().map(|x| x.as_const().unwrap()).collect();
-            let absent = lookup(db, idb, g.pred).is_none_or(|r| !r.contains(&t));
-            if absent {
-                match_body(db, idb, program, rule, li + 1, theta, visiting)
-            } else {
-                None
-            }
+        if ran.is_err() {
+            return Vec::new();
         }
-        Literal::Atom(a) if crate::builtins::BuiltinOp::of(a.pred).is_some() => {
-            let op = crate::builtins::BuiltinOp::of(a.pred).unwrap();
-            let g = theta.apply_atom(a);
-            let vals: Vec<Option<Value>> = g.args.iter().map(|t| t.as_const()).collect();
-            if vals.iter().filter(|v| v.is_some()).count() == 3 {
-                if op.check(vals[0].unwrap(), vals[1].unwrap(), vals[2].unwrap()) {
-                    return match_body(db, idb, program, rule, li + 1, theta, visiting);
-                }
-                return None;
-            }
-            if let Some(pos) = vals.iter().position(Option::is_none) {
-                if vals.iter().filter(|v| v.is_some()).count() == 2 {
-                    if let Some(v) = op.solve([vals[0], vals[1], vals[2]]) {
-                        let Term::Var(x) = g.args[pos] else {
-                            return None;
-                        };
-                        let mut t2 = theta.clone();
-                        t2.insert(x, Term::Const(v));
-                        return match_body(db, idb, program, rule, li + 1, t2, visiting);
-                    }
-                }
-            }
-            None
-        }
-        Literal::Atom(a) => {
-            let rel = lookup(db, idb, a.pred)?;
-            'rows: for row in rel.iter() {
-                let mut t2 = theta.clone();
-                for (arg, v) in a.args.iter().zip(row) {
-                    let resolved = t2.apply_term(*arg);
-                    match resolved {
-                        Term::Const(c) => {
-                            if c != *v {
-                                continue 'rows;
-                            }
-                        }
-                        Term::Var(x) => {
-                            t2.insert(x, Term::Const(*v));
-                        }
-                    }
-                }
-                // The premise must itself be explainable (acyclically).
-                let Some(child) = go(db, idb, program, a.pred, row, visiting) else {
-                    continue 'rows;
-                };
-                if let Some(mut rest) = match_body(db, idb, program, rule, li + 1, t2, visiting) {
-                    let mut children = vec![child];
-                    children.append(&mut rest);
-                    return Some(children);
-                }
-            }
-            None
-        }
+        let rows = |i| {
+            res.relation(format!("why${i}").as_str())
+                .map(Relation::sorted_tuples)
+        };
+        let per_rule = self.program.rules_for(pred).into_iter();
+        per_rule
+            .flat_map(|i| rows(i).into_iter().flatten().map(move |t| (i, t)))
+            .collect()
     }
 }
 
-/// Convenience: explains a ground goal written as an atom string, after an
-/// evaluation.
+/// Convenience: explains a ground goal written as an atom, after an
+/// evaluation whose relations it borrows for the search.
 pub fn explain_fact(
     db: &Database,
-    result: &crate::eval::EvalResult,
+    result: &mut crate::eval::EvalResult,
     program: &Program,
-    goal: &semrec_datalog::atom::Atom,
+    goal: &Atom,
 ) -> Option<Derivation> {
-    let tuple: Option<Tuple> = goal
-        .args
-        .iter()
-        .map(|t| t.as_const())
-        .collect::<Option<Vec<Value>>>();
-    explain(db, &result.idb, program, goal.pred, &tuple?)
+    let tuple: Option<Tuple> = goal.args.iter().map(|t| t.as_const()).collect();
+    explain(db, &mut result.idb, program, goal.pred, &tuple?)
 }
 
 #[cfg(test)]
@@ -286,8 +251,8 @@ mod tests {
     #[test]
     fn explains_base_and_derived_facts() {
         let (db, prog) = setup();
-        let res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
-        let d = explain_fact(&db, &res, &prog, &parse_atom("t(1, 4)").unwrap()).unwrap();
+        let mut res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
+        let d = explain_fact(&db, &mut res, &prog, &parse_atom("t(1, 4)").unwrap()).unwrap();
         assert_eq!(d.rule, Some(1));
         // The tree bottoms out in e-facts.
         assert_eq!(d.size(), 3); // three rule applications for a 3-hop path
@@ -299,9 +264,9 @@ mod tests {
     #[test]
     fn nonfacts_are_unexplainable() {
         let (db, prog) = setup();
-        let res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
-        assert!(explain_fact(&db, &res, &prog, &parse_atom("t(4, 1)").unwrap()).is_none());
-        assert!(explain_fact(&db, &res, &prog, &parse_atom("ghost(1)").unwrap()).is_none());
+        let mut res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
+        assert!(explain_fact(&db, &mut res, &prog, &parse_atom("t(4, 1)").unwrap()).is_none());
+        assert!(explain_fact(&db, &mut res, &prog, &parse_atom("ghost(1)").unwrap()).is_none());
     }
 
     #[test]
@@ -316,9 +281,9 @@ mod tests {
             db.insert("e", int_tuple(&[a, b]));
         }
         let prog = unit.program();
-        let res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
+        let mut res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
         for goal in ["t(0, 0)", "t(0, 1)", "t(1, 1)"] {
-            let d = explain_fact(&db, &res, &prog, &parse_atom(goal).unwrap())
+            let d = explain_fact(&db, &mut res, &prog, &parse_atom(goal).unwrap())
                 .unwrap_or_else(|| panic!("{goal} unexplained"));
             assert!(d.size() <= 4);
         }
@@ -331,9 +296,9 @@ mod tests {
         db.insert("e", int_tuple(&[1, 5]));
         db.insert("e", int_tuple(&[1, 2]));
         let prog = unit.program();
-        let res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
-        assert!(explain_fact(&db, &res, &prog, &parse_atom("big(1, 5)").unwrap()).is_some());
-        assert!(explain_fact(&db, &res, &prog, &parse_atom("big(1, 2)").unwrap()).is_none());
+        let mut res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
+        assert!(explain_fact(&db, &mut res, &prog, &parse_atom("big(1, 5)").unwrap()).is_some());
+        assert!(explain_fact(&db, &mut res, &prog, &parse_atom("big(1, 2)").unwrap()).is_none());
     }
 }
 
@@ -356,8 +321,8 @@ mod builtin_tests {
             db.insert("e", int_tuple(&[i, i + 1]));
         }
         let prog = unit.program();
-        let res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
-        let d = explain_fact(&db, &res, &prog, &parse_atom("dist(0, 3, 3)").unwrap())
+        let mut res = evaluate(&db, &prog, Strategy::SemiNaive).unwrap();
+        let d = explain_fact(&db, &mut res, &prog, &parse_atom("dist(0, 3, 3)").unwrap())
             .expect("explained");
         assert_eq!(d.size(), 3);
     }

@@ -110,6 +110,13 @@ pub fn clear() {
     registry().lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
+/// How many times `site` was hit since it was last armed (0 unarmed):
+/// lets a test act while a scheduled fault holds the site.
+pub fn hits(site: &str) -> u64 {
+    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
+    reg.get(site).map_or(0, |s| s.hits)
+}
+
 /// A failpoint call site. Returns `Err` with a description when the
 /// site's armed `FailAction::Err` fires; panics when `Panic` fires;
 /// sleeps and returns `Ok` when `DelayMs` fires; returns `Ok`

@@ -2,7 +2,9 @@
 //! materialized fixpoint to the post-transaction state without
 //! re-evaluating from scratch.
 //!
-//! The subsystem layers three pieces over the flat-storage engine:
+//! The subsystem layers three pieces over the flat-storage engine, and
+//! every one of them runs its joins on the one rule executor
+//! ([`Evaluator`]) as plans prepared once per maintained program:
 //!
 //! 1. **Transactions** — [`Tx`] batches inserts and deletes per
 //!    predicate; [`Database::apply`] applies one *in place* and reports
@@ -12,46 +14,49 @@
 //!    replays (cut the appends, *then* revive the rows).
 //! 2. **Delta propagation** — [`Materialized`] keeps the fixpoint of a
 //!    program materialized across transactions, maintained in place
-//!    under the same kind of log. Deletes run DRed (see [`mod@dred`]):
-//!    over-deletion reads the pre-transaction state and only collects
-//!    doomed rows; once the transaction is applied they are tombstoned
-//!    and the survivors re-derived. Then the inserted EDB rows and the
-//!    re-derived IDB rows seed a semi-naive run whose first round scans
-//!    only the delta ([`Evaluator::from_prepared`], reusing compiled
-//!    plans). An insert-only transaction is the same path with nothing
-//!    doomed. Programs with negation or arithmetic builtins fall back
-//!    to a governed from-scratch re-evaluation — transparently, with
-//!    the same transactional contract.
-//! 3. **Delta IC monitoring** — [`ic_still_satisfied`] re-checks a
-//!    constraint against the delta only, for the optimizer's
-//!    residue-guarded route invalidation (`semrec-core`'s
+//!    under the same kind of log. Deletes run DRed as delta rules (see
+//!    [`mod@dred`]): over-deletion reads the pre-transaction state and
+//!    only collects doomed rows; once the transaction is applied they
+//!    are tombstoned and the survivors re-derived. Then the inserted EDB
+//!    rows and the re-derived IDB rows seed a semi-naive run whose first
+//!    round scans only the delta ([`Evaluator::from_prepared`]). An
+//!    insert-only transaction is the same path with nothing doomed.
+//!    Programs with negation or arithmetic builtins fall back to a
+//!    governed from-scratch re-evaluation — transparently, with the same
+//!    transactional contract.
+//! 3. **IC monitoring** — [`IcCheck`] compiles a constraint into denial
+//!    rules (see [`mod@icheck`]) whose full plan answers
+//!    [`Database::violations`] and whose delta variants re-check a
+//!    constraint that held against the transaction's delta only, for the
+//!    optimizer's residue-guarded route invalidation (`semrec-core`'s
 //!    `MaintainedQuery`).
 //!
-//! Every phase respects the resource governor: budgets and cancel
-//! tokens thread through the DRed worklist and the propagation run, and
-//! any error (budget trip, cancellation, injected fault) undoes what the
-//! transaction did so far, leaving the database and the materialization
-//! holding exactly the tuples they held before —
-//! `tests/fault_injection.rs` asserts commit-or-rollback under seeded
-//! schedules of the `incr.*` failpoints. Nothing is cloned and nothing
-//! is compacted per transaction: after a commit a relation compacts
-//! itself only if its dead rows outnumber its live ones
-//! ([`Relation::compact_if_sparse`]).
+//! Every phase respects the resource governor: the over-deletion,
+//! re-derivation and IC runs answer to the deadline and cancel token,
+//! the propagation run to the whole budget, and any error (budget trip,
+//! cancellation, injected fault) undoes what the transaction did so
+//! far, leaving the database and the materialization holding exactly
+//! the tuples they held before — `tests/fault_injection.rs` asserts
+//! commit-or-rollback under seeded schedules of the `incr.*` failpoints.
+//! Nothing is cloned and nothing is compacted per transaction: after a
+//! commit a relation compacts itself only if its dead rows outnumber its
+//! live ones ([`Relation::compact_if_sparse`]). [`UpdateStats::stats`]
+//! sums the work counters of every run one transaction made.
 
 mod dred;
 mod icheck;
-pub(crate) mod matcher;
+
+pub use icheck::IcCheck;
 
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::eval::{Evaluator, Prepared, Strategy};
 use crate::fxhash::FxHashMap;
-use crate::governor::{Budget, CancelToken, Governor};
+use crate::governor::{Budget, CancelToken};
 use crate::relation::{Relation, Tuple};
 use crate::stats::Stats;
-use matcher::Poll;
+use dred::Dred;
 use semrec_datalog::atom::{Atom, Pred};
-use semrec_datalog::constraint::Constraint;
 use semrec_datalog::literal::Literal;
 use semrec_datalog::program::Program;
 use std::collections::BTreeMap;
@@ -205,16 +210,22 @@ impl Database {
     }
 }
 
-/// Re-checks a constraint that held before a transaction against the
-/// transaction's effective delta only (see [`mod@icheck`] for the case
-/// analysis). `post` is the post-transaction database. Hits the
-/// `incr.icheck` failpoint.
-pub fn ic_still_satisfied(
-    post: &Database,
-    delta: &TxDelta,
-    ic: &Constraint,
-) -> Result<bool, EngineError> {
-    icheck::still_satisfied(post, delta, ic, &mut Poll::new(None))
+/// Arms a maintenance run with the deadline and cancel token of
+/// `budget` and `cancel` only: the row, byte and iteration caps belong
+/// to the propagation run.
+pub(crate) fn governed<'db>(
+    ev: Evaluator<'db>,
+    budget: &Budget,
+    cancel: Option<&CancelToken>,
+) -> Evaluator<'db> {
+    let ev = ev.with_budget(Budget {
+        deadline: budget.deadline,
+        ..Budget::unlimited()
+    });
+    match cancel {
+        Some(c) => ev.with_cancel_token(c.clone()),
+        None => ev,
+    }
 }
 
 /// Counters for one applied transaction.
@@ -234,47 +245,52 @@ pub struct UpdateStats {
     pub rounds: u64,
     /// Wall-clock milliseconds for the whole update.
     pub elapsed_ms: u64,
-    /// Work counters of the propagation (or fallback re-evaluation)
-    /// run — the same [`Stats`] a batch evaluation reports, so callers
-    /// can observe e.g. `dict_memo_hits` on the incremental path.
+    /// Work counters of every run the update made — over-deletion,
+    /// re-derivation, propagation (or fallback re-evaluation), and the
+    /// IC re-checks of a maintained query — summed: the same [`Stats`] a
+    /// batch evaluation reports, covering the whole commit.
     pub stats: Stats,
 }
 
 /// A program's fixpoint kept materialized across transactions.
 ///
-/// Owns the IDB relations and a [`Prepared`] plan cache; each
-/// [`Materialized::apply`] call brings them, in place, to the
-/// post-transaction fixpoint by delta propagation (or governed
+/// Owns the IDB relations, a [`Prepared`] plan cache and the DRed plans;
+/// each [`Materialized::apply`] call brings the relations, in place, to
+/// the post-transaction fixpoint by delta propagation (or governed
 /// re-evaluation for programs outside the incremental fragment). The
 /// EDB itself stays with the caller, who passes it mutably per
 /// transaction.
 pub struct Materialized {
     prepared: Prepared,
+    /// Over-deletion and re-derivation plans; `None` when the program
+    /// uses negation or arithmetic builtins: non-monotone (or
+    /// non-enumerable) subgoals make delta propagation unsound, so every
+    /// tx re-evaluates from scratch.
+    dred: Option<Dred>,
     idb: BTreeMap<Pred, Relation>,
-    /// Set when the program uses negation or arithmetic builtins:
-    /// non-monotone (or non-enumerable) subgoals make delta propagation
-    /// unsound, so every tx re-evaluates from scratch.
-    fallback: bool,
     /// Rounds of the initial batch evaluation (for reporting).
     initial_rounds: u64,
 }
 
 /// What [`Materialized::over_delete`] found for one transaction: the
-/// materialized rows its deletes doom, to be handed to
+/// materialized tuples its deletes doom, to be handed to
 /// [`Materialized::apply_delta`] once the transaction is applied.
 pub struct Doomed {
-    /// Doomed row ids per IDB predicate.
-    rows: BTreeMap<Pred, Vec<u32>>,
+    /// The doomed tuples per IDB predicate: the rows to tombstone and the
+    /// re-derivation run's seeds.
+    tuples: BTreeMap<Pred, Relation>,
+    /// Work counters of the over-deletion run.
+    stats: Stats,
     /// When maintenance of the transaction began: the clock its
     /// deadline and `elapsed_ms` run on.
     start: Instant,
 }
 
-/// The cooperative-check state for one maintenance phase, or `None`
-/// when there is nothing to check.
-fn governor(budget: &Budget, cancel: Option<&CancelToken>) -> Option<Governor> {
-    (budget.is_limited() || cancel.is_some())
-        .then(|| Governor::new(budget, cancel.cloned().unwrap_or_default()))
+impl Doomed {
+    /// Work counters of the over-deletion run.
+    pub fn stats(&self) -> Stats {
+        self.stats
+    }
 }
 
 /// True if the program is in the incrementally maintainable fragment:
@@ -293,16 +309,19 @@ impl Materialized {
     /// Evaluates `program` over `db` from scratch (semi-naive) and keeps
     /// the result materialized for incremental maintenance.
     pub fn new(db: &Database, program: &Program) -> Result<Materialized, EngineError> {
-        let fallback = !incremental_capable(program);
         let prepared = Prepared::compile(db, program)?;
+        let dred = match incremental_capable(program) {
+            true => Some(Dred::compile(db, program)?),
+            false => None,
+        };
         let mut ev = Evaluator::new(db, program, Strategy::SemiNaive)?;
         ev.run()?;
         let initial_rounds = ev.rounds();
         let res = ev.finish();
         Ok(Materialized {
             prepared,
+            dred,
             idb: res.idb,
-            fallback,
             initial_rounds,
         })
     }
@@ -326,7 +345,7 @@ impl Materialized {
     /// program is outside the incremental fragment and every update
     /// re-evaluates from scratch.
     pub fn is_incremental(&self) -> bool {
-        !self.fallback
+        self.dred.is_some()
     }
 
     /// Rounds of the initial from-scratch evaluation.
@@ -363,27 +382,33 @@ impl Materialized {
 
     /// Phase 1 of a transaction, to run *before* `tx` is applied: DRed
     /// over-deletion over the pre-transaction `db` and materialization,
-    /// collecting the rows `tx`'s deletes doom without touching them.
-    /// Empty — and free — for an insert-only transaction. Hits the
-    /// `incr.delete` failpoint.
+    /// collecting the rows `tx`'s deletes doom without touching them
+    /// (the relations move into the run and come back unchanged). Empty
+    /// — and free — for an insert-only transaction. Answers to the
+    /// deadline and cancel token only; hits the `incr.delete` failpoint.
     pub fn over_delete(
-        &self,
+        &mut self,
         db: &Database,
         tx: &Tx,
         budget: Budget,
         cancel: Option<&CancelToken>,
     ) -> Result<Doomed, EngineError> {
-        let start = Instant::now();
-        let mut rows = BTreeMap::new();
-        if !self.fallback && tx.deletes().values().any(|ts| !ts.is_empty()) {
-            #[cfg(feature = "failpoints")]
-            crate::failpoint::hit("incr.delete").map_err(EngineError::Io)?;
-            let gov = governor(&budget, cancel);
-            let mut poll = Poll::new(gov.as_ref());
-            let program = self.prepared.program();
-            rows = dred::over_delete(db, &self.idb, tx.deletes(), program, &mut poll)?;
+        let mut doomed = Doomed {
+            tuples: BTreeMap::new(),
+            stats: Stats::default(),
+            start: Instant::now(),
+        };
+        let Some(dred) = &self.dred else {
+            return Ok(doomed);
+        };
+        if tx.deletes().values().all(Vec::is_empty) {
+            return Ok(doomed);
         }
-        Ok(Doomed { rows, start })
+        #[cfg(feature = "failpoints")]
+        crate::failpoint::hit("incr.delete").map_err(EngineError::Io)?;
+        (doomed.tuples, doomed.stats) =
+            dred.over_delete(db, &mut self.idb, tx.deletes(), &budget, cancel)?;
+        Ok(doomed)
     }
 
     /// The rest of the transaction: `db` now has `tx` applied (`delta`
@@ -403,33 +428,44 @@ impl Materialized {
         budget: Budget,
         cancel: Option<CancelToken>,
     ) -> Result<UpdateStats, EngineError> {
-        if self.fallback {
-            return self.recompute(db, budget, cancel, doomed.start);
+        let Doomed {
+            tuples,
+            stats,
+            start,
+        } = doomed;
+        if self.dred.is_none() {
+            return self.recompute(db, budget, cancel, start);
         }
         // The undo log: every relation's append watermark (tombstoning
         // moves none, so these are also where the propagation run's
-        // delta begins) plus the doomed row ids.
+        // delta begins) plus the doomed row ids, found by content.
         let marks: Vec<(Pred, usize)> = self
             .idb
             .iter()
             .map(|(&p, r)| (p, r.physical_rows()))
             .collect();
-        for (p, rows) in &doomed.rows {
+        let mut rows: BTreeMap<Pred, Vec<u32>> = BTreeMap::new();
+        for (p, gone) in &tuples {
             let rel = self
                 .idb
                 .get_mut(p)
-                .expect("doomed rows name idb predicates");
-            for &r in rows {
-                let was_live = rel.delete_at(r);
-                debug_assert!(was_live, "a row was doomed twice");
+                .expect("doomed tuples name idb predicates");
+            for t in gone.iter() {
+                let r = rel.find(t).expect("over-deleted tuples are materialized");
+                rel.delete_at(r);
+                rows.entry(*p).or_default().push(r);
             }
         }
-        match self.rederive_and_propagate(db, delta, &doomed, &marks, budget, cancel) {
-            Ok(stats) => {
+        let over_deleted = tuples.values().map(|t| t.len() as u64).sum();
+        let run = self.rederive_and_propagate(db, delta, tuples, &marks, start, budget, cancel);
+        match run {
+            Ok(mut update) => {
                 for rel in self.idb.values_mut() {
                     rel.compact_if_sparse();
                 }
-                Ok(stats)
+                update.over_deleted = over_deleted;
+                update.stats += stats;
+                Ok(update)
             }
             Err(e) => {
                 // Relations the run created for previously-empty
@@ -438,7 +474,7 @@ impl Materialized {
                 for (p, mark) in marks {
                     let mut rel = run.remove(&p).expect("the run keeps every relation");
                     rel.truncate(mark);
-                    for &r in doomed.rows.get(&p).into_iter().flatten() {
+                    for &r in rows.get(&p).into_iter().flatten() {
                         rel.revive(r);
                     }
                     self.idb.insert(p, rel);
@@ -449,23 +485,21 @@ impl Materialized {
     }
 
     /// Phases 2 and 3 on the post-transaction state, appending only:
-    /// DRed re-derivation of the (already tombstoned) `doomed` rows,
+    /// DRed re-derivation of the (already tombstoned) `doomed` tuples,
     /// then semi-naive propagation seeded from the tx's inserted EDB
     /// rows and everything appended past `marks`, under whatever
     /// wall-clock remains of `budget` since over-deletion began.
+    #[allow(clippy::too_many_arguments)]
     fn rederive_and_propagate(
         &mut self,
         db: &Database,
         delta: &TxDelta,
-        doomed: &Doomed,
+        doomed: BTreeMap<Pred, Relation>,
         marks: &[(Pred, usize)],
+        start: Instant,
         mut budget: Budget,
         cancel: Option<CancelToken>,
     ) -> Result<UpdateStats, EngineError> {
-        let Doomed {
-            rows: doomed,
-            start,
-        } = doomed;
         #[cfg(feature = "failpoints")]
         crate::failpoint::hit("incr.rederive").map_err(EngineError::Io)?;
         if let Some(d) = budget.deadline {
@@ -477,12 +511,11 @@ impl Materialized {
             }
             budget.deadline = Some(left);
         }
-        let mut rederived = 0;
+        let (mut rederived, mut stats) = (0, Stats::default());
         if !doomed.is_empty() {
-            let gov = governor(&budget, cancel.as_ref());
-            let mut poll = Poll::new(gov.as_ref());
-            let program = self.prepared.program();
-            rederived = dred::rederive(db, &mut self.idb, doomed, program, &mut poll)?;
+            let dred = self.dred.as_ref().expect("an incremental program");
+            (rederived, stats) =
+                dred.rederive(db, &mut self.idb, doomed, &budget, cancel.as_ref())?;
         }
         #[cfg(feature = "failpoints")]
         crate::failpoint::hit("incr.propagate").map_err(EngineError::Io)?;
@@ -502,14 +535,15 @@ impl Materialized {
         let res = ev.finish();
         self.idb = res.idb;
         run?;
+        stats += res.stats;
         Ok(UpdateStats {
             from_scratch: false,
-            over_deleted: doomed.values().map(|rows| rows.len() as u64).sum(),
+            over_deleted: 0,
             rederived,
             idb_inserted: res.stats.inserted,
             rounds,
             elapsed_ms: start.elapsed().as_millis() as u64,
-            stats: res.stats,
+            stats,
         })
     }
 
@@ -746,6 +780,7 @@ pub fn parse_txs(src: &str) -> Result<Vec<Tx>, String> {
 mod tests {
     use super::*;
     use crate::database::int_tuple;
+    use semrec_datalog::constraint::Constraint;
     use semrec_datalog::parser::parse_unit;
 
     fn db(facts: &str) -> Database {
@@ -763,6 +798,13 @@ mod tests {
     }
 
     const TC: &str = "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y).";
+
+    /// The delta re-check of a constraint that held before `delta`.
+    fn holds_after(post: &Database, delta: &TxDelta, ic: &Constraint) -> bool {
+        let check = IcCheck::new(post, ic);
+        let run = check.holds(post, Some(delta), &Budget::unlimited(), None);
+        run.unwrap().0
+    }
 
     #[test]
     fn insert_propagates_incrementally() {
@@ -843,11 +885,11 @@ mod tests {
         let mut tx = Tx::new();
         tx.insert("e", int_tuple(&[2, 3]));
         let delta = d.apply(&tx);
-        assert!(ic_still_satisfied(&d, &delta, &ics[0]).unwrap());
+        assert!(holds_after(&d, &delta, &ics[0]));
         let mut tx2 = Tx::new();
         tx2.insert("e", int_tuple(&[3, 9]));
         let delta2 = d.apply(&tx2);
-        assert!(!ic_still_satisfied(&d, &delta2, &ics[0]).unwrap());
+        assert!(!holds_after(&d, &delta2, &ics[0]));
         assert!(!d.satisfies(&ics[0]));
     }
 
@@ -858,7 +900,21 @@ mod tests {
         let mut tx = Tx::new();
         tx.delete("w", int_tuple(&[2]));
         let delta = d.apply(&tx);
-        assert!(!ic_still_satisfied(&d, &delta, &ics[0]).unwrap());
+        assert!(!holds_after(&d, &delta, &ics[0]));
+    }
+
+    #[test]
+    fn delta_ic_check_of_a_head_that_never_holds_flags_every_new_binding() {
+        // `e(X)` is no row of the binary `e`: the constraint holds only
+        // while `e` is empty, and the first insert breaks it.
+        let ics = semrec_datalog::parser::parse_constraints("ic: e(X, Y) -> e(X).").unwrap();
+        let mut d = db("w(1).");
+        assert!(d.satisfies(&ics[0]));
+        let mut tx = Tx::new();
+        tx.insert("e", int_tuple(&[1, 2]));
+        let delta = d.apply(&tx);
+        assert!(!holds_after(&d, &delta, &ics[0]));
+        assert_eq!(d.violations(&ics[0]).len(), 1);
     }
 
     #[test]
@@ -878,7 +934,7 @@ mod tests {
             // The monitor's contract covers constraints that held.
             let held: Vec<_> = ics.iter().filter(|ic| !violated.contains(ic)).collect();
             let ok = held.iter().map(|ic| {
-                let ok = ic_still_satisfied(&d, &delta, ic).unwrap();
+                let ok = holds_after(&d, &delta, ic);
                 assert_eq!(ok, d.satisfies(ic), "{ic}");
                 violated.extend((!ok).then_some(*ic));
                 ok
@@ -919,6 +975,19 @@ mod tests {
         let stats = m.apply(&mut d, &tx, Budget::unlimited(), None).unwrap();
         assert!(stats.over_deleted > 0 && stats.rederived > 0);
         assert_eq!(m.idb(), &eval_scratch(&d, &p));
+    }
+
+    #[test]
+    fn a_delete_only_commit_counts_the_work_of_every_run() {
+        let mut d = db("e(1, 2). e(2, 3). e(3, 4). e(1, 3).");
+        let mut m = Materialized::new(&d, &program(TC)).unwrap();
+        let mut tx = Tx::new();
+        tx.delete("e", int_tuple(&[2, 3]));
+        let stats = m.apply(&mut d, &tx, Budget::unlimited(), None).unwrap();
+        // Over-deletion and re-derivation probe; propagation alone
+        // would not: nothing was inserted.
+        assert!(stats.stats.probes > 0, "{:?}", stats.stats);
+        assert!(stats.stats.iterations > stats.rounds, "{stats:?}");
     }
 
     #[test]

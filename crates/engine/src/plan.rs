@@ -69,16 +69,27 @@ pub struct ScanStep {
     pub literal: usize,
 }
 
-/// A negated-subgoal check: fails when a matching tuple exists. All
-/// argument positions are bound when the step runs.
+/// A negated-subgoal check: fails when a matching tuple exists. A
+/// generated variable (named with a `$`) that occurs nowhere else in the
+/// rule is existential inside the negation (`!h(Z, W$)` reads
+/// `¬∃W h(Z, W)`) and leaves its column out of the key; every other
+/// argument is bound when the step runs.
 #[derive(Clone, Debug)]
 pub struct NegStep {
     /// The negated predicate.
     pub pred: Pred,
     /// Which view to read (Full for EDB, Total for lower-stratum IDB).
     pub view: View,
-    /// The fully bound key (one source per column).
-    pub key: Vec<Source>,
+    /// The subgoal's arity.
+    pub arity: usize,
+    /// Bound columns, ascending: all of them unless a variable is
+    /// existential.
+    pub key_cols: Vec<usize>,
+    /// Key values, parallel to `key_cols`.
+    pub key_vals: Vec<Source>,
+    /// `(column, earlier column)` pairs an existential variable repeats
+    /// across.
+    pub same: Vec<(usize, usize)>,
 }
 
 /// An arithmetic builtin evaluation (`plus/3`, `times/3`): computes the
@@ -172,17 +183,28 @@ impl KernelCompute {
     }
 }
 
-/// A negated subgoal: passes when no visible row of `pred` equals the
-/// fully bound `key`. The relation is an EDB predicate or a strictly
-/// lower stratum's total view, complete by the time the rule runs.
+/// A membership lookup: does a visible row of `pred` carry `key` in
+/// columns `cols`? A negated subgoal is one ([`KernelGuard::Absent`]);
+/// so is a ground positive subgoal, whose row nothing downstream needs
+/// ([`KernelGuard::Present`]). A full key is a membership-table test; a
+/// partial one — a negated subgoal with existential variables — is an
+/// anti-probe of the index on the bound columns, never a projection of
+/// the relation. The relation is an EDB predicate or an IDB view
+/// complete by the time the rule runs.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct KernelNeg {
-    /// The negated predicate.
+pub struct KernelLookup {
+    /// The looked-up predicate.
     pub pred: Pred,
     /// Which view to read.
     pub view: View,
-    /// One source per column.
+    /// Expected row width; a relation of any other width holds no match.
+    pub arity: usize,
+    /// Bound columns, ascending.
+    pub cols: Vec<usize>,
+    /// One source per bound column.
     pub key: Vec<KernelSrc>,
+    /// `(column, earlier column)` equalities among the unbound columns.
+    pub same: Vec<(usize, usize)>,
 }
 
 /// A pass-or-fail test riding a batch-kernel depth, evaluated per
@@ -198,8 +220,10 @@ pub enum KernelGuard {
     Builtin(BuiltinOp, [KernelSrc; 3]),
     /// Evaluate-or-drop for the `i`-th [`KernelCompute`].
     Solve(usize),
-    /// Anti-probe: the `i`-th [`KernelNeg`] must find no row.
+    /// Anti-probe: the `i`-th [`KernelLookup`] must find no row.
     Absent(usize),
+    /// Membership test: the `i`-th [`KernelLookup`] must find a row.
+    Present(usize),
 }
 
 /// One indexed probe in a [`BatchKernel`] chain.
@@ -243,11 +267,12 @@ pub struct KernelProbe {
 /// The canonical instance is the linear recursive rule
 /// `T(x,z) :- T(x,y), E(y,z)` — delta-seed scan of `T`, one probe of
 /// `E`, direct projection. The derivation is total over what
-/// [`compile_rule`] accepts: negation is a [`KernelGuard::Absent`],
-/// a binding builtin a [`KernelCompute`] at any depth, a cross product a
-/// probe on the zero-column index, and a rule with nothing to scan first
-/// (no body, or a guard or computed key ahead of the first scan) starts
-/// from the unit seed. Chains are as long as the body.
+/// [`compile_rule`] accepts: negation is a [`KernelGuard::Absent`], a
+/// ground subgoal after the seed a [`KernelGuard::Present`], a binding
+/// builtin a [`KernelCompute`] at any depth, a cross product a probe on
+/// the zero-column index, and a rule with nothing to scan first (no
+/// body, or a guard or computed key ahead of the first scan) starts from
+/// the unit seed. Chains are as long as the body.
 #[derive(Clone, Debug)]
 pub struct BatchKernel {
     /// The seed predicate; `None` is the unit seed — the evaluator's
@@ -270,8 +295,9 @@ pub struct BatchKernel {
     /// Binding builtins, in planner order (later computes may read
     /// earlier ones); each has one [`KernelGuard::Solve`].
     pub computes: Vec<KernelCompute>,
-    /// Negated subgoals; each has one [`KernelGuard::Absent`].
-    pub negs: Vec<KernelNeg>,
+    /// Membership lookups; each has one [`KernelGuard::Absent`] or
+    /// [`KernelGuard::Present`].
+    pub lookups: Vec<KernelLookup>,
     /// The probe chain, outermost first.
     pub probes: Vec<KernelProbe>,
     /// Head projection.
@@ -303,7 +329,9 @@ impl BatchKernel {
             KernelGuard::Cmp(l, _, r) => f(l) && f(r),
             KernelGuard::Builtin(_, args) => args.iter().all(|&s| f(s)),
             KernelGuard::Solve(ci) => f(KernelSrc::Computed(ci)),
-            KernelGuard::Absent(ni) => self.negs[ni].key.iter().all(|&s| f(s)),
+            KernelGuard::Absent(li) | KernelGuard::Present(li) => {
+                self.lookups[li].key.iter().all(|&s| f(s))
+            }
         }
     }
 }
@@ -329,9 +357,11 @@ pub struct CompiledRule {
 /// scan seeds the iteration when nothing that needs a seed row precedes
 /// it (its key, if any, is then all constants); otherwise — a guard or
 /// a compute ahead of the first scan, or no scan at all — the rule
-/// starts from the unit seed and every scan is a probe. Filters,
-/// builtins and negated subgoals become guards attached to the most
-/// recent probe (or the seed), preserving the planner's evaluation
+/// starts from the unit seed and every other scan is a probe — or, when
+/// it is ground (every column bound before it runs), a membership test:
+/// its one possible row carries nothing the key does not. Filters,
+/// builtins, negated and ground subgoals become guards attached to the
+/// most recent probe (or the seed), preserving the planner's evaluation
 /// point.
 fn derive_kernel(steps: &[Step], head: &[Source], nslots: usize) -> BatchKernel {
     // Where each slot was first bound, in step order; `compile_rule`
@@ -340,6 +370,19 @@ fn derive_kernel(steps: &[Step], head: &[Source], nslots: usize) -> BatchKernel 
     let resolve = |bindings: &[Option<KernelSrc>], v: Source| match v {
         Source::Const(c) => KernelSrc::Const(c),
         Source::Slot(sl) => bindings[sl].expect("slot bound before use"),
+    };
+    // A lookup of the `cols` of `pred` keyed by `vals`.
+    let lookup = |bindings: &[Option<KernelSrc>], pred, view, arity, cols: &[usize], vals: &[_]| {
+        let key = vals.iter().map(|&v| resolve(bindings, v)).collect();
+        let (cols, same) = (cols.to_vec(), Vec::new());
+        KernelLookup {
+            pred,
+            view,
+            arity,
+            cols,
+            key,
+            same,
+        }
     };
     let mut k = BatchKernel {
         seed_pred: None,
@@ -350,7 +393,7 @@ fn derive_kernel(steps: &[Step], head: &[Source], nslots: usize) -> BatchKernel 
         seed_checks: Vec::new(),
         seed_guards: Vec::new(),
         computes: Vec::new(),
-        negs: Vec::new(),
+        lookups: Vec::new(),
         probes: Vec::new(),
         head: Vec::new(),
     };
@@ -391,12 +434,16 @@ fn derive_kernel(steps: &[Step], head: &[Source], nslots: usize) -> BatchKernel 
                 }
             }
             Step::Neg(n) => {
-                k.negs.push(KernelNeg {
-                    pred: n.pred,
-                    view: n.view,
-                    key: n.key.iter().map(|&v| resolve(&bindings, v)).collect(),
-                });
-                KernelGuard::Absent(k.negs.len() - 1)
+                let mut l = lookup(&bindings, n.pred, n.view, n.arity, &n.key_cols, &n.key_vals);
+                l.same = n.same.clone();
+                k.lookups.push(l);
+                KernelGuard::Absent(k.lookups.len() - 1)
+            }
+            Step::Scan(s) if !seedable && s.key_cols.len() == s.args.len() => {
+                let (cols, vals) = (&s.key_cols, &s.key_vals);
+                k.lookups
+                    .push(lookup(&bindings, s.pred, s.view, cols.len(), cols, vals));
+                KernelGuard::Present(k.lookups.len() - 1)
             }
             Step::Scan(s) => {
                 let seed = std::mem::take(&mut seedable);
@@ -518,6 +565,27 @@ impl<'a> Compiler<'a> {
         }
     }
 
+    /// True for a constant or a variable already bound.
+    fn term_bound(&self, t: Term) -> bool {
+        match t {
+            Term::Const(_) => true,
+            Term::Var(v) => self.slots.get(&v).is_some_and(|s| self.bound.contains(s)),
+        }
+    }
+
+    /// True when `v` is a generated variable (its name carries a `$`, which
+    /// `.dl` text cannot spell) occurring in body literal `li` and nowhere
+    /// else in the rule: inside a negation it is then existential. The
+    /// IC compiler ([`crate::incr::IcCheck`]) names head-only variables
+    /// this way; in a user's rule an unbound variable under a negation
+    /// stays unsafe, so a misspelling is an error rather than a quantifier.
+    fn existential(&self, li: usize, v: Symbol) -> bool {
+        let elsewhere = |(lj, l): (usize, &Literal)| lj != li && l.vars().contains(&v);
+        v.as_str().contains('$')
+            && !self.rule.head.vars().any(|x| x == v)
+            && !self.rule.body.iter().enumerate().any(elsewhere)
+    }
+
     /// Emits the scan for body literal `li` (must be an atom), given the
     /// view it should read.
     fn emit_scan(&mut self, li: usize, view: View) {
@@ -601,17 +669,29 @@ impl<'a> Compiler<'a> {
                     continue;
                 }
                 if let Literal::Neg(a) = l {
-                    let bound = a.args.iter().all(|t| match t {
+                    // Waits until every variable is bound or existential.
+                    let ready = |t: &Term| match t {
+                        Term::Var(v) => self.term_bound(*t) || self.existential(li, *v),
                         Term::Const(_) => true,
-                        Term::Var(v) => self.slots.get(v).is_some_and(|sl| self.bound.contains(sl)),
-                    });
-                    if bound {
-                        let key: Vec<Source> = a.args.iter().map(|&t| self.source(t)).collect();
-                        self.steps.push(Step::Neg(NegStep {
+                    };
+                    if a.args.iter().all(ready) {
+                        let mut step = NegStep {
                             pred: a.pred,
                             view: self.neg_views.get(&li).copied().unwrap_or(View::Full),
-                            key,
-                        }));
+                            arity: a.arity(),
+                            key_cols: Vec::new(),
+                            key_vals: Vec::new(),
+                            same: Vec::new(),
+                        };
+                        for (col, &t) in a.args.iter().enumerate() {
+                            if self.term_bound(t) {
+                                step.key_cols.push(col);
+                                step.key_vals.push(self.source(t));
+                            } else if let Some(first) = a.args[..col].iter().position(|&u| u == t) {
+                                step.same.push((col, first));
+                            }
+                        }
+                        self.steps.push(Step::Neg(step));
                         done.insert(li);
                         progressed = true;
                     }
@@ -712,13 +792,7 @@ pub fn compile_rule_with_sizes(
         // is preserved.
         let bound_count = |li: usize| {
             let atom = rule.body[li].as_atom().unwrap();
-            atom.args
-                .iter()
-                .filter(|t| match t {
-                    Term::Const(_) => true,
-                    Term::Var(v) => c.slots.get(v).is_some_and(|s| c.bound.contains(s)),
-                })
-                .count()
+            atom.args.iter().filter(|&&t| c.term_bound(t)).count()
         };
         let candidates: Vec<usize> = atom_indices
             .iter()
@@ -954,7 +1028,7 @@ mod tests {
         // A binding builtin after two probes: the compute reads the `f`
         // row, its `Solve` guard rides that probe, and `g` is keyed by
         // the solved value — which pins `f` non-existential.
-        let c = compile("p(X) :- e(X,Y), f(Y,W), plus(W, 1, Z), g(Z).");
+        let c = compile("p(X, V) :- e(X,Y), f(Y,W), plus(W, 1, Z), g(Z, V).");
         let k = &c.kernel;
         assert_eq!(k.computes.len(), 1);
         assert_eq!(k.computes[0].args[0], KernelSrc::Probe(0, 1));
@@ -965,8 +1039,22 @@ mod tests {
         // point, keyed by the seed row.
         let k = compile("p(X) :- e(X,Y), !blocked(X,Y).").kernel;
         assert_eq!(k.seed_guards, vec![KernelGuard::Absent(0)]);
-        assert_eq!(k.negs[0].pred, Pred::new("blocked"));
-        assert_eq!(k.negs[0].key, vec![KernelSrc::Seed(0), KernelSrc::Seed(1)]);
+        assert_eq!(k.lookups[0].pred, Pred::new("blocked"));
+        assert_eq!(k.lookups[0].cols, vec![0, 1]);
+        assert_eq!(
+            k.lookups[0].key,
+            vec![KernelSrc::Seed(0), KernelSrc::Seed(1)]
+        );
+        // A ground subgoal after the seed is a membership test, not a
+        // probe: nothing downstream needs its row.
+        let k = compile("p(X,Z) :- e(X,Y), f(Y,Z), e(Z,X).").kernel;
+        assert_eq!(k.probes.len(), 1);
+        assert_eq!(k.probes[0].guards, vec![KernelGuard::Present(0)]);
+        assert_eq!(k.lookups[0].pred, Pred::new("e"));
+        assert_eq!(
+            k.lookups[0].key,
+            vec![KernelSrc::Probe(0, 1), KernelSrc::Seed(0)]
+        );
         // A cross product: a probe on the zero-column index.
         let k = compile("p(X,Y) :- e(X), f(Y).").kernel;
         assert_eq!(k.probes.len(), 1);
@@ -978,16 +1066,33 @@ mod tests {
         assert_eq!(k.head.len(), 2);
         // A computed key ahead of the first scan: unit seed, and the
         // scan becomes a probe keyed by the solved value.
-        let k = compile("p(Y) :- plus(1, 2, Y), q(Y).").kernel;
+        let k = compile("p(Y, Z) :- plus(1, 2, Y), q(Y, Z).").kernel;
         assert_eq!(k.seed_pred, None);
         assert_eq!(k.seed_guards, vec![KernelGuard::Solve(0)]);
         assert_eq!(k.probes[0].key, vec![KernelSrc::Computed(0)]);
         // No width limit: a seven-atom body is seed + six probes, keys
         // packed back to back.
-        let k = compile("p(A,G) :- a(A,B), b(B,C), c(C,D), d(D,E), e(E,F), f(F,G), g(G).").kernel;
+        let k = compile("p(A,H) :- a(A,B), b(B,C), c(C,D), d(D,E), e(E,F), f(F,G), g(G,H).").kernel;
         assert_eq!(k.probes.len(), 6);
         assert_eq!(k.probes[5].key_at, 5);
         assert_eq!(k.key_width(), 6);
+    }
+
+    #[test]
+    fn only_a_generated_variable_is_existential_under_negation() {
+        // In `.dl` text an unbound variable under a negation is unsafe.
+        let rule = parse_rule("p(X) :- e(X,Y), !w(Y, W, W).").unwrap();
+        let err = compile_rule(&rule, &BTreeMap::new(), None).unwrap_err();
+        assert!(matches!(err, EngineError::UnsafeRule { .. }), "{err:?}");
+        // Renamed to `W$`, as the IC compiler names head-only variables,
+        // it is existential: the anti-probe keys on the bound columns
+        // alone, and its repeat is an equality among the unbound ones.
+        let w = (Symbol::intern("W"), Term::Var(Symbol::intern("W$")));
+        let rule = semrec_datalog::subst::Subst::from_pairs([w]).apply_rule(&rule);
+        let k = compile_rule(&rule, &BTreeMap::new(), None).unwrap().kernel;
+        assert_eq!(k.lookups[0].cols, vec![0]);
+        assert_eq!(k.lookups[0].key, vec![KernelSrc::Seed(1)]);
+        assert_eq!(k.lookups[0].same, vec![(2, 1)]);
     }
 
     #[test]
@@ -1011,7 +1116,7 @@ mod tests {
         // after the seed scan (solving for `Y`) and pushes `Y` into the
         // `e` probe's index key — the kernel carries it as a
         // `KernelCompute` read through `KernelSrc::Computed`.
-        let c = compile("p(X,Y) :- s(X), e(X,Y), plus(X, 1, Y).");
+        let c = compile("p(X,Y,W) :- s(X), e(X,Y,W), plus(X, 1, Y).");
         let k = &c.kernel;
         assert_eq!(k.computes.len(), 1);
         assert_eq!(k.computes[0].op, BuiltinOp::Plus);
@@ -1167,7 +1272,12 @@ impl std::fmt::Display for CompiledRule {
                     )?;
                 }
                 Step::Neg(n) => {
-                    let key: Vec<String> = n.key.iter().map(ToString::to_string).collect();
+                    let key: Vec<String> = (0..n.arity)
+                        .map(|c| match n.key_cols.iter().position(|&k| k == c) {
+                            Some(i) => n.key_vals[i].to_string(),
+                            None => "_".to_owned(),
+                        })
+                        .collect();
                     writeln!(
                         f,
                         "  check absent {}({}) [{:?}]",

@@ -1099,44 +1099,6 @@ impl Relation {
             .map(move |r| (r, self.row(r)))
     }
 
-    /// Row ids within `range` whose columns `cols` equal `key`, using (and
-    /// if necessary extending) the hash index on `cols`. Convenience
-    /// wrapper over [`Relation::probe_into`]; the evaluator's hot path
-    /// uses [`Relation::probe_handle`] + [`ProbeHandle::encode`] /
-    /// [`ProbeHandle::group`] instead to avoid the per-probe allocation.
-    ///
-    /// Probing with an empty `cols` is an error — use [`Relation::iter_range`].
-    pub fn probe(&self, cols: &[usize], key: &[Value], range: RowRange) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.probe_into(cols, key, range, &mut out);
-        out
-    }
-
-    /// [`Relation::probe`] writing the hits into a caller-owned buffer
-    /// (cleared first), so repeat probes reuse one allocation. On an
-    /// index miss the build-then-probe happens under a single write-lock
-    /// acquisition — no drop-read/take-write/re-take-read dance.
-    pub fn probe_into(&self, cols: &[usize], key: &[Value], range: RowRange, out: &mut Vec<u32>) {
-        debug_assert!(!cols.is_empty(), "probe with no bound columns");
-        debug_assert_eq!(cols.len(), key.len());
-        out.clear();
-        // Fast path: the index exists and is current — shared read lock.
-        {
-            let indexes = self.indexes.read().expect("index lock poisoned");
-            if let Some(idx) = indexes.get(cols) {
-                if idx.built == self.nrows {
-                    idx.hits_into(key, |r| self.row_visible(r, range), out);
-                    return;
-                }
-            }
-        }
-        // Miss: build (or extend) and probe under one write acquisition.
-        let mut indexes = self.indexes.write().expect("index lock poisoned");
-        let idx = entry_index(&mut indexes, cols);
-        idx.extend(&self.data, self.arity, self.nrows);
-        idx.hits_into(key, |r| self.row_visible(r, range), out);
-    }
-
     /// The lazy per-candidate filter for dictionary-group iteration:
     /// group rows already match the probe key exactly, so a candidate is
     /// a real hit iff it lies in `range` and is live. Used by
@@ -1224,29 +1186,10 @@ impl Relation {
         range
     }
 
-    /// Row ids within `range` exactly equal to `key` (all columns bound).
-    /// Fast path over the dedup table when the range covers everything.
-    pub fn probe_all_columns(&self, key: &[Value], range: RowRange) -> Vec<u32> {
-        if range.start == 0 && range.end as usize >= self.nrows {
-            return if self.contains(key) {
-                vec![u32::MAX] // sentinel row id; only existence matters
-            } else {
-                Vec::new()
-            };
-        }
-        // Partial range: the membership table already maps content
-        // hash → row ids.
-        self.set
-            .get(hash_slice(key), |r| range.contains(r) && self.row(r) == key)
-            .into_iter()
-            .collect()
-    }
-
     /// Existence test for an exact tuple within a row range, walking the
-    /// dedup table's fingerprint-matching slots directly — the
-    /// allocation-free form of [`Relation::probe_all_columns`] used by
-    /// negation steps. The table holds only live rows, so no tombstone
-    /// check is needed.
+    /// membership table's fingerprint-matching slots directly — what the
+    /// executor's full-key lookups (negated and ground subgoals) use. The
+    /// table holds only live rows, so no tombstone check is needed.
     pub fn contains_in_range(&self, key: &[Value], h: u64, range: RowRange) -> bool {
         if key.len() != self.arity {
             return false;
@@ -1548,6 +1491,22 @@ mod tests {
         vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
+    /// The live rows within `range` whose columns `cols` equal `key`, by
+    /// the dictionary index the executor probes.
+    fn probe(r: &Relation, cols: &[usize], key: &[Value], range: RowRange) -> Vec<u32> {
+        r.ensure_index(cols);
+        let h = r.probe_handle(cols).expect("current after ensure_index");
+        // SAFETY: nothing mutates `r` while the handle is in use.
+        let group = unsafe { h.encode(hash_slice(key), key).map(|c| h.group(c)) };
+        let visible = |x: &&u32| r.row_visible(**x, range);
+        group
+            .into_iter()
+            .flatten()
+            .filter(visible)
+            .copied()
+            .collect()
+    }
+
     #[test]
     fn insert_dedups() {
         let mut r = Relation::new(2);
@@ -1588,11 +1547,11 @@ mod tests {
         r.insert(t(&[1, 2]));
         r.insert(t(&[1, 3]));
         r.insert(t(&[2, 3]));
-        let hits = r.probe(&[0], &[Value::Int(1)], r.all_rows());
+        let hits = probe(&r, &[0], &[Value::Int(1)], r.all_rows());
         assert_eq!(hits, vec![0, 1]);
         // Appending after an index exists must extend it.
         r.insert(t(&[1, 9]));
-        let hits = r.probe(&[0], &[Value::Int(1)], r.all_rows());
+        let hits = probe(&r, &[0], &[Value::Int(1)], r.all_rows());
         assert_eq!(hits, vec![0, 1, 3]);
     }
 
@@ -1603,7 +1562,7 @@ mod tests {
         r.insert(t(&[1, 3]));
         r.insert(t(&[1, 4]));
         let delta = RowRange { start: 2, end: 3 };
-        let hits = r.probe(&[0], &[Value::Int(1)], delta);
+        let hits = probe(&r, &[0], &[Value::Int(1)], delta);
         assert_eq!(hits, vec![2]);
     }
 
@@ -1613,23 +1572,23 @@ mod tests {
         r.insert(t(&[1, 2, 3]));
         r.insert(t(&[1, 2, 4]));
         r.insert(t(&[1, 5, 3]));
-        let hits = r.probe(&[0, 1], &[Value::Int(1), Value::Int(2)], r.all_rows());
+        let hits = probe(&r, &[0, 1], &[Value::Int(1), Value::Int(2)], r.all_rows());
         assert_eq!(hits.len(), 2);
-        let hits = r.probe(&[2], &[Value::Int(3)], r.all_rows());
+        let hits = probe(&r, &[2], &[Value::Int(3)], r.all_rows());
         assert_eq!(hits.len(), 2);
     }
 
     #[test]
-    fn probe_all_columns_partial_range() {
+    fn all_columns_probe_partial_range() {
         let mut r = Relation::new(2);
         r.insert(t(&[1, 2]));
         r.insert(t(&[3, 4]));
         r.insert(t(&[5, 6]));
         let delta = RowRange { start: 1, end: 3 };
-        assert_eq!(r.probe_all_columns(&t(&[3, 4]), delta), vec![1]);
-        assert!(r.probe_all_columns(&t(&[1, 2]), delta).is_empty());
+        assert_eq!(probe(&r, &[0, 1], &t(&[3, 4]), delta), vec![1]);
+        assert!(probe(&r, &[0, 1], &t(&[1, 2]), delta).is_empty());
         // Full range uses the existence fast path.
-        assert!(!r.probe_all_columns(&t(&[1, 2]), r.all_rows()).is_empty());
+        assert!(!probe(&r, &[0, 1], &t(&[1, 2]), r.all_rows()).is_empty());
     }
 
     #[test]
@@ -1691,7 +1650,7 @@ mod tests {
         r.insert(t(&[1, 2]));
         r.insert(t(&[3, 4]));
         // Warm an index, then append past the watermark.
-        assert_eq!(r.probe(&[0], &[Value::Int(1)], r.all_rows()).len(), 1);
+        assert_eq!(probe(&r, &[0], &[Value::Int(1)], r.all_rows()).len(), 1);
         let mark = r.physical_rows();
         r.insert(t(&[5, 6]));
         r.insert(t(&[7, 8]));
@@ -1703,7 +1662,7 @@ mod tests {
         r.check_invariant().unwrap();
         // The removed tuple can be re-inserted as a fresh row and probed.
         assert!(r.insert(t(&[5, 6])));
-        assert_eq!(r.probe(&[0], &[Value::Int(5)], r.all_rows()).len(), 1);
+        assert_eq!(probe(&r, &[0], &[Value::Int(5)], r.all_rows()).len(), 1);
         assert_eq!(r.sorted_tuples(), vec![t(&[1, 2]), t(&[3, 4]), t(&[5, 6])]);
         r.check_invariant().unwrap();
         // Truncating to the current size (or past it) is a no-op.
@@ -1759,15 +1718,15 @@ mod tests {
         r.insert(t(&[1, 4]));
         // Build the column index first, then delete: index_hits must
         // filter the dead row id even though the index still lists it.
-        let hits = r.probe(&[0], &[Value::Int(1)], r.all_rows());
+        let hits = probe(&r, &[0], &[Value::Int(1)], r.all_rows());
         assert_eq!(hits, vec![0, 1, 2]);
         assert!(r.delete(&t(&[1, 3])));
-        let hits = r.probe(&[0], &[Value::Int(1)], r.all_rows());
+        let hits = probe(&r, &[0], &[Value::Int(1)], r.all_rows());
         assert_eq!(hits, vec![0, 2]);
         // Dedup-backed exact probe also skips the dead row.
         let range = RowRange { start: 0, end: 2 };
-        assert!(r.probe_all_columns(&t(&[1, 3]), range).is_empty());
-        assert!(r.probe_all_columns(&t(&[1, 3]), r.all_rows()).is_empty());
+        assert!(probe(&r, &[0, 1], &t(&[1, 3]), range).is_empty());
+        assert!(probe(&r, &[0, 1], &t(&[1, 3]), r.all_rows()).is_empty());
         r.check_invariant().unwrap();
     }
 
@@ -1789,11 +1748,11 @@ mod tests {
         // Post-compaction probes rebuild the index over renumbered rows.
         for t_ in &before {
             assert!(r.contains(t_));
-            assert!(!r.probe(&[0, 1], t_, r.all_rows()).is_empty());
+            assert!(!probe(&r, &[0, 1], t_, r.all_rows()).is_empty());
         }
         assert!(!r.contains(&t(&[0, 0])));
         // Deleted rows must not resurface through any probe path.
-        assert!(r.probe(&[1], &[Value::Int(0)], r.all_rows()).is_empty());
+        assert!(probe(&r, &[1], &[Value::Int(0)], r.all_rows()).is_empty());
     }
 
     #[test]
@@ -1807,22 +1766,6 @@ mod tests {
         assert!(!c.contains(&t(&[1])));
         assert_eq!(r, c);
         c.check_invariant().unwrap();
-    }
-
-    #[test]
-    fn probe_into_reuses_buffer_and_matches_probe() {
-        let mut r = Relation::new(2);
-        r.insert(t(&[1, 2]));
-        r.insert(t(&[1, 3]));
-        r.insert(t(&[2, 3]));
-        let mut buf = Vec::new();
-        // First call hits the miss path (build + probe under one write
-        // lock); the second reuses the warm index and the same buffer.
-        r.probe_into(&[0], &[Value::Int(1)], r.all_rows(), &mut buf);
-        assert_eq!(buf, vec![0, 1]);
-        r.probe_into(&[0], &[Value::Int(2)], r.all_rows(), &mut buf);
-        assert_eq!(buf, vec![2]);
-        assert_eq!(buf, r.probe(&[0], &[Value::Int(2)], r.all_rows()));
     }
 
     #[test]
@@ -1864,7 +1807,7 @@ mod tests {
     }
 
     #[test]
-    fn contains_in_range_matches_probe_all_columns() {
+    fn contains_in_range_sees_only_its_range() {
         let mut r = Relation::new(2);
         r.insert(t(&[1, 2]));
         r.insert(t(&[3, 4]));
@@ -2292,7 +2235,7 @@ mod tests {
         for i in 0..6 {
             r.insert(t(&[i % 2, i]));
         }
-        assert_eq!(r.probe(&[0], &[Value::Int(1)], r.all_rows()), [1, 3, 5]);
+        assert_eq!(probe(&r, &[0], &[Value::Int(1)], r.all_rows()), [1, 3, 5]);
         let pinned = r.snapshot();
         let stamp = r.stamp();
         let before = r.sorted_tuples();
@@ -2314,7 +2257,7 @@ mod tests {
         assert_eq!(r.find(&t(&[1, 3])), Some(3), "the old row id is back");
         assert!(!r.has_tombstones());
         assert_ne!(r.stamp(), stamp, "the state was republished if seen");
-        assert_eq!(r.probe(&[0], &[Value::Int(1)], r.all_rows()), [1, 3, 5]);
+        assert_eq!(probe(&r, &[0], &[Value::Int(1)], r.all_rows()), [1, 3, 5]);
         assert_eq!(pinned.sorted_tuples(), before);
         // Without appends nothing is cut, and revive keeps the
         // incarnation (and with it the index cache).

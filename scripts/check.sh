@@ -17,6 +17,9 @@ cargo test -q --offline --workspace
 # exist under this feature, so the agreement-or-typed-error property
 # (tests/fault_injection.rs) gets its own test leg.
 cargo test -q --offline --workspace --features failpoints
+# The IC-check and DRed oracle (tests/maintenance_oracle.rs) at ten times
+# its tier-1 seed budget: the `#[ignore]`d variant.
+cargo test -q --offline --test maintenance_oracle -- --ignored
 # Format gate: the whole workspace is rustfmt-clean; drift fails the
 # build before clippy ever runs.
 cargo fmt --check

@@ -480,7 +480,7 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
 
     let report = |i: usize, route: Route, stats: &semrec::engine::UpdateStats| {
         eprintln!(
-            "tx {}: route: {}; {} over-deleted, {} re-derived, {} inserted, {} round(s), {} ms{}",
+            "tx {}: route: {}; {} over-deleted, {} re-derived, {} inserted, {} round(s), {} ms{}; {}",
             i + 1,
             route_name(route),
             stats.over_deleted,
@@ -493,6 +493,7 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
             } else {
                 ""
             },
+            stats.stats,
         );
     };
 
@@ -851,8 +852,8 @@ fn cmd_why(args: &[String]) -> Result<(), CliError> {
         return Err("`why` needs a ground atom".into());
     }
     let db = Database::from_facts(&unit.facts);
-    let res = evaluate(&db, &program, Strategy::SemiNaive).map_err(CliError::Engine)?;
-    match semrec::engine::explain::explain_fact(&db, &res, &program, &goal) {
+    let mut res = evaluate(&db, &program, Strategy::SemiNaive).map_err(CliError::Engine)?;
+    match semrec::engine::explain::explain_fact(&db, &mut res, &program, &goal) {
         Some(d) => {
             print!("{d}");
             Ok(())

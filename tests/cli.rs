@@ -32,6 +32,34 @@ fn check_validates_samples() {
     }
 }
 
+/// `semrec check` on a file whose facts violate two constraints: each
+/// one's first three violating bindings, in sorted order, byte for byte
+/// — the executor's enumeration order must not leak into the report.
+#[test]
+fn check_reports_violations_byte_for_byte() {
+    let dir = std::env::temp_dir().join(format!("semrec-cli-check-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("viol.dl");
+    std::fs::write(
+        &file,
+        "t(X, Y) :- e(X, Y).\nt(X, Y) :- e(X, Z), t(Z, Y).\n\
+         ic sink: e(X, Y) -> w(Y).\nic order: e(X, Y), X > Y -> .\n\
+         ic held: e(X, Y) -> e(X, Z).\n\
+         e(1, 2). e(2, 3). e(3, 4). e(5, 4). e(9, 1).\nw(3).\n",
+    )
+    .unwrap();
+    let out = output(&["check", file.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "program ok: 2 rules, 6 facts, 3 constraints, 1 recursive predicate(s)\n\
+         VIOLATED ic sink: e(X, Y) -> w(Y).\n  by {X/1, Y/2}\n  by {X/3, Y/4}\n  by {X/5, Y/4}\n\
+         VIOLATED ic order: e(X, Y), X > Y -> .\n  by {X/5, Y/4}\n  by {X/9, Y/1}\n"
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("2 constraint(s) violated"));
+}
+
 #[test]
 fn run_plain_and_optimized_agree() {
     let file = sample("genealogy.dl");

@@ -4,23 +4,33 @@
 //! nothing; a body is matched by nested-loop substitution, one literal
 //! at a time. It shares nothing with the engine's planner, executor or
 //! row store — only the two arithmetic builtins — so agreeing with it
-//! is evidence, not a tautology.
+//! is evidence, not a tautology. The same matcher checks integrity
+//! constraints and computes what DRed over-deletes and re-derives.
 
-use semrec::datalog::{Atom, CmpOp, Literal, Pred, Program, Symbol, Term, Value};
+#![allow(dead_code)] // each suite uses its own subset
+
+use semrec::datalog::{
+    Atom, CmpOp, Constraint, IcHead, Literal, Pred, Program, Symbol, Term, Value,
+};
 use semrec::engine::builtins::BuiltinOp;
 use semrec::engine::Database;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuples per predicate.
 pub type Facts = BTreeMap<Pred, BTreeSet<Vec<Value>>>;
-type Env = BTreeMap<Symbol, Value>;
+/// A variable binding.
+pub type Env = BTreeMap<Symbol, Value>;
+
+/// The live tuples of `db`.
+pub fn facts_of(db: &Database) -> Facts {
+    db.iter()
+        .map(|(p, rel)| (p, rel.iter().map(<[Value]>::to_vec).collect()))
+        .collect()
+}
 
 /// The IDB of `program` over `db`: one entry per head predicate.
 pub fn naive_idb(db: &Database, program: &Program) -> Facts {
-    let mut facts: Facts = db
-        .iter()
-        .map(|(p, rel)| (p, rel.iter().map(<[Value]>::to_vec).collect()))
-        .collect();
+    let mut facts = facts_of(db);
     let heads: BTreeSet<Pred> = program.rules.iter().map(|r| r.head.pred).collect();
     for &h in &heads {
         facts.entry(h).or_default();
@@ -52,12 +62,7 @@ pub fn naive_idb(db: &Database, program: &Program) -> Facts {
             for r in program.rules.iter().filter(|r| stratum[&r.head.pred] == s) {
                 let body: Vec<&Literal> = r.body.iter().collect();
                 solve(&facts, &body, &mut Env::new(), &mut |env| {
-                    let t = r
-                        .head
-                        .args
-                        .iter()
-                        .map(|&t| value(env, t).expect("safe head"));
-                    derived.push((r.head.pred, t.collect::<Vec<Value>>()));
+                    derived.push((r.head.pred, head_tuple(&r.head, env)));
                 });
             }
             let mut grew = false;
@@ -71,6 +76,120 @@ pub fn naive_idb(db: &Database, program: &Program) -> Facts {
     }
     facts.retain(|p, _| heads.contains(p));
     facts
+}
+
+/// Every binding of `ic`'s body variables under which its body holds in
+/// `facts` and its head does not: the constraint is satisfied iff the
+/// set is empty. A head variable the body leaves free is existential.
+pub fn ic_violations(facts: &Facts, ic: &Constraint) -> BTreeSet<Env> {
+    let atoms = ic.body_atoms.iter().cloned().map(Literal::Atom);
+    let body: Vec<Literal> = atoms
+        .chain(ic.body_cmps.iter().map(|&c| Literal::Cmp(c)))
+        .collect();
+    let mut out = BTreeSet::new();
+    solve(
+        facts,
+        &body.iter().collect::<Vec<_>>(),
+        &mut Env::new(),
+        &mut |env| {
+            let holds = match &ic.head {
+                IcHead::None => false,
+                IcHead::Cmp(c) => matches!(
+                    (value(env, c.lhs), value(env, c.rhs)),
+                    (Some(a), Some(b)) if c.op.eval(&a, &b)
+                ),
+                IcHead::Atom(h) => facts.get(&h.pred).is_some_and(|set| {
+                    set.iter().any(|row| {
+                        let mut hit = false;
+                        unify(&h.args, row, &mut env.clone(), &mut |_| hit = true);
+                        hit
+                    })
+                }),
+            };
+            if !holds {
+                out.insert(env.clone());
+            }
+        },
+    );
+    out
+}
+
+/// The IDB tuples DRed over-deletes when the `deleted` EDB tuples leave
+/// `db`, per head predicate: the closure of every derivation, over the
+/// pre-deletion EDB and IDB, that uses a deleted or over-deleted tuple.
+pub fn over_deleted(db: &Database, program: &Program, deleted: &Facts) -> Facts {
+    let gone = |p: Pred| Pred::new(&format!("gone {p}"));
+    let mut facts = facts_of(db);
+    let edb = facts.clone();
+    facts.extend(naive_idb(db, program));
+    for (&p, ts) in deleted {
+        let present = ts
+            .iter()
+            .filter(|t| edb.get(&p).is_some_and(|s| s.contains(*t)));
+        facts.insert(gone(p), present.cloned().collect());
+    }
+    loop {
+        let mut found = Vec::new();
+        for r in &program.rules {
+            for (i, lit) in r.body.iter().enumerate() {
+                let Literal::Atom(a) = lit else { continue };
+                let mut body: Vec<Literal> = r.body.clone();
+                body[i] = Literal::Atom(Atom::new(gone(a.pred), a.args.clone()));
+                solve(
+                    &facts,
+                    &body.iter().collect::<Vec<_>>(),
+                    &mut Env::new(),
+                    &mut |env| {
+                        found.push((gone(r.head.pred), head_tuple(&r.head, env)));
+                    },
+                );
+            }
+        }
+        let mut grew = false;
+        for (p, t) in found {
+            grew |= facts.entry(p).or_default().insert(t);
+        }
+        if !grew {
+            break;
+        }
+    }
+    let heads: BTreeSet<Pred> = program.rules.iter().map(|r| r.head.pred).collect();
+    heads
+        .into_iter()
+        .map(|h| (h, facts.remove(&gone(h)).unwrap_or_default()))
+        .collect()
+}
+
+/// How many `doomed` tuples DRed re-derives in one step: those with a
+/// derivation over the post-transaction EDB `post` and the `pre` IDB
+/// without the doomed tuples.
+pub fn rederived(post: &Database, program: &Program, pre: &Facts, doomed: &Facts) -> usize {
+    let mut facts = facts_of(post);
+    for (h, set) in pre {
+        let dead = doomed.get(h);
+        let kept = set.iter().filter(|t| !dead.is_some_and(|d| d.contains(*t)));
+        facts.insert(*h, kept.cloned().collect());
+    }
+    let mut back = BTreeSet::new();
+    for r in &program.rules {
+        solve(
+            &facts,
+            &r.body.iter().collect::<Vec<_>>(),
+            &mut Env::new(),
+            &mut |env| {
+                let t = head_tuple(&r.head, env);
+                if doomed.get(&r.head.pred).is_some_and(|d| d.contains(&t)) {
+                    back.insert((r.head.pred, t));
+                }
+            },
+        );
+    }
+    back.len()
+}
+
+fn head_tuple(head: &Atom, env: &Env) -> Vec<Value> {
+    let vals = head.args.iter().map(|&t| value(env, t).expect("safe head"));
+    vals.collect()
 }
 
 fn value(env: &Env, t: Term) -> Option<Value> {

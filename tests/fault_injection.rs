@@ -11,6 +11,7 @@
 #![cfg(feature = "failpoints")]
 
 use semrec::core::optimizer::{evaluate_governed, GovernedOutcome, OptimizerConfig};
+use semrec::datalog::Value::Int;
 use semrec::engine::failpoint::{self, FailAction};
 use semrec::engine::{
     Budget, CancelToken, Database, EngineError, Evaluator, Route, Strategy, Tuple,
@@ -525,6 +526,57 @@ fn incr_delete_fault_commits_exactly_or_rolls_back() {
         );
     }
     sweep.expect_both_outcomes(sites);
+}
+
+/// A cancel token fired while DRed over-deletion runs: deleting a
+/// chain's last edge over-deletes one row per link, one round each. The
+/// sixth round is held at its boundary; another thread waits until it
+/// is, fires the token, and the next round's check trips. The
+/// transaction fails as a typed `Cancelled`, database and
+/// materialization are tuple-equal to before, and the same transaction
+/// then commits.
+#[test]
+fn a_cancel_mid_over_deletion_rolls_back() {
+    let _g = serial();
+    let s = parse_scenario(fanout::PROGRAM);
+    let mut db = Database::new();
+    for i in 0..30i64 {
+        db.insert("edge", vec![Int(i), Int(i + 1)]);
+        db.insert("witness", vec![Int(i + 1), Int(0)]);
+    }
+    let mut m = semrec::engine::incr::Materialized::new(&db, &s.program).unwrap();
+    let pre = (
+        edb_snapshot(&db, &["edge", "witness"]),
+        idb_snapshot(m.idb()),
+    );
+    let mut tx = semrec::engine::Tx::new();
+    tx.delete("edge", vec![Int(29), Int(30)]);
+    let token = CancelToken::new();
+    let fire = token.clone();
+    failpoint::clear();
+    failpoint::arm("eval.round", 5, FailAction::DelayMs(500));
+    let canceller = std::thread::spawn(move || {
+        while failpoint::hits("eval.round") < 6 {
+            std::thread::yield_now();
+        }
+        fire.cancel();
+    });
+    let result = m.apply(&mut db, &tx, Budget::unlimited(), Some(token));
+    canceller.join().unwrap();
+    failpoint::clear();
+    assert_eq!(result.unwrap_err(), EngineError::Cancelled);
+    expect_invariants(&db, m.idb(), "after the cancelled over-deletion");
+    let post = (
+        edb_snapshot(&db, &["edge", "witness"]),
+        idb_snapshot(m.idb()),
+    );
+    assert_eq!(post, pre);
+    let stats = m.apply(&mut db, &tx, Budget::unlimited(), None).unwrap();
+    assert_eq!(stats.over_deleted, 30);
+    assert_eq!(
+        m.idb()[&"reach".into()].sorted_tuples(),
+        scratch_reach(&db, &s.program)
+    );
 }
 
 /// The same schedule one layer up, with the delta IC monitor's site in
