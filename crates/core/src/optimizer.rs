@@ -294,19 +294,25 @@ pub struct GovernedOutcome {
     /// Why the optimized route did not answer (panic, optimizer error,
     /// or its budget slice running out), when degradation happened.
     pub degraded: Option<String>,
+    /// The optimizer's plan, unless the optimizer itself failed.
+    pub plan: Option<Plan>,
 }
 
 /// The rewrite alternatives the cost-based router prices for one query:
-/// the program as written, its rectified normal form (when it differs),
-/// the residue-pushed program (when the optimizer applied anything), and
-/// — when a goal directs evaluation — the magic-sets rewriting. Returns
-/// the alternatives plus, when a magic variant was enumerated, the
-/// adorned predicate holding the goal's answers.
+/// the program as written, its rectified normal form (when it differs)
+/// and the residue-pushed program (when the optimizer applied anything).
+/// When a goal directs evaluation, each base program that is not merely
+/// rectified — the original and the pushed one — is also rewritten
+/// toward it, by magic sets and, where it applies, by factoring. Returns
+/// the alternatives plus, when a goal-directed one was enumerated, the
+/// adorned predicate (`p@<ad>`, the same for every such rewrite) holding
+/// the goal's answers.
 pub fn route_alternatives(
     program: &Program,
     plan: &Plan,
     goal: Option<&Atom>,
 ) -> (Vec<(AlternativeKind, Program)>, Option<Pred>) {
+    use semrec_engine::magic::{factor_rewrite, magic_rewrite};
     let mut alts = vec![(AlternativeKind::Original, program.clone())];
     if plan.rectified != *program {
         alts.push((AlternativeKind::Rectified, plan.rectified.clone()));
@@ -314,21 +320,32 @@ pub fn route_alternatives(
     if plan.any_applied() {
         alts.push((AlternativeKind::ResiduePushed, plan.program.clone()));
     }
-    let mut magic_answer = None;
-    if let Some(goal) = goal {
-        // Magic prices only the goal-relevant subset; an unrewritable
-        // program (negation, EDB goal) just isn't enumerated.
-        if let Ok(m) = semrec_engine::magic::magic_rewrite(program, goal) {
-            magic_answer = Some(m.answer_pred);
-            alts.push((AlternativeKind::Magic, m.program));
+    let mut answer = None;
+    let Some(goal) = goal else {
+        return (alts, answer);
+    };
+    let mut bases = vec![(false, program)];
+    if plan.any_applied() {
+        bases.push((true, &plan.program));
+    }
+    for (pushed, base) in bases {
+        // An unrewritable program (negation, EDB goal) just isn't
+        // enumerated for magic; factoring says itself where it applies.
+        if let Ok(m) = magic_rewrite(base, goal) {
+            answer = Some(m.answer_pred);
+            alts.push((AlternativeKind::Magic { pushed }, m.program));
+        }
+        if let Some(f) = factor_rewrite(base, goal) {
+            answer = Some(f.answer_pred);
+            alts.push((AlternativeKind::Factored { pushed }, f.program));
         }
     }
-    (alts, magic_answer)
+    (alts, answer)
 }
 
 /// Evaluates `program` under `budget` with the paper's semantic
 /// optimization — degrading instead of dying. See [`evaluate_routed`];
-/// this entry point routes without a goal (so no magic-sets
+/// this entry point routes without a goal (so no goal-directed
 /// alternative is priced).
 pub fn evaluate_governed(
     db: &semrec_engine::Database,
@@ -352,6 +369,12 @@ pub fn evaluate_governed(
 /// is evaluated under the remaining budget. Cancellation is honored,
 /// never degraded around: a [`EngineError::Cancelled`] from either
 /// route is final.
+///
+/// With a `goal`, the goal-directed rewrites of [`route_alternatives`]
+/// are priced as well. When one of them answers, the result's IDB holds
+/// the goal's answers under `goal.pred` and the rewrite's auxiliaries
+/// beside them — not the program's other relations — so a caller that
+/// needs whole relations routes without a goal.
 ///
 /// The planner's verdict rides on the result:
 /// [`EvalResult::choice`](semrec_engine::EvalResult) records every
@@ -381,6 +404,7 @@ pub fn evaluate_routed(
     }
 
     let degraded: String;
+    let mut kept_plan = None;
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         Optimizer::new(program)
             .with_constraints(ics)
@@ -389,7 +413,7 @@ pub fn evaluate_routed(
     }));
     match attempt {
         Ok(Ok(plan)) => {
-            let (alts, magic_answer) = route_alternatives(program, &plan, goal);
+            let (alts, answer) = route_alternatives(program, &plan, goal);
             let mut stats = EdbStats::new();
             let (run_program, kind, choice) = match CostMemo::build(db, &mut stats, alts) {
                 Ok(memo) => {
@@ -414,12 +438,13 @@ pub fn evaluate_routed(
                         result.stats.plan_nanos = c.plan_nanos;
                         result.choice = Some(c);
                     }
-                    // Magic computes the goal's answers under the adorned
-                    // predicate; surface them under the goal's own
-                    // predicate so `answers(goal)` works unchanged.
-                    if kind == AlternativeKind::Magic {
-                        if let (Some(goal), Some(ans)) = (goal, magic_answer) {
-                            if let Some(rel) = result.idb.get(&ans).cloned() {
+                    // A goal-directed rewrite computes the goal's answers
+                    // under the adorned predicate; surface them under the
+                    // goal's own predicate so `answers(goal)` works
+                    // unchanged.
+                    if kind.is_goal_directed() {
+                        if let (Some(goal), Some(ans)) = (goal, answer) {
+                            if let Some(rel) = result.idb.remove(&ans) {
                                 result.idb.insert(goal.pred, rel);
                             }
                         }
@@ -427,11 +452,13 @@ pub fn evaluate_routed(
                     return Ok(GovernedOutcome {
                         result,
                         degraded: None,
+                        plan: Some(plan),
                     });
                 }
                 Err(EngineError::Cancelled) => return Err(EngineError::Cancelled),
                 Err(e) => degraded = format!("{kind} route: {e}"),
             }
+            kept_plan = Some(plan);
         }
         Ok(Err(e)) => degraded = format!("optimizer failed: {e}"),
         Err(payload) => {
@@ -461,6 +488,7 @@ pub fn evaluate_routed(
     Ok(GovernedOutcome {
         result,
         degraded: Some(degraded),
+        plan: kept_plan,
     })
 }
 

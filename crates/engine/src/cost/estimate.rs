@@ -443,10 +443,19 @@ impl<'a> Estimator<'a> {
     }
 
     /// Distinct values at one (pred, col) position: the propagated
-    /// domain for IDB predicates, the dictionary distinct count for EDB.
-    fn position_ndv(&mut self, p: Pred, c: usize, dom: &BTreeMap<(Pred, usize), f64>) -> f64 {
+    /// domain for IDB predicates, capped by the rows estimated so far (a
+    /// column has no more values than its relation has rows — what keeps
+    /// a one-row magic seed from reading as a whole domain of bindings),
+    /// the dictionary distinct count for EDB.
+    fn position_ndv(
+        &mut self,
+        p: Pred,
+        c: usize,
+        total: &BTreeMap<Pred, f64>,
+        dom: &BTreeMap<(Pred, usize), f64>,
+    ) -> f64 {
         match dom.get(&(p, c)) {
-            Some(&d) => d,
+            Some(&d) => d.min(total.get(&p).copied().unwrap_or(d)),
             None => self
                 .stats
                 .group(self.db, p, &[c])
@@ -498,7 +507,7 @@ impl<'a> Estimator<'a> {
             for (i, _) in probe.key_cols.iter().enumerate() {
                 let mut u = 0.0f64;
                 for &(p, c) in probe.key_univ.get(i).map_or(&[][..], Vec::as_slice) {
-                    u = u.max(self.position_ndv(p, c, dom));
+                    u = u.max(self.position_ndv(p, c, total, dom));
                 }
                 if u > 0.0 {
                     universe = (universe * u).min(ROW_CLAMP);

@@ -2,8 +2,9 @@
 //! priced by the estimator, with the cheapest selected as the route.
 //!
 //! The alternatives themselves come from the semantic optimizer in
-//! `semrec-core` (original / rectified / residue-pushed programs, plus a
-//! magic-sets variant when a goal directs evaluation); this module only
+//! `semrec-core` (original / rectified / residue-pushed programs, plus
+//! magic sets and factoring of the original and the pushed program when
+//! a goal directs evaluation); this module only
 //! prices and ranks them. Subplans shared between alternatives — the
 //! rectified and residue-pushed programs differ in a few body atoms, the
 //! rest of their rules are identical — are deduplicated through the
@@ -29,8 +30,19 @@ pub enum AlternativeKind {
     Rectified,
     /// The residue-pushed (semantically optimized) program.
     ResiduePushed,
-    /// The magic-sets rewriting toward a goal.
-    Magic,
+    /// The magic-sets rewriting toward a goal, of the program as written
+    /// or, when `pushed`, of the residue-pushed program (E7's
+    /// composition).
+    Magic {
+        /// Rewrites the residue-pushed program.
+        pushed: bool,
+    },
+    /// Factoring toward a goal (`magic::factor_rewrite`), of the program
+    /// as written or, when `pushed`, of the residue-pushed program.
+    Factored {
+        /// Rewrites the residue-pushed program.
+        pushed: bool,
+    },
 }
 
 impl AlternativeKind {
@@ -38,23 +50,40 @@ impl AlternativeKind {
     /// answers.
     pub fn route(self) -> Route {
         match self {
-            // Magic is goal-directed evaluation of the original rules;
-            // both report the program-as-given route.
-            AlternativeKind::Original | AlternativeKind::Magic => Route::Direct,
+            // A goal-directed rewrite reports the route of the program
+            // it rewrote.
+            AlternativeKind::Original
+            | AlternativeKind::Magic { pushed: false }
+            | AlternativeKind::Factored { pushed: false } => Route::Direct,
             AlternativeKind::Rectified => Route::RectifiedFallback,
-            AlternativeKind::ResiduePushed => Route::Optimized,
+            AlternativeKind::ResiduePushed
+            | AlternativeKind::Magic { pushed: true }
+            | AlternativeKind::Factored { pushed: true } => Route::Optimized,
         }
+    }
+
+    /// True for the rewrites that answer one goal only, under the
+    /// adorned predicate `route_alternatives` names.
+    pub fn is_goal_directed(self) -> bool {
+        matches!(
+            self,
+            AlternativeKind::Magic { .. } | AlternativeKind::Factored { .. }
+        )
     }
 
     /// Tie-break rank: among cost-indistinguishable alternatives the
     /// residue-pushed program wins (the paper's default), then the
-    /// original, then rectified, then magic.
+    /// original, then rectified, then the goal-directed rewrites,
+    /// factoring before magic and pushed before as written.
     fn rank(self) -> u8 {
         match self {
             AlternativeKind::ResiduePushed => 0,
             AlternativeKind::Original => 1,
             AlternativeKind::Rectified => 2,
-            AlternativeKind::Magic => 3,
+            AlternativeKind::Factored { pushed: true } => 3,
+            AlternativeKind::Factored { pushed: false } => 4,
+            AlternativeKind::Magic { pushed: true } => 5,
+            AlternativeKind::Magic { pushed: false } => 6,
         }
     }
 
@@ -64,7 +93,10 @@ impl AlternativeKind {
             AlternativeKind::Original => "original",
             AlternativeKind::Rectified => "rectified",
             AlternativeKind::ResiduePushed => "residue_pushed",
-            AlternativeKind::Magic => "magic",
+            AlternativeKind::Magic { pushed: false } => "magic",
+            AlternativeKind::Magic { pushed: true } => "pushed_magic",
+            AlternativeKind::Factored { pushed: false } => "factored",
+            AlternativeKind::Factored { pushed: true } => "pushed_factored",
         }
     }
 }

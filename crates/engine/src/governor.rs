@@ -38,7 +38,7 @@ pub(crate) const POLL_MASK: u64 = 0x3FF;
 /// let b = Budget::unlimited()
 ///     .with_deadline(Duration::from_millis(250))
 ///     .with_max_idb_rows(1_000_000);
-/// assert!(b.is_limited());
+/// assert_eq!((b.max_idb_rows, b.max_iterations), (Some(1_000_000), None));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Budget {
@@ -82,15 +82,6 @@ impl Budget {
     pub fn with_max_iterations(mut self, n: u64) -> Budget {
         self.max_iterations = Some(n);
         self
-    }
-
-    /// True if any limit is set (an unlimited budget costs nothing: the
-    /// evaluator skips every check).
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some()
-            || self.max_idb_rows.is_some()
-            || self.max_resident_bytes.is_some()
-            || self.max_iterations.is_some()
     }
 }
 
@@ -200,17 +191,6 @@ impl Governor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unlimited_budget_is_unlimited() {
-        assert!(!Budget::unlimited().is_limited());
-        assert!(Budget::unlimited().with_max_idb_rows(5).is_limited());
-        assert!(Budget::unlimited()
-            .with_deadline(Duration::from_millis(1))
-            .is_limited());
-        assert!(Budget::unlimited().with_max_resident_bytes(1).is_limited());
-        assert!(Budget::unlimited().with_max_iterations(1).is_limited());
-    }
 
     #[test]
     fn cancel_token_is_shared() {

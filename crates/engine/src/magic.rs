@@ -13,11 +13,17 @@
 //! with one bound side binds the other); comparisons whose variables are
 //! not bound at a magic-rule cut point are dropped from the magic rule
 //! (sound: magic predicates may over-approximate relevance).
+//!
+//! [`factor_rewrite`] is the second goal-directed rewrite: argument
+//! reduction by factoring (Naughton, Ramakrishnan, Sagiv & Ullman, VLDB
+//! 1989) for the linear recursions whose magic set is the whole closure
+//! — right-linear queried `bf`, left-linear queried `fb`.
 
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::eval::{evaluate, scan_goal, EvalResult, Strategy};
 use crate::relation::Tuple;
+use semrec_datalog::analysis::{classify_linear, unsafe_vars};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::literal::{CmpOp, Literal};
 use semrec_datalog::program::Program;
@@ -53,6 +59,20 @@ impl Adornment {
     pub fn all_free(&self) -> bool {
         self.0.iter().all(|&b| !b)
     }
+
+    /// The goal's adornment: its constants are the bound positions.
+    pub fn of_goal(goal: &Atom) -> Adornment {
+        Adornment(goal.args.iter().map(|t| t.as_const().is_some()).collect())
+    }
+
+    /// The arguments at the bound positions.
+    fn bound_args(&self, args: &[Term]) -> Vec<Term> {
+        args.iter()
+            .zip(&self.0)
+            .filter(|(_, &b)| b)
+            .map(|(&t, _)| t)
+            .collect()
+    }
 }
 
 /// The output of the rewriting.
@@ -75,14 +95,7 @@ fn magic_pred(p: Pred, a: &Adornment) -> Pred {
 /// The magic atom for `atom` under adornment `a`: the bound-position
 /// arguments only.
 fn magic_atom(atom: &Atom, a: &Adornment) -> Atom {
-    let args: Vec<Term> = atom
-        .args
-        .iter()
-        .zip(&a.0)
-        .filter(|(_, &b)| b)
-        .map(|(&t, _)| t)
-        .collect();
-    Atom::new(magic_pred(atom.pred, a), args)
+    Atom::new(magic_pred(atom.pred, a), a.bound_args(&atom.args))
 }
 
 /// Rewrites `program` for the goal atom `goal` (constants mark bound
@@ -106,29 +119,12 @@ pub fn magic_rewrite(program: &Program, goal: &Atom) -> Result<MagicProgram, Eng
         )));
     }
 
-    let goal_adornment = Adornment(
-        goal.args
-            .iter()
-            .map(|t| matches!(t, Term::Const(_)))
-            .collect(),
-    );
-
-    let mut out_rules: Vec<Rule> = Vec::new();
+    let goal_adornment = Adornment::of_goal(goal);
 
     // Seed: magic fact for the query's bound constants. An all-free goal
     // still gets a zero-arity magic seed so adorned rules are guarded
     // uniformly.
-    let seed_args: Vec<Term> = goal
-        .args
-        .iter()
-        .zip(&goal_adornment.0)
-        .filter(|(_, &b)| b)
-        .map(|(&t, _)| t)
-        .collect();
-    out_rules.push(Rule::fact(Atom::new(
-        magic_pred(goal.pred, &goal_adornment),
-        seed_args,
-    )));
+    let mut out_rules: Vec<Rule> = vec![Rule::fact(magic_atom(goal, &goal_adornment))];
 
     let mut seen: BTreeSet<(Pred, Adornment)> = BTreeSet::new();
     let mut queue: VecDeque<(Pred, Adornment)> = VecDeque::new();
@@ -209,6 +205,148 @@ pub fn magic_rewrite(program: &Program, goal: &Atom) -> Result<MagicProgram, Eng
         program: Program::new(out_rules),
         answer_pred: adorned_pred(goal.pred, &goal_adornment),
     })
+}
+
+/// Rewrites `program` for `goal` by factoring, or `None` where that is
+/// not sound. Evaluate the result and read [`MagicProgram::answer_pred`],
+/// as for [`magic_rewrite`].
+///
+/// With `p` the goal's predicate, `B` its bound (constant) positions and
+/// `F` its free ones, factoring applies when
+/// - the goal has both bound and free positions;
+/// - `p` is recursive under [`classify_linear`] (over the rules `p`
+///   depends on);
+/// - every head of `p` is distinct variables;
+/// - in every recursive rule, each free position `i` carries the head's
+///   variable unchanged into the recursive atom at `i`, and that variable
+///   occurs nowhere else in the rule.
+///
+/// A recursive step then relates bound arguments only and passes the free
+/// ones through, so `p(c̄, ȳ)` holds iff an exit rule derives `p(ā, ȳ)`
+/// for some `ā` the steps reach from `c̄` (DESIGN.md §15.3 has the
+/// induction). The rewrite computes that reachable set as `m@p@<ad>` and
+/// the answers from it:
+///
+/// ```text
+/// m@p@<ad>(c̄).
+/// m@p@<ad>(Z̄_B) :- m@p@<ad>(X̄_B), body.        one per recursive rule
+/// p@<ad>(c̄, Ȳ)  :- m@p@<ad>(X̄_B), exit_body.   one per exit rule
+/// ```
+///
+/// plus the rules of every lower predicate those rules read.
+pub fn factor_rewrite(program: &Program, goal: &Atom) -> Option<MagicProgram> {
+    let p = goal.pred;
+    let adornment = Adornment::of_goal(goal);
+    if adornment.all_free() || adornment.0.iter().all(|&b| b) {
+        return None;
+    }
+    let mine = reads(program, [p]);
+    let sub = Program::new(
+        program
+            .rules
+            .iter()
+            .filter(|r| mine.contains(&r.head.pred))
+            .cloned()
+            .collect(),
+    );
+    let info = classify_linear(&sub)
+        .ok()?
+        .into_iter()
+        .find(|i| i.pred == p)?;
+    if info.arity != goal.arity()
+        || !info
+            .all_rules()
+            .iter()
+            .all(|&i| distinct_vars(&sub.rules[i].head))
+    {
+        return None;
+    }
+
+    let m = magic_pred(p, &adornment);
+    let guard = |head: &Atom| Literal::Atom(Atom::new(m, adornment.bound_args(&head.args)));
+    let mut rules = vec![Rule::fact(magic_atom(goal, &adornment))];
+    for &ri in &info.recursive_rules {
+        let rule = &sub.rules[ri];
+        let at = rule.positions_of(p)[0];
+        let rec = rule.body[at].as_atom().expect("a recursive subgoal");
+        let mut body = vec![guard(&rule.head)];
+        body.extend(
+            (rule.body.iter().enumerate())
+                .filter(|&(j, _)| j != at)
+                .map(|(_, l)| l.clone()),
+        );
+        let passed_through = adornment.0.iter().enumerate().all(|(i, &b)| {
+            let x = rule.head.args[i];
+            let v = x.as_var().expect("distinct variables");
+            b || (rec.args[i] == x
+                && rec.args.iter().filter(|&&t| t == x).count() == 1
+                && body.iter().all(|l| !l.vars().contains(&v)))
+        });
+        let step = Rule::new(Atom::new(m, adornment.bound_args(&rec.args)), body);
+        if !passed_through || !unsafe_vars(&step).is_empty() {
+            return None;
+        }
+        rules.push(step);
+    }
+    let answer_pred = adorned_pred(p, &adornment);
+    for &ri in &info.exit_rules {
+        let rule = &sub.rules[ri];
+        let args = (rule.head.args.iter().zip(&goal.args).zip(&adornment.0))
+            .map(|((&h, &g), &b)| if b { g } else { h })
+            .collect();
+        let mut body = vec![guard(&rule.head)];
+        body.extend(rule.body.iter().cloned());
+        rules.push(Rule::new(Atom::new(answer_pred, args), body));
+    }
+
+    let lower = reads(
+        &sub,
+        rules
+            .iter()
+            .flat_map(|r| r.body.iter().filter_map(read_pred))
+            .filter(|&q| q != m),
+    );
+    if lower.contains(&p) {
+        return None;
+    }
+    rules.extend(
+        (sub.rules.iter())
+            .filter(|r| lower.contains(&r.head.pred))
+            .cloned(),
+    );
+    Some(MagicProgram {
+        program: Program::new(rules),
+        answer_pred,
+    })
+}
+
+/// The predicate a body literal reads, positively or under negation.
+fn read_pred(l: &Literal) -> Option<Pred> {
+    l.as_atom().or(l.as_neg()).map(|a| a.pred)
+}
+
+/// `roots` and every predicate the rules for them read, transitively —
+/// negated subgoals included, which `analysis::reachable_preds` skips.
+fn reads(program: &Program, roots: impl IntoIterator<Item = Pred>) -> BTreeSet<Pred> {
+    let mut seen: BTreeSet<Pred> = roots.into_iter().collect();
+    loop {
+        let before = seen.len();
+        for r in &program.rules {
+            if seen.contains(&r.head.pred) {
+                seen.extend(r.body.iter().filter_map(read_pred));
+            }
+        }
+        if seen.len() == before {
+            return seen;
+        }
+    }
+}
+
+fn distinct_vars(atom: &Atom) -> bool {
+    let mut seen = BTreeSet::new();
+    atom.args
+        .iter()
+        .all(|t| t.as_var().is_some_and(|v| seen.insert(v)))
 }
 
 /// Bound-first sideways information passing: orders a rule's body so that
@@ -454,6 +592,144 @@ mod tests {
             magic_tuples < full.relation("t").unwrap().len() / 10,
             "magic explored {magic_tuples} tuples"
         );
+    }
+
+    /// Answers to `goal` from the factored program, checked against the
+    /// full fixpoint filtered by the goal; returns the rows the factored
+    /// evaluation inserted.
+    fn factored_agrees(db: &Database, p: &Program, goal: &str) -> u64 {
+        let goal = parse_atom(goal).unwrap();
+        let f = factor_rewrite(p, &goal).expect("factoring applies");
+        let res = evaluate(db, &f.program, Strategy::SemiNaive).unwrap();
+        let mut got = scan_goal(res.relation(f.answer_pred).unwrap(), &goal);
+        got.sort();
+        let full = evaluate(db, p, Strategy::SemiNaive).unwrap();
+        let mut want = scan_goal(full.relation(goal.pred).unwrap(), &goal);
+        want.sort();
+        assert_eq!(got, want, "{goal} over\n{}", f.program);
+        res.stats.inserted
+    }
+
+    fn refused(src: &str, goal: &str) -> bool {
+        let p: Program = src.parse().unwrap();
+        factor_rewrite(&p, &parse_atom(goal).unwrap()).is_none()
+    }
+
+    #[test]
+    fn factoring_applies_to_right_linear_bound_first() {
+        let db = chain_db(30);
+        // The magic set of `t(3, Y)` is every node after 3, and so is
+        // `t^bf`'s: 27·28/2 rows. Factoring keeps two unary sets instead.
+        let rows = factored_agrees(&db, &tc(), "t(3, Y)");
+        assert!(rows <= 2 * 28 + 1, "{rows} rows");
+        let f = factor_rewrite(&tc(), &parse_atom("t(3, Y)").unwrap()).unwrap();
+        assert_eq!(
+            f.program.to_string(),
+            "m@t@bf(3).\n\
+             m@t@bf(Z) :- m@t@bf(X), e(X, Z).\n\
+             t@bf(3, Y) :- m@t@bf(X), e(X, Y).\n"
+        );
+        assert_eq!(f.answer_pred, Pred::new("t@bf"));
+        // An absent constant answers nothing.
+        factored_agrees(&db, &tc(), "t(99, Y)");
+    }
+
+    #[test]
+    fn factoring_applies_to_left_linear_bound_last() {
+        let p: Program = "t(X,Y) :- e(X,Y). t(X,Y) :- t(X,Z), e(Z,Y)."
+            .parse()
+            .unwrap();
+        let rows = factored_agrees(&chain_db(30), &p, "t(X, 20)");
+        assert!(rows <= 2 * 20 + 1, "{rows} rows");
+    }
+
+    #[test]
+    fn factoring_is_refused_where_unsound() {
+        // Right-linear queried `fb`: the free first argument changes in
+        // the recursion.
+        let tc = "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y).";
+        assert!(refused(tc, "t(X, 5)"));
+        // The free variable is reused in the body.
+        assert!(refused(
+            "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), f(Y), t(Z,Y).",
+            "t(0, Y)"
+        ));
+        // A residue guard on the free variable.
+        assert!(refused(
+            "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y), Y > 3.",
+            "t(0, Y)"
+        ));
+        // Nothing to factor: all free, all bound, non-recursive, EDB.
+        assert!(refused(tc, "t(X, Y)"));
+        assert!(refused(tc, "t(0, 5)"));
+        assert!(refused("s(X, Y) :- e(X, Y).", "s(0, Y)"));
+        assert!(refused(tc, "e(0, Y)"));
+    }
+
+    #[test]
+    fn factoring_needs_distinct_head_variables() {
+        // A constant in a free position of an exit head: the program as
+        // written is refused, its rectified form (`Y = 0` in the body)
+        // factors and answers the same.
+        let src = "t(X, 0) :- root(X). t(X, Y) :- e(X, Z), t(Z, Y).";
+        assert!(refused(src, "t(5, Y)"));
+        let (rect, _) = semrec_datalog::analysis::rectify(&src.parse().unwrap());
+        let mut db = chain_db(10);
+        db.insert("root", int_tuple(&[8]));
+        factored_agrees(&db, &rect, "t(5, Y)");
+        factored_agrees(&db, &rect, "t(9, Y)");
+    }
+
+    #[test]
+    fn factoring_takes_one_step_per_recursive_rule() {
+        let p: Program = "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y). t(X,Y) :- f(X,Z), t(Z,Y)."
+            .parse()
+            .unwrap();
+        let mut db = chain_db(12);
+        db.insert("f", int_tuple(&[0, 20]));
+        db.insert("e", int_tuple(&[20, 21]));
+        db.insert("f", int_tuple(&[21, 5]));
+        factored_agrees(&db, &p, "t(0, Y)");
+        factored_agrees(&db, &p, "t(20, Y)");
+    }
+
+    #[test]
+    fn factoring_keeps_the_lower_predicates_it_reads() {
+        // The residue push leaves `@` auxiliaries (and negation below the
+        // recursion is fine): their rules come along. The parser takes no
+        // `@`, so `aux` is renamed the way the push names it.
+        let mut p: Program = "reach(X, Y) :- edge(X, Y).
+             reach(X, Y) :- edge(X, Z), aux(Z), reach(Z, Y).
+             aux(Z) :- witness(Z, W), !blocked(Z).
+             blocked(Z) :- ban(Z, Z)."
+            .parse()
+            .unwrap();
+        let aux = |a: &mut Atom| {
+            if a.pred == Pred::new("aux") {
+                a.pred = Pred::new("reach@d1");
+            }
+        };
+        for r in &mut p.rules {
+            aux(&mut r.head);
+            r.body.iter_mut().for_each(|l| {
+                if let Literal::Atom(a) = l {
+                    aux(a)
+                }
+            });
+        }
+        let mut db = Database::new();
+        for i in 0..10 {
+            db.insert("edge", int_tuple(&[i, i + 1]));
+            db.insert("witness", int_tuple(&[i + 1, 0]));
+        }
+        db.insert("ban", int_tuple(&[6, 6]));
+        let goal = parse_atom("reach(2, Y)").unwrap();
+        let f = factor_rewrite(&p, &goal).unwrap();
+        let heads: BTreeSet<Pred> = f.program.rules.iter().map(|r| r.head.pred).collect();
+        assert!(heads.contains(&Pred::new("reach@d1")) && heads.contains(&Pred::new("blocked")));
+        assert!(!heads.contains(&Pred::new("reach")));
+        factored_agrees(&db, &p, "reach(2, Y)");
+        factored_agrees(&db, &p, "reach(7, Y)");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! semrec optimize <file> [--small PRED]...        show the optimization plan
-//! semrec run <file> [--optimize] [--query 'p(a, X)'] [--magic]
+//! semrec run <file> [--optimize] [--query 'p(a, X)']
 //!            [--data DIR] [--save DIR] [--engine seminaive|topdown|sld]
 //!            [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]
 //! semrec explain <file> [--run] [--query ATOM] [--data DIR]
@@ -52,11 +52,10 @@
 //! reflects the most severe serving error seen across the whole session
 //! (wal-corrupt > epoch-reclaimed > overloaded), or 0.
 
-use semrec::core::optimizer::{evaluate_governed, Optimizer, OptimizerConfig};
+use semrec::core::optimizer::{evaluate_routed, Optimizer, OptimizerConfig};
 use semrec::datalog::analysis::{check_arities, classify_linear, validate};
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
 use semrec::datalog::Pred;
-use semrec::engine::magic::evaluate_query;
 use semrec::engine::{
     evaluate, scan_goal, Budget, CancelToken, Database, EngineError, Route, Strategy,
 };
@@ -180,7 +179,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
 
 fn usage() -> String {
     "usage:\n  semrec optimize <file> [--small PRED]...\n  \
-     semrec run <file> [--optimize] [--query ATOM] [--magic]\n  \
+     semrec run <file> [--optimize] [--query ATOM]\n  \
              [--data DIR] [--save DIR] [--small PRED]...\n  \
              [--engine seminaive|topdown|sld]\n  \
              [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]\n  \
@@ -209,7 +208,7 @@ fn known_flags(cmd: &str) -> (&'static [&'static str], &'static [&'static str], 
     match cmd {
         "optimize" => (&[], &["--small"], false),
         "run" => (
-            &["--optimize", "--magic"],
+            &["--optimize"],
             &["--query", "--data", "--save", "--small", "--engine"],
             true,
         ),
@@ -358,72 +357,41 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let budget = parse_budget(args)?;
     let optimize = args.iter().any(|a| a == "--optimize");
 
-    let query = args
-        .iter()
-        .position(|a| a == "--query")
-        .and_then(|i| args.get(i + 1))
+    let query = flag_value(args, "--query")
         .map(|q| parse_atom(q).map_err(|e| e.to_string()))
         .transpose()?;
-
-    // The governed optimizing path: under a budget, `--optimize` runs
-    // the degradation policy — the optimized program gets a slice of
-    // the budget and the rectified program answers if that route fails.
-    if optimize && budget.is_limited() {
-        let outcome = evaluate_governed(
-            &db,
-            &unit.program(),
-            &unit.constraints,
-            optimizer_config(args),
-            budget,
-            CancelToken::new(),
-        )
-        .map_err(CliError::Engine)?;
-        if let Some(why) = &outcome.degraded {
-            eprintln!("degraded: {why}");
-        }
-        eprintln!("route: {}", route_name(outcome.result.route));
-        emit_result(&outcome.result, query.as_ref(), args)?;
-        return Ok(());
-    }
-
-    let program = if optimize {
-        let plan = build_plan(&unit, args)?;
+    let applied = |plan: &semrec::core::Plan| {
         for a in &plan.applied {
             eprintln!("applied {}: {}", a.kind, a.note);
         }
-        plan.program
-    } else {
-        unit.program()
     };
 
-    if args.iter().any(|a| a == "--magic") {
-        let goal = query.ok_or("--magic requires --query")?;
-        let (answers, res) = evaluate_query(&db, &program, &goal).map_err(CliError::Engine)?;
-        print_facts(answers.iter().map(|t| (goal.pred, &t[..])))?;
-        eprintln!("-- {} answers; {}", answers.len(), res.stats);
-        return Ok(());
-    }
-
     match flag_value(args, "--engine").map(String::as_str) {
-        Some("topdown") => {
-            let goal = query.ok_or("--engine topdown requires --query")?;
-            let (answers, stats) = semrec::engine::topdown::query_topdown(&db, &program, &goal)
+        Some(engine @ ("topdown" | "sld")) => {
+            let goal = query.ok_or(format!("--engine {engine} requires --query"))?;
+            let program = if optimize {
+                let plan = build_plan(&unit, args)?;
+                applied(&plan);
+                plan.program
+            } else {
+                unit.program()
+            };
+            let (answers, stats) = if engine == "topdown" {
+                let (answers, stats) = semrec::engine::topdown::query_topdown(&db, &program, &goal)
+                    .map_err(CliError::Engine)?;
+                (answers, stats.to_string())
+            } else {
+                let (answers, stats, compl) = semrec::engine::sld::query_sld(
+                    &db,
+                    &program,
+                    &goal,
+                    semrec::engine::sld::SldConfig::default(),
+                )
                 .map_err(CliError::Engine)?;
+                (answers, format!("{stats}; {compl:?}"))
+            };
             print_facts(answers.iter().map(|t| (goal.pred, &t[..])))?;
             eprintln!("-- {} answers; {}", answers.len(), stats);
-            return Ok(());
-        }
-        Some("sld") => {
-            let goal = query.ok_or("--engine sld requires --query")?;
-            let (answers, stats, compl) = semrec::engine::sld::query_sld(
-                &db,
-                &program,
-                &goal,
-                semrec::engine::sld::SldConfig::default(),
-            )
-            .map_err(CliError::Engine)?;
-            print_facts(answers.iter().map(|t| (goal.pred, &t[..])))?;
-            eprintln!("-- {} answers; {}; {:?}", answers.len(), stats, compl);
             return Ok(());
         }
         Some("seminaive") | None => {}
@@ -433,13 +401,46 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             )));
         }
     }
-    let mut ev = semrec::engine::Evaluator::new(&db, &program, Strategy::SemiNaive)
+
+    // `--optimize` is one path: the cost router picks among the rewrites
+    // — the goal-directed ones too when a query is given — and runs the
+    // cheapest under the budget (a slice of its deadline); the rectified
+    // program answers if that route fails. `--save` writes whole
+    // relations, which a goal-directed route does not compute, so it
+    // routes without the goal.
+    if optimize {
+        let goal = query
+            .as_ref()
+            .filter(|_| flag_value(args, "--save").is_none());
+        let outcome = evaluate_routed(
+            &db,
+            &unit.program(),
+            &unit.constraints,
+            optimizer_config(args),
+            budget,
+            CancelToken::new(),
+            goal,
+        )
+        .map_err(CliError::Engine)?;
+        if let Some(plan) = &outcome.plan {
+            applied(plan);
+        }
+        if let Some(why) = &outcome.degraded {
+            eprintln!("degraded: {why}");
+        }
+        let res = &outcome.result;
+        match &res.choice {
+            Some(c) => eprintln!("route: {} ({})", route_name(res.route), c.chosen),
+            None => eprintln!("route: {}", route_name(res.route)),
+        }
+        return emit_result(res, query.as_ref(), args);
+    }
+
+    let mut ev = semrec::engine::Evaluator::new(&db, &unit.program(), Strategy::SemiNaive)
         .map_err(CliError::Engine)?
         .with_budget(budget);
     ev.run().map_err(CliError::Engine)?;
-    let res = ev.finish();
-    emit_result(&res, query.as_ref(), args)?;
-    Ok(())
+    emit_result(&ev.finish(), query.as_ref(), args)
 }
 
 /// Human-readable name for an evaluation route.
@@ -693,7 +694,7 @@ fn explain_routing(
     let goal = flag_value(args, "--query")
         .map(|q| parse_atom(q).map_err(|e| e.to_string()))
         .transpose()?;
-    let (alts, _) = semrec::core::route_alternatives(&program, plan, goal.as_ref());
+    let (alts, answer) = semrec::core::route_alternatives(&program, plan, goal.as_ref());
     let mut stats = semrec::engine::EdbStats::new();
     let memo = match semrec::engine::CostMemo::build(&db, &mut stats, alts) {
         Ok(m) => m,
@@ -705,7 +706,7 @@ fn explain_routing(
     println!("— route plan —");
     for a in &memo.alternatives {
         println!(
-            "  {:<14} est_work={:<12.0} est_rows={:<10.0} est_bytes={:<12.0} rounds={}{}",
+            "  {:<16} est_work={:<12.0} est_rows={:<10.0} est_bytes={:<12.0} rounds={}{}",
             a.kind.name(),
             a.estimate.work,
             a.estimate.rows,
@@ -746,10 +747,20 @@ fn explain_routing(
             let predicted = best.estimate.per_pred.get(p).copied().unwrap_or(0.0);
             println!(
                 "  {:<20} actual={:<8} predicted={:.0}",
-                p,
+                p.name(),
                 rel.len(),
                 predicted
             );
+        }
+        if let Some(goal) = &goal {
+            // A goal-directed program answers under the adorned predicate.
+            let holder = answer
+                .filter(|_| best.kind.is_goal_directed())
+                .unwrap_or(goal.pred);
+            let n = res
+                .relation(holder)
+                .map_or(0, |rel| scan_goal(rel, goal).len());
+            println!("answers: {n} to {goal}");
         }
     }
     Ok(())

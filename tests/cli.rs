@@ -72,12 +72,135 @@ fn run_plain_and_optimized_agree() {
     assert!(plain.contains("anc(dan, 20, alice, 104)."));
 }
 
+/// `run --optimize --query` hands the goal to the router, which prices
+/// magic sets like any route (there is no `--magic` to ask for it).
 #[test]
-fn run_with_magic() {
+fn run_optimize_routes_the_goal() {
     let file = sample("genealogy.dl");
-    let (ok, out, _) = semrec(&["run", &file, "--magic", "--query", "anc(dan, A, Y, Ya)"]);
+    let q = "anc(dan, A, Y, Ya)";
+    let (ok, plain, _) = semrec(&["run", &file, "--query", q]);
     assert!(ok);
+    let (ok, out, stderr) = semrec(&["run", &file, "--optimize", "--query", q]);
+    assert!(ok, "{stderr}");
     assert_eq!(out.lines().count(), 3);
+    assert_eq!(out, plain);
+    assert!(stderr.contains("applied subtree pruning"), "{stderr}");
+    assert!(
+        stderr.contains("route: direct (no optimization applied) (magic)"),
+        "{stderr}"
+    );
+}
+
+/// A `semrec gen fanout` bundle in a fresh directory named `tag`.
+fn fanout_bundle(tag: &str) -> (std::path::PathBuf, String, String) {
+    let dir = std::env::temp_dir().join(format!("semrec-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (ok, _, stderr) = semrec(&["gen", "fanout", dir.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    let program = dir.join("fanout.dl").to_str().unwrap().to_owned();
+    let data = dir.join("fanout-data").to_str().unwrap().to_owned();
+    (dir, program, data)
+}
+
+/// On the fanout bundle (200 nodes, 39 601 `reach` rows) the router
+/// factors the residue-pushed program toward `reach(0, Y)`: a row budget
+/// of 2 000 — five times the factored program's 400 rows, a twentieth of
+/// the closure — answers exactly what the plain run answers without a
+/// budget, and the same budget without `--optimize` trips (exit 4).
+#[test]
+fn a_row_budget_proves_the_closure_is_not_built() {
+    let (dir, program, data) = fanout_bundle("budget");
+    let run = |extra: &[&str]| {
+        let args = [&["run", &program, "--data", &data][..], extra].concat();
+        output(&[&args[..], &["--query", "reach(0, Y)"]].concat())
+    };
+    let plain = run(&[]);
+    let routed = run(&["--optimize", "--max-rows", "2000"]);
+    let capped = run(&["--max-rows", "2000"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&routed.stderr);
+    assert_eq!(routed.status.code(), Some(0), "{stderr}");
+    assert_eq!(routed.stdout, plain.stdout);
+    assert_eq!(String::from_utf8_lossy(&plain.stdout).lines().count(), 200);
+    assert!(stderr.contains("inserted=400 "), "{stderr}");
+    assert_eq!(
+        capped.status.code(),
+        Some(4),
+        "{}",
+        String::from_utf8_lossy(&capped.stderr)
+    );
+}
+
+/// `semrec explain --query` names every goal-directed alternative with
+/// its estimates and the chosen one; on the fanout bundle that is the
+/// factored residue-pushed program, and `--run` reports its actual rows
+/// beside the prediction.
+#[test]
+fn explain_chooses_the_pushed_factored_route_on_fanout() {
+    let (dir, program, data) = fanout_bundle("explain");
+    let args = [
+        "explain",
+        &program,
+        "--data",
+        &data,
+        "--query",
+        "reach(0, Y)",
+    ];
+    let (ok, out, stderr) = semrec(&[&args[..], &["--run"]].concat());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "{stderr}");
+    for name in ["magic", "factored", "pushed_magic", "pushed_factored"] {
+        assert!(
+            out.lines()
+                .any(|l| l.trim_start().starts_with(&format!("{name} ")) && l.contains("est_rows=")),
+            "{name} missing: {out}"
+        );
+    }
+    assert!(
+        out.contains("chosen: pushed_factored → route optimized program"),
+        "{out}"
+    );
+    assert!(out.contains("actual: 400 rows"), "{out}");
+    assert!(out.contains("reach@bf"), "{out}");
+    assert!(out.contains("answers: 200 to reach(0, Y)"), "{out}");
+}
+
+/// With `--save`, `run --optimize --query` routes without the goal: a
+/// goal-directed route computes the goal's rows only, and the saved
+/// relations must be whole — the same files the plain run writes.
+#[test]
+fn save_with_a_goal_writes_whole_relations() {
+    let (dir, program, data) = fanout_bundle("save");
+    let save = |extra: &[&str], to: &str| {
+        let out = dir.join(to);
+        let base = ["run", &program, "--data", &data, "--query", "reach(0, Y)"];
+        let save = ["--save", out.to_str().unwrap()];
+        let (ok, stdout, stderr) = semrec(&[&base[..], extra, &save].concat());
+        assert!(ok, "{stderr}");
+        let mut files: Vec<(String, String)> = std::fs::read_dir(&out)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read_to_string(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        (stdout, files)
+    };
+    let (plain_out, plain_files) = save(&[], "plain");
+    let (opt_out, opt_files) = save(&["--optimize"], "optimized");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(opt_out, plain_out);
+    assert_eq!(
+        plain_files
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect::<Vec<_>>(),
+        ["reach.csv"]
+    );
+    assert_eq!(plain_files[0].1.lines().count(), 39_601);
+    assert!(opt_files == plain_files, "saved relations differ");
 }
 
 #[test]
@@ -354,6 +477,10 @@ fn unknown_and_retired_flags_are_usage_errors() {
             "--no-answer-cache",
         ),
         (vec!["run", &file, "--naive"], "--naive"),
+        (
+            vec!["run", &file, "--magic", "--query", "anc(dan, A, Y, Ya)"],
+            "--magic",
+        ),
         (vec!["run", &file, "--optmize"], "--optmize"),
         (vec!["check", &file, "--optimize"], "--optimize"),
     ] {

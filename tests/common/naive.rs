@@ -78,6 +78,19 @@ pub fn naive_idb(db: &Database, program: &Program) -> Facts {
     facts
 }
 
+/// The tuples of `facts` that `goal` selects — constants equal, a
+/// repeated variable one value — in sorted order.
+pub fn goal_answers(facts: &Facts, goal: &Atom) -> Vec<Vec<Value>> {
+    let rows = facts.get(&goal.pred).into_iter().flatten();
+    rows.filter(|row| {
+        let mut hit = false;
+        unify(&goal.args, row, &mut Env::new(), &mut |_| hit = true);
+        hit
+    })
+    .cloned()
+    .collect()
+}
+
 /// Every binding of `ic`'s body variables under which its body holds in
 /// `facts` and its head does not: the constraint is satisfied iff the
 /// set is empty. A head variable the body leaves free is existential.

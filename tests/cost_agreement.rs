@@ -7,7 +7,9 @@
 
 use semrec::core::optimizer::Optimizer;
 use semrec::core::route_alternatives;
+use semrec::datalog::analysis::classify_linear;
 use semrec::datalog::Value::Int;
+use semrec::datalog::{Atom, Term};
 use semrec::engine::{evaluate, AlternativeKind, CostMemo, EdbStats, Strategy, Tx};
 use semrec::gen::{fanout, flights, genealogy, org, parse_scenario, university};
 use std::time::Instant;
@@ -71,6 +73,71 @@ fn estimates_within_10x_of_actual_on_every_gen_workload() {
             choice.predicted_rows,
         );
     }
+}
+
+/// Goal-directed routing under bound goals — each recursive predicate
+/// with one argument at a time bound to a value of its first tuple, on
+/// every generator workload: every factored alternative's estimate is
+/// within the same 10x of what it materializes, and the route chosen for
+/// the goal never materializes more rows than the route chosen without
+/// it. Magic-sets estimates are not held to 10x: the estimator cannot see
+/// where a chain of bindings ends (genealogy's ancestor chains stop at
+/// the family roots), and reads 9-60x off on org, genealogy and
+/// university; the second assertion is what keeps such an estimate from
+/// costing a query more than routing without its goal.
+#[test]
+fn goal_directed_routes_price_and_choose_soundly_on_every_gen_workload() {
+    fn rows_of(db: &semrec::engine::Database, program: &semrec::datalog::Program) -> u64 {
+        let res = evaluate(db, program, Strategy::SemiNaive).expect("eval");
+        res.idb.values().map(|r| r.len() as u64).sum()
+    }
+    let mut factored = 0;
+    for (name, db, src) in workloads() {
+        let s = parse_scenario(src);
+        let plan = Optimizer::new(&s.program)
+            .with_constraints(&s.constraints)
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: optimize failed: {e}"));
+        let (alts, _) = route_alternatives(&s.program, &plan, None);
+        let memo = CostMemo::build(&db, &mut EdbStats::new(), alts).expect("price");
+        let unrouted = rows_of(&db, &memo.best().program);
+        let full = evaluate(&db, &s.program, Strategy::SemiNaive).expect("fixpoint");
+        for info in classify_linear(&s.program).unwrap() {
+            let row = full.relation(info.pred).unwrap().sorted_tuples()[0].clone();
+            for i in 0..info.arity {
+                let args = (0..info.arity)
+                    .map(|j| match j == i {
+                        true => Term::Const(row[j]),
+                        false => Term::var(&format!("V{j}")),
+                    })
+                    .collect();
+                let goal = Atom::new(info.pred, args);
+                let (alts, _) = route_alternatives(&s.program, &plan, Some(&goal));
+                let memo = CostMemo::build(&db, &mut EdbStats::new(), alts).expect("price");
+                let best = memo.best();
+                let routed = rows_of(&db, &best.program);
+                assert!(
+                    routed <= unrouted,
+                    "{name}: {} for {goal} materializes {routed} rows, {unrouted} without the goal",
+                    best.kind,
+                );
+                let factorings = (memo.alternatives.iter())
+                    .filter(|a| matches!(a.kind, AlternativeKind::Factored { .. }));
+                for alt in factorings {
+                    let actual = rows_of(&db, &alt.program) as f64;
+                    let p = alt.estimate.rows;
+                    let ratio = p.max(actual) / p.min(actual).max(f64::MIN_POSITIVE);
+                    assert!(
+                        ratio <= 10.0,
+                        "{name}: {} for {goal} predicts {p:.0} rows, actual {actual} — {ratio:.2}x off",
+                        alt.kind,
+                    );
+                    factored += 1;
+                }
+            }
+        }
+    }
+    assert!(factored >= 4, "{factored} factored alternatives priced");
 }
 
 /// The cost-chosen route is never slower than the fixed rewrite ladder

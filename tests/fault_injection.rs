@@ -10,7 +10,9 @@
 
 #![cfg(feature = "failpoints")]
 
-use semrec::core::optimizer::{evaluate_governed, GovernedOutcome, OptimizerConfig};
+use semrec::core::optimizer::{
+    evaluate_governed, evaluate_routed, GovernedOutcome, OptimizerConfig,
+};
 use semrec::datalog::Value::Int;
 use semrec::engine::failpoint::{self, FailAction};
 use semrec::engine::{
@@ -281,6 +283,52 @@ fn worker_panic_is_typed_and_recoverable() {
         clean.answer("reach").expect("clean rerun completes"),
         Workload::Fanout.reference()
     );
+}
+
+/// A panic inside a goal-directed route degrades like any other: the
+/// router factors the pushed program toward `reach(3, Y)`, the injected
+/// round panic abandons it, and the rectified program — which computes
+/// the whole closure — still answers exactly the goal's tuples.
+#[test]
+fn goal_directed_route_panic_degrades_to_rectified() {
+    let _g = serial();
+    let (s, db) = Workload::Fanout.build();
+    let goal = semrec::datalog::parse_atom("reach(3, Y)").unwrap();
+    let expected: Vec<Tuple> = (Workload::Fanout.reference().into_iter())
+        .filter(|t| t[0] == Int(3))
+        .collect();
+    let routed = |armed: bool| {
+        failpoint::clear();
+        if armed {
+            failpoint::arm("eval.round", 1, FailAction::Panic);
+        }
+        let outcome = evaluate_routed(
+            &db,
+            &s.program,
+            &s.constraints,
+            OptimizerConfig::default(),
+            Budget::unlimited(),
+            CancelToken::new(),
+            Some(&goal),
+        );
+        failpoint::clear();
+        let outcome = outcome.expect("a route answers");
+        let mut answers = outcome.result.answers(&goal);
+        answers.sort();
+        assert_eq!(answers, expected, "armed: {armed}");
+        outcome
+    };
+    let clean = routed(false);
+    let chosen = clean.result.choice.as_ref().expect("priced").chosen;
+    assert_eq!(chosen.name(), "pushed_factored");
+    assert_eq!(clean.result.route, Route::Optimized);
+    assert!(clean.degraded.is_none());
+
+    let hit = routed(true);
+    assert_eq!(hit.result.route, Route::RectifiedFallback);
+    let why = hit.degraded.as_deref().expect("degradation reported");
+    assert!(why.starts_with("pushed_factored route:"), "{why}");
+    assert!(why.contains("injected panic"), "{why}");
 }
 
 /// An injected error at the round boundary comes back as `Io` with the
