@@ -187,9 +187,13 @@ pub struct KernelBenchResult {
     pub probes: u64,
     /// Rows yielded by index probes after lazy filtering.
     pub probe_hits: u64,
-    /// High-water bytes of reusable task scratch — flat and tiny
-    /// regardless of derived-row count: the zero-allocation witness.
+    /// High-water bytes of reusable task scratch — flat regardless of
+    /// derived-row count, capped by the gather chunk: the
+    /// zero-allocation witness.
     pub scratch_hw_bytes: u64,
+    /// Sort-groups the kernels walked: one per distinct depth-0 key per
+    /// seed chunk, so it falls as the chunk holds more of each delta.
+    pub groups: u64,
     /// Dictionary-map walks actually paid (memo misses and unmemoized
     /// resolutions).
     pub dict_probes: u64,
@@ -297,6 +301,7 @@ pub fn run_kernel_bench(quick: bool) -> Vec<KernelBenchResult> {
             probes: kstats.probes,
             probe_hits: kstats.probe_hits,
             scratch_hw_bytes: kstats.scratch_hw_bytes,
+            groups: kstats.groups,
             dict_probes: kstats.dict_probes,
             dict_memo_hits: kstats.dict_memo_hits,
             table_bytes_per_row,
@@ -310,18 +315,19 @@ pub fn kernel_table(results: &[KernelBenchResult]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<10} {:<42} {:>10} {:>11} {:>10} {:>9} {:>9} {:>8}",
-        "kernels", "params", "kernel ms", "krows/s", "scratch", "dict", "memo", "B/row"
+        "{:<10} {:<42} {:>10} {:>11} {:>10} {:>9} {:>9} {:>9} {:>8}",
+        "kernels", "params", "kernel ms", "krows/s", "scratch", "groups", "dict", "memo", "B/row"
     );
     for r in results {
         let _ = writeln!(
             s,
-            "{:<10} {:<42} {:>10.2} {:>11.0} {:>9}B {:>9} {:>9} {:>8.1}",
+            "{:<10} {:<42} {:>10.2} {:>11.0} {:>9}B {:>9} {:>9} {:>9} {:>8.1}",
             r.name,
             r.params,
             r.kernel_millis,
             r.kernel_rows_per_sec(),
             r.scratch_hw_bytes,
+            r.groups,
             r.dict_probes,
             r.dict_memo_hits,
             r.table_bytes_per_row,
@@ -344,7 +350,7 @@ pub fn to_json_with_kernel_stats(mut s: String, kernels: &[KernelBenchResult]) -
             s,
             "    {{\"name\": \"{}\", \"params\": \"{}\", \"rows_idb\": {}, \
              \"kernel_millis\": {}, \"kernel_rows_per_sec\": {}, \"kernel_firings\": {}, \
-             \"probes\": {}, \"probe_hits\": {}, \"scratch_hw_bytes\": {}, \
+             \"probes\": {}, \"probe_hits\": {}, \"scratch_hw_bytes\": {}, \"groups\": {}, \
              \"dict_probes\": {}, \"dict_memo_hits\": {}, \"table_bytes_per_row\": {}}}",
             r.name,
             r.params,
@@ -355,6 +361,7 @@ pub fn to_json_with_kernel_stats(mut s: String, kernels: &[KernelBenchResult]) -
             r.probes,
             r.probe_hits,
             r.scratch_hw_bytes,
+            r.groups,
             r.dict_probes,
             r.dict_memo_hits,
             json_f(r.table_bytes_per_row)

@@ -1117,8 +1117,9 @@ type Cursor = (*const u32, u32, u32);
 /// steady-state execution does zero heap allocation per derived row.
 /// The per-depth buffers are sized per task from the kernel's chain
 /// length, so no plan is too wide. [`Stats::scratch_hw_bytes`] reports
-/// the high-water resident size as the observable witness: it plateaus
-/// after warm-up no matter how many rows derive.
+/// the high-water resident size as the observable witness: it follows
+/// the largest seed scan up to [`KERNEL_CHUNK`] packed words, then
+/// stays flat no matter how many rows derive.
 #[derive(Default)]
 struct TaskScratch {
     /// Packed probe keys, depth `d` at [`KernelProbe::key_at`].
@@ -1134,28 +1135,15 @@ struct TaskScratch {
     /// rows sharing a probe key form runs. Capacity is bounded by
     /// [`KERNEL_CHUNK`], never by data size.
     chunk: Vec<u64>,
-    /// Ring of upcoming sort-group starts (indexes into
-    /// [`TaskScratch::chunk`]): the boundary scan runs a fixed number of
-    /// packed runs ahead of the group walk, prefetching each run's
-    /// dictionary (or memo) slot as it is resolved. Fixed-size ring, not
-    /// chunk-sized.
-    group_starts: Vec<u32>,
-    /// Full depth-0 key hash of each ring entry's representative.
-    group_hashes: Vec<u64>,
-    /// Resolved representative keys of the ring entries (ring slot ×
-    /// depth-0 key width), so the walk never re-gathers a run head's key.
-    group_keys: Vec<Value>,
 }
 
 impl TaskScratch {
     /// Resident heap footprint of the scratch buffers, in bytes.
     fn resident_bytes(&self) -> u64 {
-        ((self.key_buf.capacity() + self.lookup_key.capacity() + self.group_keys.capacity())
-            * std::mem::size_of::<Value>()
+        ((self.key_buf.capacity() + self.lookup_key.capacity()) * std::mem::size_of::<Value>()
             + self.cursors.capacity() * std::mem::size_of::<Cursor>()
-            + (self.rowids.capacity() + self.group_starts.capacity()) * std::mem::size_of::<u32>()
-            + (self.chunk.capacity() + self.group_hashes.capacity()) * std::mem::size_of::<u64>())
-            as u64
+            + self.rowids.capacity() * std::mem::size_of::<u32>()
+            + self.chunk.capacity() * std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -1164,11 +1152,14 @@ thread_local! {
         std::cell::RefCell::new(TaskScratch::default());
 }
 
-/// Seed rows per batch-kernel chunk. The gather/sort/group pipeline
-/// processes the seed scan this many rows at a time, so task
-/// scratch stays a small constant while dictionary lookups amortize
-/// across every gathered row that shares a probe key.
-const KERNEL_CHUNK: usize = 1024;
+/// Seed rows per batch-kernel chunk: the sort-group unit. It holds a
+/// whole round's delta on every benchmarked workload (a fanout round is
+/// ≈ 16 000 rows over 800 keys), so each distinct depth-0 key forms one
+/// group per round and pays its dictionary or memo resolutions once (a
+/// unit smaller than the delta makes one group per key per chunk). The
+/// gather buffer grows with the delta up to this many packed words
+/// (512 KiB), so task scratch stays a data-independent constant.
+pub const KERNEL_CHUNK: usize = 1 << 16;
 
 /// Packs the high half of a depth-0 key hash with a seed row id into one
 /// sortable word. Sorting the packed words groups equal keys adjacently
@@ -1625,9 +1616,6 @@ fn run_kernel(
         rowids,
         lookup_key,
         chunk,
-        group_starts,
-        group_hashes,
-        group_keys,
     } = scratch;
     key_buf.clear();
     key_buf.resize(k.key_width(), Value::Int(0));
@@ -1741,235 +1729,172 @@ fn run_kernel(
         // Sort-group: rows sharing the depth-0 key become one run (hash
         // order with row-id tiebreak keeps runs deterministic).
         chunk.sort_unstable();
-        let (rel0, _, h0) = &ctx.prels[0];
-        debug_assert_eq!(h0.generation(), rel0.physical_rows());
-        // Pipelined group walk: the boundary scan runs a ring's worth of
-        // packed runs ahead of the walk, resolving each run's
-        // representative key and full hash exactly once and prefetching
-        // the map slot that hash will probe — the warm memo when one is
-        // armed, the dictionary otherwise. By the time the walk reaches
-        // a run, its line has had several groups' worth of join work to
-        // arrive, so the per-group random access overlaps with useful
-        // work instead of serializing one cache miss per group.
-        const GROUP_RING: usize = 16;
-        group_starts.clear();
-        group_starts.resize(GROUP_RING, 0);
-        group_hashes.clear();
-        group_hashes.resize(GROUP_RING, 0);
-        group_keys.clear();
-        group_keys.resize(GROUP_RING * w0, Value::Int(0));
-        let mut fill_pos = 0usize; // chunk index where the scan resumes
-        let mut filled = 0usize; // packed runs resolved so far
-        let mut walk = 0usize; // next run to walk
-        while walk < filled || fill_pos < chunk.len() {
-            // Top up the ring. One slot stays free so the run being
-            // walked and its successor (whose start is the walked run's
-            // end) are never overwritten by the scan.
-            while fill_pos < chunk.len() && filled - walk < GROUP_RING - 1 {
-                let slot = filled & (GROUP_RING - 1);
-                let ghi = pack_seed(chunk[fill_pos], 0);
-                let rep_row = seed_rel.row(chunk[fill_pos] as u32);
-                let ks = slot * w0;
-                for (j, &src) in k.probes[0].key.iter().enumerate() {
-                    group_keys[ks + j] = ctx.src_val(src, rep_row, st.rowids);
-                }
-                let gh = hash_slice(&group_keys[ks..ks + w0]);
-                group_starts[slot] = fill_pos as u32;
-                group_hashes[slot] = gh;
-                match &depth_memos[0] {
-                    Some(m) if !m.map.is_empty() => m.map.prefetch(gh),
-                    // SAFETY: frozen for the round (`ProbeHandle` docs).
-                    _ => unsafe { h0.prefetch_key(gh) },
-                }
-                fill_pos += 1;
-                while fill_pos < chunk.len() && pack_seed(chunk[fill_pos], 0) == ghi {
-                    fill_pos += 1;
-                }
-                filled += 1;
+        let h0 = &ctx.prels[0].2;
+        // Group walk. A group is a maximal run of sorted words sharing
+        // the packed hash half *and* the depth-0 key by value: the
+        // packed half alone can collide, and a colliding row simply
+        // starts its own group — per-member count replay makes that
+        // equivalent.
+        let mut gs = 0usize;
+        while gs < chunk.len() {
+            let ghi = pack_seed(chunk[gs], 0);
+            let rep_row = seed_rel.row(chunk[gs] as u32);
+            for (j, &src) in k.probes[0].key.iter().enumerate() {
+                st.key_buf[j] = ctx.src_val(src, rep_row, st.rowids);
             }
-            let slot = walk & (GROUP_RING - 1);
-            let run_start = group_starts[slot] as usize;
-            let run_end = if walk + 1 < filled {
-                group_starts[(walk + 1) & (GROUP_RING - 1)] as usize
-            } else {
-                chunk.len()
-            };
-            st.key_buf[..w0].copy_from_slice(&group_keys[slot * w0..slot * w0 + w0]);
-            let run_hash = group_hashes[slot];
-            walk += 1;
-            // The packed words carry only the hash's high half, so a
-            // run can mix distinct keys; verify by value so every group
-            // holds exactly one key. A colliding row simply starts its
-            // own group — per-member count replay makes that equivalent.
-            let mut gs = run_start;
-            while gs < run_end {
-                let rep_row = seed_rel.row(chunk[gs] as u32);
-                if gs != run_start {
-                    // A collision subgroup resolves its own key; the
-                    // run head's came from the ring.
-                    for (j, &src) in k.probes[0].key.iter().enumerate() {
-                        st.key_buf[j] = ctx.src_val(src, rep_row, st.rowids);
-                    }
+            let mut ge = gs + 1;
+            while ge < chunk.len() && pack_seed(chunk[ge], 0) == ghi {
+                let row = seed_rel.row(chunk[ge] as u32);
+                let same = k.probes[0]
+                    .key
+                    .iter()
+                    .enumerate()
+                    .all(|(j, &src)| ctx.src_val(src, row, st.rowids) == st.key_buf[j]);
+                if !same {
+                    break;
                 }
-                let mut ge = gs + 1;
-                while ge < run_end {
-                    let row = seed_rel.row(chunk[ge] as u32);
-                    let same = k.probes[0]
-                        .key
-                        .iter()
-                        .enumerate()
-                        .all(|(j, &src)| ctx.src_val(src, row, st.rowids) == st.key_buf[j]);
-                    if !same {
-                        break;
-                    }
-                    ge += 1;
+                ge += 1;
+            }
+            let members = &chunk[gs..ge];
+            let m = members.len() as u64;
+            stats.groups += 1;
+            let gh = hash_slice(&st.key_buf[..w0]);
+            gs = ge;
+            // One key→code resolution per group — the amortized
+            // probe, served from the EDB memo when armed.
+            // SAFETY: frozen for the round (see `ProbeHandle` docs).
+            let depth0 = match unsafe {
+                encode_memoized(
+                    h0,
+                    depth_memos[0].as_deref_mut(),
+                    gh,
+                    &st.key_buf[..w0],
+                    stats,
+                )
+            } {
+                Some(code) => {
+                    let g = unsafe { h0.group(code) };
+                    (g.as_ptr(), g.len() as u32)
                 }
-                let members = &chunk[gs..ge];
-                let m = members.len() as u64;
-                // The run head reuses the hash the scan computed; a
-                // collision-split subgroup recomputes its own.
-                let gh = if gs == run_start {
-                    run_hash
-                } else {
-                    hash_slice(&st.key_buf[..w0])
-                };
-                gs = ge;
-                // One key→code resolution per group — the amortized
-                // probe, served from the EDB memo when armed.
-                // SAFETY: frozen for the round (see `ProbeHandle` docs).
-                let depth0 = match unsafe {
-                    encode_memoized(
-                        h0,
-                        depth_memos[0].as_deref_mut(),
-                        gh,
-                        &st.key_buf[..w0],
-                        stats,
-                    )
-                } {
-                    Some(code) => {
-                        let g = unsafe { h0.group(code) };
-                        (g.as_ptr(), g.len() as u32)
-                    }
-                    None => {
-                        // No depth-0 rows for this key: every member
-                        // opens and at once exhausts the probe.
-                        stats.probes += m;
-                        continue;
-                    }
-                };
-                if split == 0 {
-                    // Member-dependent depth 0: per-member enumeration
-                    // over the shared pre-fetched group.
-                    if !ctx.member_tail(members, depth0, st, stats, out) {
-                        return false;
-                    }
+                None => {
+                    // No depth-0 rows for this key: every member
+                    // opens and at once exhausts the probe.
+                    stats.probes += m;
                     continue;
                 }
-                // Group phase: enumerate the invariant prefix once
-                // against the representative row; local counters replay
-                // ×members.
-                let (mut lp, mut lph, mut lrs, mut lce) = (1u64, 0u64, 0u64, 0u64);
-                st.cursors[0] = (depth0.0, depth0.1, 0);
-                let mut d = 0usize;
-                let mut entering = false; // depth-0 cursor pre-opened
-                loop {
-                    let p = &k.probes[d];
-                    let (rel, range, handle) = &ctx.prels[d];
-                    if entering {
-                        lp += 1;
-                        let (ks, ke) = (p.key_at, p.key_at + p.key.len());
-                        for (j, &src) in p.key.iter().enumerate() {
-                            st.key_buf[ks + j] = ctx.src_val(src, rep_row, st.rowids);
-                        }
-                        let key = &st.key_buf[ks..ke];
-                        let kh = hash_slice(key);
-                        // SAFETY: frozen for the round (`ProbeHandle`
-                        // docs).
-                        st.cursors[d] = match unsafe {
-                            encode_memoized(handle, depth_memos[d].as_deref_mut(), kh, key, stats)
-                        } {
-                            Some(code) => {
-                                let g = unsafe { handle.group(code) };
-                                (g.as_ptr(), g.len() as u32, 0)
-                            }
-                            None => (std::ptr::null(), 0, 0),
-                        };
-                        entering = false;
+            };
+            if split == 0 {
+                // Member-dependent depth 0: per-member enumeration
+                // over the shared pre-fetched group.
+                if !ctx.member_tail(members, depth0, st, stats, out) {
+                    return false;
+                }
+                continue;
+            }
+            // Group phase: enumerate the invariant prefix once
+            // against the representative row; local counters replay
+            // ×members.
+            let (mut lp, mut lph, mut lrs, mut lce) = (1u64, 0u64, 0u64, 0u64);
+            st.cursors[0] = (depth0.0, depth0.1, 0);
+            let mut d = 0usize;
+            let mut entering = false; // depth-0 cursor pre-opened
+            loop {
+                let p = &k.probes[d];
+                let (rel, range, handle) = &ctx.prels[d];
+                if entering {
+                    lp += 1;
+                    let (ks, ke) = (p.key_at, p.key_at + p.key.len());
+                    for (j, &src) in p.key.iter().enumerate() {
+                        st.key_buf[ks + j] = ctx.src_val(src, rep_row, st.rowids);
                     }
-                    // Advance depth d to its next matching row.
-                    let mut matched = false;
-                    {
-                        let (ptr, len, pos) = &mut st.cursors[d];
-                        while *pos < *len {
-                            // SAFETY: group storage is frozen for the
-                            // round.
-                            let rid = unsafe { *ptr.add(*pos as usize) };
-                            *pos += 1;
-                            if !rel.row_visible(rid, *range) {
-                                continue;
+                    let key = &st.key_buf[ks..ke];
+                    let kh = hash_slice(key);
+                    // SAFETY: frozen for the round (`ProbeHandle`
+                    // docs).
+                    st.cursors[d] = match unsafe {
+                        encode_memoized(handle, depth_memos[d].as_deref_mut(), kh, key, stats)
+                    } {
+                        Some(code) => {
+                            let g = unsafe { handle.group(code) };
+                            (g.as_ptr(), g.len() as u32, 0)
+                        }
+                        None => (std::ptr::null(), 0, 0),
+                    };
+                    entering = false;
+                }
+                // Advance depth d to its next matching row.
+                let mut matched = false;
+                {
+                    let (ptr, len, pos) = &mut st.cursors[d];
+                    while *pos < *len {
+                        // SAFETY: group storage is frozen for the
+                        // round.
+                        let rid = unsafe { *ptr.add(*pos as usize) };
+                        *pos += 1;
+                        if !rel.row_visible(rid, *range) {
+                            continue;
+                        }
+                        lph += 1;
+                        lrs += 1;
+                        st.ticks += 1;
+                        if st.ticks & POLL_MASK == 0 && ev.should_abort() {
+                            return false;
+                        }
+                        let row = rel.row(rid);
+                        if row.len() != p.arity {
+                            continue;
+                        }
+                        st.rowids[d] = rid;
+                        let mut ok = true;
+                        for &(c, src) in &p.checks {
+                            if row[c] != ctx.src_val(src, rep_row, st.rowids) {
+                                ok = false;
+                                break;
                             }
-                            lph += 1;
-                            lrs += 1;
-                            st.ticks += 1;
-                            if st.ticks & POLL_MASK == 0 && ev.should_abort() {
-                                return false;
-                            }
-                            let row = rel.row(rid);
-                            if row.len() != p.arity {
-                                continue;
-                            }
-                            st.rowids[d] = rid;
-                            let mut ok = true;
-                            for &(c, src) in &p.checks {
-                                if row[c] != ctx.src_val(src, rep_row, st.rowids) {
+                        }
+                        if ok {
+                            for g in &p.guards {
+                                lce += 1;
+                                if !ctx.guard_ok(g, rep_row, st.rowids, st.lookup_key) {
                                     ok = false;
                                     break;
                                 }
                             }
-                            if ok {
-                                for g in &p.guards {
-                                    lce += 1;
-                                    if !ctx.guard_ok(g, rep_row, st.rowids, st.lookup_key) {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            if !ok {
-                                continue;
-                            }
-                            matched = true;
-                            break;
                         }
-                    }
-                    if matched {
-                        if p.existential {
-                            // Invariant existential: the first hit
-                            // serves every member — a group-level
-                            // short-circuit.
-                            st.cursors[d].2 = st.cursors[d].1;
-                        }
-                        if d + 1 < split {
-                            d += 1;
-                            entering = true;
+                        if !ok {
                             continue;
                         }
-                        // Full invariant prefix match: per-member tail.
-                        if !ctx.member_tail(members, depth0, st, stats, out) {
-                            return false;
-                        }
-                        // Stay at the deepest invariant depth, advance.
-                    } else if d == 0 {
+                        matched = true;
                         break;
-                    } else {
-                        d -= 1;
                     }
                 }
-                stats.probes += lp * m;
-                stats.probe_hits += lph * m;
-                stats.rows_scanned += lrs * m;
-                stats.cmp_evals += lce * m;
+                if matched {
+                    if p.existential {
+                        // Invariant existential: the first hit
+                        // serves every member — a group-level
+                        // short-circuit.
+                        st.cursors[d].2 = st.cursors[d].1;
+                    }
+                    if d + 1 < split {
+                        d += 1;
+                        entering = true;
+                        continue;
+                    }
+                    // Full invariant prefix match: per-member tail.
+                    if !ctx.member_tail(members, depth0, st, stats, out) {
+                        return false;
+                    }
+                    // Stay at the deepest invariant depth, advance.
+                } else if d == 0 {
+                    break;
+                } else {
+                    d -= 1;
+                }
             }
+            stats.probes += lp * m;
+            stats.probe_hits += lph * m;
+            stats.rows_scanned += lrs * m;
+            stats.cmp_evals += lce * m;
         }
     }
     true

@@ -539,18 +539,6 @@ impl ProbeHandle {
         unsafe { &*self.idx }.encode(key_hash, key)
     }
 
-    /// Prefetches the dictionary-map cache line `key_hash` will probe
-    /// first, so a batch caller can overlap the per-group random access
-    /// [`ProbeHandle::encode`] would otherwise stall on. Purely a hint.
-    ///
-    /// # Safety
-    /// Same contract as [`ProbeHandle::encode`].
-    #[inline]
-    pub unsafe fn prefetch_key(&self, key_hash: u64) {
-        // SAFETY: as in `encode`.
-        unsafe { &*self.idx }.map.prefetch(key_hash);
-    }
-
     /// The key tuple a dictionary code encodes, for callers verifying a
     /// memoized key→code pair against the live dictionary.
     ///

@@ -45,6 +45,11 @@ pub struct Stats {
     /// keep this flat — it is the observable witness that the join
     /// kernels do zero heap allocation per derived row.
     pub scratch_hw_bytes: u64,
+    /// Sort-groups the batch kernel walked: runs of gathered seed rows
+    /// sharing one depth-0 probe key, each paying its key resolutions
+    /// once. A physical counter like `dict_probes`: it moves with the
+    /// sort-group unit, the logical counters do not.
+    pub groups: u64,
     /// Dictionary-map probes the batch pipeline actually paid (a
     /// [`crate::relation::CodeMap`] walk behind `ProbeHandle::encode`).
     /// Memo hits are *not* counted here — `dict_probes + dict_memo_hits`
@@ -73,6 +78,7 @@ impl AddAssign for Stats {
         self.kernel_firings += rhs.kernel_firings;
         self.interp_firings += rhs.interp_firings;
         self.scratch_hw_bytes = self.scratch_hw_bytes.max(rhs.scratch_hw_bytes);
+        self.groups += rhs.groups;
         self.dict_probes += rhs.dict_probes;
         self.dict_memo_hits += rhs.dict_memo_hits;
         self.plan_nanos += rhs.plan_nanos;
@@ -84,7 +90,7 @@ impl fmt::Display for Stats {
         write!(
             f,
             "iters={} firings={} probes={} hits={} rows={} cmps={} derived={} \
-             inserted={} kernel={} interp={} scratch_hw={}B dict={} memo={} \
+             inserted={} kernel={} interp={} scratch_hw={}B groups={} dict={} memo={} \
              plan_ms={:.3}",
             self.iterations,
             self.rule_firings,
@@ -97,6 +103,7 @@ impl fmt::Display for Stats {
             self.kernel_firings,
             self.interp_firings,
             self.scratch_hw_bytes,
+            self.groups,
             self.dict_probes,
             self.dict_memo_hits,
             self.plan_nanos as f64 / 1e6

@@ -6,14 +6,16 @@
 //! the naive oracle of `tests/common/naive.rs`, from scratch and under
 //! `Materialized` maintenance. A seeded chunk-boundary test pins the
 //! gather/sort/group pipeline at delta sizes straddling the chunk
-//! constant. Also pins the allocation discipline: the task scratch
-//! high-water mark stays bounded by a small constant (the chunk
-//! buffers) no matter how many rows a workload derives.
+//! constant, and a grouping test pins one sort-group per key per round.
+//! Also pins the allocation discipline: the task scratch high-water
+//! mark stays bounded by a constant (the chunk buffer) no matter how
+//! many rows a workload derives.
 
 #[path = "common/naive.rs"]
 mod naive;
 
 use semrec::datalog::{Atom, Literal, Pred, Program, Rule, Value};
+use semrec::engine::eval::KERNEL_CHUNK;
 use semrec::engine::{
     Budget, Database, Evaluator, Materialized, Relation, Stats, Strategy, Tuple, Tx,
 };
@@ -388,71 +390,111 @@ fn duplicate_heavy_rounds_then_a_unique_burst_agree_with_oracle() {
 }
 
 /// Chunk-boundary pinning: the batch pipeline gathers seed rows in
-/// fixed-size chunks, so off-by-one bugs live exactly at delta sizes of
-/// 1, chunk−1, chunk, chunk+1 and a few whole chunks. Build a seed
-/// relation of each size (keys from a seeded LCG so groups straddle
-/// chunk edges), join it through a probe, and require tuple-for-tuple
-/// agreement with the oracle.
+/// [`KERNEL_CHUNK`]-row chunks, so off-by-one bugs live exactly at delta
+/// sizes of 1, chunk−1, chunk, chunk+1 and two whole chunks plus one.
+/// Build a seed relation of each size (keys from a seeded xorshift so
+/// groups straddle chunk edges), join it through a probe, and require
+/// tuple-for-tuple agreement with the join computed directly (the naive
+/// oracle's nested loop is quadratic at these sizes).
 #[test]
 fn chunk_boundary_sizes_agree() {
-    const CHUNK: usize = 1024; // mirrors the executor's KERNEL_CHUNK
-    for n in [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK] {
+    const C: usize = KERNEL_CHUNK;
+    let mut w: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+    for j in 0..97i64 {
+        w.entry(j).or_default().push(j + 1);
+        if j % 3 == 0 {
+            w.entry(j).or_default().push(j + 2);
+        }
+    }
+    let prog: Program = "out(X,Z) :- e(X,Y), w(Y,Z).".parse().unwrap();
+    for n in [1, C - 1, C, C + 1, 2 * C + 1] {
         let mut db = Database::default();
+        let mut want = Vec::new();
         let mut state = 0x2545_f491_4f6c_dd1du64;
-        for i in 0..n {
+        for i in 0..n as i64 {
             // xorshift64*: deterministic, scattered keys with repeats.
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             let key = (state % 97) as i64;
-            db.insert("e", vec![Value::Int(i as i64), Value::Int(key)]);
+            db.insert("e", vec![Value::Int(i), Value::Int(key)]);
+            want.extend(w[&key].iter().map(|&z| vec![Value::Int(i), Value::Int(z)]));
         }
-        for j in 0..97i64 {
-            db.insert("w", vec![Value::Int(j), Value::Int(j + 1)]);
-            if j % 3 == 0 {
-                db.insert("w", vec![Value::Int(j), Value::Int(j + 2)]);
+        for (&y, zs) in &w {
+            for &z in zs {
+                db.insert("w", vec![Value::Int(y), Value::Int(z)]);
             }
         }
-        let prog: Program = "out(X,Z) :- e(X,Y), w(Y,Z).".parse().unwrap();
-        let base = oracle_map(&db, &prog);
-        assert!(
-            base.values().any(|rows| !rows.is_empty()),
-            "n={n}: derived nothing — test is vacuous"
-        );
+        want.sort();
         let (idb, stats) = idb_map(&db, &prog);
-        assert_eq!(base, idb, "n={n}: IDB diverged");
+        assert_eq!(idb[&Pred::new("out")], want, "n={n}: IDB diverged");
         assert!(stats.kernel_firings > 0, "n={n}: kernel never fired");
     }
 }
 
+/// Each key pays for its probes once per round: 4 096 delta rows over 8
+/// keys, each key's rows spread across the whole delta (far past a
+/// 1 024-row unit), form exactly one sort-group per key per round, and
+/// every group resolves its depth-0 key once.
+#[test]
+fn a_rounds_delta_groups_once_per_distinct_key() {
+    const KEYS: i64 = 8;
+    let mut db = Database::default();
+    for i in 0..4096i64 {
+        db.insert("e", vec![Value::Int(i), Value::Int(i % KEYS)]);
+    }
+    for k in 0..KEYS {
+        db.insert("w", vec![Value::Int(k), Value::Int(100 + k)]);
+    }
+    // Round 2 joins the 4 096-row delta `p(X, k)` with `w`; round 3's
+    // delta `p(X, 100 + k)` has another 8 keys, none of which `w` holds.
+    let prog: Program = "p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), w(Y,Z)."
+        .parse()
+        .unwrap();
+    let (idb, stats) = idb_map(&db, &prog);
+    assert_eq!(idb[&Pred::new("p")].len(), 2 * 4096);
+    assert_eq!(stats.groups, 2 * KEYS as u64, "one group per key per round");
+    assert_eq!(stats.dict_probes + stats.dict_memo_hits, stats.groups);
+}
+
 /// The allocation discipline the kernels claim: task execution does
-/// zero per-derived-row heap allocation, so the task scratch
-/// high-water mark is a function of plan shape and the fixed chunk
-/// constant (the gather buffer is KERNEL_CHUNK entries), never of data
-/// size. Deriving ~100k rows must leave the high-water mark under the
-/// chunk budget.
+/// zero per-derived-row heap allocation, and the one buffer that grows
+/// with a seed scan, the gather chunk of packed `u64` words, stops at
+/// [`KERNEL_CHUNK`] entries. So two witness-join workloads whose deltas
+/// both exceed the chunk report the same high-water mark, set by the
+/// constant plus the plan's small per-depth state, however many rows
+/// they derive.
 #[test]
 fn scratch_high_water_is_bounded_by_plan_shape_not_data() {
     let s = parse_scenario(fanout::PROGRAM);
-    let db = fanout::generate(&fanout::FanoutParams {
-        nodes: 300,
-        extra_edges: 160,
-        fanout: 8,
-        seed: 42,
-    });
-    let (idb, stats) = idb_map(&db, &s.program);
-    let rows: usize = idb.values().map(Vec::len).sum();
-    assert!(rows > 80_000, "expected a large IDB, got {rows} rows");
-    assert!(
-        stats.scratch_hw_bytes > 0,
-        "scratch telemetry never reported"
+    // Every source has an edge into one hub, and the hub one into a
+    // sink: round 2's delta is all `sources + 1` edges.
+    let hub = |sources: i64| {
+        let mut db = Database::default();
+        let (hub, sink) = (sources, sources + 1);
+        for v in 0..sources {
+            db.insert("edge", vec![Value::Int(v), Value::Int(hub)]);
+        }
+        db.insert("edge", vec![Value::Int(hub), Value::Int(sink)]);
+        for v in 0..=sink {
+            db.insert("witness", vec![Value::Int(v), Value::Int(0)]);
+        }
+        db
+    };
+    let mut high_water = Vec::new();
+    for sources in [KERNEL_CHUNK + 1, 2 * KERNEL_CHUNK + 1] {
+        let (idb, stats) = idb_map(&hub(sources as i64), &s.program);
+        assert_eq!(idb[&Pred::new("reach")].len(), 2 * sources + 1);
+        high_water.push(stats.scratch_hw_bytes);
+    }
+    assert_eq!(
+        high_water[0], high_water[1],
+        "scratch high-water grew with data"
     );
-    // 1024-entry chunk of packed u64 hash/row-id words = 8 KiB, plus
-    // the key arena and per-depth state; 32 KiB bounds it with headroom
-    // while still failing fast if any buffer ever scales with data.
+    let chunk_bytes = (KERNEL_CHUNK * std::mem::size_of::<u64>()) as u64;
     assert!(
-        stats.scratch_hw_bytes <= 32 * 1024,
-        "scratch high-water {}B grew with data",
-        stats.scratch_hw_bytes
+        (chunk_bytes..=chunk_bytes + 4096).contains(&high_water[0]),
+        "scratch high-water {}B is not the {chunk_bytes}B chunk plus per-depth state",
+        high_water[0]
     );
 }
