@@ -7,7 +7,7 @@
 //! tolerates schema growth — unknown keys are carried in the tree and
 //! ignored by the extractor.
 
-use crate::fixpoint::WorkloadResult;
+use crate::fixpoint::{ParseBenchResult, WorkloadResult};
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -418,6 +418,67 @@ pub fn check_throughput(
     }
 }
 
+/// The `parse` row recovered from a prior `BENCH_fixpoint.json`.
+#[derive(Clone, Debug)]
+pub struct BaselineParse {
+    /// Input label (must match the fresh row's to compare).
+    pub params: String,
+    /// Source megabytes parsed per second.
+    pub mb_per_s: f64,
+}
+
+/// Extracts the `parse` row from a prior `BENCH_fixpoint.json`.
+pub fn parse_baseline_parse(src: &str) -> Result<BaselineParse, String> {
+    let doc = parse_json(src)?;
+    let row = doc
+        .get("parse")
+        .and_then(Json::as_arr)
+        .and_then(<[Json]>::first)
+        .ok_or("baseline has no `parse` row")?;
+    Ok(BaselineParse {
+        params: row
+            .get("params")
+            .and_then(Json::as_str)
+            .ok_or("parse row missing `params`")?
+            .to_owned(),
+        mb_per_s: row
+            .get("mb_per_s")
+            .and_then(Json::as_num)
+            .ok_or("parse row missing `mb_per_s`")?,
+    })
+}
+
+/// The `--assert-throughput <pct>` gate's parse clause: the fresh
+/// `parse_unit` MB/s must not fall more than `tolerance_pct` percent
+/// below the baseline's on the same input.
+pub fn check_parse_throughput(
+    fresh: &ParseBenchResult,
+    baseline: &BaselineParse,
+    tolerance_pct: f64,
+) -> Result<String, String> {
+    if fresh.params != baseline.params {
+        return Err(format!(
+            "parse gate FAILED: the baseline parsed `{}`, this run `{}`",
+            baseline.params, fresh.params
+        ));
+    }
+    let floor = baseline.mb_per_s * (1.0 - tolerance_pct / 100.0);
+    if fresh.mb_per_s() < floor {
+        return Err(format!(
+            "parse gate FAILED (MB/s more than {tolerance_pct}% below baseline):\n  \
+             {}: {:.1} MB/s < floor {floor:.1} (baseline {:.1} - {tolerance_pct}%)",
+            fresh.params,
+            fresh.mb_per_s(),
+            baseline.mb_per_s,
+        ));
+    }
+    Ok(format!(
+        "parse gate: {:.1} MB/s within {tolerance_pct}% of baseline {:.1} MB/s",
+        fresh.mb_per_s(),
+        baseline.mb_per_s
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,6 +574,29 @@ mod tests {
     }
 
     #[test]
+    fn parse_gate_flags_a_slower_parser_or_another_input() {
+        let fresh = |millis: f64| ParseBenchResult {
+            params: "in".into(),
+            bytes: 1_000_000,
+            facts: 10,
+            millis,
+        };
+        let base = BaselineParse {
+            params: "in".into(),
+            mb_per_s: 100.0,
+        };
+        // 10 ms for 1 MB is 100 MB/s; 12.5 ms is 80 MB/s.
+        assert!(check_parse_throughput(&fresh(10.0), &base, 10.0).is_ok());
+        let err = check_parse_throughput(&fresh(12.5), &base, 10.0).unwrap_err();
+        assert!(err.contains("80.0 MB/s < floor 90.0"), "{err}");
+        let other = BaselineParse {
+            params: "other".into(),
+            ..base
+        };
+        assert!(check_parse_throughput(&fresh(10.0), &other, 10.0).is_err());
+    }
+
+    #[test]
     fn parses_the_repo_checked_in_baseline() {
         // The real artifact must stay parseable by this reader.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fixpoint.json");
@@ -520,5 +604,6 @@ mod tests {
         let ws = parse_baseline(&src).expect("checked-in baseline parses");
         assert!(ws.iter().any(|w| w.name == "fanout"));
         assert!(ws.iter().all(|w| w.millis.is_finite()));
+        assert!(parse_baseline_parse(&src).expect("parse row").mb_per_s > 0.0);
     }
 }

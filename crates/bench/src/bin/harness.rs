@@ -12,14 +12,16 @@
 //! ```
 //!
 //! `bench` times the semi-naive fixpoint on the gen workloads plus the
-//! end-to-end semantic (optimizer) speedup and the governance overhead
-//! (budget checks on vs off, E1 fanout); with `--json` it also writes
+//! end-to-end semantic (optimizer) speedup, the governance overhead
+//! (budget checks on vs off, E1 fanout) and `parse_unit` on the exported
+//! fanout bundle (the `parse` row); with `--json` it also writes
 //! `BENCH_fixpoint.json` at the repo root (`--quick` shrinks sizes for
 //! the CI gate). `--baseline <file>` diffs
 //! the fresh run against a prior JSON and prints per-workload speedups.
 //! `--assert-throughput <pct>` (requires `--baseline`) exits nonzero if
-//! the rows/sec of any workload with `rows_idb >= 50_000` falls more
-//! than `<pct>` percent below the baseline's.
+//! the rows/sec of any workload with `rows_idb >= 50_000`, or the
+//! `parse` row's MB/s, falls more than `<pct>` percent below the
+//! baseline's.
 //! `--assert-routing` exits nonzero if the cost planner's chosen route
 //! runs slower than the fixed ladder (beyond noise), mispredicts
 //! cardinality by more than 10x, or spends over 2% of evaluation time
@@ -27,14 +29,18 @@
 //! `--assert-table-bytes` exits nonzero if any kernel workload's IDB
 //! spends more than 24 membership-table bytes per live row.
 
-use semrec_bench::baseline::{check_schema_version, check_throughput, diff_table, parse_baseline};
+use semrec_bench::baseline::{
+    check_parse_throughput, check_schema_version, check_throughput, diff_table, parse_baseline,
+    parse_baseline_parse,
+};
 use semrec_bench::experiments::{run, Scale, ALL};
 use semrec_bench::fixpoint::{
     check_routing, check_table_bytes, dict_table, governance_table, incremental_table,
-    kernel_table, routing_table, run_dict_bench, run_fixpoint_bench, run_governance_bench,
-    run_incremental_bench, run_kernel_bench, run_routing_bench, run_semantic_bench, semantic_table,
-    to_json_full, to_json_with_dict, to_json_with_incremental, to_json_with_kernel_stats,
-    to_json_with_routing, to_table,
+    kernel_table, parse_table, routing_table, run_dict_bench, run_fixpoint_bench,
+    run_governance_bench, run_incremental_bench, run_kernel_bench, run_parse_bench,
+    run_routing_bench, run_semantic_bench, semantic_table, to_json_full, to_json_with_dict,
+    to_json_with_incremental, to_json_with_kernel_stats, to_json_with_parse, to_json_with_routing,
+    to_table,
 };
 use semrec_bench::serve::{
     check_serve_baseline, check_serve_read, run_serve_bench, serve_table, serve_to_json,
@@ -152,7 +158,7 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     }
-                    match parse_baseline(&src) {
+                    match parse_baseline(&src).and_then(|w| Ok((w, parse_baseline_parse(&src)?))) {
                         Ok(base) => Some(base),
                         Err(e) => {
                             eprintln!("cannot parse baseline {path}: {e}");
@@ -181,6 +187,8 @@ fn main() -> ExitCode {
         print!("{}", kernel_table(&kernels));
         let dict = run_dict_bench(quick);
         print!("{}", dict_table(&dict));
+        let parse = run_parse_bench();
+        print!("{}", parse_table(&parse));
         if json {
             let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fixpoint.json");
             let doc = to_json_with_dict(
@@ -196,10 +204,11 @@ fn main() -> ExitCode {
                 ),
                 &dict,
             );
+            let doc = to_json_with_parse(doc, &parse);
             std::fs::write(&out, doc).expect("write BENCH_fixpoint.json");
             println!("wrote {}", out.display());
         }
-        if let (Some(base), Some(path)) = (&baseline, &baseline_path) {
+        if let (Some((base, _)), Some(path)) = (&baseline, &baseline_path) {
             println!("\nspeedup vs baseline {path} (base ms / fresh ms):");
             print!("{}", diff_table(&results, base));
         }
@@ -213,15 +222,20 @@ fn main() -> ExitCode {
             }
         }
         if let Some(pct) = assert_throughput {
-            let Some(base) = &baseline else {
+            let Some((base, base_parse)) = &baseline else {
                 eprintln!("--assert-throughput requires --baseline <file>");
                 return ExitCode::FAILURE;
             };
-            match check_throughput(&results, base, pct) {
-                Ok(summary) => println!("{summary}"),
-                Err(report) => {
-                    eprintln!("{report}");
-                    return ExitCode::FAILURE;
+            for gate in [
+                check_throughput(&results, base, pct),
+                check_parse_throughput(&parse, base_parse, pct),
+            ] {
+                match gate {
+                    Ok(summary) => println!("{summary}"),
+                    Err(report) => {
+                        eprintln!("{report}");
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
         }

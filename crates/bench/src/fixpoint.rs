@@ -17,7 +17,7 @@ use std::time::Instant;
 /// section or field the CI gates read is added or changed; `check.sh`
 /// fails when the checked-in baseline's version differs, forcing a
 /// regeneration with `harness bench --json` in the same PR.
-pub const SCHEMA_VERSION: u64 = 6;
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// IDB-size floor for the `--assert-throughput` gate: workloads below
 /// this finish in a few ms and are dominated by noise, not by the
@@ -722,6 +722,104 @@ pub fn to_json_with_dict(mut s: String, dict: &[DictBenchResult]) -> String {
         s.push_str(if i + 1 < dict.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ]\n}\n");
+    s
+}
+
+/// The front end's row: `parse_unit` on the fanout bundle as
+/// `gen::export::to_dl` writes it with its facts inline (the shape of
+/// `fixpoint_cli`'s input).
+#[derive(Clone, Debug)]
+pub struct ParseBenchResult {
+    /// Generator parameter label.
+    pub params: String,
+    /// Source bytes.
+    pub bytes: usize,
+    /// Facts in the source.
+    pub facts: usize,
+    /// Median wall milliseconds of one `parse_unit`.
+    pub millis: f64,
+}
+
+impl ParseBenchResult {
+    /// Source megabytes parsed per second — the figure the
+    /// `--assert-throughput` gate compares against the baseline.
+    pub fn mb_per_s(&self) -> f64 {
+        self.bytes as f64 / 1e3 / self.millis.max(1e-9)
+    }
+
+    /// Wall nanoseconds per fact.
+    pub fn ns_per_fact(&self) -> f64 {
+        self.millis * 1e6 / self.facts.max(1) as f64
+    }
+}
+
+/// Times `parse_unit` on the exported 300/160/64 fanout bundle: one
+/// untimed warmup, then the median of 21 runs. The input and the run
+/// count are the same in quick mode, so the quick gate compares like
+/// with like.
+pub fn run_parse_bench() -> ParseBenchResult {
+    let (nodes, extra, fo) = (300, 160, 64);
+    let db = fanout::generate(&fanout::FanoutParams {
+        nodes,
+        extra_edges: extra,
+        fanout: fo,
+        seed: 1,
+    });
+    let text = semrec_gen::export::to_dl(&parse_scenario(fanout::PROGRAM), Some(&db));
+    let time_once = || {
+        let start = Instant::now();
+        let unit = semrec_datalog::parser::parse_unit(&text).expect("exported bundle parses");
+        (start.elapsed().as_secs_f64() * 1e3, unit.facts.len())
+    };
+    let (_, facts) = time_once();
+    let mut samples: Vec<f64> = (0..21).map(|_| time_once().0).collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    ParseBenchResult {
+        params: format!("fanout nodes={nodes} extra_edges={extra} fanout={fo}"),
+        bytes: text.len(),
+        facts,
+        millis: samples[samples.len() / 2],
+    }
+}
+
+/// A human-readable parse-throughput table.
+pub fn parse_table(r: &ParseBenchResult) -> String {
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "{:<10} {:<42} {:>9} {:>7} {:>8} {:>8} {:>8}",
+        "parse", "input", "bytes", "facts", "ms", "MB/s", "ns/fact"
+    );
+    let _ = writeln!(
+        s,
+        "{:<10} {:<42} {:>9} {:>7} {:>8.3} {:>8.1} {:>8.1}",
+        "parse_unit",
+        r.params,
+        r.bytes,
+        r.facts,
+        r.millis,
+        r.mb_per_s(),
+        r.ns_per_fact(),
+    );
+    s
+}
+
+/// Splices the `parse` section (an array of one row) into an
+/// already-serialized benchmark document.
+pub fn to_json_with_parse(mut s: String, r: &ParseBenchResult) -> String {
+    let tail = s.rfind("  ]\n}").expect("serializer emits a closing array");
+    s.truncate(tail + 3);
+    let _ = write!(
+        s,
+        ",\n  \"parse\": [\n    {{\"params\": \"{}\", \"bytes\": {}, \"facts\": {}, \
+         \"millis\": {}, \"mb_per_s\": {}, \"ns_per_fact\": {}}}\n  ]\n}}\n",
+        r.params,
+        r.bytes,
+        r.facts,
+        json_f(r.millis),
+        json_f(r.mb_per_s()),
+        json_f(r.ns_per_fact()),
+    );
     s
 }
 
@@ -1525,6 +1623,26 @@ mod tests {
         let first = &doc.get("routing").unwrap().as_arr().unwrap()[0];
         assert!(first.get("chosen").and_then(Json::as_str).is_some());
         assert!(first.get("misprediction").and_then(Json::as_num).is_some());
+    }
+
+    #[test]
+    fn parse_bench_runs_and_splices_into_json() {
+        let r = run_parse_bench();
+        assert!(r.facts > 19_000 && r.bytes > r.facts, "{r:?}");
+        assert!(r.mb_per_s() > 0.0 && r.ns_per_fact() > 0.0, "{r:?}");
+        assert!(parse_table(&r).contains("MB/s"));
+        let w = WorkloadResult {
+            name: "x".into(),
+            params: "p".into(),
+            rows_edb: 1,
+            rows_idb: 1,
+            rounds: 1,
+            millis: 1.0,
+        };
+        let json = to_json_with_parse(to_json(&[w]), &r);
+        let base = crate::baseline::parse_baseline_parse(&json).expect("parse row reads back");
+        assert_eq!(base.params, r.params);
+        assert!(crate::baseline::check_parse_throughput(&r, &base, 40.0).is_ok());
     }
 
     #[test]

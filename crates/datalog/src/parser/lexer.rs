@@ -1,29 +1,45 @@
-//! Tokenizer for the Prolog-like surface syntax.
+//! On-demand tokenizer for the Prolog-like surface syntax.
+//!
+//! [`Lexer`] hands out one token per call. Tokens borrow the source:
+//! identifiers and variables are `&str` slices of it, and a string
+//! literal is the raw text between its quotes, unescaped only when the
+//! parser turns it into a constant. Positions are byte spans; the
+//! 1-based line and column of an error are counted from the source when
+//! the error is built ([`line_col`]), so the hot path keeps no counters.
+//!
+//! String escapes are one grammar shared with `Value`'s `Display` (which
+//! writes literals through [`write_str_literal`]): `\n`, `\t`, `\r`,
+//! `\0`, `\u{H…}` (1–6 hex digits naming a Unicode scalar value), and a
+//! backslash before any other character stands for that character (so
+//! `\\`, `\"` and `\'`).
 
 use crate::error::Error;
+use std::borrow::Cow;
+use std::fmt;
 
-/// A lexical token with its source position.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Token {
+/// A lexical token and the byte span it covers.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Token<'a> {
     /// The token kind/payload.
-    pub kind: TokenKind,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub col: usize,
+    pub kind: TokenKind<'a>,
+    /// Byte offset of the first byte.
+    pub start: usize,
+    /// Byte offset one past the last byte.
+    pub end: usize,
 }
 
 /// Token kinds.
-#[derive(Clone, PartialEq, Debug)]
-pub enum TokenKind {
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum TokenKind<'a> {
     /// Lowercase-initial identifier (predicate or symbolic constant).
-    Ident(String),
+    Ident(&'a str),
     /// Uppercase/underscore-initial identifier (variable).
-    Var(String),
+    Var(&'a str),
     /// Integer literal (possibly negative).
     Int(i64),
-    /// Quoted string literal (single or double quotes).
-    Str(String),
+    /// Quoted string literal (single or double quotes): the raw text
+    /// between the quotes, escapes still in place (see [`unescape`]).
+    Str(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -52,18 +68,21 @@ pub enum TokenKind {
     Gt,
     /// `>=`
     Ge,
+    /// A lexical error: the lexer stops here, and [`Lexer::error`] holds
+    /// the positioned error.
+    Error,
     /// End of input.
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Short human-readable description for error messages.
     pub fn describe(&self) -> String {
         match self {
             TokenKind::Ident(s) => format!("identifier `{s}`"),
             TokenKind::Var(s) => format!("variable `{s}`"),
             TokenKind::Int(i) => format!("integer `{i}`"),
-            TokenKind::Str(s) => format!("string {s:?}"),
+            TokenKind::Str(s) => format!("string {:?}", unescape(s)),
             TokenKind::LParen => "`(`".into(),
             TokenKind::RParen => "`)`".into(),
             TokenKind::Comma => "`,`".into(),
@@ -78,162 +97,298 @@ impl TokenKind {
             TokenKind::Le => "`<=`".into(),
             TokenKind::Gt => "`>`".into(),
             TokenKind::Ge => "`>=`".into(),
+            TokenKind::Error => "a lexical error".into(),
             TokenKind::Eof => "end of input".into(),
         }
     }
 }
 
-/// Tokenizes `src`. Comments run from `%` or `//` to end of line.
-pub fn lex(src: &str) -> Result<Vec<Token>, Error> {
-    let bytes = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    let mut line = 1;
-    let mut col = 1;
+/// The 1-based line and column (in bytes) of byte `offset` of `src`.
+pub fn line_col(src: &str, offset: usize) -> (usize, usize) {
+    let before = &src.as_bytes()[..offset];
+    let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+    let line_start = before
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |p| p + 1);
+    (line, offset - line_start + 1)
+}
 
-    macro_rules! push {
-        ($kind:expr, $len:expr) => {{
-            out.push(Token {
-                kind: $kind,
-                line,
-                col,
-            });
-            i += $len;
-            col += $len;
-        }};
+/// The on-demand tokenizer. Comments run from `%` or `//` to end of line.
+pub struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    error: Option<Error>,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'a str) -> Lexer<'a> {
+        Lexer {
+            src,
+            pos: 0,
+            error: None,
+        }
     }
 
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            '\n' => {
-                i += 1;
-                line += 1;
-                col = 1;
-            }
-            ' ' | '\t' | '\r' => {
-                i += 1;
-                col += 1;
-            }
-            '%' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '(' => push!(TokenKind::LParen, 1),
-            ')' => push!(TokenKind::RParen, 1),
-            ',' => push!(TokenKind::Comma, 1),
-            '.' => push!(TokenKind::Dot, 1),
-            ':' if bytes.get(i + 1) == Some(&b'-') => push!(TokenKind::ColonDash, 2),
-            ':' => push!(TokenKind::Colon, 1),
-            '-' if bytes.get(i + 1) == Some(&b'>') => push!(TokenKind::Arrow, 2),
-            '=' => push!(TokenKind::Eq, 1),
-            '!' if bytes.get(i + 1) == Some(&b'=') => push!(TokenKind::Ne, 2),
-            '!' => push!(TokenKind::Bang, 1),
-            '<' if bytes.get(i + 1) == Some(&b'=') => push!(TokenKind::Le, 2),
-            '<' => push!(TokenKind::Lt, 1),
-            '>' if bytes.get(i + 1) == Some(&b'=') => push!(TokenKind::Ge, 2),
-            '>' => push!(TokenKind::Gt, 1),
-            '\'' | '"' => {
-                let quote = c;
-                let start_line = line;
-                let start_col = col;
-                let mut j = i + 1;
-                let mut s = String::new();
-                loop {
-                    match bytes.get(j) {
-                        None | Some(b'\n') => {
-                            return Err(Error::parse(
-                                start_line,
-                                start_col,
-                                "unterminated string literal",
-                            ));
-                        }
-                        Some(&b) if b as char == quote => break,
-                        Some(b'\\') => {
-                            match bytes.get(j + 1) {
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                Some(&e) => s.push(e as char),
-                                None => {
-                                    return Err(Error::parse(
-                                        start_line,
-                                        start_col,
-                                        "unterminated escape",
-                                    ));
-                                }
-                            }
-                            j += 2;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            j += 1;
-                        }
-                    }
-                }
-                let len = j + 1 - i;
-                push!(TokenKind::Str(s), len);
-            }
-            '-' | '0'..='9' => {
-                let neg = c == '-';
-                let mut j = i + usize::from(neg);
-                if neg && !bytes.get(j).is_some_and(u8::is_ascii_digit) {
-                    return Err(Error::parse(line, col, "expected digits after `-`"));
-                }
-                while bytes.get(j).is_some_and(u8::is_ascii_digit) {
-                    j += 1;
-                }
-                let text = &src[i..j];
-                let n: i64 = text.parse().map_err(|_| {
-                    Error::parse(line, col, format!("integer out of range: {text}"))
-                })?;
-                let len = j - i;
-                push!(TokenKind::Int(n), len);
-            }
-            _ if c.is_ascii_alphabetic() || c == '_' => {
-                let mut j = i;
-                while bytes
-                    .get(j)
-                    .is_some_and(|&b| (b as char).is_ascii_alphanumeric() || b == b'_')
-                {
-                    j += 1;
-                }
-                let text = &src[i..j];
-                let kind = if c.is_ascii_uppercase() || c == '_' {
-                    TokenKind::Var(text.to_owned())
+    /// The source being tokenized.
+    pub fn src(&self) -> &'a str {
+        self.src
+    }
+
+    /// The error behind a [`TokenKind::Error`] token, once one was met.
+    pub fn error(&self) -> Option<&Error> {
+        self.error.as_ref()
+    }
+
+    /// The next token. After an [`TokenKind::Error`] every call returns
+    /// the same error token: nothing past it is read.
+    pub fn next_token(&mut self) -> Token<'a> {
+        let at = |kind, start, end| Token { kind, start, end };
+        if self.error.is_some() {
+            return at(TokenKind::Error, self.pos, self.pos);
+        }
+        let start = self.skip_trivia();
+        let bytes = self.src.as_bytes();
+        if self.pos == bytes.len() {
+            return at(TokenKind::Eof, start, start);
+        }
+        let c = bytes[start];
+        let next = bytes.get(start + 1).copied();
+        let (kind, len) = match c {
+            b'(' => (TokenKind::LParen, 1),
+            b')' => (TokenKind::RParen, 1),
+            b',' => (TokenKind::Comma, 1),
+            b'.' => (TokenKind::Dot, 1),
+            b':' if next == Some(b'-') => (TokenKind::ColonDash, 2),
+            b':' => (TokenKind::Colon, 1),
+            b'-' if next == Some(b'>') => (TokenKind::Arrow, 2),
+            b'=' => (TokenKind::Eq, 1),
+            b'!' if next == Some(b'=') => (TokenKind::Ne, 2),
+            b'!' => (TokenKind::Bang, 1),
+            b'<' if next == Some(b'=') => (TokenKind::Le, 2),
+            b'<' => (TokenKind::Lt, 1),
+            b'>' if next == Some(b'=') => (TokenKind::Ge, 2),
+            b'>' => (TokenKind::Gt, 1),
+            b'\'' | b'"' => match self.string(start, c) {
+                Ok(end) => (TokenKind::Str(&self.src[start + 1..end - 1]), end - start),
+                Err(e) => return self.fail(e),
+            },
+            b'-' | b'0'..=b'9' => match self.int(start) {
+                Ok((n, end)) => (TokenKind::Int(n), end - start),
+                Err(e) => return self.fail(e),
+            },
+            _ if c.is_ascii_alphabetic() || c == b'_' => {
+                let len = bytes[start..]
+                    .iter()
+                    .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+                    .unwrap_or(bytes.len() - start);
+                let text = &self.src[start..start + len];
+                if c.is_ascii_uppercase() || c == b'_' {
+                    (TokenKind::Var(text), len)
                 } else {
-                    TokenKind::Ident(text.to_owned())
-                };
-                let len = j - i;
-                push!(kind, len);
+                    (TokenKind::Ident(text), len)
+                }
             }
             _ => {
-                return Err(Error::parse(
-                    line,
-                    col,
-                    format!("unexpected character `{c}`"),
-                ));
+                let ch = self.src[start..].chars().next().expect("not at end");
+                return self.fail(self.error_at(start, format!("unexpected character `{ch}`")));
+            }
+        };
+        self.pos = start + len;
+        at(kind, start, start + len)
+    }
+
+    fn error_at(&self, offset: usize, msg: impl Into<String>) -> Error {
+        let (line, col) = line_col(self.src, offset);
+        Error::parse(line, col, msg)
+    }
+
+    fn fail(&mut self, e: Error) -> Token<'a> {
+        self.error = Some(e);
+        self.next_token()
+    }
+
+    /// Skips whitespace and comments; returns where the next token
+    /// starts. A comment that runs to end of input moves `pos` to the end
+    /// but puts the end-of-input token at the comment's first character.
+    fn skip_trivia(&mut self) -> usize {
+        let bytes = self.src.as_bytes();
+        let mut i = self.pos;
+        while let Some(&b) = bytes.get(i) {
+            if b == b'%' || (b == b'/' && bytes.get(i + 1) == Some(&b'/')) {
+                match bytes[i..].iter().position(|&b| b == b'\n') {
+                    Some(n) => i += n,
+                    None => {
+                        self.pos = bytes.len();
+                        return i;
+                    }
+                }
+            } else if matches!(b, b' ' | b'\t' | b'\r' | b'\n') {
+                i += 1;
+            } else {
+                break;
+            }
+        }
+        self.pos = i;
+        i
+    }
+
+    /// Scans the string literal opening at `start` with `quote`; returns
+    /// the offset one past its closing quote. Escapes are checked here
+    /// and decoded by [`unescape`] when the literal is used.
+    fn string(&self, start: usize, quote: u8) -> Result<usize, Error> {
+        let bytes = self.src.as_bytes();
+        let mut j = start + 1;
+        loop {
+            match bytes.get(j) {
+                None | Some(b'\n') => {
+                    return Err(self.error_at(start, "unterminated string literal"));
+                }
+                Some(&b) if b == quote => return Ok(j + 1),
+                Some(b'\\') => match decode_escape(&self.src[j + 1..]) {
+                    Ok((_, len)) => j += 1 + len,
+                    Err(e) => return Err(self.error_at(start, e.message())),
+                },
+                // UTF-8 continuation and lead bytes are never a quote, a
+                // backslash or a newline, so byte steps stay in sync.
+                Some(_) => j += 1,
             }
         }
     }
-    out.push(Token {
-        kind: TokenKind::Eof,
-        line,
-        col,
-    });
-    Ok(out)
+
+    /// Scans the integer literal at `start` (an optional `-`, then
+    /// digits); returns its value and end offset.
+    fn int(&self, start: usize) -> Result<(i64, usize), Error> {
+        let bytes = self.src.as_bytes();
+        let neg = bytes[start] == b'-';
+        let digits = start + usize::from(neg);
+        let end = bytes[digits..]
+            .iter()
+            .position(|b| !b.is_ascii_digit())
+            .map_or(bytes.len(), |n| digits + n);
+        if end == digits {
+            return Err(self.error_at(start, "expected digits after `-`"));
+        }
+        let text = &self.src[start..end];
+        let n = text
+            .parse()
+            .map_err(|_| self.error_at(start, format!("integer out of range: {text}")))?;
+        Ok((n, end))
+    }
+}
+
+/// Tokenizes the whole of `src` (ending with [`TokenKind::Eof`]), or
+/// returns the first lexical error.
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, Error> {
+    let mut lexer = Lexer::new(src);
+    let mut out = Vec::new();
+    loop {
+        let t = lexer.next_token();
+        match t.kind {
+            TokenKind::Error => return Err(lexer.error.take().expect("error token")),
+            TokenKind::Eof => {
+                out.push(t);
+                return Ok(out);
+            }
+            _ => out.push(t),
+        }
+    }
+}
+
+enum EscapeError {
+    /// The input ended after the backslash.
+    Unterminated,
+    /// `\u` not followed by `{`, 1–6 hex digits naming a scalar value, `}`.
+    BadUnicode,
+}
+
+impl EscapeError {
+    fn message(&self) -> &'static str {
+        match self {
+            EscapeError::Unterminated => "unterminated escape",
+            EscapeError::BadUnicode => "invalid unicode escape",
+        }
+    }
+}
+
+/// Decodes the escape whose text (after the backslash) starts `rest`:
+/// the character it stands for and the bytes it spans.
+fn decode_escape(rest: &str) -> Result<(char, usize), EscapeError> {
+    let c = rest.chars().next().ok_or(EscapeError::Unterminated)?;
+    Ok(match c {
+        'n' => ('\n', 1),
+        't' => ('\t', 1),
+        'r' => ('\r', 1),
+        '0' => ('\0', 1),
+        'u' => {
+            let body = rest[1..].strip_prefix('{').ok_or(EscapeError::BadUnicode)?;
+            let hex = &body[..body.find('}').ok_or(EscapeError::BadUnicode)?];
+            if hex.is_empty() || hex.len() > 6 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(EscapeError::BadUnicode);
+            }
+            let ch = u32::from_str_radix(hex, 16)
+                .ok()
+                .and_then(char::from_u32)
+                .ok_or(EscapeError::BadUnicode)?;
+            (ch, hex.len() + 3)
+        }
+        c => (c, c.len_utf8()),
+    })
+}
+
+/// The text a string literal stands for, given its raw body (the
+/// payload of [`TokenKind::Str`]). Borrows when there is no escape.
+pub fn unescape(body: &str) -> Cow<'_, str> {
+    if !body.contains('\\') {
+        return Cow::Borrowed(body);
+    }
+    let mut out = String::with_capacity(body.len());
+    let mut rest = body;
+    while let Some(i) = rest.find('\\') {
+        out.push_str(&rest[..i]);
+        match decode_escape(&rest[i + 1..]) {
+            Ok((c, len)) => {
+                out.push(c);
+                rest = &rest[i + 1 + len..];
+            }
+            // Only a body the lexer did not check can get here; keep
+            // the rest verbatim rather than guess.
+            Err(_) => {
+                rest = &rest[i..];
+                break;
+            }
+        }
+    }
+    out.push_str(rest);
+    Cow::Owned(out)
+}
+
+/// Writes `s` as a double-quoted literal that [`Lexer`] reads back as
+/// exactly `s`: the inverse of [`unescape`].
+pub(crate) fn write_str_literal(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    use fmt::Write as _;
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\t' => f.write_str("\\t")?,
+            '\r' => f.write_str("\\r")?,
+            '\0' => f.write_str("\\0")?,
+            c if c.is_control() => write!(f, "\\u{{{:x}}}", u32::from(c))?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -243,19 +398,19 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("p".into()),
+                TokenKind::Ident("p"),
                 TokenKind::LParen,
-                TokenKind::Var("X".into()),
+                TokenKind::Var("X"),
                 TokenKind::Comma,
                 TokenKind::Int(3),
                 TokenKind::RParen,
                 TokenKind::ColonDash,
-                TokenKind::Ident("q".into()),
+                TokenKind::Ident("q"),
                 TokenKind::LParen,
-                TokenKind::Var("X".into()),
+                TokenKind::Var("X"),
                 TokenKind::RParen,
                 TokenKind::Comma,
-                TokenKind::Var("X".into()),
+                TokenKind::Var("X"),
                 TokenKind::Ge,
                 TokenKind::Int(-2),
                 TokenKind::Dot,
@@ -270,11 +425,11 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("r".into()),
+                TokenKind::Ident("r"),
                 TokenKind::LParen,
-                TokenKind::Str("hello world".into()),
+                TokenKind::Str("hello world"),
                 TokenKind::Comma,
-                TokenKind::Str("exec".into()),
+                TokenKind::Str("exec"),
                 TokenKind::RParen,
                 TokenKind::Dot,
                 TokenKind::Eof,
@@ -287,11 +442,11 @@ mod tests {
         assert_eq!(
             kinds("ic: a -> b")[..],
             [
-                TokenKind::Ident("ic".into()),
+                TokenKind::Ident("ic"),
                 TokenKind::Colon,
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Arrow,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Eof,
             ]
         );
@@ -301,8 +456,41 @@ mod tests {
     fn positions_and_errors() {
         let err = lex("p(X\n  @)").unwrap_err();
         assert_eq!(err, Error::parse(2, 3, "unexpected character `@`"));
+        assert_eq!(
+            lex("p(λ)").unwrap_err(),
+            Error::parse(1, 3, "unexpected character `λ`")
+        );
         assert!(lex("'open").is_err());
         assert!(lex("- x").is_err());
+        assert_eq!(
+            lex("p(\"a\\u{zz}\")").unwrap_err(),
+            Error::parse(1, 3, "invalid unicode escape")
+        );
+        assert_eq!(
+            lex("p(9223372036854775808)").unwrap_err(),
+            Error::parse(1, 3, "integer out of range: 9223372036854775808")
+        );
+        assert_eq!(kinds("-9223372036854775808")[0], TokenKind::Int(i64::MIN));
+    }
+
+    #[test]
+    fn spans_and_end_of_input_position() {
+        let ts = lex("ab  'c\\'d' % tail").unwrap();
+        assert_eq!((ts[0].start, ts[0].end), (0, 2));
+        assert_eq!((ts[1].start, ts[1].end), (4, 10));
+        assert_eq!(ts[1].kind, TokenKind::Str("c\\'d"));
+        // A trailing comment leaves end of input where the comment starts.
+        assert_eq!((ts[2].kind, ts[2].start), (TokenKind::Eof, 11));
+        assert_eq!(line_col("a\nbc", 3), (2, 2));
+    }
+
+    #[test]
+    fn escapes_decode_and_borrow_when_absent() {
+        assert!(matches!(unescape("plain λ"), Cow::Borrowed("plain λ")));
+        assert_eq!(
+            unescape(r#"a\nb\tc\rd\0e\\f\"g\'h\u{1}i\u{1F600}\λ"#),
+            "a\nb\tc\rd\0e\\f\"g'h\u{1}i\u{1F600}λ"
+        );
     }
 
     #[test]

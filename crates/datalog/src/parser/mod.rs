@@ -21,9 +21,10 @@
 
 mod lexer;
 
-pub use lexer::{lex, Token, TokenKind};
+pub(crate) use lexer::write_str_literal;
+pub use lexer::{lex, line_col, unescape, Lexer, Token, TokenKind};
 
-use crate::atom::Atom;
+use crate::atom::{Atom, Pred};
 use crate::constraint::{Constraint, IcHead};
 use crate::error::Error;
 use crate::literal::{Cmp, CmpOp, Literal};
@@ -52,7 +53,7 @@ impl Unit {
 
 /// Parses a mixed source unit (rules, facts, constraints).
 pub fn parse_unit(src: &str) -> Result<Unit, Error> {
-    Parser::new(src)?.unit()
+    Parser::new(src).unit()
 }
 
 /// Parses a source containing only constraints (plus comments).
@@ -78,101 +79,106 @@ pub fn parse_rule(src: &str) -> Result<Rule, Error> {
 
 /// Parses a single atom (no trailing dot required).
 pub fn parse_atom(src: &str) -> Result<Atom, Error> {
-    let mut p = Parser::new(src)?;
+    let mut p = Parser::new(src);
     let a = p.atom()?;
     p.expect_eof()?;
     Ok(a)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Recursive descent over the on-demand [`Lexer`] with two tokens of
+/// lookahead (`cur`, `next`). Every error is raised at `cur`, so the
+/// first error in source order is the one reported: a lexical error in
+/// `next` waits as a [`TokenKind::Error`] token until the parser reaches
+/// it.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    cur: Token<'a>,
+    next: Token<'a>,
+    /// One-entry predicate-name cache: facts come in runs of one
+    /// predicate, and a run interns its name once.
+    last_pred: Option<(&'a str, Pred)>,
+    /// Argument buffer reused across atoms; each atom copies it out at
+    /// exact size.
+    args: Vec<Term>,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser, Error> {
-        Ok(Parser {
-            tokens: lex(src)?,
-            pos: 0,
-        })
-    }
-
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
-
-    fn peek2(&self) -> &Token {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        let mut lexer = Lexer::new(src);
+        let cur = lexer.next_token();
+        let next = lexer.next_token();
+        Parser {
+            lexer,
+            cur,
+            next,
+            last_pred: None,
+            args: Vec::new(),
         }
-        t
+    }
+
+    fn bump(&mut self) {
+        self.cur = std::mem::replace(&mut self.next, self.lexer.next_token());
     }
 
     fn err_here(&self, msg: impl Into<String>) -> Error {
-        let t = self.peek();
-        Error::parse(t.line, t.col, msg.into())
+        if let (TokenKind::Error, Some(e)) = (self.cur.kind, self.lexer.error()) {
+            return e.clone();
+        }
+        let (line, col) = line_col(self.lexer.src(), self.cur.start);
+        Error::parse(line, col, msg)
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), Error> {
-        if &self.peek().kind == kind {
+    /// `expected {what}, found {the current token}`.
+    fn unexpected(&self, what: &str) -> Error {
+        self.err_here(format!(
+            "expected {what}, found {}",
+            self.cur.kind.describe()
+        ))
+    }
+
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), Error> {
+        if self.cur.kind == kind {
             self.bump();
             Ok(())
         } else {
-            Err(self.err_here(format!(
-                "expected {}, found {}",
-                kind.describe(),
-                self.peek().kind.describe()
-            )))
+            Err(self.unexpected(&kind.describe()))
         }
     }
 
     fn expect_eof(&mut self) -> Result<(), Error> {
-        if self.peek().kind == TokenKind::Eof {
+        if self.cur.kind == TokenKind::Eof {
             Ok(())
         } else {
-            Err(self.err_here(format!(
-                "expected end of input, found {}",
-                self.peek().kind.describe()
-            )))
+            Err(self.unexpected("end of input"))
         }
     }
 
     fn unit(&mut self) -> Result<Unit, Error> {
         let mut out = Unit::default();
-        while self.peek().kind != TokenKind::Eof {
+        while self.cur.kind != TokenKind::Eof {
             if self.at_constraint_start() {
                 out.constraints.push(self.constraint()?);
-            } else {
-                let head = self.atom()?;
-                match self.peek().kind {
-                    TokenKind::Dot => {
-                        self.bump();
-                        if head.is_ground() {
-                            out.facts.push(head);
-                        } else {
-                            // Non-ground bodyless clause: keep as a rule so
-                            // range-restriction analysis reports it.
-                            out.rules.push(Rule::fact(head));
-                        }
-                    }
-                    TokenKind::ColonDash => {
-                        self.bump();
-                        let body = self.literals()?;
-                        self.expect(&TokenKind::Dot)?;
-                        out.rules.push(Rule::new(head, body));
-                    }
-                    _ => {
-                        return Err(self.err_here(format!(
-                            "expected `.` or `:-`, found {}",
-                            self.peek().kind.describe()
-                        )));
+                continue;
+            }
+            let head = self.atom()?;
+            match self.cur.kind {
+                TokenKind::Dot => {
+                    self.bump();
+                    if head.is_ground() {
+                        out.facts.push(head);
+                    } else {
+                        // Non-ground bodyless clause: keep as a rule so
+                        // range-restriction analysis reports it.
+                        out.rules.push(Rule::fact(head));
                     }
                 }
+                TokenKind::ColonDash => {
+                    self.bump();
+                    let body = self.literals()?;
+                    self.expect(TokenKind::Dot)?;
+                    out.rules.push(Rule::new(head, body));
+                }
+                _ => return Err(self.unexpected("`.` or `:-`")),
             }
         }
         Ok(out)
@@ -181,27 +187,22 @@ impl Parser {
     fn at_constraint_start(&self) -> bool {
         // `ic` then either `:` or `name :` begins a constraint; `ic(` is an
         // ordinary atom.
-        if let TokenKind::Ident(id) = &self.peek().kind {
-            if id == "ic" {
-                return matches!(self.peek2().kind, TokenKind::Colon | TokenKind::Ident(_));
-            }
-        }
-        false
+        self.cur.kind == TokenKind::Ident("ic")
+            && matches!(self.next.kind, TokenKind::Colon | TokenKind::Ident(_))
     }
 
     fn constraint(&mut self) -> Result<Constraint, Error> {
         self.bump(); // `ic`
-        let name = if let TokenKind::Ident(n) = &self.peek().kind {
-            let n = n.clone();
+        let name = if let TokenKind::Ident(n) = self.cur.kind {
             self.bump();
-            Some(Symbol::intern(&n))
+            Some(Symbol::intern(n))
         } else {
             None
         };
-        self.expect(&TokenKind::Colon)?;
+        self.expect(TokenKind::Colon)?;
         let body = self.literals()?;
-        self.expect(&TokenKind::Arrow)?;
-        let head = if self.peek().kind == TokenKind::Dot {
+        self.expect(TokenKind::Arrow)?;
+        let head = if self.cur.kind == TokenKind::Dot {
             IcHead::None
         } else {
             match self.literal()? {
@@ -212,7 +213,7 @@ impl Parser {
                 Literal::Cmp(c) => IcHead::Cmp(c),
             }
         };
-        self.expect(&TokenKind::Dot)?;
+        self.expect(TokenKind::Dot)?;
         let mut atoms = Vec::new();
         let mut cmps = Vec::new();
         for l in body {
@@ -234,7 +235,7 @@ impl Parser {
 
     fn literals(&mut self) -> Result<Vec<Literal>, Error> {
         let mut out = vec![self.literal()?];
-        while self.peek().kind == TokenKind::Comma {
+        while self.cur.kind == TokenKind::Comma {
             self.bump();
             out.push(self.literal()?);
         }
@@ -243,14 +244,13 @@ impl Parser {
 
     fn literal(&mut self) -> Result<Literal, Error> {
         // `!atom` is a (stratified) negated subgoal.
-        if self.peek().kind == TokenKind::Bang {
+        if self.cur.kind == TokenKind::Bang {
             self.bump();
             return Ok(Literal::Neg(self.atom()?));
         }
         // An atom begins with `ident (`; anything else that parses as a term
         // must continue as a comparison.
-        if matches!(self.peek().kind, TokenKind::Ident(_)) && self.peek2().kind == TokenKind::LParen
-        {
+        if matches!(self.cur.kind, TokenKind::Ident(_)) && self.next.kind == TokenKind::LParen {
             return Ok(Literal::Atom(self.atom()?));
         }
         let lhs = self.term()?;
@@ -260,54 +260,53 @@ impl Parser {
     }
 
     fn cmp_op(&mut self) -> Result<CmpOp, Error> {
-        let op = match self.peek().kind {
+        let op = match self.cur.kind {
             TokenKind::Eq => CmpOp::Eq,
             TokenKind::Ne => CmpOp::Ne,
             TokenKind::Lt => CmpOp::Lt,
             TokenKind::Le => CmpOp::Le,
             TokenKind::Gt => CmpOp::Gt,
             TokenKind::Ge => CmpOp::Ge,
-            _ => {
-                return Err(self.err_here(format!(
-                    "expected comparison operator, found {}",
-                    self.peek().kind.describe()
-                )));
-            }
+            _ => return Err(self.unexpected("comparison operator")),
         };
         self.bump();
         Ok(op)
     }
 
     fn atom(&mut self) -> Result<Atom, Error> {
-        let name = match &self.peek().kind {
-            TokenKind::Ident(n) => n.clone(),
-            other => {
-                return Err(self.err_here(format!(
-                    "expected predicate name, found {}",
-                    other.describe()
-                )));
+        let TokenKind::Ident(name) = self.cur.kind else {
+            return Err(self.unexpected("predicate name"));
+        };
+        let pred = match self.last_pred {
+            Some((last, pred)) if last == name => pred,
+            _ => {
+                let pred = Pred::new(name);
+                self.last_pred = Some((name, pred));
+                pred
             }
         };
         self.bump();
-        self.expect(&TokenKind::LParen)?;
-        let mut args = vec![self.term()?];
-        while self.peek().kind == TokenKind::Comma {
+        self.expect(TokenKind::LParen)?;
+        self.args.clear();
+        loop {
+            let t = self.term()?;
+            self.args.push(t);
+            if self.cur.kind != TokenKind::Comma {
+                break;
+            }
             self.bump();
-            args.push(self.term()?);
         }
-        self.expect(&TokenKind::RParen)?;
-        Ok(Atom::new(name.as_str(), args))
+        self.expect(TokenKind::RParen)?;
+        Ok(Atom::new(pred, self.args.to_vec()))
     }
 
     fn term(&mut self) -> Result<Term, Error> {
-        let t = match &self.peek().kind {
+        let t = match self.cur.kind {
             TokenKind::Var(v) => Term::Var(Symbol::intern(v)),
             TokenKind::Ident(c) => Term::Const(Value::str(c)),
-            TokenKind::Int(i) => Term::Const(Value::Int(*i)),
-            TokenKind::Str(s) => Term::Const(Value::str(s)),
-            other => {
-                return Err(self.err_here(format!("expected term, found {}", other.describe())));
-            }
+            TokenKind::Int(i) => Term::Const(Value::Int(i)),
+            TokenKind::Str(s) => Term::Const(Value::str(&unescape(s))),
+            _ => return Err(self.unexpected("term")),
         };
         self.bump();
         Ok(t)
@@ -395,6 +394,34 @@ mod tests {
         assert!(matches!(err, Error::Parse { .. }));
         let err = parse_unit("p(X) q(X).").unwrap_err();
         assert!(err.to_string().contains("expected `.` or `:-`"));
+    }
+
+    #[test]
+    fn first_error_in_source_order_wins() {
+        // The parse error comes before the lexical one, so it is reported.
+        assert_eq!(
+            parse_unit("p(X) q(X). @").unwrap_err(),
+            Error::parse(1, 6, "expected `.` or `:-`, found identifier `q`")
+        );
+        // A lexical error one token ahead of a good token waits its turn.
+        assert_eq!(
+            parse_unit("p(X) :- q(X), r @").unwrap_err(),
+            Error::parse(1, 17, "unexpected character `@`")
+        );
+        // End of input after a trailing comment sits where the comment starts.
+        assert_eq!(
+            parse_unit("p(X) :- q(X) % no dot").unwrap_err(),
+            Error::parse(1, 14, "expected `.`, found end of input")
+        );
+    }
+
+    #[test]
+    fn string_literals_roundtrip_through_display() {
+        let a = parse_atom(r#"p("λ", "a\rb", 'it\'s', "\u{1F600}\0")"#).unwrap();
+        let want = ["λ", "a\rb", "it's", "\u{1F600}\0"].map(Term::str);
+        assert_eq!(a.args, want);
+        assert_eq!(a.to_string(), r#"p("λ", "a\rb", "it's", "😀\0")"#);
+        assert_eq!(parse_atom(&a.to_string()).unwrap(), a);
     }
 
     #[test]

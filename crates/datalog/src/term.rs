@@ -67,7 +67,7 @@ impl fmt::Display for Value {
                 if plain {
                     write!(f, "{t}")
                 } else {
-                    write!(f, "{t:?}")
+                    crate::parser::write_str_literal(f, t)
                 }
             }
         }
@@ -164,6 +164,10 @@ mod tests {
         assert_eq!(Value::str("executive").to_string(), "executive");
         assert_eq!(Value::str("Hello world").to_string(), "\"Hello world\"");
         assert_eq!(Value::str("CS").to_string(), "\"CS\"");
+        assert_eq!(
+            Value::str("λ \"q\" a\\b\r\0\u{1}").to_string(),
+            r#""λ \"q\" a\\b\r\0\u{1}""#
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use semrec_datalog::atom::Atom;
 use semrec_datalog::error::Error;
 use semrec_datalog::literal::Literal;
-use semrec_datalog::parser::{lex, TokenKind};
+use semrec_datalog::parser::{lex, line_col, parse_atom, parse_rule, Token, TokenKind};
 
 /// A parsed knowledge query.
 #[derive(Clone, Debug)]
@@ -19,88 +19,33 @@ pub struct KnowledgeQuery {
 /// `where` clause are optional: `describe φ(X).` asks for an unconditional
 /// description).
 pub fn parse_describe(src: &str) -> Result<KnowledgeQuery, Error> {
-    // Lex once to find the `describe` / `where` keywords robustly, then
-    // reuse the main parser for the pieces.
+    // Lex once to find the `describe` / `where` keywords and the closing
+    // dot, then hand the source between them to the main parser.
     let tokens = lex(src)?;
-    let mut idx = 0;
-    let kw = |t: &TokenKind, s: &str| matches!(t, TokenKind::Ident(i) if i == s);
-    if !kw(&tokens[idx].kind, "describe") {
-        return Err(Error::parse(
-            tokens[idx].line,
-            tokens[idx].col,
-            "expected `describe`",
-        ));
+    let kw = |t: &Token, s: &str| t.kind == TokenKind::Ident(s);
+    if !kw(&tokens[0], "describe") {
+        let (line, col) = line_col(src, tokens[0].start);
+        return Err(Error::parse(line, col, "expected `describe`"));
     }
-    idx += 1;
-
-    // Find the `where` keyword (if any) at the top level.
-    let mut where_idx = None;
-    for (i, t) in tokens.iter().enumerate().skip(idx) {
-        if kw(&t.kind, "where") {
-            where_idx = Some(i);
-            break;
-        }
-    }
-
-    let src_body = |from: usize, to: usize| -> String {
-        // Reconstruct source text by re-rendering tokens; good enough for
-        // our token set.
-        tokens[from..to]
-            .iter()
-            .map(|t| render(&t.kind))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-
     let end = tokens
         .iter()
         .position(|t| t.kind == TokenKind::Dot)
         .unwrap_or(tokens.len() - 1);
-    let (target_end, ctx) = match where_idx {
-        Some(w) => (w, Some((w + 1, end))),
+    let between = |from: usize, to: usize| &src[tokens[from].start..tokens[to].start];
+    let where_idx = tokens[1..end].iter().position(|t| kw(t, "where"));
+    let (target_end, ctx) = match where_idx.map(|w| w + 1) {
+        Some(w) => (w, Some(between(w + 1, end))),
         None => (end, None),
     };
 
-    let target = semrec_datalog::parser::parse_atom(&src_body(idx, target_end))?;
+    let target = parse_atom(between(1, target_end))?;
     let context = match ctx {
         None => vec![],
-        Some((from, to)) => {
-            // Parse as a rule body by wrapping in a dummy head whose
-            // variables don't matter (range restriction is not required
-            // for contexts).
-            let text = format!("dummy@(0) :- {}.", src_body(from, to));
-            // `dummy@` is not lexable, so parse literal list manually via a
-            // valid dummy predicate instead.
-            let text = text.replace("dummy@", "iqa_dummy_head");
-            let rule = semrec_datalog::parser::parse_rule(&text)?;
-            rule.body
-        }
+        // Parse as a rule body under a dummy head (range restriction is
+        // not required for contexts).
+        Some(body) => parse_rule(&format!("iqa_dummy_head(0) :- {body}."))?.body,
     };
     Ok(KnowledgeQuery { target, context })
-}
-
-fn render(kind: &TokenKind) -> String {
-    match kind {
-        TokenKind::Ident(s) => s.clone(),
-        TokenKind::Var(s) => s.clone(),
-        TokenKind::Int(i) => i.to_string(),
-        TokenKind::Str(s) => format!("{s:?}"),
-        TokenKind::LParen => "(".into(),
-        TokenKind::RParen => ")".into(),
-        TokenKind::Comma => ",".into(),
-        TokenKind::Dot => ".".into(),
-        TokenKind::ColonDash => ":-".into(),
-        TokenKind::Colon => ":".into(),
-        TokenKind::Arrow => "->".into(),
-        TokenKind::Eq => "=".into(),
-        TokenKind::Ne => "!=".into(),
-        TokenKind::Bang => "!".into(),
-        TokenKind::Lt => "<".into(),
-        TokenKind::Le => "<=".into(),
-        TokenKind::Gt => ">".into(),
-        TokenKind::Ge => ">=".into(),
-        TokenKind::Eof => String::new(),
-    }
 }
 
 #[cfg(test)]
@@ -128,6 +73,14 @@ mod tests {
     fn parse_with_comparison_in_context() {
         let q = parse_describe("describe rich(P) where salary(P, S), S > 100000.").unwrap();
         assert_eq!(q.context.len(), 2);
+    }
+
+    #[test]
+    fn context_constants_keep_their_escapes() {
+        use semrec_datalog::term::{Term, Value};
+        let q = parse_describe(r#"describe p(X) where q(X, "a\u{1}b")."#).unwrap();
+        let atom = q.context[0].as_atom().unwrap();
+        assert_eq!(atom.args[1], Term::Const(Value::str("a\u{1}b")));
     }
 
     #[test]

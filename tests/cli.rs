@@ -611,3 +611,53 @@ fn serve_script_exit_code_is_the_worst_typed_condition() {
     assert!(stdout.ends_with("p(1).\np(2).\nend\n"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A committed string constant reads back the same before and after a
+/// restart that replays it from the WAL. The log stores each commit as
+/// `Display` text, so the lexer must read back every escape `Display`
+/// writes: non-ASCII, control characters, quotes and backslashes.
+#[test]
+fn serve_wal_replays_string_constants_exactly() {
+    let dir = std::env::temp_dir().join(format!("semrec-cli-walstr-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("prog.dl");
+    std::fs::write(&file, "named(X, N) :- name(X, N).\nname(1, a).\n").unwrap();
+    let wal = dir.join("serve.wal");
+    let run = |script: &str| {
+        let path = dir.join("script.txt");
+        std::fs::write(&path, script).unwrap();
+        let (ok, stdout, stderr) = semrec(&[
+            "serve",
+            file.to_str().unwrap(),
+            "--wal",
+            wal.to_str().unwrap(),
+            "--script",
+            path.to_str().unwrap(),
+        ]);
+        assert!(ok, "{stderr}");
+        let answers: Vec<String> = stdout
+            .lines()
+            .filter(|l| l.starts_with("named("))
+            .map(str::to_owned)
+            .collect();
+        (answers, stderr)
+    };
+    let (live, _) = run(concat!(
+        "+name(2, \"λ\").\n",
+        r#"+name(3, "a\rb\\\"'\u{1}")."#,
+        "\ncommit.\nquery named(X, N).\nquit.\n"
+    ));
+    assert_eq!(
+        live,
+        [
+            "named(1, a).",
+            "named(2, \"λ\").",
+            r#"named(3, "a\rb\\\"'\u{1}")."#
+        ]
+    );
+    let (replayed, stderr) = run("query named(X, N).\nquit.\n");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(stderr.contains("1 commit(s) replayed"), "{stderr}");
+    assert_eq!(replayed, live);
+}

@@ -6,7 +6,8 @@
 //! policy: no registry deps for `cargo test -q`).
 
 use semrec::datalog::analysis::{check_arities, validate};
-use semrec::datalog::parser::{parse_atom, parse_unit};
+use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
+use semrec::datalog::{Term, Value};
 use semrec::engine::{int_tuple, tx_to_stream, Tx, TxStreamEvent, TxStreamParser};
 use semrec::gen::rng::Rng;
 
@@ -38,13 +39,43 @@ fn parse_unit_never_panics() {
     }
 }
 
+/// A unit as source text, one clause per line, through `Display`.
+fn render(unit: &Unit) -> String {
+    unit.rules
+        .iter()
+        .map(|r| format!("{r}\n"))
+        .chain(unit.facts.iter().map(|f| format!("{f}.\n")))
+        .chain(unit.constraints.iter().map(|c| format!("{c}\n")))
+        .collect()
+}
+
 /// Syntax-shaped soup (drawn from the token alphabet) never panics and
 /// round-trips when accepted.
 #[test]
 fn tokenish_inputs_roundtrip() {
     const ALPHABET: &[&str] = &[
-        "p", "q", "X", "Y", "42", "(", ")", ",", ".", ":-", "->", "ic", ":", "!", "<=", "=",
+        "p",
+        "q",
+        "X",
+        "Y",
+        "42",
+        "(",
+        ")",
+        ",",
+        ".",
+        ":-",
+        "->",
+        "ic",
+        ":",
+        "!",
+        "<=",
+        "=",
         "\"s\"",
+        "\"λ\"",
+        "'x'",
+        r#""a\\b""#,
+        "-7",
+        "// comment\n",
     ];
     for case in 0u64..256 {
         let mut rng = Rng::seed_from_u64(0xAB34 + case);
@@ -55,14 +86,7 @@ fn tokenish_inputs_roundtrip() {
         let src = tokens.join(" ");
         if let Ok(unit) = parse_unit(&src) {
             // Whatever parsed must re-parse identically from its Display.
-            let rendered: String = unit
-                .rules
-                .iter()
-                .map(|r| format!("{r}\n"))
-                .chain(unit.facts.iter().map(|f| format!("{f}.\n")))
-                .chain(unit.constraints.iter().map(|c| format!("{c}\n")))
-                .collect();
-            let back = parse_unit(&rendered).expect("display must re-parse");
+            let back = parse_unit(&render(&unit)).expect("display must re-parse");
             assert_eq!(unit.rules, back.rules, "case {case}: {src}");
             assert_eq!(unit.facts, back.facts, "case {case}: {src}");
             assert_eq!(
@@ -71,6 +95,93 @@ fn tokenish_inputs_roundtrip() {
                 "case {case}: {src}"
             );
         }
+    }
+}
+
+/// Every constant survives `parse(display(v)) == v`: strings of
+/// multibyte and control characters, both quote kinds and backslashes
+/// (the escape grammar the lexer reads is the one `Display` writes), and
+/// integers to both ends of `i64`.
+#[test]
+fn constants_roundtrip_through_display() {
+    const PALETTE: &[char] = &[
+        'a',
+        'Z',
+        '0',
+        ' ',
+        '_',
+        'u',
+        '{',
+        '}',
+        'λ',
+        '→',
+        '\u{1F600}',
+        '\u{301}',
+        '\u{200B}',
+        '\n',
+        '\t',
+        '\r',
+        '\0',
+        '\u{1}',
+        '\u{7F}',
+        '\u{85}',
+        '"',
+        '\'',
+        '\\',
+    ];
+    for case in 0u64..512 {
+        let mut rng = Rng::seed_from_u64(0xE1F0 + case);
+        let len = rng.gen_range(0..12usize);
+        let s: String = (0..len)
+            .map(|_| PALETTE[rng.gen_range(0..PALETTE.len())])
+            .collect();
+        let n = match case {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            _ => rng.gen_range(-1_000_000..1_000_000i64),
+        };
+        let want = vec![Term::Const(Value::str(&s)), Term::Const(Value::Int(n))];
+        let text = format!("p({}, {})", want[0], want[1]);
+        let back = parse_atom(&text).unwrap_or_else(|e| panic!("case {case}: {text}: {e}"));
+        assert_eq!(back.args, want, "case {case}: {text}");
+    }
+}
+
+/// Every generator bundle `semrec gen` writes, with its facts inline,
+/// parses, displays and re-parses to the identical unit: rules, facts and
+/// constraints, in order.
+#[test]
+fn generator_bundles_roundtrip_through_display() {
+    use semrec::gen::{export, fanout, flights, genealogy, org, parse_scenario, university};
+    let bundles = [
+        (
+            parse_scenario(org::PROGRAM),
+            org::generate(&org::OrgParams::default()),
+        ),
+        (
+            parse_scenario(university::PROGRAM),
+            university::generate(&university::UniversityParams::default()),
+        ),
+        (
+            parse_scenario(genealogy::PROGRAM),
+            genealogy::generate(&genealogy::GenealogyParams::default()),
+        ),
+        (
+            parse_scenario(fanout::PROGRAM),
+            fanout::generate(&fanout::FanoutParams::default()),
+        ),
+        (
+            parse_scenario(flights::PROGRAM),
+            flights::generate(&flights::FlightsParams::default()),
+        ),
+    ];
+    for (scenario, db) in &bundles {
+        let unit = parse_unit(&export::to_dl(scenario, Some(db))).expect("bundle parses");
+        assert_eq!(unit.facts.len(), db.total_tuples());
+        let back = parse_unit(&render(&unit)).expect("display re-parses");
+        assert_eq!(unit.rules, back.rules);
+        assert_eq!(unit.facts, back.facts);
+        assert_eq!(unit.constraints, back.constraints);
     }
 }
 
