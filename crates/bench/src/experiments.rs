@@ -1,11 +1,12 @@
 //! The experiment suite (E1–E9) reproducing every claimed effect of the
 //! paper. See DESIGN.md §6 for the experiment index and EXPERIMENTS.md for
 //! recorded results. Each experiment returns printable tables; the
-//! `harness` binary drives them and Criterion benches time the hot
-//! closures.
+//! `harness` binary drives them.
 
+use crate::fixtures::runtime_baseline::evaluate_with_runtime_semantics;
+use crate::fixtures::sld::{query_sld, SldConfig};
+use crate::fixtures::topdown::query_topdown;
 use crate::table::{ms, ratio, Table};
-use semrec_core::baseline::evaluate_with_runtime_semantics;
 use semrec_core::detect::{detect, DetectionMethod};
 use semrec_core::isolate::isolate;
 use semrec_core::optimizer::{Optimizer, OptimizerConfig, Plan};
@@ -322,8 +323,8 @@ pub fn e3(scale: Scale) -> Vec<Table> {
     for age in ages {
         let mut goal = parse_atom("anc(X, Xa, Y, Ya)").unwrap();
         goal.args[3] = Term::Const(Value::Int(age));
-        let (a1, s1) = semrec_engine::topdown::query_topdown(&db, &plan.rectified, &goal).unwrap();
-        let (a2, s2) = semrec_engine::topdown::query_topdown(&db, &plan.program, &goal).unwrap();
+        let (a1, s1) = query_topdown(&db, &plan.rectified, &goal).unwrap();
+        let (a2, s2) = query_topdown(&db, &plan.program, &goal).unwrap();
         assert_eq!(a1, a2);
         td.row(vec![
             age.to_string(),
@@ -340,7 +341,6 @@ pub fn e3(scale: Scale) -> Vec<Table> {
     // paper's era. Here the pushed guard finally pays: a young-bound goal
     // makes the committed chain die at rule entry, while the original
     // program expands the unbound recursion to the depth bound.
-    use semrec_engine::sld::{query_sld, SldConfig};
     let small = genealogy::generate(&genealogy::GenealogyParams {
         families: 2,
         depth: 4,
@@ -450,10 +450,8 @@ pub fn e4(scale: Scale) -> Vec<Table> {
     for (name, s, db, pred) in cases {
         let (plan, compile_time) = timed(|| plan_for(&s, &["doctoral"]));
         let (opt, eval_time) = timed(|| evaluate(&db, &plan.program, Strategy::SemiNaive).unwrap());
-        let (rt, rt_total) = timed(|| {
-            evaluate_with_runtime_semantics(&db, &s.program, &s.constraints, Strategy::SemiNaive)
-                .unwrap()
-        });
+        let (rt, rt_total) =
+            timed(|| evaluate_with_runtime_semantics(&db, &s.program, &s.constraints).unwrap());
         check_equal(&opt, &rt.result, pred);
         t.row(vec![
             name.into(),

@@ -3,7 +3,7 @@
 //! This is the 1995-era evaluation model the paper's pruning argument
 //! actually targets: a tuple-at-a-time prover that *speculatively*
 //! explores rule expansions. Unlike the tabled engine
-//! ([`crate::topdown`]), repeated subgoals are re-proved and recursive
+//! ([`super::topdown`]), repeated subgoals are re-proved and recursive
 //! expansion is only stopped by the depth bound — so a residue pushed into
 //! the program (e.g. a `Ya > 50` guard on the committed chain) cuts whole
 //! search subtrees *before* they touch the database.
@@ -18,15 +18,15 @@
 //! reports [`Completeness::DepthCutoff`] and the answer set may be
 //! incomplete. (That is faithful to the model: Prolog loops, we cut.)
 
-use crate::database::Database;
-use crate::error::EngineError;
-use crate::relation::Tuple;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::literal::Literal;
 use semrec_datalog::program::Program;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::{Term, Value};
+use semrec_engine::database::Database;
+use semrec_engine::error::EngineError;
+use semrec_engine::relation::Tuple;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -186,8 +186,8 @@ impl<'db> Sld<'db> {
         let rest = without(goals, i);
 
         // Arithmetic builtins compute instead of matching facts.
-        if let Some(op) = crate::builtins::BuiltinOp::of(atom.pred) {
-            if atom.arity() == crate::builtins::BuiltinOp::ARITY {
+        if let Some(op) = semrec_engine::builtins::BuiltinOp::of(atom.pred) {
+            if atom.arity() == semrec_engine::builtins::BuiltinOp::ARITY {
                 self.stats.cmp_evals += 1;
                 let vals: Vec<Option<semrec_datalog::term::Value>> =
                     atom.args.iter().map(|t| t.as_const()).collect();
@@ -301,9 +301,9 @@ fn bind_row(theta: &mut Subst, atom: &Atom, row: &[Value]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::int_tuple;
-    use crate::eval::{evaluate, Strategy};
     use semrec_datalog::parser::parse_atom;
+    use semrec_engine::database::int_tuple;
+    use semrec_engine::eval::{evaluate, Strategy};
 
     fn chain_db(n: i64) -> Database {
         let mut db = Database::new();
@@ -455,8 +455,8 @@ mod tests {
 #[cfg(test)]
 mod builtin_tests {
     use super::*;
-    use crate::database::int_tuple;
     use semrec_datalog::parser::parse_atom;
+    use semrec_engine::database::int_tuple;
 
     #[test]
     fn arithmetic_in_sld() {

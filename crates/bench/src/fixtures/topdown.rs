@@ -13,15 +13,15 @@
 //! out of scope here). Subgoal canonicalization renames variables by first
 //! occurrence, so `t(X, 5, Y)` and `t(A, 5, B)` share a table.
 
-use crate::database::Database;
-use crate::error::EngineError;
-use crate::relation::Tuple;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::literal::Literal;
 use semrec_datalog::program::Program;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::{Term, Value};
+use semrec_engine::database::Database;
+use semrec_engine::error::EngineError;
+use semrec_engine::relation::Tuple;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -260,7 +260,7 @@ impl<'db> TopDown<'db> {
                     .count();
                 // An unready builtin (needs ≥2 bound args) must wait for
                 // other literals to bind its inputs.
-                let ready = crate::builtins::BuiltinOp::of(a.pred).is_none() || bound >= 2;
+                let ready = semrec_engine::builtins::BuiltinOp::of(a.pred).is_none() || bound >= 2;
                 (ready, bound, usize::MAX - i)
             });
         let Some((bi, Literal::Atom(a))) = best else {
@@ -271,8 +271,8 @@ impl<'db> TopDown<'db> {
         self.stats.resolutions += 1;
         let subgoal = theta.apply_atom(a);
         // Arithmetic builtins are computed, not tabled.
-        if let Some(op) = crate::builtins::BuiltinOp::of(subgoal.pred) {
-            if subgoal.arity() == crate::builtins::BuiltinOp::ARITY {
+        if let Some(op) = semrec_engine::builtins::BuiltinOp::of(subgoal.pred) {
+            if subgoal.arity() == semrec_engine::builtins::BuiltinOp::ARITY {
                 let rest: Vec<Literal> = remaining
                     .iter()
                     .enumerate()
@@ -389,9 +389,9 @@ pub fn query_topdown(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::int_tuple;
-    use crate::eval::{evaluate, Strategy};
     use semrec_datalog::parser::parse_atom;
+    use semrec_engine::database::int_tuple;
+    use semrec_engine::eval::{evaluate, Strategy};
 
     fn chain_db(n: i64) -> Database {
         let mut db = Database::new();
@@ -475,8 +475,8 @@ mod tests {
 #[cfg(test)]
 mod builtin_tests {
     use super::*;
-    use crate::database::int_tuple;
     use semrec_datalog::parser::parse_atom;
+    use semrec_engine::database::int_tuple;
 
     #[test]
     fn arithmetic_in_topdown() {

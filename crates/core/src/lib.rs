@@ -10,7 +10,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod cleanup;
 pub mod detect;
 pub mod expand;

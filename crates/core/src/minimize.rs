@@ -7,7 +7,7 @@
 //! subgoal elimination \[6\]): a body atom is redundant when a folding
 //! homomorphism fixing the rule's exported variables maps the body into
 //! the body without it, and a rule is redundant when another rule for the
-//! same head subsumes it. Combined with the IC-driven `push`/`baseline`
+//! same head subsumes it. Combined with the IC-driven `push` and rule-level
 //! rewrites, this keeps transformed programs tidy.
 
 use crate::hom::{extend_hom, match_into};

@@ -8,8 +8,9 @@
 //! subgoal occurrence per constraint atom — so a constraint whose
 //! *signature* (the set of its body predicates) is not contained in the
 //! clause's predicates can be skipped without looking at it. The same
-//! holds for the rule-level baseline, which only uses residues with no
-//! unmatched database atom left.
+//! holds for the rule-level rewrite
+//! ([`crate::optimizer::rule_level_rewrite_with`]), which only uses
+//! residues with no unmatched database atom left.
 //!
 //! The index lists each constraint under one predicate of its signature —
 //! the one the fewest constraints mention, as backward subsumption scans

@@ -1,10 +1,12 @@
 //! Bottom-up semi-naive fixpoint evaluation.
 //!
 //! The evaluator exposes a round-at-a-time [`Evaluator::step`] API in
-//! addition to [`Evaluator::run`], so that the evaluation-based semantic
-//! optimization baseline (Chakravarthy et al. / Lee & Han style, built in
-//! `semrec-core`) can interpose per-iteration work — exactly the run-time
-//! overhead the paper's program-transformation approach avoids.
+//! addition to [`Evaluator::run`]: the IC re-check
+//! ([`crate::incr::IcCheck`]) runs one delta round through it, and the
+//! bench crate's evaluation-based baseline (Chakravarthy et al. / Lee &
+//! Han style, an E4 fixture) interposes per-iteration residue work —
+//! exactly the run-time overhead the paper's program-transformation
+//! approach avoids.
 //!
 //! ## Execution model
 //!

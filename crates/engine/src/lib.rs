@@ -1,9 +1,14 @@
 //! # semrec-engine
 //!
 //! The evaluation substrate: an in-memory bottom-up Datalog engine with
-//! a semi-naive fixpoint, indexed nested-loop joins,
-//! evaluable comparison predicates, work counters, and a magic-sets
-//! rewriting for goal-directed evaluation.
+//! one evaluator — a semi-naive fixpoint in which every rule runs as the
+//! batch kernel its plan compiles to ([`plan::BatchKernel`]), under one
+//! budget and governor — plus evaluable comparison predicates, work
+//! counters, cost-based routing, incremental maintenance, and the
+//! magic-sets and factoring rewrites for goal-directed evaluation.
+//! Goal direction is a program transformation feeding the same
+//! executor; the top-down models the experiments compare against live
+//! in the bench crate's fixtures, not here.
 //!
 //! The engine deliberately supports a *larger* class than the paper's input
 //! programs (arbitrary positive Datalog with comparisons, including mutual
@@ -28,9 +33,7 @@ pub mod io;
 pub mod magic;
 pub mod plan;
 pub mod relation;
-pub mod sld;
 pub mod stats;
-pub mod topdown;
 
 pub use cost::{
     AlternativeKind, ColumnGroupStats, CostMemo, EdbStats, Estimator, PlanAlternative,

@@ -1,31 +1,28 @@
-//! Rule compilation: turning a rule into an ordered sequence of indexed
-//! scan, filter and assignment steps over variable *slots*.
+//! Rule compilation: turning a rule into the [`BatchKernel`] the
+//! evaluator runs — a seed scan, a chain of indexed probes, guards at
+//! the planner's evaluation points, and the head projected straight from
+//! row columns, constants and solved builtins.
 //!
 //! The planner is a greedy bound-ness heuristic: evaluable assignments and
 //! filters run as soon as their inputs are bound, and the next subgoal to
 //! join is the one with the most bound argument positions (ties broken by
 //! source order). Semi-naive evaluation asks for one *delta variant* per
 //! IDB subgoal occurrence; the delta occurrence is scanned first, which is
-//! the classic seed-from-delta strategy.
+//! the classic seed-from-delta strategy. While it orders the body the
+//! compiler records where each variable's value comes from (a
+//! [`KernelSrc`]), so every step it takes is emitted straight into the
+//! kernel.
 
 use crate::builtins::BuiltinOp;
 use crate::error::EngineError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use semrec_datalog::atom::Pred;
-use semrec_datalog::literal::{CmpOp, Literal};
+use semrec_datalog::atom::{Atom, Pred};
+use semrec_datalog::literal::{Cmp, CmpOp, Literal};
 use semrec_datalog::rule::Rule;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::{Term, Value};
 use std::collections::BTreeMap;
-
-/// A value source: a variable slot or an inline constant.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Source {
-    /// Read the slot.
-    Slot(usize),
-    /// Use the constant.
-    Const(Value),
-}
+use std::fmt;
 
 /// Which view of a predicate's relation a scan reads (see the evaluator for
 /// the old/delta/total row-range bookkeeping).
@@ -39,105 +36,6 @@ pub enum View {
     Old,
     /// The last round's delta rows.
     Delta,
-}
-
-/// How one argument position of a scanned atom is handled per row.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ArgPat {
-    /// Must equal this constant.
-    Const(Value),
-    /// Must equal the current value of the slot (bound before this arg).
-    Bound(usize),
-    /// Binds the slot to the row's value (first occurrence).
-    Bind(usize),
-}
-
-/// A scan of one body atom.
-#[derive(Clone, Debug)]
-pub struct ScanStep {
-    /// The scanned predicate.
-    pub pred: Pred,
-    /// Which view to read.
-    pub view: View,
-    /// Per-argument handling.
-    pub args: Vec<ArgPat>,
-    /// Columns usable as an index key (constant or pre-scan-bound).
-    pub key_cols: Vec<usize>,
-    /// Key values, parallel to `key_cols`.
-    pub key_vals: Vec<Source>,
-    /// Index of the originating literal in the rule body.
-    pub literal: usize,
-}
-
-/// A negated-subgoal check: fails when a matching tuple exists. A
-/// generated variable (named with a `$`) that occurs nowhere else in the
-/// rule is existential inside the negation (`!h(Z, W$)` reads
-/// `¬∃W h(Z, W)`) and leaves its column out of the key; every other
-/// argument is bound when the step runs.
-#[derive(Clone, Debug)]
-pub struct NegStep {
-    /// The negated predicate.
-    pub pred: Pred,
-    /// Which view to read (Full for EDB, Total for lower-stratum IDB).
-    pub view: View,
-    /// The subgoal's arity.
-    pub arity: usize,
-    /// Bound columns, ascending: all of them unless a variable is
-    /// existential.
-    pub key_cols: Vec<usize>,
-    /// Key values, parallel to `key_cols`.
-    pub key_vals: Vec<Source>,
-    /// `(column, earlier column)` pairs an existential variable repeats
-    /// across.
-    pub same: Vec<(usize, usize)>,
-}
-
-/// An arithmetic builtin evaluation (`plus/3`, `times/3`): computes the
-/// unbound argument from the bound ones, or checks the relation when all
-/// are bound.
-#[derive(Clone, Copy, Debug)]
-pub struct ComputeStep {
-    /// The operation.
-    pub op: BuiltinOp,
-    /// The three argument sources.
-    pub args: [Source; 3],
-    /// Index of the argument to bind (`None` = pure check).
-    pub bind: Option<(usize, usize)>, // (arg position, slot)
-}
-
-/// A comparison filter over bound values.
-#[derive(Clone, Copy, Debug)]
-pub struct FilterStep {
-    /// Left operand.
-    pub lhs: Source,
-    /// Operator.
-    pub op: CmpOp,
-    /// Right operand.
-    pub rhs: Source,
-}
-
-/// Binds a slot from an equality with an already-bound source.
-#[derive(Clone, Copy, Debug)]
-pub struct AssignStep {
-    /// Destination slot.
-    pub slot: usize,
-    /// Value source.
-    pub from: Source,
-}
-
-/// One step of a compiled rule.
-#[derive(Clone, Debug)]
-pub enum Step {
-    /// Join against a relation.
-    Scan(ScanStep),
-    /// Check a negated subgoal (stratified negation).
-    Neg(NegStep),
-    /// Evaluate an arithmetic builtin.
-    Compute(ComputeStep),
-    /// Evaluate a comparison.
-    Filter(FilterStep),
-    /// Bind a slot.
-    Assign(AssignStep),
 }
 
 /// Where a kernel value comes from, resolved at plan-compile time so the
@@ -236,9 +134,10 @@ pub struct KernelProbe {
     /// Expected row width (the atom's arity); rows of any other width
     /// never match.
     pub arity: usize,
-    /// Index key columns (same as the originating scan step's). Empty
-    /// for a cross product: the zero-column index files every row under
-    /// the one empty key, so the probe walks the whole visible range.
+    /// Index key columns: constants and variables bound before the
+    /// probe. Empty for a cross product: the zero-column index files
+    /// every row under the one empty key, so the probe walks the whole
+    /// visible range.
     pub key_cols: Vec<usize>,
     /// Key value sources, parallel to `key_cols`.
     pub key: Vec<KernelSrc>,
@@ -266,7 +165,7 @@ pub struct KernelProbe {
 /// projected straight from row columns, constants and solved builtins.
 /// The canonical instance is the linear recursive rule
 /// `T(x,z) :- T(x,y), E(y,z)` — delta-seed scan of `T`, one probe of
-/// `E`, direct projection. The derivation is total over what
+/// `E`, direct projection. The compiler is total over what
 /// [`compile_rule`] accepts: negation is a [`KernelGuard::Absent`], a
 /// ground subgoal after the seed a [`KernelGuard::Present`], a binding
 /// builtin a [`KernelCompute`] at any depth, a cross product a probe on
@@ -341,235 +240,30 @@ impl BatchKernel {
 pub struct CompiledRule {
     /// Head predicate.
     pub head_pred: Pred,
-    /// Head projection.
-    pub head: Vec<Source>,
-    /// Ordered steps: the planner's IR, printed by `semrec plan`.
-    pub steps: Vec<Step>,
-    /// Number of variable slots.
-    pub nslots: usize,
-    /// Variable name of each slot (diagnostics).
-    pub slot_vars: Vec<Symbol>,
-    /// What the evaluator runs, derived from `steps` at compile time.
+    /// What the evaluator runs.
     pub kernel: BatchKernel,
-}
-
-/// Derives the [`BatchKernel`] of a compiled step sequence. The first
-/// scan seeds the iteration when nothing that needs a seed row precedes
-/// it (its key, if any, is then all constants); otherwise — a guard or
-/// a compute ahead of the first scan, or no scan at all — the rule
-/// starts from the unit seed and every other scan is a probe — or, when
-/// it is ground (every column bound before it runs), a membership test:
-/// its one possible row carries nothing the key does not. Filters,
-/// builtins, negated and ground subgoals become guards attached to the
-/// most recent probe (or the seed), preserving the planner's evaluation
-/// point.
-fn derive_kernel(steps: &[Step], head: &[Source], nslots: usize) -> BatchKernel {
-    // Where each slot was first bound, in step order; `compile_rule`
-    // binds every slot before its first read.
-    let mut bindings: Vec<Option<KernelSrc>> = vec![None; nslots];
-    let resolve = |bindings: &[Option<KernelSrc>], v: Source| match v {
-        Source::Const(c) => KernelSrc::Const(c),
-        Source::Slot(sl) => bindings[sl].expect("slot bound before use"),
-    };
-    // A lookup of the `cols` of `pred` keyed by `vals`.
-    let lookup = |bindings: &[Option<KernelSrc>], pred, view, arity, cols: &[usize], vals: &[_]| {
-        let key = vals.iter().map(|&v| resolve(bindings, v)).collect();
-        let (cols, same) = (cols.to_vec(), Vec::new());
-        KernelLookup {
-            pred,
-            view,
-            arity,
-            cols,
-            key,
-            same,
-        }
-    };
-    let mut k = BatchKernel {
-        seed_pred: None,
-        seed_view: View::Full,
-        seed_arity: 0,
-        seed_key_cols: Vec::new(),
-        seed_key: Vec::new(),
-        seed_checks: Vec::new(),
-        seed_guards: Vec::new(),
-        computes: Vec::new(),
-        lookups: Vec::new(),
-        probes: Vec::new(),
-        head: Vec::new(),
-    };
-    // Cleared by the first step that needs a seed row: a scan seen while
-    // it is still set becomes the seed, any later one a probe.
-    let mut seedable = true;
-    for step in steps {
-        let guard = match step {
-            Step::Assign(a) => {
-                bindings[a.slot] = Some(resolve(&bindings, a.from));
-                continue;
-            }
-            Step::Filter(fs) => KernelGuard::Cmp(
-                resolve(&bindings, fs.lhs),
-                fs.op,
-                resolve(&bindings, fs.rhs),
-            ),
-            Step::Compute(cs) => {
-                let bind = cs.bind.map(|(pos, _)| pos);
-                let mut args = [KernelSrc::Seed(0); 3];
-                for (j, &a) in cs.args.iter().enumerate() {
-                    if bind != Some(j) {
-                        args[j] = resolve(&bindings, a);
-                    }
-                }
-                match cs.bind {
-                    None => KernelGuard::Builtin(cs.op, args),
-                    Some((pos, slot)) => {
-                        k.computes.push(KernelCompute {
-                            op: cs.op,
-                            args,
-                            bind: pos,
-                        });
-                        let ci = k.computes.len() - 1;
-                        bindings[slot] = Some(KernelSrc::Computed(ci));
-                        KernelGuard::Solve(ci)
-                    }
-                }
-            }
-            Step::Neg(n) => {
-                let mut l = lookup(&bindings, n.pred, n.view, n.arity, &n.key_cols, &n.key_vals);
-                l.same = n.same.clone();
-                k.lookups.push(l);
-                KernelGuard::Absent(k.lookups.len() - 1)
-            }
-            Step::Scan(s) if !seedable && s.key_cols.len() == s.args.len() => {
-                let (cols, vals) = (&s.key_cols, &s.key_vals);
-                k.lookups
-                    .push(lookup(&bindings, s.pred, s.view, cols.len(), cols, vals));
-                KernelGuard::Present(k.lookups.len() - 1)
-            }
-            Step::Scan(s) => {
-                let seed = std::mem::take(&mut seedable);
-                let d = k.probes.len();
-                let key: Vec<KernelSrc> =
-                    s.key_vals.iter().map(|&v| resolve(&bindings, v)).collect();
-                let mut checks = Vec::new();
-                for (col, pat) in s.args.iter().enumerate() {
-                    if s.key_cols.contains(&col) {
-                        continue; // enforced by the dictionary code match
-                    }
-                    let here = if seed {
-                        KernelSrc::Seed(col)
-                    } else {
-                        KernelSrc::Probe(d, col)
-                    };
-                    match *pat {
-                        ArgPat::Const(c) => checks.push((col, KernelSrc::Const(c))),
-                        ArgPat::Bind(sl) => bindings[sl] = Some(here),
-                        // A repeated variable within the atom: equality
-                        // with the column that bound it.
-                        ArgPat::Bound(sl) => {
-                            checks.push((col, resolve(&bindings, Source::Slot(sl))))
-                        }
-                    }
-                }
-                if seed {
-                    // Only assignments can precede the seed scan, so
-                    // its key (e.g. `R = executive` pushed into the
-                    // index key) is all constants: the executor
-                    // enumerates one dictionary group instead of the
-                    // range.
-                    k.seed_pred = Some(s.pred);
-                    k.seed_view = s.view;
-                    k.seed_arity = s.args.len();
-                    k.seed_key_cols = s.key_cols.clone();
-                    k.seed_key = key
-                        .iter()
-                        .map(|src| match *src {
-                            KernelSrc::Const(c) => c,
-                            _ => unreachable!("seed key bound before any row"),
-                        })
-                        .collect();
-                    k.seed_checks = checks;
-                } else {
-                    let key_at = k.key_width();
-                    k.probes.push(KernelProbe {
-                        pred: s.pred,
-                        view: s.view,
-                        arity: s.args.len(),
-                        key_cols: s.key_cols.clone(),
-                        key_at,
-                        key,
-                        checks,
-                        guards: Vec::new(),
-                        existential: false,
-                    });
-                }
-                continue;
-            }
-        };
-        seedable = false;
-        match k.probes.last_mut() {
-            Some(p) => p.guards.push(guard),
-            None => k.seed_guards.push(guard),
-        }
-    }
-    k.head = head.iter().map(|&h| resolve(&bindings, h)).collect();
-    // A probe depth nothing downstream reads is an existence test: once
-    // one group row matches, every further match emits the exact same
-    // head tuples, so the executor may short-circuit. `checks` and
-    // `guards` *within* a depth run while matching that depth and don't
-    // pin it.
-    for d in 0..k.probes.len() {
-        let reads = |s: KernelSrc| k.reads_depth(s, d);
-        let in_later = k.probes[d + 1..].iter().any(|p| {
-            p.key.iter().any(|&s| reads(s))
-                || p.checks.iter().any(|&(_, s)| reads(s))
-                || p.guards.iter().any(|g| !k.guard_all(g, |s| !reads(s)))
-        });
-        let pinned = in_later || k.head.iter().any(|&s| reads(s));
-        k.probes[d].existential = !pinned;
-    }
-    k
 }
 
 struct Compiler<'a> {
     rule: &'a Rule,
-    slots: FxHashMap<Symbol, usize>,
-    slot_vars: Vec<Symbol>,
-    bound: FxHashSet<usize>,
-    steps: Vec<Step>,
+    /// Where each bound variable's value comes from.
+    bound: FxHashMap<Symbol, KernelSrc>,
     /// Views for negated literals (by body index).
     neg_views: FxHashMap<usize, View>,
+    /// The kernel emitted so far.
+    k: BatchKernel,
+    /// Set until the first step that needs a seed row: a scan emitted
+    /// while it holds becomes the seed; any later one is a probe — or,
+    /// when it is ground, a membership test.
+    seedable: bool,
 }
 
-impl<'a> Compiler<'a> {
-    fn slot(&mut self, v: Symbol) -> usize {
-        if let Some(&s) = self.slots.get(&v) {
-            return s;
-        }
-        let s = self.slot_vars.len();
-        self.slots.insert(v, s);
-        self.slot_vars.push(v);
-        s
-    }
-
-    fn source(&mut self, t: Term) -> Source {
+impl Compiler<'_> {
+    /// The source of a constant or an already-bound variable.
+    fn src(&self, t: Term) -> Option<KernelSrc> {
         match t {
-            Term::Const(c) => Source::Const(c),
-            Term::Var(v) => Source::Slot(self.slot(v)),
-        }
-    }
-
-    fn source_is_bound(&self, s: Source) -> bool {
-        match s {
-            Source::Const(_) => true,
-            Source::Slot(i) => self.bound.contains(&i),
-        }
-    }
-
-    /// True for a constant or a variable already bound.
-    fn term_bound(&self, t: Term) -> bool {
-        match t {
-            Term::Const(_) => true,
-            Term::Var(v) => self.slots.get(&v).is_some_and(|s| self.bound.contains(s)),
+            Term::Const(c) => Some(KernelSrc::Const(c)),
+            Term::Var(v) => self.bound.get(&v).copied(),
         }
     }
 
@@ -586,137 +280,190 @@ impl<'a> Compiler<'a> {
             && !self.rule.body.iter().enumerate().any(elsewhere)
     }
 
-    /// Emits the scan for body literal `li` (must be an atom), given the
-    /// view it should read.
+    /// Places `g` at the current evaluation point: on the latest probe,
+    /// or on the seed before any.
+    fn guard(&mut self, g: KernelGuard) {
+        self.seedable = false;
+        match self.k.probes.last_mut() {
+            Some(p) => p.guards.push(g),
+            None => self.k.seed_guards.push(g),
+        }
+    }
+
+    /// Emits the scan of body literal `li` (must be an atom), given the
+    /// view it should read: the seed, a probe, or a membership test.
     fn emit_scan(&mut self, li: usize, view: View) {
-        let atom = self.rule.body[li].as_atom().expect("scan of non-atom");
-        let mut args = Vec::with_capacity(atom.arity());
-        let mut key_cols = Vec::new();
-        let mut key_vals = Vec::new();
-        let mut newly_bound: FxHashSet<usize> = FxHashSet::default();
+        let rule = self.rule;
+        let atom = rule.body[li].as_atom().expect("scan of non-atom");
+        let arity = atom.arity();
+        // Constants and variables bound before the scan key its index.
+        let (key_cols, key): (Vec<usize>, Vec<KernelSrc>) = (atom.args.iter().enumerate())
+            .filter_map(|(col, &t)| Some((col, self.src(t)?)))
+            .unzip();
+        if !self.seedable && key_cols.len() == arity {
+            // Ground: its one possible row carries nothing the key does not.
+            self.k.lookups.push(KernelLookup {
+                pred: atom.pred,
+                view,
+                arity,
+                cols: key_cols,
+                key,
+                same: Vec::new(),
+            });
+            self.guard(KernelGuard::Present(self.k.lookups.len() - 1));
+            return;
+        }
+        let seed = std::mem::take(&mut self.seedable);
+        let d = self.k.probes.len();
+        let mut checks = Vec::new();
         for (col, &t) in atom.args.iter().enumerate() {
-            match t {
-                Term::Const(c) => {
-                    args.push(ArgPat::Const(c));
-                    key_cols.push(col);
-                    key_vals.push(Source::Const(c));
-                }
-                Term::Var(v) => {
-                    let s = self.slot(v);
-                    if self.bound.contains(&s) {
-                        args.push(ArgPat::Bound(s));
-                        // Only pre-scan bound slots join the index key.
-                        if !newly_bound.contains(&s) {
-                            key_cols.push(col);
-                            key_vals.push(Source::Slot(s));
-                        }
+            // Constants are key columns, and so are variables bound earlier.
+            let Term::Var(v) = t else { continue };
+            if key_cols.contains(&col) {
+                continue;
+            }
+            match self.bound.get(&v) {
+                // A repeated variable within the atom: equality with the
+                // column that bound it.
+                Some(&first) => checks.push((col, first)),
+                None => {
+                    let here = if seed {
+                        KernelSrc::Seed(col)
                     } else {
-                        args.push(ArgPat::Bind(s));
-                        self.bound.insert(s);
-                        newly_bound.insert(s);
-                    }
+                        KernelSrc::Probe(d, col)
+                    };
+                    self.bound.insert(v, here);
                 }
             }
         }
-        self.steps.push(Step::Scan(ScanStep {
-            pred: atom.pred,
-            view,
-            args,
-            key_cols,
-            key_vals,
-            literal: li,
-        }));
+        if seed {
+            // Only assignments can precede the seed scan, so its key (e.g.
+            // `R = executive` pushed into the index key) is all constants:
+            // the executor enumerates one dictionary group instead of the
+            // range.
+            self.k.seed_pred = Some(atom.pred);
+            self.k.seed_view = view;
+            self.k.seed_arity = arity;
+            self.k.seed_key_cols = key_cols;
+            self.k.seed_key = (key.iter())
+                .map(|src| match *src {
+                    KernelSrc::Const(c) => c,
+                    _ => unreachable!("seed key bound before any row"),
+                })
+                .collect();
+            self.k.seed_checks = checks;
+        } else {
+            let key_at = self.k.key_width();
+            self.k.probes.push(KernelProbe {
+                pred: atom.pred,
+                view,
+                arity,
+                key_cols,
+                key,
+                key_at,
+                checks,
+                guards: Vec::new(),
+                existential: false,
+            });
+        }
     }
 
-    /// Emits every currently runnable comparison (assignments first, then
-    /// filters) and fully bound negated subgoal, repeating until none
-    /// applies. Marks indices in `done`.
+    /// A builtin with at least two bound arguments: a compute solving
+    /// for the third, or a check when all three are bound.
+    fn emit_builtin(&mut self, op: BuiltinOp, a: &Atom) -> bool {
+        let srcs: Vec<Option<KernelSrc>> = a.args.iter().map(|&t| self.src(t)).collect();
+        if srcs.iter().flatten().count() < 2 {
+            return false;
+        }
+        // The solved position is never read; it holds a placeholder.
+        let args = [0, 1, 2].map(|j| srcs[j].unwrap_or(KernelSrc::Seed(0)));
+        let guard = match srcs.iter().position(Option::is_none) {
+            None => KernelGuard::Builtin(op, args),
+            Some(bind) => {
+                let Term::Var(v) = a.args[bind] else {
+                    unreachable!("an unbound argument is a variable")
+                };
+                self.k.computes.push(KernelCompute { op, args, bind });
+                let ci = self.k.computes.len() - 1;
+                self.bound.insert(v, KernelSrc::Computed(ci));
+                KernelGuard::Solve(ci)
+            }
+        };
+        self.guard(guard);
+        true
+    }
+
+    /// A negated subgoal once every variable is bound or existential: an
+    /// anti-probe keyed by the bound columns.
+    fn emit_negation(&mut self, li: usize, a: &Atom) -> bool {
+        let ready = |&t: &Term| match t {
+            Term::Var(v) => self.bound.contains_key(&v) || self.existential(li, v),
+            Term::Const(_) => true,
+        };
+        if !a.args.iter().all(ready) {
+            return false;
+        }
+        let view = self.neg_views.get(&li).copied().unwrap_or(View::Full);
+        let mut l = KernelLookup {
+            pred: a.pred,
+            view,
+            arity: a.arity(),
+            cols: Vec::new(),
+            key: Vec::new(),
+            same: Vec::new(),
+        };
+        for (col, &t) in a.args.iter().enumerate() {
+            if let Some(s) = self.src(t) {
+                l.cols.push(col);
+                l.key.push(s);
+            } else if let Some(first) = a.args[..col].iter().position(|&u| u == t) {
+                l.same.push((col, first));
+            }
+        }
+        self.k.lookups.push(l);
+        self.guard(KernelGuard::Absent(self.k.lookups.len() - 1));
+        true
+    }
+
+    /// A comparison over bound values (a filter guard), or an equality
+    /// with one side bound, which binds the other and costs nothing.
+    fn emit_cmp(&mut self, c: &Cmp) -> bool {
+        let (t, from) = match (self.src(c.lhs), self.src(c.rhs)) {
+            (Some(l), Some(r)) => {
+                self.guard(KernelGuard::Cmp(l, c.op, r));
+                return true;
+            }
+            (Some(from), None) if c.op == CmpOp::Eq => (c.rhs, from),
+            (None, Some(from)) if c.op == CmpOp::Eq => (c.lhs, from),
+            _ => return false,
+        };
+        let Term::Var(v) = t else {
+            unreachable!("an unbound operand is a variable")
+        };
+        self.bound.insert(v, from);
+        true
+    }
+
+    /// Emits every currently runnable comparison, builtin and negated
+    /// subgoal, in body order, repeating until none applies. Marks
+    /// indices in `done`.
     fn drain_cmps(&mut self, done: &mut FxHashSet<usize>) {
+        let rule = self.rule;
         loop {
             let mut progressed = false;
-            for (li, l) in self.rule.body.iter().enumerate() {
+            for (li, l) in rule.body.iter().enumerate() {
                 if done.contains(&li) {
                     continue;
                 }
-                if let Literal::Atom(a) = l {
-                    if let Some(op) = BuiltinOp::of(a.pred) {
-                        if a.arity() != BuiltinOp::ARITY {
-                            continue;
-                        }
-                        let srcs: Vec<Source> = a.args.iter().map(|&t| self.source(t)).collect();
-                        let bound_count = srcs.iter().filter(|s| self.source_is_bound(**s)).count();
-                        if bound_count >= 2 {
-                            let bind =
-                                srcs.iter()
-                                    .position(|s| !self.source_is_bound(*s))
-                                    .map(|pos| {
-                                        let Source::Slot(sl) = srcs[pos] else {
-                                            unreachable!("unbound source is a slot")
-                                        };
-                                        self.bound.insert(sl);
-                                        (pos, sl)
-                                    });
-                            self.steps.push(Step::Compute(ComputeStep {
-                                op,
-                                args: [srcs[0], srcs[1], srcs[2]],
-                                bind,
-                            }));
-                            done.insert(li);
-                            progressed = true;
-                        }
-                        continue;
-                    }
-                    continue;
-                }
-                if let Literal::Neg(a) = l {
-                    // Waits until every variable is bound or existential.
-                    let ready = |t: &Term| match t {
-                        Term::Var(v) => self.term_bound(*t) || self.existential(li, *v),
-                        Term::Const(_) => true,
-                    };
-                    if a.args.iter().all(ready) {
-                        let mut step = NegStep {
-                            pred: a.pred,
-                            view: self.neg_views.get(&li).copied().unwrap_or(View::Full),
-                            arity: a.arity(),
-                            key_cols: Vec::new(),
-                            key_vals: Vec::new(),
-                            same: Vec::new(),
-                        };
-                        for (col, &t) in a.args.iter().enumerate() {
-                            if self.term_bound(t) {
-                                step.key_cols.push(col);
-                                step.key_vals.push(self.source(t));
-                            } else if let Some(first) = a.args[..col].iter().position(|&u| u == t) {
-                                step.same.push((col, first));
-                            }
-                        }
-                        self.steps.push(Step::Neg(step));
-                        done.insert(li);
-                        progressed = true;
-                    }
-                    continue;
-                }
-                let Literal::Cmp(c) = l else { continue };
-                let lhs = self.source(c.lhs);
-                let rhs = self.source(c.rhs);
-                let lb = self.source_is_bound(lhs);
-                let rb = self.source_is_bound(rhs);
-                if lb && rb {
-                    self.steps
-                        .push(Step::Filter(FilterStep { lhs, op: c.op, rhs }));
-                    done.insert(li);
-                    progressed = true;
-                } else if c.op == CmpOp::Eq && (lb || rb) {
-                    let (slot, from) = if lb {
-                        let Source::Slot(s) = rhs else { unreachable!() };
-                        (s, lhs)
-                    } else {
-                        let Source::Slot(s) = lhs else { unreachable!() };
-                        (s, rhs)
-                    };
-                    self.steps.push(Step::Assign(AssignStep { slot, from }));
-                    self.bound.insert(slot);
+                let emitted = match l {
+                    Literal::Atom(a) => match BuiltinOp::of(a.pred) {
+                        Some(op) if a.arity() == BuiltinOp::ARITY => self.emit_builtin(op, a),
+                        _ => false,
+                    },
+                    Literal::Neg(a) => self.emit_negation(li, a),
+                    Literal::Cmp(c) => self.emit_cmp(c),
+                };
+                if emitted {
                     done.insert(li);
                     progressed = true;
                 }
@@ -754,15 +501,27 @@ pub fn compile_rule_with_sizes(
 ) -> Result<CompiledRule, EngineError> {
     let mut c = Compiler {
         rule,
-        slots: FxHashMap::default(),
-        slot_vars: Vec::new(),
-        bound: FxHashSet::default(),
-        steps: Vec::new(),
+        bound: FxHashMap::default(),
         neg_views: views
             .iter()
             .filter(|(li, _)| rule.body.get(**li).is_some_and(|l| l.as_neg().is_some()))
             .map(|(&li, &v)| (li, v))
             .collect(),
+        // The unit seed until a scan claims the seed.
+        k: BatchKernel {
+            seed_pred: None,
+            seed_view: View::Full,
+            seed_arity: 0,
+            seed_key_cols: Vec::new(),
+            seed_key: Vec::new(),
+            seed_checks: Vec::new(),
+            seed_guards: Vec::new(),
+            computes: Vec::new(),
+            lookups: Vec::new(),
+            probes: Vec::new(),
+            head: Vec::new(),
+        },
+        seedable: true,
     };
 
     let atom_indices: Vec<usize> = rule
@@ -792,20 +551,14 @@ pub fn compile_rule_with_sizes(
         // is preserved.
         let bound_count = |li: usize| {
             let atom = rule.body[li].as_atom().unwrap();
-            atom.args.iter().filter(|&&t| c.term_bound(t)).count()
+            atom.args.iter().filter(|&&t| c.src(t).is_some()).count()
         };
         let candidates: Vec<usize> = atom_indices
             .iter()
             .filter(|li| !done.contains(li))
             .copied()
             .collect();
-        let Some(&max_bound) = candidates
-            .iter()
-            .map(|&li| bound_count(li))
-            .collect::<Vec<_>>()
-            .iter()
-            .max()
-        else {
+        let Some(max_bound) = candidates.iter().map(|&li| bound_count(li)).max() else {
             break;
         };
         let tied: Vec<usize> = candidates
@@ -839,51 +592,177 @@ pub fn compile_rule_with_sizes(
         if done.contains(&li) {
             continue;
         }
-        match l {
-            Literal::Cmp(cmp) => {
-                return Err(EngineError::UnsafeRule {
-                    rule: rule.to_string(),
-                    detail: format!("comparison `{cmp}` has unbound variables"),
-                });
-            }
-            Literal::Neg(a) => {
-                return Err(EngineError::UnsafeRule {
-                    rule: rule.to_string(),
-                    detail: format!("negated subgoal `!{a}` has unbound variables"),
-                });
-            }
+        let detail = match l {
+            Literal::Cmp(cmp) => format!("comparison `{cmp}` has unbound variables"),
+            Literal::Neg(a) => format!("negated subgoal `!{a}` has unbound variables"),
             Literal::Atom(a) if BuiltinOp::of(a.pred).is_some() => {
-                return Err(EngineError::UnsafeRule {
-                    rule: rule.to_string(),
-                    detail: format!("builtin `{a}` needs at least two bound arguments"),
-                });
+                format!("builtin `{a}` needs at least two bound arguments")
             }
-            Literal::Atom(_) => {}
-        }
+            Literal::Atom(_) => continue,
+        };
+        let rule = rule.to_string();
+        return Err(EngineError::UnsafeRule { rule, detail });
     }
 
     // Head projection; every head variable must be bound.
-    let mut head = Vec::with_capacity(rule.head.arity());
     for &t in &rule.head.args {
-        let s = c.source(t);
-        if !c.source_is_bound(s) {
+        let Some(s) = c.src(t) else {
             return Err(EngineError::UnsafeRule {
                 rule: rule.to_string(),
                 detail: format!("head term `{t}` is not bound by the body"),
             });
-        }
-        head.push(s);
+        };
+        c.k.head.push(s);
     }
 
-    let kernel = derive_kernel(&c.steps, &head, c.slot_vars.len());
+    // A probe depth nothing downstream reads is an existence test: once
+    // one group row matches, every further match emits the exact same
+    // head tuples, so the executor may short-circuit. `checks` and
+    // `guards` *within* a depth run while matching that depth and don't
+    // pin it.
+    let k = &mut c.k;
+    for d in 0..k.probes.len() {
+        let reads = |s: KernelSrc| k.reads_depth(s, d);
+        let in_later = k.probes[d + 1..].iter().any(|p| {
+            p.key.iter().any(|&s| reads(s))
+                || p.checks.iter().any(|&(_, s)| reads(s))
+                || p.guards.iter().any(|g| !k.guard_all(g, |s| !reads(s)))
+        });
+        let pinned = in_later || k.head.iter().any(|&s| reads(s));
+        k.probes[d].existential = !pinned;
+    }
     Ok(CompiledRule {
         head_pred: rule.head.pred,
-        head,
-        nslots: c.slot_vars.len(),
-        slot_vars: c.slot_vars,
-        steps: c.steps,
-        kernel,
+        kernel: c.k,
     })
+}
+
+impl fmt::Display for KernelSrc {
+    /// `3` (a constant), `seed.1`, `p0.2` (probe depth 0, column 2) or
+    /// `c#0` (the first compute's value).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            KernelSrc::Const(c) => write!(f, "{c}"),
+            KernelSrc::Seed(col) => write!(f, "seed.{col}"),
+            KernelSrc::Probe(d, col) => write!(f, "p{d}.{col}"),
+            KernelSrc::Computed(ci) => write!(f, "c#{ci}"),
+        }
+    }
+}
+
+/// `items`, comma-separated.
+fn list<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|i| i.to_string()).collect();
+    items.join(", ")
+}
+
+/// An index access: the key columns and the source of each.
+fn index(cols: &[usize], key: impl IntoIterator<Item = KernelSrc>) -> String {
+    if cols.is_empty() {
+        "full scan".to_owned()
+    } else {
+        format!("index on cols {cols:?} = ({})", list(key))
+    }
+}
+
+/// Residual `column=source` equalities, if any.
+fn checks(checks: &[(usize, KernelSrc)]) -> String {
+    if checks.is_empty() {
+        return String::new();
+    }
+    format!(
+        " check {}",
+        list(checks.iter().map(|(c, s)| format!("{c}={s}")))
+    )
+}
+
+impl BatchKernel {
+    /// Renders guard `g` on its own line; a compute or lookup prints
+    /// where its one guard is placed.
+    fn fmt_guard(&self, f: &mut fmt::Formatter<'_>, g: &KernelGuard) -> fmt::Result {
+        let lookup = |l: &KernelLookup| {
+            let col = |c| match l.cols.iter().position(|&k| k == c) {
+                Some(i) => l.key[i].to_string(),
+                None => "_".to_owned(),
+            };
+            let same = if l.same.is_empty() {
+                String::new()
+            } else {
+                format!(" same {:?}", l.same)
+            };
+            format!(
+                "{}({}) [{:?}]{same}",
+                l.pred,
+                list((0..l.arity).map(col)),
+                l.view
+            )
+        };
+        match *g {
+            KernelGuard::Cmp(l, op, r) => writeln!(f, "    filter {l} {op} {r}"),
+            KernelGuard::Builtin(op, args) => writeln!(f, "    check {op:?}({})", list(args)),
+            KernelGuard::Solve(ci) => {
+                let c = &self.computes[ci];
+                let arg = |(j, s): (usize, &KernelSrc)| {
+                    if j == c.bind {
+                        "_".to_owned()
+                    } else {
+                        s.to_string()
+                    }
+                };
+                let args = list(c.args.iter().enumerate().map(arg));
+                writeln!(f, "    compute {:?}({args}) → c#{ci}", c.op)
+            }
+            KernelGuard::Absent(li) => writeln!(f, "    absent {}", lookup(&self.lookups[li])),
+            KernelGuard::Present(li) => writeln!(f, "    present {}", lookup(&self.lookups[li])),
+        }
+    }
+}
+
+impl fmt::Display for CompiledRule {
+    /// Renders the kernel the evaluator runs — the engine's `EXPLAIN`
+    /// output: the head projection, the seed, each probe, and every
+    /// guard under the seed or probe it rides.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let k = &self.kernel;
+        writeln!(f, "plan for {}({})", self.head_pred, list(&k.head))?;
+        let seed = k
+            .seed_pred
+            .map_or_else(|| "unit".to_owned(), |p| p.to_string());
+        if k.seed_pred.is_some() {
+            let key = k.seed_key.iter().map(|&c| KernelSrc::Const(c));
+            let (view, index) = (k.seed_view, index(&k.seed_key_cols, key));
+            writeln!(
+                f,
+                "  seed {seed} [{view:?}, {index}]{}",
+                checks(&k.seed_checks)
+            )?;
+        } else {
+            writeln!(f, "  seed unit")?;
+        }
+        for g in &k.seed_guards {
+            k.fmt_guard(f, g)?;
+        }
+        for (d, p) in k.probes.iter().enumerate() {
+            writeln!(
+                f,
+                "  probe {d}: {} [{:?}, {}]{}{}",
+                p.pred,
+                p.view,
+                index(&p.key_cols, p.key.iter().copied()),
+                checks(&p.checks),
+                if p.existential { " existential" } else { "" },
+            )?;
+            for g in &p.guards {
+                k.fmt_guard(f, g)?;
+            }
+        }
+        writeln!(
+            f,
+            "  kernel: batch (seed {seed} + {} probe{})",
+            k.probes.len(),
+            if k.probes.len() == 1 { "" } else { "s" }
+        )
+    }
 }
 
 #[cfg(test)]
@@ -895,58 +774,66 @@ mod tests {
         compile_rule(&parse_rule(src).unwrap(), &BTreeMap::new(), None).unwrap()
     }
 
+    fn with_sizes(src: &str, sizes: &[(&str, usize)]) -> BatchKernel {
+        let sizes = sizes.iter().map(|&(p, n)| (Pred::new(p), n)).collect();
+        let r = parse_rule(src).unwrap();
+        compile_rule_with_sizes(&r, &BTreeMap::new(), None, &sizes)
+            .unwrap()
+            .kernel
+    }
+
     #[test]
     fn scans_then_filters() {
-        let c = compile("p(X,Y) :- e(X,Z), Z > 3, f(Z,Y).");
-        // e scanned first (tie-break by order), then Z>3 filter, then f.
-        assert_eq!(c.steps.len(), 3);
-        assert!(matches!(&c.steps[0], Step::Scan(s) if s.pred == Pred::new("e")));
-        assert!(matches!(&c.steps[1], Step::Filter(_)));
-        assert!(matches!(&c.steps[2], Step::Scan(s) if s.pred == Pred::new("f")));
-        // f's first column is bound by then → index key on col 0.
-        if let Step::Scan(s) = &c.steps[2] {
-            assert_eq!(s.key_cols, vec![0]);
-        }
+        // e seeds (tie-break by order), the Z > 3 filter guards the seed,
+        // and f's first column is bound by then → index key on col 0.
+        let k = compile("p(X,Y) :- e(X,Z), Z > 3, f(Z,Y).").kernel;
+        assert_eq!(k.seed_pred, Some(Pred::new("e")));
+        assert_eq!(
+            k.seed_guards,
+            vec![KernelGuard::Cmp(
+                KernelSrc::Seed(1),
+                CmpOp::Gt,
+                KernelSrc::Const(Value::Int(3))
+            )]
+        );
+        assert_eq!(k.probes.len(), 1);
+        assert_eq!(k.probes[0].pred, Pred::new("f"));
+        assert_eq!(k.probes[0].key_cols, vec![0]);
+        assert_eq!(k.probes[0].key, vec![KernelSrc::Seed(1)]);
+        assert!(k.probes[0].guards.is_empty());
     }
 
     #[test]
     fn constant_goes_to_index_key() {
-        let c = compile("p(X) :- e(X, 7).");
-        if let Step::Scan(s) = &c.steps[0] {
-            assert_eq!(s.key_cols, vec![1]);
-            assert_eq!(s.key_vals, vec![Source::Const(Value::Int(7))]);
-        } else {
-            panic!("expected scan");
-        }
+        // The whole seed key is constant, so the batch kernel enumerates
+        // one dictionary group.
+        let k = compile("p(X) :- e(3, X).").kernel;
+        assert_eq!(k.seed_key_cols, vec![0]);
+        assert_eq!(k.seed_key, vec![Value::Int(3)]);
+        assert!(k.probes.is_empty());
+        assert_eq!(k.head, vec![KernelSrc::Seed(1)]);
     }
 
     #[test]
     fn repeated_var_in_atom_checks_equality_not_key() {
-        let c = compile("p(X) :- e(X, X).");
-        if let Step::Scan(s) = &c.steps[0] {
-            assert!(s.key_cols.is_empty());
-            assert!(matches!(s.args[0], ArgPat::Bind(_)));
-            assert!(matches!(s.args[1], ArgPat::Bound(_)));
-        } else {
-            panic!("expected scan");
+        let k = compile("p(X) :- e(X, X).").kernel;
+        assert!(k.seed_key_cols.is_empty());
+        assert_eq!(k.seed_checks, vec![(1, KernelSrc::Seed(0))]);
+    }
+
+    #[test]
+    fn equalities_assign_without_guards() {
+        // `Y = X` binds `Y` to X's column; `Y = Z, Z = X` chains: the
+        // second binds `Z`, after which the first binds `Y`.
+        for src in ["p(X,Y) :- e(X), Y = X.", "p(X,Y) :- e(X), Y = Z, Z = X."] {
+            let k = compile(src).kernel;
+            assert_eq!(
+                k.head,
+                vec![KernelSrc::Seed(0), KernelSrc::Seed(0)],
+                "{src}"
+            );
+            assert!(k.seed_guards.is_empty(), "{src}");
         }
-    }
-
-    #[test]
-    fn assignment_from_equality() {
-        let c = compile("p(X,Y) :- e(X), Y = X.");
-        assert!(c.steps.iter().any(|s| matches!(s, Step::Assign(_))));
-    }
-
-    #[test]
-    fn eq_chain_assignments() {
-        let c = compile("p(X,Y) :- e(X), Y = Z, Z = X.");
-        let assigns = c
-            .steps
-            .iter()
-            .filter(|s| matches!(s, Step::Assign(_)))
-            .count();
-        assert_eq!(assigns, 2);
     }
 
     #[test]
@@ -962,13 +849,13 @@ mod tests {
     fn first_literal_is_honored() {
         let r = parse_rule("p(X,Y) :- e(X,Z), q(Z,Y).").unwrap();
         let c = compile_rule(&r, &BTreeMap::new(), Some(1)).unwrap();
-        assert!(matches!(&c.steps[0], Step::Scan(s) if s.pred == Pred::new("q")));
+        assert_eq!(c.kernel.seed_pred, Some(Pred::new("q")));
     }
 
     #[test]
     fn ground_head_constant_projection() {
-        let c = compile("p(X, 3) :- e(X).");
-        assert_eq!(c.head[1], Source::Const(Value::Int(3)));
+        let k = compile("p(X, 3) :- e(X).").kernel;
+        assert_eq!(k.head[1], KernelSrc::Const(Value::Int(3)));
     }
 
     #[test]
@@ -1096,21 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_between_scans_becomes_probe_guard() {
-        // A comparison after the seed scan guards the seed phase; a
-        // pure-check builtin after a probe guards that probe.
-        let c = compile("p(X,Y) :- e(X,Z), Z > 3, f(Z,Y).");
-        let k = &c.kernel;
-        assert_eq!(k.seed_guards.len(), 1);
-        assert!(matches!(
-            k.seed_guards[0],
-            KernelGuard::Cmp(KernelSrc::Seed(1), _, KernelSrc::Const(_))
-        ));
-        assert_eq!(k.probes.len(), 1);
-        assert!(k.probes[0].guards.is_empty());
-    }
-
-    #[test]
     fn builtin_tail_becomes_hoisted_compute() {
         // The planner hoists `plus(X, 1, Y)` as a binding compute right
         // after the seed scan (solving for `Y`) and pushes `Y` into the
@@ -1175,19 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_seed_key_kernelizes() {
-        // Constant in the seed atom makes the seed scan keyed; the whole
-        // key is constant, so the batch kernel enumerates one dictionary
-        // group.
-        let c = compile("p(X) :- e(3, X).");
-        let k = &c.kernel;
-        assert_eq!(k.seed_key_cols, vec![0]);
-        assert_eq!(k.seed_key, vec![Value::Int(3)]);
-        assert!(k.probes.is_empty());
-        assert_eq!(k.head, vec![KernelSrc::Seed(1)]);
-    }
-
-    #[test]
     fn multi_recursive_rule_kernelizes() {
         // Two IDB occurrences: seed on the first, probe on the second.
         let c = compile("t(X,Z) :- t(X,Y), t(Y,Z).");
@@ -1199,191 +1058,59 @@ mod tests {
 
     #[test]
     fn constant_equality_becomes_index_key() {
-        // `R = executive` is turned into an assignment before any scan, so
-        // the boss scan can use column 2 as part of its index key —
-        // selection pushdown all the way into the index.
-        let c = compile("t(U) :- boss(U, E, R), R = executive, experienced(U).");
-        let kinds: Vec<&'static str> = c
-            .steps
-            .iter()
-            .map(|s| match s {
-                Step::Scan(_) => "scan",
-                Step::Neg(_) => "neg",
-                Step::Compute(_) => "compute",
-                Step::Filter(_) => "filter",
-                Step::Assign(_) => "assign",
-            })
-            .collect();
-        assert_eq!(kinds, vec!["assign", "scan", "scan"]);
-        if let Step::Scan(s) = &c.steps[1] {
-            assert_eq!(s.pred, Pred::new("boss"));
-            assert_eq!(s.key_cols, vec![2]);
-        } else {
-            panic!("expected boss scan");
-        }
+        // `R = executive` binds `R` before any scan, so the boss seed
+        // uses column 2 as its index key — selection pushdown all the
+        // way into the index — and `experienced(U)`, ground by then, is
+        // a membership test on the seed.
+        let k = compile("t(U) :- boss(U, E, R), R = executive, experienced(U).").kernel;
+        assert_eq!(k.seed_pred, Some(Pred::new("boss")));
+        assert_eq!(k.seed_key_cols, vec![2]);
+        assert!(k.probes.is_empty());
+        assert_eq!(k.seed_guards, vec![KernelGuard::Present(0)]);
+        assert_eq!(k.lookups[0].pred, Pred::new("experienced"));
     }
-}
-
-impl std::fmt::Display for Source {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Source::Slot(i) => write!(f, "${i}"),
-            Source::Const(c) => write!(f, "{c}"),
-        }
-    }
-}
-
-impl std::fmt::Display for CompiledRule {
-    /// Renders the physical plan, one step per line — the engine's
-    /// `EXPLAIN` output.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let head: Vec<String> = self.head.iter().map(ToString::to_string).collect();
-        writeln!(f, "plan for {}({})", self.head_pred, head.join(", "))?;
-        for (vi, v) in self.slot_vars.iter().enumerate() {
-            write!(f, "{}${vi}={v}", if vi == 0 { "  slots: " } else { ", " })?;
-        }
-        if !self.slot_vars.is_empty() {
-            writeln!(f)?;
-        }
-        for step in &self.steps {
-            match step {
-                Step::Scan(s) => {
-                    let args: Vec<String> = s
-                        .args
-                        .iter()
-                        .map(|a| match a {
-                            ArgPat::Const(c) => format!("={c}"),
-                            ArgPat::Bound(i) => format!("=${i}"),
-                            ArgPat::Bind(i) => format!("→${i}"),
-                        })
-                        .collect();
-                    let key = if s.key_cols.is_empty() {
-                        "full scan".to_owned()
-                    } else {
-                        format!("index on cols {:?}", s.key_cols)
-                    };
-                    writeln!(
-                        f,
-                        "  scan {}({}) [{:?}, {}]",
-                        s.pred,
-                        args.join(", "),
-                        s.view,
-                        key
-                    )?;
-                }
-                Step::Neg(n) => {
-                    let key: Vec<String> = (0..n.arity)
-                        .map(|c| match n.key_cols.iter().position(|&k| k == c) {
-                            Some(i) => n.key_vals[i].to_string(),
-                            None => "_".to_owned(),
-                        })
-                        .collect();
-                    writeln!(
-                        f,
-                        "  check absent {}({}) [{:?}]",
-                        n.pred,
-                        key.join(", "),
-                        n.view
-                    )?;
-                }
-                Step::Compute(cs) => {
-                    let args: Vec<String> = cs.args.iter().map(ToString::to_string).collect();
-                    match cs.bind {
-                        Some((pos, slot)) => writeln!(
-                            f,
-                            "  compute {:?}({}) → arg {} = ${}",
-                            cs.op,
-                            args.join(", "),
-                            pos,
-                            slot
-                        )?,
-                        None => writeln!(f, "  check {:?}({})", cs.op, args.join(", "))?,
-                    }
-                }
-                Step::Filter(c) => writeln!(f, "  filter {} {} {}", c.lhs, c.op, c.rhs)?,
-                Step::Assign(a) => writeln!(f, "  assign ${} := {}", a.slot, a.from)?,
-            }
-        }
-        let k = &self.kernel;
-        let seed = k
-            .seed_pred
-            .map_or_else(|| "unit".to_owned(), |p| p.to_string());
-        writeln!(
-            f,
-            "  kernel: batch (seed {seed} + {} probe{})",
-            k.probes.len(),
-            if k.probes.len() == 1 { "" } else { "s" }
-        )
-    }
-}
-
-#[cfg(test)]
-mod display_tests {
-    use super::*;
-    use semrec_datalog::parser::parse_rule;
-
-    #[test]
-    fn explain_output_shape() {
-        let r = parse_rule("p(X, Y) :- e(X, Z), Z > 3, f(Z, Y), !blocked(Z).").unwrap();
-        let c = compile_rule(&r, &BTreeMap::new(), None).unwrap();
-        let text = c.to_string();
-        assert!(text.contains("plan for p("), "{text}");
-        assert!(text.contains("scan e("));
-        assert!(text.contains("filter"));
-        assert!(text.contains("check absent blocked"));
-        assert!(text.contains("index on cols"));
-    }
-}
-
-#[cfg(test)]
-mod size_aware_tests {
-    use super::*;
-    use semrec_datalog::parser::parse_rule;
 
     #[test]
     fn smaller_relation_scanned_first_on_tie() {
-        let r = parse_rule("q(X, Y) :- big(X, Z), small(X, W), link(Z, W, Y).").unwrap();
-        let mut sizes = BTreeMap::new();
-        sizes.insert(Pred::new("big"), 100_000);
-        sizes.insert(Pred::new("small"), 10);
-        sizes.insert(Pred::new("link"), 100_000);
-        let c = compile_rule_with_sizes(&r, &BTreeMap::new(), None, &sizes).unwrap();
-        if let Step::Scan(s) = &c.steps[0] {
-            assert_eq!(s.pred, Pred::new("small"));
-        } else {
-            panic!("expected scan first");
-        }
+        let k = with_sizes(
+            "q(X, Y) :- big(X, Z), small(X, W), link(Z, W, Y).",
+            &[("big", 100_000), ("small", 10), ("link", 100_000)],
+        );
+        assert_eq!(k.seed_pred, Some(Pred::new("small")));
     }
 
     #[test]
     fn boundness_still_dominates_size() {
-        // After scanning tiny, mid has a bound arg while huge has none —
-        // mid wins despite being larger than huge? No: bound args first.
-        let r = parse_rule("q(X, Y) :- tiny(X), mid(X, Y), huge(Z, Y).").unwrap();
-        let mut sizes = BTreeMap::new();
-        sizes.insert(Pred::new("tiny"), 5);
-        sizes.insert(Pred::new("mid"), 1_000);
-        sizes.insert(Pred::new("huge"), 50);
-        let c = compile_rule_with_sizes(&r, &BTreeMap::new(), None, &sizes).unwrap();
-        let order: Vec<&str> = c
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                Step::Scan(s) => Some(s.pred.name()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(order, vec!["tiny", "mid", "huge"]);
+        // After tiny, mid has a bound argument and huge none: mid goes
+        // next although huge is smaller.
+        let k = with_sizes(
+            "q(X, Y) :- tiny(X), mid(X, Y), huge(Z, Y).",
+            &[("tiny", 5), ("mid", 1_000), ("huge", 50)],
+        );
+        let probes: Vec<&str> = k.probes.iter().map(|p| p.pred.name()).collect();
+        assert_eq!(k.seed_pred, Some(Pred::new("tiny")));
+        assert_eq!(probes, vec!["mid", "huge"]);
     }
 
     #[test]
     fn unknown_sizes_fall_back_to_source_order() {
-        let r = parse_rule("q(X, Y) :- a(X, Z), b(Z, Y).").unwrap();
-        let c = compile_rule_with_sizes(&r, &BTreeMap::new(), None, &BTreeMap::new()).unwrap();
-        if let Step::Scan(s) = &c.steps[0] {
-            assert_eq!(s.pred, Pred::new("a"));
-        } else {
-            panic!();
-        }
+        let k = with_sizes("q(X, Y) :- a(X, Z), b(Z, Y).", &[]);
+        assert_eq!(k.seed_pred, Some(Pred::new("a")));
+    }
+
+    #[test]
+    fn explain_output_is_the_kernel() {
+        let c = compile("p(X, Y) :- e(X, Z), Z > 3, f(Z, Y), !blocked(Z), plus(Y, 1, W), g(W).");
+        assert_eq!(
+            c.to_string(),
+            "plan for p(seed.0, p0.1)\n  \
+               seed e [Full, full scan]\n    \
+                 filter seed.1 > 3\n    \
+                 absent blocked(seed.1) [Full]\n  \
+               probe 0: f [Full, index on cols [0] = (seed.1)]\n    \
+                 compute Plus(p0.1, 1, _) → c#0\n    \
+                 present g(c#0) [Full]\n  \
+               kernel: batch (seed e + 1 probe)\n"
+        );
     }
 }

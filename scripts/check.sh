@@ -23,8 +23,16 @@ cargo test -q --offline --test maintenance_oracle -- --ignored
 # Format gate: the whole workspace is rustfmt-clean; drift fails the
 # build before clippy ever runs.
 cargo fmt --check
-# Lint gate: the workspace is warning-free; keep it that way.
-cargo clippy --all-targets --offline -- -D warnings
+# Lint gate: the workspace is warning-free; keep it that way. Every
+# member, not only the root package: the bench crate holds the
+# experiments' fixtures.
+cargo clippy --workspace --all-targets --offline -- -D warnings
+# The experiment fixtures (tabled top-down and SLD for E3c/E3d, the
+# run-time baseline for E4) and their built-in answer assertions: E3c
+# and E3d require the original and the pruned program to answer alike
+# under each fixture, E4 the baseline to answer like the compiled
+# program on the executor (well under 1 s).
+cargo run -p semrec-bench --release --offline --bin harness -- e3 e4 --quick
 # The quick bench runs without --json on purpose: the checked-in
 # BENCH_fixpoint.json is the full-size run, not the quick CI sizes.
 # Throughput gate: rows/sec on each workload with rows_idb >= 50_000
@@ -135,6 +143,6 @@ rc=0
 # (The batching ratio is recorded, NOT gated: group commit was built to
 # amortize a per-commit clone that no longer exists; without a WAL in
 # the bench there is no fsync left to share and batched_write.speedup
-# reads below 1 at every size. ROADMAP item 1 cuts it down.)
+# reads below 1 at every size. ROADMAP item 11 cuts it down.)
 cargo run -p semrec-bench --release --offline --bin harness -- serve-bench --quick \
   --baseline BENCH_serve.json --assert-serve-read

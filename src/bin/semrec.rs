@@ -3,7 +3,7 @@
 //! ```text
 //! semrec optimize <file> [--small PRED]...        show the optimization plan
 //! semrec run <file> [--optimize] [--query 'p(a, X)']
-//!            [--data DIR] [--save DIR] [--engine seminaive|topdown|sld]
+//!            [--data DIR] [--save DIR]
 //!            [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]
 //! semrec explain <file> [--run] [--query ATOM] [--data DIR]
 //!                        residues per IC + per-alternative route costs
@@ -139,6 +139,13 @@ impl From<EngineError> for CliError {
     }
 }
 
+/// Only stdout is written through `?` (see [`with_stdout`]).
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Other(format!("writing to stdout: {e}"))
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&args) {
@@ -166,10 +173,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
         "check" => cmd_check(&args[1..]),
         "update" => cmd_update(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
+        "--help" | "-h" | "help" => with_stdout(|w| writeln!(w, "{}", usage())),
         other => Err(CliError::Usage(format!(
             "unknown command `{other}`\n{}",
             usage()
@@ -181,7 +185,6 @@ fn usage() -> String {
     "usage:\n  semrec optimize <file> [--small PRED]...\n  \
      semrec run <file> [--optimize] [--query ATOM]\n  \
              [--data DIR] [--save DIR] [--small PRED]...\n  \
-             [--engine seminaive|topdown|sld]\n  \
              [--deadline-ms N] [--max-rows N] [--max-bytes N] [--max-iters N]\n  \
      semrec explain <file> [--run] [--query ATOM] [--data DIR] [--small PRED]...\n  \
      semrec describe <file> QUERY\n  \
@@ -209,7 +212,7 @@ fn known_flags(cmd: &str) -> (&'static [&'static str], &'static [&'static str], 
         "optimize" => (&[], &["--small"], false),
         "run" => (
             &["--optimize"],
-            &["--query", "--data", "--save", "--small", "--engine"],
+            &["--query", "--data", "--save", "--small"],
             true,
         ),
         "explain" => (&["--run"], &["--query", "--data", "--small"], false),
@@ -360,48 +363,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let query = flag_value(args, "--query")
         .map(|q| parse_atom(q).map_err(|e| e.to_string()))
         .transpose()?;
-    let applied = |plan: &semrec::core::Plan| {
-        for a in &plan.applied {
-            eprintln!("applied {}: {}", a.kind, a.note);
-        }
-    };
-
-    match flag_value(args, "--engine").map(String::as_str) {
-        Some(engine @ ("topdown" | "sld")) => {
-            let goal = query.ok_or(format!("--engine {engine} requires --query"))?;
-            let program = if optimize {
-                let plan = build_plan(&unit, args)?;
-                applied(&plan);
-                plan.program
-            } else {
-                unit.program()
-            };
-            let (answers, stats) = if engine == "topdown" {
-                let (answers, stats) = semrec::engine::topdown::query_topdown(&db, &program, &goal)
-                    .map_err(CliError::Engine)?;
-                (answers, stats.to_string())
-            } else {
-                let (answers, stats, compl) = semrec::engine::sld::query_sld(
-                    &db,
-                    &program,
-                    &goal,
-                    semrec::engine::sld::SldConfig::default(),
-                )
-                .map_err(CliError::Engine)?;
-                (answers, format!("{stats}; {compl:?}"))
-            };
-            print_facts(answers.iter().map(|t| (goal.pred, &t[..])))?;
-            eprintln!("-- {} answers; {}", answers.len(), stats);
-            return Ok(());
-        }
-        Some("seminaive") | None => {}
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown engine `{other}` (seminaive, topdown, sld)"
-            )));
-        }
-    }
-
     // `--optimize` is one path: the cost router picks among the rewrites
     // — the goal-directed ones too when a query is given — and runs the
     // cheapest under the budget (a slice of its deadline); the rectified
@@ -422,8 +383,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             goal,
         )
         .map_err(CliError::Engine)?;
-        if let Some(plan) = &outcome.plan {
-            applied(plan);
+        for a in outcome.plan.iter().flat_map(|plan| &plan.applied) {
+            eprintln!("applied {}: {}", a.kind, a.note);
         }
         if let Some(why) = &outcome.degraded {
             eprintln!("degraded: {why}");
@@ -592,13 +553,20 @@ fn emit_result(
 
 /// Runs `write` against stdout through one buffer, flushed before this
 /// returns, error or not: Rust's stdout is line-buffered, which would
-/// cost one `write(2)` per printed fact.
-fn with_stdout(write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>) -> Result<(), CliError> {
+/// cost one `write(2)` per printed fact. Every command but `serve`
+/// (whose session loop owns its writer) prints through here, so a reader
+/// that closes the pipe early (`| head -1`) ends the command with an
+/// error, never a `println!` panic.
+fn with_stdout<E>(write: impl FnOnce(&mut dyn Write) -> Result<(), E>) -> Result<(), CliError>
+where
+    CliError: From<E>,
+{
     let mut out = BufWriter::new(std::io::stdout().lock());
-    let written = write(&mut out);
-    written
-        .and(out.flush())
-        .map_err(|e| CliError::Other(format!("writing to stdout: {e}")))
+    let written = write(&mut out).map_err(CliError::from);
+    written.and(
+        out.flush()
+            .map_err(<CliError as From<std::io::Error>>::from),
+    )
 }
 
 /// Prints one `p(a, b).` line per fact.
@@ -630,23 +598,41 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let unit = load(path)?;
     let plan = build_plan(&unit, args)?;
     let infos = classify_linear(&plan.rectified).map_err(|e| e.to_string())?;
+    with_stdout(|w| {
+        explain_residues(w, &plan, &infos)?;
+        explain_routing(w, &unit, &plan, args)
+    })
+}
+
+/// The `semrec explain` residue section: per recursive predicate, its
+/// rules and every residue detected for it, then the detection work.
+fn explain_residues(
+    w: &mut dyn Write,
+    plan: &semrec::core::Plan,
+    infos: &[semrec::datalog::analysis::RecursionInfo],
+) -> std::io::Result<()> {
     if infos.is_empty() {
-        println!("no recursive predicates.");
+        writeln!(w, "no recursive predicates.")?;
     }
     let mut residues: BTreeMap<Pred, Vec<&semrec::core::Residue>> = BTreeMap::new();
     for (p, d) in &plan.detections {
         residues.entry(*p).or_default().push(&d.residue);
     }
-    for info in &infos {
-        println!("recursive predicate {} (arity {}):", info.pred, info.arity);
-        println!("  exit rules      {:?}", info.exit_rules);
-        println!("  recursive rules {:?}", info.recursive_rules);
+    for info in infos {
+        writeln!(
+            w,
+            "recursive predicate {} (arity {}):",
+            info.pred, info.arity
+        )?;
+        writeln!(w, "  exit rules      {:?}", info.exit_rules)?;
+        writeln!(w, "  recursive rules {:?}", info.recursive_rules)?;
         let Some(mine) = residues.get(&info.pred) else {
-            println!("  no residues");
+            writeln!(w, "  no residues")?;
             continue;
         };
         for r in mine {
-            println!(
+            writeln!(
+                w,
                 "  ic {}: seq {:?}: {}  [{}{}{}]",
                 r.ic.name.map_or("(unnamed)", |n| n.as_str()),
                 r.seq,
@@ -658,11 +644,12 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
                     ""
                 },
                 if r.is_useful() { ", useful" } else { "" },
-            );
+            )?;
         }
     }
     let s = &plan.detect_stats;
-    println!(
+    writeln!(
+        w,
         "compile: {} ICs, {} of {} pairs tried, {} SD-graphs, {} sequences verified, {} residues",
         s.ics,
         s.candidate_pairs,
@@ -670,8 +657,7 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
         s.graphs_built,
         s.sequences_verified,
         s.residues,
-    );
-    explain_routing(&unit, &plan, args)
+    )
 }
 
 /// The `semrec explain` routing section: prices every rewrite
@@ -680,6 +666,7 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
 /// with `--run` evaluates the chosen program to report actual
 /// cardinalities next to the prediction.
 fn explain_routing(
+    w: &mut dyn Write,
     unit: &Unit,
     plan: &semrec::core::Plan,
     args: &[String],
@@ -699,13 +686,14 @@ fn explain_routing(
     let memo = match semrec::engine::CostMemo::build(&db, &mut stats, alts) {
         Ok(m) => m,
         Err(e) => {
-            println!("— route plan — (cost routing unavailable: {e})");
+            writeln!(w, "— route plan — (cost routing unavailable: {e})")?;
             return Ok(());
         }
     };
-    println!("— route plan —");
+    writeln!(w, "— route plan —")?;
     for a in &memo.alternatives {
-        println!(
+        writeln!(
+            w,
             "  {:<16} est_work={:<12.0} est_rows={:<10.0} est_bytes={:<12.0} rounds={}{}",
             a.kind.name(),
             a.estimate.work,
@@ -713,44 +701,48 @@ fn explain_routing(
             a.estimate.bytes,
             a.estimate.rounds,
             if a.estimate.capped { " (capped)" } else { "" },
-        );
+        )?;
     }
     let choice = memo.choice();
     let best = memo.best();
-    println!(
+    writeln!(
+        w,
         "chosen: {} → route {} (predicted {:.0} rows, {:.0} work)",
         choice.chosen,
         route_name(choice.chosen.route()),
         choice.predicted_rows,
         choice.predicted_work,
-    );
+    )?;
     if let Some((kind, work)) = choice.runner_up {
-        println!("runner-up: {kind} ({work:.0} work)");
+        writeln!(w, "runner-up: {kind} ({work:.0} work)")?;
     }
-    println!(
+    writeln!(
+        w,
         "planning: {} alternative(s), {} shared subplan(s), {} ordering(s) considered, {:.3} ms",
         memo.alternatives.len(),
         memo.shared_subplans,
         best.estimate.orderings_considered,
         memo.plan_nanos as f64 / 1e6,
-    );
+    )?;
     if args.iter().any(|a| a == "--run") {
         let res = evaluate(&db, &best.program, Strategy::SemiNaive).map_err(CliError::Engine)?;
         let actual: u64 = res.idb.values().map(|r| r.len() as u64).sum();
-        println!(
+        writeln!(
+            w,
             "actual: {} rows in {} round(s) (misprediction ×{:.2})",
             actual,
             res.stats.iterations,
             choice.misprediction(actual),
-        );
+        )?;
         for (p, rel) in &res.idb {
             let predicted = best.estimate.per_pred.get(p).copied().unwrap_or(0.0);
-            println!(
+            writeln!(
+                w,
                 "  {:<20} actual={:<8} predicted={:.0}",
                 p.name(),
                 rel.len(),
                 predicted
-            );
+            )?;
         }
         if let Some(goal) = &goal {
             // A goal-directed program answers under the adorned predicate.
@@ -760,7 +752,7 @@ fn explain_routing(
             let n = res
                 .relation(holder)
                 .map_or(0, |rel| scan_goal(rel, goal).len());
-            println!("answers: {n} to {goal}");
+            writeln!(w, "answers: {n} to {goal}")?;
         }
     }
     Ok(())
@@ -779,8 +771,7 @@ fn cmd_describe(args: &[String]) -> Result<(), CliError> {
         let db = Database::from_facts(&unit.facts);
         semrec::iqa::answer_with_data(&unit.program(), &query, &db, 4)
     };
-    print!("{a}");
-    Ok(())
+    with_stdout(|w| write!(w, "{a}"))
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CliError> {
@@ -813,13 +804,15 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
         other => return Err(CliError::Usage(format!("unknown scenario `{other}`"))),
     };
     export::write_bundle(&scenario, &db, dir, name).map_err(|e| e.to_string())?;
-    println!(
-        "wrote {}/{name}.dl and {}/{name}-data/ ({} facts)",
-        dir.display(),
-        dir.display(),
-        db.total_tuples()
-    );
-    Ok(())
+    with_stdout(|w| {
+        writeln!(
+            w,
+            "wrote {}/{name}.dl and {}/{name}-data/ ({} facts)",
+            dir.display(),
+            dir.display(),
+            db.total_tuples()
+        )
+    })
 }
 
 fn cmd_plan(args: &[String]) -> Result<(), CliError> {
@@ -831,24 +824,26 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         unit.program()
     };
     let idb = program.idb_preds();
-    for rule in &program.rules {
-        println!("% {rule}");
-        let views: std::collections::BTreeMap<usize, semrec::engine::plan::View> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| {
-                l.as_atom().is_some_and(|a| idb.contains(&a.pred))
-                    || l.as_neg().is_some_and(|a| idb.contains(&a.pred))
-            })
-            .map(|(i, _)| (i, semrec::engine::plan::View::Total))
-            .collect();
-        match semrec::engine::plan::compile_rule(rule, &views, None) {
-            Ok(c) => println!("{c}"),
-            Err(e) => println!("  (uncompilable: {e})"),
+    with_stdout(|w| {
+        for rule in &program.rules {
+            writeln!(w, "% {rule}")?;
+            let views: BTreeMap<usize, semrec::engine::plan::View> = rule
+                .body
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| {
+                    l.as_atom().is_some_and(|a| idb.contains(&a.pred))
+                        || l.as_neg().is_some_and(|a| idb.contains(&a.pred))
+                })
+                .map(|(i, _)| (i, semrec::engine::plan::View::Total))
+                .collect();
+            match semrec::engine::plan::compile_rule(rule, &views, None) {
+                Ok(c) => writeln!(w, "{c}")?,
+                Err(e) => writeln!(w, "  (uncompilable: {e})")?,
+            }
         }
-    }
-    Ok(())
+        Ok::<_, std::io::Error>(())
+    })
 }
 
 fn cmd_why(args: &[String]) -> Result<(), CliError> {
@@ -865,10 +860,7 @@ fn cmd_why(args: &[String]) -> Result<(), CliError> {
     let db = Database::from_facts(&unit.facts);
     let mut res = evaluate(&db, &program, Strategy::SemiNaive).map_err(CliError::Engine)?;
     match semrec::engine::explain::explain_fact(&db, &mut res, &program, &goal) {
-        Some(d) => {
-            print!("{d}");
-            Ok(())
-        }
+        Some(d) => with_stdout(|w| write!(w, "{d}")),
         None => Err(format!("{goal} is not derivable").into()),
     }
 }
@@ -956,35 +948,33 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
     let unit = load(path)?;
     let program = unit.program();
-    match validate(&program, &unit.constraints) {
-        Ok(infos) => {
-            println!(
-                "program ok: {} rules, {} facts, {} constraints, {} recursive predicate(s)",
-                program.len(),
-                unit.facts.len(),
-                unit.constraints.len(),
-                infos.len()
-            );
-        }
-        Err(e) => return Err(e.to_string().into()),
-    }
-    // Then verify IC satisfaction on the embedded facts.
+    let infos = validate(&program, &unit.constraints).map_err(|e| e.to_string())?;
     let db = Database::from_facts(&unit.facts);
-    let mut violated = 0;
-    for ic in &unit.constraints {
-        let v = db.violations(ic);
-        if !v.is_empty() {
-            violated += 1;
-            println!("VIOLATED {ic}");
-            for s in v.iter().take(3) {
-                println!("  by {s}");
+    with_stdout(|w| {
+        writeln!(
+            w,
+            "program ok: {} rules, {} facts, {} constraints, {} recursive predicate(s)",
+            program.len(),
+            unit.facts.len(),
+            unit.constraints.len(),
+            infos.len()
+        )?;
+        // Then verify IC satisfaction on the embedded facts.
+        let mut violated = 0;
+        for ic in &unit.constraints {
+            let v = db.violations(ic);
+            if !v.is_empty() {
+                violated += 1;
+                writeln!(w, "VIOLATED {ic}")?;
+                for s in v.iter().take(3) {
+                    writeln!(w, "  by {s}")?;
+                }
             }
         }
-    }
-    if violated == 0 {
-        println!("all constraints satisfied by the embedded facts.");
-    } else {
-        return Err(format!("{violated} constraint(s) violated").into());
-    }
-    Ok(())
+        if violated > 0 {
+            return Err(format!("{violated} constraint(s) violated").into());
+        }
+        writeln!(w, "all constraints satisfied by the embedded facts.")?;
+        Ok::<_, CliError>(())
+    })
 }

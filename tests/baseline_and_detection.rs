@@ -2,7 +2,6 @@
 //! with plain evaluation, Algorithm 3.1 agrees with exhaustive
 //! enumeration, and magic sets composes with the optimized programs.
 
-use semrec::core::baseline::evaluate_with_runtime_semantics;
 use semrec::core::detect::{detect, DetectionMethod};
 use semrec::core::optimizer::Optimizer;
 use semrec::datalog::analysis::{classify_linear_pred, rectify};
@@ -11,6 +10,7 @@ use semrec::datalog::Pred;
 use semrec::engine::magic::evaluate_query;
 use semrec::engine::{evaluate, Strategy};
 use semrec::gen::{genealogy, org, parse_scenario, university};
+use semrec_bench::fixtures::runtime_baseline::evaluate_with_runtime_semantics;
 
 #[test]
 fn runtime_baseline_agrees_on_all_scenarios() {
@@ -44,13 +44,7 @@ fn runtime_baseline_agrees_on_all_scenarios() {
     ] {
         let s = parse_scenario(src);
         let base = evaluate(&gen_db, &s.program, Strategy::SemiNaive).unwrap();
-        let rt = evaluate_with_runtime_semantics(
-            &gen_db,
-            &s.program,
-            &s.constraints,
-            Strategy::SemiNaive,
-        )
-        .unwrap();
+        let rt = evaluate_with_runtime_semantics(&gen_db, &s.program, &s.constraints).unwrap();
         for p in preds {
             assert_eq!(
                 base.relation(p).unwrap().sorted_tuples(),

@@ -401,21 +401,8 @@ fn buffered_stdout_is_complete_and_byte_identical() {
     assert_eq!(out, expect, "lines printed before the error were lost");
 }
 
-#[test]
-fn alternative_engines_agree() {
-    let file = sample("genealogy.dl");
-    let q = "anc(dan, A, Y, Ya)";
-    let (ok1, bottom_up, _) = semrec(&["run", &file, "--query", q]);
-    let (ok2, topdown, _) = semrec(&["run", &file, "--engine", "topdown", "--query", q]);
-    let (ok3, sld, _) = semrec(&["run", &file, "--engine", "sld", "--query", q]);
-    assert!(ok1 && ok2 && ok3);
-    assert_eq!(bottom_up, topdown);
-    assert_eq!(bottom_up, sld);
-    let (ok, _, stderr) = semrec(&["run", &file, "--engine", "warp", "--query", q]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown engine"));
-}
-
+/// `semrec plan` prints the kernel the executor runs: the seed, each
+/// probe with its key sources, and every guard under the depth it rides.
 #[test]
 fn plan_shows_physical_plans() {
     let (ok, out, _) = semrec(&["plan", &sample("genealogy.dl")]);
@@ -428,6 +415,62 @@ fn plan_shows_physical_plans() {
         out.contains("anc@"),
         "optimized plans include aux preds: {out}"
     );
+    // The pushed `Ya > 50` guard runs per matched `par` row: it sits on
+    // the `par` probe and reads that probe's age column.
+    assert!(
+        out.contains(
+            "  probe 0: par [Full, index on cols [0, 1] = (seed.2, seed.3)]\n    \
+             filter p0.3 > 50\n"
+        ),
+        "{out}"
+    );
+
+    // A ground subgoal after the seed runs as a membership test, not a
+    // scan: it lists as a present lookup on the probe it follows.
+    let dir = std::env::temp_dir().join(format!("semrec-cli-plan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("ground.dl");
+    std::fs::write(&file, "p(X, Z) :- e(X, Y), f(Y, Z), e(Z, X).\n").unwrap();
+    let (ok, out, stderr) = semrec(&["plan", file.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "{stderr}");
+    assert!(
+        out.contains(
+            "  probe 0: f [Full, index on cols [0] = (seed.1)]\n    \
+             present e(p0.1, seed.0) [Full]\n  \
+             kernel: batch (seed e + 1 probe)"
+        ),
+        "{out}"
+    );
+}
+
+/// A reader that closes the pipe early (`| head -1`) ends a command with
+/// an error, never a `println!` panic (exit 101).
+#[test]
+fn a_closed_stdout_is_an_error_not_a_panic() {
+    use std::process::Stdio;
+    let file = sample("genealogy.dl");
+    for args in [
+        &["plan", &file, "--optimize"][..],
+        &["explain", &file],
+        &["why", &file, "anc(dan, 20, alice, 104)"],
+        &["describe", &file, "describe anc(X, Xa, Y, Ya)."],
+        &["optimize", &file],
+        &["run", &file],
+        &["check", &file],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_semrec"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -483,6 +526,13 @@ fn unknown_and_retired_flags_are_usage_errors() {
         ),
         (vec!["run", &file, "--optmize"], "--optmize"),
         (vec!["check", &file, "--optimize"], "--optimize"),
+        // The top-down models are experiment fixtures now, and the
+        // bottom-up executor is the only engine: `--engine` went whole.
+        // (`--engine naive` used to be accepted and run semi-naive.)
+        (vec!["run", &file, "--engine", "topdown"], "--engine"),
+        (vec!["run", &file, "--engine", "sld"], "--engine"),
+        (vec!["run", &file, "--engine", "seminaive"], "--engine"),
+        (vec!["run", &file, "--engine", "naive"], "--engine"),
     ] {
         let out = output(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -492,12 +542,6 @@ fn unknown_and_retired_flags_are_usage_errors() {
             "{args:?}: {stderr}"
         );
     }
-    // The naive strategy went with its flag: `--engine naive` used to be
-    // accepted and silently run semi-naive.
-    let out = output(&["run", &file, "--engine", "naive"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("unknown engine `naive`"), "{stderr}");
     // A flag-looking *value* is not a flag.
     let out = output(&["run", &file, "--query", "--threads"]);
     assert_ne!(out.status.code(), Some(2));

@@ -123,7 +123,7 @@ pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerC
         .into_iter()
         .filter(|p| !recursive.contains(p) && !p.name().contains('@'))
         .collect();
-    let (program, _, rule_level) = semrec::core::baseline::rule_level_rewrite_with(
+    let (program, _, rule_level) = semrec::core::optimizer::rule_level_rewrite_with(
         &program,
         &IcIndex::new(ics),
         policy,

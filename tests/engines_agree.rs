@@ -1,15 +1,16 @@
-//! The three evaluation engines (semi-naive bottom-up, tabled top-down,
-//! depth-bounded SLD) agree on answers for random acyclic data.
+//! The bottom-up executor and the experiments' two top-down models
+//! (tabled top-down, depth-bounded SLD; `semrec_bench::fixtures`) agree
+//! on answers for random acyclic data.
 //!
 //! Seeded-loop rewrite of a former `proptest` suite (offline-build
 //! policy: no registry deps for `cargo test -q`).
 
 use semrec::datalog::parser::parse_atom;
 use semrec::datalog::{Program, Value};
-use semrec::engine::sld::{query_sld, Completeness, SldConfig};
-use semrec::engine::topdown::query_topdown;
 use semrec::engine::{evaluate, Database, Strategy};
 use semrec::gen::rng::Rng;
+use semrec_bench::fixtures::sld::{query_sld, Completeness, SldConfig};
+use semrec_bench::fixtures::topdown::query_topdown;
 
 #[test]
 fn three_engines_agree() {
