@@ -7,7 +7,7 @@
 //! tolerates schema growth — unknown keys are carried in the tree and
 //! ignored by the extractor.
 
-use crate::fixpoint::{ParseBenchResult, WorkloadResult};
+use crate::fixpoint::{CompileBenchResult, ParseBenchResult, WorkloadResult};
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -418,65 +418,113 @@ pub fn check_throughput(
     }
 }
 
-/// The `parse` row recovered from a prior `BENCH_fixpoint.json`.
+/// A one-row section (`parse`, `compile`) recovered from a prior
+/// `BENCH_fixpoint.json`: the input it measured and the rate the
+/// `--assert-throughput` gate holds.
 #[derive(Clone, Debug)]
-pub struct BaselineParse {
+pub struct BaselineRate {
     /// Input label (must match the fresh row's to compare).
     pub params: String,
-    /// Source megabytes parsed per second.
-    pub mb_per_s: f64,
+    /// The rate, higher is better (`mb_per_s`, `ics_per_s`).
+    pub rate: f64,
 }
 
-/// Extracts the `parse` row from a prior `BENCH_fixpoint.json`.
-pub fn parse_baseline_parse(src: &str) -> Result<BaselineParse, String> {
+/// Extracts `section`'s row from a prior `BENCH_fixpoint.json`, with
+/// `field` as its rate.
+pub fn parse_baseline_rate(src: &str, section: &str, field: &str) -> Result<BaselineRate, String> {
     let doc = parse_json(src)?;
     let row = doc
-        .get("parse")
+        .get(section)
         .and_then(Json::as_arr)
         .and_then(<[Json]>::first)
-        .ok_or("baseline has no `parse` row")?;
-    Ok(BaselineParse {
+        .ok_or(format!("baseline has no `{section}` row"))?;
+    Ok(BaselineRate {
         params: row
             .get("params")
             .and_then(Json::as_str)
-            .ok_or("parse row missing `params`")?
+            .ok_or(format!("{section} row missing `params`"))?
             .to_owned(),
-        mb_per_s: row
-            .get("mb_per_s")
+        rate: row
+            .get(field)
             .and_then(Json::as_num)
-            .ok_or("parse row missing `mb_per_s`")?,
+            .ok_or(format!("{section} row missing `{field}`"))?,
     })
 }
 
-/// The `--assert-throughput <pct>` gate's parse clause: the fresh
-/// `parse_unit` MB/s must not fall more than `tolerance_pct` percent
-/// below the baseline's on the same input.
-pub fn check_parse_throughput(
-    fresh: &ParseBenchResult,
-    baseline: &BaselineParse,
+/// Extracts the `parse` row (MB/s) from a prior `BENCH_fixpoint.json`.
+pub fn parse_baseline_parse(src: &str) -> Result<BaselineRate, String> {
+    parse_baseline_rate(src, "parse", "mb_per_s")
+}
+
+/// Extracts the `compile` row (ICs/s) from a prior `BENCH_fixpoint.json`.
+pub fn parse_baseline_compile(src: &str) -> Result<BaselineRate, String> {
+    parse_baseline_rate(src, "compile", "ics_per_s")
+}
+
+/// A clause of the `--assert-throughput <pct>` gate: `section`'s fresh
+/// rate on `params` must not fall more than `tolerance_pct` percent below
+/// the baseline's on the same input.
+fn check_rate(
+    section: &str,
+    unit: &str,
+    params: &str,
+    rate: f64,
+    baseline: &BaselineRate,
     tolerance_pct: f64,
 ) -> Result<String, String> {
-    if fresh.params != baseline.params {
+    if params != baseline.params {
         return Err(format!(
-            "parse gate FAILED: the baseline parsed `{}`, this run `{}`",
-            baseline.params, fresh.params
+            "{section} gate FAILED: the baseline measured `{}`, this run `{params}`",
+            baseline.params
         ));
     }
-    let floor = baseline.mb_per_s * (1.0 - tolerance_pct / 100.0);
-    if fresh.mb_per_s() < floor {
+    let floor = baseline.rate * (1.0 - tolerance_pct / 100.0);
+    if rate < floor {
         return Err(format!(
-            "parse gate FAILED (MB/s more than {tolerance_pct}% below baseline):\n  \
-             {}: {:.1} MB/s < floor {floor:.1} (baseline {:.1} - {tolerance_pct}%)",
-            fresh.params,
-            fresh.mb_per_s(),
-            baseline.mb_per_s,
+            "{section} gate FAILED ({unit} more than {tolerance_pct}% below baseline):\n  \
+             {params}: {rate:.1} {unit} < floor {floor:.1} (baseline {:.1} - {tolerance_pct}%)",
+            baseline.rate,
         ));
     }
     Ok(format!(
-        "parse gate: {:.1} MB/s within {tolerance_pct}% of baseline {:.1} MB/s",
-        fresh.mb_per_s(),
-        baseline.mb_per_s
+        "{section} gate: {rate:.1} {unit} within {tolerance_pct}% of baseline {:.1} {unit}",
+        baseline.rate
     ))
+}
+
+/// The gate's parse clause: `parse_unit` MB/s.
+pub fn check_parse_throughput(
+    fresh: &ParseBenchResult,
+    baseline: &BaselineRate,
+    tolerance_pct: f64,
+) -> Result<String, String> {
+    let rate = fresh.mb_per_s();
+    check_rate(
+        "parse",
+        "MB/s",
+        &fresh.params,
+        rate,
+        baseline,
+        tolerance_pct,
+    )
+}
+
+/// The gate's compile clause: constraints `Optimizer::run` compiles per
+/// second.
+pub fn check_compile_throughput(
+    fresh: &CompileBenchResult,
+    baseline: &BaselineRate,
+    tolerance_pct: f64,
+) -> Result<String, String> {
+    let rate = fresh.ics_per_s();
+    check_rate(
+        "compile",
+        "ICs/s",
+        &fresh.params,
+        rate,
+        baseline,
+        tolerance_pct,
+    )
 }
 
 #[cfg(test)]
@@ -581,19 +629,36 @@ mod tests {
             facts: 10,
             millis,
         };
-        let base = BaselineParse {
+        let base = BaselineRate {
             params: "in".into(),
-            mb_per_s: 100.0,
+            rate: 100.0,
         };
         // 10 ms for 1 MB is 100 MB/s; 12.5 ms is 80 MB/s.
         assert!(check_parse_throughput(&fresh(10.0), &base, 10.0).is_ok());
         let err = check_parse_throughput(&fresh(12.5), &base, 10.0).unwrap_err();
         assert!(err.contains("80.0 MB/s < floor 90.0"), "{err}");
-        let other = BaselineParse {
+        let other = BaselineRate {
             params: "other".into(),
             ..base
         };
         assert!(check_parse_throughput(&fresh(10.0), &other, 10.0).is_err());
+    }
+
+    #[test]
+    fn compile_gate_flags_a_slower_optimizer() {
+        let fresh = |millis: f64| CompileBenchResult {
+            params: "in".into(),
+            ics: 1000,
+            millis,
+        };
+        let base = BaselineRate {
+            params: "in".into(),
+            rate: 100_000.0,
+        };
+        // 10 ms for 1 000 constraints is 100 000 ICs/s; 12.5 ms is 80 000.
+        assert!(check_compile_throughput(&fresh(10.0), &base, 10.0).is_ok());
+        let err = check_compile_throughput(&fresh(12.5), &base, 10.0).unwrap_err();
+        assert!(err.contains("80000.0 ICs/s < floor 90000.0"), "{err}");
     }
 
     #[test]
@@ -604,6 +669,7 @@ mod tests {
         let ws = parse_baseline(&src).expect("checked-in baseline parses");
         assert!(ws.iter().any(|w| w.name == "fanout"));
         assert!(ws.iter().all(|w| w.millis.is_finite()));
-        assert!(parse_baseline_parse(&src).expect("parse row").mb_per_s > 0.0);
+        assert!(parse_baseline_parse(&src).expect("parse row").rate > 0.0);
+        assert!(parse_baseline_compile(&src).expect("compile row").rate > 0.0);
     }
 }

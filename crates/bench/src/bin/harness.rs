@@ -13,15 +13,16 @@
 //!
 //! `bench` times the semi-naive fixpoint on the gen workloads plus the
 //! end-to-end semantic (optimizer) speedup, the governance overhead
-//! (budget checks on vs off, E1 fanout) and `parse_unit` on the exported
-//! fanout bundle (the `parse` row); with `--json` it also writes
+//! (budget checks on vs off, E1 fanout), `parse_unit` on the exported
+//! fanout bundle (the `parse` row) and `Optimizer::run` on
+//! `multi_block(3, 160)` (the `compile` row); with `--json` it also writes
 //! `BENCH_fixpoint.json` at the repo root (`--quick` shrinks sizes for
 //! the CI gate). `--baseline <file>` diffs
 //! the fresh run against a prior JSON and prints per-workload speedups.
 //! `--assert-throughput <pct>` (requires `--baseline`) exits nonzero if
-//! the rows/sec of any workload with `rows_idb >= 50_000`, or the
-//! `parse` row's MB/s, falls more than `<pct>` percent below the
-//! baseline's.
+//! the rows/sec of any workload with `rows_idb >= 50_000`, the `parse`
+//! row's MB/s or the `compile` row's ICs/s falls more than `<pct>`
+//! percent below the baseline's.
 //! `--assert-routing` exits nonzero if the cost planner's chosen route
 //! runs slower than the fixed ladder (beyond noise), mispredicts
 //! cardinality by more than 10x, or spends over 2% of evaluation time
@@ -30,17 +31,17 @@
 //! spends more than 24 membership-table bytes per live row.
 
 use semrec_bench::baseline::{
-    check_parse_throughput, check_schema_version, check_throughput, diff_table, parse_baseline,
-    parse_baseline_parse,
+    check_compile_throughput, check_parse_throughput, check_schema_version, check_throughput,
+    diff_table, parse_baseline, parse_baseline_compile, parse_baseline_parse,
 };
 use semrec_bench::experiments::{run, Scale, ALL};
 use semrec_bench::fixpoint::{
-    check_routing, check_table_bytes, dict_table, governance_table, incremental_table,
-    kernel_table, parse_table, routing_table, run_dict_bench, run_fixpoint_bench,
-    run_governance_bench, run_incremental_bench, run_kernel_bench, run_parse_bench,
-    run_routing_bench, run_semantic_bench, semantic_table, to_json_full, to_json_with_dict,
-    to_json_with_incremental, to_json_with_kernel_stats, to_json_with_parse, to_json_with_routing,
-    to_table,
+    check_routing, check_table_bytes, compile_table, dict_table, governance_table,
+    incremental_table, kernel_table, parse_table, routing_table, run_compile_bench, run_dict_bench,
+    run_fixpoint_bench, run_governance_bench, run_incremental_bench, run_kernel_bench,
+    run_parse_bench, run_routing_bench, run_semantic_bench, semantic_table, to_json_full,
+    to_json_with_compile, to_json_with_dict, to_json_with_incremental, to_json_with_kernel_stats,
+    to_json_with_parse, to_json_with_routing, to_table,
 };
 use semrec_bench::serve::{
     check_serve_baseline, check_serve_read, run_serve_bench, serve_table, serve_to_json,
@@ -158,7 +159,14 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     }
-                    match parse_baseline(&src).and_then(|w| Ok((w, parse_baseline_parse(&src)?))) {
+                    let rows = || -> Result<_, String> {
+                        Ok((
+                            parse_baseline(&src)?,
+                            parse_baseline_parse(&src)?,
+                            parse_baseline_compile(&src)?,
+                        ))
+                    };
+                    match rows() {
                         Ok(base) => Some(base),
                         Err(e) => {
                             eprintln!("cannot parse baseline {path}: {e}");
@@ -189,6 +197,8 @@ fn main() -> ExitCode {
         print!("{}", dict_table(&dict));
         let parse = run_parse_bench();
         print!("{}", parse_table(&parse));
+        let compile = run_compile_bench();
+        print!("{}", compile_table(&compile));
         if json {
             let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fixpoint.json");
             let doc = to_json_with_dict(
@@ -204,11 +214,11 @@ fn main() -> ExitCode {
                 ),
                 &dict,
             );
-            let doc = to_json_with_parse(doc, &parse);
+            let doc = to_json_with_compile(to_json_with_parse(doc, &parse), &compile);
             std::fs::write(&out, doc).expect("write BENCH_fixpoint.json");
             println!("wrote {}", out.display());
         }
-        if let (Some((base, _)), Some(path)) = (&baseline, &baseline_path) {
+        if let (Some((base, _, _)), Some(path)) = (&baseline, &baseline_path) {
             println!("\nspeedup vs baseline {path} (base ms / fresh ms):");
             print!("{}", diff_table(&results, base));
         }
@@ -222,13 +232,14 @@ fn main() -> ExitCode {
             }
         }
         if let Some(pct) = assert_throughput {
-            let Some((base, base_parse)) = &baseline else {
+            let Some((base, base_parse, base_compile)) = &baseline else {
                 eprintln!("--assert-throughput requires --baseline <file>");
                 return ExitCode::FAILURE;
             };
             for gate in [
                 check_throughput(&results, base, pct),
                 check_parse_throughput(&parse, base_parse, pct),
+                check_compile_throughput(&compile, base_compile, pct),
             ] {
                 match gate {
                     Ok(summary) => println!("{summary}"),

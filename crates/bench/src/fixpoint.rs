@@ -5,6 +5,7 @@
 //! criterion, no external deps (offline-build policy): plain
 //! `Instant`-based wall timing, median of N runs.
 
+use semrec_core::optimizer::Optimizer;
 use semrec_datalog::program::Program;
 use semrec_engine::fxhash::hash_one;
 use semrec_engine::{evaluate, Budget, CancelToken, CodeMap, Database, Evaluator, Stats, Strategy};
@@ -17,7 +18,7 @@ use std::time::Instant;
 /// section or field the CI gates read is added or changed; `check.sh`
 /// fails when the checked-in baseline's version differs, forcing a
 /// regeneration with `harness bench --json` in the same PR.
-pub const SCHEMA_VERSION: u64 = 7;
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// IDB-size floor for the `--assert-throughput` gate: workloads below
 /// this finish in a few ms and are dominated by noise, not by the
@@ -819,6 +820,98 @@ pub fn to_json_with_parse(mut s: String, r: &ParseBenchResult) -> String {
         json_f(r.millis),
         json_f(r.mb_per_s()),
         json_f(r.ns_per_fact()),
+    );
+    s
+}
+
+/// The compile step's row: `Optimizer::run` on `multi_block(3, 160)`,
+/// the many-block source of the compile suites.
+#[derive(Clone, Debug)]
+pub struct CompileBenchResult {
+    /// Generator parameter label.
+    pub params: String,
+    /// Integrity constraints in the source.
+    pub ics: usize,
+    /// Median wall milliseconds of one `Optimizer::run`.
+    pub millis: f64,
+}
+
+impl CompileBenchResult {
+    /// Wall microseconds per constraint.
+    pub fn us_per_ic(&self) -> f64 {
+        self.millis * 1e3 / self.ics.max(1) as f64
+    }
+
+    /// Constraints compiled per second — the figure the
+    /// `--assert-throughput` gate compares against the baseline.
+    pub fn ics_per_s(&self) -> f64 {
+        self.ics as f64 * 1e3 / self.millis.max(1e-9)
+    }
+}
+
+/// Times `Optimizer::run` on `multi_block(3, 160)`: one untimed warmup,
+/// then the median of 21 runs. Like the `parse` row, the input and the
+/// run count are the same in quick mode.
+pub fn run_compile_bench() -> CompileBenchResult {
+    let (seed, blocks) = (3, 160);
+    let unit = semrec_datalog::parser::parse_unit(&semrec_gen::programs::multi_block(seed, blocks))
+        .expect("multi_block parses");
+    let program = unit.program();
+    let time_once = || {
+        let start = Instant::now();
+        let plan = Optimizer::new(&program)
+            .with_constraints(&unit.constraints)
+            .run()
+            .expect("multi_block optimizes");
+        let millis = start.elapsed().as_secs_f64() * 1e3;
+        drop(plan);
+        millis
+    };
+    time_once();
+    let mut samples: Vec<f64> = (0..21).map(|_| time_once()).collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    CompileBenchResult {
+        params: format!("multi_block seed={seed} blocks={blocks}"),
+        ics: unit.constraints.len(),
+        millis: samples[samples.len() / 2],
+    }
+}
+
+/// A human-readable compile-step table.
+pub fn compile_table(r: &CompileBenchResult) -> String {
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "{:<10} {:<42} {:>9} {:>8} {:>8} {:>8}",
+        "compile", "input", "ICs", "ms", "us/IC", "ICs/s"
+    );
+    let _ = writeln!(
+        s,
+        "{:<10} {:<42} {:>9} {:>8.3} {:>8.2} {:>8.0}",
+        "optimize",
+        r.params,
+        r.ics,
+        r.millis,
+        r.us_per_ic(),
+        r.ics_per_s(),
+    );
+    s
+}
+
+/// Splices the `compile` section (an array of one row) into an
+/// already-serialized benchmark document.
+pub fn to_json_with_compile(mut s: String, r: &CompileBenchResult) -> String {
+    let tail = s.rfind("  ]\n}").expect("serializer emits a closing array");
+    s.truncate(tail + 3);
+    let _ = write!(
+        s,
+        ",\n  \"compile\": [\n    {{\"params\": \"{}\", \"ics\": {}, \"millis\": {}, \
+         \"us_per_ic\": {}, \"ics_per_s\": {}}}\n  ]\n}}\n",
+        r.params,
+        r.ics,
+        json_f(r.millis),
+        json_f(r.us_per_ic()),
+        json_f(r.ics_per_s()),
     );
     s
 }
@@ -1643,6 +1736,26 @@ mod tests {
         let base = crate::baseline::parse_baseline_parse(&json).expect("parse row reads back");
         assert_eq!(base.params, r.params);
         assert!(crate::baseline::check_parse_throughput(&r, &base, 40.0).is_ok());
+    }
+
+    #[test]
+    fn compile_bench_runs_and_splices_into_json() {
+        let r = run_compile_bench();
+        assert_eq!(r.ics, 440, "{r:?}");
+        assert!(r.us_per_ic() > 0.0 && r.ics_per_s() > 0.0, "{r:?}");
+        assert!(compile_table(&r).contains("us/IC"));
+        let w = WorkloadResult {
+            name: "x".into(),
+            params: "p".into(),
+            rows_edb: 1,
+            rows_idb: 1,
+            rounds: 1,
+            millis: 1.0,
+        };
+        let json = to_json_with_compile(to_json(&[w]), &r);
+        let base = crate::baseline::parse_baseline_compile(&json).expect("compile row reads back");
+        assert_eq!(base.params, r.params);
+        assert!(crate::baseline::check_compile_throughput(&r, &base, 40.0).is_ok());
     }
 
     #[test]

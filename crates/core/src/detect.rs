@@ -3,7 +3,8 @@
 //!
 //! Both methods end in the same verification step: the candidate expansion
 //! sequence is unfolded and the IC's database atoms are (freely, totally)
-//! subsumed into it, yielding residues via [`crate::residue::build_residue`].
+//! subsumed into it, yielding residues via [`crate::residue::build_residue`]
+//! against the unfolding's [`VerifyContext`].
 //! The SD-graph method merely *proposes* candidate sequences cheaply —
 //! exactly the division of labour of Algorithm 3.1 (Steps 1–3 propose,
 //! Step 4 verifies).
@@ -16,15 +17,16 @@
 
 use crate::graph::{build_sd_graph, pattern_labels, SdGraph};
 use crate::occurs::may_match;
-use crate::residue::{build_residue, Residue};
-use crate::sequence::{enumerate_sequences, unfold, Unfolding};
-use crate::subsume::total_matches;
+use crate::residue::{Residue, VerifyContext};
+use crate::sequence::{enumerate_sequences, unfold_with, StepNames, Unfolding};
 use semrec_datalog::analysis::RecursionInfo;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
 use semrec_datalog::program::Program;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
+use std::sync::Arc;
 
 /// How residues were (or should be) detected.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,6 +65,9 @@ pub struct DetectStats {
     /// (constraint, expansion sequence) subsumption checks — Step 4 of
     /// Algorithm 3.1.
     pub sequences_verified: usize,
+    /// Distinct unfoldings built, each with its verification context;
+    /// the constraints of one predicate share them.
+    pub unfoldings: usize,
     /// Residues detected.
     pub residues: usize,
 }
@@ -100,7 +105,8 @@ pub fn detect(
     if !may_match(ic, &subgoal_preds(program, info)) {
         return Ok(Vec::new());
     }
-    Detector::new(program, info, method, pad, &mut DetectStats::default()).detect(ic)
+    Detector::new(program, info, method, pad, &mut DetectStats::default())
+        .detect(&Arc::new(ic.clone()))
 }
 
 /// Where candidate expansion sequences come from.
@@ -113,15 +119,17 @@ enum Proposer {
 }
 
 /// Residue detection for one recursive predicate: what depends only on
-/// the predicate — its SD-graph (or enumerated sequences) and the
-/// unfolding of each expansion sequence — is built once and shared by
-/// every constraint tried against it. `program` must be rectified.
+/// the predicate — its SD-graph (or enumerated sequences), the unfolding
+/// of each expansion sequence and its [`VerifyContext`] — is built once
+/// and shared by every constraint tried against it. `program` must be
+/// rectified.
 pub struct Detector<'a> {
     program: &'a Program,
     info: &'a RecursionInfo,
     pad: usize,
     proposer: Proposer,
-    unfoldings: BTreeMap<Vec<usize>, Unfolding>,
+    names: StepNames,
+    contexts: BTreeMap<Vec<usize>, VerifyContext>,
     stats: &'a mut DetectStats,
 }
 
@@ -148,29 +156,36 @@ impl<'a> Detector<'a> {
             info,
             pad,
             proposer,
-            unfoldings: BTreeMap::new(),
+            names: StepNames::default(),
+            contexts: BTreeMap::new(),
             stats,
         }
     }
 
     /// The unfolding of `seq`, computed on first use.
     pub fn unfolding(&mut self, seq: &[usize]) -> Result<&Unfolding, Error> {
-        if !self.unfoldings.contains_key(seq) {
-            let u = unfold(self.program, self.info, seq)?;
-            self.unfoldings.insert(seq.to_vec(), u);
+        Ok(self.context(seq)?.unfolding())
+    }
+
+    /// The verification context of `seq`'s unfolding, built on first use.
+    fn context(&mut self, seq: &[usize]) -> Result<&VerifyContext, Error> {
+        if !self.contexts.contains_key(seq) {
+            let u = unfold_with(self.program, self.info, seq, &mut self.names)?;
+            self.stats.unfoldings += 1;
+            self.contexts.insert(seq.to_vec(), VerifyContext::new(u));
         }
-        Ok(&self.unfoldings[seq])
+        Ok(&self.contexts[seq])
     }
 
     /// The residues of `ic`, in deterministic order (by sequence, then by
     /// the residue's text).
-    pub fn detect(&mut self, ic: &Constraint) -> Result<Vec<Detection>, Error> {
+    pub fn detect(&mut self, ic: &Arc<Constraint>) -> Result<Vec<Detection>, Error> {
         let seqs = match &self.proposer {
             Proposer::All(seqs) => seqs.clone(),
             Proposer::Graph(graph) => propose_sequences(graph, ic),
         };
 
-        let mut out: Vec<Detection> = Vec::new();
+        let mut found: Vec<(String, Residue)> = Vec::new();
         let mut verified: BTreeSet<Vec<usize>> = BTreeSet::new();
         let mut worklist: Vec<(Vec<usize>, usize)> = seqs.into_iter().map(|s| (s, 0)).collect();
 
@@ -178,20 +193,20 @@ impl<'a> Detector<'a> {
             if !verified.insert(seq.clone()) {
                 continue;
             }
-            let residues = self.verify_sequence(ic, &seq)?;
-            let mut any_non_useful = false;
+            // Step 4 of Algorithm 3.1: unfold the sequence and test maximal
+            // (total) free subsumption, generating residues.
+            self.stats.sequences_verified += 1;
+            let residues = self.context(&seq)?.residues(ic);
+            // Non-useful fact residues are kept: they cannot drive atom
+            // elimination, but they can still drive atom *introduction*
+            // (Example 4.2's doctoral(S)). They also trigger a search for a
+            // useful variant on a padded sequence (Example 3.1).
+            let any_non_useful = residues.iter().any(|r| !r.is_useful());
             for r in residues {
-                // Non-useful fact residues are kept: they cannot drive atom
-                // elimination, but they can still drive atom *introduction*
-                // (Example 4.2's doctoral(S)). They also trigger a search for a
-                // useful variant on a padded sequence (Example 3.1).
-                if !r.is_useful() {
-                    any_non_useful = true;
-                }
-                let d = Detection { residue: r };
-                if !out.contains(&d) {
-                    out.push(d);
-                }
+                // The text half of the sort key, written once per residue.
+                let mut text = String::with_capacity(64);
+                let _ = write!(text, "{r}");
+                found.push((text, r));
             }
             // Retry longer sequences to look for useful variants (Example 3.1).
             if any_non_useful && depth < self.pad {
@@ -211,27 +226,30 @@ impl<'a> Detector<'a> {
                 }
             }
         }
-        out.sort_by_cached_key(|d| (d.residue.seq.clone(), d.residue.to_string()));
+        let out = sort_distinct(found);
         self.stats.residues += out.len();
         Ok(out)
     }
+}
 
-    /// Step 4 of Algorithm 3.1: unfold the sequence and test maximal
-    /// (total) free subsumption, generating residues.
-    fn verify_sequence(&mut self, ic: &Constraint, seq: &[usize]) -> Result<Vec<Residue>, Error> {
-        self.stats.sequences_verified += 1;
-        let u = self.unfolding(seq)?;
-        let targets: Vec<&Atom> = u.body_atoms().map(|(_, a)| a).collect();
-        let mut out: Vec<Residue> = Vec::new();
-        for m in total_matches(&ic.body_atoms, &targets) {
-            if let Some(r) = build_residue(ic, u, &m) {
-                if !out.contains(&r) {
-                    out.push(r);
-                }
-            }
+/// Sorts residues by (sequence, text) and drops repeats, keeping the first
+/// of equal residues. Equal residues share that key, so each residue is
+/// compared only with the others of its key; the sort is stable, so
+/// residues of one key stay in the order they were found.
+fn sort_distinct(mut found: Vec<(String, Residue)>) -> Vec<Detection> {
+    found.sort_by(|(ta, a), (tb, b)| a.seq.cmp(&b.seq).then_with(|| ta.cmp(tb)));
+    let mut out: Vec<Detection> = Vec::with_capacity(found.len());
+    let (mut key_start, mut key_text) = (0, String::new());
+    for (text, residue) in found {
+        if out.last().is_none_or(|d| d.residue.seq != residue.seq) || text != key_text {
+            key_start = out.len();
+            key_text = text;
         }
-        Ok(out)
+        if !out[key_start..].iter().any(|d| d.residue == residue) {
+            out.push(Detection { residue });
+        }
     }
+    out
 }
 
 /// Steps 1–3 of Algorithm 3.1: match the IC's pattern graph against the

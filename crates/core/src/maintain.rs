@@ -177,8 +177,8 @@ fn monitored_ics(plan: &Plan, ics: &[Constraint]) -> Vec<Constraint> {
     }
     let mut out: Vec<Constraint> = Vec::new();
     for a in &plan.applied {
-        if !out.contains(&a.residue.ic) {
-            out.push(a.residue.ic.clone());
+        if !out.contains(&*a.residue.ic) {
+            out.push(Constraint::clone(&a.residue.ic));
         }
     }
     out

@@ -59,6 +59,16 @@ impl<'a> IcIndex<'a> {
 
     /// The constraints that [`may_match`] `preds`, in constraint order.
     pub fn candidates(&self, preds: &BTreeSet<Pred>) -> Vec<&'a Constraint> {
+        let ics = self.ics;
+        self.candidate_ids(preds)
+            .into_iter()
+            .map(|i| &ics[i])
+            .collect()
+    }
+
+    /// The [`candidates`](Self::candidates), as indices into the indexed
+    /// slice.
+    pub fn candidate_ids(&self, preds: &BTreeSet<Pred>) -> Vec<usize> {
         let mut hits: Vec<usize> = preds
             .iter()
             .filter_map(|p| self.watched.get(p))
@@ -67,7 +77,7 @@ impl<'a> IcIndex<'a> {
             .filter(|&i| may_match(&self.ics[i], preds))
             .collect();
         hits.sort_unstable();
-        hits.into_iter().map(|i| &self.ics[i]).collect()
+        hits
     }
 }
 

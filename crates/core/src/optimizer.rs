@@ -18,6 +18,7 @@ use semrec_datalog::rule::Rule;
 use semrec_engine::{AlternativeKind, CostMemo, EdbStats};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Configuration for [`Optimizer`].
 #[derive(Clone, Debug)]
@@ -154,9 +155,12 @@ impl Optimizer {
         let mut skipped = Vec::new();
         let mut chosen: BTreeMap<Pred, Vec<usize>> = BTreeMap::new();
         let mut per_pred_rules: BTreeMap<Pred, Vec<Rule>> = BTreeMap::new();
+        // One shared copy per constraint detection runs on: every residue
+        // of it points there.
+        let mut shared: Vec<Option<Arc<Constraint>>> = vec![None; self.ics.len()];
 
         for info in &infos {
-            let candidates = index.candidates(&subgoal_preds(&rectified, info));
+            let candidates = index.candidate_ids(&subgoal_preds(&rectified, info));
             if candidates.is_empty() {
                 continue;
             }
@@ -164,7 +168,8 @@ impl Optimizer {
             let mut detector =
                 Detector::new(&rectified, info, config.method, config.pad, &mut stats);
             let first = detections.len();
-            for ic in candidates {
+            for i in candidates {
+                let ic = shared[i].get_or_insert_with(|| Arc::new(self.ics[i].clone()));
                 for d in detector.detect(ic)? {
                     detections.push((info.pred, d));
                 }

@@ -3,15 +3,17 @@
 
 use crate::hom::{bind, extend_hom};
 use crate::sequence::Unfolding;
-use crate::subsume::Match;
+use crate::subsume::{total_matches, Match};
 use semrec_datalog::atom::Atom;
 use semrec_datalog::constraint::{Constraint, IcHead};
 use semrec_datalog::literal::Cmp;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::Term;
-use std::collections::BTreeSet;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// The consequent of a residue.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -49,8 +51,8 @@ pub struct UsefulAt {
 /// subsumption guarantees the body contains only evaluable atoms.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Residue {
-    /// The source constraint.
-    pub ic: Constraint,
+    /// The source constraint, shared by every residue of it.
+    pub ic: Arc<Constraint>,
     /// The expansion sequence the residue is attached to.
     pub seq: Vec<usize>,
     /// The instantiated evaluable conditions (`E1, …, Em`).
@@ -104,8 +106,78 @@ impl fmt::Display for Residue {
     }
 }
 
+/// What verifying residues against one unfolding needs that does not
+/// depend on the match, computed once per unfolding — as minisat computes
+/// a clause's abstraction once, not on every subsumption check. A match
+/// then pays only for what depends on θ: the residue's own conditions
+/// (whose variables join the protected set), the atoms it matched and the
+/// usefulness search they seed.
+pub struct VerifyContext {
+    unfolding: Unfolding,
+    /// Every variable of the unfolding, tail included.
+    vars: BTreeSet<Symbol>,
+    /// The unfolding's own comparisons.
+    cmps: Vec<Cmp>,
+    /// The database atoms, in order, and their positions in the body.
+    atoms: Vec<Atom>,
+    positions: Vec<usize>,
+    /// Occurrences of each variable across `atoms`, with multiplicity.
+    occur: BTreeMap<Symbol, usize>,
+    /// Head, tail and comparison variables: what every redundancy
+    /// homomorphism fixes.
+    protected: BTreeSet<Symbol>,
+}
+
+impl VerifyContext {
+    /// Precomputes what every match against `unfolding` reads.
+    pub fn new(unfolding: Unfolding) -> VerifyContext {
+        let mut vars: BTreeSet<Symbol> = unfolding.head.vars().collect();
+        vars.extend(unfolding.body.iter().flat_map(|sl| sl.lit.vars()));
+        vars.extend(unfolding.tail.iter().flat_map(Atom::vars));
+        let cmps: Vec<Cmp> = unfolding
+            .body
+            .iter()
+            .filter_map(|sl| sl.lit.as_cmp().copied())
+            .collect();
+        let (positions, atoms): (Vec<usize>, Vec<Atom>) =
+            unfolding.body_atoms().map(|(i, a)| (i, a.clone())).unzip();
+        let mut occur: BTreeMap<Symbol, usize> = BTreeMap::new();
+        for v in atoms.iter().flat_map(Atom::vars) {
+            *occur.entry(v).or_insert(0) += 1;
+        }
+        let mut protected: BTreeSet<Symbol> = unfolding.head.vars().collect();
+        protected.extend(unfolding.tail.iter().flat_map(Atom::vars));
+        protected.extend(cmps.iter().flat_map(Cmp::vars));
+        VerifyContext {
+            unfolding,
+            vars,
+            cmps,
+            atoms,
+            positions,
+            occur,
+            protected,
+        }
+    }
+
+    /// The unfolding this context verifies against.
+    pub fn unfolding(&self) -> &Unfolding {
+        &self.unfolding
+    }
+
+    /// Step 4 of Algorithm 3.1: the residue of every total free
+    /// subsumption match of `ic`'s database atoms into the unfolding, in
+    /// match order, repeats included.
+    pub fn residues(&self, ic: &Arc<Constraint>) -> Vec<Residue> {
+        let targets: Vec<&Atom> = self.atoms.iter().collect();
+        total_matches(&ic.body_atoms, &targets)
+            .into_iter()
+            .filter_map(|m| build_residue(ic, self, m))
+            .collect()
+    }
+}
+
 /// Builds the residue induced by a total subsumption match of `ic`'s
-/// database atoms into `unfolding`'s body atoms.
+/// database atoms into the body atoms of `ctx`'s unfolding.
 ///
 /// Returns `None` when the residue is degenerate:
 /// * a body condition is trivially false (the residue can never fire);
@@ -115,24 +187,17 @@ impl fmt::Display for Residue {
 ///   point of use).
 ///
 /// A head comparison that is trivially *false* degrades to a null residue.
-pub fn build_residue(ic: &Constraint, unfolding: &Unfolding, m: &Match) -> Option<Residue> {
+pub fn build_residue(ic: &Arc<Constraint>, ctx: &VerifyContext, m: Match) -> Option<Residue> {
     debug_assert!(m.is_total());
-    let theta = m.theta.clone();
-
-    let seq_vars: std::collections::BTreeSet<_> = unfolding.to_rule().vars().into_iter().collect();
-    let grounded = |c: &Cmp| c.vars().all(|v| seq_vars.contains(&v));
+    let Match { theta, onto } = m;
+    let grounded = |c: &Cmp| c.vars().all(|v| ctx.vars.contains(&v));
 
     // Conditions implied by the sequence's own comparisons are discharged:
     // the residue fires unconditionally on every tree of this shape.
-    let seq_cmps: Vec<Cmp> = unfolding
-        .body
-        .iter()
-        .filter_map(|sl| sl.lit.as_cmp().copied())
-        .collect();
     let mut body: Vec<Cmp> = Vec::new();
     for c in &ic.body_cmps {
         let ic_c = theta.apply_cmp(c);
-        if ic_c.is_trivially_true() || seq_cmps.iter().any(|sc| sc.implies(&ic_c)) {
+        if ic_c.is_trivially_true() || ctx.cmps.iter().any(|sc| sc.implies(&ic_c)) {
             continue;
         }
         if ic_c.is_trivially_false() || !grounded(&ic_c) {
@@ -161,210 +226,160 @@ pub fn build_residue(ic: &Constraint, unfolding: &Unfolding, m: &Match) -> Optio
 
     // Map the match's target indices (into the atom list) back to body
     // positions of the unfolding.
-    let atom_positions: Vec<usize> = unfolding.body_atoms().map(|(i, _)| i).collect();
-    let matched_body: Vec<usize> = m
-        .onto
+    let matched_body: Vec<usize> = onto
         .iter()
-        .map(|o| atom_positions[o.expect("total match")])
+        .map(|o| ctx.positions[o.expect("total match")])
         .collect();
 
     let mut residue = Residue {
-        ic: ic.clone(),
-        seq: unfolding.seq.clone(),
+        ic: Arc::clone(ic),
+        seq: ctx.unfolding.seq.clone(),
         body,
         head,
         theta,
         matched_body,
         useful_at: None,
     };
-    attach_usefulness(&mut residue, unfolding);
+    if let ResidueHead::Atom(a) = &residue.head {
+        residue.useful_at = ctx.redundant_atom(&residue, a).map(|body_index| UsefulAt {
+            body_index,
+            step: ctx.unfolding.body[body_index].step,
+        });
+    }
     Some(residue)
 }
 
-/// Establishes usefulness of a fact residue's head atom `A` (§3): finds a
-/// body atom `B` of the unfolding that the residue makes *redundant*.
-///
-/// Two criteria are tried in order:
-///
-/// 1. **Syntactic** (the paper's definition): θ extends so that `A·θ' = B`
-///    (Example 3.1's variant residue).
-/// 2. **Homomorphism-based**: there is a mapping `h` of the unfolding's
-///    variables, fixing every variable that occurs in the head, the
-///    recursive tail, any comparison, or the residue's conditions, such
-///    that `h(B) = A` and `h` maps every other body atom into
-///    `(body ∖ B) ∪ {A}`. Then deleting `B` preserves the answers on every
-///    IC-satisfying database: a valuation of the reduced body composes with
-///    `h` into a valuation of the full body, using the IC to supply `A`.
-///    This is what licenses Example 3.2/4.2's elimination of `expert(P, F)`
-///    — the co-occurring `field(T, F)` re-maps one level down.
-///
-/// `B` is never one of the atoms the IC matched on (the premises of the
-/// implication must survive the deletion).
-fn attach_usefulness(residue: &mut Residue, unfolding: &Unfolding) {
-    let ResidueHead::Atom(head) = &residue.head else {
-        return;
-    };
-    let excluded: BTreeSet<usize> = residue.matched_body.iter().copied().collect();
-    if let Some((bi, new_head)) = hom_usefulness(residue, &head.clone(), unfolding, &excluded) {
-        let step = unfolding.body[bi].step;
-        residue.head = ResidueHead::Atom(new_head);
-        residue.useful_at = Some(UsefulAt {
-            body_index: bi,
-            step,
-        });
-    }
-}
-
-/// Variables of the unfolding that a redundancy homomorphism must fix:
-/// head variables, tail variables, variables of any body comparison, and
-/// variables of the residue's conditions.
-fn protected_vars(residue: &Residue, unfolding: &Unfolding) -> BTreeSet<Symbol> {
-    let mut out: BTreeSet<Symbol> = unfolding.head.vars().collect();
-    if let Some(t) = &unfolding.tail {
-        out.extend(t.vars());
-    }
-    for sl in &unfolding.body {
-        if let Some(c) = sl.lit.as_cmp() {
-            out.extend(c.vars());
+impl VerifyContext {
+    /// Establishes usefulness of a fact residue's head atom `A` (§3): the
+    /// body position of an atom `B` of the unfolding that the residue
+    /// makes *redundant*.
+    ///
+    /// Two criteria are tried in order:
+    ///
+    /// 1. **Syntactic** (the paper's definition): θ extends so that
+    ///    `A·θ' = B` (Example 3.1's variant residue).
+    /// 2. **Homomorphism-based**: there is a mapping `h` of the unfolding's
+    ///    variables, fixing every variable that occurs in the head, the
+    ///    recursive tail, any comparison, or the residue's conditions, such
+    ///    that `h(B) = A` and `h` maps every other body atom into
+    ///    `(body ∖ B) ∪ {A}`. Then deleting `B` preserves the answers on
+    ///    every IC-satisfying database: a valuation of the reduced body
+    ///    composes with `h` into a valuation of the full body, using the IC
+    ///    to supply `A`. This is what licenses Example 3.2/4.2's elimination
+    ///    of `expert(P, F)` — the co-occurring `field(T, F)` re-maps one
+    ///    level down.
+    ///
+    /// `B` is never one of the atoms the IC matched on (the premises of the
+    /// implication must survive the deletion).
+    fn redundant_atom(&self, residue: &Residue, head: &Atom) -> Option<usize> {
+        let mut protected = Cow::Borrowed(&self.protected);
+        for v in residue.body.iter().flat_map(Cmp::vars) {
+            if !protected.contains(&v) {
+                protected.to_mut().insert(v);
+            }
         }
-    }
-    for c in &residue.body {
-        out.extend(c.vars());
-    }
-    out
-}
-
-fn hom_usefulness(
-    residue: &Residue,
-    head: &Atom,
-    unfolding: &Unfolding,
-    excluded: &BTreeSet<usize>,
-) -> Option<(usize, Atom)> {
-    let protected = protected_vars(residue, unfolding);
-    let unfolding_vars: BTreeSet<Symbol> = unfolding.to_rule().vars().into_iter().collect();
-    let body: Vec<(usize, &Atom)> = unfolding.body_atoms().collect();
-
-    // Occurrence counts across the whole body (with multiplicity): used to
-    // validate IC-existential wildcard positions.
-    let mut occur: std::collections::BTreeMap<Symbol, usize> = std::collections::BTreeMap::new();
-    for (_, a) in &body {
-        for v in a.vars() {
-            *occur.entry(v).or_insert(0) += 1;
+        for (k, b) in self.atoms.iter().enumerate() {
+            let bi = self.positions[k];
+            if residue.matched_body.contains(&bi)
+                || b.pred != head.pred
+                || b.arity() != head.arity()
+            {
+                continue;
+            }
+            let Some(h) = self.seed(b, head, &protected) else {
+                continue;
+            };
+            // Targets: the body without B, plus A itself.
+            let others: Vec<&Atom> = self
+                .atoms
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != k)
+                .map(|(_, a)| a)
+                .collect();
+            let mut targets = others.clone();
+            targets.push(head);
+            if extend_hom(&others, 0, &h, &protected, &targets) {
+                return Some(bi);
+            }
         }
+        None
     }
 
-    for &(bi, b) in &body {
-        if excluded.contains(&bi) || b.pred != head.pred || b.arity() != head.arity() {
-            continue;
-        }
-        // Seed: h(B) = A. `h` remaps unprotected unfolding variables.
-        //
-        // Positions where A still holds a *free IC variable* (an
-        // existential the IC head introduces, like V7 in Example 3.1) are
-        // wildcards — but soundly so only when B's argument there is an
-        // unprotected variable occurring exactly once in the body: the
-        // IC guarantees the existence of *some* value, so B's argument
-        // must be free to absorb whatever that witness is. Binding a
-        // wildcard to a head/tail/shared variable would claim the witness
-        // equals an independently constrained value — unsound.
+    /// Seeds the redundancy homomorphism: `h(B) = A`, remapping only
+    /// unprotected unfolding variables.
+    ///
+    /// Positions where A still holds a *free IC variable* (an existential
+    /// the IC head introduces, like V7 in Example 3.1) are wildcards — but
+    /// soundly so only when B's argument there is an unprotected variable
+    /// occurring exactly once in the body: the IC guarantees the existence
+    /// of *some* value, so B's argument must be free to absorb whatever
+    /// that witness is. Binding a wildcard to a head/tail/shared variable
+    /// would claim the witness equals an independently constrained value —
+    /// unsound.
+    fn seed(&self, b: &Atom, head: &Atom, protected: &BTreeSet<Symbol>) -> Option<Subst> {
         let mut h = Subst::new();
-        let mut ok = true;
         for (&bt, &at) in b.args.iter().zip(&head.args) {
-            let free_ic_var = matches!(at, Term::Var(v) if !unfolding_vars.contains(&v));
-            if free_ic_var {
+            if matches!(at, Term::Var(v) if !self.vars.contains(&v)) {
                 match bt {
                     Term::Var(v)
                         if !protected.contains(&v)
-                            && occur.get(&v).copied() == Some(1)
+                            && self.occur.get(&v) == Some(&1)
                             && h.get(v).is_none() =>
                     {
                         // Mark the wildcard column as consumed so a second
                         // appearance of v cannot re-constrain it.
                         h.insert(v, Term::Var(v));
                     }
-                    _ => {
-                        ok = false;
-                        break;
-                    }
+                    _ => return None,
                 }
                 continue;
             }
-            match bt {
-                Term::Const(_) => {
-                    if bt != at {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) if protected.contains(&v) => {
-                    if Term::Var(v) != at {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) => {
-                    if !bind(&mut h, v, at) {
-                        ok = false;
-                        break;
-                    }
-                }
+            let fits = match bt {
+                Term::Const(_) => bt == at,
+                Term::Var(v) if protected.contains(&v) => bt == at,
+                Term::Var(v) => bind(&mut h, v, at),
+            };
+            if !fits {
+                return None;
             }
         }
-        if !ok {
-            continue;
-        }
-        // Targets: the body without B, plus A itself.
-        let a_final = head.clone();
-        let targets: Vec<&Atom> = body
-            .iter()
-            .filter(|&&(i, _)| i != bi)
-            .map(|&(_, a)| a)
-            .chain(std::iter::once(&a_final))
-            .collect();
-        let others: Vec<&Atom> = body
-            .iter()
-            .filter(|&&(i, _)| i != bi)
-            .map(|&(_, a)| a)
-            .collect();
-        if extend_hom(&others, 0, &h, &protected, &targets) {
-            return Some((bi, a_final));
-        }
+        Some(h)
     }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sequence::unfold;
-    use crate::subsume::total_matches;
     use semrec_datalog::analysis::{classify_linear_pred, rectify};
     use semrec_datalog::atom::Pred;
     use semrec_datalog::parser::parse_unit;
 
-    /// Example 3.2: works_with/expert transitivity over the eval program.
-    fn eval_setup() -> (Vec<Residue>, Unfolding) {
-        let unit = parse_unit(
-            "eval(P, S, T) :- super(P, S, T).
-             eval(P, S, T) :- works_with(P, P1), eval(P1, S, T), expert(P, F), field(T, F).
-             ic ic1: works_with(P2, P1), expert(P1, F1) -> expert(P2, F1).",
-        )
-        .unwrap();
+    /// The residues of `src`'s first constraint on `pred`'s unfolding of
+    /// `seq`, and the number of total matches they were built from.
+    fn residues_on(src: &str, pred: &str, seq: &[usize]) -> (Vec<Residue>, usize) {
+        let unit = parse_unit(src).unwrap();
         let (prog, _) = rectify(&unit.program());
-        let info = classify_linear_pred(&prog, Pred::new("eval")).unwrap();
-        let u = unfold(&prog, &info, &[1, 1]).unwrap();
-        let ic = &unit.constraints[0];
-        let targets: Vec<&Atom> = u.body_atoms().map(|(_, a)| a).collect();
-        let residues = total_matches(&ic.body_atoms, &targets)
-            .iter()
-            .filter_map(|m| build_residue(ic, &u, m))
-            .collect();
-        (residues, u)
+        let info = classify_linear_pred(&prog, Pred::new(pred)).unwrap();
+        let ctx = VerifyContext::new(unfold(&prog, &info, seq).unwrap());
+        let ic = Arc::new(unit.constraints[0].clone());
+        let targets: Vec<&Atom> = ctx.atoms.iter().collect();
+        let matches = total_matches(&ic.body_atoms, &targets).len();
+        (ctx.residues(&ic), matches)
+    }
+
+    /// Example 3.2: works_with/expert transitivity over the eval program.
+    fn eval_residues() -> Vec<Residue> {
+        let src = "eval(P, S, T) :- super(P, S, T).
+             eval(P, S, T) :- works_with(P, P1), eval(P1, S, T), expert(P, F), field(T, F).
+             ic ic1: works_with(P2, P1), expert(P1, F1) -> expert(P2, F1).";
+        residues_on(src, "eval", &[1, 1]).0
     }
 
     #[test]
     fn example_3_2_residue_is_useful_unconditional_fact() {
-        let (residues, _u) = eval_setup();
+        let residues = eval_residues();
         assert!(!residues.is_empty());
         // The paper's residue: -> expert(P, F) matched against the level-1
         // expert atom (usefulness extends V-variables onto it).
@@ -383,20 +398,14 @@ mod tests {
     #[test]
     fn pruning_residue_from_denial() {
         // Example 4.3 in miniature: a 3-generation denial over anc.
-        let unit = parse_unit(
+        let (rs, _) = residues_on(
             "anc(X, Xa, Y, Ya) :- par(X, Xa, Y, Ya).
              anc(X, Xa, Y, Ya) :- anc(X, Xa, Z, Za), par(Z, Za, Y, Ya).
              ic: Ya <= 50, par(Z, Za, Y, Ya), par(Z1, Z1a, Z, Za), par(Z2, Z2a, Z1, Z1a) -> .",
-        )
-        .unwrap();
-        let (prog, _) = rectify(&unit.program());
-        let info = classify_linear_pred(&prog, Pred::new("anc")).unwrap();
-        let u = unfold(&prog, &info, &[1, 1, 1]).unwrap();
-        let ic = &unit.constraints[0];
-        let targets: Vec<&Atom> = u.body_atoms().map(|(_, a)| a).collect();
-        let ms = total_matches(&ic.body_atoms, &targets);
-        assert!(!ms.is_empty());
-        let r = build_residue(ic, &u, &ms[0]).unwrap();
+            "anc",
+            &[1, 1, 1],
+        );
+        let r = &rs[0];
         assert!(r.is_null());
         assert!(r.is_conditional());
         assert!(r.is_useful());
@@ -406,75 +415,51 @@ mod tests {
 
     #[test]
     fn trivially_false_condition_drops_residue() {
-        let unit = parse_unit(
+        let (rs, matches) = residues_on(
             "anc(X, Y) :- par(X, Y).
              anc(X, Y) :- anc(X, Z), par(Z, Y).
              ic: par(A, B), 1 > 2 -> q(A).",
-        )
-        .unwrap();
-        let (prog, _) = rectify(&unit.program());
-        let info = classify_linear_pred(&prog, Pred::new("anc")).unwrap();
-        let u = unfold(&prog, &info, &[1]).unwrap();
-        let ic = &unit.constraints[0];
-        let targets: Vec<&Atom> = u.body_atoms().map(|(_, a)| a).collect();
-        let ms = total_matches(&ic.body_atoms, &targets);
-        assert_eq!(ms.len(), 1);
-        assert!(build_residue(ic, &u, &ms[0]).is_none());
+            "anc",
+            &[1],
+        );
+        assert_eq!(matches, 1);
+        assert!(rs.is_empty());
     }
 
     #[test]
     fn trivially_false_head_cmp_becomes_null() {
-        let unit = parse_unit(
+        let (rs, matches) = residues_on(
             "anc(X, Y) :- par(X, Y).
              anc(X, Y) :- anc(X, Z), par(Z, Y).
              ic: par(A, B) -> 1 > 2.",
-        )
-        .unwrap();
-        let (prog, _) = rectify(&unit.program());
-        let info = classify_linear_pred(&prog, Pred::new("anc")).unwrap();
-        let u = unfold(&prog, &info, &[1]).unwrap();
-        let ic = &unit.constraints[0];
-        let targets: Vec<&Atom> = u.body_atoms().map(|(_, a)| a).collect();
-        let ms = total_matches(&ic.body_atoms, &targets);
-        let r = build_residue(ic, &u, &ms[0]).unwrap();
-        assert!(r.is_null());
+            "anc",
+            &[1],
+        );
+        assert_eq!((rs.len(), matches), (1, 1));
+        assert!(rs[0].is_null());
     }
 
     #[test]
     fn display_formats() {
-        let (residues, _) = eval_setup();
+        let residues = eval_residues();
         let r = residues.iter().find(|r| r.is_useful()).unwrap();
         let s = r.to_string();
         assert!(s.contains("-> expert("), "got: {s}");
     }
-}
-
-#[cfg(test)]
-mod condition_discharge_tests {
-    use super::*;
-    use crate::sequence::unfold;
-    use crate::subsume::total_matches;
-    use semrec_datalog::analysis::{classify_linear_pred, rectify};
-    use semrec_datalog::parser::parse_unit;
 
     /// A rule that already guarantees the residue's condition turns a
     /// conditional residue into an unconditional one.
     #[test]
     fn sequence_comparisons_discharge_conditions() {
-        let unit = parse_unit(
+        let (rs, matches) = residues_on(
             "t(X, Y) :- base(X, Y).
              t(X, Y) :- a(X, Z), Z > 100, t(Z, Y).
              ic: a(U, V), V > 50 -> marked(V).",
-        )
-        .unwrap();
-        let (prog, _) = rectify(&unit.program());
-        let info = classify_linear_pred(&prog, semrec_datalog::Pred::new("t")).unwrap();
-        let u = unfold(&prog, &info, &[1]).unwrap();
-        let targets: Vec<&semrec_datalog::Atom> = u.body_atoms().map(|(_, a)| a).collect();
-        let ms = total_matches(&unit.constraints[0].body_atoms, &targets);
-        assert_eq!(ms.len(), 1);
-        let r = build_residue(&unit.constraints[0], &u, &ms[0]).unwrap();
+            "t",
+            &[1],
+        );
+        assert_eq!((rs.len(), matches), (1, 1));
         // Z > 100 (in the rule) implies V > 50 (the condition): discharged.
-        assert!(!r.is_conditional(), "residue: {r}");
+        assert!(!rs[0].is_conditional(), "residue: {}", rs[0]);
     }
 }

@@ -23,6 +23,7 @@ use semrec_datalog::rule::Rule;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::Term;
+use std::collections::BTreeMap;
 
 /// A body literal of an unfolding, with provenance.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -80,12 +81,44 @@ pub fn step_local(v: Symbol, step: usize) -> Symbol {
     Symbol::intern(&format!("{v}~{step}"))
 }
 
+/// The [`step_local`] renaming of each rule's local variables, per
+/// (rule, step), built on first use. A caller that unfolds many sequences
+/// over the same rules keeps one, so each `v~i` is formatted and interned
+/// once rather than once per unfolding.
+#[derive(Default)]
+pub struct StepNames {
+    locals: BTreeMap<(usize, usize), Vec<(Symbol, Term)>>,
+}
+
+impl StepNames {
+    /// Local variable ↦ its renamed variable, for rule `ri` at `step`.
+    fn get(&mut self, program: &Program, ri: usize, step: usize) -> &[(Symbol, Term)] {
+        self.locals.entry((ri, step)).or_insert_with(|| {
+            program.rules[ri]
+                .local_vars()
+                .into_iter()
+                .map(|v| (v, Term::Var(step_local(v, step))))
+                .collect()
+        })
+    }
+}
+
 /// Unfolds `seq` (rule indices into `program`, which must be rectified) for
 /// the recursive predicate described by `info`.
 ///
 /// Every rule of the sequence must define `info.pred`; every rule except
 /// possibly the last must be recursive.
 pub fn unfold(program: &Program, info: &RecursionInfo, seq: &[usize]) -> Result<Unfolding, Error> {
+    unfold_with(program, info, seq, &mut StepNames::default())
+}
+
+/// [`unfold`], renaming through `names`.
+pub fn unfold_with(
+    program: &Program,
+    info: &RecursionInfo,
+    seq: &[usize],
+    names: &mut StepNames,
+) -> Result<Unfolding, Error> {
     if seq.is_empty() {
         return Err(Error::analysis("empty expansion sequence"));
     }
@@ -121,8 +154,8 @@ pub fn unfold(program: &Program, info: &RecursionInfo, seq: &[usize]) -> Result<
                 .expect("rectified rule heads contain only variables");
             sigma.insert(v, *arg);
         }
-        for v in rule.local_vars() {
-            sigma.insert(v, Term::Var(step_local(v, step)));
+        for &(v, renamed) in names.get(program, ri, step) {
+            sigma.insert(v, renamed);
         }
 
         let mut next_call: Option<Vec<Term>> = None;

@@ -60,6 +60,9 @@ fn go_total(
         return;
     }
     for (j, target) in targets.iter().enumerate() {
+        if target.pred != patterns[i].pred {
+            continue;
+        }
         let mut t = theta.clone();
         if match_atom(&mut t, &patterns[i], target) {
             onto[i] = Some(j);

@@ -45,8 +45,9 @@ cargo run -p semrec-bench --release --offline --bin harness -- e3 e4 --quick
 # matches workloads by name+params and only checks those present in
 # both — the quick set keeps the 300/160/64 fanout so one workload
 # above the floor always overlaps. The same gate holds the `parse` row
-# (parse_unit MB/s on the exported fanout bundle, one input at every
-# size) within 40% of the baseline's.
+# (parse_unit MB/s on the exported fanout bundle) and the `compile` row
+# (Optimizer::run ICs/s on multi_block(3, 160)), one input each at every
+# size, within 40% of the baseline's.
 # Table-bytes gate: every generated workload's IDB membership tables
 # must hold at most 24 slot bytes per live row. A ¾-load table that
 # grows 2× reads 10.7-21.3; a looser load rule or a reservation that

@@ -238,7 +238,8 @@ fn known_flags(cmd: &str) -> (&'static [&'static str], &'static [&'static str], 
 }
 
 /// Rejects (usage, exit 2) any `--flag` the subcommand does not know,
-/// so a typo or a retired flag fails loudly instead of being ignored.
+/// so a typo or a retired flag fails loudly instead of being ignored,
+/// and a value-taking flag that ends the arguments without its value.
 /// The argument after a value-taking flag is skipped unexamined.
 fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
     let (switches, valued, budget) = known_flags(cmd);
@@ -249,7 +250,12 @@ fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
             continue;
         }
         if valued.contains(&a) || (budget && BUDGET_FLAGS.contains(&a)) {
-            it.next();
+            if it.next().is_none() {
+                return Err(CliError::Usage(format!(
+                    "flag `{a}` of `semrec {cmd}` needs a value\n{}",
+                    usage()
+                )));
+            }
         } else if !switches.contains(&a) {
             return Err(CliError::Usage(format!(
                 "unknown flag `{a}` for `semrec {cmd}`\n{}",
@@ -650,12 +656,14 @@ fn explain_residues(
     let s = &plan.detect_stats;
     writeln!(
         w,
-        "compile: {} ICs, {} of {} pairs tried, {} SD-graphs, {} sequences verified, {} residues",
+        "compile: {} ICs, {} of {} pairs tried, {} SD-graphs, {} sequences verified, \
+         {} unfoldings, {} residues",
         s.ics,
         s.candidate_pairs,
         infos.len() * s.ics,
         s.graphs_built,
         s.sequences_verified,
+        s.unfoldings,
         s.residues,
     )
 }

@@ -220,7 +220,8 @@ fn explain_lists_residues() {
     // What detection cost, in exact work counts.
     assert!(
         out.contains(
-            "compile: 1 ICs, 1 of 1 pairs tried, 1 SD-graphs, 2 sequences verified, 2 residues"
+            "compile: 1 ICs, 1 of 1 pairs tried, 1 SD-graphs, 2 sequences verified, \
+             2 unfoldings, 2 residues"
         ),
         "{out}"
     );
@@ -545,6 +546,31 @@ fn unknown_and_retired_flags_are_usage_errors() {
     // A flag-looking *value* is not a flag.
     let out = output(&["run", &file, "--query", "--threads"]);
     assert_ne!(out.status.code(), Some(2));
+}
+
+/// A flag that takes a value, last on the line with none, is a usage
+/// error — not a run without the budget, goal or small relation it named.
+#[test]
+fn a_valued_flag_without_its_value_is_a_usage_error() {
+    let file = sample("genealogy.dl");
+    for args in [
+        ["run", &file, "--max-rows"],
+        ["run", &file, "--deadline-ms"],
+        ["explain", &file, "--query"],
+        ["optimize", &file, "--small"],
+    ] {
+        let out = output(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "flag `{}` of `semrec {}` needs a value",
+                args[2], args[0]
+            )),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
 }
 
 /// The exact invocations `benchmark/README.md` freezes (*Frozen

@@ -1,18 +1,22 @@
 //! Shared by the compile-step suites: the all-pairs optimizer the product
-//! replaced (now the oracle), the program families of the soundness
-//! suite, and a seeded multi-block generator.
+//! replaced (now the oracle), a per-match residue builder that shares no
+//! code with the product's verification context (the oracle of
+//! detection), and the program families of the soundness suite.
 #![allow(dead_code)]
 
 use semrec::core::detect::{detect, DetectStats, Detection};
+use semrec::core::hom::{bind, extend_hom};
 use semrec::core::occurs::IcIndex;
 use semrec::core::optimizer::{choose_sequence, OptimizerConfig, Plan};
 use semrec::core::push::{replace_blocks, Pusher};
-use semrec::core::sequence::unfold;
-use semrec::datalog::analysis::{rectify, validate};
-use semrec::datalog::{Constraint, Pred, Program, Rule};
-use semrec::gen::rng::Rng;
+use semrec::core::residue::{Residue, ResidueHead, UsefulAt};
+use semrec::core::sequence::{unfold, Unfolding};
+use semrec::core::subsume::{total_matches, Match};
+use semrec::datalog::analysis::{rectify, validate, RecursionInfo};
+use semrec::datalog::constraint::IcHead;
+use semrec::datalog::{Atom, Cmp, Constraint, Pred, Program, Rule, Subst, Symbol, Term};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write;
+use std::sync::Arc;
 
 /// Dead-rule removal over a whole program, to a fixpoint: rules with a
 /// trivially false comparison or a body atom whose `idb_like` predicate
@@ -151,6 +155,140 @@ pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerC
     }
 }
 
+/// The residues of `ic` on the sequences `seqs` of `info`'s predicate, as
+/// detection defines them: per sequence, every total match's residue,
+/// repeats dropped in match order; then stably sorted by (sequence,
+/// text). Each match recomputes everything it reads from the unfolding.
+pub fn oracle_residues(
+    program: &Program,
+    info: &RecursionInfo,
+    ic: &Arc<Constraint>,
+    seqs: &[Vec<usize>],
+) -> Vec<Residue> {
+    let mut out: Vec<Residue> = Vec::new();
+    for seq in seqs {
+        let u = unfold(program, info, seq).expect("unfold");
+        let targets: Vec<&Atom> = u.body_atoms().map(|(_, a)| a).collect();
+        for m in total_matches(&ic.body_atoms, &targets) {
+            if let Some(r) = oracle_residue(ic, &u, &m) {
+                if !out.contains(&r) {
+                    out.push(r);
+                }
+            }
+        }
+    }
+    out.sort_by_cached_key(|r| (r.seq.clone(), r.to_string()));
+    out
+}
+
+/// The residue of one total match, or `None` when it is degenerate.
+fn oracle_residue(ic: &Arc<Constraint>, u: &Unfolding, m: &Match) -> Option<Residue> {
+    let theta = m.theta.clone();
+    let seq_vars: BTreeSet<Symbol> = u.to_rule().vars();
+    let grounded = |c: &Cmp| c.vars().all(|v| seq_vars.contains(&v));
+    let seq_cmps: Vec<Cmp> = u
+        .body
+        .iter()
+        .filter_map(|sl| sl.lit.as_cmp().copied())
+        .collect();
+    let mut body: Vec<Cmp> = Vec::new();
+    for c in &ic.body_cmps {
+        let c = theta.apply_cmp(c);
+        if c.is_trivially_true() || seq_cmps.iter().any(|sc| sc.implies(&c)) {
+            continue;
+        }
+        if c.is_trivially_false() || !grounded(&c) {
+            return None;
+        }
+        body.push(c);
+    }
+    let head = match &ic.head {
+        IcHead::None => ResidueHead::Null,
+        IcHead::Cmp(c) => {
+            let h = theta.apply_cmp(c);
+            if h.is_trivially_true() {
+                return None;
+            } else if h.is_trivially_false() {
+                ResidueHead::Null
+            } else if grounded(&h) {
+                ResidueHead::Cmp(h)
+            } else {
+                return None;
+            }
+        }
+        IcHead::Atom(a) => ResidueHead::Atom(theta.apply_atom(a)),
+    };
+    let positions: Vec<usize> = u.body_atoms().map(|(i, _)| i).collect();
+    let matched_body: Vec<usize> = m.onto.iter().map(|o| positions[o.unwrap()]).collect();
+    let mut r = Residue {
+        ic: Arc::clone(ic),
+        seq: u.seq.clone(),
+        body,
+        head,
+        theta,
+        matched_body,
+        useful_at: None,
+    };
+    if let ResidueHead::Atom(a) = &r.head {
+        r.useful_at = oracle_redundant(&r, a, u).map(|bi| UsefulAt {
+            body_index: bi,
+            step: u.body[bi].step,
+        });
+    }
+    Some(r)
+}
+
+/// The first body atom `B` the residue makes redundant: `h(B)` is its
+/// head `A` and `h` maps the rest of the body into itself plus `A`,
+/// fixing head, tail and comparison variables and the residue's
+/// conditions; `B` is none of the matched atoms.
+fn oracle_redundant(r: &Residue, a: &Atom, u: &Unfolding) -> Option<usize> {
+    let mut protected: BTreeSet<Symbol> = u.head.vars().collect();
+    protected.extend(u.tail.iter().flat_map(Atom::vars));
+    for sl in &u.body {
+        protected.extend(sl.lit.as_cmp().into_iter().flat_map(Cmp::vars));
+    }
+    protected.extend(r.body.iter().flat_map(Cmp::vars));
+    let vars: BTreeSet<Symbol> = u.to_rule().vars();
+    let body: Vec<(usize, &Atom)> = u.body_atoms().collect();
+    let mut occur: BTreeMap<Symbol, usize> = BTreeMap::new();
+    for v in body.iter().flat_map(|(_, b)| b.vars()) {
+        *occur.entry(v).or_default() += 1;
+    }
+    'candidates: for &(bi, b) in &body {
+        if r.matched_body.contains(&bi) || b.pred != a.pred || b.args.len() != a.args.len() {
+            continue;
+        }
+        let mut h = Subst::new();
+        for (&bt, &at) in b.args.iter().zip(&a.args) {
+            let fits = match (bt, at) {
+                // A free IC variable is a wildcard for a variable of B
+                // used once, unprotected, not yet bound.
+                (Term::Var(v), Term::Var(w)) if !vars.contains(&w) => {
+                    let free = !protected.contains(&v) && occur[&v] == 1 && h.get(v).is_none();
+                    if free {
+                        h.insert(v, bt);
+                    }
+                    free
+                }
+                (_, Term::Var(w)) if !vars.contains(&w) => false,
+                (Term::Var(v), _) if !protected.contains(&v) => bind(&mut h, v, at),
+                _ => bt == at,
+            };
+            if !fits {
+                continue 'candidates;
+            }
+        }
+        let others: Vec<&Atom> = body.iter().filter(|e| e.0 != bi).map(|e| e.1).collect();
+        let mut targets = others.clone();
+        targets.push(a);
+        if extend_hom(&others, 0, &h, &protected, &targets) {
+            return Some(bi);
+        }
+    }
+    None
+}
+
 /// (name, program+ics source, edb preds to fill with random binary data,
 /// small relations for introduction).
 pub const FAMILIES: &[(&str, &str, &[&str], &[&str])] = &[
@@ -195,77 +333,3 @@ pub const FAMILIES: &[(&str, &str, &[&str], &[&str])] = &[
         &["marked"],
     ),
 ];
-
-/// The small relations of [`multi_block`]'s programs (atom introduction).
-pub fn multi_block_small(blocks: u32) -> impl Iterator<Item = Pred> {
-    (0..blocks).map(|i| Pred::new(&format!("f{i}")))
-}
-
-/// `blocks` (a multiple of 4, at least 12) recursive predicates in four
-/// shapes, covering what the benchmark's `compile_cli` input does not.
-/// Per block the work is constant and no constraint matches more than
-/// two blocks, so every detection counter is linear in `blocks`; the
-/// seed picks the partner of each partial-overlap constraint and the
-/// constants.
-///
-/// * `i % 4 == 0`: witness elimination as in `compile_cli` beside a
-///   conditional comparison to introduce, plus a non-recursive view over
-///   the same atoms (a rule-level residue);
-/// * `1`: recursion over `s{i/4}`, an EDB predicate the next block reads
-///   too, with the previous block called as a subgoal; its one residue
-///   sits on a two-step sequence, so the push builds `@` auxiliaries;
-/// * `2`: a predicate repeated inside one rule; its last constraint is
-///   listed under `s{i/4}`, out of order with those under `r{i}`;
-/// * `3`: every rule dies in cleanup (false exit rule, dead callee).
-///
-/// Each block also gets a constraint over its own main predicate *and*
-/// that of a block in another group: some, never all, of its body
-/// predicates occur in either block.
-pub fn multi_block(seed: u64, blocks: u32) -> String {
-    assert!(blocks >= 12 && blocks.is_multiple_of(4));
-    let mut rng = Rng::seed_from_u64(seed);
-    let main = |i: u32| match i % 4 {
-        1 => format!("s{}", i / 4),
-        2 => format!("r{i}"),
-        _ => format!("e{i}"),
-    };
-    let mut t = String::new();
-    for i in 0..blocks {
-        let (g, c) = (i / 4, rng.gen_range(0..1000i64));
-        let _ = match i % 4 {
-            0 => writeln!(
-                t,
-                "p{i}(X, Y) :- e{i}(X, Y).
-                 p{i}(X, Y) :- e{i}(X, Z), w{i}(Z, W), p{i}(Z, Y).
-                 v{i}(X, Z) :- e{i}(X, Z), w{i}(Z, W).
-                 ic u{i}: e{i}(X, Z) -> w{i}(Z, W).
-                 ic c{i}: e{i}(X, Z), Z > {c} -> X < Z."
-            ),
-            1 => writeln!(
-                t,
-                "p{i}(X, Y) :- s{g}(X, Y).
-                 p{i}(X, Y) :- s{g}(X, Z), p{}(Z, V), p{i}(Z, Y).
-                 ic a{i}: s{g}(X, Y), s{g}(Y, Z) -> .",
-                i - 1
-            ),
-            2 => writeln!(
-                t,
-                "p{i}(X, Y) :- s{g}(X, Y).
-                 p{i}(X, Y) :- r{i}(X, M), r{i}(M, Z), p{i}(Z, Y).
-                 ic a{i}: r{i}(A, B), r{i}(B, C) -> f{i}(A, C).
-                 ic b{i}: r{i}(A, B), B > {c} -> .
-                 ic c{i}: s{g}(B, C), r{i}(A, B) -> ."
-            ),
-            _ => writeln!(
-                t,
-                "d{i}(X) :- e{i}(X, X), 1 > 2.
-                 p{i}(X, Y) :- e{i}(X, Y), 1 > 2.
-                 p{i}(X, Y) :- e{i}(X, Z), w{i}(Z, W), d{i}(Z), p{i}(Z, Y).
-                 ic u{i}: e{i}(X, Z) -> w{i}(Z, W)."
-            ),
-        };
-        let j = (i + 4 + rng.gen_range(0..(blocks - 8) as usize) as u32) % blocks;
-        let _ = writeln!(t, "ic n{i}: {}(X, Z), {}(Z, V) -> .", main(i), main(j));
-    }
-    t
-}

@@ -9,14 +9,19 @@
 #[path = "common/compile.rs"]
 mod compile;
 
-use compile::{multi_block, multi_block_small, reference_plan, FAMILIES};
-use semrec::core::detect::DetectionMethod;
+use compile::{oracle_residues, reference_plan, FAMILIES};
+use semrec::core::detect::{detect, subgoal_preds, DetectStats, DetectionMethod, Detector};
 use semrec::core::expand::rule_residues;
 use semrec::core::occurs::may_match;
 use semrec::core::optimizer::{Optimizer, OptimizerConfig, Plan};
+use semrec::core::sequence::enumerate_sequences;
+use semrec::core::Residue;
+use semrec::datalog::analysis::{rectify, validate};
 use semrec::datalog::parser::parse_unit;
 use semrec::datalog::Pred;
+use semrec::gen::programs::{multi_block, multi_block_small};
 use semrec::gen::{fanout, flights, genealogy, org, university};
+use std::sync::Arc;
 
 const METHODS: [DetectionMethod; 2] = [
     DetectionMethod::SdGraph,
@@ -67,9 +72,8 @@ fn agree(what: &str, src: &str, config: &OptimizerConfig) -> (Plan, Plan) {
     (product, reference)
 }
 
-#[test]
-fn samples_paper_examples_and_soundness_families_agree() {
-    let small = || ["doctoral", "marked"].map(Pred::new);
+/// The samples, the paper's examples and the soundness families.
+fn sources() -> Vec<(String, String)> {
     let mut sources: Vec<(String, String)> = Vec::new();
     for name in ["genealogy", "university", "honors"] {
         let path = format!("{}/samples/{name}.dl", env!("CARGO_MANIFEST_DIR"));
@@ -95,7 +99,13 @@ fn samples_paper_examples_and_soundness_families_agree() {
     for (name, src, _, _) in FAMILIES {
         sources.push((format!("family {name}"), (*src).to_owned()));
     }
-    for (name, src) in &sources {
+    sources
+}
+
+#[test]
+fn samples_paper_examples_and_soundness_families_agree() {
+    let small = || ["doctoral", "marked"].map(Pred::new);
+    for (name, src) in &sources() {
         for method in METHODS {
             agree(&format!("{name} {method:?}"), src, &config(method, []));
             agree(
@@ -105,6 +115,71 @@ fn samples_paper_examples_and_soundness_families_agree() {
             );
         }
     }
+}
+
+/// A residue whose condition mentions a variable the homomorphism would
+/// otherwise be free to move: `M~1 ↦ X` folds `f(X, M~1)` onto the head
+/// `f(X, X)`, but `M~1 > 5` says nothing about `X`.
+const CONDITIONAL: &str = "p(X, Y) :- b(X, Y).
+    p(X, Y) :- e(X, M), f(X, M), e(X, X), p(X, Y).
+    ic: e(X, M), M > 5 -> f(X, X).";
+
+/// Detection residue for residue against `oracle_residues`, which
+/// rebuilds everything per match and shares no code with the product's
+/// verification context: every candidate (predicate, constraint) pair,
+/// every sequence up to length 4, θ, matched atoms, usefulness and order
+/// included. As in `Optimizer::run`, one `Detector` per predicate serves
+/// all its constraints, so each context is reused across constraints.
+#[test]
+fn residues_agree_with_a_per_match_oracle() {
+    let mut sources = sources();
+    for seed in 0..4u64 {
+        let blocks = 12 + 4 * (seed as u32 % 2);
+        sources.push((format!("multi_block {seed}"), multi_block(seed, blocks)));
+    }
+    sources.push(("conditional".to_owned(), CONDITIONAL.to_owned()));
+    let method = DetectionMethod::Exhaustive { max_len: 4 };
+    let mut compared = 0;
+    for (name, src) in &sources {
+        let unit = parse_unit(src).unwrap();
+        let (program, _) = rectify(&unit.program());
+        for info in &validate(&program, &unit.constraints).unwrap() {
+            let seqs = enumerate_sequences(info, 4);
+            let preds = subgoal_preds(&program, info);
+            let mut stats = DetectStats::default();
+            let mut detector = Detector::new(&program, info, method, 0, &mut stats);
+            for ic in unit.constraints.iter().filter(|ic| may_match(ic, &preds)) {
+                let ic = Arc::new(ic.clone());
+                let product: Vec<Residue> = detector
+                    .detect(&ic)
+                    .unwrap()
+                    .into_iter()
+                    .map(|d| d.residue)
+                    .collect();
+                let oracle = oracle_residues(&program, info, &ic, &seqs);
+                assert_eq!(product, oracle, "{name}: {ic} on {}", info.pred);
+                compared += product.len();
+            }
+        }
+    }
+    assert!(compared > 2000, "{compared} residues compared");
+
+    let unit = parse_unit(CONDITIONAL).unwrap();
+    let (program, _) = rectify(&unit.program());
+    let info = &validate(&program, &unit.constraints).unwrap()[0];
+    let ds = detect(&program, info, &unit.constraints[0], method, 0).unwrap();
+    let on_one_step: Vec<(String, bool)> = ds
+        .iter()
+        .filter(|d| d.residue.seq == [1])
+        .map(|d| (d.residue.to_string(), d.residue.is_useful()))
+        .collect();
+    assert_eq!(
+        on_one_step,
+        [
+            ("M~1 > 5 -> f(X, X)".to_owned(), false),
+            ("X > 5 -> f(X, X)".to_owned(), true),
+        ]
+    );
 }
 
 #[test]
@@ -194,11 +269,22 @@ fn detection_work_is_linear_in_blocks() {
         // their body predicates in a block; the partial overlaps never do.
         assert_eq!(s.candidate_pairs, 2 * blocks as usize, "{s:?}");
         assert!(s.sequences_verified > 0 && s.residues > 0, "{s:?}");
+        // One unfolding (and verification context) per distinct sequence
+        // of a predicate, shared by its constraints.
+        assert!(
+            0 < s.unfoldings && s.unfoldings <= s.sequences_verified,
+            "{s:?}"
+        );
         // The loop it replaced formed every pair.
         assert_eq!(reference.candidate_pairs, blocks as usize * s.ics);
         if let Some((p, p_ref)) = previous.replace((s, reference)) {
-            let ratio = s.sequences_verified as f64 / p.sequences_verified as f64;
-            assert!((1.8..=2.2).contains(&ratio), "{p:?} -> {s:?}");
+            for (now, before) in [
+                (s.sequences_verified, p.sequences_verified),
+                (s.unfoldings, p.unfoldings),
+            ] {
+                let ratio = now as f64 / before as f64;
+                assert!((1.8..=2.2).contains(&ratio), "{p:?} -> {s:?}");
+            }
             assert_eq!(reference.candidate_pairs, 4 * p_ref.candidate_pairs);
         }
     }
