@@ -9,7 +9,7 @@ use semrec_core::optimizer::Optimizer;
 use semrec_datalog::program::Program;
 use semrec_engine::fxhash::hash_one;
 use semrec_engine::{evaluate, Budget, CancelToken, CodeMap, Database, Evaluator, Stats, Strategy};
-use semrec_gen::{fanout, org, parse_scenario, university};
+use semrec_gen::{fanout, graphs, org, parse_scenario, university};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -18,7 +18,7 @@ use std::time::Instant;
 /// section or field the CI gates read is added or changed; `check.sh`
 /// fails when the checked-in baseline's version differs, forcing a
 /// regeneration with `harness bench --json` in the same PR.
-pub const SCHEMA_VERSION: u64 = 8;
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// IDB-size floor for the `--assert-throughput` gate: workloads below
 /// this finish in a few ms and are dominated by noise, not by the
@@ -28,7 +28,7 @@ pub const THROUGHPUT_MIN_IDB_ROWS: usize = 50_000;
 /// One benchmarked workload.
 #[derive(Clone, Debug)]
 pub struct WorkloadResult {
-    /// Workload name (`fanout`, `org`, `university`).
+    /// Workload name (`fanout`, `org`, `university`, `chain`).
     pub name: String,
     /// Size label (generator parameters).
     pub params: String,
@@ -89,6 +89,20 @@ fn bench_workload(
         rounds,
         millis: samples[samples.len() / 2],
     }
+}
+
+/// Edges of the `chain` workload: the serve benchmarks' read chain.
+const CHAIN_NODES: usize = 2000;
+
+/// `reach` over the chain `0 → 1 → … → n`: the program the serve
+/// daemon materializes at boot once the optimizer has eliminated the
+/// witness join.
+fn chain_closure(n: usize) -> (Database, Program) {
+    let prog = "reach(X, Y) :- edge(X, Y). reach(X, Y) :- edge(X, Z), reach(Z, Y).";
+    (
+        graphs::chain("edge", n),
+        prog.parse().expect("chain program parses"),
+    )
 }
 
 /// Runs the full fixpoint benchmark. `quick` shrinks sizes and run counts
@@ -167,6 +181,17 @@ pub fn run_fixpoint_bench(quick: bool) -> Vec<WorkloadResult> {
         ));
     }
 
+    // The serve daemon's boot: the closure its witnessed chain optimizes
+    // to, 2 001 rounds whose every delta key is a group of one.
+    let (db, prog) = chain_closure(CHAIN_NODES);
+    results.push(bench_workload(
+        "chain",
+        format!("n={CHAIN_NODES}"),
+        &db,
+        &prog,
+        runs,
+    ));
+
     results
 }
 
@@ -192,11 +217,14 @@ pub struct KernelBenchResult {
     /// derived-row count, capped by the gather chunk: the
     /// zero-allocation witness.
     pub scratch_hw_bytes: u64,
-    /// Sort-groups the kernels walked: one per distinct depth-0 key per
+    /// Groups the kernels walked: one per distinct depth-0 code per
     /// seed chunk, so it falls as the chunk holds more of each delta.
     pub groups: u64,
-    /// Dictionary-map walks actually paid (memo misses and unmemoized
-    /// resolutions).
+    /// Gathered chunks sorted because a depth-0 code repeated in them:
+    /// 0 on the chain, most rounds on fanout.
+    pub sorted_chunks: u64,
+    /// Dictionary-map walks actually paid: one per gathered row at
+    /// depth 0, plus deeper memo misses and unmemoized resolutions.
     pub dict_probes: u64,
     /// Key→code resolutions served from the EDB-stable kernel memos
     /// instead of the dictionary.
@@ -278,6 +306,8 @@ pub fn run_kernel_bench(quick: bool) -> Vec<KernelBenchResult> {
         db,
         s.program.clone(),
     ));
+    let (db, prog) = chain_closure(CHAIN_NODES);
+    specs.push(("chain".into(), format!("n={CHAIN_NODES}"), db, prog));
 
     let mut out = Vec::new();
     for (name, params, db, prog) in &specs {
@@ -303,6 +333,7 @@ pub fn run_kernel_bench(quick: bool) -> Vec<KernelBenchResult> {
             probe_hits: kstats.probe_hits,
             scratch_hw_bytes: kstats.scratch_hw_bytes,
             groups: kstats.groups,
+            sorted_chunks: kstats.sorted_chunks,
             dict_probes: kstats.dict_probes,
             dict_memo_hits: kstats.dict_memo_hits,
             table_bytes_per_row,
@@ -316,19 +347,29 @@ pub fn kernel_table(results: &[KernelBenchResult]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<10} {:<42} {:>10} {:>11} {:>10} {:>9} {:>9} {:>9} {:>8}",
-        "kernels", "params", "kernel ms", "krows/s", "scratch", "groups", "dict", "memo", "B/row"
+        "{:<10} {:<42} {:>10} {:>11} {:>10} {:>9} {:>6} {:>9} {:>9} {:>8}",
+        "kernels",
+        "params",
+        "kernel ms",
+        "krows/s",
+        "scratch",
+        "groups",
+        "sorts",
+        "dict",
+        "memo",
+        "B/row"
     );
     for r in results {
         let _ = writeln!(
             s,
-            "{:<10} {:<42} {:>10.2} {:>11.0} {:>9}B {:>9} {:>9} {:>9} {:>8.1}",
+            "{:<10} {:<42} {:>10.2} {:>11.0} {:>9}B {:>9} {:>6} {:>9} {:>9} {:>8.1}",
             r.name,
             r.params,
             r.kernel_millis,
             r.kernel_rows_per_sec(),
             r.scratch_hw_bytes,
             r.groups,
+            r.sorted_chunks,
             r.dict_probes,
             r.dict_memo_hits,
             r.table_bytes_per_row,
@@ -352,7 +393,8 @@ pub fn to_json_with_kernel_stats(mut s: String, kernels: &[KernelBenchResult]) -
             "    {{\"name\": \"{}\", \"params\": \"{}\", \"rows_idb\": {}, \
              \"kernel_millis\": {}, \"kernel_rows_per_sec\": {}, \"kernel_firings\": {}, \
              \"probes\": {}, \"probe_hits\": {}, \"scratch_hw_bytes\": {}, \"groups\": {}, \
-             \"dict_probes\": {}, \"dict_memo_hits\": {}, \"table_bytes_per_row\": {}}}",
+             \"sorted_chunks\": {}, \"dict_probes\": {}, \"dict_memo_hits\": {}, \
+             \"table_bytes_per_row\": {}}}",
             r.name,
             r.params,
             r.rows_idb,
@@ -363,6 +405,7 @@ pub fn to_json_with_kernel_stats(mut s: String, kernels: &[KernelBenchResult]) -
             r.probe_hits,
             r.scratch_hw_bytes,
             r.groups,
+            r.sorted_chunks,
             r.dict_probes,
             r.dict_memo_hits,
             json_f(r.table_bytes_per_row)

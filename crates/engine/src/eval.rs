@@ -381,11 +381,12 @@ struct RulePlans {
 
 /// Per probe-depth key→code memo for one compiled plan variant.
 ///
-/// The batch pipeline resolves each sort-group's probe key to a dense
-/// dictionary code through [`ProbeHandle::encode`] — one random access
-/// into the relation's [`CodeMap`] per group. For *static* relations
-/// (EDB predicates never change mid-fixpoint outside incremental mode)
-/// the resolution is identical every round, so the evaluator caches
+/// The batch pipeline resolves depth 0 per gathered row at gather time
+/// (that code *is* the row's group), and each deeper probe key once per
+/// group prefix through [`ProbeHandle::encode`] — one random access
+/// into the relation's [`CodeMap`]. For *static* relations (EDB
+/// predicates never change mid-fixpoint outside incremental mode) a
+/// deeper resolution is identical every round, so the evaluator caches
 /// positive resolutions here and replays them without touching the
 /// dictionary. Invalidation is by relation generation: `gen` records
 /// the probed relation's [`Relation::generation`] counter when the
@@ -406,10 +407,11 @@ struct DepthMemo {
     /// (in)validated; a mismatch clears. `u64::MAX` initially, so
     /// the first use always stamps.
     gen: u64,
-    /// True when this depth probes a non-IDB (EDB) relation. IDB
-    /// dictionaries grow almost every round, which would clear the
-    /// memo before it ever hits, so only EDB depths are armed.
-    edb: bool,
+    /// True when this depth is ≥ 1 and probes a non-IDB (EDB)
+    /// relation. Depth 0 is resolved per row at gather, and IDB
+    /// dictionaries grow almost every round, which would clear the memo
+    /// before it ever hits.
+    armed: bool,
 }
 
 /// Kernel memos for one rule's plan variants, parallel to
@@ -794,17 +796,17 @@ impl<'db> Evaluator<'db> {
 
     /// (Re)derives the kernel memo table from the current plans: one
     /// [`DepthMemo`] per probe depth of each variant's kernel, armed
-    /// only for EDB depths. Called whenever `plans` is replaced — both
+    /// only for EDB depths ≥ 1. Called whenever `plans` is replaced — both
     /// [`set_program`](Evaluator::set_program) and the prepared-plan
     /// copy in [`Evaluator::from_prepared`].
     fn build_memos(&mut self) {
         let depth_memos = |rule: &CompiledRule| -> Vec<DepthMemo> {
-            let memo = |p: &KernelProbe| DepthMemo {
+            let memo = |(d, p): (usize, &KernelProbe)| DepthMemo {
                 map: CodeMap::default(),
                 gen: u64::MAX,
-                edb: !self.idb_preds.contains(&p.pred),
+                armed: d > 0 && !self.idb_preds.contains(&p.pred),
             };
-            rule.kernel.probes.iter().map(memo).collect()
+            rule.kernel.probes.iter().enumerate().map(memo).collect()
         };
         let memos = self
             .plans
@@ -1120,8 +1122,8 @@ type Cursor = (*const u32, u32, u32);
 /// The per-depth buffers are sized per task from the kernel's chain
 /// length, so no plan is too wide. [`Stats::scratch_hw_bytes`] reports
 /// the high-water resident size as the observable witness: it follows
-/// the largest seed scan up to [`KERNEL_CHUNK`] packed words, then
-/// stays flat no matter how many rows derive.
+/// the largest seed scan up to [`KERNEL_CHUNK`] packed words plus the
+/// fixed repeat filter, then stays flat no matter how many rows derive.
 #[derive(Default)]
 struct TaskScratch {
     /// Packed probe keys, depth `d` at [`KernelProbe::key_at`].
@@ -1132,11 +1134,17 @@ struct TaskScratch {
     rowids: Vec<u32>,
     /// Staging buffer for [`KernelLookup`] keys.
     lookup_key: Vec<Value>,
-    /// The batch kernel's gathered seed chunk: packed `depth-0 key hash
-    /// high half | seed row id` words (see [`pack_seed`]), sorted so
-    /// rows sharing a probe key form runs. Capacity is bounded by
+    /// The batch kernel's gathered seed chunk: `depth-0 dictionary code
+    /// << 32 | seed row id` words, sorted — only when some code repeats —
+    /// so rows sharing a probe key form runs. Capacity is bounded by
     /// [`KERNEL_CHUNK`], never by data size.
     chunk: Vec<u64>,
+    /// The repeat filter: one bit per value of a code's low
+    /// log2([`KERNEL_CHUNK`]) bits (8 KiB), set at gather and cleared by
+    /// walking the chunk. Two rows landing on one bit send the chunk
+    /// through the sort; a bit shared by two distinct codes only costs
+    /// a sort that was not needed.
+    seen: Vec<u64>,
 }
 
 impl TaskScratch {
@@ -1145,7 +1153,8 @@ impl TaskScratch {
         ((self.key_buf.capacity() + self.lookup_key.capacity()) * std::mem::size_of::<Value>()
             + self.cursors.capacity() * std::mem::size_of::<Cursor>()
             + self.rowids.capacity() * std::mem::size_of::<u32>()
-            + self.chunk.capacity() * std::mem::size_of::<u64>()) as u64
+            + (self.chunk.capacity() + self.seen.capacity()) * std::mem::size_of::<u64>())
+            as u64
     }
 }
 
@@ -1154,25 +1163,59 @@ thread_local! {
         std::cell::RefCell::new(TaskScratch::default());
 }
 
-/// Seed rows per batch-kernel chunk: the sort-group unit. It holds a
+/// Seed rows per batch-kernel chunk: the grouping unit. It holds a
 /// whole round's delta on every benchmarked workload (a fanout round is
 /// ≈ 16 000 rows over 800 keys), so each distinct depth-0 key forms one
-/// group per round and pays its dictionary or memo resolutions once (a
-/// unit smaller than the delta makes one group per key per chunk). The
-/// gather buffer grows with the delta up to this many packed words
-/// (512 KiB), so task scratch stays a data-independent constant.
+/// group per round and pays its deeper resolutions once. The gather
+/// resolves every row's depth-0 key to its dictionary code and packs
+/// `code << 32 | row`; a chunk in which no code repeats (a chain's
+/// delta) is already grouped and skips the sort. The gather buffer
+/// grows with the delta up to this many packed words (512 KiB) and the
+/// repeat filter holds this many bits (8 KiB), so task scratch stays a
+/// data-independent constant.
 pub const KERNEL_CHUNK: usize = 1 << 16;
 
-/// Packs the high half of a depth-0 key hash with a seed row id into one
-/// sortable word. Sorting the packed words groups equal keys adjacently
-/// at half the memory traffic of `(hash, id)` pairs — the group walk
-/// re-verifies keys by value, so 32 hash bits are plenty (a high-half
-/// collision merely splits a run, and per-member count replay makes a
-/// split group equivalent) — with the row id as a deterministic
-/// tiebreak.
-#[inline]
-fn pack_seed(h: u64, r: u32) -> u64 {
-    (h & 0xFFFF_FFFF_0000_0000) | r as u64
+/// Widest head [`HeadSplit`] templates; wider heads resolve every
+/// entry per member.
+const HEAD_TMPL: usize = 8;
+
+/// A fully invariant chain's head, split once per task: the entries a
+/// prefix match fixes (constants, probe columns) and the ones each
+/// member fills (seed columns, computes).
+struct HeadSplit {
+    fixed: [(usize, KernelSrc); HEAD_TMPL],
+    nf: usize,
+    dyns: [(usize, KernelSrc); HEAD_TMPL],
+    nd: usize,
+}
+
+impl HeadSplit {
+    /// `None` for a degenerate width (empty, or wider than the stack
+    /// template).
+    fn new(head: &[KernelSrc]) -> Option<HeadSplit> {
+        if head.is_empty() || head.len() > HEAD_TMPL {
+            return None;
+        }
+        let mut hs = HeadSplit {
+            fixed: [(0, head[0]); HEAD_TMPL],
+            nf: 0,
+            dyns: [(0, head[0]); HEAD_TMPL],
+            nd: 0,
+        };
+        for (j, &s) in head.iter().enumerate() {
+            match s {
+                KernelSrc::Seed(_) | KernelSrc::Computed(_) => {
+                    hs.dyns[hs.nd] = (j, s);
+                    hs.nd += 1;
+                }
+                _ => {
+                    hs.fixed[hs.nf] = (j, s);
+                    hs.nf += 1;
+                }
+            }
+        }
+        Some(hs)
+    }
 }
 
 /// Immutable per-task context of a batch-kernel execution: the kernel,
@@ -1189,6 +1232,9 @@ struct KernelCtx<'a> {
     /// index on its bound columns when they are not all of them; `None`
     /// when there is nothing to find.
     lrels: Vec<Option<(&'a Relation, RowRange, Option<ProbeHandle>)>>,
+    /// The head's template split when the head fits the template; read
+    /// only when the whole chain is invariant (`split == np`).
+    head_split: Option<HeadSplit>,
     /// First member-dependent probe depth. Depths `[0, split)` read only
     /// constants, seed columns that are part of the depth-0 (grouping)
     /// key — equal across a group by construction — or rows matched at
@@ -1214,7 +1260,8 @@ struct KernelState<'s> {
 /// True when `src` yields the same value for every seed row of one
 /// depth-0 key group while the rows matched at depths `< below` stay
 /// fixed: constants always, seed columns exactly when they are part of
-/// the grouping key (group formation verifies key equality by value),
+/// the grouping key (a group shares one depth-0 dictionary code, hence
+/// one key),
 /// and computes when they are themselves a grouping-key source or read
 /// only invariant inputs.
 fn group_invariant(k: &BatchKernel, src: KernelSrc, below: usize) -> bool {
@@ -1232,22 +1279,27 @@ fn group_invariant(k: &BatchKernel, src: KernelSrc, below: usize) -> bool {
 
 impl KernelCtx<'_> {
     /// Resolves a kernel source against a seed row and the per-depth
-    /// matched rows.
-    #[inline]
+    /// matched rows. Forced inline: the compute arm makes it recursive,
+    /// which otherwise keeps it out of line on every per-row path.
+    #[inline(always)]
     fn src_val(&self, src: KernelSrc, seed_row: &[Value], rowids: &[u32]) -> Value {
         match src {
             KernelSrc::Const(c) => c,
             KernelSrc::Seed(c) => seed_row[c],
             KernelSrc::Probe(d, c) => self.prels[d].0.row(rowids[d])[c],
-            // Re-solve on demand: a compute is a pure function of the
-            // seed row and the matched rows, and its `Solve` guard
-            // already evaluated (and counted) it for this candidate and
-            // dropped the candidate on failure, so solving again here
-            // is silent and infallible.
-            KernelSrc::Computed(ci) => self
-                .compute_val(ci, seed_row, rowids)
-                .expect("compute verified by its guard"),
+            KernelSrc::Computed(ci) => self.computed_val(ci, seed_row, rowids),
         }
+    }
+
+    /// Re-solves the `ci`-th compute on demand: it is a pure function of
+    /// the seed row and the matched rows, and its `Solve` guard already
+    /// evaluated (and counted) it for this candidate and dropped the
+    /// candidate on failure, so solving again here is silent and
+    /// infallible.
+    #[inline(never)]
+    fn computed_val(&self, ci: usize, seed_row: &[Value], rowids: &[u32]) -> Value {
+        self.compute_val(ci, seed_row, rowids)
+            .expect("compute verified by its guard")
     }
 
     /// Evaluates the `ci`-th binding builtin; `None` means it has no
@@ -1330,8 +1382,8 @@ impl KernelCtx<'_> {
     ) -> bool {
         let (ev, seed_rel) = (self.ev, self.seed_rel);
         let (k, np, split) = (self.k, self.np, self.split);
-        // Member row ids are hash-ordered, i.e. scattered through the
-        // seed store; stay a few rows ahead of the walk.
+        // A repeated code's members are scattered through the seed
+        // store; stay a few rows ahead of the walk.
         const MEMBER_PREFETCH: usize = 4;
         if split == np {
             // Fully invariant chain: the match is already complete and
@@ -1339,9 +1391,7 @@ impl KernelCtx<'_> {
             // invariant head entries once into a stack template; per
             // member, fill the seed-dependent entries, hash, and copy —
             // the emission loop touches no probe state.
-            const HEAD_TMPL: usize = 8;
-            let hl = k.head.len();
-            if hl == 0 || hl > HEAD_TMPL {
+            let Some(hs) = &self.head_split else {
                 // Degenerate widths: per-member full resolve.
                 for (mi, &e) in members.iter().enumerate() {
                     if let Some(&ne) = members.get(mi + MEMBER_PREFETCH) {
@@ -1359,20 +1409,12 @@ impl KernelCtx<'_> {
                     );
                 }
                 return true;
-            }
+            };
             let mut tmpl = [Value::Int(0); HEAD_TMPL];
-            let mut dyns = [(0usize, k.head[0]); HEAD_TMPL];
-            let mut nd = 0usize;
-            for (j, &s) in k.head.iter().enumerate() {
-                match s {
-                    KernelSrc::Seed(_) | KernelSrc::Computed(_) => {
-                        dyns[nd] = (j, s);
-                        nd += 1;
-                    }
-                    // Constants and probe rows are fixed for the whole
-                    // match; the empty seed slice is never read.
-                    _ => tmpl[j] = self.src_val(s, &[], st.rowids),
-                }
+            // Constants and probe rows are fixed for the whole match;
+            // the empty seed slice is never read.
+            for &(j, s) in &hs.fixed[..hs.nf] {
+                tmpl[j] = self.src_val(s, &[], st.rowids);
             }
             for (mi, &e) in members.iter().enumerate() {
                 if let Some(&ne) = members.get(mi + MEMBER_PREFETCH) {
@@ -1384,10 +1426,10 @@ impl KernelCtx<'_> {
                     return false;
                 }
                 stats.derived += 1;
-                for &(j, s) in &dyns[..nd] {
+                for &(j, s) in &hs.dyns[..hs.nd] {
                     tmpl[j] = self.src_val(s, seed_row, st.rowids);
                 }
-                out.push_row(self.plan.head_pred, &tmpl[..hl]);
+                out.push_row(self.plan.head_pred, &tmpl[..k.head.len()]);
             }
             return true;
         }
@@ -1503,9 +1545,11 @@ impl KernelCtx<'_> {
 }
 
 /// Executes a [`BatchKernel`]: the seed scan is gathered into
-/// [`KERNEL_CHUNK`]-row chunks of packed key-hash/row-id words and
-/// sorted so rows sharing a probe key form groups; each group then pays
-/// its dictionary lookups once. The invariant probe prefix (see
+/// [`KERNEL_CHUNK`]-row chunks of packed depth-0-code/row-id words —
+/// a row whose key has no code derives nothing and drops there — and
+/// sorted, only when some code repeats, so rows sharing a probe key form
+/// groups; each group then pays its deeper dictionary lookups once. The
+/// invariant probe prefix (see
 /// [`KernelCtx::split`]) is enumerated once per group — including the
 /// existential short-circuit, which becomes a group-level first-hit —
 /// with its logical work counters replayed per member, so
@@ -1557,17 +1601,18 @@ fn run_kernel(
     };
     let lrels = k.lookups.iter().map(lookup).collect();
     // Arm the per-depth memos: stamp generations, clear stale maps, and
-    // keep only EDB depths (IDB dictionaries change every round, so
-    // filling a memo for them is pure overhead).
+    // keep only EDB depths ≥ 1 (depth 0 resolves per row at gather; IDB
+    // dictionaries change every round, so filling a memo for them is
+    // pure overhead).
     debug_assert_eq!(memos.len(), np);
     let mut depth_memos: Vec<Option<&mut DepthMemo>> = Vec::with_capacity(np);
     for (m, (rel, ..)) in memos.iter_mut().zip(&prels) {
         let gen = rel.generation();
-        if m.edb && m.gen != gen {
+        if m.armed && m.gen != gen {
             m.map.clear();
             m.gen = gen;
         }
-        depth_memos.push(m.edb.then_some(m));
+        depth_memos.push(m.armed.then_some(m));
     }
     // A constant-keyed seed enumerates one dictionary group instead of
     // the row range; an absent key derives nothing.
@@ -1609,6 +1654,7 @@ fn run_kernel(
         seed_rel,
         prels,
         lrels,
+        head_split: HeadSplit::new(&k.head),
         split,
         np,
     };
@@ -1618,7 +1664,9 @@ fn run_kernel(
         rowids,
         lookup_key,
         chunk,
+        seen,
     } = scratch;
+    seen.resize(KERNEL_CHUNK / 64, 0);
     key_buf.clear();
     key_buf.resize(k.key_width(), Value::Int(0));
     cursors.clear();
@@ -1638,8 +1686,10 @@ fn run_kernel(
     let mut group_pos = 0usize;
     'chunks: loop {
         // Gather: fill one chunk with visible seed rows that pass the
-        // seed checks and guards, hashing each row's depth-0 probe key.
+        // seed checks and guards, resolving each row's depth-0 probe key
+        // to its dictionary code and noting whether any code repeats.
         chunk.clear();
+        let mut repeat = false;
         while chunk.len() < KERNEL_CHUNK {
             let r = match seed_group {
                 None => {
@@ -1665,6 +1715,7 @@ fn run_kernel(
             stats.rows_scanned += 1;
             st.ticks += 1;
             if st.ticks & POLL_MASK == 0 && ev.should_abort() {
+                forget_codes(seen, chunk);
                 return false;
             }
             let seed_row = seed_rel.row(r);
@@ -1690,15 +1741,28 @@ fn run_kernel(
             if !ok {
                 continue;
             }
-            let h = if np > 0 {
-                for (j, &src) in k.probes[0].key.iter().enumerate() {
-                    st.key_buf[j] = ctx.src_val(src, seed_row, st.rowids);
-                }
-                hash_slice(&st.key_buf[..w0])
-            } else {
-                0
+            if np == 0 {
+                chunk.push(r as u64);
+                continue;
+            }
+            for (j, &src) in k.probes[0].key.iter().enumerate() {
+                st.key_buf[j] = ctx.src_val(src, seed_row, st.rowids);
+            }
+            let key = &st.key_buf[..w0];
+            stats.dict_probes += 1;
+            // SAFETY: relations and indexes are frozen while a round's
+            // tasks run (see `ProbeHandle` docs).
+            let Some(code) = (unsafe { ctx.prels[0].2.encode(hash_slice(key), key) }) else {
+                // No depth-0 rows for this key: the row opens and at
+                // once exhausts the probe.
+                stats.probes += 1;
+                continue;
             };
-            chunk.push(pack_seed(h, r));
+            let e = u64::from(code) << 32 | u64::from(r);
+            let bit = 1u64 << (code % 64);
+            repeat |= seen[seen_word(e)] & bit != 0;
+            seen[seen_word(e)] |= bit;
+            chunk.push(e);
         }
         if chunk.is_empty() {
             break 'chunks;
@@ -1728,62 +1792,31 @@ fn run_kernel(
             }
             continue 'chunks;
         }
-        // Sort-group: rows sharing the depth-0 key become one run (hash
-        // order with row-id tiebreak keeps runs deterministic).
-        chunk.sort_unstable();
+        forget_codes(seen, chunk);
+        // Group: rows sharing a code become one run. Only a repeated
+        // code needs the sort (code order with row-id tiebreak keeps
+        // runs deterministic); otherwise every row is its own group.
+        if repeat {
+            chunk.sort_unstable();
+            stats.sorted_chunks += 1;
+        }
         let h0 = &ctx.prels[0].2;
-        // Group walk. A group is a maximal run of sorted words sharing
-        // the packed hash half *and* the depth-0 key by value: the
-        // packed half alone can collide, and a colliding row simply
-        // starts its own group — per-member count replay makes that
-        // equivalent.
         let mut gs = 0usize;
         while gs < chunk.len() {
-            let ghi = pack_seed(chunk[gs], 0);
+            let code = (chunk[gs] >> 32) as u32;
             let rep_row = seed_rel.row(chunk[gs] as u32);
-            for (j, &src) in k.probes[0].key.iter().enumerate() {
-                st.key_buf[j] = ctx.src_val(src, rep_row, st.rowids);
-            }
             let mut ge = gs + 1;
-            while ge < chunk.len() && pack_seed(chunk[ge], 0) == ghi {
-                let row = seed_rel.row(chunk[ge] as u32);
-                let same = k.probes[0]
-                    .key
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &src)| ctx.src_val(src, row, st.rowids) == st.key_buf[j]);
-                if !same {
-                    break;
-                }
+            while ge < chunk.len() && (chunk[ge] >> 32) as u32 == code {
                 ge += 1;
             }
             let members = &chunk[gs..ge];
             let m = members.len() as u64;
             stats.groups += 1;
-            let gh = hash_slice(&st.key_buf[..w0]);
             gs = ge;
-            // One key→code resolution per group — the amortized
-            // probe, served from the EDB memo when armed.
             // SAFETY: frozen for the round (see `ProbeHandle` docs).
-            let depth0 = match unsafe {
-                encode_memoized(
-                    h0,
-                    depth_memos[0].as_deref_mut(),
-                    gh,
-                    &st.key_buf[..w0],
-                    stats,
-                )
-            } {
-                Some(code) => {
-                    let g = unsafe { h0.group(code) };
-                    (g.as_ptr(), g.len() as u32)
-                }
-                None => {
-                    // No depth-0 rows for this key: every member
-                    // opens and at once exhausts the probe.
-                    stats.probes += m;
-                    continue;
-                }
+            let depth0 = {
+                let g = unsafe { h0.group(code) };
+                (g.as_ptr(), g.len() as u32)
             };
             if split == 0 {
                 // Member-dependent depth 0: per-member enumeration
@@ -1900,6 +1933,20 @@ fn run_kernel(
         }
     }
     true
+}
+
+/// The repeat-filter word a gathered `code << 32 | row` word sets.
+#[inline]
+fn seen_word(e: u64) -> usize {
+    ((e >> 32) as usize % KERNEL_CHUNK) / 64
+}
+
+/// Clears the repeat-filter words a gathered chunk set, leaving the
+/// filter all zero for the next chunk.
+fn forget_codes(seen: &mut [u64], chunk: &[u64]) {
+    for &e in chunk {
+        seen[seen_word(e)] = 0;
+    }
 }
 
 /// Resolves `key` (with full hash `hash`) to its dictionary code,

@@ -369,8 +369,7 @@ impl CodeMap {
 }
 
 /// A dictionary index on a column subset: every distinct key tuple gets a
-/// dense `u32` *code*, rows are grouped per code, and each physical row
-/// carries its code in a dense column (`row_codes`) — the relation's
+/// dense `u32` *code* and rows are grouped per code — the relation's
 /// dictionary-encoded key view. Probing resolves a key to its code once
 /// (one hash lookup plus a key comparison per same-hash code) and then
 /// iterates the exact row group — no per-row key comparisons, unlike the
@@ -389,9 +388,6 @@ struct ColumnIndex {
     /// Row ids per code, in insertion order. Tombstoned and out-of-range
     /// rows are filtered lazily at iteration time.
     groups: Vec<Vec<u32>>,
-    /// Dense per-row key code, parallel to the relation's physical rows:
-    /// the `u32` column view batch kernels sort-group on.
-    row_codes: Vec<u32>,
     /// Rows `[0, built)` have been dictionary-encoded.
     built: usize,
 }
@@ -408,7 +404,6 @@ fn entry_index<'a>(indexes: &'a mut IndexMap, cols: &[usize]) -> &'a mut ColumnI
             map: CodeMap::default(),
             keys: Vec::new(),
             groups: Vec::new(),
-            row_codes: Vec::new(),
             built: 0,
         })
     })
@@ -418,9 +413,8 @@ impl ColumnIndex {
     /// Dictionary-encodes rows `[built, nrows)` of the flat store `data`
     /// (`arity` values per row), in row order — so every group lists its
     /// row ids ascending. No-op when the index already covers `nrows`.
-    /// Returns the bytes of index entries it appended: a code and a
-    /// group slot per row, a key tuple, group header and map slot per
-    /// new distinct key.
+    /// Returns the bytes of index entries it appended: a group slot per
+    /// row, a key tuple, group header and map slot per new distinct key.
     fn extend(&mut self, data: &[Value], arity: usize, nrows: usize) -> usize {
         let (rows, codes) = (nrows.saturating_sub(self.built), self.groups.len());
         let mut key: Vec<Value> = Vec::with_capacity(self.cols.len());
@@ -430,13 +424,12 @@ impl ColumnIndex {
             key.extend(self.cols.iter().map(|&c| row[c]));
             let code = self.encode_or_insert(hash_slice(&key), &key);
             self.groups[code as usize].push(r as u32);
-            self.row_codes.push(code);
         }
         self.built = self.built.max(nrows);
         let per_key = std::mem::size_of::<Value>() * self.cols.len()
             + std::mem::size_of::<Vec<u32>>()
             + std::mem::size_of::<u64>();
-        rows * 2 * std::mem::size_of::<u32>() + (self.groups.len() - codes) * per_key
+        rows * std::mem::size_of::<u32>() + (self.groups.len() - codes) * per_key
     }
 
     /// Appends to `out` the rows filed under `key` that `visible` lets
@@ -454,8 +447,7 @@ impl ColumnIndex {
     }
 
     /// Heap bytes held: the flat hash → code slot array, the
-    /// distinct-key store, per-code group headers and their row ids,
-    /// and the dense per-row code column.
+    /// distinct-key store, and per-code group headers and their row ids.
     fn heap_bytes(&self) -> usize {
         self.map.heap_bytes()
             + self.keys.capacity() * std::mem::size_of::<Value>()
@@ -465,7 +457,6 @@ impl ColumnIndex {
                 .iter()
                 .map(|g| g.capacity() * std::mem::size_of::<u32>())
                 .sum::<usize>()
-            + self.row_codes.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The key tuple code `c` encodes.
@@ -1196,8 +1187,9 @@ impl Relation {
     }
 
     /// Estimated resident bytes of this relation: the flat store's
-    /// capacity, the membership table's slot array, the tombstone bitset, and every dictionary index's maps, key store,
-    /// row groups and dense code column. Indexes are derived caches, but
+    /// capacity, the membership table's slot array, the tombstone
+    /// bitset, and every dictionary index's map, key store and row
+    /// groups. Indexes are derived caches, but
     /// under the dictionary-encoded probe path they are also the bulk of
     /// steady-state residency beyond the rows themselves, so the
     /// evaluator's `max_resident_bytes` budget counts them — a byte

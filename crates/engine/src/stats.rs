@@ -33,7 +33,7 @@ pub struct Stats {
     /// tuple-at-a-time execution would.
     pub probe_hits: u64,
     /// Plan executions: every one runs the batch kernel pipeline
-    /// (chunked gather → sort-group → probe-run → emit; DESIGN.md §13),
+    /// (chunked gather → group → probe-run → emit; DESIGN.md §13),
     /// so this equals `rule_firings`.
     pub kernel_firings: u64,
     /// Always 0: there is no other executor. Kept only because
@@ -45,18 +45,24 @@ pub struct Stats {
     /// keep this flat — it is the observable witness that the join
     /// kernels do zero heap allocation per derived row.
     pub scratch_hw_bytes: u64,
-    /// Sort-groups the batch kernel walked: runs of gathered seed rows
-    /// sharing one depth-0 probe key, each paying its key resolutions
+    /// Groups the batch kernel walked: runs of gathered seed rows
+    /// sharing one depth-0 dictionary code (a key absent from the
+    /// dictionary forms none), each paying its deeper key resolutions
     /// once. A physical counter like `dict_probes`: it moves with the
-    /// sort-group unit, the logical counters do not.
+    /// grouping unit, the logical counters do not.
     pub groups: u64,
+    /// Gathered chunks the batch kernel had to sort because some
+    /// depth-0 code (by its low 16 bits) repeated in them; a chunk of
+    /// singleton groups is walked in gather order. Physical.
+    pub sorted_chunks: u64,
     /// Dictionary-map probes the batch pipeline actually paid (a
-    /// [`crate::relation::CodeMap`] walk behind `ProbeHandle::encode`).
-    /// Memo hits are *not* counted here — `dict_probes + dict_memo_hits`
-    /// is the total key→code resolution demand.
+    /// [`crate::relation::CodeMap`] walk behind `ProbeHandle::encode`):
+    /// one per gathered seed row at depth 0, one per unmemoized deeper
+    /// resolution. Memo hits are *not* counted here.
     pub dict_probes: u64,
-    /// Key→code resolutions served from the per-plan EDB-stable memo
-    /// instead of the dictionary map (DESIGN.md §13).
+    /// Key→code resolutions at probe depths ≥ 1 served from the
+    /// per-plan EDB-stable memo instead of the dictionary map
+    /// (DESIGN.md §13).
     pub dict_memo_hits: u64,
     /// Wall nanoseconds spent in the cost planner (statistics
     /// collection, alternative estimation, route selection) before
@@ -79,6 +85,7 @@ impl AddAssign for Stats {
         self.interp_firings += rhs.interp_firings;
         self.scratch_hw_bytes = self.scratch_hw_bytes.max(rhs.scratch_hw_bytes);
         self.groups += rhs.groups;
+        self.sorted_chunks += rhs.sorted_chunks;
         self.dict_probes += rhs.dict_probes;
         self.dict_memo_hits += rhs.dict_memo_hits;
         self.plan_nanos += rhs.plan_nanos;
@@ -90,8 +97,8 @@ impl fmt::Display for Stats {
         write!(
             f,
             "iters={} firings={} probes={} hits={} rows={} cmps={} derived={} \
-             inserted={} kernel={} interp={} scratch_hw={}B groups={} dict={} memo={} \
-             plan_ms={:.3}",
+             inserted={} kernel={} interp={} scratch_hw={}B groups={} sorts={} dict={} \
+             memo={} plan_ms={:.3}",
             self.iterations,
             self.rule_firings,
             self.probes,
@@ -104,6 +111,7 @@ impl fmt::Display for Stats {
             self.interp_firings,
             self.scratch_hw_bytes,
             self.groups,
+            self.sorted_chunks,
             self.dict_probes,
             self.dict_memo_hits,
             self.plan_nanos as f64 / 1e6

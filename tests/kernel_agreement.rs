@@ -5,11 +5,14 @@
 //! batch executor must produce the identical IDB (tuple for tuple) as
 //! the naive oracle of `tests/common/naive.rs`, from scratch and under
 //! `Materialized` maintenance. A seeded chunk-boundary test pins the
-//! gather/sort/group pipeline at delta sizes straddling the chunk
-//! constant, and a grouping test pins one sort-group per key per round.
-//! Also pins the allocation discipline: the task scratch high-water
-//! mark stays bounded by a constant (the chunk buffer) no matter how
-//! many rows a workload derives.
+//! gather/group pipeline at delta sizes straddling the chunk constant;
+//! the code-grouping tests check singleton, repeated, absent and
+//! colliding depth-0 codes against the directly computed join with
+//! per-tuple logical counters, and pin one group per present key per
+//! round and no sort where no code repeats. Also pins the allocation
+//! discipline: the task scratch high-water mark stays bounded by a
+//! constant (the chunk buffer and the repeat filter) no matter how many
+//! rows a workload derives or how many keys its dictionary holds.
 
 #[path = "common/naive.rs"]
 mod naive;
@@ -434,8 +437,9 @@ fn chunk_boundary_sizes_agree() {
 
 /// Each key pays for its probes once per round: 4 096 delta rows over 8
 /// keys, each key's rows spread across the whole delta (far past a
-/// 1 024-row unit), form exactly one sort-group per key per round, and
-/// every group resolves its depth-0 key once.
+/// 1 024-row unit), form exactly one group per key present in the
+/// depth-0 dictionary per round, and every gathered row resolves its
+/// depth-0 key once, at gather.
 #[test]
 fn a_rounds_delta_groups_once_per_distinct_key() {
     const KEYS: i64 = 8;
@@ -447,23 +451,174 @@ fn a_rounds_delta_groups_once_per_distinct_key() {
         db.insert("w", vec![Value::Int(k), Value::Int(100 + k)]);
     }
     // Round 2 joins the 4 096-row delta `p(X, k)` with `w`; round 3's
-    // delta `p(X, 100 + k)` has another 8 keys, none of which `w` holds.
+    // delta `p(X, 100 + k)` has another 8 keys, none of which `w` holds,
+    // so its rows drop at gather and form no group.
     let prog: Program = "p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), w(Y,Z)."
         .parse()
         .unwrap();
     let (idb, stats) = idb_map(&db, &prog);
     assert_eq!(idb[&Pred::new("p")].len(), 2 * 4096);
-    assert_eq!(stats.groups, 2 * KEYS as u64, "one group per key per round");
-    assert_eq!(stats.dict_probes + stats.dict_memo_hits, stats.groups);
+    assert_eq!(
+        stats.groups, KEYS as u64,
+        "one group per present key per round"
+    );
+    assert_eq!(
+        stats.dict_probes,
+        2 * 4096,
+        "one resolution per gathered row"
+    );
+    assert_eq!(stats.dict_memo_hits, 0, "depth 0 is never memoized");
+    assert_eq!(
+        stats.sorted_chunks, 1,
+        "only round 2's chunk repeats a code"
+    );
+}
+
+/// `s(X,Y) :- e(X,Y). out(X,Z) :- s(X,Y), w(Y,Z).` over the given `e`
+/// and `w` rows (each list duplicate-free). The seed `s` is an IDB
+/// predicate, so the planner keeps source order: round 2 gathers all of
+/// `e` as `s`'s delta and probes `w` at depth 0. Checks `out` against
+/// the join computed directly and the logical counters against
+/// tuple-at-a-time execution (one probe per seed row, one hit, one
+/// scanned row and one derivation per join pair), and returns the stats
+/// for the caller's physical assertions.
+fn join_agrees(name: &str, e: &[(i64, i64)], w: &[(i64, i64)]) -> Stats {
+    let mut db = Database::default();
+    let mut by_key: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+    for &(y, z) in w {
+        db.insert("w", vec![Value::Int(y), Value::Int(z)]);
+        by_key.entry(y).or_default().push(z);
+    }
+    let mut want = std::collections::BTreeSet::new();
+    let mut pairs = 0u64;
+    for &(x, y) in e {
+        db.insert("e", vec![Value::Int(x), Value::Int(y)]);
+        for &z in by_key.get(&y).into_iter().flatten() {
+            pairs += 1;
+            want.insert(vec![Value::Int(x), Value::Int(z)]);
+        }
+    }
+    let prog: Program = "s(X,Y) :- e(X,Y). out(X,Z) :- s(X,Y), w(Y,Z)."
+        .parse()
+        .unwrap();
+    let (idb, stats) = idb_map(&db, &prog);
+    let got = idb.get(&Pred::new("out")).cloned().unwrap_or_default();
+    assert_eq!(
+        got,
+        Vec::from_iter(want.iter().cloned()),
+        "{name}: IDB diverged"
+    );
+    let n = e.len() as u64;
+    assert_eq!(stats.probes, n, "{name}: probes");
+    assert_eq!(stats.probe_hits, pairs, "{name}: hits");
+    assert_eq!(stats.rows_scanned, 2 * n + pairs, "{name}: rows");
+    assert_eq!(stats.derived, n + pairs, "{name}: derived");
+    assert_eq!(stats.inserted, n + want.len() as u64, "{name}: inserted");
+    assert_eq!(stats.cmp_evals, 0, "{name}: cmps");
+    stats
+}
+
+/// Code grouping at gather: a chunk is sorted only when a depth-0 code
+/// repeats in it (by the repeat filter's low bits), a key absent from
+/// the dictionary drops its row before grouping, and every case derives
+/// the direct join with the counters of per-tuple execution.
+#[test]
+fn code_grouping_agrees_with_the_direct_join() {
+    const C: i64 = KERNEL_CHUNK as i64;
+    // Singleton groups only: every seed row has its own key.
+    let e: Vec<_> = (0..5000i64).map(|i| (i, 3 * i)).collect();
+    let w: Vec<_> = (0..5000i64).map(|i| (3 * i, i + 1)).collect();
+    let st = join_agrees("singletons", &e, &w);
+    assert_eq!((st.groups, st.sorted_chunks), (5000, 0), "singletons");
+
+    // Singleton and repeated keys mixed in one chunk.
+    let key = |i: i64| if i % 4 == 0 { 1000 + i } else { i % 7 };
+    let e: Vec<_> = (0..4000i64).map(|i| (i, key(i))).collect();
+    let mut w: Vec<_> = (0..7i64).flat_map(|k| [(k, -k), (k, -k - 100)]).collect();
+    w.extend((0..4000i64).step_by(4).map(|i| (1000 + i, i)));
+    let st = join_agrees("mixed", &e, &w);
+    assert_eq!((st.groups, st.sorted_chunks), (7 + 1000, 1), "mixed");
+
+    // Seed keys absent from the depth-0 dictionary: odd keys never form
+    // a group, yet each of their rows still counts its probe.
+    let e: Vec<_> = (0..3000i64).map(|i| (i, i % 20)).collect();
+    let w: Vec<_> = (0..20i64).step_by(2).map(|k| (k, k * k)).collect();
+    let st = join_agrees("absent", &e, &w);
+    assert_eq!((st.groups, st.sorted_chunks), (10, 1), "absent");
+    let e: Vec<_> = (0..3000i64).map(|i| (i, 2 * i + 1)).collect();
+    let st = join_agrees("all absent", &e, &w);
+    assert_eq!((st.groups, st.sorted_chunks), (0, 0), "all absent");
+
+    // A depth-0 dictionary of more than 64 Ki keys: distinct seed keys
+    // whose codes share low 16 bits send the chunk through the sort,
+    // which still leaves every group a singleton.
+    let w: Vec<_> = (0..100_000i64).map(|y| (y, y + 1)).collect();
+    let e: Vec<_> = (0..60_000i64).map(|i| (i, i * 7919 % 100_000)).collect();
+    let st = join_agrees("wide dictionary", &e, &w);
+    assert_eq!(
+        (st.groups, st.sorted_chunks),
+        (60_000, 1),
+        "wide dictionary"
+    );
+
+    // A delta that crosses the chunk: each chunk groups (and sorts) its
+    // own rows, so each key forms one group per chunk.
+    let e: Vec<_> = (0..C + 5000).map(|i| (i, i % 97)).collect();
+    let w: Vec<_> = (0..97i64).map(|k| (k, k + 1)).collect();
+    let st = join_agrees("crosses the chunk", &e, &w);
+    assert_eq!(
+        (st.groups, st.sorted_chunks),
+        (2 * 97, 2),
+        "crosses the chunk"
+    );
+}
+
+/// The serve boot's shape: a chain closure, whose every delta holds one
+/// row per key, so no round sorts and every gathered row with a code is
+/// its own group. The IDB and the logical counters equal per-tuple
+/// execution's closed forms.
+#[test]
+fn a_chain_closure_groups_singletons_and_never_sorts() {
+    const N: i64 = 300;
+    let mut db = Database::default();
+    for i in 0..N {
+        db.insert("e", vec![Value::Int(i), Value::Int(i + 1)]);
+    }
+    let prog: Program = "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y)."
+        .parse()
+        .unwrap();
+    let (idb, stats) = idb_map(&db, &prog);
+    let want: Vec<Tuple> = (0..N)
+        .flat_map(|i| (i + 1..=N).map(move |j| vec![Value::Int(i), Value::Int(j)]))
+        .collect();
+    assert_eq!(idb[&Pred::new("t")], want, "IDB diverged");
+    let (n, rows) = (N as u64, (N * (N + 1) / 2) as u64);
+    // Every `t` row probes `e` once; all but the N rows starting at node
+    // 0 find their one predecessor edge.
+    assert_eq!(stats.iterations, n + 1);
+    assert_eq!(stats.probes, rows);
+    assert_eq!(stats.probe_hits, rows - n);
+    assert_eq!(stats.rows_scanned, n + rows + (rows - n));
+    assert_eq!((stats.derived, stats.inserted), (rows, rows));
+    assert_eq!(
+        stats.groups,
+        rows - n,
+        "one group per gathered row with a code"
+    );
+    assert_eq!(stats.sorted_chunks, 0, "a chain never repeats a code");
 }
 
 /// The allocation discipline the kernels claim: task execution does
 /// zero per-derived-row heap allocation, and the one buffer that grows
 /// with a seed scan, the gather chunk of packed `u64` words, stops at
-/// [`KERNEL_CHUNK`] entries. So two witness-join workloads whose deltas
-/// both exceed the chunk report the same high-water mark, set by the
-/// constant plus the plan's small per-depth state, however many rows
-/// they derive.
+/// [`KERNEL_CHUNK`] entries; the repeat filter is [`KERNEL_CHUNK`] bits
+/// however many keys the depth-0 dictionary holds. So two witness-join
+/// workloads whose deltas both exceed the chunk report the same
+/// high-water mark, and they and a join over a dictionary of more than
+/// 64 Ki keys stay within those constants plus the plan's small
+/// per-depth state, however many rows they derive. Each runs on a fresh
+/// thread, so no earlier workload's thread-local scratch can hide
+/// growth.
 #[test]
 fn scratch_high_water_is_bounded_by_plan_shape_not_data() {
     let s = parse_scenario(fanout::PROGRAM);
@@ -481,20 +636,46 @@ fn scratch_high_water_is_bounded_by_plan_shape_not_data() {
         }
         db
     };
+    let on_fresh_thread = |db: Database, prog: Program| {
+        std::thread::spawn(move || idb_map(&db, &prog))
+            .join()
+            .unwrap()
+    };
     let mut high_water = Vec::new();
     for sources in [KERNEL_CHUNK + 1, 2 * KERNEL_CHUNK + 1] {
-        let (idb, stats) = idb_map(&hub(sources as i64), &s.program);
+        let (idb, stats) = on_fresh_thread(hub(sources as i64), s.program.clone());
         assert_eq!(idb[&Pred::new("reach")].len(), 2 * sources + 1);
         high_water.push(stats.scratch_hw_bytes);
     }
+    // Two chunks' worth of seed rows over a 100 000-key depth-0
+    // dictionary.
+    let mut db = Database::default();
+    let keys = 100_000;
+    for y in 0..keys {
+        db.insert("w", vec![Value::Int(y), Value::Int(y + 1)]);
+    }
+    for i in 0..2 * KERNEL_CHUNK as i64 {
+        db.insert("e", vec![Value::Int(i), Value::Int(i * 7919 % keys)]);
+    }
+    let prog: Program = "s(X,Y) :- e(X,Y). out(X,Z) :- s(X,Y), w(Y,Z)."
+        .parse()
+        .unwrap();
+    let (idb, stats) = on_fresh_thread(db, prog);
+    assert_eq!(idb[&Pred::new("out")].len(), 2 * KERNEL_CHUNK);
+    assert!(
+        stats.sorted_chunks > 0,
+        "the wide dictionary never collided"
+    );
+    high_water.push(stats.scratch_hw_bytes);
     assert_eq!(
         high_water[0], high_water[1],
         "scratch high-water grew with data"
     );
-    let chunk_bytes = (KERNEL_CHUNK * std::mem::size_of::<u64>()) as u64;
-    assert!(
-        (chunk_bytes..=chunk_bytes + 4096).contains(&high_water[0]),
-        "scratch high-water {}B is not the {chunk_bytes}B chunk plus per-depth state",
-        high_water[0]
-    );
+    let fixed = (KERNEL_CHUNK * std::mem::size_of::<u64>() + KERNEL_CHUNK / 8) as u64;
+    for hw in high_water {
+        assert!(
+            (fixed..=fixed + 4096).contains(&hw),
+            "scratch high-water {hw}B is not the {fixed}B chunk and filter plus per-depth state",
+        );
+    }
 }
