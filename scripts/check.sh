@@ -17,9 +17,10 @@ cargo test -q --offline --workspace
 # exist under this feature, so the agreement-or-typed-error property
 # (tests/fault_injection.rs) gets its own test leg.
 cargo test -q --offline --workspace --features failpoints
-# The IC-check and DRed oracle (tests/maintenance_oracle.rs) at ten times
-# its tier-1 seed budget: the `#[ignore]`d variant.
-cargo test -q --offline --test maintenance_oracle -- --ignored
+# The route matrix (tests/common/routes.rs) over every case generator at
+# ten times the suites' tier-1 seeds: the `#[ignore]`d test of
+# tests/matrix.rs, one thread per generator.
+cargo test -q --offline --test matrix -- --ignored
 # Format gate: the whole workspace is rustfmt-clean; drift fails the
 # build before clippy ever runs.
 cargo fmt --check
@@ -71,8 +72,10 @@ cargo run -p semrec-bench --release --offline --bin harness -- bench --quick \
 # a real listener, serve.reader, wal.append, wal.fsync,
 # snapshot.publish): every seeded schedule must end in the exact
 # serial-replay answer or a typed error.
-# (The blanket failpoints leg above runs these too; the explicit leg
-# keeps the serve suite a named, individually-runnable gate.)
+# (The blanket failpoints leg above runs these too; the explicit legs
+# keep the serve suites named, individually-runnable gates:
+# serve_agreement holds the threaded reader/writer interleavings and
+# pinned-reader isolation, and runs the served route of the matrix.)
 cargo test -q --offline --features failpoints --test serve_faults
 cargo test -q --offline --test serve_agreement
 

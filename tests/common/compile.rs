@@ -2,7 +2,6 @@
 //! replaced (now the oracle), a per-match residue builder that shares no
 //! code with the product's verification context (the oracle of
 //! detection), and the program families of the soundness suite.
-#![allow(dead_code)]
 
 use semrec::core::detect::{detect, DetectStats, Detection};
 use semrec::core::hom::{bind, extend_hom};

@@ -1,5 +1,13 @@
-//! Helpers shared by the serve agreement suites: what a session puts on
-//! the wire for a request, and what the protocol says it should be.
+//! Shared by the integration suites, pulled in by `mod common;`: the
+//! naive oracle, the compile-step oracles, the route matrix and its case
+//! generators, and what a session puts on the wire.
+
+#![allow(dead_code)] // each suite uses its own subset
+
+pub mod cases;
+pub mod compile;
+pub mod naive;
+pub mod routes;
 
 use semrec::datalog::Pred;
 use semrec::serve::protocol::{render_fact, route_tag};

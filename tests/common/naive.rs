@@ -7,8 +7,6 @@
 //! is evidence, not a tautology. The same matcher checks integrity
 //! constraints and computes what DRed over-deletes and re-derives.
 
-#![allow(dead_code)] // each suite uses its own subset
-
 use semrec::datalog::{
     Atom, CmpOp, Constraint, IcHead, Literal, Pred, Program, Symbol, Term, Value,
 };
@@ -129,12 +127,13 @@ pub fn ic_violations(facts: &Facts, ic: &Constraint) -> BTreeSet<Env> {
 
 /// The IDB tuples DRed over-deletes when the `deleted` EDB tuples leave
 /// `db`, per head predicate: the closure of every derivation, over the
-/// pre-deletion EDB and IDB, that uses a deleted or over-deleted tuple.
-pub fn over_deleted(db: &Database, program: &Program, deleted: &Facts) -> Facts {
+/// pre-deletion EDB and IDB (`idb`, the program's fixpoint on `db`), that
+/// uses a deleted or over-deleted tuple.
+pub fn over_deleted(db: &Database, program: &Program, idb: &Facts, deleted: &Facts) -> Facts {
     let gone = |p: Pred| Pred::new(&format!("gone {p}"));
     let mut facts = facts_of(db);
     let edb = facts.clone();
-    facts.extend(naive_idb(db, program));
+    facts.extend(idb.iter().map(|(&p, set)| (p, set.clone())));
     for (&p, ts) in deleted {
         let present = ts
             .iter()

@@ -6,10 +6,10 @@
 //! the work counters must show linear growth on one side and the
 //! quadratic on the other.
 
-#[path = "common/compile.rs"]
-mod compile;
+mod common;
 
-use compile::{oracle_residues, reference_plan, FAMILIES};
+use common::cases::EXAMPLE_2_1;
+use common::compile::{oracle_residues, reference_plan, FAMILIES};
 use semrec::core::detect::{detect, subgoal_preds, DetectStats, DetectionMethod, Detector};
 use semrec::core::expand::rule_residues;
 use semrec::core::occurs::may_match;
@@ -86,13 +86,7 @@ fn sources() -> Vec<(String, String)> {
         ("fanout", fanout::PROGRAM),
         ("flights", flights::PROGRAM),
         // Examples 2.1 / 3.1: the useful residue needs padding.
-        (
-            "chain",
-            "p(X1, X2, X3, X4, X5, X6) :- e(X1, X2, X3, X4, X5, X6).
-             p(X1, X2, X3, X4, X5, X6) :- a(X1, X2, X4), b(W2, X3), c(W3, W4, X5),
-                 d(W5, X6), p(X1, W2, W3, W4, W5, W6).
-             ic: a(V1, V2, V3), b(V2, V4), c(V4, V5, V6) -> d(V6, V7).",
-        ),
+        ("chain", EXAMPLE_2_1),
     ] {
         sources.push((format!("paper {name}"), src.to_owned()));
     }

@@ -1,9 +1,6 @@
 //! Robustness: the parser must never panic — any input yields `Ok` or a
 //! positioned error — and everything it accepts must round-trip through
 //! `Display`.
-//!
-//! Seeded-loop rewrite of a former `proptest` suite (offline-build
-//! policy: no registry deps for `cargo test -q`).
 
 use semrec::datalog::analysis::{check_arities, validate};
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};

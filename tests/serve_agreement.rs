@@ -1,20 +1,20 @@
-//! Concurrent serving agreement: under seeded reader/writer
-//! interleavings, every reader's answer is tuple-for-tuple identical to
-//! a serial replay of the committed transaction prefix at its pinned
-//! epoch, with readers never
-//! blocking the writer and vice versa. The wire is held to the same
-//! standard: what a session writes is the rendered tuples, cache or no
-//! cache, and a cached row-id answer is never read against a relation
-//! state other than the one that produced it. Publication shares the
+//! Concurrent serving: under seeded reader/writer interleavings, every
+//! reader's answer is tuple-for-tuple identical to a serial replay of
+//! the committed transaction prefix at its pinned epoch, with readers
+//! never blocking the writer and vice versa. Publication shares the
 //! writer's row store instead of copying it, so the suite also pins a
 //! reader and walks the writer through everything that could disturb a
 //! shared store: appends, tombstones left in place, the compaction of a
 //! relation whose dead rows outnumber its live ones, growth past the
-//! allocation, and the undo of a failed apply.
+//! allocation, and the undo of a failed apply. What a session puts on
+//! the wire — cache or no cache, after every commit, at every retained
+//! epoch, after a WAL replay — is the route matrix's served route
+//! (`common/routes.rs`), run here over the interleavings' transactions.
 
 mod common;
 
-use common::{frame, wire};
+use common::cases::{serve_txs, COMMITS, GUARDED_REACH};
+use common::routes::{check, Case};
 use semrec::core::maintain::MaintainedQuery;
 use semrec::core::optimizer::OptimizerConfig;
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
@@ -26,48 +26,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn unit() -> Unit {
-    parse_unit(
-        "reach(X, Y) :- edge(X, Y).\n\
-         reach(X, Y) :- edge(X, Z), witness(Z, W), reach(Z, Y).\n\
-         ic ic1: edge(X, Z) -> witness(Z, W).\n\
-         edge(1, 2). edge(2, 3).\n\
-         witness(1, 100). witness(2, 200). witness(3, 300).",
-    )
-    .expect("parse unit")
+    parse_unit(GUARDED_REACH).expect("parse unit")
 }
 
 fn goal() -> Atom {
     parse_atom("reach(1, Y)").expect("goal")
-}
-
-const COMMITS: usize = 8;
-
-/// The deterministic transaction sequence for one seed: witnessed chain
-/// growth with one violation + repair pair, so the interleaving crosses
-/// a route invalidation and a recovery while readers are in flight.
-fn tx_sequence(seed: u64) -> Vec<Tx> {
-    let mut rng = Rng::seed_from_u64(0xA9EE + seed);
-    let mut txs = Vec::new();
-    let mut next = 4i64;
-    for i in 0..COMMITS {
-        let mut tx = Tx::new();
-        match i {
-            3 => {
-                tx.insert("edge", int_tuple(&[2, 666])); // witness-less
-            }
-            5 => {
-                tx.delete("edge", int_tuple(&[2, 666]));
-            }
-            _ => {
-                let from = rng.gen_range(1..next);
-                tx.insert("edge", int_tuple(&[from, next]));
-                tx.insert("witness", int_tuple(&[next, next * 1000]));
-                next += 1;
-            }
-        }
-        txs.push(tx);
-    }
-    txs
 }
 
 /// Serial replay references: `expected[e]` is the exact answer after
@@ -103,7 +66,7 @@ fn references(txs: &[Tx]) -> Vec<Vec<Tuple>> {
 /// that epoch, and after the run every retained epoch must still
 /// answer its historical snapshot.
 fn run_interleaving(seed: u64) {
-    let txs = tx_sequence(seed);
+    let txs = serve_txs(seed);
     let expected = Arc::new(references(&txs));
     let cfg = ServeConfig {
         // Retain everything so every pinned observation stays checkable.
@@ -180,133 +143,45 @@ fn interleavings_agree_serial() {
     }
 }
 
-/// Cache-on and cache-off servers replay the same transaction sequence
-/// and must answer a mixed goal set tuple-for-tuple identically at
-/// every epoch — while the cache-on server actually serves repeats from
-/// the answer cache (hits observable in `stats`), and the cache-off
-/// server never does.
+/// The interleavings' transactions through the matrix: a cached server
+/// and, after a WAL replay, an uncached one put the oracle's bytes on
+/// the wire for every goal.
 #[test]
 fn cache_on_and_off_agree_tuple_for_tuple() {
-    let txs = tx_sequence(42);
-    let cached_cfg = ServeConfig {
-        retain_epochs: COMMITS + 1,
-        ..ServeConfig::default()
-    };
-    let uncached_cfg = ServeConfig {
-        cache_capacity: 0,
-        ..cached_cfg.clone()
-    };
-    let (cached, _) = Server::open(&unit(), cached_cfg, None).expect("open cached");
-    let (uncached, _) = Server::open(&unit(), uncached_cfg, None).expect("open uncached");
-    let goals: Vec<Atom> = [
-        "reach(1, Y)",  // bound first column (probe)
-        "reach(X, Y)",  // all free (scan)
-        "reach(X, X)",  // repeated variable (scan + residual)
-        "reach(1, 3)",  // all bound (membership)
-        "reach(Y, 3)",  // bound second column (probe)
-        "edge(2, Y)",   // EDB predicate
-        "absent(X, Y)", // unknown predicate (empty, cacheable)
-    ]
-    .iter()
-    .map(|s| parse_atom(s).expect("goal"))
-    .collect();
-    for tx in &txs {
-        cached.commit(tx).expect("cached commit");
-        uncached.commit(tx).expect("uncached commit");
-        for g in &goals {
-            // Ask twice: the second cached ask is a cache hit and must
-            // still agree with the uncached answer tuple-for-tuple.
-            for _ in 0..2 {
-                let a = cached.query(g, None, None).expect("cached query");
-                let b = uncached.query(g, None, None).expect("uncached query");
-                assert_eq!(a.epoch, b.epoch);
-                assert_eq!(
-                    a.tuples, b.tuples,
-                    "goal {g:?} diverged at epoch {}",
-                    a.epoch
-                );
-            }
-            // And byte for byte on the wire, where the cached daemon
-            // renders a hit's row ids and the other a fresh probe.
-            let request = format!("query {g}.\n");
-            let sent = wire(&cached, &request);
-            assert_eq!(sent, wire(&uncached, &request), "goal {g} on the wire");
-            let reply = uncached.query(g, None, None).expect("uncached query");
-            assert_eq!(sent, frame(g.pred, &reply), "goal {g}: wire vs tuples");
-        }
-    }
-    let hot = cached.stats();
-    let cold = uncached.stats();
-    assert!(hot.cache_hits > 0, "repeats must hit the cache");
-    assert_eq!(cold.cache_hits, 0, "cache-off server must never hit");
-    assert_eq!(cold.cache_misses, 0, "cache-off server must never probe");
+    let case = Case::new("serve seed 42", GUARDED_REACH, Database::new());
+    check(&case.with_txs(serve_txs(42)));
 }
 
-/// Publication is the cache's invalidation: a goal warmed
-/// into the cache must answer the *new* epoch immediately after every
-/// commit — including across the violation/repair pair, where route
+/// Publication is the cache's invalidation: the matrix reads every goal
+/// after every commit, twice, so an entry warmed at one epoch must not
+/// answer the next — also across the violation/repair pair, where route
 /// invalidation rebuilds the materialization from scratch and a
-/// generation-only key would serve stale hits — and across an ordinary
-/// delete, which moves only the generation: the relation keeps its
-/// incarnation (rows are tombstoned in place, nothing is rebuilt).
+/// generation-only key would serve stale hits. An ordinary delete moves
+/// only the generation: the relation keeps its incarnation (rows are
+/// tombstoned in place, nothing is rebuilt).
 #[test]
 fn republish_invalidates_cached_answers() {
-    let mut txs = tx_sequence(7);
+    let mut txs = serve_txs(7);
     let mut delete = Tx::new();
     delete.delete("edge", int_tuple(&[2, 3]));
     txs.push(delete);
-    let expected = references(&txs);
-    assert_ne!(expected[COMMITS], expected[COMMITS + 1], "the delete shows");
+    let case = Case::new("serve seed 7", GUARDED_REACH, Database::new());
+    check(&case.with_txs(txs.clone()));
     let cfg = ServeConfig {
         retain_epochs: txs.len() + 1,
         ..ServeConfig::default()
     };
     let (server, _) = Server::open(&unit(), cfg, None).expect("open");
-    let g = goal();
-    for (i, tx) in txs.iter().enumerate() {
-        // Warm the cache at the current epoch (second ask is a hit)...
-        for _ in 0..2 {
-            let reply = server.query(&g, None, None).expect("warm query");
-            assert_eq!(reply.tuples, expected[i]);
-        }
-        // ...then commit and require the republished answer, not the
-        // cached one.
+    for tx in &txs {
         server.commit(tx).expect("commit");
-        let reply = server.query(&g, None, None).expect("post-commit query");
-        assert_eq!(reply.epoch, i as u64 + 1);
-        assert_eq!(
-            reply.tuples,
-            expected[i + 1],
-            "stale cached answer served after commit {i}"
-        );
-        // Older epochs keep hitting their own entries, unperturbed.
-        let old = server.query(&g, Some(i as u64), None).expect("pinned");
-        assert_eq!(old.tuples, expected[i]);
-        // The same on the wire, where a hit's row ids are read against
-        // the pinned relation: the warmed entry belongs to epoch i's
-        // relation and must not be addressed at epoch i + 1 — also not
-        // across the violation/repair rebuilds, whose fresh relations
-        // restart their generation counters — while `query@i` keeps
-        // rendering epoch i's exact rows.
-        assert_eq!(wire(&server, "query reach(1, Y).\n"), frame(g.pred, &reply));
-        assert_eq!(
-            wire(&server, &format!("query@{i} reach(1, Y).\n")),
-            frame(g.pred, &old)
-        );
     }
     let stamp = |epoch: usize| {
         let state = server.registry().pin(Some(epoch as u64)).expect("retained");
-        state.relation(g.pred).expect("reach").stamp()
+        state.relation(goal().pred).expect("reach").stamp()
     };
     let (before, after) = (stamp(COMMITS), stamp(COMMITS + 1));
     assert_eq!(before.0, after.0, "a delete keeps the incarnation");
     assert!(before.1 < after.1, "and moves the generation");
-    let stats = server.stats();
-    assert!(
-        stats.cache_hits as usize >= COMMITS,
-        "warm repeats must hit ({} hits)",
-        stats.cache_hits
-    );
 }
 
 /// The writer must make progress while a reader holds a pinned epoch
@@ -315,7 +190,7 @@ fn republish_invalidates_cached_answers() {
 /// leaks).
 #[test]
 fn long_pinned_reader_never_blocks_the_writer() {
-    let txs = tx_sequence(99);
+    let txs = serve_txs(99);
     let expected = references(&txs);
     let cfg = ServeConfig {
         retain_epochs: 2, // epoch 0 will fall off the ring...
@@ -343,33 +218,6 @@ fn long_pinned_reader_never_blocks_the_writer() {
     ));
     let latest = server.query(&goal(), None, None).expect("latest");
     assert_eq!(latest.tuples, expected[COMMITS]);
-}
-
-/// A relation rebuilt from scratch restarts its generation counter, so
-/// "same generation as the published snapshot" does not mean "same
-/// content": a builtin program is recomputed by every commit, and the
-/// rebuilt `p` — one insert, like the `p` of epoch 0 — used to be
-/// mistaken for it and the old epoch's snapshot republished. The stamp
-/// compared now carries the storage incarnation.
-#[test]
-fn a_rebuilt_relation_is_not_mistaken_for_its_predecessor() {
-    let unit = parse_unit("p(X, Z) :- e(X), plus(X, 1, Z). e(1).").expect("parse unit");
-    let (server, _) = Server::open(&unit, ServeConfig::default(), None).expect("open");
-    assert_eq!(
-        wire(&server, "query p(X, Z).\n"),
-        "ok epoch=0 route=direct rows=1\np(1, 2).\nend\n"
-    );
-    let sent = wire(&server, "-e(1).\n+e(5).\ncommit.\nquery p(X, Z).\n");
-    let answer = sent
-        .split_once('\n')
-        .expect("commit ack, then the answer")
-        .1;
-    assert!(
-        answer.starts_with("ok epoch=1 ") && answer.ends_with(" rows=1\np(5, 6).\nend\n"),
-        "epoch 1 holds e(5), so p must be p(5, 6): {sent}"
-    );
-    // The old epoch still answers the old state.
-    assert!(wire(&server, "query@0 p(X, Z).\n").ends_with("rows=1\np(1, 2).\nend\n"));
 }
 
 /// Pinned-reader isolation over a shared row store. A reader pinned at
