@@ -19,7 +19,7 @@ cargo test -q --offline --workspace
 cargo test -q --offline --workspace --features failpoints
 # The route matrix (tests/common/routes.rs) over every case generator at
 # ten times the suites' tier-1 seeds: the `#[ignore]`d test of
-# tests/matrix.rs, one thread per generator.
+# tests/matrix.rs, one generator after the other.
 cargo test -q --offline --test matrix -- --ignored
 # Format gate: the whole workspace is rustfmt-clean; drift fails the
 # build before clippy ever runs.

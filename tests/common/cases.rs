@@ -28,6 +28,14 @@ fn int(v: i64) -> Value {
     Value::Int(v)
 }
 
+/// `cases`, the first `full` of them through every route, the rest
+/// through the static ones: a suite's seeds past its first few.
+pub fn tiered(cases: impl IntoIterator<Item = Case>, full: usize) -> Vec<Case> {
+    let cases = cases.into_iter().enumerate();
+    let tier = |(i, case): (usize, Case)| if i < full { case } else { case.static_only() };
+    cases.map(tier).collect()
+}
+
 /// A live tuple of `pred` drawn at random, if it has one.
 fn live(db: &Database, pred: &str, rng: &mut Rng) -> Option<Tuple> {
     let rows = db.get(Pred::new(pred))?.sorted_tuples();
@@ -121,51 +129,36 @@ pub fn workload(kind: &str, seed: u64) -> Case {
     let mut rng = Rng::seed_from_u64(0x352 + seed);
     let name = format!("{kind} seed {seed}");
     let seed = rng.gen_range(0..500usize) as u64;
-    let (src, db) = match kind {
-        "fanout" => (
-            fanout::PROGRAM,
-            fanout::generate(&fanout::FanoutParams {
-                nodes: 30,
-                extra_edges: 20,
-                fanout: rng.gen_range(1..6usize),
-                seed,
-            }),
-        ),
-        "org" => (
-            org::PROGRAM,
-            org::generate(&org::OrgParams {
-                employees: 60,
-                executive_frac: rng.gen_range(0..1000usize) as f64 / 1000.0,
-                seed,
-                ..org::OrgParams::default()
-            }),
-        ),
-        "university" => (
-            university::PROGRAM,
-            university::generate(&university::UniversityParams {
-                professors: 12,
-                students: 30,
-                chain_len: rng.gen_range(2..6usize),
-                seed,
-                ..university::UniversityParams::default()
-            }),
-        ),
-        "genealogy" => (
-            genealogy::PROGRAM,
-            genealogy::generate(&genealogy::GenealogyParams {
-                families: 2,
-                depth: rng.gen_range(1..5usize),
-                branching: 2,
-                seed,
-            }),
-        ),
-        "flights" => (
-            flights::PROGRAM,
-            flights::generate(&flights::FlightsParams {
-                seed,
-                ..flights::FlightsParams::default()
-            }),
-        ),
+    let db = match kind {
+        "fanout" => fanout::generate(&fanout::FanoutParams {
+            nodes: 30,
+            extra_edges: 20,
+            fanout: rng.gen_range(1..6usize),
+            seed,
+        }),
+        "org" => org::generate(&org::OrgParams {
+            employees: 60,
+            executive_frac: rng.gen_range(0..1000usize) as f64 / 1000.0,
+            seed,
+            ..org::OrgParams::default()
+        }),
+        "university" => university::generate(&university::UniversityParams {
+            professors: 24,
+            students: 40,
+            chain_len: rng.gen_range(2..6usize),
+            seed,
+            ..university::UniversityParams::default()
+        }),
+        "genealogy" => genealogy::generate(&genealogy::GenealogyParams {
+            families: 2,
+            depth: rng.gen_range(1..5usize),
+            branching: 2,
+            seed,
+        }),
+        "flights" => flights::generate(&flights::FlightsParams {
+            seed,
+            ..flights::FlightsParams::default()
+        }),
         _ => unreachable!("no workload {kind}"),
     };
     let (pred, rel) = db.iter().max_by_key(|(_, r)| r.len()).expect("facts");
@@ -177,7 +170,65 @@ pub fn workload(kind: &str, seed: u64) -> Case {
         }
         cut.delete(pred, t);
     }
-    let case = Case::new(name, src, db).with_txs(vec![cut, mend]);
+    generated(name, kind, db).with_txs(vec![cut, mend])
+}
+
+/// The generated workloads at the executor suite's larger sizes, the
+/// witness guard at fanout 16 among them, each with a first fact taken
+/// out and put back.
+pub fn large_workloads() -> Vec<Case> {
+    let dbs = [
+        (
+            "org",
+            org::generate(&org::OrgParams {
+                employees: 120,
+                seed: 21,
+                ..org::OrgParams::default()
+            }),
+        ),
+        (
+            "university",
+            university::generate(&university::UniversityParams {
+                professors: 30,
+                students: 80,
+                chain_len: 4,
+                seed: 22,
+                ..university::UniversityParams::default()
+            }),
+        ),
+        (
+            "genealogy",
+            genealogy::generate(&genealogy::GenealogyParams {
+                families: 3,
+                depth: 4,
+                branching: 3,
+                seed: 23,
+            }),
+        ),
+        (
+            "fanout",
+            fanout::generate(&fanout::FanoutParams {
+                nodes: 48,
+                extra_edges: 32,
+                fanout: 16,
+                seed: 24,
+            }),
+        ),
+    ];
+    let large = |(kind, db)| out_and_back(generated(format!("large {kind}"), kind, db));
+    dbs.into_iter().map(large).collect()
+}
+
+/// Workload `kind`'s program over `db`.
+fn generated(name: String, kind: &str, db: Database) -> Case {
+    let src = match kind {
+        "fanout" => fanout::PROGRAM,
+        "org" => org::PROGRAM,
+        "university" => university::PROGRAM,
+        "genealogy" => genealogy::PROGRAM,
+        _ => flights::PROGRAM,
+    };
+    let case = Case::new(name, src, db);
     match kind {
         "university" => case.small(&["doctoral"]),
         _ => case,
@@ -242,8 +293,8 @@ const SHAPES: [(&str, &str); 9] = [
     ),
 ];
 
-/// [`SHAPES`] over random digraphs drawn from `seed`, each with a
-/// transaction deleting its first fact and one inserting it back.
+/// [`SHAPES`] over random digraphs drawn from `seed`, each with a first
+/// fact taken out and put back.
 pub fn kernel_shapes(seeds: Range<u64>) -> Vec<Case> {
     let mut cases = Vec::new();
     for seed in seeds {
@@ -252,11 +303,11 @@ pub fn kernel_shapes(seeds: Range<u64>) -> Vec<Case> {
             // relations `0..n`.
             type Digraphs = &'static [(&'static str, usize, usize, u64)];
             let (digraphs, unary): (Digraphs, &[(&str, i64)]) = match name {
-                "closure" => (&[("e", 60, 180, 25)], &[]),
-                "multi_recursive" => (&[("e", 30, 60, 29)], &[]),
+                "closure" => (&[("e", 120, 400, 25)], &[]),
+                "multi_recursive" => (&[("e", 40, 90, 29)], &[]),
                 "negation" => (&[("edge", 40, 80, 26)], &[("node", 40)]),
-                "builtins" => (&[("e", 60, 150, 27)], &[]),
-                "const_keys" => (&[("e", 40, 120, 28)], &[]),
+                "builtins" => (&[("e", 80, 200, 27)], &[]),
+                "const_keys" => (&[("e", 60, 200, 28)], &[]),
                 "late_bind_neg_wide" => (&[("e", 24, 40, 35), ("f", 24, 40, 36)], &[("g", 24)]),
                 "filter_and_builtin_tails" => (&[("e", 30, 60, 31)], &[]),
                 "unit_seed" => (&[("e", 12, 20, 38)], &[("small", 6), ("q", 6)]),
@@ -297,15 +348,21 @@ pub fn kernel_shapes(seeds: Range<u64>) -> Vec<Case> {
                     .insert(0, Literal::Atom(on.clone()));
                 case.program.rules.push(Rule::fact(on));
             }
-            let (p, rel) = case.edb.iter().find(|(_, r)| !r.is_empty()).expect("facts");
-            let first = rel.sorted_tuples().swap_remove(0);
-            let (mut out, mut back) = (Tx::new(), Tx::new());
-            out.delete(p, first.clone());
-            back.insert(p, first);
-            cases.push(case.with_txs(vec![out, back]));
+            cases.push(out_and_back(case));
         }
     }
     cases
+}
+
+/// `case` with a transaction deleting the first fact of its first
+/// non-empty relation and one inserting it back.
+fn out_and_back(case: Case) -> Case {
+    let (p, rel) = case.edb.iter().find(|(_, r)| !r.is_empty()).expect("facts");
+    let first = rel.sorted_tuples().swap_remove(0);
+    let (mut out, mut back) = (Tx::new(), Tx::new());
+    out.delete(p, first.clone());
+    back.insert(p, first);
+    case.with_txs(vec![out, back])
 }
 
 /// Five rounds that derive every row four times, then one round that

@@ -13,11 +13,15 @@ use semrec::datalog::{
 use semrec::engine::builtins::BuiltinOp;
 use semrec::engine::Database;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 /// Tuples per predicate.
 pub type Facts = BTreeMap<Pred, BTreeSet<Vec<Value>>>;
 /// A variable binding.
 pub type Env = BTreeMap<Symbol, Value>;
+/// The bindings made so far, innermost last: a match binds by pushing
+/// and undoes by truncating.
+type Stack = Vec<(Symbol, Value)>;
 
 /// The live tuples of `db`.
 pub fn facts_of(db: &Database) -> Facts {
@@ -58,8 +62,7 @@ pub fn naive_idb(db: &Database, program: &Program) -> Facts {
         loop {
             let mut derived = Vec::new();
             for r in program.rules.iter().filter(|r| stratum[&r.head.pred] == s) {
-                let body: Vec<&Literal> = r.body.iter().collect();
-                solve(&facts, &body, &mut Env::new(), &mut |env| {
+                solve(&facts, &r.body, 0, &mut Stack::new(), &mut |env| {
                     derived.push((r.head.pred, head_tuple(&r.head, env)));
                 });
             }
@@ -82,7 +85,7 @@ pub fn goal_answers(facts: &Facts, goal: &Atom) -> Vec<Vec<Value>> {
     let rows = facts.get(&goal.pred).into_iter().flatten();
     rows.filter(|row| {
         let mut hit = false;
-        unify(&goal.args, row, &mut Env::new(), &mut |_| hit = true);
+        unify(&goal.args, row, &mut Stack::new(), &mut |_| hit = true);
         hit
     })
     .cloned()
@@ -98,30 +101,25 @@ pub fn ic_violations(facts: &Facts, ic: &Constraint) -> BTreeSet<Env> {
         .chain(ic.body_cmps.iter().map(|&c| Literal::Cmp(c)))
         .collect();
     let mut out = BTreeSet::new();
-    solve(
-        facts,
-        &body.iter().collect::<Vec<_>>(),
-        &mut Env::new(),
-        &mut |env| {
-            let holds = match &ic.head {
-                IcHead::None => false,
-                IcHead::Cmp(c) => matches!(
-                    (value(env, c.lhs), value(env, c.rhs)),
-                    (Some(a), Some(b)) if c.op.eval(&a, &b)
-                ),
-                IcHead::Atom(h) => facts.get(&h.pred).is_some_and(|set| {
-                    set.iter().any(|row| {
-                        let mut hit = false;
-                        unify(&h.args, row, &mut env.clone(), &mut |_| hit = true);
-                        hit
-                    })
-                }),
-            };
-            if !holds {
-                out.insert(env.clone());
-            }
-        },
-    );
+    solve(facts, &body, 0, &mut Stack::new(), &mut |env| {
+        let holds = match &ic.head {
+            IcHead::None => false,
+            IcHead::Cmp(c) => matches!(
+                (value(env, c.lhs), value(env, c.rhs)),
+                (Some(a), Some(b)) if c.op.eval(&a, &b)
+            ),
+            IcHead::Atom(h) => facts.get(&h.pred).is_some_and(|set| {
+                set.iter().any(|row| {
+                    let mut hit = false;
+                    unify(&h.args, row, &mut env.clone(), &mut |_| hit = true);
+                    hit
+                })
+            }),
+        };
+        if !holds {
+            out.insert(env.iter().copied().collect());
+        }
+    });
     out
 }
 
@@ -147,14 +145,9 @@ pub fn over_deleted(db: &Database, program: &Program, idb: &Facts, deleted: &Fac
                 let Literal::Atom(a) = lit else { continue };
                 let mut body: Vec<Literal> = r.body.clone();
                 body[i] = Literal::Atom(Atom::new(gone(a.pred), a.args.clone()));
-                solve(
-                    &facts,
-                    &body.iter().collect::<Vec<_>>(),
-                    &mut Env::new(),
-                    &mut |env| {
-                        found.push((gone(r.head.pred), head_tuple(&r.head, env)));
-                    },
-                );
+                solve(&facts, &body, 0, &mut Stack::new(), &mut |env| {
+                    found.push((gone(r.head.pred), head_tuple(&r.head, env)));
+                });
             }
         }
         let mut grew = false;
@@ -184,40 +177,42 @@ pub fn rederived(post: &Database, program: &Program, pre: &Facts, doomed: &Facts
     }
     let mut back = BTreeSet::new();
     for r in &program.rules {
-        solve(
-            &facts,
-            &r.body.iter().collect::<Vec<_>>(),
-            &mut Env::new(),
-            &mut |env| {
-                let t = head_tuple(&r.head, env);
-                if doomed.get(&r.head.pred).is_some_and(|d| d.contains(&t)) {
-                    back.insert((r.head.pred, t));
-                }
-            },
-        );
+        solve(&facts, &r.body, 0, &mut Stack::new(), &mut |env| {
+            let t = head_tuple(&r.head, env);
+            if doomed.get(&r.head.pred).is_some_and(|d| d.contains(&t)) {
+                back.insert((r.head.pred, t));
+            }
+        });
     }
     back.len()
 }
 
-fn head_tuple(head: &Atom, env: &Env) -> Vec<Value> {
+fn head_tuple(head: &Atom, env: &Stack) -> Vec<Value> {
     let vals = head.args.iter().map(|&t| value(env, t).expect("safe head"));
     vals.collect()
 }
 
-fn value(env: &Env, t: Term) -> Option<Value> {
+fn value(env: &Stack, t: Term) -> Option<Value> {
     match t {
         Term::Const(c) => Some(c),
-        Term::Var(v) => env.get(&v).copied(),
+        Term::Var(v) => env.iter().rev().find(|b| b.0 == v).map(|b| b.1),
     }
 }
 
 /// Calls `emit` once per extension of `env` satisfying every literal of
-/// `rest`. A comparison, builtin or negated subgoal is taken as soon as
-/// enough of its variables are bound; otherwise the first remaining
-/// positive subgoal is matched against every known tuple that agrees
-/// with its bound leading arguments.
-fn solve(facts: &Facts, rest: &[&Literal], env: &mut Env, emit: &mut dyn FnMut(&Env)) {
-    if rest.is_empty() {
+/// `body` (at most 64) not in the `done` bit set. A comparison, builtin or negated
+/// subgoal is taken as soon as enough of its variables are bound;
+/// otherwise the first remaining positive subgoal is matched against
+/// every known tuple that agrees with its bound leading arguments.
+fn solve(
+    facts: &Facts,
+    body: &[Literal],
+    done: u64,
+    env: &mut Stack,
+    emit: &mut dyn FnMut(&Stack),
+) {
+    let rest = || (0..body.len()).filter(|i| done >> i & 1 == 0);
+    if rest().next().is_none() {
         return emit(env);
     }
     let bound = |t: &Term| value(env, *t).is_some();
@@ -231,26 +226,24 @@ fn solve(facts: &Facts, rest: &[&Literal], env: &mut Env, emit: &mut dyn FnMut(&
         Literal::Atom(a) => builtin(a).is_some() && a.args.iter().filter(|t| bound(t)).count() >= 2,
     };
     let is_scan = |l: &&Literal| matches!(l, Literal::Atom(a) if builtin(a).is_none());
-    let at = rest
-        .iter()
-        .position(ready)
-        .or_else(|| rest.iter().position(is_scan));
+    let at = rest()
+        .find(|&i| ready(&&body[i]))
+        .or_else(|| rest().find(|&i| is_scan(&&body[i])));
     let at = at.expect("unsafe rule: nothing left can be evaluated");
-    let mut others = rest.to_vec();
-    let lit = others.remove(at);
+    let (lit, done) = (&body[at], done | 1 << at);
     // Binds `var := v` for the rest of the body, then restores `env`.
-    let mut with = |env: &mut Env, t: Term, v: Value| match t {
-        Term::Var(x) if !env.contains_key(&x) => {
-            env.insert(x, v);
-            solve(facts, &others, env, emit);
-            env.remove(&x);
+    let mut with = |env: &mut Stack, t: Term, v: Value| match value(env, t) {
+        None => {
+            env.push((t.as_var().expect("a free term is a variable"), v));
+            solve(facts, body, done, env, emit);
+            env.pop();
         }
-        t if value(env, t) == Some(v) => solve(facts, &others, env, emit),
+        Some(w) if w == v => solve(facts, body, done, env, emit),
         _ => {}
     };
     match lit {
         Literal::Cmp(c) => match (value(env, c.lhs), value(env, c.rhs)) {
-            (Some(a), Some(b)) if c.op.eval(&a, &b) => solve(facts, &others, env, emit),
+            (Some(a), Some(b)) if c.op.eval(&a, &b) => solve(facts, body, done, env, emit),
             (Some(_), Some(_)) => {}
             (Some(a), None) => with(env, c.rhs, a),
             (None, Some(b)) => with(env, c.lhs, b),
@@ -259,7 +252,7 @@ fn solve(facts: &Facts, rest: &[&Literal], env: &mut Env, emit: &mut dyn FnMut(&
         Literal::Neg(a) => {
             let t: Vec<Value> = a.args.iter().map(|&t| value(env, t).unwrap()).collect();
             if !facts.get(&a.pred).is_some_and(|s| s.contains(&t)) {
-                solve(facts, &others, env, emit);
+                solve(facts, body, done, env, emit);
             }
         }
         Literal::Atom(a) => match builtin(a) {
@@ -272,7 +265,7 @@ fn solve(facts: &Facts, rest: &[&Literal], env: &mut Env, emit: &mut dyn FnMut(&
                         }
                     }
                     None if op.check(vals[0].unwrap(), vals[1].unwrap(), vals[2].unwrap()) => {
-                        solve(facts, &others, env, emit);
+                        solve(facts, body, done, env, emit);
                     }
                     None => {}
                 }
@@ -284,12 +277,13 @@ fn solve(facts: &Facts, rest: &[&Literal], env: &mut Env, emit: &mut dyn FnMut(&
                 let Some(set) = facts.get(&a.pred) else {
                     return;
                 };
-                for row in set
-                    .range(prefix.clone()..)
-                    .take_while(|r| r.starts_with(&prefix))
-                {
+                let from = (Bound::Included(&prefix[..]), Bound::Unbounded);
+                for row in set.range::<[Value], _>(from) {
+                    if !row.starts_with(&prefix) {
+                        break;
+                    }
                     unify(&a.args, row, env, &mut |env| {
-                        solve(facts, &others, env, emit)
+                        solve(facts, body, done, env, emit)
                     });
                 }
             }
@@ -299,23 +293,20 @@ fn solve(facts: &Facts, rest: &[&Literal], env: &mut Env, emit: &mut dyn FnMut(&
 
 /// Extends `env` so that `args` equals `row`, calls `then`, and undoes
 /// the extension; a mismatch (constant, bound variable, width) skips.
-fn unify(args: &[Term], row: &[Value], env: &mut Env, then: &mut dyn FnMut(&mut Env)) {
+fn unify(args: &[Term], row: &[Value], env: &mut Stack, then: &mut dyn FnMut(&mut Stack)) {
     if args.len() != row.len() {
         return;
     }
-    let mut added = Vec::new();
-    let ok = args.iter().zip(row).all(|(&t, &v)| match t {
-        Term::Var(x) if !env.contains_key(&x) => {
-            env.insert(x, v);
-            added.push(x);
+    let mark = env.len();
+    let ok = args.iter().zip(row).all(|(&t, &v)| match value(env, t) {
+        None => {
+            env.push((t.as_var().expect("a free term is a variable"), v));
             true
         }
-        t => value(env, t) == Some(v),
+        Some(w) => w == v,
     });
     if ok {
         then(env);
     }
-    for x in added {
-        env.remove(&x);
-    }
+    env.truncate(mark);
 }

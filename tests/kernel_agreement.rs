@@ -1,8 +1,9 @@
 //! The batch executor's physical contract, and its agreement with the
 //! naive oracle. Agreement is the route matrix's (`common/routes.rs`):
 //! handwritten programs covering every plan feature the executor runs
-//! (`common::cases::kernel_shapes`) and a burst that grows the drain's
-//! membership table mid-insert go through every route. What stays here
+//! (`common::cases::kernel_shapes`), the generated workloads at larger
+//! sizes, and a burst that grows the drain's membership table mid-insert
+//! go through it. What stays here
 //! is about something other than answers: a seeded chunk-boundary test
 //! pins the gather/group pipeline at delta sizes straddling the chunk
 //! constant; the code-grouping tests check singleton, repeated, absent
@@ -16,9 +17,8 @@
 
 mod common;
 
-use common::cases::{duplicate_burst, kernel_shapes};
-use common::naive;
-use common::routes::{check, check_each};
+use common::cases::{duplicate_burst, kernel_shapes, large_workloads};
+use common::routes::{check, check_all, check_each, Case};
 use semrec::datalog::{Pred, Program, Value};
 use semrec::engine::eval::KERNEL_CHUNK;
 use semrec::engine::{Budget, Database, Evaluator, Materialized, Stats, Strategy, Tuple, Tx};
@@ -40,20 +40,28 @@ fn idb_map(db: &Database, prog: &Program) -> (Idb, Stats) {
 #[test]
 fn executor_agrees_with_oracle_on_all_workloads() {
     for (name, report) in check_each(kernel_shapes(0..1)) {
-        for (p, rows) in &report.oracle {
+        for (p, rows) in &report.states[0] {
             assert!(!rows.is_empty(), "{name}: {p} derived nothing — vacuous");
         }
     }
 }
 
+/// The generated workloads at sizes where rounds carry many rows per key
+/// (the witness guard at fanout 16 among them), through every route but
+/// the goal-directed ones.
+#[test]
+fn executor_agrees_with_oracle_on_large_generated_workloads() {
+    check_all(large_workloads().into_iter().map(Case::without_goals));
+}
+
 /// The multi-recursive, constant-key, filter-guard, builtin-check and
-/// binding-builtin shapes over other random graphs: every rule fires
-/// through the kernel (the matrix asserts `kernel_firings ==
-/// rule_firings`).
+/// binding-builtin shapes over other random graphs, through the static
+/// routes: every rule fires through the kernel (the matrix asserts
+/// `kernel_firings == rule_firings`).
 #[test]
 fn widened_shapes_fire_kernels_not_interpreter() {
     let widened = ["multi_recursive", "const_keys", "filter_and_builtin_tails"];
-    let cases = kernel_shapes(1..2).into_iter();
+    let cases = kernel_shapes(1..2).into_iter().map(Case::static_only);
     let cases = cases.filter(|c| widened.iter().any(|w| c.name.starts_with(w)));
     for (name, report) in check_each(cases) {
         assert!(
@@ -69,7 +77,7 @@ fn widened_shapes_fire_kernels_not_interpreter() {
 #[test]
 fn duplicate_heavy_rounds_then_a_unique_burst_agree_with_oracle() {
     let report = check(&duplicate_burst());
-    assert_eq!(report.oracle[&Pred::new("p")].len(), 6 * 200 + 20_000);
+    assert_eq!(report.states[0][&Pred::new("p")].len(), 6 * 200 + 20_000);
     assert!(
         report.stats.derived > report.stats.inserted,
         "no duplicate-heavy round"
@@ -81,10 +89,11 @@ fn duplicate_heavy_rounds_then_a_unique_burst_agree_with_oracle() {
 /// propagation run evaluates over an EDB whose physical rows changed
 /// since the previous run built (and warmed) its key→code memos. The
 /// maintained IDB must stay tuple-for-tuple equal to a from-scratch
-/// evaluation of the post-transaction database — after the last
-/// transaction, the oracle's — and the propagation runs must actually
-/// exercise the memo path (`dict_memo_hits > 0`): stale codes surviving
-/// a delta would diverge the answer, not just the counters.
+/// evaluation of the post-transaction database, whose memos are fresh,
+/// and the propagation runs must actually exercise the memo path
+/// (`dict_memo_hits > 0`): stale codes surviving a delta would diverge
+/// the answer, not just the counters. (The matrix compares both with the
+/// oracle on the generated fanout workloads.)
 #[test]
 fn incremental_edb_deltas_agree_and_memos_stay_sound() {
     let s = parse_scenario(fanout::PROGRAM);
@@ -102,8 +111,7 @@ fn incremental_edb_deltas_agree_and_memos_stay_sound() {
     // shared mid-chain nodes in different rounds — so the propagation
     // run re-resolves the same witness/edge keys across rounds, the
     // case the EDB-stable memo exists for.
-    let txs = [[(56i64, 4i64), (40i64, 12i64)], [(48, 1), (32, 16)]];
-    for (i, [(a1, b1), (a2, b2)]) in txs.into_iter().enumerate() {
+    for [(a1, b1), (a2, b2)] in [[(56i64, 4i64), (40i64, 12i64)], [(48, 1), (32, 16)]] {
         let mut tx = Tx::new();
         tx.insert("edge", vec![Value::Int(a1), Value::Int(b1)]);
         tx.insert("edge", vec![Value::Int(a2), Value::Int(b2)]);
@@ -115,19 +123,14 @@ fn incremental_edb_deltas_agree_and_memos_stay_sound() {
             st.stats.dict_probes,
             st.rounds
         );
-        let rows = |r: &semrec::engine::Relation| r.iter().map(<[Value]>::to_vec).collect();
-        let got: naive::Facts = m.idb().iter().map(|(&p, r)| (p, rows(r))).collect();
-        let want = match i + 1 == txs.len() {
-            true => naive::naive_idb(&db, &s.program),
-            false => {
-                let scratch = idb_map(&db, &s.program).0.into_iter();
-                scratch
-                    .map(|(p, rows)| (p, rows.into_iter().collect()))
-                    .collect()
-            }
-        };
+        let got: Idb = m
+            .idb()
+            .iter()
+            .map(|(&p, r)| (p, r.sorted_tuples()))
+            .collect();
         assert_eq!(
-            got, want,
+            got,
+            idb_map(&db, &s.program).0,
             "maintained IDB diverged from scratch after edge({a1},{b1}), edge({a2},{b2})"
         );
     }

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::cases;
+use common::cases::{self, tiered};
 use common::routes::{check, check_all, Case};
 use semrec::engine::incr::parse_txs;
 use semrec::engine::Database;
@@ -38,8 +38,9 @@ fn regressions_agree() {
     }
 }
 
-/// Ten times each generator's tier-1 seeds, fresh ones, one thread per
-/// generator.
+/// Ten times each generator's tier-1 seeds, fresh ones, one generator
+/// after the other; where the suites check some seeds through the static
+/// routes only, ten times as many of those too.
 #[test]
 #[ignore = "ten times the tier-1 seed budget; scripts/check.sh runs it"]
 fn every_generator_at_ten_times_the_seeds() {
@@ -47,8 +48,10 @@ fn every_generator_at_ten_times_the_seeds() {
     let runs: [(&str, Generator); 7] = [
         ("samples", || cases::samples(1..11)),
         ("families", || cases::families(55..605)),
-        ("workloads", || cases::workloads(100..160)),
-        ("kernel shapes", || cases::kernel_shapes(2..15)),
+        ("workloads", || tiered(cases::workloads(100..580), 60 * 5)),
+        ("kernel shapes", || {
+            tiered(cases::kernel_shapes(2..22), 10 * 9)
+        }),
         ("streams", || {
             let fanout = cases::tx_streams("fanout", 3..33);
             fanout
@@ -58,22 +61,20 @@ fn every_generator_at_ten_times_the_seeds() {
         }),
         ("constraints", || cases::random_constraints(48..528)),
         ("random programs", || {
-            let kinds = ["anc", "closure", "acyclic", "random linear"];
-            kinds
-                .iter()
-                .flat_map(|k| cases::random_programs(k, 48..288))
-                .collect()
+            let kinds = [
+                ("anc", 480, 160),
+                ("closure", 960, 640),
+                ("acyclic", 480, 480),
+                ("random linear", 320, 160),
+            ];
+            let each = |(kind, n, full): (&str, u64, usize)| {
+                tiered(cases::random_programs(kind, 96..96 + n), full)
+            };
+            kinds.into_iter().flat_map(each).collect()
         }),
     ];
-    std::thread::scope(|s| {
-        for (name, cases) in runs {
-            s.spawn(move || {
-                let report = check_all(cases());
-                eprintln!(
-                    "{name}: {} isolated, {} degraded",
-                    report.isolated, report.degraded
-                );
-            });
-        }
-    });
+    for (name, cases) in runs {
+        let counts = check_all(cases());
+        eprintln!("{name}: {counts:?}");
+    }
 }

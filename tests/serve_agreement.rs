@@ -1,12 +1,12 @@
 //! Concurrent serving: under seeded reader/writer interleavings, every
-//! reader's answer is tuple-for-tuple identical to a serial replay of
-//! the committed transaction prefix at its pinned epoch, with readers
-//! never blocking the writer and vice versa. Publication shares the
-//! writer's row store instead of copying it, so the suite also pins a
-//! reader and walks the writer through everything that could disturb a
-//! shared store: appends, tombstones left in place, the compaction of a
-//! relation whose dead rows outnumber its live ones, growth past the
-//! allocation, and the undo of a failed apply. What a session puts on
+//! reader's answer is tuple-for-tuple the oracle's for the committed
+//! transaction prefix at its pinned epoch, with readers never blocking
+//! the writer and vice versa. Publication shares the writer's row store
+//! instead of copying it, so the suite also pins a reader and walks the
+//! writer through everything that could disturb a shared store: appends,
+//! tombstones left in place, the compaction of a relation whose dead
+//! rows outnumber its live ones, growth past the allocation, and the
+//! undo of a failed apply. What a session puts on
 //! the wire — cache or no cache, after every commit, at every retained
 //! epoch, after a WAL replay — is the route matrix's served route
 //! (`common/routes.rs`), run here over the interleavings' transactions.
@@ -14,6 +14,7 @@
 mod common;
 
 use common::cases::{serve_txs, COMMITS, GUARDED_REACH};
+use common::naive;
 use common::routes::{check, Case};
 use semrec::core::maintain::MaintainedQuery;
 use semrec::core::optimizer::OptimizerConfig;
@@ -33,41 +34,25 @@ fn goal() -> Atom {
     parse_atom("reach(1, Y)").expect("goal")
 }
 
-/// Serial replay references: `expected[e]` is the exact answer after
-/// the first `e` transactions, for every epoch 0..=COMMITS.
-fn references(txs: &[Tx]) -> Vec<Vec<Tuple>> {
-    let u = unit();
-    let mut q = MaintainedQuery::new(
-        Database::from_facts(&u.facts),
-        &u.program(),
-        &u.constraints,
-        OptimizerConfig::default(),
-        1,
-    )
-    .expect("reference query");
-    let g = goal();
-    let mut out = Vec::with_capacity(txs.len() + 1);
-    let mut first = q.answers(&g);
-    first.sort();
-    out.push(first);
-    for tx in txs {
-        q.apply(tx, Budget::unlimited(), None)
-            .expect("reference apply");
-        let mut a = q.answers(&g);
-        a.sort();
-        out.push(a);
-    }
-    out
+/// Runs `txs` through the route matrix; returns the oracle's answer to
+/// [`goal`] after the first `e` of them, for every epoch `e`.
+fn references(name: &str, txs: Vec<Tx>) -> Vec<Vec<Tuple>> {
+    let case = Case::new(name, GUARDED_REACH, Database::new()).with_txs(txs);
+    let states = check(&case).states;
+    states
+        .iter()
+        .map(|s| naive::goal_answers(s, &goal()))
+        .collect()
 }
 
 /// One interleaving: a writer thread commits the sequence while reader
 /// threads hammer latest-epoch queries, recording `(epoch, tuples)`
-/// observations. Every observation must match the serial reference at
+/// observations. Every observation must match the oracle's answer at
 /// that epoch, and after the run every retained epoch must still
 /// answer its historical snapshot.
 fn run_interleaving(seed: u64) {
     let txs = serve_txs(seed);
-    let expected = Arc::new(references(&txs));
+    let expected = Arc::new(references(&format!("serve seed {seed}"), txs.clone()));
     let cfg = ServeConfig {
         // Retain everything so every pinned observation stays checkable.
         retain_epochs: COMMITS + 1,
@@ -100,7 +85,7 @@ fn run_interleaving(seed: u64) {
                         observed += 1;
                         assert_eq!(
                             reply.tuples, expected[reply.epoch as usize],
-                            "seed {seed} reader {r}: epoch {} diverged from serial replay",
+                            "seed {seed} reader {r}: epoch {} diverged from the oracle",
                             reply.epoch
                         );
                     }
@@ -144,12 +129,11 @@ fn interleavings_agree_serial() {
 }
 
 /// The interleavings' transactions through the matrix: a cached server
-/// and, after a WAL replay, an uncached one put the oracle's bytes on
-/// the wire for every goal.
+/// (every second read a hit) and, after a WAL replay, an uncached one put
+/// the oracle's bytes on the wire for every goal.
 #[test]
 fn cache_on_and_off_agree_tuple_for_tuple() {
-    let case = Case::new("serve seed 42", GUARDED_REACH, Database::new());
-    check(&case.with_txs(serve_txs(42)));
+    references("serve seed 42", serve_txs(42));
 }
 
 /// Publication is the cache's invalidation: the matrix reads every goal
@@ -165,8 +149,8 @@ fn republish_invalidates_cached_answers() {
     let mut delete = Tx::new();
     delete.delete("edge", int_tuple(&[2, 3]));
     txs.push(delete);
-    let case = Case::new("serve seed 7", GUARDED_REACH, Database::new());
-    check(&case.with_txs(txs.clone()));
+    let expected = references("serve seed 7", txs.clone());
+    assert_ne!(expected[COMMITS], expected[COMMITS + 1], "the delete shows");
     let cfg = ServeConfig {
         retain_epochs: txs.len() + 1,
         ..ServeConfig::default()
@@ -191,7 +175,7 @@ fn republish_invalidates_cached_answers() {
 #[test]
 fn long_pinned_reader_never_blocks_the_writer() {
     let txs = serve_txs(99);
-    let expected = references(&txs);
+    let expected = references("serve seed 99", txs.clone());
     let cfg = ServeConfig {
         retain_epochs: 2, // epoch 0 will fall off the ring...
         ..ServeConfig::default()
