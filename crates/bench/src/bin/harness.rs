@@ -28,7 +28,8 @@
 //! cardinality by more than 10x, or spends over 2% of evaluation time
 //! planning.
 //! `--assert-table-bytes` exits nonzero if any kernel workload's IDB
-//! spends more than 24 membership-table bytes per live row.
+//! spends more than 24 membership-table bytes per live row or more than
+//! 16 row-store bytes per live value.
 
 use semrec_bench::baseline::{
     check_compile_throughput, check_parse_throughput, check_schema_version, check_throughput,

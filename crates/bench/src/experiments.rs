@@ -273,9 +273,9 @@ pub fn e3(scale: Scale) -> Vec<Table> {
     for probe in [|a: i64| a <= 50, |a: i64| a > 100] {
         if let Some(t) = rel
             .iter()
-            .find(|t| matches!(t[3], Value::Int(a) if probe(a)))
+            .find(|t| matches!(t[3].value(), Value::Int(a) if probe(a)))
         {
-            if let Value::Int(a) = t[3] {
+            if let Value::Int(a) = t[3].value() {
                 ages.push(a);
             }
         }
@@ -313,9 +313,9 @@ pub fn e3(scale: Scale) -> Vec<Table> {
     for probe in [|a: i64| a <= 50, |a: i64| a > 100] {
         if let Some(tp) = rel
             .iter()
-            .find(|t| matches!(t[3], Value::Int(a) if probe(a)))
+            .find(|t| matches!(t[3].value(), Value::Int(a) if probe(a)))
         {
-            if let Value::Int(a) = tp[3] {
+            if let Value::Int(a) = tp[3].value() {
                 ages.push(a);
             }
         }
@@ -362,9 +362,9 @@ pub fn e3(scale: Scale) -> Vec<Table> {
     for probe in [|a: i64| a <= 50, |a: i64| a > 100] {
         if let Some(tp) = rel
             .iter()
-            .find(|t| matches!(t[3], Value::Int(a) if probe(a)))
+            .find(|t| matches!(t[3].value(), Value::Int(a) if probe(a)))
         {
-            if let Value::Int(a) = tp[3] {
+            if let Value::Int(a) = tp[3].value() {
                 ages.push(a);
             }
         }

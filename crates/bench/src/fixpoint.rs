@@ -233,6 +233,10 @@ pub struct KernelBenchResult {
     /// workload's non-empty IDB relations: a ¾-load table that grows 2×
     /// reads between 10.7 and 21.3.
     pub table_bytes_per_row: f64,
+    /// Row-store bytes per live value over the workload's IDB: an
+    /// 8-byte word per value, times the store's capacity slack (up to
+    /// 2×), so between 8 and 16.
+    pub row_bytes_per_value: f64,
 }
 
 impl KernelBenchResult {
@@ -242,7 +246,7 @@ impl KernelBenchResult {
     }
 }
 
-fn time_kernels_once(db: &Database, prog: &Program) -> (f64, Stats, usize, f64) {
+fn time_kernels_once(db: &Database, prog: &Program) -> (f64, Stats, usize, f64, f64) {
     let start = Instant::now();
     let mut ev = Evaluator::new(db, prog, Strategy::SemiNaive).unwrap();
     ev.run().unwrap();
@@ -255,7 +259,10 @@ fn time_kernels_once(db: &Database, prog: &Program) -> (f64, Stats, usize, f64) 
         .filter(|r| !r.is_empty())
         .map(|r| r.membership_bytes() as f64 / r.len() as f64)
         .fold(0.0, f64::max);
-    (millis, stats, out, per_row)
+    let values: usize = idb.values().map(|r| r.len() * r.arity()).sum();
+    let row_bytes: usize = idb.values().map(|r| r.row_store_bytes()).sum();
+    let per_value = row_bytes as f64 / values.max(1) as f64;
+    (millis, stats, out, per_row, per_value)
 }
 
 /// Runs the kernel telemetry bench: every gen workload evaluated, the
@@ -314,13 +321,14 @@ pub fn run_kernel_bench(quick: bool) -> Vec<KernelBenchResult> {
         time_kernels_once(db, prog); // untimed warmup
         let mut kernel_ms = Vec::new();
         let mut kstats = Stats::default();
-        let (mut rows_idb, mut table_bytes_per_row) = (0, 0.0);
+        let (mut rows_idb, mut table_bytes_per_row, mut row_bytes_per_value) = (0, 0.0, 0.0);
         for _ in 0..runs.max(1) {
-            let (ms, st, rows, per_row) = time_kernels_once(db, prog);
+            let (ms, st, rows, per_row, per_value) = time_kernels_once(db, prog);
             kernel_ms.push(ms);
             kstats = st;
             rows_idb = rows;
             table_bytes_per_row = per_row;
+            row_bytes_per_value = per_value;
         }
         kernel_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         out.push(KernelBenchResult {
@@ -337,6 +345,7 @@ pub fn run_kernel_bench(quick: bool) -> Vec<KernelBenchResult> {
             dict_probes: kstats.dict_probes,
             dict_memo_hits: kstats.dict_memo_hits,
             table_bytes_per_row,
+            row_bytes_per_value,
         });
     }
     out
@@ -347,7 +356,7 @@ pub fn kernel_table(results: &[KernelBenchResult]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<10} {:<42} {:>10} {:>11} {:>10} {:>9} {:>6} {:>9} {:>9} {:>8}",
+        "{:<10} {:<42} {:>10} {:>11} {:>10} {:>9} {:>6} {:>9} {:>9} {:>8} {:>8}",
         "kernels",
         "params",
         "kernel ms",
@@ -357,12 +366,13 @@ pub fn kernel_table(results: &[KernelBenchResult]) -> String {
         "sorts",
         "dict",
         "memo",
-        "B/row"
+        "B/row",
+        "B/value"
     );
     for r in results {
         let _ = writeln!(
             s,
-            "{:<10} {:<42} {:>10.2} {:>11.0} {:>9}B {:>9} {:>6} {:>9} {:>9} {:>8.1}",
+            "{:<10} {:<42} {:>10.2} {:>11.0} {:>9}B {:>9} {:>6} {:>9} {:>9} {:>8.1} {:>8.1}",
             r.name,
             r.params,
             r.kernel_millis,
@@ -373,6 +383,7 @@ pub fn kernel_table(results: &[KernelBenchResult]) -> String {
             r.dict_probes,
             r.dict_memo_hits,
             r.table_bytes_per_row,
+            r.row_bytes_per_value,
         );
     }
     s
@@ -394,7 +405,7 @@ pub fn to_json_with_kernel_stats(mut s: String, kernels: &[KernelBenchResult]) -
              \"kernel_millis\": {}, \"kernel_rows_per_sec\": {}, \"kernel_firings\": {}, \
              \"probes\": {}, \"probe_hits\": {}, \"scratch_hw_bytes\": {}, \"groups\": {}, \
              \"sorted_chunks\": {}, \"dict_probes\": {}, \"dict_memo_hits\": {}, \
-             \"table_bytes_per_row\": {}}}",
+             \"table_bytes_per_row\": {}, \"row_bytes_per_value\": {}}}",
             r.name,
             r.params,
             r.rows_idb,
@@ -408,7 +419,8 @@ pub fn to_json_with_kernel_stats(mut s: String, kernels: &[KernelBenchResult]) -
             r.sorted_chunks,
             r.dict_probes,
             r.dict_memo_hits,
-            json_f(r.table_bytes_per_row)
+            json_f(r.table_bytes_per_row),
+            json_f(r.row_bytes_per_value)
         );
         s.push_str(if i + 1 < kernels.len() { ",\n" } else { "\n" });
     }
@@ -620,14 +632,20 @@ pub fn governance_table(results: &[GovernanceResult]) -> String {
     s
 }
 
-/// The `--assert-table-bytes` ceiling: membership slot-array bytes per
+/// The `--assert-table-bytes` ceiling on membership slot-array bytes per
 /// live row. A ¾-load table that grows 2× holds 8 B slots at ⅜ to ¾
 /// load, 10.7 to 21.3 B per row; a ½-load table growing 4× reads up to
 /// 64.
 pub const TABLE_BYTES_PER_ROW_MAX: f64 = 24.0;
 
+/// The `--assert-table-bytes` ceiling on row-store bytes per live value:
+/// an 8-byte word with at most 2× capacity slack. A 16-byte value reads
+/// 16 only at an exactly full store and up to 32 otherwise.
+pub const ROW_BYTES_PER_VALUE_MAX: f64 = 16.0;
+
 /// CI gate: no kernel-bench workload's IDB may spend more than
-/// [`TABLE_BYTES_PER_ROW_MAX`] membership-table bytes per live row.
+/// [`TABLE_BYTES_PER_ROW_MAX`] membership-table bytes per live row or
+/// more than [`ROW_BYTES_PER_VALUE_MAX`] row-store bytes per live value.
 /// Returns a pass summary or a per-workload violation report.
 pub fn check_table_bytes(results: &[KernelBenchResult]) -> Result<String, String> {
     let mut violations = String::new();
@@ -635,19 +653,28 @@ pub fn check_table_bytes(results: &[KernelBenchResult]) -> Result<String, String
         if r.table_bytes_per_row > TABLE_BYTES_PER_ROW_MAX {
             let _ = writeln!(
                 violations,
-                "  {} {}: {:.1} B/row > {TABLE_BYTES_PER_ROW_MAX}",
+                "  {} {}: {:.1} membership B/row > {TABLE_BYTES_PER_ROW_MAX}",
                 r.name, r.params, r.table_bytes_per_row,
+            );
+        }
+        if r.row_bytes_per_value > ROW_BYTES_PER_VALUE_MAX {
+            let _ = writeln!(
+                violations,
+                "  {} {}: {:.1} row-store B/value > {ROW_BYTES_PER_VALUE_MAX}",
+                r.name, r.params, r.row_bytes_per_value,
             );
         }
     }
     if violations.is_empty() {
         Ok(format!(
-            "table-bytes gate: {} workload(s) at <= {TABLE_BYTES_PER_ROW_MAX} membership bytes per row",
+            "table-bytes gate: {} workload(s) at <= {TABLE_BYTES_PER_ROW_MAX} membership bytes \
+             per row and <= {ROW_BYTES_PER_VALUE_MAX} row-store bytes per value",
             results.len()
         ))
     } else {
         Err(format!(
-            "table-bytes gate FAILED (the membership table outgrew its load rule):\n{violations}"
+            "table-bytes gate FAILED (a membership table outgrew its load rule or rows \
+             outgrew their words):\n{violations}"
         ))
     }
 }

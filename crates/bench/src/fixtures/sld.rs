@@ -218,10 +218,10 @@ impl<'db> Sld<'db> {
         if !self.idb.contains(&atom.pred) {
             // EDB: match against facts.
             if let Some(rel) = self.db.get(atom.pred) {
-                for row in rel.iter() {
+                for row in rel.tuples() {
                     self.stats.fact_probes += 1;
                     let mut t2 = theta.clone();
-                    if bind_row(&mut t2, &atom, row) {
+                    if bind_row(&mut t2, &atom, &row) {
                         self.prove(&rest, &t2, root, depth);
                         if self.budget_exhausted {
                             return;

@@ -181,11 +181,7 @@ impl<'db> TopDown<'db> {
         if !self.idb.contains(&goal.pred) {
             // EDB subgoal: answers come straight from the database.
             if let Some(rel) = self.db.get(goal.pred) {
-                let rows: Vec<Tuple> = rel
-                    .iter()
-                    .filter(|r| canon_matches(goal, r))
-                    .map(<[Value]>::to_vec)
-                    .collect();
+                let rows: Vec<Tuple> = rel.tuples().filter(|r| canon_matches(goal, r)).collect();
                 self.add_answers(goal, rows);
             }
             return;

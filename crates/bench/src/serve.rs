@@ -13,6 +13,7 @@
 use crate::baseline::{parse_json, Json};
 use semrec_datalog::atom::Atom;
 use semrec_datalog::parser::{parse_atom, parse_unit, Unit};
+use semrec_datalog::word;
 use semrec_engine::eval::goal_matches;
 use semrec_engine::{int_tuple, Tuple, Tx};
 use semrec_serve::{AdmissionConfig, Connection, ServeConfig, ServeError, Server, SESSION_BURST};
@@ -328,7 +329,7 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
         let mut tuples: Vec<Tuple> = rel
             .iter()
             .filter(|(_, row)| goal_matches(&goals[i], row))
-            .map(|(_, row)| row.to_vec())
+            .map(|(_, row)| word::decode(row))
             .collect();
         tuples.sort();
         samples.push(t.elapsed().as_secs_f64() * 1e6);

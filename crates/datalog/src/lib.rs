@@ -24,6 +24,7 @@ pub mod subst;
 pub mod symbol;
 pub mod term;
 pub mod unify;
+pub mod word;
 
 pub use atom::{Atom, Pred};
 pub use constraint::{Constraint, IcHead};
@@ -35,3 +36,4 @@ pub use rule::Rule;
 pub use subst::Subst;
 pub use symbol::Symbol;
 pub use term::{Term, Value};
+pub use word::Word;

@@ -7,16 +7,19 @@
 //! [`Symbol::as_str`] hand out `&'static str` without lifetime plumbing.
 //!
 //! Writes (`intern`) serialize on a `Mutex`, but reads (`as_str`) are
-//! lock-free: resolved strings live in an append-only chunked slab whose
+//! lock-free: resolved entries live in an append-only chunked slab whose
 //! visible length is published with a release store after the slot is
 //! written. A `Symbol` only exists once its slot has been published, so an
 //! acquire load of the length is enough to make the slot contents visible —
 //! `Value::Ord` on string constants (two resolutions per comparison) never
-//! touches a lock.
+//! touches a lock. The same `Interner` holds the integers that do not
+//! fit inline in a [`Word`](crate::word::Word).
 
+use std::borrow::Borrow;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -27,107 +30,124 @@ use std::sync::{Mutex, OnceLock};
 pub struct Symbol(u32);
 
 const CHUNK_BITS: u32 = 12;
-const CHUNK: usize = 1 << CHUNK_BITS; // 4096 symbols per chunk
-const MAX_CHUNKS: usize = 1 << 12; // up to ~16.7M symbols
+const CHUNK: usize = 1 << CHUNK_BITS; // 4096 entries per chunk
+const MAX_CHUNKS: usize = 1 << 12; // up to ~16.7M entries
 
-/// One fixed-size block of resolved strings. Slots are written exactly once
+/// One fixed-size block of entries. Slots are written exactly once
 /// (under the intern mutex) before being published; readers never see an
 /// unpublished slot, so the plain (non-atomic) array is race-free.
-struct Chunk {
-    slots: UnsafeCell<[&'static str; CHUNK]>,
+struct Chunk<T> {
+    slots: UnsafeCell<[T; CHUNK]>,
 }
 
 // SAFETY: slots are written only by the single writer holding the intern
 // mutex, and only at indexes >= the published length; readers only touch
 // indexes < the published length (acquire-ordered against the writer's
 // release store), so no two threads ever access the same slot concurrently
-// with a write.
-unsafe impl Sync for Chunk {}
+// with a write. An entry written on one thread is copied out on others,
+// hence `T: Send + Sync`.
+unsafe impl<T: Send + Sync> Sync for Chunk<T> {}
 
-/// Append-only slab: chunk pointers are installed once (release) and the
-/// total number of readable slots is published via `len` (release) after
-/// each slot write.
-struct Slab {
-    chunks: Vec<AtomicPtr<Chunk>>,
+/// A process-wide append-only interner: each distinct entry gets a dense
+/// `u32` id once, and an id resolves back to its entry without a lock.
+/// Chunk pointers are installed once (release) and the total number of
+/// readable slots is published via `len` (release) after each slot write.
+pub(crate) struct Interner<T: 'static> {
+    chunks: Vec<AtomicPtr<Chunk<T>>>,
     len: AtomicU32,
+    map: Mutex<HashMap<T, u32>>,
 }
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-}
-
-fn slab() -> &'static Slab {
-    static SLAB: OnceLock<Slab> = OnceLock::new();
-    SLAB.get_or_init(|| {
+impl<T: Copy + Default + Eq + Hash + Send + Sync> Interner<T> {
+    /// An empty interner; its chunks are allocated on first use.
+    pub(crate) fn new() -> Interner<T> {
         let mut chunks = Vec::with_capacity(MAX_CHUNKS);
         chunks.resize_with(MAX_CHUNKS, || AtomicPtr::new(std::ptr::null_mut()));
-        Slab {
+        Interner {
             chunks,
             len: AtomicU32::new(0),
+            map: Mutex::new(HashMap::new()),
         }
-    })
+    }
+
+    /// The id of `key`, minting one — and the entry, by `own` — on first
+    /// sight.
+    pub(crate) fn intern<Q>(&self, key: &Q, own: impl FnOnce(&Q) -> T) -> u32
+    where
+        Q: Hash + Eq + ?Sized,
+        T: Borrow<Q>,
+    {
+        let mut map = self.map.lock().expect("interner poisoned");
+        if let Some(&id) = map.get(key) {
+            return id;
+        }
+        let entry = own(key);
+        let id = self.len.load(Ordering::Relaxed);
+        let (ci, si) = ((id >> CHUNK_BITS) as usize, (id as usize) & (CHUNK - 1));
+        assert!(
+            ci < MAX_CHUNKS,
+            "interner full ({MAX_CHUNKS}x{CHUNK} entries)"
+        );
+        let mut chunk = self.chunks[ci].load(Ordering::Acquire);
+        if chunk.is_null() {
+            chunk = Box::into_raw(Box::new(Chunk {
+                slots: UnsafeCell::new([T::default(); CHUNK]),
+            }));
+            self.chunks[ci].store(chunk, Ordering::Release);
+        }
+        // SAFETY: we hold the intern mutex (single writer) and `id` is not
+        // yet published, so no reader can be looking at this slot.
+        unsafe {
+            (*(*chunk).slots.get())[si] = entry;
+        }
+        // Publish: release-store makes the slot write (and the chunk
+        // pointer store above) visible to any reader that acquires a
+        // length covering `id`.
+        self.len.store(id + 1, Ordering::Release);
+        map.insert(entry, id);
+        id
+    }
+
+    /// The entry of `id`. Lock-free: one acquire load of the published
+    /// length plus an acquire load of the chunk pointer.
+    pub(crate) fn get(&self, id: u32) -> T {
+        let n = self.len.load(Ordering::Acquire);
+        assert!(id < n, "id {id} not interned");
+        let (ci, si) = ((id >> CHUNK_BITS) as usize, (id as usize) & (CHUNK - 1));
+        let chunk = self.chunks[ci].load(Ordering::Acquire);
+        debug_assert!(!chunk.is_null());
+        // SAFETY: id < published len, so the slot was fully written
+        // before the release store we just acquired; published slots are
+        // never written again.
+        unsafe { (*(*chunk).slots.get())[si] }
+    }
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: HashMap::new(),
-        })
-    })
+fn strings() -> &'static Interner<&'static str> {
+    static STRINGS: OnceLock<Interner<&'static str>> = OnceLock::new();
+    STRINGS.get_or_init(Interner::new)
 }
 
 impl Symbol {
     /// Interns `s`, returning its canonical handle.
     pub fn intern(s: &str) -> Symbol {
-        let mut g = interner().lock().expect("interner poisoned");
-        if let Some(&id) = g.map.get(s) {
-            return Symbol(id);
-        }
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let slab = slab();
-        let id = slab.len.load(Ordering::Relaxed);
-        let (ci, si) = ((id >> CHUNK_BITS) as usize, (id as usize) & (CHUNK - 1));
-        assert!(
-            ci < MAX_CHUNKS,
-            "interner full ({MAX_CHUNKS}x{CHUNK} symbols)"
-        );
-        let mut chunk = slab.chunks[ci].load(Ordering::Acquire);
-        if chunk.is_null() {
-            chunk = Box::into_raw(Box::new(Chunk {
-                slots: UnsafeCell::new([""; CHUNK]),
-            }));
-            slab.chunks[ci].store(chunk, Ordering::Release);
-        }
-        // SAFETY: we hold the intern mutex (single writer) and `id` is not
-        // yet published, so no reader can be looking at this slot.
-        unsafe {
-            (*(*chunk).slots.get())[si] = leaked;
-        }
-        // Publish: release-store makes the slot write (and the chunk
-        // pointer store above) visible to any reader that acquires a
-        // length covering `id`.
-        slab.len.store(id + 1, Ordering::Release);
-        g.map.insert(leaked, id);
-        Symbol(id)
+        Symbol(strings().intern(s, |s| Box::leak(s.to_owned().into_boxed_str())))
     }
 
-    /// The interned string. Lock-free: one acquire load of the published
-    /// length plus an acquire load of the chunk pointer.
+    /// The interned string. Lock-free (see `Interner::get`).
     pub fn as_str(self) -> &'static str {
-        let slab = slab();
-        let n = slab.len.load(Ordering::Acquire);
-        assert!(self.0 < n, "symbol {} not interned", self.0);
-        let (ci, si) = (
-            (self.0 >> CHUNK_BITS) as usize,
-            (self.0 as usize) & (CHUNK - 1),
-        );
-        let chunk = slab.chunks[ci].load(Ordering::Acquire);
-        debug_assert!(!chunk.is_null());
-        // SAFETY: self.0 < published len, so the slot was fully written
-        // before the release store we just acquired; published slots are
-        // never written again.
-        unsafe { (*(*chunk).slots.get())[si] }
+        strings().get(self.0)
+    }
+
+    /// The dense id of this symbol: what a [`Word`](crate::word::Word)
+    /// stores of a string constant.
+    pub(crate) fn id(self) -> u32 {
+        self.0
+    }
+
+    /// The symbol with id `id`, which must have come from [`Symbol::id`].
+    pub(crate) fn from_id(id: u32) -> Symbol {
+        Symbol(id)
     }
 
     /// A process-unique fresh symbol with the given prefix, guaranteed not to

@@ -32,7 +32,7 @@ use crate::plan::{
 };
 use semrec_datalog::atom::Pred;
 use semrec_datalog::program::Program;
-use semrec_datalog::term::Value;
+use semrec_datalog::word::Word;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -302,7 +302,7 @@ impl<'a> Estimator<'a> {
             .iter()
             .map(|(p, t)| t * arities.get(p).copied().unwrap_or(0) as f64)
             .sum::<f64>()
-            * std::mem::size_of::<Value>() as f64;
+            * std::mem::size_of::<Word>() as f64;
         Ok(ProgramEstimate {
             rows,
             bytes,
@@ -797,7 +797,9 @@ mod tests {
         );
         assert!(e.work >= e.rows, "work includes at least the output rows");
         assert!(e.rounds > 1 && e.rounds <= DEPTH_CAP);
-        assert!(e.bytes > 0.0);
+        // What a relation keeps resident per row: one 8-byte word per
+        // column (`Relation::estimated_bytes` pins the same figure).
+        assert_eq!(e.bytes, e.rows * 16.0, "two words per reach row");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::term::Value;
+use semrec_datalog::word::Word;
 use std::collections::BTreeMap;
 
 /// An extensional database (EDB): ground facts grouped by predicate.
@@ -44,12 +45,15 @@ impl Database {
     /// # Panics
     /// Panics if the atom is not ground.
     pub fn insert_atom(&mut self, atom: &Atom) -> bool {
-        let tuple: Tuple = atom
+        let row: Vec<Word> = atom
             .args
             .iter()
-            .map(|t| t.as_const().expect("fact must be ground"))
+            .map(|t| Word::new(t.as_const().expect("fact must be ground")))
             .collect();
-        self.insert(atom.pred, tuple)
+        self.rels
+            .entry(atom.pred)
+            .or_insert_with(|| Relation::new(row.len()))
+            .insert_row(&row)
     }
 
     /// Builds a database from ground atoms (e.g. the `facts` of a parsed

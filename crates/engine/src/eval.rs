@@ -30,7 +30,8 @@ use crate::relation::{CodeMap, ProbeHandle, Relation, RowRange, Snapshot, Tuple}
 use crate::stats::Stats;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::program::Program;
-use semrec_datalog::term::{Term, Value};
+use semrec_datalog::term::Term;
+use semrec_datalog::word::{self, Word};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fixpoint strategy. One variant: the naive reference lives in
@@ -107,14 +108,14 @@ impl EvalResult {
 /// (equality with the first occurrence is transitively equality with all).
 /// Goal arities are tiny, so the quadratic scan over earlier argument
 /// positions is cheaper than any map.
-pub fn goal_matches(goal: &Atom, row: &[Value]) -> bool {
+pub fn goal_matches(goal: &Atom, row: &[Word]) -> bool {
     if goal.args.len() != row.len() {
         return false;
     }
     for (i, t) in goal.args.iter().enumerate() {
         match t {
             Term::Const(c) => {
-                if *c != row[i] {
+                if Word::new(*c) != row[i] {
                     return false;
                 }
             }
@@ -142,8 +143,8 @@ pub fn goal_matches(goal: &Atom, row: &[Value]) -> bool {
 pub struct GoalBindings {
     /// Argument positions carrying a constant, ascending.
     pub cols: Vec<usize>,
-    /// The constants at those positions, parallel to `cols`.
-    pub key: Vec<Value>,
+    /// The constants at those positions, parallel to `cols`, as stored.
+    pub key: Vec<Word>,
     /// True when some variable occurs more than once: probe hits must
     /// still be verified with [`goal_matches`].
     pub residual: bool,
@@ -164,7 +165,7 @@ pub fn goal_bindings(goal: &Atom) -> GoalBindings {
         match t {
             Term::Const(c) => {
                 b.cols.push(i);
-                b.key.push(*c);
+                b.key.push(Word::new(*c));
             }
             Term::Var(x) => {
                 if goal.args[..i]
@@ -256,7 +257,7 @@ pub fn answer_goal_polled<E>(
     poll: impl FnMut(usize) -> Result<(), E>,
 ) -> Result<Vec<Tuple>, E> {
     let mut out = Vec::new();
-    for_each_answer_row(snap, goal, poll, |r| out.push(snap.row(r).to_vec()))?;
+    for_each_answer_row(snap, goal, poll, |r| out.push(word::decode(snap.row(r))))?;
     Ok(out)
 }
 
@@ -293,7 +294,7 @@ pub fn answer_goal(snap: &Snapshot, goal: &Atom) -> Vec<Tuple> {
 pub fn scan_goal(rel: &Relation, goal: &Atom) -> Vec<Tuple> {
     rel.iter()
         .filter(|row| goal_matches(goal, row))
-        .map(<[Value]>::to_vec)
+        .map(word::decode)
         .collect()
 }
 
@@ -308,21 +309,21 @@ struct DerivedRun {
     arity: u32,
 }
 
-/// Flat buffer of derived head tuples: one `Vec<Value>` shared by every
+/// Flat buffer of derived head rows: one `Vec<Word>` shared by every
 /// tuple a round derives, instead of one heap allocation per tuple. Each
 /// tuple's FxHash is computed once at derivation time and carried along,
 /// so the drain's dedup probe and final insertion reuse it.
 /// Tasks emit rule-at-a-time, so tuples form long single-predicate runs;
 /// recording one [`DerivedRun`] per run instead of a `(pred, start,
-/// end)` entry per tuple keeps the steady-state emission cost at the 40
-/// bytes of data+hash.
+/// end)` entry per tuple keeps the steady-state emission cost at the 24
+/// bytes of data+hash of a two-column row.
 #[derive(Default, Debug)]
 pub(crate) struct DerivedBuf {
     /// Non-empty runs, in emission order.
     runs: Vec<DerivedRun>,
     /// `hashes[i]` is the content hash of the `i`-th tuple.
     hashes: Vec<u64>,
-    data: Vec<Value>,
+    data: Vec<Word>,
 }
 
 impl DerivedBuf {
@@ -345,7 +346,7 @@ impl DerivedBuf {
     /// Appends a head tuple: values stream straight into the buffer and
     /// are hashed in place.
     #[inline]
-    fn push(&mut self, pred: Pred, vals: impl Iterator<Item = Value>) {
+    fn push(&mut self, pred: Pred, vals: impl Iterator<Item = Word>) {
         let start = self.data.len();
         self.data.extend(vals);
         let arity = (self.data.len() - start) as u32;
@@ -356,7 +357,7 @@ impl DerivedBuf {
     /// [`DerivedBuf::push`] for a row already materialized in a caller
     /// buffer: one hash, one slice copy, no staging iterator.
     #[inline]
-    fn push_row(&mut self, pred: Pred, row: &[Value]) {
+    fn push_row(&mut self, pred: Pred, row: &[Word]) {
         self.data.extend_from_slice(row);
         self.note_row(pred, row.len() as u32, hash_slice(row));
     }
@@ -1127,13 +1128,13 @@ type Cursor = (*const u32, u32, u32);
 #[derive(Default)]
 struct TaskScratch {
     /// Packed probe keys, depth `d` at [`KernelProbe::key_at`].
-    key_buf: Vec<Value>,
+    key_buf: Vec<Word>,
     /// One group cursor per probe depth.
     cursors: Vec<Cursor>,
     /// The row currently matched at each probe depth.
     rowids: Vec<u32>,
     /// Staging buffer for [`KernelLookup`] keys.
-    lookup_key: Vec<Value>,
+    lookup_key: Vec<Word>,
     /// The batch kernel's gathered seed chunk: `depth-0 dictionary code
     /// << 32 | seed row id` words, sorted — only when some code repeats —
     /// so rows sharing a probe key form runs. Capacity is bounded by
@@ -1150,7 +1151,7 @@ struct TaskScratch {
 impl TaskScratch {
     /// Resident heap footprint of the scratch buffers, in bytes.
     fn resident_bytes(&self) -> u64 {
-        ((self.key_buf.capacity() + self.lookup_key.capacity()) * std::mem::size_of::<Value>()
+        ((self.key_buf.capacity() + self.lookup_key.capacity()) * std::mem::size_of::<Word>()
             + self.cursors.capacity() * std::mem::size_of::<Cursor>()
             + self.rowids.capacity() * std::mem::size_of::<u32>()
             + (self.chunk.capacity() + self.seen.capacity()) * std::mem::size_of::<u64>())
@@ -1248,10 +1249,10 @@ struct KernelCtx<'a> {
 /// Mutable per-task state of a batch-kernel execution, borrowed from
 /// [`TaskScratch`] and sized to the kernel's chain.
 struct KernelState<'s> {
-    key_buf: &'s mut [Value],
+    key_buf: &'s mut [Word],
     cursors: &'s mut [Cursor],
     rowids: &'s mut [u32],
-    lookup_key: &'s mut Vec<Value>,
+    lookup_key: &'s mut Vec<Word>,
     /// Rows walked so far: the clock of the governance poll (bulk
     /// counter updates would break the global `rows_scanned` cadence).
     ticks: u64,
@@ -1282,7 +1283,7 @@ impl KernelCtx<'_> {
     /// matched rows. Forced inline: the compute arm makes it recursive,
     /// which otherwise keeps it out of line on every per-row path.
     #[inline(always)]
-    fn src_val(&self, src: KernelSrc, seed_row: &[Value], rowids: &[u32]) -> Value {
+    fn src_val(&self, src: KernelSrc, seed_row: &[Word], rowids: &[u32]) -> Word {
         match src {
             KernelSrc::Const(c) => c,
             KernelSrc::Seed(c) => seed_row[c],
@@ -1297,24 +1298,25 @@ impl KernelCtx<'_> {
     /// candidate on failure, so solving again here is silent and
     /// infallible.
     #[inline(never)]
-    fn computed_val(&self, ci: usize, seed_row: &[Value], rowids: &[u32]) -> Value {
+    fn computed_val(&self, ci: usize, seed_row: &[Word], rowids: &[u32]) -> Word {
         self.compute_val(ci, seed_row, rowids)
             .expect("compute verified by its guard")
     }
 
-    /// Evaluates the `ci`-th binding builtin; `None` means it has no
-    /// solution here (ill-typed operand, …) and its guard must drop the
-    /// candidate before anything reads `KernelSrc::Computed(ci)`.
+    /// Evaluates the `ci`-th binding builtin over decoded operands;
+    /// `None` means it has no solution here (ill-typed operand, …) and
+    /// its guard must drop the candidate before anything reads
+    /// `KernelSrc::Computed(ci)`.
     #[inline]
-    fn compute_val(&self, ci: usize, seed_row: &[Value], rowids: &[u32]) -> Option<Value> {
+    fn compute_val(&self, ci: usize, seed_row: &[Word], rowids: &[u32]) -> Option<Word> {
         let c = &self.k.computes[ci];
         let mut vals = [None; 3];
         for (j, (v, &s)) in vals.iter_mut().zip(&c.args).enumerate() {
             if j != c.bind {
-                *v = Some(self.src_val(s, seed_row, rowids));
+                *v = Some(self.src_val(s, seed_row, rowids).value());
             }
         }
-        c.op.solve(vals)
+        c.op.solve(vals).map(Word::new)
     }
 
     /// Evaluates one guard against a candidate.
@@ -1322,19 +1324,20 @@ impl KernelCtx<'_> {
     fn guard_ok(
         &self,
         g: &KernelGuard,
-        seed_row: &[Value],
+        seed_row: &[Word],
         rowids: &[u32],
-        lookup_key: &mut Vec<Value>,
+        lookup_key: &mut Vec<Word>,
     ) -> bool {
         match *g {
+            // Words order as their values do (`Word`'s `Ord`).
             KernelGuard::Cmp(l, op, r) => op.eval(
                 &self.src_val(l, seed_row, rowids),
                 &self.src_val(r, seed_row, rowids),
             ),
             KernelGuard::Builtin(op, args) => op.check(
-                self.src_val(args[0], seed_row, rowids),
-                self.src_val(args[1], seed_row, rowids),
-                self.src_val(args[2], seed_row, rowids),
+                self.src_val(args[0], seed_row, rowids).value(),
+                self.src_val(args[1], seed_row, rowids).value(),
+                self.src_val(args[2], seed_row, rowids).value(),
             ),
             KernelGuard::Solve(ci) => self.compute_val(ci, seed_row, rowids).is_some(),
             KernelGuard::Absent(li) => !self.found(li, seed_row, rowids, lookup_key),
@@ -1345,7 +1348,7 @@ impl KernelCtx<'_> {
     /// True when the `li`-th lookup finds a visible row: a
     /// membership-table test for a full key, else a walk of the bound
     /// columns' index group checking the unbound columns' equalities.
-    fn found(&self, li: usize, seed_row: &[Value], rowids: &[u32], key: &mut Vec<Value>) -> bool {
+    fn found(&self, li: usize, seed_row: &[Word], rowids: &[u32], key: &mut Vec<Word>) -> bool {
         let Some((rel, range, handle)) = self.lrels[li] else {
             return false;
         };
@@ -1357,7 +1360,7 @@ impl KernelCtx<'_> {
             return rel.contains_in_range(key, h, range);
         };
         let fits = |&r: &u32| {
-            let same = |row: &[Value]| l.same.iter().all(|&(c, d)| row[c] == row[d]);
+            let same = |row: &[Word]| l.same.iter().all(|&(c, d)| row[c] == row[d]);
             rel.row_visible(r, range) && same(rel.row(r))
         };
         // SAFETY: relations and indexes are frozen while a round's tasks
@@ -1410,7 +1413,7 @@ impl KernelCtx<'_> {
                 }
                 return true;
             };
-            let mut tmpl = [Value::Int(0); HEAD_TMPL];
+            let mut tmpl = [Word::int(0); HEAD_TMPL];
             // Constants and probe rows are fixed for the whole match;
             // the empty seed slice is never read.
             for &(j, s) in &hs.fixed[..hs.nf] {
@@ -1668,7 +1671,7 @@ fn run_kernel(
     } = scratch;
     seen.resize(KERNEL_CHUNK / 64, 0);
     key_buf.clear();
-    key_buf.resize(k.key_width(), Value::Int(0));
+    key_buf.resize(k.key_width(), Word::int(0));
     cursors.clear();
     cursors.resize(np, (std::ptr::null(), 0, 0));
     rowids.clear();
@@ -1967,7 +1970,7 @@ unsafe fn encode_memoized(
     handle: &ProbeHandle,
     memo: Option<&mut DepthMemo>,
     hash: u64,
-    key: &[Value],
+    key: &[Word],
     stats: &mut Stats,
 ) -> Option<u32> {
     if let Some(m) = memo {
@@ -2180,18 +2183,18 @@ mod tests {
         let goal = parse_atom("t(X, X, 3)").unwrap();
         assert!(goal_matches(
             &goal,
-            &[Value::Int(7), Value::Int(7), Value::Int(3)]
+            &[Word::int(7), Word::int(7), Word::int(3)]
         ));
         assert!(!goal_matches(
             &goal,
-            &[Value::Int(7), Value::Int(8), Value::Int(3)]
+            &[Word::int(7), Word::int(8), Word::int(3)]
         ));
         assert!(!goal_matches(
             &goal,
-            &[Value::Int(7), Value::Int(7), Value::Int(4)]
+            &[Word::int(7), Word::int(7), Word::int(4)]
         ));
         // Arity mismatch is a non-match, not a panic.
-        assert!(!goal_matches(&goal, &[Value::Int(7)]));
+        assert!(!goal_matches(&goal, &[Word::int(7)]));
     }
 }
 
@@ -2199,6 +2202,7 @@ mod tests {
 mod negation_tests {
     use super::*;
     use crate::database::int_tuple;
+    use semrec_datalog::term::Value;
 
     fn chain_db(n: i64) -> Database {
         let mut db = Database::new();
@@ -2326,6 +2330,7 @@ mod negation_tests {
 mod builtin_tests {
     use super::*;
     use crate::database::int_tuple;
+    use semrec_datalog::term::Value;
 
     #[test]
     fn plus_forward_mode() {

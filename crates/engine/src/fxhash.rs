@@ -2,10 +2,11 @@
 //! plus `HashMap`/`HashSet` aliases built on it.
 //!
 //! The engine's dedup and index probes hash tiny keys — a handful of
-//! 16-byte [`Value`](semrec_datalog::term::Value)s — where SipHash's
-//! per-hash setup cost dominates. FxHash is not DoS-resistant, which is
-//! fine here: keys come from the workload being evaluated, not from an
-//! adversary with oracle access to the table layout.
+//! 8-byte [`Word`](semrec_datalog::word::Word)s, one multiply-rotate
+//! step each — where SipHash's per-hash setup cost dominates. FxHash is
+//! not DoS-resistant, which is fine here: keys come from the workload
+//! being evaluated, not from an adversary with oracle access to the
+//! table layout.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -75,7 +76,7 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Hashes a slice of hashable items (e.g. a tuple of `Value`s) to a `u64`
+/// Hashes a slice of hashable items (e.g. a row of `Word`s) to a `u64`
 /// with [`FxHasher`]. Used by the flat relation storage, which buckets rows
 /// by precomputed hash instead of by owned key vectors.
 #[inline]

@@ -166,7 +166,7 @@ impl Dred {
             };
             let rel = idb.get_mut(&h).expect("the run keeps every relation");
             for t in rows.iter() {
-                let inserted = rel.insert(t);
+                let inserted = rel.insert_row(t);
                 debug_assert!(inserted, "re-derived tuple was still live");
             }
             n += rows.len() as u64;

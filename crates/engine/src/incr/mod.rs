@@ -59,6 +59,7 @@ use dred::Dred;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::literal::Literal;
 use semrec_datalog::program::Program;
+use semrec_datalog::word;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -170,7 +171,7 @@ impl Database {
                 continue;
             };
             for t in ts {
-                if let Some(row) = rel.delete_row(t) {
+                if let Some(row) = rel.delete_row(&word::encode(t)) {
                     delta.deleted.entry(p).or_default().push(t.clone());
                     delta.dead_rows.entry(p).or_default().push(row);
                 }

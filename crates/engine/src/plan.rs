@@ -20,7 +20,8 @@ use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::literal::{Cmp, CmpOp, Literal};
 use semrec_datalog::rule::Rule;
 use semrec_datalog::symbol::Symbol;
-use semrec_datalog::term::{Term, Value};
+use semrec_datalog::term::Term;
+use semrec_datalog::word::Word;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -44,8 +45,8 @@ pub enum View {
 /// earlier probe depth, or the value a builtin solved for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KernelSrc {
-    /// The constant.
-    Const(Value),
+    /// The constant, as stored.
+    Const(Word),
     /// Column of the seed row.
     Seed(usize),
     /// `(probe depth, column)` of a probe row already matched.
@@ -185,7 +186,7 @@ pub struct BatchKernel {
     /// Index key columns on the seed scan (empty = full range scan).
     pub seed_key_cols: Vec<usize>,
     /// Constant key values, parallel to `seed_key_cols`.
-    pub seed_key: Vec<Value>,
+    pub seed_key: Vec<Word>,
     /// Constant / repeated-variable checks on the seed row.
     pub seed_checks: Vec<(usize, KernelSrc)>,
     /// Guards evaluable from the seed row alone (placed before any
@@ -262,7 +263,7 @@ impl Compiler<'_> {
     /// The source of a constant or an already-bound variable.
     fn src(&self, t: Term) -> Option<KernelSrc> {
         match t {
-            Term::Const(c) => Some(KernelSrc::Const(c)),
+            Term::Const(c) => Some(KernelSrc::Const(Word::new(c))),
             Term::Var(v) => self.bound.get(&v).copied(),
         }
     }
@@ -793,7 +794,7 @@ mod tests {
             vec![KernelGuard::Cmp(
                 KernelSrc::Seed(1),
                 CmpOp::Gt,
-                KernelSrc::Const(Value::Int(3))
+                KernelSrc::Const(Word::int(3))
             )]
         );
         assert_eq!(k.probes.len(), 1);
@@ -809,7 +810,7 @@ mod tests {
         // one dictionary group.
         let k = compile("p(X) :- e(3, X).").kernel;
         assert_eq!(k.seed_key_cols, vec![0]);
-        assert_eq!(k.seed_key, vec![Value::Int(3)]);
+        assert_eq!(k.seed_key, vec![Word::int(3)]);
         assert!(k.probes.is_empty());
         assert_eq!(k.head, vec![KernelSrc::Seed(1)]);
     }
@@ -855,7 +856,7 @@ mod tests {
     #[test]
     fn ground_head_constant_projection() {
         let k = compile("p(X, 3) :- e(X).").kernel;
-        assert_eq!(k.head[1], KernelSrc::Const(Value::Int(3)));
+        assert_eq!(k.head[1], KernelSrc::Const(Word::int(3)));
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //! incrementally extended hash indexes on column subsets — and the
 //! read-only [`Snapshot`]s the serving layer publishes of them.
 //!
-//! Rows live in one contiguous buffer of `Value`s with an arity stride:
-//! row `r` is the slice `data[r * arity .. (r + 1) * arity]`. `Value` is a
-//! 16-byte `Copy` enum, so appending a row is a bulk copy into the flat
-//! buffer and reading one is slicing — no per-tuple heap allocation
-//! anywhere on the fixpoint hot path. Dedup and the column indexes'
+//! Rows live in one contiguous buffer of [`Word`]s with an arity stride:
+//! row `r` is the slice `data[r * arity .. (r + 1) * arity]`. A `Word` is
+//! the 8-byte stored form of a `Value` (`semrec_datalog::word`), equal
+//! iff the values are, so appending a row is a bulk copy into the flat
+//! buffer, reading one is slicing, and hashing or comparing one touches
+//! a machine word per value — no per-tuple heap allocation anywhere on
+//! the fixpoint hot path. `Value` and [`Tuple`] stay the boundary types:
+//! [`Relation::insert`], [`Relation::contains`] and [`Relation::delete`]
+//! encode, [`Relation::sorted_tuples`] decodes. Dedup and the column indexes'
 //! dictionaries are one slot table, [`CodeMap`], over FxHash (see
 //! [`crate::fxhash`]); the indexes dictionary-encode key groups as dense
 //! row-id runs. Both verify candidates by comparing the flat slices, so
@@ -58,11 +62,12 @@
 use crate::append_buf::AppendBuf;
 use crate::fxhash::{hash_slice, FxHashMap};
 use semrec_datalog::term::Value;
+use semrec_datalog::word::{self, Word};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// An owned database tuple (boundary type: results, test fixtures, I/O).
-/// Inside the engine rows are `&[Value]` slices of the flat store.
+/// Inside the engine rows are `&[Word]` slices of the flat store.
 pub type Tuple = Vec<Value>;
 
 /// A half-open range of row ids, used to express old/delta/total views.
@@ -384,29 +389,35 @@ struct ColumnIndex {
     map: CodeMap,
     /// Flat store of the distinct key tuples, `cols.len()` stride; code
     /// `c`'s tuple is at `c * cols.len()`.
-    keys: Vec<Value>,
+    keys: Vec<Word>,
     /// Row ids per code, in insertion order. Tombstoned and out-of-range
     /// rows are filtered lazily at iteration time.
     groups: Vec<Vec<u32>>,
     /// Rows `[0, built)` have been dictionary-encoded.
     built: usize,
+    /// [`ColumnIndex::extend`]'s staging buffer for one row's key.
+    key: Vec<Word>,
 }
 
 /// The lazily built index cache of one relation (or of one snapshot
 /// lineage): a dictionary index per probed column subset.
 type IndexMap = FxHashMap<Vec<usize>, Box<ColumnIndex>>;
 
-/// The index on `cols` in `indexes`, created empty on first use.
+/// The index on `cols` in `indexes`, created empty on first use — the
+/// only time this allocates.
 fn entry_index<'a>(indexes: &'a mut IndexMap, cols: &[usize]) -> &'a mut ColumnIndex {
-    indexes.entry(cols.to_vec()).or_insert_with(|| {
-        Box::new(ColumnIndex {
+    if !indexes.contains_key(cols) {
+        let idx = ColumnIndex {
             cols: cols.to_vec(),
             map: CodeMap::default(),
             keys: Vec::new(),
             groups: Vec::new(),
             built: 0,
-        })
-    })
+            key: Vec::with_capacity(cols.len()),
+        };
+        indexes.insert(cols.to_vec(), Box::new(idx));
+    }
+    indexes.get_mut(cols).expect("index present")
 }
 
 impl ColumnIndex {
@@ -415,9 +426,9 @@ impl ColumnIndex {
     /// row ids ascending. No-op when the index already covers `nrows`.
     /// Returns the bytes of index entries it appended: a group slot per
     /// row, a key tuple, group header and map slot per new distinct key.
-    fn extend(&mut self, data: &[Value], arity: usize, nrows: usize) -> usize {
+    fn extend(&mut self, data: &[Word], arity: usize, nrows: usize) -> usize {
         let (rows, codes) = (nrows.saturating_sub(self.built), self.groups.len());
-        let mut key: Vec<Value> = Vec::with_capacity(self.cols.len());
+        let mut key = std::mem::take(&mut self.key);
         for r in self.built..nrows {
             let row = &data[r * arity..(r + 1) * arity];
             key.clear();
@@ -425,8 +436,9 @@ impl ColumnIndex {
             let code = self.encode_or_insert(hash_slice(&key), &key);
             self.groups[code as usize].push(r as u32);
         }
+        self.key = key;
         self.built = self.built.max(nrows);
-        let per_key = std::mem::size_of::<Value>() * self.cols.len()
+        let per_key = std::mem::size_of::<Word>() * self.cols.len()
             + std::mem::size_of::<Vec<u32>>()
             + std::mem::size_of::<u64>();
         rows * std::mem::size_of::<u32>() + (self.groups.len() - codes) * per_key
@@ -435,7 +447,7 @@ impl ColumnIndex {
     /// Appends to `out` the rows filed under `key` that `visible` lets
     /// through (range and tombstone filtering is the prober's: an index
     /// lists physical rows, dead and beyond-the-watermark ones included).
-    fn hits_into(&self, key: &[Value], visible: impl Fn(u32) -> bool, out: &mut Vec<u32>) {
+    fn hits_into(&self, key: &[Word], visible: impl Fn(u32) -> bool, out: &mut Vec<u32>) {
         if let Some(code) = self.encode(hash_slice(key), key) {
             out.extend(
                 self.groups[code as usize]
@@ -450,7 +462,7 @@ impl ColumnIndex {
     /// distinct-key store, and per-code group headers and their row ids.
     fn heap_bytes(&self) -> usize {
         self.map.heap_bytes()
-            + self.keys.capacity() * std::mem::size_of::<Value>()
+            + (self.keys.capacity() + self.key.capacity()) * std::mem::size_of::<Word>()
             + self.groups.capacity() * std::mem::size_of::<Vec<u32>>()
             + self
                 .groups
@@ -461,7 +473,7 @@ impl ColumnIndex {
 
     /// The key tuple code `c` encodes.
     #[inline]
-    fn key_of(&self, c: u32) -> &[Value] {
+    fn key_of(&self, c: u32) -> &[Word] {
         let w = self.cols.len();
         let at = c as usize * w;
         &self.keys[at..at + w]
@@ -470,12 +482,12 @@ impl ColumnIndex {
     /// The code of `key` (whose hash is `key_hash`), or `None` if no row
     /// ever carried it.
     #[inline]
-    fn encode(&self, key_hash: u64, key: &[Value]) -> Option<u32> {
+    fn encode(&self, key_hash: u64, key: &[Word]) -> Option<u32> {
         self.map.get(key_hash, |c| self.key_of(c) == key)
     }
 
     /// The code of `key`, minting a fresh one on first sight.
-    fn encode_or_insert(&mut self, key_hash: u64, key: &[Value]) -> u32 {
+    fn encode_or_insert(&mut self, key_hash: u64, key: &[Word]) -> u32 {
         let (keys, w, fresh) = (&self.keys, self.cols.len(), self.groups.len() as u32);
         let seen = |c: u32| &keys[c as usize * w..(c as usize + 1) * w] == key;
         if let Some(c) = self.map.get_or_insert(key_hash, fresh, seen) {
@@ -524,7 +536,7 @@ impl ProbeHandle {
     /// The relation and index must not have been mutated since
     /// [`Relation::probe_handle`] returned this handle (see type docs).
     #[inline]
-    pub unsafe fn encode(&self, key_hash: u64, key: &[Value]) -> Option<u32> {
+    pub unsafe fn encode(&self, key_hash: u64, key: &[Word]) -> Option<u32> {
         // SAFETY: caller guarantees the index (and the cache map slot
         // holding its box) outlives and is not mutated during this call.
         unsafe { &*self.idx }.encode(key_hash, key)
@@ -538,7 +550,7 @@ impl ProbeHandle {
     /// from this index's [`ProbeHandle::encode`] (codes are dense, so
     /// any out-of-range code panics on the slice).
     #[inline]
-    pub unsafe fn code_key(&self, code: u32) -> &[Value] {
+    pub unsafe fn code_key(&self, code: u32) -> &[Word] {
         // SAFETY: as in `encode`.
         unsafe { &*self.idx }.key_of(code)
     }
@@ -647,7 +659,7 @@ impl Tombstones {
 
 /// Row `r` of a flat store of `arity`-wide rows.
 #[inline]
-fn row_at(data: &[Value], arity: usize, r: u32) -> &[Value] {
+fn row_at(data: &[Word], arity: usize, r: u32) -> &[Word] {
     let at = r as usize * arity;
     &data[at..at + arity]
 }
@@ -655,7 +667,7 @@ fn row_at(data: &[Value], arity: usize, r: u32) -> &[Value] {
 /// Prefetches the cache line holding `data[i]`, if in bounds. Purely a
 /// hint; no-op off x86-64.
 #[inline]
-fn prefetch_value(data: &[Value], i: usize) {
+fn prefetch_value(data: &[Word], i: usize) {
     #[cfg(target_arch = "x86_64")]
     if i < data.len() {
         // SAFETY: `i` is in bounds; prefetch reads no memory
@@ -686,9 +698,9 @@ fn mint_incarnation() -> u64 {
 #[derive(Debug)]
 pub struct Relation {
     arity: usize,
-    /// Flat row storage, `nrows * arity` values, shared with snapshots
+    /// Flat row storage, `nrows * arity` words, shared with snapshots
     /// and clones (see the module docs).
-    data: AppendBuf<Value>,
+    data: AppendBuf<Word>,
     nrows: usize,
     /// Membership table over live rows (set semantics): row ids filed
     /// under their content hash.
@@ -780,7 +792,7 @@ impl Relation {
             Some(p) => {
                 debug_assert!(p.nrows <= self.nrows, "an incarnation only appends");
                 if !p.data.same_allocation(&self.data) {
-                    copied += std::mem::size_of_val::<[Value]>(&p.data);
+                    copied += std::mem::size_of_val::<[Word]>(&p.data);
                 }
                 Arc::clone(&p.lineage)
             }
@@ -845,21 +857,29 @@ impl Relation {
         }
     }
 
-    /// Inserts a tuple; returns `true` if it was new. Accepts any slice of
-    /// values (owned `Tuple`s and flat-store row slices alike) and copies
-    /// it into the flat buffer — the caller keeps ownership.
+    /// Inserts a tuple of values (encoding it); returns `true` if it was
+    /// new.
     ///
     /// # Panics
     /// Panics if the tuple arity does not match the relation arity.
     pub fn insert(&mut self, t: impl AsRef<[Value]>) -> bool {
-        let t = t.as_ref();
+        self.insert_row(&word::encode(t.as_ref()))
+    }
+
+    /// Inserts a row of words (a flat-store row slice of another
+    /// relation, say) by copying it into the flat buffer; returns `true`
+    /// if it was new.
+    ///
+    /// # Panics
+    /// Panics if the row arity does not match the relation arity.
+    pub fn insert_row(&mut self, t: &[Word]) -> bool {
         self.insert_hashed(t, hash_slice(t))
     }
 
-    /// [`Relation::insert`] with the row-content hash already computed
-    /// (the fixpoint loop hashes each derived tuple once, at derivation
-    /// time, and reuses the hash for insertion).
-    pub fn insert_hashed(&mut self, t: &[Value], h: u64) -> bool {
+    /// [`Relation::insert_row`] with the row-content hash already
+    /// computed (the fixpoint loop hashes each derived tuple once, at
+    /// derivation time, and reuses the hash for insertion).
+    pub fn insert_hashed(&mut self, t: &[Word], h: u64) -> bool {
         assert_eq!(t.len(), self.arity, "tuple arity mismatch");
         debug_assert_eq!(h, hash_slice(t), "stale row hash");
         let (data, arity) = (&self.data, self.arity);
@@ -895,23 +915,18 @@ impl Relation {
         prefetch_value(&self.data, r as usize * self.arity);
     }
 
-    /// Membership test.
+    /// Membership test for a tuple of values.
     pub fn contains(&self, t: &[Value]) -> bool {
-        self.contains_hashed(t, hash_slice(t))
-    }
-
-    /// [`Relation::contains`] with the row hash already computed.
-    pub fn contains_hashed(&self, t: &[Value], h: u64) -> bool {
-        self.find_hashed(t, h).is_some()
+        self.find(&word::encode(t)).is_some()
     }
 
     /// The id of the live row holding exactly `t`, if any: a membership
     /// table lookup, no index involved.
-    pub fn find(&self, t: &[Value]) -> Option<u32> {
+    pub fn find(&self, t: &[Word]) -> Option<u32> {
         self.find_hashed(t, hash_slice(t))
     }
 
-    fn find_hashed(&self, t: &[Value], h: u64) -> Option<u32> {
+    fn find_hashed(&self, t: &[Word], h: u64) -> Option<u32> {
         if t.len() != self.arity {
             return None;
         }
@@ -926,12 +941,13 @@ impl Relation {
     /// [`Relation::insert`] of an equal tuple appends a *fresh* physical
     /// row; set semantics hold over live rows throughout.
     pub fn delete(&mut self, t: &[Value]) -> bool {
-        self.delete_row(t).is_some()
+        self.delete_row(&word::encode(t)).is_some()
     }
 
-    /// [`Relation::delete`] returning the id of the row it tombstoned —
-    /// what an undo log keeps to [`Relation::revive`] it.
-    pub fn delete_row(&mut self, t: &[Value]) -> Option<u32> {
+    /// [`Relation::delete`] of a row of words, returning the id of the
+    /// row it tombstoned — what an undo log keeps to
+    /// [`Relation::revive`] it.
+    pub fn delete_row(&mut self, t: &[Word]) -> Option<u32> {
         if t.len() != self.arity {
             return None;
         }
@@ -979,7 +995,7 @@ impl Relation {
         assert!(self.is_dead(r), "revive of a row that is not tombstoned");
         let h = hash_slice(self.row(r));
         debug_assert!(
-            !self.contains_hashed(self.row(r), h),
+            self.find_hashed(self.row(r), h).is_none(),
             "revive would duplicate"
         );
         self.set.insert(h, r);
@@ -1059,20 +1075,20 @@ impl Relation {
         self.indexes.write().expect("index lock poisoned").clear();
     }
 
-    /// The tuple at `row`, as a slice into the flat store.
-    pub fn row(&self, row: u32) -> &[Value] {
+    /// The row at `row`, as a slice into the flat store.
+    pub fn row(&self, row: u32) -> &[Word] {
         row_at(&self.data, self.arity, row)
     }
 
-    /// Iterates over all live tuples in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &[Value]> {
+    /// Iterates over all live rows in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Word]> {
         (0..self.nrows as u32)
             .filter(move |&r| !self.is_dead(r))
             .map(move |r| self.row(r))
     }
 
     /// Iterates over the live tuples of a row range.
-    pub fn iter_range(&self, range: RowRange) -> impl Iterator<Item = (u32, &[Value])> {
+    pub fn iter_range(&self, range: RowRange) -> impl Iterator<Item = (u32, &[Word])> {
         (range.start..range.end.min(self.nrows as u32))
             .filter(move |&r| !self.is_dead(r))
             .map(move |r| (r, self.row(r)))
@@ -1154,11 +1170,11 @@ impl Relation {
         let idx = entry_index(&mut indexes, &[col]);
         idx.extend(&self.data, self.arity, self.nrows);
         let mut range: Option<(i64, i64)> = None;
-        for v in &idx.keys {
-            if let Value::Int(i) = v {
+        for w in &idx.keys {
+            if let Value::Int(i) = w.value() {
                 range = Some(match range {
-                    Some((lo, hi)) => (lo.min(*i), hi.max(*i)),
-                    None => (*i, *i),
+                    Some((lo, hi)) => (lo.min(i), hi.max(i)),
+                    None => (i, i),
                 });
             }
         }
@@ -1169,7 +1185,7 @@ impl Relation {
     /// membership table's fingerprint-matching slots directly — what the
     /// executor's full-key lookups (negated and ground subgoals) use. The
     /// table holds only live rows, so no tombstone check is needed.
-    pub fn contains_in_range(&self, key: &[Value], h: u64, range: RowRange) -> bool {
+    pub fn contains_in_range(&self, key: &[Word], h: u64, range: RowRange) -> bool {
         if key.len() != self.arity {
             return false;
         }
@@ -1179,15 +1195,20 @@ impl Relation {
             .is_some()
     }
 
-    /// All tuples, sorted, for deterministic comparisons in tests.
+    /// Iterates over all live tuples, decoded, in insertion order.
+    pub fn tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
+        self.iter().map(word::decode)
+    }
+
+    /// All tuples, decoded and sorted, for deterministic comparisons.
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = self.iter().map(<[Value]>::to_vec).collect();
+        let mut v: Vec<Tuple> = self.tuples().collect();
         v.sort();
         v
     }
 
     /// Estimated resident bytes of this relation: the flat store's
-    /// capacity, the membership table's slot array, the tombstone
+    /// capacity in words, the membership table's slot array, the tombstone
     /// bitset, and every dictionary index's map, key store and row
     /// groups. Indexes are derived caches, but
     /// under the dictionary-encoded probe path they are also the bulk of
@@ -1197,7 +1218,7 @@ impl Relation {
     /// size of every probed key column. An estimate, not an allocator
     /// census.
     pub fn estimated_bytes(&self) -> u64 {
-        let data = self.data.capacity() * std::mem::size_of::<Value>();
+        let data = self.row_store_bytes();
         let dedup = self.set.heap_bytes();
         let tombstones = self.dead.words.capacity() * std::mem::size_of::<u64>();
         let indexes: usize = self
@@ -1208,6 +1229,12 @@ impl Relation {
             .map(|idx| idx.heap_bytes())
             .sum();
         (data + dedup + tombstones + indexes) as u64
+    }
+
+    /// Bytes of the flat row store's allocation: one 8-byte word per
+    /// value of its capacity.
+    pub fn row_store_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<Word>()
     }
 
     /// Resident bytes of the membership table's slot array.
@@ -1305,7 +1332,7 @@ impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
         self.arity == other.arity
             && self.len() == other.len()
-            && self.iter().all(|row| other.contains(row))
+            && self.iter().all(|row| other.find(row).is_some())
     }
 }
 
@@ -1338,8 +1365,8 @@ struct IndexLineage {
 #[derive(Debug)]
 pub struct Snapshot {
     arity: usize,
-    /// A non-owning view: exactly `nrows * arity` values.
-    data: AppendBuf<Value>,
+    /// A non-owning view: exactly `nrows * arity` words.
+    data: AppendBuf<Word>,
     /// The watermark: physical rows visible, tombstoned ones included.
     nrows: usize,
     dead: Tombstones,
@@ -1374,8 +1401,8 @@ impl Snapshot {
         self.stamp
     }
 
-    /// The tuple at `row`, as a slice into the shared store.
-    pub fn row(&self, row: u32) -> &[Value] {
+    /// The row at `row`, as a slice into the shared store.
+    pub fn row(&self, row: u32) -> &[Word] {
         row_at(&self.data, self.arity, row)
     }
 
@@ -1387,7 +1414,7 @@ impl Snapshot {
     }
 
     /// Iterates over the live tuples with their row ids, in row order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &[Value])> {
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[Word])> {
         (0..self.nrows as u32)
             .filter(move |&r| !self.dead.is_dead(r))
             .map(move |r| (r, self.row(r)))
@@ -1395,7 +1422,7 @@ impl Snapshot {
 
     /// Live tuples, sorted, for deterministic comparisons.
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = self.iter().map(|(_, row)| row.to_vec()).collect();
+        let mut v: Vec<Tuple> = self.iter().map(|(_, row)| word::decode(row)).collect();
         v.sort();
         v
     }
@@ -1405,7 +1432,7 @@ impl Snapshot {
     /// index on `cols`. If the index does not yet reach this snapshot's
     /// watermark the probe extends it — by the rows appended since the
     /// last reader of the lineage, not from zero — under the write lock.
-    pub fn probe_into(&self, cols: &[usize], key: &[Value], out: &mut Vec<u32>) {
+    pub fn probe_into(&self, cols: &[usize], key: &[Word], out: &mut Vec<u32>) {
         debug_assert!(!cols.is_empty(), "probe with no bound columns");
         debug_assert_eq!(cols.len(), key.len());
         out.clear();
@@ -1434,7 +1461,7 @@ impl Snapshot {
     /// The live row holding exactly `key`, if any. A snapshot has no
     /// membership table, so this probes the index on the first column
     /// (the one `p(c, Y)` goals keep warm) and compares rows.
-    pub fn find(&self, key: &[Value]) -> Option<u32> {
+    pub fn find(&self, key: &[Word]) -> Option<u32> {
         if key.len() != self.arity || key.is_empty() {
             return None;
         }
@@ -1471,9 +1498,14 @@ mod tests {
         vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
+    /// The stored form of `t(vals)`.
+    fn w(vals: &[i64]) -> Vec<Word> {
+        vals.iter().map(|&v| Word::int(v)).collect()
+    }
+
     /// The live rows within `range` whose columns `cols` equal `key`, by
     /// the dictionary index the executor probes.
-    fn probe(r: &Relation, cols: &[usize], key: &[Value], range: RowRange) -> Vec<u32> {
+    fn probe(r: &Relation, cols: &[usize], key: &[Word], range: RowRange) -> Vec<u32> {
         r.ensure_index(cols);
         let h = r.probe_handle(cols).expect("current after ensure_index");
         // SAFETY: nothing mutates `r` while the handle is in use.
@@ -1503,19 +1535,19 @@ mod tests {
         let mut r = Relation::new(3);
         r.insert(t(&[1, 2, 3]));
         r.insert(t(&[4, 5, 6]));
-        assert_eq!(r.row(0), &t(&[1, 2, 3])[..]);
-        assert_eq!(r.row(1), &t(&[4, 5, 6])[..]);
+        assert_eq!(r.row(0), &w(&[1, 2, 3])[..]);
+        assert_eq!(r.row(1), &w(&[4, 5, 6])[..]);
         // Appending does not disturb earlier row slices' contents.
         r.insert(t(&[7, 8, 9]));
-        assert_eq!(r.row(0), &t(&[1, 2, 3])[..]);
-        assert_eq!(r.row(2), &t(&[7, 8, 9])[..]);
+        assert_eq!(r.row(0), &w(&[1, 2, 3])[..]);
+        assert_eq!(r.row(2), &w(&[7, 8, 9])[..]);
     }
 
     #[test]
     fn insert_accepts_borrowed_row_slices() {
         let mut a = Relation::new(2);
         a.insert(t(&[1, 2]));
-        let row: Tuple = a.row(0).to_vec();
+        let row: Tuple = word::decode(a.row(0));
         let mut b = Relation::new(2);
         assert!(b.insert(&row[..]));
         assert!(b.contains(&row));
@@ -1527,11 +1559,11 @@ mod tests {
         r.insert(t(&[1, 2]));
         r.insert(t(&[1, 3]));
         r.insert(t(&[2, 3]));
-        let hits = probe(&r, &[0], &[Value::Int(1)], r.all_rows());
+        let hits = probe(&r, &[0], &w(&[1]), r.all_rows());
         assert_eq!(hits, vec![0, 1]);
         // Appending after an index exists must extend it.
         r.insert(t(&[1, 9]));
-        let hits = probe(&r, &[0], &[Value::Int(1)], r.all_rows());
+        let hits = probe(&r, &[0], &w(&[1]), r.all_rows());
         assert_eq!(hits, vec![0, 1, 3]);
     }
 
@@ -1542,7 +1574,7 @@ mod tests {
         r.insert(t(&[1, 3]));
         r.insert(t(&[1, 4]));
         let delta = RowRange { start: 2, end: 3 };
-        let hits = probe(&r, &[0], &[Value::Int(1)], delta);
+        let hits = probe(&r, &[0], &w(&[1]), delta);
         assert_eq!(hits, vec![2]);
     }
 
@@ -1552,9 +1584,9 @@ mod tests {
         r.insert(t(&[1, 2, 3]));
         r.insert(t(&[1, 2, 4]));
         r.insert(t(&[1, 5, 3]));
-        let hits = probe(&r, &[0, 1], &[Value::Int(1), Value::Int(2)], r.all_rows());
+        let hits = probe(&r, &[0, 1], &w(&[1, 2]), r.all_rows());
         assert_eq!(hits.len(), 2);
-        let hits = probe(&r, &[2], &[Value::Int(3)], r.all_rows());
+        let hits = probe(&r, &[2], &w(&[3]), r.all_rows());
         assert_eq!(hits.len(), 2);
     }
 
@@ -1565,10 +1597,10 @@ mod tests {
         r.insert(t(&[3, 4]));
         r.insert(t(&[5, 6]));
         let delta = RowRange { start: 1, end: 3 };
-        assert_eq!(probe(&r, &[0, 1], &t(&[3, 4]), delta), vec![1]);
-        assert!(probe(&r, &[0, 1], &t(&[1, 2]), delta).is_empty());
+        assert_eq!(probe(&r, &[0, 1], &w(&[3, 4]), delta), vec![1]);
+        assert!(probe(&r, &[0, 1], &w(&[1, 2]), delta).is_empty());
         // Full range uses the existence fast path.
-        assert!(!probe(&r, &[0, 1], &t(&[1, 2]), r.all_rows()).is_empty());
+        assert!(!probe(&r, &[0, 1], &w(&[1, 2]), r.all_rows()).is_empty());
     }
 
     #[test]
@@ -1581,7 +1613,7 @@ mod tests {
         assert_eq!(r.iter_range(old).count(), 2);
         let delta = RowRange { start: 2, end: 3 };
         let vals: Vec<_> = r.iter_range(delta).map(|(_, t)| t[0]).collect();
-        assert_eq!(vals, vec![Value::Int(3)]);
+        assert_eq!(vals, w(&[3]));
     }
 
     #[test]
@@ -1619,7 +1651,7 @@ mod tests {
         assert!(!r.contains(&t(&[3, 4])));
         assert!(r.contains(&t(&[1, 2])));
         assert!(r.contains(&t(&[5, 6])));
-        let live: Vec<Tuple> = r.iter().map(<[Value]>::to_vec).collect();
+        let live: Vec<Tuple> = r.tuples().collect();
         assert_eq!(live, vec![t(&[1, 2]), t(&[5, 6])]);
         r.check_invariant().unwrap();
     }
@@ -1630,7 +1662,7 @@ mod tests {
         r.insert(t(&[1, 2]));
         r.insert(t(&[3, 4]));
         // Warm an index, then append past the watermark.
-        assert_eq!(probe(&r, &[0], &[Value::Int(1)], r.all_rows()).len(), 1);
+        assert_eq!(probe(&r, &[0], &w(&[1]), r.all_rows()).len(), 1);
         let mark = r.physical_rows();
         r.insert(t(&[5, 6]));
         r.insert(t(&[7, 8]));
@@ -1642,7 +1674,7 @@ mod tests {
         r.check_invariant().unwrap();
         // The removed tuple can be re-inserted as a fresh row and probed.
         assert!(r.insert(t(&[5, 6])));
-        assert_eq!(probe(&r, &[0], &[Value::Int(5)], r.all_rows()).len(), 1);
+        assert_eq!(probe(&r, &[0], &w(&[5]), r.all_rows()).len(), 1);
         assert_eq!(r.sorted_tuples(), vec![t(&[1, 2]), t(&[3, 4]), t(&[5, 6])]);
         r.check_invariant().unwrap();
         // Truncating to the current size (or past it) is a no-op.
@@ -1698,15 +1730,15 @@ mod tests {
         r.insert(t(&[1, 4]));
         // Build the column index first, then delete: index_hits must
         // filter the dead row id even though the index still lists it.
-        let hits = probe(&r, &[0], &[Value::Int(1)], r.all_rows());
+        let hits = probe(&r, &[0], &w(&[1]), r.all_rows());
         assert_eq!(hits, vec![0, 1, 2]);
         assert!(r.delete(&t(&[1, 3])));
-        let hits = probe(&r, &[0], &[Value::Int(1)], r.all_rows());
+        let hits = probe(&r, &[0], &w(&[1]), r.all_rows());
         assert_eq!(hits, vec![0, 2]);
         // Dedup-backed exact probe also skips the dead row.
         let range = RowRange { start: 0, end: 2 };
-        assert!(probe(&r, &[0, 1], &t(&[1, 3]), range).is_empty());
-        assert!(probe(&r, &[0, 1], &t(&[1, 3]), r.all_rows()).is_empty());
+        assert!(probe(&r, &[0, 1], &w(&[1, 3]), range).is_empty());
+        assert!(probe(&r, &[0, 1], &w(&[1, 3]), r.all_rows()).is_empty());
         r.check_invariant().unwrap();
     }
 
@@ -1728,11 +1760,11 @@ mod tests {
         // Post-compaction probes rebuild the index over renumbered rows.
         for t_ in &before {
             assert!(r.contains(t_));
-            assert!(!probe(&r, &[0, 1], t_, r.all_rows()).is_empty());
+            assert!(!probe(&r, &[0, 1], &word::encode(t_), r.all_rows()).is_empty());
         }
         assert!(!r.contains(&t(&[0, 0])));
         // Deleted rows must not resurface through any probe path.
-        assert!(probe(&r, &[1], &[Value::Int(0)], r.all_rows()).is_empty());
+        assert!(probe(&r, &[1], &w(&[0]), r.all_rows()).is_empty());
     }
 
     #[test]
@@ -1758,7 +1790,7 @@ mod tests {
         r.ensure_index(&[0]);
         let h = r.probe_handle(&[0]).expect("index is current");
         assert_eq!(h.generation(), 3);
-        let key = [Value::Int(1)];
+        let key = w(&[1]);
         let code = unsafe { h.encode(hash_slice(&key), &key) }.expect("key was inserted");
         let group = unsafe { h.group(code) };
         let hits: Vec<u32> = group
@@ -1776,7 +1808,7 @@ mod tests {
             .collect();
         assert_eq!(hits, vec![1]);
         // A key no row ever carried has no code at all.
-        let missing = [Value::Int(99)];
+        let missing = w(&[99]);
         assert_eq!(unsafe { h.encode(hash_slice(&missing), &missing) }, None);
         let _ = h;
         // Appending makes handles unavailable until re-ensured.
@@ -1793,13 +1825,13 @@ mod tests {
         r.insert(t(&[3, 4]));
         r.insert(t(&[5, 6]));
         let delta = RowRange { start: 1, end: 3 };
-        let h = |t_: &Tuple| crate::fxhash::hash_slice(t_);
-        assert!(r.contains_in_range(&t(&[3, 4]), h(&t(&[3, 4])), delta));
-        assert!(!r.contains_in_range(&t(&[1, 2]), h(&t(&[1, 2])), delta));
-        assert!(r.contains_in_range(&t(&[1, 2]), h(&t(&[1, 2])), r.all_rows()));
+        let h = |t_: &[Word]| crate::fxhash::hash_slice(t_);
+        assert!(r.contains_in_range(&w(&[3, 4]), h(&w(&[3, 4])), delta));
+        assert!(!r.contains_in_range(&w(&[1, 2]), h(&w(&[1, 2])), delta));
+        assert!(r.contains_in_range(&w(&[1, 2]), h(&w(&[1, 2])), r.all_rows()));
         // Deleted rows never resurface.
         r.delete(&t(&[3, 4]));
-        assert!(!r.contains_in_range(&t(&[3, 4]), h(&t(&[3, 4])), delta));
+        assert!(!r.contains_in_range(&w(&[3, 4]), h(&w(&[3, 4])), delta));
     }
 
     /// A deterministic but scattered per-code hash for driving CodeMap
@@ -1966,12 +1998,12 @@ mod tests {
                 .collect();
             for &id in &victims {
                 assert!(r.delete_at(id) && !r.delete_at(id));
-                model.remove(r.row(id));
+                model.remove(&word::decode(r.row(id)));
             }
             check(&r, &model, &format!("round {round}: delete_at"));
             for &id in victims.iter().step_by(2) {
                 r.revive(id);
-                model.insert(r.row(id).to_vec());
+                model.insert(word::decode(r.row(id)));
             }
             check(&r, &model, &format!("round {round}: revive"));
             // Appends — one of them deleted again — cut by a truncate.
@@ -1987,6 +2019,20 @@ mod tests {
         }
         assert!(compactions > 0, "no round left the relation sparse");
         assert!(r.set.slots.len() >= 1 << 12, "fewer than 10 doublings");
+    }
+
+    #[test]
+    fn a_two_column_int_row_stores_sixteen_bytes() {
+        let mut r = Relation::new(2);
+        for i in 0..1024 {
+            r.insert(t(&[i, -i]));
+        }
+        // No index and no tombstone yet: all but the membership table is
+        // the row store, filled to its capacity.
+        let data = r.estimated_bytes() as usize - r.membership_bytes();
+        assert_eq!(data, r.row_store_bytes());
+        assert_eq!(data, 1024 * 2 * std::mem::size_of::<Word>());
+        assert_eq!(data / r.len(), 16);
     }
 
     #[test]
@@ -2065,13 +2111,13 @@ mod tests {
         assert_eq!(s.sorted_tuples(), five);
         assert_eq!(r.len(), 5);
         assert!(r.contains(&t(&[6])) && !r.contains(&t(&[2])));
-        assert_eq!(s.row(1), &t(&[2])[..]);
+        assert_eq!(s.row(1), &w(&[2])[..]);
         assert_ne!(s.stamp(), r.stamp());
         // A snapshot taken now carries the tombstone, and — the sixth
         // row fitted the allocation — still reads the same rows.
         let s2 = r.snapshot();
         assert_eq!(s2.len(), 5);
-        assert!(s2.iter().all(|(_, row)| row != &t(&[2])[..]));
+        assert!(s2.iter().all(|(_, row)| row != &w(&[2])[..]));
         assert!(s2.shares_rows_with(&s), "no growth, no copy");
     }
 
@@ -2087,18 +2133,18 @@ mod tests {
         assert!(s1.shares_indexes_with(&s0));
         let mut hits = Vec::new();
         // The newer reader builds the shared index over all three rows…
-        s1.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        s1.probe_into(&[0], &w(&[1]), &mut hits);
         assert_eq!(hits, vec![1, 2]);
         assert_eq!(s1.indexed_rows(), 3);
         // …and the older one, behind it, still answers its own state.
-        s0.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        s0.probe_into(&[0], &w(&[1]), &mut hits);
         assert_eq!(hits, vec![0, 1]);
-        assert_eq!(s0.find(&t(&[1, 2])), Some(0));
-        assert_eq!(s0.find(&t(&[1, 4])), None, "past the watermark");
-        assert_eq!(s1.find(&t(&[1, 2])), None, "tombstoned at s1");
-        assert_eq!(s1.find(&t(&[1, 4])), Some(2));
-        assert_eq!(s1.find(&t(&[9, 9])), None);
-        assert_eq!(s1.find(&t(&[1])), None, "arity mismatch");
+        assert_eq!(s0.find(&w(&[1, 2])), Some(0));
+        assert_eq!(s0.find(&w(&[1, 4])), None, "past the watermark");
+        assert_eq!(s1.find(&w(&[1, 2])), None, "tombstoned at s1");
+        assert_eq!(s1.find(&w(&[1, 4])), Some(2));
+        assert_eq!(s1.find(&w(&[9, 9])), None);
+        assert_eq!(s1.find(&w(&[1])), None, "arity mismatch");
     }
 
     #[test]
@@ -2123,16 +2169,16 @@ mod tests {
         r.truncate(mark);
         assert_ne!(r.stamp().0, stamp.0, "truncate starts a new incarnation");
         r.insert(t(&[77, 77]));
-        assert_eq!(later.row(mark as u32), &t(&[10, 11])[..]);
-        assert_eq!(r.row(mark as u32), &t(&[77, 77])[..]);
+        assert_eq!(later.row(mark as u32), &w(&[10, 11])[..]);
+        assert_eq!(r.row(mark as u32), &w(&[77, 77])[..]);
         assert_eq!(later.len(), 1000);
         let fresh = r.snapshot_after(Some(&later), &Arc::default());
         assert!(!fresh.shares_indexes_with(&later));
         // Tombstone + compaction renumber the writer's rows only.
         r.delete(&t(&[0, 1]));
         r.compact();
-        assert_eq!(r.row(0), &t(&[1, 2])[..]);
-        assert_eq!(pinned.row(0), &t(&[0, 1])[..]);
+        assert_eq!(r.row(0), &w(&[1, 2])[..]);
+        assert_eq!(pinned.row(0), &w(&[0, 1])[..]);
         assert_eq!(pinned.sorted_tuples(), before);
         r.check_invariant().unwrap();
     }
@@ -2183,30 +2229,30 @@ mod tests {
         }
         let s0 = r.snapshot_after(None, &meter);
         assert_eq!(meter.load(Ordering::Relaxed), 0, "a watermark is free");
-        // 8 rows fill the 16-value allocation: this append outgrows it
-        // while `s0` holds it, so the writer copies 8 rows.
+        // 8 rows fill the 16-word allocation: this append outgrows it
+        // while `s0` holds it, so the writer copies 8 rows of two 8-byte words.
         r.insert(t(&[8, 8]));
         let s1 = r.snapshot_after(Some(&s0), &meter);
         assert!(!s1.shares_rows_with(&s0));
-        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16);
+        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 8);
         // A delete allocates (or, under a snapshot, copies) the
         // tombstone words; the appends that follow share them.
         r.delete(&t(&[0, 0]));
         let s2 = r.snapshot_after(Some(&s1), &meter);
         assert!(s2.shares_rows_with(&s1));
-        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16 + 8);
+        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 8 + 8);
         r.insert(t(&[9, 9]));
         let s3 = r.snapshot_after(Some(&s2), &meter);
         assert_eq!((s3.len(), s2.len()), (9, 8));
-        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16 + 8, "shared");
+        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 8 + 8, "shared");
         // The next delete copies them away from the snapshots…
         r.delete(&t(&[1, 1]));
         let s4 = r.snapshot_after(Some(&s3), &meter);
-        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 16 + 16);
+        assert_eq!(meter.load(Ordering::Relaxed), 8 * 2 * 8 + 16);
         // …which keep reading their own.
         assert_eq!((s4.len(), s3.len(), s2.len()), (8, 9, 8));
-        assert_eq!(s3.find(&t(&[1, 1])), Some(1));
-        assert_eq!(s4.find(&t(&[1, 1])), None);
+        assert_eq!(s3.find(&w(&[1, 1])), Some(1));
+        assert_eq!(s4.find(&w(&[1, 1])), None);
     }
 
     #[test]
@@ -2215,18 +2261,18 @@ mod tests {
         for i in 0..6 {
             r.insert(t(&[i % 2, i]));
         }
-        assert_eq!(probe(&r, &[0], &[Value::Int(1)], r.all_rows()), [1, 3, 5]);
+        assert_eq!(probe(&r, &[0], &w(&[1]), r.all_rows()), [1, 3, 5]);
         let pinned = r.snapshot();
         let stamp = r.stamp();
         let before = r.sorted_tuples();
         // A transaction deletes two rows (one by content, one by id),
         // re-inserts one of them and appends another…
         let mark = r.physical_rows();
-        let killed = [r.delete_row(&t(&[1, 3])).unwrap(), 4];
+        let killed = [r.delete_row(&w(&[1, 3])).unwrap(), 4];
         assert_eq!(killed[0], 3);
         assert!(r.delete_at(4) && !r.delete_at(4) && !r.delete_at(99));
         assert!(r.insert(t(&[1, 3])) && r.insert(t(&[7, 7])));
-        assert_eq!(r.find(&t(&[1, 3])), Some(6));
+        assert_eq!(r.find(&w(&[1, 3])), Some(6));
         // …and fails: cut the appends first, then revive.
         r.truncate(mark);
         for row in killed {
@@ -2234,10 +2280,10 @@ mod tests {
         }
         r.check_invariant().unwrap();
         assert_eq!(r.sorted_tuples(), before);
-        assert_eq!(r.find(&t(&[1, 3])), Some(3), "the old row id is back");
+        assert_eq!(r.find(&w(&[1, 3])), Some(3), "the old row id is back");
         assert!(!r.has_tombstones());
         assert_ne!(r.stamp(), stamp, "the state was republished if seen");
-        assert_eq!(probe(&r, &[0], &[Value::Int(1)], r.all_rows()), [1, 3, 5]);
+        assert_eq!(probe(&r, &[0], &w(&[1]), r.all_rows()), [1, 3, 5]);
         assert_eq!(pinned.sorted_tuples(), before);
         // Without appends nothing is cut, and revive keeps the
         // incarnation (and with it the index cache).
@@ -2258,7 +2304,7 @@ mod tests {
         }
         let s0 = r.snapshot_after(None, &Arc::default());
         let mut hits = Vec::new();
-        s0.probe_into(&[0], &[Value::Int(0)], &mut hits);
+        s0.probe_into(&[0], &w(&[0]), &mut hits);
         let inc = r.stamp().0;
         // Half dead is not sparse: row ids, incarnation, lineage stay.
         for i in 0..5 {
@@ -2280,9 +2326,9 @@ mod tests {
         // The pinned snapshots read the rows and tombstones of their
         // moment through the index they share.
         assert_eq!(s0.len(), 10);
-        s1.probe_into(&[0], &[Value::Int(0)], &mut hits);
+        s1.probe_into(&[0], &w(&[0]), &mut hits);
         assert_eq!(hits, [6, 8]);
-        s2.probe_into(&[0], &[Value::Int(0)], &mut hits);
+        s2.probe_into(&[0], &w(&[0]), &mut hits);
         assert_eq!(hits, [0, 2]);
         assert_eq!(s2.sorted_tuples(), r.sorted_tuples());
     }

@@ -121,7 +121,11 @@ mod tests {
         });
         let count_kind = |db: &Database, kind: &str| {
             db.get(semrec_datalog::Pred::new("flight"))
-                .map(|r| r.iter().filter(|t| t[3] == Value::str(kind)).count())
+                .map(|r| {
+                    r.iter()
+                        .filter(|t| t[3].value() == Value::str(kind))
+                        .count()
+                })
                 .unwrap_or(0)
         };
         assert_eq!(count_kind(&dom, "intl"), 0);

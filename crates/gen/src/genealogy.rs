@@ -134,7 +134,7 @@ mod tests {
         let rel = db.get(semrec_datalog::Pred::new("par")).unwrap();
         let young_parents = rel
             .iter()
-            .filter(|t| matches!(t[3], Value::Int(a) if a <= 50))
+            .filter(|t| matches!(t[3].value(), Value::Int(a) if a <= 50))
             .count();
         assert!(young_parents > 0);
     }

@@ -84,10 +84,10 @@ pub fn repair(db: &mut Database, ics: &[Constraint], max_rounds: usize) -> Repai
 fn remove_facts(db: &mut Database, remove: &[(semrec_datalog::Pred, Tuple)]) {
     let mut next = Database::new();
     for (pred, rel) in db.iter() {
-        for t in rel.iter() {
-            let drop = remove.iter().any(|(p, r)| *p == pred && r.as_slice() == t);
+        for t in rel.tuples() {
+            let drop = remove.iter().any(|(p, r)| *p == pred && *r == t);
             if !drop {
-                next.insert(pred, t.to_vec());
+                next.insert(pred, t);
             }
         }
     }

@@ -176,7 +176,7 @@ impl EpochRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semrec_datalog::term::Value;
+    use semrec_datalog::word::Word;
     use semrec_engine::int_tuple;
     use std::sync::atomic::Ordering;
 
@@ -261,7 +261,7 @@ mod tests {
         let s0 = seed.cow_successor(0, Route::Direct, [(edge(), &e)].into_iter(), &meter);
         let snap0 = Arc::clone(s0.relation(edge()).unwrap());
         let mut hits = Vec::new();
-        snap0.probe_into(&[0], &[Value::Int(3)], &mut hits);
+        snap0.probe_into(&[0], &[Word::int(3)], &mut hits);
         assert_eq!(hits.len(), 10);
         assert_eq!(snap0.indexed_rows(), 100);
         let after_build = meter.load(Ordering::Relaxed);
@@ -280,7 +280,7 @@ mod tests {
             "publishing an append copies nothing"
         );
         assert_eq!(snap1.indexed_rows(), 100, "extension waits for a reader");
-        snap1.probe_into(&[0], &[Value::Int(3)], &mut hits);
+        snap1.probe_into(&[0], &[Word::int(3)], &mut hits);
         assert_eq!(hits.len(), 11);
         assert_eq!(snap1.indexed_rows(), 102, "exactly the appended rows");
         let extended = meter.load(Ordering::Relaxed) - after_build;
@@ -290,7 +290,7 @@ mod tests {
         );
         // The older epoch reads through the same, now longer, index and
         // still sees its own rows only.
-        snap0.probe_into(&[0], &[Value::Int(3)], &mut hits);
+        snap0.probe_into(&[0], &[Word::int(3)], &mut hits);
         assert_eq!(hits.len(), 10);
         assert_eq!(snap0.len(), 100);
     }
@@ -301,7 +301,7 @@ mod tests {
         let s0 = epoch_of(0, None, &e);
         let snap0 = Arc::clone(s0.relation(edge()).unwrap());
         let mut hits = Vec::new();
-        snap0.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        snap0.probe_into(&[0], &[Word::int(1)], &mut hits);
         assert_eq!(hits, vec![0, 1]);
 
         // Tombstone only: same incarnation, the index stays, the
@@ -310,7 +310,7 @@ mod tests {
         let s1 = epoch_of(1, Some(&s0), &e);
         let snap1 = Arc::clone(s1.relation(edge()).unwrap());
         assert!(snap1.shares_indexes_with(&snap0));
-        snap1.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        snap1.probe_into(&[0], &[Word::int(1)], &mut hits);
         assert_eq!(hits, vec![1]);
 
         // A second delete leaves the dead outnumbering the live, so the
@@ -323,10 +323,10 @@ mod tests {
         assert!(!snap2.shares_indexes_with(&snap1));
         assert!(!snap2.shares_rows_with(&snap1));
         assert_eq!(snap2.indexed_rows(), 0);
-        snap2.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        snap2.probe_into(&[0], &[Word::int(1)], &mut hits);
         assert_eq!(hits, vec![0], "row ids are the compacted ones");
         // And the pinned older epochs are untouched by all of it.
-        snap0.probe_into(&[0], &[Value::Int(1)], &mut hits);
+        snap0.probe_into(&[0], &[Word::int(1)], &mut hits);
         assert_eq!(hits, vec![0, 1]);
     }
 

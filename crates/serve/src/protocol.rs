@@ -38,6 +38,7 @@ use semrec_datalog::parser::parse_atom;
 use semrec_datalog::term::Value;
 use semrec_engine::incr::TxStreamEvent;
 use semrec_engine::{Route, Tx, TxStreamParser};
+use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,9 +66,10 @@ pub fn route_tag(route: Route) -> &'static str {
     }
 }
 
-/// Writes one row of `pred` in fact syntax, `pred(a, b).` — the same
-/// surface the parser accepts, so replies round-trip.
-fn write_fact(out: &mut impl Write, pred: &str, row: &[Value]) -> io::Result<()> {
+/// Writes one row of `pred` — values or their stored words, which
+/// display alike — in fact syntax, `pred(a, b).`: the same surface the
+/// parser accepts, so replies round-trip.
+fn write_fact(out: &mut impl Write, pred: &str, row: &[impl fmt::Display]) -> io::Result<()> {
     out.write_all(pred.as_bytes())?;
     out.write_all(b"(")?;
     for (i, v) in row.iter().enumerate() {

@@ -40,7 +40,7 @@ use crate::wal::Wal;
 use semrec_core::{MaintainedQuery, OptimizerConfig};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::parser::Unit;
-use semrec_datalog::term::Value;
+use semrec_datalog::word::{self, Word};
 use semrec_engine::eval::answer_goal_rows_polled;
 use semrec_engine::{
     tx_to_stream, Budget, Database, Relation, Route, Snapshot, Tuple, Tx, UpdateStats,
@@ -132,7 +132,7 @@ impl Answer {
     /// snapshot. The rows of one answer lie scattered over the flat
     /// store (a cache hit has not touched them yet), so the walk
     /// prefetches [`ROWS_PREFETCH_AHEAD`] rows in front of itself.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Value]> {
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Word]> {
         let rel = self.rel.as_deref();
         let ids = &*self.ids;
         ids.iter().enumerate().map(move |(i, &id)| {
@@ -468,7 +468,7 @@ impl Server {
         Ok(QueryReply {
             epoch: answer.epoch,
             route: answer.route,
-            tuples: answer.rows().map(<[Value]>::to_vec).collect(),
+            tuples: answer.rows().map(word::decode).collect(),
         })
     }
 
@@ -512,6 +512,11 @@ impl Server {
                 Some(e) => Err(e),
                 None => Ok(()),
             })?;
+        // The rows lie scattered over the store: request them all up
+        // front so the sort's first pass overlaps its cache misses.
+        for &id in &ids {
+            rel.prefetch_row(id);
+        }
         ids.sort_unstable_by(|&a, &b| rel.row(a).cmp(rel.row(b)));
         Ok(ids)
     }

@@ -73,7 +73,7 @@ fn main() {
         let mut young = None;
         let mut old = None;
         for t in rel.iter() {
-            if let Value::Int(a) = t[3] {
+            if let Value::Int(a) = t[3].value() {
                 if a <= 50 && young.is_none() {
                     young = Some(a);
                 }

@@ -52,7 +52,10 @@ cargo run -p semrec-bench --release --offline --bin harness -- e3 e4 --quick
 # Table-bytes gate: every generated workload's IDB membership tables
 # must hold at most 24 slot bytes per live row. A ¾-load table that
 # grows 2× reads 10.7-21.3; a looser load rule or a reservation that
-# over-sizes (the EWMA's 4× at ½ load read up to 64) fails.
+# over-sizes (the EWMA's 4× at ½ load read up to 64) fails. Its row
+# stores must hold at most 16 bytes per live value: an 8-byte word with
+# at most 2× capacity slack reads 8-16, so rows widened back to 16-byte
+# values (16-32) fail.
 # Routing gate: the cost planner's chosen route must not run slower
 # than the fixed rewrite ladder (beyond a 25% + 2 ms noise band), must
 # keep cardinality mispredictions within 10x on every routed scenario,

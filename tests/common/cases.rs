@@ -316,8 +316,8 @@ pub fn kernel_shapes(seeds: Range<u64>) -> Vec<Case> {
             let mut db = Database::new();
             for &(p, n, m, s) in digraphs {
                 let g = graphs::random_digraph(p, n, m, s + seed);
-                for row in g.get(Pred::new(p)).into_iter().flat_map(|r| r.iter()) {
-                    db.insert(p, row.to_vec());
+                for row in g.get(Pred::new(p)).into_iter().flat_map(|r| r.tuples()) {
+                    db.insert(p, row);
                 }
             }
             for &(p, n) in unary {
@@ -544,9 +544,9 @@ pub fn tx_streams(kind: &str, seeds: Range<u64>) -> Vec<Case> {
             if fanout && rng.gen_bool(0.2) {
                 if let Some(e) = live(db, "edge", &mut rng) {
                     let witnesses = db.get(Pred::new("witness")).expect("witness");
-                    for w in witnesses.iter().filter(|w| w[0] == e[1]) {
-                        graveyard.push(("witness", w.to_vec()));
-                        tx.delete("witness", w.to_vec());
+                    for w in witnesses.tuples().filter(|w| w[0] == e[1]) {
+                        graveyard.push(("witness", w.clone()));
+                        tx.delete("witness", w);
                     }
                     graveyard.push(("edge", e.clone()));
                     tx.delete("edge", e);

@@ -26,7 +26,7 @@ type Stack = Vec<(Symbol, Value)>;
 /// The live tuples of `db`.
 pub fn facts_of(db: &Database) -> Facts {
     db.iter()
-        .map(|(p, rel)| (p, rel.iter().map(<[Value]>::to_vec).collect()))
+        .map(|(p, rel)| (p, rel.tuples().collect()))
         .collect()
 }
 

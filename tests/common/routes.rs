@@ -349,8 +349,7 @@ fn assert_sound<'a, P: Display>(rels: impl IntoIterator<Item = (P, &'a Relation)
 fn assert_agrees(oracle: &Facts, idb: &BTreeMap<Pred, Relation>, ctx: &str) {
     assert_sound(idb, ctx);
     for (p, want) in oracle {
-        let rows = idb.get(p).into_iter().flat_map(Relation::iter);
-        let got: BTreeSet<Tuple> = rows.map(<[Value]>::to_vec).collect();
+        let got: BTreeSet<Tuple> = idb.get(p).into_iter().flat_map(Relation::tuples).collect();
         assert_eq!(&got, want, "{ctx}: {p} diverged from the oracle");
     }
 }
@@ -745,11 +744,11 @@ fn served(case: &Case, epochs: &[Epoch]) {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("WAL directory");
     let wal = dir.join("serve.wal");
-    let fact = |p, row: &[Value]| Atom::new(p, row.iter().map(|&v| Term::Const(v)).collect());
+    let fact = |p, row: Tuple| Atom::new(p, row.into_iter().map(Term::Const).collect());
     let facts = case
         .edb
         .iter()
-        .flat_map(|(p, rel)| rel.iter().map(move |row| fact(p, row)));
+        .flat_map(|(p, rel)| rel.tuples().map(move |row| fact(p, row)));
     let unit = Unit {
         rules: case.program.rules.clone(),
         facts: facts.collect(),

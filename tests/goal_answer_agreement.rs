@@ -51,6 +51,8 @@ fn wire_bytes_agree_with_tuples_on_generated_workloads() {
 fn string_constants_probe_correctly() {
     let case = workload("org", 23).without_goals();
     let rel = case.edb.get("boss".into()).expect("boss");
-    assert!(rel.iter().any(|row| matches!(row[2], Value::Str(_))));
+    assert!(rel
+        .iter()
+        .any(|row| matches!(row[2].value(), Value::Str(_))));
     check(&case);
 }

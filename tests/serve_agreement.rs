@@ -19,7 +19,7 @@ use common::routes::{check, Case};
 use semrec::core::maintain::MaintainedQuery;
 use semrec::core::optimizer::OptimizerConfig;
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
-use semrec::datalog::Atom;
+use semrec::datalog::{word, Atom};
 use semrec::engine::{int_tuple, Budget, Database, Tuple, Tx};
 use semrec::gen::rng::Rng;
 use semrec::serve::{ServeConfig, ServeError, Server};
@@ -193,7 +193,7 @@ fn long_pinned_reader_never_blocks_the_writer() {
     let frozen: Vec<Tuple> = rel
         .sorted_tuples()
         .into_iter()
-        .filter(|t| semrec::engine::eval::goal_matches(&g, t))
+        .filter(|t| semrec::engine::eval::goal_matches(&g, &word::encode(t)))
         .collect();
     assert_eq!(frozen, expected[0]);
     assert!(matches!(
@@ -346,7 +346,7 @@ fn a_pinned_reader_is_isolated_from_everything_the_writer_does_to_the_store() {
         }
         // Every answer handed out so far, through its row ids.
         for (gi, answer) in &held {
-            let rows: Vec<Tuple> = answer.rows().map(<[_]>::to_vec).collect();
+            let rows: Vec<Tuple> = answer.rows().map(word::decode).collect();
             assert_eq!(
                 rows, expected[answer.epoch as usize][*gi],
                 "after {what}: held ids of `{}` at epoch {}",
