@@ -18,7 +18,7 @@ use std::time::Instant;
 /// section or field the CI gates read is added or changed; `check.sh`
 /// fails when the checked-in baseline's version differs, forcing a
 /// regeneration with `harness bench --json` in the same PR.
-pub const SCHEMA_VERSION: u64 = 9;
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// IDB-size floor for the `--assert-throughput` gate: workloads below
 /// this finish in a few ms and are dominated by noise, not by the
@@ -223,12 +223,9 @@ pub struct KernelBenchResult {
     /// Gathered chunks sorted because a depth-0 code repeated in them:
     /// 0 on the chain, most rounds on fanout.
     pub sorted_chunks: u64,
-    /// Dictionary-map walks actually paid: one per gathered row at
-    /// depth 0, plus deeper memo misses and unmemoized resolutions.
+    /// Dictionary-map walks: one per gathered row at depth 0, plus one
+    /// per deeper key resolution.
     pub dict_probes: u64,
-    /// Key→code resolutions served from the EDB-stable kernel memos
-    /// instead of the dictionary.
-    pub dict_memo_hits: u64,
     /// Membership slot-array bytes per live row, the maximum over the
     /// workload's non-empty IDB relations: a ¾-load table that grows 2×
     /// reads between 10.7 and 21.3.
@@ -343,7 +340,6 @@ pub fn run_kernel_bench(quick: bool) -> Vec<KernelBenchResult> {
             groups: kstats.groups,
             sorted_chunks: kstats.sorted_chunks,
             dict_probes: kstats.dict_probes,
-            dict_memo_hits: kstats.dict_memo_hits,
             table_bytes_per_row,
             row_bytes_per_value,
         });
@@ -356,7 +352,7 @@ pub fn kernel_table(results: &[KernelBenchResult]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<10} {:<42} {:>10} {:>11} {:>10} {:>9} {:>6} {:>9} {:>9} {:>8} {:>8}",
+        "{:<10} {:<42} {:>10} {:>11} {:>10} {:>9} {:>6} {:>9} {:>8} {:>8}",
         "kernels",
         "params",
         "kernel ms",
@@ -365,14 +361,13 @@ pub fn kernel_table(results: &[KernelBenchResult]) -> String {
         "groups",
         "sorts",
         "dict",
-        "memo",
         "B/row",
         "B/value"
     );
     for r in results {
         let _ = writeln!(
             s,
-            "{:<10} {:<42} {:>10.2} {:>11.0} {:>9}B {:>9} {:>6} {:>9} {:>9} {:>8.1} {:>8.1}",
+            "{:<10} {:<42} {:>10.2} {:>11.0} {:>9}B {:>9} {:>6} {:>9} {:>8.1} {:>8.1}",
             r.name,
             r.params,
             r.kernel_millis,
@@ -381,7 +376,6 @@ pub fn kernel_table(results: &[KernelBenchResult]) -> String {
             r.groups,
             r.sorted_chunks,
             r.dict_probes,
-            r.dict_memo_hits,
             r.table_bytes_per_row,
             r.row_bytes_per_value,
         );
@@ -404,8 +398,8 @@ pub fn to_json_with_kernel_stats(mut s: String, kernels: &[KernelBenchResult]) -
             "    {{\"name\": \"{}\", \"params\": \"{}\", \"rows_idb\": {}, \
              \"kernel_millis\": {}, \"kernel_rows_per_sec\": {}, \"kernel_firings\": {}, \
              \"probes\": {}, \"probe_hits\": {}, \"scratch_hw_bytes\": {}, \"groups\": {}, \
-             \"sorted_chunks\": {}, \"dict_probes\": {}, \"dict_memo_hits\": {}, \
-             \"table_bytes_per_row\": {}, \"row_bytes_per_value\": {}}}",
+             \"sorted_chunks\": {}, \"dict_probes\": {}, \"table_bytes_per_row\": {}, \
+             \"row_bytes_per_value\": {}}}",
             r.name,
             r.params,
             r.rows_idb,
@@ -418,7 +412,6 @@ pub fn to_json_with_kernel_stats(mut s: String, kernels: &[KernelBenchResult]) -
             r.groups,
             r.sorted_chunks,
             r.dict_probes,
-            r.dict_memo_hits,
             json_f(r.table_bytes_per_row),
             json_f(r.row_bytes_per_value)
         );
@@ -719,7 +712,7 @@ pub fn run_dict_bench(quick: bool) -> Vec<DictBenchResult> {
         let mut cm = CodeMap::default();
         let t = Instant::now();
         for _ in 0..reps {
-            cm.clear();
+            cm = CodeMap::default();
             for (i, &h) in hashes.iter().enumerate().take(n) {
                 cm.insert(h, i as u32);
             }

@@ -23,10 +23,9 @@ use crate::error::EngineError;
 use crate::fxhash::{hash_slice, FxHashMap};
 use crate::governor::{Budget, CancelToken, Governor, POLL_MASK};
 use crate::plan::{
-    compile_rule_with_sizes, BatchKernel, CompiledRule, KernelGuard, KernelLookup, KernelProbe,
-    KernelSrc, View,
+    compile_rule_with_sizes, BatchKernel, CompiledRule, KernelGuard, KernelLookup, KernelSrc, View,
 };
-use crate::relation::{CodeMap, ProbeHandle, Relation, RowRange, Snapshot, Tuple};
+use crate::relation::{ProbeHandle, Relation, RowRange, Snapshot, Tuple};
 use crate::stats::Stats;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::program::Program;
@@ -180,7 +179,7 @@ pub fn goal_bindings(goal: &Atom) -> GoalBindings {
     b
 }
 
-/// How often [`answer_goal_polled`] invokes its poll callback while
+/// How often [`for_each_answer_row`] invokes its poll callback while
 /// walking rows (scan fallback and large probe groups alike).
 const ANSWER_POLL_EVERY: usize = 1024;
 
@@ -248,21 +247,9 @@ fn for_each_answer_row<E>(
     Ok(())
 }
 
-/// Answers a goal atom against one relation state as materialized
-/// tuples, one pass over the rows [`for_each_answer_row`] selects (see
-/// there for the routing, the order and the `poll` contract).
-pub fn answer_goal_polled<E>(
-    snap: &Snapshot,
-    goal: &Atom,
-    poll: impl FnMut(usize) -> Result<(), E>,
-) -> Result<Vec<Tuple>, E> {
-    let mut out = Vec::new();
-    for_each_answer_row(snap, goal, poll, |r| out.push(word::decode(snap.row(r))))?;
-    Ok(out)
-}
-
-/// [`answer_goal_polled`] without the copies: the answer as physical
-/// row ids into `snap`, in the same order. An id is only meaningful
+/// [`answer_goal`] without the copies and interruptible: the answer as
+/// physical row ids into `snap`, in the same order, under the `poll`
+/// contract of [`for_each_answer_row`]. An id is only meaningful
 /// against the relation state it was read from — the serving daemon
 /// keeps ids beside the `Arc<Snapshot>` they index and keys its cache
 /// by that snapshot's stamp.
@@ -276,10 +263,14 @@ pub fn answer_goal_rows_polled<E>(
     Ok(out)
 }
 
-/// [`answer_goal_polled`] without interruption.
+/// Answers a goal atom against one relation state as materialized
+/// tuples, one uninterrupted pass over the rows [`for_each_answer_row`]
+/// selects (see there for the routing and the order).
 pub fn answer_goal(snap: &Snapshot, goal: &Atom) -> Vec<Tuple> {
-    match answer_goal_polled::<std::convert::Infallible>(snap, goal, |_| Ok(())) {
-        Ok(v) => v,
+    let mut out = Vec::new();
+    let never = |_| Ok::<(), std::convert::Infallible>(());
+    match for_each_answer_row(snap, goal, never, |r| out.push(word::decode(snap.row(r)))) {
+        Ok(()) => out,
         Err(e) => match e {},
     }
 }
@@ -378,50 +369,6 @@ struct RulePlans {
     /// incremental mode EDB subgoals are delta-capable too (they seed
     /// rounds from the tx).
     deltas: Vec<CompiledRule>,
-}
-
-/// Per probe-depth key→code memo for one compiled plan variant.
-///
-/// The batch pipeline resolves depth 0 per gathered row at gather time
-/// (that code *is* the row's group), and each deeper probe key once per
-/// group prefix through [`ProbeHandle::encode`] — one random access
-/// into the relation's [`CodeMap`]. For *static* relations (EDB
-/// predicates never change mid-fixpoint outside incremental mode) a
-/// deeper resolution is identical every round, so the evaluator caches
-/// positive resolutions here and replays them without touching the
-/// dictionary. Invalidation is by relation generation: `gen` records
-/// the probed relation's [`Relation::generation`] counter when the
-/// memo was filled, and any mismatch (an incremental transaction
-/// mutated the EDB — including truncate/reinsert sequences that leave
-/// the row count unchanged) clears the memo wholesale before the task
-/// runs. Cached codes are re-verified against live dictionary key
-/// storage on every hit ([`ProbeHandle::code_key`]), so a stale code
-/// can never alias a different key — the generation check keeps the
-/// memo from accumulating dead entries and is what lets the serving
-/// layer carry memos across published epochs soundly.
-#[derive(Clone)]
-struct DepthMemo {
-    /// Cached key→code resolutions, keyed by the same full key hash
-    /// the dictionary itself uses.
-    map: CodeMap,
-    /// The probed relation's mutation counter when `map` was last
-    /// (in)validated; a mismatch clears. `u64::MAX` initially, so
-    /// the first use always stamps.
-    gen: u64,
-    /// True when this depth is ≥ 1 and probes a non-IDB (EDB)
-    /// relation. Depth 0 is resolved per row at gather, and IDB
-    /// dictionaries grow almost every round, which would clear the memo
-    /// before it ever hits.
-    armed: bool,
-}
-
-/// Kernel memos for one rule's plan variants, parallel to
-/// [`RulePlans`]: one [`DepthMemo`] per probe depth of each variant's
-/// [`BatchKernel`].
-#[derive(Clone, Default)]
-struct RuleMemos {
-    full: Vec<DepthMemo>,
-    deltas: Vec<Vec<DepthMemo>>,
 }
 
 /// A program compiled once for incremental evaluation and reusable
@@ -529,11 +476,6 @@ pub struct Evaluator<'db> {
     /// long chain derives a few hundred rows per round — pays its
     /// emission-buffer growth once, not once per round.
     round_buf: DerivedBuf,
-    /// EDB-stable key→code memos, parallel to `plans` (one entry per
-    /// probe depth of each plan variant's kernel; see [`DepthMemo`]).
-    /// Each round threads the scheduled plan's memo through
-    /// [`run_kernel`].
-    memos: Vec<RuleMemos>,
 }
 
 impl<'db> Evaluator<'db> {
@@ -573,7 +515,6 @@ impl<'db> Evaluator<'db> {
             edb_marks: FxHashMap::default(),
             unit,
             round_buf: DerivedBuf::default(),
-            memos: Vec::new(),
         }
     }
 
@@ -630,7 +571,6 @@ impl<'db> Evaluator<'db> {
         ev.plans = prepared.plans.clone();
         ev.rule_stratum = prepared.rule_stratum.clone();
         ev.max_stratum = prepared.max_stratum;
-        ev.build_memos();
         for (&p, &n) in &prepared.arities {
             if ev.idb_preds.contains(&p) {
                 ev.idb.entry(p).or_insert_with(|| Relation::new(n));
@@ -791,33 +731,7 @@ impl<'db> Evaluator<'db> {
         self.program = program.clone();
         self.idb_preds = idb_preds;
         self.plans = plans;
-        self.build_memos();
         Ok(())
-    }
-
-    /// (Re)derives the kernel memo table from the current plans: one
-    /// [`DepthMemo`] per probe depth of each variant's kernel, armed
-    /// only for EDB depths ≥ 1. Called whenever `plans` is replaced — both
-    /// [`set_program`](Evaluator::set_program) and the prepared-plan
-    /// copy in [`Evaluator::from_prepared`].
-    fn build_memos(&mut self) {
-        let depth_memos = |rule: &CompiledRule| -> Vec<DepthMemo> {
-            let memo = |(d, p): (usize, &KernelProbe)| DepthMemo {
-                map: CodeMap::default(),
-                gen: u64::MAX,
-                armed: d > 0 && !self.idb_preds.contains(&p.pred),
-            };
-            rule.kernel.probes.iter().enumerate().map(memo).collect()
-        };
-        let memos = self
-            .plans
-            .iter()
-            .map(|rp| RuleMemos {
-                full: depth_memos(&rp.full),
-                deltas: rp.deltas.iter().map(depth_memos).collect(),
-            })
-            .collect();
-        self.memos = memos;
     }
 
     /// The current (partial) contents of an IDB relation.
@@ -862,29 +776,26 @@ impl<'db> Evaluator<'db> {
 
             let mut stats = std::mem::take(&mut self.stats);
             stats.iterations += 1;
-            // The evaluator-owned output buffer and kernel memos are
-            // taken out for the round (their field borrows would
-            // conflict with `execute_task`'s `&self`) and restored after.
+            // The evaluator-owned output buffer is taken out for the
+            // round (its field borrow would conflict with
+            // `execute_task`'s `&self`) and restored after.
             let mut buf = std::mem::take(&mut self.round_buf);
-            let mut memos = std::mem::take(&mut self.memos);
             let mut completed = true;
-            for (ri, (rp, rm)) in self.plans.iter().zip(&mut memos).enumerate() {
+            for (ri, rp) in self.plans.iter().enumerate() {
                 if self.rule_stratum[ri] != self.current_stratum {
                     continue;
                 }
                 completed = if fresh {
-                    self.execute_task(&rp.full, &mut stats, &mut buf, &mut rm.full)
+                    self.execute_task(&rp.full, &mut stats, &mut buf)
                 } else {
                     rp.deltas
                         .iter()
-                        .zip(&mut rm.deltas)
-                        .all(|(plan, memo)| self.execute_task(plan, &mut stats, &mut buf, memo))
+                        .all(|plan| self.execute_task(plan, &mut stats, &mut buf))
                 };
                 if !completed {
                     break;
                 }
             }
-            self.memos = memos;
             if !completed {
                 // A cooperative trip mid-round (deadline, cancellation):
                 // the round's partial derivations are discarded with
@@ -1044,18 +955,12 @@ impl<'db> Evaluator<'db> {
     /// Runs one task — a scheduled plan — to completion. Returns `false`
     /// when a cooperative governance check aborted it mid-scan (its
     /// partial output must be discarded).
-    fn execute_task(
-        &self,
-        plan: &CompiledRule,
-        stats: &mut Stats,
-        out: &mut DerivedBuf,
-        memos: &mut [DepthMemo],
-    ) -> bool {
+    fn execute_task(&self, plan: &CompiledRule, stats: &mut Stats, out: &mut DerivedBuf) -> bool {
         stats.rule_firings += 1;
         TASK_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             stats.kernel_firings += 1;
-            let ok = run_kernel(self, plan, scratch, stats, out, memos);
+            let ok = run_kernel(self, plan, scratch, stats, out);
             stats.scratch_hw_bytes = stats.scratch_hw_bytes.max(scratch.resident_bytes());
             ok
         })
@@ -1127,7 +1032,7 @@ type Cursor = (*const u32, u32, u32);
 /// fixed repeat filter, then stays flat no matter how many rows derive.
 #[derive(Default)]
 struct TaskScratch {
-    /// Packed probe keys, depth `d` at [`KernelProbe::key_at`].
+    /// Packed probe keys, depth `d` at [`crate::plan::KernelProbe::key_at`].
     key_buf: Vec<Word>,
     /// One group cursor per probe depth.
     cursors: Vec<Cursor>,
@@ -1569,7 +1474,6 @@ fn run_kernel(
     scratch: &mut TaskScratch,
     stats: &mut Stats,
     out: &mut DerivedBuf,
-    memos: &mut [DepthMemo],
 ) -> bool {
     let k = &plan.kernel;
     let seed = match k.seed_pred {
@@ -1603,20 +1507,6 @@ fn run_kernel(
         fits.then(|| (rel, range, partial.then(|| ev.handle_for(rel, &l.cols))))
     };
     let lrels = k.lookups.iter().map(lookup).collect();
-    // Arm the per-depth memos: stamp generations, clear stale maps, and
-    // keep only EDB depths ≥ 1 (depth 0 resolves per row at gather; IDB
-    // dictionaries change every round, so filling a memo for them is
-    // pure overhead).
-    debug_assert_eq!(memos.len(), np);
-    let mut depth_memos: Vec<Option<&mut DepthMemo>> = Vec::with_capacity(np);
-    for (m, (rel, ..)) in memos.iter_mut().zip(&prels) {
-        let gen = rel.generation();
-        if m.armed && m.gen != gen {
-            m.map.clear();
-            m.gen = gen;
-        }
-        depth_memos.push(m.armed.then_some(m));
-    }
     // A constant-keyed seed enumerates one dictionary group instead of
     // the row range; an absent key derives nothing.
     let seed_handle =
@@ -1846,12 +1736,10 @@ fn run_kernel(
                         st.key_buf[ks + j] = ctx.src_val(src, rep_row, st.rowids);
                     }
                     let key = &st.key_buf[ks..ke];
-                    let kh = hash_slice(key);
+                    stats.dict_probes += 1;
                     // SAFETY: frozen for the round (`ProbeHandle`
                     // docs).
-                    st.cursors[d] = match unsafe {
-                        encode_memoized(handle, depth_memos[d].as_deref_mut(), kh, key, stats)
-                    } {
+                    st.cursors[d] = match unsafe { handle.encode(hash_slice(key), key) } {
                         Some(code) => {
                             let g = unsafe { handle.group(code) };
                             (g.as_ptr(), g.len() as u32, 0)
@@ -1950,46 +1838,6 @@ fn forget_codes(seen: &mut [u64], chunk: &[u64]) {
     for &e in chunk {
         seen[seen_word(e)] = 0;
     }
-}
-
-/// Resolves `key` (with full hash `hash`) to its dictionary code,
-/// through the armed per-depth memo when one exists. A memo hit skips
-/// the dictionary walk entirely — the cached code is still verified
-/// against live key storage, so hits can never alias — while a miss
-/// walks the dictionary and caches a positive resolution for later
-/// rounds. Counter discipline: `dict_memo_hits` counts served-from-memo
-/// resolutions, `dict_probes` counts real dictionary walks; both are
-/// physical-event counters, not replayed per group member like the
-/// logical work counters.
-///
-/// # Safety
-/// Same contract as [`ProbeHandle::encode`]: the index behind `handle`
-/// must be frozen for the duration of the call.
-#[inline]
-unsafe fn encode_memoized(
-    handle: &ProbeHandle,
-    memo: Option<&mut DepthMemo>,
-    hash: u64,
-    key: &[Word],
-    stats: &mut Stats,
-) -> Option<u32> {
-    if let Some(m) = memo {
-        // SAFETY: forwarded from the caller.
-        if let Some(c) = m.map.get(hash, |c| unsafe { handle.code_key(c) } == key) {
-            stats.dict_memo_hits += 1;
-            return Some(c);
-        }
-        stats.dict_probes += 1;
-        // SAFETY: forwarded from the caller.
-        let resolved = unsafe { handle.encode(hash, key) };
-        if let Some(c) = resolved {
-            m.map.insert(hash, c);
-        }
-        return resolved;
-    }
-    stats.dict_probes += 1;
-    // SAFETY: forwarded from the caller.
-    unsafe { handle.encode(hash, key) }
 }
 
 /// Computes the stratum of each IDB predicate: a rule head is at least its

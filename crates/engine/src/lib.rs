@@ -42,8 +42,8 @@ pub use cost::{
 pub use database::{int_tuple, Database};
 pub use error::EngineError;
 pub use eval::{
-    answer_goal, answer_goal_polled, answer_goal_rows_polled, evaluate, goal_bindings, scan_goal,
-    EvalResult, Evaluator, GoalBindings, Prepared, Route, Strategy,
+    answer_goal, answer_goal_rows_polled, evaluate, goal_bindings, scan_goal, EvalResult,
+    Evaluator, GoalBindings, Prepared, Route, Strategy,
 };
 pub use governor::{Budget, CancelToken};
 pub use incr::{

@@ -113,8 +113,7 @@ fn fingerprint(h: u64) -> u64 {
 
 /// The engine's one hash table: a flat open-addressing map from 64-bit
 /// hashes to `u32` ids. It is a relation's membership set (ids are row
-/// ids), every dictionary index's key → code map (ids are codes) and the
-/// kernels' key → code memos.
+/// ids) and every dictionary index's key → code map (ids are codes).
 ///
 /// A slot is one `u64`: the hash's low 32 bits (the fingerprint) above
 /// the id. The probe starts at `fingerprint & mask` and walks linearly,
@@ -296,14 +295,6 @@ impl CodeMap {
             }
             self.slots[s] = slot;
         }
-    }
-
-    /// Drops every entry but keeps the slot allocation, for memo
-    /// invalidation: the next fill cycle reuses the array.
-    pub fn clear(&mut self) {
-        self.slots.fill(EMPTY as u64);
-        self.live = 0;
-        self.tombs = 0;
     }
 
     /// Prefetches the slot-array cache line `hash` will probe first, so
@@ -542,19 +533,6 @@ impl ProbeHandle {
         unsafe { &*self.idx }.encode(key_hash, key)
     }
 
-    /// The key tuple a dictionary code encodes, for callers verifying a
-    /// memoized key→code pair against the live dictionary.
-    ///
-    /// # Safety
-    /// Same contract as [`ProbeHandle::encode`]; `code` must have come
-    /// from this index's [`ProbeHandle::encode`] (codes are dense, so
-    /// any out-of-range code panics on the slice).
-    #[inline]
-    pub unsafe fn code_key(&self, code: u32) -> &[Word] {
-        // SAFETY: as in `encode`.
-        unsafe { &*self.idx }.key_of(code)
-    }
-
     /// The row-id group of a dictionary code. Every group row's key
     /// columns equal the code's key tuple; callers still filter range
     /// and tombstones ([`Relation::row_visible`]).
@@ -712,8 +690,8 @@ pub struct Relation {
     /// Unlike [`Relation::physical_rows`] — which a truncate-then-insert
     /// sequence can return to its old value — two observations of an
     /// equal generation *on one relation object* guarantee its content
-    /// is unchanged, which is what the kernel memos key on. Across
-    /// objects it means nothing by itself: see [`Relation::stamp`].
+    /// is unchanged, which is what [`crate::cost::EdbStats`] keys on.
+    /// Across objects it means nothing by itself: see [`Relation::stamp`].
     generation: u64,
     /// Which append history of row ids this is (module docs): minted
     /// here and by every operation after which a row id may name other
@@ -739,8 +717,9 @@ impl Relation {
 
     /// The monotonic mutation counter: strictly increases on every
     /// content change of this object and never repeats on it, so callers
-    /// caching work derived from *this* relation (kernel key→code memos)
-    /// can compare generations to detect any intervening mutation —
+    /// caching work derived from *this* relation ([`crate::cost::EdbStats`],
+    /// [`Relation::stamp`]) can compare generations to detect any
+    /// intervening mutation —
     /// including truncate-then-reinsert sequences that leave
     /// [`Relation::physical_rows`] unchanged. It is a per-object
     /// counter: a relation rebuilt from scratch restarts it, so it
@@ -1884,22 +1863,6 @@ mod tests {
     }
 
     #[test]
-    fn codemap_clear_retains_capacity() {
-        let mut m = CodeMap::default();
-        for c in 0..100u32 {
-            m.insert(code_hash(c), c);
-        }
-        let cap = m.heap_bytes();
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.heap_bytes(), cap, "clear keeps the allocation");
-        assert_eq!(m.get(code_hash(7), |_| true), None);
-        m.insert(code_hash(7), 7);
-        assert_eq!(m.get(code_hash(7), |c| c == 7), Some(7));
-        m.check(|c| Ok(code_hash(c))).unwrap();
-    }
-
-    #[test]
     fn hashes_sharing_one_home_survive_growth_and_deletes() {
         // Fingerprints agreeing in their low 16 bits share one home at
         // every size up to 2^16 slots: one cluster, thousands long.
@@ -2071,7 +2034,7 @@ mod tests {
     #[test]
     fn generation_distinguishes_truncate_reinsert_from_no_op() {
         // `physical_rows` alone cannot tell these states apart — the
-        // whole reason the counter exists (kernel memos, COW snapshots).
+        // whole reason the counter exists (statistics caches, COW snapshots).
         let mut r = Relation::new(1);
         r.insert(t(&[1]));
         r.insert(t(&[2]));

@@ -57,13 +57,9 @@ pub struct Stats {
     pub sorted_chunks: u64,
     /// Dictionary-map probes the batch pipeline actually paid (a
     /// [`crate::relation::CodeMap`] walk behind `ProbeHandle::encode`):
-    /// one per gathered seed row at depth 0, one per unmemoized deeper
-    /// resolution. Memo hits are *not* counted here.
+    /// one per gathered seed row at depth 0, one per deeper key
+    /// resolution.
     pub dict_probes: u64,
-    /// Key→code resolutions at probe depths ≥ 1 served from the
-    /// per-plan EDB-stable memo instead of the dictionary map
-    /// (DESIGN.md §13).
-    pub dict_memo_hits: u64,
     /// Wall nanoseconds spent in the cost planner (statistics
     /// collection, alternative estimation, route selection) before
     /// evaluation started. 0 for unplanned (direct) evaluations. Gated
@@ -87,7 +83,6 @@ impl AddAssign for Stats {
         self.groups += rhs.groups;
         self.sorted_chunks += rhs.sorted_chunks;
         self.dict_probes += rhs.dict_probes;
-        self.dict_memo_hits += rhs.dict_memo_hits;
         self.plan_nanos += rhs.plan_nanos;
     }
 }
@@ -98,7 +93,7 @@ impl fmt::Display for Stats {
             f,
             "iters={} firings={} probes={} hits={} rows={} cmps={} derived={} \
              inserted={} kernel={} interp={} scratch_hw={}B groups={} sorts={} dict={} \
-             memo={} plan_ms={:.3}",
+             plan_ms={:.3}",
             self.iterations,
             self.rule_firings,
             self.probes,
@@ -113,7 +108,6 @@ impl fmt::Display for Stats {
             self.groups,
             self.sorted_chunks,
             self.dict_probes,
-            self.dict_memo_hits,
             self.plan_nanos as f64 / 1e6
         )
     }

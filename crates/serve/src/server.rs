@@ -561,9 +561,9 @@ impl Server {
 
     /// Commits `txs` as one explicit batch (one fsync window, one
     /// publish, one epoch), returning per-transaction acknowledgements
-    /// in order. The deterministic entry point the fault suites and the
-    /// write benchmark use; [`Server::commit`] reaches the same pipeline
-    /// through the concurrent queue.
+    /// in order. The deterministic entry point the fault suite
+    /// (`tests/serve_faults.rs`) uses; [`Server::commit`] reaches the
+    /// same pipeline through the concurrent queue.
     pub fn commit_many(&self, txs: &[Tx]) -> Vec<Result<CommitReply, ServeError>> {
         let slots: Vec<Arc<CommitSlot>> =
             txs.iter().map(|tx| CommitSlot::new(tx.clone())).collect();

@@ -147,9 +147,9 @@ rc=0
 # delete that drops the writer's indexes (compaction, a swapped-in
 # clone) fails the second, unshared tombstone words or a lost index
 # lineage the third.
-# (The batching ratio is recorded, NOT gated: group commit was built to
-# amortize a per-commit clone that no longer exists; without a WAL in
-# the bench there is no fsync left to share and batched_write.speedup
-# reads below 1 at every size. ROADMAP item 11 cuts it down.)
+# Group-commit gate: with both write legs logging to a WAL, 8 writers
+# must average >= 2 transactions per batch (they read ~4 and share one
+# fsync, ~2x the serial leg's commits/s; a pipeline that commits each
+# transaction alone reads ~1). Group commit is kept on that measurement.
 cargo run -p semrec-bench --release --offline --bin harness -- serve-bench --quick \
   --baseline BENCH_serve.json --assert-serve-read
