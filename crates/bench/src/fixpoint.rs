@@ -220,7 +220,7 @@ pub struct KernelBenchResult {
     /// Groups the kernels walked: one per distinct depth-0 code per
     /// seed chunk, so it falls as the chunk holds more of each delta.
     pub groups: u64,
-    /// Gathered chunks sorted because a depth-0 code repeated in them:
+    /// Gathered chunks partitioned because a depth-0 code repeated in them:
     /// 0 on the chain, most rounds on fanout.
     pub sorted_chunks: u64,
     /// Dictionary-map walks: one per gathered row at depth 0, plus one

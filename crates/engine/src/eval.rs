@@ -1028,8 +1028,9 @@ type Cursor = (*const u32, u32, u32);
 /// The per-depth buffers are sized per task from the kernel's chain
 /// length, so no plan is too wide. [`Stats::scratch_hw_bytes`] reports
 /// the high-water resident size as the observable witness: it follows
-/// the largest seed scan up to [`KERNEL_CHUNK`] packed words plus the
-/// fixed repeat filter, then stays flat no matter how many rows derive.
+/// the largest seed scan up to [`KERNEL_CHUNK`] packed words, twice
+/// (chunk and spill), plus the fixed repeat filter, then stays flat no
+/// matter how many rows derive.
 #[derive(Default)]
 struct TaskScratch {
     /// Packed probe keys, depth `d` at [`crate::plan::KernelProbe::key_at`].
@@ -1041,15 +1042,18 @@ struct TaskScratch {
     /// Staging buffer for [`KernelLookup`] keys.
     lookup_key: Vec<Word>,
     /// The batch kernel's gathered seed chunk: `depth-0 dictionary code
-    /// << 32 | seed row id` words, sorted — only when some code repeats —
-    /// so rows sharing a probe key form runs. Capacity is bounded by
-    /// [`KERNEL_CHUNK`], never by data size.
+    /// << 32 | seed row id` words, partitioned by code — only when some
+    /// code repeats — so rows sharing a probe key form runs. Capacity is
+    /// bounded by [`KERNEL_CHUNK`], never by data size.
     chunk: Vec<u64>,
+    /// The other side of each [`partition_by_code`] pass, reserved to
+    /// the chunk's capacity: at most [`KERNEL_CHUNK`] words.
+    spill: Vec<u64>,
     /// The repeat filter: one bit per value of a code's low
     /// log2([`KERNEL_CHUNK`]) bits (8 KiB), set at gather and cleared by
     /// walking the chunk. Two rows landing on one bit send the chunk
-    /// through the sort; a bit shared by two distinct codes only costs
-    /// a sort that was not needed.
+    /// through the partition; a bit shared by two distinct codes only
+    /// costs a partition that was not needed.
     seen: Vec<u64>,
 }
 
@@ -1059,8 +1063,8 @@ impl TaskScratch {
         ((self.key_buf.capacity() + self.lookup_key.capacity()) * std::mem::size_of::<Word>()
             + self.cursors.capacity() * std::mem::size_of::<Cursor>()
             + self.rowids.capacity() * std::mem::size_of::<u32>()
-            + (self.chunk.capacity() + self.seen.capacity()) * std::mem::size_of::<u64>())
-            as u64
+            + (self.chunk.capacity() + self.spill.capacity() + self.seen.capacity())
+                * std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -1075,10 +1079,10 @@ thread_local! {
 /// group per round and pays its deeper resolutions once. The gather
 /// resolves every row's depth-0 key to its dictionary code and packs
 /// `code << 32 | row`; a chunk in which no code repeats (a chain's
-/// delta) is already grouped and skips the sort. The gather buffer
-/// grows with the delta up to this many packed words (512 KiB) and the
-/// repeat filter holds this many bits (8 KiB), so task scratch stays a
-/// data-independent constant.
+/// delta) is already grouped and skips the partition. The gather buffer
+/// and the partition's spill each grow with the delta up to this many
+/// packed words (512 KiB) and the repeat filter holds this many bits
+/// (8 KiB), so task scratch stays a data-independent constant.
 pub const KERNEL_CHUNK: usize = 1 << 16;
 
 /// Widest head [`HeadSplit`] templates; wider heads resolve every
@@ -1455,9 +1459,9 @@ impl KernelCtx<'_> {
 /// Executes a [`BatchKernel`]: the seed scan is gathered into
 /// [`KERNEL_CHUNK`]-row chunks of packed depth-0-code/row-id words —
 /// a row whose key has no code derives nothing and drops there — and
-/// sorted, only when some code repeats, so rows sharing a probe key form
-/// groups; each group then pays its deeper dictionary lookups once. The
-/// invariant probe prefix (see
+/// partitioned by code, only when some code repeats, so rows sharing a
+/// probe key form groups; each group then pays its deeper dictionary
+/// lookups once. The invariant probe prefix (see
 /// [`KernelCtx::split`]) is enumerated once per group — including the
 /// existential short-circuit, which becomes a group-level first-hit —
 /// with its logical work counters replayed per member, so
@@ -1557,6 +1561,7 @@ fn run_kernel(
         rowids,
         lookup_key,
         chunk,
+        spill,
         seen,
     } = scratch;
     seen.resize(KERNEL_CHUNK / 64, 0);
@@ -1660,6 +1665,9 @@ fn run_kernel(
         if chunk.is_empty() {
             break 'chunks;
         }
+        // The spill keeps the chunk's capacity, partitioned or not, so
+        // scratch stays a function of the deltas, not of their codes.
+        spill.reserve_exact(chunk.capacity().saturating_sub(spill.len()));
         if np == 0 {
             // Pure seed scan: the gather is the whole pipeline; emit.
             // A head that copies the seed row verbatim (the ubiquitous
@@ -1687,13 +1695,19 @@ fn run_kernel(
         }
         forget_codes(seen, chunk);
         // Group: rows sharing a code become one run. Only a repeated
-        // code needs the sort (code order with row-id tiebreak keeps
-        // runs deterministic); otherwise every row is its own group.
-        if repeat {
-            chunk.sort_unstable();
-            stats.sorted_chunks += 1;
-        }
+        // code needs the partition (code order with row-id tiebreak
+        // keeps runs deterministic); otherwise every row is its own
+        // group.
         let h0 = &ctx.prels[0].2;
+        let chunk: &[u64] = if repeat {
+            stats.sorted_chunks += 1;
+            let code_bits = u32::BITS - h0.codes().saturating_sub(1).leading_zeros();
+            let chunk = partition_by_code(chunk, spill, code_bits);
+            debug_assert!(chunk.is_sorted(), "not in code, row order");
+            chunk
+        } else {
+            chunk
+        };
         let mut gs = 0usize;
         while gs < chunk.len() {
             let code = (chunk[gs] >> 32) as u32;
@@ -1824,6 +1838,55 @@ fn run_kernel(
         }
     }
     true
+}
+
+/// Widest radix digit of [`partition_by_code`]: its counts fit in 8 KiB.
+const RADIX_BITS: u32 = 11;
+
+/// Stable LSD radix partition of gathered `code << 32 | row` words on
+/// their code half, whose codes fit in `code_bits` bits, in as few
+/// passes of at most [`RADIX_BITS`] as that width allows (one for up to
+/// 2 048 codes). The gather pushes rows ascending, so the result is the
+/// chunk sorted — the order `sort_unstable` gives — without a
+/// comparison. Passes alternate between `chunk` and `spill`; returns the
+/// one holding the result.
+fn partition_by_code<'a>(
+    chunk: &'a mut [u64],
+    spill: &'a mut Vec<u64>,
+    code_bits: u32,
+) -> &'a [u64] {
+    let passes = code_bits.div_ceil(RADIX_BITS);
+    if passes == 0 {
+        return chunk; // one code: already in row order
+    }
+    let digit = code_bits.div_ceil(passes);
+    let n = chunk.len();
+    if spill.len() < n {
+        spill.reserve_exact(n - spill.len());
+        spill.resize(n, 0);
+    }
+    let mask = (1usize << digit) - 1;
+    let (mut src, mut dst) = (chunk, &mut spill[..n]);
+    let mut at = [0u32; 1 << RADIX_BITS];
+    for pass in 0..passes {
+        let shift = 32 + pass * digit;
+        let at = &mut at[..=mask];
+        at.fill(0);
+        for &e in src.iter() {
+            at[(e >> shift) as usize & mask] += 1;
+        }
+        let mut sum = 0;
+        for c in at.iter_mut() {
+            (*c, sum) = (sum, sum + *c);
+        }
+        for &e in src.iter() {
+            let d = &mut at[(e >> shift) as usize & mask];
+            dst[*d as usize] = e;
+            *d += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    src
 }
 
 /// The repeat-filter word a gathered `code << 32 | row` word sets.
@@ -2043,6 +2106,43 @@ mod tests {
         ));
         // Arity mismatch is a non-match, not a panic.
         assert!(!goal_matches(&goal, &[Word::int(7)]));
+    }
+
+    #[test]
+    fn partition_by_code_gives_the_sorted_order_word_for_word() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut spill = Vec::new();
+        for bits in [1u32, 10, 11, 17, 31] {
+            for len in [1, 2, 63, 1000, KERNEL_CHUNK] {
+                // Rows ascend with gaps; a small pool of codes makes
+                // ties, and the widest code of the width turns up.
+                let pool: Vec<u64> = (0..1 + len / 8).map(|_| next() >> (64 - bits)).collect();
+                let mut row = 0u64;
+                let mut chunk: Vec<u64> = (0..len)
+                    .map(|i| {
+                        row += 1 + next() % 3;
+                        let code = match i % 5 {
+                            0 => (1 << bits) - 1,
+                            1 | 2 => pool[next() as usize % pool.len()],
+                            _ => next() >> (64 - bits),
+                        };
+                        code << 32 | row
+                    })
+                    .collect();
+                let mut want = chunk.clone();
+                want.sort_unstable();
+                let got = partition_by_code(&mut chunk, &mut spill, bits);
+                assert!(got == want, "{bits}-bit codes, {len} rows");
+            }
+        }
+        assert_eq!(spill.capacity(), KERNEL_CHUNK, "the spill outgrew a chunk");
     }
 }
 

@@ -271,30 +271,61 @@ impl CodeMap {
         }
     }
 
-    /// Re-files every live slot into a fresh array — twice the size, or
-    /// the same size when the live entries alone fill at most half of it
-    /// — in one sequential pass over the old one, dropping tombstones.
+    /// Re-files every live slot in place, dropping tombstones: doubles
+    /// the array first — unless the live entries alone fill at most half
+    /// of it — setting only the new half vacant, so the old slot pages
+    /// stay mapped and no second table is allocated.
+    ///
+    /// One pass from the first vacant slot re-places each entry from its
+    /// new home. The cluster before that slot may have wrapped from the
+    /// end of the table, so it is lifted out first and re-placed last.
+    /// Every other entry's home then lies between that vacant slot and
+    /// the entry, so its walk crosses only re-filed slots (or the new
+    /// half, all re-filed) and stops at the latest on its own, just
+    /// cleared, slot.
     #[cold]
     fn grow(&mut self) {
-        let cap = match self.slots.len() {
+        let old = self.slots.len();
+        let cap = match old {
             0 => 2,
             cap if 2 * (self.live + 1) > cap => 2 * cap,
             cap => cap,
         };
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY as u64; cap]);
+        self.slots.reserve_exact(cap - old);
+        self.slots.resize(cap, EMPTY as u64);
         self.mask = cap - 1;
         self.tombs = 0;
-        for slot in old {
-            let id = slot as u32;
-            if id == EMPTY || id == TOMB {
-                continue;
-            }
-            let mut s = self.home(slot);
-            while self.slots[s] as u32 != EMPTY {
-                s = (s + 1) & self.mask;
-            }
-            self.slots[s] = slot;
+        if old == 0 {
+            return;
         }
+        let vacant = (self.slots[..old].iter())
+            .position(|&s| s as u32 == EMPTY)
+            .expect("a table under ¾ load has a vacant slot");
+        let lifted: Vec<u64> = self.slots[..vacant]
+            .iter()
+            .copied()
+            .filter(|&s| (s as u32) < TOMB)
+            .collect();
+        self.slots[..vacant].fill(EMPTY as u64);
+        for i in vacant + 1..old {
+            let slot = std::mem::replace(&mut self.slots[i], EMPTY as u64);
+            if (slot as u32) < TOMB {
+                self.place(slot);
+            }
+        }
+        for slot in lifted {
+            self.place(slot);
+        }
+    }
+
+    /// Files a whole slot at the first vacant slot from its home.
+    #[inline]
+    fn place(&mut self, slot: u64) {
+        let mut s = self.home(slot);
+        while self.slots[s] as u32 != EMPTY {
+            s = (s + 1) & self.mask;
+        }
+        self.slots[s] = slot;
     }
 
     /// Prefetches the slot-array cache line `hash` will probe first, so
@@ -511,12 +542,19 @@ impl ColumnIndex {
 pub struct ProbeHandle {
     idx: *const ColumnIndex,
     built: usize,
+    codes: u32,
 }
 
 impl ProbeHandle {
     /// Physical row count the index covered when the handle was taken.
     pub fn generation(&self) -> usize {
         self.built
+    }
+
+    /// Distinct keys the index had encoded when the handle was taken:
+    /// every code it returns is below this.
+    pub(crate) fn codes(&self) -> u32 {
+        self.codes
     }
 
     /// The dictionary code of `key` (whose precomputed hash is
@@ -1105,6 +1143,7 @@ impl Relation {
         Some(ProbeHandle {
             idx: &**idx as *const ColumnIndex,
             built: idx.built,
+            codes: idx.groups.len() as u32,
         })
     }
 
@@ -1891,6 +1930,167 @@ mod tests {
         m.check(|c| Ok(h(c))).unwrap();
         for c in (1..3000u32).step_by(2).chain((0..6000).step_by(2)) {
             assert_eq!(m.get(h(c), |got| got == c), Some(c), "code {c}");
+        }
+    }
+
+    /// A table's slots' states, from slot 0: `.` vacant, `x` tombstone,
+    /// `o` live.
+    fn layout(m: &CodeMap) -> String {
+        (m.slots.iter())
+            .map(|&s| match s as u32 {
+                EMPTY => '.',
+                TOMB => 'x',
+                _ => 'o',
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cluster_wrapping_from_the_last_slot_survives_doubling() {
+        for cap in [8usize, 64, 1024] {
+            // Homes in the last three slots at `cap`; bit log2(cap) sends
+            // each to the low or the high half once doubled, where the
+            // upper half's cluster wraps again into slot 0.
+            let h = |c: u32| {
+                let home = cap - 1 - c as usize % 3 + (c as usize & 1) * cap;
+                u64::from(c) << 16 | home as u64
+            };
+            let mut m = CodeMap::default();
+            let fill = 3 * cap / 4;
+            for c in 0..fill as u32 {
+                m.insert(h(c), c);
+            }
+            assert_eq!(m.slots.len(), cap);
+            let before = layout(&m);
+            assert!(before.starts_with('o') && before.ends_with('o'), "{before}");
+            m.insert(h(fill as u32), fill as u32);
+            assert_eq!(m.slots.len(), 2 * cap, "the insert doubled the table");
+            m.check(|c| Ok(h(c))).unwrap();
+            for c in 0..=fill as u32 {
+                assert_eq!(m.get(h(c), |got| got == c), Some(c), "code {c} at {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn doubling_drops_tombstones_and_keeps_the_rest() {
+        let mut m = CodeMap::default();
+        for c in 0..48u32 {
+            m.insert(code_hash(c), c);
+        }
+        for c in (0..48u32).step_by(4) {
+            assert_eq!(m.remove(code_hash(c), |got| got == c), Some(c));
+        }
+        assert_eq!((m.slots.len(), m.live, m.tombs), (64, 36, 12));
+        m.insert(code_hash(48), 48);
+        assert_eq!((m.slots.len(), m.live, m.tombs), (128, 37, 0));
+        m.check(|c| Ok(code_hash(c))).unwrap();
+        for c in 0..=48u32 {
+            let want = (c % 4 != 0 || c == 48).then_some(c);
+            assert_eq!(m.get(code_hash(c), |got| got == c), want, "code {c}");
+        }
+    }
+
+    #[test]
+    fn tombstones_filling_the_table_re_file_it_at_the_same_size() {
+        let mut m = CodeMap::default();
+        for c in 0..40u32 {
+            m.insert(code_hash(c), c);
+        }
+        let cap = m.slots.len();
+        assert_eq!(cap, 64);
+        // Live codes are `lo..hi`: 24, at most ⅜ of the slots. Churn
+        // the oldest out and a fresh one in until tombstones force the
+        // re-file.
+        let (mut lo, mut hi) = (0u32, 40u32);
+        loop {
+            assert_eq!(m.remove(code_hash(lo), |got| got == lo), Some(lo));
+            lo += 1;
+            if hi - lo > 23 {
+                continue;
+            }
+            let refile = 4 * (m.live + m.tombs + 1) > 3 * cap;
+            m.insert(code_hash(hi), hi);
+            hi += 1;
+            if refile {
+                break;
+            }
+            assert!(hi < 10_000, "tombstones never filled the table");
+        }
+        assert_eq!(
+            (m.slots.len(), m.live, m.tombs),
+            (cap, 24, 0),
+            "{}",
+            layout(&m)
+        );
+        m.check(|c| Ok(code_hash(c))).unwrap();
+        for k in 0..hi {
+            let want = (k >= lo).then_some(k);
+            assert_eq!(m.get(code_hash(k), |got| got == k), want, "code {k}");
+        }
+    }
+
+    #[test]
+    fn a_seeded_op_mix_matches_a_hash_map_across_every_grow() {
+        let mut state = 0x600d_5eed_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        // One key in eight homes on the last slot at every size up to
+        // 2^14 slots, so clusters wrap from the end; the rest scatter.
+        let h = |k: u32| match k % 8 {
+            0 => code_hash(k) | 0x3fff,
+            _ => code_hash(k),
+        };
+        let mut m = CodeMap::default();
+        let mut model = std::collections::HashMap::new();
+        let (mut doublings, mut re_files) = (0, 0);
+        for step in 0..120_000 {
+            let k = (next() % 12_000) as u32;
+            let cap = m.slots.len();
+            let full = 4 * (m.live + m.tombs + 1) > 3 * cap;
+            // Phases of 15 000 steps: the odd ones mostly remove, leaving
+            // tombstones for the next to fill.
+            let removing = (step / 15_000) % 2 == 1;
+            let grew = match next() % 20 + if removing { 12 } else { 0 } {
+                0..=8 => {
+                    let got = m.get_or_insert(h(k), k, |id| id == k);
+                    assert_eq!(got, model.insert(k, k), "step {step}: get_or_insert {k}");
+                    full
+                }
+                9..=12 if !model.contains_key(&k) => {
+                    m.insert(h(k), k);
+                    model.insert(k, k);
+                    full
+                }
+                9..=12 => false,
+                _ => {
+                    let got = m.remove(h(k), |id| id == k);
+                    assert_eq!(got, model.remove(&k), "step {step}: remove {k}");
+                    false
+                }
+            };
+            if grew {
+                if m.slots.len() == cap {
+                    re_files += 1;
+                } else {
+                    doublings += 1;
+                }
+                m.check(|id| Ok(h(id)))
+                    .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            }
+        }
+        assert!(
+            doublings >= 14 && re_files > 0,
+            "{doublings} doublings, {re_files} re-files"
+        );
+        assert_eq!(m.len(), model.len());
+        for k in 0..12_000u32 {
+            assert_eq!(m.get(h(k), |id| id == k), model.get(&k).copied(), "key {k}");
         }
     }
 

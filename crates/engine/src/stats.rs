@@ -51,9 +51,9 @@ pub struct Stats {
     /// once. A physical counter like `dict_probes`: it moves with the
     /// grouping unit, the logical counters do not.
     pub groups: u64,
-    /// Gathered chunks the batch kernel had to sort because some
-    /// depth-0 code (by its low 16 bits) repeated in them; a chunk of
-    /// singleton groups is walked in gather order. Physical.
+    /// Gathered chunks the batch kernel had to partition by code
+    /// because some depth-0 code (by its low 16 bits) repeated in them;
+    /// a chunk of singleton groups is walked in gather order. Physical.
     pub sorted_chunks: u64,
     /// Dictionary-map probes the batch pipeline actually paid (a
     /// [`crate::relation::CodeMap`] walk behind `ProbeHandle::encode`):

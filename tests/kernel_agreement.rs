@@ -341,9 +341,9 @@ fn a_chain_closure_groups_singletons_and_never_sorts() {
 }
 
 /// The allocation discipline the kernels claim: task execution does
-/// zero per-derived-row heap allocation, and the one buffer that grows
-/// with a seed scan, the gather chunk of packed `u64` words, stops at
-/// [`KERNEL_CHUNK`] entries; the repeat filter is [`KERNEL_CHUNK`] bits
+/// zero per-derived-row heap allocation, and the two buffers that grow
+/// with a seed scan, the gather chunk of packed `u64` words and the
+/// partition's spill, stop at [`KERNEL_CHUNK`] entries; the repeat filter is [`KERNEL_CHUNK`] bits
 /// however many keys the depth-0 dictionary holds. So two witness-join
 /// workloads whose deltas both exceed the chunk report the same
 /// high-water mark, and they and a join over a dictionary of more than
@@ -403,11 +403,11 @@ fn scratch_high_water_is_bounded_by_plan_shape_not_data() {
         high_water[0], high_water[1],
         "scratch high-water grew with data"
     );
-    let fixed = (KERNEL_CHUNK * std::mem::size_of::<u64>() + KERNEL_CHUNK / 8) as u64;
+    let fixed = (2 * KERNEL_CHUNK * std::mem::size_of::<u64>() + KERNEL_CHUNK / 8) as u64;
     for hw in high_water {
         assert!(
             (fixed..=fixed + 4096).contains(&hw),
-            "scratch high-water {hw}B is not the {fixed}B chunk and filter plus per-depth state",
+            "scratch high-water {hw}B is not the {fixed}B chunk, spill and filter plus per-depth state",
         );
     }
 }
