@@ -3,12 +3,12 @@
 //! recorded results. Each experiment returns printable tables; the
 //! `harness` binary drives them.
 
+use crate::fixtures::isolate::isolate;
 use crate::fixtures::runtime_baseline::evaluate_with_runtime_semantics;
 use crate::fixtures::sld::{query_sld, SldConfig};
 use crate::fixtures::topdown::query_topdown;
 use crate::table::{ms, ratio, Table};
 use semrec_core::detect::{detect, DetectionMethod};
-use semrec_core::isolate::isolate;
 use semrec_core::optimizer::{Optimizer, OptimizerConfig, Plan};
 use semrec_core::sequence::unfold;
 use semrec_datalog::analysis::{classify_linear_pred, rectify};

@@ -15,16 +15,16 @@
 //!
 //! Step 5's head/body unifications are realized by constructing the
 //! α-rules with the *same* per-step renaming as the sequence's
-//! [`crate::sequence::Unfolding`]: the `i`-th α-rule's variables
+//! [`semrec_core::sequence::Unfolding`]: the `i`-th α-rule's variables
 //! are exactly the step-`i` variables of the unfolding, so residues
 //! computed against the unfolding can be attached syntactically
-//! ([`crate::push`]).
+//! ([`semrec_core::push`]).
 //!
 //! The transformation preserves the set of proof trees (Theorem 4.1):
 //! property tests in `tests/` check IDB equality against the original
 //! program on random databases.
 
-use crate::sequence::Unfolding;
+use semrec_core::sequence::Unfolding;
 use semrec_datalog::analysis::RecursionInfo;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::literal::Literal;
@@ -53,7 +53,7 @@ pub struct Isolated {
 }
 
 /// Isolates `unfolding.seq` in `program` (rectified). The unfolding must
-/// have been produced by [`crate::sequence::unfold`] on the same program.
+/// have been produced by [`semrec_core::sequence::unfold`] on the same program.
 ///
 /// For `k = 1` the transformation is the identity up to the step-1
 /// renaming of the single rule (no auxiliary predicates).
@@ -171,7 +171,7 @@ fn rename_body_with(rule: &Rule, sigma: &Subst, p: Pred, rec_target: Pred) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequence::unfold;
+    use semrec_core::sequence::unfold;
     use semrec_datalog::analysis::{classify_linear_pred, rectify};
     use semrec_datalog::parser::parse_unit;
 

@@ -14,9 +14,12 @@
 //! [`evaluate_with_runtime_semantics`] models this honestly: each fixpoint
 //! round recomputes the CGM rule-level residues (partial subsumption of the
 //! expanded ICs against every rule), rewrites the rule set with the
-//! directly-usable ones, reinstalls it into the engine, and only then runs
-//! the round. The reported [`BaselineOutcome`] separates optimization time
-//! from evaluation work.
+//! directly-usable ones, recompiles it, and only then runs the round —
+//! one [`Evaluator::run`] under a round cap raised by one each time. The
+//! rewrite is a pure function of (program, ICs), so the recompiled plans
+//! equal the running ones; the compile is the run-time work measured.
+//! The reported [`BaselineOutcome`] separates optimization time from
+//! evaluation work.
 
 use semrec_core::occurs::IcIndex;
 use semrec_core::optimizer::rule_level_rewrite_with;
@@ -24,7 +27,7 @@ use semrec_core::push::PushPolicy;
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::program::Program;
 use semrec_engine::eval::{EvalResult, Evaluator, Strategy};
-use semrec_engine::{Database, EngineError};
+use semrec_engine::{Budget, Database, EngineError};
 use std::time::{Duration, Instant};
 
 /// The outcome of an evaluation-based optimized run.
@@ -33,7 +36,7 @@ pub struct BaselineOutcome {
     /// The computed IDB and engine counters.
     pub result: EvalResult,
     /// Total time spent in per-iteration residue computation, rewriting,
-    /// and plan reinstallation — the run-time overhead the program-
+    /// and plan recompilation — the run-time overhead the program-
     /// transformation approach avoids.
     pub optimization_time: Duration,
     /// Number of fixpoint rounds.
@@ -72,9 +75,14 @@ pub fn evaluate_with_runtime_semantics(
     let mut rounds = 0u64;
     loop {
         rounds += 1;
-        let changed = ev.step()?;
-        if !changed {
-            break;
+        // One more round: the run stops at the raised cap, or earlier at
+        // the fixpoint.
+        let cap = Budget::unlimited().with_max_iterations(ev.rounds() + 1);
+        ev = ev.with_budget(cap);
+        match ev.run() {
+            Ok(()) => break,
+            Err(EngineError::IterationLimit(_)) => {}
+            Err(e) => return Err(e),
         }
         // The evaluation paradigm redoes the residue work against the next
         // round's subqueries; the subqueries repeat for linear rules, so
@@ -83,7 +91,7 @@ pub fn evaluate_with_runtime_semantics(
         let (rewritten, comps, opts) = rule_level_rewrite(program, ics);
         residue_computations += comps;
         rule_level_optimizations = rule_level_optimizations.max(opts);
-        ev.set_program(&rewritten)?;
+        drop(Evaluator::new(db, &rewritten, Strategy::SemiNaive)?);
         optimization_time += t.elapsed();
     }
 
@@ -129,7 +137,9 @@ mod tests {
             base.relation("anc").unwrap().sorted_tuples(),
             rt.result.relation("anc").unwrap().sorted_tuples()
         );
-        assert!(rt.residue_computations >= rt.rounds);
-        assert!(rt.rounds > 1);
+        // Five generations: five deriving rounds and the empty one that
+        // finds the fixpoint, each after a rewrite over both rules.
+        assert_eq!(rt.rounds, 6);
+        assert_eq!(rt.residue_computations, 12);
     }
 }

@@ -15,7 +15,6 @@ pub mod detect;
 pub mod expand;
 pub mod graph;
 pub mod hom;
-pub mod isolate;
 pub mod maintain;
 pub mod minimize;
 pub mod occurs;
@@ -28,8 +27,7 @@ pub mod subsume;
 pub use detect::{detect, DetectStats, Detection, DetectionMethod};
 pub use maintain::{MaintainError, MaintainedQuery, UpdateOutcome};
 pub use optimizer::{
-    evaluate_governed, evaluate_routed, route_alternatives, GovernedOutcome, Optimizer,
-    OptimizerConfig, Plan,
+    evaluate_routed, route_alternatives, GovernedOutcome, Optimizer, OptimizerConfig, Plan,
 };
 pub use residue::{Residue, ResidueHead};
 pub use sequence::{unfold, Unfolding};

@@ -573,21 +573,6 @@ pub fn route_alternatives(
     (alts, answer)
 }
 
-/// Evaluates `program` under `budget` with the paper's semantic
-/// optimization — degrading instead of dying. See [`evaluate_routed`];
-/// this entry point routes without a goal (so no goal-directed
-/// alternative is priced).
-pub fn evaluate_governed(
-    db: &semrec_engine::Database,
-    program: &Program,
-    ics: &[Constraint],
-    config: OptimizerConfig,
-    budget: semrec_engine::Budget,
-    cancel: semrec_engine::CancelToken,
-) -> Result<GovernedOutcome, semrec_engine::EngineError> {
-    evaluate_routed(db, program, ics, config, budget, cancel, None)
-}
-
 /// The cost-routed, governed evaluation entry point. The optimizer runs
 /// first (residue detection → isolation → push); its rewrite
 /// alternatives are then priced by the [`CostMemo`] against the
@@ -691,14 +676,7 @@ pub fn evaluate_routed(
             kept_plan = Some(plan);
         }
         Ok(Err(e)) => degraded = format!("optimizer failed: {e}"),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            degraded = format!("optimizer panicked: {msg}");
-        }
+        Err(payload) => degraded = format!("optimizer panicked: {}", panic_message(&*payload)),
     }
 
     // Fallback: the rectified program under whatever budget remains.
@@ -742,18 +720,20 @@ fn run_under(
     }));
     match run {
         Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Err(EngineError::WorkerPanicked {
-                job: "eval".to_owned(),
-                payload: msg,
-            })
-        }
+        Err(payload) => Err(EngineError::WorkerPanicked {
+            job: "eval".to_owned(),
+            payload: panic_message(&*payload),
+        }),
     }
+}
+
+/// The message a `catch_unwind` payload carries, when it is a string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 #[cfg(test)]

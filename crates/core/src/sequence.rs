@@ -4,9 +4,9 @@
 //! *expansion sequences* — sequences of rule indices applied top-down (§2).
 //! An [`Unfolding`] is the conjunctive query obtained by composing the rules
 //! of a sequence, with a deterministic per-step variable renaming. The same
-//! renaming chain is reused by the §4 isolation transformation
-//! ([`crate::isolate`]), so a residue computed against an unfolding can be
-//! attached syntactically to the isolating rule of the step its variables
+//! renaming chain is reused by the §4 isolation transformation (the strict
+//! chain of [`crate::push`]), so a residue computed against an unfolding can
+//! be attached syntactically to the isolating rule of the step its variables
 //! belong to.
 //!
 //! Renaming convention: step `i` (1-based) keeps the incoming recursive-call

@@ -18,7 +18,7 @@
 //! **Termination caveat**: arithmetic makes Datalog's domain unbounded —
 //! a rule like `dist(X, Y, N) :- dist(X, Z, M), e(Z, Y), plus(M, 1, N)`
 //! diverges on cyclic data. Use
-//! [`Evaluator::with_max_iterations`](crate::eval::Evaluator::with_max_iterations)
+//! [`Budget::with_max_iterations`](crate::governor::Budget::with_max_iterations)
 //! as a guard when data is not known acyclic.
 
 use semrec_datalog::atom::Pred;

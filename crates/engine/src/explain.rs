@@ -108,7 +108,7 @@ pub fn explain(
         .collect();
     let why = Why {
         program,
-        plans: Prepared::compile_over(db, &Program::new(rules), &preloaded).ok()?,
+        plans: Prepared::compile(db, &Program::new(rules), &preloaded).ok()?,
         vars,
     };
     why.go(db, idb, pred, tuple, &mut BTreeSet::new())

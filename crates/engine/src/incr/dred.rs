@@ -102,8 +102,8 @@ impl Dred {
             .collect();
         let re_seeds: Vec<Pred> = heads.iter().flat_map(|&h| [h, del(h)]).collect();
         Ok(Dred {
-            over: Prepared::compile_over(db, &Program::new(over), &over_seeds)?,
-            re: Prepared::compile_over(db, &Program::new(again), &re_seeds)?,
+            over: Prepared::compile(db, &Program::new(over), &over_seeds)?,
+            re: Prepared::compile(db, &Program::new(again), &re_seeds)?,
             heads,
             edb,
         })

@@ -136,7 +136,7 @@ impl IcCheck {
         // body: its variables are bound by its atoms, its predicates have
         // one arity each.
         let plans = matchable.then(|| {
-            Prepared::compile_over(db, &program, &[Pred::new(HDEL)])
+            Prepared::compile(db, &program, &[Pred::new(HDEL)])
                 .expect("the denial rules of a matchable constraint compile")
         });
         IcCheck {

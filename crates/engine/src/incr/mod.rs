@@ -310,7 +310,7 @@ impl Materialized {
     /// Evaluates `program` over `db` from scratch (semi-naive) and keeps
     /// the result materialized for incremental maintenance.
     pub fn new(db: &Database, program: &Program) -> Result<Materialized, EngineError> {
-        let prepared = Prepared::compile(db, program)?;
+        let prepared = Prepared::compile(db, program, &[])?;
         let dred = match incremental_capable(program) {
             true => Some(Dred::compile(db, program)?),
             false => None,

@@ -21,6 +21,14 @@ cargo test -q --offline --workspace --features failpoints
 # ten times the suites' tier-1 seeds: the `#[ignore]`d test of
 # tests/matrix.rs, one generator after the other.
 cargo test -q --offline --test matrix -- --ignored
+# Size gate: no product source file (the bench crate's experiments and
+# fixtures aside) may hold more than 1 200 lines before its first
+# `#[cfg(test)]`. A file past it holds more than one layer: split it.
+for f in $(find crates/{datalog,engine,core,serve,iqa,gen}/src src -name '*.rs'); do
+  awk '/^#\[cfg\(test\)\]/ { exit } { n = NR }
+       END { if (n > 1200) { print FILENAME ": " n " lines before its tests (max 1200)"; exit 1 } }' "$f" \
+    || { echo "size gate: split the file" >&2; exit 1; }
+done
 # Format gate: the whole workspace is rustfmt-clean; drift fails the
 # build before clippy ever runs.
 cargo fmt --check

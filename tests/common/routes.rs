@@ -31,7 +31,6 @@
 
 use super::naive::{self, Facts};
 use super::{frame, wire};
-use semrec::core::isolate::isolate;
 use semrec::core::push::{replace_blocks, Pusher};
 use semrec::core::sequence::{enumerate_sequences, unfold};
 use semrec::core::{evaluate_routed, route_alternatives, GovernedOutcome, MaintainedQuery};
@@ -42,6 +41,7 @@ use semrec::engine::incr::IcCheck;
 use semrec::engine::{evaluate, scan_goal, Budget, CancelToken, Database, EvalResult};
 use semrec::engine::{Materialized, Relation, Route, Stats, Strategy, Tuple, Tx, UpdateStats};
 use semrec::serve::{QueryReply, ServeConfig, Server};
+use semrec_bench::fixtures::isolate::isolate;
 use semrec_bench::fixtures::sld::{query_sld, Completeness, SldConfig};
 use semrec_bench::fixtures::topdown::query_topdown;
 use std::collections::{BTreeMap, BTreeSet};

@@ -10,9 +10,7 @@
 
 #![cfg(feature = "failpoints")]
 
-use semrec::core::optimizer::{
-    evaluate_governed, evaluate_routed, GovernedOutcome, OptimizerConfig,
-};
+use semrec::core::optimizer::{evaluate_routed, GovernedOutcome, OptimizerConfig};
 use semrec::datalog::Value::Int;
 use semrec::engine::failpoint::{self, FailAction};
 use semrec::engine::{
@@ -127,13 +125,14 @@ fn run_with_watchdog(workload: Workload, dir: &Path) -> RunReport {
         let (s, _) = workload.build();
         let mut db = Database::new();
         let outcome = semrec::engine::io::load_dir(&mut db, &dir).and_then(|_| {
-            evaluate_governed(
+            evaluate_routed(
                 &db,
                 &s.program,
                 &s.constraints,
                 OptimizerConfig::default(),
                 Budget::unlimited().with_deadline(Duration::from_secs(60)),
                 CancelToken::new(),
+                None,
             )
         });
         let answered = outcome.iter().flat_map(|o| o.result.idb.iter());
@@ -351,7 +350,7 @@ fn round_boundary_error_is_typed() {
 }
 
 /// The degradation policy end to end: when the optimizer's push stage
-/// fails (error or panic), `evaluate_governed` falls back to the
+/// fails (error or panic), `evaluate_routed` falls back to the
 /// rectified program and answers *identically* to the rectified
 /// serial reference.
 #[test]
@@ -373,13 +372,14 @@ fn optimizer_failure_degrades_to_rectified_with_identical_answers() {
     for action in [FailAction::Err, FailAction::Panic] {
         failpoint::clear();
         failpoint::arm("optimizer.push", 0, action);
-        let outcome = evaluate_governed(
+        let outcome = evaluate_routed(
             &db,
             &s.program,
             &s.constraints,
             OptimizerConfig::default(),
             Budget::unlimited().with_deadline(Duration::from_secs(60)),
             CancelToken::new(),
+            None,
         );
         failpoint::clear();
         let outcome = outcome.unwrap_or_else(|e| panic!("{action:?}: fallback must answer: {e}"));

@@ -135,7 +135,7 @@ fn row_budget_trips_with_partial_sound_idb() {
     ev.check_invariants().expect("IDB invariants after trip");
     // Round-boundary enforcement keeps whole rounds: everything
     // committed is a sound subset of the fixpoint.
-    let partial = ev.idb_relation(Pred::new("t")).unwrap().sorted_tuples();
+    let partial = ev.finish().relation("t").unwrap().sorted_tuples();
     assert!(!partial.is_empty(), "at least one round committed");
     for t in partial {
         assert!(full.contains(&t), "unsound tuple {t:?}");
@@ -219,13 +219,14 @@ fn governed_optimize_answers_like_rectified() {
         ev.run().unwrap();
         ev.finish()
     };
-    let outcome = semrec::core::evaluate_governed(
+    let outcome = semrec::core::evaluate_routed(
         &db,
         &s.program,
         &s.constraints,
         semrec::core::OptimizerConfig::default(),
         Budget::unlimited().with_deadline(Duration::from_secs(600)),
         CancelToken::new(),
+        None,
     )
     .expect("governed evaluation answers");
     assert!(outcome.degraded.is_none(), "{:?}", outcome.degraded);
@@ -242,13 +243,14 @@ fn governed_cancel_is_not_degraded_around() {
     let db = fanout::generate(&fanout::FanoutParams::default());
     let token = CancelToken::new();
     token.cancel();
-    let err = semrec::core::evaluate_governed(
+    let err = semrec::core::evaluate_routed(
         &db,
         &s.program,
         &s.constraints,
         semrec::core::OptimizerConfig::default(),
         Budget::unlimited(),
         token,
+        None,
     )
     .expect_err("pre-cancelled token must stop both routes");
     assert_eq!(err, EngineError::Cancelled);
