@@ -34,8 +34,9 @@ use std::time::{Duration, Instant};
 /// dropped the `threads` key (evaluation is single-threaded); v4 added
 /// the `socket_read` section (a real loopback listener beside the same
 /// requests in-process); v5 added `write.publish_bytes_per_commit`; v6
-/// added the `write_delete` section. Older artifacts are rejected.
-pub const SERVE_SCHEMA_VERSION: u64 = 6;
+/// added the `write_delete` section; v7 dropped the `answer_cache`
+/// section with the cache it timed. Older artifacts are rejected.
+pub const SERVE_SCHEMA_VERSION: u64 = 7;
 
 /// The `--assert-serve-read` ceiling on the loopback round-trip median.
 /// A reply that waits for the client's delayed ACK takes ≥ 40 ms; a
@@ -88,7 +89,7 @@ pub struct ServeBenchResult {
     /// Chain length of the workload EDB.
     pub chain: usize,
     /// Single-client read latency/throughput at the latest epoch
-    /// (server defaults: index + cache on, same goal repeated).
+    /// (server defaults, same goal repeated).
     pub read: LatencyDigest,
     /// Commit latency/throughput on the writer path (WAL off: the run
     /// measures the apply+publish pipeline, not this box's fsync).
@@ -116,17 +117,13 @@ pub struct ServeBenchResult {
     /// Median bytes copied to publish the insert commit that follows a
     /// delete: it shares the tombstone words, so index entries only.
     pub publish_bytes_after_delete: f64,
-    /// Bound-goal reads through the dictionary-probe path (no cache,
-    /// cycling distinct goals so every read computes its answer).
+    /// Bound-goal reads through the dictionary-probe path, cycling
+    /// distinct goals.
     pub read_indexed: LatencyDigest,
     /// The same bound-goal cycle as a full scan of the pinned snapshot
     /// (`goal_matches` over every row, done here in the bench) — the
     /// yardstick the `--assert-serve-read` gate divides by.
     pub read_scan: LatencyDigest,
-    /// Repeated-goal reads against the answer cache (cache on).
-    pub cache_read: LatencyDigest,
-    /// Cache hit rate over the repeated-goal leg.
-    pub cache_hit_rate: f64,
     /// Bound-goal round trips over a real loopback `serve_listener`
     /// (server defaults, one `TCP_NODELAY` client, closed loop, the
     /// `read_indexed` goal cycle: replies average `chain / 2` rows):
@@ -298,18 +295,13 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     let reach = state.relation(goal.pred).expect("reach is published");
     assert_eq!(reach.len(), chain * (chain + 1) / 2, "back at the chain");
 
-    // Phase 2b: indexed vs scan bound-goal reads, both without the
-    // answer cache and cycling distinct goals, so every read computes
-    // its answer. A warmup query pays the one-time dictionary index
-    // build outside the timings.
+    // Phase 2b: indexed vs scan bound-goal reads, cycling distinct
+    // goals. A warmup query pays the one-time dictionary index build
+    // outside the timings.
     let goals: Vec<Atom> = (0..chain)
         .map(|i| parse_atom(&format!("reach({i}, Y)")).expect("bound goal"))
         .collect();
-    let indexed_cfg = ServeConfig {
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    };
-    let (indexed, _) = Server::open(&unit, indexed_cfg, None).expect("indexed open");
+    let (indexed, _) = Server::open(&unit, ServeConfig::default(), None).expect("indexed open");
     indexed.query(&goals[0], None, None).expect("index warmup");
     let mut samples = Vec::with_capacity(reads);
     let started = Instant::now();
@@ -343,34 +335,15 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     }
     result.read_scan = digest(samples, started.elapsed());
 
-    // Phase 2c: the answer cache on a repeated goal — one miss computes,
-    // everything after is a stamp-keyed hit.
-    let (cached, _) = Server::open(&unit, ServeConfig::default(), None).expect("cache open");
-    let mut samples = Vec::with_capacity(reads);
-    let started = Instant::now();
-    for _ in 0..reads {
-        let t = Instant::now();
-        let reply = cached.query(&goals[0], None, None).expect("cached read");
-        samples.push(t.elapsed().as_secs_f64() * 1e6);
-        assert_eq!(reply.tuples.len(), chain);
-    }
-    result.cache_read = digest(samples, started.elapsed());
-    let s = cached.stats();
-    let lookups = s.cache_hits + s.cache_misses;
-    result.cache_hit_rate = if lookups > 0 {
-        s.cache_hits as f64 / lookups as f64
-    } else {
-        0.0
-    };
-
-    // Phase 2e: the wire. The goal cycle of the indexed leg as request
+    // Phase 2c: the wire. The goal cycle of the indexed leg as request
     // lines, first in-process into a reused buffer, then over a real
-    // loopback listener — the cycle is longer than the answer cache, so
-    // both passes compute every answer and differ only in transport.
+    // loopback listener — both passes compute every answer alike and
+    // differ only in transport.
+    let (wired, _) = Server::open(&unit, ServeConfig::default(), None).expect("wire open");
     let lines: Vec<String> = (0..chain)
         .map(|i| format!("query reach({i}, Y).\n"))
         .collect();
-    let mut conn = Connection::new(Arc::clone(&cached));
+    let mut conn = Connection::new(Arc::clone(&wired));
     let mut reply = Vec::new();
     let mut samples = Vec::with_capacity(reads);
     let started = Instant::now();
@@ -388,7 +361,7 @@ pub fn run_serve_bench(quick: bool) -> ServeBenchResult {
     assert!(reads <= SESSION_BURST as usize);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("listener address");
-    let daemon = Arc::clone(&cached);
+    let daemon = Arc::clone(&wired);
     // The accept loop has no shutdown; it ends with the process.
     std::thread::spawn(move || daemon.serve_listener(&listener));
     let mut writer = TcpStream::connect(addr).expect("connect loopback");
@@ -634,12 +607,6 @@ pub fn serve_to_json(r: &ServeBenchResult) -> String {
     section(&mut s, "read_scan", &r.read_scan, &[]);
     section(
         &mut s,
-        "answer_cache",
-        &r.cache_read,
-        &[("hit_rate", format!("{:.4}", r.cache_hit_rate))],
-    );
-    section(
-        &mut s,
         "socket_read",
         &r.socket_read,
         &[(
@@ -711,14 +678,6 @@ pub fn serve_table(r: &ServeBenchResult) -> String {
         s,
         "  fscan  p50 {:>8.1}us  p99 {:>8.1}us  {:>10.1}/s  ({} samples, scan yardstick)",
         r.read_scan.p50_us, r.read_scan.p99_us, r.read_scan.per_sec, r.read_scan.count
-    );
-    let _ = writeln!(
-        s,
-        "  cache  p50 {:>8.1}us  p99 {:>8.1}us  {:>10.1}/s  (hit rate {:.1}%)",
-        r.cache_read.p50_us,
-        r.cache_read.p99_us,
-        r.cache_read.per_sec,
-        r.cache_hit_rate * 100.0
     );
     let _ = writeln!(
         s,
@@ -806,7 +765,6 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
         ("write_delete", "first_insert_after_delete_p50_us"),
         ("write_delete", "publish_bytes_per_delete"),
         ("write_delete", "publish_bytes_after_delete"),
-        ("answer_cache", "hit_rate"),
         ("socket_read", "in_process_p50_us"),
         ("batched_write", "avg_batch"),
         ("batched_write", "speedup"),
@@ -843,8 +801,7 @@ pub fn check_serve_baseline(src: &str) -> Result<String, String> {
 
 /// The `--assert-serve-read` CI gate: on a fresh (quick) run, the
 /// indexed bound-goal read path must come in at ≤ 20% of the scan
-/// path's median, the repeated-goal leg must hit the answer cache at
-/// least 90% of the time, a loopback round trip must take at most
+/// path's median, a loopback round trip must take at most
 /// [`SOCKET_READ_P50_MAX_US`] at the median — a reply split over small
 /// writes that waits for a delayed ACK fails that by a factor of eight
 /// — and a two-fact insert commit must copy at most
@@ -867,13 +824,6 @@ pub fn check_serve_read(r: &ServeBenchResult) -> Result<String, String> {
             r.read_indexed.p50_us,
             ratio * 100.0,
             r.read_scan.p50_us
-        ));
-    }
-    if r.cache_hit_rate < 0.90 {
-        return Err(format!(
-            "serve read gate: answer cache hit rate {:.1}% on the repeated-goal leg \
-             (must be >= 90%)",
-            r.cache_hit_rate * 100.0
         ));
     }
     if r.socket_read.count == 0 || r.socket_read.p50_us > SOCKET_READ_P50_MAX_US {
@@ -929,13 +879,12 @@ pub fn check_serve_read(r: &ServeBenchResult) -> Result<String, String> {
     }
     Ok(format!(
         "serve read gate: indexed p50 {:.1}us = {:.1}% of scan p50 {:.1}us, \
-         cache hit rate {:.1}%, socket p50 {:.1}us (in-process {:.1}us), \
+         socket p50 {:.1}us (in-process {:.1}us), \
          {:.0} B copied per publish; delete p50 {:.1}us = {:.1}x insert p50 {insert:.1}us, \
          {:.1}us and {:.0} B right after a delete; {:.2} txs per group commit",
         r.read_indexed.p50_us,
         ratio * 100.0,
         r.read_scan.p50_us,
-        r.cache_hit_rate * 100.0,
         r.socket_read.p50_us,
         r.socket_in_process_p50_us,
         r.publish_bytes_per_commit,
@@ -970,7 +919,6 @@ mod tests {
             r.publish_bytes_after_delete
         );
         assert!(r.read_indexed.count > 0 && r.read_scan.count > 0);
-        assert!(r.cache_read.count > 0);
         assert!(r.socket_read.count > 0 && r.socket_in_process_p50_us > 0.0);
         assert!(r.batched_write.count > 0);
         assert!(r.overloaded > 0, "tiny gate must shed");
@@ -997,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn read_gate_rejects_slow_probes_and_cold_caches() {
+    fn read_gate_rejects_slow_probes_and_stalls() {
         let good = ServeBenchResult {
             read_indexed: LatencyDigest {
                 count: 10,
@@ -1009,7 +957,6 @@ mod tests {
                 p50_us: 10_000.0,
                 ..LatencyDigest::default()
             },
-            cache_hit_rate: 0.99,
             socket_read: LatencyDigest {
                 count: 10,
                 p50_us: 400.0,
@@ -1093,16 +1040,9 @@ mod tests {
                 p50_us: 5_000.0,
                 ..LatencyDigest::default()
             },
-            ..good.clone()
-        };
-        assert!(check_serve_read(&slow).expect_err("ratio").contains("20%"));
-        let cold = ServeBenchResult {
-            cache_hit_rate: 0.5,
             ..good
         };
-        assert!(check_serve_read(&cold)
-            .expect_err("hit rate")
-            .contains("90%"));
+        assert!(check_serve_read(&slow).expect_err("ratio").contains("20%"));
         assert!(check_serve_read(&ServeBenchResult::default()).is_err());
     }
 

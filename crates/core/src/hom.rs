@@ -1,6 +1,5 @@
-//! Homomorphism search over conjunctions of atoms, shared by the residue
-//! usefulness check ([`crate::residue`]) and conjunctive-query
-//! minimization ([`crate::minimize`]).
+//! Homomorphism search over conjunctions of atoms, used by the residue
+//! usefulness check ([`crate::residue`]).
 //!
 //! A *folding homomorphism* here is an idempotent variable mapping `h`
 //! that fixes a set of protected variables and sends every source atom

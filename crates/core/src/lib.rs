@@ -16,7 +16,6 @@ pub mod expand;
 pub mod graph;
 pub mod hom;
 pub mod maintain;
-pub mod minimize;
 pub mod occurs;
 pub mod optimizer;
 pub mod push;

@@ -29,9 +29,6 @@ pub struct OptimizerConfig {
     pub pad: usize,
     /// Pushing policy (enabled optimizations, small relations).
     pub policy: PushPolicy,
-    /// Run structural minimization ([`crate::minimize`]) on the optimized
-    /// program (removes redundant atoms and subsumed rules).
-    pub minimize: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -40,7 +37,6 @@ impl Default for OptimizerConfig {
             method: DetectionMethod::SdGraph,
             pad: 3,
             policy: PushPolicy::default(),
-            minimize: false,
         }
     }
 }
@@ -221,11 +217,6 @@ impl Optimizer {
             .collect();
         let (program, _, rule_level_applied) =
             rule_level_rewrite_with(&program, &index, policy, Some(&non_recursive));
-        let program = if config.minimize {
-            crate::minimize::minimize_program(&program)
-        } else {
-            program
-        };
 
         Ok(Plan {
             rectified,
@@ -937,45 +928,5 @@ mod tests {
             .run()
             .unwrap();
         assert!(!plan.any_applied());
-    }
-}
-
-#[cfg(test)]
-mod minimize_integration_tests {
-    use super::*;
-    use semrec_datalog::parser::parse_unit;
-    use semrec_engine::{evaluate, int_tuple, Database, Strategy};
-
-    #[test]
-    fn minimize_flag_tidies_the_output() {
-        // A program with a redundant duplicate atom survives optimization
-        // untouched without the flag and loses it with the flag.
-        let unit = parse_unit(
-            "t(X, Y) :- e(X, Y), e(X, Y).
-             t(X, Y) :- e(X, Z), t(Z, Y).",
-        )
-        .unwrap();
-        let plain = Optimizer::new(&unit.program()).run().unwrap();
-        let config = OptimizerConfig {
-            minimize: true,
-            ..OptimizerConfig::default()
-        };
-        let tidy = Optimizer::new(&unit.program())
-            .with_config(config)
-            .run()
-            .unwrap();
-        let atoms = |p: &Program| -> usize { p.rules.iter().map(|r| r.body.len()).sum() };
-        assert!(atoms(&tidy.program) < atoms(&plain.program));
-
-        let mut db = Database::new();
-        for (a, b) in [(0, 1), (1, 2), (2, 3)] {
-            db.insert("e", int_tuple(&[a, b]));
-        }
-        let x = evaluate(&db, &plain.program, Strategy::SemiNaive).unwrap();
-        let y = evaluate(&db, &tidy.program, Strategy::SemiNaive).unwrap();
-        assert_eq!(
-            x.relation("t").unwrap().sorted_tuples(),
-            y.relation("t").unwrap().sorted_tuples()
-        );
     }
 }

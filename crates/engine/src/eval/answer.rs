@@ -163,8 +163,7 @@ fn for_each_answer_row<E>(
 /// physical row ids into `snap`, in the same order, under the `poll`
 /// contract of [`for_each_answer_row`]. An id is only meaningful
 /// against the relation state it was read from — the serving daemon
-/// keeps ids beside the `Arc<Snapshot>` they index and keys its cache
-/// by that snapshot's stamp.
+/// keeps ids beside the `Arc<Snapshot>` they index.
 pub fn answer_goal_rows_polled<E>(
     snap: &Snapshot,
     goal: &Atom,

@@ -255,14 +255,14 @@ impl Relation {
 
     /// `(incarnation, generation)`: the identity of this relation's
     /// current state among every relation state of the process that is
-    /// ever *published* ([`Snapshot::stamp`] is what snapshot reuse and
-    /// the serving layer's answer cache key on). The incarnation is
-    /// process-unique per append history — a rebuilt, compacted,
-    /// truncated or forked relation gets a new one — and the generation
-    /// orders the states within it. Two clones that both only *delete*
-    /// would share an incarnation while differing in content; nothing
-    /// publishes a clone — publication follows the one relation every
-    /// transaction mutates in place, where stamps cannot collide.
+    /// ever *published* ([`Snapshot::stamp`] is what snapshot reuse
+    /// keys on). The incarnation is process-unique per append history —
+    /// a rebuilt, compacted, truncated or forked relation gets a new one
+    /// — and the generation orders the states within it. Two clones
+    /// that both only *delete* would share an incarnation while
+    /// differing in content; nothing publishes a clone — publication
+    /// follows the one relation every transaction mutates in place,
+    /// where stamps cannot collide.
     #[inline]
     pub fn stamp(&self) -> (u64, u64) {
         (self.incarnation, self.generation)

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod cache;
 pub mod epoch;
 pub mod error;
 pub mod protocol;
@@ -46,7 +45,6 @@ pub mod wal;
 pub use admission::{
     Admission, AdmissionConfig, Permit, SESSION_BURST, SESSION_COMMITS_PER_S, SESSION_RATE_PER_S,
 };
-pub use cache::{AnswerCache, GoalShape, RelationStamp};
 pub use epoch::{EpochRegistry, EpochState};
 pub use error::ServeError;
 pub use protocol::{serve_session, Connection, Response, REPLY_BUF_BYTES};

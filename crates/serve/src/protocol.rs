@@ -215,15 +215,13 @@ impl Connection {
             writeln!(
                 out,
                 "ok commits={} epoch={} oldest={} admitted={} rejected={} reaped={} \
-                 cache_hits={} cache_misses={} batches={} batched_txs={} publish_bytes={}",
+                 batches={} batched_txs={} publish_bytes={}",
                 s.commits,
                 s.epoch,
                 s.oldest_epoch,
                 s.admitted,
                 s.rejected,
                 s.watchdog_cancelled,
-                s.cache_hits,
-                s.cache_misses,
                 s.batches,
                 s.batched_txs,
                 s.publish_bytes

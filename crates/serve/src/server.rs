@@ -32,7 +32,6 @@
 //! read path.
 
 use crate::admission::{Admission, AdmissionConfig, Permit};
-use crate::cache::{AnswerCache, GoalShape};
 use crate::epoch::{EpochRegistry, EpochState};
 use crate::error::ServeError;
 use crate::protocol::{serve_session, Connection};
@@ -62,11 +61,6 @@ pub struct ServeConfig {
     pub retain_epochs: usize,
     /// Budget applied to each transaction's maintenance work.
     pub write_budget: Budget,
-    /// Answer-cache entry bound (FIFO eviction). Answers are memoized
-    /// per `(goal shape, relation stamp)` ([`crate::cache`]);
-    /// publication invalidates exactly the changed predicates. 0 means
-    /// no cache: every query computes its answer.
-    pub cache_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -76,7 +70,6 @@ impl Default for ServeConfig {
             admission: AdmissionConfig::default(),
             retain_epochs: 8,
             write_budget: Budget::unlimited(),
-            cache_capacity: 1024,
         }
     }
 }
@@ -96,8 +89,8 @@ pub struct RecoveryReport {
 
 /// One answered query, by reference: the matching rows as sorted ids
 /// into the pinned epoch's snapshot of the relation. This is what the
-/// answer cache stores and what the wire path renders from; nothing is
-/// copied until someone asks for tuples ([`Server::query`]).
+/// wire path renders from; nothing is copied until someone asks for
+/// tuples ([`Server::query`]).
 #[derive(Clone, Debug)]
 pub struct Answer {
     /// The epoch the answer is exact at.
@@ -109,7 +102,7 @@ pub struct Answer {
     /// epoch (the answer is then empty).
     rel: Option<Arc<Snapshot>>,
     /// Physical row ids of the matching tuples, sorted by row content.
-    ids: Arc<[u32]>,
+    ids: Vec<u32>,
 }
 
 /// How far [`Answer::rows`] prefetches ahead of the row it yields: far
@@ -130,11 +123,11 @@ impl Answer {
 
     /// The matching tuples in sorted order, as slices into the pinned
     /// snapshot. The rows of one answer lie scattered over the flat
-    /// store (a cache hit has not touched them yet), so the walk
-    /// prefetches [`ROWS_PREFETCH_AHEAD`] rows in front of itself.
+    /// store, so the walk prefetches [`ROWS_PREFETCH_AHEAD`] rows in
+    /// front of itself.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Word]> {
         let rel = self.rel.as_deref();
-        let ids = &*self.ids;
+        let ids = &self.ids;
         ids.iter().enumerate().map(move |(i, &id)| {
             let rel = rel.expect("an answer with rows pins their relation");
             debug_assert!(
@@ -193,9 +186,12 @@ pub struct ServerStats {
     pub rejected: u64,
     /// Readers cancelled by the slow-reader watchdog.
     pub watchdog_cancelled: u64,
-    /// Queries answered from the epoch answer cache.
+    /// Always 0: the daemon has no answer cache. Kept only because
+    /// `benchmark/src/bin/layers.rs` reads it; the next change to
+    /// `benchmark/` drops it.
     pub cache_hits: u64,
-    /// Cache lookups that had to compute their answer.
+    /// Always 0, like [`ServerStats::cache_hits`] and for the same
+    /// reason.
     pub cache_misses: u64,
     /// Commit batches processed (a lone commit is a batch of one).
     pub batches: u64,
@@ -266,7 +262,6 @@ pub struct Server {
     admission: Arc<Admission>,
     cfg: ServeConfig,
     commits: AtomicU64,
-    cache: AnswerCache,
     /// Commits waiting for a batch leader; while a leader processes a
     /// batch, every arriving commit queues here and the leader's next
     /// successor sweeps them all into one maintenance pass.
@@ -350,7 +345,6 @@ impl Server {
         );
         let registry = EpochRegistry::new(initial, cfg.retain_epochs);
         let admission = Admission::new(cfg.admission);
-        let cache = AnswerCache::new(cfg.cache_capacity);
         let server = Arc::new(Server {
             writer: Mutex::new(WriterState {
                 query,
@@ -361,7 +355,6 @@ impl Server {
             admission,
             cfg,
             commits: AtomicU64::new(0),
-            cache,
             pending: Mutex::new(BatchQueue {
                 queue: VecDeque::new(),
                 leader_active: false,
@@ -398,8 +391,8 @@ impl Server {
             admitted: self.admission.admitted(),
             rejected: self.admission.rejected(),
             watchdog_cancelled: self.admission.watchdog_cancelled(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
+            cache_hits: 0,
+            cache_misses: 0,
             batches: self.batches.load(Ordering::Relaxed),
             batched_txs: self.batched_txs.load(Ordering::Relaxed),
             publish_bytes: self.publish_bytes.load(Ordering::Relaxed),
@@ -412,13 +405,10 @@ impl Server {
     /// deadline — and otherwise returns exactly the pinned epoch's
     /// matching rows, sorted, as ids into that epoch's snapshot.
     ///
-    /// A repeated goal shape against an unchanged relation state is a
-    /// pointer clone out of the answer cache (unless
-    /// [`ServeConfig::cache_capacity`] is 0); a computed answer routes
-    /// bound goal arguments through the snapshot's dictionary index
-    /// instead of scanning. Cached ids are only ever paired with a
-    /// snapshot of the state whose stamp keyed them: the stamp is read
-    /// off the very `Arc<Snapshot>` the answer carries.
+    /// Every read takes one path: pin the epoch, route bound goal
+    /// arguments through the snapshot's dictionary index (all-free
+    /// goals scan), sort the ids by row content. The ids are paired
+    /// with the very `Arc<Snapshot>` they were read from.
     pub fn query_rows(
         &self,
         goal: &Atom,
@@ -431,21 +421,9 @@ impl Server {
             .map_err(|m| ServeError::Io(format!("reader: {m}")))?;
         let state = self.registry.pin(at)?;
         let rel = state.relation(goal.pred).cloned();
-        let stamp = rel.as_deref().map(Snapshot::stamp);
-        let shape = (self.cfg.cache_capacity > 0).then(|| GoalShape::of(goal));
-        let cached = shape.as_ref().and_then(|s| self.cache.get(s, stamp));
-        let ids = match cached {
-            Some(ids) => ids,
-            None => {
-                let ids: Arc<[u32]> = match &rel {
-                    Some(rel) => self.answer(&state, rel, goal, &permit)?.into(),
-                    None => Arc::from([]),
-                };
-                if let Some(shape) = shape {
-                    self.cache.insert(shape, stamp, Arc::clone(&ids));
-                }
-                ids
-            }
+        let ids = match &rel {
+            Some(rel) => self.answer(&state, rel, goal, &permit)?,
+            None => Vec::new(),
         };
         Ok(Answer {
             epoch: state.epoch,

@@ -18,13 +18,12 @@
 //! semrec serve <file> [--wal PATH] [--script PATH | --listen ADDR]
 //!            [--max-inflight N] [--retain-epochs N] [--watchdog-ms N]
 //!            [--request-deadline-ms N] [--deadline-ms N] [--max-rows N]
-//!            [--max-bytes N] [--max-iters N] [--cache-capacity N]
+//!            [--max-bytes N] [--max-iters N]
 //!                                                 run the serving daemon
 //! ```
 //!
 //! A `--flag` the subcommand does not know is a usage error (exit 2),
-//! never silently ignored. `--cache-capacity 0` serves without the
-//! answer cache.
+//! never silently ignored.
 //!
 //! `<file>` holds rules, ground facts, and `ic:` constraints in the
 //! Prolog-like syntax of `semrec_datalog::parser`.
@@ -197,7 +196,7 @@ fn usage() -> String {
      semrec serve <file> [--wal PATH] [--script PATH | --listen ADDR]\n  \
              [--max-inflight N] [--retain-epochs N] [--watchdog-ms N]\n  \
              [--request-deadline-ms N] [--deadline-ms N] [--max-rows N]\n  \
-             [--max-bytes N] [--max-iters N] [--cache-capacity N]"
+             [--max-bytes N] [--max-iters N]"
         .to_owned()
 }
 
@@ -229,7 +228,6 @@ fn known_flags(cmd: &str) -> (&'static [&'static str], &'static [&'static str], 
                 "--retain-epochs",
                 "--watchdog-ms",
                 "--request-deadline-ms",
-                "--cache-capacity",
             ],
             true,
         ),
@@ -899,9 +897,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(ms) = flag_u64(args, "--request-deadline-ms")? {
         cfg.admission.default_deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(n) = flag_u64(args, "--cache-capacity")? {
-        cfg.cache_capacity = n as usize;
     }
     let wal = flag_value(args, "--wal").map(std::path::PathBuf::from);
 

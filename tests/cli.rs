@@ -520,6 +520,10 @@ fn unknown_and_retired_flags_are_usage_errors() {
             vec!["serve", &file, "--no-answer-cache"],
             "--no-answer-cache",
         ),
+        (
+            vec!["serve", &file, "--cache-capacity", "8"],
+            "--cache-capacity",
+        ),
         (vec!["run", &file, "--naive"], "--naive"),
         (
             vec!["run", &file, "--magic", "--query", "anc(dan, A, Y, Ya)"],

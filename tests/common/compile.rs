@@ -132,11 +132,6 @@ pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerC
         policy,
         Some(&non_recursive),
     );
-    let program = if config.minimize {
-        semrec::core::minimize::minimize_program(&program)
-    } else {
-        program
-    };
     Plan {
         rectified,
         program,

@@ -15,8 +15,8 @@
 //!   reports, the delta re-check of every constraint that held before it,
 //!   and DRed's over-deleted and re-derived counts;
 //! - a server logging to a WAL: every goal's wire bytes after every commit
-//!   (computed, then from the answer cache) and at every retained epoch,
-//!   then, uncached, after a restart that replays the log.
+//!   (read twice) and at every retained epoch, then after a restart that
+//!   replays the log.
 //!
 //! [`check_each`] spreads cases, and then every case's binding patterns,
 //! over one thread per core.
@@ -732,11 +732,11 @@ static NEXT_WAL: AtomicUsize = AtomicUsize::new(0);
 
 /// The served route: a server logging to a WAL commits the case's
 /// transactions; after each commit every goal's wire bytes must be the
-/// oracle's framed answer, read twice — the second time from the answer
-/// cache — and afterwards at every retained epoch, newest first, so the
-/// older snapshots read behind indexes the newer readers extended.
-/// Reopened without a cache, the server replays the log and must read
-/// the last epoch's bytes once more.
+/// oracle's framed answer, read twice — the second time over the index
+/// lineage the first read extended — and afterwards at every retained
+/// epoch, newest first, so the older snapshots read behind indexes the
+/// newer readers extended. Reopened, the server replays the log and
+/// must read the last epoch's bytes once more.
 fn served(case: &Case, epochs: &[Epoch]) {
     let name = &case.name;
     let id = NEXT_WAL.fetch_add(1, Ordering::Relaxed);
@@ -754,12 +754,9 @@ fn served(case: &Case, epochs: &[Epoch]) {
         facts: facts.collect(),
         constraints: case.ics.clone(),
     };
-    // Room for every answer asked: FIFO eviction could otherwise drop an
-    // older epoch's entry that a goal of an unchanged relation hits.
     let cfg = ServeConfig {
         optimizer: case.config.clone(),
         retain_epochs: epochs.len(),
-        cache_capacity: epochs.iter().map(|e| e.goals.len()).sum(),
         ..ServeConfig::default()
     };
     let (server, _) = Server::open(&unit, cfg.clone(), Some(&wal)).expect("open");
@@ -774,14 +771,11 @@ fn served(case: &Case, epochs: &[Epoch]) {
             want,
             "{name}: served at epoch {e}"
         );
-        let hits = server.stats().cache_hits;
         assert_eq!(
             wire(&server, &requests),
             want,
-            "{name}: cached at epoch {e}"
+            "{name}: read again at epoch {e}"
         );
-        let hits = (server.stats().cache_hits - hits) as usize;
-        assert_eq!(hits, epoch.goals.len(), "{name}: cache hits at epoch {e}");
     }
     let pinned = epochs.iter().enumerate().rev();
     let (at, want): (String, String) = pinned
@@ -790,17 +784,11 @@ fn served(case: &Case, epochs: &[Epoch]) {
     assert_eq!(wire(&server, &at), want, "{name}: served at pinned epochs");
     drop(server);
 
-    let uncached = ServeConfig {
-        cache_capacity: 0,
-        ..cfg
-    };
-    let (server, recovered) = Server::open(&unit, uncached, Some(&wal)).expect("reopen");
+    let (server, recovered) = Server::open(&unit, cfg, Some(&wal)).expect("reopen");
     assert_eq!(recovered.replayed_commits, case.txs.len(), "{name}: replay");
     let (last, epoch) = (epochs.len() - 1, &epochs[epochs.len() - 1]);
     let sent = wire(&server, &epoch.requests("query"));
     assert_eq!(sent, epoch.replies(last), "{name}: served after replay");
-    let stats = server.stats();
-    assert_eq!(stats.cache_hits + stats.cache_misses, 0, "{name}: uncached");
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

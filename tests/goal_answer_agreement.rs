@@ -6,9 +6,9 @@
 //! scan (`scan_goal`) over relations holding tombstones, and of a
 //! server, which answers by dictionary probes (`answer_goal`) as row ids
 //! rendered straight off its pinned snapshots: after every commit,
-//! computed and then from the answer cache; at every retained epoch
-//! once later readers have extended the indexes the older snapshots
-//! share; and after a restart, uncached. Every workload's first
+//! twice; at every retained epoch once later readers have extended the
+//! indexes the older snapshots share; and after a restart that replays
+//! the log. Every workload's first
 //! transaction tombstones a fifth of its largest relation. The
 //! goal-directed routes, which answer by rewriting rather than from a
 //! materialization, are left out.

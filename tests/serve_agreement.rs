@@ -7,8 +7,8 @@
 //! tombstones left in place, the compaction of a relation whose dead
 //! rows outnumber its live ones, growth past the allocation, and the
 //! undo of a failed apply. What a session puts on
-//! the wire — cache or no cache, after every commit, at every retained
-//! epoch, after a WAL replay — is the route matrix's served route
+//! the wire — after every commit, read twice, at every retained epoch,
+//! after a WAL replay — is the route matrix's served route
 //! (`common/routes.rs`), run here over the interleavings' transactions.
 
 mod common;
@@ -128,23 +128,23 @@ fn interleavings_agree_serial() {
     }
 }
 
-/// The interleavings' transactions through the matrix: a cached server
-/// (every second read a hit) and, after a WAL replay, an uncached one put
-/// the oracle's bytes on the wire for every goal.
+/// The interleavings' transactions through the matrix: a live server
+/// (every goal read twice per epoch) and, after a WAL replay, the
+/// reopened one put the oracle's bytes on the wire for every goal.
 #[test]
-fn cache_on_and_off_agree_tuple_for_tuple() {
+fn served_and_replayed_answers_agree_tuple_for_tuple() {
     references("serve seed 42", serve_txs(42));
 }
 
-/// Publication is the cache's invalidation: the matrix reads every goal
-/// after every commit, twice, so an entry warmed at one epoch must not
-/// answer the next — also across the violation/repair pair, where route
-/// invalidation rebuilds the materialization from scratch and a
-/// generation-only key would serve stale hits. An ordinary delete moves
-/// only the generation: the relation keeps its incarnation (rows are
-/// tombstoned in place, nothing is rebuilt).
+/// Every published state has its own stamp: the matrix reads every goal
+/// after every commit, twice, so a read at one epoch must not answer
+/// the next — also across the violation/repair pair, where route
+/// invalidation rebuilds the materialization from scratch under a new
+/// incarnation. An ordinary delete moves only the generation: the
+/// relation keeps its incarnation (rows are tombstoned in place,
+/// nothing is rebuilt).
 #[test]
-fn republish_invalidates_cached_answers() {
+fn a_delete_republishes_under_the_incarnation_with_a_new_generation() {
     let mut txs = serve_txs(7);
     let mut delete = Tx::new();
     delete.delete("edge", int_tuple(&[2, 3]));

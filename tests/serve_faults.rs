@@ -270,21 +270,20 @@ fn mid_batch_wal_append_fault_condemns_one_tx_and_acks_the_rest() {
     }
 }
 
-/// The answer cache under seeded commit-fault schedules: repeated goals
-/// (warm + hit) bracket every commit attempt, and each read must answer
+/// Repeated reads under seeded commit-fault schedules: the same goal,
+/// read twice, brackets every commit attempt, and each read must answer
 /// exactly the serial replay of the currently *published* prefix — a
 /// fault that condemns, rejects, or leaves a commit applied-but-
-/// unpublished must never let a stale cached answer through, and the
-/// cache must still be taking hits throughout.
+/// unpublished must never let a stale answer through.
 #[test]
-fn answer_cache_never_serves_stale_under_fault_schedules() {
+fn repeated_reads_never_serve_stale_under_fault_schedules() {
     let _g = serial();
     for seed in 0..10u64 {
         let mut rng = Rng::seed_from_u64(0xCAC4E + seed);
         let site = ["wal.append", "wal.fsync", "snapshot.publish"][rng.gen_range(0..3usize)];
         let fire_at = rng.gen_range(0..6usize) as u64;
         let txs = tx_mix(&mut rng);
-        let wal = tmp_wal(&format!("cache-{seed}"));
+        let wal = tmp_wal(&format!("repeated-{seed}"));
         let (server, _) = Server::open(&unit(), ServeConfig::default(), Some(&wal)).expect("open");
 
         failpoint::clear();
@@ -326,11 +325,6 @@ fn answer_cache_never_serves_stale_under_fault_schedules() {
             }
         }
         failpoint::clear();
-        let stats = server.stats();
-        assert!(
-            stats.cache_hits > 0,
-            "seed {seed}: the repeated goals must be hitting the cache"
-        );
         let _ = std::fs::remove_file(&wal);
     }
 }
