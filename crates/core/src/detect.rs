@@ -17,15 +17,17 @@
 
 use crate::graph::{build_sd_graph, pattern_labels, SdGraph};
 use crate::occurs::may_match;
-use crate::residue::{Residue, VerifyContext};
+use crate::residue::{Residue, Scratch, VerifyContext};
 use crate::sequence::{enumerate_sequences, unfold_with, StepNames, Unfolding};
 use semrec_datalog::analysis::RecursionInfo;
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
 use semrec_datalog::program::Program;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How residues were (or should be) detected.
@@ -129,7 +131,12 @@ pub struct Detector<'a> {
     pad: usize,
     proposer: Proposer,
     names: StepNames,
-    contexts: BTreeMap<Vec<usize>, VerifyContext>,
+    contexts: BTreeMap<Vec<usize>, (usize, VerifyContext)>,
+    /// Calls of [`Detector::detect`] so far.
+    calls: usize,
+    /// Reused by each [`Detector::detect`] call: the searches, and each
+    /// residue with its text (the sort key's second half) in one buffer.
+    reuse: (Scratch, Vec<(Range<usize>, Residue)>, String),
     stats: &'a mut DetectStats,
 }
 
@@ -158,23 +165,32 @@ impl<'a> Detector<'a> {
             proposer,
             names: StepNames::default(),
             contexts: BTreeMap::new(),
+            calls: 0,
+            reuse: Default::default(),
             stats,
         }
     }
 
     /// The unfolding of `seq`, computed on first use.
     pub fn unfolding(&mut self, seq: &[usize]) -> Result<&Unfolding, Error> {
-        Ok(self.context(seq)?.unfolding())
+        if !self.contexts.contains_key(seq) {
+            self.context(seq.to_vec())?;
+        }
+        Ok(self.contexts[seq].1.unfolding())
     }
 
-    /// The verification context of `seq`'s unfolding, built on first use.
-    fn context(&mut self, seq: &[usize]) -> Result<&VerifyContext, Error> {
-        if !self.contexts.contains_key(seq) {
-            let u = unfold_with(self.program, self.info, seq, &mut self.names)?;
-            self.stats.unfoldings += 1;
-            self.contexts.insert(seq.to_vec(), VerifyContext::new(u));
-        }
-        Ok(&self.contexts[seq])
+    /// The verification context of `seq`'s unfolding, built on first use,
+    /// and the number of the last [`Detector::detect`] call that verified
+    /// it (0 for none).
+    fn context(&mut self, seq: Vec<usize>) -> Result<&mut (usize, VerifyContext), Error> {
+        Ok(match self.contexts.entry(seq) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let u = unfold_with(self.program, self.info, e.key(), &mut self.names)?;
+                self.stats.unfoldings += 1;
+                e.insert((0, VerifyContext::new(u)))
+            }
+        })
     }
 
     /// The residues of `ic`, in deterministic order (by sequence, then by
@@ -185,48 +201,50 @@ impl<'a> Detector<'a> {
             Proposer::Graph(graph) => propose_sequences(graph, ic),
         };
 
-        let mut found: Vec<(String, Residue)> = Vec::new();
-        let mut verified: BTreeSet<Vec<usize>> = BTreeSet::new();
+        let (mut scratch, mut found, mut texts) = std::mem::take(&mut self.reuse);
         let mut worklist: Vec<(Vec<usize>, usize)> = seqs.into_iter().map(|s| (s, 0)).collect();
+        self.calls += 1;
+        let (call, info, pad) = (self.calls, self.info, self.pad);
 
         while let Some((seq, depth)) = worklist.pop() {
-            if !verified.insert(seq.clone()) {
+            let (verified_by, ctx) = self.context(seq)?;
+            if std::mem::replace(verified_by, call) == call {
                 continue;
             }
             // Step 4 of Algorithm 3.1: unfold the sequence and test maximal
             // (total) free subsumption, generating residues.
-            self.stats.sequences_verified += 1;
-            let residues = self.context(&seq)?.residues(ic);
+            let before = found.len();
+            ctx.residues(ic, &mut scratch, |r| {
+                let start = texts.len();
+                let _ = write!(texts, "{r}");
+                found.push((start..texts.len(), r));
+            });
             // Non-useful fact residues are kept: they cannot drive atom
             // elimination, but they can still drive atom *introduction*
             // (Example 4.2's doctoral(S)). They also trigger a search for a
             // useful variant on a padded sequence (Example 3.1).
-            let any_non_useful = residues.iter().any(|r| !r.is_useful());
-            for r in residues {
-                // The text half of the sort key, written once per residue.
-                let mut text = String::with_capacity(64);
-                let _ = write!(text, "{r}");
-                found.push((text, r));
-            }
+            let any_non_useful = found[before..].iter().any(|(_, r)| !r.is_useful());
             // Retry longer sequences to look for useful variants (Example 3.1).
-            if any_non_useful && depth < self.pad {
-                for &r in &self.info.recursive_rules {
-                    let mut pre = vec![r];
-                    pre.extend(&seq);
-                    worklist.push((pre, depth + 1));
+            if any_non_useful && depth < pad {
+                let seq = &ctx.unfolding().seq;
+                for &r in &info.recursive_rules {
+                    let pre = std::iter::once(r).chain(seq.iter().copied());
+                    worklist.push((pre.collect(), depth + 1));
                     // Appending is only possible when the sequence does not end
                     // in an exit rule.
                     if let Some(&last) = seq.last() {
-                        if self.info.recursive_rules.contains(&last) {
-                            let mut post = seq.clone();
-                            post.push(r);
-                            worklist.push((post, depth + 1));
+                        if info.recursive_rules.contains(&last) {
+                            let post = seq.iter().copied().chain([r]);
+                            worklist.push((post.collect(), depth + 1));
                         }
                     }
                 }
             }
+            self.stats.sequences_verified += 1;
         }
-        let out = sort_distinct(found);
+        let out = sort_distinct(&mut found, &texts);
+        texts.clear();
+        self.reuse = (scratch, found, texts);
         self.stats.residues += out.len();
         Ok(out)
     }
@@ -235,15 +253,17 @@ impl<'a> Detector<'a> {
 /// Sorts residues by (sequence, text) and drops repeats, keeping the first
 /// of equal residues. Equal residues share that key, so each residue is
 /// compared only with the others of its key; the sort is stable, so
-/// residues of one key stay in the order they were found.
-fn sort_distinct(mut found: Vec<(String, Residue)>) -> Vec<Detection> {
-    found.sort_by(|(ta, a), (tb, b)| a.seq.cmp(&b.seq).then_with(|| ta.cmp(tb)));
+/// residues of one key stay in the order they were found. Each text is a
+/// range of `texts`; `found` is left empty.
+fn sort_distinct(found: &mut Vec<(Range<usize>, Residue)>, texts: &str) -> Vec<Detection> {
+    let text = |range: &Range<usize>| &texts[range.clone()];
+    found.sort_by(|(ta, a), (tb, b)| a.seq.cmp(&b.seq).then_with(|| text(ta).cmp(text(tb))));
     let mut out: Vec<Detection> = Vec::with_capacity(found.len());
-    let (mut key_start, mut key_text) = (0, String::new());
-    for (text, residue) in found {
-        if out.last().is_none_or(|d| d.residue.seq != residue.seq) || text != key_text {
+    let (mut key_start, mut key_text) = (0, "");
+    for (range, residue) in found.drain(..) {
+        if out.last().is_none_or(|d| d.residue.seq != residue.seq) || text(&range) != key_text {
             key_start = out.len();
-            key_text = text;
+            key_text = text(&range);
         }
         if !out[key_start..].iter().any(|d| d.residue == residue) {
             out.push(Detection { residue });
@@ -257,10 +277,10 @@ fn sort_distinct(mut found: Vec<(String, Residue)>) -> Vec<Detection> {
 /// off the matched paths.
 fn propose_sequences(graph: &SdGraph, ic: &Constraint) -> Vec<Vec<usize>> {
     let mut out: BTreeSet<Vec<usize>> = BTreeSet::new();
-    for atoms in [
-        ic.body_atoms.clone(),
-        ic.body_atoms.iter().rev().cloned().collect::<Vec<_>>(),
-    ] {
+    let forward: Vec<&Atom> = ic.body_atoms.iter().collect();
+    // One atom reads the same both ways.
+    let backward = (forward.len() > 1).then(|| forward.iter().rev().copied().collect());
+    for atoms in [Some(forward), backward].into_iter().flatten() {
         let labels = pattern_labels(&atoms);
         let Some(first) = atoms.first() else { continue };
         for &start in graph.occs_of(first.pred) {
@@ -274,7 +294,7 @@ fn propose_sequences(graph: &SdGraph, ic: &Constraint) -> Vec<Vec<usize>> {
 #[allow(clippy::too_many_arguments)]
 fn walk(
     graph: &SdGraph,
-    atoms: &[Atom],
+    atoms: &[&Atom],
     labels: &[BTreeSet<(usize, usize)>],
     t: usize,
     occ: usize,

@@ -24,6 +24,7 @@ use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::program::Program;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::Term;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -283,10 +284,10 @@ pub fn build_sd_graph(program: &Program, info: &RecursionInfo, max_descents: usi
 /// The pattern graph of an IC (§3): labels between consecutive database
 /// atoms. Entry `t` holds the 0-based shared argument-position pairs
 /// between `D_t` and `D_{t+1}`.
-pub fn pattern_labels(atoms: &[Atom]) -> Vec<BTreeSet<(usize, usize)>> {
+pub fn pattern_labels<A: Borrow<Atom>>(atoms: &[A]) -> Vec<BTreeSet<(usize, usize)>> {
     let mut out = Vec::new();
     for w in atoms.windows(2) {
-        let (a, b) = (&w[0], &w[1]);
+        let (a, b) = (w[0].borrow(), w[1].borrow());
         let mut pairs = BTreeSet::new();
         for (i, ta) in a.args.iter().enumerate() {
             if !ta.is_var() {

@@ -13,11 +13,10 @@ use semrec_datalog::atom::Atom;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::Term;
-use std::collections::BTreeSet;
 
-/// Extends `h` with `v ↦ t`, keeping the mapping idempotent. Returns
-/// `false` on conflict.
-pub fn bind(h: &mut Subst, v: Symbol, t: Term) -> bool {
+/// Extends `h` with `v ↦ t`, keeping the mapping idempotent and recording
+/// new bindings on `trail`. Returns `false` on conflict.
+pub fn bind_idempotent(h: &mut Subst, v: Symbol, t: Term, trail: &mut Vec<Symbol>) -> bool {
     match h.get(v) {
         Some(prev) => prev == t,
         None => {
@@ -26,70 +25,57 @@ pub fn bind(h: &mut Subst, v: Symbol, t: Term) -> bool {
                     match h.get(w) {
                         Some(p) if p != Term::Var(w) => return false,
                         Some(_) => {}
-                        None => {
-                            h.insert(w, Term::Var(w));
-                        }
+                        None => h.bind(w, Term::Var(w), trail),
                     }
                 }
             }
-            h.insert(v, t);
+            h.bind(v, t, trail);
             true
         }
     }
 }
 
-/// Matches `h(source)` onto `target`, binding remaining unprotected
-/// variables (identity bindings included), returning the extended mapping.
-pub fn match_into(
+/// Matches `h(source)` onto `target` in place, binding remaining
+/// unprotected variables (identity bindings included). On `false`, `h`
+/// may hold partial bindings, recorded on `trail`.
+fn match_into(
     source: &Atom,
     target: &Atom,
-    h: &Subst,
-    protected: &BTreeSet<Symbol>,
-) -> Option<Subst> {
-    if source.pred != target.pred || source.arity() != target.arity() {
-        return None;
-    }
-    let mut h2 = h.clone();
-    for (&st, &tt) in source.args.iter().zip(&target.args) {
-        match st {
-            Term::Const(_) => {
-                if st != tt {
-                    return None;
-                }
-            }
-            Term::Var(v) if protected.contains(&v) => {
-                if Term::Var(v) != tt {
-                    return None;
-                }
-            }
-            Term::Var(v) => {
-                if !bind(&mut h2, v, tt) {
-                    return None;
-                }
-            }
-        }
-    }
-    Some(h2)
+    h: &mut Subst,
+    trail: &mut Vec<Symbol>,
+    protected: &impl Fn(Symbol) -> bool,
+) -> bool {
+    let mut args = source.args.iter().zip(&target.args);
+    source.pred == target.pred
+        && source.arity() == target.arity()
+        && args.all(|(&st, &tt)| match st {
+            Term::Const(_) => st == tt,
+            Term::Var(v) if protected(v) => st == tt,
+            Term::Var(v) => bind_idempotent(h, v, tt, trail),
+        })
 }
 
-/// Backtracking search: can `h` (fixing `protected`) be extended so every
-/// atom of `sources` maps into `targets`?
-pub fn extend_hom(
-    sources: &[&Atom],
-    i: usize,
-    h: &Subst,
-    protected: &BTreeSet<Symbol>,
-    targets: &[&Atom],
+/// Backtracking search: can `h` (fixing the variables `protected` holds) be
+/// extended so every atom of `sources` maps into one of `targets()`? One
+/// `h` is bound in place; a failed candidate's bindings are undone.
+pub fn extend_hom<'t, T: Iterator<Item = &'t Atom>>(
+    mut sources: impl Iterator<Item = &'t Atom> + Clone,
+    h: &mut Subst,
+    trail: &mut Vec<Symbol>,
+    protected: &impl Fn(Symbol) -> bool,
+    targets: &impl Fn() -> T,
 ) -> bool {
-    let Some(atom) = sources.get(i) else {
+    let Some(atom) = sources.next() else {
         return true;
     };
-    for target in targets {
-        if let Some(h2) = match_into(atom, target, h, protected) {
-            if extend_hom(sources, i + 1, &h2, protected, targets) {
-                return true;
-            }
+    for target in targets() {
+        let mark = trail.len();
+        if match_into(atom, target, h, trail, protected)
+            && extend_hom(sources.clone(), h, trail, protected, targets)
+        {
+            return true;
         }
+        h.undo(trail, mark);
     }
     false
 }
@@ -103,19 +89,53 @@ mod tests {
         parse_atom(s).unwrap()
     }
 
-    fn protected(names: &[&str]) -> BTreeSet<Symbol> {
+    fn protected(names: &[&str]) -> Vec<Symbol> {
         names.iter().map(|n| Symbol::intern(n)).collect()
+    }
+
+    /// Whether the empty mapping extends to a homomorphism.
+    fn extends(sources: &[&Atom], protected: &[Symbol], targets: &[&Atom]) -> bool {
+        let (mut h, mut trail) = (Subst::new(), Vec::new());
+        let targets = || targets.iter().copied();
+        let protected = |v| protected.contains(&v);
+        extend_hom(
+            sources.iter().copied(),
+            &mut h,
+            &mut trail,
+            &protected,
+            &targets,
+        )
     }
 
     #[test]
     fn bind_is_idempotent() {
-        let mut h = Subst::new();
-        assert!(bind(&mut h, Symbol::intern("A"), Term::var("B")));
+        let (mut h, mut trail) = (Subst::new(), Vec::new());
+        assert!(bind_idempotent(
+            &mut h,
+            Symbol::intern("A"),
+            Term::var("B"),
+            &mut trail
+        ));
         // B is frozen to itself; remapping it fails.
-        assert!(!bind(&mut h, Symbol::intern("B"), Term::int(3)));
+        assert!(!bind_idempotent(
+            &mut h,
+            Symbol::intern("B"),
+            Term::int(3),
+            &mut trail
+        ));
         // Rebinding A consistently succeeds, inconsistently fails.
-        assert!(bind(&mut h, Symbol::intern("A"), Term::var("B")));
-        assert!(!bind(&mut h, Symbol::intern("A"), Term::var("C")));
+        assert!(bind_idempotent(
+            &mut h,
+            Symbol::intern("A"),
+            Term::var("B"),
+            &mut trail
+        ));
+        assert!(!bind_idempotent(
+            &mut h,
+            Symbol::intern("A"),
+            Term::var("C"),
+            &mut trail
+        ));
     }
 
     #[test]
@@ -130,25 +150,13 @@ mod tests {
         let targets = vec![&t];
         // h must send e(Y,Z) onto e(X,Y): Y↦X conflicts with s1's Y↦Y
         // binding (s1 maps onto t binding X↦X, Y↦Y). So this fails …
-        assert!(!extend_hom(
-            &sources,
-            0,
-            &Subst::new(),
-            &protected(&["X"]),
-            &targets
-        ));
+        assert!(!extends(&sources, &protected(&["X"]), &targets));
         // … but a triangle folds: e(X, Y), e(Y, Y) into targets {e(X,Y), e(Y,Y)}.
         let s3 = a("e(Y, Y)");
         let sources = vec![&s1, &s3];
         let t2 = a("e(Y, Y)");
         let targets = vec![&t, &t2];
-        assert!(extend_hom(
-            &sources,
-            0,
-            &Subst::new(),
-            &protected(&["X"]),
-            &targets
-        ));
+        assert!(extends(&sources, &protected(&["X"]), &targets));
     }
 
     #[test]
@@ -157,19 +165,7 @@ mod tests {
         let t = a("p(Y)");
         let sources = vec![&s];
         let targets = vec![&t];
-        assert!(!extend_hom(
-            &sources,
-            0,
-            &Subst::new(),
-            &protected(&["X"]),
-            &targets
-        ));
-        assert!(extend_hom(
-            &sources,
-            0,
-            &Subst::new(),
-            &protected(&[]),
-            &targets
-        ));
+        assert!(!extends(&sources, &protected(&["X"]), &targets));
+        assert!(extends(&sources, &protected(&[]), &targets));
     }
 }

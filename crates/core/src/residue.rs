@@ -1,17 +1,15 @@
 //! Residues of integrity constraints w.r.t. expansion sequences, their
 //! classification (Definition 4.1) and usefulness (§3).
 
-use crate::hom::{bind, extend_hom};
+use crate::hom::{bind_idempotent, extend_hom};
 use crate::sequence::Unfolding;
-use crate::subsume::{total_matches, Match};
+use crate::subsume::Search;
 use semrec_datalog::atom::Atom;
 use semrec_datalog::constraint::{Constraint, IcHead};
 use semrec_datalog::literal::Cmp;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::Term;
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -111,49 +109,56 @@ impl fmt::Display for Residue {
 /// a clause's abstraction once, not on every subsumption check. A match
 /// then pays only for what depends on θ: the residue's own conditions
 /// (whose variables join the protected set), the atoms it matched and the
-/// usefulness search they seed.
+/// usefulness search they seed. Its variable sets are sorted slices.
 pub struct VerifyContext {
     unfolding: Unfolding,
     /// Every variable of the unfolding, tail included.
-    vars: BTreeSet<Symbol>,
+    vars: Vec<Symbol>,
     /// The unfolding's own comparisons.
     cmps: Vec<Cmp>,
-    /// The database atoms, in order, and their positions in the body.
-    atoms: Vec<Atom>,
-    positions: Vec<usize>,
-    /// Occurrences of each variable across `atoms`, with multiplicity.
-    occur: BTreeMap<Symbol, usize>,
+    /// Every occurrence of a variable in the body's database atoms: a
+    /// variable's occurrences are one run.
+    occur: Vec<Symbol>,
     /// Head, tail and comparison variables: what every redundancy
     /// homomorphism fixes.
-    protected: BTreeSet<Symbol>,
+    protected: Vec<Symbol>,
+}
+
+/// The working places of [`VerifyContext::residues`], which a caller keeps
+/// from one call to the next.
+#[derive(Default)]
+pub struct Scratch {
+    matches: Search,
+    hom: (Subst, Vec<Symbol>),
 }
 
 impl VerifyContext {
     /// Precomputes what every match against `unfolding` reads.
     pub fn new(unfolding: Unfolding) -> VerifyContext {
-        let mut vars: BTreeSet<Symbol> = unfolding.head.vars().collect();
-        vars.extend(unfolding.body.iter().flat_map(|sl| sl.lit.vars()));
-        vars.extend(unfolding.tail.iter().flat_map(Atom::vars));
         let cmps: Vec<Cmp> = unfolding
             .body
             .iter()
             .filter_map(|sl| sl.lit.as_cmp().copied())
             .collect();
-        let (positions, atoms): (Vec<usize>, Vec<Atom>) =
-            unfolding.body_atoms().map(|(i, a)| (i, a.clone())).unzip();
-        let mut occur: BTreeMap<Symbol, usize> = BTreeMap::new();
-        for v in atoms.iter().flat_map(Atom::vars) {
-            *occur.entry(v).or_insert(0) += 1;
-        }
-        let mut protected: BTreeSet<Symbol> = unfolding.head.vars().collect();
-        protected.extend(unfolding.tail.iter().flat_map(Atom::vars));
+        let atoms = || unfolding.body_atoms().map(|(_, a)| a);
+        let mut occur = Vec::with_capacity(atoms().map(Atom::arity).sum());
+        occur.extend(atoms().flat_map(Atom::vars));
+        let tail = unfolding.tail.iter().flat_map(Atom::vars);
+        let mut protected = Vec::with_capacity(unfolding.head.arity() * 2 + cmps.len() * 2);
+        protected.extend(unfolding.head.vars().chain(tail));
         protected.extend(cmps.iter().flat_map(Cmp::vars));
+        let mut vars = [&protected[..], &occur[..]].concat();
+        let negated = unfolding.body.iter().filter_map(|sl| sl.lit.as_neg());
+        vars.extend(negated.flat_map(Atom::vars));
+        for set in [&mut vars, &mut protected] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        occur.sort_unstable();
         VerifyContext {
             unfolding,
             vars,
             cmps,
-            atoms,
-            positions,
             occur,
             protected,
         }
@@ -165,19 +170,26 @@ impl VerifyContext {
     }
 
     /// Step 4 of Algorithm 3.1: the residue of every total free
-    /// subsumption match of `ic`'s database atoms into the unfolding, in
-    /// match order, repeats included.
-    pub fn residues(&self, ic: &Arc<Constraint>) -> Vec<Residue> {
-        let targets: Vec<&Atom> = self.atoms.iter().collect();
-        total_matches(&ic.body_atoms, &targets)
-            .into_iter()
-            .filter_map(|m| build_residue(ic, self, m))
-            .collect()
+    /// subsumption match of `ic`'s database atoms into the unfolding,
+    /// handed to `each` in match order, repeats included.
+    pub fn residues(
+        &self,
+        ic: &Arc<Constraint>,
+        scratch: &mut Scratch,
+        mut each: impl FnMut(Residue),
+    ) {
+        let Scratch { matches, hom } = scratch;
+        let targets = || self.unfolding.body_atoms();
+        matches.total_matches(&ic.body_atoms, targets, |theta, onto| {
+            build_residue(ic, self, theta, onto, hom).map(&mut each);
+        });
     }
 }
 
-/// Builds the residue induced by a total subsumption match of `ic`'s
-/// database atoms into the body atoms of `ctx`'s unfolding.
+/// Builds the residue induced by a total subsumption match θ of `ic`'s
+/// database atoms into the body atoms of `ctx`'s unfolding (atom `i` onto
+/// body position `onto[i]`); θ is cloned only into a residue that is kept.
+/// `hom` holds the usefulness homomorphism's substitution and trail.
 ///
 /// Returns `None` when the residue is degenerate:
 /// * a body condition is trivially false (the residue can never fire);
@@ -187,10 +199,14 @@ impl VerifyContext {
 ///   point of use).
 ///
 /// A head comparison that is trivially *false* degrades to a null residue.
-pub fn build_residue(ic: &Arc<Constraint>, ctx: &VerifyContext, m: Match) -> Option<Residue> {
-    debug_assert!(m.is_total());
-    let Match { theta, onto } = m;
-    let grounded = |c: &Cmp| c.vars().all(|v| ctx.vars.contains(&v));
+pub fn build_residue(
+    ic: &Arc<Constraint>,
+    ctx: &VerifyContext,
+    theta: &Subst,
+    onto: &[usize],
+    hom: &mut (Subst, Vec<Symbol>),
+) -> Option<Residue> {
+    let grounded = |c: &Cmp| c.vars().all(|v| ctx.vars.binary_search(&v).is_ok());
 
     // Conditions implied by the sequence's own comparisons are discharged:
     // the residue fires unconditionally on every tree of this shape.
@@ -224,24 +240,20 @@ pub fn build_residue(ic: &Arc<Constraint>, ctx: &VerifyContext, m: Match) -> Opt
         IcHead::Atom(a) => ResidueHead::Atom(theta.apply_atom(a)),
     };
 
-    // Map the match's target indices (into the atom list) back to body
-    // positions of the unfolding.
-    let matched_body: Vec<usize> = onto
-        .iter()
-        .map(|o| ctx.positions[o.expect("total match")])
-        .collect();
+    let matched_body = onto.to_vec();
 
     let mut residue = Residue {
         ic: Arc::clone(ic),
         seq: ctx.unfolding.seq.clone(),
         body,
         head,
-        theta,
+        theta: theta.clone(),
         matched_body,
         useful_at: None,
     };
     if let ResidueHead::Atom(a) = &residue.head {
-        residue.useful_at = ctx.redundant_atom(&residue, a).map(|body_index| UsefulAt {
+        let at = ctx.redundant_atom(&residue, a, hom);
+        residue.useful_at = at.map(|body_index| UsefulAt {
             body_index,
             step: ctx.unfolding.body[body_index].step,
         });
@@ -271,43 +283,45 @@ impl VerifyContext {
     ///
     /// `B` is never one of the atoms the IC matched on (the premises of the
     /// implication must survive the deletion).
-    fn redundant_atom(&self, residue: &Residue, head: &Atom) -> Option<usize> {
-        let mut protected = Cow::Borrowed(&self.protected);
-        for v in residue.body.iter().flat_map(Cmp::vars) {
-            if !protected.contains(&v) {
-                protected.to_mut().insert(v);
-            }
-        }
-        for (k, b) in self.atoms.iter().enumerate() {
-            let bi = self.positions[k];
+    fn redundant_atom(
+        &self,
+        residue: &Residue,
+        head: &Atom,
+        (h, trail): &mut (Subst, Vec<Symbol>),
+    ) -> Option<usize> {
+        let conds = || residue.body.iter().flat_map(Cmp::vars);
+        let protected = |v| self.protected.binary_search(&v).is_ok() || conds().any(|w| w == v);
+        let body = || self.unfolding.body_atoms();
+        for (bi, b) in body() {
             if residue.matched_body.contains(&bi)
                 || b.pred != head.pred
                 || b.arity() != head.arity()
             {
                 continue;
             }
-            let Some(h) = self.seed(b, head, &protected) else {
+            h.undo(trail, 0);
+            if !self.seed(b, head, &protected, h, trail) {
                 continue;
-            };
-            // Targets: the body without B, plus A itself.
-            let others: Vec<&Atom> = self
-                .atoms
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != k)
-                .map(|(_, a)| a)
-                .collect();
-            let mut targets = others.clone();
-            targets.push(head);
-            if extend_hom(&others, 0, &h, &protected, &targets) {
+            }
+            // Sources: the body without B; targets: those plus A itself.
+            let others = || body().filter(move |&(j, _)| j != bi).map(|(_, a)| a);
+            let targets = || others().chain(std::iter::once(head));
+            if extend_hom(others(), h, trail, &protected, &targets) {
                 return Some(bi);
             }
         }
         None
     }
 
-    /// Seeds the redundancy homomorphism: `h(B) = A`, remapping only
-    /// unprotected unfolding variables.
+    /// How often `v` occurs in the body's database atoms.
+    fn occurrences(&self, v: Symbol) -> usize {
+        let run = &self.occur[self.occur.partition_point(|&w| w < v)..];
+        run.partition_point(|&w| w == v)
+    }
+
+    /// Seeds the redundancy homomorphism into the empty `h`: `h(B) = A`,
+    /// remapping only unprotected unfolding variables. `false` if B cannot
+    /// map onto A.
     ///
     /// Positions where A still holds a *free IC variable* (an existential
     /// the IC head introduces, like V7 in Example 3.1) are wildcards — but
@@ -317,34 +331,38 @@ impl VerifyContext {
     /// that witness is. Binding a wildcard to a head/tail/shared variable
     /// would claim the witness equals an independently constrained value —
     /// unsound.
-    fn seed(&self, b: &Atom, head: &Atom, protected: &BTreeSet<Symbol>) -> Option<Subst> {
-        let mut h = Subst::new();
+    fn seed(
+        &self,
+        b: &Atom,
+        head: &Atom,
+        protected: &impl Fn(Symbol) -> bool,
+        h: &mut Subst,
+        trail: &mut Vec<Symbol>,
+    ) -> bool {
         for (&bt, &at) in b.args.iter().zip(&head.args) {
-            if matches!(at, Term::Var(v) if !self.vars.contains(&v)) {
+            if matches!(at, Term::Var(v) if self.vars.binary_search(&v).is_err()) {
                 match bt {
                     Term::Var(v)
-                        if !protected.contains(&v)
-                            && self.occur.get(&v) == Some(&1)
-                            && h.get(v).is_none() =>
+                        if !protected(v) && self.occurrences(v) == 1 && h.get(v).is_none() =>
                     {
                         // Mark the wildcard column as consumed so a second
                         // appearance of v cannot re-constrain it.
-                        h.insert(v, Term::Var(v));
+                        h.bind(v, Term::Var(v), trail);
                     }
-                    _ => return None,
+                    _ => return false,
                 }
                 continue;
             }
             let fits = match bt {
                 Term::Const(_) => bt == at,
-                Term::Var(v) if protected.contains(&v) => bt == at,
-                Term::Var(v) => bind(&mut h, v, at),
+                Term::Var(v) if protected(v) => bt == at,
+                Term::Var(v) => bind_idempotent(h, v, at, trail),
             };
             if !fits {
-                return None;
+                return false;
             }
         }
-        Some(h)
+        true
     }
 }
 
@@ -364,9 +382,12 @@ mod tests {
         let info = classify_linear_pred(&prog, Pred::new(pred)).unwrap();
         let ctx = VerifyContext::new(unfold(&prog, &info, seq).unwrap());
         let ic = Arc::new(unit.constraints[0].clone());
-        let targets: Vec<&Atom> = ctx.atoms.iter().collect();
-        let matches = total_matches(&ic.body_atoms, &targets).len();
-        (ctx.residues(&ic), matches)
+        let mut matches = 0;
+        let targets = || ctx.unfolding.body_atoms();
+        Search::default().total_matches(&ic.body_atoms, targets, |_, _| matches += 1);
+        let mut residues = Vec::new();
+        ctx.residues(&ic, &mut Scratch::default(), |r| residues.push(r));
+        (residues, matches)
     }
 
     /// Example 3.2: works_with/expert transitivity over the eval program.

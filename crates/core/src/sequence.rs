@@ -58,7 +58,7 @@ pub struct Unfolding {
 impl Unfolding {
     /// The database (non-recursive) body atoms in order, paired with their
     /// position in `body`.
-    pub fn body_atoms(&self) -> impl Iterator<Item = (usize, &Atom)> {
+    pub fn body_atoms(&self) -> impl Iterator<Item = (usize, &Atom)> + Clone {
         self.body
             .iter()
             .enumerate()
@@ -138,34 +138,35 @@ pub fn unfold_with(
     }
 
     let head = program.rules[seq[0]].head.clone();
-    let mut call_args: Vec<Vec<Term>> = vec![head.args.clone()];
-    let mut body: Vec<SeqLiteral> = Vec::new();
-    let mut step_substs: Vec<Subst> = Vec::new();
+    let mut call_args: Vec<Vec<Term>> = Vec::with_capacity(seq.len() + 1);
+    call_args.push(head.args.clone());
+    let body_len = seq.iter().map(|&ri| program.rules[ri].body.len()).sum();
+    let mut body: Vec<SeqLiteral> = Vec::with_capacity(body_len);
+    let mut step_substs: Vec<Subst> = Vec::with_capacity(seq.len());
     let mut tail: Option<Atom> = None;
 
     for (idx, &ri) in seq.iter().enumerate() {
         let step = idx + 1;
         let rule = &program.rules[ri];
         // σ_step: head var of column t ↦ incoming call arg t; locals ↦ v~step.
-        let mut sigma = Subst::new();
-        for (t, arg) in rule.head.args.iter().zip(&call_args[idx]) {
+        let heads = rule.head.args.iter().zip(&call_args[idx]).map(|(t, &arg)| {
             let v = t
                 .as_var()
                 .expect("rectified rule heads contain only variables");
-            sigma.insert(v, *arg);
-        }
-        for &(v, renamed) in names.get(program, ri, step) {
-            sigma.insert(v, renamed);
-        }
+            (v, arg)
+        });
+        let sigma = Subst::from_pairs(heads.chain(names.get(program, ri, step).iter().copied()));
 
         let mut next_call: Option<Vec<Term>> = None;
         for (li, lit) in rule.body.iter().enumerate() {
             match lit {
                 Literal::Atom(a) if a.pred == info.pred => {
                     let renamed = sigma.apply_atom(a);
-                    next_call = Some(renamed.args.clone());
                     if idx + 1 == seq.len() {
+                        next_call = Some(renamed.args.clone());
                         tail = Some(renamed);
+                    } else {
+                        next_call = Some(renamed.args);
                     }
                 }
                 other => body.push(SeqLiteral {

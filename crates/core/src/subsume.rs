@@ -9,6 +9,7 @@
 
 use semrec_datalog::atom::Atom;
 use semrec_datalog::subst::Subst;
+use semrec_datalog::symbol::Symbol;
 use semrec_datalog::unify::match_atom;
 
 /// One way of (freely) subsuming a set of pattern atoms into target atoms.
@@ -26,48 +27,59 @@ impl Match {
     pub fn matched_count(&self) -> usize {
         self.onto.iter().filter(|o| o.is_some()).count()
     }
-
-    /// True if every pattern atom was matched ("maximal" subsumption in the
-    /// §3 sense when the patterns are an IC's database atoms).
-    pub fn is_total(&self) -> bool {
-        self.onto.iter().all(|o| o.is_some())
-    }
 }
 
-/// All *total* free subsumption matches of `patterns` into `targets`:
-/// consistent substitutions θ with `patternsᵢ·θ = targets[onto[i]]` for
-/// every `i`. Different pattern atoms may map onto the same target.
-pub fn total_matches(patterns: &[Atom], targets: &[&Atom]) -> Vec<Match> {
-    let mut out = Vec::new();
-    let mut onto: Vec<Option<usize>> = vec![None; patterns.len()];
-    go_total(patterns, targets, 0, &Subst::new(), &mut onto, &mut out);
-    out
+/// The working place of a backtracking match: one substitution, bound in
+/// place, and the trail that undoes it. A caller that keeps one from
+/// search to search allocates nothing once its buffers have grown.
+#[derive(Default)]
+pub struct Search {
+    /// The substitution under construction.
+    theta: Subst,
+    /// The variables `theta` bound, oldest first, for [`Subst::undo`].
+    trail: Vec<Symbol>,
+    /// The target index of each matched pattern.
+    onto: Vec<usize>,
 }
 
-fn go_total(
-    patterns: &[Atom],
-    targets: &[&Atom],
-    i: usize,
-    theta: &Subst,
-    onto: &mut Vec<Option<usize>>,
-    out: &mut Vec<Match>,
-) {
-    if i == patterns.len() {
-        out.push(Match {
-            theta: theta.clone(),
-            onto: onto.clone(),
-        });
-        return;
+impl Search {
+    /// Hands `each`, in search order, every *total* free subsumption match
+    /// of `patterns` into the indexed atoms `targets()` lists: a consistent
+    /// θ with `patternsᵢ·θ` the target of index `onto[i]` for every `i`.
+    /// Different pattern atoms may map onto the same target. `each`
+    /// clones what it keeps: θ is undone on backtrack.
+    pub fn total_matches<'t, I>(
+        &mut self,
+        patterns: &[Atom],
+        targets: impl Fn() -> I,
+        mut each: impl FnMut(&Subst, &[usize]),
+    ) where
+        I: Iterator<Item = (usize, &'t Atom)>,
+    {
+        self.go_total(patterns, &targets, &mut each);
     }
-    for (j, target) in targets.iter().enumerate() {
-        if target.pred != patterns[i].pred {
-            continue;
-        }
-        let mut t = theta.clone();
-        if match_atom(&mut t, &patterns[i], target) {
-            onto[i] = Some(j);
-            go_total(patterns, targets, i + 1, &t, onto, out);
-            onto[i] = None;
+
+    fn go_total<'t, I: Iterator<Item = (usize, &'t Atom)>>(
+        &mut self,
+        patterns: &[Atom],
+        targets: &impl Fn() -> I,
+        each: &mut impl FnMut(&Subst, &[usize]),
+    ) {
+        let Some(pattern) = patterns.get(self.onto.len()) else {
+            each(&self.theta, &self.onto);
+            return;
+        };
+        for (j, target) in targets() {
+            if target.pred != pattern.pred {
+                continue;
+            }
+            let mark = self.trail.len();
+            if match_atom(&mut self.theta, pattern, target, &mut self.trail) {
+                self.onto.push(j);
+                self.go_total(patterns, targets, each);
+                self.onto.pop();
+            }
+            self.theta.undo(&mut self.trail, mark);
         }
     }
 }
@@ -82,7 +94,10 @@ pub fn maximal_partial_matches(
 ) -> Vec<Match> {
     let mut all: Vec<Match> = Vec::new();
     let mut onto: Vec<Option<usize>> = vec![None; patterns.len()];
-    go_partial(patterns, targets, 0, &Subst::new(), &mut onto, &mut all);
+    let (mut theta, mut trail) = (Subst::new(), Vec::new());
+    go_partial(
+        patterns, targets, 0, &mut theta, &mut trail, &mut onto, &mut all,
+    );
     // Keep only maximal ones (no other match whose matched set strictly
     // contains this one's with the same mappings on the shared part — we
     // use the simpler criterion of maximal matched *count* per matched-set
@@ -108,7 +123,8 @@ fn go_partial(
     patterns: &[Atom],
     targets: &[&Atom],
     i: usize,
-    theta: &Subst,
+    theta: &mut Subst,
+    trail: &mut Vec<Symbol>,
     onto: &mut Vec<Option<usize>>,
     out: &mut Vec<Match>,
 ) {
@@ -121,15 +137,16 @@ fn go_partial(
     }
     // Option 1: leave pattern i unmatched.
     onto[i] = None;
-    go_partial(patterns, targets, i + 1, theta, onto, out);
+    go_partial(patterns, targets, i + 1, theta, trail, onto, out);
     // Option 2: match it against each compatible target.
     for (j, target) in targets.iter().enumerate() {
-        let mut t = theta.clone();
-        if match_atom(&mut t, &patterns[i], target) {
+        let mark = trail.len();
+        if match_atom(theta, &patterns[i], target, trail) {
             onto[i] = Some(j);
-            go_partial(patterns, targets, i + 1, &t, onto, out);
+            go_partial(patterns, targets, i + 1, theta, trail, onto, out);
             onto[i] = None;
         }
+        theta.undo(trail, mark);
     }
 }
 
@@ -143,13 +160,26 @@ mod tests {
         parse_atom(s).unwrap()
     }
 
+    /// The total matches, collected.
+    fn totals(patterns: &[Atom], targets: &[&Atom]) -> Vec<Match> {
+        let mut out = Vec::new();
+        let targets = || targets.iter().copied().enumerate();
+        Search::default().total_matches(patterns, targets, |theta, onto| {
+            out.push(Match {
+                theta: theta.clone(),
+                onto: onto.iter().copied().map(Some).collect(),
+            })
+        });
+        out
+    }
+
     #[test]
     fn simple_total_match() {
         let pats = vec![a("works_with(P2, P1)"), a("expert(P1, F1)")];
         let t1 = a("works_with(P, Q1)");
         let t2 = a("expert(Q1, F2)");
         let targets = vec![&t1, &t2];
-        let ms = total_matches(&pats, &targets);
+        let ms = totals(&pats, &targets);
         assert_eq!(ms.len(), 1);
         let theta = &ms[0].theta;
         assert_eq!(theta.apply_term(Term::var("P2")), Term::var("P"));
@@ -164,7 +194,7 @@ mod tests {
         let t1 = a("a(U, V)");
         let t2 = a("b(W, V)");
         let targets = vec![&t1, &t2];
-        assert!(total_matches(&pats, &targets).is_empty());
+        assert!(totals(&pats, &targets).is_empty());
     }
 
     #[test]
@@ -173,7 +203,7 @@ mod tests {
         let t1 = a("e(A, B)");
         let t2 = a("e(B, C)");
         let targets = vec![&t1, &t2];
-        assert_eq!(total_matches(&pats, &targets).len(), 2);
+        assert_eq!(totals(&pats, &targets).len(), 2);
     }
 
     #[test]
@@ -182,7 +212,7 @@ mod tests {
         let t1 = a("r(U, manager)");
         let t2 = a("r(U, executive)");
         let targets = vec![&t1, &t2];
-        let ms = total_matches(&pats, &targets);
+        let ms = totals(&pats, &targets);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].onto[0], Some(1));
     }
@@ -194,7 +224,7 @@ mod tests {
         let pats = vec![a("r(3)")];
         let t = a("r(X)");
         let targets = vec![&t];
-        assert!(total_matches(&pats, &targets).is_empty());
+        assert!(totals(&pats, &targets).is_empty());
     }
 
     #[test]
@@ -217,7 +247,7 @@ mod tests {
         let t = a("e(A, A)");
         let targets = vec![&t];
         // X=A, Y=A, Z=A: both patterns onto the single target.
-        let ms = total_matches(&pats, &targets);
+        let ms = totals(&pats, &targets);
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].onto, vec![Some(0), Some(0)]);
     }

@@ -4,26 +4,24 @@
 //! "for any two subgoals in the body, either they share a variable, or are
 //! both connected to a common subgoal".
 
+use crate::atom::Atom;
 use crate::constraint::Constraint;
+use crate::literal::Cmp;
 use crate::rule::Rule;
 use crate::symbol::Symbol;
-use std::collections::BTreeSet;
 
-/// Union-find over literal indices, by shared variables.
-fn connected(components: Vec<BTreeSet<Symbol>>) -> bool {
-    let n = components.len();
-    if n <= 1 {
-        return true;
-    }
+/// Union-find over literal indices `0..n`, by shared variables; `vars(i)`
+/// lists literal `i`'s variables (repeats allowed). Compares the lists
+/// directly: no set is built per literal.
+fn connected<I: Iterator<Item = Symbol>>(n: usize, vars: impl Fn(usize) -> I) -> bool {
     // Ground literals share no variables with anything; treat them as
     // connected (they constrain nothing, and the paper's examples never
     // contain them).
-    let live: Vec<&BTreeSet<Symbol>> = components.iter().filter(|c| !c.is_empty()).collect();
-    let m = live.len();
-    if m <= 1 {
+    let live = |i: usize| vars(i).next().is_some();
+    if (0..n).filter(|&i| live(i)).nth(1).is_none() {
         return true;
     }
-    let mut parent: Vec<usize> = (0..m).collect();
+    let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
             parent[i] = parent[parent[i]];
@@ -31,36 +29,34 @@ fn connected(components: Vec<BTreeSet<Symbol>>) -> bool {
         }
         i
     }
-    for i in 0..m {
-        for j in (i + 1)..m {
-            if !live[i].is_disjoint(live[j]) {
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if vars(i).any(|v| vars(j).any(|w| w == v)) {
                 let (a, b) = (find(&mut parent, i), find(&mut parent, j));
                 parent[a] = b;
             }
         }
     }
-    let root = find(&mut parent, 0);
-    (1..m).all(|i| find(&mut parent, i) == root)
+    let mut roots = (0..n).filter(|&i| live(i)).map(|i| find(&mut parent, i));
+    let root = roots.next();
+    roots.all(|r| Some(r) == root)
 }
 
 /// True if the rule body is connected (facts and single-literal bodies are
 /// trivially connected).
 pub fn rule_is_connected(rule: &Rule) -> bool {
-    connected(
-        rule.body
-            .iter()
-            .map(|l| l.vars().into_iter().collect())
-            .collect(),
-    )
+    connected(rule.body.len(), |i| rule.body[i].var_iter())
 }
 
 /// True if the constraint body (database atoms and comparisons together)
 /// is connected.
 pub fn constraint_is_connected(ic: &Constraint) -> bool {
-    let mut comps: Vec<BTreeSet<Symbol>> =
-        ic.body_atoms.iter().map(|a| a.vars().collect()).collect();
-    comps.extend(ic.body_cmps.iter().map(|c| c.vars().collect()));
-    connected(comps)
+    let k = ic.body_atoms.len();
+    connected(k + ic.body_cmps.len(), |i| {
+        let cmp = i.checked_sub(k).and_then(|j| ic.body_cmps.get(j));
+        let atom_vars = ic.body_atoms.get(i).into_iter().flat_map(Atom::vars);
+        atom_vars.chain(cmp.into_iter().flat_map(Cmp::vars))
+    })
 }
 
 #[cfg(test)]

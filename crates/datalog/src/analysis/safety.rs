@@ -59,7 +59,11 @@ pub fn bindable_vars(rule: &Rule) -> BTreeSet<Symbol> {
 /// unsafe variables (empty = safe).
 pub fn unsafe_vars(rule: &Rule) -> BTreeSet<Symbol> {
     let bound = bindable_vars(rule);
-    rule.vars().difference(&bound).copied().collect()
+    let vars = rule
+        .head
+        .vars()
+        .chain(rule.body.iter().flat_map(Literal::var_iter));
+    vars.filter(|v| !bound.contains(v)).collect()
 }
 
 /// True if every rule of the program is safe.

@@ -14,10 +14,11 @@ use crate::program::Program;
 use std::collections::BTreeMap;
 
 /// The diagnostic label of a constraint: its name, else its text.
-fn label(ic: &Constraint) -> String {
-    ic.name
-        .map(|n| n.as_str().to_owned())
-        .unwrap_or_else(|| ic.to_string())
+fn label(ic: &Constraint) -> &dyn std::fmt::Display {
+    match &ic.name {
+        Some(name) => name,
+        None => ic,
+    }
 }
 
 /// Checks that every predicate has one arity across the rules, the

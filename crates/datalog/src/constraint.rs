@@ -121,22 +121,9 @@ impl Constraint {
     /// one or more variables with `D_{i-1}` and `D_{i+1}` and with no other
     /// database atom, `1 < i < k`. Single-atom bodies trivially qualify.
     pub fn is_chain(&self) -> bool {
-        let k = self.body_atoms.len();
-        let vars: Vec<BTreeSet<Symbol>> =
-            self.body_atoms.iter().map(|a| a.vars().collect()).collect();
-        for i in 0..k {
-            for j in (i + 1)..k {
-                let shares = !vars[i].is_disjoint(&vars[j]);
-                let adjacent = j == i + 1;
-                if adjacent && !shares {
-                    return false;
-                }
-                if !adjacent && shares {
-                    return false;
-                }
-            }
-        }
-        true
+        let atoms = &self.body_atoms;
+        let shares = |i: usize, j: usize| atoms[i].vars().any(|v| atoms[j].vars().any(|w| w == v));
+        (0..atoms.len()).all(|i| ((i + 1)..atoms.len()).all(|j| shares(i, j) == (j == i + 1)))
     }
 }
 

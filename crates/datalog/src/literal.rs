@@ -300,10 +300,19 @@ impl Literal {
 
     /// Variables occurring in the literal.
     pub fn vars(&self) -> Vec<crate::symbol::Symbol> {
-        match self {
-            Literal::Atom(a) | Literal::Neg(a) => a.vars().collect(),
-            Literal::Cmp(c) => c.vars().collect(),
-        }
+        self.var_iter().collect()
+    }
+
+    /// [`Literal::vars`], in argument order with repeats, without
+    /// collecting them.
+    pub fn var_iter(&self) -> impl Iterator<Item = crate::symbol::Symbol> + '_ {
+        let (atom, cmp) = match self {
+            Literal::Atom(a) | Literal::Neg(a) => (Some(a), None),
+            Literal::Cmp(c) => (None, Some(c)),
+        };
+        atom.into_iter()
+            .flat_map(Atom::vars)
+            .chain(cmp.into_iter().flat_map(Cmp::vars))
     }
 }
 

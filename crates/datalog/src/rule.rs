@@ -55,32 +55,27 @@ impl Rule {
     /// first-occurrence-agnostic (sorted) order.
     pub fn vars(&self) -> BTreeSet<Symbol> {
         let mut out: BTreeSet<Symbol> = self.head.vars().collect();
-        for l in &self.body {
-            out.extend(l.vars());
-        }
+        out.extend(self.body.iter().flat_map(Literal::var_iter));
         out
     }
 
     /// Variables occurring in the body only.
     pub fn body_vars(&self) -> BTreeSet<Symbol> {
-        let mut out = BTreeSet::new();
-        for l in &self.body {
-            out.extend(l.vars());
-        }
-        out
+        self.body.iter().flat_map(Literal::var_iter).collect()
     }
 
     /// *Local* variables: occur in the body but not in the head.
     pub fn local_vars(&self) -> BTreeSet<Symbol> {
-        let head: BTreeSet<Symbol> = self.head.vars().collect();
-        self.body_vars().difference(&head).copied().collect()
+        let body = self.body.iter().flat_map(Literal::var_iter);
+        body.filter(|&v| !self.head.vars().any(|h| h == v))
+            .collect()
     }
 
     /// True if every head variable occurs in the body (the paper's *range
     /// restricted* condition; facts with ground heads are range restricted).
     pub fn is_range_restricted(&self) -> bool {
-        let body = self.body_vars();
-        self.head.vars().all(|v| body.contains(&v))
+        let body = || self.body.iter().flat_map(Literal::var_iter);
+        self.head.vars().all(|v| body().any(|w| w == v))
     }
 }
 

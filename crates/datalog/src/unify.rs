@@ -5,6 +5,7 @@
 
 use crate::atom::Atom;
 use crate::subst::Subst;
+use crate::symbol::Symbol;
 use crate::term::Term;
 
 /// Resolves `t` through `s` repeatedly until it is a constant or an unbound
@@ -60,16 +61,16 @@ pub fn resolve(s: &Subst) -> Subst {
 }
 
 /// One-way matching: extends `s` so that `pattern·s = target`, binding only
-/// variables of `pattern`. The target is treated as fixed (its variables are
-/// constants for the purpose of the match). Returns `false` on mismatch;
-/// `s` may then hold partial bindings.
-pub fn match_term(s: &mut Subst, pattern: Term, target: Term) -> bool {
+/// variables of `pattern`, each recorded on `trail`. The target is treated
+/// as fixed (its variables are constants for the purpose of the match).
+/// Returns `false` on mismatch; `s` may then hold partial bindings.
+pub fn match_term(s: &mut Subst, pattern: Term, target: Term, trail: &mut Vec<Symbol>) -> bool {
     match pattern {
         Term::Const(c) => target == Term::Const(c),
         Term::Var(v) => match s.get(v) {
             Some(bound) => bound == target,
             None => {
-                s.insert(v, target);
+                s.bind(v, target, trail);
                 true
             }
         },
@@ -77,8 +78,8 @@ pub fn match_term(s: &mut Subst, pattern: Term, target: Term) -> bool {
 }
 
 /// One-way matching of atoms: extends `s` with bindings for `pattern`'s
-/// variables so that `pattern·s = target`.
-pub fn match_atom(s: &mut Subst, pattern: &Atom, target: &Atom) -> bool {
+/// variables so that `pattern·s = target`, recording them on `trail`.
+pub fn match_atom(s: &mut Subst, pattern: &Atom, target: &Atom, trail: &mut Vec<Symbol>) -> bool {
     if pattern.pred != target.pred || pattern.arity() != target.arity() {
         return false;
     }
@@ -86,7 +87,7 @@ pub fn match_atom(s: &mut Subst, pattern: &Atom, target: &Atom) -> bool {
         .args
         .iter()
         .zip(&target.args)
-        .all(|(&p, &t)| match_term(s, p, t))
+        .all(|(&p, &t)| match_term(s, p, t, trail))
 }
 
 #[cfg(test)]
@@ -140,11 +141,9 @@ mod tests {
             &mut s,
             &a("p", &[Term::var("X"), Term::var("X")]),
             &a("p", &[Term::var("Y"), Term::var("Y")]),
+            &mut Vec::new(),
         ));
-        assert_eq!(
-            s.get(crate::symbol::Symbol::intern("X")),
-            Some(Term::var("Y"))
-        );
+        assert_eq!(s.get(Symbol::intern("X")), Some(Term::var("Y")));
 
         // … but target variables are never bound: p(Z) does not match p(1)
         // in the reverse direction.
@@ -152,13 +151,15 @@ mod tests {
         assert!(match_atom(
             &mut s,
             &a("p", &[Term::var("Z")]),
-            &a("p", &[Term::int(1)])
+            &a("p", &[Term::int(1)]),
+            &mut Vec::new(),
         ));
         let mut s2 = Subst::new();
         assert!(!match_atom(
             &mut s2,
             &a("p", &[Term::int(1)]),
-            &a("p", &[Term::var("Z")])
+            &a("p", &[Term::var("Z")]),
+            &mut Vec::new(),
         ));
     }
 
@@ -170,6 +171,7 @@ mod tests {
             &mut s,
             &a("p", &[Term::var("X"), Term::var("X")]),
             &a("p", &[Term::int(1), Term::int(2)]),
+            &mut Vec::new(),
         ));
     }
 }

@@ -118,7 +118,7 @@ fn matching_soundness() {
         let pattern = random_atom(rng, "p");
         let target = random_atom(rng, "p");
         let mut theta = Subst::new();
-        if match_atom(&mut theta, &pattern, &target) {
+        if match_atom(&mut theta, &pattern, &target, &mut Vec::new()) {
             assert_eq!(theta.apply_atom(&pattern), target, "case {case}");
         }
     }
@@ -138,7 +138,7 @@ fn matching_implies_unification_on_disjoint_vars() {
         );
         if pattern.arity() == target.arity() {
             let mut theta = Subst::new();
-            if match_atom(&mut theta, &pattern, &target) {
+            if match_atom(&mut theta, &pattern, &target, &mut Vec::new()) {
                 assert!(unify_atoms(&pattern, &target).is_some(), "case {case}");
             }
         }

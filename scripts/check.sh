@@ -21,6 +21,11 @@ cargo test -q --offline --workspace --features failpoints
 # ten times the suites' tier-1 seeds: the `#[ignore]`d test of
 # tests/matrix.rs, one generator after the other.
 cargo test -q --offline --test matrix -- --ignored
+# Mutation check (ROADMAP item 17): each patch under tests/mutants/ plants
+# a known fault in a throwaway worktree of a snapshot of the working
+# tree, and the test its header names must fail. A patch that no longer
+# applies fails here: re-plant it.
+bash scripts/mutants.sh
 # Size gate: no product source file (the bench crate's experiments and
 # fixtures aside) may hold more than 1 200 lines before its first
 # `#[cfg(test)]`. A file past it holds more than one layer: split it.

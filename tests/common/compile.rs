@@ -1,16 +1,17 @@
 //! Shared by the compile-step suites: the all-pairs optimizer the product
 //! replaced (now the oracle), a per-match residue builder that shares no
 //! code with the product's verification context (the oracle of
-//! detection), and the program families of the soundness suite.
+//! detection), with the matchers the product replaced — a substitution
+//! cloned per candidate target, `BTreeSet` protected sets — and the
+//! program families of the soundness suite.
 
 use semrec::core::detect::{detect, DetectStats, Detection};
-use semrec::core::hom::{bind, extend_hom};
 use semrec::core::occurs::IcIndex;
 use semrec::core::optimizer::{choose_sequence, OptimizerConfig, Plan};
 use semrec::core::push::{replace_blocks, Pusher};
 use semrec::core::residue::{Residue, ResidueHead, UsefulAt};
 use semrec::core::sequence::{unfold, Unfolding};
-use semrec::core::subsume::{total_matches, Match};
+use semrec::core::subsume::Match;
 use semrec::datalog::analysis::{rectify, validate, RecursionInfo};
 use semrec::datalog::constraint::IcHead;
 use semrec::datalog::{Atom, Cmp, Constraint, Pred, Program, Rule, Subst, Symbol, Term};
@@ -281,6 +282,146 @@ fn oracle_redundant(r: &Residue, a: &Atom, u: &Unfolding) -> Option<usize> {
         }
     }
     None
+}
+
+/// One-way matching of atoms: extends `s` with bindings for `pattern`'s
+/// variables so that `pattern·s = target`; `s` may hold partial bindings
+/// on `false`.
+fn match_atom(s: &mut Subst, pattern: &Atom, target: &Atom) -> bool {
+    if pattern.pred != target.pred || pattern.arity() != target.arity() {
+        return false;
+    }
+    pattern
+        .args
+        .iter()
+        .zip(&target.args)
+        .all(|(&p, &t)| match p {
+            Term::Const(_) => p == t,
+            Term::Var(v) => match s.get(v) {
+                Some(bound) => bound == t,
+                None => {
+                    s.insert(v, t);
+                    true
+                }
+            },
+        })
+}
+
+/// All *total* free subsumption matches of `patterns` into `targets`:
+/// consistent substitutions θ with `patternsᵢ·θ = targets[onto[i]]` for
+/// every `i`. Different pattern atoms may map onto the same target.
+fn total_matches(patterns: &[Atom], targets: &[&Atom]) -> Vec<Match> {
+    let mut out = Vec::new();
+    let mut onto: Vec<Option<usize>> = vec![None; patterns.len()];
+    go_total(patterns, targets, 0, &Subst::new(), &mut onto, &mut out);
+    out
+}
+
+fn go_total(
+    patterns: &[Atom],
+    targets: &[&Atom],
+    i: usize,
+    theta: &Subst,
+    onto: &mut Vec<Option<usize>>,
+    out: &mut Vec<Match>,
+) {
+    if i == patterns.len() {
+        out.push(Match {
+            theta: theta.clone(),
+            onto: onto.clone(),
+        });
+        return;
+    }
+    for (j, target) in targets.iter().enumerate() {
+        if target.pred != patterns[i].pred {
+            continue;
+        }
+        let mut t = theta.clone();
+        if match_atom(&mut t, &patterns[i], target) {
+            onto[i] = Some(j);
+            go_total(patterns, targets, i + 1, &t, onto, out);
+            onto[i] = None;
+        }
+    }
+}
+
+/// Extends `h` with `v ↦ t`, keeping the mapping idempotent. Returns
+/// `false` on conflict.
+fn bind(h: &mut Subst, v: Symbol, t: Term) -> bool {
+    match h.get(v) {
+        Some(prev) => prev == t,
+        None => {
+            if let Term::Var(w) = t {
+                if w != v {
+                    match h.get(w) {
+                        Some(p) if p != Term::Var(w) => return false,
+                        Some(_) => {}
+                        None => {
+                            h.insert(w, Term::Var(w));
+                        }
+                    }
+                }
+            }
+            h.insert(v, t);
+            true
+        }
+    }
+}
+
+/// Matches `h(source)` onto `target`, binding remaining unprotected
+/// variables (identity bindings included), returning the extended mapping.
+fn match_into(
+    source: &Atom,
+    target: &Atom,
+    h: &Subst,
+    protected: &BTreeSet<Symbol>,
+) -> Option<Subst> {
+    if source.pred != target.pred || source.arity() != target.arity() {
+        return None;
+    }
+    let mut h2 = h.clone();
+    for (&st, &tt) in source.args.iter().zip(&target.args) {
+        match st {
+            Term::Const(_) => {
+                if st != tt {
+                    return None;
+                }
+            }
+            Term::Var(v) if protected.contains(&v) => {
+                if Term::Var(v) != tt {
+                    return None;
+                }
+            }
+            Term::Var(v) => {
+                if !bind(&mut h2, v, tt) {
+                    return None;
+                }
+            }
+        }
+    }
+    Some(h2)
+}
+
+/// Backtracking search: can `h` (fixing `protected`) be extended so every
+/// atom of `sources` maps into `targets`?
+fn extend_hom(
+    sources: &[&Atom],
+    i: usize,
+    h: &Subst,
+    protected: &BTreeSet<Symbol>,
+    targets: &[&Atom],
+) -> bool {
+    let Some(atom) = sources.get(i) else {
+        return true;
+    };
+    for target in targets {
+        if let Some(h2) = match_into(atom, target, h, protected) {
+            if extend_hom(sources, i + 1, &h2, protected, targets) {
+                return true;
+            }
+        }
+    }
+    false
 }
 
 /// (name, program+ics source, edb preds to fill with random binary data,

@@ -1,0 +1,110 @@
+//! The compile step's allocator calls, counted. `Optimizer::run` on
+//! `multi_block(3, 160)` takes the same path through the same code on
+//! every run, so the count is the same but for the few calls with which
+//! the process-wide interner grows for the names a run mints; a bound on
+//! it cannot flake the way a timing can. It catches a matcher that clones
+//! its substitution per candidate again, or a verification step that
+//! rebuilds its sets per match.
+//!
+//! This file is its own test binary because it replaces the global
+//! allocator. The count is kept per thread, so that only the calls of the
+//! thread that runs the optimizer are read.
+
+use semrec::core::optimizer::{Optimizer, OptimizerConfig};
+use semrec::datalog::parser::parse_unit;
+use semrec::gen::programs::{multi_block, multi_block_small};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// `System`, counting every allocation and reallocation of the calling
+/// thread.
+struct Counting;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down, when the count is no longer readable.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose `GlobalAlloc` contract is the one these methods promise; the
+// count they bump is a thread-local that allocates nothing itself.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: the caller passes a block of this allocator (that is,
+        // of `System`) with its layout, and a valid new size.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller passes a block of this allocator (that is,
+        // of `System`) with its layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
+
+/// Allocator calls of one `Optimizer::run` on `multi_block(3, blocks)`,
+/// and the number of constraints it compiled. Parsing and the optimizer's
+/// own copy of its input are outside the count. The run counted is the
+/// second: the first interns every name the compile step mints, on
+/// whichever thread gets there first.
+fn optimize_calls(blocks: u32) -> (u64, usize) {
+    let unit = parse_unit(&multi_block(3, blocks)).expect("generated source parses");
+    let mut config = OptimizerConfig::default();
+    config
+        .policy
+        .small_relations
+        .extend(multi_block_small(blocks));
+    let optimizer = || {
+        Optimizer::new(&unit.program())
+            .with_constraints(&unit.constraints)
+            .with_config(config.clone())
+    };
+    optimizer().run().expect("generated source optimizes");
+    let optimizer = optimizer();
+    let before = calls();
+    let plan = optimizer.run();
+    let spent = calls() - before;
+    drop(plan);
+    (spent, unit.constraints.len())
+}
+
+/// Allocator calls per constraint on this input, as this test measured
+/// them before substitutions were flat and bound in place: a `BTreeMap`
+/// substitution cloned per candidate target, fresh sets per match.
+const BEFORE_PER_IC: u64 = 351;
+
+#[test]
+fn compile_step_allocates_at_most_half_of_the_cloning_matcher() {
+    let (spent, ics) = optimize_calls(160);
+    let per_ic = spent / ics as u64;
+    eprintln!("compile_allocs: {spent} allocator calls for {ics} ICs ({per_ic} per IC)");
+    assert!(
+        per_ic <= BEFORE_PER_IC / 2,
+        "{per_ic} allocator calls per IC, over half of {BEFORE_PER_IC}"
+    );
+}
