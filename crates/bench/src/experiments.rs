@@ -3,6 +3,7 @@
 //! recorded results. Each experiment returns printable tables; the
 //! `harness` binary drives them.
 
+use crate::fixtures::expand::rule_residues;
 use crate::fixtures::isolate::isolate;
 use crate::fixtures::runtime_baseline::evaluate_with_runtime_semantics;
 use crate::fixtures::sld::{query_sld, SldConfig};
@@ -560,11 +561,13 @@ pub fn e6(_scale: Scale) -> Vec<Table> {
         let s = parse_scenario(src);
         let (prog, _) = rectify(&s.program);
         let infos = semrec_datalog::analysis::classify_linear(&prog).unwrap();
+        // Recursive predicates and non-recursive rules (one-rule blocks).
+        let blocks = semrec_core::detect::blocks(&prog, infos);
         for ic in &s.constraints {
             let mut cgm = 0usize;
             let mut usable = 0usize;
             for rule in &prog.rules {
-                for r in semrec_core::expand::rule_residues(ic, rule) {
+                for r in rule_residues(ic, rule) {
                     cgm += 1;
                     if r.directly_usable() && !r.is_trivial() {
                         usable += 1;
@@ -573,7 +576,7 @@ pub fn e6(_scale: Scale) -> Vec<Table> {
             }
             let mut free = 0usize;
             let mut useful = 0usize;
-            for info in &infos {
+            for info in &blocks {
                 let ds = detect(&prog, info, ic, DetectionMethod::SdGraph, 3).unwrap();
                 free += ds.len();
                 useful += ds

@@ -1360,7 +1360,8 @@ pub struct RoutingResult {
     pub routed_millis: f64,
     /// Median fixpoint milliseconds of the fixed ladder's program.
     pub ladder_millis: f64,
-    /// Planning wall milliseconds (the memo's `plan_nanos`).
+    /// Median planning wall milliseconds (the memo's `plan_nanos`) of
+    /// builds interleaved with the timed evaluations.
     pub plan_millis: f64,
 }
 
@@ -1382,25 +1383,32 @@ fn route_workload(
     use semrec_engine::{CostMemo, EdbStats};
     // Warm the planner untimed: the very first build pays one-time
     // per-generation dictionary-index construction that persists on the
-    // relations (the evaluator shares the same indexes). The measured
-    // build below — with a *fresh* EdbStats, so every distribution is
-    // re-read — is the steady-state replanning cost serve/maintain pay.
-    let (warm_alts, _) = semrec_core::route_alternatives(program, plan, None);
-    CostMemo::build(db, &mut EdbStats::new(), warm_alts).ok()?;
-    let (alts, _) = semrec_core::route_alternatives(program, plan, None);
-    let memo = CostMemo::build(db, &mut EdbStats::new(), alts).ok()?;
+    // relations (the evaluator shares the same indexes). Each timed build
+    // — with a *fresh* EdbStats, so every distribution is re-read — is
+    // the steady-state replanning cost serve/maintain pay, taken warm:
+    // an untimed build precedes it, as the evaluations' warm-up passes
+    // precede theirs (right after other work a build reads about twice
+    // as long, its working set evicted).
+    let build = || {
+        let (alts, _) = semrec_core::route_alternatives(program, plan, None);
+        CostMemo::build(db, &mut EdbStats::new(), alts).ok()
+    };
+    let memo = build()?;
     let choice = memo.choice();
     let routed_prog = memo.best().program.clone();
     let ladder_prog = plan.program.clone();
-    // Warm both programs untimed, then interleave the timed passes so
-    // machine drift hits both sides equally (same discipline as the
-    // governance bench).
+    // Warm both programs untimed, then interleave the timed passes —
+    // planning included — so machine drift hits all three equally (same
+    // discipline as the governance bench).
     evaluate(db, &routed_prog, Strategy::SemiNaive).ok()?;
     evaluate(db, &ladder_prog, Strategy::SemiNaive).ok()?;
+    let mut plan_ms = Vec::new();
     let mut routed_ms = Vec::new();
     let mut ladder_ms = Vec::new();
     let mut actual_rows = 0u64;
     for _ in 0..runs.max(1) {
+        build()?;
+        plan_ms.push(build()?.choice().plan_nanos as f64 / 1e6);
         let t = Instant::now();
         let res = evaluate(db, &routed_prog, Strategy::SemiNaive).ok()?;
         routed_ms.push(t.elapsed().as_secs_f64() * 1e3);
@@ -1409,8 +1417,9 @@ fn route_workload(
         evaluate(db, &ladder_prog, Strategy::SemiNaive).ok()?;
         ladder_ms.push(t.elapsed().as_secs_f64() * 1e3);
     }
-    routed_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ladder_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    for ms in [&mut plan_ms, &mut routed_ms, &mut ladder_ms] {
+        ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    }
     Some(RoutingResult {
         scenario: name.to_owned(),
         params,
@@ -1422,7 +1431,7 @@ fn route_workload(
         misprediction: choice.misprediction(actual_rows),
         routed_millis: routed_ms[routed_ms.len() / 2],
         ladder_millis: ladder_ms[ladder_ms.len() / 2],
-        plan_millis: choice.plan_nanos as f64 / 1e6,
+        plan_millis: plan_ms[plan_ms.len() / 2],
     })
 }
 

@@ -9,8 +9,8 @@
 //! atoms — precisely what makes them weaker than §2's free residues for
 //! program transformation (the equalities anticipate a specific query).
 
-use crate::residue::ResidueHead;
-use crate::subsume::maximal_partial_matches;
+use semrec_core::residue::ResidueHead;
+use semrec_core::subsume::maximal_partial_matches;
 use semrec_datalog::atom::Atom;
 use semrec_datalog::constraint::{Constraint, IcHead};
 use semrec_datalog::literal::{Cmp, CmpOp};

@@ -21,8 +21,7 @@
 //! The reported [`BaselineOutcome`] separates optimization time from
 //! evaluation work.
 
-use semrec_core::occurs::IcIndex;
-use semrec_core::optimizer::rule_level_rewrite_with;
+use super::rule_level::rule_level_rewrite_with;
 use semrec_core::push::PushPolicy;
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::program::Program;
@@ -51,7 +50,9 @@ pub struct BaselineOutcome {
 /// `ics`. Returns the rewritten program, the number of (IC, rule) residue
 /// computations performed, and the number of optimizations applied.
 pub fn rule_level_rewrite(program: &Program, ics: &[Constraint]) -> (Program, u64, usize) {
-    rule_level_rewrite_with(program, &IcIndex::new(ics), &PushPolicy::default(), None)
+    let (rewritten, computations, kinds) =
+        rule_level_rewrite_with(program, ics, &PushPolicy::default());
+    (rewritten, computations, kinds.iter().map(Vec::len).sum())
 }
 
 /// Evaluates `program` with per-iteration (run-time) semantic optimization.

@@ -58,9 +58,9 @@ pub struct Detection {
 pub struct DetectStats {
     /// Integrity constraints given.
     pub ics: usize,
-    /// (recursive predicate, constraint) pairs detection was run on: the
-    /// constraint's body predicates all occur among the predicate's
-    /// subgoals.
+    /// (block, constraint) pairs detection was run on: the constraint's
+    /// body predicates all occur among the block's subgoals. A block is
+    /// a recursive predicate or a non-recursive rule.
     pub candidate_pairs: usize,
     /// SD-graphs built (at most one per recursive predicate).
     pub graphs_built: usize,
@@ -89,8 +89,26 @@ pub fn subgoal_preds(program: &Program, info: &RecursionInfo) -> BTreeSet<Pred> 
         .collect()
 }
 
-/// Detects residues of `ic` w.r.t. the recursive predicate described by
-/// `info`, using the requested method. `program` must be rectified.
+/// The blocks residues are detected and pushed on: each recursive
+/// predicate of `infos`, then, in program order, each rule of `program`
+/// defining none of them as a one-rule block (k = 1) — no recursive rule,
+/// the rule as its one exit rule, so its one sequence is the rule itself.
+pub fn blocks(program: &Program, infos: Vec<RecursionInfo>) -> Vec<RecursionInfo> {
+    let recursive: BTreeSet<Pred> = infos.iter().map(|i| i.pred).collect();
+    let rules = program.rules.iter().enumerate();
+    let one_rule = rules.filter(|(_, r)| !recursive.contains(&r.head.pred));
+    let one_rule = one_rule.map(|(i, r)| RecursionInfo {
+        pred: r.head.pred,
+        arity: r.head.arity(),
+        recursive_rules: Vec::new(),
+        exit_rules: vec![i],
+    });
+    infos.into_iter().chain(one_rule).collect()
+}
+
+/// Detects residues of `ic` w.r.t. the block described by `info` (a
+/// recursive predicate, or a rule of [`blocks`]), using the requested
+/// method. `program` must be rectified.
 ///
 /// `pad` controls how many extra levels are tried when a fact residue's
 /// head atom is not useful on the minimal sequence (both methods).
@@ -120,11 +138,11 @@ enum Proposer {
     All(Vec<Vec<usize>>),
 }
 
-/// Residue detection for one recursive predicate: what depends only on
-/// the predicate — its SD-graph (or enumerated sequences), the unfolding
-/// of each expansion sequence and its [`VerifyContext`] — is built once
-/// and shared by every constraint tried against it. `program` must be
-/// rectified.
+/// Residue detection for one block (a recursive predicate, or a
+/// non-recursive rule on its own): what depends only on the block — its
+/// SD-graph (or enumerated sequences), the unfolding of each expansion
+/// sequence and its [`VerifyContext`] — is built once and shared by
+/// every constraint tried against it. `program` must be rectified.
 pub struct Detector<'a> {
     program: &'a Program,
     info: &'a RecursionInfo,
@@ -150,6 +168,9 @@ impl<'a> Detector<'a> {
         stats: &'a mut DetectStats,
     ) -> Detector<'a> {
         let proposer = match method {
+            // A one-rule block (a non-recursive rule) has one sequence,
+            // the rule itself: nothing to search for, nothing to pad.
+            _ if info.recursive_rules.is_empty() => Proposer::All(enumerate_sequences(info, 1)),
             DetectionMethod::Exhaustive { max_len } => {
                 Proposer::All(enumerate_sequences(info, max_len))
             }
@@ -196,13 +217,14 @@ impl<'a> Detector<'a> {
     /// The residues of `ic`, in deterministic order (by sequence, then by
     /// the residue's text).
     pub fn detect(&mut self, ic: &Arc<Constraint>) -> Result<Vec<Detection>, Error> {
-        let seqs = match &self.proposer {
-            Proposer::All(seqs) => seqs.clone(),
-            Proposer::Graph(graph) => propose_sequences(graph, ic),
+        let mut worklist: Vec<(Vec<usize>, usize)> = match &self.proposer {
+            Proposer::All(seqs) => seqs.iter().map(|s| (s.clone(), 0)).collect(),
+            Proposer::Graph(graph) => (propose_sequences(graph, ic).into_iter())
+                .map(|s| (s, 0))
+                .collect(),
         };
 
         let (mut scratch, mut found, mut texts) = std::mem::take(&mut self.reuse);
-        let mut worklist: Vec<(Vec<usize>, usize)> = seqs.into_iter().map(|s| (s, 0)).collect();
         self.calls += 1;
         let (call, info, pad) = (self.calls, self.info, self.pad);
 

@@ -12,7 +12,6 @@
 
 pub mod cleanup;
 pub mod detect;
-pub mod expand;
 pub mod graph;
 pub mod hom;
 pub mod maintain;

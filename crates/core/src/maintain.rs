@@ -169,12 +169,7 @@ fn plan_route(
 }
 
 /// The constraints whose residues the plan actually pushed, deduplicated.
-/// Rule-level rewrites are not attributed to individual constraints, so
-/// a plan that applied any monitors the full constraint set.
-fn monitored_ics(plan: &Plan, ics: &[Constraint]) -> Vec<Constraint> {
-    if plan.rule_level > 0 {
-        return ics.to_vec();
-    }
+fn monitored_ics(plan: &Plan) -> Vec<Constraint> {
     let mut out: Vec<Constraint> = Vec::new();
     for a in &plan.applied {
         if !out.contains(&*a.residue.ic) {
@@ -202,7 +197,7 @@ impl MaintainedQuery {
             .with_constraints(ics)
             .with_config(config)
             .run()?;
-        let monitored = monitored_ics(&plan, ics);
+        let monitored = monitored_ics(&plan);
         let checks: Vec<IcCheck> = monitored.iter().map(|ic| IcCheck::new(&db, ic)).collect();
         let unlimited = Budget::unlimited();
         let holds = |c: &IcCheck| c.holds(&db, None, &unlimited, None).map(|(ok, _)| ok);
@@ -693,5 +688,69 @@ mod tests {
             assert_eq!(got, scratch_answers(&q, &g));
             assert_eq!(got.len(), rows);
         }
+    }
+
+    /// Of many constraints only `u` rewrites anything — the non-recursive
+    /// view, a one-rule block — so only `u` is monitored, and each commit
+    /// re-checks it alone: inserts that break the other constraints leave
+    /// the optimized route in place, one that breaks `u` does not.
+    #[test]
+    fn only_the_constraint_of_an_applied_one_rule_residue_is_monitored() {
+        let unit = parse_unit(
+            "v(X, Z) :- e(X, Z), w(Z, W).\n\
+             r(X) :- a(X, Y), b(Y).\n\
+             ic u: e(X, Z) -> w(Z, W).\n\
+             ic k: e(X, Z) -> f(X).\n\
+             ic h: e(X, X) -> .\n\
+             ic s: a(X, Y) -> c(Y).\n\
+             ic n: q(X), p(X) -> .",
+        )
+        .expect("parse");
+        let mut db = Database::new();
+        for v in 0..4i64 {
+            db.insert("e", int_tuple(&[v, v + 1]));
+            db.insert("w", int_tuple(&[v + 1, 0]));
+            db.insert("f", int_tuple(&[v]));
+        }
+        let config = OptimizerConfig::default();
+        let mut q = MaintainedQuery::new(db, &unit.program(), &unit.constraints, config, 1)
+            .expect("maintained query");
+        let names = |q: &MaintainedQuery| -> Vec<&str> {
+            q.monitored()
+                .iter()
+                .map(|ic| ic.name.unwrap().as_str())
+                .collect()
+        };
+        assert_eq!(names(&q), ["u"]);
+        assert_eq!(q.route(), Route::Optimized);
+        let g = goal("v(X, Z)");
+
+        // e(7, 7) breaks h, e(8, 9) breaks k (no f(8)), a(1, 2) breaks s.
+        let mut tx = Tx::new();
+        tx.insert("e", int_tuple(&[7, 7]));
+        tx.insert("w", int_tuple(&[7, 0]));
+        tx.insert("e", int_tuple(&[8, 9]));
+        tx.insert("w", int_tuple(&[9, 0]));
+        tx.insert("a", int_tuple(&[1, 2]));
+        let out = q.apply(&tx, Budget::unlimited(), None).expect("apply");
+        assert_eq!(out.route, Route::IncrementalOptimized);
+        assert!(out.violated.is_empty());
+        assert_eq!((q.checks.len(), q.ic_ok.len()), (1, 1), "one IC re-checked");
+        let mut got = q.answers(&g);
+        got.sort();
+        assert_eq!(got, scratch_answers(&q, &g));
+
+        // e(5, 6) with no w(6, _) breaks u: the view answers from the
+        // rectified program, which does not see (5, 6).
+        let mut tx = Tx::new();
+        tx.insert("e", int_tuple(&[5, 6]));
+        let out = q.apply(&tx, Budget::unlimited(), None).expect("apply");
+        assert_eq!(out.route, Route::IncrementalInvalidated);
+        assert_eq!(out.violated, [0]);
+        assert_eq!((q.checks.len(), q.ic_ok.len()), (1, 1), "one IC re-checked");
+        let mut got = q.answers(&g);
+        got.sort();
+        assert_eq!(got, scratch_answers(&q, &g));
+        assert!(!got.contains(&int_tuple(&[5, 6])));
     }
 }

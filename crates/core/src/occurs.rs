@@ -7,10 +7,9 @@
 //! Algorithm 3.1), and the SD-graph walk that precedes it visits one
 //! subgoal occurrence per constraint atom — so a constraint whose
 //! *signature* (the set of its body predicates) is not contained in the
-//! clause's predicates can be skipped without looking at it. The same
-//! holds for the rule-level rewrite
-//! ([`crate::optimizer::rule_level_rewrite_with`]), which only uses
-//! residues with no unmatched database atom left.
+//! clause's predicates can be skipped without looking at it. A clause is
+//! a block's subgoals: those of a recursive predicate's rules, or of one
+//! non-recursive rule.
 //!
 //! The index lists each constraint under one predicate of its signature —
 //! the one the fewest constraints mention, as backward subsumption scans
@@ -57,17 +56,8 @@ impl<'a> IcIndex<'a> {
         IcIndex { ics, watched }
     }
 
-    /// The constraints that [`may_match`] `preds`, in constraint order.
-    pub fn candidates(&self, preds: &BTreeSet<Pred>) -> Vec<&'a Constraint> {
-        let ics = self.ics;
-        self.candidate_ids(preds)
-            .into_iter()
-            .map(|i| &ics[i])
-            .collect()
-    }
-
-    /// The [`candidates`](Self::candidates), as indices into the indexed
-    /// slice.
+    /// The constraints that [`may_match`] `preds`, as indices into the
+    /// indexed slice, in constraint order.
     pub fn candidate_ids(&self, preds: &BTreeSet<Pred>) -> Vec<usize> {
         let mut hits: Vec<usize> = preds
             .iter()
@@ -103,9 +93,9 @@ mod tests {
         let index = IcIndex::new(&ics);
         let names = |ps: &[&str]| -> Vec<String> {
             index
-                .candidates(&preds(ps))
+                .candidate_ids(&preds(ps))
                 .iter()
-                .map(|ic| ic.name.unwrap().as_str().to_owned())
+                .map(|&i| ics[i].name.unwrap().as_str().to_owned())
                 .collect()
         };
         // c1 shares `a` but also needs `z`; c4's head predicate is no
@@ -133,8 +123,10 @@ mod tests {
                 .map(|b| all[b])
                 .collect();
             let ps = preds(&subset);
-            let expected: Vec<&Constraint> = ics.iter().filter(|ic| may_match(ic, &ps)).collect();
-            assert_eq!(index.candidates(&ps), expected, "subset {subset:?}");
+            let expected: Vec<usize> = (0..ics.len())
+                .filter(|&i| may_match(&ics[i], &ps))
+                .collect();
+            assert_eq!(index.candidate_ids(&ps), expected, "subset {subset:?}");
         }
     }
 
@@ -149,8 +141,8 @@ mod tests {
         let ics = parse_constraints(&src).unwrap();
         let index = IcIndex::new(&ics);
         assert!(index.watched.values().all(|list| list.len() == 1));
-        let found = index.candidates(&preds(&["hub", "spoke7"]));
+        let found = index.candidate_ids(&preds(&["hub", "spoke7"]));
         assert_eq!(found.len(), 1);
-        assert_eq!(found[0].name.unwrap().as_str(), "s7");
+        assert_eq!(ics[found[0]].name.unwrap().as_str(), "s7");
     }
 }

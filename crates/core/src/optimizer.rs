@@ -1,18 +1,16 @@
 //! The end-to-end compile-time pipeline: validate → rectify → detect
-//! residues (Algorithm 3.1) → choose a sequence per recursive predicate →
-//! push (isolate + optimize) → cleanup.
+//! residues (Algorithm 3.1) → choose a sequence per block (a recursive
+//! predicate, or a non-recursive rule on its own) → push (isolate +
+//! optimize) → cleanup.
 
 use crate::cleanup::IdbLiveness;
-use crate::detect::{subgoal_preds, DetectStats, Detection, DetectionMethod, Detector};
-use crate::expand::{rule_residues, StdResidue};
+use crate::detect::{blocks, subgoal_preds, DetectStats, Detection, DetectionMethod, Detector};
 use crate::occurs::IcIndex;
 use crate::push::{replace_blocks, Applied, PushPolicy, Pusher, Skipped};
-use crate::residue::ResidueHead;
-use semrec_datalog::analysis::{rectify, safety, validate};
+use semrec_datalog::analysis::{rectify, validate};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
-use semrec_datalog::literal::Literal;
 use semrec_datalog::program::Program;
 use semrec_datalog::rule::Rule;
 use semrec_engine::{AlternativeKind, CostMemo, EdbStats};
@@ -56,24 +54,22 @@ pub struct Plan {
     /// The optimized program, equivalent to `rectified` on every database
     /// satisfying the constraints.
     pub program: Program,
-    /// All detected residues, per predicate.
+    /// All detected residues, with the predicate of their block.
     pub detections: Vec<(Pred, Detection)>,
     /// What detecting them cost, in exact work counts.
     pub detect_stats: DetectStats,
-    /// The sequence chosen for each optimized predicate.
+    /// The sequence chosen for each optimized recursive predicate.
     pub chosen: BTreeMap<Pred, Vec<usize>>,
     /// Successfully pushed residues.
     pub applied: Vec<Applied>,
     /// Residues that were detected but not pushed, with reasons.
     pub skipped: Vec<Skipped>,
-    /// Number of rule-level (non-recursive) optimizations applied.
-    pub rule_level: usize,
 }
 
 impl Plan {
     /// True if at least one optimization was applied.
     pub fn any_applied(&self) -> bool {
-        !self.applied.is_empty() || self.rule_level > 0
+        !self.applied.is_empty()
     }
 }
 
@@ -88,13 +84,6 @@ impl fmt::Display for Plan {
         }
         for s in &self.skipped {
             writeln!(f, "skipped {}: {}", s.residue, s.reason)?;
-        }
-        if self.rule_level > 0 {
-            writeln!(
-                f,
-                "applied {} rule-level optimization(s) to non-recursive rules",
-                self.rule_level
-            )?;
         }
         writeln!(f, "— optimized program —")?;
         write!(f, "{}", self.program)
@@ -127,16 +116,19 @@ impl Optimizer {
 
     /// Runs the pipeline. Work is linear in rules + constraints: what
     /// depends on the whole program (validation, the constraint index,
-    /// IDB liveness) is done once, what depends on a recursive predicate
-    /// (SD-graph, push, cleanup) once per predicate, and detection itself
-    /// only for the constraints whose body predicates all occur among
-    /// that predicate's subgoals.
+    /// IDB liveness) is done once, what depends on a block (SD-graph,
+    /// push, cleanup) once per block, and detection itself only for the
+    /// constraints whose body predicates all occur among that block's
+    /// subgoals. A block is a recursive predicate, or a non-recursive rule
+    /// on its own: the k = 1 case (e.g. Example 4.2's `eval_support`),
+    /// whose one sequence is the rule and whose push emits only the rule's
+    /// rewritten copies.
     pub fn run(self) -> Result<Plan, Error> {
         #[cfg(feature = "failpoints")]
         semrec_engine::failpoint::hit("optimizer.push").map_err(Error::analysis)?;
         validate(&self.program, &self.ics)?;
         let (rectified, _) = rectify(&self.program);
-        let infos = validate(&rectified, &self.ics)?;
+        let blocks = blocks(&rectified, validate(&rectified, &self.ics)?);
         let config = &self.config;
         let policy = &config.policy;
 
@@ -151,11 +143,13 @@ impl Optimizer {
         let mut skipped = Vec::new();
         let mut chosen: BTreeMap<Pred, Vec<usize>> = BTreeMap::new();
         let mut per_pred_rules: BTreeMap<Pred, Vec<Rule>> = BTreeMap::new();
+        // The rewritten copies of each rewritten non-recursive rule.
+        let mut rewritten: BTreeMap<usize, Vec<Rule>> = BTreeMap::new();
         // One shared copy per constraint detection runs on: every residue
         // of it points there.
         let mut shared: Vec<Option<Arc<Constraint>>> = vec![None; self.ics.len()];
 
-        for info in &infos {
+        for info in &blocks {
             let candidates = index.candidate_ids(&subgoal_preds(&rectified, info));
             if candidates.is_empty() {
                 continue;
@@ -170,7 +164,7 @@ impl Optimizer {
                     detections.push((info.pred, d));
                 }
             }
-            // This predicate's detections: score per sequence, choose, push.
+            // This block's detections: score per sequence, choose, push.
             let mine: Vec<&Detection> = detections[first..].iter().map(|(_, d)| d).collect();
             if mine.is_empty() {
                 continue;
@@ -198,25 +192,31 @@ impl Optimizer {
             if res.applied.is_empty() {
                 continue;
             }
-            chosen.insert(info.pred, seq);
             applied.extend(res.applied);
-            per_pred_rules.insert(info.pred, liveness.clean_block(info.pred, res.rules));
+            let rules = liveness.clean_block(info.pred, res.rules);
+            if info.recursive_rules.is_empty() {
+                rewritten.insert(info.exit_rules[0], rules);
+            } else {
+                chosen.insert(info.pred, seq);
+                per_pred_rules.insert(info.pred, rules);
+            }
         }
 
-        // Merge: untouched rules + per-predicate transformed structures.
-        let program = replace_blocks(&rectified, per_pred_rules);
-
-        // Non-recursive rules need no isolation: push rule-level residues
-        // (the k = 1 case, e.g. Example 4.2's eval_support rule) directly,
-        // at compile time.
-        let recursive: BTreeSet<Pred> = infos.iter().map(|i| i.pred).collect();
-        let non_recursive: BTreeSet<Pred> = program
-            .idb_preds()
-            .into_iter()
-            .filter(|p| !recursive.contains(p) && !p.name().contains('@'))
+        // A rewritten non-recursive predicate's block: each of its rules
+        // as rewritten, or as written.
+        let touched: BTreeSet<Pred> = (rewritten.keys())
+            .map(|&i| rectified.rules[i].head.pred)
             .collect();
-        let (program, _, rule_level_applied) =
-            rule_level_rewrite_with(&program, &index, policy, Some(&non_recursive));
+        for (i, rule) in rectified.rules.iter().enumerate() {
+            if touched.contains(&rule.head.pred) {
+                let rules = rewritten.remove(&i).unwrap_or_else(|| vec![rule.clone()]);
+                per_pred_rules
+                    .entry(rule.head.pred)
+                    .or_default()
+                    .extend(rules);
+            }
+        }
+        let program = replace_blocks(&rectified, per_pred_rules);
 
         Ok(Plan {
             rectified,
@@ -226,7 +226,6 @@ impl Optimizer {
             chosen,
             applied,
             skipped,
-            rule_level: rule_level_applied,
         })
     }
 }
@@ -277,232 +276,6 @@ pub fn choose_sequence(detections: &[&Detection], policy: &PushPolicy) -> Option
             sb.len().cmp(&sa.len()).then(a.cmp(b)).then(sa.cmp(sb))
         })
         .map(|(seq, _)| seq)
-}
-
-/// Rewrites `program` with the directly-usable rule-level (CGM) residues
-/// of `ics` under `policy`, optionally restricted to rules of particular
-/// head predicates ([`Optimizer::run`] uses this for the *non-recursive*
-/// rules, which need no isolation: the k = 1 case). Returns the
-/// rewritten program, the number of (IC, rule) residue computations
-/// performed, and the number of optimizations applied.
-///
-/// A residue is only used when no database atom of the constraint stays
-/// unmatched, so per rule only the constraints whose body predicates all
-/// occur in the rule's body are tried (and counted).
-pub fn rule_level_rewrite_with(
-    program: &Program,
-    ics: &IcIndex,
-    policy: &PushPolicy,
-    only_preds: Option<&BTreeSet<Pred>>,
-) -> (Program, u64, usize) {
-    let mut computations = 0u64;
-    let mut applied = 0usize;
-    let mut out: Vec<Rule> = Vec::new();
-    for rule in &program.rules {
-        if let Some(preds) = only_preds {
-            if !preds.contains(&rule.head.pred) {
-                out.push(rule.clone());
-                continue;
-            }
-        }
-        let mut variants: Vec<Rule> = vec![rule.clone()];
-        let body_preds = rule.body_atoms().map(|a| a.pred).collect();
-        for ic in ics.candidates(&body_preds) {
-            computations += 1;
-            for residue in rule_residues(ic, rule) {
-                if !residue.directly_usable() || residue.is_trivial() {
-                    continue;
-                }
-                let before = variants.len();
-                variants = variants
-                    .into_iter()
-                    .flat_map(|v| apply_std_residue_with(&v, &residue, policy))
-                    .collect();
-                if variants.len() != before
-                    || variants.iter().any(|v| v.body.len() != rule.body.len())
-                {
-                    applied += 1;
-                }
-            }
-        }
-        out.append(&mut variants);
-    }
-    (Program::new(out), computations, applied)
-}
-
-/// Applies one directly-usable CGM residue to a rule, producing the variant
-/// rules (identity if not applicable).
-fn apply_std_residue_with(rule: &Rule, residue: &StdResidue, policy: &PushPolicy) -> Vec<Rule> {
-    debug_assert!(residue.body_atoms.is_empty());
-    let conds = &residue.body_cmps;
-    match &residue.head {
-        // Null residue: the rule derives nothing when the conditions hold —
-        // keep only the ¬E complements.
-        ResidueHead::Null => {
-            if !policy.pruning {
-                return vec![rule.clone()];
-            }
-            let mut out = Vec::new();
-            for j in 0..conds.len() {
-                let mut v = rule.clone();
-                for c in conds.iter().take(j) {
-                    v.body.push(Literal::Cmp(*c));
-                }
-                v.body.push(Literal::Cmp(conds[j].negate()));
-                out.push(v);
-            }
-            // Unconditional null: the rule is dropped entirely.
-            out
-        }
-        // Implied comparison: add it as a (redundant but restricting)
-        // filter on the E-branch.
-        ResidueHead::Cmp(h) => {
-            if !policy.introduction {
-                return vec![rule.clone()];
-            }
-            if conds.is_empty() {
-                let mut v = rule.clone();
-                v.body.push(Literal::Cmp(*h));
-                vec![v]
-            } else {
-                let mut out = Vec::new();
-                let mut yes = rule.clone();
-                for c in conds {
-                    yes.body.push(Literal::Cmp(*c));
-                }
-                yes.body.push(Literal::Cmp(*h));
-                out.push(yes);
-                for j in 0..conds.len() {
-                    let mut no = rule.clone();
-                    for c in conds.iter().take(j) {
-                        no.body.push(Literal::Cmp(*c));
-                    }
-                    no.body.push(Literal::Cmp(conds[j].negate()));
-                    out.push(no);
-                }
-                out
-            }
-        }
-        // Implied atom: eliminate it if it occurs in the rule body — either
-        // syntactically, or with IC-existential positions (marked `` `ic ``
-        // variables left unbound by the subsumption) matching rule
-        // variables that occur nowhere else, so the existential witness is
-        // free to take their value. Otherwise introduce it when the policy
-        // marks the relation small.
-        ResidueHead::Atom(a) => {
-            let Some(pos) = find_eliminable(rule, a) else {
-                if policy.introduction && policy.small_relations.contains(&a.pred) {
-                    return introduce_atom(rule, a, conds);
-                }
-                return vec![rule.clone()];
-            };
-            if !policy.elimination {
-                return vec![rule.clone()];
-            }
-            let mut yes = rule.clone();
-            yes.body.remove(pos);
-            for c in conds {
-                yes.body.push(Literal::Cmp(*c));
-            }
-            if !yes.is_range_restricted() || !safety::unsafe_vars(&yes).is_empty() {
-                return vec![rule.clone()];
-            }
-            if conds.is_empty() {
-                return vec![yes];
-            }
-            let mut out = vec![yes];
-            for j in 0..conds.len() {
-                let mut no = rule.clone();
-                for c in conds.iter().take(j) {
-                    no.body.push(Literal::Cmp(*c));
-                }
-                no.body.push(Literal::Cmp(conds[j].negate()));
-                out.push(no);
-            }
-            out
-        }
-    }
-}
-
-/// Finds a body literal that the residue-head atom `a` makes redundant.
-/// A position matches when its arguments are equal, or when `a` holds an
-/// unbound IC-existential (a `` `ic ``-marked variable) and the rule's
-/// argument is a variable occurring exactly once in the entire rule — the
-/// IC's existential witness can then absorb that variable's value.
-fn find_eliminable(rule: &Rule, a: &Atom) -> Option<usize> {
-    use semrec_datalog::term::Term;
-    let mut occurrences: BTreeMap<semrec_datalog::Symbol, usize> = BTreeMap::new();
-    for v in rule.head.vars() {
-        *occurrences.entry(v).or_insert(0) += 1;
-    }
-    for l in &rule.body {
-        for v in l.vars() {
-            *occurrences.entry(v).or_insert(0) += 1;
-        }
-    }
-    'lits: for (i, l) in rule.body.iter().enumerate() {
-        let Some(b) = l.as_atom() else { continue };
-        if b.pred != a.pred || b.arity() != a.arity() {
-            continue;
-        }
-        let mut used_wildcards: BTreeSet<semrec_datalog::Symbol> = BTreeSet::new();
-        for (&at, &bt) in a.args.iter().zip(&b.args) {
-            if at == bt {
-                continue;
-            }
-            let existential = matches!(at, Term::Var(v) if v.as_str().ends_with("`ic"));
-            let absorbable = matches!(
-                bt,
-                Term::Var(v) if occurrences.get(&v).copied() == Some(1)
-            );
-            let fresh_wildcard = match at {
-                Term::Var(v) => used_wildcards.insert(v),
-                Term::Const(_) => false,
-            };
-            if !(existential && absorbable && fresh_wildcard) {
-                continue 'lits;
-            }
-        }
-        return Some(i);
-    }
-    None
-}
-
-/// Conditional atom introduction at the rule level: the `E`-branch gains
-/// the implied atom (IC-existential variables become fresh locals), the
-/// complements carry `¬E`.
-fn introduce_atom(rule: &Rule, atom: &Atom, conds: &[semrec_datalog::literal::Cmp]) -> Vec<Rule> {
-    use semrec_datalog::subst::Subst;
-    use semrec_datalog::symbol::Symbol;
-    use semrec_datalog::term::Term;
-
-    let rule_vars = rule.vars();
-    let mut fresh = Subst::new();
-    for v in atom.vars() {
-        if !rule_vars.contains(&v) {
-            fresh.insert(v, Term::Var(Symbol::fresh(v.as_str())));
-        }
-    }
-    let atom = fresh.apply_atom(atom);
-
-    let mut yes = rule.clone();
-    for c in conds {
-        yes.body.push(Literal::Cmp(*c));
-    }
-    yes.body.push(Literal::Atom(atom));
-    if conds.is_empty() {
-        return vec![yes];
-    }
-    let mut out = vec![yes];
-    for j in 0..conds.len() {
-        let mut no = rule.clone();
-        for c in conds.iter().take(j) {
-            no.body.push(Literal::Cmp(*c));
-        }
-        no.body.push(Literal::Cmp(conds[j].negate()));
-        out.push(no);
-    }
-    out
 }
 
 /// The outcome of a governed, degradation-aware evaluation: the result
@@ -733,37 +506,45 @@ mod tests {
     use semrec_datalog::parser::parse_unit;
     use semrec_engine::{evaluate, Database, Strategy};
 
-    /// Every rule rewritten under the default policy.
-    fn rule_level_rewrite(program: &Program, ics: &[Constraint]) -> (Program, u64, usize) {
-        rule_level_rewrite_with(program, &IcIndex::new(ics), &PushPolicy::default(), None)
+    /// The plan of `src`'s rules under its constraints.
+    fn plan_of(src: &str) -> Plan {
+        let unit = parse_unit(src).unwrap();
+        let optimizer = Optimizer::new(&unit.program()).with_constraints(&unit.constraints);
+        optimizer.run().unwrap()
     }
 
+    /// The rules of `pred` in `plan`'s program, as text.
+    fn rules_of(plan: &Plan, pred: &str) -> Vec<String> {
+        let rules = plan.program.rules.iter();
+        let mine = rules.filter(|r| r.head.pred == Pred::new(pred));
+        mine.map(ToString::to_string).collect()
+    }
+
+    /// Non-recursive rules are one-rule blocks: a null residue the rule's
+    /// own comparison discharges drops the rule, a conditional one keeps
+    /// only the complement, and neither is a chosen sequence.
     #[test]
-    fn rule_level_null_residue_prunes_rule() {
-        // An IC that contradicts a rule's own condition at the rule level.
-        let unit = parse_unit(
+    fn one_rule_blocks_prune() {
+        let plan = plan_of(
             "q(X) :- p(X, Y), Y > 100.
+             r(X) :- p(X, Y).
              ic: p(A, B), B > 100 -> .",
-        )
-        .unwrap();
-        let (rw, _, applied) = rule_level_rewrite(&unit.program(), &unit.constraints);
-        assert!(applied >= 1);
-        // The rule splits into a complement that now carries both Y > 100
-        // and Y <= 100 — dead, but correct; plain evaluation agrees.
+        );
+        assert!(rules_of(&plan, "q").is_empty(), "{}", plan.program);
+        assert_eq!(rules_of(&plan, "r"), ["r(X) :- p(X, Y~1), Y~1 <= 100."]);
+        assert!(plan.chosen.is_empty());
+        let seqs: Vec<&[usize]> = plan.applied.iter().map(|a| &a.residue.seq[..]).collect();
+        assert_eq!(seqs, [[0], [1]]);
+
         let mut db = Database::new();
-        db.insert(
-            "p",
-            vec![
-                semrec_datalog::Value::Int(1),
-                semrec_datalog::Value::Int(50),
-            ],
-        );
-        let a = evaluate(&db, &unit.program(), Strategy::SemiNaive).unwrap();
-        let b = evaluate(&db, &rw, Strategy::SemiNaive).unwrap();
-        assert_eq!(
-            a.relation("q").unwrap().sorted_tuples(),
-            b.relation("q").unwrap().sorted_tuples()
-        );
+        db.insert("p", semrec_engine::int_tuple(&[1, 50]));
+        let a = evaluate(&db, &plan.rectified, Strategy::SemiNaive).unwrap();
+        let b = evaluate(&db, &plan.program, Strategy::SemiNaive).unwrap();
+        assert_eq!(a.idb.len(), 2);
+        for p in ["q", "r"] {
+            let rows = |r: &semrec_engine::EvalResult| r.relation(p).map(|r| r.sorted_tuples());
+            assert_eq!(rows(&a).unwrap_or_default(), rows(&b).unwrap_or_default());
+        }
     }
 
     #[test]
@@ -771,49 +552,37 @@ mod tests {
         // ic: edge(X, Z) -> witness(Z, W) guarantees only ∃W. If the
         // rule's W is shared with another atom, eliminating witness(Z, W)
         // would be unsound even though the names coincide.
-        let unit = parse_unit(
+        let plan = plan_of(
             "bad(X, Y) :- edge(X, Z), witness(Z, W), uses(W, Y).
              ic: edge(X, Z) -> witness(Z, W).",
-        )
-        .unwrap();
-        let (rw, _, _) = rule_level_rewrite(&unit.program(), &unit.constraints);
-        assert!(
-            rw.rules
-                .iter()
-                .all(|r| r.body_atoms().any(|a| a.pred.name() == "witness")),
-            "witness must not be eliminated when W is shared:\n{rw}"
         );
+        assert!(!plan.any_applied(), "{}", plan.program);
 
         // With W local to the witness atom, the elimination is sound and
         // must fire.
-        let unit = parse_unit(
+        let plan = plan_of(
             "ok(X, Y) :- edge(X, Z), witness(Z, W), reach(Z, Y).
              ic: edge(X, Z) -> witness(Z, W).",
-        )
-        .unwrap();
-        let (rw, _, applied) = rule_level_rewrite(&unit.program(), &unit.constraints);
-        assert!(applied >= 1);
-        assert!(rw
-            .rules
-            .iter()
-            .any(|r| !r.body_atoms().any(|a| a.pred.name() == "witness")));
+        );
+        assert_eq!(
+            rules_of(&plan, "ok"),
+            ["ok(X, Y) :- edge(X, Z~1), reach(Z~1, Y)."]
+        );
     }
 
     #[test]
-    fn rule_level_elimination_applies_when_syntactic() {
-        // boss/experienced inside one rule, IC premise inside the same rule.
-        let unit = parse_unit(
+    fn one_rule_elimination_applies_when_syntactic() {
+        // boss/experienced inside one rule, IC premise inside the same
+        // rule; the rule's own `R = executive` discharges the condition.
+        let plan = plan_of(
             "t(E) :- boss(E, B, R), R = executive, experienced(B), big(B).
              ic: boss(E, B, R), R = executive -> experienced(B).",
-        )
-        .unwrap();
-        let (rw, _, applied) = rule_level_rewrite(&unit.program(), &unit.constraints);
-        assert!(applied >= 1, "rewritten:\n{rw}");
-        // experienced(B) disappears from some variant.
-        assert!(rw
-            .rules
-            .iter()
-            .any(|r| !r.body_atoms().any(|a| a.pred.name() == "experienced")));
+        );
+        assert_eq!(
+            rules_of(&plan, "t"),
+            ["t(E) :- boss(E, B~1, R~1), R~1 = executive, big(B~1)."]
+        );
+        assert_eq!(plan.applied[0].kind, crate::push::OptKind::AtomElimination);
     }
 
     #[test]

@@ -205,9 +205,10 @@ impl<'a> Pusher<'a> {
 
     /// The deepest level at which all of `vars` are visible.
     fn home_level(&self, chain: &Chain, vars: &BTreeSet<Symbol>) -> Option<usize> {
-        (1..=chain.steps.len())
-            .rev()
-            .find(|&i| vars.iter().all(|v| self.level_vars(chain, i).contains(v)))
+        (1..=chain.steps.len()).rev().find(|&i| {
+            let visible = self.level_vars(chain, i);
+            vars.iter().all(|v| visible.contains(v))
+        })
     }
 
     /// Applies one residue; records the outcome.
@@ -373,8 +374,13 @@ impl<'a> Pusher<'a> {
     fn push_introduction(&mut self, residue: &Residue) -> Result<Applied, SkipReason> {
         // Build the literal to add; IC-existential variables become fresh
         // locals.
-        let unfolding_vars: BTreeSet<Symbol> =
-            self.unfolding.to_rule().vars().into_iter().collect();
+        let u = self.unfolding;
+        let mut unfolding_vars: BTreeSet<Symbol> = u
+            .head
+            .vars()
+            .chain(u.tail.iter().flat_map(Atom::vars))
+            .collect();
+        unfolding_vars.extend(u.body.iter().flat_map(|sl| sl.lit.var_iter()));
         let lit: Literal = match &residue.head {
             ResidueHead::Cmp(c) => Literal::Cmp(*c),
             ResidueHead::Atom(a) => {

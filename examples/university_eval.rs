@@ -6,11 +6,11 @@
 //! cargo run --example university_eval
 //! ```
 
-use semrec::core::expand::rule_residues;
 use semrec::core::optimizer::{Optimizer, OptimizerConfig};
 use semrec::datalog::Pred;
 use semrec::engine::{evaluate, Strategy};
 use semrec::gen::{parse_scenario, university};
+use semrec_bench::fixtures::expand::rule_residues;
 
 fn main() {
     let scenario = parse_scenario(university::PROGRAM);
@@ -45,7 +45,15 @@ fn main() {
     for a in &plan.applied {
         println!("  {}: {} [{}]", a.kind, a.residue, a.note);
     }
-    println!("  rule-level (non-recursive) rewrites: {}", plan.rule_level);
+    // The k = 1 entries: residues of a one-rule block, whose sequence is
+    // one non-recursive rule.
+    let support = Pred::new("eval_support");
+    let one_rule = (plan.applied.iter())
+        .filter(|a| plan.rectified.rules[a.residue.seq[0]].head.pred == support);
+    println!(
+        "  of them on the non-recursive eval_support rule: {}",
+        one_rule.count()
+    );
 
     println!("\n--- optimized eval_support rules (Example 4.2) ---");
     for r in &plan.program.rules {

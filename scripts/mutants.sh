@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Mutation check: each patch under tests/mutants/ plants a known fault,
-# and the test its header names must fail with it. The header line
+# and the test its header names must fail with it. The header lines
 #
+#   Re-plants: the change or DESIGN §7 correction whose fault it is
 #   Must fail: --test compile_agreement residues_agree_with_a_per_match_oracle
 #
-# holds the arguments of `cargo test`. Every patch is applied to a
+# are the committed list of mutants; the second holds the arguments of
+# `cargo test`. Every patch is applied to a
 # throwaway git worktree at one path, checked out from a snapshot of the
 # working tree as it stands (uncommitted and untracked files included,
 # ignored ones not), and every build goes to one CARGO_TARGET_DIR
@@ -49,8 +51,8 @@ for patch in tests/mutants/*.patch; do
   name="$(basename "$patch" .patch)"
   log="$CARGO_TARGET_DIR/$name.log"
   read -r -a args <<< "$(sed -n 's/^Must fail: //p' "$patch")"
-  if [ "${#args[@]}" -eq 0 ]; then
-    echo "$name: no 'Must fail:' line" >&2
+  if [ "${#args[@]}" -eq 0 ] || ! grep -q '^Re-plants: .' "$patch"; then
+    echo "$name: no 'Must fail:' or no 'Re-plants:' line" >&2
     status=1
     continue
   fi

@@ -609,7 +609,9 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
 }
 
 /// The `semrec explain` residue section: per recursive predicate, its
-/// rules and every residue detected for it, then the detection work.
+/// rules and every residue detected for it; per non-recursive predicate
+/// with residues, those of its rules (one-rule blocks, k = 1); then the
+/// detection work.
 fn explain_residues(
     w: &mut dyn Write,
     plan: &semrec::core::Plan,
@@ -622,18 +624,7 @@ fn explain_residues(
     for (p, d) in &plan.detections {
         residues.entry(*p).or_default().push(&d.residue);
     }
-    for info in infos {
-        writeln!(
-            w,
-            "recursive predicate {} (arity {}):",
-            info.pred, info.arity
-        )?;
-        writeln!(w, "  exit rules      {:?}", info.exit_rules)?;
-        writeln!(w, "  recursive rules {:?}", info.recursive_rules)?;
-        let Some(mine) = residues.get(&info.pred) else {
-            writeln!(w, "  no residues")?;
-            continue;
-        };
+    let list = |w: &mut dyn Write, mine: &[&semrec::core::Residue]| -> std::io::Result<()> {
         for r in mine {
             writeln!(
                 w,
@@ -650,7 +641,26 @@ fn explain_residues(
                 if r.is_useful() { ", useful" } else { "" },
             )?;
         }
+        Ok(())
+    };
+    for info in infos {
+        writeln!(
+            w,
+            "recursive predicate {} (arity {}):",
+            info.pred, info.arity
+        )?;
+        writeln!(w, "  exit rules      {:?}", info.exit_rules)?;
+        writeln!(w, "  recursive rules {:?}", info.recursive_rules)?;
+        match residues.remove(&info.pred) {
+            Some(mine) => list(w, &mine)?,
+            None => writeln!(w, "  no residues")?,
+        }
     }
+    for (p, mine) in &residues {
+        writeln!(w, "non-recursive predicate {p}, one block per rule:")?;
+        list(w, mine)?;
+    }
+    let blocks = semrec::core::detect::blocks(&plan.rectified, infos.to_vec()).len();
     let s = &plan.detect_stats;
     writeln!(
         w,
@@ -658,7 +668,7 @@ fn explain_residues(
          {} unfoldings, {} residues",
         s.ics,
         s.candidate_pairs,
-        infos.len() * s.ics,
+        blocks * s.ics,
         s.graphs_built,
         s.sequences_verified,
         s.unfoldings,

@@ -225,6 +225,19 @@ fn explain_lists_residues() {
         ),
         "{out}"
     );
+
+    // A non-recursive rule is a block of its own (k = 1): its residues
+    // are listed too, and its pairs counted.
+    let (ok, out, _) = semrec(&["explain", &sample("university.dl")]);
+    assert!(ok);
+    assert!(
+        out.contains(
+            "non-recursive predicate eval_support, one block per rule:\n  \
+             ic ic2: seq [2]: M > 10000 -> doctoral(S)  [fact, conditional]\n"
+        ),
+        "{out}"
+    );
+    assert!(out.contains("compile: 2 ICs, 2 of 4 pairs tried,"), "{out}");
 }
 
 /// A constraint or fact whose arity disagrees with the rest of the file

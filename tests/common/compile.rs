@@ -5,8 +5,7 @@
 //! cloned per candidate target, `BTreeSet` protected sets — and the
 //! program families of the soundness suite.
 
-use semrec::core::detect::{detect, DetectStats, Detection};
-use semrec::core::occurs::IcIndex;
+use semrec::core::detect::{blocks, detect, DetectStats, Detection};
 use semrec::core::optimizer::{choose_sequence, OptimizerConfig, Plan};
 use semrec::core::push::{replace_blocks, Pusher};
 use semrec::core::residue::{Residue, ResidueHead, UsefulAt};
@@ -55,35 +54,37 @@ fn remove_dead_rules(
 }
 
 /// `Optimizer::run` as it was before the occurrence index: every
-/// constraint is tried against every recursive predicate through the
-/// public one-pair `detect`, each predicate then picks its own
-/// detections back out of the whole list, and every push is cleaned as
-/// a whole program — the other predicates' rules copied in, dead rules
-/// removed over all of it, the block filtered back out.
+/// constraint is tried against every block through the public one-pair
+/// `detect`, each block then picks its own detections back out of the
+/// whole list, and every push is cleaned as a whole program — the other
+/// predicates' rules copied in, dead rules removed over all of it, the
+/// block filtered back out. A block is a recursive predicate or, the
+/// k = 1 case, one non-recursive rule (its only sequence is the rule).
 /// `detect_stats.candidate_pairs` counts the pairs formed; graphs and
 /// sequences are not visible from out here and stay 0.
 pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerConfig) -> Plan {
     validate(program, ics).expect("valid input");
     let (rectified, _) = rectify(program);
-    let infos = validate(&rectified, ics).expect("valid after rectification");
+    let blocks = blocks(&rectified, validate(&rectified, ics).expect("valid"));
     let policy = &config.policy;
     let idb = rectified.idb_preds();
 
-    let mut detections: Vec<(Pred, Detection)> = Vec::new();
-    for info in &infos {
+    let mut detections: Vec<(usize, Detection)> = Vec::new();
+    for (b, info) in blocks.iter().enumerate() {
         for ic in ics {
             let found = detect(&rectified, info, ic, config.method, config.pad).expect("detect");
-            detections.extend(found.into_iter().map(|d| (info.pred, d)));
+            detections.extend(found.into_iter().map(|d| (b, d)));
         }
     }
 
     let (mut applied, mut skipped) = (Vec::new(), Vec::new());
     let mut chosen = BTreeMap::new();
-    let mut blocks = BTreeMap::new();
-    for info in &infos {
+    let mut pushed = BTreeMap::new();
+    let mut rewritten: BTreeMap<usize, Vec<Rule>> = BTreeMap::new();
+    for (b, info) in blocks.iter().enumerate() {
         let mine: Vec<&Detection> = detections
             .iter()
-            .filter(|(p, _)| *p == info.pred)
+            .filter(|(block, _)| *block == b)
             .map(|(_, d)| d)
             .collect();
         let Some(seq) = choose_sequence(&mine, policy) else {
@@ -105,7 +106,6 @@ pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerC
         let res = pusher.finish();
         skipped.extend(res.skipped);
         if !res.applied.is_empty() {
-            chosen.insert(info.pred, seq);
             applied.extend(res.applied);
             let others = rectified.rules.iter().filter(|r| r.head.pred != info.pred);
             let whole: Vec<Rule> = others.cloned().chain(res.rules).collect();
@@ -116,37 +116,45 @@ pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerC
                 .collect();
             let mut cleaned = remove_dead_rules(whole, &idb, &idb_like);
             cleaned.retain(|r| r.head.pred == info.pred || r.head.pred.name().contains('@'));
-            blocks.insert(info.pred, cleaned);
+            if info.recursive_rules.is_empty() {
+                rewritten.insert(seq[0], cleaned);
+            } else {
+                chosen.insert(info.pred, seq);
+                pushed.insert(info.pred, cleaned);
+            }
         }
     }
 
-    let program = replace_blocks(&rectified, blocks);
-    let recursive: BTreeSet<Pred> = infos.iter().map(|i| i.pred).collect();
-    let non_recursive: BTreeSet<Pred> = program
-        .idb_preds()
-        .into_iter()
-        .filter(|p| !recursive.contains(p) && !p.name().contains('@'))
-        .collect();
-    let (program, _, rule_level) = semrec::core::optimizer::rule_level_rewrite_with(
-        &program,
-        &IcIndex::new(ics),
-        policy,
-        Some(&non_recursive),
-    );
+    // A rewritten non-recursive predicate keeps its other rules as written.
+    for (i, rule) in rectified.rules.iter().enumerate() {
+        let pred = rule.head.pred;
+        if rewritten
+            .keys()
+            .any(|&j| rectified.rules[j].head.pred == pred)
+        {
+            let rules = rewritten
+                .get(&i)
+                .cloned()
+                .unwrap_or_else(|| vec![rule.clone()]);
+            pushed.entry(pred).or_insert_with(Vec::new).extend(rules);
+        }
+    }
+    let program = replace_blocks(&rectified, pushed);
     Plan {
         rectified,
         program,
         detect_stats: DetectStats {
             ics: ics.len(),
-            candidate_pairs: infos.len() * ics.len(),
+            candidate_pairs: blocks.len() * ics.len(),
             residues: detections.len(),
             ..DetectStats::default()
         },
-        detections,
+        detections: (detections.into_iter())
+            .map(|(b, d)| (blocks[b].pred, d))
+            .collect(),
         chosen,
         applied,
         skipped,
-        rule_level,
     }
 }
 

@@ -98,6 +98,11 @@ fn optimize_calls(blocks: u32) -> (u64, usize) {
 /// substitution cloned per candidate target, fresh sets per match.
 const BEFORE_PER_IC: u64 = 351;
 
+/// The count as last measured (73 296 calls for 440 constraints, with
+/// the non-recursive views detected and pushed as one-rule blocks). A
+/// change that lowers the count lowers this; none raises it.
+const CEILING_PER_IC: u64 = 166;
+
 #[test]
 fn compile_step_allocates_at_most_half_of_the_cloning_matcher() {
     let (spent, ics) = optimize_calls(160);
@@ -106,5 +111,9 @@ fn compile_step_allocates_at_most_half_of_the_cloning_matcher() {
     assert!(
         per_ic <= BEFORE_PER_IC / 2,
         "{per_ic} allocator calls per IC, over half of {BEFORE_PER_IC}"
+    );
+    assert!(
+        per_ic <= CEILING_PER_IC,
+        "{per_ic} allocator calls per IC, over the last measured {CEILING_PER_IC}"
     );
 }

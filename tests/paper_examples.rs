@@ -1,7 +1,6 @@
 //! End-to-end reproduction of every worked example in the paper.
 
 use semrec::core::detect::{detect, DetectionMethod};
-use semrec::core::expand::rule_residues;
 use semrec::core::optimizer::{Optimizer, OptimizerConfig};
 use semrec::core::push::OptKind;
 use semrec::core::residue::ResidueHead;
@@ -11,6 +10,7 @@ use semrec::datalog::Pred;
 use semrec::engine::{evaluate, Strategy};
 use semrec::gen::{fanout, genealogy, org, parse_scenario, university};
 use semrec::iqa::{answer, parse_describe, TreeVerdict};
+use semrec_bench::fixtures::expand::rule_residues;
 
 /// Example 2.1: expanded-form (CGM) residue vs free residues for the
 /// 6-column chain program.
@@ -122,7 +122,17 @@ fn example_4_2_atom_introduction() {
         .with_config(config)
         .run()
         .unwrap();
-    assert!(plan.rule_level >= 1, "doctoral introduction applied");
+    // The non-recursive eval_support rule is a one-rule block: ic2's
+    // free residue M > 10000 -> doctoral(S) is introduced into it,
+    // attributed to ic2.
+    let intro: Vec<_> = plan
+        .applied
+        .iter()
+        .filter(|a| a.kind == OptKind::AtomIntroduction)
+        .collect();
+    assert_eq!(intro.len(), 1, "doctoral introduction applied");
+    assert_eq!(intro[0].residue.ic.name.unwrap().as_str(), "ic2");
+    assert_eq!(intro[0].residue.seq, [2]);
     let es: Vec<String> = plan
         .program
         .rules
