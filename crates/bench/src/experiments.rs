@@ -50,7 +50,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 pub fn plan_for(scenario: &Scenario, small: &[&str]) -> Plan {
     let mut config = OptimizerConfig::default();
     for s in small {
-        config.policy.small_relations.insert(Pred::new(s));
+        config.small_relations.insert(Pred::new(s));
     }
     Optimizer::new(&scenario.program)
         .with_constraints(&scenario.constraints)
@@ -501,10 +501,9 @@ pub fn e5(scale: Scale) -> Vec<Table> {
         // Every SD detection is found exhaustively.
         for d in &sd {
             assert!(
-                ex.iter()
-                    .any(|e| e.residue.seq == d.residue.seq && e.residue.head == d.residue.head),
+                ex.iter().any(|e| e.seq == d.seq && e.head == d.head),
                 "missing {:?}",
-                d.residue.seq
+                d.seq
             );
         }
         t.row(vec![
@@ -579,10 +578,7 @@ pub fn e6(_scale: Scale) -> Vec<Table> {
             for info in &blocks {
                 let ds = detect(&prog, info, ic, DetectionMethod::SdGraph, 3).unwrap();
                 free += ds.len();
-                useful += ds
-                    .iter()
-                    .filter(|d| d.residue.is_useful() || d.residue.is_null())
-                    .count();
+                useful += ds.iter().filter(|d| d.is_useful() || d.is_null()).count();
             }
             t.row(vec![
                 name.into(),

@@ -8,10 +8,10 @@
 
 use super::expand::{rule_residues, StdResidue};
 use semrec_core::occurs::IcIndex;
-use semrec_core::push::{OptKind, PushPolicy};
+use semrec_core::push::OptKind;
 use semrec_core::residue::ResidueHead;
 use semrec_datalog::analysis::safety;
-use semrec_datalog::atom::Atom;
+use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::literal::Literal;
 use semrec_datalog::program::Program;
@@ -19,9 +19,10 @@ use semrec_datalog::rule::Rule;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Rewrites `program` with the directly-usable rule-level (CGM) residues
-/// of `ics` under `policy`. Returns the rewritten program, the number of
-/// (IC, rule) residue computations performed, and per rule of `program`
-/// the kind of each residue that changed it, in the order applied.
+/// of `ics`, introducing atoms only over the `small` relations. Returns
+/// the rewritten program, the number of (IC, rule) residue computations
+/// performed, and per rule of `program` the kind of each residue that
+/// changed it, in the order applied.
 ///
 /// A residue is only used when no database atom of the constraint stays
 /// unmatched, so per rule only the constraints whose body predicates all
@@ -29,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub fn rule_level_rewrite_with(
     program: &Program,
     ics: &[Constraint],
-    policy: &PushPolicy,
+    small: &BTreeSet<Pred>,
 ) -> (Program, u64, Vec<Vec<OptKind>>) {
     let index = IcIndex::new(ics);
     let mut computations = 0u64;
@@ -47,7 +48,7 @@ pub fn rule_level_rewrite_with(
                 }
                 let next: Vec<Rule> = variants
                     .iter()
-                    .flat_map(|v| apply_std_residue_with(v, &residue, policy))
+                    .flat_map(|v| apply_std_residue_with(v, &residue, small))
                     .collect();
                 if next != variants {
                     applied.push(match &residue.head {
@@ -69,16 +70,13 @@ pub fn rule_level_rewrite_with(
 
 /// Applies one directly-usable CGM residue to a rule, producing the variant
 /// rules (identity if not applicable).
-fn apply_std_residue_with(rule: &Rule, residue: &StdResidue, policy: &PushPolicy) -> Vec<Rule> {
+fn apply_std_residue_with(rule: &Rule, residue: &StdResidue, small: &BTreeSet<Pred>) -> Vec<Rule> {
     debug_assert!(residue.body_atoms.is_empty());
     let conds = &residue.body_cmps;
     match &residue.head {
         // Null residue: the rule derives nothing when the conditions hold —
         // keep only the ¬E complements.
         ResidueHead::Null => {
-            if !policy.pruning {
-                return vec![rule.clone()];
-            }
             let mut out = Vec::new();
             for j in 0..conds.len() {
                 let mut v = rule.clone();
@@ -94,9 +92,6 @@ fn apply_std_residue_with(rule: &Rule, residue: &StdResidue, policy: &PushPolicy
         // Implied comparison: add it as a (redundant but restricting)
         // filter on the E-branch.
         ResidueHead::Cmp(h) => {
-            if !policy.introduction {
-                return vec![rule.clone()];
-            }
             if conds.is_empty() {
                 let mut v = rule.clone();
                 v.body.push(Literal::Cmp(*h));
@@ -124,18 +119,15 @@ fn apply_std_residue_with(rule: &Rule, residue: &StdResidue, policy: &PushPolicy
         // syntactically, or with IC-existential positions (marked `` `ic ``
         // variables left unbound by the subsumption) matching rule
         // variables that occur nowhere else, so the existential witness is
-        // free to take their value. Otherwise introduce it when the policy
-        // marks the relation small.
+        // free to take their value. Otherwise introduce it when the
+        // relation is small.
         ResidueHead::Atom(a) => {
             let Some(pos) = find_eliminable(rule, a) else {
-                if policy.introduction && policy.small_relations.contains(&a.pred) {
+                if small.contains(&a.pred) {
                     return introduce_atom(rule, a, conds);
                 }
                 return vec![rule.clone()];
             };
-            if !policy.elimination {
-                return vec![rule.clone()];
-            }
             let mut yes = rule.clone();
             yes.body.remove(pos);
             for c in conds {
@@ -248,11 +240,10 @@ mod tests {
     use semrec_datalog::parser::parse_unit;
     use semrec_engine::{evaluate, Database, Strategy};
 
-    /// Every rule rewritten under the default policy, and how many
+    /// Every rule rewritten with no small relations, and how many
     /// residues changed it.
     fn rule_level_rewrite(program: &Program, ics: &[Constraint]) -> (Program, u64, usize) {
-        let (rw, computations, kinds) =
-            rule_level_rewrite_with(program, ics, &PushPolicy::default());
+        let (rw, computations, kinds) = rule_level_rewrite_with(program, ics, &BTreeSet::new());
         (rw, computations, kinds.iter().map(Vec::len).sum())
     }
 

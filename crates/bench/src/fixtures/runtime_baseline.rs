@@ -22,7 +22,6 @@
 //! evaluation work.
 
 use super::rule_level::rule_level_rewrite_with;
-use semrec_core::push::PushPolicy;
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::program::Program;
 use semrec_engine::eval::{EvalResult, Evaluator, Strategy};
@@ -51,7 +50,7 @@ pub struct BaselineOutcome {
 /// computations performed, and the number of optimizations applied.
 pub fn rule_level_rewrite(program: &Program, ics: &[Constraint]) -> (Program, u64, usize) {
     let (rewritten, computations, kinds) =
-        rule_level_rewrite_with(program, ics, &PushPolicy::default());
+        rule_level_rewrite_with(program, ics, &Default::default());
     (rewritten, computations, kinds.iter().map(Vec::len).sum())
 }
 

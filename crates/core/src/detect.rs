@@ -42,12 +42,10 @@ pub enum DetectionMethod {
     },
 }
 
-/// A detected residue (the sequence lives in [`Residue::seq`]).
-#[derive(Clone, PartialEq, Debug)]
-pub struct Detection {
-    /// The residue.
-    pub residue: Residue,
-}
+/// How many levels the optimizer's usefulness search may add to a
+/// sequence with a fact residue that is not useful (Examples 3.1 and 4.1
+/// find their useful residues only on padded sequences).
+pub const PAD: usize = 3;
 
 /// Work counters of the detection phase of one [`Optimizer::run`]; they
 /// are exact and repeat, so the compile step's scaling is tested on them
@@ -111,7 +109,8 @@ pub fn blocks(program: &Program, infos: Vec<RecursionInfo>) -> Vec<RecursionInfo
 /// method. `program` must be rectified.
 ///
 /// `pad` controls how many extra levels are tried when a fact residue's
-/// head atom is not useful on the minimal sequence (both methods).
+/// head atom is not useful on the minimal sequence (both methods); the
+/// optimizer passes [`PAD`].
 ///
 /// This is the one-pair entry point; a caller with many constraints per
 /// predicate keeps one [`Detector`] per predicate instead.
@@ -121,7 +120,7 @@ pub fn detect(
     ic: &Constraint,
     method: DetectionMethod,
     pad: usize,
-) -> Result<Vec<Detection>, Error> {
+) -> Result<Vec<Residue>, Error> {
     if !may_match(ic, &subgoal_preds(program, info)) {
         return Ok(Vec::new());
     }
@@ -216,7 +215,7 @@ impl<'a> Detector<'a> {
 
     /// The residues of `ic`, in deterministic order (by sequence, then by
     /// the residue's text).
-    pub fn detect(&mut self, ic: &Arc<Constraint>) -> Result<Vec<Detection>, Error> {
+    pub fn detect(&mut self, ic: &Arc<Constraint>) -> Result<Vec<Residue>, Error> {
         let mut worklist: Vec<(Vec<usize>, usize)> = match &self.proposer {
             Proposer::All(seqs) => seqs.iter().map(|s| (s.clone(), 0)).collect(),
             Proposer::Graph(graph) => (propose_sequences(graph, ic).into_iter())
@@ -277,18 +276,18 @@ impl<'a> Detector<'a> {
 /// compared only with the others of its key; the sort is stable, so
 /// residues of one key stay in the order they were found. Each text is a
 /// range of `texts`; `found` is left empty.
-fn sort_distinct(found: &mut Vec<(Range<usize>, Residue)>, texts: &str) -> Vec<Detection> {
+fn sort_distinct(found: &mut Vec<(Range<usize>, Residue)>, texts: &str) -> Vec<Residue> {
     let text = |range: &Range<usize>| &texts[range.clone()];
     found.sort_by(|(ta, a), (tb, b)| a.seq.cmp(&b.seq).then_with(|| text(ta).cmp(text(tb))));
-    let mut out: Vec<Detection> = Vec::with_capacity(found.len());
+    let mut out: Vec<Residue> = Vec::with_capacity(found.len());
     let (mut key_start, mut key_text) = (0, "");
     for (range, residue) in found.drain(..) {
-        if out.last().is_none_or(|d| d.residue.seq != residue.seq) || text(&range) != key_text {
+        if out.last().is_none_or(|r| r.seq != residue.seq) || text(&range) != key_text {
             key_start = out.len();
             key_text = text(&range);
         }
-        if !out[key_start..].iter().any(|d| d.residue == residue) {
-            out.push(Detection { residue });
+        if !out[key_start..].contains(&residue) {
+            out.push(residue);
         }
     }
     out
@@ -386,7 +385,6 @@ mod tests {
         // Sequence r1 r1, unconditional useful fact residue -> expert(…).
         let r = ds
             .iter()
-            .map(|d| &d.residue)
             .find(|r| r.is_useful() && r.seq == vec![1, 1])
             .expect("useful residue on r1 r1");
         assert!(r.is_fact());
@@ -408,11 +406,10 @@ mod tests {
         // Every SD-detected residue must also be found exhaustively.
         for d in &sd {
             assert!(
-                ex.iter().any(|e| e.residue.seq == d.residue.seq
-                    && e.residue.head == d.residue.head
-                    && e.residue.body == d.residue.body),
+                ex.iter()
+                    .any(|e| e.seq == d.seq && e.head == d.head && e.body == d.body),
                 "missing {:?}",
-                d.residue.to_string()
+                d.to_string()
             );
         }
     }
@@ -425,13 +422,13 @@ mod tests {
     fn example_4_3_pruning_detection() {
         let (p, info, ics) = setup(ANC_AGE, "anc");
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 2).unwrap();
-        let null: Vec<&Detection> = ds.iter().filter(|d| d.residue.is_null()).collect();
+        let null: Vec<&Residue> = ds.iter().filter(|d| d.is_null()).collect();
         assert!(!null.is_empty(), "no null residue found: {ds:?}");
         // The paper's sequence r1 r1 r1; the variant closed by the exit
         // rule (r1 r1 r0 — three par atoms across two recursive levels plus
         // the base case) is also legitimately detected.
-        assert!(null.iter().any(|d| d.residue.seq == vec![1, 1, 1]));
-        assert!(null.iter().all(|d| d.residue.is_conditional()));
+        assert!(null.iter().any(|d| d.seq == vec![1, 1, 1]));
+        assert!(null.iter().all(|d| d.is_conditional()));
     }
 
     const CHAIN: &str = "p(X1, X2, X3, X4, X5, X6) :- e(X1, X2, X3, X4, X5, X6).
@@ -443,10 +440,7 @@ mod tests {
     fn example_3_1_useful_residue_needs_padding() {
         let (p, info, ics) = setup(CHAIN, "p");
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 2).unwrap();
-        let useful: Vec<&Detection> = ds
-            .iter()
-            .filter(|d| d.residue.is_useful() && d.residue.is_fact())
-            .collect();
+        let useful: Vec<&Residue> = ds.iter().filter(|d| d.is_useful() && d.is_fact()).collect();
         assert!(!useful.is_empty(), "no useful residue: {ds:?}");
         // The minimal maximally-subsumed sequence is r0 r0 r0. The paper
         // claims a useful variant at 4 levels by extending V7 ↦ X6 — but X6
@@ -454,10 +448,8 @@ mod tests {
         // would be unsound (the IC only guarantees ∃V7). The first *sound*
         // useful variant sits at 5 levels, where the d atom's second
         // argument is a pure existential; padding finds it.
-        assert!(useful.iter().any(|d| d.residue.seq == vec![1; 5]));
-        assert!(!ds
-            .iter()
-            .any(|d| d.residue.is_useful() && d.residue.seq.len() <= 4));
+        assert!(useful.iter().any(|d| d.seq == vec![1; 5]));
+        assert!(!ds.iter().any(|d| d.is_useful() && d.seq.len() <= 4));
     }
 
     #[test]
@@ -471,9 +463,7 @@ mod tests {
             0,
         )
         .unwrap();
-        assert!(ds
-            .iter()
-            .any(|d| d.residue.is_useful() && d.residue.seq.len() == 5));
+        assert!(ds.iter().any(|d| d.is_useful() && d.seq.len() == 5));
     }
 
     #[test]
@@ -496,7 +486,7 @@ mod tests {
             "t",
         );
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 0).unwrap();
-        assert!(ds.iter().any(|d| d.residue.seq == vec![1]));
+        assert!(ds.iter().any(|d| d.seq == vec![1]));
     }
 }
 
@@ -534,16 +524,15 @@ mod duplicate_subgoal_tests {
         .unwrap();
         // The same-rule match (both step atoms inside one level) must be
         // found by both methods.
-        assert!(sd.iter().any(|d| d.residue.seq == vec![1]), "sd: {sd:?}");
-        assert!(ex.iter().any(|d| d.residue.seq == vec![1]));
+        assert!(sd.iter().any(|d| d.seq == vec![1]), "sd: {sd:?}");
+        assert!(ex.iter().any(|d| d.seq == vec![1]));
         // And every SD residue with a small sequence appears exhaustively.
         for d in &sd {
-            if d.residue.seq.len() <= 3 {
+            if d.seq.len() <= 3 {
                 assert!(
-                    ex.iter().any(|e| e.residue.seq == d.residue.seq
-                        && e.residue.head == d.residue.head),
+                    ex.iter().any(|e| e.seq == d.seq && e.head == d.head),
                     "missing {:?}",
-                    d.residue.seq
+                    d.seq
                 );
             }
         }
@@ -563,9 +552,6 @@ mod duplicate_subgoal_tests {
         let info = classify_linear_pred(&p, Pred::new("walk")).unwrap();
         let ds = detect(&p, &info, &unit.constraints[0], DetectionMethod::SdGraph, 1).unwrap();
         // road@level1 and road@level2 chain via the recursion variable.
-        assert!(
-            ds.iter().any(|d| d.residue.seq == vec![1, 1]),
-            "detections: {ds:?}"
-        );
+        assert!(ds.iter().any(|d| d.seq == vec![1, 1]), "detections: {ds:?}");
     }
 }

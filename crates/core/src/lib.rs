@@ -22,7 +22,7 @@ pub mod residue;
 pub mod sequence;
 pub mod subsume;
 
-pub use detect::{detect, DetectStats, Detection, DetectionMethod};
+pub use detect::{detect, DetectStats, DetectionMethod};
 pub use maintain::{MaintainError, MaintainedQuery, UpdateOutcome};
 pub use optimizer::{
     evaluate_routed, route_alternatives, GovernedOutcome, Optimizer, OptimizerConfig, Plan,

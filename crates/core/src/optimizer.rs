@@ -4,9 +4,10 @@
 //! optimize) → cleanup.
 
 use crate::cleanup::IdbLiveness;
-use crate::detect::{blocks, subgoal_preds, DetectStats, Detection, DetectionMethod, Detector};
+use crate::detect::{blocks, subgoal_preds, DetectStats, DetectionMethod, Detector, PAD};
 use crate::occurs::IcIndex;
-use crate::push::{replace_blocks, Applied, PushPolicy, Pusher, Skipped};
+use crate::push::{action, replace_blocks, Applied, OptKind, Pusher, Skipped};
+use crate::residue::Residue;
 use semrec_datalog::analysis::{rectify, validate};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
@@ -23,18 +24,15 @@ use std::sync::Arc;
 pub struct OptimizerConfig {
     /// How to detect residues.
     pub method: DetectionMethod,
-    /// Padding depth for the usefulness search (see [`mod@crate::detect`]).
-    pub pad: usize,
-    /// Pushing policy (enabled optimizations, small relations).
-    pub policy: PushPolicy,
+    /// EDB predicates small enough for atom introduction (§4(2)).
+    pub small_relations: BTreeSet<Pred>,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             method: DetectionMethod::SdGraph,
-            pad: 3,
-            policy: PushPolicy::default(),
+            small_relations: BTreeSet::new(),
         }
     }
 }
@@ -55,7 +53,7 @@ pub struct Plan {
     /// satisfying the constraints.
     pub program: Program,
     /// All detected residues, with the predicate of their block.
-    pub detections: Vec<(Pred, Detection)>,
+    pub detections: Vec<(Pred, Residue)>,
     /// What detecting them cost, in exact work counts.
     pub detect_stats: DetectStats,
     /// The sequence chosen for each optimized recursive predicate.
@@ -130,7 +128,7 @@ impl Optimizer {
         let (rectified, _) = rectify(&self.program);
         let blocks = blocks(&rectified, validate(&rectified, &self.ics)?);
         let config = &self.config;
-        let policy = &config.policy;
+        let small = &config.small_relations;
 
         let index = IcIndex::new(&self.ics);
         let liveness = IdbLiveness::new(&rectified);
@@ -138,7 +136,7 @@ impl Optimizer {
             ics: self.ics.len(),
             ..DetectStats::default()
         };
-        let mut detections: Vec<(Pred, Detection)> = Vec::new();
+        let mut detections: Vec<(Pred, Residue)> = Vec::new();
         let mut applied = Vec::new();
         let mut skipped = Vec::new();
         let mut chosen: BTreeMap<Pred, Vec<usize>> = BTreeMap::new();
@@ -155,36 +153,35 @@ impl Optimizer {
                 continue;
             }
             stats.candidate_pairs += candidates.len();
-            let mut detector =
-                Detector::new(&rectified, info, config.method, config.pad, &mut stats);
+            let mut detector = Detector::new(&rectified, info, config.method, PAD, &mut stats);
             let first = detections.len();
             for i in candidates {
                 let ic = shared[i].get_or_insert_with(|| Arc::new(self.ics[i].clone()));
-                for d in detector.detect(ic)? {
-                    detections.push((info.pred, d));
+                for r in detector.detect(ic)? {
+                    detections.push((info.pred, r));
                 }
             }
             // This block's detections: score per sequence, choose, push.
-            let mine: Vec<&Detection> = detections[first..].iter().map(|(_, d)| d).collect();
+            let mine: Vec<&Residue> = detections[first..].iter().map(|(_, r)| r).collect();
             if mine.is_empty() {
                 continue;
             }
-            let Some(seq) = choose_sequence(&mine, policy) else {
-                // Nothing pushable: record all as skipped via a dry run on
-                // their own sequences.
-                for d in mine {
-                    let u = detector.unfolding(&d.residue.seq)?;
-                    let mut pusher = Pusher::new(&rectified, info, u);
-                    pusher.push(&d.residue, policy);
-                    skipped.extend(pusher.outcomes().1.iter().cloned());
+            let Some(seq) = choose_sequence(&mine, small) else {
+                // Nothing pushable: each residue's reason is the one
+                // `action` gives it.
+                for r in mine {
+                    if let Err(reason) = action(r, small) {
+                        let residue = r.clone();
+                        skipped.push(Skipped { residue, reason });
+                    }
                 }
                 continue;
             };
             let u = detector.unfolding(&seq)?;
             let mut pusher = Pusher::new(&rectified, info, u);
-            for d in &mine {
-                if d.residue.seq == seq {
-                    pusher.push(&d.residue, policy);
+            for r in &mine {
+                if r.seq == seq {
+                    pusher.push(r, small);
                 }
             }
             let res = pusher.finish();
@@ -230,36 +227,18 @@ impl Optimizer {
     }
 }
 
-/// Scores sequences by the optimizations their residues could drive and
-/// returns the best one (ties: shorter, then lexicographically smaller).
-pub fn choose_sequence(detections: &[&Detection], policy: &PushPolicy) -> Option<Vec<usize>> {
+/// Scores sequences by the optimizations their residues could drive, as
+/// [`action`] decides them (pruning 3, elimination 2, introduction 1),
+/// and returns the best one (ties: shorter, then lexicographically
+/// smaller); `None` when no residue drives anything.
+pub fn choose_sequence(residues: &[&Residue], small: &BTreeSet<Pred>) -> Option<Vec<usize>> {
     let mut scores: BTreeMap<Vec<usize>, i64> = BTreeMap::new();
-    for d in detections {
-        let r = &d.residue;
-        let score = match &r.head {
-            crate::residue::ResidueHead::Null => {
-                if policy.pruning {
-                    3
-                } else {
-                    0
-                }
-            }
-            crate::residue::ResidueHead::Atom(a) => {
-                if r.useful_at.is_some() && policy.elimination {
-                    2
-                } else if policy.small_relations.contains(&a.pred) && policy.introduction {
-                    1
-                } else {
-                    0
-                }
-            }
-            crate::residue::ResidueHead::Cmp(_) => {
-                if policy.introduction {
-                    1
-                } else {
-                    0
-                }
-            }
+    for r in residues {
+        let score = match action(r, small) {
+            Ok(OptKind::SubtreePruning) => 3,
+            Ok(OptKind::AtomElimination) => 2,
+            Ok(OptKind::AtomIntroduction) => 1,
+            Err(_) => 0,
         };
         *scores.entry(r.seq.clone()).or_insert(0) += score;
     }
@@ -358,8 +337,9 @@ pub fn route_alternatives(
 /// The planner's verdict rides on the result:
 /// [`EvalResult::choice`](semrec_engine::EvalResult) records every
 /// priced alternative and the runner-up, and `stats.plan_nanos` the
-/// planning wall time. When pricing itself fails, the fixed ladder
-/// (optimized-then-rectified) runs unchanged with no choice recorded.
+/// planning wall time. Pricing compiles the rules evaluation would, and
+/// the rectified program is always priced, so it fails only where
+/// evaluation would: its error takes the fallback like a failed route.
 ///
 /// [`EngineError::Cancelled`]: semrec_engine::EngineError::Cancelled
 pub fn evaluate_routed(
@@ -393,50 +373,39 @@ pub fn evaluate_routed(
     match attempt {
         Ok(Ok(plan)) => {
             let (alts, answer) = route_alternatives(program, &plan, goal);
-            let mut stats = EdbStats::new();
-            let (run_program, kind, choice) = match CostMemo::build(db, &mut stats, alts) {
-                Ok(memo) => {
-                    let best = memo.best();
-                    (best.program.clone(), best.kind, Some(memo.choice()))
-                }
-                // Pricing failed: the fixed ladder (optimized program
-                // first) runs exactly as before cost routing existed.
-                Err(_) => {
-                    let kind = if plan.any_applied() {
-                        AlternativeKind::ResiduePushed
-                    } else {
-                        AlternativeKind::Original
-                    };
-                    (plan.program.clone(), kind, None)
-                }
-            };
-            match run_under(db, &run_program, slice, cancel.clone()) {
-                Ok(mut result) => {
-                    result.route = kind.route();
-                    if let Some(c) = choice {
-                        result.stats.plan_nanos = c.plan_nanos;
-                        result.choice = Some(c);
-                    }
-                    // A goal-directed rewrite computes the goal's answers
-                    // under the adorned predicate; surface them under the
-                    // goal's own predicate so `answers(goal)` works
-                    // unchanged.
-                    if kind.is_goal_directed() {
-                        if let (Some(goal), Some(ans)) = (goal, answer) {
-                            if let Some(rel) = result.idb.remove(&ans) {
-                                result.idb.insert(goal.pred, rel);
-                            }
+            degraded = 'route: {
+                let memo = match CostMemo::build(db, &mut EdbStats::new(), alts) {
+                    Ok(memo) => memo,
+                    Err(e) => break 'route format!("pricing failed: {e}"),
+                };
+                let best = memo.best();
+                let kind = best.kind;
+                let mut result = match run_under(db, &best.program, slice, cancel.clone()) {
+                    Ok(result) => result,
+                    Err(EngineError::Cancelled) => return Err(EngineError::Cancelled),
+                    Err(e) => break 'route format!("{kind} route: {e}"),
+                };
+                let choice = memo.choice();
+                result.route = kind.route();
+                result.stats.plan_nanos = choice.plan_nanos;
+                result.choice = Some(choice);
+                // A goal-directed rewrite computes the goal's answers
+                // under the adorned predicate; surface them under the
+                // goal's own predicate so `answers(goal)` works
+                // unchanged.
+                if kind.is_goal_directed() {
+                    if let (Some(goal), Some(ans)) = (goal, answer) {
+                        if let Some(rel) = result.idb.remove(&ans) {
+                            result.idb.insert(goal.pred, rel);
                         }
                     }
-                    return Ok(GovernedOutcome {
-                        result,
-                        degraded: None,
-                        plan: Some(plan),
-                    });
                 }
-                Err(EngineError::Cancelled) => return Err(EngineError::Cancelled),
-                Err(e) => degraded = format!("{kind} route: {e}"),
-            }
+                return Ok(GovernedOutcome {
+                    result,
+                    degraded: None,
+                    plan: Some(plan),
+                });
+            };
             kept_plan = Some(plan);
         }
         Ok(Err(e)) => degraded = format!("optimizer failed: {e}"),
@@ -679,23 +648,5 @@ mod tests {
             base.relation("anc").unwrap().sorted_tuples(),
             opt.relation("anc").unwrap().sorted_tuples()
         );
-    }
-
-    #[test]
-    fn ablation_flags_disable_optimizations() {
-        let unit = parse_unit(
-            "anc(X, Xa, Y, Ya) :- par(X, Xa, Y, Ya).
-             anc(X, Xa, Y, Ya) :- anc(X, Xa, Z, Za), par(Z, Za, Y, Ya).
-             ic: Ya <= 50, par(Z, Za, Y, Ya), par(Z1, Z1a, Z, Za), par(Z2, Z2a, Z1, Z1a) -> .",
-        )
-        .unwrap();
-        let mut config = OptimizerConfig::default();
-        config.policy.pruning = false;
-        let plan = Optimizer::new(&unit.program())
-            .with_constraints(&unit.constraints)
-            .with_config(config)
-            .run()
-            .unwrap();
-        assert!(!plan.any_applied());
     }
 }

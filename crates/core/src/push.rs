@@ -79,8 +79,6 @@ pub enum SkipReason {
     /// Fact residue with a database-atom head that is neither useful
     /// (elimination) nor whitelisted as a small relation (introduction).
     NotUsefulNotSmall,
-    /// The optimization kind is disabled by policy.
-    Disabled,
     /// A condition (or the introduced atom) has variables not all visible
     /// at any single level of the strict chain.
     NotLocalizable,
@@ -97,7 +95,6 @@ impl fmt::Display for SkipReason {
             SkipReason::NotUsefulNotSmall => {
                 "head atom neither occurs in the sequence nor is a small relation"
             }
-            SkipReason::Disabled => "optimization disabled by policy",
             SkipReason::NotLocalizable => "variables not visible together at any level",
             SkipReason::WouldBreakSafety => "deletion would leave an unsafe rule",
             SkipReason::AlreadyEliminated => "target atom already eliminated",
@@ -126,27 +123,18 @@ pub struct Skipped {
     pub reason: SkipReason,
 }
 
-/// Policy knobs for pushing.
-#[derive(Clone, Debug)]
-pub struct PushPolicy {
-    /// EDB predicates considered small enough for atom introduction.
-    pub small_relations: BTreeSet<Pred>,
-    /// Enable §4(1).
-    pub elimination: bool,
-    /// Enable §4(2).
-    pub introduction: bool,
-    /// Enable §4(3).
-    pub pruning: bool,
-}
-
-impl Default for PushPolicy {
-    fn default() -> Self {
-        PushPolicy {
-            small_relations: BTreeSet::new(),
-            elimination: true,
-            introduction: true,
-            pruning: true,
-        }
+/// What `residue` can do (§4), the one place its use is decided: a null
+/// residue prunes the sequence's trees, a useful fact residue eliminates
+/// the atom its head makes redundant, and an evaluable residue or a fact
+/// residue over one of the `small` relations introduces its head. A fact
+/// head that is neither useful nor small drives nothing.
+pub fn action(residue: &Residue, small: &BTreeSet<Pred>) -> Result<OptKind, SkipReason> {
+    match &residue.head {
+        ResidueHead::Null => Ok(OptKind::SubtreePruning),
+        ResidueHead::Cmp(_) => Ok(OptKind::AtomIntroduction),
+        ResidueHead::Atom(_) if residue.useful_at.is_some() => Ok(OptKind::AtomElimination),
+        ResidueHead::Atom(a) if small.contains(&a.pred) => Ok(OptKind::AtomIntroduction),
+        ResidueHead::Atom(_) => Err(SkipReason::NotUsefulNotSmall),
     }
 }
 
@@ -211,41 +199,14 @@ impl<'a> Pusher<'a> {
         })
     }
 
-    /// Applies one residue; records the outcome.
-    pub fn push(&mut self, residue: &Residue, policy: &PushPolicy) {
-        let outcome = match &residue.head {
-            ResidueHead::Null => {
-                if policy.pruning {
-                    self.push_pruning(residue)
-                } else {
-                    Err(SkipReason::Disabled)
-                }
-            }
-            ResidueHead::Cmp(_) => {
-                if policy.introduction {
-                    self.push_introduction(residue)
-                } else {
-                    Err(SkipReason::Disabled)
-                }
-            }
-            ResidueHead::Atom(a) => {
-                if residue.useful_at.is_some() {
-                    if policy.elimination {
-                        self.push_elimination(residue)
-                    } else {
-                        Err(SkipReason::Disabled)
-                    }
-                } else if policy.small_relations.contains(&a.pred) {
-                    if policy.introduction {
-                        self.push_introduction(residue)
-                    } else {
-                        Err(SkipReason::Disabled)
-                    }
-                } else {
-                    Err(SkipReason::NotUsefulNotSmall)
-                }
-            }
-        };
+    /// Applies one residue as [`action`] decides, with `small` the
+    /// relations introduction may add; records the outcome.
+    pub fn push(&mut self, residue: &Residue, small: &BTreeSet<Pred>) {
+        let outcome = action(residue, small).and_then(|kind| match kind {
+            OptKind::SubtreePruning => self.push_pruning(residue),
+            OptKind::AtomElimination => self.push_elimination(residue),
+            OptKind::AtomIntroduction => self.push_introduction(residue),
+        });
         match outcome {
             Ok(applied) => self.applied.push(applied),
             Err(reason) => self.skipped.push(Skipped {
@@ -320,7 +281,7 @@ impl<'a> Pusher<'a> {
     }
 
     fn push_elimination(&mut self, residue: &Residue) -> Result<Applied, SkipReason> {
-        let at = residue.useful_at.expect("checked by caller");
+        let at = residue.useful_at.expect("an eliminating residue is useful");
         let target = self.unfolding.body[at.body_index].lit.clone();
         let level = at.step;
         let unfolding = self.unfolding;
@@ -419,11 +380,6 @@ impl<'a> Pusher<'a> {
         let head = Atom::new(Pred::new("chk@"), unfolding.call_args[level - 1].clone());
         let rule = Rule::new(head, chain.steps[level - 1].clone());
         rule.is_range_restricted() && safety::unsafe_vars(&rule).is_empty()
-    }
-
-    /// Outcomes so far.
-    pub fn outcomes(&self) -> (&[Applied], &[Skipped]) {
-        (&self.applied, &self.skipped)
     }
 
     /// Emits the rules that replace the predicate's own: strict chains
@@ -591,11 +547,11 @@ mod tests {
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
         let d = ds
             .iter()
-            .find(|d| d.residue.is_null() && d.residue.seq == vec![1, 1, 1])
+            .find(|d| d.is_null() && d.seq == vec![1, 1, 1])
             .unwrap();
-        let u = unfold(&p, &info, &d.residue.seq).unwrap();
+        let u = unfold(&p, &info, &d.seq).unwrap();
         let mut pusher = Pusher::new(&p, &info, &u);
-        pusher.push(&d.residue, &PushPolicy::default());
+        pusher.push(d, &BTreeSet::new());
         let res = pusher.finish();
         assert_eq!(res.applied.len(), 1);
         assert_eq!(res.applied[0].kind, OptKind::SubtreePruning);
@@ -620,11 +576,11 @@ mod tests {
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
         let d = ds
             .iter()
-            .find(|d| d.residue.is_null() && d.residue.seq == vec![1, 1, 1])
+            .find(|d| d.is_null() && d.seq == vec![1, 1, 1])
             .unwrap();
-        let u = unfold(&p, &info, &d.residue.seq).unwrap();
+        let u = unfold(&p, &info, &d.seq).unwrap();
         let mut pusher = Pusher::new(&p, &info, &u);
-        pusher.push(&d.residue, &PushPolicy::default());
+        pusher.push(d, &BTreeSet::new());
         let res = pusher.finish();
 
         // Three generations, ages decreasing by 30 per generation; the
@@ -668,11 +624,11 @@ mod tests {
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
         let d = ds
             .iter()
-            .find(|d| d.residue.is_useful() && d.residue.seq == vec![1, 1])
+            .find(|d| d.is_useful() && d.seq == vec![1, 1])
             .unwrap();
-        let u = unfold(&p, &info, &d.residue.seq).unwrap();
+        let u = unfold(&p, &info, &d.seq).unwrap();
         let mut pusher = Pusher::new(&p, &info, &u);
-        pusher.push(&d.residue, &PushPolicy::default());
+        pusher.push(d, &BTreeSet::new());
         let res = pusher.finish();
         assert_eq!(res.applied.len(), 1);
         assert_eq!(res.applied[0].kind, OptKind::AtomElimination);
@@ -707,11 +663,11 @@ mod tests {
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
         let d = ds
             .iter()
-            .find(|d| d.residue.is_useful() && d.residue.seq == vec![1, 1])
+            .find(|d| d.is_useful() && d.seq == vec![1, 1])
             .unwrap();
-        let u = unfold(&p, &info, &d.residue.seq).unwrap();
+        let u = unfold(&p, &info, &d.seq).unwrap();
         let mut pusher = Pusher::new(&p, &info, &u);
-        pusher.push(&d.residue, &PushPolicy::default());
+        pusher.push(d, &BTreeSet::new());
         let res = pusher.finish();
 
         let v = semrec_datalog::Value::str;
@@ -751,13 +707,11 @@ mod tests {
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
         let d = ds
             .iter()
-            .find(|d| d.residue.is_fact() && d.residue.is_conditional())
+            .find(|d| d.is_fact() && d.is_conditional())
             .expect("conditional fact residue");
-        let u = unfold(&p, &info, &d.residue.seq).unwrap();
+        let u = unfold(&p, &info, &d.seq).unwrap();
         let mut pusher = Pusher::new(&p, &info, &u);
-        let mut policy = PushPolicy::default();
-        policy.small_relations.insert(Pred::new("doctoral"));
-        pusher.push(&d.residue, &policy);
+        pusher.push(d, &BTreeSet::from([Pred::new("doctoral")]));
         let res = pusher.finish();
         assert_eq!(res.applied.len(), 1, "skipped: {:?}", res.skipped);
         assert_eq!(res.applied[0].kind, OptKind::AtomIntroduction);
@@ -784,11 +738,11 @@ mod tests {
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
         let d = ds
             .iter()
-            .find(|d| d.residue.is_fact() && d.residue.is_conditional())
+            .find(|d| d.is_fact() && d.is_conditional())
             .unwrap();
-        let u = unfold(&p, &info, &d.residue.seq).unwrap();
+        let u = unfold(&p, &info, &d.seq).unwrap();
         let mut pusher = Pusher::new(&p, &info, &u);
-        pusher.push(&d.residue, &PushPolicy::default());
+        pusher.push(d, &BTreeSet::new());
         let res = pusher.finish();
         assert!(res.applied.is_empty());
         assert_eq!(res.skipped[0].reason, SkipReason::NotUsefulNotSmall);
@@ -825,10 +779,10 @@ mod skip_path_tests {
         );
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
         // If any residue is useful it must fail the safety check.
-        for d in ds.iter().filter(|d| d.residue.is_useful()) {
-            let u = unfold(&p, &info, &d.residue.seq).unwrap();
+        for d in ds.iter().filter(|d| d.is_useful()) {
+            let u = unfold(&p, &info, &d.seq).unwrap();
             let mut pusher = Pusher::new(&p, &info, &u);
-            pusher.push(&d.residue, &PushPolicy::default());
+            pusher.push(d, &BTreeSet::new());
             let res = pusher.finish();
             assert!(res.applied.is_empty());
             assert!(res
@@ -837,29 +791,6 @@ mod skip_path_tests {
                 .all(|s| s.reason == SkipReason::WouldBreakSafety
                     || s.reason == SkipReason::NotUsefulNotSmall));
         }
-    }
-
-    /// Policy flags disable each optimization kind.
-    #[test]
-    fn disabled_policies_skip() {
-        let (p, info, ics) = setup(
-            "anc(X, Xa, Y, Ya) :- par(X, Xa, Y, Ya).
-             anc(X, Xa, Y, Ya) :- anc(X, Xa, Z, Za), par(Z, Za, Y, Ya).
-             ic: Ya <= 50, par(Z, Za, Y, Ya), par(Z1, Z1a, Z, Za), par(Z2, Z2a, Z1, Z1a) -> .",
-            "anc",
-        );
-        let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
-        let d = ds.iter().find(|d| d.residue.is_null()).unwrap();
-        let u = unfold(&p, &info, &d.residue.seq).unwrap();
-        let mut pusher = Pusher::new(&p, &info, &u);
-        let policy = PushPolicy {
-            pruning: false,
-            ..PushPolicy::default()
-        };
-        pusher.push(&d.residue, &policy);
-        let res = pusher.finish();
-        assert!(res.applied.is_empty());
-        assert_eq!(res.skipped[0].reason, SkipReason::Disabled);
     }
 
     /// Pushing the same residue twice: the second application reports
@@ -875,12 +806,12 @@ mod skip_path_tests {
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
         let d = ds
             .iter()
-            .find(|d| d.residue.is_useful() && d.residue.seq == vec![1])
+            .find(|d| d.is_useful() && d.seq == vec![1])
             .unwrap();
-        let u = unfold(&p, &info, &d.residue.seq).unwrap();
+        let u = unfold(&p, &info, &d.seq).unwrap();
         let mut pusher = Pusher::new(&p, &info, &u);
-        pusher.push(&d.residue, &PushPolicy::default());
-        pusher.push(&d.residue, &PushPolicy::default());
+        pusher.push(d, &BTreeSet::new());
+        pusher.push(d, &BTreeSet::new());
         let res = pusher.finish();
         assert_eq!(res.applied.len(), 1);
         assert_eq!(res.skipped.len(), 1);
@@ -902,12 +833,12 @@ mod skip_path_tests {
         let ds = detect(&p, &info, &ics[0], DetectionMethod::SdGraph, 1).unwrap();
         let d = ds
             .iter()
-            .find(|d| d.residue.is_null() && !d.residue.is_conditional())
+            .find(|d| d.is_null() && !d.is_conditional())
             .expect("unconditional null residue");
-        assert_eq!(d.residue.seq, vec![1, 1]);
-        let u = unfold(&p, &info, &d.residue.seq).unwrap();
+        assert_eq!(d.seq, vec![1, 1]);
+        let u = unfold(&p, &info, &d.seq).unwrap();
         let mut pusher = Pusher::new(&p, &info, &u);
-        pusher.push(&d.residue, &PushPolicy::default());
+        pusher.push(d, &BTreeSet::new());
         let res = pusher.finish();
         assert_eq!(res.applied.len(), 1);
         // No strict-chain predicates remain — only deviation structure.

@@ -26,10 +26,9 @@
 use super::stats::EdbStats;
 use crate::database::Database;
 use crate::error::EngineError;
+use crate::eval::RulePlans;
 use crate::fxhash::FxHashMap;
-use crate::plan::{
-    compile_rule_with_sizes, CompiledRule, KernelGuard, KernelLookup, KernelSrc, View,
-};
+use crate::plan::{CompiledRule, KernelGuard, KernelLookup, KernelSrc, View};
 use semrec_datalog::atom::Pred;
 use semrec_datalog::program::Program;
 use semrec_datalog::word::Word;
@@ -340,59 +339,17 @@ impl<'a> Estimator<'a> {
         }
         self.shape_misses += 1;
 
-        // Mirror of the evaluator's per-rule plan construction
-        // (batch mode: only IDB subgoals are delta-capable).
-        let idb_lits: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| {
-                l.as_atom().is_some_and(|a| {
-                    idb_preds.contains(&a.pred) && crate::builtins::BuiltinOp::of(a.pred).is_none()
-                })
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let neg_idb: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.as_neg().is_some_and(|a| idb_preds.contains(&a.pred)))
-            .map(|(i, _)| i)
-            .collect();
-        let mut views: BTreeMap<usize, View> = BTreeMap::new();
-        for &li in idb_lits.iter().chain(&neg_idb) {
-            views.insert(li, View::Total);
-        }
-        let full = shape_of(&compile_rule_with_sizes(rule, &views, None, sizes)?);
-        let mut deltas = Vec::new();
-        for (k, &li) in idb_lits.iter().enumerate() {
-            let mut v = BTreeMap::new();
-            for (j, &lj) in idb_lits.iter().enumerate() {
-                v.insert(
-                    lj,
-                    match j.cmp(&k) {
-                        std::cmp::Ordering::Less => View::Total,
-                        std::cmp::Ordering::Equal => View::Delta,
-                        std::cmp::Ordering::Greater => View::Old,
-                    },
-                );
-            }
-            for &lj in &neg_idb {
-                v.insert(lj, View::Total);
-            }
-            deltas.push(shape_of(&compile_rule_with_sizes(
-                rule,
-                &v,
-                Some(li),
-                sizes,
-            )?));
-        }
+        // The evaluator's plans (batch mode: only IDB subgoals are
+        // delta-capable).
+        let delta_capable = |a: &semrec_datalog::atom::Atom| {
+            idb_preds.contains(&a.pred) && crate::builtins::BuiltinOp::of(a.pred).is_none()
+        };
+        let plans = RulePlans::compile(rule, delta_capable, idb_preds, sizes)?;
         let rc = Rc::new(RuleShapes {
             head_pred: rule.head.pred,
-            has_deltas: !idb_lits.is_empty(),
-            full,
-            deltas,
+            has_deltas: !plans.deltas.is_empty(),
+            full: shape_of(&plans.full),
+            deltas: plans.deltas.iter().map(shape_of).collect(),
         });
         self.shapes.insert(key, rc.clone());
         Ok(rc)

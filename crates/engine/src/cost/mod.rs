@@ -11,9 +11,9 @@
 //! - [`stats`] collects per-relation statistics off the EDB — row
 //!   counts, per-column-subset distinct counts and fanout histograms
 //!   read straight from the dictionary indexes ([`crate::relation::
-//!   Relation::key_distribution`], nearly free), and integer value
-//!   ranges — cached per [`crate::relation::Relation::generation`] so
-//!   incremental transactions invalidate exactly what changed.
+//!   Relation::key_distribution`], nearly free) — cached per
+//!   [`crate::relation::Relation::generation`] so incremental
+//!   transactions invalidate exactly what changed.
 //! - [`estimate`] walks compiled plans ([`crate::plan::CompiledRule`],
 //!   preferring the [`crate::plan::BatchKernel`] shape when present)
 //!   and simulates the semi-naive fixpoint round by round: each rule's

@@ -4,8 +4,7 @@
 //! row counts and arities from the relation headers, distinct-value
 //! counts and fanout histograms from the dictionary indexes
 //! ([`Relation::key_distribution`] — one pass over group headers, no row
-//! data touched), and integer ranges from the index key stores. Each
-//! cached entry is stamped with the relation's
+//! data touched). Each cached entry is stamped with the relation's
 //! [`Relation::generation`] at collection time; a later lookup against a
 //! mutated relation recollects just that entry, so incremental
 //! transactions invalidate exactly the statistics they made stale.
@@ -43,17 +42,12 @@ pub struct ColumnGroupStats {
     pub histogram: [usize; 16],
 }
 
-/// A cached integer min/max: the stamping generation plus the range
-/// (`None` when the column held no integers).
-type CachedRange = (u64, Option<(i64, i64)>);
-
 /// The statistics collector: lazily gathered, generation-invalidated
 /// summaries of every EDB relation the estimator asks about.
 #[derive(Debug, Default)]
 pub struct EdbStats {
     rels: FxHashMap<Pred, RelationStats>,
     groups: FxHashMap<(Pred, Vec<usize>), (u64, ColumnGroupStats)>,
-    ranges: FxHashMap<(Pred, usize), CachedRange>,
     /// Fresh collections performed (index walks paid).
     pub collected: u64,
     /// Lookups served from a generation-current cache entry.
@@ -122,45 +116,9 @@ impl EdbStats {
         Some(fresh)
     }
 
-    /// Min/max integer value of column `col` of `pred`, read off the
-    /// single-column dictionary (cached like [`EdbStats::group`]).
-    /// `None` when the relation is absent or the column holds no ints.
-    pub fn int_range(&mut self, db: &Database, pred: Pred, col: usize) -> Option<(i64, i64)> {
-        let rel = Self::rel(db, pred)?;
-        let generation = rel.generation();
-        let key = (pred, col);
-        if let Some((g, cached)) = self.ranges.get(&key) {
-            if *g == generation {
-                self.reused += 1;
-                return *cached;
-            }
-            self.invalidated += 1;
-        }
-        let fresh = rel.column_int_range(col);
-        self.collected += 1;
-        self.ranges.insert(key, (generation, fresh));
-        fresh
-    }
-
-    /// Drops every cache entry whose relation has mutated (or vanished)
-    /// since collection. Call after applying a transaction batch so the
-    /// next estimate pays recollection only for the touched relations.
-    pub fn refresh(&mut self, db: &Database) {
-        let stale_rel = |pred: &Pred, gen: u64| match Self::rel(db, *pred) {
-            Some(rel) => rel.generation() != gen,
-            None => true,
-        };
-        let before = self.rels.len() + self.groups.len() + self.ranges.len();
-        self.rels.retain(|p, s| !stale_rel(p, s.generation));
-        self.groups.retain(|(p, _), (g, _)| !stale_rel(p, *g));
-        self.ranges.retain(|(p, _), (g, _)| !stale_rel(p, *g));
-        let after = self.rels.len() + self.groups.len() + self.ranges.len();
-        self.invalidated += (before - after) as u64;
-    }
-
-    /// Number of live cache entries (all three kinds), for tests.
+    /// Number of live cache entries (both kinds), for tests.
     pub fn cached_entries(&self) -> usize {
-        self.rels.len() + self.groups.len() + self.ranges.len()
+        self.rels.len() + self.groups.len()
     }
 }
 
@@ -190,15 +148,13 @@ mod tests {
         assert_eq!(g.distinct, 2);
         assert_eq!(g.max_group, 2);
         assert!((g.mean_fanout - 1.5).abs() < 1e-9);
-        assert_eq!(stats.int_range(&db, edge, 1), Some((2, 3)));
         let collected = stats.collected;
 
         // Same generation: everything served from cache.
         stats.relation(&db, edge).unwrap();
         stats.group(&db, edge, &[0]).unwrap();
-        stats.int_range(&db, edge, 1);
         assert_eq!(stats.collected, collected);
-        assert_eq!(stats.reused, 3);
+        assert_eq!(stats.reused, 2);
 
         // A mutation invalidates on next lookup.
         db.insert("edge", int_tuple(&[9, 9]));
@@ -206,29 +162,7 @@ mod tests {
         assert_eq!(r.rows, 4);
         let g = stats.group(&db, edge, &[0]).unwrap();
         assert_eq!(g.distinct, 3);
-        assert_eq!(stats.int_range(&db, edge, 1), Some((2, 9)));
-        assert!(stats.invalidated >= 3);
-    }
-
-    #[test]
-    fn refresh_drops_only_stale_entries() {
-        let mut db = db_with_edges(&[(1, 2)]);
-        for i in 0..4 {
-            db.insert("node", int_tuple(&[i]));
-        }
-        let mut stats = EdbStats::new();
-        stats.relation(&db, "edge".into()).unwrap();
-        stats.relation(&db, "node".into()).unwrap();
-        stats.group(&db, "edge".into(), &[0]).unwrap();
-        assert_eq!(stats.cached_entries(), 3);
-
-        db.insert("node", int_tuple(&[99]));
-        stats.refresh(&db);
-        // Only the node entry dropped; edge stats survive untouched.
-        assert_eq!(stats.cached_entries(), 2);
-        let reused_before = stats.reused;
-        stats.relation(&db, "edge".into()).unwrap();
-        assert_eq!(stats.reused, reused_before + 1);
+        assert!(stats.invalidated >= 2);
     }
 
     #[test]
@@ -237,6 +171,5 @@ mod tests {
         let mut stats = EdbStats::new();
         assert!(stats.relation(&db, "ghost".into()).is_none());
         assert!(stats.group(&db, "ghost".into(), &[0]).is_none());
-        assert!(stats.int_range(&db, "ghost".into(), 0).is_none());
     }
 }

@@ -41,6 +41,7 @@ use crate::stats::Stats;
 use emit::{drain_serial, DerivedBuf};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::program::Program;
+use semrec_datalog::rule::Rule;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -111,14 +112,54 @@ impl EvalResult {
     }
 }
 
+/// One rule's plans: what the evaluator runs and the cost estimator
+/// prices, built one way for both.
 #[derive(Clone)]
-struct RulePlans {
-    full: CompiledRule,
+pub(crate) struct RulePlans {
+    /// Every delta-capable subgoal and negated IDB subgoal reads Total.
+    pub(crate) full: CompiledRule,
     /// One variant per delta-capable body literal, scheduled on
     /// non-fresh rounds. In batch mode that means an IDB subgoal; in
     /// incremental mode EDB subgoals are delta-capable too (they seed
     /// rounds from the tx).
-    deltas: Vec<CompiledRule>,
+    pub(crate) deltas: Vec<CompiledRule>,
+}
+
+impl RulePlans {
+    /// Compiles `rule`'s full plan and its delta variants: the `k`-th
+    /// reads the `k`-th `delta_capable` subgoal's Delta, the earlier
+    /// ones' Total and the later ones' Old. Negated subgoals over
+    /// `idb_preds` read the Total view of their (strictly lower)
+    /// stratum, complete by the time this rule runs.
+    pub(crate) fn compile(
+        rule: &Rule,
+        delta_capable: impl Fn(&Atom) -> bool,
+        idb_preds: &BTreeSet<Pred>,
+        sizes: &BTreeMap<Pred, usize>,
+    ) -> Result<RulePlans, EngineError> {
+        let literals = rule.body.iter().enumerate();
+        let idb_lits: Vec<usize> = (literals.clone())
+            .filter(|(_, l)| l.as_atom().is_some_and(&delta_capable))
+            .map(|(i, _)| i)
+            .collect();
+        let neg_idb =
+            literals.filter(|(_, l)| l.as_neg().is_some_and(|a| idb_preds.contains(&a.pred)));
+        let views: BTreeMap<usize, View> = (idb_lits.iter().copied())
+            .chain(neg_idb.map(|(i, _)| i))
+            .map(|li| (li, View::Total))
+            .collect();
+        let full = compile_rule_with_sizes(rule, &views, None, sizes)?;
+        let mut deltas = Vec::with_capacity(idb_lits.len());
+        for (k, &li) in idb_lits.iter().enumerate() {
+            let mut v = views.clone();
+            v.insert(li, View::Delta);
+            for &lj in &idb_lits[k + 1..] {
+                v.insert(lj, View::Old);
+            }
+            deltas.push(compile_rule_with_sizes(rule, &v, Some(li), sizes)?);
+        }
+        Ok(RulePlans { full, deltas })
+    }
 }
 
 /// A compiled program: rule plans (full + delta variants), strata, and
@@ -189,43 +230,9 @@ impl Prepared {
             idb_preds.contains(&a.pred)
                 || (incremental && crate::builtins::BuiltinOp::of(a.pred).is_none())
         };
-        let mut plans = Vec::with_capacity(program.len());
-        for rule in &program.rules {
-            let idb_lits: Vec<usize> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.as_atom().is_some_and(&delta_capable))
-                .map(|(i, _)| i)
-                .collect();
-            // Negated IDB subgoals read the Total view of their (strictly
-            // lower) stratum, which is complete by the time this rule runs.
-            let neg_idb: Vec<usize> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.as_neg().is_some_and(|a| idb_preds.contains(&a.pred)))
-                .map(|(i, _)| i)
-                .collect();
-            let views: BTreeMap<usize, View> = idb_lits
-                .iter()
-                .chain(&neg_idb)
-                .map(|&li| (li, View::Total))
-                .collect();
-            let full = compile_rule_with_sizes(rule, &views, None, &sizes)?;
-            // The `k`-th delta variant: earlier delta-capable subgoals
-            // read Total, the `k`-th its Delta, later ones Old.
-            let mut deltas = Vec::new();
-            for (k, &li) in idb_lits.iter().enumerate() {
-                let mut v = views.clone();
-                v.insert(li, View::Delta);
-                for &lj in &idb_lits[k + 1..] {
-                    v.insert(lj, View::Old);
-                }
-                deltas.push(compile_rule_with_sizes(rule, &v, Some(li), &sizes)?);
-            }
-            plans.push(RulePlans { full, deltas });
-        }
+        let plans = (program.rules.iter())
+            .map(|rule| RulePlans::compile(rule, delta_capable, &idb_preds, &sizes))
+            .collect::<Result<Vec<_>, _>>()?;
         let strata = stratify(program, &idb_preds)?;
         let rule_stratum: Vec<usize> = program
             .rules

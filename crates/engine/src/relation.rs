@@ -659,28 +659,6 @@ impl Relation {
         d
     }
 
-    /// The min/max integer value ever inserted in column `col`, read off
-    /// the single-column dictionary index's distinct-key store (one pass
-    /// over `distinct` keys, not rows). `None` if the column holds no
-    /// integer values. Like [`Relation::key_distribution`], deleted
-    /// values stay in the dictionary until compaction, so the range is
-    /// an over-approximation — sound for bounding.
-    pub fn column_int_range(&self, col: usize) -> Option<(i64, i64)> {
-        let mut indexes = self.indexes.write().expect("index lock poisoned");
-        let idx = entry_index(&mut indexes, &[col]);
-        idx.extend(&self.data, self.arity, self.nrows);
-        let mut range: Option<(i64, i64)> = None;
-        for w in &idx.keys {
-            if let Value::Int(i) = w.value() {
-                range = Some(match range {
-                    Some((lo, hi)) => (lo.min(i), hi.max(i)),
-                    None => (i, i),
-                });
-            }
-        }
-        range
-    }
-
     /// Existence test for an exact tuple within a row range, walking the
     /// membership table's fingerprint-matching slots directly — what the
     /// executor's full-key lookups (negated and ground subgoals) use. The

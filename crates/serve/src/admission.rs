@@ -6,7 +6,7 @@
 //! A request is in exactly one of four states:
 //!
 //! ```text
-//!            gate full or no deadline headroom
+//!            gate full
 //!   arrive ────────────────────────────────────▶ REJECTED (Overloaded + retry-after)
 //!     │
 //!     │ slot acquired
@@ -62,10 +62,6 @@ use std::time::{Duration, Instant};
 pub struct AdmissionConfig {
     /// Maximum concurrently admitted requests; the gate sheds beyond it.
     pub max_inflight: usize,
-    /// Requests whose effective deadline is below this are rejected
-    /// outright — they could not finish in time, so starting them only
-    /// steals capacity from requests that can.
-    pub min_headroom: Duration,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
     /// Cancel admitted requests still running after this long (the
@@ -77,7 +73,6 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_inflight: 64,
-            min_headroom: Duration::ZERO,
             default_deadline: None,
             watchdog_after: None,
         }
@@ -147,20 +142,9 @@ impl Admission {
 
     /// Tries to admit a request. `deadline` is the client's own bound,
     /// if any; the configured default applies otherwise. Returns the
-    /// typed `Overloaded` rejection when the gate is full or the
-    /// effective deadline is under the headroom floor.
+    /// typed `Overloaded` rejection when the gate is full.
     pub fn admit(self: &Arc<Self>, deadline: Option<Duration>) -> Result<Permit, ServeError> {
         let effective = deadline.or(self.cfg.default_deadline);
-        if let Some(d) = effective {
-            if d < self.cfg.min_headroom {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded {
-                    inflight: self.inflight.load(Ordering::Relaxed),
-                    limit: self.cfg.max_inflight,
-                    retry_after_ms: self.retry_after_ms(),
-                });
-            }
-        }
         // Optimistic increment; back out on overshoot. Two racers both
         // overshooting both back out — strictly bounded, never stuck.
         let prev = self.inflight.fetch_add(1, Ordering::AcqRel);
@@ -441,22 +425,6 @@ mod tests {
         let done = due + slot * 2;
         assert_eq!(pace.hold_ack(done), Duration::ZERO);
         assert_eq!(pace.hold_ack(done + slot / 4), slot * 3 / 4);
-    }
-
-    #[test]
-    fn deadline_headroom_floor_rejects_unfinishable_requests() {
-        let gate = Admission::new(AdmissionConfig {
-            max_inflight: 8,
-            min_headroom: Duration::from_millis(10),
-            ..AdmissionConfig::default()
-        });
-        assert!(matches!(
-            gate.admit(Some(Duration::from_millis(1))),
-            Err(ServeError::Overloaded { .. })
-        ));
-        assert!(gate.admit(Some(Duration::from_millis(50))).is_ok());
-        // No deadline at all is unbounded: admitted.
-        assert!(gate.admit(None).is_ok());
     }
 
     #[test]

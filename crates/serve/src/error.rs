@@ -12,9 +12,8 @@ use std::fmt;
 /// Everything that can go wrong serving a request or a commit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// Admission control shed this request: the in-flight gate is full
-    /// or the request's deadline leaves no headroom to finish. The
-    /// request was **not** started; retry after the hint.
+    /// Admission control shed this request: the in-flight gate is
+    /// full. The request was **not** started; retry after the hint.
     Overloaded {
         /// Requests currently admitted (or queue depth hit).
         inflight: usize,

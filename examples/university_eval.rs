@@ -34,7 +34,7 @@ fn main() {
     // sequence r1·r1; ic2 introduces the small doctoral relation into the
     // non-recursive eval_support rule.
     let mut config = OptimizerConfig::default();
-    config.policy.small_relations.insert(Pred::new("doctoral"));
+    config.small_relations.insert(Pred::new("doctoral"));
     let plan = Optimizer::new(&scenario.program)
         .with_constraints(&scenario.constraints)
         .with_config(config)

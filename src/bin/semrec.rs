@@ -296,7 +296,7 @@ fn small_preds(args: &[String]) -> Vec<Pred> {
 fn optimizer_config(args: &[String]) -> OptimizerConfig {
     let mut config = OptimizerConfig::default();
     for p in small_preds(args) {
-        config.policy.small_relations.insert(p);
+        config.small_relations.insert(p);
     }
     config
 }
@@ -621,8 +621,8 @@ fn explain_residues(
         writeln!(w, "no recursive predicates.")?;
     }
     let mut residues: BTreeMap<Pred, Vec<&semrec::core::Residue>> = BTreeMap::new();
-    for (p, d) in &plan.detections {
-        residues.entry(*p).or_default().push(&d.residue);
+    for (p, r) in &plan.detections {
+        residues.entry(*p).or_default().push(r);
     }
     let list = |w: &mut dyn Write, mine: &[&semrec::core::Residue]| -> std::io::Result<()> {
         for r in mine {

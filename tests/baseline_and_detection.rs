@@ -79,14 +79,13 @@ fn sdgraph_detections_are_a_subset_of_exhaustive() {
             )
             .unwrap();
             for d in &sd {
-                if d.residue.seq.len() <= 6 {
+                if d.seq.len() <= 6 {
                     assert!(
-                        ex.iter().any(|e| e.residue.seq == d.residue.seq
-                            && e.residue.head == d.residue.head
-                            && e.residue.body == d.residue.body),
+                        ex.iter()
+                            .any(|e| e.seq == d.seq && e.head == d.head && e.body == d.body),
                         "SD-graph residue {} on {:?} missing from exhaustive",
-                        d.residue,
-                        d.residue.seq
+                        d,
+                        d.seq
                     );
                 }
             }

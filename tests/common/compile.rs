@@ -5,7 +5,7 @@
 //! cloned per candidate target, `BTreeSet` protected sets — and the
 //! program families of the soundness suite.
 
-use semrec::core::detect::{blocks, detect, DetectStats, Detection};
+use semrec::core::detect::{blocks, detect, DetectStats, PAD};
 use semrec::core::optimizer::{choose_sequence, OptimizerConfig, Plan};
 use semrec::core::push::{replace_blocks, Pusher};
 use semrec::core::residue::{Residue, ResidueHead, UsefulAt};
@@ -61,18 +61,21 @@ fn remove_dead_rules(
 /// block filtered back out. A block is a recursive predicate or, the
 /// k = 1 case, one non-recursive rule (its only sequence is the rule).
 /// `detect_stats.candidate_pairs` counts the pairs formed; graphs and
-/// sequences are not visible from out here and stay 0.
+/// sequences are not visible from out here and stay 0. A block with
+/// nothing pushable has each residue pushed on its own sequence by a
+/// `Pusher` of its own, for the reason it is skipped — the isolation the
+/// product's classifier answers without.
 pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerConfig) -> Plan {
     validate(program, ics).expect("valid input");
     let (rectified, _) = rectify(program);
     let blocks = blocks(&rectified, validate(&rectified, ics).expect("valid"));
-    let policy = &config.policy;
+    let small = &config.small_relations;
     let idb = rectified.idb_preds();
 
-    let mut detections: Vec<(usize, Detection)> = Vec::new();
+    let mut detections: Vec<(usize, Residue)> = Vec::new();
     for (b, info) in blocks.iter().enumerate() {
         for ic in ics {
-            let found = detect(&rectified, info, ic, config.method, config.pad).expect("detect");
+            let found = detect(&rectified, info, ic, config.method, PAD).expect("detect");
             detections.extend(found.into_iter().map(|d| (b, d)));
         }
     }
@@ -82,26 +85,26 @@ pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerC
     let mut pushed = BTreeMap::new();
     let mut rewritten: BTreeMap<usize, Vec<Rule>> = BTreeMap::new();
     for (b, info) in blocks.iter().enumerate() {
-        let mine: Vec<&Detection> = detections
+        let mine: Vec<&Residue> = detections
             .iter()
             .filter(|(block, _)| *block == b)
             .map(|(_, d)| d)
             .collect();
-        let Some(seq) = choose_sequence(&mine, policy) else {
+        let Some(seq) = choose_sequence(&mine, small) else {
             // Nothing pushable: each residue gets a dry run of its own,
             // for the reason it is skipped.
-            for d in mine {
-                let u = unfold(&rectified, info, &d.residue.seq).expect("unfold");
+            for r in mine {
+                let u = unfold(&rectified, info, &r.seq).expect("unfold");
                 let mut pusher = Pusher::new(&rectified, info, &u);
-                pusher.push(&d.residue, policy);
-                skipped.extend(pusher.outcomes().1.iter().cloned());
+                pusher.push(r, small);
+                skipped.extend(pusher.finish().skipped);
             }
             continue;
         };
         let u = unfold(&rectified, info, &seq).expect("unfold");
         let mut pusher = Pusher::new(&rectified, info, &u);
-        for d in mine.iter().filter(|d| d.residue.seq == seq) {
-            pusher.push(&d.residue, policy);
+        for r in mine.iter().filter(|r| r.seq == seq) {
+            pusher.push(r, small);
         }
         let res = pusher.finish();
         skipped.extend(res.skipped);

@@ -107,7 +107,7 @@ impl Case {
     /// Declares `preds` small, so the optimizer may introduce them.
     pub fn small(mut self, preds: &[&str]) -> Case {
         let small = preds.iter().map(|p| Pred::new(p));
-        self.config.policy.small_relations.extend(small);
+        self.config.small_relations.extend(small);
         self
     }
 

@@ -34,7 +34,7 @@ fn config(method: DetectionMethod, small: impl IntoIterator<Item = Pred>) -> Opt
         method,
         ..OptimizerConfig::default()
     };
-    config.policy.small_relations.extend(small);
+    config.small_relations.extend(small);
     config
 }
 
@@ -156,7 +156,8 @@ fn one_rule_blocks_apply_what_the_cgm_rewrite_applied() {
                 .run()
                 .unwrap();
             let program = &plan.rectified;
-            let (_, _, kinds) = rule_level_rewrite_with(program, &unit.constraints, &config.policy);
+            let (_, _, kinds) =
+                rule_level_rewrite_with(program, &unit.constraints, &config.small_relations);
             let infos = validate(program, &unit.constraints).unwrap();
             for block in blocks(program, infos)
                 .iter()
@@ -218,12 +219,7 @@ fn residues_agree_with_a_per_match_oracle() {
             let mut detector = Detector::new(&program, info, method, 0, &mut stats);
             for ic in unit.constraints.iter().filter(|ic| may_match(ic, &preds)) {
                 let ic = Arc::new(ic.clone());
-                let product: Vec<Residue> = detector
-                    .detect(&ic)
-                    .unwrap()
-                    .into_iter()
-                    .map(|d| d.residue)
-                    .collect();
+                let product: Vec<Residue> = detector.detect(&ic).unwrap();
                 let oracle = oracle_residues(&program, info, &ic, &seqs);
                 assert_eq!(product, oracle, "{name}: {ic} on {}", info.pred);
                 compared += product.len();
@@ -238,8 +234,8 @@ fn residues_agree_with_a_per_match_oracle() {
     let ds = detect(&program, info, &unit.constraints[0], method, 0).unwrap();
     let on_one_step: Vec<(String, bool)> = ds
         .iter()
-        .filter(|d| d.residue.seq == [1])
-        .map(|d| (d.residue.to_string(), d.residue.is_useful()))
+        .filter(|d| d.seq == [1])
+        .map(|d| (d.to_string(), d.is_useful()))
         .collect();
     assert_eq!(
         on_one_step,

@@ -71,7 +71,6 @@ fn example_3_1_and_3_2_detection() {
     .unwrap();
     let r = ds
         .iter()
-        .map(|d| &d.residue)
         .find(|r| r.seq == vec![1, 1] && r.is_useful())
         .expect("the r1 r1 residue");
     assert!(r.is_fact() && !r.is_conditional());
@@ -116,7 +115,7 @@ fn example_4_1_atom_elimination() {
 fn example_4_2_atom_introduction() {
     let s = parse_scenario(university::PROGRAM);
     let mut config = OptimizerConfig::default();
-    config.policy.small_relations.insert(Pred::new("doctoral"));
+    config.small_relations.insert(Pred::new("doctoral"));
     let plan = Optimizer::new(&s.program)
         .with_constraints(&s.constraints)
         .with_config(config)
