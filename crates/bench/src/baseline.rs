@@ -492,7 +492,8 @@ fn check_rate(
     ))
 }
 
-/// The gate's parse clause: `parse_unit` MB/s.
+/// The gate's parse clause: text-to-database MB/s (`parse_unit` +
+/// `Database::from_facts`).
 pub fn check_parse_throughput(
     fresh: &ParseBenchResult,
     baseline: &BaselineRate,

@@ -13,8 +13,9 @@
 //!
 //! `bench` times the semi-naive fixpoint on the gen workloads plus the
 //! end-to-end semantic (optimizer) speedup, the governance overhead
-//! (budget checks on vs off, E1 fanout), `parse_unit` on the exported
-//! fanout bundle (the `parse` row) and `Optimizer::run` on
+//! (budget checks on vs off, E1 fanout), text to database (`parse_unit`
+//! and `Database::from_facts`) on the exported fanout bundle (the `parse`
+//! row) and `Optimizer::run` on
 //! `multi_block(3, 160)` (the `compile` row); with `--json` it also writes
 //! `BENCH_fixpoint.json` at the repo root (`--quick` shrinks sizes for
 //! the CI gate). `--baseline <file>` diffs

@@ -789,9 +789,10 @@ pub fn to_json_with_dict(mut s: String, dict: &[DictBenchResult]) -> String {
     s
 }
 
-/// The front end's row: `parse_unit` on the fanout bundle as
-/// `gen::export::to_dl` writes it with its facts inline (the shape of
-/// `fixpoint_cli`'s input).
+/// The front end's row: text to database — `parse_unit` and
+/// `Database::from_facts`, what a cold `semrec run` pays before planning
+/// — on the fanout bundle as `gen::export::to_dl` writes it with its
+/// facts inline (the shape of `fixpoint_cli`'s input).
 #[derive(Clone, Debug)]
 pub struct ParseBenchResult {
     /// Generator parameter label.
@@ -800,7 +801,7 @@ pub struct ParseBenchResult {
     pub bytes: usize,
     /// Facts in the source.
     pub facts: usize,
-    /// Median wall milliseconds of one `parse_unit`.
+    /// Median wall milliseconds of one `parse_unit` + `from_facts`.
     pub millis: f64,
 }
 
@@ -817,8 +818,9 @@ impl ParseBenchResult {
     }
 }
 
-/// Times `parse_unit` on the exported 300/160/64 fanout bundle: one
-/// untimed warmup, then the median of 21 runs. The input and the run
+/// Times `parse_unit` and `Database::from_facts` on the exported
+/// 300/160/64 fanout bundle: one untimed warmup, then the median of 21
+/// runs. The input and the run
 /// count are the same in quick mode, so the quick gate compares like
 /// with like.
 pub fn run_parse_bench() -> ParseBenchResult {
@@ -833,7 +835,14 @@ pub fn run_parse_bench() -> ParseBenchResult {
     let time_once = || {
         let start = Instant::now();
         let unit = semrec_datalog::parser::parse_unit(&text).expect("exported bundle parses");
-        (start.elapsed().as_secs_f64() * 1e3, unit.facts.len())
+        let db = Database::from_facts(&unit.facts);
+        let millis = start.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(
+            db.total_tuples(),
+            unit.facts.len(),
+            "the bundle repeats no fact"
+        );
+        (millis, unit.facts.len())
     };
     let (_, facts) = time_once();
     let mut samples: Vec<f64> = (0..21).map(|_| time_once().0).collect();
@@ -857,7 +866,7 @@ pub fn parse_table(r: &ParseBenchResult) -> String {
     let _ = writeln!(
         s,
         "{:<10} {:<42} {:>9} {:>7} {:>8.3} {:>8.1} {:>8.1}",
-        "parse_unit",
+        "parse+load",
         r.params,
         r.bytes,
         r.facts,

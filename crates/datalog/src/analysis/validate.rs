@@ -7,9 +7,10 @@
 //!    the §3 chain shape.
 
 use super::{connect, recursion, safety};
-use crate::atom::{Atom, Pred};
+use crate::atom::Pred;
 use crate::constraint::{Constraint, IcHead};
 use crate::error::Error;
+use crate::facts::Facts;
 use crate::program::Program;
 use std::collections::BTreeMap;
 
@@ -24,13 +25,15 @@ fn label(ic: &Constraint) -> &dyn std::fmt::Display {
 /// Checks that every predicate has one arity across the rules, the
 /// constraints (body and head atoms) and the ground `facts`, and returns
 /// it. A constraint or fact atom that disagrees could never match a row,
-/// so it is an error naming the offender, not something to carry along.
+/// so it is an error naming the offender, not something to carry along:
+/// for facts, the first in source order (each fact group is checked
+/// once).
 /// Predicates mentioned only by constraints are legal as long as the
 /// constraints agree among themselves.
 pub fn check_arities(
     program: &Program,
     ics: &[Constraint],
-    facts: &[Atom],
+    facts: &Facts,
 ) -> Result<BTreeMap<Pred, usize>, Error> {
     let mut arities = program.arities().map_err(Error::analysis)?;
     // For predicates no rule mentions: the constraint that fixed the arity.
@@ -60,15 +63,14 @@ pub fn check_arities(
             }
         }
     }
-    for f in facts {
-        let n = *arities.entry(f.pred).or_insert(f.arity());
-        if n != f.arity() {
-            return Err(Error::analysis(format!(
-                "fact {f} has arity {}, but {} has arity {n} elsewhere in the source",
-                f.arity(),
-                f.pred
-            )));
-        }
+    let clash = facts.first_rejected(|p, n| *arities.entry(p).or_insert(n) == n);
+    if let Some(f) = clash {
+        return Err(Error::analysis(format!(
+            "fact {f} has arity {}, but {} has arity {} elsewhere in the source",
+            f.arity(),
+            f.pred,
+            arities[&f.pred]
+        )));
     }
     Ok(arities)
 }
@@ -79,7 +81,7 @@ pub fn validate(
     program: &Program,
     ics: &[Constraint],
 ) -> Result<Vec<recursion::RecursionInfo>, Error> {
-    check_arities(program, ics, &[])?;
+    check_arities(program, ics, &Facts::new())?;
 
     for (i, r) in program.rules.iter().enumerate() {
         if r.body.iter().any(|l| l.as_neg().is_some()) {

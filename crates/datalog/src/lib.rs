@@ -16,6 +16,7 @@ pub mod analysis;
 pub mod atom;
 pub mod constraint;
 pub mod error;
+pub mod facts;
 pub mod literal;
 pub mod parser;
 pub mod program;
@@ -29,6 +30,7 @@ pub mod word;
 pub use atom::{Atom, Pred};
 pub use constraint::{Constraint, IcHead};
 pub use error::Error;
+pub use facts::Facts;
 pub use literal::{Cmp, CmpOp, Literal};
 pub use parser::{parse_atom, parse_constraints, parse_rule, parse_unit, Unit};
 pub use program::Program;

@@ -27,19 +27,21 @@ pub use lexer::{lex, line_col, unescape, Lexer, Token, TokenKind};
 use crate::atom::{Atom, Pred};
 use crate::constraint::{Constraint, IcHead};
 use crate::error::Error;
+use crate::facts::Facts;
 use crate::literal::{Cmp, CmpOp, Literal};
 use crate::program::Program;
 use crate::rule::Rule;
 use crate::symbol::Symbol;
 use crate::term::{Term, Value};
+use crate::word::Word;
 
 /// The result of parsing a source unit: rules, ground facts and constraints.
 #[derive(Clone, Debug, Default)]
 pub struct Unit {
     /// Rules with non-empty bodies.
     pub rules: Vec<Rule>,
-    /// Ground facts (`p(c1, …, cn).`).
-    pub facts: Vec<Atom>,
+    /// Ground facts (`p(c1, …, cn).`), as word rows.
+    pub facts: Facts,
     /// Integrity constraints.
     pub constraints: Vec<Constraint>,
 }
@@ -70,9 +72,10 @@ pub fn parse_constraints(src: &str) -> Result<Vec<Constraint>, Error> {
 /// Parses a single rule.
 pub fn parse_rule(src: &str) -> Result<Rule, Error> {
     let unit = parse_unit(src)?;
-    match (&unit.rules[..], &unit.facts[..]) {
-        ([r], []) => Ok(r.clone()),
-        ([], [f]) => Ok(Rule::fact(f.clone())),
+    let mut facts = unit.facts.atoms();
+    match (&unit.rules[..], facts.next(), facts.next()) {
+        ([r], None, _) => Ok(r.clone()),
+        ([], Some(f), None) => Ok(Rule::fact(f)),
         _ => Err(Error::analysis("expected exactly one rule")),
     }
 }
@@ -100,6 +103,9 @@ struct Parser<'a> {
     /// Argument buffer reused across atoms; each atom copies it out at
     /// exact size.
     args: Vec<Term>,
+    /// A ground fact's row, encoded from `args` and copied into
+    /// [`Unit::facts`].
+    row: Vec<Word>,
 }
 
 impl<'a> Parser<'a> {
@@ -113,6 +119,7 @@ impl<'a> Parser<'a> {
             next,
             last_pred: None,
             args: Vec::new(),
+            row: Vec::new(),
         }
     }
 
@@ -160,20 +167,25 @@ impl<'a> Parser<'a> {
                 out.constraints.push(self.constraint()?);
                 continue;
             }
-            let head = self.atom()?;
+            let pred = self.atom_args()?;
             match self.cur.kind {
                 TokenKind::Dot => {
                     self.bump();
-                    if head.is_ground() {
-                        out.facts.push(head);
+                    self.row.clear();
+                    let consts = self.args.iter().map_while(|t| t.as_const());
+                    self.row.extend(consts.map(Word::new));
+                    if self.row.len() == self.args.len() {
+                        out.facts.push(pred, &self.row);
                     } else {
                         // Non-ground bodyless clause: keep as a rule so
                         // range-restriction analysis reports it.
-                        out.rules.push(Rule::fact(head));
+                        out.rules
+                            .push(Rule::fact(Atom::new(pred, self.args.to_vec())));
                     }
                 }
                 TokenKind::ColonDash => {
                     self.bump();
+                    let head = Atom::new(pred, self.args.to_vec());
                     let body = self.literals()?;
                     self.expect(TokenKind::Dot)?;
                     out.rules.push(Rule::new(head, body));
@@ -274,6 +286,13 @@ impl<'a> Parser<'a> {
     }
 
     fn atom(&mut self) -> Result<Atom, Error> {
+        let pred = self.atom_args()?;
+        Ok(Atom::new(pred, self.args.to_vec()))
+    }
+
+    /// Parses an atom into the argument buffer and returns its
+    /// predicate.
+    fn atom_args(&mut self) -> Result<Pred, Error> {
         let TokenKind::Ident(name) = self.cur.kind else {
             return Err(self.unexpected("predicate name"));
         };
@@ -297,7 +316,7 @@ impl<'a> Parser<'a> {
             self.bump();
         }
         self.expect(TokenKind::RParen)?;
-        Ok(Atom::new(pred, self.args.to_vec()))
+        Ok(pred)
     }
 
     fn term(&mut self) -> Result<Term, Error> {
@@ -331,7 +350,10 @@ mod tests {
             unit.rules[1].to_string(),
             "anc(X, Y) :- anc(X, Z), par(Z, Y)."
         );
-        assert_eq!(unit.facts[0].to_string(), "par(ann, bea)");
+        assert_eq!(
+            unit.facts.atoms().next().unwrap().to_string(),
+            "par(ann, bea)"
+        );
     }
 
     #[test]

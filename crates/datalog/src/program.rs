@@ -107,7 +107,7 @@ impl FromStr for Program {
             ));
         }
         let mut rules = unit.rules;
-        rules.extend(unit.facts.into_iter().map(Rule::fact));
+        rules.extend(unit.facts.atoms().map(Rule::fact));
         Ok(Program::new(rules))
     }
 }

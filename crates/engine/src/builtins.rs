@@ -21,8 +21,19 @@
 //! [`Budget::with_max_iterations`](crate::governor::Budget::with_max_iterations)
 //! as a guard when data is not known acyclic.
 
+use crate::error::EngineError;
 use semrec_datalog::atom::Pred;
+use semrec_datalog::rule::Rule;
 use semrec_datalog::term::Value;
+
+/// Rules cannot define a builtin: a subgoal would read the arithmetic
+/// and the rule's rows at once. The error names the predicate.
+pub(crate) fn reject_builtin_head(rule: &Rule) -> Result<(), EngineError> {
+    match BuiltinOp::of(rule.head.pred) {
+        Some(_) => Err(EngineError::BuiltinHead(rule.head.pred.to_string())),
+        None => Ok(()),
+    }
+}
 
 /// The builtin operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

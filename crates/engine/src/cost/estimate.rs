@@ -26,7 +26,7 @@
 use super::stats::EdbStats;
 use crate::database::Database;
 use crate::error::EngineError;
-use crate::eval::RulePlans;
+use crate::eval::{delta_capable, RulePlans};
 use crate::fxhash::FxHashMap;
 use crate::plan::{CompiledRule, KernelGuard, KernelLookup, KernelSrc, View};
 use semrec_datalog::atom::Pred;
@@ -339,12 +339,8 @@ impl<'a> Estimator<'a> {
         }
         self.shape_misses += 1;
 
-        // The evaluator's plans (batch mode: only IDB subgoals are
-        // delta-capable).
-        let delta_capable = |a: &semrec_datalog::atom::Atom| {
-            idb_preds.contains(&a.pred) && crate::builtins::BuiltinOp::of(a.pred).is_none()
-        };
-        let plans = RulePlans::compile(rule, delta_capable, idb_preds, sizes)?;
+        // The evaluator's plans, in batch mode.
+        let plans = RulePlans::compile(rule, delta_capable(idb_preds, false), idb_preds, sizes)?;
         let rc = Rc::new(RuleShapes {
             head_pred: rule.head.pred,
             has_deltas: !plans.deltas.is_empty(),

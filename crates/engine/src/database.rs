@@ -9,6 +9,7 @@ use crate::incr::IcCheck;
 use crate::relation::{Relation, Tuple};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
+use semrec_datalog::facts::Facts;
 use semrec_datalog::subst::Subst;
 use semrec_datalog::term::Value;
 use semrec_datalog::word::Word;
@@ -56,12 +57,19 @@ impl Database {
             .insert_row(&row)
     }
 
-    /// Builds a database from ground atoms (e.g. the `facts` of a parsed
-    /// [`semrec_datalog::Unit`]).
-    pub fn from_facts<'a>(facts: impl IntoIterator<Item = &'a Atom>) -> Database {
+    /// Builds a database from parsed facts (the `facts` of a
+    /// [`semrec_datalog::Unit`]): each relation in one
+    /// [`Relation::from_rows`] over its fact group, duplicates dropped,
+    /// rows in source order.
+    ///
+    /// # Panics
+    /// Panics if a predicate has facts at two arities.
+    pub fn from_facts(facts: &Facts) -> Database {
         let mut db = Database::new();
-        for f in facts {
-            db.insert_atom(f);
+        for g in facts.groups() {
+            let rel = Relation::from_rows(g.arity(), g.rows());
+            let clash = db.rels.insert(g.pred(), rel).is_some();
+            assert!(!clash, "predicate {} has facts at two arities", g.pred());
         }
         db
     }
@@ -149,6 +157,32 @@ mod tests {
         let unit = parse_unit("par(ann, bea). par(bea, cal).").unwrap();
         let db = Database::from_facts(&unit.facts);
         assert_eq!(db.count("par"), 2);
+    }
+
+    #[test]
+    fn a_bulk_load_drops_repeated_facts() {
+        // `e(1, 2)` repeated adjacently, across `w`'s facts and after a
+        // rule; `w(7)` after the rule too.
+        let unit = parse_unit(
+            "e(1, 2). e(1, 2). w(7). e(2, 3). w(8). e(1, 2).\n\
+             t(X, Y) :- e(X, Y).\n\
+             w(7). e(2, 3). e(3, 4).",
+        )
+        .unwrap();
+        assert_eq!(unit.facts.len(), 9);
+        let db = Database::from_facts(&unit.facts);
+        assert_eq!((db.count("e"), db.count("w"), db.total_tuples()), (3, 2, 5));
+        for (p, rel) in db.iter() {
+            rel.check_invariant().unwrap_or_else(|e| panic!("{p}: {e}"));
+        }
+        // First appearances, in source order.
+        let e: Vec<Tuple> = db.get(Pred::new("e")).unwrap().tuples().collect();
+        assert_eq!(e, [[1, 2], [2, 3], [3, 4]].map(|t| int_tuple(&t)));
+        let mut one_by_one = Database::new();
+        for f in unit.facts.atoms() {
+            one_by_one.insert_atom(&f);
+        }
+        assert_eq!(db, one_by_one);
     }
 
     #[test]

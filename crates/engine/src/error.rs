@@ -14,6 +14,9 @@ pub enum EngineError {
     },
     /// A predicate is used with inconsistent arity.
     ArityMismatch(String),
+    /// A rule head names a builtin predicate (`plus`, `times`), which
+    /// rules cannot define.
+    BuiltinHead(String),
     /// The iteration limit was exceeded before reaching a fixpoint.
     IterationLimit(usize),
     /// The program uses negation inside a recursive cycle.
@@ -57,6 +60,9 @@ impl fmt::Display for EngineError {
                 write!(f, "unsafe rule `{rule}`: {detail}")
             }
             EngineError::ArityMismatch(msg) => write!(f, "arity mismatch: {msg}"),
+            EngineError::BuiltinHead(pred) => {
+                write!(f, "a rule defines `{pred}`, which is a builtin predicate")
+            }
             EngineError::IterationLimit(n) => {
                 write!(f, "fixpoint not reached within {n} iterations")
             }

@@ -45,26 +45,40 @@ pub fn goal_matches(goal: &Atom, row: &[Word]) -> bool {
     true
 }
 
-/// The binding pattern of a query goal, classified for index routing:
-/// bound (constant) argument positions with their key values, plus
-/// whether residual per-row checks remain after an index probe on the
-/// bound columns (repeated variables impose equalities the dictionary
-/// index cannot express).
+/// A query goal resolved once into words and column positions: the
+/// bound (constant) argument positions with their key values, which an
+/// index probe can route, and the residual equalities of repeated
+/// variables, which the dictionary index cannot express.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GoalBindings {
     /// Argument positions carrying a constant, ascending.
     pub cols: Vec<usize>,
     /// The constants at those positions, parallel to `cols`, as stored.
     pub key: Vec<Word>,
-    /// True when some variable occurs more than once: probe hits must
-    /// still be verified with [`goal_matches`].
-    pub residual: bool,
+    /// Per later occurrence of a repeated variable: its position and the
+    /// position of the variable's first occurrence, whose values must
+    /// be equal.
+    pub eqs: Vec<(usize, usize)>,
 }
 
 impl GoalBindings {
     /// True when no argument is bound — only a scan can answer.
     pub fn all_free(&self) -> bool {
         self.cols.is_empty()
+    }
+
+    /// True if `row`, of the goal's arity, holds the key at `cols` and
+    /// equal words at every pair of `eqs`: [`goal_matches`] with the
+    /// goal's terms resolved once rather than per row.
+    #[inline]
+    pub fn matches(&self, row: &[Word]) -> bool {
+        self.cols.iter().zip(&self.key).all(|(&c, &k)| row[c] == k) && self.eqs_hold(row)
+    }
+
+    /// True if `row` satisfies the repeated-variable equalities.
+    #[inline]
+    fn eqs_hold(&self, row: &[Word]) -> bool {
+        self.eqs.iter().all(|&(i, j)| row[i] == row[j])
     }
 }
 
@@ -79,11 +93,11 @@ pub fn goal_bindings(goal: &Atom) -> GoalBindings {
                 b.key.push(Word::new(*c));
             }
             Term::Var(x) => {
-                if goal.args[..i]
+                let first = goal.args[..i]
                     .iter()
-                    .any(|u| matches!(u, Term::Var(y) if y == x))
-                {
-                    b.residual = true;
+                    .position(|u| matches!(u, Term::Var(y) if y == x));
+                if let Some(j) = first {
+                    b.eqs.push((i, j));
                 }
             }
         }
@@ -105,8 +119,8 @@ const ANSWER_POLL_EVERY: usize = 1024;
 ///   group), residual repeated-variable equalities verified per hit;
 /// * **all arguments bound** — [`Snapshot::find`]: an index probe plus a
 ///   row comparison (a snapshot carries no membership table);
-/// * **all free** — the scan fallback, filtering only when repeated
-///   variables demand it.
+/// * **all free** — the scan fallback, filtering only by the repeated
+///   variables' equalities.
 ///
 /// Rows are emitted in physical-row (insertion) order, exactly like the
 /// scan the probe replaces. `poll` runs every [`ANSWER_POLL_EVERY`]
@@ -137,7 +151,7 @@ fn for_each_answer_row<E>(
             if i % ANSWER_POLL_EVERY == 0 {
                 poll(i)?;
             }
-            if !b.residual || goal_matches(goal, row) {
+            if b.eqs_hold(row) {
                 emit(r);
             }
         }
@@ -152,7 +166,7 @@ fn for_each_answer_row<E>(
         if i % ANSWER_POLL_EVERY == 0 {
             poll(i)?;
         }
-        if !b.residual || goal_matches(goal, snap.row(r)) {
+        if b.eqs_hold(snap.row(r)) {
             emit(r);
         }
     }
@@ -189,14 +203,19 @@ pub fn answer_goal(snap: &Snapshot, goal: &Atom) -> Vec<Tuple> {
 /// Answers a goal against a relation read once, as one-shot callers do
 /// ([`EvalResult::answers`](super::EvalResult::answers),
 /// `MaintainedQuery::answers`, magic-sets answer extraction): every live
-/// row filtered by [`goal_matches`], in row order — the rows and the
-/// order [`answer_goal`] selects. A probe would first build a dictionary
-/// index over the whole relation for a single lookup and drop it; the
-/// serving daemon's snapshots keep the indexed route because their index
-/// lineage outlives the call.
+/// row that the goal, resolved once by [`goal_bindings`], matches — the
+/// rows [`goal_matches`] accepts, in row order, which are the rows and
+/// the order [`answer_goal`] selects. A probe would first build a
+/// dictionary index over the whole relation for a single lookup and drop
+/// it; the serving daemon's snapshots keep the indexed route because
+/// their index lineage outlives the call.
 pub fn scan_goal(rel: &Relation, goal: &Atom) -> Vec<Tuple> {
+    if goal.args.len() != rel.arity() {
+        return Vec::new();
+    }
+    let b = goal_bindings(goal);
     rel.iter()
-        .filter(|row| goal_matches(goal, row))
+        .filter(|row| b.matches(row))
         .map(word::decode)
         .collect()
 }
@@ -223,5 +242,42 @@ mod tests {
         ));
         // Arity mismatch is a non-match, not a panic.
         assert!(!goal_matches(&goal, &[Word::int(7)]));
+    }
+
+    #[test]
+    fn a_scan_answers_the_rows_goal_matches_accepts_in_row_order() {
+        let mut state = 0x5ca1_ab1e_u64;
+        let mut next = move |n: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        // Stored values, and constants no row holds.
+        let stored = ["0", "1", "2", "a", "b", "-4611686018427387905"];
+        let absent = ["7", "zz", "9223372036854775807"];
+        let value = |s: &str| parse_atom(&format!("c({s})")).unwrap().args[0].as_const();
+        let mut rel = Relation::new(3);
+        for _ in 0..400 {
+            rel.insert([0; 3].map(|_| value(stored[next(6) as usize]).unwrap()));
+        }
+        let vars = ["X", "Y", "Z"];
+        for case in 0..300 {
+            let args = [0; 3].map(|_| match next(4) {
+                0 | 1 => vars[next(2) as usize],
+                2 => stored[next(6) as usize],
+                _ => absent[next(3) as usize],
+            });
+            let goal = parse_atom(&format!("r({})", args.join(", "))).unwrap();
+            let want: Vec<Tuple> = rel
+                .iter()
+                .filter(|row| goal_matches(&goal, row))
+                .map(word::decode)
+                .collect();
+            assert_eq!(scan_goal(&rel, &goal), want, "case {case}: {goal}");
+        }
+        // Another arity answers nothing.
+        assert!(scan_goal(&rel, &parse_atom("r(X, Y)").unwrap()).is_empty());
     }
 }

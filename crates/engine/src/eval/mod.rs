@@ -31,6 +31,7 @@ pub use answer::{
 };
 pub use kernel::KERNEL_CHUNK;
 
+use crate::builtins::{reject_builtin_head, BuiltinOp};
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::fxhash::FxHashMap;
@@ -131,12 +132,14 @@ impl RulePlans {
     /// ones' Total and the later ones' Old. Negated subgoals over
     /// `idb_preds` read the Total view of their (strictly lower)
     /// stratum, complete by the time this rule runs.
+    /// A rule whose head names a builtin is an error.
     pub(crate) fn compile(
         rule: &Rule,
         delta_capable: impl Fn(&Atom) -> bool,
         idb_preds: &BTreeSet<Pred>,
         sizes: &BTreeMap<Pred, usize>,
     ) -> Result<RulePlans, EngineError> {
+        reject_builtin_head(rule)?;
         let literals = rule.body.iter().enumerate();
         let idb_lits: Vec<usize> = (literals.clone())
             .filter(|(_, l)| l.as_atom().is_some_and(&delta_capable))
@@ -160,6 +163,21 @@ impl RulePlans {
         }
         Ok(RulePlans { full, deltas })
     }
+}
+
+/// The subgoals whose Delta view rule plans read: IDB subgoals always;
+/// in `incremental` mode every non-builtin subgoal, so transaction-
+/// inserted EDB rows can seed the first round's delta plans (derived
+/// from the program, not the current EDB contents — a tx may insert into
+/// a predicate that is empty today). EDB deltas drain after one round
+/// (see `step`), so the extra variants are idle from round 2 on. No IDB
+/// predicate is a builtin: [`RulePlans::compile`] rejects a rule
+/// defining one. The evaluator and the cost estimator share this test.
+pub(crate) fn delta_capable(
+    idb_preds: &BTreeSet<Pred>,
+    incremental: bool,
+) -> impl Fn(&Atom) -> bool + '_ {
+    move |a| idb_preds.contains(&a.pred) || (incremental && BuiltinOp::of(a.pred).is_none())
 }
 
 /// A compiled program: rule plans (full + delta variants), strata, and
@@ -199,7 +217,8 @@ impl Prepared {
 
     /// The one compile step: plans every rule of `program`, in batch or
     /// `incremental` mode, reading the `preloaded` predicates it has an
-    /// arity for as IDB relations.
+    /// arity for as IDB relations. A rule defining a builtin is an
+    /// [`EngineError::BuiltinHead`].
     fn build(
         db: &Database,
         program: &Program,
@@ -219,19 +238,11 @@ impl Prepared {
         for p in &idb_preds {
             sizes.remove(p);
         }
-        // Delta-capable body positions: IDB subgoals always; in
-        // incremental mode every non-builtin subgoal, so transaction-
-        // inserted EDB rows can seed the first round's delta plans
-        // (derived from the program, not the current EDB contents — a
-        // tx may insert into a predicate that is empty today). EDB
-        // deltas drain after one round (see `step`), so the extra
-        // variants are idle from round 2 on.
-        let delta_capable = |a: &Atom| {
-            idb_preds.contains(&a.pred)
-                || (incremental && crate::builtins::BuiltinOp::of(a.pred).is_none())
-        };
         let plans = (program.rules.iter())
-            .map(|rule| RulePlans::compile(rule, delta_capable, &idb_preds, &sizes))
+            .map(|rule| {
+                let delta_capable = delta_capable(&idb_preds, incremental);
+                RulePlans::compile(rule, delta_capable, &idb_preds, &sizes)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let strata = stratify(program, &idb_preds)?;
         let rule_stratum: Vec<usize> = program
@@ -705,6 +716,29 @@ mod tests {
         "t(X,Y) :- e(X,Y). t(X,Y) :- e(X,Z), t(Z,Y)."
             .parse()
             .unwrap()
+    }
+
+    #[test]
+    fn a_rule_defining_a_builtin_is_an_error() {
+        let unit = parse_unit(
+            "plus(X, Y, Z) :- e(X, Y, Z). q(X, Z) :- a(X, Y), plus(X, Y, Z). \
+             e(1, 2, 7). a(1, 2).",
+        )
+        .unwrap();
+        let db = Database::from_facts(&unit.facts);
+        let want = EngineError::BuiltinHead("plus".to_owned());
+        let err = evaluate(&db, &unit.program(), Strategy::SemiNaive).err();
+        assert_eq!(err, Some(want.clone()));
+        let err = Prepared::compile(&db, &unit.program(), &[]).err();
+        assert_eq!(err, Some(want));
+        // A builtin in a body stays the arithmetic it names.
+        let sums = parse_unit("q(X, Z) :- a(X, Y), plus(X, Y, Z). a(1, 2).").unwrap();
+        let db = Database::from_facts(&sums.facts);
+        let res = evaluate(&db, &sums.program(), Strategy::SemiNaive).unwrap();
+        assert_eq!(
+            res.answers(&parse_atom("q(X, Z)").unwrap()),
+            [int_tuple(&[1, 3])]
+        );
     }
 
     #[test]

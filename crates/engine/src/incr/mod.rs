@@ -712,14 +712,13 @@ fn parse_tx_op(line: &str) -> Result<(bool, Atom), String> {
         _ => return Err("expected `+fact(…).`, `-fact(…).`, or `commit.`".to_string()),
     };
     let unit = semrec_datalog::parser::parse_unit(rest.trim()).map_err(|e| e.to_string())?;
-    if unit.facts.len() != 1
-        || !unit.rules.is_empty()
-        || !unit.constraints.is_empty()
-        || !unit.facts[0].is_ground()
-    {
-        return Err("expected exactly one ground fact".to_string());
+    let mut facts = unit.facts.atoms();
+    match (facts.next(), facts.next()) {
+        (Some(fact), None) if unit.rules.is_empty() && unit.constraints.is_empty() => {
+            Ok((insert, fact))
+        }
+        _ => Err("expected exactly one ground fact".to_string()),
     }
-    Ok((insert, unit.facts.into_iter().next().expect("checked len")))
 }
 
 /// Renders a transaction in the `+fact(…)./-fact(…)./commit.` line

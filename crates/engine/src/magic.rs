@@ -19,6 +19,7 @@
 //! 1989) for the linear recursions whose magic set is the whole closure
 //! — right-linear queried `bf`, left-linear queried `fb`.
 
+use crate::builtins::reject_builtin_head;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::eval::{evaluate, scan_goal, EvalResult, Strategy};
@@ -102,6 +103,11 @@ fn magic_atom(atom: &Atom, a: &Adornment) -> Atom {
 /// positions). Returns the rewritten program; evaluate it and read
 /// [`MagicProgram::answer_pred`].
 pub fn magic_rewrite(program: &Program, goal: &Atom) -> Result<MagicProgram, EngineError> {
+    // Adorning renames every head, a rule defining a builtin included:
+    // refuse it here, as compiling it would.
+    for rule in &program.rules {
+        reject_builtin_head(rule)?;
+    }
     let idb = program.idb_preds();
     if program
         .rules

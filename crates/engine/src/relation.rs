@@ -184,6 +184,15 @@ fn prefetch_value(data: &[Word], i: usize) {
     let _ = (data, i);
 }
 
+/// Rows to allocate for a row store rebuilt or loaded at `rows` rows:
+/// an eighth of headroom. What follows is usually an append, and a
+/// snapshot taken in between shares this very allocation — an exact fit
+/// would make that first append copy the whole relation to grow.
+/// Untouched capacity is not resident.
+fn headroom(rows: usize) -> usize {
+    rows + rows / 8 + 1
+}
+
 /// A fresh storage-incarnation id: process-unique, never reused.
 fn mint_incarnation() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
@@ -237,6 +246,28 @@ impl Relation {
             incarnation: mint_incarnation(),
             indexes: RwLock::new(FxHashMap::default()),
         }
+    }
+
+    /// A relation holding `rows` in order, duplicates dropped: the bulk
+    /// load of a parsed fact group. The row store is allocated once, with
+    /// [`headroom`], and the membership table is sized once for every
+    /// row ([`CodeMap::with_capacity`]), so neither grows while loading;
+    /// row ids, the generation and the table's final size are those of
+    /// inserting the rows one by one.
+    pub fn from_rows<'a>(
+        arity: usize,
+        rows: impl ExactSizeIterator<Item = &'a [Word]>,
+    ) -> Relation {
+        let n = rows.len();
+        let mut rel = Relation {
+            data: AppendBuf::with_capacity(headroom(n) * arity),
+            set: CodeMap::with_capacity(n),
+            ..Relation::new(arity)
+        };
+        for row in rows {
+            rel.insert_row(row);
+        }
+        rel
     }
 
     /// The monotonic mutation counter: strictly increases on every
@@ -557,12 +588,7 @@ impl Relation {
             return;
         }
         let live = self.len();
-        // An eighth of headroom: what follows is usually an append, and
-        // a snapshot taken in between shares this very allocation — an
-        // exact fit would make that first append copy the whole
-        // relation to grow. Untouched capacity is not resident.
-        let room = live + live / 8 + 1;
-        let mut data = AppendBuf::with_capacity(room * self.arity);
+        let mut data = AppendBuf::with_capacity(headroom(live) * self.arity);
         let mut set = CodeMap::default();
         for (r, row) in self.iter().enumerate() {
             set.insert(hash_slice(row), r as u32);

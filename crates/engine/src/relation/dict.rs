@@ -55,6 +55,23 @@ pub struct CodeMap {
 }
 
 impl CodeMap {
+    /// An empty table that takes `n` entries without growing: the
+    /// smallest power of two (at least 2) they fill to at most ¾ — the
+    /// size growth reaches at `n` entries, so they fill it between ⅜
+    /// and ¾.
+    pub fn with_capacity(n: usize) -> CodeMap {
+        if n == 0 {
+            return CodeMap::default();
+        }
+        let cap = (4 * n).div_ceil(3).next_power_of_two().max(2);
+        CodeMap {
+            slots: vec![EMPTY as u64; cap],
+            mask: cap - 1,
+            live: 0,
+            tombs: 0,
+        }
+    }
+
     /// First slot of the probe sequence for a fingerprint half (a
     /// [`fingerprint`] or a whole slot): its low bits.
     #[inline]
@@ -582,6 +599,25 @@ mod tests {
         }
         // A hash never inserted terminates at an empty slot.
         assert_eq!(m.get(code_hash(9999), |_| true), None);
+    }
+
+    #[test]
+    fn a_sized_codemap_is_the_size_growth_reaches_and_never_grows_while_filled() {
+        let mut grown = CodeMap::default();
+        for n in 1..3000u32 {
+            grown.insert(code_hash(n), n);
+            let mut sized = CodeMap::with_capacity(n as usize);
+            let cap = sized.slots.len();
+            assert_eq!(cap, grown.slots.len(), "{n} entries");
+            for c in 1..=n {
+                sized.insert(code_hash(c), c);
+            }
+            assert_eq!(sized.slots.len(), cap, "{n} entries grew the table");
+            if n % 97 == 0 {
+                sized.check(|c| Ok(code_hash(c))).unwrap();
+            }
+        }
+        assert!(CodeMap::with_capacity(0).slots.is_empty());
     }
 
     #[test]

@@ -59,7 +59,8 @@ cargo run -p semrec-bench --release --offline --bin harness -- e3 e4 --quick
 # matches workloads by name+params and only checks those present in
 # both — the quick set keeps the 300/160/64 fanout so one workload
 # above the floor always overlaps. The same gate holds the `parse` row
-# (parse_unit MB/s on the exported fanout bundle) and the `compile` row
+# (text to database: parse_unit + Database::from_facts, MB/s of source,
+# on the exported fanout bundle) and the `compile` row
 # (Optimizer::run ICs/s on multi_block(3, 160)), one input each at every
 # size, within 40% of the baseline's.
 # Table-bytes gate: every generated workload's IDB membership tables

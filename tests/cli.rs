@@ -289,6 +289,36 @@ fn arity_clashes_are_analysis_errors() {
 }
 
 #[test]
+fn a_rule_defining_a_builtin_is_refused() {
+    let dir = std::env::temp_dir().join(format!("semrec-cli-builtin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("prog.dl");
+    std::fs::write(
+        &file,
+        "plus(X, Y, Z) :- e(X, Y, Z).\nq(X, Z) :- a(X, Y), plus(X, Y, Z).\n\
+         e(1, 2, 7).\na(1, 2).\n",
+    )
+    .unwrap();
+    let file = file.to_str().unwrap();
+    for flags in [
+        &[][..],
+        &["--optimize"],
+        &["--optimize", "--query", "q(1, Z)"],
+    ] {
+        let out = output(&[&["run", file][..], flags].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains("a rule defines `plus`, which is a builtin predicate"),
+            "{flags:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flags:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn describe_answers_knowledge_query() {
     let (ok, out, _) = semrec(&[
         "describe",

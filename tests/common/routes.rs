@@ -95,8 +95,8 @@ impl Case {
     /// The rules and constraints of `src`, over `edb` plus `src`'s facts.
     pub fn new(name: impl Into<String>, src: &str, mut edb: Database) -> Case {
         let unit = parse_unit(src).unwrap_or_else(|e| panic!("{src}: {e}"));
-        for fact in &unit.facts {
-            edb.insert_atom(fact);
+        for fact in unit.facts.atoms() {
+            edb.insert_atom(&fact);
         }
         Case {
             ics: unit.constraints.clone(),

@@ -6,13 +6,20 @@
 //! its substitution per candidate again, or a verification step that
 //! rebuilds its sets per match.
 //!
+//! The front end's calls are counted the same way: parsing a fact
+//! bundle and loading its relations must cost a constant number of calls
+//! however many facts it holds, since facts are encoded into flat word
+//! rows and each relation is built at its final size.
+//!
 //! This file is its own test binary because it replaces the global
 //! allocator. The count is kept per thread, so that only the calls of the
 //! thread that runs the optimizer are read.
 
 use semrec::core::optimizer::{Optimizer, OptimizerConfig};
 use semrec::datalog::parser::parse_unit;
+use semrec::engine::Database;
 use semrec::gen::programs::{multi_block, multi_block_small};
+use semrec::gen::{export, fanout, parse_scenario};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -112,5 +119,66 @@ fn compile_step_allocates_at_most_half_of_the_cloning_matcher() {
     assert!(
         per_ic <= CEILING_PER_IC,
         "{per_ic} allocator calls per IC, over the last measured {CEILING_PER_IC}"
+    );
+}
+
+/// The fanout bundle `fanout(nodes, extra_edges, 64)` as `semrec gen`
+/// exports it, facts inline.
+fn fanout_bundle(nodes: usize, extra_edges: usize) -> String {
+    let db = fanout::generate(&fanout::FanoutParams {
+        nodes,
+        extra_edges,
+        fanout: 64,
+        seed: 1,
+    });
+    export::to_dl(&parse_scenario(fanout::PROGRAM), Some(&db))
+}
+
+/// Allocator calls of one `parse_unit` + `Database::from_facts` of
+/// `text`, and its fact count. The run counted is the second, as for the
+/// compile step: the first interns the bundle's names.
+fn front_end_calls(text: &str) -> (u64, usize) {
+    let load = || {
+        let unit = parse_unit(text).expect("exported bundle parses");
+        let db = Database::from_facts(&unit.facts);
+        (unit, db)
+    };
+    drop(load());
+    let before = calls();
+    let (unit, db) = load();
+    let spent = calls() - before;
+    assert_eq!(
+        db.total_tuples(),
+        unit.facts.len(),
+        "the bundle repeats no fact"
+    );
+    (spent, unit.facts.len())
+}
+
+/// The front end's calls on the 300/160/64 bundle (19 659 facts) as last
+/// measured. One call or more per fact, as when each fact was an `Atom`
+/// with its own argument vector, reads tens of thousands.
+const FRONT_END_CEILING: u64 = 54;
+
+/// What doubling the facts may add: one more doubling of each fact
+/// group's row buffer (the bundle has two groups; 2 measured).
+const FRONT_END_PER_DOUBLING: u64 = 4;
+
+#[test]
+fn the_front_end_allocates_a_constant_number_of_times_per_bundle() {
+    let (small, facts) = front_end_calls(&fanout_bundle(300, 160));
+    let (large, twice) = front_end_calls(&fanout_bundle(600, 320));
+    eprintln!("front end: {small} allocator calls for {facts} facts, {large} for {twice}");
+    assert!(
+        twice >= 2 * facts - 2,
+        "{twice} facts do not double {facts}"
+    );
+    assert!(
+        small <= FRONT_END_CEILING,
+        "{small} allocator calls for {facts} facts, over the last measured {FRONT_END_CEILING}"
+    );
+    assert!(
+        large <= small + FRONT_END_PER_DOUBLING,
+        "{large} calls for {twice} facts against {small} for {facts}: the count grows with the facts"
     );
 }

@@ -41,7 +41,7 @@ fn render(unit: &Unit) -> String {
     unit.rules
         .iter()
         .map(|r| format!("{r}\n"))
-        .chain(unit.facts.iter().map(|f| format!("{f}.\n")))
+        .chain(unit.facts.atoms().map(|f| format!("{f}.\n")))
         .chain(unit.constraints.iter().map(|c| format!("{c}\n")))
         .collect()
 }
