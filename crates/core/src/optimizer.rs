@@ -8,7 +8,7 @@ use crate::detect::{blocks, subgoal_preds, DetectStats, DetectionMethod, Detecto
 use crate::occurs::IcIndex;
 use crate::push::{action, replace_blocks, Applied, OptKind, Pusher, Skipped};
 use crate::residue::Residue;
-use semrec_datalog::analysis::{rectify, validate};
+use semrec_datalog::analysis::{classify_linear, rectify, validate};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
@@ -37,10 +37,11 @@ impl Default for OptimizerConfig {
     }
 }
 
-/// The semantic optimizer.
-pub struct Optimizer {
-    program: Program,
-    ics: Vec<Constraint>,
+/// The semantic optimizer. It borrows its program and constraints: the
+/// plan it returns owns only what the compile step built.
+pub struct Optimizer<'a> {
+    program: &'a Program,
+    ics: &'a [Constraint],
     config: OptimizerConfig,
 }
 
@@ -88,21 +89,21 @@ impl fmt::Display for Plan {
     }
 }
 
-impl Optimizer {
+impl<'a> Optimizer<'a> {
     /// Creates an optimizer for `program` (validated lazily in [`run`]).
     ///
     /// [`run`]: Optimizer::run
-    pub fn new(program: &Program) -> Optimizer {
+    pub fn new(program: &'a Program) -> Optimizer<'a> {
         Optimizer {
-            program: program.clone(),
-            ics: Vec::new(),
+            program,
+            ics: &[],
             config: OptimizerConfig::default(),
         }
     }
 
-    /// Adds integrity constraints.
-    pub fn with_constraints(mut self, ics: &[Constraint]) -> Self {
-        self.ics.extend(ics.iter().cloned());
+    /// Sets the integrity constraints.
+    pub fn with_constraints(mut self, ics: &'a [Constraint]) -> Self {
+        self.ics = ics;
         self
     }
 
@@ -124,13 +125,18 @@ impl Optimizer {
     pub fn run(self) -> Result<Plan, Error> {
         #[cfg(feature = "failpoints")]
         semrec_engine::failpoint::hit("optimizer.push").map_err(Error::analysis)?;
-        validate(&self.program, &self.ics)?;
-        let (rectified, _) = rectify(&self.program);
-        let blocks = blocks(&rectified, validate(&rectified, &self.ics)?);
+        // Validated as written, so that an error names the user's rules.
+        // Rectification keeps each rule in its place and its class, so
+        // the rectified program is only classified: validating it again
+        // would refuse every head constant, whose new equality shares no
+        // variable with the body.
+        validate(self.program, self.ics)?;
+        let (rectified, _) = rectify(self.program);
+        let blocks = blocks(&rectified, classify_linear(&rectified)?);
         let config = &self.config;
         let small = &config.small_relations;
 
-        let index = IcIndex::new(&self.ics);
+        let index = IcIndex::new(self.ics);
         let liveness = IdbLiveness::new(&rectified);
         let mut stats = DetectStats {
             ics: self.ics.len(),
@@ -177,7 +183,7 @@ impl Optimizer {
                 }
                 continue;
             };
-            let u = detector.unfolding(&seq)?;
+            let u = detector.unfolding(seq)?;
             let mut pusher = Pusher::new(&rectified, info, u);
             for r in &mine {
                 if r.seq == seq {
@@ -194,7 +200,7 @@ impl Optimizer {
             if info.recursive_rules.is_empty() {
                 rewritten.insert(info.exit_rules[0], rules);
             } else {
-                chosen.insert(info.pred, seq);
+                chosen.insert(info.pred, seq.to_vec());
                 per_pred_rules.insert(info.pred, rules);
             }
         }
@@ -229,10 +235,14 @@ impl Optimizer {
 
 /// Scores sequences by the optimizations their residues could drive, as
 /// [`action`] decides them (pruning 3, elimination 2, introduction 1),
-/// and returns the best one (ties: shorter, then lexicographically
-/// smaller); `None` when no residue drives anything.
-pub fn choose_sequence(residues: &[&Residue], small: &BTreeSet<Pred>) -> Option<Vec<usize>> {
-    let mut scores: BTreeMap<Vec<usize>, i64> = BTreeMap::new();
+/// and returns the best one, borrowed from its residues (ties: shorter,
+/// then lexicographically smaller); `None` when no residue drives
+/// anything.
+pub fn choose_sequence<'r>(
+    residues: &[&'r Residue],
+    small: &BTreeSet<Pred>,
+) -> Option<&'r [usize]> {
+    let mut scores: BTreeMap<&'r [usize], i64> = BTreeMap::new();
     for r in residues {
         let score = match action(r, small) {
             Ok(OptKind::SubtreePruning) => 3,
@@ -240,7 +250,7 @@ pub fn choose_sequence(residues: &[&Residue], small: &BTreeSet<Pred>) -> Option<
             Ok(OptKind::AtomIntroduction) => 1,
             Err(_) => 0,
         };
-        *scores.entry(r.seq.clone()).or_insert(0) += score;
+        *scores.entry(&r.seq).or_insert(0) += score;
     }
     scores
         .into_iter()
@@ -478,7 +488,8 @@ mod tests {
     /// The plan of `src`'s rules under its constraints.
     fn plan_of(src: &str) -> Plan {
         let unit = parse_unit(src).unwrap();
-        let optimizer = Optimizer::new(&unit.program()).with_constraints(&unit.constraints);
+        let program = unit.program();
+        let optimizer = Optimizer::new(&program).with_constraints(&unit.constraints);
         optimizer.run().unwrap()
     }
 

@@ -27,8 +27,9 @@ use semrec_datalog::rule::Rule;
 use semrec_datalog::term::Value;
 
 /// Rules cannot define a builtin: a subgoal would read the arithmetic
-/// and the rule's rows at once. The error names the predicate.
-pub(crate) fn reject_builtin_head(rule: &Rule) -> Result<(), EngineError> {
+/// and the rule's rows at once. The error names the predicate. Every
+/// route refuses such a rule; `semrec check` and `explain` ask here.
+pub fn reject_builtin_head(rule: &Rule) -> Result<(), EngineError> {
     match BuiltinOp::of(rule.head.pred) {
         Some(_) => Err(EngineError::BuiltinHead(rule.head.pred.to_string())),
         None => Ok(()),

@@ -36,7 +36,7 @@ use crate::epoch::{EpochRegistry, EpochState};
 use crate::error::ServeError;
 use crate::protocol::{serve_session, Connection};
 use crate::wal::Wal;
-use semrec_core::{MaintainedQuery, OptimizerConfig};
+use semrec_core::{MaintainError, MaintainedQuery, OptimizerConfig};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::parser::Unit;
 use semrec_datalog::word::{self, Word};
@@ -289,7 +289,9 @@ impl Server {
     /// With a WAL path, surviving log records are replayed through the
     /// same parser and apply path as live traffic before the first
     /// epoch is published, so the daemon resumes exactly where the
-    /// acknowledged history left off.
+    /// acknowledged history left off. An engine error of the initial
+    /// materialization comes back as [`ServeError::Engine`], with its
+    /// own exit-code mapping.
     pub fn open(
         unit: &Unit,
         cfg: ServeConfig,
@@ -303,7 +305,10 @@ impl Server {
             cfg.optimizer.clone(),
             1,
         )
-        .map_err(|e| ServeError::Io(format!("initial materialization: {e}")))?;
+        .map_err(|e| match e {
+            MaintainError::Engine(e) => ServeError::Engine(e),
+            e => ServeError::Io(format!("initial materialization: {e}")),
+        })?;
 
         let mut report = RecoveryReport::default();
         let wal = match wal_path {

@@ -54,7 +54,8 @@
 use semrec::core::optimizer::{evaluate_routed, Optimizer, OptimizerConfig};
 use semrec::datalog::analysis::{check_arities, classify_linear, validate};
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
-use semrec::datalog::Pred;
+use semrec::datalog::{Constraint, Facts, Pred, Program};
+use semrec::engine::builtins::reject_builtin_head;
 use semrec::engine::{
     evaluate, scan_goal, Budget, CancelToken, Database, EngineError, Route, Strategy,
 };
@@ -268,16 +269,47 @@ fn need_path(args: &[String]) -> Result<&String, CliError> {
     args.first().ok_or_else(|| CliError::Usage(usage()))
 }
 
+/// A parsed file. Its rules are moved into the one [`Program`] every
+/// command reads; none copies it.
+struct Source {
+    program: Program,
+    facts: Facts,
+    constraints: Vec<Constraint>,
+}
+
 /// Reads and parses `path`. Every predicate must have one arity across
 /// the file's rules, constraints and facts: loading a fact of another
 /// arity would panic in the relation store, and a constraint atom of
 /// another arity could never match a row.
-fn load(path: &str) -> Result<Unit, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let unit = parse_unit(&src).map_err(|e| format!("{path}: {e}"))?;
-    check_arities(&unit.program(), &unit.constraints, &unit.facts)
+fn load(path: &str) -> Result<Source, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let unit = parse_unit(&text).map_err(|e| format!("{path}: {e}"))?;
+    let src = Source {
+        program: Program::new(unit.rules),
+        facts: unit.facts,
+        constraints: unit.constraints,
+    };
+    check_arities(&src.program, &src.constraints, &src.facts)
         .map_err(|e| format!("{path}: {e}"))?;
-    Ok(unit)
+    Ok(src)
+}
+
+/// Refuses a rule that defines a builtin, as every evaluation route
+/// does, for the commands that would otherwise not evaluate it.
+fn reject_builtin_heads(program: &Program) -> Result<(), CliError> {
+    (program.rules.iter())
+        .try_for_each(reject_builtin_head)
+        .map_err(CliError::Engine)
+}
+
+/// Leaves `state` to the OS. A one-shot command (`optimize`, `run`,
+/// `explain`, `check`) exits right after it prints, and the OS takes
+/// the whole heap back then; freeing its source, plan, database and
+/// result block by block first would only delay the exit (52 000
+/// `free` calls after `optimize` on 800 constraints). Called once the
+/// output is written; `serve` and the library free as usual.
+fn leave_to_os<T>(state: T) {
+    std::mem::forget(state);
 }
 
 fn small_preds(args: &[String]) -> Vec<Pred> {
@@ -301,9 +333,9 @@ fn optimizer_config(args: &[String]) -> OptimizerConfig {
     config
 }
 
-fn build_plan(unit: &Unit, args: &[String]) -> Result<semrec::core::Plan, String> {
-    Optimizer::new(&unit.program())
-        .with_constraints(&unit.constraints)
+fn build_plan(src: &Source, args: &[String]) -> Result<semrec::core::Plan, String> {
+    Optimizer::new(&src.program)
+        .with_constraints(&src.constraints)
         .with_config(optimizer_config(args))
         .run()
         .map_err(|e| e.to_string())
@@ -311,9 +343,11 @@ fn build_plan(unit: &Unit, args: &[String]) -> Result<semrec::core::Plan, String
 
 fn cmd_optimize(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
-    let unit = load(path)?;
-    let plan = build_plan(&unit, args)?;
-    with_stdout(|w| write!(w, "{plan}"))
+    let src = load(path)?;
+    let plan = build_plan(&src, args)?;
+    let printed = with_stdout(|w| write!(w, "{plan}"));
+    leave_to_os((src, plan));
+    printed
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
@@ -353,8 +387,8 @@ fn parse_budget(args: &[String]) -> Result<Budget, CliError> {
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
-    let unit = load(path)?;
-    let mut db = Database::from_facts(&unit.facts);
+    let src = load(path)?;
+    let mut db = Database::from_facts(&src.facts);
     if let Some(dir) = flag_value(args, "--data") {
         let n = semrec::engine::io::load_dir(&mut db, std::path::Path::new(dir))
             .map_err(CliError::Engine)?;
@@ -379,8 +413,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             .filter(|_| flag_value(args, "--save").is_none());
         let outcome = evaluate_routed(
             &db,
-            &unit.program(),
-            &unit.constraints,
+            &src.program,
+            &src.constraints,
             optimizer_config(args),
             budget,
             CancelToken::new(),
@@ -398,14 +432,19 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             Some(c) => eprintln!("route: {} ({})", route_name(res.route), c.chosen),
             None => eprintln!("route: {}", route_name(res.route)),
         }
-        return emit_result(res, query.as_ref(), args);
+        let printed = emit_result(res, query.as_ref(), args);
+        leave_to_os((src, db, outcome));
+        return printed;
     }
 
-    let mut ev = semrec::engine::Evaluator::new(&db, &unit.program(), Strategy::SemiNaive)
+    let mut ev = semrec::engine::Evaluator::new(&db, &src.program, Strategy::SemiNaive)
         .map_err(CliError::Engine)?
         .with_budget(budget);
     ev.run().map_err(CliError::Engine)?;
-    emit_result(&ev.finish(), query.as_ref(), args)
+    let res = ev.finish();
+    let printed = emit_result(&res, query.as_ref(), args);
+    leave_to_os((src, db, res));
+    printed
 }
 
 /// Human-readable name for an evaluation route.
@@ -430,10 +469,10 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
     let [path, txpath, ..] = args else {
         return Err(CliError::Usage(usage()));
     };
-    let unit = load(path)?;
+    let src = load(path)?;
     let txsrc = std::fs::read_to_string(txpath).map_err(|e| format!("reading {txpath}: {e}"))?;
     let txs = semrec::engine::incr::parse_txs(&txsrc).map_err(|e| format!("{txpath}: {e}"))?;
-    let mut db = Database::from_facts(&unit.facts);
+    let mut db = Database::from_facts(&src.facts);
     if let Some(dir) = flag_value(args, "--data") {
         let n = semrec::engine::io::load_dir(&mut db, std::path::Path::new(dir))
             .map_err(CliError::Engine)?;
@@ -466,8 +505,8 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
     if args.iter().any(|a| a == "--optimize") {
         let mut q = semrec::core::maintain::MaintainedQuery::new(
             db,
-            &unit.program(),
-            &unit.constraints,
+            &src.program,
+            &src.constraints,
             optimizer_config(args),
             1,
         )
@@ -483,8 +522,7 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
         return emit_idb(q.idb(), query.as_ref());
     }
 
-    let mut m =
-        semrec::engine::Materialized::new(&db, &unit.program()).map_err(CliError::Engine)?;
+    let mut m = semrec::engine::Materialized::new(&db, &src.program).map_err(CliError::Engine)?;
     if !m.is_incremental() {
         eprintln!("program uses negation or builtins: every tx re-evaluates from scratch");
     }
@@ -599,13 +637,16 @@ fn render(p: Pred, t: &[semrec::datalog::Value]) -> String {
 
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
-    let unit = load(path)?;
-    let plan = build_plan(&unit, args)?;
+    let src = load(path)?;
+    reject_builtin_heads(&src.program)?;
+    let plan = build_plan(&src, args)?;
     let infos = classify_linear(&plan.rectified).map_err(|e| e.to_string())?;
-    with_stdout(|w| {
+    let printed = with_stdout(|w| {
         explain_residues(w, &plan, &infos)?;
-        explain_routing(w, &unit, &plan, args)
-    })
+        explain_routing(w, &src, &plan, args)
+    });
+    leave_to_os((src, plan, infos));
+    printed
 }
 
 /// The `semrec explain` residue section: per recursive predicate, its
@@ -683,12 +724,12 @@ fn explain_residues(
 /// cardinalities next to the prediction.
 fn explain_routing(
     w: &mut dyn Write,
-    unit: &Unit,
+    src: &Source,
     plan: &semrec::core::Plan,
     args: &[String],
 ) -> Result<(), CliError> {
-    let program = unit.program();
-    let mut db = Database::from_facts(&unit.facts);
+    let program = &src.program;
+    let mut db = Database::from_facts(&src.facts);
     if let Some(dir) = flag_value(args, "--data") {
         let n = semrec::engine::io::load_dir(&mut db, std::path::Path::new(dir))
             .map_err(CliError::Engine)?;
@@ -697,7 +738,7 @@ fn explain_routing(
     let goal = flag_value(args, "--query")
         .map(|q| parse_atom(q).map_err(|e| e.to_string()))
         .transpose()?;
-    let (alts, answer) = semrec::core::route_alternatives(&program, plan, goal.as_ref());
+    let (alts, answer) = semrec::core::route_alternatives(program, plan, goal.as_ref());
     let mut stats = semrec::engine::EdbStats::new();
     let memo = match semrec::engine::CostMemo::build(&db, &mut stats, alts) {
         Ok(m) => m,
@@ -779,13 +820,13 @@ fn cmd_describe(args: &[String]) -> Result<(), CliError> {
         [p, q, ..] => (p, q),
         _ => return Err(CliError::Usage(usage())),
     };
-    let unit = load(path)?;
+    let src = load(path)?;
     let query = semrec::iqa::parse_describe(qsrc).map_err(|e| e.to_string())?;
-    let a = if unit.facts.is_empty() {
-        semrec::iqa::answer(&unit.program(), &query, 4)
+    let a = if src.facts.is_empty() {
+        semrec::iqa::answer(&src.program, &query, 4)
     } else {
-        let db = Database::from_facts(&unit.facts);
-        semrec::iqa::answer_with_data(&unit.program(), &query, &db, 4)
+        let db = Database::from_facts(&src.facts);
+        semrec::iqa::answer_with_data(&src.program, &query, &db, 4)
     };
     with_stdout(|w| write!(w, "{a}"))
 }
@@ -833,11 +874,11 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_plan(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
-    let unit = load(path)?;
+    let src = load(path)?;
     let program = if args.iter().any(|a| a == "--optimize") {
-        build_plan(&unit, args)?.program
+        build_plan(&src, args)?.program
     } else {
-        unit.program()
+        src.program
     };
     let idb = program.idb_preds();
     with_stdout(|w| {
@@ -867,15 +908,15 @@ fn cmd_why(args: &[String]) -> Result<(), CliError> {
         [p, f, ..] => (p, f),
         _ => return Err(CliError::Usage(usage())),
     };
-    let unit = load(path)?;
-    let program = unit.program();
+    let src = load(path)?;
+    let program = &src.program;
     let goal = parse_atom(fact_src).map_err(|e| e.to_string())?;
     if !goal.is_ground() {
         return Err("`why` needs a ground atom".into());
     }
-    let db = Database::from_facts(&unit.facts);
-    let mut res = evaluate(&db, &program, Strategy::SemiNaive).map_err(CliError::Engine)?;
-    match semrec::engine::explain::explain_fact(&db, &mut res, &program, &goal) {
+    let db = Database::from_facts(&src.facts);
+    let mut res = evaluate(&db, program, Strategy::SemiNaive).map_err(CliError::Engine)?;
+    match semrec::engine::explain::explain_fact(&db, &mut res, program, &goal) {
         Some(d) => with_stdout(|w| write!(w, "{d}")),
         None => Err(format!("{goal} is not derivable").into()),
     }
@@ -890,7 +931,12 @@ fn cmd_why(args: &[String]) -> Result<(), CliError> {
 /// * neither — read protocol lines from stdin (replies to stdout).
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
-    let unit = load(path)?;
+    let src = load(path)?;
+    let unit = Unit {
+        rules: src.program.rules,
+        facts: src.facts,
+        constraints: src.constraints,
+    };
     let mut cfg = ServeConfig {
         optimizer: optimizer_config(args),
         write_budget: parse_budget(args)?,
@@ -959,22 +1005,22 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_check(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
-    let unit = load(path)?;
-    let program = unit.program();
-    let infos = validate(&program, &unit.constraints).map_err(|e| e.to_string())?;
-    let db = Database::from_facts(&unit.facts);
-    with_stdout(|w| {
+    let src = load(path)?;
+    reject_builtin_heads(&src.program)?;
+    let infos = validate(&src.program, &src.constraints).map_err(|e| e.to_string())?;
+    let db = Database::from_facts(&src.facts);
+    let printed = with_stdout(|w| {
         writeln!(
             w,
             "program ok: {} rules, {} facts, {} constraints, {} recursive predicate(s)",
-            program.len(),
-            unit.facts.len(),
-            unit.constraints.len(),
+            src.program.len(),
+            src.facts.len(),
+            src.constraints.len(),
             infos.len()
         )?;
         // Then verify IC satisfaction on the embedded facts.
         let mut violated = 0;
-        for ic in &unit.constraints {
+        for ic in &src.constraints {
             let v = db.violations(ic);
             if !v.is_empty() {
                 violated += 1;
@@ -989,5 +1035,7 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
         }
         writeln!(w, "all constraints satisfied by the embedded facts.")?;
         Ok::<_, CliError>(())
-    })
+    });
+    leave_to_os((src, infos, db));
+    printed
 }

@@ -315,7 +315,52 @@ fn a_rule_defining_a_builtin_is_refused() {
         );
         assert!(out.stdout.is_empty(), "{flags:?}");
     }
+    // The commands that do not evaluate refuse it with `run`'s message,
+    // and the daemon reports the engine's error as that, not as I/O.
+    let script = dir.join("quit.txt");
+    std::fs::write(&script, "quit.\n").unwrap();
+    let script = script.to_str().unwrap();
+    for args in [
+        &["check", file][..],
+        &["explain", file, "--query", "q(1, Z)", "--run"],
+        &["serve", file, "--script", script],
+    ] {
+        let out = output(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr, "error: a rule defines `plus`, which is a builtin predicate\n",
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A head constant becomes an equality the rule's body does not mention
+/// once the program is rectified. The program is validated as written,
+/// so it compiles: `optimize` pushes its residues and `run --optimize`
+/// answers from the pushed program, as `run` does, without degrading.
+#[test]
+fn head_constants_compile_and_run_optimized() {
+    let file = format!(
+        "{}/tests/regressions/head-constant.dl",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let (ok, plan, stderr) = semrec(&["optimize", &file]);
+    assert!(ok, "{stderr}");
+    assert_eq!(plan.matches("\napplied ").count(), 3, "{plan}");
+    let (ok, optimized, stderr) = semrec(&["run", &file, "--optimize"]);
+    assert!(ok, "{stderr}");
+    assert!(!stderr.contains("degraded:"), "{stderr}");
+    assert!(stderr.contains("route: optimized program"), "{stderr}");
+    let (ok, plain, stderr) = semrec(&["run", &file]);
+    assert!(ok, "{stderr}");
+    assert_eq!(optimized, plain);
+    assert_eq!(
+        plain,
+        "high(big, 1).\nhigh(big, 2).\nreach(origin, 1).\nreach(origin, 2).\nreach(origin, 3).\n"
+    );
 }
 
 #[test]

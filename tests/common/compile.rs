@@ -101,7 +101,7 @@ pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerC
             }
             continue;
         };
-        let u = unfold(&rectified, info, &seq).expect("unfold");
+        let u = unfold(&rectified, info, seq).expect("unfold");
         let mut pusher = Pusher::new(&rectified, info, &u);
         for r in mine.iter().filter(|r| r.seq == seq) {
             pusher.push(r, small);
@@ -122,7 +122,7 @@ pub fn reference_plan(program: &Program, ics: &[Constraint], config: &OptimizerC
             if info.recursive_rules.is_empty() {
                 rewritten.insert(seq[0], cleaned);
             } else {
-                chosen.insert(info.pred, seq);
+                chosen.insert(info.pred, seq.to_vec());
                 pushed.insert(info.pred, cleaned);
             }
         }

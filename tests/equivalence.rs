@@ -77,3 +77,102 @@ fn genealogy_optimization_sound() {
 fn fanout_optimization_sound() {
     workload_seeds("fanout", 24);
 }
+
+/// The optimizer validates the program as written and only classifies
+/// the rectified one: rectification must keep every block. On every
+/// program `validate` accepts — `gen::programs`' random programs, each
+/// also with seeded head constants and repeated head variables, the
+/// samples, the paper's examples and the regression corpus — the
+/// rectified program has the same rules in the same places and
+/// `classify_linear` finds the same recursive predicates with the same
+/// exit and recursive rules.
+#[test]
+fn rectification_keeps_every_block() {
+    use common::cases::EXAMPLE_2_1;
+    use common::compile::FAMILIES;
+    use semrec::datalog::analysis::{classify_linear, rectify, validate};
+    use semrec::datalog::{parse_unit, Constraint, Program, Term};
+    use semrec::gen::programs::{multi_block, random_linear, RandomLinearParams};
+    use semrec::gen::rng::Rng;
+    use semrec::gen::{fanout, flights, genealogy, org, university};
+
+    let mut inputs: Vec<(String, Program, Vec<Constraint>)> = Vec::new();
+    let mut parsed = |name: String, src: &str| {
+        let unit = parse_unit(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        inputs.push((name, unit.program(), unit.constraints));
+    };
+    let root = env!("CARGO_MANIFEST_DIR");
+    for dir in ["samples", "tests/regressions"] {
+        for entry in std::fs::read_dir(format!("{root}/{dir}")).expect(dir) {
+            let path = entry.expect("entry").path();
+            if path.extension().is_some_and(|x| x == "dl") {
+                let src = std::fs::read_to_string(&path).expect("source");
+                parsed(path.display().to_string(), &src);
+            }
+        }
+    }
+    parsed("example 2.1".into(), EXAMPLE_2_1);
+    for (name, src, _, _) in FAMILIES {
+        parsed((*name).into(), src);
+    }
+    let scenarios = [
+        org::PROGRAM,
+        university::PROGRAM,
+        genealogy::PROGRAM,
+        fanout::PROGRAM,
+        flights::PROGRAM,
+    ];
+    for (i, src) in scenarios.into_iter().enumerate() {
+        parsed(format!("scenario {i}"), src);
+    }
+    parsed("multi_block".into(), &multi_block(3, 16));
+    for seed in 0..200 {
+        let mut rng = Rng::seed_from_u64(0x7ec + seed);
+        let mut program = random_linear(&RandomLinearParams {
+            arity: rng.gen_range(1..5usize),
+            recursive_rules: rng.gen_range(1..4usize),
+            locals: rng.gen_range(0..3usize),
+            seed,
+        });
+        inputs.push((format!("random {seed}"), program.clone(), Vec::new()));
+        // Some head positions become a constant or repeat another
+        // position's variable: what rectification rewrites.
+        for rule in &mut program.rules {
+            let head = rule.head.args.clone();
+            for arg in &mut rule.head.args {
+                *arg = match rng.gen_range(0..4usize) {
+                    0 => Term::int(rng.gen_range(0..3i64)),
+                    1 => head[rng.gen_range(0..head.len())],
+                    _ => continue,
+                };
+            }
+        }
+        inputs.push((
+            format!("random {seed}, heads rewritten"),
+            program,
+            Vec::new(),
+        ));
+    }
+
+    let (mut checked, mut rewritten) = (0, 0);
+    for (name, program, ics) in &inputs {
+        let Ok(infos) = validate(program, ics) else {
+            continue;
+        };
+        let (rectified, _) = rectify(program);
+        let heads = |p: &Program| p.rules.iter().map(|r| r.head.pred).collect::<Vec<_>>();
+        assert_eq!(heads(&rectified), heads(program), "{name}");
+        assert_eq!(classify_linear(&rectified).as_ref(), Ok(&infos), "{name}");
+        checked += 1;
+        rewritten += usize::from(rectified != *program);
+    }
+    assert!(
+        checked >= 380,
+        "{checked} of {} inputs validated",
+        inputs.len()
+    );
+    assert!(
+        rewritten >= 100,
+        "rectification rewrote {rewritten} programs"
+    );
+}
