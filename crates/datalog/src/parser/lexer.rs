@@ -1,11 +1,10 @@
-//! On-demand tokenizer for the Prolog-like surface syntax.
-//!
-//! [`Lexer`] hands out one token per call. Tokens borrow the source:
-//! identifiers and variables are `&str` slices of it, and a string
-//! literal is the raw text between its quotes, unescaped only when the
-//! parser turns it into a constant. Positions are byte spans; the
-//! 1-based line and column of an error are counted from the source when
-//! the error is built ([`line_col`]), so the hot path keeps no counters.
+//! On-demand tokenizer for the Prolog-like surface syntax. [`Lexer`]
+//! hands out one token per call; tokens borrow the source (a string
+//! literal is its raw body, unescaped when it becomes a constant). Each
+//! token kind has one scanning routine (trivia, integer, string,
+//! identifier), which the parser's argument loop calls too, straight on
+//! the bytes. Positions are byte spans; an error's line and column are
+//! counted only when it is built ([`line_col`]).
 //!
 //! String escapes are one grammar shared with `Value`'s `Display` (which
 //! writes literals through [`write_str_literal`]): `\n`, `\t`, `\r`,
@@ -179,15 +178,11 @@ impl<'a> Lexer<'a> {
                 Err(e) => return self.fail(e),
             },
             _ if c.is_ascii_alphabetic() || c == b'_' => {
-                let len = bytes[start..]
-                    .iter()
-                    .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
-                    .unwrap_or(bytes.len() - start);
-                let text = &self.src[start..start + len];
-                if c.is_ascii_uppercase() || c == b'_' {
-                    (TokenKind::Var(text), len)
+                let text = &self.src[start..self.ident_end(start)];
+                if is_var_start(c) {
+                    (TokenKind::Var(text), text.len())
                 } else {
-                    (TokenKind::Ident(text), len)
+                    (TokenKind::Ident(text), text.len())
                 }
             }
             _ => {
@@ -197,6 +192,27 @@ impl<'a> Lexer<'a> {
         };
         self.pos = start + len;
         at(kind, start, start + len)
+    }
+
+    /// The token that starts at `start`, where [`Lexer::skip_trivia`]
+    /// left the scan; the lexer goes on after it.
+    pub(super) fn token_at(&mut self, start: usize) -> Token<'a> {
+        self.pos = start;
+        self.next_token()
+    }
+
+    /// Moves the scan to byte `pos`, the end of what the caller scanned.
+    pub(super) fn seek(&mut self, pos: usize) {
+        self.pos = pos;
+    }
+
+    /// Consumes the one-byte token `byte` (such as `.`) if it comes next,
+    /// trivia skipped; otherwise leaves the scan at the next token.
+    pub(super) fn eat(&mut self, byte: u8) -> bool {
+        let start = self.skip_trivia();
+        let hit = self.src.as_bytes().get(start) == Some(&byte);
+        self.pos = start + usize::from(hit);
+        hit
     }
 
     fn error_at(&self, offset: usize, msg: impl Into<String>) -> Error {
@@ -211,8 +227,9 @@ impl<'a> Lexer<'a> {
 
     /// Skips whitespace and comments; returns where the next token
     /// starts. A comment that runs to end of input moves `pos` to the end
-    /// but puts the end-of-input token at the comment's first character.
-    fn skip_trivia(&mut self) -> usize {
+    /// but puts the end-of-input token at the comment's first character;
+    /// scanning again from the returned offset finds the same one.
+    pub(super) fn skip_trivia(&mut self) -> usize {
         let bytes = self.src.as_bytes();
         let mut i = self.pos;
         while let Some(&b) = bytes.get(i) {
@@ -237,7 +254,7 @@ impl<'a> Lexer<'a> {
     /// Scans the string literal opening at `start` with `quote`; returns
     /// the offset one past its closing quote. Escapes are checked here
     /// and decoded by [`unescape`] when the literal is used.
-    fn string(&self, start: usize, quote: u8) -> Result<usize, Error> {
+    pub(super) fn string(&self, start: usize, quote: u8) -> Result<usize, Error> {
         let bytes = self.src.as_bytes();
         let mut j = start + 1;
         loop {
@@ -258,24 +275,47 @@ impl<'a> Lexer<'a> {
     }
 
     /// Scans the integer literal at `start` (an optional `-`, then
-    /// digits); returns its value and end offset.
-    fn int(&self, start: usize) -> Result<(i64, usize), Error> {
+    /// digits); returns its value and end offset. Digits accumulate
+    /// toward the literal's sign, so `i64::MIN` is in range; the first
+    /// step out of `i64` makes the whole literal an error.
+    pub(super) fn int(&self, start: usize) -> Result<(i64, usize), Error> {
         let bytes = self.src.as_bytes();
         let neg = bytes[start] == b'-';
         let digits = start + usize::from(neg);
-        let end = bytes[digits..]
-            .iter()
-            .position(|b| !b.is_ascii_digit())
-            .map_or(bytes.len(), |n| digits + n);
+        let step = |n: i64, d| {
+            if neg {
+                n.checked_sub(d)
+            } else {
+                n.checked_add(d)
+            }
+        };
+        let mut end = digits;
+        let mut n = Some(0i64);
+        while let Some(&b) = bytes.get(end).filter(|b| b.is_ascii_digit()) {
+            n = n.and_then(|n| step(n.checked_mul(10)?, i64::from(b - b'0')));
+            end += 1;
+        }
         if end == digits {
             return Err(self.error_at(start, "expected digits after `-`"));
         }
         let text = &self.src[start..end];
-        let n = text
-            .parse()
-            .map_err(|_| self.error_at(start, format!("integer out of range: {text}")))?;
+        let n = n.ok_or_else(|| self.error_at(start, format!("integer out of range: {text}")))?;
         Ok((n, end))
     }
+
+    /// The end of the identifier or variable that starts at `start`.
+    pub(super) fn ident_end(&self, start: usize) -> usize {
+        let bytes = self.src.as_bytes();
+        bytes[start..]
+            .iter()
+            .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+            .map_or(bytes.len(), |n| start + n)
+    }
+}
+
+/// True if an identifier starting with `c` is a variable.
+pub(super) fn is_var_start(c: u8) -> bool {
+    c.is_ascii_uppercase() || c == b'_'
 }
 
 /// Tokenizes the whole of `src` (ending with [`TokenKind::Eof`]), or

@@ -36,7 +36,7 @@ use crate::term::{Term, Value};
 use crate::word::Word;
 
 /// The result of parsing a source unit: rules, ground facts and constraints.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Unit {
     /// Rules with non-empty bodies.
     pub rules: Vec<Rule>,
@@ -88,11 +88,14 @@ pub fn parse_atom(src: &str) -> Result<Atom, Error> {
     Ok(a)
 }
 
-/// Recursive descent over the on-demand [`Lexer`] with two tokens of
-/// lookahead (`cur`, `next`). Every error is raised at `cur`, so the
-/// first error in source order is the one reported: a lexical error in
-/// `next` waits as a [`TokenKind::Error`] token until the parser reaches
-/// it.
+/// Recursive descent over the on-demand [`Lexer`]. Between atoms it
+/// holds two tokens of lookahead (`cur`, `next`); an atom's argument list
+/// is scanned straight from the source bytes ([`Parser::atom_args`]), and
+/// no token is built for its arguments, commas, `)` or a fact's closing
+/// `.`. Every error is raised where the parser stands, so the first error
+/// in source order is the one reported: a lexical error in `next` waits
+/// as a [`TokenKind::Error`] token until the parser reaches it, and the
+/// argument loop reads nothing past the argument it is at.
 struct Parser<'a> {
     lexer: Lexer<'a>,
     cur: Token<'a>,
@@ -100,12 +103,12 @@ struct Parser<'a> {
     /// One-entry predicate-name cache: facts come in runs of one
     /// predicate, and a run interns its name once.
     last_pred: Option<(&'a str, Pred)>,
-    /// Argument buffer reused across atoms; each atom copies it out at
-    /// exact size.
-    args: Vec<Term>,
-    /// A ground fact's row, encoded from `args` and copied into
-    /// [`Unit::facts`].
+    /// A ground atom's arguments, as the words a fact row stores; reused
+    /// across atoms.
     row: Vec<Word>,
+    /// A non-ground atom's arguments: `row`'s words up to the first
+    /// variable, then every argument; reused across atoms.
+    args: Vec<Term>,
 }
 
 impl<'a> Parser<'a> {
@@ -118,13 +121,19 @@ impl<'a> Parser<'a> {
             cur,
             next,
             last_pred: None,
-            args: Vec::new(),
             row: Vec::new(),
+            args: Vec::new(),
         }
     }
 
     fn bump(&mut self) {
         self.cur = std::mem::replace(&mut self.next, self.lexer.next_token());
+    }
+
+    /// Refills the lookahead from where the lexer stands.
+    fn refill(&mut self) {
+        self.cur = self.lexer.next_token();
+        self.next = self.lexer.next_token();
     }
 
     fn err_here(&self, msg: impl Into<String>) -> Error {
@@ -167,31 +176,28 @@ impl<'a> Parser<'a> {
                 out.constraints.push(self.constraint()?);
                 continue;
             }
-            let pred = self.atom_args()?;
-            match self.cur.kind {
-                TokenKind::Dot => {
-                    self.bump();
-                    self.row.clear();
-                    let consts = self.args.iter().map_while(|t| t.as_const());
-                    self.row.extend(consts.map(Word::new));
-                    if self.row.len() == self.args.len() {
-                        out.facts.push(pred, &self.row);
-                    } else {
-                        // Non-ground bodyless clause: keep as a rule so
-                        // range-restriction analysis reports it.
-                        out.rules
-                            .push(Rule::fact(Atom::new(pred, self.args.to_vec())));
-                    }
+            let (pred, ground) = self.atom_args()?;
+            if self.lexer.eat(b'.') {
+                if ground {
+                    out.facts.push(pred, &self.row);
+                } else {
+                    // Non-ground bodyless clause: keep as a rule so
+                    // range-restriction analysis reports it.
+                    out.rules
+                        .push(Rule::fact(Atom::new(pred, self.args.to_vec())));
                 }
-                TokenKind::ColonDash => {
-                    self.bump();
-                    let head = Atom::new(pred, self.args.to_vec());
-                    let body = self.literals()?;
-                    self.expect(TokenKind::Dot)?;
-                    out.rules.push(Rule::new(head, body));
-                }
-                _ => return Err(self.unexpected("`.` or `:-`")),
+                self.refill();
+                continue;
             }
+            self.refill();
+            if self.cur.kind != TokenKind::ColonDash {
+                return Err(self.unexpected("`.` or `:-`"));
+            }
+            self.bump();
+            let head = Atom::new(pred, self.take_args(ground));
+            let body = self.literals()?;
+            self.expect(TokenKind::Dot)?;
+            out.rules.push(Rule::new(head, body));
         }
         Ok(out)
     }
@@ -286,13 +292,27 @@ impl<'a> Parser<'a> {
     }
 
     fn atom(&mut self) -> Result<Atom, Error> {
-        let pred = self.atom_args()?;
-        Ok(Atom::new(pred, self.args.to_vec()))
+        let (pred, ground) = self.atom_args()?;
+        let args = self.take_args(ground);
+        self.refill();
+        Ok(Atom::new(pred, args))
     }
 
-    /// Parses an atom into the argument buffer and returns its
-    /// predicate.
-    fn atom_args(&mut self) -> Result<Pred, Error> {
+    /// The arguments [`Parser::atom_args`] gathered, at exact size.
+    fn take_args(&self, ground: bool) -> Vec<Term> {
+        if ground {
+            self.row.iter().map(|w| Term::Const(w.value())).collect()
+        } else {
+            self.args.to_vec()
+        }
+    }
+
+    /// Parses the atom at `cur` and returns its predicate and whether it
+    /// is ground: a ground atom's arguments are left in `row`, any
+    /// other's in `args`. The arguments are scanned from the source bytes
+    /// with the lexer's routines; the lexer is left just past the `)` and
+    /// the lookahead is stale until the caller refills it.
+    fn atom_args(&mut self) -> Result<(Pred, bool), Error> {
         let TokenKind::Ident(name) = self.cur.kind else {
             return Err(self.unexpected("predicate name"));
         };
@@ -304,19 +324,80 @@ impl<'a> Parser<'a> {
                 pred
             }
         };
-        self.bump();
-        self.expect(TokenKind::LParen)?;
-        self.args.clear();
-        loop {
-            let t = self.term()?;
-            self.args.push(t);
-            if self.cur.kind != TokenKind::Comma {
-                break;
-            }
+        if self.next.kind != TokenKind::LParen {
             self.bump();
+            return Err(self.unexpected("`(`"));
         }
-        self.expect(TokenKind::RParen)?;
-        Ok(pred)
+        // `next` is the `(`, so the lexer stands just past it.
+        let src = self.lexer.src();
+        let bytes = src.as_bytes();
+        self.row.clear();
+        let mut ground = true;
+        loop {
+            let start = self.lexer.skip_trivia();
+            let end = match bytes.get(start).copied() {
+                Some(b'-' | b'0'..=b'9') if !src[start..].starts_with("->") => {
+                    let (n, end) = self.lexer.int(start)?;
+                    self.constant(ground, Value::Int(n));
+                    end
+                }
+                Some(quote @ (b'\'' | b'"')) => {
+                    let end = self.lexer.string(start, quote)?;
+                    self.constant(ground, Value::str(&unescape(&src[start + 1..end - 1])));
+                    end
+                }
+                Some(c) if c.is_ascii_alphabetic() || c == b'_' => {
+                    let end = self.lexer.ident_end(start);
+                    let text = &src[start..end];
+                    if !lexer::is_var_start(c) {
+                        self.constant(ground, Value::str(text));
+                    } else {
+                        if ground {
+                            ground = false;
+                            self.args.clear();
+                            (self.args).extend(self.row.iter().map(|w| Term::Const(w.value())));
+                        }
+                        self.args.push(Term::Var(Symbol::intern(text)));
+                    }
+                    end
+                }
+                _ => return Err(self.unexpected_at(start, "term")),
+            };
+            self.lexer.seek(end);
+            if !self.next_arg()? {
+                return Ok((pred, ground));
+            }
+        }
+    }
+
+    /// Appends a constant argument: to the fact row while the atom is
+    /// ground, as a term after its first variable.
+    fn constant(&mut self, ground: bool, value: Value) {
+        if ground {
+            self.row.push(Word::new(value));
+        } else {
+            self.args.push(Term::Const(value));
+        }
+    }
+
+    /// After an argument: true past a `,`, false past the closing `)`.
+    fn next_arg(&mut self) -> Result<bool, Error> {
+        let start = self.lexer.skip_trivia();
+        let more = match self.lexer.src().as_bytes().get(start) {
+            Some(b',') => true,
+            Some(b')') => false,
+            _ => return Err(self.unexpected_at(start, "`)`")),
+        };
+        self.lexer.seek(start + 1);
+        Ok(more)
+    }
+
+    /// [`Parser::unexpected`] for the token at `start`, where the
+    /// argument loop stands: that token's own error if it is a lexical
+    /// one.
+    fn unexpected_at(&mut self, start: usize, what: &str) -> Error {
+        self.cur = self.lexer.token_at(start);
+        self.unexpected(what)
     }
 
     fn term(&mut self) -> Result<Term, Error> {

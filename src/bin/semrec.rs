@@ -611,14 +611,22 @@ where
     )
 }
 
-/// Prints one `p(a, b).` line per fact.
+/// Prints one `p(a, b).` line per fact, written piece by piece into the
+/// buffer.
 fn print_facts<'a>(
     facts: impl IntoIterator<Item = (Pred, &'a [semrec::datalog::Value])>,
 ) -> Result<(), CliError> {
     with_stdout(|w| {
-        facts
-            .into_iter()
-            .try_for_each(|(p, t)| writeln!(w, "{}", render(p, t)))
+        facts.into_iter().try_for_each(|(p, t)| {
+            write!(w, "{p}(")?;
+            for (i, v) in t.iter().enumerate() {
+                if i > 0 {
+                    w.write_all(b", ")?;
+                }
+                write!(w, "{v}")?;
+            }
+            w.write_all(b").\n")
+        })
     })
 }
 
@@ -628,11 +636,6 @@ fn print_idb(idb: &BTreeMap<Pred, semrec::engine::Relation>) -> Result<(), CliEr
         print_facts(rel.sorted_tuples().iter().map(|t| (*p, &t[..])))?;
     }
     Ok(())
-}
-
-fn render(p: Pred, t: &[semrec::datalog::Value]) -> String {
-    let cells: Vec<String> = t.iter().map(ToString::to_string).collect();
-    format!("{}({}).", p, cells.join(", "))
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {

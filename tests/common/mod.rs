@@ -1,12 +1,13 @@
 //! Shared by the integration suites, pulled in by `mod common;`: the
-//! naive oracle, the compile-step oracles, the route matrix and its case
-//! generators, and what a session puts on the wire.
+//! naive oracle, the compile-step and parser oracles, the route matrix
+//! and its case generators, and what a session puts on the wire.
 
 #![allow(dead_code)] // each suite uses its own subset
 
 pub mod cases;
 pub mod compile;
 pub mod naive;
+pub mod parser;
 pub mod routes;
 
 use semrec::datalog::Pred;

@@ -23,7 +23,7 @@ use semrec::datalog::parser::parse_unit;
 use semrec::datalog::Program;
 use semrec::engine::Database;
 use semrec::gen::programs::{multi_block, multi_block_small};
-use semrec::gen::{export, fanout, parse_scenario};
+use semrec::gen::{export, fanout, org, parse_scenario};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -236,4 +236,50 @@ fn the_front_end_allocates_a_constant_number_of_times_per_bundle() {
         large <= small + FRONT_END_PER_DOUBLING,
         "{large} calls for {twice} facts against {small} for {facts}: the count grows with the facts"
     );
+}
+
+/// The org bundle as `semrec gen org` writes it, facts inline, for
+/// `employees` employees: rows of symbolic constants
+/// (`boss(1, 0, manager).`), each interned by name. With `quoted`, every
+/// rank is written as a string literal instead, which reads as the same
+/// value.
+fn org_bundle(employees: usize, quoted: bool) -> String {
+    let params = org::OrgParams {
+        employees,
+        ..org::OrgParams::default()
+    };
+    let text = export::to_dl(&parse_scenario(org::PROGRAM), Some(&org::generate(&params)));
+    if quoted {
+        text.replace("manager", "'manager'")
+            .replace("executive", "\"executive\"")
+    } else {
+        text
+    }
+}
+
+/// The front end's calls on the default org bundle (302 facts) as last
+/// measured, ranks symbolic or quoted.
+const ORG_FRONT_END_CEILING: u64 = 57;
+
+/// What doubling the org facts may add: one more doubling of each of
+/// the bundle's three fact groups' row buffers (2 measured).
+const ORG_PER_DOUBLING: u64 = 6;
+
+#[test]
+fn symbolic_and_quoted_facts_allocate_a_constant_number_of_times_too() {
+    for quoted in [false, true] {
+        let (small, facts) = front_end_calls(&org_bundle(200, quoted));
+        let (large, more) = front_end_calls(&org_bundle(400, quoted));
+        eprintln!(
+            "front end, quoted={quoted}: {small} allocator calls for {facts} org facts, {large} for {more}"
+        );
+        assert!(
+            small <= ORG_FRONT_END_CEILING,
+            "{small} allocator calls for {facts} org facts, over the last measured {ORG_FRONT_END_CEILING}"
+        );
+        assert!(
+            large <= small + ORG_PER_DOUBLING,
+            "{large} calls for {more} facts against {small} for {facts}: the count grows with the facts"
+        );
+    }
 }
