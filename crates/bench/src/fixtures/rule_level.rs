@@ -133,7 +133,7 @@ fn apply_std_residue_with(rule: &Rule, residue: &StdResidue, small: &BTreeSet<Pr
             for c in conds {
                 yes.body.push(Literal::Cmp(*c));
             }
-            if !yes.is_range_restricted() || !safety::unsafe_vars(&yes).is_empty() {
+            if safety::unsafe_detail(&yes).is_some() {
                 return vec![rule.clone()];
             }
             if conds.is_empty() {

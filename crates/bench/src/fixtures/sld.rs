@@ -105,9 +105,9 @@ pub fn query_sld(
         .iter()
         .any(|r| r.body.iter().any(|l| l.as_neg().is_some()))
     {
-        return Err(EngineError::NotStratified(
+        return Err(EngineError::Invalid(semrec_datalog::Error::NotStratified(
             "the SLD engine does not support negation".into(),
-        ));
+        )));
     }
     program.arities().map_err(EngineError::ArityMismatch)?;
     let mut sld = Sld {

@@ -126,9 +126,9 @@ impl<'db> TopDown<'db> {
             .iter()
             .any(|r| r.body.iter().any(|l| l.as_neg().is_some()))
         {
-            return Err(EngineError::NotStratified(
+            return Err(EngineError::Invalid(semrec_datalog::Error::NotStratified(
                 "the top-down engine does not support negation".into(),
-            ));
+            )));
         }
         program.arities().map_err(EngineError::ArityMismatch)?;
         Ok(TopDown {

@@ -8,7 +8,7 @@ use crate::detect::{blocks, subgoal_preds, DetectStats, DetectionMethod, Detecto
 use crate::occurs::IcIndex;
 use crate::push::{action, replace_blocks, Applied, OptKind, Pusher, Skipped};
 use crate::residue::Residue;
-use semrec_datalog::analysis::{classify_linear, rectify, validate};
+use semrec_datalog::analysis::{rectify, validate};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
@@ -125,14 +125,14 @@ impl<'a> Optimizer<'a> {
     pub fn run(self) -> Result<Plan, Error> {
         #[cfg(feature = "failpoints")]
         semrec_engine::failpoint::hit("optimizer.push").map_err(Error::analysis)?;
-        // Validated as written, so that an error names the user's rules.
-        // Rectification keeps each rule in its place and its class, so
-        // the rectified program is only classified: validating it again
-        // would refuse every head constant, whose new equality shares no
-        // variable with the body.
-        validate(self.program, self.ics)?;
+        // Judged as written, so that an error names the user's rules.
+        // Rectification keeps each rule in its place and its class, so the
+        // written program's blocks are the rectified one's: judging that
+        // again would refuse every head constant, whose new equality
+        // shares no variable with the body.
+        let infos = validate(self.program, self.ics)?;
         let (rectified, _) = rectify(self.program);
-        let blocks = blocks(&rectified, classify_linear(&rectified)?);
+        let blocks = blocks(&rectified, infos);
         let config = &self.config;
         let small = &config.small_relations;
 

@@ -379,7 +379,7 @@ impl<'a> Pusher<'a> {
     fn level_rule_safe(&self, chain: &Chain, level: usize, unfolding: &Unfolding) -> bool {
         let head = Atom::new(Pred::new("chk@"), unfolding.call_args[level - 1].clone());
         let rule = Rule::new(head, chain.steps[level - 1].clone());
-        rule.is_range_restricted() && safety::unsafe_vars(&rule).is_empty()
+        safety::unsafe_detail(&rule).is_none()
     }
 
     /// Emits the rules that replace the predicate's own: strict chains

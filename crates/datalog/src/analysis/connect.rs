@@ -21,7 +21,12 @@ fn connected<I: Iterator<Item = Symbol>>(n: usize, vars: impl Fn(usize) -> I) ->
     if (0..n).filter(|&i| live(i)).nth(1).is_none() {
         return true;
     }
-    let mut parent: Vec<usize> = (0..n).collect();
+    // Bodies are short: their union-find lives on the stack.
+    let (mut stack, mut heap) = ([0usize; 16], vec![0; if n > 16 { n } else { 0 }]);
+    let parent = heap.get_mut(..n).unwrap_or_else(|| &mut stack[..n]);
+    for (i, p) in parent.iter_mut().enumerate() {
+        *p = i;
+    }
     fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
             parent[i] = parent[parent[i]];
@@ -32,12 +37,12 @@ fn connected<I: Iterator<Item = Symbol>>(n: usize, vars: impl Fn(usize) -> I) ->
     for i in 0..n {
         for j in (i + 1)..n {
             if vars(i).any(|v| vars(j).any(|w| w == v)) {
-                let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+                let (a, b) = (find(parent, i), find(parent, j));
                 parent[a] = b;
             }
         }
     }
-    let mut roots = (0..n).filter(|&i| live(i)).map(|i| find(&mut parent, i));
+    let mut roots = (0..n).filter(|&i| live(i)).map(|i| find(parent, i));
     let root = roots.next();
     roots.all(|r| Some(r) == root)
 }

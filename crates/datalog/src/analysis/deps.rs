@@ -1,11 +1,13 @@
 //! Predicate dependency graph and strongly connected components.
 
 use crate::atom::Pred;
+use crate::literal::Literal;
 use crate::program::Program;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The predicate dependency graph of a program: an edge `p → q` exists when
-/// `q` occurs in the body of a rule whose head predicate is `p`.
+/// `q` occurs, positively or negated, in the body of a rule whose head
+/// predicate is `p`.
 #[derive(Clone, Debug)]
 pub struct DepGraph {
     /// All predicates, sorted.
@@ -22,7 +24,10 @@ impl DepGraph {
         for r in &program.rules {
             preds.insert(r.head.pred);
             let entry = edges.entry(r.head.pred).or_default();
-            for a in r.body_atoms() {
+            for l in &r.body {
+                let (Literal::Atom(a) | Literal::Neg(a)) = l else {
+                    continue;
+                };
                 preds.insert(a.pred);
                 entry.insert(a.pred);
             }

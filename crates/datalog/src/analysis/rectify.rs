@@ -191,7 +191,7 @@ mod tests {
         let (q, _) = rectify(&p);
         assert_eq!(q.rules[0].head, q.rules[1].head);
         for r in &q.rules {
-            assert!(r.is_range_restricted() || !r.body.is_empty());
+            assert_eq!(crate::analysis::unsafe_detail(r), None, "{r}");
         }
     }
 }

@@ -5,11 +5,11 @@
 //! occurrence of a predicate from the head's SCC, and each recursive SCC is
 //! a single predicate.
 
-use super::deps::DepGraph;
 use crate::atom::Pred;
 use crate::error::Error;
+use crate::facts::Facts;
 use crate::program::Program;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Shape of a recursive predicate's definition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,30 +37,34 @@ impl RecursionInfo {
 
 /// Checks that `program` is a linear recursive program without mutual
 /// recursion and returns per-predicate recursion info for every recursive
-/// predicate (non-recursive IDB predicates are permitted and skipped).
+/// predicate (non-recursive IDB predicates are permitted and skipped):
+/// [`Checked::recursion`](super::Checked::recursion) of
+/// [`check`](super::check).
 pub fn classify_linear(program: &Program) -> Result<Vec<RecursionInfo>, Error> {
-    let arities = program.arities().map_err(Error::analysis)?;
-    let graph = DepGraph::new(program);
-    for scc in graph.sccs() {
-        if scc.len() > 1 {
-            let names: Vec<_> = scc.iter().map(|p| p.name()).collect();
-            return Err(Error::analysis(format!(
-                "mutual recursion between {{{}}} is outside the paper's class",
-                names.join(", ")
-            )));
-        }
-    }
+    super::check(program, &[], &Facts::new())?.recursion
+}
 
-    let mut rules_of: BTreeMap<Pred, Vec<usize>> = BTreeMap::new();
-    for (i, r) in program.rules.iter().enumerate() {
-        rules_of.entry(r.head.pred).or_default().push(i);
+/// The recursive predicates of `program`, given its dependency graph's
+/// `sccs`; `rules_of` lists each IDB predicate's rules in program order.
+pub(super) fn classify(
+    program: &Program,
+    sccs: &[Vec<Pred>],
+    rules_of: &BTreeMap<Pred, Vec<usize>>,
+    arities: &BTreeMap<Pred, usize>,
+) -> Result<Vec<RecursionInfo>, Error> {
+    if let Some(scc) = sccs.iter().find(|scc| scc.len() > 1) {
+        let names: Vec<_> = scc.iter().map(|p| p.name()).collect();
+        return Err(Error::analysis(format!(
+            "mutual recursion between {{{}}} is outside the paper's class",
+            names.join(", ")
+        )));
     }
-
     let mut out = Vec::new();
-    for (&p, rules) in &rules_of {
+    for (&p, rules) in rules_of {
         // Every SCC is a single predicate, so `p` is recursive exactly
         // when it calls itself.
-        if !graph.succ(p).any(|q| q == p) {
+        let calls = |i: &usize| program.rules[*i].body_atoms().any(|a| a.pred == p);
+        if !rules.iter().any(calls) {
             continue;
         }
         let mut info = RecursionInfo {
@@ -99,21 +103,6 @@ pub fn classify_linear_pred(program: &Program, p: Pred) -> Result<RecursionInfo,
         .into_iter()
         .find(|i| i.pred == p)
         .ok_or_else(|| Error::analysis(format!("{p} is not a recursive predicate")))
-}
-
-/// Predicates of the program that some rule for `roots` (transitively)
-/// depends on, including the roots themselves.
-pub fn reachable_preds(program: &Program, roots: &[Pred]) -> BTreeSet<Pred> {
-    let graph = DepGraph::new(program);
-    let mut seen: BTreeSet<Pred> = BTreeSet::new();
-    let mut work: Vec<Pred> = roots.to_vec();
-    while let Some(p) = work.pop() {
-        if !seen.insert(p) {
-            continue;
-        }
-        work.extend(graph.succ(p));
-    }
-    seen
 }
 
 #[cfg(test)]
@@ -166,13 +155,5 @@ mod tests {
     fn rejects_missing_exit() {
         let p = prog("p(X) :- e(X,Y), p(Y).");
         assert!(classify_linear(&p).is_err());
-    }
-
-    #[test]
-    fn reachable() {
-        let p = prog("a(X) :- b(X). b(X) :- c(X), d(X). z(X) :- w(X).");
-        let r = reachable_preds(&p, &[Pred::new("a")]);
-        assert!(r.contains(&Pred::new("c")));
-        assert!(!r.contains(&Pred::new("w")));
     }
 }

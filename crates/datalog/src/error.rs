@@ -1,5 +1,6 @@
 //! Error type shared by the language substrate.
 
+use crate::atom::Pred;
 use std::fmt;
 
 /// Errors raised by parsing and static analysis.
@@ -14,8 +15,25 @@ pub enum Error {
         /// What went wrong.
         msg: String,
     },
-    /// A semantic/static-analysis error (arity clash, unsafe rule, …).
+    /// An arity clash, or a program outside the paper's class.
     Analysis(String),
+    /// A body literal that never becomes runnable, or a head term the
+    /// body does not bind.
+    UnsafeRule {
+        /// The offending rule, pretty-printed.
+        rule: String,
+        /// Why it is unsafe.
+        detail: String,
+    },
+    /// A rule (or, with `fact`, a ground fact) defines a builtin predicate.
+    DefinesBuiltin {
+        /// The builtin.
+        pred: Pred,
+        /// True for a fact, false for a rule.
+        fact: bool,
+    },
+    /// Negation inside a recursive cycle.
+    NotStratified(String),
 }
 
 impl Error {
@@ -39,6 +57,12 @@ impl fmt::Display for Error {
         match self {
             Error::Parse { line, col, msg } => write!(f, "parse error at {line}:{col}: {msg}"),
             Error::Analysis(msg) => write!(f, "analysis error: {msg}"),
+            Error::UnsafeRule { rule, detail } => write!(f, "unsafe rule `{rule}`: {detail}"),
+            Error::DefinesBuiltin { pred, fact } => {
+                let what = if *fact { "fact" } else { "rule" };
+                write!(f, "a {what} defines `{pred}`, which is a builtin predicate")
+            }
+            Error::NotStratified(msg) => write!(f, "not stratified: {msg}"),
         }
     }
 }

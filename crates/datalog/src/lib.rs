@@ -4,8 +4,8 @@
 //! Datalog dialect with evaluable comparison predicates, integrity
 //! constraints expressed as implications, a parser for the Prolog-like
 //! surface syntax used by the paper, and the static analyses the paper's
-//! framework assumes (rectification, range restriction, connectivity,
-//! linear-recursion classification, safety).
+//! framework assumes (rectification, connectivity, linear-recursion
+//! classification, safety), judged once by `analysis::check`.
 //!
 //! This crate has no evaluation machinery — see `semrec-engine` — and no
 //! optimization machinery — see `semrec-core`.

@@ -70,13 +70,6 @@ impl Rule {
         body.filter(|&v| !self.head.vars().any(|h| h == v))
             .collect()
     }
-
-    /// True if every head variable occurs in the body (the paper's *range
-    /// restricted* condition; facts with ground heads are range restricted).
-    pub fn is_range_restricted(&self) -> bool {
-        let body = || self.body.iter().flat_map(Literal::var_iter);
-        self.head.vars().all(|v| body().any(|w| w == v))
-    }
 }
 
 impl fmt::Display for Rule {
@@ -121,17 +114,7 @@ mod tests {
         assert_eq!(r.positions_of(Pred::new("q")), vec![2]);
         assert_eq!(r.vars().len(), 3);
         assert_eq!(r.local_vars().len(), 1);
-        assert!(r.is_range_restricted());
         assert!(!r.is_fact());
-    }
-
-    #[test]
-    fn range_restriction_violation() {
-        let r = Rule::new(
-            Atom::new("p", vec![Term::var("X"), Term::var("Y")]),
-            vec![Atom::new("e", vec![Term::var("X")]).into()],
-        );
-        assert!(!r.is_range_restricted());
     }
 
     #[test]

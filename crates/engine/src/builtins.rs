@@ -12,8 +12,9 @@
 //! arithmetic failure in a body just means the row doesn't qualify.
 //!
 //! Builtins are ordinary atoms syntactically (`p(X, Y, Z)` in rule
-//! bodies), so the parser and the rest of the toolchain need no special
-//! cases; the engine's planner intercepts them before relation resolution.
+//! bodies), so the parser needs no special case; their table lives with
+//! `semrec_datalog::analysis::check`, which judges them, and the engine's
+//! planner intercepts them before relation resolution.
 //!
 //! **Termination caveat**: arithmetic makes Datalog's domain unbounded —
 //! a rule like `dist(X, Y, N) :- dist(X, Z, M), e(Z, Y), plus(M, 1, N)`
@@ -21,20 +22,9 @@
 //! [`Budget::with_max_iterations`](crate::governor::Budget::with_max_iterations)
 //! as a guard when data is not known acyclic.
 
-use crate::error::EngineError;
+use semrec_datalog::analysis::BUILTIN_ARITY;
 use semrec_datalog::atom::Pred;
-use semrec_datalog::rule::Rule;
 use semrec_datalog::term::Value;
-
-/// Rules cannot define a builtin: a subgoal would read the arithmetic
-/// and the rule's rows at once. The error names the predicate. Every
-/// route refuses such a rule; `semrec check` and `explain` ask here.
-pub fn reject_builtin_head(rule: &Rule) -> Result<(), EngineError> {
-    match BuiltinOp::of(rule.head.pred) {
-        Some(_) => Err(EngineError::BuiltinHead(rule.head.pred.to_string())),
-        None => Ok(()),
-    }
-}
 
 /// The builtin operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -46,7 +36,7 @@ pub enum BuiltinOp {
 }
 
 impl BuiltinOp {
-    /// Recognizes a builtin predicate (all builtins have arity 3).
+    /// The operation of a builtin ([`semrec_datalog::analysis::BUILTINS`]).
     pub fn of(pred: Pred) -> Option<BuiltinOp> {
         match pred.name() {
             "plus" => Some(BuiltinOp::Plus),
@@ -56,7 +46,7 @@ impl BuiltinOp {
     }
 
     /// The arity every builtin has.
-    pub const ARITY: usize = 3;
+    pub const ARITY: usize = BUILTIN_ARITY;
 
     /// Given the three argument values with exactly one unknown (`None`),
     /// computes it. Returns `None` when the mode is unsupported for the
@@ -105,6 +95,9 @@ mod tests {
 
     #[test]
     fn recognition() {
+        for name in semrec_datalog::analysis::BUILTINS {
+            assert!(BuiltinOp::of(Pred::new(name)).is_some(), "{name}");
+        }
         assert_eq!(BuiltinOp::of(Pred::new("plus")), Some(BuiltinOp::Plus));
         assert_eq!(BuiltinOp::of(Pred::new("times")), Some(BuiltinOp::Times));
         assert_eq!(BuiltinOp::of(Pred::new("edge")), None);

@@ -168,7 +168,10 @@ impl<'a> Estimator<'a> {
 
     /// Estimates evaluating `program` over the estimator's database.
     pub fn estimate(&mut self, program: &Program) -> Result<ProgramEstimate, EngineError> {
-        let arities = program.arities().map_err(EngineError::ArityMismatch)?;
+        // Head arities; the program was checked before it is priced.
+        let arities: BTreeMap<Pred, usize> = (program.rules.iter())
+            .map(|r| (r.head.pred, r.head.arity()))
+            .collect();
         let idb_preds = program.idb_preds();
 
         // EDB sizes for the same join-ordering tie-breaks the evaluator

@@ -5,22 +5,14 @@ use std::fmt;
 /// Errors raised by compilation and evaluation.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum EngineError {
-    /// A rule cannot be compiled because some variable cannot be bound.
-    UnsafeRule {
-        /// The offending rule, pretty-printed.
-        rule: String,
-        /// Why it is unsafe.
-        detail: String,
-    },
+    /// A program that breaks an evaluation rule of
+    /// `semrec_datalog::analysis::check` — an unsafe rule, a rule or fact
+    /// defining a builtin, negation inside a recursive cycle — in its text.
+    Invalid(semrec_datalog::Error),
     /// A predicate is used with inconsistent arity.
     ArityMismatch(String),
-    /// A rule head names a builtin predicate (`plus`, `times`), which
-    /// rules cannot define.
-    BuiltinHead(String),
     /// The iteration limit was exceeded before reaching a fixpoint.
     IterationLimit(usize),
-    /// The program uses negation inside a recursive cycle.
-    NotStratified(String),
     /// A data import/export failure.
     Io(String),
     /// The evaluation was cancelled through a
@@ -56,17 +48,11 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::UnsafeRule { rule, detail } => {
-                write!(f, "unsafe rule `{rule}`: {detail}")
-            }
+            EngineError::Invalid(e) => write!(f, "{e}"),
             EngineError::ArityMismatch(msg) => write!(f, "arity mismatch: {msg}"),
-            EngineError::BuiltinHead(pred) => {
-                write!(f, "a rule defines `{pred}`, which is a builtin predicate")
-            }
             EngineError::IterationLimit(n) => {
                 write!(f, "fixpoint not reached within {n} iterations")
             }
-            EngineError::NotStratified(msg) => write!(f, "not stratified: {msg}"),
             EngineError::Io(msg) => write!(f, "io error: {msg}"),
             EngineError::Cancelled => write!(f, "evaluation cancelled"),
             EngineError::DeadlineExceeded { elapsed_ms } => {
@@ -89,8 +75,13 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// An arity clash is an `ArityMismatch`; any other judgment of
+/// `semrec_datalog::analysis::check` is `Invalid`.
 impl From<semrec_datalog::Error> for EngineError {
     fn from(e: semrec_datalog::Error) -> Self {
-        EngineError::ArityMismatch(e.to_string())
+        match e {
+            semrec_datalog::Error::Analysis(msg) => EngineError::ArityMismatch(msg),
+            e => EngineError::Invalid(e),
+        }
     }
 }

@@ -31,7 +31,7 @@ pub use answer::{
 };
 pub use kernel::KERNEL_CHUNK;
 
-use crate::builtins::{reject_builtin_head, BuiltinOp};
+use crate::builtins::BuiltinOp;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::fxhash::FxHashMap;
@@ -40,7 +40,9 @@ use crate::plan::{compile_rule_with_sizes, CompiledRule, View};
 use crate::relation::{Relation, RowRange, Tuple};
 use crate::stats::Stats;
 use emit::{drain_serial, DerivedBuf};
+use semrec_datalog::analysis::{check, Checked};
 use semrec_datalog::atom::{Atom, Pred};
+use semrec_datalog::facts::Facts;
 use semrec_datalog::program::Program;
 use semrec_datalog::rule::Rule;
 use std::borrow::Cow;
@@ -132,14 +134,12 @@ impl RulePlans {
     /// ones' Total and the later ones' Old. Negated subgoals over
     /// `idb_preds` read the Total view of their (strictly lower)
     /// stratum, complete by the time this rule runs.
-    /// A rule whose head names a builtin is an error.
     pub(crate) fn compile(
         rule: &Rule,
         delta_capable: impl Fn(&Atom) -> bool,
         idb_preds: &BTreeSet<Pred>,
         sizes: &BTreeMap<Pred, usize>,
     ) -> Result<RulePlans, EngineError> {
-        reject_builtin_head(rule)?;
         let literals = rule.body.iter().enumerate();
         let idb_lits: Vec<usize> = (literals.clone())
             .filter(|(_, l)| l.as_atom().is_some_and(&delta_capable))
@@ -171,8 +171,8 @@ impl RulePlans {
 /// from the program, not the current EDB contents — a tx may insert into
 /// a predicate that is empty today). EDB deltas drain after one round
 /// (see `step`), so the extra variants are idle from round 2 on. No IDB
-/// predicate is a builtin: [`RulePlans::compile`] rejects a rule
-/// defining one. The evaluator and the cost estimator share this test.
+/// predicate is a builtin: `check` refuses a rule defining one. The
+/// evaluator and the cost estimator share this test.
 pub(crate) fn delta_capable(
     idb_preds: &BTreeSet<Pred>,
     incremental: bool,
@@ -217,15 +217,18 @@ impl Prepared {
 
     /// The one compile step: plans every rule of `program`, in batch or
     /// `incremental` mode, reading the `preloaded` predicates it has an
-    /// arity for as IDB relations. A rule defining a builtin is an
-    /// [`EngineError::BuiltinHead`].
+    /// arity for as IDB relations. Arities and strata come from the
+    /// evaluation rules of [`check`], whose first violation is the error;
+    /// the paper's class is not asked for.
     fn build(
         db: &Database,
         program: &Program,
         incremental: bool,
         preloaded: &[Pred],
     ) -> Result<Prepared, EngineError> {
-        let arities = program.arities().map_err(EngineError::ArityMismatch)?;
+        let Checked {
+            arities, strata, ..
+        } = check(program, &[], &Facts::new())?;
         let mut idb_preds = program.idb_preds();
         idb_preds.extend(preloaded.iter().filter(|p| arities.contains_key(p)));
         // Relation sizes for join ordering: EDB sizes are known; IDB
@@ -244,7 +247,6 @@ impl Prepared {
                 RulePlans::compile(rule, delta_capable, &idb_preds, &sizes)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let strata = stratify(program, &idb_preds)?;
         let rule_stratum: Vec<usize> = program
             .rules
             .iter()
@@ -643,49 +645,6 @@ impl<'db> Evaluator<'db> {
     }
 }
 
-/// Computes the stratum of each IDB predicate: a rule head is at least its
-/// positive IDB subgoals' strata and strictly above its negated IDB
-/// subgoals' strata. Errors when negation occurs in a recursive cycle.
-fn stratify(
-    program: &Program,
-    idb_preds: &BTreeSet<Pred>,
-) -> Result<BTreeMap<Pred, usize>, EngineError> {
-    let mut strata: BTreeMap<Pred, usize> = idb_preds.iter().map(|&p| (p, 0)).collect();
-    let limit = idb_preds.len() + 1;
-    for pass in 0..=limit {
-        let mut changed = false;
-        for rule in &program.rules {
-            let h = rule.head.pred;
-            let mut need = strata.get(&h).copied().unwrap_or(0);
-            for l in &rule.body {
-                if let Some(a) = l.as_atom() {
-                    if let Some(&s) = strata.get(&a.pred) {
-                        need = need.max(s);
-                    }
-                }
-                if let Some(a) = l.as_neg() {
-                    if let Some(&s) = strata.get(&a.pred) {
-                        need = need.max(s + 1);
-                    }
-                }
-            }
-            if need > strata[&h] {
-                strata.insert(h, need);
-                changed = true;
-            }
-        }
-        if !changed {
-            return Ok(strata);
-        }
-        if pass == limit {
-            break;
-        }
-    }
-    Err(EngineError::NotStratified(
-        "negation occurs inside a recursive cycle".into(),
-    ))
-}
-
 /// One-shot convenience: evaluates `program` over `db` to fixpoint.
 pub fn evaluate(
     db: &Database,
@@ -703,6 +662,7 @@ mod tests {
     use crate::database::int_tuple;
     use semrec_datalog::parser::{parse_atom, parse_unit};
     use semrec_datalog::term::Value;
+    use semrec_datalog::Error;
 
     fn chain_db(n: i64) -> Database {
         let mut db = Database::new();
@@ -726,7 +686,8 @@ mod tests {
         )
         .unwrap();
         let db = Database::from_facts(&unit.facts);
-        let want = EngineError::BuiltinHead("plus".to_owned());
+        let (pred, fact) = (Pred::new("plus"), false);
+        let want = EngineError::Invalid(Error::DefinesBuiltin { pred, fact });
         let err = evaluate(&db, &unit.program(), Strategy::SemiNaive).err();
         assert_eq!(err, Some(want.clone()));
         let err = Prepared::compile(&db, &unit.program(), &[]).err();
@@ -900,7 +861,7 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("expected stratification error"),
         };
-        assert!(matches!(err, EngineError::NotStratified(_)));
+        assert!(matches!(err, EngineError::Invalid(Error::NotStratified(_))));
     }
 
     #[test]
@@ -911,7 +872,7 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("expected unsafe-rule error"),
         };
-        assert!(matches!(err, EngineError::UnsafeRule { .. }));
+        assert!(err.to_string().starts_with("unsafe rule"), "{err}");
     }
 
     #[test]
@@ -1042,7 +1003,7 @@ mod tests {
         let p: Program = "bad(X, Y, Z) :- n(X), plus(Y, Z, W).".parse().unwrap();
         assert!(matches!(
             Evaluator::new(&db, &p, Strategy::SemiNaive),
-            Err(EngineError::UnsafeRule { .. })
+            Err(EngineError::Invalid(Error::UnsafeRule { .. }))
         ));
     }
 

@@ -8,8 +8,12 @@
 
 use crate::database::Database;
 use crate::error::EngineError;
+use crate::relation::Relation;
+use semrec_datalog::analysis::is_builtin;
 use semrec_datalog::atom::Pred;
 use semrec_datalog::term::Value;
+use semrec_datalog::Error;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
@@ -78,9 +82,14 @@ fn render_cell(v: &Value) -> String {
     }
 }
 
-/// Loads every `*.csv` file of `dir` into `db` (file stem = predicate).
-/// Returns the number of facts inserted.
-pub fn load_dir(db: &mut Database, dir: &Path) -> Result<usize, EngineError> {
+/// Loads every `*.csv` file of `dir` into `db` (file stem = predicate),
+/// each held to the `arities` the program was checked with (see
+/// [`load_file`]). Returns the number of facts inserted.
+pub fn load_dir(
+    db: &mut Database,
+    dir: &Path,
+    arities: &BTreeMap<Pred, usize>,
+) -> Result<usize, EngineError> {
     let mut inserted = 0;
     let entries =
         std::fs::read_dir(dir).map_err(|e| io_err(&format!("reading {}", dir.display()), e))?;
@@ -96,19 +105,33 @@ pub fn load_dir(db: &mut Database, dir: &Path) -> Result<usize, EngineError> {
             .and_then(|s| s.to_str())
             .ok_or_else(|| EngineError::Io(format!("bad file name {path:?}")))?
             .to_owned();
-        inserted += load_file(db, &pred, &path)?;
+        inserted += load_file(db, &pred, &path, arities)?;
     }
     Ok(inserted)
 }
 
-/// Loads one CSV file into the named relation.
-pub fn load_file(db: &mut Database, pred: &str, path: &Path) -> Result<usize, EngineError> {
+/// Loads one CSV file into the named relation. Every row has the arity of
+/// the relation already in `db`, else the one `arities` gives the
+/// predicate, else the first row's; a builtin is no relation to load.
+pub fn load_file(
+    db: &mut Database,
+    pred: &str,
+    path: &Path,
+    arities: &BTreeMap<Pred, usize>,
+) -> Result<usize, EngineError> {
     #[cfg(feature = "failpoints")]
     crate::failpoint::hit("io.load").map_err(EngineError::Io)?;
+    let pred = Pred::new(pred);
+    if is_builtin(pred) {
+        return Err(EngineError::Invalid(Error::DefinesBuiltin {
+            pred,
+            fact: true,
+        }));
+    }
     let f =
         std::fs::File::open(path).map_err(|e| io_err(&format!("opening {}", path.display()), e))?;
     let mut inserted = 0;
-    let mut arity: Option<usize> = None;
+    let mut arity = (db.get(pred).map(Relation::arity)).or_else(|| arities.get(&pred).copied());
     for (lineno, line) in BufReader::new(f).lines().enumerate() {
         let line = line.map_err(|e| io_err(&format!("reading {}", path.display()), e))?;
         if line.trim().is_empty() || line.starts_with('#') {
@@ -188,7 +211,7 @@ mod tests {
         save_dir(&db, &dir).unwrap();
 
         let mut back = Database::new();
-        let n = load_dir(&mut back, &dir).unwrap();
+        let n = load_dir(&mut back, &dir, &BTreeMap::new()).unwrap();
         assert_eq!(n, 3);
         assert_eq!(back, db);
         let _ = std::fs::remove_dir_all(&dir);
@@ -209,7 +232,7 @@ mod tests {
         );
         save_dir(&db, &dir).unwrap();
         let mut back = Database::new();
-        load_dir(&mut back, &dir).unwrap();
+        load_dir(&mut back, &dir, &BTreeMap::new()).unwrap();
         assert_eq!(back, db);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -219,7 +242,7 @@ mod tests {
         let dir = tempdir("arity");
         std::fs::write(dir.join("p.csv"), "1,2\n1,2,3\n").unwrap();
         let mut db = Database::new();
-        let err = load_dir(&mut db, &dir).expect_err("arity error");
+        let err = load_dir(&mut db, &dir, &BTreeMap::new()).expect_err("arity error");
         assert!(err.to_string().contains("expected 2 cells"));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -229,7 +252,7 @@ mod tests {
         let dir = tempdir("comments");
         std::fs::write(dir.join("p.csv"), "# header\n1,2\n\n3,4\n").unwrap();
         let mut db = Database::new();
-        assert_eq!(load_dir(&mut db, &dir).unwrap(), 2);
+        assert_eq!(load_dir(&mut db, &dir, &BTreeMap::new()).unwrap(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,12 +19,11 @@
 //! 1989) for the linear recursions whose magic set is the whole closure
 //! — right-linear queried `bf`, left-linear queried `fb`.
 
-use crate::builtins::reject_builtin_head;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::eval::{evaluate, scan_goal, EvalResult, Strategy};
 use crate::relation::Tuple;
-use semrec_datalog::analysis::{classify_linear, unsafe_vars};
+use semrec_datalog::analysis::{classify_linear, unsafe_detail};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::literal::{CmpOp, Literal};
 use semrec_datalog::program::Program;
@@ -101,13 +100,10 @@ fn magic_atom(atom: &Atom, a: &Adornment) -> Atom {
 
 /// Rewrites `program` for the goal atom `goal` (constants mark bound
 /// positions). Returns the rewritten program; evaluate it and read
-/// [`MagicProgram::answer_pred`].
+/// [`MagicProgram::answer_pred`]. `program` is one
+/// `semrec_datalog::analysis::check` accepts: adorning renames every
+/// head, so a rule defining a builtin would shadow its arithmetic.
 pub fn magic_rewrite(program: &Program, goal: &Atom) -> Result<MagicProgram, EngineError> {
-    // Adorning renames every head, a rule defining a builtin included:
-    // refuse it here, as compiling it would.
-    for rule in &program.rules {
-        reject_builtin_head(rule)?;
-    }
     let idb = program.idb_preds();
     if program
         .rules
@@ -289,7 +285,7 @@ pub fn factor_rewrite(program: &Program, goal: &Atom) -> Option<MagicProgram> {
                 && body.iter().all(|l| !l.vars().contains(&v)))
         });
         let step = Rule::new(Atom::new(m, adornment.bound_args(&rec.args)), body);
-        if !passed_through || !unsafe_vars(&step).is_empty() {
+        if !passed_through || unsafe_detail(&step).is_some() {
             return None;
         }
         rules.push(step);

@@ -16,7 +16,9 @@
 use crate::builtins::BuiltinOp;
 use crate::error::EngineError;
 use crate::fxhash::{FxHashMap, FxHashSet};
+use semrec_datalog::analysis::unsafe_detail;
 use semrec_datalog::atom::{Atom, Pred};
+use semrec_datalog::error::Error;
 use semrec_datalog::literal::{Cmp, CmpOp, Literal};
 use semrec_datalog::rule::Rule;
 use semrec_datalog::symbol::Symbol;
@@ -461,7 +463,7 @@ impl Compiler<'_> {
                         Some(op) if a.arity() == BuiltinOp::ARITY => self.emit_builtin(op, a),
                         _ => false,
                     },
-                    Literal::Neg(a) => self.emit_negation(li, a),
+                    Literal::Neg(a) => BuiltinOp::of(a.pred).is_none() && self.emit_negation(li, a),
                     Literal::Cmp(c) => self.emit_cmp(c),
                 };
                 if emitted {
@@ -587,34 +589,19 @@ pub fn compile_rule_with_sizes(
         c.drain_cmps(&mut done);
     }
 
-    // Any leftover comparison or negated subgoal has an unbound variable:
-    // the rule is unsafe.
-    for (li, l) in rule.body.iter().enumerate() {
-        if done.contains(&li) {
-            continue;
+    // A literal that never ran or a head term never bound: the rule is
+    // unsafe, in the words of `semrec_datalog::analysis::check`, which
+    // refuses exactly these rules (`tests/check_agreement.rs`).
+    let head: Option<Vec<KernelSrc>> = rule.head.args.iter().map(|&t| c.src(t)).collect();
+    let Some(head) = head.filter(|_| done.len() == rule.body.len()) else {
+        let detail = unsafe_detail(rule).unwrap_or_else(|| "check calls it safe".into());
+        return Err(Error::UnsafeRule {
+            rule: rule.to_string(),
+            detail,
         }
-        let detail = match l {
-            Literal::Cmp(cmp) => format!("comparison `{cmp}` has unbound variables"),
-            Literal::Neg(a) => format!("negated subgoal `!{a}` has unbound variables"),
-            Literal::Atom(a) if BuiltinOp::of(a.pred).is_some() => {
-                format!("builtin `{a}` needs at least two bound arguments")
-            }
-            Literal::Atom(_) => continue,
-        };
-        let rule = rule.to_string();
-        return Err(EngineError::UnsafeRule { rule, detail });
-    }
-
-    // Head projection; every head variable must be bound.
-    for &t in &rule.head.args {
-        let Some(s) = c.src(t) else {
-            return Err(EngineError::UnsafeRule {
-                rule: rule.to_string(),
-                detail: format!("head term `{t}` is not bound by the body"),
-            });
-        };
-        c.k.head.push(s);
-    }
+        .into());
+    };
+    c.k.head = head;
 
     // A probe depth nothing downstream reads is an existence test: once
     // one group row matches, every further match emits the exact same
@@ -971,7 +958,7 @@ mod tests {
         // In `.dl` text an unbound variable under a negation is unsafe.
         let rule = parse_rule("p(X) :- e(X,Y), !w(Y, W, W).").unwrap();
         let err = compile_rule(&rule, &BTreeMap::new(), None).unwrap_err();
-        assert!(matches!(err, EngineError::UnsafeRule { .. }), "{err:?}");
+        assert!(err.to_string().starts_with("unsafe rule"), "{err:?}");
         // Renamed to `W$`, as the IC compiler names head-only variables,
         // it is existential: the anti-probe keys on the bound columns
         // alone, and its repeat is an equality among the unbound ones.

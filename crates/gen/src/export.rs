@@ -95,7 +95,7 @@ mod tests {
         write_bundle(&s, &db, &dir, "fanout").unwrap();
         assert!(dir.join("fanout.dl").exists());
         let mut back = Database::new();
-        let n = io::load_dir(&mut back, &dir.join("fanout-data")).unwrap();
+        let n = io::load_dir(&mut back, &dir.join("fanout-data"), &Default::default()).unwrap();
         assert_eq!(n, db.total_tuples());
         assert_eq!(back, db);
         let _ = std::fs::remove_dir_all(&dir);

@@ -52,10 +52,9 @@
 //! (wal-corrupt > epoch-reclaimed > overloaded), or 0.
 
 use semrec::core::optimizer::{evaluate_routed, Optimizer, OptimizerConfig};
-use semrec::datalog::analysis::{check_arities, classify_linear, validate};
+use semrec::datalog::analysis::{check, Checked, RecursionInfo};
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
-use semrec::datalog::{Constraint, Facts, Pred, Program};
-use semrec::engine::builtins::reject_builtin_head;
+use semrec::datalog::{Constraint, Error, Facts, Pred, Program};
 use semrec::engine::{
     evaluate, scan_goal, Budget, CancelToken, Database, EngineError, Route, Strategy,
 };
@@ -269,37 +268,53 @@ fn need_path(args: &[String]) -> Result<&String, CliError> {
     args.first().ok_or_else(|| CliError::Usage(usage()))
 }
 
-/// A parsed file. Its rules are moved into the one [`Program`] every
-/// command reads; none copies it.
+/// A parsed file and its one judgment. Its rules are moved into the one
+/// [`Program`] every command reads; none copies it.
 struct Source {
     program: Program,
     facts: Facts,
     constraints: Vec<Constraint>,
+    /// [`check`] of the rules, constraints and facts.
+    checked: Checked,
 }
 
-/// Reads and parses `path`. Every predicate must have one arity across
-/// the file's rules, constraints and facts: loading a fact of another
-/// arity would panic in the relation store, and a constraint atom of
-/// another arity could never match a row.
+/// Reads, parses and [`check`]s `path`, once for every command: a file
+/// that breaks an evaluation rule is refused, with the same text, by all
+/// of them. An arity clash names the file, as a parse error does.
 fn load(path: &str) -> Result<Source, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let unit = parse_unit(&text).map_err(|e| format!("{path}: {e}"))?;
-    let src = Source {
-        program: Program::new(unit.rules),
+    let program = Program::new(unit.rules);
+    let checked = check(&program, &unit.constraints, &unit.facts).map_err(|e| match e {
+        Error::Analysis(_) => format!("{path}: {e}"),
+        e => e.to_string(),
+    })?;
+    Ok(Source {
+        program,
         facts: unit.facts,
         constraints: unit.constraints,
-    };
-    check_arities(&src.program, &src.constraints, &src.facts)
-        .map_err(|e| format!("{path}: {e}"))?;
-    Ok(src)
+        checked,
+    })
 }
 
-/// Refuses a rule that defines a builtin, as every evaluation route
-/// does, for the commands that would otherwise not evaluate it.
-fn reject_builtin_heads(program: &Program) -> Result<(), CliError> {
-    (program.rules.iter())
-        .try_for_each(reject_builtin_head)
-        .map_err(CliError::Engine)
+impl Source {
+    /// The recursive predicates, for the commands that need the file in
+    /// the paper's class.
+    fn in_class(&self) -> Result<&[RecursionInfo], CliError> {
+        (self.checked.paper_class()).map_err(|e| CliError::Other(e.to_string()))
+    }
+
+    /// The embedded facts plus the `--data` directory's files, each held
+    /// to the checked arities.
+    fn database(&self, args: &[String]) -> Result<Database, CliError> {
+        let mut db = Database::from_facts(&self.facts);
+        if let Some(dir) = flag_value(args, "--data") {
+            let dir_path = std::path::Path::new(dir);
+            let n = semrec::engine::io::load_dir(&mut db, dir_path, &self.checked.arities)?;
+            eprintln!("loaded {n} facts from {dir}");
+        }
+        Ok(db)
+    }
 }
 
 /// Leaves `state` to the OS. A one-shot command (`optimize`, `run`,
@@ -388,13 +403,7 @@ fn parse_budget(args: &[String]) -> Result<Budget, CliError> {
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
     let src = load(path)?;
-    let mut db = Database::from_facts(&src.facts);
-    if let Some(dir) = flag_value(args, "--data") {
-        let n = semrec::engine::io::load_dir(&mut db, std::path::Path::new(dir))
-            .map_err(CliError::Engine)?;
-        eprintln!("loaded {n} facts from {dir}");
-    }
-    let db = db;
+    let db = src.database(args)?;
     let budget = parse_budget(args)?;
     let optimize = args.iter().any(|a| a == "--optimize");
 
@@ -472,12 +481,7 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
     let src = load(path)?;
     let txsrc = std::fs::read_to_string(txpath).map_err(|e| format!("reading {txpath}: {e}"))?;
     let txs = semrec::engine::incr::parse_txs(&txsrc).map_err(|e| format!("{txpath}: {e}"))?;
-    let mut db = Database::from_facts(&src.facts);
-    if let Some(dir) = flag_value(args, "--data") {
-        let n = semrec::engine::io::load_dir(&mut db, std::path::Path::new(dir))
-            .map_err(CliError::Engine)?;
-        eprintln!("loaded {n} facts from {dir}");
-    }
+    let mut db = src.database(args)?;
     let budget = parse_budget(args)?;
     let query = flag_value(args, "--query")
         .map(|q| parse_atom(q).map_err(|e| e.to_string()))
@@ -641,14 +645,13 @@ fn print_idb(idb: &BTreeMap<Pred, semrec::engine::Relation>) -> Result<(), CliEr
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
     let src = load(path)?;
-    reject_builtin_heads(&src.program)?;
+    let infos = src.in_class()?;
     let plan = build_plan(&src, args)?;
-    let infos = classify_linear(&plan.rectified).map_err(|e| e.to_string())?;
     let printed = with_stdout(|w| {
-        explain_residues(w, &plan, &infos)?;
+        explain_residues(w, &plan, infos)?;
         explain_routing(w, &src, &plan, args)
     });
-    leave_to_os((src, plan, infos));
+    leave_to_os((src, plan));
     printed
 }
 
@@ -659,7 +662,7 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
 fn explain_residues(
     w: &mut dyn Write,
     plan: &semrec::core::Plan,
-    infos: &[semrec::datalog::analysis::RecursionInfo],
+    infos: &[RecursionInfo],
 ) -> std::io::Result<()> {
     if infos.is_empty() {
         writeln!(w, "no recursive predicates.")?;
@@ -732,12 +735,7 @@ fn explain_routing(
     args: &[String],
 ) -> Result<(), CliError> {
     let program = &src.program;
-    let mut db = Database::from_facts(&src.facts);
-    if let Some(dir) = flag_value(args, "--data") {
-        let n = semrec::engine::io::load_dir(&mut db, std::path::Path::new(dir))
-            .map_err(CliError::Engine)?;
-        eprintln!("loaded {n} facts from {dir}");
-    }
+    let db = src.database(args)?;
     let goal = flag_value(args, "--query")
         .map(|q| parse_atom(q).map_err(|e| e.to_string()))
         .transpose()?;
@@ -884,7 +882,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         src.program
     };
     let idb = program.idb_preds();
-    with_stdout(|w| {
+    with_stdout(|w| -> Result<(), CliError> {
         for rule in &program.rules {
             writeln!(w, "% {rule}")?;
             let views: BTreeMap<usize, semrec::engine::plan::View> = rule
@@ -897,12 +895,10 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
                 })
                 .map(|(i, _)| (i, semrec::engine::plan::View::Total))
                 .collect();
-            match semrec::engine::plan::compile_rule(rule, &views, None) {
-                Ok(c) => writeln!(w, "{c}")?,
-                Err(e) => writeln!(w, "  (uncompilable: {e})")?,
-            }
+            let compiled = semrec::engine::plan::compile_rule(rule, &views, None)?;
+            writeln!(w, "{compiled}")?;
         }
-        Ok::<_, std::io::Error>(())
+        Ok(())
     })
 }
 
@@ -935,6 +931,7 @@ fn cmd_why(args: &[String]) -> Result<(), CliError> {
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
     let src = load(path)?;
+    src.in_class()?;
     let unit = Unit {
         rules: src.program.rules,
         facts: src.facts,
@@ -1009,8 +1006,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 fn cmd_check(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
     let src = load(path)?;
-    reject_builtin_heads(&src.program)?;
-    let infos = validate(&src.program, &src.constraints).map_err(|e| e.to_string())?;
+    let infos = src.in_class()?;
     let db = Database::from_facts(&src.facts);
     let printed = with_stdout(|w| {
         writeln!(
@@ -1039,6 +1035,6 @@ fn cmd_check(args: &[String]) -> Result<(), CliError> {
         writeln!(w, "all constraints satisfied by the embedded facts.")?;
         Ok::<_, CliError>(())
     });
-    leave_to_os((src, infos, db));
+    leave_to_os((src, db));
     printed
 }

@@ -337,6 +337,240 @@ fn a_rule_defining_a_builtin_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A temporary directory for one test, emptied first.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("semrec-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Every refused shape through every command that needs the rule it
+/// breaks, each printing the one text `check` gives it (`{file}` stands
+/// for the path) with exit 1. A broken evaluation rule refuses the file
+/// on every command. A program outside the paper's class is refused by
+/// the commands that optimize or monitor constraints; `run --optimize`
+/// degrades to the rectified fallback, and `run` and `plan` answer.
+#[test]
+fn one_text_per_defect_on_every_command() {
+    let dir = scratch_dir("defects");
+    let script = dir.join("quit.txt");
+    std::fs::write(&script, "quit.\n").unwrap();
+    let tx = dir.join("empty.tx");
+    std::fs::write(&tx, "").unwrap();
+    let (script, tx) = (script.to_str().unwrap(), tx.to_str().unwrap());
+    let evaluation = [
+        (
+            "e(1).\np(X, Y) :- e(X).\n",
+            "unsafe rule `p(X, Y) :- e(X).`: head term `Y` is not bound by the body",
+        ),
+        (
+            "e(1).\np(X) :- e(X), !q(X).\nq(X) :- e(X), !p(X).\n",
+            "not stratified: negation occurs inside a recursive cycle",
+        ),
+        (
+            "e(1).\nplus(X, Y, Z) :- e(X), e(Y), e(Z).\n",
+            "a rule defines `plus`, which is a builtin predicate",
+        ),
+        (
+            "e(1). e(2).\nplus(5, 5, 5).\np(X) :- e(Y), plus(X, Y, 5).\n",
+            "a fact defines `plus`, which is a builtin predicate",
+        ),
+        (
+            "e(1).\np(X) :- e(X), !plus(X, 1, 2).\n",
+            "unsafe rule `p(X) :- e(X), !plus(X, 1, 2).`: builtin `plus(X, 1, 2)` \
+             cannot be negated",
+        ),
+        (
+            "e(1).\np(X, Z) :- e(X), plus(X, 1, Y, Z).\n",
+            "{file}: analysis error: builtin plus has arity 3, but is used with arity 4",
+        ),
+        (
+            "e(1).\np(X, Z) :- e(X), plus(X, Y, Z).\n",
+            "unsafe rule `p(X, Z) :- e(X), plus(X, Y, Z).`: builtin `plus(X, Y, Z)` \
+             needs at least two bound arguments",
+        ),
+        (
+            "e(1, 2).\np(X) :- e(X).\n",
+            "{file}: analysis error: fact e(1, 2) has arity 2, but e has arity 1 \
+             elsewhere in the source",
+        ),
+    ];
+    let class = [
+        (
+            "e(1, 2).\na(X) :- e(X, X).\na(X) :- e(X, Y), b(Y).\nb(X) :- e(X, Y), a(Y).\n",
+            "analysis error: mutual recursion between {a, b} is outside the paper's class",
+        ),
+        (
+            "e(1, 2).\np(X, Y) :- e(X, Y).\np(X, Y) :- p(X, Z), p(Z, Y).\n",
+            "analysis error: rule 1 for p is non-linear (2 recursive subgoals)",
+        ),
+        (
+            "e(1, 2).\np(X, Y) :- e(X, Z), p(Z, Y).\n",
+            "analysis error: recursive predicate p has no exit rule",
+        ),
+        (
+            "e(1, 2). f(3).\np(X) :- e(X, Y), f(Z).\n",
+            "analysis error: rule 0 (`p(X) :- e(X, Y), f(Z).`) is not connected",
+        ),
+        (
+            "e(1, 2).\np(X, Y) :- e(X, Y).\nic idb: p(X, Y) -> .\n",
+            "analysis error: constraint idb mentions IDB predicate p in its body",
+        ),
+        (
+            "e(1, 2). e(3, 5).\np(X, Y) :- e(X, Y), plus(X, 1, Y).\n\
+             ic nosucc: e(X, Y), plus(X, 1, Y) -> .\n",
+            "analysis error: constraint nosucc mentions builtin plus: constraints range \
+             over stored relations and comparisons",
+        ),
+        (
+            "e(1, 2).\np(X, Y) :- e(X, Y), !f(X).\n",
+            "analysis error: rule 0 (`p(X, Y) :- e(X, Y), !f(X).`) uses negation, \
+             which is outside the paper's class",
+        ),
+    ];
+    let refusing = |file: &str| -> Vec<Vec<String>> {
+        let commands: [&[&str]; 5] = [
+            &["check", file],
+            &["optimize", file],
+            &["explain", file],
+            &["serve", file, "--script", script],
+            &["update", file, tx, "--optimize"],
+        ];
+        commands
+            .map(|c| c.iter().map(|a| a.to_string()).collect())
+            .into()
+    };
+    let file = dir.join("prog.dl");
+    let file = file.to_str().unwrap();
+    for (src, text) in evaluation {
+        std::fs::write(file, src).unwrap();
+        let mut commands = refusing(file);
+        for extra in [
+            &["run", file][..],
+            &["run", file, "--optimize"],
+            &["plan", file],
+        ] {
+            commands.push(extra.iter().map(|a| a.to_string()).collect());
+        }
+        for args in &commands {
+            let out = output(&args.iter().map(String::as_str).collect::<Vec<_>>());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?} on {src:?}: {stderr}");
+            assert_eq!(
+                stderr,
+                format!("error: {}\n", text.replace("{file}", file)),
+                "{args:?}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?} on {src:?}");
+        }
+    }
+    for (src, text) in class {
+        std::fs::write(file, src).unwrap();
+        for args in refusing(file) {
+            let out = output(&args.iter().map(String::as_str).collect::<Vec<_>>());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?} on {src:?}: {stderr}");
+            assert_eq!(stderr, format!("error: {text}\n"), "{args:?}");
+        }
+        let (ok, _, stderr) = semrec(&["run", file, "--optimize"]);
+        assert!(ok, "{src:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("degraded: optimizer failed: {text}\n")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("route: rectified fallback"), "{stderr}");
+        for cmd in ["run", "plan"] {
+            let (ok, _, stderr) = semrec(&[cmd, file]);
+            assert!(ok, "{cmd} on {src:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A constraint over a builtin is refused: `Database::violations` would
+/// read `plus` as an empty stored relation and call the constraint
+/// satisfied, and the optimizer would prune the one rule that answers.
+/// `run --optimize` answers from the rectified program instead.
+#[test]
+fn a_constraint_over_a_builtin_is_refused() {
+    let dir = scratch_dir("ic-builtin");
+    let file = dir.join("prog.dl");
+    std::fs::write(
+        &file,
+        "e(1, 2). e(3, 5).\np(X, Y) :- e(X, Y), plus(X, 1, Y).\n\
+         ic nosucc: e(X, Y), plus(X, 1, Y) -> .\n",
+    )
+    .unwrap();
+    let file = file.to_str().unwrap();
+    let refused = "error: analysis error: constraint nosucc mentions builtin plus: \
+                   constraints range over stored relations and comparisons\n";
+    for cmd in ["check", "optimize"] {
+        let out = output(&[cmd, file]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), refused, "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}");
+    }
+    let (ok, answers, stderr) = semrec(&["run", file, "--optimize"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "{stderr}");
+    assert_eq!(answers, "p(1, 2).\n");
+    assert!(stderr.contains("route: rectified fallback"), "{stderr}");
+}
+
+/// A `--data` file is held to the relation the file's facts already
+/// built, else to the checked arity, and a builtin's name loads nothing:
+/// each is refused (exit 1) rather than a panic in the relation store,
+/// rows no rule can read, or rows the arithmetic shadows.
+#[test]
+fn data_files_are_held_to_the_checked_arities() {
+    let dir = scratch_dir("data-arity");
+    let with_fact = dir.join("fact.dl");
+    std::fs::write(&with_fact, "e(5).\np(X) :- e(X).\n").unwrap();
+    let rules_only = dir.join("rules.dl");
+    std::fs::write(&rules_only, "p(X) :- e(X, Y).\n").unwrap();
+    let data = |name: &str, file: &str, row: &str| {
+        let d = dir.join(name);
+        std::fs::create_dir_all(&d).unwrap();
+        std::fs::write(d.join(file), row).unwrap();
+        d.to_str().unwrap().to_owned()
+    };
+    let (two, three) = (
+        data("two", "e.csv", "1,2\n"),
+        data("three", "e.csv", "1,2,3\n"),
+    );
+    let plus = data("plus", "plus.csv", "1,2,3\n");
+    for (file, dir, says) in [
+        (
+            &with_fact,
+            &two,
+            format!("arity mismatch: {two}/e.csv:1: expected 1 cells, found 2"),
+        ),
+        (
+            &rules_only,
+            &three,
+            format!("arity mismatch: {three}/e.csv:1: expected 2 cells, found 3"),
+        ),
+        (
+            &rules_only,
+            &plus,
+            "a fact defines `plus`, which is a builtin predicate".into(),
+        ),
+    ] {
+        for flags in [&[][..], &["--optimize"]] {
+            let args = [&["run", file.to_str().unwrap(), "--data", dir][..], flags].concat();
+            let out = output(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!("error: {says}\n")
+            );
+            assert!(out.stdout.is_empty(), "{args:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A head constant becomes an equality the rule's body does not mention
 /// once the program is rectified. The program is validated as written,
 /// so it compiles: `optimize` pushes its residues and `run --optimize`

@@ -124,17 +124,18 @@ fn run_with_watchdog(workload: Workload, dir: &Path) -> RunReport {
     std::thread::spawn(move || {
         let (s, _) = workload.build();
         let mut db = Database::new();
-        let outcome = semrec::engine::io::load_dir(&mut db, &dir).and_then(|_| {
-            evaluate_routed(
-                &db,
-                &s.program,
-                &s.constraints,
-                OptimizerConfig::default(),
-                Budget::unlimited().with_deadline(Duration::from_secs(60)),
-                CancelToken::new(),
-                None,
-            )
-        });
+        let outcome =
+            semrec::engine::io::load_dir(&mut db, &dir, &Default::default()).and_then(|_| {
+                evaluate_routed(
+                    &db,
+                    &s.program,
+                    &s.constraints,
+                    OptimizerConfig::default(),
+                    Budget::unlimited().with_deadline(Duration::from_secs(60)),
+                    CancelToken::new(),
+                    None,
+                )
+            });
         let answered = outcome.iter().flat_map(|o| o.result.idb.iter());
         let invariants = db
             .iter()
@@ -409,8 +410,8 @@ fn io_load_failure_is_typed() {
     failpoint::clear();
     failpoint::arm("io.load", 0, FailAction::Err);
     let mut db = Database::new();
-    let err =
-        semrec::engine::io::load_file(&mut db, "edge", &path).expect_err("armed io.load must fail");
+    let err = semrec::engine::io::load_file(&mut db, "edge", &path, &Default::default())
+        .expect_err("armed io.load must fail");
     failpoint::clear();
     match err {
         EngineError::Io(msg) => assert!(msg.contains("injected error"), "{msg}"),
@@ -418,7 +419,7 @@ fn io_load_failure_is_typed() {
     }
     // Disarmed, the same file loads.
     assert_eq!(
-        semrec::engine::io::load_file(&mut db, "edge", &path).unwrap(),
+        semrec::engine::io::load_file(&mut db, "edge", &path, &Default::default()).unwrap(),
         2
     );
     let _ = std::fs::remove_dir_all(&dir);

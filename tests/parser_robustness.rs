@@ -2,7 +2,7 @@
 //! positioned error — and everything it accepts must round-trip through
 //! `Display`.
 
-use semrec::datalog::analysis::{check_arities, validate};
+use semrec::datalog::analysis::{check, validate};
 use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
 use semrec::datalog::{Term, Value};
 use semrec::engine::{int_tuple, tx_to_stream, Tx, TxStreamEvent, TxStreamParser};
@@ -364,13 +364,15 @@ fn arity_clashes_are_typed_analysis_errors() {
     }
     let unit = parse_unit(&format!("{rules} e(1, 2). e(3).")).expect("parses");
     assert!(validate(&unit.program(), &unit.constraints).is_ok());
-    let err = check_arities(&unit.program(), &unit.constraints, &unit.facts).unwrap_err();
+    let err = check(&unit.program(), &unit.constraints, &unit.facts).unwrap_err();
     assert_eq!(
         err.to_string(),
         "analysis error: fact e(3) has arity 1, but e has arity 2 elsewhere in the source"
     );
     // Constraint-only predicates are legal when the constraints agree.
     let unit = parse_unit(&format!("{rules} ic: e(X, Y) -> w(Y, Z). w(1, 2).")).unwrap();
-    let arities = check_arities(&unit.program(), &unit.constraints, &unit.facts).unwrap();
+    let arities = check(&unit.program(), &unit.constraints, &unit.facts)
+        .unwrap()
+        .arities;
     assert_eq!(arities[&semrec::datalog::Pred::new("w")], 2);
 }
