@@ -93,21 +93,18 @@ pub fn isolate(program: &Program, info: &RecursionInfo, unfolding: &Unfolding) -
     }
 
     // α- and β-rules for each step i (1-based). The head of step i's rules
-    // is p^{i-1}(call_args[i-1]); the body is the rule renamed by the
-    // unfolding's σ_i; the recursive subgoal becomes p^i (α) / q^i (β).
+    // is p^{i-1}(call_args(i-1)); the body is the unfolding's step i;
+    // the recursive subgoal becomes p^i (α) / q^i (β).
     let mut alpha: Vec<usize> = Vec::new();
     for i in 1..=k {
-        let rule = &program.rules[seq[i - 1]];
-        let sigma = &unfolding.step_substs[i - 1];
-        let head = Atom::new(p_i(i - 1), unfolding.call_args[i - 1].clone());
-        let alpha_body = rename_body(rule, sigma, p, p_i(i));
+        let body = unfolding.step_body(program, i);
+        let head = Atom::new(p_i(i - 1), unfolding.call_args(i - 1).to_vec());
         alpha.push(rules.len());
-        rules.push(Rule::new(head.clone(), alpha_body));
+        rules.push(Rule::new(head.clone(), retarget(&body, p, p_i(i))));
         // β-rule: identical except the recursive subgoal goes to q^i. For
         // i = k (q^k = p) or an exit step it would duplicate the α-rule.
         if i < k && q_i(i) != p_i(i) {
-            let beta_body = rename_body(rule, sigma, p, q_i(i));
-            rules.push(Rule::new(head, beta_body));
+            rules.push(Rule::new(head, retarget(&body, p, q_i(i))));
         }
     }
 
@@ -123,19 +120,19 @@ pub fn isolate(program: &Program, info: &RecursionInfo, unfolding: &Unfolding) -
                 rules.push(rule.clone());
                 continue;
             }
-            // Head q^{i-1}(call_args[i-1]); rename the rule's head
+            // Head q^{i-1}(call_args(i-1)); rename the rule's head
             // variables to the incoming call args and freshen locals
             // uniquely per (i, l).
             let mut sigma = Subst::new();
-            for (t, arg) in rule.head.args.iter().zip(&unfolding.call_args[i - 1]) {
+            for (t, arg) in rule.head.args.iter().zip(unfolding.call_args(i - 1)) {
                 let v = t.as_var().expect("rectified head");
                 sigma.insert(v, *arg);
             }
             for v in rule.local_vars() {
                 sigma.insert(v, Term::Var(Symbol::intern(&format!("{v}~g{i}r{l}"))));
             }
-            let head = Atom::new(q_i(i - 1), unfolding.call_args[i - 1].clone());
-            let body = rename_body_with(rule, &sigma, p, p);
+            let head = Atom::new(q_i(i - 1), unfolding.call_args(i - 1).to_vec());
+            let body = (rule.body.iter()).map(|l| sigma.apply_literal(l)).collect();
             rules.push(Rule::new(head, body));
         }
     }
@@ -150,22 +147,13 @@ pub fn isolate(program: &Program, info: &RecursionInfo, unfolding: &Unfolding) -
     }
 }
 
-fn rename_body(rule: &Rule, sigma: &Subst, p: Pred, rec_target: Pred) -> Vec<Literal> {
-    rename_body_with(rule, sigma, p, rec_target)
-}
-
-fn rename_body_with(rule: &Rule, sigma: &Subst, p: Pred, rec_target: Pred) -> Vec<Literal> {
-    rule.body
-        .iter()
-        .map(|lit| match lit {
-            Literal::Atom(a) if a.pred == p => {
-                let mut renamed = sigma.apply_atom(a);
-                renamed.pred = rec_target;
-                Literal::Atom(renamed)
-            }
-            other => sigma.apply_literal(other),
-        })
-        .collect()
+/// `body` with its recursive subgoal over `p` calling `rec_target`.
+fn retarget(body: &[Literal], p: Pred, rec_target: Pred) -> Vec<Literal> {
+    let retargeted = |lit: &Literal| match lit {
+        Literal::Atom(a) if a.pred == p => Literal::Atom(Atom::new(rec_target, a.args.clone())),
+        other => other.clone(),
+    };
+    body.iter().map(retargeted).collect()
 }
 
 #[cfg(test)]

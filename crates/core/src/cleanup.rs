@@ -23,17 +23,33 @@ fn remove_dead_rules(
     idb_like: impl Fn(Pred) -> bool,
     elsewhere: impl Fn(Pred) -> bool,
 ) -> Vec<Rule> {
+    let mut live = live_rules(&rules, roots, idb_like, elsewhere).into_iter();
+    rules.retain(|_| live.next() == Some(true));
+    rules
+}
+
+/// Which of `rules` [`remove_dead_rules`] keeps, read in place.
+fn live_rules(
+    rules: &[Rule],
+    roots: &BTreeSet<Pred>,
+    idb_like: impl Fn(Pred) -> bool,
+    elsewhere: impl Fn(Pred) -> bool,
+) -> Vec<bool> {
+    let mut live = vec![true; rules.len()];
     loop {
-        let defined: BTreeSet<Pred> = rules.iter().map(|r| r.head.pred).collect();
-        let before = rules.len();
-        rules.retain(|r| {
-            if r.body_cmps().any(|c| c.is_trivially_false()) {
-                return false;
+        let defined: BTreeSet<Pred> = alive(rules, &live).map(|r| r.head.pred).collect();
+        let mut changed = false;
+        for (r, l) in rules.iter().zip(&mut live) {
+            let dead = r.body_cmps().any(|c| c.is_trivially_false())
+                || !r
+                    .body_atoms()
+                    .all(|a| !idb_like(a.pred) || defined.contains(&a.pred) || elsewhere(a.pred));
+            if *l && dead {
+                *l = false;
+                changed = true;
             }
-            r.body_atoms()
-                .all(|a| !idb_like(a.pred) || defined.contains(&a.pred) || elsewhere(a.pred))
-        });
-        if rules.len() == before {
+        }
+        if !changed {
             break;
         }
     }
@@ -42,7 +58,7 @@ fn remove_dead_rules(
     let mut reachable: BTreeSet<Pred> = roots.clone();
     loop {
         let mut changed = false;
-        for r in &rules {
+        for r in alive(rules, &live) {
             if reachable.contains(&r.head.pred) {
                 for a in r.body_atoms() {
                     changed |= reachable.insert(a.pred);
@@ -53,8 +69,15 @@ fn remove_dead_rules(
             break;
         }
     }
-    rules.retain(|r| reachable.contains(&r.head.pred));
-    rules
+    for (r, l) in rules.iter().zip(&mut live) {
+        *l &= reachable.contains(&r.head.pred);
+    }
+    live
+}
+
+/// The rules `live` marks.
+fn alive<'r>(rules: &'r [Rule], live: &'r [bool]) -> impl Iterator<Item = &'r Rule> {
+    rules.iter().zip(live).filter(|(_, l)| **l).map(|(r, _)| r)
 }
 
 /// What cleaning up after a push needs to know about the *rest* of the
@@ -73,13 +96,12 @@ pub struct IdbLiveness {
 
 impl IdbLiveness {
     /// Analyzes `program` (one pass of the dead-rule fixpoint over all of
-    /// it).
+    /// it, reading its rules in place).
     pub fn new(program: &Program) -> IdbLiveness {
         let idb = program.idb_preds();
-        let live = remove_dead_rules(program.rules.clone(), &idb, |p| idb.contains(&p), |_| false)
-            .iter()
-            .map(|r| r.head.pred)
-            .collect();
+        let rules = &program.rules;
+        let live = live_rules(rules, &idb, |p| idb.contains(&p), |_| false);
+        let live = alive(rules, &live).map(|r| r.head.pred).collect();
         IdbLiveness { idb, live }
     }
 

@@ -24,9 +24,8 @@ use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
 use semrec_datalog::program::Program;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write;
+use std::borrow::Borrow;
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -124,7 +123,7 @@ pub fn detect(
     if !may_match(ic, &subgoal_preds(program, info)) {
         return Ok(Vec::new());
     }
-    Detector::new(program, info, method, pad, &mut DetectStats::default())
+    Detector::new(program, info, method, pad, &mut DetectWork::default())
         .detect(&Arc::new(ic.clone()))
 }
 
@@ -148,23 +147,68 @@ pub struct Detector<'a> {
     pad: usize,
     proposer: Proposer,
     names: StepNames,
-    contexts: BTreeMap<Vec<usize>, (usize, VerifyContext)>,
+    /// The verification context of each sequence unfolded so far, in
+    /// sequence order, with the number of the last [`Detector::detect`]
+    /// call that verified it (0 for none). A sequence is looked up by
+    /// its unfolding's own copy; no other is kept.
+    contexts: Vec<(usize, VerifyContext)>,
     /// Calls of [`Detector::detect`] so far.
     calls: usize,
-    /// Reused by each [`Detector::detect`] call: the searches, and each
-    /// residue with its text (the sort key's second half) in one buffer.
-    reuse: (Scratch, Vec<(Range<usize>, Residue)>, String),
-    stats: &'a mut DetectStats,
+    work: &'a mut DetectWork,
+}
+
+/// What detection keeps from one [`Detector`] to the next: the work
+/// counts booked so far, and the working places of
+/// [`Detector::detect`], which grow to the largest block's size once.
+#[derive(Default)]
+pub struct DetectWork {
+    /// The work counts.
+    pub stats: DetectStats,
+    reuse: Reuse,
+}
+
+/// What [`Detector::detect`] reuses from one call to the next.
+#[derive(Default)]
+struct Reuse {
+    /// The searches.
+    scratch: Scratch,
+    /// The sequences to verify.
+    work: Worklist,
+    /// The SD-graph path being walked.
+    path: Vec<usize>,
+    /// Each residue found (taken out when it is sorted), with its text —
+    /// the order key's second half — as a range of `texts`.
+    found: Vec<(Range<usize>, Option<Residue>)>,
+    texts: String,
+    /// Positions in `found`, in key order.
+    order: Vec<usize>,
+}
+
+/// Sequences to verify, each with how many levels padding added to it,
+/// their rule indices one after the other.
+#[derive(Default)]
+struct Worklist {
+    seqs: Vec<usize>,
+    todo: Vec<(Range<usize>, usize)>,
+}
+
+impl Worklist {
+    /// Adds the sequence `seq`, padded `depth` levels.
+    fn push(&mut self, seq: impl IntoIterator<Item = usize>, depth: usize) {
+        let start = self.seqs.len();
+        self.seqs.extend(seq);
+        self.todo.push((start..self.seqs.len(), depth));
+    }
 }
 
 impl<'a> Detector<'a> {
-    /// Prepares detection for `info.pred`; work is booked to `stats`.
+    /// Prepares detection for `info.pred`; work is booked to `work`.
     pub fn new(
         program: &'a Program,
         info: &'a RecursionInfo,
         method: DetectionMethod,
         pad: usize,
-        stats: &'a mut DetectStats,
+        work: &'a mut DetectWork,
     ) -> Detector<'a> {
         let proposer = match method {
             // A one-rule block (a non-recursive rule) has one sequence,
@@ -174,7 +218,7 @@ impl<'a> Detector<'a> {
                 Proposer::All(enumerate_sequences(info, max_len))
             }
             DetectionMethod::SdGraph => {
-                stats.graphs_built += 1;
+                work.stats.graphs_built += 1;
                 Proposer::Graph(build_sd_graph(program, info, info.arity + 2))
             }
         };
@@ -184,89 +228,90 @@ impl<'a> Detector<'a> {
             pad,
             proposer,
             names: StepNames::default(),
-            contexts: BTreeMap::new(),
+            contexts: Vec::new(),
             calls: 0,
-            reuse: Default::default(),
-            stats,
+            work,
         }
     }
 
     /// The unfolding of `seq`, computed on first use.
     pub fn unfolding(&mut self, seq: &[usize]) -> Result<&Unfolding, Error> {
-        if !self.contexts.contains_key(seq) {
-            self.context(seq.to_vec())?;
-        }
-        Ok(self.contexts[seq].1.unfolding())
+        let at = self.context(seq)?;
+        Ok(self.contexts[at].1.unfolding())
     }
 
-    /// The verification context of `seq`'s unfolding, built on first use,
-    /// and the number of the last [`Detector::detect`] call that verified
-    /// it (0 for none).
-    fn context(&mut self, seq: Vec<usize>) -> Result<&mut (usize, VerifyContext), Error> {
-        Ok(match self.contexts.entry(seq) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let u = unfold_with(self.program, self.info, e.key(), &mut self.names)?;
-                self.stats.unfoldings += 1;
-                e.insert((0, VerifyContext::new(u)))
-            }
+    /// Where `seq`'s verification context is in `contexts`, built on
+    /// first use.
+    fn context(&mut self, seq: &[usize]) -> Result<usize, Error> {
+        let found = (self.contexts).binary_search_by(|(_, c)| c.unfolding().seq[..].cmp(seq));
+        found.or_else(|at| {
+            let u = unfold_with(self.program, self.info, seq, &mut self.names)?;
+            self.work.stats.unfoldings += 1;
+            self.contexts.insert(at, (0, VerifyContext::new(u)));
+            Ok(at)
         })
     }
 
     /// The residues of `ic`, in deterministic order (by sequence, then by
-    /// the residue's text).
+    /// the residue's text), each once.
     pub fn detect(&mut self, ic: &Arc<Constraint>) -> Result<Vec<Residue>, Error> {
-        let mut worklist: Vec<(Vec<usize>, usize)> = match &self.proposer {
-            Proposer::All(seqs) => seqs.iter().map(|s| (s.clone(), 0)).collect(),
-            Proposer::Graph(graph) => (propose_sequences(graph, ic).into_iter())
-                .map(|s| (s, 0))
-                .collect(),
-        };
-
-        let (mut scratch, mut found, mut texts) = std::mem::take(&mut self.reuse);
+        let mut reuse = std::mem::take(&mut self.work.reuse);
+        let Reuse {
+            scratch,
+            work,
+            path,
+            found,
+            texts,
+            order,
+        } = &mut reuse;
+        match &self.proposer {
+            Proposer::All(all) => all.iter().for_each(|s| work.push(s.iter().copied(), 0)),
+            Proposer::Graph(graph) => propose_sequences(graph, ic, path, work),
+        }
         self.calls += 1;
         let (call, info, pad) = (self.calls, self.info, self.pad);
 
-        while let Some((seq, depth)) = worklist.pop() {
-            let (verified_by, ctx) = self.context(seq)?;
+        while let Some((range, depth)) = work.todo.pop() {
+            let at = self.context(&work.seqs[range])?;
+            let (verified_by, ctx) = &mut self.contexts[at];
             if std::mem::replace(verified_by, call) == call {
                 continue;
             }
             // Step 4 of Algorithm 3.1: unfold the sequence and test maximal
             // (total) free subsumption, generating residues.
             let before = found.len();
-            ctx.residues(ic, &mut scratch, |r| {
+            ctx.residues(ic, scratch, |r| {
                 let start = texts.len();
-                let _ = write!(texts, "{r}");
-                found.push((start..texts.len(), r));
+                r.write_to(texts).expect("a String takes every write");
+                found.push((start..texts.len(), Some(r)));
             });
             // Non-useful fact residues are kept: they cannot drive atom
             // elimination, but they can still drive atom *introduction*
             // (Example 4.2's doctoral(S)). They also trigger a search for a
             // useful variant on a padded sequence (Example 3.1).
-            let any_non_useful = found[before..].iter().any(|(_, r)| !r.is_useful());
+            let mut mine = found[before..].iter().flat_map(|(_, r)| r);
+            let any_non_useful = mine.any(|r| !r.is_useful());
             // Retry longer sequences to look for useful variants (Example 3.1).
             if any_non_useful && depth < pad {
                 let seq = &ctx.unfolding().seq;
                 for &r in &info.recursive_rules {
-                    let pre = std::iter::once(r).chain(seq.iter().copied());
-                    worklist.push((pre.collect(), depth + 1));
+                    work.push(std::iter::once(r).chain(seq.iter().copied()), depth + 1);
                     // Appending is only possible when the sequence does not end
                     // in an exit rule.
                     if let Some(&last) = seq.last() {
                         if info.recursive_rules.contains(&last) {
-                            let post = seq.iter().copied().chain([r]);
-                            worklist.push((post.collect(), depth + 1));
+                            work.push(seq.iter().copied().chain([r]), depth + 1);
                         }
                     }
                 }
             }
-            self.stats.sequences_verified += 1;
+            self.work.stats.sequences_verified += 1;
         }
-        let out = sort_distinct(&mut found, &texts);
+        let out = sort_distinct(found, texts, order);
+        work.seqs.clear();
         texts.clear();
-        self.reuse = (scratch, found, texts);
-        self.stats.residues += out.len();
+        self.work.reuse = reuse;
+        self.work.stats.residues += out.len();
         Ok(out)
     }
 }
@@ -275,61 +320,92 @@ impl<'a> Detector<'a> {
 /// of equal residues. Equal residues share that key, so each residue is
 /// compared only with the others of its key; the sort is stable, so
 /// residues of one key stay in the order they were found. Each text is a
-/// range of `texts`; `found` is left empty.
-fn sort_distinct(found: &mut Vec<(Range<usize>, Residue)>, texts: &str) -> Vec<Residue> {
-    let text = |range: &Range<usize>| &texts[range.clone()];
-    found.sort_by(|(ta, a), (tb, b)| a.seq.cmp(&b.seq).then_with(|| text(ta).cmp(text(tb))));
+/// range of `texts`; the sort moves positions, through `order`, and each
+/// residue is moved once. `found` is left empty.
+fn sort_distinct(
+    found: &mut Vec<(Range<usize>, Option<Residue>)>,
+    texts: &str,
+    order: &mut Vec<usize>,
+) -> Vec<Residue> {
+    let key = |i: usize| {
+        let (text, r) = &found[i];
+        let r = r.as_ref().expect("a residue is sorted once");
+        (&r.seq[..], &texts[text.clone()])
+    };
+    order.clear();
+    order.extend(0..found.len());
+    order.sort_by(|&a, &b| key(a).cmp(&key(b)));
     let mut out: Vec<Residue> = Vec::with_capacity(found.len());
     let (mut key_start, mut key_text) = (0, "");
-    for (range, residue) in found.drain(..) {
-        if out.last().is_none_or(|r| r.seq != residue.seq) || text(&range) != key_text {
+    for &i in order.iter() {
+        let (range, slot) = &mut found[i];
+        let residue = slot.take().expect("a residue is sorted once");
+        let text = &texts[range.clone()];
+        if out.last().is_none_or(|r| r.seq != residue.seq) || text != key_text {
             key_start = out.len();
-            key_text = text(&range);
+            key_text = text;
         }
         if !out[key_start..].contains(&residue) {
             out.push(residue);
         }
     }
+    found.clear();
     out
 }
 
 /// Steps 1–3 of Algorithm 3.1: match the IC's pattern graph against the
 /// SD-graph (in both orientations) and read candidate expansion sequences
-/// off the matched paths.
-fn propose_sequences(graph: &SdGraph, ic: &Constraint) -> Vec<Vec<usize>> {
-    let mut out: BTreeSet<Vec<usize>> = BTreeSet::new();
-    let forward: Vec<&Atom> = ic.body_atoms.iter().collect();
+/// off the matched paths, walked in `path`. Each distinct one goes onto
+/// the empty `work` (padding depth 0), in sequence order.
+fn propose_sequences(graph: &SdGraph, ic: &Constraint, path: &mut Vec<usize>, work: &mut Worklist) {
+    let forward = &ic.body_atoms[..];
+    walk_all(graph, forward, path, work);
     // One atom reads the same both ways.
-    let backward = (forward.len() > 1).then(|| forward.iter().rev().copied().collect());
-    for atoms in [Some(forward), backward].into_iter().flatten() {
-        let labels = pattern_labels(&atoms);
-        let Some(first) = atoms.first() else { continue };
-        for &start in graph.occs_of(first.pred) {
-            let mut path_exp: Vec<usize> = vec![graph.occs()[start].rule];
-            walk(graph, &atoms, &labels, 0, start, &mut path_exp, &mut out);
-        }
+    if forward.len() > 1 {
+        let backward: Vec<&Atom> = forward.iter().rev().collect();
+        walk_all(graph, &backward, path, work);
     }
-    out.into_iter().collect()
+    let Worklist { seqs, todo } = work;
+    let seq = |r: &Range<usize>| &seqs[r.clone()];
+    todo.sort_by(|(a, _), (b, _)| seq(a).cmp(seq(b)));
+    todo.dedup_by(|(a, _), (b, _)| seq(a) == seq(b));
+}
+
+/// [`walk`]s the pattern `atoms` from every occurrence of its first
+/// atom's predicate.
+fn walk_all<A: Borrow<Atom>>(
+    graph: &SdGraph,
+    atoms: &[A],
+    path: &mut Vec<usize>,
+    out: &mut Worklist,
+) {
+    let labels = pattern_labels(atoms);
+    let Some(first) = atoms.first() else { return };
+    for &start in graph.occs_of(first.borrow().pred) {
+        path.clear();
+        path.push(graph.occs()[start].rule);
+        walk(graph, atoms, &labels, 0, start, path, out);
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn walk(
+fn walk<A: Borrow<Atom>>(
     graph: &SdGraph,
-    atoms: &[&Atom],
+    atoms: &[A],
     labels: &[BTreeSet<(usize, usize)>],
     t: usize,
     occ: usize,
     seq: &mut Vec<usize>,
-    out: &mut BTreeSet<Vec<usize>>,
+    out: &mut Worklist,
 ) {
     if t + 1 == atoms.len() {
         // Completed path; the accumulated sequence is a candidate. It is
         // valid only if every rule except possibly the last is recursive
         // (guaranteed by construction) — emit it.
-        out.insert(seq.clone());
+        out.push(seq.iter().copied(), 0);
         return;
     }
-    let next_pred = atoms[t + 1].pred;
+    let next_pred = atoms[t + 1].borrow().pred;
     for e in graph.edges_from(occ) {
         if graph.occs()[e.to].pred != next_pred {
             continue;

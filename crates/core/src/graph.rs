@@ -229,7 +229,7 @@ pub fn build_sd_graph(program: &Program, info: &RecursionInfo, max_descents: usi
                 }
             }
             if !pairs.is_empty() {
-                acc.entry((ai, bi, Vec::new())).or_default().extend(pairs);
+                acc.insert((ai, bi, Vec::new()), pairs);
             }
         }
     }

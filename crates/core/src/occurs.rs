@@ -40,16 +40,23 @@ pub struct IcIndex<'a> {
 }
 
 impl<'a> IcIndex<'a> {
-    /// Indexes `ics`.
+    /// Indexes `ics`, reading each constraint's atoms in place: an atom
+    /// counts for its predicate unless an earlier atom of the same
+    /// constraint has it.
     pub fn new(ics: &'a [Constraint]) -> IcIndex<'a> {
-        let signatures: Vec<BTreeSet<Pred>> = ics.iter().map(Constraint::body_preds).collect();
+        let signature = |ic: &'a Constraint| {
+            let atoms = ic.body_atoms.iter().enumerate();
+            atoms
+                .filter(|&(i, a)| ic.body_atoms[..i].iter().all(|b| b.pred != a.pred))
+                .map(|(_, a)| a.pred)
+        };
         let mut mentions: BTreeMap<Pred, usize> = BTreeMap::new();
-        for &p in signatures.iter().flatten() {
+        for p in ics.iter().flat_map(signature) {
             *mentions.entry(p).or_default() += 1;
         }
         let mut watched: BTreeMap<Pred, Vec<usize>> = BTreeMap::new();
-        for (i, signature) in signatures.iter().enumerate() {
-            if let Some(&rarest) = signature.iter().min_by_key(|p| mentions[p]) {
+        for (i, ic) in ics.iter().enumerate() {
+            if let Some(rarest) = signature(ic).min_by_key(|p| (mentions[p], *p)) {
                 watched.entry(rarest).or_default().push(i);
             }
         }

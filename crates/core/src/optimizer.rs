@@ -4,11 +4,13 @@
 //! optimize) → cleanup.
 
 use crate::cleanup::IdbLiveness;
-use crate::detect::{blocks, subgoal_preds, DetectStats, DetectionMethod, Detector, PAD};
+use crate::detect::{
+    blocks, subgoal_preds, DetectStats, DetectWork, DetectionMethod, Detector, PAD,
+};
 use crate::occurs::IcIndex;
 use crate::push::{action, replace_blocks, Applied, OptKind, Pusher, Skipped};
 use crate::residue::Residue;
-use semrec_datalog::analysis::{rectify, validate};
+use semrec_datalog::analysis::{rectify, validate, Checked};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::constraint::Constraint;
 use semrec_datalog::error::Error;
@@ -43,6 +45,9 @@ pub struct Optimizer<'a> {
     program: &'a Program,
     ics: &'a [Constraint],
     config: OptimizerConfig,
+    /// [`check`](semrec_datalog::analysis::check) of `program` and
+    /// `ics`, when the caller already has it.
+    checked: Option<&'a Checked>,
 }
 
 /// The outcome of optimization.
@@ -98,7 +103,16 @@ impl<'a> Optimizer<'a> {
             program,
             ics: &[],
             config: OptimizerConfig::default(),
+            checked: None,
         }
+    }
+
+    /// Reads the paper's class off `checked`, the caller's
+    /// [`check`](semrec_datalog::analysis::check) of this program and
+    /// these constraints, instead of judging them again.
+    pub fn with_checked(mut self, checked: &'a Checked) -> Self {
+        self.checked = Some(checked);
+        self
     }
 
     /// Sets the integrity constraints.
@@ -114,14 +128,14 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Runs the pipeline. Work is linear in rules + constraints: what
-    /// depends on the whole program (validation, the constraint index,
-    /// IDB liveness) is done once, what depends on a block (SD-graph,
-    /// push, cleanup) once per block, and detection itself only for the
-    /// constraints whose body predicates all occur among that block's
-    /// subgoals. A block is a recursive predicate, or a non-recursive rule
-    /// on its own: the k = 1 case (e.g. Example 4.2's `eval_support`),
-    /// whose one sequence is the rule and whose push emits only the rule's
-    /// rewritten copies.
+    /// depends on the whole program (validation, unless the caller gave
+    /// its judgment; the constraint index; IDB liveness) is done once,
+    /// what depends on a block (SD-graph, push, cleanup) once per block,
+    /// and detection itself only for the constraints whose body
+    /// predicates all occur among that block's subgoals. A block is a
+    /// recursive predicate, or a non-recursive rule on its own: the k = 1
+    /// case (e.g. Example 4.2's `eval_support`), whose one sequence is the
+    /// rule and whose push emits only the rule's rewritten copies.
     pub fn run(self) -> Result<Plan, Error> {
         #[cfg(feature = "failpoints")]
         semrec_engine::failpoint::hit("optimizer.push").map_err(Error::analysis)?;
@@ -130,7 +144,10 @@ impl<'a> Optimizer<'a> {
         // written program's blocks are the rectified one's: judging that
         // again would refuse every head constant, whose new equality
         // shares no variable with the body.
-        let infos = validate(self.program, self.ics)?;
+        let infos = match self.checked {
+            Some(checked) => checked.paper_class()?.to_vec(),
+            None => validate(self.program, self.ics)?,
+        };
         let (rectified, _) = rectify(self.program);
         let blocks = blocks(&rectified, infos);
         let config = &self.config;
@@ -138,10 +155,8 @@ impl<'a> Optimizer<'a> {
 
         let index = IcIndex::new(self.ics);
         let liveness = IdbLiveness::new(&rectified);
-        let mut stats = DetectStats {
-            ics: self.ics.len(),
-            ..DetectStats::default()
-        };
+        let mut work = DetectWork::default();
+        work.stats.ics = self.ics.len();
         let mut detections: Vec<(Pred, Residue)> = Vec::new();
         let mut applied = Vec::new();
         let mut skipped = Vec::new();
@@ -158,8 +173,8 @@ impl<'a> Optimizer<'a> {
             if candidates.is_empty() {
                 continue;
             }
-            stats.candidate_pairs += candidates.len();
-            let mut detector = Detector::new(&rectified, info, config.method, PAD, &mut stats);
+            work.stats.candidate_pairs += candidates.len();
+            let mut detector = Detector::new(&rectified, info, config.method, PAD, &mut work);
             let first = detections.len();
             for i in candidates {
                 let ic = shared[i].get_or_insert_with(|| Arc::new(self.ics[i].clone()));
@@ -225,7 +240,7 @@ impl<'a> Optimizer<'a> {
             rectified,
             program,
             detections,
-            detect_stats: stats,
+            detect_stats: work.stats,
             chosen,
             applied,
             skipped,

@@ -161,13 +161,7 @@ impl<'a> Pusher<'a> {
     /// come from [`crate::sequence::unfold`] on it.
     pub fn new(program: &'a Program, info: &'a RecursionInfo, unfolding: &'a Unfolding) -> Self {
         let k = unfolding.seq.len();
-        let mut steps = Vec::with_capacity(k);
-        for i in 1..=k {
-            let rule = &program.rules[unfolding.seq[i - 1]];
-            let sigma = &unfolding.step_substs[i - 1];
-            let body: Vec<Literal> = rule.body.iter().map(|l| sigma.apply_literal(l)).collect();
-            steps.push(body);
-        }
+        let steps = (1..=k).map(|i| unfolding.step_body(program, i)).collect();
         Pusher {
             program,
             info,
@@ -178,24 +172,19 @@ impl<'a> Pusher<'a> {
         }
     }
 
-    /// Variables visible at level `i` (1-based) of a chain: the level's
-    /// head arguments plus its body.
-    fn level_vars(&self, chain: &Chain, i: usize) -> BTreeSet<Symbol> {
-        let mut out: BTreeSet<Symbol> = self.unfolding.call_args[i - 1]
-            .iter()
-            .filter_map(|t| t.as_var())
-            .collect();
-        for l in &chain.steps[i - 1] {
-            out.extend(l.vars());
-        }
-        out
-    }
-
-    /// The deepest level at which all of `vars` are visible.
-    fn home_level(&self, chain: &Chain, vars: &BTreeSet<Symbol>) -> Option<usize> {
+    /// The deepest level at which all of `vars` are visible: each is one
+    /// of the level's head arguments or occurs in its body.
+    fn home_level(
+        &self,
+        chain: &Chain,
+        vars: impl Iterator<Item = Symbol> + Clone,
+    ) -> Option<usize> {
         (1..=chain.steps.len()).rev().find(|&i| {
-            let visible = self.level_vars(chain, i);
-            vars.iter().all(|v| visible.contains(v))
+            let head = self.unfolding.call_args(i - 1);
+            let body = &chain.steps[i - 1];
+            let in_body = |v| body.iter().any(|l| l.var_iter().any(|w| w == v));
+            vars.clone()
+                .all(|v| head.contains(&Term::Var(v)) || in_body(v))
         })
     }
 
@@ -228,10 +217,8 @@ impl<'a> Pusher<'a> {
         // Locate each condition's home level first.
         let mut homes = Vec::with_capacity(conditions.len());
         for c in conditions {
-            let vars: BTreeSet<Symbol> = c.vars().collect();
-            let home = self
-                .home_level(chain, &vars)
-                .ok_or(SkipReason::NotLocalizable)?;
+            let vars = [c.lhs, c.rhs].into_iter().filter_map(Term::as_var);
+            let home = (self.home_level(chain, vars)).ok_or(SkipReason::NotLocalizable)?;
             homes.push(home);
         }
 
@@ -285,14 +272,14 @@ impl<'a> Pusher<'a> {
         let target = self.unfolding.body[at.body_index].lit.clone();
         let level = at.step;
         let unfolding = self.unfolding;
-        self.rebuild_chains(residue, |s, chain| {
+        self.rebuild_chains(residue, |_, chain| {
             let body = &mut chain.steps[level - 1];
             let Some(pos) = body.iter().position(|l| l == &target) else {
                 return Err(SkipReason::AlreadyEliminated);
             };
             body.remove(pos);
             // The level's rule must stay safe and range restricted.
-            if !s.level_rule_safe(chain, level, unfolding) {
+            if !Self::level_rule_safe(chain, level, unfolding) {
                 return Err(SkipReason::WouldBreakSafety);
             }
             Ok(())
@@ -339,7 +326,7 @@ impl<'a> Pusher<'a> {
         let mut unfolding_vars: BTreeSet<Symbol> = u
             .head
             .vars()
-            .chain(u.tail.iter().flat_map(Atom::vars))
+            .chain(u.tail().into_iter().flatten().filter_map(|t| t.as_var()))
             .collect();
         unfolding_vars.extend(u.body.iter().flat_map(|sl| sl.lit.var_iter()));
         let lit: Literal = match &residue.head {
@@ -364,7 +351,7 @@ impl<'a> Pusher<'a> {
         let lit2 = lit.clone();
         self.rebuild_chains(residue, move |s, chain| {
             let home = s
-                .home_level(chain, &anchor_vars)
+                .home_level(chain, anchor_vars.iter().copied())
                 .ok_or(SkipReason::NotLocalizable)?;
             chain.steps[home - 1].push(lit2.clone());
             Ok(())
@@ -376,10 +363,14 @@ impl<'a> Pusher<'a> {
         })
     }
 
-    fn level_rule_safe(&self, chain: &Chain, level: usize, unfolding: &Unfolding) -> bool {
-        let head = Atom::new(Pred::new("chk@"), unfolding.call_args[level - 1].clone());
-        let rule = Rule::new(head, chain.steps[level - 1].clone());
-        safety::unsafe_detail(&rule).is_none()
+    /// Whether `level`'s rule stays safe, judged on the level's body in
+    /// place.
+    fn level_rule_safe(chain: &mut Chain, level: usize, unfolding: &Unfolding) -> bool {
+        let head = Atom::new(Pred::new("chk@"), unfolding.call_args(level - 1).to_vec());
+        let rule = Rule::new(head, std::mem::take(&mut chain.steps[level - 1]));
+        let safe = safety::unsafe_detail(&rule).is_none();
+        chain.steps[level - 1] = rule.body;
+        safe
     }
 
     /// Emits the rules that replace the predicate's own: strict chains
@@ -393,6 +384,7 @@ impl<'a> Pusher<'a> {
         let p = self.info.pred;
         let seq = &self.unfolding.seq;
         let k = seq.len();
+        let all_rules = self.info.all_rules();
         let mut rules: Vec<Rule> = Vec::new();
 
         // Strict chains.
@@ -408,7 +400,7 @@ impl<'a> Pusher<'a> {
                 } else {
                     Pred::new(&format!("{}@s{ci}x{i}", p.name()))
                 };
-                let head = Atom::new(head_pred, self.unfolding.call_args[i - 1].clone());
+                let head = Atom::new(head_pred, self.unfolding.call_args(i - 1).to_vec());
                 let body: Vec<Literal> = chain.steps[i - 1]
                     .iter()
                     .map(|l| match l {
@@ -433,26 +425,26 @@ impl<'a> Pusher<'a> {
             rules.push(entry);
             for (i, &next) in seq.iter().enumerate().take(k).skip(1) {
                 // Escape now: apply any rule ≠ r_{j,i+1}, recursing to p.
-                for &l in &self.info.all_rules() {
+                for &l in &all_rules {
                     if l == next {
                         continue;
                     }
                     let mut esc = self.retarget(&self.program.rules[l], p, p, i + 1, l);
-                    esc.head = Atom::new(dev_pred(i), esc.head.args.clone());
+                    esc.head.pred = dev_pred(i);
                     rules.push(esc);
                 }
                 // Continue matching (still committed to deviate later).
                 if i + 1 < k {
                     let mut cont =
                         self.retarget(&self.program.rules[next], p, dev_pred(i + 1), i + 1, next);
-                    cont.head = Atom::new(dev_pred(i), cont.head.args.clone());
+                    cont.head.pred = dev_pred(i);
                     rules.push(cont);
                 }
             }
         }
 
         // The original rules other than r_{j1} (immediate deviation).
-        for &l in &self.info.all_rules() {
+        for &l in &all_rules {
             if l != seq[0] {
                 rules.push(self.program.rules[l].clone());
             }

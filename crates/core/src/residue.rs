@@ -11,6 +11,7 @@ use semrec_datalog::subst::Subst;
 use semrec_datalog::symbol::Symbol;
 use semrec_datalog::term::Term;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The consequent of a residue.
@@ -25,13 +26,21 @@ pub enum ResidueHead {
     Cmp(Cmp),
 }
 
+impl ResidueHead {
+    /// Writes the head as `Display` prints it, through
+    /// [`fmt::Write::write_str`] (see [`Atom::write_to`]).
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            ResidueHead::Null => out.write_str("false"),
+            ResidueHead::Atom(a) => a.write_to(out),
+            ResidueHead::Cmp(c) => c.write_to(out),
+        }
+    }
+}
+
 impl fmt::Display for ResidueHead {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ResidueHead::Null => write!(f, "false"),
-            ResidueHead::Atom(a) => write!(f, "{a}"),
-            ResidueHead::Cmp(c) => write!(f, "{c}"),
-        }
+        self.write_to(f)
     }
 }
 
@@ -92,15 +101,25 @@ impl Residue {
     }
 }
 
-impl fmt::Display for Residue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Residue {
+    /// Writes `E1, …, Em -> head` as `Display` prints it, through
+    /// [`fmt::Write::write_str`]: detection renders its order key with
+    /// it straight into one buffer, with no formatter between.
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         for (i, c) in self.body.iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                out.write_str(", ")?;
             }
-            write!(f, "{c}")?;
+            c.write_to(out)?;
         }
-        write!(f, " -> {}", self.head)
+        out.write_str(" -> ")?;
+        self.head.write_to(out)
+    }
+}
+
+impl fmt::Display for Residue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
@@ -109,19 +128,20 @@ impl fmt::Display for Residue {
 /// a clause's abstraction once, not on every subsumption check. A match
 /// then pays only for what depends on θ: the residue's own conditions
 /// (whose variables join the protected set), the atoms it matched and the
-/// usefulness search they seed. Its variable sets are sorted slices.
+/// usefulness search they seed. Its variable sets are sorted slices of
+/// one buffer.
 pub struct VerifyContext {
     unfolding: Unfolding,
-    /// Every variable of the unfolding, tail included.
-    vars: Vec<Symbol>,
-    /// The unfolding's own comparisons.
-    cmps: Vec<Cmp>,
-    /// Every occurrence of a variable in the body's database atoms: a
-    /// variable's occurrences are one run.
-    occur: Vec<Symbol>,
+    /// The sets below, one after the other.
+    symbols: Vec<Symbol>,
     /// Head, tail and comparison variables: what every redundancy
     /// homomorphism fixes.
-    protected: Vec<Symbol>,
+    protected: Range<usize>,
+    /// Every occurrence of a variable in the body's database atoms: a
+    /// variable's occurrences are one run.
+    occur: Range<usize>,
+    /// Every variable of the unfolding, tail included.
+    vars: Range<usize>,
 }
 
 /// The working places of [`VerifyContext::residues`], which a caller keeps
@@ -132,36 +152,53 @@ pub struct Scratch {
     hom: (Subst, Vec<Symbol>),
 }
 
+/// Sorts `v[from..]` and drops its repeats.
+fn sort_dedup_from(v: &mut Vec<Symbol>, from: usize) {
+    v[from..].sort_unstable();
+    let mut kept = from;
+    for i in from..v.len() {
+        if kept == from || v[i] != v[kept - 1] {
+            v[kept] = v[i];
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
+}
+
 impl VerifyContext {
     /// Precomputes what every match against `unfolding` reads.
     pub fn new(unfolding: Unfolding) -> VerifyContext {
-        let cmps: Vec<Cmp> = unfolding
-            .body
-            .iter()
-            .filter_map(|sl| sl.lit.as_cmp().copied())
-            .collect();
-        let atoms = || unfolding.body_atoms().map(|(_, a)| a);
-        let mut occur = Vec::with_capacity(atoms().map(Atom::arity).sum());
-        occur.extend(atoms().flat_map(Atom::vars));
-        let tail = unfolding.tail.iter().flat_map(Atom::vars);
-        let mut protected = Vec::with_capacity(unfolding.head.arity() * 2 + cmps.len() * 2);
-        protected.extend(unfolding.head.vars().chain(tail));
-        protected.extend(cmps.iter().flat_map(Cmp::vars));
-        let mut vars = [&protected[..], &occur[..]].concat();
-        let negated = unfolding.body.iter().filter_map(|sl| sl.lit.as_neg());
-        vars.extend(negated.flat_map(Atom::vars));
-        for set in [&mut vars, &mut protected] {
-            set.sort_unstable();
-            set.dedup();
-        }
-        occur.sort_unstable();
+        let u = &unfolding;
+        let atoms = || u.body_atoms().map(|(_, a)| a);
+        let negated = || u.body.iter().filter_map(|sl| sl.lit.as_neg());
+        let fixed = u.head.arity() * 2 + u.cmps().count() * 2;
+        let occurrences: usize = atoms().map(Atom::arity).sum();
+        let unbound: usize = negated().map(Atom::arity).sum();
+        let mut symbols = Vec::with_capacity(2 * (fixed + occurrences) + unbound);
+        let tail = u.tail().into_iter().flatten().filter_map(|t| t.as_var());
+        symbols.extend(u.head.vars().chain(tail));
+        symbols.extend(u.cmps().flat_map(Cmp::vars));
+        sort_dedup_from(&mut symbols, 0);
+        let protected = 0..symbols.len();
+        symbols.extend(atoms().flat_map(Atom::vars));
+        symbols[protected.end..].sort_unstable();
+        let occur = protected.end..symbols.len();
+        symbols.extend_from_within(..occur.end);
+        symbols.extend(negated().flat_map(Atom::vars));
+        sort_dedup_from(&mut symbols, occur.end);
+        let vars = occur.end..symbols.len();
         VerifyContext {
             unfolding,
-            vars,
-            cmps,
-            occur,
+            symbols,
             protected,
+            occur,
+            vars,
         }
+    }
+
+    /// Every variable of the unfolding, sorted.
+    fn vars(&self) -> &[Symbol] {
+        &self.symbols[self.vars.clone()]
     }
 
     /// The unfolding this context verifies against.
@@ -206,14 +243,14 @@ pub fn build_residue(
     onto: &[usize],
     hom: &mut (Subst, Vec<Symbol>),
 ) -> Option<Residue> {
-    let grounded = |c: &Cmp| c.vars().all(|v| ctx.vars.binary_search(&v).is_ok());
+    let grounded = |c: &Cmp| c.vars().all(|v| ctx.vars().binary_search(&v).is_ok());
 
     // Conditions implied by the sequence's own comparisons are discharged:
     // the residue fires unconditionally on every tree of this shape.
     let mut body: Vec<Cmp> = Vec::new();
     for c in &ic.body_cmps {
         let ic_c = theta.apply_cmp(c);
-        if ic_c.is_trivially_true() || ctx.cmps.iter().any(|sc| sc.implies(&ic_c)) {
+        if ic_c.is_trivially_true() || ctx.unfolding.cmps().any(|sc| sc.implies(&ic_c)) {
             continue;
         }
         if ic_c.is_trivially_false() || !grounded(&ic_c) {
@@ -290,7 +327,8 @@ impl VerifyContext {
         (h, trail): &mut (Subst, Vec<Symbol>),
     ) -> Option<usize> {
         let conds = || residue.body.iter().flat_map(Cmp::vars);
-        let protected = |v| self.protected.binary_search(&v).is_ok() || conds().any(|w| w == v);
+        let fixed = &self.symbols[self.protected.clone()];
+        let protected = |v| fixed.binary_search(&v).is_ok() || conds().any(|w| w == v);
         let body = || self.unfolding.body_atoms();
         for (bi, b) in body() {
             if residue.matched_body.contains(&bi)
@@ -315,7 +353,8 @@ impl VerifyContext {
 
     /// How often `v` occurs in the body's database atoms.
     fn occurrences(&self, v: Symbol) -> usize {
-        let run = &self.occur[self.occur.partition_point(|&w| w < v)..];
+        let occur = &self.symbols[self.occur.clone()];
+        let run = &occur[occur.partition_point(|&w| w < v)..];
         run.partition_point(|&w| w == v)
     }
 
@@ -340,7 +379,7 @@ impl VerifyContext {
         trail: &mut Vec<Symbol>,
     ) -> bool {
         for (&bt, &at) in b.args.iter().zip(&head.args) {
-            if matches!(at, Term::Var(v) if self.vars.binary_search(&v).is_err()) {
+            if matches!(at, Term::Var(v) if self.vars().binary_search(&v).is_err()) {
                 match bt {
                     Term::Var(v)
                         if !protected(v) && self.occurrences(v) == 1 && h.get(v).is_none() =>

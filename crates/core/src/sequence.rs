@@ -17,7 +17,7 @@
 use semrec_datalog::analysis::RecursionInfo;
 use semrec_datalog::atom::Atom;
 use semrec_datalog::error::Error;
-use semrec_datalog::literal::Literal;
+use semrec_datalog::literal::{Cmp, Literal};
 use semrec_datalog::program::Program;
 use semrec_datalog::rule::Rule;
 use semrec_datalog::subst::Subst;
@@ -43,16 +43,14 @@ pub struct Unfolding {
     pub seq: Vec<usize>,
     /// The head `p(X1, …, Xn)` (the canonical rectified head).
     pub head: Atom,
-    /// Flattened body literals with provenance, in step order.
+    /// Flattened body literals with provenance, in step order, and in
+    /// rule order within a step.
     pub body: Vec<SeqLiteral>,
-    /// The trailing recursive call, if the last rule is recursive.
-    pub tail: Option<Atom>,
-    /// Per step: the substitution applied to that rule's variables.
-    pub step_substs: Vec<Subst>,
-    /// Per step `i` (0-based entry `i`): the incoming call arguments — the
-    /// head arguments of the rule applied at step `i+1`. Entry 0 is the
-    /// canonical head variables themselves.
-    pub call_args: Vec<Vec<Term>>,
+    /// [`Unfolding::call_args`] of each step, one after the other, and
+    /// of the trailing recursive call when there is one.
+    call_args: Vec<Term>,
+    /// Whether the last rule is recursive.
+    recursive_tail: bool,
 }
 
 impl Unfolding {
@@ -65,12 +63,51 @@ impl Unfolding {
             .filter_map(|(i, sl)| sl.lit.as_atom().map(|a| (i, a)))
     }
 
+    /// The body's comparisons, in order.
+    pub fn cmps(&self) -> impl Iterator<Item = &Cmp> + Clone {
+        self.body.iter().filter_map(|sl| sl.lit.as_cmp())
+    }
+
+    /// The incoming call arguments of step `i + 1`: the head arguments
+    /// of the rule applied there, as renamed. Entry 0 is the canonical
+    /// head variables themselves; the recursive subgoal of step `i`
+    /// (1-based) calls with entry `i`.
+    pub fn call_args(&self, i: usize) -> &[Term] {
+        let n = self.head.arity();
+        &self.call_args[i * n..(i + 1) * n]
+    }
+
+    /// The arguments of the trailing recursive call (a `head.pred` atom),
+    /// if the last rule is recursive.
+    pub fn tail(&self) -> Option<&[Term]> {
+        self.recursive_tail.then(|| self.call_args(self.seq.len()))
+    }
+
+    /// The body of step `i` (1-based) as renamed: the rule's literals in
+    /// its order, its recursive subgoal calling with
+    /// [`Unfolding::call_args`]`(i)`.
+    pub fn step_body(&self, program: &Program, i: usize) -> Vec<Literal> {
+        let rule = &program.rules[self.seq[i - 1]];
+        let mut mine = self.body.iter().filter(|sl| sl.step == i);
+        let renamed = |l: &Literal| match l {
+            Literal::Atom(a) if a.pred == self.head.pred => {
+                Literal::Atom(Atom::new(a.pred, self.call_args(i).to_vec()))
+            }
+            _ => mine
+                .next()
+                .expect("every other literal is in the body")
+                .lit
+                .clone(),
+        };
+        rule.body.iter().map(renamed).collect()
+    }
+
     /// Renders the unfolding as a single rule (tail included), mainly for
     /// display and tests.
     pub fn to_rule(&self) -> Rule {
         let mut body: Vec<Literal> = self.body.iter().map(|sl| sl.lit.clone()).collect();
-        if let Some(t) = &self.tail {
-            body.push(Literal::Atom(t.clone()));
+        if let Some(args) = self.tail() {
+            body.push(Literal::Atom(Atom::new(self.head.pred, args.to_vec())));
         }
         Rule::new(self.head.clone(), body)
     }
@@ -81,25 +118,36 @@ pub fn step_local(v: Symbol, step: usize) -> Symbol {
     Symbol::intern(&format!("{v}~{step}"))
 }
 
-/// The [`step_local`] renaming of each rule's local variables, per
-/// (rule, step), built on first use. A caller that unfolds many sequences
-/// over the same rules keeps one, so each `v~i` is formatted and interned
-/// once rather than once per unfolding.
+/// What unfolding reuses from one sequence to the next: the
+/// [`step_local`] renaming of each rule's local variables, per (rule,
+/// step), built on first use, and the one substitution each step renames
+/// through. A caller that unfolds many sequences over the same rules
+/// keeps one, so each `v~i` is formatted and interned once, and a step
+/// allocates only what the unfolding keeps.
 #[derive(Default)]
 pub struct StepNames {
     locals: BTreeMap<(usize, usize), Vec<(Symbol, Term)>>,
+    sigma: Subst,
 }
 
 impl StepNames {
-    /// Local variable ↦ its renamed variable, for rule `ri` at `step`.
-    fn get(&mut self, program: &Program, ri: usize, step: usize) -> &[(Symbol, Term)] {
-        self.locals.entry((ri, step)).or_insert_with(|| {
-            program.rules[ri]
-                .local_vars()
-                .into_iter()
+    /// σ for rule `ri` at `step`: head variable of column t ↦
+    /// `incoming[t]`, local ↦ its renamed variable.
+    fn sigma(&mut self, program: &Program, ri: usize, step: usize, incoming: &[Term]) -> &Subst {
+        let rule = &program.rules[ri];
+        let locals = self.locals.entry((ri, step)).or_insert_with(|| {
+            (rule.local_vars().into_iter())
                 .map(|v| (v, Term::Var(step_local(v, step))))
                 .collect()
-        })
+        });
+        let heads = rule.head.args.iter().zip(incoming).map(|(t, &arg)| {
+            let v = t
+                .as_var()
+                .expect("rectified rule heads contain only variables");
+            (v, arg)
+        });
+        self.sigma.assign(heads.chain(locals.iter().copied()));
+        &self.sigma
     }
 }
 
@@ -138,36 +186,19 @@ pub fn unfold_with(
     }
 
     let head = program.rules[seq[0]].head.clone();
-    let mut call_args: Vec<Vec<Term>> = Vec::with_capacity(seq.len() + 1);
-    call_args.push(head.args.clone());
+    let n = head.arity();
+    let mut call_args: Vec<Term> = Vec::with_capacity(n * (seq.len() + 1));
+    call_args.extend_from_slice(&head.args);
     let body_len = seq.iter().map(|&ri| program.rules[ri].body.len()).sum();
     let mut body: Vec<SeqLiteral> = Vec::with_capacity(body_len);
-    let mut step_substs: Vec<Subst> = Vec::with_capacity(seq.len());
-    let mut tail: Option<Atom> = None;
 
     for (idx, &ri) in seq.iter().enumerate() {
         let step = idx + 1;
-        let rule = &program.rules[ri];
-        // σ_step: head var of column t ↦ incoming call arg t; locals ↦ v~step.
-        let heads = rule.head.args.iter().zip(&call_args[idx]).map(|(t, &arg)| {
-            let v = t
-                .as_var()
-                .expect("rectified rule heads contain only variables");
-            (v, arg)
-        });
-        let sigma = Subst::from_pairs(heads.chain(names.get(program, ri, step).iter().copied()));
-
-        let mut next_call: Option<Vec<Term>> = None;
-        for (li, lit) in rule.body.iter().enumerate() {
+        let sigma = names.sigma(program, ri, step, &call_args[idx * n..step * n]);
+        for (li, lit) in program.rules[ri].body.iter().enumerate() {
             match lit {
                 Literal::Atom(a) if a.pred == info.pred => {
-                    let renamed = sigma.apply_atom(a);
-                    if idx + 1 == seq.len() {
-                        next_call = Some(renamed.args.clone());
-                        tail = Some(renamed);
-                    } else {
-                        next_call = Some(renamed.args);
-                    }
+                    call_args.extend(a.args.iter().map(|&t| sigma.apply_term(t)));
                 }
                 other => body.push(SeqLiteral {
                     lit: sigma.apply_literal(other),
@@ -176,21 +207,13 @@ pub fn unfold_with(
                 }),
             }
         }
-        step_substs.push(sigma);
-        if let Some(args) = next_call {
-            call_args.push(args);
-        } else {
-            // Exit rule: must be last (checked above).
-            debug_assert_eq!(idx + 1, seq.len());
-        }
     }
 
     Ok(Unfolding {
         seq: seq.to_vec(),
         head,
         body,
-        tail,
-        step_substs,
+        recursive_tail: info.recursive_rules.contains(&seq[seq.len() - 1]),
         call_args,
     })
 }
@@ -258,7 +281,7 @@ mod tests {
         let (p, info) = setup(ANC, "anc");
         let u = unfold(&p, &info, &[1]).unwrap();
         assert_eq!(u.body.len(), 1);
-        assert!(u.tail.is_some());
+        assert!(u.tail().is_some());
         assert_eq!(
             u.to_rule().to_string(),
             "anc(X, Y) :- par(Z~1, Y), anc(X, Z~1)."
@@ -283,7 +306,7 @@ mod tests {
     fn unfold_closed_with_exit_rule() {
         let (p, info) = setup(ANC, "anc");
         let u = unfold(&p, &info, &[1, 0]).unwrap();
-        assert!(u.tail.is_none());
+        assert!(u.tail().is_none());
         assert_eq!(
             u.to_rule().to_string(),
             "anc(X, Y) :- par(Z~1, Y), par(X, Z~1)."
@@ -319,7 +342,8 @@ mod tests {
                 "field(T, F~2)",
             ]
         );
-        assert_eq!(u.tail.as_ref().unwrap().to_string(), "eval(P1~2, S, T)");
+        let tail: Vec<String> = u.tail().unwrap().iter().map(Term::to_string).collect();
+        assert_eq!(tail, ["P1~2", "S", "T"]);
     }
 
     #[test]
@@ -345,11 +369,13 @@ mod tests {
     fn provenance_maps_to_alpha_rules() {
         let (p, info) = setup(ANC, "anc");
         let u = unfold(&p, &info, &[1, 1]).unwrap();
-        // step_substs[1] must rename rule 1's local Z to Z~2 and head X,Y to
-        // the incoming call args X, Z~1.
-        let s2 = &u.step_substs[1];
-        assert_eq!(s2.apply_term(Term::var("Y")), Term::var("Z~1"));
-        assert_eq!(s2.apply_term(Term::var("X")), Term::var("X"));
-        assert_eq!(s2.apply_term(Term::var("Z")), Term::var("Z~2"));
+        // Step 2 renames rule 1's head X, Y to the incoming call args
+        // X, Z~1 and its local Z to Z~2; its recursive subgoal calls with
+        // X, Z~2.
+        let text = |ts: &[Term]| ts.iter().map(Term::to_string).collect::<Vec<_>>();
+        assert_eq!(text(u.call_args(1)), ["X", "Z~1"]);
+        assert_eq!(text(u.call_args(2)), ["X", "Z~2"]);
+        let step2: Vec<String> = u.step_body(&p, 2).iter().map(|l| l.to_string()).collect();
+        assert_eq!(step2, ["anc(X, Z~2)", "par(Z~2, Z~1)"]);
     }
 }

@@ -23,7 +23,7 @@ impl Pred {
 
 impl fmt::Display for Pred {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(self.name())
     }
 }
 
@@ -67,16 +67,25 @@ impl Atom {
     }
 }
 
-impl fmt::Display for Atom {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.pred)?;
+impl Atom {
+    /// Writes `p(t1, …, tn)` as `Display` prints it, through
+    /// [`fmt::Write::write_str`] (see [`Term::write_to`]).
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(self.pred.name())?;
+        out.write_str("(")?;
         for (i, t) in self.args.iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                out.write_str(", ")?;
             }
-            write!(f, "{t}")?;
+            t.write_to(out)?;
         }
-        write!(f, ")")
+        out.write_str(")")
+    }
+}
+
+impl fmt::Display for Atom {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

@@ -6,7 +6,7 @@
 //! note the paper's reversal of head and body relative to clause notation).
 //! An IC with an absent head is a denial: its body must never be satisfied.
 
-use crate::atom::{Atom, Pred};
+use crate::atom::Atom;
 use crate::literal::Cmp;
 use crate::subst::Subst;
 use crate::symbol::Symbol;
@@ -100,11 +100,6 @@ impl Constraint {
         }
         out.extend(self.head.vars());
         out
-    }
-
-    /// The set of database predicates mentioned in the body.
-    pub fn body_preds(&self) -> BTreeSet<Pred> {
-        self.body_atoms.iter().map(|a| a.pred).collect()
     }
 
     /// Applies a substitution to the whole constraint.

@@ -67,17 +67,23 @@ impl CmpOp {
     }
 }
 
-impl fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl CmpOp {
+    /// The operator as written.
+    pub fn as_str(self) -> &'static str {
+        match self {
             CmpOp::Eq => "=",
             CmpOp::Ne => "!=",
             CmpOp::Lt => "<",
             CmpOp::Le => "<=",
             CmpOp::Gt => ">",
             CmpOp::Ge => ">=",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for CmpOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -254,9 +260,21 @@ fn range_of(op: CmpOp, c: Value) -> (Bound, Bound, Option<Value>) {
     }
 }
 
+impl Cmp {
+    /// Writes `lhs op rhs` as `Display` prints it, through
+    /// [`fmt::Write::write_str`] (see [`Term::write_to`]).
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        self.lhs.write_to(out)?;
+        out.write_str(" ")?;
+        out.write_str(self.op.as_str())?;
+        out.write_str(" ")?;
+        self.rhs.write_to(out)
+    }
+}
+
 impl fmt::Display for Cmp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {}", self.lhs, self.op, self.rhs)
+        self.write_to(f)
     }
 }
 
@@ -316,13 +334,24 @@ impl Literal {
     }
 }
 
+impl Literal {
+    /// Writes the literal as `Display` prints it, through
+    /// [`fmt::Write::write_str`] (see [`Atom::write_to`]).
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Literal::Atom(a) => a.write_to(out),
+            Literal::Neg(a) => {
+                out.write_str("!")?;
+                a.write_to(out)
+            }
+            Literal::Cmp(c) => c.write_to(out),
+        }
+    }
+}
+
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Literal::Atom(a) => write!(f, "{a}"),
-            Literal::Neg(a) => write!(f, "!{a}"),
-            Literal::Cmp(c) => write!(f, "{c}"),
-        }
+        self.write_to(f)
     }
 }
 

@@ -384,6 +384,12 @@ pub fn unescape(body: &str) -> Cow<'_, str> {
         return Cow::Borrowed(body);
     }
     let mut out = String::with_capacity(body.len());
+    unescape_into(body, &mut out);
+    Cow::Owned(out)
+}
+
+/// Appends [`unescape`]`(body)` to `out`, a buffer the caller reuses.
+pub fn unescape_into(body: &str, out: &mut String) {
     let mut rest = body;
     while let Some(i) = rest.find('\\') {
         out.push_str(&rest[..i]);
@@ -401,13 +407,11 @@ pub fn unescape(body: &str) -> Cow<'_, str> {
         }
     }
     out.push_str(rest);
-    Cow::Owned(out)
 }
 
 /// Writes `s` as a double-quoted literal that [`Lexer`] reads back as
 /// exactly `s`: the inverse of [`unescape`].
-pub(crate) fn write_str_literal(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    use fmt::Write as _;
+pub(crate) fn write_str_literal<W: fmt::Write + ?Sized>(f: &mut W, s: &str) -> fmt::Result {
     f.write_char('"')?;
     for c in s.chars() {
         match c {

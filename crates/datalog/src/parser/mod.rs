@@ -109,6 +109,9 @@ struct Parser<'a> {
     /// A non-ground atom's arguments: `row`'s words up to the first
     /// variable, then every argument; reused across atoms.
     args: Vec<Term>,
+    /// An escaped string literal's text, unescaped to be interned;
+    /// reused across literals.
+    text: String,
 }
 
 impl<'a> Parser<'a> {
@@ -123,6 +126,7 @@ impl<'a> Parser<'a> {
             last_pred: None,
             row: Vec::new(),
             args: Vec::new(),
+            text: String::new(),
         }
     }
 
@@ -343,7 +347,8 @@ impl<'a> Parser<'a> {
                 }
                 Some(quote @ (b'\'' | b'"')) => {
                     let end = self.lexer.string(start, quote)?;
-                    self.constant(ground, Value::str(&unescape(&src[start + 1..end - 1])));
+                    let value = self.string_value(&src[start + 1..end - 1]);
+                    self.constant(ground, value);
                     end
                 }
                 Some(c) if c.is_ascii_alphabetic() || c == b'_' => {
@@ -380,6 +385,17 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The constant a string literal's raw `body` stands for, unescaped
+    /// into `text` when it has an escape.
+    fn string_value(&mut self, body: &str) -> Value {
+        if !body.contains('\\') {
+            return Value::str(body);
+        }
+        self.text.clear();
+        lexer::unescape_into(body, &mut self.text);
+        Value::str(&self.text)
+    }
+
     /// After an argument: true past a `,`, false past the closing `)`.
     fn next_arg(&mut self) -> Result<bool, Error> {
         let start = self.lexer.skip_trivia();
@@ -405,7 +421,7 @@ impl<'a> Parser<'a> {
             TokenKind::Var(v) => Term::Var(Symbol::intern(v)),
             TokenKind::Ident(c) => Term::Const(Value::str(c)),
             TokenKind::Int(i) => Term::Const(Value::Int(i)),
-            TokenKind::Str(s) => Term::Const(Value::str(&unescape(s))),
+            TokenKind::Str(s) => Term::Const(self.string_value(s)),
             _ => return Err(self.unexpected("term")),
         };
         self.bump();

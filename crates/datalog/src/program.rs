@@ -86,7 +86,8 @@ impl Program {
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for r in &self.rules {
-            writeln!(f, "{r}")?;
+            fmt::Display::fmt(r, f)?;
+            f.write_str("\n")?;
         }
         Ok(())
     }

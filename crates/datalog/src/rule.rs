@@ -74,17 +74,17 @@ impl Rule {
 
 impl fmt::Display for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.head)?;
+        self.head.write_to(f)?;
         if !self.body.is_empty() {
-            write!(f, " :- ")?;
+            f.write_str(" :- ")?;
             for (i, l) in self.body.iter().enumerate() {
                 if i > 0 {
-                    write!(f, ", ")?;
+                    f.write_str(", ")?;
                 }
-                write!(f, "{l}")?;
+                l.write_to(f)?;
             }
         }
-        write!(f, ".")
+        f.write_str(".")
     }
 }
 

@@ -27,13 +27,22 @@ impl Subst {
 
     /// Builds a substitution from pairs. Later pairs overwrite earlier ones.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (Symbol, Term)>) -> Subst {
-        let mut pairs: Vec<(Symbol, Term)> = pairs.into_iter().collect();
+        let mut s = Subst::new();
+        s.assign(pairs);
+        s
+    }
+
+    /// Replaces every binding by `pairs`, as [`Subst::from_pairs`] builds
+    /// them, in the allocation `self` already has.
+    pub fn assign(&mut self, pairs: impl IntoIterator<Item = (Symbol, Term)>) {
+        let pairs_of = &mut self.pairs;
+        pairs_of.clear();
+        pairs_of.extend(pairs);
         // Reversed, a stable sort puts the last pair of a variable first,
         // where the dedup keeps it.
-        pairs.reverse();
-        pairs.sort_by_key(|&(v, _)| v);
-        pairs.dedup_by_key(|&mut (v, _)| v);
-        Subst { pairs }
+        pairs_of.reverse();
+        pairs_of.sort_by_key(|&(v, _)| v);
+        pairs_of.dedup_by_key(|&mut (v, _)| v);
     }
 
     /// Number of bindings.

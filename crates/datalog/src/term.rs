@@ -54,23 +54,51 @@ impl Ord for Value {
     }
 }
 
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Value {
+    /// Writes the value as `Display` prints it, piece by piece through
+    /// [`fmt::Write::write_str`]: an integer in decimal, a string as a
+    /// constant identifier when it re-lexes as one, else quoted. No
+    /// formatter flag is read, so a width is ignored.
+    pub fn write_to<W: fmt::Write + ?Sized>(self, out: &mut W) -> fmt::Result {
         match self {
-            Value::Int(i) => write!(f, "{i}"),
+            Value::Int(i) => write_int(out, i),
             Value::Str(s) => {
                 let t = s.as_str();
                 // Quote anything that would not re-lex as a constant ident.
-                let plain = !t.is_empty()
-                    && t.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                    && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+                let plain = t.as_bytes().first().is_some_and(u8::is_ascii_lowercase)
+                    && t.bytes().all(|c| c.is_ascii_alphanumeric() || c == b'_');
                 if plain {
-                    write!(f, "{t}")
+                    out.write_str(t)
                 } else {
-                    crate::parser::write_str_literal(f, t)
+                    crate::parser::write_str_literal(out, t)
                 }
             }
         }
+    }
+}
+
+/// Writes `i` in decimal from a stack buffer.
+fn write_int<W: fmt::Write + ?Sized>(out: &mut W, i: i64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.write_str("-")?;
+    }
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
@@ -133,12 +161,20 @@ impl Term {
     }
 }
 
+impl Term {
+    /// Writes the term as `Display` prints it, through
+    /// [`fmt::Write::write_str`] (see [`Value::write_to`]).
+    pub fn write_to<W: fmt::Write + ?Sized>(self, out: &mut W) -> fmt::Result {
+        match self {
+            Term::Var(v) => out.write_str(v.as_str()),
+            Term::Const(c) => c.write_to(out),
+        }
+    }
+}
+
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Var(v) => write!(f, "{v}"),
-            Term::Const(c) => write!(f, "{c}"),
-        }
+        self.write_to(f)
     }
 }
 
@@ -167,6 +203,20 @@ mod tests {
         assert_eq!(
             Value::str("λ \"q\" a\\b\r\0\u{1}").to_string(),
             r#""λ \"q\" a\\b\r\0\u{1}""#
+        );
+    }
+
+    /// Every value prints in full whatever the width asked for, as when
+    /// each was formatted through its own `write!`.
+    #[test]
+    fn display_ignores_width_and_prints_every_integer() {
+        for i in [0, 7, -7, 10, 1 << 62, i64::MAX, i64::MIN] {
+            assert_eq!(format!("{:>30}", Value::Int(i)), format!("{i}"));
+            assert_eq!(Term::int(i).to_string(), format!("{i}"));
+        }
+        assert_eq!(
+            format!("{:>9}|{:<9}|", Term::var("X"), Value::str("a")),
+            "X|a|"
         );
     }
 

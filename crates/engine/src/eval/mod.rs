@@ -40,7 +40,7 @@ use crate::plan::{compile_rule_with_sizes, CompiledRule, View};
 use crate::relation::{Relation, RowRange, Tuple};
 use crate::stats::Stats;
 use emit::{drain_serial, DerivedBuf};
-use semrec_datalog::analysis::{check, Checked};
+use semrec_datalog::analysis::{evaluable, Evaluable};
 use semrec_datalog::atom::{Atom, Pred};
 use semrec_datalog::facts::Facts;
 use semrec_datalog::program::Program;
@@ -217,18 +217,16 @@ impl Prepared {
 
     /// The one compile step: plans every rule of `program`, in batch or
     /// `incremental` mode, reading the `preloaded` predicates it has an
-    /// arity for as IDB relations. Arities and strata come from the
-    /// evaluation rules of [`check`], whose first violation is the error;
-    /// the paper's class is not asked for.
+    /// arity for as IDB relations. Arities and strata come from
+    /// [`evaluable`], the evaluation rules `check` starts with, whose
+    /// first violation is the error; the paper's class is not judged.
     fn build(
         db: &Database,
         program: &Program,
         incremental: bool,
         preloaded: &[Pred],
     ) -> Result<Prepared, EngineError> {
-        let Checked {
-            arities, strata, ..
-        } = check(program, &[], &Facts::new())?;
+        let Evaluable { arities, strata } = evaluable(program, &[], &Facts::new())?;
         let mut idb_preds = program.idb_preds();
         idb_preds.extend(preloaded.iter().filter(|p| arities.contains_key(p)));
         // Relation sizes for join ordering: EDB sizes are known; IDB

@@ -348,9 +348,11 @@ fn optimizer_config(args: &[String]) -> OptimizerConfig {
     config
 }
 
+/// The plan of `src`, read off the judgment `load` made.
 fn build_plan(src: &Source, args: &[String]) -> Result<semrec::core::Plan, String> {
     Optimizer::new(&src.program)
         .with_constraints(&src.constraints)
+        .with_checked(&src.checked)
         .with_config(optimizer_config(args))
         .run()
         .map_err(|e| e.to_string())
@@ -620,26 +622,41 @@ where
 fn print_facts<'a>(
     facts: impl IntoIterator<Item = (Pred, &'a [semrec::datalog::Value])>,
 ) -> Result<(), CliError> {
-    with_stdout(|w| {
-        facts.into_iter().try_for_each(|(p, t)| {
-            write!(w, "{p}(")?;
-            for (i, v) in t.iter().enumerate() {
-                if i > 0 {
-                    w.write_all(b", ")?;
-                }
-                write!(w, "{v}")?;
-            }
-            w.write_all(b").\n")
-        })
-    })
+    with_stdout(|w| (facts.into_iter()).try_for_each(|(p, t)| write_fact(w, p, t.iter().copied())))
 }
 
-/// Prints every relation of an IDB, each sorted.
-fn print_idb(idb: &BTreeMap<Pred, semrec::engine::Relation>) -> Result<(), CliError> {
-    for (p, rel) in idb {
-        print_facts(rel.sorted_tuples().iter().map(|t| (*p, &t[..])))?;
+/// Writes the fact `p(values).` and its newline.
+fn write_fact(
+    w: &mut dyn Write,
+    p: Pred,
+    values: impl Iterator<Item = semrec::datalog::Value>,
+) -> std::io::Result<()> {
+    write!(w, "{p}(")?;
+    for (i, v) in values.enumerate() {
+        if i > 0 {
+            w.write_all(b", ")?;
+        }
+        write!(w, "{v}")?;
     }
-    Ok(())
+    w.write_all(b").\n")
+}
+
+/// Prints every relation of an IDB, each sorted: its row ids, ordered by
+/// their word rows (`Word`'s order is value order), and each fact
+/// written from its words.
+fn print_idb(idb: &BTreeMap<Pred, semrec::engine::Relation>) -> Result<(), CliError> {
+    with_stdout(|w| {
+        let mut order: Vec<u32> = Vec::new();
+        for (&p, rel) in idb {
+            order.clear();
+            order.extend(rel.iter_range(rel.all_rows()).map(|(r, _)| r));
+            order.sort_unstable_by(|&a, &b| rel.row(a).cmp(rel.row(b)));
+            for &r in &order {
+                write_fact(w, p, rel.row(r).iter().map(|word| word.value()))?;
+            }
+        }
+        Ok::<_, std::io::Error>(())
+    })
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), CliError> {

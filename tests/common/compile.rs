@@ -250,7 +250,7 @@ fn oracle_residue(ic: &Arc<Constraint>, u: &Unfolding, m: &Match) -> Option<Resi
 /// conditions; `B` is none of the matched atoms.
 fn oracle_redundant(r: &Residue, a: &Atom, u: &Unfolding) -> Option<usize> {
     let mut protected: BTreeSet<Symbol> = u.head.vars().collect();
-    protected.extend(u.tail.iter().flat_map(Atom::vars));
+    protected.extend(u.tail().into_iter().flatten().filter_map(|t| t.as_var()));
     for sl in &u.body {
         protected.extend(sl.lit.as_cmp().into_iter().flat_map(Cmp::vars));
     }

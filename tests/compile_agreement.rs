@@ -10,7 +10,9 @@ mod common;
 
 use common::cases::EXAMPLE_2_1;
 use common::compile::{oracle_residues, reference_plan, FAMILIES};
-use semrec::core::detect::{blocks, detect, subgoal_preds, DetectStats, DetectionMethod, Detector};
+use semrec::core::detect::{
+    blocks, detect, subgoal_preds, DetectWork, DetectionMethod, Detector, PAD,
+};
 use semrec::core::occurs::may_match;
 use semrec::core::optimizer::{Optimizer, OptimizerConfig, Plan};
 use semrec::core::push::{Applied, OptKind};
@@ -109,6 +111,58 @@ fn samples_paper_examples_and_soundness_families_agree() {
             );
         }
     }
+}
+
+/// `Detector::detect`'s documented order, held against `Display` itself
+/// rather than against the key detection sorts by: each result is sorted
+/// by (sequence, text), and residues of one key are pairwise unequal.
+/// Distinct residues can print alike — two matches of one denial on one
+/// sequence both read ` -> false` — so keys may repeat; residues may not.
+/// Over the samples, the paper's examples, the soundness families, the
+/// gen scenarios and `multi_block` seeds 0–3, by both methods, padded as
+/// the optimizer pads.
+#[test]
+fn detections_are_ordered_by_sequence_then_text() {
+    let mut sources = sources();
+    for seed in 0..4u64 {
+        let blocks = 12 + 4 * (seed as u32 % 2);
+        sources.push((format!("multi_block {seed}"), multi_block(seed, blocks)));
+    }
+    let mut neighbours = 0;
+    for (name, src) in &sources {
+        let unit = parse_unit(src).unwrap();
+        let infos = validate(&unit.program(), &unit.constraints).unwrap();
+        let (program, _) = rectify(&unit.program());
+        for method in METHODS {
+            let mut work = DetectWork::default();
+            for info in &blocks(&program, infos.clone()) {
+                let preds = subgoal_preds(&program, info);
+                let mut detector = Detector::new(&program, info, method, PAD, &mut work);
+                for ic in unit.constraints.iter().filter(|ic| may_match(ic, &preds)) {
+                    let found = detector.detect(&Arc::new(ic.clone())).unwrap();
+                    let key = |r: &Residue| (r.seq.clone(), r.to_string());
+                    let on = info.pred;
+                    for (i, r) in found.iter().enumerate().skip(1) {
+                        let (before, now) = (key(&found[i - 1]), key(r));
+                        assert!(
+                            before <= now,
+                            "{name} {method:?}: {ic} on {on}: {before:?}, {now:?}"
+                        );
+                        let mut same_key = found[..i].iter().rev().take_while(|q| key(q) == now);
+                        assert!(
+                            same_key.all(|q| q != r),
+                            "{name} {method:?}: {ic} on {on}: {now:?} twice"
+                        );
+                    }
+                    neighbours += found.len().saturating_sub(1);
+                }
+            }
+        }
+    }
+    assert!(
+        neighbours > 2000,
+        "{neighbours} neighbouring residues compared"
+    );
 }
 
 /// Non-recursive rules the CGM rule-level rewrite changes that the free
@@ -215,8 +269,8 @@ fn residues_agree_with_a_per_match_oracle() {
         for info in &blocks(&program, validate(&program, &unit.constraints).unwrap()) {
             let seqs = enumerate_sequences(info, 4);
             let preds = subgoal_preds(&program, info);
-            let mut stats = DetectStats::default();
-            let mut detector = Detector::new(&program, info, method, 0, &mut stats);
+            let mut work = DetectWork::default();
+            let mut detector = Detector::new(&program, info, method, 0, &mut work);
             for ic in unit.constraints.iter().filter(|ic| may_match(ic, &preds)) {
                 let ic = Arc::new(ic.clone());
                 let product: Vec<Residue> = detector.detect(&ic).unwrap();

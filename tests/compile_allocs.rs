@@ -106,11 +106,16 @@ fn optimize_calls(blocks: u32) -> (u64, usize) {
 /// substitution cloned per candidate target, fresh sets per match.
 const BEFORE_PER_IC: u64 = 351;
 
-/// The count as last measured (66 924 calls for 440 constraints, with
-/// the blocks read off the one `check` of the program as written and
-/// its union-finds on the stack; 69 755 before, 72 936 before that). A
-/// change that lowers the count lowers this; none raises it.
-const CEILING_PER_IC: u64 = 152;
+/// The count as last measured: 49 298 calls for 440 constraints. Counted
+/// once by phase: the judgment 2 630, the 800 unfolding contexts 11 160,
+/// the 2 280 residues with their order keys 9 018, the sorts 402, and
+/// the rest (SD-graphs, pushes, cleanup) 26 088. Before the contexts were
+/// looked up without a key, unfolded through reused buffers and kept
+/// their sets in one buffer, before detection's buffers outlived a block
+/// and before pushing built no set or rule it only read, it was 66 924:
+/// contexts 17 640, residues 11 680, sorts 440, the rest 34 534. A change
+/// that lowers the count lowers this; none raises it.
+const CEILING_PER_IC: u64 = 112;
 
 #[test]
 fn compile_step_allocates_at_most_half_of_the_cloning_matcher() {
@@ -129,15 +134,16 @@ fn compile_step_allocates_at_most_half_of_the_cloning_matcher() {
 
 /// Allocator calls of the CLI's compile path on `text`, as `semrec
 /// optimize` takes it: parse, the rules moved into the program, `check`,
-/// `Optimizer::run`, the plan rendered. The run counted is
-/// the second, as for the compile step alone.
+/// `Optimizer::run` reading that judgment, the plan rendered. The run
+/// counted is the second, as for the compile step alone.
 fn cli_compile_calls(text: &str) -> u64 {
     let compile = || {
         let unit = parse_unit(text).expect("generated source parses");
         let program = Program::new(unit.rules);
-        check(&program, &unit.constraints, &unit.facts).expect("evaluable");
+        let checked = check(&program, &unit.constraints, &unit.facts).expect("evaluable");
         let plan = Optimizer::new(&program)
             .with_constraints(&unit.constraints)
+            .with_checked(&checked)
             .run()
             .expect("generated source optimizes");
         plan.to_string()
@@ -150,14 +156,16 @@ fn cli_compile_calls(text: &str) -> u64 {
     spent
 }
 
-/// The CLI's compile path as last measured on `multi_block(3, 160)`
-/// (72 209 calls; 72 807 with an arity pass before the optimizer's own
-/// validation and the rectified program classified again), far below
-/// one copy of its rules (1 601 calls) over it. Copying the rules twice
-/// on the way to the optimizer and once more inside it, and the
-/// constraints too, read 82 152. A change that lowers the count lowers
-/// this; none raises it.
-const CLI_CEILING: u64 = 72_209;
+/// The CLI's compile path as last measured on `multi_block(3, 160)`:
+/// 52 554 calls, of which the one judgment (`check`, and the class's
+/// blocks handed over) is 2 630, the contexts 11 160, the residues 9 018
+/// and the sorts 402 — far below one copy of its rules (1 601 calls)
+/// over it. When the optimizer judged the program again it read 72 209
+/// (judgment 4 939, contexts 17 640, residues 11 680, sorts 440); copying
+/// the rules twice on the way to the optimizer and once more inside it,
+/// and the constraints too, read 82 152. A change that lowers the count
+/// lowers this; none raises it.
+const CLI_CEILING: u64 = 52_554;
 
 #[test]
 fn the_cli_compile_path_copies_no_input() {
@@ -284,4 +292,30 @@ fn symbolic_and_quoted_facts_allocate_a_constant_number_of_times_too() {
             "{large} calls for {more} facts against {small} for {facts}: the count grows with the facts"
         );
     }
+}
+
+/// An escaped string literal is unescaped into a buffer the parser
+/// reuses, then interned: the org bundle with every rank written
+/// `"manag\u{65}r"` costs what the symbolic one does plus that buffer's
+/// one allocation, however many facts it holds (an owned copy per escaped
+/// literal read 184 calls against 57).
+#[test]
+fn escaped_literals_allocate_what_plain_ones_do() {
+    let escape = |text: String| text.replace("manager", r#""manag\u{65}r""#);
+    let (spent, facts) = front_end_calls(&org_bundle(200, false));
+    let (escaped, same) = front_end_calls(&escape(org_bundle(200, false)));
+    let (more, _) = front_end_calls(&escape(org_bundle(400, false)));
+    eprintln!(
+        "front end, escaped: {escaped} allocator calls for {same} org facts, {more} for twice"
+    );
+    assert_eq!(facts, same);
+    assert_eq!(
+        escaped,
+        spent + 1,
+        "escaped literals cost {escaped} allocator calls, the same facts written plain {spent}"
+    );
+    assert!(
+        more <= escaped + ORG_PER_DOUBLING,
+        "{more} calls against {escaped}: the count grows with the escaped facts"
+    );
 }
