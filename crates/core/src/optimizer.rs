@@ -359,24 +359,31 @@ pub fn route_alternatives(
 /// beside them — not the program's other relations — so a caller that
 /// needs whole relations routes without a goal.
 ///
+/// `checked` is the caller's [`check`](semrec_datalog::analysis::check)
+/// of `program` and `ics`; the optimizer reads the paper's class off it
+/// rather than judging the program again.
+///
 /// The planner's verdict rides on the result:
-/// [`EvalResult::choice`](semrec_engine::EvalResult) records every
-/// priced alternative and the runner-up, and `stats.plan_nanos` the
-/// planning wall time. Pricing compiles the rules evaluation would, and
-/// the rectified program is always priced, so it fails only where
-/// evaluation would: its error takes the fallback like a failed route.
+/// [`EvalResult::choice`](semrec_engine::EvalResult) records the chosen
+/// alternative and the runner-up, and `stats.plan_nanos` the planning
+/// wall time. Pricing compiles each alternative as evaluation does, and
+/// the chosen alternative runs those plans; the rectified program is
+/// always priced, so pricing fails only where evaluation would: its
+/// error takes the fallback like a failed route.
 ///
 /// [`EngineError::Cancelled`]: semrec_engine::EngineError::Cancelled
+#[allow(clippy::too_many_arguments)]
 pub fn evaluate_routed(
     db: &semrec_engine::Database,
     program: &Program,
     ics: &[Constraint],
+    checked: &Checked,
     config: OptimizerConfig,
     budget: semrec_engine::Budget,
     cancel: semrec_engine::CancelToken,
     goal: Option<&Atom>,
 ) -> Result<GovernedOutcome, semrec_engine::EngineError> {
-    use semrec_engine::{EngineError, Route};
+    use semrec_engine::{EngineError, Evaluator, Route, Strategy};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let start = std::time::Instant::now();
 
@@ -392,6 +399,7 @@ pub fn evaluate_routed(
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         Optimizer::new(program)
             .with_constraints(ics)
+            .with_checked(checked)
             .with_config(config)
             .run()
     }));
@@ -405,7 +413,8 @@ pub fn evaluate_routed(
                 };
                 let best = memo.best();
                 let kind = best.kind;
-                let mut result = match run_under(db, &best.program, slice, cancel.clone()) {
+                let run = run_under(|| Ok(best.evaluator(db)), slice, cancel.clone());
+                let mut result = match run {
                     Ok(result) => result,
                     Err(EngineError::Cancelled) => return Err(EngineError::Cancelled),
                     Err(e) => break 'route format!("{kind} route: {e}"),
@@ -449,7 +458,8 @@ pub fn evaluate_routed(
         remaining.deadline = Some(left);
     }
     let (rectified, _) = rectify(program);
-    let mut result = run_under(db, &rectified, remaining, cancel)?;
+    let start_rectified = || Evaluator::new(db, &rectified, Strategy::SemiNaive);
+    let mut result = run_under(start_rectified, remaining, cancel)?;
     result.route = Route::RectifiedFallback;
     Ok(GovernedOutcome {
         result,
@@ -458,21 +468,18 @@ pub fn evaluate_routed(
     })
 }
 
-/// One budgeted evaluation; a panic inside it is caught and surfaced
-/// as [`EngineError::WorkerPanicked`] so the degradation policy treats
-/// it like any other failed route.
-fn run_under(
-    db: &semrec_engine::Database,
-    program: &Program,
+/// One budgeted evaluation of the evaluator `start` builds; a panic
+/// inside it is caught and surfaced as [`EngineError::WorkerPanicked`]
+/// so the degradation policy treats it like any other failed route.
+fn run_under<'db>(
+    start: impl FnOnce() -> Result<semrec_engine::Evaluator<'db>, semrec_engine::EngineError>,
     budget: semrec_engine::Budget,
     cancel: semrec_engine::CancelToken,
 ) -> Result<semrec_engine::EvalResult, semrec_engine::EngineError> {
-    use semrec_engine::{EngineError, Evaluator, Strategy};
+    use semrec_engine::EngineError;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let mut ev = Evaluator::new(db, program, Strategy::SemiNaive)?
-            .with_budget(budget)
-            .with_cancel_token(cancel);
+        let mut ev = start()?.with_budget(budget).with_cancel_token(cancel);
         ev.run()?;
         Ok(ev.finish())
     }));

@@ -59,11 +59,6 @@ impl Rule {
         out
     }
 
-    /// Variables occurring in the body only.
-    pub fn body_vars(&self) -> BTreeSet<Symbol> {
-        self.body.iter().flat_map(Literal::var_iter).collect()
-    }
-
     /// *Local* variables: occur in the body but not in the head.
     pub fn local_vars(&self) -> BTreeSet<Symbol> {
         let body = self.body.iter().flat_map(Literal::var_iter);

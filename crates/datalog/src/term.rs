@@ -29,11 +29,6 @@ impl Value {
     pub fn int(i: i64) -> Value {
         Value::Int(i)
     }
-
-    /// True if this is an integer value.
-    pub fn is_int(self) -> bool {
-        matches!(self, Value::Int(_))
-    }
 }
 
 impl PartialOrd for Value {

@@ -4,20 +4,16 @@
 //! The alternatives themselves come from the semantic optimizer in
 //! `semrec-core` (original / rectified / residue-pushed programs, plus
 //! magic sets and factoring of the original and the pushed program when
-//! a goal directs evaluation); this module only
-//! prices and ranks them. Subplans shared between alternatives — the
-//! rectified and residue-pushed programs differ in a few body atoms, the
-//! rest of their rules are identical — are deduplicated through the
-//! [`Estimator`]'s shape cache, and every kernel's dependency-valid
-//! probe reorderings are enumerated as part of each estimate (Fejza &
-//! Genevès' recursive-plan enumeration, collapsed onto this engine's
-//! fixed rule structure).
+//! a goal directs evaluation); this module only prices and ranks them.
+//! Each alternative is compiled once, by the evaluator's own compile
+//! step, and priced off those plans: the plans priced are the plans the
+//! chosen alternative runs ([`PlanAlternative::evaluator`]).
 
 use super::estimate::{Estimator, ProgramEstimate};
 use super::stats::EdbStats;
 use crate::database::Database;
 use crate::error::EngineError;
-use crate::eval::Route;
+use crate::eval::{Evaluator, Prepared, Route};
 use semrec_datalog::program::Program;
 use std::time::Instant;
 
@@ -108,7 +104,6 @@ impl std::fmt::Display for AlternativeKind {
 }
 
 /// One priced alternative.
-#[derive(Clone, Debug)]
 pub struct PlanAlternative {
     /// Which rewrite this is.
     pub kind: AlternativeKind,
@@ -116,27 +111,33 @@ pub struct PlanAlternative {
     pub program: Program,
     /// Its estimate.
     pub estimate: ProgramEstimate,
+    /// Its batch plans, compiled once against the memo's database.
+    plans: Prepared,
+}
+
+impl PlanAlternative {
+    /// A batch evaluator over `db` — the database the memo priced
+    /// against — running the plans that were priced, with no second
+    /// compile.
+    pub fn evaluator<'a>(&'a self, db: &'a Database) -> Evaluator<'a> {
+        Evaluator::from_prepared_batch(db, &self.plans, None)
+    }
 }
 
 /// The memo: every enumerated alternative with its estimate, plus the
 /// planning telemetry the bench gates read.
-#[derive(Clone, Debug)]
 pub struct CostMemo {
     /// Priced alternatives, in enumeration order.
     pub alternatives: Vec<PlanAlternative>,
-    /// Rule compilations shared between alternatives (estimator
-    /// shape-cache hits).
-    pub shared_subplans: u64,
-    /// Wall nanoseconds spent estimating all alternatives.
+    /// Wall nanoseconds spent compiling and estimating all alternatives.
     pub plan_nanos: u64,
 }
 
 impl CostMemo {
-    /// Prices `alternatives` against `db`'s statistics. Estimation
-    /// failures on an individual alternative (e.g. a rewrite produced a
-    /// rule the planner rejects) drop that alternative rather than
-    /// failing the memo; an error is returned only when *no* alternative
-    /// prices.
+    /// Compiles and prices `alternatives` against `db`'s statistics. An
+    /// alternative that fails to compile (e.g. a rewrite produced a rule
+    /// the planner rejects) is dropped rather than failing the memo; an
+    /// error is returned only when *no* alternative prices.
     pub fn build(
         db: &Database,
         stats: &mut EdbStats,
@@ -147,11 +148,12 @@ impl CostMemo {
         let mut priced = Vec::with_capacity(alternatives.len());
         let mut last_err = None;
         for (kind, program) in alternatives {
-            match est.estimate(&program) {
-                Ok(estimate) => priced.push(PlanAlternative {
+            match Prepared::batch(db, &program) {
+                Ok(plans) => priced.push(PlanAlternative {
                     kind,
+                    estimate: est.estimate(&plans),
                     program,
-                    estimate,
+                    plans,
                 }),
                 Err(e) => last_err = Some(e),
             }
@@ -163,7 +165,6 @@ impl CostMemo {
         }
         Ok(CostMemo {
             alternatives: priced,
-            shared_subplans: est.shape_hits,
             plan_nanos: start.elapsed().as_nanos() as u64,
         })
     }
@@ -209,11 +210,6 @@ impl CostMemo {
             predicted_rows: best.estimate.rows,
             predicted_work: best.estimate.work,
             runner_up: self.runner_up().map(|a| (a.kind, a.estimate.work)),
-            alternatives: self
-                .alternatives
-                .iter()
-                .map(|a| (a.kind, a.estimate.work, a.estimate.rows))
-                .collect(),
             plan_nanos: self.plan_nanos,
         }
     }
@@ -231,8 +227,6 @@ pub struct RouteChoice {
     pub predicted_work: f64,
     /// The next-best alternative and its estimated cost.
     pub runner_up: Option<(AlternativeKind, f64)>,
-    /// Every enumerated alternative as `(kind, work, rows)`.
-    pub alternatives: Vec<(AlternativeKind, f64, f64)>,
     /// Wall nanoseconds the planning pass took.
     pub plan_nanos: u64,
 }
@@ -297,14 +291,8 @@ mod tests {
         let best = memo.best();
         assert_eq!(best.kind, AlternativeKind::ResiduePushed);
         assert!(best.estimate.work <= memo.runner_up().unwrap().estimate.work);
-        assert!(
-            memo.shared_subplans >= 1,
-            "the shared base rule must dedup: {}",
-            memo.shared_subplans
-        );
         let choice = memo.choice();
         assert_eq!(choice.chosen, AlternativeKind::ResiduePushed);
-        assert_eq!(choice.alternatives.len(), 2);
         assert!(choice.plan_nanos > 0);
         assert_eq!(
             choice.runner_up.map(|(k, _)| k),
@@ -330,7 +318,6 @@ mod tests {
             predicted_rows: 200.0,
             predicted_work: 0.0,
             runner_up: None,
-            alternatives: Vec::new(),
             plan_nanos: 0,
         };
         assert!((c.misprediction(100) - 2.0).abs() < 1e-9);

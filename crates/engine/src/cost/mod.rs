@@ -23,10 +23,10 @@
 //!   *Size Bound-Adorned Datalog* idea: size bounds from EDB statistics
 //!   plus rule shape), and iteration stops at a depth cap. The result
 //!   is a per-program estimate in rows, bytes, and cumulative work.
-//! - [`memo`] holds the enumerated rewrite alternatives (original /
-//!   rectified / residue-pushed / magic), deduplicates shared subplans
-//!   through the estimator's shape cache, enumerates valid probe-chain
-//!   reorderings within a kernel, and selects the cheapest route.
+//! - [`memo`] compiles each enumerated rewrite alternative (original /
+//!   rectified / residue-pushed / magic / factored) once, prices it off
+//!   those plans, and selects the cheapest route, whose priced plans are
+//!   the plans that run.
 //!
 //! The `semrec-core` crate plugs this into the governed evaluation
 //! entry points: the route ladder's *order* is gone — the route is
@@ -38,6 +38,6 @@ pub mod estimate;
 pub mod memo;
 pub mod stats;
 
-pub use estimate::{Estimator, ProgramEstimate, RuleEstimate, DEPTH_CAP};
+pub use estimate::{ProgramEstimate, DEPTH_CAP};
 pub use memo::{AlternativeKind, CostMemo, PlanAlternative, RouteChoice};
 pub use stats::{ColumnGroupStats, EdbStats, RelationStats};

@@ -134,7 +134,7 @@ impl RulePlans {
     /// ones' Total and the later ones' Old. Negated subgoals over
     /// `idb_preds` read the Total view of their (strictly lower)
     /// stratum, complete by the time this rule runs.
-    pub(crate) fn compile(
+    fn compile(
         rule: &Rule,
         delta_capable: impl Fn(&Atom) -> bool,
         idb_preds: &BTreeSet<Pred>,
@@ -171,18 +171,15 @@ impl RulePlans {
 /// from the program, not the current EDB contents — a tx may insert into
 /// a predicate that is empty today). EDB deltas drain after one round
 /// (see `step`), so the extra variants are idle from round 2 on. No IDB
-/// predicate is a builtin: `check` refuses a rule defining one. The
-/// evaluator and the cost estimator share this test.
-pub(crate) fn delta_capable(
-    idb_preds: &BTreeSet<Pred>,
-    incremental: bool,
-) -> impl Fn(&Atom) -> bool + '_ {
+/// predicate is a builtin: `check` refuses a rule defining one.
+fn delta_capable(idb_preds: &BTreeSet<Pred>, incremental: bool) -> impl Fn(&Atom) -> bool + '_ {
     move |a| idb_preds.contains(&a.pred) || (incremental && BuiltinOp::of(a.pred).is_none())
 }
 
 /// A compiled program: rule plans (full + delta variants), strata, and
 /// arities. Every [`Evaluator`] runs one. [`Evaluator::new`] compiles a
-/// batch `Prepared` for its one run; [`Prepared::compile`] compiles one
+/// batch `Prepared` for its one run, and the cost memo one per priced
+/// alternative, the chosen one's to run; [`Prepared::compile`] compiles one
 /// in incremental mode (EDB subgoals delta-capable, their views split
 /// at the evaluator's EDB watermarks) that the caller keeps — the
 /// incremental maintenance layer builds one per maintained program and
@@ -191,13 +188,13 @@ pub(crate) fn delta_capable(
 #[derive(Clone)]
 pub struct Prepared {
     program: Program,
-    idb_preds: BTreeSet<Pred>,
-    plans: Vec<RulePlans>,
+    pub(crate) idb_preds: BTreeSet<Pred>,
+    pub(crate) plans: Vec<RulePlans>,
     /// Stratum of each rule (by head predicate).
     rule_stratum: Vec<usize>,
     /// Highest stratum present.
     max_stratum: usize,
-    arities: BTreeMap<Pred, usize>,
+    pub(crate) arities: BTreeMap<Pred, usize>,
 }
 
 impl Prepared {
@@ -213,6 +210,12 @@ impl Prepared {
         preloaded: &[Pred],
     ) -> Result<Prepared, EngineError> {
         Prepared::build(db, program, true, preloaded)
+    }
+
+    /// Compiles `program` against `db` in batch mode: what
+    /// [`Evaluator::new`] runs.
+    pub(crate) fn batch(db: &Database, program: &Program) -> Result<Prepared, EngineError> {
+        Prepared::build(db, program, false, &[])
     }
 
     /// The one compile step: plans every rule of `program`, in batch or
@@ -316,7 +319,7 @@ impl<'db> Evaluator<'db> {
         program: &Program,
         _strategy: Strategy,
     ) -> Result<Evaluator<'db>, EngineError> {
-        let prepared = Prepared::build(db, program, false, &[])?;
+        let prepared = Prepared::batch(db, program)?;
         Ok(Evaluator::running(db, Cow::Owned(prepared), None))
     }
 

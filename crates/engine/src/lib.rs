@@ -36,8 +36,8 @@ pub mod relation;
 pub mod stats;
 
 pub use cost::{
-    AlternativeKind, ColumnGroupStats, CostMemo, EdbStats, Estimator, PlanAlternative,
-    ProgramEstimate, RelationStats, RouteChoice, RuleEstimate,
+    AlternativeKind, ColumnGroupStats, CostMemo, EdbStats, PlanAlternative, ProgramEstimate,
+    RelationStats, RouteChoice,
 };
 pub use database::{int_tuple, Database};
 pub use error::EngineError;

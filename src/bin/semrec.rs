@@ -426,6 +426,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             &db,
             &src.program,
             &src.constraints,
+            &src.checked,
             optimizer_config(args),
             budget,
             CancelToken::new(),
@@ -743,8 +744,8 @@ fn explain_residues(
 /// The `semrec explain` routing section: prices every rewrite
 /// alternative against the file's data (embedded facts plus `--data`),
 /// prints the per-alternative estimates and the planner's choice, and
-/// with `--run` evaluates the chosen program to report actual
-/// cardinalities next to the prediction.
+/// with `--run` runs the chosen alternative's priced plans to report
+/// actual cardinalities next to the prediction.
 fn explain_routing(
     w: &mut dyn Write,
     src: &Source,
@@ -779,7 +780,6 @@ fn explain_routing(
         )?;
     }
     let choice = memo.choice();
-    let best = memo.best();
     writeln!(
         w,
         "chosen: {} → route {} (predicted {:.0} rows, {:.0} work)",
@@ -793,14 +793,15 @@ fn explain_routing(
     }
     writeln!(
         w,
-        "planning: {} alternative(s), {} shared subplan(s), {} ordering(s) considered, {:.3} ms",
+        "planning: {} alternative(s), {:.3} ms",
         memo.alternatives.len(),
-        memo.shared_subplans,
-        best.estimate.orderings_considered,
         memo.plan_nanos as f64 / 1e6,
     )?;
     if args.iter().any(|a| a == "--run") {
-        let res = evaluate(&db, &best.program, Strategy::SemiNaive).map_err(CliError::Engine)?;
+        let best = memo.best();
+        let mut ev = best.evaluator(&db);
+        ev.run().map_err(CliError::Engine)?;
+        let res = ev.finish();
         let actual: u64 = res.idb.values().map(|r| r.len() as u64).sum();
         writeln!(
             w,

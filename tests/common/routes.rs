@@ -35,7 +35,7 @@ use semrec::core::push::{replace_blocks, Pusher};
 use semrec::core::sequence::{enumerate_sequences, unfold};
 use semrec::core::{evaluate_routed, route_alternatives, GovernedOutcome, MaintainedQuery};
 use semrec::core::{Optimizer, OptimizerConfig, Plan};
-use semrec::datalog::analysis::classify_linear;
+use semrec::datalog::analysis::{self, classify_linear};
 use semrec::datalog::{parse_unit, Atom, Constraint, Pred, Program, Term, Unit, Value};
 use semrec::engine::incr::IcCheck;
 use semrec::engine::{evaluate, scan_goal, Budget, CancelToken, Database, EvalResult};
@@ -286,11 +286,20 @@ fn check_routes(case: &Case) -> (Report, Option<Goals>) {
         report.count("isolated", isolated(case, plan, &oracle));
     }
     // Outside the paper's class the optimizer refuses the program and
-    // the router answers by the rectified fallback.
-    let routed = routed(case, None);
-    assert_eq!(routed.degraded.is_some(), plan.is_err(), "{name}: routed");
-    if consistent || plan.is_err() {
-        assert_agrees(&oracle, &routed.result.idb, &format!("{name}: routed"));
+    // the router answers by the rectified fallback. A constraint that
+    // breaks an evaluation rule (an atom at the wrong arity) is refused
+    // by `check` before routing, as `load` refuses its file.
+    match routed(case, None) {
+        Some(routed) => {
+            assert_eq!(routed.degraded.is_some(), plan.is_err(), "{name}: routed");
+            if consistent || plan.is_err() {
+                assert_agrees(&oracle, &routed.result.idb, &format!("{name}: routed"));
+            }
+        }
+        None => assert!(
+            plan.is_err(),
+            "{name}: check refused what the optimizer took"
+        ),
     }
     if case.depth == Depth::Static {
         report.states.push(oracle);
@@ -323,18 +332,22 @@ fn run(db: &Database, program: &Program, oracle: &Facts, ctx: &str) -> EvalResul
     res
 }
 
-/// `evaluate_routed` without a budget.
-fn routed(case: &Case, goal: Option<&Atom>) -> GovernedOutcome {
+/// `evaluate_routed` without a budget, on the case's one judgment;
+/// `None` when `check` refuses the case.
+fn routed(case: &Case, goal: Option<&Atom>) -> Option<GovernedOutcome> {
+    let checked = analysis::check(&case.program, &case.ics, &semrec::datalog::Facts::new());
+    let checked = checked.ok()?;
     let routed = evaluate_routed(
         &case.edb,
         &case.program,
         &case.ics,
+        &checked,
         case.config.clone(),
         Budget::unlimited(),
         CancelToken::new(),
         goal,
     );
-    routed.unwrap_or_else(|e| panic!("{}: routed: {e}", case.name))
+    Some(routed.unwrap_or_else(|e| panic!("{}: routed: {e}", case.name)))
 }
 
 fn assert_sound<'a, P: Display>(rels: impl IntoIterator<Item = (P, &'a Relation)>, ctx: &str) {
@@ -462,7 +475,7 @@ fn pattern_routes(case: &Case, g: &Goals, oracle: &Facts, goals: &[Atom], counts
         // The router prices the pattern once, for its first constants:
         // pricing dominates the matrix's run time.
         if consistent && i == 0 {
-            let routed = routed(case, Some(goal));
+            let routed = routed(case, Some(goal)).expect("the optimizer took it, so check does");
             assert!(routed.degraded.is_none(), "{ctx}: {:?}", routed.degraded);
             assert_sound(&routed.result.idb, &format!("{ctx}: routed"));
             let chosen = routed.result.choice.as_ref().map(|c| c.chosen.name());

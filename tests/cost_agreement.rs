@@ -263,3 +263,47 @@ fn stats_invalidated_and_replanned_under_transactions() {
     assert!(q.on_optimized_route());
     assert_eq!(q.replans(), degraded_replans + 1);
 }
+
+/// The route census per binding pattern: on every gen workload at its
+/// default size, the alternative the router chooses without a goal and
+/// for each goal below. Each goal-directed kind wins somewhere, so none
+/// can be deleted yet (EXPERIMENTS.md, "Route census"); a changed
+/// choice here is a changed planner.
+#[test]
+fn route_choices_per_binding_pattern() {
+    const CENSUS: [(&str, Option<&str>, &str); 15] = [
+        ("fanout", None, "residue_pushed"),
+        ("fanout", Some("reach(0, Y)"), "pushed_factored"),
+        ("fanout", Some("reach(X, 5)"), "pushed_magic"),
+        ("fanout", Some("reach(0, 5)"), "pushed_magic"),
+        ("flights", None, "original"),
+        ("flights", Some("route(0, Y)"), "factored"),
+        ("flights", Some("route(X, 6)"), "magic"),
+        ("genealogy", None, "original"),
+        ("genealogy", Some("anc(1, Xa, Y, Ya)"), "magic"),
+        ("genealogy", Some("anc(X, Xa, 0, Ya)"), "magic"),
+        ("org", None, "original"),
+        ("org", Some("triple(2, E2, E3)"), "original"),
+        ("university", None, "original"),
+        ("university", Some("eval(prof0, S, T)"), "original"),
+        ("university", Some("eval(P, stud79, T)"), "magic"),
+    ];
+    let mut priced = 0;
+    for (name, db, src) in workloads() {
+        let s = parse_scenario(src);
+        let plan = Optimizer::new(&s.program)
+            .with_constraints(&s.constraints)
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: optimize failed: {e}"));
+        for &(_, goal, want) in CENSUS.iter().filter(|(bundle, ..)| *bundle == name) {
+            let goal = goal.map(|g| semrec::datalog::parse_atom(g).expect("goal parses"));
+            let (alts, _) = route_alternatives(&s.program, &plan, goal.as_ref());
+            let memo = CostMemo::build(&db, &mut EdbStats::new(), alts).expect("price");
+            let chosen = memo.best().kind.name();
+            let goal = goal.map_or("none".to_owned(), |g| g.to_string());
+            assert_eq!(chosen, want, "{name}: goal {goal}");
+            priced += 1;
+        }
+    }
+    assert_eq!(priced, CENSUS.len(), "every census row names a workload");
+}

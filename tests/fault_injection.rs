@@ -11,6 +11,8 @@
 #![cfg(feature = "failpoints")]
 
 use semrec::core::optimizer::{evaluate_routed, GovernedOutcome, OptimizerConfig};
+use semrec::datalog::analysis::{check, Checked};
+use semrec::datalog::Facts;
 use semrec::datalog::Value::Int;
 use semrec::engine::failpoint::{self, FailAction};
 use semrec::engine::{
@@ -28,6 +30,11 @@ use std::time::Duration;
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The one judgment `evaluate_routed` reads the scenario's class off.
+fn checked(s: &Scenario) -> Checked {
+    check(&s.program, &s.constraints, &Facts::new()).expect("scenario is evaluable")
 }
 
 const WATCHDOG: Duration = Duration::from_secs(120);
@@ -130,6 +137,7 @@ fn run_with_watchdog(workload: Workload, dir: &Path) -> RunReport {
                     &db,
                     &s.program,
                     &s.constraints,
+                    &checked(&s),
                     OptimizerConfig::default(),
                     Budget::unlimited().with_deadline(Duration::from_secs(60)),
                     CancelToken::new(),
@@ -306,6 +314,7 @@ fn goal_directed_route_panic_degrades_to_rectified() {
             &db,
             &s.program,
             &s.constraints,
+            &checked(&s),
             OptimizerConfig::default(),
             Budget::unlimited(),
             CancelToken::new(),
@@ -377,6 +386,7 @@ fn optimizer_failure_degrades_to_rectified_with_identical_answers() {
             &db,
             &s.program,
             &s.constraints,
+            &checked(&s),
             OptimizerConfig::default(),
             Budget::unlimited().with_deadline(Duration::from_secs(60)),
             CancelToken::new(),

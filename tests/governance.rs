@@ -3,7 +3,8 @@
 //! leaving every committed relation structurally intact (partial rounds
 //! discarded wholesale), and a generous budget must change nothing.
 
-use semrec::datalog::{Pred, Program};
+use semrec::datalog::analysis::check;
+use semrec::datalog::{Facts, Pred, Program};
 use semrec::engine::{
     Budget, CancelToken, Database, EngineError, Evaluator, Route, Strategy, Tuple,
 };
@@ -219,10 +220,12 @@ fn governed_optimize_answers_like_rectified() {
         ev.run().unwrap();
         ev.finish()
     };
+    let checked = check(&s.program, &s.constraints, &Facts::new()).expect("evaluable");
     let outcome = semrec::core::evaluate_routed(
         &db,
         &s.program,
         &s.constraints,
+        &checked,
         semrec::core::OptimizerConfig::default(),
         Budget::unlimited().with_deadline(Duration::from_secs(600)),
         CancelToken::new(),
@@ -243,10 +246,12 @@ fn governed_cancel_is_not_degraded_around() {
     let db = fanout::generate(&fanout::FanoutParams::default());
     let token = CancelToken::new();
     token.cancel();
+    let checked = check(&s.program, &s.constraints, &Facts::new()).expect("evaluable");
     let err = semrec::core::evaluate_routed(
         &db,
         &s.program,
         &s.constraints,
+        &checked,
         semrec::core::OptimizerConfig::default(),
         Budget::unlimited(),
         token,
