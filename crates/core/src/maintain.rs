@@ -7,16 +7,16 @@
 //! constraints:
 //!
 //! - While every monitored IC holds, each transaction is absorbed by
-//!   delta propagation / DRed on the *optimized* program's
-//!   materialization ([`Route::IncrementalOptimized`]).
+//!   delta propagation / DRed on the materialization of the cost
+//!   planner's pick between the *optimized* and the rectified program
+//!   ([`Route::IncrementalOptimized`]).
 //! - The moment a transaction breaks a monitored IC, the optimized
 //!   materialization is invalidated — its cached relations may now be
 //!   unsound — and the query is re-answered from the *rectified*
-//!   program ([`Route::IncrementalInvalidated`]). Subsequent
-//!   transactions maintain the rectified materialization incrementally,
-//!   re-checking the broken constraints in full until they hold again.
-//! - When the violations clear, the optimized materialization is
-//!   rebuilt and incremental maintenance of the fast route resumes.
+//!   program ([`Route::IncrementalInvalidated`]), maintained
+//!   incrementally while the broken constraints are re-checked in full.
+//! - When the violations clear, the planner picks between both again,
+//!   each sound program compiled once: the pick's priced plans run.
 //!
 //! The monitor is delta-driven: each constraint is compiled once into
 //! denial rules on the engine's rule executor (`semrec_engine::incr::IcCheck`),
@@ -43,7 +43,7 @@ use semrec_engine::eval::scan_goal;
 use semrec_engine::incr::{Doomed, IcCheck, TxDelta};
 use semrec_engine::{
     AlternativeKind, Budget, CancelToken, CostMemo, Database, EdbStats, EngineError, Materialized,
-    Relation, Route, RouteChoice, Stats, Tuple, Tx, UpdateStats,
+    Prepared, Relation, Route, RouteChoice, Stats, Tuple, Tx, UpdateStats,
 };
 
 use crate::optimizer::{Optimizer, OptimizerConfig, Plan};
@@ -139,33 +139,53 @@ fn edb_rows(db: &Database) -> u64 {
     db.iter().map(|(_, r)| r.len() as u64).sum()
 }
 
-/// Prices the sound alternatives of `plan` on `db`. Under a violation
-/// (`ics_hold` false) only the rectified program is sound; otherwise
-/// the residue-pushed program (when the optimizer applied anything)
-/// competes with it. When pricing fails the fixed IC-driven choice is
-/// returned with no recorded verdict.
-fn plan_route(
+/// One planner consultation: whether it picked the residue-pushed
+/// program, its verdict (`None` when no sound program compiled and the
+/// pick is the IC-driven default) and the EDB rows it read.
+struct Consult {
+    opt: bool,
+    choice: Option<RouteChoice>,
+    rows: u64,
+}
+
+/// Prices the sound programs of `plan` on `db`, each compiled once, and
+/// materializes the pick from those plans unless `live` (the live one is
+/// the residue-pushed program) already is it. Under a violation
+/// (`ics_hold` false) only the rectified program is sound; otherwise the
+/// residue-pushed program (if the optimizer applied anything) competes.
+fn switch_route(
     db: &Database,
     plan: &Plan,
     stats: &mut EdbStats,
     ics_hold: bool,
-) -> (AlternativeKind, Option<RouteChoice>) {
-    let mut alts: Vec<(AlternativeKind, Program)> = Vec::new();
-    if ics_hold && plan.any_applied() {
-        alts.push((AlternativeKind::ResiduePushed, plan.program.clone()));
+    live: Option<bool>,
+) -> (Consult, Option<Result<Materialized, EngineError>>) {
+    let start = Instant::now();
+    let pushed = ics_hold && plan.any_applied();
+    let sound = [
+        (pushed, AlternativeKind::ResiduePushed, &plan.program),
+        (true, AlternativeKind::Rectified, &plan.rectified),
+    ];
+    let (mut compiled, mut err) = (Vec::new(), None);
+    for (_, kind, program) in sound.into_iter().filter(|s| s.0) {
+        match Prepared::compile(db, program, &[]) {
+            Ok(plans) => compiled.push((kind, plans)),
+            Err(e) => err = err.or(Some(e)),
+        }
     }
-    alts.push((AlternativeKind::Rectified, plan.rectified.clone()));
-    match CostMemo::build(db, stats, alts) {
-        Ok(memo) => (memo.best().kind, Some(memo.choice())),
-        Err(_) => (
-            if ics_hold && plan.any_applied() {
-                AlternativeKind::ResiduePushed
-            } else {
-                AlternativeKind::Rectified
-            },
-            None,
-        ),
-    }
+    let (opt, choice, plans) = match CostMemo::price(db, stats, compiled, start) {
+        Some(memo) => {
+            let (choice, best) = (memo.choice(), memo.best().kind);
+            let mut alts = memo.alternatives.into_iter();
+            let plans = alts.find(|a| a.kind == best).expect("the pick").plans;
+            let opt = best == AlternativeKind::ResiduePushed;
+            (opt, Some(choice), Ok(plans))
+        }
+        None => (pushed, None, Err(err.expect("a sound program failed"))),
+    };
+    let next = (live != Some(opt)).then(|| plans.and_then(|p| Materialized::adopt(db, p)));
+    let rows = edb_rows(db);
+    (Consult { opt, choice, rows }, next)
 }
 
 /// The constraints whose residues the plan actually pushed, deduplicated.
@@ -206,17 +226,11 @@ impl MaintainedQuery {
         // Initial consultation: among the sound programs, materialize
         // the planner's pick.
         let mut edb_stats = EdbStats::new();
-        let (kind, choice) = plan_route(&db, &plan, &mut edb_stats, on_optimized);
-        let active_opt = kind == AlternativeKind::ResiduePushed;
-        let active_program = if active_opt {
-            &plan.program
-        } else {
-            &plan.rectified
-        };
-        let active = Materialized::new(&db, active_program)?;
+        let (consult, active) = switch_route(&db, &plan, &mut edb_stats, on_optimized, None);
+        let active = active.expect("nothing is live yet")?;
         let route = if !on_optimized {
             Route::RectifiedFallback
-        } else if active_opt {
+        } else if consult.opt {
             Route::Optimized
         } else if plan.any_applied() {
             // ICs hold but the planner priced rectified cheaper: the
@@ -225,7 +239,6 @@ impl MaintainedQuery {
         } else {
             Route::Direct
         };
-        let planned_rows = edb_rows(&db);
         Ok(MaintainedQuery {
             db,
             plan,
@@ -234,11 +247,11 @@ impl MaintainedQuery {
             ic_ok,
             active,
             on_optimized,
-            active_opt,
+            active_opt: consult.opt,
             route,
             edb_stats,
-            choice,
-            planned_rows,
+            choice: consult.choice,
+            planned_rows: consult.rows,
             replans: 1,
         })
     }
@@ -313,55 +326,30 @@ impl MaintainedQuery {
             Route::IncrementalInvalidated
         };
 
-        // IC state unchanged: maintain the active materialization.
-        // Violations cleared: the residue-pushed program is sound again;
-        // its cached results were discarded at invalidation, so a switch
-        // to it rebuilds from scratch. Newly violated: the optimized
-        // materialization's cached relations may be unsound on the
-        // updated database — invalidate them and re-answer from the
-        // rectified program. Either transition re-consults the planner
-        // among the sound set (fresh estimates even when only the
-        // rectified program is sound), and staying on the program the
-        // planner had already picked just maintains it.
-        let mut plan_commit = None;
-        let mut want_opt = self.active_opt;
-        if now_ok != self.on_optimized {
-            let (kind, choice) = plan_route(&self.db, &self.plan, &mut self.edb_stats, now_ok);
-            plan_commit = Some((choice, edb_rows(&self.db)));
-            want_opt = now_ok && kind == AlternativeKind::ResiduePushed;
-        }
-        let mut rebuilt = want_opt != self.active_opt;
-        let mut stats = if rebuilt {
-            let program = if want_opt {
-                &self.plan.program
-            } else {
-                &self.plan.rectified
-            };
-            let next = Materialized::new(&self.db, program)?;
-            let mut stats = rebuild_stats(&next, start);
-            stats.stats += doomed.stats();
-            self.active = next;
-            self.active_opt = want_opt;
-            stats
-        } else {
-            self.active
-                .apply_delta(&self.db, delta, doomed, budget, cancel)?
+        // IC state unchanged: maintain the live materialization. A
+        // transition re-consults the planner among the sound set: newly
+        // violated, the optimized relations may be unsound and only the
+        // rectified program is; cleared, the residue-pushed program is
+        // sound again, rebuilt from scratch if picked. A live pick is
+        // just maintained.
+        let live = Some(self.active_opt);
+        let (consult, next) = (now_ok != self.on_optimized)
+            .then(|| switch_route(&self.db, &self.plan, &mut self.edb_stats, now_ok, live))
+            .unzip();
+        let next = next.flatten().transpose()?;
+        let mut stats = match &next {
+            Some(next) => rebuild_stats(next, start, doomed.stats()),
+            None => (self.active).apply_delta(&self.db, delta, doomed, budget, cancel)?,
         };
         stats.stats += ic_stats;
 
         self.ic_ok = ic_ok;
         self.on_optimized = now_ok;
         self.route = route;
-        let mut replanned = plan_commit.is_some();
-        if let Some((choice, rows)) = plan_commit {
-            if choice.is_some() {
-                self.choice = choice;
-            }
-            self.planned_rows = rows;
-            self.replans += 1;
-        } else {
-            (replanned, rebuilt) = self.drift_replan(now_ok);
-        }
+        let (replanned, rebuilt) = match consult {
+            Some(consult) => (true, self.commit_route(consult, next)),
+            None => self.drift_replan(now_ok),
+        };
         Ok(UpdateOutcome {
             route,
             stats,
@@ -380,27 +368,26 @@ impl MaintainedQuery {
         if !self.stats_drifted() {
             return (false, false);
         }
-        let (kind, choice) = plan_route(&self.db, &self.plan, &mut self.edb_stats, ics_hold);
-        if choice.is_some() {
-            self.choice = choice;
+        let live = Some(self.active_opt);
+        let (consult, next) =
+            switch_route(&self.db, &self.plan, &mut self.edb_stats, ics_hold, live);
+        (true, self.commit_route(consult, next.and_then(Result::ok)))
+    }
+
+    /// Records a consultation and, given `next` (its pick materialized),
+    /// switches the live route to it: true when it switched.
+    fn commit_route(&mut self, consult: Consult, next: Option<Materialized>) -> bool {
+        let switched = next.is_some();
+        if let Some(next) = next {
+            self.active = next;
+            self.active_opt = consult.opt;
         }
-        self.planned_rows = edb_rows(&self.db);
+        if consult.choice.is_some() {
+            self.choice = consult.choice;
+        }
+        self.planned_rows = consult.rows;
         self.replans += 1;
-        let want_opt = kind == AlternativeKind::ResiduePushed;
-        let mut rebuilt = false;
-        if want_opt != self.active_opt {
-            let prog = if want_opt {
-                &self.plan.program
-            } else {
-                &self.plan.rectified
-            };
-            if let Ok(next) = Materialized::new(&self.db, prog) {
-                self.active = next;
-                self.active_opt = want_opt;
-                rebuilt = true;
-            }
-        }
-        (true, rebuilt)
+        switched
     }
 
     /// The current database.
@@ -475,12 +462,13 @@ impl MaintainedQuery {
     }
 }
 
-/// Synthesizes counters for a from-scratch route rebuild.
-fn rebuild_stats(next: &Materialized, start: Instant) -> UpdateStats {
+/// Counters for a from-scratch route rebuild after an over-deletion.
+fn rebuild_stats(next: &Materialized, start: Instant, stats: Stats) -> UpdateStats {
     UpdateStats {
         from_scratch: true,
         rounds: next.initial_rounds(),
         elapsed_ms: start.elapsed().as_millis() as u64,
+        stats,
         ..UpdateStats::default()
     }
 }

@@ -413,7 +413,8 @@ pub fn evaluate_routed(
                 };
                 let best = memo.best();
                 let kind = best.kind;
-                let run = run_under(|| Ok(best.evaluator(db)), slice, cancel.clone());
+                let ev = || Ok(Evaluator::from_prepared_batch(db, &best.plans, None));
+                let run = run_under(ev, slice, cancel.clone());
                 let mut result = match run {
                     Ok(result) => result,
                     Err(EngineError::Cancelled) => return Err(EngineError::Cancelled),

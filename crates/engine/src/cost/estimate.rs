@@ -1,15 +1,15 @@
 //! Size-bound cardinality estimation over compiled plans.
 //!
 //! The estimator mirrors the semi-naive evaluator symbolically: it reads
-//! the plans [`Prepared`] compiled for the evaluator (one full plan plus
-//! one delta variant per IDB subgoal occurrence, the same size-based join
-//! ordering), reduces each to a *shape* — seed scan, probe chain with
-//! per-probe fanout sources, head projection sources — and then iterates
-//! rounds of cheap float arithmetic instead of rounds of joins. Per
-//! round, a plan's output is its seed view's cardinality times the
-//! product of its probe fanouts (existential probes contribute
-//! `min(1, fanout)`: the kernel's first-hit short-circuit); per
-//! predicate, totals are capped by the product of per-column domain
+//! the plans [`Prepared`] compiled for the evaluator in either mode (one
+//! full plan plus the delta variants a batch run schedules, one per IDB
+//! subgoal occurrence, the same join order), reduces each to a *shape* —
+//! seed scan, probe chain with per-probe fanout sources, head projection
+//! sources — and then iterates rounds of cheap float arithmetic instead
+//! of rounds of joins. Per round, a plan's output is its seed view's
+//! cardinality times the product of its probe fanouts (existential probes
+//! contribute `min(1, fanout)`: the kernel's first-hit short-circuit);
+//! per predicate, totals are capped by the product of per-column domain
 //! sizes derived from EDB distinct counts by a monotone propagation
 //! fixpoint — the *Size Bound-Adorned Datalog* bound: no predicate can
 //! exceed the product of its columns' active domains. Iteration stops
@@ -116,8 +116,8 @@ impl<'a> Estimator<'a> {
         Estimator { db, stats }
     }
 
-    /// Estimates evaluating the batch-compiled `prepared` over the
-    /// estimator's database.
+    /// Estimates a batch evaluation of `prepared`, compiled in either
+    /// mode, over the estimator's database.
     pub(crate) fn estimate(&mut self, prepared: &Prepared) -> ProgramEstimate {
         let arities = &prepared.arities;
         let idb_preds = &prepared.idb_preds;
@@ -125,7 +125,7 @@ impl<'a> Estimator<'a> {
             .map(|plans| RuleShapes {
                 head_pred: plans.full.head_pred,
                 full: shape_of(&plans.full),
-                deltas: plans.deltas.iter().map(shape_of).collect(),
+                deltas: plans.deltas(false).map(shape_of).collect(),
             })
             .collect();
 
@@ -510,7 +510,7 @@ mod tests {
         let db = chain_db(60);
         let mut stats = EdbStats::new();
         let mut est = Estimator::new(&db, &mut stats);
-        let e = est.estimate(&Prepared::batch(&db, &prog).unwrap());
+        let e = est.estimate(&Prepared::batch(&db, prog.clone()).unwrap());
         let actual = evaluate(&db, &prog, Strategy::SemiNaive)
             .unwrap()
             .relation("reach")
@@ -545,7 +545,7 @@ mod tests {
         .unwrap();
         let mut stats = EdbStats::new();
         let mut est = Estimator::new(&db, &mut stats);
-        let e = est.estimate(&Prepared::batch(&db, &prog).unwrap());
+        let e = est.estimate(&Prepared::batch(&db, prog.clone()).unwrap());
         // The cap is the exact answer here; the estimate must respect it.
         assert!(
             (e.rows - 144.0).abs() < 1.0,
@@ -560,7 +560,7 @@ mod tests {
         let db = chain_db(5);
         let mut stats = EdbStats::new();
         let mut est = Estimator::new(&db, &mut stats);
-        let e = est.estimate(&Prepared::batch(&db, &prog).unwrap());
+        let e = est.estimate(&Prepared::batch(&db, prog.clone()).unwrap());
         assert_eq!(e.rounds, 1);
         assert!((e.rows - 5.0).abs() < 1e-9);
     }

@@ -1,19 +1,19 @@
 //! The plan-alternative memo: enumerated rewrite variants of one query,
 //! priced by the estimator, with the cheapest selected as the route.
 //!
-//! The alternatives themselves come from the semantic optimizer in
-//! `semrec-core` (original / rectified / residue-pushed programs, plus
-//! magic sets and factoring of the original and the pushed program when
-//! a goal directs evaluation); this module only prices and ranks them.
-//! Each alternative is compiled once, by the evaluator's own compile
-//! step, and priced off those plans: the plans priced are the plans the
-//! chosen alternative runs ([`PlanAlternative::evaluator`]).
+//! The alternatives come from the semantic optimizer in `semrec-core`
+//! (original / rectified / residue-pushed programs, plus magic sets and
+//! factoring of the original and the pushed program for a goal); this
+//! module prices and ranks them, each compiled once by the evaluator's
+//! compile step, and the plans priced are the plans the pick runs: batch
+//! ones from [`CostMemo::build`], or a maintained query's incremental
+//! ones via [`CostMemo::price`].
 
 use super::estimate::{Estimator, ProgramEstimate};
 use super::stats::EdbStats;
 use crate::database::Database;
 use crate::error::EngineError;
-use crate::eval::{Evaluator, Prepared, Route};
+use crate::eval::{Prepared, Route};
 use semrec_datalog::program::Program;
 use std::time::Instant;
 
@@ -111,17 +111,9 @@ pub struct PlanAlternative {
     pub program: Program,
     /// Its estimate.
     pub estimate: ProgramEstimate,
-    /// Its batch plans, compiled once against the memo's database.
-    plans: Prepared,
-}
-
-impl PlanAlternative {
-    /// A batch evaluator over `db` — the database the memo priced
-    /// against — running the plans that were priced, with no second
-    /// compile.
-    pub fn evaluator<'a>(&'a self, db: &'a Database) -> Evaluator<'a> {
-        Evaluator::from_prepared_batch(db, &self.plans, None)
-    }
+    /// Its plans, compiled once against the memo's database: the pick
+    /// runs them ([`crate::Evaluator::from_prepared_batch`]).
+    pub plans: Prepared,
 }
 
 /// The memo: every enumerated alternative with its estimate, plus the
@@ -134,37 +126,49 @@ pub struct CostMemo {
 }
 
 impl CostMemo {
-    /// Compiles and prices `alternatives` against `db`'s statistics. An
-    /// alternative that fails to compile (e.g. a rewrite produced a rule
-    /// the planner rejects) is dropped rather than failing the memo; an
-    /// error is returned only when *no* alternative prices.
+    /// Compiles `alternatives` in batch mode and prices them against
+    /// `db`'s statistics. An alternative that fails to compile (a rewrite
+    /// with a rule the planner rejects) is dropped rather than failing
+    /// the memo; an error is returned only when *no* alternative prices.
     pub fn build(
         db: &Database,
         stats: &mut EdbStats,
         alternatives: Vec<(AlternativeKind, Program)>,
     ) -> Result<CostMemo, EngineError> {
-        let start = Instant::now();
-        let mut est = Estimator::new(db, stats);
-        let mut priced = Vec::with_capacity(alternatives.len());
-        let mut last_err = None;
+        let (start, mut compiled, mut last_err) = (Instant::now(), Vec::new(), None);
         for (kind, program) in alternatives {
-            match Prepared::batch(db, &program) {
-                Ok(plans) => priced.push(PlanAlternative {
-                    kind,
-                    estimate: est.estimate(&plans),
-                    program,
-                    plans,
-                }),
+            match Prepared::batch(db, program) {
+                Ok(plans) => compiled.push((kind, plans)),
                 Err(e) => last_err = Some(e),
             }
         }
-        if priced.is_empty() {
-            return Err(last_err.unwrap_or(EngineError::ArityMismatch(
+        CostMemo::price(db, stats, compiled, start).ok_or_else(|| {
+            last_err.unwrap_or(EngineError::ArityMismatch(
                 "cost memo built with no alternatives".to_owned(),
-            )));
-        }
-        Ok(CostMemo {
-            alternatives: priced,
+            ))
+        })
+    }
+
+    /// Prices alternatives their caller compiled, in either mode, against
+    /// `db`'s statistics, planning having begun at `start`; `None` when
+    /// there are none.
+    pub fn price(
+        db: &Database,
+        stats: &mut EdbStats,
+        compiled: Vec<(AlternativeKind, Prepared)>,
+        start: Instant,
+    ) -> Option<CostMemo> {
+        let mut est = Estimator::new(db, stats);
+        let alternatives: Vec<PlanAlternative> = (compiled.into_iter())
+            .map(|(kind, plans)| PlanAlternative {
+                kind,
+                estimate: est.estimate(&plans),
+                program: plans.program().clone(),
+                plans,
+            })
+            .collect();
+        (!alternatives.is_empty()).then(|| CostMemo {
+            alternatives,
             plan_nanos: start.elapsed().as_nanos() as u64,
         })
     }

@@ -122,10 +122,10 @@ pub(crate) struct RulePlans {
     /// Every delta-capable subgoal and negated IDB subgoal reads Total.
     pub(crate) full: CompiledRule,
     /// One variant per delta-capable body literal, scheduled on
-    /// non-fresh rounds. In batch mode that means an IDB subgoal; in
-    /// incremental mode EDB subgoals are delta-capable too (they seed
-    /// rounds from the tx).
-    pub(crate) deltas: Vec<CompiledRule>,
+    /// non-fresh rounds, and whether it reads only a transaction's rows.
+    /// In batch mode that means an IDB subgoal; in incremental mode EDB
+    /// subgoals are delta-capable too (they seed rounds from the tx).
+    deltas: Vec<(CompiledRule, bool)>,
 }
 
 impl RulePlans {
@@ -141,27 +141,35 @@ impl RulePlans {
         sizes: &BTreeMap<Pred, usize>,
     ) -> Result<RulePlans, EngineError> {
         let literals = rule.body.iter().enumerate();
-        let idb_lits: Vec<usize> = (literals.clone())
-            .filter(|(_, l)| l.as_atom().is_some_and(&delta_capable))
-            .map(|(i, _)| i)
+        let idb_lits: Vec<(usize, Pred)> = (literals.clone())
+            .filter_map(|(i, l)| Some((i, l.as_atom().filter(|a| delta_capable(a))?.pred)))
             .collect();
         let neg_idb =
             literals.filter(|(_, l)| l.as_neg().is_some_and(|a| idb_preds.contains(&a.pred)));
-        let views: BTreeMap<usize, View> = (idb_lits.iter().copied())
+        let views: BTreeMap<usize, View> = (idb_lits.iter().map(|&(i, _)| i))
             .chain(neg_idb.map(|(i, _)| i))
             .map(|li| (li, View::Total))
             .collect();
         let full = compile_rule_with_sizes(rule, &views, None, sizes)?;
         let mut deltas = Vec::with_capacity(idb_lits.len());
-        for (k, &li) in idb_lits.iter().enumerate() {
+        for (k, &(li, pred)) in idb_lits.iter().enumerate() {
             let mut v = views.clone();
             v.insert(li, View::Delta);
-            for &lj in &idb_lits[k + 1..] {
+            for &(lj, _) in &idb_lits[k + 1..] {
                 v.insert(lj, View::Old);
             }
-            deltas.push(compile_rule_with_sizes(rule, &v, Some(li), sizes)?);
+            let plan = compile_rule_with_sizes(rule, &v, Some(li), sizes)?;
+            deltas.push((plan, !idb_preds.contains(&pred)));
         }
         Ok(RulePlans { full, deltas })
+    }
+
+    /// The delta variants a run schedules: without a transaction (`tx`)
+    /// an EDB predicate's Delta view is empty, so those reading one are
+    /// skipped — every variant of a batch compile stays.
+    pub(crate) fn deltas(&self, tx: bool) -> impl Iterator<Item = &CompiledRule> {
+        let run = self.deltas.iter().filter(move |(_, edb)| tx || !edb);
+        run.map(|(plan, _)| plan)
     }
 }
 
@@ -179,12 +187,11 @@ fn delta_capable(idb_preds: &BTreeSet<Pred>, incremental: bool) -> impl Fn(&Atom
 /// A compiled program: rule plans (full + delta variants), strata, and
 /// arities. Every [`Evaluator`] runs one. [`Evaluator::new`] compiles a
 /// batch `Prepared` for its one run, and the cost memo one per priced
-/// alternative, the chosen one's to run; [`Prepared::compile`] compiles one
-/// in incremental mode (EDB subgoals delta-capable, their views split
-/// at the evaluator's EDB watermarks) that the caller keeps — the
-/// incremental maintenance layer builds one per maintained program and
-/// hands it to [`Evaluator::from_prepared`] for every transaction,
-/// skipping rule compilation on the per-update hot path.
+/// one-shot alternative, the chosen one's to run; [`Prepared::compile`]
+/// compiles one in incremental mode (EDB subgoals delta-capable, their
+/// views split at the evaluator's EDB watermarks) that the caller keeps —
+/// the maintenance layer prices one per sound program and runs the
+/// pick's for every transaction, and in batch for a whole fixpoint.
 #[derive(Clone)]
 pub struct Prepared {
     program: Program,
@@ -209,12 +216,12 @@ impl Prepared {
         program: &Program,
         preloaded: &[Pred],
     ) -> Result<Prepared, EngineError> {
-        Prepared::build(db, program, true, preloaded)
+        Prepared::build(db, program.clone(), true, preloaded)
     }
 
     /// Compiles `program` against `db` in batch mode: what
     /// [`Evaluator::new`] runs.
-    pub(crate) fn batch(db: &Database, program: &Program) -> Result<Prepared, EngineError> {
+    pub(crate) fn batch(db: &Database, program: Program) -> Result<Prepared, EngineError> {
         Prepared::build(db, program, false, &[])
     }
 
@@ -223,13 +230,13 @@ impl Prepared {
     /// arity for as IDB relations. Arities and strata come from
     /// [`evaluable`], the evaluation rules `check` starts with, whose
     /// first violation is the error; the paper's class is not judged.
-    fn build(
+    pub(crate) fn build(
         db: &Database,
-        program: &Program,
+        program: Program,
         incremental: bool,
         preloaded: &[Pred],
     ) -> Result<Prepared, EngineError> {
-        let Evaluable { arities, strata } = evaluable(program, &[], &Facts::new())?;
+        let Evaluable { arities, strata } = evaluable(&program, &[], &Facts::new())?;
         let mut idb_preds = program.idb_preds();
         idb_preds.extend(preloaded.iter().filter(|p| arities.contains_key(p)));
         // Relation sizes for join ordering: EDB sizes are known; IDB
@@ -254,7 +261,7 @@ impl Prepared {
             .map(|r| strata.get(&r.head.pred).copied().unwrap_or(0))
             .collect();
         Ok(Prepared {
-            program: program.clone(),
+            program,
             idb_preds,
             plans,
             max_stratum: rule_stratum.iter().copied().max().unwrap_or(0),
@@ -297,11 +304,11 @@ pub struct Evaluator<'db> {
     gov: Option<Governor>,
     /// Per EDB predicate, the physical-row watermark separating pre-tx
     /// rows (`[0, mark)` = Old) from rows the current transaction
-    /// appended (`[mark, len)` = Delta); empty outside incremental
+    /// appended (`[mark, len)` = Delta); `None` outside incremental
     /// runs. Predicates absent from the map have an empty delta. Drained
     /// (mark := len) after each round so later rounds see the post-tx
     /// EDB as Old.
-    edb_marks: FxHashMap<Pred, u32>,
+    edb_marks: Option<FxHashMap<Pred, u32>>,
     /// The unit seed: a nullary relation holding the one empty row, the
     /// seed of every kernel whose `seed_pred` is `None`.
     unit: Relation,
@@ -319,7 +326,7 @@ impl<'db> Evaluator<'db> {
         program: &Program,
         _strategy: Strategy,
     ) -> Result<Evaluator<'db>, EngineError> {
-        let prepared = Prepared::batch(db, program)?;
+        let prepared = Prepared::batch(db, program.clone())?;
         Ok(Evaluator::running(db, Cow::Owned(prepared), None))
     }
 
@@ -354,16 +361,17 @@ impl<'db> Evaluator<'db> {
             "incremental mode requires a positive program"
         );
         let mut ev = Evaluator::from_prepared_batch(db, prepared, idb);
-        ev.edb_marks = edb_marks;
+        ev.edb_marks = Some(edb_marks);
         ev.stratum_fresh = false;
         ev
     }
 
     /// A batch evaluation of `prepared` over the preloaded `idb`, with no
     /// compilation: each stratum starts with every rule's full plan, as
-    /// [`Evaluator::new`] does, and the EDB has no delta. Any number of
-    /// strata; the relations come back from [`Evaluator::finish`].
-    pub(crate) fn from_prepared_batch(
+    /// [`Evaluator::new`] does, and the EDB has no delta (so incremental
+    /// plans do a batch run's work). Any number of strata; the relations
+    /// come back from [`Evaluator::finish`].
+    pub fn from_prepared_batch(
         db: &'db Database,
         prepared: &'db Prepared,
         idb: impl IntoIterator<Item = (Pred, Relation)>,
@@ -395,7 +403,7 @@ impl<'db> Evaluator<'db> {
             budget: Budget::unlimited(),
             cancel: None,
             gov: None,
-            edb_marks: FxHashMap::default(),
+            edb_marks: None,
             unit,
             round_buf: DerivedBuf::default(),
         };
@@ -498,6 +506,7 @@ impl<'db> Evaluator<'db> {
             let mut buf = std::mem::take(&mut self.round_buf);
             let mut completed = true;
             let prepared = &*self.prepared;
+            let tx = self.edb_marks.is_some();
             for (ri, rp) in prepared.plans.iter().enumerate() {
                 if prepared.rule_stratum[ri] != self.current_stratum {
                     continue;
@@ -505,9 +514,7 @@ impl<'db> Evaluator<'db> {
                 completed = if fresh {
                     kernel::run_task(self, &rp.full, &mut stats, &mut buf)
                 } else {
-                    rp.deltas
-                        .iter()
-                        .all(|plan| kernel::run_task(self, plan, &mut stats, &mut buf))
+                    (rp.deltas(tx)).all(|plan| kernel::run_task(self, plan, &mut stats, &mut buf))
                 };
                 if !completed {
                     break;
@@ -534,7 +541,7 @@ impl<'db> Evaluator<'db> {
             // transaction's inserted rows; from now on the post-tx EDB
             // is the Old view, so new-IDB × EDB joins in later rounds
             // see every EDB row exactly once.
-            for (p, m) in self.edb_marks.iter_mut() {
+            for (p, m) in self.edb_marks.iter_mut().flatten() {
                 if let Some(rel) = self.db.get(*p) {
                     *m = rel.physical_rows() as u32;
                 }
@@ -635,7 +642,8 @@ impl<'db> Evaluator<'db> {
         } else {
             let rel = self.db.get(pred)?;
             let end = rel.all_rows().end;
-            (rel, self.edb_marks.get(&pred).copied().unwrap_or(end), end)
+            let mark = self.edb_marks.as_ref().and_then(|m| m.get(&pred).copied());
+            (rel, mark.unwrap_or(end), end)
         };
         let (start, end) = match view {
             View::Full | View::Total => (0, end),

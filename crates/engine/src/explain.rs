@@ -7,8 +7,8 @@
 //! inside its own support (the `visiting` set). Each step of the search
 //! runs on the rule executor: rule `i`, `h(t̄) :- B`, becomes the
 //! head-bound rule `why$i(V̄) :- goal$h(t̄), B` over the rule's variables
-//! `V̄`, compiled once per call, so seeding `goal$h` with the one fact to
-//! explain enumerates
+//! `V̄`, compiled once per call in batch mode (each step is one batch
+//! run), so seeding `goal$h` with the one fact to explain enumerates
 //! exactly the body instances that derive it, over the EDB and the
 //! materialization. This powers the CLI's `why` command and complements
 //! `semrec-iqa`'s proof-tree reasoning with *instance-level*
@@ -108,7 +108,7 @@ pub fn explain(
         .collect();
     let why = Why {
         program,
-        plans: Prepared::compile(db, &Program::new(rules), &preloaded).ok()?,
+        plans: Prepared::build(db, Program::new(rules), false, &preloaded).ok()?,
         vars,
     };
     why.go(db, idb, pred, tuple, &mut BTreeSet::new())

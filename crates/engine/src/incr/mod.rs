@@ -13,17 +13,17 @@
 //!    tombstoned — which doubles as the undo log [`Database::undo`]
 //!    replays (cut the appends, *then* revive the rows).
 //! 2. **Delta propagation** — [`Materialized`] keeps the fixpoint of a
-//!    program materialized across transactions, maintained in place
-//!    under the same kind of log. Deletes run DRed as delta rules (see
-//!    [`mod@dred`]): over-deletion reads the pre-transaction state and
-//!    only collects doomed rows; once the transaction is applied they
-//!    are tombstoned and the survivors re-derived. Then the inserted EDB
-//!    rows and the re-derived IDB rows seed a semi-naive run whose first
-//!    round scans only the delta ([`Evaluator::from_prepared`]). An
-//!    insert-only transaction is the same path with nothing doomed.
-//!    Programs with negation or arithmetic builtins fall back to a
-//!    governed from-scratch re-evaluation — transparently, with the same
-//!    transactional contract.
+//!    program materialized across transactions, maintained in place under
+//!    the same kind of log by the plans a planner priced, compiled once.
+//!    Deletes run DRed as delta rules (see [`mod@dred`]): over-deletion
+//!    reads the pre-transaction state and only collects doomed rows; once
+//!    the transaction is applied they are tombstoned and the survivors
+//!    re-derived. Then the inserted EDB rows and the re-derived IDB rows
+//!    seed a semi-naive run whose first round scans only the delta
+//!    ([`Evaluator::from_prepared`]). An insert-only transaction is the
+//!    same path with nothing doomed. Programs with negation or arithmetic
+//!    builtins fall back to a governed from-scratch re-evaluation of the
+//!    same plans — transparently, with the same transactional contract.
 //! 3. **IC monitoring** — [`IcCheck`] compiles a constraint into denial
 //!    rules (see [`mod@icheck`]) whose full plan answers
 //!    [`Database::violations`] and whose delta variants re-check a
@@ -50,7 +50,7 @@ pub use icheck::IcCheck;
 
 use crate::database::Database;
 use crate::error::EngineError;
-use crate::eval::{Evaluator, Prepared, Strategy};
+use crate::eval::{Evaluator, Prepared};
 use crate::fxhash::FxHashMap;
 use crate::governor::{Budget, CancelToken};
 use crate::relation::{Relation, Tuple};
@@ -255,12 +255,11 @@ pub struct UpdateStats {
 
 /// A program's fixpoint kept materialized across transactions.
 ///
-/// Owns the IDB relations, a [`Prepared`] plan cache and the DRed plans;
-/// each [`Materialized::apply`] call brings the relations, in place, to
-/// the post-transaction fixpoint by delta propagation (or governed
-/// re-evaluation for programs outside the incremental fragment). The
-/// EDB itself stays with the caller, who passes it mutably per
-/// transaction.
+/// Owns the IDB relations, the [`Prepared`] plans it runs and the DRed
+/// plans; each [`Materialized::apply`] call brings the relations, in
+/// place, to the post-transaction fixpoint by delta propagation (or
+/// governed re-evaluation for programs outside the incremental
+/// fragment). The EDB stays with the caller, who passes it per tx.
 pub struct Materialized {
     prepared: Prepared,
     /// Over-deletion and re-derivation plans; `None` when the program
@@ -310,19 +309,23 @@ impl Materialized {
     /// Evaluates `program` over `db` from scratch (semi-naive) and keeps
     /// the result materialized for incremental maintenance.
     pub fn new(db: &Database, program: &Program) -> Result<Materialized, EngineError> {
-        let prepared = Prepared::compile(db, program, &[])?;
-        let dred = match incremental_capable(program) {
-            true => Some(Dred::compile(db, program)?),
-            false => None,
-        };
-        let mut ev = Evaluator::new(db, program, Strategy::SemiNaive)?;
+        Materialized::adopt(db, Prepared::compile(db, program, &[])?)
+    }
+
+    /// [`Materialized::new`] of `prepared`, compiled by [`Prepared::compile`]
+    /// over `db` with nothing preloaded: no plan is compiled again.
+    pub fn adopt(db: &Database, prepared: Prepared) -> Result<Materialized, EngineError> {
+        let program = prepared.program();
+        let dred = (incremental_capable(program)).then(|| Dred::compile(db, program));
+        let dred = dred.transpose()?;
+        let mut ev = Evaluator::from_prepared_batch(db, &prepared, None);
         ev.run()?;
         let initial_rounds = ev.rounds();
-        let res = ev.finish();
+        let idb = ev.finish().idb;
         Ok(Materialized {
             prepared,
             dred,
-            idb: res.idb,
+            idb,
             initial_rounds,
         })
     }
@@ -557,8 +560,8 @@ impl Materialized {
         cancel: Option<CancelToken>,
         start: Instant,
     ) -> Result<UpdateStats, EngineError> {
-        let mut ev = Evaluator::new(post_db, self.prepared.program(), Strategy::SemiNaive)?
-            .with_budget(budget);
+        let mut ev =
+            Evaluator::from_prepared_batch(post_db, &self.prepared, None).with_budget(budget);
         if let Some(c) = cancel {
             ev = ev.with_cancel_token(c);
         }
@@ -780,6 +783,7 @@ pub fn parse_txs(src: &str) -> Result<Vec<Tx>, String> {
 mod tests {
     use super::*;
     use crate::database::int_tuple;
+    use crate::eval::Strategy;
     use semrec_datalog::constraint::Constraint;
     use semrec_datalog::parser::parse_unit;
 

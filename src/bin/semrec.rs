@@ -799,7 +799,7 @@ fn explain_routing(
     )?;
     if args.iter().any(|a| a == "--run") {
         let best = memo.best();
-        let mut ev = best.evaluator(&db);
+        let mut ev = semrec::engine::Evaluator::from_prepared_batch(&db, &best.plans, None);
         ev.run().map_err(CliError::Engine)?;
         let res = ev.finish();
         let actual: u64 = res.idb.values().map(|r| r.len() as u64).sum();

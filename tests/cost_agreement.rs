@@ -10,7 +10,7 @@ use semrec::core::route_alternatives;
 use semrec::datalog::analysis::classify_linear;
 use semrec::datalog::Value::Int;
 use semrec::datalog::{Atom, Term};
-use semrec::engine::{evaluate, AlternativeKind, CostMemo, EdbStats, Strategy, Tx};
+use semrec::engine::{evaluate, AlternativeKind, CostMemo, EdbStats, Prepared, Strategy, Tx};
 use semrec::gen::{fanout, flights, genealogy, org, parse_scenario, university};
 use std::time::Instant;
 
@@ -264,6 +264,26 @@ fn stats_invalidated_and_replanned_under_transactions() {
     assert_eq!(q.replans(), degraded_replans + 1);
 }
 
+/// The route census: per gen workload, a goal (`None`: none) and the
+/// alternative the router chooses for it.
+const CENSUS: [(&str, Option<&str>, &str); 15] = [
+    ("fanout", None, "residue_pushed"),
+    ("fanout", Some("reach(0, Y)"), "pushed_factored"),
+    ("fanout", Some("reach(X, 5)"), "pushed_magic"),
+    ("fanout", Some("reach(0, 5)"), "pushed_magic"),
+    ("flights", None, "original"),
+    ("flights", Some("route(0, Y)"), "factored"),
+    ("flights", Some("route(X, 6)"), "magic"),
+    ("genealogy", None, "original"),
+    ("genealogy", Some("anc(1, Xa, Y, Ya)"), "magic"),
+    ("genealogy", Some("anc(X, Xa, 0, Ya)"), "magic"),
+    ("org", None, "original"),
+    ("org", Some("triple(2, E2, E3)"), "original"),
+    ("university", None, "original"),
+    ("university", Some("eval(prof0, S, T)"), "original"),
+    ("university", Some("eval(P, stud79, T)"), "magic"),
+];
+
 /// The route census per binding pattern: on every gen workload at its
 /// default size, the alternative the router chooses without a goal and
 /// for each goal below. Each goal-directed kind wins somewhere, so none
@@ -271,23 +291,6 @@ fn stats_invalidated_and_replanned_under_transactions() {
 /// choice here is a changed planner.
 #[test]
 fn route_choices_per_binding_pattern() {
-    const CENSUS: [(&str, Option<&str>, &str); 15] = [
-        ("fanout", None, "residue_pushed"),
-        ("fanout", Some("reach(0, Y)"), "pushed_factored"),
-        ("fanout", Some("reach(X, 5)"), "pushed_magic"),
-        ("fanout", Some("reach(0, 5)"), "pushed_magic"),
-        ("flights", None, "original"),
-        ("flights", Some("route(0, Y)"), "factored"),
-        ("flights", Some("route(X, 6)"), "magic"),
-        ("genealogy", None, "original"),
-        ("genealogy", Some("anc(1, Xa, Y, Ya)"), "magic"),
-        ("genealogy", Some("anc(X, Xa, 0, Ya)"), "magic"),
-        ("org", None, "original"),
-        ("org", Some("triple(2, E2, E3)"), "original"),
-        ("university", None, "original"),
-        ("university", Some("eval(prof0, S, T)"), "original"),
-        ("university", Some("eval(P, stud79, T)"), "magic"),
-    ];
     let mut priced = 0;
     for (name, db, src) in workloads() {
         let s = parse_scenario(src);
@@ -306,4 +309,45 @@ fn route_choices_per_binding_pattern() {
         }
     }
     assert_eq!(priced, CENSUS.len(), "every census row names a workload");
+}
+
+/// The maintenance tier prices plans compiled in incremental mode, the
+/// one-shot routes batch plans; the two price alike, so either tier
+/// picks the same route: on every gen workload, every alternative
+/// `route_alternatives` enumerates, without a goal and for each census
+/// goal, has equal estimates either way, field by field.
+#[test]
+fn incremental_and_batch_plans_price_alike() {
+    let mut priced = 0;
+    for (name, db, src) in workloads() {
+        let s = parse_scenario(src);
+        let plan = Optimizer::new(&s.program)
+            .with_constraints(&s.constraints)
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: optimize failed: {e}"));
+        for &(_, goal, _) in CENSUS.iter().filter(|(bundle, ..)| *bundle == name) {
+            let goal = goal.map(|g| semrec::datalog::parse_atom(g).expect("goal parses"));
+            let (alts, _) = route_alternatives(&s.program, &plan, goal.as_ref());
+            let compiled = (alts.iter())
+                .map(|(kind, p)| (*kind, Prepared::compile(&db, p, &[]).expect("compiles")))
+                .collect();
+            let batch = CostMemo::build(&db, &mut EdbStats::new(), alts).expect("price");
+            let incremental = CostMemo::price(&db, &mut EdbStats::new(), compiled, Instant::now());
+            let incremental = incremental.expect("price");
+            let pairs = batch.alternatives.iter().zip(&incremental.alternatives);
+            assert_eq!(batch.alternatives.len(), incremental.alternatives.len());
+            for (b, i) in pairs {
+                let ctx = format!("{name} {goal:?} {}", b.kind);
+                let (b, i) = (&b.estimate, &i.estimate);
+                assert_eq!(b.rows, i.rows, "{ctx}: rows");
+                assert_eq!(b.bytes, i.bytes, "{ctx}: bytes");
+                assert_eq!(b.work, i.work, "{ctx}: work");
+                assert_eq!(b.rounds, i.rounds, "{ctx}: rounds");
+                assert_eq!(b.capped, i.capped, "{ctx}: capped");
+                assert_eq!(b.per_pred, i.per_pred, "{ctx}: per predicate");
+                priced += 1;
+            }
+        }
+    }
+    assert!(priced >= 40, "{priced} alternatives priced");
 }

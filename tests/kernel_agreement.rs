@@ -17,11 +17,13 @@
 
 mod common;
 
-use common::cases::{duplicate_burst, kernel_shapes, large_workloads};
+use common::cases::{self, duplicate_burst, kernel_shapes, large_workloads};
 use common::routes::{check, check_all, check_each, Case};
 use semrec::datalog::{Pred, Program, Value};
 use semrec::engine::eval::KERNEL_CHUNK;
-use semrec::engine::{Budget, Database, Evaluator, Materialized, Stats, Strategy, Tuple, Tx};
+use semrec::engine::{
+    Budget, Database, Evaluator, Materialized, Prepared, Stats, Strategy, Tuple, Tx,
+};
 use semrec::gen::{fanout, parse_scenario};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -123,6 +125,45 @@ fn incremental_edb_deltas_agree_with_scratch() {
             "maintained IDB diverged from scratch after edge({a1},{b1}), edge({a2},{b2})"
         );
     }
+}
+
+/// Maintenance compiles a program once, in incremental mode — every
+/// EDB subgoal delta-capable — and runs its first fixpoint and every
+/// re-evaluation from those plans in batch: with no transaction the
+/// variants reading an EDB predicate's Delta are idle, and skipped. Such
+/// a run does exactly the work of `Evaluator::new`'s batch plans — the
+/// same IDB and every `Stats` counter equal — on the samples, the
+/// regression corpus, the gen bundles and the route matrix's programs.
+#[test]
+fn batch_runs_of_incremental_plans_do_a_batch_runs_work() {
+    let random = ["anc", "closure", "acyclic", "random linear"];
+    let cases = (cases::samples(0..2).into_iter())
+        .chain(cases::regressions())
+        .chain(cases::workloads(0..2))
+        .chain(kernel_shapes(0..2))
+        .chain(cases::families(0..12))
+        .chain(
+            random
+                .into_iter()
+                .flat_map(|k| cases::random_programs(k, 0..4)),
+        )
+        .chain(cases::random_constraints(0..8));
+    let mut seen = 0;
+    for case in cases {
+        let (db, name) = (&case.edb, &case.name);
+        let (want, want_stats) = idb_map(db, &case.program);
+        let plans = Prepared::compile(db, &case.program, &[]).expect("compiles");
+        let mut ev = Evaluator::from_prepared_batch(db, &plans, None);
+        ev.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let res = ev.finish();
+        let got: Idb = (res.idb.iter())
+            .map(|(&p, r)| (p, r.sorted_tuples()))
+            .collect();
+        assert_eq!(got, want, "{name}: IDB");
+        assert_eq!(res.stats, want_stats, "{name}: work counters");
+        seen += 1;
+    }
+    assert!(seen >= 70, "{seen} programs");
 }
 
 /// Chunk-boundary pinning: the batch pipeline gathers seed rows in

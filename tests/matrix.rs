@@ -10,31 +10,13 @@ mod common;
 
 use common::cases::{self, tiered};
 use common::routes::{check, check_all, Case};
-use semrec::engine::incr::parse_txs;
-use semrec::engine::Database;
 
 #[test]
 fn regressions_agree() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/regressions");
-    let mut units: Vec<_> = std::fs::read_dir(&dir)
-        .expect("tests/regressions")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "dl"))
-        .collect();
-    units.sort();
-    assert!(units.len() >= 2, "{units:?}");
-    for unit in units {
-        let name = unit
-            .file_stem()
-            .expect("stem")
-            .to_string_lossy()
-            .into_owned();
-        let src = std::fs::read_to_string(&unit).expect("unit");
-        let txs = match std::fs::read_to_string(unit.with_extension("tx")) {
-            Ok(stream) => parse_txs(&stream).unwrap_or_else(|e| panic!("{name}.tx: {e}")),
-            Err(_) => Vec::new(),
-        };
-        check(&Case::new(name, &src, Database::new()).with_txs(txs));
+    let units = cases::regressions();
+    assert!(units.len() >= 2, "{} units", units.len());
+    for case in units {
+        check(&case);
     }
 }
 
