@@ -168,7 +168,7 @@ fn switch_route(
     ];
     let (mut compiled, mut err) = (Vec::new(), None);
     for (_, kind, program) in sound.into_iter().filter(|s| s.0) {
-        match Prepared::compile(db, program, &[]) {
+        match Prepared::compile(db, program, &[], &BTreeMap::new()) {
             Ok(plans) => compiled.push((kind, plans)),
             Err(e) => err = err.or(Some(e)),
         }
@@ -200,12 +200,10 @@ fn monitored_ics(plan: &Plan) -> Vec<Constraint> {
 }
 
 impl MaintainedQuery {
-    /// Optimizes `program` under `ics` and materializes the appropriate
-    /// route over `db` (the optimized program if every monitored IC
-    /// holds, the rectified program otherwise). The trailing `usize` is
-    /// ignored: it is the signature `benchmark/src/bin/layers.rs` calls
-    /// (benchmark/README.md, *Frozen surfaces (b)*), to be dropped by
-    /// the next benchmark issue.
+    /// [`MaintainedQuery::from_plan`] of the optimizer's plan of `program`
+    /// under `ics` and `config`. The trailing `usize` is ignored: it is the
+    /// signature `benchmark/src/bin/layers.rs` calls (benchmark/README.md,
+    /// *Frozen surfaces (b)*), to be dropped by the next benchmark change.
     pub fn new(
         db: Database,
         program: &Program,
@@ -217,6 +215,12 @@ impl MaintainedQuery {
             .with_constraints(ics)
             .with_config(config)
             .run()?;
+        Ok(MaintainedQuery::from_plan(db, plan)?)
+    }
+
+    /// Materializes over `db` the route of `plan` that is sound: the
+    /// optimized program if every monitored IC holds, else the rectified.
+    pub fn from_plan(db: Database, plan: Plan) -> Result<MaintainedQuery, EngineError> {
         let monitored = monitored_ics(&plan);
         let checks: Vec<IcCheck> = monitored.iter().map(|ic| IcCheck::new(&db, ic)).collect();
         let unlimited = Budget::unlimited();

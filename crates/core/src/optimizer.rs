@@ -360,8 +360,8 @@ pub fn route_alternatives(
 /// needs whole relations routes without a goal.
 ///
 /// `checked` is the caller's [`check`](semrec_datalog::analysis::check)
-/// of `program` and `ics`; the optimizer reads the paper's class off it
-/// rather than judging the program again.
+/// of `program` and `ics`; the optimizer reads the paper's class off it,
+/// and the fallback its strata, rather than judging the program again.
 ///
 /// The planner's verdict rides on the result:
 /// [`EvalResult::choice`](semrec_engine::EvalResult) records the chosen
@@ -383,7 +383,7 @@ pub fn evaluate_routed(
     cancel: semrec_engine::CancelToken,
     goal: Option<&Atom>,
 ) -> Result<GovernedOutcome, semrec_engine::EngineError> {
-    use semrec_engine::{EngineError, Evaluator, Route, Strategy};
+    use semrec_engine::{EngineError, Prepared, Route};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let start = std::time::Instant::now();
 
@@ -413,8 +413,7 @@ pub fn evaluate_routed(
                 };
                 let best = memo.best();
                 let kind = best.kind;
-                let ev = || Ok(Evaluator::from_prepared_batch(db, &best.plans, None));
-                let run = run_under(ev, slice, cancel.clone());
+                let run = run_under(db, &best.plans, slice, cancel.clone());
                 let mut result = match run {
                     Ok(result) => result,
                     Err(EngineError::Cancelled) => return Err(EngineError::Cancelled),
@@ -458,9 +457,11 @@ pub fn evaluate_routed(
         }
         remaining.deadline = Some(left);
     }
-    let (rectified, _) = rectify(program);
-    let start_rectified = || Evaluator::new(db, &rectified, Strategy::SemiNaive);
-    let mut result = run_under(start_rectified, remaining, cancel)?;
+    // Rectification keeps each rule in its place, and so its stratum.
+    let rectified =
+        (kept_plan.as_ref()).map_or_else(|| rectify(program).0, |p| p.rectified.clone());
+    let plans = Prepared::batch(db, rectified, &checked.strata)?;
+    let mut result = run_under(db, &plans, remaining, cancel)?;
     result.route = Route::RectifiedFallback;
     Ok(GovernedOutcome {
         result,
@@ -469,18 +470,20 @@ pub fn evaluate_routed(
     })
 }
 
-/// One budgeted evaluation of the evaluator `start` builds; a panic
-/// inside it is caught and surfaced as [`EngineError::WorkerPanicked`]
-/// so the degradation policy treats it like any other failed route.
-fn run_under<'db>(
-    start: impl FnOnce() -> Result<semrec_engine::Evaluator<'db>, semrec_engine::EngineError>,
+/// One budgeted run of `plans` over `db`; a panic inside it is caught
+/// and surfaced as [`EngineError::WorkerPanicked`] so the degradation
+/// policy treats it like any other failed route.
+fn run_under(
+    db: &semrec_engine::Database,
+    plans: &semrec_engine::Prepared,
     budget: semrec_engine::Budget,
     cancel: semrec_engine::CancelToken,
 ) -> Result<semrec_engine::EvalResult, semrec_engine::EngineError> {
-    use semrec_engine::EngineError;
+    use semrec_engine::{EngineError, Evaluator};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let mut ev = start()?.with_budget(budget).with_cancel_token(cancel);
+        let ev = Evaluator::from_prepared_batch(db, plans, None).with_budget(budget);
+        let mut ev = ev.with_cancel_token(cancel);
         ev.run()?;
         Ok(ev.finish())
     }));

@@ -6,8 +6,9 @@
 //! The paper's class (§1), which only the optimizer needs — no negation,
 //! connected rules and constraints, linear recursion without mutual
 //! recursion and with exit rules, chain-shaped constraints over EDB
-//! relations and comparisons — is a verdict [`Checked`] keeps apart, so
-//! generated magic, factored and pushed programs are never held to it.
+//! relations and comparisons — is a verdict [`Checked`] keeps apart.
+//! What the system writes from a judged program is not judged again: the
+//! engine's compiler takes the caller's [`Checked::strata`], or none.
 
 use super::connect;
 use super::deps::DepGraph;
@@ -46,53 +47,11 @@ impl Checked {
 }
 
 /// Judges `program`, `ics` and `facts`: `Err` with the first broken
-/// evaluation rule, else the [`Checked`] judgment — [`evaluable`]'s, plus
-/// the recursion and the paper's class read off the same graph.
+/// evaluation rule (one arity per predicate, no rule or fact defining a
+/// builtin, safety, stratified negation), else the [`Checked`] judgment —
+/// the arities and the strata, plus the recursion and the paper's class
+/// read off the same graph.
 pub fn check(program: &Program, ics: &[Constraint], facts: &Facts) -> Result<Checked, Error> {
-    let (Evaluable { arities, strata }, graph) = evaluation_rules(program, ics, facts)?;
-    let Graph { sccs, rules_of } = graph;
-    let recursion = recursion::classify(program, &sccs, &rules_of, &arities);
-    let class = paper_class(program, ics, &rules_of, &recursion);
-    Ok(Checked {
-        arities,
-        strata,
-        recursion,
-        class,
-    })
-}
-
-/// What the evaluation rules alone find: all that evaluating a program
-/// needs, and all that a generated (magic, factored, pushed) program is
-/// judged by.
-#[derive(Clone, Debug)]
-pub struct Evaluable {
-    /// As [`Checked::arities`].
-    pub arities: BTreeMap<Pred, usize>,
-    /// As [`Checked::strata`].
-    pub strata: BTreeMap<Pred, usize>,
-}
-
-/// The evaluation rules of [`check`], which it starts with, and nothing
-/// after them: `Err` with the first one broken, in `check`'s words.
-pub fn evaluable(program: &Program, ics: &[Constraint], facts: &Facts) -> Result<Evaluable, Error> {
-    evaluation_rules(program, ics, facts).map(|(judged, _)| judged)
-}
-
-/// The dependency structure the evaluation rules read, which the paper's
-/// class reads again.
-struct Graph {
-    sccs: Vec<Vec<Pred>>,
-    /// Each IDB predicate's rules, in program order.
-    rules_of: BTreeMap<Pred, Vec<usize>>,
-}
-
-/// The evaluation rules: one arity per predicate, no rule or fact
-/// defining a builtin, safety, stratified negation.
-fn evaluation_rules(
-    program: &Program,
-    ics: &[Constraint],
-    facts: &Facts,
-) -> Result<(Evaluable, Graph), Error> {
     let arities = arities(program, ics, facts)?;
     let heads = program.rules.iter().map(|r| (r.head.pred, false));
     let facts_of = facts.groups().iter().map(|g| (g.pred(), true));
@@ -112,7 +71,14 @@ fn evaluation_rules(
     }
     let sccs = DepGraph::new(program).sccs();
     let strata = stratify(program, &sccs, &rules_of)?;
-    Ok((Evaluable { arities, strata }, Graph { sccs, rules_of }))
+    let recursion = recursion::classify(program, &sccs, &rules_of, &arities);
+    let class = paper_class(program, ics, &rules_of, &recursion);
+    Ok(Checked {
+        arities,
+        strata,
+        recursion,
+        class,
+    })
 }
 
 /// Validates `program` and `ics` against the paper's assumption bundle:

@@ -9,7 +9,7 @@ pub mod rectify;
 pub mod recursion;
 pub mod safety;
 
-pub use check::{check, evaluable, validate, Checked, Evaluable};
+pub use check::{check, validate, Checked};
 pub use connect::{constraint_is_connected, rule_is_connected};
 pub use deps::DepGraph;
 pub use rectify::{rectify, HeadVars};

@@ -510,7 +510,7 @@ mod tests {
         let db = chain_db(60);
         let mut stats = EdbStats::new();
         let mut est = Estimator::new(&db, &mut stats);
-        let e = est.estimate(&Prepared::batch(&db, prog.clone()).unwrap());
+        let e = est.estimate(&Prepared::batch(&db, prog.clone(), &BTreeMap::new()).unwrap());
         let actual = evaluate(&db, &prog, Strategy::SemiNaive)
             .unwrap()
             .relation("reach")
@@ -545,7 +545,7 @@ mod tests {
         .unwrap();
         let mut stats = EdbStats::new();
         let mut est = Estimator::new(&db, &mut stats);
-        let e = est.estimate(&Prepared::batch(&db, prog.clone()).unwrap());
+        let e = est.estimate(&Prepared::batch(&db, prog.clone(), &BTreeMap::new()).unwrap());
         // The cap is the exact answer here; the estimate must respect it.
         assert!(
             (e.rows - 144.0).abs() < 1.0,
@@ -560,7 +560,7 @@ mod tests {
         let db = chain_db(5);
         let mut stats = EdbStats::new();
         let mut est = Estimator::new(&db, &mut stats);
-        let e = est.estimate(&Prepared::batch(&db, prog.clone()).unwrap());
+        let e = est.estimate(&Prepared::batch(&db, prog.clone(), &BTreeMap::new()).unwrap());
         assert_eq!(e.rounds, 1);
         assert!((e.rows - 5.0).abs() < 1e-9);
     }

@@ -15,6 +15,7 @@ use crate::database::Database;
 use crate::error::EngineError;
 use crate::eval::{Prepared, Route};
 use semrec_datalog::program::Program;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Which rewrite an alternative is.
@@ -137,7 +138,7 @@ impl CostMemo {
     ) -> Result<CostMemo, EngineError> {
         let (start, mut compiled, mut last_err) = (Instant::now(), Vec::new(), None);
         for (kind, program) in alternatives {
-            match Prepared::batch(db, program) {
+            match Prepared::batch(db, program, &BTreeMap::new()) {
                 Ok(plans) => compiled.push((kind, plans)),
                 Err(e) => last_err = Some(e),
             }

@@ -40,9 +40,11 @@ use crate::plan::{compile_rule_with_sizes, CompiledRule, View};
 use crate::relation::{Relation, RowRange, Tuple};
 use crate::stats::Stats;
 use emit::{drain_serial, DerivedBuf};
-use semrec_datalog::analysis::{evaluable, Evaluable};
+use semrec_datalog::analysis::check;
 use semrec_datalog::atom::{Atom, Pred};
+use semrec_datalog::error::Error;
 use semrec_datalog::facts::Facts;
+use semrec_datalog::literal::Literal;
 use semrec_datalog::program::Program;
 use semrec_datalog::rule::Rule;
 use std::borrow::Cow;
@@ -185,13 +187,13 @@ fn delta_capable(idb_preds: &BTreeSet<Pred>, incremental: bool) -> impl Fn(&Atom
 }
 
 /// A compiled program: rule plans (full + delta variants), strata, and
-/// arities. Every [`Evaluator`] runs one. [`Evaluator::new`] compiles a
-/// batch `Prepared` for its one run, and the cost memo one per priced
-/// one-shot alternative, the chosen one's to run; [`Prepared::compile`]
-/// compiles one in incremental mode (EDB subgoals delta-capable, their
-/// views split at the evaluator's EDB watermarks) that the caller keeps —
-/// the maintenance layer prices one per sound program and runs the
-/// pick's for every transaction, and in batch for a whole fixpoint.
+/// arities. Every [`Evaluator`] runs one: [`Prepared::batch`] compiles
+/// for one run (each alternative the cost memo prices, the pick's to
+/// run), [`Prepared::compile`] in incremental mode (EDB subgoals
+/// delta-capable, their views split at the evaluator's EDB watermarks)
+/// for a caller that keeps it. Compiling judges nothing: the strata are
+/// the caller's, from [`check`] of what the user wrote; a program the
+/// system writes negates only predicates it does not define, and passes none.
 #[derive(Clone)]
 pub struct Prepared {
     program: Program,
@@ -205,9 +207,9 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Compiles `program` against `db` in incremental mode, its runs
-    /// also preloading the `preloaded` body predicates: they resolve,
-    /// like its heads, to relations handed to
+    /// Compiles `program` against `db` in incremental mode, in `strata`
+    /// (absent: stratum 0), its runs also preloading the `preloaded` body
+    /// predicates: they resolve, like its heads, to relations handed to
     /// [`Evaluator::from_prepared`] rather than to the database. The
     /// database is used only for join-order size estimates; the plans
     /// stay valid as the EDB evolves.
@@ -215,29 +217,45 @@ impl Prepared {
         db: &Database,
         program: &Program,
         preloaded: &[Pred],
+        strata: &BTreeMap<Pred, usize>,
     ) -> Result<Prepared, EngineError> {
-        Prepared::build(db, program.clone(), true, preloaded)
+        Prepared::build(db, program.clone(), true, preloaded, strata)
     }
 
-    /// Compiles `program` against `db` in batch mode: what
-    /// [`Evaluator::new`] runs.
-    pub(crate) fn batch(db: &Database, program: Program) -> Result<Prepared, EngineError> {
-        Prepared::build(db, program, false, &[])
+    /// Compiles `program` against `db` in batch mode, in `strata`.
+    pub fn batch(
+        db: &Database,
+        program: Program,
+        strata: &BTreeMap<Pred, usize>,
+    ) -> Result<Prepared, EngineError> {
+        Prepared::build(db, program, false, &[], strata)
     }
 
     /// The one compile step: plans every rule of `program`, in batch or
     /// `incremental` mode, reading the `preloaded` predicates it has an
-    /// arity for as IDB relations. Arities and strata come from
-    /// [`evaluable`], the evaluation rules `check` starts with, whose
-    /// first violation is the error; the paper's class is not judged.
+    /// arity for as IDB relations. The plan compiler refuses an unsafe
+    /// rule in `check`'s words, and a rule negating a predicate of this
+    /// program outside a lower stratum is refused: wrong strata never run.
     pub(crate) fn build(
         db: &Database,
         program: Program,
         incremental: bool,
         preloaded: &[Pred],
+        strata: &BTreeMap<Pred, usize>,
     ) -> Result<Prepared, EngineError> {
-        let Evaluable { arities, strata } = evaluable(&program, &[], &Facts::new())?;
+        let arities = program.arities().map_err(EngineError::ArityMismatch)?;
+        let stratum = |p: &Pred| strata.get(p).copied().unwrap_or(0);
         let mut idb_preds = program.idb_preds();
+        let rule_stratum: Vec<usize> = (program.rules.iter())
+            .map(|r| stratum(&r.head.pred))
+            .collect();
+        for (rule, &s) in program.rules.iter().zip(&rule_stratum) {
+            let unsound = |a: &&Atom| idb_preds.contains(&a.pred) && stratum(&a.pred) >= s;
+            if let Some(a) = rule.body.iter().filter_map(Literal::as_neg).find(unsound) {
+                let why = format!("rule `{rule}` negates {}, not in a lower stratum", a.pred);
+                return Err(EngineError::Invalid(Error::NotStratified(why)));
+            }
+        }
         idb_preds.extend(preloaded.iter().filter(|p| arities.contains_key(p)));
         // Relation sizes for join ordering: EDB sizes are known; IDB
         // relations are never preferred over a known-small EDB relation
@@ -255,11 +273,6 @@ impl Prepared {
                 RulePlans::compile(rule, delta_capable, &idb_preds, &sizes)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let rule_stratum: Vec<usize> = program
-            .rules
-            .iter()
-            .map(|r| strata.get(&r.head.pred).copied().unwrap_or(0))
-            .collect();
         Ok(Prepared {
             program,
             idb_preds,
@@ -320,13 +333,14 @@ pub struct Evaluator<'db> {
 }
 
 impl<'db> Evaluator<'db> {
-    /// Builds an evaluator; compiles every rule.
+    /// Builds an evaluator: [`check`]s `program`, then compiles every rule.
     pub fn new(
         db: &'db Database,
         program: &Program,
         _strategy: Strategy,
     ) -> Result<Evaluator<'db>, EngineError> {
-        let prepared = Prepared::batch(db, program.clone())?;
+        let strata = check(program, &[], &Facts::new())?.strata;
+        let prepared = Prepared::batch(db, program.clone(), &strata)?;
         Ok(Evaluator::running(db, Cow::Owned(prepared), None))
     }
 
@@ -698,8 +712,6 @@ mod tests {
         let (pred, fact) = (Pred::new("plus"), false);
         let want = EngineError::Invalid(Error::DefinesBuiltin { pred, fact });
         let err = evaluate(&db, &unit.program(), Strategy::SemiNaive).err();
-        assert_eq!(err, Some(want.clone()));
-        let err = Prepared::compile(&db, &unit.program(), &[]).err();
         assert_eq!(err, Some(want));
         // A builtin in a body stays the arithmetic it names.
         let sums = parse_unit("q(X, Z) :- a(X, Y), plus(X, Y, Z). a(1, 2).").unwrap();

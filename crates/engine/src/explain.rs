@@ -108,7 +108,8 @@ pub fn explain(
         .collect();
     let why = Why {
         program,
-        plans: Prepared::build(db, Program::new(rules), false, &preloaded).ok()?,
+        plans: Prepared::build(db, Program::new(rules), false, &preloaded, &BTreeMap::new())
+            .ok()?,
         vars,
     };
     why.go(db, idb, pred, tuple, &mut BTreeSet::new())

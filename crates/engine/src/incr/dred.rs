@@ -62,9 +62,9 @@ fn re(p: Pred) -> Pred {
 /// The DRed programs of one maintained program, prepared once.
 pub(crate) struct Dred {
     /// `del$h :- B1, …, del$Bi, …, Bn` per rule and body atom.
-    over: Prepared,
+    pub(super) over: Prepared,
     /// `re$h :- del$h, B` per rule.
-    re: Prepared,
+    pub(super) re: Prepared,
     /// The maintained program's IDB predicates.
     heads: BTreeSet<Pred>,
     /// The EDB predicates some body reads: what a deletion can seed.
@@ -102,8 +102,8 @@ impl Dred {
             .collect();
         let re_seeds: Vec<Pred> = heads.iter().flat_map(|&h| [h, del(h)]).collect();
         Ok(Dred {
-            over: Prepared::compile(db, &Program::new(over), &over_seeds)?,
-            re: Prepared::compile(db, &Program::new(again), &re_seeds)?,
+            over: Prepared::compile(db, &Program::new(over), &over_seeds, &BTreeMap::new())?,
+            re: Prepared::compile(db, &Program::new(again), &re_seeds, &BTreeMap::new())?,
             heads,
             edb,
         })

@@ -136,7 +136,7 @@ impl IcCheck {
         // body: its variables are bound by its atoms, its predicates have
         // one arity each.
         let plans = matchable.then(|| {
-            Prepared::compile(db, &program, &[Pred::new(HDEL)])
+            Prepared::compile(db, &program, &[Pred::new(HDEL)], &BTreeMap::new())
                 .expect("the denial rules of a matchable constraint compile")
         });
         IcCheck {
@@ -156,6 +156,11 @@ impl IcCheck {
         let binding = |row: Tuple| self.vars.iter().zip(row).map(|(&v, c)| (v, Term::Const(c)));
         let rows = rows.map(Relation::sorted_tuples).unwrap_or_default();
         rows.into_iter().map(|row| binding(row).collect()).collect()
+    }
+
+    /// The denial rules, unless no binding of the body can ever match.
+    pub fn program(&self) -> Option<&Program> {
+        self.plans.as_ref().map(Prepared::program)
     }
 
     /// Whether the constraint holds in `db`, under the deadline and cancel

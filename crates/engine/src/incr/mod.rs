@@ -56,7 +56,9 @@ use crate::governor::{Budget, CancelToken};
 use crate::relation::{Relation, Tuple};
 use crate::stats::Stats;
 use dred::Dred;
+use semrec_datalog::analysis::check;
 use semrec_datalog::atom::{Atom, Pred};
+use semrec_datalog::facts::Facts;
 use semrec_datalog::literal::Literal;
 use semrec_datalog::program::Program;
 use semrec_datalog::word;
@@ -306,10 +308,12 @@ fn incremental_capable(program: &Program) -> bool {
 }
 
 impl Materialized {
-    /// Evaluates `program` over `db` from scratch (semi-naive) and keeps
-    /// the result materialized for incremental maintenance.
+    /// Evaluates `program`, [`check`]ed once, over `db` from scratch
+    /// (semi-naive) and keeps the result materialized for incremental
+    /// maintenance.
     pub fn new(db: &Database, program: &Program) -> Result<Materialized, EngineError> {
-        Materialized::adopt(db, Prepared::compile(db, program, &[])?)
+        let strata = check(program, &[], &Facts::new())?.strata;
+        Materialized::adopt(db, Prepared::compile(db, program, &[], &strata)?)
     }
 
     /// [`Materialized::new`] of `prepared`, compiled by [`Prepared::compile`]
@@ -350,6 +354,11 @@ impl Materialized {
     /// re-evaluates from scratch.
     pub fn is_incremental(&self) -> bool {
         self.dred.is_some()
+    }
+
+    /// The DRed programs (over-deletion, re-derivation), if incremental.
+    pub fn dred_programs(&self) -> Option<[&Program; 2]> {
+        (self.dred.as_ref()).map(|d| [d.over.program(), d.re.program()])
     }
 
     /// Rounds of the initial from-scratch evaluation.

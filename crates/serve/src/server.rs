@@ -284,32 +284,33 @@ fn live_relations(q: &MaintainedQuery) -> Vec<(Pred, &Relation)> {
 }
 
 impl Server {
-    /// Builds the daemon from a parsed unit: the EDB from its facts,
-    /// the maintained materialization from its program + constraints.
-    /// With a WAL path, surviving log records are replayed through the
-    /// same parser and apply path as live traffic before the first
-    /// epoch is published, so the daemon resumes exactly where the
-    /// acknowledged history left off. An engine error of the initial
-    /// materialization comes back as [`ServeError::Engine`], with its
-    /// own exit-code mapping.
+    /// [`Server::start`] on the [`MaintainedQuery`] of `unit` under
+    /// `cfg.optimizer`. An engine error of the initial materialization
+    /// comes back as [`ServeError::Engine`], with its own exit code.
     pub fn open(
         unit: &Unit,
         cfg: ServeConfig,
         wal_path: Option<&Path>,
     ) -> Result<(Arc<Server>, RecoveryReport), ServeError> {
-        let db = Database::from_facts(&unit.facts);
-        let mut query = MaintainedQuery::new(
-            db,
-            &unit.program(),
-            &unit.constraints,
-            cfg.optimizer.clone(),
-            1,
-        )
-        .map_err(|e| match e {
-            MaintainError::Engine(e) => ServeError::Engine(e),
-            e => ServeError::Io(format!("initial materialization: {e}")),
-        })?;
+        let (db, config) = (Database::from_facts(&unit.facts), cfg.optimizer.clone());
+        let query = MaintainedQuery::new(db, &unit.program(), &unit.constraints, config, 1)
+            .map_err(|e| match e {
+                MaintainError::Engine(e) => ServeError::Engine(e),
+                e => ServeError::Io(format!("initial materialization: {e}")),
+            })?;
+        Server::start(query, cfg, wal_path)
+    }
 
+    /// Builds the daemon around `query`, the maintained materialization
+    /// of a unit over its facts. With a WAL path, surviving log records
+    /// are replayed through the same parser and apply path as live
+    /// traffic before the first epoch is published, so the daemon resumes
+    /// exactly where the acknowledged history left off.
+    pub fn start(
+        mut query: MaintainedQuery,
+        cfg: ServeConfig,
+        wal_path: Option<&Path>,
+    ) -> Result<(Arc<Server>, RecoveryReport), ServeError> {
         let mut report = RecoveryReport::default();
         let wal = match wal_path {
             None => None,

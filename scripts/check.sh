@@ -9,6 +9,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
+# Frozen surfaces (benchmark/README.md): the benchmark's binaries (e2e,
+# layers, yardstick, compare) call the product's frozen entry points, so
+# a change that breaks one fails here rather than in the benchmark.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml --bins
 # --workspace: the crates' own unit tests (the optimizer's detect, graph,
 # push and cleanup among them) live in the member packages; without it
 # only the root package's integration suites would run.

@@ -51,12 +51,14 @@
 //! reflects the most severe serving error seen across the whole session
 //! (wal-corrupt > epoch-reclaimed > overloaded), or 0.
 
+use semrec::core::maintain::MaintainedQuery;
 use semrec::core::optimizer::{evaluate_routed, Optimizer, OptimizerConfig};
 use semrec::datalog::analysis::{check, Checked, RecursionInfo};
-use semrec::datalog::parser::{parse_atom, parse_unit, Unit};
+use semrec::datalog::parser::{parse_atom, parse_unit};
 use semrec::datalog::{Constraint, Error, Facts, Pred, Program};
 use semrec::engine::{
-    evaluate, scan_goal, Budget, CancelToken, Database, EngineError, Route, Strategy,
+    scan_goal, Budget, CancelToken, Database, EngineError, EvalResult, Evaluator, Materialized,
+    Prepared, Route,
 };
 use semrec::serve::{serve_session, Connection, ServeConfig, ServeError, Server};
 use std::collections::BTreeMap;
@@ -304,6 +306,14 @@ impl Source {
         (self.checked.paper_class()).map_err(|e| CliError::Other(e.to_string()))
     }
 
+    /// The program run over `db` under `budget`, in the strata `load` judged.
+    fn evaluate(&self, db: &Database, budget: Budget) -> Result<EvalResult, EngineError> {
+        let plans = Prepared::batch(db, self.program.clone(), &self.checked.strata)?;
+        let mut ev = Evaluator::from_prepared_batch(db, &plans, None).with_budget(budget);
+        ev.run()?;
+        Ok(ev.finish())
+    }
+
     /// The embedded facts plus the `--data` directory's files, each held
     /// to the checked arities.
     fn database(&self, args: &[String]) -> Result<Database, CliError> {
@@ -449,11 +459,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         return printed;
     }
 
-    let mut ev = semrec::engine::Evaluator::new(&db, &src.program, Strategy::SemiNaive)
-        .map_err(CliError::Engine)?
-        .with_budget(budget);
-    ev.run().map_err(CliError::Engine)?;
-    let res = ev.finish();
+    let res = src.evaluate(&db, budget)?;
     let printed = emit_result(&res, query.as_ref(), args);
     leave_to_os((src, db, res));
     printed
@@ -510,17 +516,7 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
     };
 
     if args.iter().any(|a| a == "--optimize") {
-        let mut q = semrec::core::maintain::MaintainedQuery::new(
-            db,
-            &src.program,
-            &src.constraints,
-            optimizer_config(args),
-            1,
-        )
-        .map_err(|e| match e {
-            semrec::core::maintain::MaintainError::Engine(e) => CliError::Engine(e),
-            semrec::core::maintain::MaintainError::Optimizer(e) => CliError::Other(e.to_string()),
-        })?;
+        let mut q = MaintainedQuery::from_plan(db, build_plan(&src, args)?)?;
         eprintln!("route: {}", route_name(q.route()));
         for (i, tx) in txs.iter().enumerate() {
             let out = q.apply(tx, budget, None).map_err(CliError::Engine)?;
@@ -529,7 +525,8 @@ fn cmd_update(args: &[String]) -> Result<(), CliError> {
         return emit_idb(q.idb(), query.as_ref());
     }
 
-    let mut m = semrec::engine::Materialized::new(&db, &src.program).map_err(CliError::Engine)?;
+    let plans = Prepared::compile(&db, &src.program, &[], &src.checked.strata)?;
+    let mut m = Materialized::adopt(&db, plans)?;
     if !m.is_incremental() {
         eprintln!("program uses negation or builtins: every tx re-evaluates from scratch");
     }
@@ -932,7 +929,7 @@ fn cmd_why(args: &[String]) -> Result<(), CliError> {
         return Err("`why` needs a ground atom".into());
     }
     let db = Database::from_facts(&src.facts);
-    let mut res = evaluate(&db, program, Strategy::SemiNaive).map_err(CliError::Engine)?;
+    let mut res = src.evaluate(&db, Budget::unlimited())?;
     match semrec::engine::explain::explain_fact(&db, &mut res, program, &goal) {
         Some(d) => with_stdout(|w| write!(w, "{d}")),
         None => Err(format!("{goal} is not derivable").into()),
@@ -950,11 +947,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
     let src = load(path)?;
     src.in_class()?;
-    let unit = Unit {
-        rules: src.program.rules,
-        facts: src.facts,
-        constraints: src.constraints,
-    };
     let mut cfg = ServeConfig {
         optimizer: optimizer_config(args),
         write_budget: parse_budget(args)?,
@@ -974,7 +966,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     let wal = flag_value(args, "--wal").map(std::path::PathBuf::from);
 
-    let (server, report) = Server::open(&unit, cfg, wal.as_deref()).map_err(CliError::Serve)?;
+    let plan = build_plan(&src, args)
+        .map_err(|e| ServeError::Io(format!("initial materialization: optimizer: {e}")));
+    let db = Database::from_facts(&src.facts);
+    let query = plan.and_then(|plan| Ok(MaintainedQuery::from_plan(db, plan)?));
+    let started = query.and_then(|query| Server::start(query, cfg, wal.as_deref()));
+    let (server, report) = started.map_err(CliError::Serve)?;
     eprintln!(
         "serving {path}: epoch {} ({} commit(s) replayed{}), route {}",
         report.epoch,

@@ -9,12 +9,13 @@
 mod common;
 
 use common::cases::{kernel_shapes, random_programs};
+use common::naive;
 use semrec::datalog::analysis::{check, validate, Checked};
 use semrec::datalog::{
     parse_unit, Atom, Cmp, CmpOp, Error, Facts, Literal, Pred, Program, Rule, Term,
 };
 use semrec::engine::plan::compile_rule;
-use semrec::engine::{Database, EngineError, Prepared};
+use semrec::engine::{Database, EngineError, Evaluator, Prepared};
 use semrec::gen::rng::Rng;
 use std::collections::BTreeMap;
 
@@ -34,7 +35,11 @@ fn agree(name: &str, program: &Program) -> bool {
     }
     let compiles = (program.rules.iter()).all(|r| compile_rule(r, &BTreeMap::new(), None).is_ok());
     assert_eq!(judged.is_ok(), compiles, "{name}:\n{program}");
-    let prepared = Prepared::compile(&Database::new(), program, &[]);
+    let strata = judged
+        .as_ref()
+        .map(|c| c.strata.clone())
+        .unwrap_or_default();
+    let prepared = Prepared::compile(&Database::new(), program, &[], &strata);
     assert_eq!(prepared.is_ok(), compiles, "{name}:\n{program}");
     compiles
 }
@@ -196,4 +201,39 @@ fn the_evaluation_rules_refuse_in_runs_words() {
     ] {
         assert!(checked(safe).is_ok(), "{safe}");
     }
+}
+
+/// The compiler takes strata and judges nothing, yet never runs wrong
+/// strata as one: `cut` negates the recursive `reach`, so compiled with
+/// no strata it is refused with the typed error; in `check`'s strata it
+/// runs, and agrees with the naive oracle.
+#[test]
+fn the_compiler_refuses_negation_without_a_lower_stratum() {
+    let unit = parse_unit(
+        "reach(X,Y) :- edge(X,Y). reach(X,Y) :- reach(X,Z), edge(Z,Y).
+         cut(X,Y) :- node(X), node(Y), !reach(X,Y).
+         edge(0, 1). edge(1, 2). edge(2, 0). edge(3, 3). node(0). node(1). node(2). node(3).",
+    )
+    .unwrap();
+    let (program, db) = (unit.program(), Database::from_facts(&unit.facts));
+    for compiled in [
+        Prepared::compile(&db, &program, &[], &BTreeMap::new()).err(),
+        Prepared::batch(&db, program.clone(), &BTreeMap::new()).err(),
+    ] {
+        let refused = matches!(
+            compiled,
+            Some(EngineError::Invalid(Error::NotStratified(_)))
+        );
+        assert!(refused, "{compiled:?}");
+    }
+    let strata = check(&program, &[], &unit.facts).unwrap().strata;
+    let plans = Prepared::batch(&db, program.clone(), &strata).expect("compiles");
+    let mut ev = Evaluator::from_prepared_batch(&db, &plans, None);
+    ev.run().expect("runs");
+    let got: naive::Facts = (ev.finish().idb.iter())
+        .map(|(&p, rel)| (p, rel.tuples().collect()))
+        .collect();
+    let want = naive::naive_idb(&db, &program);
+    assert_eq!(got, want);
+    assert_eq!(want[&Pred::new("cut")].len(), 6, "{want:?}");
 }

@@ -1,17 +1,24 @@
 //! Agreement tests for the cost-based route planner: the size-bound
 //! cardinality estimates must stay within an order of magnitude of the
 //! true materialization on every generator workload, the cost-chosen
-//! route must never run meaningfully slower than the fixed rewrite
-//! ladder, and the statistics cache must be re-consulted (not reused
-//! stale) when transactions invalidate it.
+//! route must never do more work than the program as written, and the
+//! statistics cache must be re-consulted (not reused stale) when
+//! transactions invalidate it. And what the router prices is compiled
+//! without strata, because no program the system writes needs them.
 
+mod common;
+
+use common::cases;
 use semrec::core::optimizer::Optimizer;
 use semrec::core::route_alternatives;
-use semrec::datalog::analysis::classify_linear;
+use semrec::datalog::analysis::{check, classify_linear, rectify};
 use semrec::datalog::Value::Int;
-use semrec::datalog::{Atom, Term};
-use semrec::engine::{evaluate, AlternativeKind, CostMemo, EdbStats, Prepared, Strategy, Tx};
+use semrec::datalog::{parse_atom, Atom, Facts, Pred, Program, Term};
+use semrec::engine::incr::IcCheck;
+use semrec::engine::{evaluate, AlternativeKind, CostMemo, EdbStats, EvalResult, Evaluator};
+use semrec::engine::{Database, Materialized, Prepared, Strategy, Tuple, Tx};
 use semrec::gen::{fanout, flights, genealogy, org, parse_scenario, university};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Every gen workload at its default size, as (name, database, program
@@ -140,10 +147,11 @@ fn goal_directed_routes_price_and_choose_soundly_on_every_gen_workload() {
     assert!(factored >= 4, "{factored} factored alternatives priced");
 }
 
-/// The cost-chosen route is never slower than the fixed rewrite ladder
-/// beyond noise: interleaved timed medians, with a generous tolerance
-/// because CI machines drift (the routing bench enforces the tight
-/// bound; this is the correctness-level backstop).
+/// The cost-chosen route never does more work than the program as
+/// written: on the witness-saturated fanout workload the planner picks
+/// the residue-pushed program, whose run probes, scans and derives at
+/// most what the original alternative's does, for the same IDB. Work
+/// counters repeat run to run, so this cannot flake as a clock can.
 #[test]
 fn cost_chosen_route_is_not_slower_than_the_ladder() {
     let s = parse_scenario(fanout::PROGRAM);
@@ -162,26 +170,32 @@ fn cost_chosen_route_is_not_slower_than_the_ladder() {
     // On the witness-saturated fanout workload the residue-pushed
     // program strictly dominates; the planner must find that.
     assert_eq!(memo.best().kind, AlternativeKind::ResiduePushed);
-    let routed = memo.best().program.clone();
-    let ladder = plan.program.clone();
-    evaluate(&db, &routed, Strategy::SemiNaive).expect("warm routed");
-    evaluate(&db, &ladder, Strategy::SemiNaive).expect("warm ladder");
-    let (mut r_ms, mut l_ms) = (Vec::new(), Vec::new());
-    for _ in 0..5 {
-        let t = Instant::now();
-        evaluate(&db, &routed, Strategy::SemiNaive).expect("routed");
-        r_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        evaluate(&db, &ladder, Strategy::SemiNaive).expect("ladder");
-        l_ms.push(t.elapsed().as_secs_f64() * 1e3);
+    let original = (memo.alternatives.iter())
+        .find(|a| a.kind == AlternativeKind::Original)
+        .expect("the original is priced");
+    let run = |plans| {
+        let mut ev = Evaluator::from_prepared_batch(&db, plans, None);
+        ev.run().expect("runs");
+        ev.finish()
+    };
+    let (routed, original) = (run(&memo.best().plans), run(&original.plans));
+    let (r, o) = (routed.stats, original.stats);
+    for (what, routed, original) in [
+        ("probes", r.probes, o.probes),
+        ("rows scanned", r.rows_scanned, o.rows_scanned),
+        ("rows derived", r.derived, o.derived),
+    ] {
+        assert!(
+            routed <= original,
+            "{what}: routed {routed}, original {original}"
+        );
     }
-    r_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    l_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let (routed_med, ladder_med) = (r_ms[r_ms.len() / 2], l_ms[l_ms.len() / 2]);
-    assert!(
-        routed_med <= ladder_med * 1.5 + 5.0,
-        "cost-chosen route {routed_med:.2} ms vs ladder {ladder_med:.2} ms"
-    );
+    let idb = |res: &EvalResult| -> BTreeMap<Pred, Vec<Tuple>> {
+        (res.idb.iter())
+            .map(|(&p, rel)| (p, rel.sorted_tuples()))
+            .collect()
+    };
+    assert_eq!(idb(&routed), idb(&original), "the routed IDB");
 }
 
 /// Statistics invalidation under transactions: the maintained query
@@ -329,7 +343,8 @@ fn incremental_and_batch_plans_price_alike() {
             let goal = goal.map(|g| semrec::datalog::parse_atom(g).expect("goal parses"));
             let (alts, _) = route_alternatives(&s.program, &plan, goal.as_ref());
             let compiled = (alts.iter())
-                .map(|(kind, p)| (*kind, Prepared::compile(&db, p, &[]).expect("compiles")))
+                .map(|(kind, p)| (*kind, Prepared::compile(&db, p, &[], &BTreeMap::new())))
+                .map(|(kind, plans)| (kind, plans.expect("compiles")))
                 .collect();
             let batch = CostMemo::build(&db, &mut EdbStats::new(), alts).expect("price");
             let incremental = CostMemo::price(&db, &mut EdbStats::new(), compiled, Instant::now());
@@ -350,4 +365,91 @@ fn incremental_and_batch_plans_price_alike() {
         }
     }
     assert!(priced >= 40, "{priced} alternatives priced");
+}
+
+/// Every stratum of `program` by `check`, which must accept it.
+fn strata(program: &Program, ctx: &str) -> BTreeMap<Pred, usize> {
+    let judged = check(program, &[], &Facts::new());
+    judged
+        .unwrap_or_else(|e| panic!("{ctx}: {e}\n{program}"))
+        .strata
+}
+
+/// Asserts `check` puts every predicate of `program` in stratum 0.
+fn one_stratum(program: &Program, ctx: &str) {
+    let strata = strata(program, ctx);
+    assert!(
+        strata.values().all(|&s| s == 0),
+        "{ctx}: {strata:?}\n{program}"
+    );
+}
+
+/// A goal per binding pattern of every recursive predicate of
+/// `program`, its bound arguments 0.
+fn binding_patterns(program: &Program) -> Vec<Atom> {
+    let mut goals = Vec::new();
+    for info in classify_linear(program).expect("linear") {
+        for mask in 0..1u32 << info.arity {
+            let arg = |j: usize| match mask >> j & 1 {
+                1 => Term::Const(Int(0)),
+                _ => Term::var(&format!("V{j}")),
+            };
+            goals.push(Atom::new(info.pred, (0..info.arity).map(arg).collect()));
+        }
+    }
+    goals
+}
+
+/// No program the system writes from a judged one needs strata, so each
+/// compiles with none: on the route matrix's programs (the samples, the
+/// families, the kernel shapes, the gen bundles) and on the census's,
+/// every alternative `route_alternatives` returns — without a goal, for
+/// every binding pattern of every recursive predicate and for each
+/// census goal — and every DRed and IC monitor program `check`s with
+/// every stratum 0. Rectifying keeps the strata, so the router's
+/// fallback runs the rectified program in the written one's.
+#[test]
+fn what_the_system_writes_is_in_one_stratum() {
+    let matrix = (cases::samples(0..2).into_iter())
+        .chain(cases::families(0..12))
+        .chain(cases::kernel_shapes(0..1))
+        .chain(cases::workloads(0..1))
+        .map(|c| (c.name, c.program, c.ics, None));
+    let census = workloads().into_iter().map(|(name, _, src)| {
+        let s = parse_scenario(src);
+        let goals = CENSUS.iter().filter(|(bundle, ..)| *bundle == name);
+        let goals = goals.filter_map(|(_, goal, _)| Some(parse_atom((*goal)?).expect("goal")));
+        (
+            name.to_owned(),
+            s.program,
+            s.constraints,
+            Some(goals.collect()),
+        )
+    });
+    let (mut alternatives, mut derived) = (0, 0);
+    for (name, program, ics, census) in matrix.chain(census) {
+        let written = strata(&program, &name);
+        let rectified = strata(&rectify(&program).0, &name);
+        assert_eq!(rectified, written, "{name}: rectified");
+        let edb = Database::new();
+        let maintained = Materialized::new(&edb, &program).expect("materializes");
+        let monitors: Vec<IcCheck> = ics.iter().map(|ic| IcCheck::new(&edb, ic)).collect();
+        let dred = maintained.dred_programs().into_iter().flatten();
+        for written in dred.chain(monitors.iter().filter_map(IcCheck::program)) {
+            one_stratum(written, &format!("{name}: DRed or IC monitor"));
+            derived += 1;
+        }
+        let Ok(plan) = Optimizer::new(&program).with_constraints(&ics).run() else {
+            continue;
+        };
+        let goals: Vec<Atom> = census.unwrap_or_else(|| binding_patterns(&program));
+        for goal in std::iter::once(None).chain(goals.iter().map(Some)) {
+            for (kind, alt) in route_alternatives(&program, &plan, goal).0 {
+                one_stratum(&alt, &format!("{name}: {kind} for {goal:?}"));
+                alternatives += 1;
+            }
+        }
+    }
+    let counted = format!("{alternatives} alternatives, {derived} derived programs");
+    assert!(alternatives >= 700 && derived >= 80, "{counted}");
 }

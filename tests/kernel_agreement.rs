@@ -19,7 +19,8 @@ mod common;
 
 use common::cases::{self, duplicate_burst, kernel_shapes, large_workloads};
 use common::routes::{check, check_all, check_each, Case};
-use semrec::datalog::{Pred, Program, Value};
+use semrec::datalog::analysis;
+use semrec::datalog::{Facts, Pred, Program, Value};
 use semrec::engine::eval::KERNEL_CHUNK;
 use semrec::engine::{
     Budget, Database, Evaluator, Materialized, Prepared, Stats, Strategy, Tuple, Tx,
@@ -152,7 +153,10 @@ fn batch_runs_of_incremental_plans_do_a_batch_runs_work() {
     for case in cases {
         let (db, name) = (&case.edb, &case.name);
         let (want, want_stats) = idb_map(db, &case.program);
-        let plans = Prepared::compile(db, &case.program, &[]).expect("compiles");
+        let strata = analysis::check(&case.program, &[], &Facts::new())
+            .expect("judged")
+            .strata;
+        let plans = Prepared::compile(db, &case.program, &[], &strata).expect("compiles");
         let mut ev = Evaluator::from_prepared_batch(db, &plans, None);
         ev.run().unwrap_or_else(|e| panic!("{name}: {e}"));
         let res = ev.finish();
