@@ -284,8 +284,12 @@ pub fn e3(scale: Scale) -> Vec<Table> {
     for age in ages {
         let mut goal = parse_atom("anc(X, Xa, Y, Ya)").unwrap();
         goal.args[3] = Term::Const(Value::Int(age));
-        let (a1, r1) = evaluate_query(&db, &plan.rectified, &goal).unwrap();
-        let (a2, r2) = evaluate_query(&db, &plan.program, &goal).unwrap();
+        let (a1, r1) = evaluate_query(&db, &plan.rectified, &goal)
+            .expect("magic sets apply")
+            .unwrap();
+        let (a2, r2) = evaluate_query(&db, &plan.program, &goal)
+            .expect("magic sets apply")
+            .unwrap();
         assert_eq!(a1, a2);
         magic.row(vec![
             age.to_string(),
@@ -611,8 +615,12 @@ pub fn e7(scale: Scale) -> Vec<Table> {
     );
     for goal_src in ["reach(0, Y)", "reach(X, 17)", "reach(3, 17)", "reach(X, Y)"] {
         let goal = parse_atom(goal_src).unwrap();
-        let (a1, r1) = evaluate_query(&db, &plan.rectified, &goal).unwrap();
-        let (a2, r2) = evaluate_query(&db, &plan.program, &goal).unwrap();
+        let (a1, r1) = evaluate_query(&db, &plan.rectified, &goal)
+            .expect("magic sets apply")
+            .unwrap();
+        let (a2, r2) = evaluate_query(&db, &plan.program, &goal)
+            .expect("magic sets apply")
+            .unwrap();
         assert_eq!(a1, a2, "magic mismatch at {goal_src}");
         t.row(vec![
             goal_src.into(),

@@ -297,11 +297,12 @@ pub struct GovernedOutcome {
 }
 
 /// The rewrite alternatives the cost-based router prices for one query:
-/// the program as written, its rectified normal form (when it differs)
-/// and the residue-pushed program (when the optimizer applied anything).
-/// When a goal directs evaluation, each base program that is not merely
-/// rectified — the original and the pushed one — is also rewritten
-/// toward it, by magic sets and, where it applies, by factoring. Returns
+/// the program as written and the residue-pushed program (when the
+/// optimizer applied anything). The rectified program is not among them:
+/// it only moves head constants into body equalities, prices as the
+/// original does and loses the tie. When a goal directs evaluation, the
+/// original and the pushed program are also rewritten toward it, by
+/// magic sets and, where it applies, by factoring. Returns
 /// the alternatives plus, when a goal-directed one was enumerated, the
 /// adorned predicate (`p@<ad>`, the same for every such rewrite) holding
 /// the goal's answers.
@@ -312,9 +313,6 @@ pub fn route_alternatives(
 ) -> (Vec<(AlternativeKind, Program)>, Option<Pred>) {
     use semrec_engine::magic::{factor_rewrite, magic_rewrite};
     let mut alts = vec![(AlternativeKind::Original, program.clone())];
-    if plan.rectified != *program {
-        alts.push((AlternativeKind::Rectified, plan.rectified.clone()));
-    }
     if plan.any_applied() {
         alts.push((AlternativeKind::ResiduePushed, plan.program.clone()));
     }
@@ -327,9 +325,7 @@ pub fn route_alternatives(
         bases.push((true, &plan.program));
     }
     for (pushed, base) in bases {
-        // An unrewritable program (negation, EDB goal) just isn't
-        // enumerated for magic; factoring says itself where it applies.
-        if let Ok(m) = magic_rewrite(base, goal) {
+        if let Some(m) = magic_rewrite(base, goal) {
             answer = Some(m.answer_pred);
             alts.push((AlternativeKind::Magic { pushed }, m.program));
         }

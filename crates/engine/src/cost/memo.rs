@@ -2,8 +2,9 @@
 //! priced by the estimator, with the cheapest selected as the route.
 //!
 //! The alternatives come from the semantic optimizer in `semrec-core`
-//! (original / rectified / residue-pushed programs, plus magic sets and
-//! factoring of the original and the pushed program for a goal); this
+//! (original / residue-pushed programs, plus magic sets and factoring of
+//! the original and the pushed program for a goal; a maintained query
+//! prices the rectified program as its sound one); this
 //! module prices and ranks them, each compiled once by the evaluator's
 //! compile step, and the plans priced are the plans the pick runs: batch
 //! ones from [`CostMemo::build`], or a maintained query's incremental
@@ -23,7 +24,8 @@ use std::time::Instant;
 pub enum AlternativeKind {
     /// The program as written.
     Original,
-    /// The rectified program (equivalent normal form, no residues).
+    /// The rectified program (equivalent normal form, no residues): the
+    /// sound program of a maintained query under a violation.
     Rectified,
     /// The residue-pushed (semantically optimized) program.
     ResiduePushed,

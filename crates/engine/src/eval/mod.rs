@@ -36,7 +36,7 @@ use crate::database::Database;
 use crate::error::EngineError;
 use crate::fxhash::FxHashMap;
 use crate::governor::{Budget, CancelToken, Governor};
-use crate::plan::{compile_rule_with_sizes, CompiledRule, View};
+use crate::plan::{compile_rule, CompiledRule, View};
 use crate::relation::{Relation, RowRange, Tuple};
 use crate::stats::Stats;
 use emit::{drain_serial, DerivedBuf};
@@ -152,7 +152,7 @@ impl RulePlans {
             .chain(neg_idb.map(|(i, _)| i))
             .map(|li| (li, View::Total))
             .collect();
-        let full = compile_rule_with_sizes(rule, &views, None, sizes)?;
+        let full = compile_rule(rule, &views, None, sizes)?;
         let mut deltas = Vec::with_capacity(idb_lits.len());
         for (k, &(li, pred)) in idb_lits.iter().enumerate() {
             let mut v = views.clone();
@@ -160,7 +160,7 @@ impl RulePlans {
             for &(lj, _) in &idb_lits[k + 1..] {
                 v.insert(lj, View::Old);
             }
-            let plan = compile_rule_with_sizes(rule, &v, Some(li), sizes)?;
+            let plan = compile_rule(rule, &v, Some(li), sizes)?;
             deltas.push((plan, !idb_preds.contains(&pred)));
         }
         Ok(RulePlans { full, deltas })
@@ -286,6 +286,12 @@ impl Prepared {
     /// The prepared program.
     pub fn program(&self) -> &Program {
         &self.program
+    }
+
+    /// Each rule's full plan, in program order: what a batch run's first
+    /// round of the rule's stratum executes.
+    pub fn full_plans(&self) -> impl Iterator<Item = &CompiledRule> {
+        self.plans.iter().map(|p| &p.full)
     }
 }
 

@@ -481,22 +481,14 @@ impl Compiler<'_> {
 /// Compiles a rule. `views` assigns a [`View`] to each body-literal index
 /// that is an atom (atoms not present default to [`View::Full`]).
 /// `first_literal` forces a particular atom to be scanned first (used for
-/// the delta occurrence in semi-naive variants).
+/// the delta occurrence in semi-naive variants). `sizes` are relation
+/// cardinalities for join ordering: when two candidate subgoals have
+/// equally many bound argument positions, the smaller relation is
+/// scanned first (classic selectivity heuristic — this is what realizes
+/// the paper's §4(2) "introduction of small relations in the context of
+/// joining large relations"). Predicates absent from `sizes` are assumed
+/// large.
 pub fn compile_rule(
-    rule: &Rule,
-    views: &BTreeMap<usize, View>,
-    first_literal: Option<usize>,
-) -> Result<CompiledRule, EngineError> {
-    compile_rule_with_sizes(rule, views, first_literal, &BTreeMap::new())
-}
-
-/// Like [`compile_rule`], with relation cardinalities for join ordering:
-/// when two candidate subgoals have equally many bound argument positions,
-/// the smaller relation is scanned first (classic selectivity heuristic —
-/// this is what realizes the paper's §4(2) "introduction of small
-/// relations in the context of joining large relations"). Predicates
-/// absent from `sizes` are assumed large.
-pub fn compile_rule_with_sizes(
     rule: &Rule,
     views: &BTreeMap<usize, View>,
     first_literal: Option<usize>,
@@ -759,13 +751,19 @@ mod tests {
     use semrec_datalog::parser::parse_rule;
 
     fn compile(src: &str) -> CompiledRule {
-        compile_rule(&parse_rule(src).unwrap(), &BTreeMap::new(), None).unwrap()
+        compile_rule(
+            &parse_rule(src).unwrap(),
+            &BTreeMap::new(),
+            None,
+            &BTreeMap::new(),
+        )
+        .unwrap()
     }
 
     fn with_sizes(src: &str, sizes: &[(&str, usize)]) -> BatchKernel {
         let sizes = sizes.iter().map(|&(p, n)| (Pred::new(p), n)).collect();
         let r = parse_rule(src).unwrap();
-        compile_rule_with_sizes(&r, &BTreeMap::new(), None, &sizes)
+        compile_rule(&r, &BTreeMap::new(), None, &sizes)
             .unwrap()
             .kernel
     }
@@ -827,16 +825,16 @@ mod tests {
     #[test]
     fn unsafe_rule_rejected() {
         let r = parse_rule("p(X,Y) :- e(X), Y > 3.").unwrap();
-        let err = compile_rule(&r, &BTreeMap::new(), None).unwrap_err();
+        let err = compile_rule(&r, &BTreeMap::new(), None, &BTreeMap::new()).unwrap_err();
         assert!(err.to_string().contains("unbound"));
         let r = parse_rule("p(X,Y) :- e(X).").unwrap();
-        assert!(compile_rule(&r, &BTreeMap::new(), None).is_err());
+        assert!(compile_rule(&r, &BTreeMap::new(), None, &BTreeMap::new()).is_err());
     }
 
     #[test]
     fn first_literal_is_honored() {
         let r = parse_rule("p(X,Y) :- e(X,Z), q(Z,Y).").unwrap();
-        let c = compile_rule(&r, &BTreeMap::new(), Some(1)).unwrap();
+        let c = compile_rule(&r, &BTreeMap::new(), Some(1), &BTreeMap::new()).unwrap();
         assert_eq!(c.kernel.seed_pred, Some(Pred::new("q")));
     }
 
@@ -957,14 +955,16 @@ mod tests {
     fn only_a_generated_variable_is_existential_under_negation() {
         // In `.dl` text an unbound variable under a negation is unsafe.
         let rule = parse_rule("p(X) :- e(X,Y), !w(Y, W, W).").unwrap();
-        let err = compile_rule(&rule, &BTreeMap::new(), None).unwrap_err();
+        let err = compile_rule(&rule, &BTreeMap::new(), None, &BTreeMap::new()).unwrap_err();
         assert!(err.to_string().starts_with("unsafe rule"), "{err:?}");
         // Renamed to `W$`, as the IC compiler names head-only variables,
         // it is existential: the anti-probe keys on the bound columns
         // alone, and its repeat is an equality among the unbound ones.
         let w = (Symbol::intern("W"), Term::Var(Symbol::intern("W$")));
         let rule = semrec_datalog::subst::Subst::from_pairs([w]).apply_rule(&rule);
-        let k = compile_rule(&rule, &BTreeMap::new(), None).unwrap().kernel;
+        let k = compile_rule(&rule, &BTreeMap::new(), None, &BTreeMap::new())
+            .unwrap()
+            .kernel;
         assert_eq!(k.lookups[0].cols, vec![0]);
         assert_eq!(k.lookups[0].key, vec![KernelSrc::Seed(1)]);
         assert_eq!(k.lookups[0].same, vec![(2, 1)]);

@@ -87,8 +87,12 @@ fn main() {
     for age in ages {
         let mut goal = parse_atom("anc(X, Xa, Y, Ya)").unwrap();
         goal.args[3] = Term::Const(Value::Int(age));
-        let (a1, r1) = evaluate_query(&db, &plan.rectified, &goal).unwrap();
-        let (a2, r2) = evaluate_query(&db, &plan.program, &goal).unwrap();
+        let (a1, r1) = evaluate_query(&db, &plan.rectified, &goal)
+            .expect("magic sets apply")
+            .unwrap();
+        let (a2, r2) = evaluate_query(&db, &plan.program, &goal)
+            .expect("magic sets apply")
+            .unwrap();
         assert_eq!(a1, a2, "magic answers equal at age {age}");
         println!(
             "{:>12} {:>14} {:>14} {:>16}",

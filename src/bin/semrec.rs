@@ -891,27 +891,17 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
 fn cmd_plan(args: &[String]) -> Result<(), CliError> {
     let path = need_path(args)?;
     let src = load(path)?;
-    let program = if args.iter().any(|a| a == "--optimize") {
-        build_plan(&src, args)?.program
+    let db = Database::from_facts(&src.facts);
+    // The plans `run` executes: the program as written in the strata
+    // `load` judged, the pushed one (which the system writes) in none.
+    let plans = if args.iter().any(|a| a == "--optimize") {
+        Prepared::batch(&db, build_plan(&src, args)?.program, &BTreeMap::new())?
     } else {
-        src.program
+        Prepared::batch(&db, src.program, &src.checked.strata)?
     };
-    let idb = program.idb_preds();
     with_stdout(|w| -> Result<(), CliError> {
-        for rule in &program.rules {
-            writeln!(w, "% {rule}")?;
-            let views: BTreeMap<usize, semrec::engine::plan::View> = rule
-                .body
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| {
-                    l.as_atom().is_some_and(|a| idb.contains(&a.pred))
-                        || l.as_neg().is_some_and(|a| idb.contains(&a.pred))
-                })
-                .map(|(i, _)| (i, semrec::engine::plan::View::Total))
-                .collect();
-            let compiled = semrec::engine::plan::compile_rule(rule, &views, None)?;
-            writeln!(w, "{compiled}")?;
+        for (rule, plan) in plans.program().rules.iter().zip(plans.full_plans()) {
+            writeln!(w, "% {rule}\n{plan}")?;
         }
         Ok(())
     })

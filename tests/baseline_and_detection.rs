@@ -104,8 +104,12 @@ fn magic_composes_with_optimized_programs() {
 
     // Bind the descendant (first argument) and compare the three ways.
     let goal = parse_atom("anc(7, Xa, Y, Ya)").unwrap();
-    let (a_orig, _) = evaluate_query(&db, &plan.rectified, &goal).unwrap();
-    let (a_opt, _) = evaluate_query(&db, &plan.program, &goal).unwrap();
+    let (a_orig, _) = evaluate_query(&db, &plan.rectified, &goal)
+        .expect("magic sets apply")
+        .unwrap();
+    let (a_opt, _) = evaluate_query(&db, &plan.program, &goal)
+        .expect("magic sets apply")
+        .unwrap();
     let full = evaluate(&db, &plan.rectified, Strategy::SemiNaive).unwrap();
     let mut expected = full.answers(&goal);
     expected.sort();

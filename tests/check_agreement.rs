@@ -26,14 +26,15 @@ fn agree(name: &str, program: &Program) -> bool {
     for rule in &program.rules {
         let alone = Program::new(vec![rule.clone()]);
         let judged = check(&alone, &[], &Facts::new()).map(|_| ());
-        let compiled = compile_rule(rule, &BTreeMap::new(), None).map(|_| ());
+        let compiled = compile_rule(rule, &BTreeMap::new(), None, &BTreeMap::new()).map(|_| ());
         assert_eq!(
             judged.map_err(EngineError::from),
             compiled,
             "{name}: {rule}"
         );
     }
-    let compiles = (program.rules.iter()).all(|r| compile_rule(r, &BTreeMap::new(), None).is_ok());
+    let compiles = (program.rules.iter())
+        .all(|r| compile_rule(r, &BTreeMap::new(), None, &BTreeMap::new()).is_ok());
     assert_eq!(judged.is_ok(), compiles, "{name}:\n{program}");
     let strata = judged
         .as_ref()

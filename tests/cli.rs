@@ -724,8 +724,8 @@ fn buffered_stdout_is_complete_and_byte_identical() {
     assert_eq!(out, expect, "lines printed before the error were lost");
 }
 
-/// `semrec plan` prints the kernel the executor runs: the seed, each
-/// probe with its key sources, and every guard under the depth it rides.
+/// `semrec plan` prints the kernels `run` executes: the seed, each probe
+/// with its key sources, and every guard under the depth it rides.
 #[test]
 fn plan_shows_physical_plans() {
     let (ok, out, _) = semrec(&["plan", &sample("genealogy.dl")]);
@@ -744,6 +744,18 @@ fn plan_shows_physical_plans() {
         out.contains(
             "  probe 0: par [Full, index on cols [0, 1] = (seed.2, seed.3)]\n    \
              filter p0.3 > 50\n"
+        ),
+        "{out}"
+    );
+    // The plans are the ones `run` executes, joins ordered by the file's
+    // facts: on a tie the one `field` row is probed before the three of
+    // `expert`.
+    let (ok, out, _) = semrec(&["plan", &sample("university.dl")]);
+    assert!(ok);
+    assert!(
+        out.contains(
+            "  probe 1: field [Full, index on cols [0] = (p0.2)] existential\n    \
+             present expert(seed.0, p1.1) [Full]\n"
         ),
         "{out}"
     );

@@ -6,7 +6,7 @@
 //!   isolation of expansion sequences and the pusher's commitment
 //!   structure around them (Theorem 4.1), and `evaluate_routed`, every
 //!   materialization passing `Relation::check_invariant`;
-//! - for every binding pattern of every recursive predicate, each
+//! - for every binding pattern of every IDB predicate, each
 //!   goal-directed alternative `route_alternatives` enumerates and
 //!   `evaluate_routed`'s choice, and on acyclic cases the tabled top-down
 //!   and SLD fixtures of `semrec_bench`;
@@ -253,7 +253,7 @@ pub fn check(case: &Case) -> Report {
 
 /// The goal-directed routes a case has left to check: the optimizer's
 /// plan, whether the case's EDB satisfies its constraints, and one
-/// group of goals per binding pattern of every recursive predicate.
+/// group of goals per binding pattern of every IDB predicate.
 struct Goals {
     plan: Plan,
     consistent: bool,
@@ -311,10 +311,9 @@ fn check_routes(case: &Case) -> (Report, Option<Goals>) {
     }
     let goals = plan.ok().filter(|_| case.depth == Depth::Full).map(|plan| {
         let oracle = &report.states[0];
-        let linear = classify_linear(&case.program).expect("linear");
-        let patterns = linear
-            .iter()
-            .flat_map(|i| goals(i.pred, i.arity, &oracle[&i.pred]));
+        let arities = case.program.arities().expect("checked");
+        let idb = case.program.idb_preds().into_iter();
+        let patterns = idb.flat_map(|p| goals(p, arities[&p], &oracle[&p]));
         Goals {
             plan,
             consistent,

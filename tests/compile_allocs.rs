@@ -16,7 +16,8 @@
 //! A maintained query counts the same way: on the caller's judgment it
 //! compiles each sound program once and materializes the pick from the
 //! plans it priced, so one more compile, or one more judgment, shows.
-//! So does pricing a goal's alternatives, which judges none of them.
+//! So does pricing a goal's alternatives, which judges none of them, and
+//! rewriting toward the goal, which reads the rules it rewrites.
 //!
 //! This file is its own test binary because it replaces the global
 //! allocator. The count is kept per thread, so that only the calls of the
@@ -432,5 +433,58 @@ fn pricing_a_goals_alternatives_judges_none_of_them() {
     assert!(
         ROUTED_GOAL_CEILING < spent + one_judgment,
         "the ceiling would let one judgment ({one_judgment} calls) through"
+    );
+}
+
+/// Allocator calls of `route_alternatives` for the goal `reach(0, Y)` on
+/// the default fanout bundle: magic sets and factoring of the written
+/// and of the pushed program, read off their rules. And the calls of one
+/// judgment of the program as written, which factoring once ran on each
+/// program it rewrote. The run counted is the second, as above.
+fn goal_rewrite_calls() -> (u64, u64) {
+    let s = parse_scenario(fanout::PROGRAM);
+    let plan = (Optimizer::new(&s.program)
+        .with_constraints(&s.constraints)
+        .run())
+    .expect("plan");
+    let goal = parse_atom("reach(0, Y)").expect("goal parses");
+    let rewrite = || {
+        let before = calls();
+        let (alternatives, answer) = route_alternatives(&s.program, &plan, Some(&goal));
+        (calls() - before, alternatives, answer)
+    };
+    drop(rewrite());
+    let (spent, alternatives, answer) = rewrite();
+    assert_eq!(
+        alternatives.len(),
+        6,
+        "both bases, each rewritten both ways"
+    );
+    assert!(answer.is_some());
+    let before = calls();
+    let judged = check(&s.program, &[], &Facts::new()).expect("judged");
+    let one_judgment = calls() - before;
+    drop((alternatives, judged));
+    (spent, one_judgment)
+}
+
+/// The goal rewrites as last measured: 200 calls. When factoring judged
+/// each program it rewrote (`classify_linear`, a full `check` of the
+/// rules the goal reads, 27 calls) and the magic rewrite rebuilt each
+/// subgoal's bound set, they took 291.
+const GOAL_REWRITES_CEILING: u64 = 200;
+const GOAL_REWRITES_JUDGING: u64 = 291;
+
+#[test]
+fn goal_rewrites_judge_nothing() {
+    let (spent, one_judgment) = goal_rewrite_calls();
+    eprintln!("goal rewrites: {spent} allocator calls; one judgment: {one_judgment}");
+    assert!(
+        spent <= GOAL_REWRITES_CEILING,
+        "{spent} allocator calls, over the last measured {GOAL_REWRITES_CEILING}"
+    );
+    assert!(
+        GOAL_REWRITES_CEILING + one_judgment < GOAL_REWRITES_JUDGING,
+        "the ceiling would let one judgment ({one_judgment} calls) back in"
     );
 }

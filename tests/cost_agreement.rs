@@ -325,6 +325,44 @@ fn route_choices_per_binding_pattern() {
     assert_eq!(priced, CENSUS.len(), "every census row names a workload");
 }
 
+/// The router does not price the rectified program: rectifying only
+/// moves head constants and repeated head variables into body
+/// equalities, so the copy never prices below the program as written and
+/// loses the tie. On the samples, the regression corpus and the gen
+/// bundles, pricing the two picks the original.
+#[test]
+fn a_rectified_copy_never_prices_below_the_original() {
+    let corpus = (cases::samples(0..1).into_iter())
+        .chain(cases::regressions())
+        .map(|c| (c.name, c.edb, c.program));
+    let bundles = workloads().into_iter().map(|(name, db, src)| {
+        let s = parse_scenario(src);
+        (name.to_owned(), db, s.program)
+    });
+    let (mut priced, mut rectified) = (0, 0);
+    for (name, db, program) in corpus.chain(bundles) {
+        let (copy, _) = rectify(&program);
+        rectified += usize::from(copy != program);
+        let alts = vec![
+            (AlternativeKind::Original, program),
+            (AlternativeKind::Rectified, copy),
+        ];
+        let memo = CostMemo::build(&db, &mut EdbStats::new(), alts).expect("price");
+        assert_eq!(memo.alternatives.len(), 2, "{name}: both compile");
+        let [original, copy] = [0, 1].map(|i| memo.alternatives[i].estimate.work);
+        assert_eq!(
+            memo.best().kind,
+            AlternativeKind::Original,
+            "{name}: {original} vs {copy}"
+        );
+        priced += 1;
+    }
+    assert!(
+        priced >= 13 && rectified >= 1,
+        "{priced} priced, {rectified} rectified"
+    );
+}
+
 /// The maintenance tier prices plans compiled in incremental mode, the
 /// one-shot routes batch plans; the two price alike, so either tier
 /// picks the same route: on every gen workload, every alternative
